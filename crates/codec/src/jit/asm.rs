@@ -1,16 +1,19 @@
 //! A minimal x86-64 instruction emitter for the JIT tier.
 //!
 //! Deliberately tiny: only the encodings the two lowerings (lane programs,
-//! Huffman dispatch) need, every memory operand in the uniform
-//! `[base + index*scale + disp32]` mod=10 form (a byte or two larger than
-//! optimal, but one code path and no special cases besides the
-//! architectural RSP/R12 SIB and index≠RSP rules).
+//! Huffman dispatch) need. Memory operands are `[base + index*scale + disp]`
+//! in the shortest of the three displacement forms (none, disp8, disp32),
+//! and ALU immediates take the sign-extended imm8 form (`0x83`) when they
+//! fit: the lane images are dispatched at random through a 32 KB L1I, so
+//! bytes per block are a first-order cost. The architectural special cases
+//! are the RSP/R12 SIB byte, RBP/R13 having no displacement-free form, and
+//! index≠RSP.
 //!
 //! Emitted code is position-independent: intra-buffer control flow uses
-//! rel32 jumps patched via [`Asm::patch_rel32`], and host addresses
-//! (helper functions) are materialized with `movabs` before an indirect
-//! call, so a buffer can be staged in a `Vec` and copied into executable
-//! pages unchanged.
+//! rel32 jumps and calls patched via [`Asm::patch_rel32`] (or rel8 to an
+//! already-emitted target), and host addresses (helper functions) are
+//! materialized with `movabs` before an indirect call, so a buffer can be
+//! staged in a `Vec` and copied into executable pages unchanged.
 
 /// One of the 16 general-purpose registers, by hardware number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +64,8 @@ impl Mem {
     }
 }
 
-/// Two-operand ALU operations sharing the `op r/m, r` / `81 /n` encodings.
+/// Two-operand ALU operations sharing the `op r/m, r` / `81 /n` / `83 /n`
+/// encodings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Alu {
     Add,
@@ -85,7 +89,7 @@ impl Alu {
         }
     }
 
-    /// `/n` extension for the `81` imm32 form.
+    /// `/n` extension for the `81` imm32 and `83` imm8 forms.
     fn imm_ext(self) -> u8 {
         match self {
             Alu::Add => 0,
@@ -119,6 +123,16 @@ pub enum Cc {
     Ge = 0xD,
     /// Sign set (negative).
     S = 0x8,
+}
+
+/// Opcode of the group-1 immediate form that holds `imm`: `83` (imm8,
+/// sign-extended) when it fits, else `81` (imm32).
+fn imm_opcode(imm: i32) -> u8 {
+    if i8::try_from(imm).is_ok() {
+        0x83
+    } else {
+        0x81
+    }
 }
 
 /// The instruction buffer.
@@ -166,25 +180,46 @@ impl Asm {
         }
     }
 
-    /// ModRM + SIB + disp32 for `reg_field` against memory operand `m`
-    /// (always the mod=10 disp32 form).
+    /// The immediate of a group-1 instruction, in the width
+    /// [`imm_opcode`] chose.
+    fn imm8_or_32(&mut self, imm: i32) {
+        match i8::try_from(imm) {
+            Ok(b) => self.u8(b as u8),
+            Err(_) => self.i32le(imm),
+        }
+    }
+
+    /// ModRM + SIB + displacement for `reg_field` against memory operand
+    /// `m`, in the shortest form: mod=00 (none) for a zero displacement,
+    /// mod=01 (disp8) when it fits, else mod=10 (disp32). RBP/R13 as base
+    /// have no mod=00 form (that slot means disp32-only/RIP-relative), so a
+    /// zero displacement there is an explicit disp8.
     fn modrm_mem(&mut self, reg_field: u8, m: Mem) {
         let reg = reg_field & 7;
+        let base = m.base.0 & 7;
+        let disp8 = i8::try_from(m.disp).ok();
+        let mode = match disp8 {
+            Some(0) if base != 5 => 0x00,
+            Some(_) => 0x40,
+            None => 0x80,
+        };
         match m.index {
-            None if m.base.0 & 7 != 4 => {
-                self.u8(0x80 | reg << 3 | (m.base.0 & 7));
-            }
+            None if base != 4 => self.u8(mode | reg << 3 | base),
+            // RSP/R12 base needs a SIB with "no index".
             None => {
-                // RSP/R12 base needs a SIB with "no index".
-                self.u8(0x80 | reg << 3 | 4);
-                self.u8(4 << 3 | (m.base.0 & 7));
+                self.u8(mode | reg << 3 | 4);
+                self.u8(4 << 3 | base);
             }
             Some((idx, scale)) => {
-                self.u8(0x80 | reg << 3 | 4);
-                self.u8(scale << 6 | (idx.0 & 7) << 3 | (m.base.0 & 7));
+                self.u8(mode | reg << 3 | 4);
+                self.u8(scale << 6 | (idx.0 & 7) << 3 | base);
             }
         }
-        self.i32le(m.disp);
+        match (mode, disp8) {
+            (0x00, _) => {}
+            (0x40, Some(d)) => self.u8(d as u8),
+            _ => self.i32le(m.disp),
+        }
     }
 
     fn mem_rex(&mut self, w: bool, reg_field: u8, m: Mem) {
@@ -206,6 +241,13 @@ impl Asm {
             self.u8(0xB8 | (dst.0 & 7));
             self.code.extend_from_slice(&imm.to_le_bytes());
         }
+    }
+
+    /// `mov dst32, imm32` — zero-extends into the full register.
+    pub fn mov32_ri(&mut self, dst: Reg, imm: u32) {
+        self.rex(false, 0, 0, dst.0);
+        self.u8(0xB8 | (dst.0 & 7));
+        self.code.extend_from_slice(&imm.to_le_bytes());
     }
 
     /// `mov dst, src` (64-bit).
@@ -307,20 +349,26 @@ impl Asm {
         self.u8(0xC0 | (src.0 & 7) << 3 | (dst.0 & 7));
     }
 
-    /// `op dst, imm32` (sign-extended to 64 bits).
+    /// `op dst, imm` (imm8 or imm32, sign-extended to 64 bits; RAX with an
+    /// imm32 takes the accumulator short form, which has no ModRM byte).
     pub fn alu_ri(&mut self, op: Alu, dst: Reg, imm: i32) {
         self.rex(true, 0, 0, dst.0);
-        self.u8(0x81);
+        if dst == reg::RAX && i8::try_from(imm).is_err() {
+            self.u8(op.mr_opcode() | 0x04);
+            self.i32le(imm);
+            return;
+        }
+        self.u8(imm_opcode(imm));
         self.u8(0xC0 | op.imm_ext() << 3 | (dst.0 & 7));
-        self.i32le(imm);
+        self.imm8_or_32(imm);
     }
 
-    /// `op dst32, imm32` (32-bit, wraps).
+    /// `op dst32, imm` (32-bit, wraps).
     pub fn alu32_ri(&mut self, op: Alu, dst: Reg, imm: i32) {
         self.rex(false, 0, 0, dst.0);
-        self.u8(0x81);
+        self.u8(imm_opcode(imm));
         self.u8(0xC0 | op.imm_ext() << 3 | (dst.0 & 7));
-        self.i32le(imm);
+        self.imm8_or_32(imm);
     }
 
     /// `op dst, qword [m]`.
@@ -337,19 +385,12 @@ impl Asm {
         self.modrm_mem(src.0, m);
     }
 
-    /// `op qword [m], imm32` (sign-extended).
+    /// `op qword [m], imm` (imm8 or imm32, sign-extended).
     pub fn alu_mi(&mut self, op: Alu, m: Mem, imm: i32) {
         self.mem_rex(true, 0, m);
-        self.u8(0x81);
+        self.u8(imm_opcode(imm));
         self.modrm_mem(op.imm_ext(), m);
-        self.i32le(imm);
-    }
-
-    /// `inc qword [m]`.
-    pub fn inc_m(&mut self, m: Mem) {
-        self.mem_rex(true, 0, m);
-        self.u8(0xFF);
-        self.modrm_mem(0, m);
+        self.imm8_or_32(imm);
     }
 
     /// `test a, b` (64-bit AND, flags only).
@@ -357,6 +398,21 @@ impl Asm {
         self.rex(true, b.0, 0, a.0);
         self.u8(0x85);
         self.u8(0xC0 | (b.0 & 7) << 3 | (a.0 & 7));
+    }
+
+    /// `neg dst` (64-bit two's complement).
+    pub fn neg(&mut self, dst: Reg) {
+        self.rex(true, 0, 0, dst.0);
+        self.u8(0xF7);
+        self.u8(0xC0 | 3 << 3 | (dst.0 & 7));
+    }
+
+    /// `cmovcc dst, src` (64-bit).
+    pub fn cmov(&mut self, cc: Cc, dst: Reg, src: Reg) {
+        self.rex(true, dst.0, 0, src.0);
+        self.u8(0x0F);
+        self.u8(0x40 | cc as u8);
+        self.u8(0xC0 | (dst.0 & 7) << 3 | (src.0 & 7));
     }
 
     /// `xor dst32, dst32` — the canonical zeroing idiom.
@@ -463,6 +519,13 @@ impl Asm {
         self.u8(0xC0 | 4 << 3 | (r.0 & 7));
     }
 
+    /// `jmp qword [m]` (indirect through memory — table dispatch).
+    pub fn jmp_m(&mut self, m: Mem) {
+        self.mem_rex(false, 0, m);
+        self.u8(0xFF);
+        self.modrm_mem(4, m);
+    }
+
     /// `ret`.
     pub fn ret(&mut self) {
         self.u8(0xC3);
@@ -484,6 +547,44 @@ impl Asm {
         let at = self.here();
         self.i32le(0);
         at
+    }
+
+    /// `call rel32` with a zero placeholder; returns the rel32 field offset.
+    /// The callee is a stub in the same buffer and returns with `ret`.
+    pub fn call_rel32(&mut self) -> usize {
+        self.u8(0xE8);
+        let at = self.here();
+        self.i32le(0);
+        at
+    }
+
+    /// `jmp` to an already-emitted `target`: rel8 when it reaches, else
+    /// rel32.
+    pub fn jmp_to(&mut self, target: usize) {
+        if let Some(rel) = self.rel8_to(target) {
+            self.u8(0xEB);
+            self.u8(rel as u8);
+        } else {
+            let at = self.jmp_rel32();
+            self.patch_rel32(at, target);
+        }
+    }
+
+    /// `jcc` to an already-emitted `target`: rel8 when it reaches, else
+    /// rel32.
+    pub fn jcc_to(&mut self, cc: Cc, target: usize) {
+        if let Some(rel) = self.rel8_to(target) {
+            self.u8(0x70 | cc as u8);
+            self.u8(rel as u8);
+        } else {
+            let at = self.jcc_rel32(cc);
+            self.patch_rel32(at, target);
+        }
+    }
+
+    /// Displacement of a 2-byte short jump emitted here to `target`.
+    fn rel8_to(&self, target: usize) -> Option<i8> {
+        i8::try_from(target as i64 - (self.here() as i64 + 2)).ok()
     }
 
     /// Points the rel32 field at `field_off` to the instruction at
@@ -509,31 +610,148 @@ mod tests {
     use super::reg::*;
     use super::*;
 
+    fn bytes_of(f: impl FnOnce(&mut Asm)) -> Vec<u8> {
+        let mut a = Asm::new();
+        f(&mut a);
+        a.into_bytes()
+    }
+
     #[test]
     fn canonical_encodings_match_hand_assembly() {
-        let mut a = Asm::new();
-        a.load(RAX, Mem::base(R13, 0x10));
-        assert_eq!(a.bytes(), &[0x49, 0x8B, 0x85, 0x10, 0, 0, 0]);
+        assert_eq!(bytes_of(|a| a.load(RAX, Mem::base(R13, 0x10))), [0x49, 0x8B, 0x45, 0x10]);
+        assert_eq!(bytes_of(|a| a.store(Mem::base(R12, 8), RCX)), [0x49, 0x89, 0x4C, 0x24, 0x08]);
+        assert_eq!(
+            bytes_of(|a| a.load8_zx(RDX, Mem::index(R13, RAX, 0, 0))),
+            [0x49, 0x0F, 0xB6, 0x54, 0x05, 0x00]
+        );
+        assert_eq!(
+            bytes_of(|a| a.load16_zx(RCX, Mem::index(R12, RDX, 1, 0))),
+            [0x49, 0x0F, 0xB7, 0x0C, 0x54]
+        );
+        assert_eq!(bytes_of(|a| a.mov_ri(RAX, 0x2A)), [0x48, 0xC7, 0xC0, 0x2A, 0, 0, 0]);
+        assert_eq!(
+            bytes_of(|a| a.mov_ri(R11, 0x1122_3344_5566_7788)),
+            [0x49, 0xBB, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11]
+        );
+        assert_eq!(bytes_of(|a| a.mov32_ri(RSI, 57)), [0xBE, 57, 0, 0, 0]);
+        assert_eq!(bytes_of(|a| a.mov32_ri(R9, 64)), [0x41, 0xB9, 64, 0, 0, 0]);
+        assert_eq!(bytes_of(|a| a.neg(RCX)), [0x48, 0xF7, 0xD9]);
+        assert_eq!(bytes_of(|a| a.cmov(Cc::A, R13, RCX)), [0x4C, 0x0F, 0x47, 0xE9]);
+    }
 
-        let mut a = Asm::new();
-        a.store(Mem::base(R12, 8), RCX);
-        assert_eq!(a.bytes(), &[0x49, 0x89, 0x8C, 0x24, 0x08, 0, 0, 0]);
+    #[test]
+    fn displacement_takes_the_shortest_form() {
+        // No displacement, disp8 at both ends of its range, disp32 past it.
+        assert_eq!(bytes_of(|a| a.load(RAX, Mem::base(RBX, 0))), [0x48, 0x8B, 0x03]);
+        assert_eq!(bytes_of(|a| a.load(RAX, Mem::base(RBX, 127))), [0x48, 0x8B, 0x43, 0x7F]);
+        assert_eq!(bytes_of(|a| a.load(RAX, Mem::base(RBX, -128))), [0x48, 0x8B, 0x43, 0x80]);
+        assert_eq!(
+            bytes_of(|a| a.load(RAX, Mem::base(RBX, 128))),
+            [0x48, 0x8B, 0x83, 0x80, 0, 0, 0]
+        );
+        assert_eq!(
+            bytes_of(|a| a.load(RAX, Mem::base(RBX, -129))),
+            [0x48, 0x8B, 0x83, 0x7F, 0xFF, 0xFF, 0xFF]
+        );
+        // RSP/R12 as base always carry a SIB byte.
+        assert_eq!(bytes_of(|a| a.load(RAX, Mem::base(RSP, 0))), [0x48, 0x8B, 0x04, 0x24]);
+        assert_eq!(bytes_of(|a| a.load(RAX, Mem::base(R12, 0))), [0x49, 0x8B, 0x04, 0x24]);
+        assert_eq!(
+            bytes_of(|a| a.load(RAX, Mem::base(R12, 0x100))),
+            [0x49, 0x8B, 0x84, 0x24, 0, 1, 0, 0]
+        );
+        // RBP/R13 as base have no displacement-free form: disp8 of zero.
+        assert_eq!(bytes_of(|a| a.load(RAX, Mem::base(RBP, 0))), [0x48, 0x8B, 0x45, 0x00]);
+        assert_eq!(bytes_of(|a| a.load(RAX, Mem::base(R13, 0))), [0x49, 0x8B, 0x45, 0x00]);
+        assert_eq!(bytes_of(|a| a.lea(RAX, Mem::index(R10, R9, 0, 0))), [0x4B, 0x8D, 0x04, 0x0A]);
+        // Table dispatch: index*8 with a disp32 group base.
+        assert_eq!(
+            bytes_of(|a| a.jmp_m(Mem::index(R14, RAX, 3, 0x1000))),
+            [0x41, 0xFF, 0xA4, 0xC6, 0x00, 0x10, 0, 0]
+        );
+        assert_eq!(bytes_of(|a| a.jmp_m(Mem::index(R14, RCX, 3, 0))), [0x41, 0xFF, 0x24, 0xCE]);
+    }
 
-        let mut a = Asm::new();
-        a.load8_zx(RDX, Mem::index(R13, RAX, 0, 0));
-        assert_eq!(a.bytes(), &[0x49, 0x0F, 0xB6, 0x94, 0x05, 0, 0, 0, 0]);
+    #[test]
+    fn alu_immediates_take_the_shortest_form() {
+        assert_eq!(bytes_of(|a| a.alu_ri(Alu::Add, R15, 3)), [0x49, 0x83, 0xC7, 0x03]);
+        assert_eq!(bytes_of(|a| a.alu_ri(Alu::Cmp, R9, 8)), [0x49, 0x83, 0xF9, 0x08]);
+        assert_eq!(bytes_of(|a| a.alu_ri(Alu::Sub, RAX, -128)), [0x48, 0x83, 0xE8, 0x80]);
+        assert_eq!(
+            bytes_of(|a| a.alu_ri(Alu::Add, RCX, 0x1234)),
+            [0x48, 0x81, 0xC1, 0x34, 0x12, 0, 0]
+        );
+        assert_eq!(bytes_of(|a| a.alu_ri(Alu::Add, RCX, 128)), [0x48, 0x81, 0xC1, 0x80, 0, 0, 0]);
+        // RAX with an imm32: the accumulator form, no ModRM.
+        assert_eq!(bytes_of(|a| a.alu_ri(Alu::Cmp, RAX, 0xFFF8)), [0x48, 0x3D, 0xF8, 0xFF, 0, 0]);
+        assert_eq!(bytes_of(|a| a.alu32_ri(Alu::Add, RCX, 0x100)), [0x81, 0xC1, 0, 1, 0, 0]);
+        assert_eq!(bytes_of(|a| a.alu32_ri(Alu::Add, RCX, 1)), [0x83, 0xC1, 0x01]);
+        assert_eq!(
+            bytes_of(|a| a.alu_mi(Alu::Cmp, Mem::base(RBX, 0x20), 0)),
+            [0x48, 0x83, 0x7B, 0x20, 0x00]
+        );
+        assert_eq!(
+            bytes_of(|a| a.alu_mi(Alu::Add, Mem::base(RBX, 0x20), 0x12345)),
+            [0x48, 0x81, 0x43, 0x20, 0x45, 0x23, 0x01, 0x00]
+        );
+    }
 
+    #[test]
+    fn calls_and_short_jumps_encode_relative_to_the_next_instruction() {
         let mut a = Asm::new();
-        a.load16_zx(RCX, Mem::index(R12, RDX, 1, 0));
-        assert_eq!(a.bytes(), &[0x49, 0x0F, 0xB7, 0x8C, 0x54, 0, 0, 0, 0]);
+        let call = a.call_rel32();
+        a.ret();
+        let stub = a.here();
+        a.ret();
+        a.patch_rel32(call, stub);
+        assert_eq!(a.bytes(), [0xE8, 0x01, 0, 0, 0, 0xC3, 0xC3]);
 
+        // Backward targets: rel8 while it reaches, rel32 beyond.
         let mut a = Asm::new();
-        a.mov_ri(RAX, 0x2A);
-        assert_eq!(a.bytes(), &[0x48, 0xC7, 0xC0, 0x2A, 0, 0, 0]);
+        a.ret();
+        a.jmp_to(0);
+        a.jcc_to(Cc::Ae, 0);
+        assert_eq!(a.bytes(), [0xC3, 0xEB, 0xFD, 0x73, 0xFB]);
+        let mut a = Asm::new();
+        for _ in 0..126 {
+            a.ret();
+        }
+        a.jmp_to(0); // -128: the last rel8
+        a.jmp_to(0); // -130: rel32
+        a.jcc_to(Cc::B, 0);
+        assert_eq!(
+            a.bytes()[126..],
+            [0xEB, 0x80, 0xE9, 0x7B, 0xFF, 0xFF, 0xFF, 0x0F, 0x82, 0x75, 0xFF, 0xFF, 0xFF]
+        );
+    }
 
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
+    #[test]
+    fn local_stub_is_called_and_returned_through() {
+        use crate::jit::exec::ExecBuf;
+        // fn(a, b) -> 2 * max(a, b) - 1, the doubling done by a stub behind
+        // the function's own `ret`.
         let mut a = Asm::new();
-        a.mov_ri(R11, 0x1122_3344_5566_7788);
-        assert_eq!(a.bytes(), &[0x49, 0xBB, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11]);
+        a.mov_rr(RAX, RDI);
+        a.alu_rr(Alu::Cmp, RSI, RAX);
+        a.cmov(Cc::A, RAX, RSI);
+        let call = a.call_rel32();
+        a.neg(RAX);
+        a.ret();
+        let stub = a.here();
+        a.patch_rel32(call, stub);
+        a.neg(RAX);
+        a.alu_rr(Alu::Add, RAX, RAX);
+        a.alu_ri(Alu::Add, RAX, 1);
+        a.ret();
+        let buf = ExecBuf::publish(a.bytes()).unwrap();
+        // SAFETY: complete SysV function taking two integer args; the stub
+        // is reached by `call` and leaves through its own `ret`.
+        let f: extern "C" fn(u64, u64) -> u64 =
+            unsafe { std::mem::transmute::<usize, extern "C" fn(u64, u64) -> u64>(buf.addr_of(0)) };
+        for (x, y) in [(0u64, 1u64), (7, 3), (3, 7), (1 << 40, 5), (9, 9)] {
+            assert_eq!(f(x, y), 2 * x.max(y) - 1, "x={x} y={y}");
+        }
     }
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]

@@ -200,6 +200,44 @@ pub(crate) fn check_stream_structure(stream: &BlockStream) -> Result<(), UdpErro
     Ok(())
 }
 
+/// The little-endian `N`-byte words of the concatenation of `parts`, built
+/// in one pass from the per-block outputs: a word that straddles two blocks
+/// is finished in a carry.
+///
+/// # Errors
+/// The total byte count, when it is not a multiple of `N`.
+fn le_words<const N: usize, T>(
+    parts: &[Vec<u8>],
+    from_le: fn([u8; N]) -> T,
+) -> Result<Vec<T>, usize> {
+    let total: usize = parts.iter().map(Vec::len).sum();
+    if !total.is_multiple_of(N) {
+        return Err(total);
+    }
+    let mut words = Vec::with_capacity(total / N);
+    let mut carry = [0u8; N];
+    let mut carried = 0usize;
+    for part in parts {
+        let mut bytes = part.as_slice();
+        if carried > 0 {
+            let take = (N - carried).min(bytes.len());
+            carry[carried..carried + take].copy_from_slice(&bytes[..take]);
+            carried += take;
+            bytes = &bytes[take..];
+            if carried < N {
+                continue;
+            }
+            words.push(from_le(carry));
+        }
+        let whole = bytes.chunks_exact(N);
+        let rest = whole.remainder();
+        words.extend(whole.map(|c| from_le(c.try_into().expect("chunks_exact"))));
+        carry[..rest.len()].copy_from_slice(rest);
+        carried = rest.len();
+    }
+    Ok(words)
+}
+
 impl RecodedSpmv {
     /// Compresses `a` for the heterogeneous system, keeping the raw stream
     /// bytes as the degradation fallback.
@@ -550,29 +588,17 @@ impl RecodedSpmv {
         }
 
         let t_reassemble = tel.is_some().then(Instant::now);
-        let index_bytes: Vec<u8> = outputs[..n_index].concat();
-        let value_bytes: Vec<u8> = outputs[n_index..].concat();
-        if !index_bytes.len().is_multiple_of(4) {
-            return Err(ExecError::Reassembly(format!(
-                "index stream decoded to {} bytes, not 4-byte aligned",
-                index_bytes.len()
-            )));
-        }
-        if !value_bytes.len().is_multiple_of(8) {
-            return Err(ExecError::Reassembly(format!(
-                "value stream decoded to {} bytes, not 8-byte aligned",
-                value_bytes.len()
-            )));
-        }
-        let decoded_bytes = (index_bytes.len() + value_bytes.len()) as u64;
-        let col_idx: Vec<u32> = index_bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact")))
-            .collect();
-        let values: Vec<f64> = value_bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact")))
-            .collect();
+        let col_idx = le_words(&outputs[..n_index], u32::from_le_bytes).map_err(|len| {
+            ExecError::Reassembly(format!(
+                "index stream decoded to {len} bytes, not 4-byte aligned"
+            ))
+        })?;
+        let values = le_words(&outputs[n_index..], f64::from_le_bytes).map_err(|len| {
+            ExecError::Reassembly(format!(
+                "value stream decoded to {len} bytes, not 8-byte aligned"
+            ))
+        })?;
+        let decoded_bytes = (col_idx.len() * 4 + values.len() * 8) as u64;
         let a = Csr::try_from_parts(
             self.compressed.nrows,
             self.compressed.ncols,
@@ -1096,6 +1122,33 @@ mod tests {
             },
             17,
         )
+    }
+
+    #[test]
+    fn le_words_equals_concat_then_convert_for_every_split() {
+        let bytes: Vec<u8> = (0..48u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
+        let want32: Vec<u32> =
+            bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
+        let want64: Vec<f64> =
+            bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
+        // Two cuts at every pair of offsets: words straddle one boundary, two
+        // boundaries (a part shorter than the carry needs), and empty parts.
+        for i in 0..=bytes.len() {
+            for j in i..=bytes.len() {
+                let parts = [bytes[..i].to_vec(), bytes[i..j].to_vec(), bytes[j..].to_vec()];
+                assert_eq!(le_words(&parts, u32::from_le_bytes).unwrap(), want32, "cuts {i},{j}");
+                let got64 = le_words(&parts, f64::from_le_bytes).unwrap();
+                assert_eq!(
+                    got64.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want64.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "cuts {i},{j}"
+                );
+            }
+        }
+        assert_eq!(le_words::<4, u32>(&[], u32::from_le_bytes).unwrap(), Vec::<u32>::new());
+        let ragged = [bytes[..5].to_vec(), bytes[5..9].to_vec()];
+        assert_eq!(le_words(&ragged, u32::from_le_bytes), Err(9));
+        assert_eq!(le_words(&ragged, f64::from_le_bytes).map(|_| ()), Err(9));
     }
 
     #[test]

@@ -2,9 +2,33 @@
 //!
 //! At assemble time every verified [`Image`](crate::machine::Image) gets
 //! its `PredecodedBlock` table compiled to straight-line machine code per
-//! block, with branch-stitched control flow between blocks and the stream
-//! unit's hot paths (read/peek/skip of a buffered symbol) inlined. The
-//! pages live in the W^X-managed `ExecBuf` from `recode-codec`.
+//! block, with branch-stitched control flow between blocks. The pages live
+//! in the W^X-managed `ExecBuf` from `recode-codec`.
+//!
+//! ## Steady state: registers only
+//!
+//! A block on its way through executes no helper call and no
+//! read-modify-write of [`JitState`]. Modeled cycles, the three action-class
+//! counters, the stream window (`buf`, `buf_bits`, `pos`) and the scratchpad
+//! dirty mark live in host registers (the map is the `const` block below);
+//! per block the accounting is one `add`/`cmp [cycle_limit]`/`ja` plus one
+//! `add` per action class present. `actions`, `dispatches` and the dispatch
+//! class are not counted at all: every block charges `1 + actions` cycles,
+//! so after a clean halt `actions = alu + mem + stream` and `dispatches =
+//! cycles − actions`, exactly.
+//!
+//! Stream operations of up to 57 bits (and `InSymLe` of up to 8 bytes, as
+//! shifts and a `bswap` of the buffer) are served from the buffer register.
+//! Everything else sits behind the last block: a short buffer jumps to a
+//! per-site slow path that calls one shared **word-refill stub** (an 8-byte
+//! big-endian load while a whole word lies below `bit_len`, appending whole
+//! bytes only, so the `StreamUnit` invariants — next load byte-aligned, zero
+//! bits below `buf_bits` — hold exactly) and resumes; past the last whole
+//! word it calls the scalar helper through a trampoline that spills the
+//! window to `JitState`, where the helper runs the interpreter's own
+//! `StreamUnit` method on it. So helpers serve the stream's final < 8 bytes,
+//! underflow, and the forms with no buffered lowering (`SkipReg`, widths
+//! above 57 from garbage encodings).
 //!
 //! ## The bail-and-rerun contract
 //!
@@ -13,8 +37,9 @@
 //! dispatch/action counts, and opclass attribution are all byte-identical
 //! to the interpreter's. On **any** abnormal condition — a trap
 //! precondition (scratchpad bounds, stream underflow, unmapped dispatch),
-//! the cycle budget, or a dispatch into a hole — the code sets
-//! `status = 1` and returns through one shared bail stub. The caller then
+//! the cycle budget, or a dispatch into a hole (hole entries of the
+//! dispatch table *are* the bail stub) — the code sets `status = 1` and
+//! returns through one shared bail stub. The caller then
 //! re-runs the interpreter from a fresh prologue; lane execution is
 //! deterministic, so the re-run reproduces the exact [`LaneError`] with
 //! exact payloads. The compiled code never fabricates an error value,
@@ -37,65 +62,99 @@
 //! `Lane::run` with [`LaneError::JitInvalid`](crate::lane::LaneError) on
 //! damage.
 
-use crate::isa::{Action, SCRATCHPAD_BYTES};
-use crate::lane::{jit_stream_peek, jit_stream_read, jit_stream_read_le, jit_stream_skip};
+use crate::isa::{Action, Cond, NUM_REGS, SCRATCHPAD_BYTES};
+use crate::lane::{
+    jit_stream_peek, jit_stream_read, jit_stream_read_le, jit_stream_skip, OpClassCycles,
+};
 use crate::machine::{DecodedTransition, PredecodedBlock};
-use recode_codec::jit::asm::reg::{R12, R13, R14, R15, RAX, RBX, RCX, RDI, RDX, RSI};
+use recode_codec::jit::asm::reg::{
+    R10, R11, R12, R13, R14, R15, R8, R9, RAX, RBP, RBX, RCX, RDI, RDX, RSI,
+};
 use recode_codec::jit::asm::{Alu, Asm, Cc, Mem, Reg};
 use recode_codec::jit::{fnv1a, fnv1a_words, ExecBuf, JitError};
 use std::mem::offset_of;
+
+// Host register map. Everything a block touches on its way through lives in
+// a register; `JitState` memory is read (never read-modify-written) by the
+// steady state and is the spill area around helper calls.
+/// `&JitState + STATE_BIAS`.
+const STATE: Reg = RBX;
+/// Stream window: MSB-aligned refill buffer, its valid bits, the cursor.
+const BUF: Reg = R8;
+const BITS: Reg = R9;
+const POS: Reg = R10;
+/// Opclass counters (`actions`, `dispatches` and the dispatch class are
+/// derived from these and `CYCLES` after a clean halt).
+const N_ALU: Reg = R11;
+const N_MEM: Reg = RBP;
+const N_STREAM: Reg = RDI;
+/// Scratchpad base.
+const SCRATCH: Reg = R12;
+/// Scratchpad dirty high-water mark.
+const DIRTY: Reg = R13;
+/// Dispatch table base.
+const TABLE: Reg = R14;
+/// Modeled cycles.
+const CYCLES: Reg = R15;
+// Temporaries: RAX, RCX, RDX, RSI. The refill stub leaves RDX alone and the
+// helper trampolines preserve it, so a value can ride in RDX across a
+// stream operation.
 
 /// In/out state for one compiled lane run. The emitted code addresses
 /// fields by `offset_of`, so the layout must stay `repr(C)`.
 #[repr(C)]
 pub struct JitState {
-    /// Lane register file (16 × u64; `r0` writes are suppressed at emit
-    /// time, mirroring the hardwired zero).
-    pub(crate) regs: *mut u64,
-    /// Scratchpad base (64 KB).
-    pub(crate) scratch: *mut u8,
-    /// Dispatch table: absolute compiled-entry address per image address,
-    /// 0 for holes/invalid words.
-    pub(crate) table: *const usize,
-    /// Entries in `table` (= image words).
-    pub(crate) table_len: u64,
-    /// Input stream base.
-    pub(crate) in_ptr: *const u8,
-    /// Input buffer length in bytes.
-    pub(crate) in_len: u64,
-    /// Valid bits in the stream.
-    pub(crate) bit_len: u64,
-    /// Stream cursor (next unconsumed bit).
-    pub(crate) pos: u64,
-    /// MSB-aligned refill buffer (same invariants as `StreamUnit`).
-    pub(crate) buf: u64,
-    /// Valid bits in `buf`.
-    pub(crate) buf_bits: u64,
-    /// Modeled cycles.
-    pub(crate) cycles: u64,
-    /// Block dispatches.
-    pub(crate) dispatches: u64,
-    /// Actions executed.
-    pub(crate) actions: u64,
-    /// Opclass attribution: dispatch cycles.
-    pub(crate) oc_dispatch: u64,
-    /// Opclass attribution: ALU cycles.
-    pub(crate) oc_alu: u64,
-    /// Opclass attribution: memory cycles.
-    pub(crate) oc_mem: u64,
-    /// Opclass attribution: stream cycles.
-    pub(crate) oc_stream: u64,
+    /// Lane register file (`r0` writes are suppressed at emit time,
+    /// mirroring the hardwired zero).
+    pub(crate) regs: [u64; NUM_REGS],
     /// Trap after this many cycles.
     pub(crate) cycle_limit: u64,
-    /// Scratchpad dirty high-water mark (read back by the lane).
-    pub(crate) dirty_hi: u64,
+    /// Valid bits in the stream.
+    pub(crate) bit_len: u64,
+    /// Input stream base.
+    pub(crate) in_ptr: *const u8,
+    /// Scratchpad base (64 KB).
+    pub(crate) scratch: *mut u8,
+    /// Dispatch table: absolute compiled-entry address per image address
+    /// (the bail stub for holes/invalid words).
+    pub(crate) table: *const usize,
     /// 0 = clean halt, 1 = bail (re-run the interpreter).
     pub(crate) status: u64,
+    /// Scratchpad dirty high-water mark (written on halt and on bail).
+    pub(crate) dirty_hi: u64,
+    /// Modeled cycles (written on a clean halt).
+    pub(crate) cycles: u64,
+    /// Opclass attribution: ALU cycles (halt, and spilled around helpers).
+    pub(crate) oc_alu: u64,
+    /// Opclass attribution: memory cycles (written on a clean halt).
+    pub(crate) oc_mem: u64,
+    /// Opclass attribution: stream cycles (halt, and spilled around helpers).
+    pub(crate) oc_stream: u64,
+    /// Stream cursor, refill buffer and its valid bits — the `StreamUnit`
+    /// fields, valid only while a helper runs.
+    pub(crate) pos: u64,
+    pub(crate) buf: u64,
+    pub(crate) buf_bits: u64,
+    /// RDX across a helper call.
+    pub(crate) saved_rdx: u64,
+    /// Input buffer length in bytes (helpers only).
+    pub(crate) in_len: u64,
+    /// Helper calls made by this run (counted by the helpers).
+    pub(crate) helper_calls: u64,
 }
 
-#[allow(clippy::cast_possible_truncation)]
+/// `STATE` points this far into the state, so that the register file sits at
+/// disp8 −128..−8 and the next 16 fields at disp8 0..120.
+const STATE_BIAS: usize = NUM_REGS * 8;
+
+#[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 fn st(off: usize) -> Mem {
-    Mem::base(RBX, off as i32)
+    Mem::base(STATE, off as i32 - STATE_BIAS as i32)
+}
+
+/// Lane register `r` (1..16; `r0` never reaches memory).
+fn lane_reg(r: u8) -> Mem {
+    st(offset_of!(JitState, regs) + usize::from(r) * 8)
 }
 
 /// All slow-path helpers share one shape; going through the fn-pointer type
@@ -103,54 +162,61 @@ fn st(off: usize) -> Mem {
 /// signature against what the emitted call sequence assumes.
 type Helper = unsafe extern "C" fn(*mut JitState, u64) -> u64;
 
-fn helper_addr(h: Helper) -> usize {
-    h as usize
+/// The stream unit's four operations. Each has a scalar helper (the
+/// interpreter's own `StreamUnit` method) behind a trampoline.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum StreamOp {
+    Read,
+    Peek,
+    Skip,
+    ReadLe,
 }
 
-/// Which accounting class an action bills to (mirrors
-/// `OpClassCycles::bump`).
-enum Class {
-    Alu,
-    Mem,
-    Stream,
-}
+impl StreamOp {
+    const ALL: [StreamOp; 4] = [StreamOp::Read, StreamOp::Peek, StreamOp::Skip, StreamOp::ReadLe];
 
-fn classify(a: Action) -> Class {
-    match a {
-        Action::LoadImm { .. }
-        | Action::Mov { .. }
-        | Action::Add { .. }
-        | Action::Sub { .. }
-        | Action::And { .. }
-        | Action::Or { .. }
-        | Action::Xor { .. }
-        | Action::AddI { .. }
-        | Action::ShlI { .. }
-        | Action::ShrI { .. } => Class::Alu,
-        Action::Load { .. }
-        | Action::Store { .. }
-        | Action::LoadInc { .. }
-        | Action::StoreInc { .. } => Class::Mem,
-        Action::InSym { .. }
-        | Action::InSymLe { .. }
-        | Action::PeekSym { .. }
-        | Action::SkipSym { .. }
-        | Action::SkipReg { .. }
-        | Action::InRem { .. } => Class::Stream,
+    fn helper(self) -> usize {
+        let h: Helper = match self {
+            StreamOp::Read => jit_stream_read,
+            StreamOp::Peek => jit_stream_peek,
+            StreamOp::Skip => jit_stream_skip,
+            StreamOp::ReadLe => jit_stream_read_le,
+        };
+        h as usize
     }
+}
+
+/// The out-of-line half of a buffered stream operation: entered when the
+/// refill buffer holds fewer than `need` bits.
+struct ColdSite {
+    op: StreamOp,
+    /// Helper argument (bits, or bytes for `ReadLe`).
+    arg: u8,
+    need: u8,
+    /// rel32 field of the hot path's `jb`.
+    entry: usize,
+    /// Hot-path offset of the buffered fast path (taken after a refill).
+    back: usize,
+    /// Hot-path offset just past it (taken after the helper served it).
+    done: usize,
 }
 
 /// The lowering pass: one `Asm` buffer, per-block offsets, and the fixup
 /// lists resolved after all blocks are emitted.
 struct Lower {
     a: Asm,
-    /// `(rel32 field, target image address)` — resolved to the target's
-    /// compiled entry, or to the bail stub when unmapped.
+    /// `(rel32 field, target image address)` forward references — resolved
+    /// to the target's compiled entry, or to the bail stub when unmapped.
     fixups: Vec<(usize, u32)>,
     /// rel32 fields aimed at the shared bail stub.
     bail: Vec<usize>,
     /// rel32 fields aimed at the epilogue (clean halts).
     halt: Vec<usize>,
+    /// rel32 fields of hot-path calls to a helper trampoline (operations
+    /// with no buffered form).
+    tramp_calls: Vec<(usize, StreamOp)>,
+    /// Slow paths to emit behind the last block.
+    cold: Vec<ColdSite>,
     /// Image address → compiled code offset.
     block_off: Vec<Option<usize>>,
 }
@@ -160,92 +226,105 @@ impl Lower {
         if r == 0 {
             self.a.zero(dst);
         } else {
-            self.a.load(dst, Mem::base(R12, i32::from(r) * 8));
+            self.a.load(dst, lane_reg(r));
         }
     }
 
     fn write_reg(&mut self, r: u8, src: Reg) {
         if r != 0 {
-            self.a.store(Mem::base(R12, i32::from(r) * 8), src);
+            self.a.store(lane_reg(r), src);
         }
     }
 
-    /// `rdi = state; rsi = arg; call helper`. Trap-capable helpers set
-    /// `status`, checked here and routed to the bail stub.
-    fn call_helper(&mut self, helper: usize, arg: Option<u64>, can_trap: bool) {
-        self.a.mov_rr(RDI, RBX);
-        if let Some(v) = arg {
-            self.a.mov_ri(RSI, v);
+    /// Unconditional helper call for an operation with no buffered form
+    /// (oversized widths from garbage encodings, register-counted skips).
+    /// RSI holds the argument; the result lands in RAX.
+    fn helper_call(&mut self, op: StreamOp) {
+        let at = self.a.call_rel32();
+        self.tramp_calls.push((at, op));
+    }
+
+    fn helper_call_imm(&mut self, op: StreamOp, arg: u8) {
+        self.a.mov32_ri(RSI, u32::from(arg));
+        self.helper_call(op);
+    }
+
+    /// Drops `n <= 57` bits the buffer is known to hold. Shifting is exact
+    /// for `n == BITS` too: the bits below `BITS` are zero.
+    fn consume(&mut self, n: u8) {
+        self.a.shl_ri(BUF, n);
+        self.a.alu_ri(Alu::Sub, BITS, i32::from(n));
+        self.a.alu_ri(Alu::Add, POS, i32::from(n));
+    }
+
+    /// A stream operation served from the refill buffer when it holds at
+    /// least `need <= 57` bits (the buffer never holds invalid bits, so
+    /// that also proves `need <= remaining`). A short buffer leaves the hot
+    /// path: word refill, and past the last whole word the scalar helper
+    /// with the interpreter's refill/underflow logic.
+    fn buffered(&mut self, op: StreamOp, arg: u8, need: u8, fast: impl FnOnce(&mut Lower)) {
+        debug_assert!((1..=57).contains(&need));
+        self.a.alu_ri(Alu::Cmp, BITS, i32::from(need));
+        let entry = self.a.jcc_rel32(Cc::B);
+        let back = self.a.here();
+        fast(self);
+        let done = self.a.here();
+        self.cold.push(ColdSite { op, arg, need, entry, back, done });
+    }
+
+    /// `stream.read(bits)` / `stream.peek(bits)` into RAX: zero bits →
+    /// constant 0; 1..=57 bits → buffered; oversized (garbage encodings) →
+    /// helper.
+    fn stream_value(&mut self, op: StreamOp, bits: u8) {
+        match bits {
+            0 => self.a.zero(RAX),
+            1..=57 => self.buffered(op, bits, bits, |lo| {
+                lo.a.mov_rr(RAX, BUF);
+                lo.a.shr_ri(RAX, 64 - bits);
+                if op == StreamOp::Read {
+                    lo.consume(bits);
+                }
+            }),
+            _ => self.helper_call_imm(op, bits),
         }
-        self.a.call_abs(helper);
-        if can_trap {
-            self.a.alu_mi(Alu::Cmp, st(offset_of!(JitState, status)), 0);
-            self.bail.push(self.a.jcc_rel32(Cc::Ne));
+    }
+
+    /// `stream.read_le(k)` for `1 <= k <= 7` into RAX: the top `k` buffer
+    /// bytes, byte-reversed.
+    fn read_le_part(&mut self, k: u8) {
+        self.buffered(StreamOp::ReadLe, k, 8 * k, |lo| {
+            lo.a.mov_rr(RAX, BUF);
+            match k {
+                1 => lo.a.shr_ri(RAX, 56),
+                4 => {
+                    lo.a.bswap(RAX);
+                    lo.a.mov32_rr(RAX, RAX);
+                }
+                _ => {
+                    lo.a.bswap(RAX);
+                    lo.a.shl_ri(RAX, 64 - 8 * k);
+                    lo.a.shr_ri(RAX, 64 - 8 * k);
+                }
+            }
+            lo.consume(8 * k);
+        });
+    }
+
+    /// `stream.read_le(bytes)` into RAX. Eight bytes are two 4-byte reads
+    /// (the buffer cannot hold 64 bits at every phase); a bail between the
+    /// two discards the first with the rest of the run.
+    fn read_le(&mut self, bytes: u8) {
+        match bytes {
+            1..=7 => self.read_le_part(bytes),
+            8 => {
+                self.read_le_part(4);
+                self.a.mov_rr(RDX, RAX);
+                self.read_le_part(4);
+                self.a.shl_ri(RAX, 32);
+                self.a.alu_rr(Alu::Or, RAX, RDX);
+            }
+            _ => self.helper_call_imm(StreamOp::ReadLe, bytes),
         }
-    }
-
-    /// Inline `stream.read(n)` for `1..=57` bits: serve from the buffer
-    /// when it holds *more* than `n` bits (the strict inequality both
-    /// guarantees `n <= remaining` — the buffer never holds invalid bits —
-    /// and keeps the shift-advance exact); otherwise the scalar helper
-    /// runs the full refill/underflow logic. Value lands in RAX.
-    fn stream_read_fast(&mut self, n: u8) {
-        debug_assert!((1..=57).contains(&n));
-        self.a.load(RAX, st(offset_of!(JitState, buf_bits)));
-        self.a.alu_ri(Alu::Cmp, RAX, i32::from(n));
-        let slow = self.a.jcc_rel32(Cc::Be);
-        self.a.load(RDX, st(offset_of!(JitState, buf)));
-        self.a.mov_rr(RCX, RDX);
-        self.a.shr_ri(RCX, 64 - n);
-        self.a.shl_ri(RDX, n);
-        self.a.store(st(offset_of!(JitState, buf)), RDX);
-        self.a.alu_ri(Alu::Sub, RAX, i32::from(n));
-        self.a.store(st(offset_of!(JitState, buf_bits)), RAX);
-        self.a.alu_mi(Alu::Add, st(offset_of!(JitState, pos)), i32::from(n));
-        self.a.mov_rr(RAX, RCX);
-        let done = self.a.jmp_rel32();
-        let slow_at = self.a.here();
-        self.a.patch_rel32(slow, slow_at);
-        self.call_helper(helper_addr(jit_stream_read), Some(u64::from(n)), true);
-        let done_at = self.a.here();
-        self.a.patch_rel32(done, done_at);
-    }
-
-    /// Inline `stream.peek(n)` for `1..=57` bits (never traps, never
-    /// consumes). Value lands in RAX.
-    fn stream_peek_fast(&mut self, n: u8) {
-        debug_assert!((1..=57).contains(&n));
-        self.a.load(RAX, st(offset_of!(JitState, buf_bits)));
-        self.a.alu_ri(Alu::Cmp, RAX, i32::from(n));
-        let slow = self.a.jcc_rel32(Cc::B);
-        self.a.load(RAX, st(offset_of!(JitState, buf)));
-        self.a.shr_ri(RAX, 64 - n);
-        let done = self.a.jmp_rel32();
-        let slow_at = self.a.here();
-        self.a.patch_rel32(slow, slow_at);
-        self.call_helper(helper_addr(jit_stream_peek), Some(u64::from(n)), false);
-        let done_at = self.a.here();
-        self.a.patch_rel32(done, done_at);
-    }
-
-    /// Inline `stream.skip(n)` for small constant `n`.
-    fn stream_skip_fast(&mut self, n: u8) {
-        debug_assert!((1..=57).contains(&n));
-        self.a.load(RAX, st(offset_of!(JitState, buf_bits)));
-        self.a.alu_ri(Alu::Cmp, RAX, i32::from(n));
-        let slow = self.a.jcc_rel32(Cc::Be);
-        self.a.load(RDX, st(offset_of!(JitState, buf)));
-        self.a.shl_ri(RDX, n);
-        self.a.store(st(offset_of!(JitState, buf)), RDX);
-        self.a.alu_ri(Alu::Sub, RAX, i32::from(n));
-        self.a.store(st(offset_of!(JitState, buf_bits)), RAX);
-        self.a.alu_mi(Alu::Add, st(offset_of!(JitState, pos)), i32::from(n));
-        let done = self.a.jmp_rel32();
-        let slow_at = self.a.here();
-        self.a.patch_rel32(slow, slow_at);
-        self.call_helper(helper_addr(jit_stream_skip), Some(u64::from(n)), true);
-        let done_at = self.a.here();
-        self.a.patch_rel32(done, done_at);
     }
 
     /// Emits the effective-address computation + bounds check for a
@@ -267,15 +346,12 @@ impl Lower {
     #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
     fn update_dirty_hi(&mut self, width: usize) {
         self.a.lea(RCX, Mem::base(RAX, width as i32));
-        self.a.alu_rm(Alu::Cmp, RCX, st(offset_of!(JitState, dirty_hi)));
-        let skip = self.a.jcc_rel32(Cc::Be);
-        self.a.store(st(offset_of!(JitState, dirty_hi)), RCX);
-        let at = self.a.here();
-        self.a.patch_rel32(skip, at);
+        self.a.alu_rr(Alu::Cmp, RCX, DIRTY);
+        self.a.cmov(Cc::A, DIRTY, RCX);
     }
 
     fn scratch_load(&mut self, dst: Reg, width: usize) {
-        let m = Mem::index(R13, RAX, 0, 0);
+        let m = Mem::index(SCRATCH, RAX, 0, 0);
         match width {
             1 => self.a.load8_zx(dst, m),
             2 => self.a.load16_zx(dst, m),
@@ -285,7 +361,7 @@ impl Lower {
     }
 
     fn scratch_store(&mut self, src: Reg, width: usize) {
-        let m = Mem::index(R13, RAX, 0, 0);
+        let m = Mem::index(SCRATCH, RAX, 0, 0);
         match width {
             1 => self.a.store8(m, src),
             2 => self.a.store16(m, src),
@@ -296,8 +372,11 @@ impl Lower {
 
     fn alu3(&mut self, op: Alu, rd: u8, rs: u8, rt: u8) {
         self.read_reg(RAX, rs);
-        self.read_reg(RDX, rt);
-        self.a.alu_rr(op, RAX, RDX);
+        if rt != 0 {
+            self.a.alu_rm(op, RAX, lane_reg(rt));
+        } else if op == Alu::And {
+            self.a.zero(RAX);
+        }
         self.write_reg(rd, RAX);
     }
 
@@ -305,8 +384,9 @@ impl Lower {
     fn emit_action(&mut self, act: Action) {
         match act {
             Action::LoadImm { rd, imm } => {
-                self.a.mov_ri(RAX, imm as i64 as u64);
-                self.write_reg(rd, RAX);
+                if rd != 0 {
+                    self.a.store_imm(lane_reg(rd), i32::from(imm));
+                }
             }
             Action::Mov { rd, rs } => {
                 self.read_reg(RAX, rs);
@@ -378,109 +458,102 @@ impl Lower {
                 self.write_reg(base, RCX);
             }
             Action::InSym { rd, bits } => {
-                self.stream_value(bits, helper_addr(jit_stream_read), true);
+                self.stream_value(StreamOp::Read, bits);
                 self.write_reg(rd, RAX);
             }
             Action::InSymLe { rd, bytes } => {
-                self.call_helper(helper_addr(jit_stream_read_le), Some(u64::from(bytes)), true);
+                self.read_le(bytes);
                 self.write_reg(rd, RAX);
             }
             Action::PeekSym { rd, bits } => {
-                self.stream_value(bits, helper_addr(jit_stream_peek), false);
+                self.stream_value(StreamOp::Peek, bits);
                 self.write_reg(rd, RAX);
             }
-            Action::SkipSym { bits } => {
-                if bits == 0 {
-                    // skip(0) never traps and moves nothing observable.
-                } else if bits <= 57 {
-                    self.stream_skip_fast(bits);
-                } else {
-                    self.call_helper(helper_addr(jit_stream_skip), Some(u64::from(bits)), true);
-                }
-            }
+            Action::SkipSym { bits } => match bits {
+                // skip(0) never traps and moves nothing observable.
+                0 => {}
+                1..=57 => self.buffered(StreamOp::Skip, bits, bits, |lo| lo.consume(bits)),
+                _ => self.helper_call_imm(StreamOp::Skip, bits),
+            },
             Action::SkipReg { rs } => {
                 self.read_reg(RSI, rs);
-                self.call_helper(helper_addr(jit_stream_skip), None, true);
+                self.helper_call(StreamOp::Skip);
             }
             Action::InRem { rd } => {
                 self.a.load(RAX, st(offset_of!(JitState, bit_len)));
-                self.a.alu_rm(Alu::Sub, RAX, st(offset_of!(JitState, pos)));
+                self.a.alu_rr(Alu::Sub, RAX, POS);
                 self.write_reg(rd, RAX);
             }
         }
     }
 
-    /// Stream read/peek dispatcher: zero bits → constant 0; 1..=57 bits →
-    /// inline fast path; oversized (garbage encodings) → helper.
-    fn stream_value(&mut self, bits: u8, helper: usize, consumes: bool) {
-        if bits == 0 {
-            self.a.zero(RAX);
-        } else if bits <= 57 {
-            if consumes {
-                self.stream_read_fast(bits);
-            } else {
-                self.stream_peek_fast(bits);
-            }
+    /// Code offset of the block at image address `target`, once emitted.
+    fn emitted(&self, target: u32) -> Option<usize> {
+        self.block_off.get(target as usize).copied().flatten()
+    }
+
+    /// Jump to the block at image address `target` (the bail stub when it
+    /// is unmapped). `next` is the address emitted right after this block:
+    /// a jump there is a fall-through and emits nothing.
+    fn jump_to(&mut self, target: u32, next: Option<u32>) {
+        if next == Some(target) {
+            return;
+        }
+        if let Some(off) = self.emitted(target) {
+            self.a.jmp_to(off);
         } else {
-            self.call_helper(helper, Some(u64::from(bits)), consumes);
+            let j = self.a.jmp_rel32();
+            self.fixups.push((j, target));
         }
     }
 
-    fn jump_to(&mut self, target: u32) {
-        let j = self.a.jmp_rel32();
-        self.fixups.push((j, target));
+    fn branch_to(&mut self, cc: Cc, target: u32) {
+        if let Some(off) = self.emitted(target) {
+            self.a.jcc_to(cc, off);
+        } else {
+            let j = self.a.jcc_rel32(cc);
+            self.fixups.push((j, target));
+        }
     }
 
-    /// Indirect dispatch: RAX holds the symbol/index value; the target is
-    /// `base +₃₂ value`, resolved through the run-time table so the code
-    /// stays position-independent and holes trap.
+    /// Indirect dispatch on the value in EAX: the target is `base +₃₂
+    /// value`, resolved through the run-time table so the code stays
+    /// position-independent. Hole entries hold the bail stub, so only the
+    /// table bound needs a check — and not even that when the value is
+    /// known to be below `2^bits` and the whole group lies inside the table.
     #[allow(clippy::cast_possible_wrap)]
-    fn dynamic_dispatch(&mut self, base: u32) {
+    fn dynamic_dispatch(&mut self, base: u32, bits: Option<u8>) {
+        let table_len = self.block_off.len() as u64;
+        if bits.is_some_and(|b| u64::from(base) + (1u64 << b) <= table_len) {
+            self.a.jmp_m(Mem::index(TABLE, RAX, 3, base as i32 * 8));
+            return;
+        }
         self.a.mov32_rr(RCX, RAX);
         if base != 0 {
             self.a.alu32_ri(Alu::Add, RCX, base as i32);
         }
-        self.a.alu_rm(Alu::Cmp, RCX, st(offset_of!(JitState, table_len)));
+        self.a.alu_ri(Alu::Cmp, RCX, table_len as i32);
         self.bail.push(self.a.jcc_rel32(Cc::Ae));
-        self.a.load(RDX, Mem::index(R14, RCX, 3, 0));
-        self.a.test_rr(RDX, RDX);
-        self.bail.push(self.a.jcc_rel32(Cc::E));
-        self.a.jmp_r(RDX);
+        self.a.jmp_m(Mem::index(TABLE, RCX, 3, 0));
     }
 
     #[allow(clippy::cast_possible_truncation)]
-    fn emit_block(&mut self, addr: u32, blk: &PredecodedBlock) {
+    fn emit_block(&mut self, addr: u32, blk: &PredecodedBlock, next: Option<u32>) {
         self.block_off[addr as usize] = Some(self.a.here());
-        let n = blk.actions().len() as u64;
-        let (mut n_alu, mut n_mem, mut n_str) = (0i32, 0i32, 0i32);
-        for act in blk.actions() {
-            match classify(*act) {
-                Class::Alu => n_alu += 1,
-                Class::Mem => n_mem += 1,
-                Class::Stream => n_str += 1,
-            }
-        }
         // Whole-block accounting up front (interpreter order: the block's
         // full cost lands before the budget check; a mid-block bail
         // discards it all anyway).
-        self.a.alu_mi(Alu::Add, st(offset_of!(JitState, cycles)), 1 + n as i32);
-        self.a.inc_m(st(offset_of!(JitState, dispatches)));
-        if n > 0 {
-            self.a.alu_mi(Alu::Add, st(offset_of!(JitState, actions)), n as i32);
-        }
-        self.a.inc_m(st(offset_of!(JitState, oc_dispatch)));
-        if n_alu > 0 {
-            self.a.alu_mi(Alu::Add, st(offset_of!(JitState, oc_alu)), n_alu);
-        }
-        if n_mem > 0 {
-            self.a.alu_mi(Alu::Add, st(offset_of!(JitState, oc_mem)), n_mem);
-        }
-        if n_str > 0 {
-            self.a.alu_mi(Alu::Add, st(offset_of!(JitState, oc_stream)), n_str);
-        }
-        self.a.load(RAX, st(offset_of!(JitState, cycles)));
-        self.a.alu_rm(Alu::Cmp, RAX, st(offset_of!(JitState, cycle_limit)));
+        self.a.alu_ri(Alu::Add, CYCLES, 1 + blk.actions().len() as i32);
+        self.a.alu_rm(Alu::Cmp, CYCLES, st(offset_of!(JitState, cycle_limit)));
         self.bail.push(self.a.jcc_rel32(Cc::A));
+        let mut classes = OpClassCycles::default();
+        blk.actions().iter().for_each(|a| classes.bump(a));
+        for (counter, n) in [(N_ALU, classes.alu), (N_MEM, classes.mem), (N_STREAM, classes.stream)]
+        {
+            if n > 0 {
+                self.a.alu_ri(Alu::Add, counter, n as i32);
+            }
+        }
 
         for act in blk.actions() {
             self.emit_action(*act);
@@ -490,36 +563,175 @@ impl Lower {
             DecodedTransition::Halt => {
                 self.halt.push(self.a.jmp_rel32());
             }
-            DecodedTransition::Jump(t) => self.jump_to(t),
+            DecodedTransition::Jump(t) => self.jump_to(t, next),
             DecodedTransition::Branch { cond, rs, rt, taken } => {
-                self.read_reg(RAX, rs);
-                self.read_reg(RDX, rt);
-                self.a.alu_rr(Alu::Cmp, RAX, RDX);
+                if rs != 0 && rt == 0 {
+                    self.a.alu_mi(Alu::Cmp, lane_reg(rs), 0);
+                } else {
+                    self.read_reg(RAX, rs);
+                    self.read_reg(RDX, rt);
+                    self.a.alu_rr(Alu::Cmp, RAX, RDX);
+                }
                 let cc = match cond {
-                    crate::isa::Cond::Eq => Cc::E,
-                    crate::isa::Cond::Ne => Cc::Ne,
-                    crate::isa::Cond::Ltu => Cc::B,
-                    crate::isa::Cond::Geu => Cc::Ae,
-                    crate::isa::Cond::Lts => Cc::L,
-                    crate::isa::Cond::Ges => Cc::Ge,
+                    Cond::Eq => Cc::E,
+                    Cond::Ne => Cc::Ne,
+                    Cond::Ltu => Cc::B,
+                    Cond::Geu => Cc::Ae,
+                    Cond::Lts => Cc::L,
+                    Cond::Ges => Cc::Ge,
                 };
-                let j = self.a.jcc_rel32(cc);
-                self.fixups.push((j, taken));
-                self.jump_to(addr + 1);
+                self.branch_to(cc, taken);
+                self.jump_to(addr + 1, next);
             }
             DecodedTransition::DispatchSym { bits, base } => {
-                self.stream_value(bits, helper_addr(jit_stream_read), true);
-                self.dynamic_dispatch(base);
+                self.stream_value(StreamOp::Read, bits);
+                self.dynamic_dispatch(base, Some(bits));
             }
             DecodedTransition::DispatchPeek { bits, base } => {
-                self.stream_value(bits, helper_addr(jit_stream_peek), false);
-                self.dynamic_dispatch(base);
+                self.stream_value(StreamOp::Peek, bits);
+                self.dynamic_dispatch(base, Some(bits));
             }
             DecodedTransition::DispatchReg { rs, base } => {
-                self.read_reg(RAX, rs);
-                self.dynamic_dispatch(base);
+                if rs == 0 {
+                    self.a.zero(RAX);
+                } else {
+                    self.a.load32(RAX, lane_reg(rs));
+                }
+                self.dynamic_dispatch(base, None);
             }
         }
+    }
+
+    /// The registers a helper may clobber (or reads through `JitState`),
+    /// stored to their state slots; `reload` is the inverse.
+    fn spill(&mut self) {
+        for (field, r) in Self::SPILLED {
+            self.a.store(st(field), r);
+        }
+    }
+
+    fn reload(&mut self) {
+        for (field, r) in Self::SPILLED {
+            self.a.load(r, st(field));
+        }
+    }
+
+    const SPILLED: [(usize, Reg); 6] = [
+        (offset_of!(JitState, pos), POS),
+        (offset_of!(JitState, buf), BUF),
+        (offset_of!(JitState, buf_bits), BITS),
+        (offset_of!(JitState, oc_alu), N_ALU),
+        (offset_of!(JitState, oc_stream), N_STREAM),
+        (offset_of!(JitState, saved_rdx), RDX),
+    ];
+
+    /// Everything behind the last block: the bail stub, the epilogue, the
+    /// word-refill stub, one trampoline per helper, and the slow half of
+    /// every buffered stream operation. Returns the bail stub's offset.
+    #[allow(clippy::cast_possible_wrap)]
+    fn emit_cold(&mut self) -> usize {
+        // Bail: only the dirty high-water mark survives (the next prologue
+        // must zero everything the compiled code stored).
+        let bail_at = self.a.here();
+        self.a.store_imm(st(offset_of!(JitState, status)), 1);
+        self.a.store(st(offset_of!(JitState, dirty_hi)), DIRTY);
+        let to_pops = self.a.jmp_rel32();
+
+        let halt_at = self.a.here();
+        for (field, r) in [
+            (offset_of!(JitState, cycles), CYCLES),
+            (offset_of!(JitState, oc_alu), N_ALU),
+            (offset_of!(JitState, oc_mem), N_MEM),
+            (offset_of!(JitState, oc_stream), N_STREAM),
+            (offset_of!(JitState, dirty_hi), DIRTY),
+        ] {
+            self.a.store(st(field), r);
+        }
+        let pops_at = self.a.here();
+        self.a.patch_rel32(to_pops, pops_at);
+        for r in [R15, R14, R13, R12, RBP, RBX] {
+            self.a.pop(r);
+        }
+        self.a.ret();
+
+        // Word refill. Entered with BITS <= 56 and, by the `StreamUnit`
+        // invariant, `next = POS + BITS` byte-aligned whenever it is below
+        // `bit_len`. When a whole 8-byte word lies at or below `bit_len` it
+        // appends as many whole bytes of it as fit — exactly the bytes the
+        // scalar refill would append one at a time — so `next` stays
+        // byte-aligned and the bits below BITS stay zero. Otherwise it
+        // returns with nothing changed and the caller's recheck falls
+        // through to the scalar helper. Clobbers RAX, RCX, RSI.
+        let refill_at = self.a.here();
+        self.a.lea(RAX, Mem::index(POS, BITS, 0, 0));
+        self.a.lea(RSI, Mem::base(RAX, 64));
+        self.a.alu_rm(Alu::Cmp, RSI, st(offset_of!(JitState, bit_len)));
+        let no_word = self.a.jcc_rel32(Cc::A);
+        self.a.shr_ri(RAX, 3);
+        self.a.load(RSI, st(offset_of!(JitState, in_ptr)));
+        self.a.load(RAX, Mem::index(RSI, RAX, 0, 0));
+        self.a.bswap(RAX);
+        self.a.mov_rr(RCX, BITS);
+        self.a.shr_cl(RAX);
+        // The word fills the buffer to 64 - t bits, t = -BITS mod 8.
+        self.a.neg(RCX);
+        self.a.alu_ri(Alu::And, RCX, 7);
+        self.a.shr_cl(RAX);
+        self.a.shl_cl(RAX);
+        self.a.alu_rr(Alu::Or, BUF, RAX);
+        self.a.mov32_ri(BITS, 64);
+        self.a.alu_rr(Alu::Sub, BITS, RCX);
+        let no_word_at = self.a.here();
+        self.a.patch_rel32(no_word, no_word_at);
+        self.a.ret();
+
+        // Helper trampolines: RSI = argument in, RAX = result out, RDX
+        // preserved. Reached by `call`, which leaves RSP 16-aligned for the
+        // helper (6 pushes + 2 return addresses). A trapping helper has set
+        // `status`; drop the return address and leave through the bail stub.
+        let mut tramp_at = [0usize; StreamOp::ALL.len()];
+        for op in StreamOp::ALL {
+            tramp_at[op as usize] = self.a.here();
+            self.spill();
+            self.a.lea(RDI, st(0));
+            self.a.call_abs(op.helper());
+            self.reload();
+            self.a.alu_mi(Alu::Cmp, st(offset_of!(JitState, status)), 0);
+            let trapped = self.a.jcc_rel32(Cc::Ne);
+            self.a.ret();
+            let trapped_at = self.a.here();
+            self.a.patch_rel32(trapped, trapped_at);
+            self.a.add_rsp(8);
+            self.a.jmp_to(bail_at);
+        }
+        for (at, op) in std::mem::take(&mut self.tramp_calls) {
+            self.a.patch_rel32(at, tramp_at[op as usize]);
+        }
+
+        for site in std::mem::take(&mut self.cold) {
+            let at = self.a.here();
+            self.a.patch_rel32(site.entry, at);
+            let call = self.a.call_rel32();
+            self.a.patch_rel32(call, refill_at);
+            self.a.alu_ri(Alu::Cmp, BITS, i32::from(site.need));
+            self.a.jcc_to(Cc::Ae, site.back);
+            self.a.mov32_ri(RSI, u32::from(site.arg));
+            let call = self.a.call_rel32();
+            self.a.patch_rel32(call, tramp_at[site.op as usize]);
+            self.a.jmp_to(site.done);
+        }
+
+        for off in std::mem::take(&mut self.bail) {
+            self.a.patch_rel32(off, bail_at);
+        }
+        for off in std::mem::take(&mut self.halt) {
+            self.a.patch_rel32(off, halt_at);
+        }
+        for (off, target) in std::mem::take(&mut self.fixups) {
+            let dest = self.emitted(target).unwrap_or(bail_at);
+            self.a.patch_rel32(off, dest);
+        }
+        bail_at
     }
 }
 
@@ -527,7 +739,8 @@ impl Lower {
 #[derive(Debug)]
 pub struct LaneJit {
     buf: ExecBuf,
-    /// Absolute compiled-entry address per image address (0 = unmapped).
+    /// Absolute compiled-entry address per image address (the bail stub
+    /// for unmapped ones).
     table: Vec<usize>,
     /// FNV-1a over the published machine code.
     code_digest: u64,
@@ -535,6 +748,8 @@ pub struct LaneJit {
     words_digest: u64,
     /// Sentinels for the cheap per-run integrity check.
     code_len: usize,
+    /// Bytes ahead of the out-of-line region (prologue + blocks).
+    hot_len: usize,
     first8: u64,
     last8: u64,
     /// Blocks lowered (compiled dispatch targets).
@@ -560,65 +775,60 @@ impl LaneJit {
         predecoded: &[Option<PredecodedBlock>],
         entry: u32,
     ) -> Result<LaneJit, JitError> {
+        // Table indices and `base * 8` displacements are emitted as imm32.
+        if predecoded.len() > (1 << 27) {
+            return Err(JitError::Lowering(format!(
+                "{} code words exceed the dispatch-table encoding",
+                predecoded.len()
+            )));
+        }
         let mut lo = Lower {
             a: Asm::new(),
             fixups: Vec::new(),
             bail: Vec::new(),
             halt: Vec::new(),
+            tramp_calls: Vec::new(),
+            cold: Vec::new(),
             block_off: vec![None; predecoded.len()],
         };
-        // Prologue: 5 callee-saved pushes leave RSP 16-aligned, so helper
-        // call sites see the ABI-mandated alignment with no padding.
-        for r in [RBX, R12, R13, R14, R15] {
+        // Prologue: 6 callee-saved pushes leave RSP 8 off 16-alignment, so a
+        // `call` to a trampoline realigns it for the helper with no padding.
+        for r in [RBX, RBP, R12, R13, R14, R15] {
             lo.a.push(r);
         }
-        lo.a.mov_rr(RBX, RDI);
-        lo.a.load(R12, st(offset_of!(JitState, regs)));
-        lo.a.load(R13, st(offset_of!(JitState, scratch)));
-        lo.a.load(R14, st(offset_of!(JitState, table)));
-        lo.jump_to(entry);
-
-        let mut blocks = 0usize;
-        for (addr, blk) in predecoded.iter().enumerate() {
-            if let Some(blk) = blk {
-                #[allow(clippy::cast_possible_truncation)]
-                lo.emit_block(addr as u32, blk);
-                blocks += 1;
-            }
+        #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+        lo.a.lea(STATE, Mem::base(RDI, STATE_BIAS as i32));
+        lo.a.load(SCRATCH, st(offset_of!(JitState, scratch)));
+        lo.a.load(TABLE, st(offset_of!(JitState, table)));
+        for r in [BUF, BITS, POS, N_ALU, N_MEM, N_STREAM, DIRTY, CYCLES] {
+            lo.a.zero(r);
         }
 
-        let bail_at = lo.a.here();
-        lo.a.store_imm(st(offset_of!(JitState, status)), 1);
-        let epilogue_at = lo.a.here();
-        for r in [R15, R14, R13, R12, RBX] {
-            lo.a.pop(r);
+        #[allow(clippy::cast_possible_truncation)]
+        let mapped: Vec<u32> =
+            (0..predecoded.len() as u32).filter(|&a| predecoded[a as usize].is_some()).collect();
+        lo.jump_to(entry, mapped.first().copied());
+        for (i, &addr) in mapped.iter().enumerate() {
+            let blk = predecoded[addr as usize].as_ref().expect("filtered to mapped addresses");
+            lo.emit_block(addr, blk, mapped.get(i + 1).copied());
         }
-        lo.a.ret();
-
-        for off in lo.bail {
-            lo.a.patch_rel32(off, bail_at);
-        }
-        for off in lo.halt {
-            lo.a.patch_rel32(off, epilogue_at);
-        }
-        for (off, target) in lo.fixups {
-            let dest = lo.block_off.get(target as usize).copied().flatten().unwrap_or(bail_at);
-            lo.a.patch_rel32(off, dest);
-        }
+        let hot_len = lo.a.here();
+        let bail_at = lo.emit_cold();
 
         let code = lo.a.into_bytes();
         let buf = ExecBuf::publish(&code)?;
         let published = buf.code();
-        let table = lo.block_off.iter().map(|off| off.map_or(0, |o| buf.addr_of(o))).collect();
+        let table = lo.block_off.iter().map(|off| buf.addr_of(off.unwrap_or(bail_at))).collect();
         Ok(LaneJit {
             code_digest: fnv1a(published),
             words_digest: fnv1a_words(words),
             code_len: published.len(),
+            hot_len,
             first8: u64::from_le_bytes(published[..8].try_into().expect("prologue > 8 bytes")),
             last8: u64::from_le_bytes(
                 published[published.len() - 8..].try_into().expect("epilogue > 8 bytes"),
             ),
-            blocks,
+            blocks: mapped.len(),
             table,
             buf,
         })
@@ -627,6 +837,12 @@ impl LaneJit {
     /// Machine-code bytes published.
     pub fn code_bytes(&self) -> usize {
         self.code_len
+    }
+
+    /// The part of [`Self::code_bytes`] the steady state runs in: prologue
+    /// and blocks, ahead of the out-of-line stubs and slow paths.
+    pub fn hot_code_bytes(&self) -> usize {
+        self.hot_len
     }
 
     /// Blocks lowered to native code.
@@ -666,9 +882,9 @@ impl LaneJit {
         out
     }
 
-    /// The dispatch-table pointer/length for seeding a [`JitState`].
-    pub(crate) fn table(&self) -> (&[usize], u64) {
-        (&self.table, self.table.len() as u64)
+    /// The dispatch table for seeding a [`JitState`].
+    pub(crate) fn table(&self) -> &[usize] {
+        &self.table
     }
 
     /// Test-only tamper hook (see `ExecBuf::corrupt_byte_for_test`).

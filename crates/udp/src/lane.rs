@@ -388,13 +388,16 @@ impl<'a> StreamUnit<'a> {
 }
 
 /// Slow-path stream helpers the compiled lane code calls out to (see
-/// `crate::jit`). Each reconstructs a [`StreamUnit`] view over the state the
-/// JIT keeps in [`JitState`](crate::jit::JitState) memory, runs the *real*
-/// scalar method — so refill/rebase/underflow behavior is the interpreter's
-/// by construction, not a re-implementation — and writes the cursor back.
-/// On a trap the helper sets `status = 1` (the bail signal); it never
-/// fabricates an error payload, because the caller re-runs the interpreter
-/// to reproduce the exact trap.
+/// `crate::jit`): the stream's last partial word, underflow, and the
+/// operations with no buffered form. The compiled code keeps the stream
+/// window in host registers and spills it to
+/// [`JitState`](crate::jit::JitState) around the call; each helper
+/// reconstructs a [`StreamUnit`] view over those fields, runs the *real*
+/// scalar method — so tail refill/rebase/underflow behavior is the
+/// interpreter's by construction, not a re-implementation — and writes the
+/// cursor back. On a trap the helper sets `status = 1` (the bail signal); it
+/// never fabricates an error payload, because the caller re-runs the
+/// interpreter to reproduce the exact trap.
 mod jit_helpers {
     use super::{JitStateRef, StreamUnit};
 
@@ -410,6 +413,7 @@ mod jit_helpers {
         F: FnOnce(&mut StreamUnit<'_>) -> Result<u64, super::LaneError>,
     {
         let s = &mut *st;
+        s.helper_calls += 1;
         let mut su = StreamUnit {
             bytes: std::slice::from_raw_parts(s.in_ptr, s.in_len as usize),
             bit_len: s.bit_len as usize,
@@ -457,8 +461,7 @@ mod jit_helpers {
         with_stream(st, |su| su.skip(nbits as usize).map(|()| 0))
     }
 
-    /// `stream.read_le(n)` for the compiled code (always the helper — the
-    /// multi-byte splice isn't worth inlining).
+    /// `stream.read_le(n)` for the compiled code's slow path.
     ///
     /// # Safety
     /// See [`with_stream`].
@@ -522,6 +525,9 @@ pub struct Lane {
     dirty_hi: usize,
     /// Reliability record; survives architectural resets.
     health: LaneHealth,
+    /// Helper calls compiled runs on this lane have made (see
+    /// [`Lane::jit_helper_calls`]).
+    jit_helper_calls: u64,
     /// Spare output buffers recycled by `DshDecoder::decode_block`'s stage
     /// chain (held here so every consumer of a pooled lane reuses the same
     /// allocations).
@@ -552,6 +558,7 @@ impl Lane {
             regs: [0; NUM_REGS],
             dirty_hi: 0,
             health: LaneHealth::default(),
+            jit_helper_calls: 0,
             io_a: Vec::new(),
             io_b: Vec::new(),
         }
@@ -560,6 +567,14 @@ impl Lane {
     /// The lane's reliability record.
     pub fn health(&self) -> &LaneHealth {
         &self.health
+    }
+
+    /// Lifetime count of calls from compiled code into the scalar stream
+    /// helpers. The steady state makes none: the differential suite pins
+    /// that a whole block costs a handful, all in the stream's last bytes.
+    #[doc(hidden)]
+    pub fn jit_helper_calls(&self) -> u64 {
+        self.jit_helper_calls
     }
 
     /// Records one lane-attributable trap (decode failed on this lane for a
@@ -801,34 +816,32 @@ impl Lane {
         if !jit.quick_check() {
             return Err(LaneError::JitInvalid);
         }
-        let (table, table_len) = jit.table();
         let mut st = crate::jit::JitState {
-            regs: self.regs.as_mut_ptr(),
-            scratch: self.scratch.as_mut_ptr(),
-            table: table.as_ptr(),
-            table_len,
-            in_ptr: input.as_ptr(),
-            in_len: input.len() as u64,
+            regs: self.regs,
+            cycle_limit: cfg.cycle_limit,
             bit_len: input_bits as u64,
-            pos: 0,
-            buf: 0,
-            buf_bits: 0,
+            in_ptr: input.as_ptr(),
+            scratch: self.scratch.as_mut_ptr(),
+            table: jit.table().as_ptr(),
+            status: 0,
+            dirty_hi: 0,
             cycles: 0,
-            dispatches: 0,
-            actions: 0,
-            oc_dispatch: 0,
             oc_alu: 0,
             oc_mem: 0,
             oc_stream: 0,
-            cycle_limit: cfg.cycle_limit,
-            dirty_hi: 0,
-            status: 0,
+            pos: 0,
+            buf: 0,
+            buf_bits: 0,
+            saved_rdx: 0,
+            in_len: input.len() as u64,
+            helper_calls: 0,
         };
-        // SAFETY: regs (16×u64), scratch (64 KB), the dispatch table, and
-        // the input buffer all outlive the call; the prologue validated
+        // SAFETY: scratch (64 KB), the dispatch table, and the input buffer
+        // all outlive the call; the prologue validated
         // `input_bits <= input.len() * 8`; quick_check vouched for the
         // published pages.
         unsafe { jit.run(&mut st) };
+        self.jit_helper_calls += st.helper_calls;
         // Fold the compiled code's dirty high-water mark in *before* any
         // rerun or return: the next prologue must zero everything the
         // compiled code stored, or stale bytes leak into the next run.
@@ -836,16 +849,22 @@ impl Lane {
         if st.status != 0 {
             return self.run_into_interp(image, input, input_bits, cfg, out);
         }
+        self.regs = st.regs;
         let range = self.output_range(cfg)?;
         out.clear();
         out.extend_from_slice(&self.scratch[range]);
         Self::debug_assert_in_envelope(image, st.cycles, input_bits);
+        // Every block charged `1 + actions` cycles and its actions by
+        // class, all at entry, so after a clean halt the class counts sum
+        // to the actions and the rest of the cycles are the dispatches.
+        let actions = st.oc_alu + st.oc_mem + st.oc_stream;
+        let dispatches = st.cycles - actions;
         Ok(RunStats {
             cycles: st.cycles,
-            dispatches: st.dispatches,
-            actions: st.actions,
+            dispatches,
+            actions,
             opclass: OpClassCycles {
-                dispatch: st.oc_dispatch,
+                dispatch: dispatches,
                 alu: st.oc_alu,
                 mem: st.oc_mem,
                 stream: st.oc_stream,

@@ -204,6 +204,32 @@ impl Image {
     pub fn jit(&self) -> Option<&crate::jit::LaneJit> {
         self.jit.as_deref()
     }
+
+    /// Predecodes and lowers `words`; the verify report starts empty.
+    fn from_words(name: &str, words: Vec<u128>, entry: u32, utilization: f64) -> Image {
+        let predecoded: Vec<Option<PredecodedBlock>> =
+            words.iter().map(|&w| PredecodedBlock::from_word(w)).collect();
+        let jit = crate::jit::maybe_compile(&words, &predecoded, entry);
+        Image {
+            name: name.to_string(),
+            words,
+            entry,
+            utilization,
+            verify_report: VerifyReport::empty(name.to_string()),
+            predecoded,
+            jit,
+        }
+    }
+
+    /// An image straight from code words: predecoded and lowered like any
+    /// other, but past the builder's field-range validation and with an
+    /// empty verify report (nothing certified, nothing gated). This is how
+    /// the differential suite reaches encodings no valid program contains,
+    /// such as 57-bit stream reads.
+    #[doc(hidden)]
+    pub fn from_words_for_test(name: &str, words: Vec<u128>, entry: u32) -> Image {
+        Image::from_words(name, words, entry, 0.0)
+    }
 }
 
 /// Encodes a validated, placed program into an executable image.
@@ -218,21 +244,10 @@ pub fn encode(program: &Program, placement: &Placement) -> Result<Image, UdpErro
         let addr = placement.block_addr[bid] as usize;
         words[addr] = encode_word(block, placement)?;
     }
-    let predecoded: Vec<Option<PredecodedBlock>> =
-        words.iter().map(|&w| PredecodedBlock::from_word(w)).collect();
     let entry = placement.block_addr[program.entry as usize];
-    // Lower the predecode table to native code before verification so the
-    // verifier can audit the artifact's digests alongside the table itself.
-    let jit = crate::jit::maybe_compile(&words, &predecoded, entry);
-    let mut image = Image {
-        name: program.name.clone(),
-        words,
-        entry,
-        utilization: placement.utilization,
-        verify_report: VerifyReport::empty(program.name.clone()),
-        predecoded,
-        jit,
-    };
+    // The predecode table is lowered to native code before verification so
+    // the verifier can audit the artifact's digests alongside the table.
+    let mut image = Image::from_words(&program.name, words, entry, placement.utilization);
     image.verify_report =
         verify::verify_image(program, placement, &image, &VerifyConfig::default());
     Ok(image)
