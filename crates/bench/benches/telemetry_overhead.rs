@@ -17,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use recode_codec::pipeline::MatrixCodecConfig;
-use recode_core::exec::RecodedSpmv;
+use recode_core::exec::{RecodedSpmv, RunCtx};
 use recode_core::telemetry::Telemetry;
 use recode_core::SystemConfig;
 use recode_sparse::gen::{generate, GenSpec, ValueModel};
@@ -52,7 +52,8 @@ fn bench_trace_off_vs_on(c: &mut Criterion) {
     group.bench_function("spmv_traced", |b| {
         b.iter(|| {
             let mut tel = Telemetry::new();
-            let (_, stats) = r.decompress_via_udp_traced(&sys, None, Some(&mut tel)).unwrap();
+            let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
+            let (_, stats) = r.decompress_with(&sys, ctx).unwrap();
             std::hint::black_box((stats.accel.makespan_cycles, tel.block_events().len()));
         });
     });

@@ -9,7 +9,7 @@
 use recode_bench::{corpus_entries, parse_args};
 use recode_codec::pipeline::MatrixCodecConfig;
 use recode_core::corpus::CorpusScale;
-use recode_core::exec::RecodedSpmv;
+use recode_core::exec::{RecodedSpmv, RunCtx};
 use recode_core::json::Json;
 use recode_core::SystemConfig;
 use recode_sparse::spmv::SpmvKernel;
@@ -117,7 +117,7 @@ fn main() {
         };
         let x = vec![1.0; a.ncols()];
         let (_, stats, doc) = r
-            .spmv_traced(&sys, SpmvKernel::Serial, &x, None, &entry.name)
+            .spmv_traced(&sys, SpmvKernel::Serial, &x, RunCtx::default(), &entry.name)
             .expect("traced spmv on self-encoded corpus");
         let accel = &stats.accel;
         opclass.merge(&accel.opclass);

@@ -31,7 +31,7 @@
 
 use crate::arch::SystemConfig;
 use crate::error::ExecError;
-use crate::exec::{ExecStats, RawFallbackStore, RecodedSpmv};
+use crate::exec::{ExecStats, RawFallbackStore, RecodedSpmv, RunCtx};
 use crate::json::Json;
 use crate::overlap::{OverlapConfig, OverlapExecutor};
 use crate::resilience::{CircuitBreaker, JobBudget, JobState};
@@ -108,7 +108,7 @@ impl std::fmt::Display for TrialOutcome {
 enum Arm {
     /// `RecodedSpmv::run_job` — budget + campaign-wide circuit breaker.
     BatchJob,
-    /// `OverlapExecutor::spmv_budgeted` — pipelined decode/multiply.
+    /// `OverlapExecutor::spmv_with` — pipelined decode/multiply.
     Overlap,
     /// `RecodedSpmv::spmv_traced` — full telemetry, document validated.
     Traced,
@@ -224,13 +224,21 @@ pub struct CampaignSummary {
 
 impl CampaignSummary {
     /// The resilience contract in one predicate: no hangs, no escaped
-    /// panics, perfect accounting, valid traces, bit-exact results.
+    /// panics, every injected panic fired and was contained, perfect
+    /// accounting, valid traces, bit-exact results.
     pub fn healthy(&self) -> bool {
         self.hung == 0
             && self.panics_escaped == 0
+            && self.panics_contained == self.panics_injected()
             && self.accounting_failures == 0
             && self.trace_failures == 0
             && self.bitexact_failures == 0
+    }
+
+    /// Trials whose plan routed a deliberate panic through an executor (a
+    /// lane-dispatch panic or a multiply-worker panic).
+    pub fn panics_injected(&self) -> usize {
+        ["lane-panic", "worker-panic"].iter().filter_map(|k| self.by_fault.get(*k)).sum()
     }
 
     /// Count for one outcome label (0 when absent).
@@ -376,21 +384,16 @@ fn plan_trial(seed: u64) -> TrialPlan {
         }
         _ => Injection::PoolRecycle,
     };
-    // The traced arm runs unbudgeted (spmv_traced has no budget seam); the
-    // other arms draw one of four budgets, two of which bite under faults.
-    let budget = if arm == Arm::Traced {
-        JobBudget::unbounded()
-    } else {
-        match rng.below(4) {
-            0 => JobBudget::unbounded(),
-            1 => JobBudget { max_total_retries: Some(1), ..JobBudget::default() },
-            2 => JobBudget {
-                max_retry_cycles: Some(1),
-                backoff_cycles_per_retry: 64,
-                ..JobBudget::default()
-            },
-            _ => JobBudget::with_deadline(Duration::ZERO),
-        }
+    // Every arm draws one of four budgets, two of which bite under faults.
+    let budget = match rng.below(4) {
+        0 => JobBudget::unbounded(),
+        1 => JobBudget { max_total_retries: Some(1), ..JobBudget::default() },
+        2 => JobBudget {
+            max_retry_cycles: Some(1),
+            backoff_cycles_per_retry: 64,
+            ..JobBudget::default()
+        },
+        _ => JobBudget::with_deadline(Duration::ZERO),
     };
     TrialPlan { seed, arm, injection, budget }
 }
@@ -467,6 +470,7 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
         Injection::PoolRecycle => poison_pool(),
     }
     let hook = if hook.is_empty() { None } else { Some(&hook) };
+    let run_ctx = RunCtx { hook, budget: Some(&plan.budget), tel: None };
 
     let mut result = TrialResult {
         outcome: TrialOutcome::Rejected,
@@ -479,7 +483,7 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
     match plan.arm {
         Arm::BatchJob => {
             let mut breaker = ctx.breaker.lock().unwrap_or_else(PoisonError::into_inner);
-            let report = r.run_job(&ctx.sys, hook, &plan.budget, Some(&mut breaker), None);
+            let report = r.run_job(&ctx.sys, run_ctx, Some(&mut breaker));
             result.outcome = match report.state {
                 JobState::Completed => TrialOutcome::Completed,
                 JobState::Degraded => TrialOutcome::Degraded,
@@ -502,7 +506,7 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
                 &r,
                 OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 },
             );
-            match ex.spmv_budgeted(&ctx.sys, &ctx.x, hook, &plan.budget) {
+            match ex.spmv_with(&ctx.sys, &ctx.x, run_ctx) {
                 Ok((y, stats)) => {
                     result.outcome = if stats.degraded {
                         TrialOutcome::Degraded
@@ -518,26 +522,35 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
                 Err(_) => result.outcome = TrialOutcome::Rejected,
             }
         }
-        Arm::Traced => match r.spmv_traced(&ctx.sys, SpmvKernel::Serial, &ctx.x, hook, "chaos") {
-            Ok((y, stats, doc)) => {
-                result.outcome =
-                    if stats.degraded { TrialOutcome::Degraded } else { TrialOutcome::Completed };
-                result.accounted = accounted(&stats);
-                result.trace_ok = doc.validate().is_empty();
-                result.bit_exact = y == ctx.y_ref;
+        Arm::Traced => {
+            match r.spmv_traced(&ctx.sys, SpmvKernel::Serial, &ctx.x, run_ctx, "chaos") {
+                Ok((y, stats, doc)) => {
+                    result.outcome = if stats.degraded {
+                        TrialOutcome::Degraded
+                    } else {
+                        TrialOutcome::Completed
+                    };
+                    result.accounted = accounted(&stats);
+                    result.trace_ok = doc.validate().is_empty();
+                    result.bit_exact = y == ctx.y_ref;
+                }
+                Err(ExecError::DeadlineExceeded { .. }) => {
+                    result.outcome = TrialOutcome::DeadlineExceeded;
+                }
+                Err(_) => result.outcome = TrialOutcome::Rejected,
             }
-            Err(ExecError::DeadlineExceeded { .. }) => {
-                result.outcome = TrialOutcome::DeadlineExceeded;
-            }
-            Err(_) => result.outcome = TrialOutcome::Rejected,
-        },
+        }
     }
     // A panic-injecting trial that reached this point (instead of escaping
-    // to the watchdog's catch_unwind) was contained by the stack.
-    result.panic_contained = matches!(
-        plan.injection,
-        Injection::LaneDispatch(LaneFault::Panic) | Injection::StageBoundary
-    );
+    // to the watchdog's catch_unwind) was contained by the stack — provided
+    // the panic fired at all: every arm reads the hook, so such a trial is
+    // degraded or ends in a typed error, and one that completed on the happy
+    // path never injected anything.
+    result.panic_contained = result.outcome != TrialOutcome::Completed
+        && matches!(
+            plan.injection,
+            Injection::LaneDispatch(LaneFault::Panic) | Injection::StageBoundary
+        );
     result
 }
 

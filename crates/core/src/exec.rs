@@ -6,44 +6,33 @@
 //! end-to-end correctness proof: `RecodedSpmv::spmv` must equal the
 //! uncompressed kernel bit-for-bit, because the pipeline is lossless.
 //!
-//! ## Fault tolerance
-//!
-//! A batch never dies on one bad block. Each failed job (lane trap or CRC
-//! mismatch) is retried up to [`MAX_BLOCK_RETRIES`] times on a fresh lane —
-//! transient faults clear, integrity failures do not — and a block that
-//! still fails is re-fetched from the optional [`RawFallbackStore`] holding
-//! the uncompressed stream bytes, with the extra memory traffic charged to
-//! [`ExecStats`]. Only when both paths are exhausted does the call fail,
-//! with [`ExecError::Unrecoverable`] naming the block.
+//! This is the **batch schedule**: every block is fanned out over the 64
+//! lanes at once, the outputs are reassembled into a [`Csr`], and any of the
+//! multiply kernels runs over it. What varies between runs — fault hook,
+//! budget, telemetry — arrives in a [`RunCtx`]; a block whose first attempt
+//! fails climbs the shared recovery ladder of [`crate::ladder`], so a batch
+//! never dies on one bad block.
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
-use crate::overlap::OverlapStats;
+use crate::ladder::{vector_traffic, BlockTally, Ladder};
+pub use crate::ladder::{RunCtx, MAX_BLOCK_RETRIES};
+use crate::overlap::{OverlapConfig, OverlapExecutor, OverlapStats};
 use crate::recorder;
-use crate::resilience::{
-    BreakerState, BudgetTracker, CircuitBreaker, JobBudget, JobReport, JobState,
-};
-use crate::telemetry::{
-    BlockEvent, BlockOutcome, MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument,
-};
+use crate::resilience::{BreakerState, CircuitBreaker, JobReport, JobState};
+use crate::telemetry::{MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument};
 use recode_codec::block::{BlockStream, CompressedBlock};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_codec::telemetry::StageTelemetry;
 use recode_codec::CodecError;
-use recode_mem::traffic::TrafficSource;
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
 use recode_sparse::Csr;
-use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEventSink};
+use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEventSink, JobOutcome};
 use recode_udp::progs::DshDecoder;
 use recode_udp::{Lane, UdpError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// How many times a failed block is re-decoded on a fresh lane before the
-/// raw-store fallback kicks in.
-pub const MAX_BLOCK_RETRIES: usize = 2;
 
 /// Statistics from one UDP-decoded execution.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -73,10 +62,10 @@ pub struct ExecStats {
     /// `accel.makespan_cycles` / `accel.busy_cycles`.
     #[serde(default)]
     pub retry_cycles: u64,
-    /// Scheduler backoff cycles charged by the [`JobBudget`] per retry
-    /// attempt. Folded into `accel.makespan_cycles` only — backoff is
-    /// waiting, not work, so busy cycles are untouched. Zero unless a
-    /// budget with backoff was supplied.
+    /// Scheduler backoff cycles charged by the [`crate::resilience::JobBudget`]
+    /// per retry attempt. Folded into `accel.makespan_cycles` on the batch
+    /// schedule only — backoff is waiting, not work, so busy cycles are
+    /// untouched. Zero unless a budget with backoff was supplied.
     #[serde(default, skip_serializing_if = "serde_is_zero_u64")]
     pub backoff_cycles: u64,
     /// True when any block needed a retry or a fallback — the result is
@@ -95,9 +84,9 @@ pub struct ExecStats {
     /// once, unlike [`ExecStats::blocks_retried`] which counts attempts).
     #[serde(skip)]
     pub blocks_recovered: usize,
-    /// Pipelined-schedule and decoded-block-cache statistics. All-zero
-    /// (`enabled == false`) on the plain batch path, populated by the
-    /// [`crate::overlap::OverlapExecutor`].
+    /// Tiled-schedule and decoded-block-cache statistics. All-zero
+    /// (`enabled == false`, no stages) on the batch schedule, populated by
+    /// the tile walker of [`crate::overlap`].
     #[serde(default)]
     pub overlap: OverlapStats,
 }
@@ -146,7 +135,7 @@ impl RawFallbackStore {
 
     /// The uncompressed byte range block `block` of a stream covers, or
     /// `None` if the store is shorter than the block claims.
-    pub(crate) fn block_range(bytes: &[u8], block: usize, block_bytes: usize) -> Option<&[u8]> {
+    fn block_range(bytes: &[u8], block: usize, block_bytes: usize) -> Option<&[u8]> {
         let start = block.checked_mul(block_bytes)?;
         if start >= bytes.len() && !(start == 0 && bytes.is_empty()) {
             return None;
@@ -169,18 +158,12 @@ pub struct RecodedSpmv {
     stage_telemetry: Option<Arc<StageTelemetry>>,
 }
 
-/// Job classification for the interleaved decode batch.
-enum Which<'a> {
-    Index(&'a CompressedBlock),
-    Value(&'a CompressedBlock),
-}
-
 /// Transport-structure check: block count and sequence positions. Per-block
 /// CRCs are deliberately *not* checked here — a payload-corrupted block must
 /// reach the per-job retry/fallback machinery, but a dropped, duplicated, or
 /// reordered block (whose CRC is still valid) would otherwise reassemble
 /// into a silently wrong matrix.
-pub(crate) fn check_stream_structure(stream: &BlockStream) -> Result<(), UdpError> {
+fn check_stream_structure(stream: &BlockStream) -> Result<(), UdpError> {
     let expected = stream.expected_blocks().map_err(UdpError::from)?;
     if stream.blocks.len() != expected {
         return Err(UdpError::from(CodecError::BlockCount {
@@ -273,8 +256,8 @@ impl RecodedSpmv {
     /// [`RecodedSpmv::new`] with codec-stage telemetry attached: per-stage
     /// encode timings are recorded during compression here, decode timings
     /// whenever [`RecodedSpmv::decompress_via_software`] runs, and the
-    /// accumulated snapshot lands in the [`TraceDocument`] that
-    /// [`RecodedSpmv::spmv_traced`] produces.
+    /// accumulated snapshot lands in every [`TraceDocument`] sealed over
+    /// this operand.
     ///
     /// # Errors
     /// As [`RecodedSpmv::new`].
@@ -338,96 +321,112 @@ impl RecodedSpmv {
         &self.value_decoder
     }
 
-    /// The raw fallback store, if one was kept at compression time.
-    pub(crate) fn raw_store(&self) -> Option<&RawFallbackStore> {
-        self.raw_store.as_ref()
-    }
-
     /// Mutable access to the compressed representation — the fault-injection
     /// tests corrupt blocks through this.
     pub fn compressed_mut(&mut self) -> &mut CompressedMatrix {
         &mut self.compressed
     }
 
+    /// Decode jobs in one pass over the matrix. Every schedule numbers them
+    /// the same way — index blocks `0..n_index`, value blocks after — so one
+    /// [`FaultHook`] means the same faults on every executor.
+    pub(crate) fn total_jobs(&self) -> usize {
+        self.compressed.index_stream.blocks.len() + self.compressed.value_stream.blocks.len()
+    }
+
+    /// The stream job `job` belongs to and its block position there.
+    pub(crate) fn locate(&self, job: usize) -> (StreamKind, usize) {
+        match job.checked_sub(self.compressed.index_stream.blocks.len()) {
+            None => (StreamKind::Index, job),
+            Some(pos) => (StreamKind::Value, pos),
+        }
+    }
+
+    /// Job `job`'s compressed block and the decoder of its stream.
+    pub(crate) fn job_block(&self, job: usize) -> (&DshDecoder, &CompressedBlock) {
+        match self.locate(job) {
+            (StreamKind::Index, pos) => {
+                (&self.index_decoder, &self.compressed.index_stream.blocks[pos])
+            }
+            (StreamKind::Value, pos) => {
+                (&self.value_decoder, &self.compressed.value_stream.blocks[pos])
+            }
+        }
+    }
+
+    /// Decodes job `job`'s block on `lane` with its stream's decoder.
+    pub(crate) fn decode_job(&self, lane: &mut Lane, job: usize) -> Result<JobOutcome, UdpError> {
+        let (decoder, block) = self.job_block(job);
+        decoder.decode_block(lane, block)
+    }
+
+    /// The uncompressed bytes of job `job`'s block, when a fallback store
+    /// was kept and covers it.
+    pub(crate) fn raw_block(&self, job: usize) -> Option<&[u8]> {
+        let store = self.raw_store.as_ref()?;
+        let (bytes, pos, stream) = match self.locate(job) {
+            (StreamKind::Index, pos) => (&store.index_bytes, pos, &self.compressed.index_stream),
+            (StreamKind::Value, pos) => (&store.value_bytes, pos, &self.compressed.value_stream),
+        };
+        RawFallbackStore::block_range(bytes, pos, stream.block_bytes)
+    }
+
+    /// Both streams' transport structure ([`check_stream_structure`]).
+    pub(crate) fn check_structure(&self) -> Result<(), UdpError> {
+        check_stream_structure(&self.compressed.index_stream)?;
+        check_stream_structure(&self.compressed.value_stream)
+    }
+
     /// Decodes the whole matrix through the UDP simulator and reassembles
     /// the CSR form, with accelerator statistics.
     ///
     /// # Errors
-    /// [`ExecError::Unrecoverable`] if a block fails decoding, exhausts its
-    /// retries, and no fallback store covers it; [`ExecError::Reassembly`]
-    /// if the decoded streams do not form a valid matrix.
+    /// As [`RecodedSpmv::decompress_with`].
     pub fn decompress_via_udp(&self, sys: &SystemConfig) -> ExecResult<(Csr, ExecStats)> {
-        self.decompress_via_udp_faulty(sys, None)
+        self.decompress_with(sys, RunCtx::default())
     }
 
     /// [`RecodedSpmv::decompress_via_udp`] with an optional fault-injection
-    /// hook applied to the initial batch (retries run hook-free, modeling
-    /// transient faults that clear on a second attempt).
+    /// hook.
     ///
     /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`].
+    /// As [`RecodedSpmv::decompress_with`].
     pub fn decompress_via_udp_faulty(
         &self,
         sys: &SystemConfig,
         hook: Option<&FaultHook>,
     ) -> ExecResult<(Csr, ExecStats)> {
-        self.decompress_via_udp_traced(sys, hook, None)
+        self.decompress_with(sys, RunCtx { hook, ..RunCtx::default() })
     }
 
-    /// [`RecodedSpmv::decompress_via_udp_faulty`] with an optional telemetry
-    /// registry. When `tel` is `Some`, the run records per-phase spans
-    /// (`exec.decode_batch`, `exec.retry`, `exec.fallback`,
-    /// `exec.reassemble`, `exec.mem_stream`, `exec.dma`), per-block events
-    /// with lane and outcome, dotted counters, and memory traffic by source;
-    /// when `None`, no clocks are read and no events are collected.
+    /// The batch engine: one fan-out of every block over the lanes under
+    /// `ctx.hook`, the recovery ladder for each failed job under
+    /// `ctx.budget`, reassembly into a [`Csr`]. Successful retries run
+    /// serially after the batch, so their cycles extend the makespan as well
+    /// as the busy sum; budget backoff is pure waiting and stretches the
+    /// makespan only. With `ctx.tel` the run records the spans
+    /// `exec.decode_batch`, `exec.retry`, `exec.fallback`,
+    /// `exec.reassemble`, `exec.mem_stream` and `exec.dma`, per-block events
+    /// with lane and outcome, `exec.*` and `pool.*` counters, and memory
+    /// traffic by source.
     ///
     /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`].
-    pub fn decompress_via_udp_traced(
+    /// [`ExecError::Unrecoverable`] if a block fails decoding, exhausts its
+    /// retries, and no fallback store covers it;
+    /// [`ExecError::DeadlineExceeded`] when the budget runs out;
+    /// [`ExecError::Reassembly`] if the decoded streams do not form a valid
+    /// matrix.
+    pub fn decompress_with(
         &self,
         sys: &SystemConfig,
-        hook: Option<&FaultHook>,
-        tel: Option<&mut Telemetry>,
+        ctx: RunCtx<'_>,
     ) -> ExecResult<(Csr, ExecStats)> {
-        self.decompress_via_udp_budgeted(sys, hook, tel, None)
-    }
-
-    /// [`RecodedSpmv::decompress_via_udp_traced`] governed by a
-    /// [`JobBudget`]. Budget limits are checked at every retry boundary —
-    /// the job's natural preemption points — so an exhausted budget
-    /// surfaces as [`ExecError::DeadlineExceeded`] naming what ran out,
-    /// never as a hang. Per-retry backoff accumulates into
-    /// [`ExecStats::backoff_cycles`] and stretches the modeled makespan
-    /// without touching busy cycles. `budget: None` (or an unbounded
-    /// budget) behaves exactly like the unbudgeted path.
-    ///
-    /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`], plus
-    /// [`ExecError::DeadlineExceeded`] when the budget runs out.
-    pub fn decompress_via_udp_budgeted(
-        &self,
-        sys: &SystemConfig,
-        hook: Option<&FaultHook>,
-        tel: Option<&mut Telemetry>,
-        budget: Option<&JobBudget>,
-    ) -> ExecResult<(Csr, ExecStats)> {
-        check_stream_structure(&self.compressed.index_stream)?;
-        check_stream_structure(&self.compressed.value_stream)?;
-
-        // Interleave index and value blocks, as the DMA engine would.
+        self.check_structure()?;
+        let RunCtx { hook, budget, tel } = ctx;
         let n_index = self.compressed.index_stream.blocks.len();
-        let mut jobs: Vec<Which<'_>> =
-            Vec::with_capacity(n_index + self.compressed.value_stream.blocks.len());
-        jobs.extend(self.compressed.index_stream.blocks.iter().map(Which::Index));
-        jobs.extend(self.compressed.value_stream.blocks.iter().map(Which::Value));
-
-        let run = |lane: &mut Lane, job: &Which<'_>| match job {
-            Which::Index(b) => self.index_decoder.decode_block(lane, b),
-            Which::Value(b) => self.value_decoder.decode_block(lane, b),
-        };
+        let jobs: Vec<usize> = (0..self.total_jobs()).collect();
         let empty_hook = FaultHook::default();
         let pool_before = tel.is_some().then(|| recode_udp::pool::global().stats());
-        let events: Mutex<Vec<JobEvent>> = Mutex::new(Vec::new());
         let sink_fn = |e: &JobEvent| {
             recorder::record(
                 recorder::EventKind::BlockOutcome,
@@ -436,156 +435,34 @@ impl RecodedSpmv {
                 e.cycles,
                 0,
             );
-            events.lock().expect("event sink poisoned").push(*e);
         };
-        // The sink also fires for a recorder-only run (`--chrome-trace`
-        // without `--trace`) so lane-track block events still materialize.
+        // Lane-track block events for the flight recorder; telemetry takes
+        // its per-block events from the ladder's tally.
         let sink: Option<JobEventSink<'_>> =
-            if tel.is_some() || recorder::is_enabled() { Some(&sink_fn) } else { None };
+            if recorder::is_enabled() { Some(&sink_fn) } else { None };
         let t_batch = tel.is_some().then(Instant::now);
         let outcome: BatchOutcome<UdpError> = {
             let _span = recorder::span(recorder::Track::MAIN, "exec.decode_batch");
+            let run = |lane: &mut Lane, job: &usize| self.decode_job(lane, *job);
             sys.udp.run_jobs_observed(&jobs, run, hook.unwrap_or(&empty_hook), sink)
         };
         let batch_ns = t_batch.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
-        let mut report = outcome.report;
-        let mut tracker = budget.map(|b| BudgetTracker::new(*b));
-        let mut blocks_ok = 0usize;
-        let mut blocks_recovered = 0usize;
-        let mut blocks_retried = 0usize;
-        let mut blocks_fell_back = 0usize;
-        let mut fallback_bytes = 0usize;
-        let mut retry_cycles = 0u64;
-        let mut retry_ns = 0u64;
-        let mut fallback_ns = 0u64;
-        // Per-job corrections for the event records: successful-retry cycles
-        // or the fallback marker. Empty on a clean run.
-        let mut recovered_jobs: BTreeMap<usize, (u64, BlockOutcome)> = BTreeMap::new();
+        let mut ladder = Ladder::new(self, budget, recorder::Track::MAIN, tel.is_some());
         let mut outputs: Vec<Vec<u8>> = Vec::with_capacity(jobs.len());
+        for (job, first) in outcome.results.into_iter().enumerate() {
+            outputs.push(ladder.settle(job, first)?.0);
+        }
+        let backoff_cycles = ladder.backoff_cycles();
+        let tally = ladder.tally;
 
-        for (k, result) in outcome.results.into_iter().enumerate() {
-            let first_err = match result {
-                Ok(o) => {
-                    blocks_ok += 1;
-                    outputs.push(o.output);
-                    continue;
-                }
-                Err(e) => e,
-            };
-            // Bounded retry on a fresh lane. Transient faults (injected
-            // traps, late DMA) clear; CRC failures repeat deterministically
-            // and fall through to the raw store.
-            let mut recovered: Option<Vec<u8>> = None;
-            let mut last_err = first_err;
-            let t_retry = tel.is_some().then(Instant::now);
-            // One pooled lane serves every retry attempt: `run` fully
-            // resets lane state, so attempt N is as "fresh" as a new lane.
-            let mut lane = recode_udp::pool::global().checkout();
-            for attempt in 0..MAX_BLOCK_RETRIES {
-                recorder::record(
-                    recorder::EventKind::Retry,
-                    recorder::Track::MAIN,
-                    "exec.retry",
-                    attempt as u64 + 1,
-                    k as u64,
-                );
-                // Retry boundaries are the job's preemption points: the
-                // budget is consulted before every attempt, and an
-                // exhausted one ends the job in a typed terminal state.
-                if let Some(t) = tracker.as_mut() {
-                    if let Err(what) = t.admit_retry() {
-                        return Err(ExecError::DeadlineExceeded {
-                            budget: what.to_string(),
-                            completed_blocks: blocks_ok + blocks_recovered + blocks_fell_back,
-                            total_blocks: jobs.len(),
-                        });
-                    }
-                }
-                blocks_retried += 1;
-                match run(&mut lane, &jobs[k]) {
-                    Ok(o) => {
-                        report.output_bytes += o.output.len() as u64;
-                        report.opclass.merge(&o.opclass);
-                        report.stage_cycles.merge(&o.stage_cycles);
-                        retry_cycles += o.cycles;
-                        if let Some(t) = tracker.as_mut() {
-                            t.charge_retry_cycles(o.cycles);
-                        }
-                        recovered_jobs.insert(k, (o.cycles, BlockOutcome::Retried));
-                        recovered = Some(o.output);
-                        break;
-                    }
-                    Err(e) => last_err = e,
-                }
-            }
-            if let Some(t) = t_retry {
-                retry_ns += t.elapsed().as_nanos() as u64;
-            }
-            if let Some(bytes) = recovered {
-                blocks_recovered += 1;
-                outputs.push(bytes);
-                continue;
-            }
-            // Retries exhausted: re-fetch the block's uncompressed range.
-            let t_fallback = tel.is_some().then(Instant::now);
-            let (store, block_bytes, pos) = if k < n_index {
-                (
-                    self.raw_store.as_ref().map(|s| s.index_bytes.as_slice()),
-                    self.compressed.index_stream.block_bytes,
-                    k,
-                )
-            } else {
-                (
-                    self.raw_store.as_ref().map(|s| s.value_bytes.as_slice()),
-                    self.compressed.value_stream.block_bytes,
-                    k - n_index,
-                )
-            };
-            let raw = store.and_then(|b| RawFallbackStore::block_range(b, pos, block_bytes));
-            if let Some(t) = t_fallback {
-                fallback_ns += t.elapsed().as_nanos() as u64;
-            }
-            match raw {
-                Some(raw) => {
-                    recorder::record(
-                        recorder::EventKind::Fallback,
-                        recorder::Track::MAIN,
-                        "exec.fallback",
-                        raw.len() as u64,
-                        k as u64,
-                    );
-                    blocks_fell_back += 1;
-                    fallback_bytes += raw.len();
-                    report.output_bytes += raw.len() as u64;
-                    recovered_jobs.insert(k, (0, BlockOutcome::FellBack));
-                    outputs.push(raw.to_vec());
-                }
-                None => {
-                    return Err(ExecError::Unrecoverable {
-                        block: last_err.block().or(Some(pos)),
-                        lane: None,
-                        source: last_err,
-                    });
-                }
-            }
-        }
-
-        // Fold retry decode cycles into the batch totals: retries run
-        // serially after the batch on one lane, so they extend the critical
-        // path as well as the busy sum, and utilization must be recomputed.
-        // Budget backoff is pure waiting: it stretches the makespan but is
-        // never busy work, keeping budgeted and unbudgeted clean runs
-        // cycle-identical when backoff is zero.
-        let backoff_cycles = tracker.as_ref().map_or(0, BudgetTracker::backoff_cycles);
-        if retry_cycles > 0 {
-            report.makespan_cycles += retry_cycles;
-            report.busy_cycles += retry_cycles;
-        }
-        report.makespan_cycles += backoff_cycles;
-        if retry_cycles > 0 || backoff_cycles > 0 {
-            report.refresh_utilization();
-        }
+        let mut report = outcome.report;
+        report.output_bytes += tally.recovered_bytes;
+        report.opclass.merge(&tally.retry_opclass);
+        report.stage_cycles.merge(&tally.retry_stages);
+        report.makespan_cycles += tally.retry_cycles + backoff_cycles;
+        report.busy_cycles += tally.retry_cycles;
+        report.refresh_utilization();
 
         let t_reassemble = tel.is_some().then(Instant::now);
         let col_idx = le_words(&outputs[..n_index], u32::from_le_bytes).map_err(|len| {
@@ -609,102 +486,45 @@ impl RecodedSpmv {
         .map_err(|e| ExecError::Reassembly(format!("decoded matrix invalid: {e}")))?;
         let reassemble_ns = t_reassemble.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
-        let compressed_bytes = self.compressed.wire_bytes();
-        // Fallback re-fetch is extra memory traffic over the same channel.
-        let mem_stream_seconds = sys.mem.stream_seconds(compressed_bytes as u64)
-            + sys.mem.stream_seconds(fallback_bytes as u64);
-        let stats = ExecStats {
-            accel: report,
-            mem_stream_seconds,
-            dma_seconds: sys.dma.transfer_seconds(jobs.len() as u64, compressed_bytes as u64),
-            compressed_bytes,
-            blocks_retried,
-            blocks_fell_back,
-            fallback_bytes,
-            retry_cycles,
-            backoff_cycles,
-            degraded: blocks_retried > 0 || blocks_fell_back > 0,
-            software_decode: false,
-            blocks_ok,
-            blocks_recovered,
-            overlap: OverlapStats::default(),
-        };
+        let wire_bytes = self.compressed.wire_bytes();
+        let stats = tally.stats(sys, report, wire_bytes, backoff_cycles, OverlapStats::default());
 
         if let Some(tel) = tel {
             let freq = sys.udp.freq_hz;
             let batch_modeled = (stats.accel.makespan_cycles - stats.retry_cycles) as f64 / freq;
             tel.span("exec.decode_batch", batch_ns, batch_modeled, stats.accel.output_bytes);
             if stats.blocks_retried > 0 {
-                tel.span("exec.retry", retry_ns, stats.retry_cycles as f64 / freq, 0);
+                tel.span("exec.retry", tally.retry_ns, stats.retry_cycles as f64 / freq, 0);
             }
             if stats.blocks_fell_back > 0 {
-                tel.span("exec.fallback", fallback_ns, 0.0, stats.fallback_bytes as u64);
+                tel.span("exec.fallback", tally.fallback_ns, 0.0, stats.fallback_bytes as u64);
             }
             tel.span("exec.reassemble", reassemble_ns, 0.0, decoded_bytes);
-            tel.span(
-                "exec.mem_stream",
-                0,
-                stats.mem_stream_seconds,
-                (compressed_bytes + fallback_bytes) as u64,
-            );
-            tel.span("exec.dma", 0, stats.dma_seconds, compressed_bytes as u64);
-
-            tel.add("exec.jobs", stats.accel.jobs as u64);
-            tel.add("exec.jobs_failed", stats.accel.jobs_failed as u64);
-            tel.add("exec.blocks_retried", stats.blocks_retried as u64);
-            tel.add("exec.blocks_fell_back", stats.blocks_fell_back as u64);
-            tel.add("exec.fallback_bytes", stats.fallback_bytes as u64);
-            tel.add("exec.retry_cycles", stats.retry_cycles);
+            tally.emit(tel, sys, &stats, self);
 
             // Lane-pool traffic over this batch, as deltas of the
             // process-wide pool's monotonic counters. Parallel tests can
             // inflate these (the pool is shared), so they are reported, not
             // validated. Emitting any `pool.*` counter stamps the document
-            // `recode-trace/v2`.
-            // Saturating: `LanePool::reset` (chaos trial isolation) can zero
-            // the counters mid-run in a shared process.
+            // `recode-trace/v2`. Saturating: `LanePool::reset` (chaos trial
+            // isolation) can zero the counters mid-run in a shared process.
             if let Some(before) = pool_before {
                 let after = recode_udp::pool::global().stats();
-                tel.add("pool.checkouts", after.checkouts.saturating_sub(before.checkouts));
-                tel.add(
-                    "pool.recycled_hits",
-                    after.recycled_hits.saturating_sub(before.recycled_hits),
-                );
-                tel.add(
-                    "pool.fresh_builds",
-                    after.fresh_builds.saturating_sub(before.fresh_builds),
-                );
-                tel.add("pool.returned", after.returned.saturating_sub(before.returned));
-                tel.add(
-                    "pool.dropped_at_capacity",
-                    after.dropped_at_capacity.saturating_sub(before.dropped_at_capacity),
-                );
-                tel.add("pool.quarantined", after.quarantined.saturating_sub(before.quarantined));
-                tel.add("pool.readmitted", after.readmitted.saturating_sub(before.readmitted));
-            }
-
-            tel.traffic.read(TrafficSource::CompressedStream, compressed_bytes as u64);
-            tel.traffic.read(TrafficSource::FallbackRefetch, stats.fallback_bytes as u64);
-            tel.traffic.read(TrafficSource::RowPtr, ((self.compressed.nrows + 1) * 8) as u64);
-
-            let mut evs = events.into_inner().expect("event sink poisoned");
-            evs.sort_by_key(|e| e.job);
-            for e in evs {
-                let (cycles, outcome) =
-                    recovered_jobs.get(&e.job).copied().unwrap_or((e.cycles, BlockOutcome::Ok));
-                let (stream, block) = if e.job < n_index {
-                    (StreamKind::Index, e.job)
-                } else {
-                    (StreamKind::Value, e.job - n_index)
-                };
-                tel.block_event(BlockEvent {
-                    job: e.job,
-                    stream,
-                    block,
-                    lane: e.lane,
-                    cycles,
-                    outcome,
-                });
+                for (name, after, before) in [
+                    ("pool.checkouts", after.checkouts, before.checkouts),
+                    ("pool.recycled_hits", after.recycled_hits, before.recycled_hits),
+                    ("pool.fresh_builds", after.fresh_builds, before.fresh_builds),
+                    ("pool.returned", after.returned, before.returned),
+                    (
+                        "pool.dropped_at_capacity",
+                        after.dropped_at_capacity,
+                        before.dropped_at_capacity,
+                    ),
+                    ("pool.quarantined", after.quarantined, before.quarantined),
+                    ("pool.readmitted", after.readmitted, before.readmitted),
+                ] {
+                    tel.add(name, after.saturating_sub(before));
+                }
             }
         }
         Ok((a, stats))
@@ -713,7 +533,7 @@ impl RecodedSpmv {
     /// Full recoding-enhanced SpMV: UDP-decode, then multiply with `kernel`.
     ///
     /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`]; panics on shape mismatch like
+    /// As [`RecodedSpmv::decompress_with`]; panics on shape mismatch like
     /// the plain kernels do.
     pub fn spmv(
         &self,
@@ -721,13 +541,13 @@ impl RecodedSpmv {
         kernel: SpmvKernel,
         x: &[f64],
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        self.spmv_faulty(sys, kernel, x, None)
+        self.spmv_with(sys, kernel, x, RunCtx::default())
     }
 
     /// [`RecodedSpmv::spmv`] with an optional fault-injection hook.
     ///
     /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`].
+    /// As [`RecodedSpmv::decompress_with`].
     pub fn spmv_faulty(
         &self,
         sys: &SystemConfig,
@@ -735,256 +555,80 @@ impl RecodedSpmv {
         x: &[f64],
         hook: Option<&FaultHook>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        let (a, stats) = self.decompress_via_udp_faulty(sys, hook)?;
-        let mut y = vec![0.0; a.nrows()];
-        spmv_with_into(kernel, &a, x, &mut y);
-        Ok((y, stats))
+        self.spmv_with(sys, kernel, x, RunCtx { hook, ..RunCtx::default() })
     }
 
-    /// [`RecodedSpmv::spmv_faulty`] governed by a [`JobBudget`].
+    /// [`RecodedSpmv::decompress_with`], then the multiply with `kernel`.
+    /// With `ctx.tel` the multiply adds the `exec.cpu_multiply` span and the
+    /// dense-vector traffic.
     ///
     /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp_budgeted`].
-    pub fn spmv_budgeted(
+    /// As [`RecodedSpmv::decompress_with`].
+    pub fn spmv_with(
         &self,
         sys: &SystemConfig,
         kernel: SpmvKernel,
         x: &[f64],
-        hook: Option<&FaultHook>,
-        budget: &JobBudget,
+        ctx: RunCtx<'_>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        let (a, stats) = self.decompress_via_udp_budgeted(sys, hook, None, Some(budget))?;
+        let RunCtx { hook, budget, mut tel } = ctx;
+        let (a, stats) =
+            self.decompress_with(sys, RunCtx { hook, budget, tel: tel.as_deref_mut() })?;
+        let t_multiply = tel.is_some().then(Instant::now);
         let mut y = vec![0.0; a.nrows()];
         spmv_with_into(kernel, &a, x, &mut y);
+        if let (Some(tel), Some(t)) = (tel, t_multiply) {
+            let multiply_ns = t.elapsed().as_nanos() as u64;
+            let bytes = vector_traffic(tel, a.nrows(), a.ncols());
+            tel.span("exec.cpu_multiply", multiply_ns, sys.mem.stream_seconds(bytes), bytes);
+        }
         Ok((y, stats))
     }
 
-    /// Synthesized stats for a breaker-bypassed software decode: no
-    /// accelerator cycles, the compressed stream still crosses memory, and
-    /// the run is flagged `software_decode` + `degraded`.
-    fn software_stats(&self, sys: &SystemConfig) -> ExecStats {
-        let compressed_bytes = self.compressed.wire_bytes();
-        ExecStats {
-            accel: AccelReport::default(),
-            mem_stream_seconds: sys.mem.stream_seconds(compressed_bytes as u64),
-            dma_seconds: 0.0,
-            compressed_bytes,
-            blocks_retried: 0,
-            blocks_fell_back: 0,
-            fallback_bytes: 0,
-            retry_cycles: 0,
-            backoff_cycles: 0,
-            degraded: true,
-            software_decode: true,
-            blocks_ok: 0,
-            blocks_recovered: 0,
-            overlap: OverlapStats::default(),
-        }
-    }
-
-    /// One fully governed job: circuit-breaker admission, a budgeted
-    /// accelerator run, degradation to the software decoder when the
-    /// breaker is open, and a typed terminal [`JobState`] no matter what
-    /// happened — [`JobReport`] is total over all outcomes.
-    ///
-    /// The degradation ladder, top to bottom: accelerator happy path →
-    /// per-block retry → per-block raw-CSR re-fetch → (breaker open)
-    /// whole-job software decode. Every rung is bit-exact; only the last
-    /// gives up on the accelerator entirely.
-    pub fn run_job(
-        &self,
-        sys: &SystemConfig,
-        hook: Option<&FaultHook>,
-        budget: &JobBudget,
-        mut breaker: Option<&mut CircuitBreaker>,
-        mut tel: Option<&mut Telemetry>,
-    ) -> JobReport {
-        let report =
-            self.run_job_inner(sys, hook, budget, breaker.as_deref_mut(), tel.as_deref_mut());
-        // Breaker posture after the job, as `breaker.*` counters (v2
-        // content). `breaker.state` is a code: 0 closed, 1 open, 2 half-open.
-        if let (Some(tel), Some(b)) = (tel, breaker.as_deref()) {
-            tel.add("breaker.trips", b.trips());
-            tel.add("breaker.probes", b.probes());
-            tel.add(
-                "breaker.state",
-                match b.state() {
-                    BreakerState::Closed => 0,
-                    BreakerState::Open => 1,
-                    BreakerState::HalfOpen => 2,
-                },
-            );
-        }
-        report
-    }
-
-    fn run_job_inner(
-        &self,
-        sys: &SystemConfig,
-        hook: Option<&FaultHook>,
-        budget: &JobBudget,
-        mut breaker: Option<&mut CircuitBreaker>,
-        tel: Option<&mut Telemetry>,
-    ) -> JobReport {
-        let admitted = breaker.as_deref_mut().is_none_or(CircuitBreaker::admit);
-        if !admitted {
-            // Open breaker: the accelerator is bypassed entirely and the
-            // job is served by the software decoder — degraded, bit-exact.
-            let breaker_state =
-                breaker.as_deref().map_or(BreakerState::Closed, CircuitBreaker::state);
-            return match self.decompress_via_software() {
-                Ok(a) => JobReport {
-                    state: JobState::Degraded,
-                    matrix: Some(a),
-                    stats: Some(self.software_stats(sys)),
-                    error: None,
-                    software_path: true,
-                    breaker: breaker_state,
-                },
-                Err(e) => JobReport {
-                    state: JobState::Rejected,
-                    matrix: None,
-                    stats: None,
-                    error: Some(ExecError::Codec(e)),
-                    software_path: true,
-                    breaker: breaker_state,
-                },
-            };
-        }
-        match self.decompress_via_udp_budgeted(sys, hook, tel, Some(budget)) {
-            Ok((a, stats)) => {
-                if let Some(b) = breaker.as_deref_mut() {
-                    b.record(stats.accel.jobs, stats.accel.jobs_failed);
-                }
-                let state = if stats.degraded { JobState::Degraded } else { JobState::Completed };
-                JobReport {
-                    state,
-                    matrix: Some(a),
-                    stats: Some(stats),
-                    error: None,
-                    software_path: false,
-                    breaker: breaker.as_deref().map_or(BreakerState::Closed, CircuitBreaker::state),
-                }
-            }
-            Err(e) => {
-                if let Some(b) = breaker.as_deref_mut() {
-                    // A run that died counts fully against the window.
-                    let jobs = (self.compressed.index_stream.blocks.len()
-                        + self.compressed.value_stream.blocks.len())
-                    .max(1);
-                    b.record(jobs, jobs);
-                }
-                let state = match &e {
-                    ExecError::DeadlineExceeded { .. } => JobState::DeadlineExceeded,
-                    _ => JobState::Rejected,
-                };
-                JobReport {
-                    state,
-                    matrix: None,
-                    stats: None,
-                    error: Some(e),
-                    software_path: false,
-                    breaker: breaker.as_deref().map_or(BreakerState::Closed, CircuitBreaker::state),
-                }
-            }
-        }
-    }
-
-    /// [`RecodedSpmv::run_job`] plus a sealed [`TraceDocument`] when the
-    /// job produced stats (every state but `Rejected`/`DeadlineExceeded`).
-    /// The document carries the `pool.*` and — when a breaker was supplied —
-    /// `breaker.*` counters, so it is always stamped `recode-trace/v2`.
-    /// This is the `recode metrics` scrape path.
-    pub fn run_job_traced(
-        &self,
-        sys: &SystemConfig,
-        hook: Option<&FaultHook>,
-        budget: &JobBudget,
-        breaker: Option<&mut CircuitBreaker>,
-        name: &str,
-    ) -> (JobReport, Option<TraceDocument>) {
-        let t_total = Instant::now();
-        let mut tel = Telemetry::new();
-        let report = self.run_job(sys, hook, budget, breaker, Some(&mut tel));
-        let doc = match (&report.matrix, &report.stats) {
-            (Some(a), Some(stats)) => {
-                let matrix = MatrixMeta {
-                    name: name.to_string(),
-                    nrows: a.nrows(),
-                    ncols: a.ncols(),
-                    nnz: a.nnz(),
-                    compressed_bytes: stats.compressed_bytes,
-                    bytes_per_nnz: self.compressed.bytes_per_nnz(),
-                };
-                let system = SystemMeta {
-                    memory: sys.mem.name.to_string(),
-                    lanes: sys.udp.lanes,
-                    freq_hz: sys.udp.freq_hz,
-                };
-                let codec_stages =
-                    self.stage_telemetry.as_ref().map(|t| t.snapshot()).unwrap_or_default();
-                Some(tel.into_document(
-                    matrix,
-                    system,
-                    stats.clone(),
-                    codec_stages,
-                    &sys.mem,
-                    t_total.elapsed().as_nanos() as u64,
-                ))
-            }
-            _ => None,
-        };
-        (report, doc)
-    }
-
-    /// Fully traced SpMV: [`RecodedSpmv::spmv_faulty`] plus a sealed
-    /// [`TraceDocument`] covering every phase — UDP decode with per-lane and
-    /// per-opcode-class breakdowns, retry/fallback recovery, reassembly,
-    /// modeled memory/DMA streaming, and the CPU multiply — along with
-    /// per-block events, dotted counters, memory traffic by source, and the
-    /// codec-stage snapshot (non-zero when built via
-    /// [`RecodedSpmv::new_traced`]). `name` labels the matrix in the trace.
+    /// Fully traced SpMV: [`RecodedSpmv::spmv_with`] (whose `ctx.tel` is
+    /// supplied here) plus the sealed [`TraceDocument`] covering every phase
+    /// — UDP decode with per-lane and per-opcode-class breakdowns,
+    /// retry/fallback recovery, reassembly, modeled memory/DMA streaming,
+    /// and the CPU multiply — along with per-block events, dotted counters,
+    /// memory traffic by source, and the codec-stage snapshot (non-zero when
+    /// built via [`RecodedSpmv::new_traced`]). `name` labels the matrix.
     ///
     /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`].
+    /// As [`RecodedSpmv::decompress_with`].
     pub fn spmv_traced(
         &self,
         sys: &SystemConfig,
         kernel: SpmvKernel,
         x: &[f64],
-        hook: Option<&FaultHook>,
+        ctx: RunCtx<'_>,
         name: &str,
     ) -> ExecResult<(Vec<f64>, ExecStats, TraceDocument)> {
         let t_total = Instant::now();
         let mut tel = Telemetry::new();
-        let (a, stats) = self.decompress_via_udp_traced(sys, hook, Some(&mut tel))?;
+        let (y, stats) = self.spmv_with(sys, kernel, x, ctx.traced(&mut tel))?;
+        let doc = self.seal(sys, tel, &stats, name, t_total);
+        Ok((y, stats, doc))
+    }
 
-        let t_multiply = Instant::now();
-        let mut y = vec![0.0; a.nrows()];
-        spmv_with_into(kernel, &a, x, &mut y);
-        let multiply_ns = t_multiply.elapsed().as_nanos() as u64;
-
-        // The multiply streams the dense vectors through the memory
-        // interface (the decoded matrix stays on-chip in the paper's tiled
-        // flow, so only x and y are charged to DRAM).
-        let vector_read = (a.ncols() * 8) as u64;
-        let vector_write = (a.nrows() * 8) as u64;
-        tel.traffic.read(TrafficSource::Vectors, vector_read);
-        tel.traffic.write(TrafficSource::Vectors, vector_write);
-        tel.span(
-            "exec.cpu_multiply",
-            multiply_ns,
-            sys.mem.stream_seconds(vector_read + vector_write),
-            vector_read + vector_write,
-        );
-
+    /// The one [`TraceDocument`] sealer: matrix and platform identity, the
+    /// codec-stage snapshot, and the wall time since `t_total`, around
+    /// whatever `tel` collected during a run over this operand.
+    pub(crate) fn seal(
+        &self,
+        sys: &SystemConfig,
+        tel: Telemetry,
+        stats: &ExecStats,
+        name: &str,
+        t_total: Instant,
+    ) -> TraceDocument {
+        let cm = &self.compressed;
         let matrix = MatrixMeta {
             name: name.to_string(),
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            nnz: a.nnz(),
+            nrows: cm.nrows,
+            ncols: cm.ncols,
+            nnz: cm.nnz,
             compressed_bytes: stats.compressed_bytes,
-            bytes_per_nnz: self.compressed.bytes_per_nnz(),
+            bytes_per_nnz: cm.bytes_per_nnz(),
         };
         let system = SystemMeta {
             memory: sys.mem.name.to_string(),
@@ -993,9 +637,101 @@ impl RecodedSpmv {
         };
         let codec_stages = self.stage_telemetry.as_ref().map(|t| t.snapshot()).unwrap_or_default();
         let wall_ns_total = t_total.elapsed().as_nanos() as u64;
-        let doc =
-            tel.into_document(matrix, system, stats.clone(), codec_stages, &sys.mem, wall_ns_total);
-        Ok((y, stats, doc))
+        tel.into_document(matrix, system, stats.clone(), codec_stages, &sys.mem, wall_ns_total)
+    }
+
+    /// One fully governed job: circuit-breaker admission, a
+    /// [`RecodedSpmv::decompress_with`] run under `ctx`, degradation to the
+    /// software decoder when the breaker is open, and a typed terminal
+    /// [`JobState`] no matter what happened — [`JobReport`] is total over
+    /// all outcomes.
+    ///
+    /// The degradation ladder, top to bottom: accelerator happy path →
+    /// per-block retry → per-block raw-CSR re-fetch → (breaker open)
+    /// whole-job software decode. Every rung is bit-exact; only the last
+    /// gives up on the accelerator entirely.
+    pub fn run_job(
+        &self,
+        sys: &SystemConfig,
+        ctx: RunCtx<'_>,
+        mut breaker: Option<&mut CircuitBreaker>,
+    ) -> JobReport {
+        let RunCtx { hook, budget, mut tel } = ctx;
+        let admitted = breaker.as_deref_mut().is_none_or(CircuitBreaker::admit);
+        let result = if admitted {
+            let run = self.decompress_with(sys, RunCtx { hook, budget, tel: tel.as_deref_mut() });
+            if let Some(b) = breaker.as_deref_mut() {
+                // A run that died counts fully against the window.
+                let dead = self.total_jobs().max(1);
+                let (jobs, failed) =
+                    run.as_ref().map_or((dead, dead), |(_, s)| (s.accel.jobs, s.accel.jobs_failed));
+                b.record(jobs, failed);
+            }
+            run
+        } else {
+            // Open breaker: the accelerator is bypassed entirely and the job
+            // is served by the software decoder. No accelerator cycles, the
+            // compressed stream still crosses memory.
+            self.decompress_via_software().map_err(ExecError::Codec).map(|a| {
+                let wire_bytes = self.compressed.wire_bytes();
+                let mut stats = BlockTally::default().stats(
+                    sys,
+                    AccelReport::default(),
+                    wire_bytes,
+                    0,
+                    OverlapStats::default(),
+                );
+                stats.dma_seconds = 0.0;
+                stats.degraded = true;
+                stats.software_decode = true;
+                (a, stats)
+            })
+        };
+        // Breaker posture after the job, as `breaker.*` counters (v2
+        // content). `breaker.state` is a code: 0 closed, 1 open, 2 half-open.
+        let breaker_state = breaker.as_deref().map_or(BreakerState::Closed, CircuitBreaker::state);
+        if let (Some(tel), Some(b)) = (tel, breaker.as_deref()) {
+            tel.add("breaker.trips", b.trips());
+            tel.add("breaker.probes", b.probes());
+            tel.add(
+                "breaker.state",
+                match breaker_state {
+                    BreakerState::Closed => 0,
+                    BreakerState::Open => 1,
+                    BreakerState::HalfOpen => 2,
+                },
+            );
+        }
+        let (state, matrix, stats, error) = match result {
+            Ok((a, stats)) => {
+                let state = if stats.degraded { JobState::Degraded } else { JobState::Completed };
+                (state, Some(a), Some(stats), None)
+            }
+            Err(e @ ExecError::DeadlineExceeded { .. }) => {
+                (JobState::DeadlineExceeded, None, None, Some(e))
+            }
+            Err(e) => (JobState::Rejected, None, None, Some(e)),
+        };
+        JobReport { state, matrix, stats, error, software_path: !admitted, breaker: breaker_state }
+    }
+
+    /// [`RecodedSpmv::run_job`] (whose `ctx.tel` is supplied here) plus a
+    /// sealed [`TraceDocument`] when the job produced stats (every state but
+    /// `Rejected`/`DeadlineExceeded`). The document carries the `pool.*` and
+    /// — when a breaker was supplied — `breaker.*` counters, so it is always
+    /// stamped `recode-trace/v2`. This is the `recode metrics` scrape path.
+    pub fn run_job_traced(
+        &self,
+        sys: &SystemConfig,
+        ctx: RunCtx<'_>,
+        breaker: Option<&mut CircuitBreaker>,
+        name: &str,
+    ) -> (JobReport, Option<TraceDocument>) {
+        let t_total = Instant::now();
+        let mut tel = Telemetry::new();
+        let report = self.run_job(sys, ctx.traced(&mut tel), breaker);
+        let doc = report.stats.as_ref().map(|stats| self.seal(sys, tel, stats, name, t_total));
+        (report, doc)
     }
 
     /// Software-only decode path (reference), for differential testing.
@@ -1011,100 +747,40 @@ impl RecodedSpmv {
         }
     }
 
-    /// **Streaming tiled SpMV** — the paper's Fig. 7 execution mode. The
-    /// matrix is *never* materialized: index and value blocks are decoded
-    /// one tile at a time on a UDP lane and multiplied immediately, so
-    /// resident memory stays `O(block)` instead of `O(nnz)`. Rows that
-    /// straddle tile boundaries accumulate across tiles, exactly like the
-    /// paper's tiled loop.
+    /// **Streaming tiled SpMV** — the paper's Fig. 7 execution mode, on the
+    /// paper's DDR4 platform. See [`RecodedSpmv::spmv_streaming_with`].
     ///
     /// # Errors
-    /// [`ExecError::Udp`] on lane traps or CRC failures (with block
-    /// context), [`ExecError::Reassembly`] on stream misalignment.
+    /// As [`RecodedSpmv::spmv_streaming_with`].
     ///
     /// # Panics
     /// If `x.len() != ncols`.
-    pub fn spmv_streaming(&self, x: &[f64]) -> ExecResult<(Vec<f64>, StreamingStats)> {
-        assert_eq!(x.len(), self.compressed.ncols, "x length must equal ncols");
-        check_stream_structure(&self.compressed.index_stream)?;
-        check_stream_structure(&self.compressed.value_stream)?;
-        let mut lane = recode_udp::pool::global().checkout();
-        let mut y = vec![0.0f64; self.compressed.nrows];
-        let row_ptr = &self.compressed.row_ptr;
-
-        let mut stats = StreamingStats {
-            compressed_bytes: self.compressed.wire_bytes(),
-            bytes_per_nnz: self.compressed.bytes_per_nnz(),
-            ..StreamingStats::default()
-        };
-        let mut row = 0usize; // current output row
-        let mut k_global = 0usize; // nnz cursor
-                                   // Value bytes decoded but not yet consumed (at most ~2 blocks).
-        let mut val_buf: Vec<u8> = Vec::new();
-        let mut val_blocks = self.compressed.value_stream.blocks.iter();
-
-        for idx_block in &self.compressed.index_stream.blocks {
-            let idx_out = self.index_decoder.decode_block(&mut lane, idx_block)?;
-            stats.lane_cycles += idx_out.cycles;
-            stats.blocks += 1;
-            let tile_nnz = idx_out.output.len() / 4;
-            // Pull value blocks until the tile's values are resident.
-            while val_buf.len() < tile_nnz * 8 {
-                let vb = val_blocks
-                    .next()
-                    .ok_or_else(|| ExecError::Reassembly("value stream ended early".into()))?;
-                let v = self.value_decoder.decode_block(&mut lane, vb)?;
-                stats.lane_cycles += v.cycles;
-                stats.blocks += 1;
-                val_buf.extend_from_slice(&v.output);
-            }
-            stats.peak_resident_bytes =
-                stats.peak_resident_bytes.max(idx_out.output.len() + val_buf.len());
-
-            // Multiply this tile, walking rows as the nnz cursor advances
-            // (k_global < nnz = row_ptr[nrows], so a row with
-            // row_ptr[row + 1] > k_global always exists; empty rows are
-            // skipped by the same walk).
-            for t in 0..tile_nnz {
-                while row_ptr[row + 1] <= k_global {
-                    row += 1;
-                }
-                let c = u32::from_le_bytes(
-                    idx_out.output[t * 4..t * 4 + 4].try_into().expect("4-byte index"),
-                ) as usize;
-                let v =
-                    f64::from_le_bytes(val_buf[t * 8..t * 8 + 8].try_into().expect("8-byte value"));
-                y[row] += v * x[c];
-                k_global += 1;
-            }
-            val_buf.drain(..tile_nnz * 8);
-        }
-        if k_global != self.compressed.nnz {
-            return Err(ExecError::Reassembly(format!(
-                "streamed {} non-zeros but the matrix has {}",
-                k_global, self.compressed.nnz
-            )));
-        }
-        Ok((y, stats))
+    pub fn spmv_streaming(&self, x: &[f64]) -> ExecResult<(Vec<f64>, ExecStats)> {
+        self.spmv_streaming_with(&SystemConfig::ddr4(), x, RunCtx::default())
     }
-}
 
-/// Statistics from a streaming tiled execution.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct StreamingStats {
-    /// Total UDP lane cycles across all decoded blocks.
-    pub lane_cycles: u64,
-    /// Blocks decoded (index + value).
-    pub blocks: usize,
-    /// Peak decoded bytes resident at once — the tiled loop's working set.
-    pub peak_resident_bytes: usize,
-    /// Compressed wire bytes streamed (both streams plus tables).
-    #[serde(default)]
-    pub compressed_bytes: usize,
-    /// `compressed_bytes / nnz`, via the shared
-    /// [`recode_codec::metrics::bytes_per_nnz`] definition.
-    #[serde(default)]
-    pub bytes_per_nnz: f64,
+    /// The streaming executor: the tile walker of [`crate::overlap`] run
+    /// inline — no threads, no cache. The matrix is *never* materialized:
+    /// index and value blocks are decoded one tile at a time and multiplied
+    /// immediately into `y`, so resident memory stays `O(block)` instead of
+    /// `O(nnz)` and the result is bit-exact with the serial kernel. Decode
+    /// and multiply cycles add (`stats.overlap.enabled == false`). A block
+    /// that fails climbs the same recovery ladder as on every schedule.
+    ///
+    /// # Errors
+    /// As [`crate::overlap::OverlapExecutor::spmv_with`].
+    ///
+    /// # Panics
+    /// If `x.len() != ncols`.
+    pub fn spmv_streaming_with(
+        &self,
+        sys: &SystemConfig,
+        x: &[f64],
+        ctx: RunCtx<'_>,
+    ) -> ExecResult<(Vec<f64>, ExecStats)> {
+        let config = OverlapConfig { overlap: false, cache_blocks: 0, workers: 0 };
+        OverlapExecutor::new(self, config).run(sys, x, ctx, false).map(|(y, stats, _)| (y, stats))
+    }
 }
 
 #[cfg(test)]
@@ -1257,20 +933,41 @@ mod tests {
         let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
         let (y, stats) = r.spmv_streaming(&x).unwrap();
         assert_eq!(y, recode_sparse::spmv::spmv(&a, &x), "tiled result must match");
+        assert_eq!(stats.accel.jobs, r.total_jobs(), "every block is decoded exactly once");
+        assert!(stats.accel.busy_cycles > 0);
+        // Inline walk: no workers, decode and multiply cycles add.
+        assert!(!stats.overlap.enabled && stats.overlap.workers == 0);
+        assert_eq!(stats.accel.makespan_cycles, stats.overlap.serial_makespan_cycles);
         // Working set stays a few blocks, far below the 12 B/nnz matrix.
-        assert!(stats.peak_resident_bytes < 64 * 1024, "{}", stats.peak_resident_bytes);
-        assert!(stats.peak_resident_bytes < a.nnz() * 12 / 4);
-        assert!(stats.blocks >= r.compressed().index_stream.len());
-        assert!(stats.lane_cycles > 0);
+        let sys = SystemConfig::ddr4();
+        let streaming = OverlapConfig { overlap: false, cache_blocks: 0, workers: 0 };
+        let (y2, _, peak_resident_bytes) =
+            OverlapExecutor::new(&r, streaming).run(&sys, &x, RunCtx::default(), false).unwrap();
+        assert_eq!(y2, y);
+        assert!(peak_resident_bytes > 0);
+        assert!(peak_resident_bytes < 64 * 1024, "{peak_resident_bytes}");
+        assert!(peak_resident_bytes < a.nnz() * 12 / 4);
     }
 
     #[test]
-    fn streaming_spmv_surfaces_corruption_as_typed_error() {
+    fn streaming_spmv_recovers_corruption_from_the_raw_store_or_names_the_block() {
         let a = test_matrix();
+        let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
+        // With a raw store the corrupted block is recovered bit-exactly.
         let mut r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         r.compressed_mut().index_stream.blocks[2].payload[3] ^= 0x08;
-        let x = vec![1.0; a.ncols()];
+        let (y, stats) = r.spmv_streaming(&x).unwrap();
+        assert_eq!(y, recode_sparse::spmv::spmv(&a, &x), "fallback must stay bit-exact");
+        assert!(stats.degraded);
+        assert_eq!(stats.blocks_retried, MAX_BLOCK_RETRIES, "a CRC failure repeats on every retry");
+        assert_eq!(stats.blocks_fell_back, 1);
+        assert_eq!(stats.blocks_ok + stats.blocks_fell_back, stats.accel.jobs);
+        // Without one the error still names block 2 and carries the codec error.
+        let cm = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let mut r = RecodedSpmv::from_compressed(cm).unwrap();
+        r.compressed_mut().index_stream.blocks[2].payload[3] ^= 0x08;
         let err = r.spmv_streaming(&x).unwrap_err();
+        assert!(matches!(err, ExecError::Unrecoverable { .. }), "{err}");
         assert_eq!(err.block(), Some(2), "{err}");
         assert!(err.codec_error().is_some(), "{err}");
     }
@@ -1287,7 +984,7 @@ mod tests {
         let r = RecodedSpmv::new(&empty, MatrixCodecConfig::udp_dsh()).unwrap();
         let (y, stats) = r.spmv_streaming(&[1.0, 1.0]).unwrap();
         assert_eq!(y, vec![0.0, 0.0]);
-        assert_eq!(stats.blocks, 0);
+        assert_eq!(stats.accel.jobs, 0);
     }
 
     #[test]
@@ -1317,7 +1014,8 @@ mod tests {
         let r = RecodedSpmv::new_traced(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
-        let (y, stats, doc) = r.spmv_traced(&sys, SpmvKernel::Serial, &x, None, "stencil").unwrap();
+        let (y, stats, doc) =
+            r.spmv_traced(&sys, SpmvKernel::Serial, &x, RunCtx::default(), "stencil").unwrap();
         assert_eq!(y, recode_sparse::spmv::spmv(&a, &x), "tracing must not change results");
         let errs = doc.validate();
         assert!(errs.is_empty(), "trace invariants violated: {errs:?}");
@@ -1360,7 +1058,8 @@ mod tests {
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0);
         let mut tel = Telemetry::new();
-        let (b, stats) = r.decompress_via_udp_traced(&sys, Some(&hook), Some(&mut tel)).unwrap();
+        let ctx = RunCtx { hook: Some(&hook), tel: Some(&mut tel), ..RunCtx::default() };
+        let (b, stats) = r.decompress_with(&sys, ctx).unwrap();
         assert_eq!(b, a);
         let evs = tel.block_events();
         assert_eq!(evs.len(), stats.accel.jobs);
@@ -1396,7 +1095,6 @@ mod tests {
     /// batch, and pipelined stats can never silently diverge.
     #[test]
     fn streaming_batch_and_overlap_stats_share_one_metric_definition() {
-        use crate::overlap::{OverlapConfig, OverlapExecutor};
         use recode_codec::metrics::bytes_per_nnz;
         use recode_udp::accel::lane_utilization;
 
@@ -1406,21 +1104,12 @@ mod tests {
         let cm = r.compressed();
         let x = vec![1.0; a.ncols()];
 
-        // Streaming path: stats carry wire bytes and B/nnz directly.
-        let (_, streaming) = r.spmv_streaming(&x).unwrap();
-        assert_eq!(streaming.compressed_bytes, cm.wire_bytes());
-        assert_eq!(streaming.bytes_per_nnz, cm.bytes_per_nnz());
-        assert_eq!(
-            streaming.bytes_per_nnz,
-            bytes_per_nnz(streaming.compressed_bytes, a.nnz()),
-            "StreamingStats must use the shared bytes_per_nnz helper"
-        );
-
-        // Batch path: ExecStats::bytes_per_nnz is the same helper, and the
-        // report's utilization is the shared lane_utilization definition.
+        // Batch path: ExecStats::bytes_per_nnz is the shared helper over the
+        // wire bytes, and the report's utilization is the shared
+        // lane_utilization definition.
         let (_, batch) = r.spmv(&sys, SpmvKernel::Serial, &x).unwrap();
         assert_eq!(batch.compressed_bytes, cm.wire_bytes());
-        assert_eq!(batch.bytes_per_nnz(a.nnz()), streaming.bytes_per_nnz);
+        assert_eq!(batch.bytes_per_nnz(a.nnz()), cm.bytes_per_nnz());
         assert_eq!(
             batch.accel.lane_utilization,
             lane_utilization(
@@ -1431,15 +1120,21 @@ mod tests {
             "batch AccelReport must use the shared lane_utilization helper"
         );
 
-        // Pipelined path: same two definitions again.
+        // Tiled paths, pipelined and streaming: same two definitions again,
+        // over the block payloads the walker fetched.
         let ex = OverlapExecutor::new(&r, OverlapConfig::default());
-        let (_, ov) = ex.spmv(&sys, &x).unwrap();
-        assert_eq!(ov.bytes_per_nnz(a.nnz()), bytes_per_nnz(ov.compressed_bytes, a.nnz()));
-        assert_eq!(
-            ov.accel.lane_utilization,
-            lane_utilization(ov.accel.busy_cycles, ov.accel.makespan_cycles, ov.accel.lanes),
-            "overlap AccelReport must use the shared lane_utilization helper"
-        );
+        let (_, pipelined) = ex.spmv(&sys, &x).unwrap();
+        let (_, streaming) = r.spmv_streaming(&x).unwrap();
+        assert_eq!(streaming.compressed_bytes, pipelined.compressed_bytes);
+        for ov in [&pipelined, &streaming] {
+            assert!(ov.compressed_bytes > 0 && ov.compressed_bytes <= cm.wire_bytes());
+            assert_eq!(ov.bytes_per_nnz(a.nnz()), bytes_per_nnz(ov.compressed_bytes, a.nnz()));
+            assert_eq!(
+                ov.accel.lane_utilization,
+                lane_utilization(ov.accel.busy_cycles, ov.accel.makespan_cycles, ov.accel.lanes),
+                "tiled AccelReport must use the shared lane_utilization helper"
+            );
+        }
 
         // Degenerate inputs stay locked down too.
         assert_eq!(bytes_per_nnz(123, 0), 0.0);
@@ -1455,8 +1150,9 @@ mod tests {
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0);
         let budget = JobBudget::with_deadline(Duration::ZERO);
-        let err =
-            r.decompress_via_udp_budgeted(&sys, Some(&hook), None, Some(&budget)).unwrap_err();
+        let err = r
+            .decompress_with(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None })
+            .unwrap_err();
         match &err {
             ExecError::DeadlineExceeded { budget, completed_blocks, total_blocks } => {
                 assert_eq!(budget, "wall deadline");
@@ -1476,15 +1172,19 @@ mod tests {
         // Two transient traps against a budget that admits only one retry.
         let hook = FaultHook::new().trap(0).trap(1);
         let budget = JobBudget { max_total_retries: Some(1), ..JobBudget::default() };
-        let err =
-            r.decompress_via_udp_budgeted(&sys, Some(&hook), None, Some(&budget)).unwrap_err();
+        let err = r
+            .decompress_with(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None })
+            .unwrap_err();
         match &err {
             ExecError::DeadlineExceeded { budget, .. } => assert_eq!(budget, "retry budget"),
             other => panic!("expected DeadlineExceeded, got {other}"),
         }
         // The same faults under an unbounded budget recover fine.
         let (b, _) = r
-            .decompress_via_udp_budgeted(&sys, Some(&hook), None, Some(&JobBudget::unbounded()))
+            .decompress_with(
+                &sys,
+                RunCtx { hook: Some(&hook), budget: Some(&JobBudget::unbounded()), tel: None },
+            )
             .unwrap();
         assert_eq!(b, a);
     }
@@ -1498,8 +1198,9 @@ mod tests {
         let hook = FaultHook::new().trap(0).trap(1);
         let (b1, plain) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
         let budget = JobBudget::unbounded();
-        let (b2, budgeted) =
-            r.decompress_via_udp_budgeted(&sys, Some(&hook), None, Some(&budget)).unwrap();
+        let (b2, budgeted) = r
+            .decompress_with(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None })
+            .unwrap();
         assert_eq!(b1, b2);
         assert_eq!(budgeted.accel.makespan_cycles, plain.accel.makespan_cycles);
         assert_eq!(budgeted.accel.busy_cycles, plain.accel.busy_cycles);
@@ -1517,8 +1218,9 @@ mod tests {
         let hook = FaultHook::new().trap(0).trap(1);
         let (_, plain) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
         let budget = JobBudget { backoff_cycles_per_retry: 1_000, ..JobBudget::default() };
-        let (_, backed) =
-            r.decompress_via_udp_budgeted(&sys, Some(&hook), None, Some(&budget)).unwrap();
+        let (_, backed) = r
+            .decompress_with(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None })
+            .unwrap();
         // Two admitted retries -> 2000 backoff cycles, critical path only.
         assert_eq!(backed.backoff_cycles, 2_000);
         assert_eq!(
@@ -1553,7 +1255,7 @@ mod tests {
         r.compressed_mut().index_stream.blocks[0].payload[0] ^= 0x40;
         let budget = JobBudget::unbounded();
         let (_, fell_back) =
-            r.decompress_via_udp_budgeted(&sys, None, None, Some(&budget)).unwrap();
+            r.decompress_with(&sys, RunCtx { budget: Some(&budget), ..RunCtx::default() }).unwrap();
         check(&fell_back, "fallback run");
         assert_eq!(fell_back.blocks_fell_back, 1);
     }
@@ -1567,7 +1269,7 @@ mod tests {
         let budget = JobBudget::unbounded();
 
         // No breaker, clean run: Completed on the accelerator.
-        let report = r.run_job(&sys, None, &budget, None, None);
+        let report = r.run_job(&sys, RunCtx { budget: Some(&budget), ..RunCtx::default() }, None);
         assert_eq!(report.state, JobState::Completed);
         assert!(!report.software_path);
         assert_eq!(report.matrix.as_ref(), Some(&a));
@@ -1582,7 +1284,8 @@ mod tests {
         let mut b = CircuitBreaker::new(config);
         b.record(10, 10);
         assert_eq!(b.state(), BreakerState::Open);
-        let report = r.run_job(&sys, None, &budget, Some(&mut b), None);
+        let report =
+            r.run_job(&sys, RunCtx { budget: Some(&budget), ..RunCtx::default() }, Some(&mut b));
         assert_eq!(report.state, JobState::Degraded);
         assert!(report.software_path, "open breaker must bypass the accelerator");
         assert_eq!(report.matrix.as_ref(), Some(&a), "software bypass stays bit-exact");
@@ -1591,7 +1294,8 @@ mod tests {
         assert_eq!(stats.accel.jobs, 0, "no accelerator work on the bypass");
 
         // The next run is the half-open probe; it succeeds and re-closes.
-        let report = r.run_job(&sys, None, &budget, Some(&mut b), None);
+        let report =
+            r.run_job(&sys, RunCtx { budget: Some(&budget), ..RunCtx::default() }, Some(&mut b));
         assert_eq!(report.state, JobState::Completed);
         assert!(!report.software_path, "probe runs on the accelerator");
         assert_eq!(report.breaker, BreakerState::Closed, "clean probe closes the breaker");
@@ -1599,7 +1303,7 @@ mod tests {
 
     #[test]
     fn run_job_records_a_dead_run_and_trips_the_breaker() {
-        use crate::resilience::{BreakerConfig, BreakerState, CircuitBreaker, JobBudget, JobState};
+        use crate::resilience::{BreakerConfig, BreakerState, CircuitBreaker, JobState};
         let a = test_matrix();
         let cm = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let mut r = RecodedSpmv::from_compressed(cm).unwrap();
@@ -1613,7 +1317,7 @@ mod tests {
             cooldown_runs: 2,
         };
         let mut b = CircuitBreaker::new(config);
-        let report = r.run_job(&sys, None, &JobBudget::unbounded(), Some(&mut b), None);
+        let report = r.run_job(&sys, RunCtx::default(), Some(&mut b));
         assert_eq!(report.state, JobState::Rejected);
         assert!(report.error.is_some());
         assert!(report.matrix.is_none());
@@ -1630,7 +1334,8 @@ mod tests {
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0);
         let budget = JobBudget::with_deadline(Duration::ZERO);
-        let report = r.run_job(&sys, Some(&hook), &budget, None, None);
+        let report =
+            r.run_job(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None }, None);
         assert_eq!(report.state, JobState::DeadlineExceeded);
         assert!(matches!(report.error, Some(ExecError::DeadlineExceeded { .. })));
     }

@@ -1,0 +1,310 @@
+//! The parts of one run that do not depend on the schedule: what varies
+//! between plain, faulty, budgeted and traced runs ([`RunCtx`]), the
+//! block-recovery ladder every failed first attempt climbs (`Ladder`), and
+//! the per-run accounting (`BlockTally`) from which the [`ExecStats`], the
+//! common `exec.*` telemetry and a `DeadlineExceeded`'s progress count are all
+//! derived.
+//!
+//! A schedule — the 64-lane batch fan-out of [`crate::exec`], or the tile
+//! walker of [`crate::overlap`], threaded or inline — makes each block's
+//! *first* attempt under the fault hook
+//! ([`recode_udp::accel::Accelerator::dispatch`]) and hands the result to
+//! `Ladder::settle`. A failed attempt is retried hook-free on a pooled lane
+//! up to [`MAX_BLOCK_RETRIES`] times (transient faults clear, integrity
+//! failures repeat), then served from the [`crate::exec::RawFallbackStore`],
+//! and only when both rungs are exhausted does the run fail, with
+//! [`ExecError::Unrecoverable`] naming the block.
+
+use crate::arch::SystemConfig;
+use crate::error::{ExecError, ExecResult};
+use crate::exec::{ExecStats, RecodedSpmv};
+use crate::overlap::OverlapStats;
+use crate::recorder;
+use crate::resilience::{BudgetTracker, JobBudget};
+use crate::telemetry::{BlockEvent, BlockOutcome, Telemetry};
+use recode_mem::traffic::TrafficSource;
+use recode_udp::accel::{AccelReport, FaultHook, JobOutcome, StageCycles};
+use recode_udp::lane::OpClassCycles;
+use recode_udp::UdpError;
+use std::time::Instant;
+
+/// How many times a failed block is re-decoded on a fresh lane before the
+/// raw-store fallback kicks in.
+pub const MAX_BLOCK_RETRIES: usize = 2;
+
+/// What distinguishes one run of an executor from another. The default is a
+/// plain run; every combination is valid, and none changes the result `y`.
+#[derive(Debug, Default)]
+pub struct RunCtx<'a> {
+    /// Fault injection applied to each block's first attempt (retries run
+    /// hook-free, modeling transient faults that clear on a second attempt).
+    pub hook: Option<&'a FaultHook>,
+    /// Limits consulted at every retry boundary — the job's preemption
+    /// points — so an exhausted budget surfaces as
+    /// [`ExecError::DeadlineExceeded`], never as a hang. `None` and an
+    /// unbounded budget behave identically.
+    pub budget: Option<&'a JobBudget>,
+    /// Telemetry registry. When `Some`, the run records per-phase spans,
+    /// per-block events, dotted counters and memory traffic by source; when
+    /// `None`, no clocks are read and no events are collected.
+    pub tel: Option<&'a mut Telemetry>,
+}
+
+impl<'a> RunCtx<'a> {
+    /// This context recording into `tel`, in place of any registry it
+    /// carried: what the `_traced` entries, which own their registry, run.
+    #[must_use]
+    pub fn traced(self, tel: &'a mut Telemetry) -> Self {
+        RunCtx { tel: Some(tel), ..self }
+    }
+}
+
+/// Block accounting of one run. Every block that reached a lane is counted
+/// exactly once: `blocks_ok + blocks_recovered + blocks_fell_back` is the
+/// number of jobs (cache hits decode nothing and are not jobs).
+#[derive(Debug, Default)]
+pub(crate) struct BlockTally {
+    pub blocks_ok: usize,
+    pub blocks_recovered: usize,
+    /// Retry attempts (a recovered block may have taken more than one).
+    pub blocks_retried: usize,
+    pub blocks_fell_back: usize,
+    pub fallback_bytes: usize,
+    /// Lane cycles of the successful retry decodes.
+    pub retry_cycles: u64,
+    /// What recovered blocks add to a report that saw only first attempts.
+    pub recovered_bytes: u64,
+    pub retry_opclass: OpClassCycles,
+    pub retry_stages: StageCycles,
+    /// Host time on the two rungs (traced runs only).
+    pub retry_ns: u64,
+    pub fallback_ns: u64,
+    /// `(job, lane cycles of the attempt that produced the bytes, outcome)`
+    /// per settled block (traced runs only).
+    events: Vec<(usize, u64, BlockOutcome)>,
+}
+
+impl BlockTally {
+    /// Blocks finished so far, by any rung: the job count of a completed
+    /// run, and the progress a `DeadlineExceeded` reports.
+    pub fn completed(&self) -> usize {
+        self.blocks_ok + self.blocks_recovered + self.blocks_fell_back
+    }
+
+    /// Blocks whose first attempt failed.
+    pub fn failed(&self) -> usize {
+        self.blocks_recovered + self.blocks_fell_back
+    }
+
+    /// The one [`ExecStats`] constructor. `fetched_bytes` is the compressed
+    /// traffic the schedule moved (the whole wire image for a batch, the
+    /// payloads of the blocks not served from cache for the walker); the
+    /// fallback re-fetch is extra traffic over the same channel.
+    pub fn stats(
+        &self,
+        sys: &SystemConfig,
+        accel: AccelReport,
+        fetched_bytes: usize,
+        backoff_cycles: u64,
+        overlap: OverlapStats,
+    ) -> ExecStats {
+        ExecStats {
+            accel,
+            mem_stream_seconds: sys.mem.stream_seconds(fetched_bytes as u64)
+                + sys.mem.stream_seconds(self.fallback_bytes as u64),
+            dma_seconds: sys.dma.transfer_seconds(self.completed() as u64, fetched_bytes as u64),
+            compressed_bytes: fetched_bytes,
+            blocks_retried: self.blocks_retried,
+            blocks_fell_back: self.blocks_fell_back,
+            fallback_bytes: self.fallback_bytes,
+            retry_cycles: self.retry_cycles,
+            backoff_cycles,
+            degraded: self.blocks_retried > 0 || self.blocks_fell_back > 0,
+            software_decode: false,
+            blocks_ok: self.blocks_ok,
+            blocks_recovered: self.blocks_recovered,
+            overlap,
+        }
+    }
+
+    /// The telemetry every schedule reports the same way, after its own
+    /// phase spans: modeled memory/DMA spans, the `exec.*` counters, the
+    /// compressed-stream traffic rows, and one event per job in job order
+    /// (job `k` runs on lane `k % lanes` under every schedule).
+    pub fn emit(
+        mut self,
+        tel: &mut Telemetry,
+        sys: &SystemConfig,
+        stats: &ExecStats,
+        r: &RecodedSpmv,
+    ) {
+        let fetched = stats.compressed_bytes as u64;
+        let fallback = stats.fallback_bytes as u64;
+        tel.span("exec.mem_stream", 0, stats.mem_stream_seconds, fetched + fallback);
+        tel.span("exec.dma", 0, stats.dma_seconds, fetched);
+
+        tel.add("exec.jobs", stats.accel.jobs as u64);
+        tel.add("exec.jobs_failed", stats.accel.jobs_failed as u64);
+        tel.add("exec.blocks_retried", stats.blocks_retried as u64);
+        tel.add("exec.blocks_fell_back", stats.blocks_fell_back as u64);
+        tel.add("exec.fallback_bytes", fallback);
+        tel.add("exec.retry_cycles", stats.retry_cycles);
+
+        tel.traffic.read(TrafficSource::CompressedStream, fetched);
+        tel.traffic.read(TrafficSource::FallbackRefetch, fallback);
+        tel.traffic.read(TrafficSource::RowPtr, ((r.compressed().nrows + 1) * 8) as u64);
+
+        self.events.sort_by_key(|e| e.0);
+        for (job, cycles, outcome) in self.events {
+            let (stream, block) = r.locate(job);
+            tel.block_event(BlockEvent {
+                job,
+                stream,
+                block,
+                lane: job % sys.udp.lanes,
+                cycles,
+                outcome,
+            });
+        }
+    }
+}
+
+/// Charges the dense vectors of one multiply to `tel`'s traffic ledger (the
+/// decoded matrix stays on-chip in the paper's tiled flow, so only `x` and
+/// `y` cross the memory interface) and returns the bytes moved.
+pub(crate) fn vector_traffic(tel: &mut Telemetry, nrows: usize, ncols: usize) -> u64 {
+    let (read, write) = ((ncols * 8) as u64, (nrows * 8) as u64);
+    tel.traffic.read(TrafficSource::Vectors, read);
+    tel.traffic.write(TrafficSource::Vectors, write);
+    read + write
+}
+
+/// The block-recovery ladder of one run, with the budget it spends and the
+/// tally it fills.
+pub(crate) struct Ladder<'m> {
+    recoded: &'m RecodedSpmv,
+    tracker: Option<BudgetTracker>,
+    /// Recorder track of the thread that climbs the ladder.
+    track: recorder::Track,
+    traced: bool,
+    pub tally: BlockTally,
+}
+
+impl<'m> Ladder<'m> {
+    /// Starts the budget's clock. `traced` turns on rung timing and the
+    /// per-block event list.
+    pub fn new(
+        recoded: &'m RecodedSpmv,
+        budget: Option<&JobBudget>,
+        track: recorder::Track,
+        traced: bool,
+    ) -> Self {
+        let tracker = budget.map(|b| BudgetTracker::new(*b));
+        Ladder { recoded, tracker, track, traced, tally: BlockTally::default() }
+    }
+
+    /// Scheduler backoff charged by the budget so far.
+    pub fn backoff_cycles(&self) -> u64 {
+        self.tracker.as_ref().map_or(0, BudgetTracker::backoff_cycles)
+    }
+
+    /// Takes the first attempt at `job` (batch numbering: index blocks, then
+    /// value blocks) from whichever schedule made it and returns the block's
+    /// bytes with the lane cycles of the attempt that produced them (0 for a
+    /// fallback), climbing the ladder if the attempt failed.
+    ///
+    /// # Errors
+    /// [`ExecError::DeadlineExceeded`] when the budget denies a retry;
+    /// [`ExecError::Unrecoverable`] when retries are exhausted and no raw
+    /// store covers the block.
+    pub fn settle(
+        &mut self,
+        job: usize,
+        first: Result<JobOutcome, UdpError>,
+    ) -> ExecResult<(Vec<u8>, u64)> {
+        let (bytes, cycles, outcome) = match first {
+            Ok(o) => {
+                self.tally.blocks_ok += 1;
+                (o.output, o.cycles, BlockOutcome::Ok)
+            }
+            Err(e) => self.recover(job, e)?,
+        };
+        if self.traced {
+            self.tally.events.push((job, cycles, outcome));
+        }
+        Ok((bytes, cycles))
+    }
+
+    fn recover(
+        &mut self,
+        job: usize,
+        first_err: UdpError,
+    ) -> ExecResult<(Vec<u8>, u64, BlockOutcome)> {
+        let r = self.recoded;
+        let mut last_err = first_err;
+        let mut retried = None;
+        let t_retry = self.traced.then(Instant::now);
+        // One pooled lane serves every attempt: a decode fully resets lane
+        // state, so attempt N is as "fresh" as a new lane.
+        let mut lane = recode_udp::pool::global().checkout();
+        for attempt in 1..=MAX_BLOCK_RETRIES {
+            if let Some(what) = self.tracker.as_mut().and_then(|t| t.admit_retry().err()) {
+                return Err(ExecError::DeadlineExceeded {
+                    budget: what.to_string(),
+                    completed_blocks: self.tally.completed(),
+                    total_blocks: r.total_jobs(),
+                });
+            }
+            recorder::record(
+                recorder::EventKind::Retry,
+                self.track,
+                "exec.retry",
+                attempt as u64,
+                job as u64,
+            );
+            self.tally.blocks_retried += 1;
+            match r.decode_job(&mut lane, job) {
+                Ok(o) => {
+                    retried = Some(o);
+                    break;
+                }
+                Err(e) => last_err = e,
+            }
+        }
+        drop(lane);
+        self.tally.retry_ns += t_retry.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        if let Some(o) = retried {
+            if let Some(t) = self.tracker.as_mut() {
+                t.charge_retry_cycles(o.cycles);
+            }
+            self.tally.blocks_recovered += 1;
+            self.tally.retry_cycles += o.cycles;
+            self.tally.recovered_bytes += o.output.len() as u64;
+            self.tally.retry_opclass.merge(&o.opclass);
+            self.tally.retry_stages.merge(&o.stage_cycles);
+            return Ok((o.output, o.cycles, BlockOutcome::Retried));
+        }
+        // Retries exhausted: re-fetch the block's uncompressed range.
+        let t_fallback = self.traced.then(Instant::now);
+        let raw = r.raw_block(job);
+        self.tally.fallback_ns += t_fallback.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let Some(raw) = raw else {
+            return Err(ExecError::Unrecoverable {
+                block: last_err.block().or(Some(r.locate(job).1)),
+                lane: None,
+                source: last_err,
+            });
+        };
+        recorder::record(
+            recorder::EventKind::Fallback,
+            self.track,
+            "exec.fallback",
+            raw.len() as u64,
+            job as u64,
+        );
+        self.tally.blocks_fell_back += 1;
+        self.tally.fallback_bytes += raw.len();
+        self.tally.recovered_bytes += raw.len() as u64;
+        Ok((raw.to_vec(), 0, BlockOutcome::FellBack))
+    }
+}

@@ -8,10 +8,14 @@
 //!   decoded by real UDP programs on the lane simulator, reassembled, and
 //!   multiplied — the Fig. 6/7 flow, verified bit-exact against the
 //!   uncompressed kernel;
-//! * [`overlap`] — the pipelined executor: UDP lanes decode tile *i+1*
-//!   while CPU workers multiply tile *i* (modeled makespan overlaps decode
-//!   with multiply), with a seeded-capacity decoded-block LRU cache so
-//!   iterative solvers pay decode cost once;
+//! * [`overlap`] — the tile walker, pipelined (UDP lanes decode tile *i+1*
+//!   while CPU workers multiply tile *i*; the modeled makespan overlaps
+//!   decode with multiply) or inline (the streaming executor), with a
+//!   seeded-capacity decoded-block LRU cache so iterative solvers pay decode
+//!   cost once;
+//! * [`ladder`] — what every schedule shares: the [`RunCtx`] that makes a
+//!   run plain, faulty, budgeted or traced, the block-recovery ladder, and
+//!   the accounting the `ExecStats` are built from;
 //! * [`measure`] — measured recoding throughput: per-lane cycle counts from
 //!   the UDP simulator (sampled blocks, extrapolated) and the calibrated
 //!   CPU software rates;
@@ -50,6 +54,7 @@ pub mod error;
 pub mod exec;
 pub mod experiment;
 pub mod json;
+pub mod ladder;
 pub mod measure;
 pub mod metrics;
 pub mod overlap;
@@ -68,6 +73,7 @@ pub use chaos::{run_campaign, CampaignSummary, ChaosConfig, TrialOutcome};
 pub use chrometrace::export_chrome_trace;
 pub use error::{ExecError, ExecResult};
 pub use exec::{ExecStats, RawFallbackStore, RecodedSpmv};
+pub use ladder::RunCtx;
 pub use metrics::MetricsSnapshot;
 pub use overlap::{
     parse_recode_threads, CacheStats, ExecCache, OverlapConfig, OverlapExecutor, OverlapStats,

@@ -1,12 +1,13 @@
-//! **Overlapped decode/multiply execution with decoded-block caching** —
-//! the paper's Fig. 7 pipeline taken one step further.
+//! **The tile walker: overlapped decode/multiply execution with
+//! decoded-block caching** — the paper's Fig. 7 loop, on two schedules.
 //!
-//! The streaming executor in [`crate::exec`] decodes a tile, multiplies it,
-//! then decodes the next: decode and multiply cycles *add*. On the real
-//! machine the UDP lanes and the CPU cores are independent engines, so a
-//! double-buffered schedule lets the lanes decode tile *i + 1* while the
-//! CPU multiplies tile *i*; per stage the modeled cost is
-//! `max(decode, multiply)` instead of their sum:
+//! The loop fetches a tile, decodes its index block and the value blocks it
+//! needs, and multiplies. Run inline ([`RecodedSpmv::spmv_streaming_with`])
+//! it decodes a tile, multiplies it, then decodes the next: decode and
+//! multiply cycles *add*. On the real machine the UDP lanes and the CPU
+//! cores are independent engines, so a double-buffered schedule lets the
+//! lanes decode tile *i + 1* while the CPU multiplies tile *i*; per stage
+//! the modeled cost is `max(decode, multiply)` instead of their sum:
 //!
 //! ```text
 //! lane:  [d0][d1   ][d2][d3   ]
@@ -34,26 +35,22 @@
 //! cache on every later iteration, with hits/misses/evictions folded into
 //! [`ExecStats`] and the telemetry trace.
 //!
-//! The schedule composes with the fault layer of [`crate::exec`]: a block
-//! that traps is retried on a fresh lane up to
-//! [`crate::exec::MAX_BLOCK_RETRIES`] times and then served from the
-//! [`crate::exec::RawFallbackStore`], *inside* its pipeline slot, so a
-//! retried or fallback block can never land in the wrong output position.
+//! Each block's first attempt reads the fault hook through
+//! [`Accelerator::dispatch`] and is settled by the recovery ladder of
+//! [`crate::ladder`] *inside* its slot of the walk, so a retried or fallback
+//! block can never land in the wrong output position.
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
-use crate::exec::{
-    check_stream_structure, ExecStats, RawFallbackStore, RecodedSpmv, MAX_BLOCK_RETRIES,
-};
+use crate::exec::{ExecStats, RecodedSpmv};
+use crate::ladder::{vector_traffic, Ladder, RunCtx};
 use crate::recorder;
-use crate::resilience::{BudgetTracker, JobBudget};
-use crate::telemetry::{
-    BlockEvent, BlockOutcome, MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument,
-};
+use crate::resilience::JobBudget;
+use crate::telemetry::{StreamKind, Telemetry, TraceDocument};
 use recode_mem::traffic::TrafficSource;
 use recode_sparse::solve::{self, SolveResult};
-use recode_udp::accel::{panic_payload_message, AccelReport, FaultHook, JobOutcome};
-use recode_udp::{LaneError, UdpError};
+use recode_udp::accel::{panic_payload_message, AccelReport, Accelerator, FaultHook};
+use recode_udp::Lane;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -277,39 +274,6 @@ impl OverlapStats {
     }
 }
 
-/// One decoded block, as produced by the retry/fallback-aware decode step.
-struct DecodedBlock {
-    bytes: Arc<Vec<u8>>,
-    /// Lane cycles of the successful first attempt (0 for hit/retry/fallback).
-    cycles: u64,
-    stall_cycles: u64,
-    retries: usize,
-    retry_cycles: u64,
-    fell_back: bool,
-    fallback_bytes: usize,
-    /// Compressed payload bytes fetched (0 on a cache hit).
-    wire_bytes: usize,
-    cache_hit: bool,
-    outcome: BlockOutcome,
-}
-
-impl DecodedBlock {
-    /// Every lane cycle this block charged to the pipeline's decode side.
-    fn decode_cost(&self) -> u64 {
-        self.cycles + self.retry_cycles + self.stall_cycles
-    }
-}
-
-/// Telemetry record of one decode job (cache hits decode nothing and are
-/// therefore not jobs).
-struct BlockRecord {
-    job: usize,
-    stream: StreamKind,
-    block: usize,
-    cycles: u64,
-    outcome: BlockOutcome,
-}
-
 /// One tile of work handed from the decode side to the multiply side.
 struct TileWork {
     tile: usize,
@@ -325,25 +289,19 @@ struct TileResult {
     partial: Vec<f64>,
 }
 
-/// Everything the producer (decode) side learns about a run.
+/// What the tile walker learns about a run besides the ladder's tally.
 #[derive(Default)]
-struct ProducerOut {
+struct TileWalk {
+    /// Lane cycles each tile charged to the decode side: first attempts,
+    /// successful retries and injected stalls; cache hits cost zero.
     per_tile_decode: Vec<u64>,
     per_tile_nnz: Vec<usize>,
-    records: Vec<BlockRecord>,
-    jobs: usize,
-    jobs_failed: usize,
-    blocks_ok: usize,
-    blocks_recovered: usize,
-    blocks_retried: usize,
-    blocks_fell_back: usize,
-    fallback_bytes: usize,
-    retry_cycles: u64,
-    backoff_cycles: u64,
     stall_cycles: u64,
+    /// Compressed payload bytes fetched (blocks not served from the cache).
     fetched_bytes: usize,
     decoded_bytes: u64,
-    cache_hit_blocks: usize,
+    /// Most decoded bytes resident at once — the tiled loop's working set.
+    peak_resident_bytes: usize,
 }
 
 /// The overlapped, cached executor over one [`RecodedSpmv`].
@@ -403,92 +361,72 @@ impl<'m> OverlapExecutor<'m> {
     /// Pipelined SpMV `y = A x`.
     ///
     /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`] — a block that fails decode,
-    /// exhausts retries, and has no fallback coverage is
-    /// [`ExecError::Unrecoverable`].
+    /// As [`OverlapExecutor::spmv_with`].
     ///
     /// # Panics
     /// If `x.len() != ncols`.
     pub fn spmv(&self, sys: &SystemConfig, x: &[f64]) -> ExecResult<(Vec<f64>, ExecStats)> {
-        self.spmv_faulty(sys, x, None)
+        self.spmv_with(sys, x, RunCtx::default())
     }
 
     /// [`OverlapExecutor::spmv`] with an optional fault-injection hook.
-    /// Job numbering matches the batch path (index blocks first, then value
-    /// blocks), so the same hook means the same faults on either executor.
     ///
     /// # Errors
-    /// As [`OverlapExecutor::spmv`].
+    /// As [`OverlapExecutor::spmv_with`].
     pub fn spmv_faulty(
         &self,
         sys: &SystemConfig,
         x: &[f64],
         hook: Option<&FaultHook>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        self.run(sys, x, hook, None, None)
+        self.spmv_with(sys, x, RunCtx { hook, ..RunCtx::default() })
     }
 
-    /// [`OverlapExecutor::spmv_faulty`] governed by a [`JobBudget`]: the
-    /// producer consults the budget at every retry boundary (the pipeline's
-    /// preemption points), so an exhausted budget surfaces as
-    /// [`ExecError::DeadlineExceeded`] instead of grinding through the
-    /// remaining tiles. Backoff accumulates into
-    /// [`ExecStats::backoff_cycles`] as a reported quantity; the modeled
-    /// pipelined makespan keeps its `max(decode, multiply)` definition.
+    /// The engine entry: pipelined SpMV under `ctx`. Job numbering matches
+    /// the batch path (index blocks first, then value blocks), so the same
+    /// hook means the same faults on either executor; the producer consults
+    /// `ctx.budget` at every retry boundary (the pipeline's preemption
+    /// points); backoff accumulates into [`ExecStats::backoff_cycles`] as a
+    /// reported quantity while the modeled pipelined makespan keeps its
+    /// `max(decode, multiply)` definition. With `ctx.tel` the run records
+    /// the spans `exec.overlap`, `exec.mem_stream`, `exec.dma`, the
+    /// `exec.*`, `pipeline.overlap.*` and `cache.*` counters, per-block
+    /// events, and traffic by source.
     ///
     /// # Errors
-    /// As [`OverlapExecutor::spmv`], plus [`ExecError::DeadlineExceeded`].
-    pub fn spmv_budgeted(
+    /// [`ExecError::Unrecoverable`] for a block that fails decode, exhausts
+    /// retries, and has no fallback coverage;
+    /// [`ExecError::DeadlineExceeded`] when the budget runs out;
+    /// [`ExecError::WorkerPanic`] for a contained pipeline panic;
+    /// [`ExecError::Reassembly`] on stream misalignment.
+    ///
+    /// # Panics
+    /// If `x.len() != ncols`.
+    pub fn spmv_with(
         &self,
         sys: &SystemConfig,
         x: &[f64],
-        hook: Option<&FaultHook>,
-        budget: &JobBudget,
+        ctx: RunCtx<'_>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        self.run(sys, x, hook, None, Some(budget))
+        self.run(sys, x, ctx, true).map(|(y, stats, _)| (y, stats))
     }
 
-    /// Fully traced pipelined SpMV: the run's spans (`exec.overlap`,
-    /// `exec.mem_stream`, `exec.dma`), `pipeline.overlap.*` and `cache.*`
-    /// counters, per-block events, and traffic by source sealed into a
-    /// [`TraceDocument`].
+    /// Fully traced pipelined SpMV: [`OverlapExecutor::spmv_with`] (whose
+    /// `ctx.tel` is supplied here) plus the sealed [`TraceDocument`].
     ///
     /// # Errors
-    /// As [`OverlapExecutor::spmv`].
+    /// As [`OverlapExecutor::spmv_with`].
     pub fn spmv_traced(
         &self,
         sys: &SystemConfig,
         x: &[f64],
-        hook: Option<&FaultHook>,
+        ctx: RunCtx<'_>,
         name: &str,
     ) -> ExecResult<(Vec<f64>, ExecStats, TraceDocument)> {
         let t_total = Instant::now();
         let mut tel = Telemetry::new();
-        let (y, stats) = self.run(sys, x, hook, Some(&mut tel), None)?;
-
-        let cm = self.recoded.compressed();
-        let vector_read = (cm.ncols * 8) as u64;
-        let vector_write = (cm.nrows * 8) as u64;
-        tel.traffic.read(TrafficSource::Vectors, vector_read);
-        tel.traffic.write(TrafficSource::Vectors, vector_write);
-
-        let matrix = MatrixMeta {
-            name: name.to_string(),
-            nrows: cm.nrows,
-            ncols: cm.ncols,
-            nnz: cm.nnz,
-            compressed_bytes: stats.compressed_bytes,
-            bytes_per_nnz: cm.bytes_per_nnz(),
-        };
-        let system = SystemMeta {
-            memory: sys.mem.name.to_string(),
-            lanes: sys.udp.lanes,
-            freq_hz: sys.udp.freq_hz,
-        };
-        let codec_stages = self.recoded.stage_telemetry().map(|t| t.snapshot()).unwrap_or_default();
-        let wall_ns_total = t_total.elapsed().as_nanos() as u64;
-        let doc =
-            tel.into_document(matrix, system, stats.clone(), codec_stages, &sys.mem, wall_ns_total);
+        let (y, stats) = self.spmv_with(sys, x, ctx.traced(&mut tel))?;
+        let doc = self.recoded.seal(sys, tel, &stats, name, t_total);
         Ok((y, stats, doc))
     }
 
@@ -570,254 +508,99 @@ impl<'m> OverlapExecutor<'m> {
         Ok((result, eigenvalue, per_apply))
     }
 
-    /// Decodes one block through the same cache-then-retry-ladder path a
-    /// pipelined run uses, returning the decoded length. Hidden: it exists
-    /// so the allocation-regression suite can measure warm-cache hits
-    /// without spinning up the worker threads `run` needs.
+    /// Decodes one block through the same cache-then-ladder path a run
+    /// uses, returning the decoded length. Hidden: it exists so the
+    /// allocation-regression suite can measure warm-cache hits without
+    /// spinning up the worker threads a pipelined run needs.
     #[doc(hidden)]
     pub fn decode_one_for_test(&self, stream: StreamKind, pos: usize) -> ExecResult<usize> {
-        let hook = FaultHook::default();
-        self.decode_one(stream, pos, usize::MAX, &hook, None).map(|d| d.bytes.len())
+        let job = match stream {
+            StreamKind::Index => pos,
+            StreamKind::Value => self.recoded.compressed().index_stream.blocks.len() + pos,
+        };
+        let mut ladder = Ladder::new(self.recoded, None, recorder::Track::stage(0), false);
+        let mut walk = TileWalk::default();
+        self.decode_one(job, &FaultHook::default(), &mut ladder, &mut walk).map(|d| d.0.len())
     }
 
-    /// Decodes one block, consulting the cache first and falling through
-    /// the retry/fallback ladder of the batch path on failure. `job` uses
-    /// batch numbering (index blocks `0..n_index`, value blocks after).
-    /// When a budget `tracker` is supplied it is consulted before every
-    /// retry attempt and charged for successful ones.
+    /// One block of the walk: the cache first; on a miss the first attempt
+    /// under `hook` on a pooled lane, settled by `ladder`. Returns the bytes
+    /// and the lane cycles the block charged to the decode side.
     fn decode_one(
         &self,
-        stream: StreamKind,
-        pos: usize,
         job: usize,
         hook: &FaultHook,
-        mut tracker: Option<&mut BudgetTracker>,
-    ) -> ExecResult<DecodedBlock> {
-        let cm = self.recoded.compressed();
-        let (decoder, blk, block_bytes, raw_bytes) = match stream {
-            StreamKind::Index => (
-                self.recoded.index_decoder(),
-                &cm.index_stream.blocks[pos],
-                cm.index_stream.block_bytes,
-                self.recoded.raw_store().map(|s| s.index_bytes.as_slice()),
-            ),
-            StreamKind::Value => (
-                self.recoded.value_decoder(),
-                &cm.value_stream.blocks[pos],
-                cm.value_stream.block_bytes,
-                self.recoded.raw_store().map(|s| s.value_bytes.as_slice()),
-            ),
-        };
-        if self.config.cache_blocks > 0 {
-            if let Some(bytes) = self.cache.lock().expect("cache poisoned").get((stream, pos)) {
-                return Ok(DecodedBlock {
-                    bytes,
-                    cycles: 0,
-                    stall_cycles: 0,
-                    retries: 0,
-                    retry_cycles: 0,
-                    fell_back: false,
-                    fallback_bytes: 0,
-                    wire_bytes: 0,
-                    cache_hit: true,
-                    outcome: BlockOutcome::Ok,
-                });
-            }
-        }
-
-        let stall_cycles = hook.stall_cycles.get(&job).copied().unwrap_or(0);
-        let wire_bytes = blk.payload.len();
-        // Decode work happens on the producer (stage 0) track; cache hits
-        // returned above never open this span.
-        let _decode_span = recorder::span(recorder::Track::stage(0), "decode");
-        let mut lane = recode_udp::pool::global().checkout();
-        let first: Result<JobOutcome, UdpError> = if hook.trap_jobs.contains(&job) {
-            Err(UdpError::from(LaneError::InjectedFault))
+        ladder: &mut Ladder<'_>,
+        walk: &mut TileWalk,
+    ) -> ExecResult<(Arc<Vec<u8>>, u64)> {
+        let key = self.recoded.locate(job);
+        let cached = self.config.cache_blocks > 0;
+        let hit = if cached { self.cache.lock().expect("cache poisoned").get(key) } else { None };
+        let (bytes, cost) = if let Some(bytes) = hit {
+            (bytes, 0)
         } else {
-            decoder.decode_block(&mut lane, blk)
-        };
-
-        let mut cycles = 0u64;
-        let mut retries = 0usize;
-        let mut retry_cycles = 0u64;
-        let mut fell_back = false;
-        let mut fallback_bytes = 0usize;
-        let mut outcome = BlockOutcome::Ok;
-        let decoded: Vec<u8> = match first {
-            Ok(o) => {
-                cycles = o.cycles;
-                o.output
+            // Decode work happens on the producer (stage 0) track; cache
+            // hits never open this span.
+            let _decode_span = recorder::span(recorder::Track::stage(0), "decode");
+            let (stall, first) = {
+                let mut lane = recode_udp::pool::global().checkout();
+                let run = |lane: &mut Lane| self.recoded.decode_job(lane, job);
+                Accelerator::dispatch(&mut lane, hook, job, run)
+            };
+            let (bytes, cycles) = ladder.settle(job, first)?;
+            walk.fetched_bytes += self.recoded.job_block(job).1.payload.len();
+            walk.stall_cycles += stall;
+            let bytes = Arc::new(bytes);
+            if cached {
+                self.cache.lock().expect("cache poisoned").insert(key, Arc::clone(&bytes));
             }
-            Err(first_err) => {
-                // Bounded hook-free retry on a fresh lane, then the raw
-                // store — the same ladder as the batch path.
-                let mut recovered: Option<Vec<u8>> = None;
-                let mut last_err = first_err;
-                for _ in 0..MAX_BLOCK_RETRIES {
-                    if let Some(t) = tracker.as_deref_mut() {
-                        if let Err(what) = t.admit_retry() {
-                            let total = cm.index_stream.blocks.len() + cm.value_stream.blocks.len();
-                            return Err(ExecError::DeadlineExceeded {
-                                budget: what.to_string(),
-                                completed_blocks: job.min(total),
-                                total_blocks: total,
-                            });
-                        }
-                    }
-                    retries += 1;
-                    recorder::record(
-                        recorder::EventKind::Retry,
-                        recorder::Track::stage(0),
-                        "exec.retry",
-                        retries as u64,
-                        job as u64,
-                    );
-                    match decoder.decode_block(&mut lane, blk) {
-                        Ok(o) => {
-                            retry_cycles = o.cycles;
-                            if let Some(t) = tracker.as_deref_mut() {
-                                t.charge_retry_cycles(o.cycles);
-                            }
-                            outcome = BlockOutcome::Retried;
-                            recovered = Some(o.output);
-                            break;
-                        }
-                        Err(e) => last_err = e,
-                    }
-                }
-                if let Some(bytes) = recovered {
-                    bytes
-                } else {
-                    let raw =
-                        raw_bytes.and_then(|b| RawFallbackStore::block_range(b, pos, block_bytes));
-                    match raw {
-                        Some(raw) => {
-                            recorder::record(
-                                recorder::EventKind::Fallback,
-                                recorder::Track::stage(0),
-                                "exec.fallback",
-                                raw.len() as u64,
-                                job as u64,
-                            );
-                            fell_back = true;
-                            fallback_bytes = raw.len();
-                            outcome = BlockOutcome::FellBack;
-                            raw.to_vec()
-                        }
-                        None => {
-                            return Err(ExecError::Unrecoverable {
-                                block: last_err.block().or(Some(pos)),
-                                lane: None,
-                                source: last_err,
-                            });
-                        }
-                    }
-                }
-            }
+            (bytes, cycles + stall)
         };
-        let bytes = Arc::new(decoded);
-        if self.config.cache_blocks > 0 {
-            self.cache.lock().expect("cache poisoned").insert((stream, pos), Arc::clone(&bytes));
-        }
-        Ok(DecodedBlock {
-            bytes,
-            cycles,
-            stall_cycles,
-            retries,
-            retry_cycles,
-            fell_back,
-            fallback_bytes,
-            wire_bytes,
-            cache_hit: false,
-            outcome,
-        })
+        walk.decoded_bytes += bytes.len() as u64;
+        Ok((bytes, cost))
     }
 
-    /// The decode side of the pipeline: walks index blocks in order,
-    /// pulling value blocks as each tile needs them, and hands assembled
-    /// tiles to `emit`. Runs on the producer thread (or inline). `emit`
-    /// returns `false` when the consumers are gone (every worker exited) —
-    /// the producer then stops decoding immediately instead of filling a
-    /// channel nobody drains.
+    /// The one tile walker (the paper's Fig. 7 loop): walks index blocks in
+    /// order, pulling value blocks as each tile needs them, and hands
+    /// assembled tiles to `emit` — a channel send on the producer thread of
+    /// the pipelined schedule, an immediate multiply on the streaming one.
+    /// `emit` returns `false` when the consumers are gone (every worker
+    /// exited); the walk then stops decoding immediately instead of filling
+    /// a channel nobody drains.
     fn produce_tiles(
         &self,
         hook: &FaultHook,
         budget: Option<&JobBudget>,
+        traced: bool,
         mut emit: impl FnMut(TileWork) -> bool,
-    ) -> ExecResult<ProducerOut> {
+    ) -> ExecResult<(TileWalk, Ladder<'m>)> {
         let cm = self.recoded.compressed();
         let n_index = cm.index_stream.blocks.len();
-        let mut tracker = budget.map(|b| BudgetTracker::new(*b));
-        let mut out = ProducerOut::default();
+        let mut ladder = Ladder::new(self.recoded, budget, recorder::Track::stage(0), traced);
+        let mut walk = TileWalk::default();
         let mut val_buf: Vec<u8> = Vec::new();
-        let mut next_value = 0usize;
+        let mut next_value = n_index;
         let mut k_global = 0usize;
 
-        let note = |out: &mut ProducerOut, d: &DecodedBlock, stream: StreamKind, pos: usize| {
-            let job = match stream {
-                StreamKind::Index => pos,
-                StreamKind::Value => n_index + pos,
-            };
-            out.decoded_bytes += d.bytes.len() as u64;
-            if d.cache_hit {
-                out.cache_hit_blocks += 1;
-                return;
-            }
-            out.jobs += 1;
-            if d.outcome != BlockOutcome::Ok {
-                out.jobs_failed += 1;
-            }
-            match d.outcome {
-                BlockOutcome::Ok => out.blocks_ok += 1,
-                BlockOutcome::Retried => out.blocks_recovered += 1,
-                BlockOutcome::FellBack => {}
-            }
-            out.blocks_retried += d.retries;
-            if d.fell_back {
-                out.blocks_fell_back += 1;
-                out.fallback_bytes += d.fallback_bytes;
-            }
-            out.retry_cycles += d.retry_cycles;
-            out.stall_cycles += d.stall_cycles;
-            out.fetched_bytes += d.wire_bytes;
-            out.records.push(BlockRecord {
-                job,
-                stream,
-                block: pos,
-                cycles: if d.outcome == BlockOutcome::Retried { d.retry_cycles } else { d.cycles },
-                outcome: d.outcome,
-            });
-        };
-
         for t in 0..n_index {
-            let ib = self.decode_one(StreamKind::Index, t, t, hook, tracker.as_mut())?;
-            let mut tile_cycles = ib.decode_cost();
-            note(&mut out, &ib, StreamKind::Index, t);
-            let tile_nnz = ib.bytes.len() / 4;
+            let (idx, mut tile_cycles) = self.decode_one(t, hook, &mut ladder, &mut walk)?;
+            let tile_nnz = idx.len() / 4;
             while val_buf.len() < tile_nnz * 8 {
-                let vpos = next_value;
-                if vpos >= cm.value_stream.blocks.len() {
+                if next_value >= self.recoded.total_jobs() {
                     return Err(ExecError::Reassembly("value stream ended early".into()));
                 }
-                let vb = self.decode_one(
-                    StreamKind::Value,
-                    vpos,
-                    n_index + vpos,
-                    hook,
-                    tracker.as_mut(),
-                )?;
+                let (vals, cycles) = self.decode_one(next_value, hook, &mut ladder, &mut walk)?;
                 next_value += 1;
-                tile_cycles += vb.decode_cost();
-                note(&mut out, &vb, StreamKind::Value, vpos);
-                val_buf.extend_from_slice(&vb.bytes);
+                tile_cycles += cycles;
+                val_buf.extend_from_slice(&vals);
             }
-            let vals: Vec<u8> = val_buf[..tile_nnz * 8].to_vec();
-            val_buf.drain(..tile_nnz * 8);
-            out.per_tile_decode.push(tile_cycles);
-            out.per_tile_nnz.push(tile_nnz);
-            if !emit(TileWork { tile: t, k_start: k_global, idx: Arc::clone(&ib.bytes), vals }) {
-                // Every consumer is gone; `run` substitutes the real panic
-                // message when one was captured.
+            walk.peak_resident_bytes = walk.peak_resident_bytes.max(idx.len() + val_buf.len());
+            let vals: Vec<u8> = val_buf.drain(..tile_nnz * 8).collect();
+            walk.per_tile_decode.push(tile_cycles);
+            walk.per_tile_nnz.push(tile_nnz);
+            if !emit(TileWork { tile: t, k_start: k_global, idx, vals }) {
+                // Every consumer is gone; `run_threaded` substitutes the
+                // real panic message when one was captured.
                 return Err(ExecError::WorkerPanic {
                     context: "tile channel closed: every multiply worker exited".into(),
                 });
@@ -830,13 +613,13 @@ impl<'m> OverlapExecutor<'m> {
                 k_global, cm.nnz
             )));
         }
-        out.backoff_cycles = tracker.as_ref().map_or(0, BudgetTracker::backoff_cycles);
-        Ok(out)
+        Ok((walk, ladder))
     }
 
-    /// The engine behind every entry point: decode (producer) and multiply
-    /// (workers) run concurrently over a bounded channel; partial row sums
-    /// merge back in tile order.
+    /// The pipelined schedule: the walker (producer) and `workers` multiply
+    /// threads run concurrently over a bounded channel; partial row sums
+    /// merge into `y` in tile order, so the result is deterministic for a
+    /// given tiling.
     ///
     /// ## Panic containment
     ///
@@ -845,30 +628,19 @@ impl<'m> OverlapExecutor<'m> {
     /// caught at the thread boundary and converted into
     /// [`ExecError::WorkerPanic`]; it can never strand the bounded tile
     /// channel with a blocked sender. Two pieces make that guarantee: the
-    /// producer stops as soon as a send fails, and `run` drops its own
-    /// handle on the tile receiver so dead workers actually close the
+    /// producer stops as soon as a send fails, and this function drops its
+    /// own handle on the tile receiver so dead workers actually close the
     /// channel.
-    fn run(
+    fn run_threaded(
         &self,
-        sys: &SystemConfig,
+        workers: usize,
         x: &[f64],
-        hook: Option<&FaultHook>,
-        tel: Option<&mut Telemetry>,
+        y: &mut [f64],
+        hook: &FaultHook,
         budget: Option<&JobBudget>,
-    ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        let cm = self.recoded.compressed();
-        assert_eq!(x.len(), cm.ncols, "x length must equal ncols");
-        check_stream_structure(&cm.index_stream)?;
-        check_stream_structure(&cm.value_stream)?;
-        let empty_hook = FaultHook::default();
-        let hook = hook.unwrap_or(&empty_hook);
-        let workers = self.config.effective_workers().max(1);
-        let row_ptr: &[usize] = &cm.row_ptr;
-        let cache_before = self.cache.lock().expect("cache poisoned").stats();
-
-        let t_wall = Instant::now();
-        let _overlap_span = recorder::span(recorder::Track::MAIN, "exec.overlap");
-        let mut y = vec![0.0f64; cm.nrows];
+        traced: bool,
+    ) -> ExecResult<(TileWalk, Ladder<'m>)> {
+        let row_ptr: &[usize] = &self.recoded.compressed().row_ptr;
         let (tile_tx, tile_rx) = mpsc::sync_channel::<TileWork>(workers + 1);
         let tile_rx = Arc::new(Mutex::new(tile_rx));
         let (res_tx, res_rx) = mpsc::channel::<TileResult>();
@@ -880,7 +652,7 @@ impl<'m> OverlapExecutor<'m> {
                 let out = catch_unwind(AssertUnwindSafe(|| {
                     // `send` fails only when every worker is gone; the
                     // producer then stops decoding instead of blocking.
-                    self.produce_tiles(hook, budget, |tile| tile_tx.send(tile).is_ok())
+                    self.produce_tiles(hook, budget, traced, |tile| tile_tx.send(tile).is_ok())
                 }));
                 drop(tile_tx);
                 // The scope waits for this closure, not the thread's TLS
@@ -933,9 +705,9 @@ impl<'m> OverlapExecutor<'m> {
                 });
             }
             drop(res_tx);
-            // Drop run's own handle on the tile queue: once every worker
-            // has exited, the producer's next send must fail fast rather
-            // than block on a receiver nobody holds.
+            // Drop this function's own handle on the tile queue: once every
+            // worker has exited, the producer's next send must fail fast
+            // rather than block on a receiver nobody holds.
             drop(tile_rx);
 
             // Merge partials strictly in tile order, buffering out-of-order
@@ -964,27 +736,60 @@ impl<'m> OverlapExecutor<'m> {
         if let Some(context) = worker_panic.lock().unwrap_or_else(PoisonError::into_inner).take() {
             return Err(ExecError::WorkerPanic { context });
         }
-        let produced = produced?;
+        produced
+    }
+
+    /// The engine behind every tiled entry point: the walker on the
+    /// pipelined schedule (`threaded`) or inline — each tile multiplied into
+    /// `y` as soon as it is assembled, which is the streaming executor —
+    /// then the modeled schedule, the stats and the telemetry, which do not
+    /// depend on which of the two ran. Also returns the walk's peak resident
+    /// decoded bytes.
+    pub(crate) fn run(
+        &self,
+        sys: &SystemConfig,
+        x: &[f64],
+        ctx: RunCtx<'_>,
+        threaded: bool,
+    ) -> ExecResult<(Vec<f64>, ExecStats, usize)> {
+        let cm = self.recoded.compressed();
+        assert_eq!(x.len(), cm.ncols, "x length must equal ncols");
+        self.recoded.check_structure()?;
+        let RunCtx { hook, budget, tel } = ctx;
+        let empty_hook = FaultHook::default();
+        let hook = hook.unwrap_or(&empty_hook);
+        let cache_before = self.cache.lock().expect("cache poisoned").stats();
+
+        let t_wall = Instant::now();
+        let _overlap_span = recorder::span(recorder::Track::MAIN, "exec.overlap");
+        let mut y = vec![0.0f64; cm.nrows];
+        let (workers, (walk, ladder)) = if threaded {
+            let workers = self.config.effective_workers().max(1);
+            (workers, self.run_threaded(workers, x, &mut y, hook, budget, tel.is_some())?)
+        } else {
+            let inline = |tile: TileWork| {
+                accumulate_tile(&cm.row_ptr, x, &tile, 0, &mut y);
+                true
+            };
+            (0, self.produce_tiles(hook, budget, tel.is_some(), inline)?)
+        };
         let wall_ns = t_wall.elapsed().as_nanos() as u64;
 
         // Modeled schedule: the lane decodes tile i+1 while the CPU
         // multiplies tile i.
         let bpnnz = cm.bytes_per_nnz();
-        let per_tile_multiply: Vec<u64> = produced
-            .per_tile_nnz
-            .iter()
-            .map(|&nnz| modeled_multiply_cycles(sys, bpnnz, nnz))
-            .collect();
-        let decode_cycles: u64 = produced.per_tile_decode.iter().sum();
+        let per_tile_multiply: Vec<u64> =
+            walk.per_tile_nnz.iter().map(|&nnz| modeled_multiply_cycles(sys, bpnnz, nnz)).collect();
+        let decode_cycles: u64 = walk.per_tile_decode.iter().sum();
         let multiply_cycles: u64 = per_tile_multiply.iter().sum();
-        let stages = produced.per_tile_decode.len();
+        let stages = walk.per_tile_decode.len();
         let serial_makespan = decode_cycles + multiply_cycles;
         let overlapped_makespan = if stages == 0 {
             0
         } else {
-            let mut total = produced.per_tile_decode[0];
+            let mut total = walk.per_tile_decode[0];
             for i in 1..stages {
-                total += produced.per_tile_decode[i].max(per_tile_multiply[i - 1]);
+                total += walk.per_tile_decode[i].max(per_tile_multiply[i - 1]);
             }
             total + per_tile_multiply[stages - 1]
         };
@@ -1005,57 +810,27 @@ impl<'m> OverlapExecutor<'m> {
             cache_hit_bytes: cache_after.hit_bytes - cache_before.hit_bytes,
         };
 
+        let backoff_cycles = ladder.backoff_cycles();
+        let tally = ladder.tally;
         let mut report = AccelReport {
-            jobs: produced.jobs,
-            jobs_failed: produced.jobs_failed,
+            jobs: tally.completed(),
+            jobs_failed: tally.failed(),
             lanes: sys.udp.lanes,
             makespan_cycles: makespan,
             busy_cycles: decode_cycles,
-            injected_stall_cycles: produced.stall_cycles,
-            output_bytes: produced.decoded_bytes,
+            injected_stall_cycles: walk.stall_cycles,
+            output_bytes: walk.decoded_bytes,
             freq_hz: sys.udp.freq_hz,
             ..AccelReport::default()
         };
         report.refresh_utilization();
-
-        let stats = ExecStats {
-            accel: report,
-            mem_stream_seconds: sys
-                .mem
-                .stream_seconds((produced.fetched_bytes + produced.fallback_bytes) as u64),
-            dma_seconds: sys
-                .dma
-                .transfer_seconds(produced.jobs as u64, produced.fetched_bytes as u64),
-            compressed_bytes: produced.fetched_bytes,
-            blocks_retried: produced.blocks_retried,
-            blocks_fell_back: produced.blocks_fell_back,
-            fallback_bytes: produced.fallback_bytes,
-            retry_cycles: produced.retry_cycles,
-            backoff_cycles: produced.backoff_cycles,
-            degraded: produced.blocks_retried > 0 || produced.blocks_fell_back > 0,
-            software_decode: false,
-            blocks_ok: produced.blocks_ok,
-            blocks_recovered: produced.blocks_recovered,
-            overlap,
-        };
+        let stats = tally.stats(sys, report, walk.fetched_bytes, backoff_cycles, overlap);
 
         if let Some(tel) = tel {
-            let freq = sys.udp.freq_hz;
-            tel.span("exec.overlap", wall_ns, makespan as f64 / freq, produced.decoded_bytes);
-            tel.span(
-                "exec.mem_stream",
-                0,
-                stats.mem_stream_seconds,
-                (produced.fetched_bytes + produced.fallback_bytes) as u64,
-            );
-            tel.span("exec.dma", 0, stats.dma_seconds, produced.fetched_bytes as u64);
-
-            tel.add("exec.jobs", stats.accel.jobs as u64);
-            tel.add("exec.jobs_failed", stats.accel.jobs_failed as u64);
-            tel.add("exec.blocks_retried", stats.blocks_retried as u64);
-            tel.add("exec.blocks_fell_back", stats.blocks_fell_back as u64);
-            tel.add("exec.fallback_bytes", stats.fallback_bytes as u64);
-            tel.add("exec.retry_cycles", stats.retry_cycles);
+            let modeled = makespan as f64 / sys.udp.freq_hz;
+            tel.span("exec.overlap", wall_ns, modeled, walk.decoded_bytes);
+            tally.emit(tel, sys, &stats, self.recoded);
+            vector_traffic(tel, cm.nrows, cm.ncols);
 
             tel.add("pipeline.overlap.stages", overlap.stages as u64);
             tel.add("pipeline.overlap.decode_cycles", overlap.decode_cycles);
@@ -1067,54 +842,41 @@ impl<'m> OverlapExecutor<'m> {
             tel.add("cache.misses", overlap.cache_misses);
             tel.add("cache.evictions", overlap.cache_evictions);
             tel.add("cache.hit_bytes", overlap.cache_hit_bytes);
-
-            tel.traffic.read(TrafficSource::CompressedStream, produced.fetched_bytes as u64);
-            tel.traffic.read(TrafficSource::FallbackRefetch, produced.fallback_bytes as u64);
-            tel.traffic.read(TrafficSource::RowPtr, ((cm.nrows + 1) * 8) as u64);
             tel.traffic.read(TrafficSource::DecodedCache, overlap.cache_hit_bytes);
-
-            let mut records = produced.records;
-            records.sort_by_key(|r| r.job);
-            for r in records {
-                tel.block_event(BlockEvent {
-                    job: r.job,
-                    stream: r.stream,
-                    block: r.block,
-                    lane: r.job % sys.udp.lanes,
-                    cycles: r.cycles,
-                    outcome: r.outcome,
-                });
-            }
         }
-        Ok((y, stats))
+        Ok((y, stats, walk.peak_resident_bytes))
     }
 }
 
-/// Multiplies one tile: walks rows as the nnz cursor advances (exactly the
-/// streaming loop) but accumulates into a tile-local partial vector rooted
-/// at the tile's first row, so tiles can run on any worker.
+/// The one row walk: adds tile `work`'s products `v · x[c]` into
+/// `acc[row - base]`, advancing the row as the nnz cursor passes each
+/// `row_ptr` boundary (empty rows skip past). Within a row the products are
+/// added in storage order, so with `base == 0` and `acc == y` the result is
+/// bit-exact with the serial kernel.
+fn accumulate_tile(row_ptr: &[usize], x: &[f64], work: &TileWork, base: usize, acc: &mut [f64]) {
+    let mut row = row_ptr.partition_point(|&p| p <= work.k_start).saturating_sub(1);
+    for (t, (c, v)) in work.idx.chunks_exact(4).zip(work.vals.chunks_exact(8)).enumerate() {
+        while row_ptr[row + 1] <= work.k_start + t {
+            row += 1;
+        }
+        let c = u32::from_le_bytes(c.try_into().expect("4-byte index")) as usize;
+        let v = f64::from_le_bytes(v.try_into().expect("8-byte value"));
+        acc[row - base] += v * x[c];
+    }
+}
+
+/// Multiplies one tile into a tile-local partial vector rooted at the
+/// tile's first row, so tiles can run on any worker.
 fn multiply_tile(row_ptr: &[usize], x: &[f64], work: &TileWork) -> (usize, Vec<f64>) {
     let tile_nnz = work.idx.len() / 4;
     if tile_nnz == 0 {
         return (0, Vec::new());
     }
-    // First row whose span contains k_start (empty rows skip past).
-    let row_start = row_ptr.partition_point(|&p| p <= work.k_start) - 1;
-    let mut row = row_start;
-    let mut partial: Vec<f64> = Vec::new();
-    for t in 0..tile_nnz {
-        let k = work.k_start + t;
-        while row_ptr[row + 1] <= k {
-            row += 1;
-        }
-        if partial.len() < row - row_start + 1 {
-            partial.resize(row - row_start + 1, 0.0);
-        }
-        let c = u32::from_le_bytes(work.idx[t * 4..t * 4 + 4].try_into().expect("4-byte index"))
-            as usize;
-        let v = f64::from_le_bytes(work.vals[t * 8..t * 8 + 8].try_into().expect("8-byte value"));
-        partial[row - row_start] += v * x[c];
-    }
+    // The rows whose spans contain the tile's first and last non-zero.
+    let row_of = |k: usize| row_ptr.partition_point(|&p| p <= k) - 1;
+    let (row_start, row_last) = (row_of(work.k_start), row_of(work.k_start + tile_nnz - 1));
+    let mut partial = vec![0.0; row_last - row_start + 1];
+    accumulate_tile(row_ptr, x, work, row_start, &mut partial);
     (row_start, partial)
 }
 
@@ -1300,7 +1062,8 @@ mod tests {
             &r,
             OverlapConfig { overlap: true, cache_blocks: 512, workers: 2 },
         );
-        let (_, stats, doc) = ex.spmv_traced(&sys, &x, None, "stencil-overlap").unwrap();
+        let (_, stats, doc) =
+            ex.spmv_traced(&sys, &x, RunCtx::default(), "stencil-overlap").unwrap();
         let errs = doc.validate();
         assert!(errs.is_empty(), "trace invariants violated: {errs:?}");
         assert!(doc.spans.iter().any(|s| s.name == "exec.overlap"));
@@ -1308,7 +1071,8 @@ mod tests {
         assert_eq!(doc.counter("cache.misses"), stats.overlap.cache_misses);
         assert_eq!(doc.block_events.len(), stats.accel.jobs);
         // Warm run: hits appear in the counters and the traffic ledger.
-        let (_, stats2, doc2) = ex.spmv_traced(&sys, &x, None, "stencil-overlap").unwrap();
+        let (_, stats2, doc2) =
+            ex.spmv_traced(&sys, &x, RunCtx::default(), "stencil-overlap").unwrap();
         assert!(doc2.validate().is_empty(), "{:?}", doc2.validate());
         assert!(stats2.overlap.cache_hits > 0);
         assert_eq!(doc2.counter("cache.hits"), stats2.overlap.cache_hits);
@@ -1464,14 +1228,17 @@ mod tests {
         let hook = FaultHook::new().trap(0);
         let ex = OverlapExecutor::new(&r, OverlapConfig::default());
         let budget = JobBudget::with_deadline(Duration::ZERO);
-        let err = ex.spmv_budgeted(&sys, &x, Some(&hook), &budget).unwrap_err();
+        let ctx = RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None };
+        let err = ex.spmv_with(&sys, &x, ctx).unwrap_err();
         match &err {
             ExecError::DeadlineExceeded { budget, .. } => assert_eq!(budget, "wall deadline"),
             other => panic!("expected DeadlineExceeded, got {other}"),
         }
         // Unbounded budget with the same faults recovers bit-exact.
         let want = recode_sparse::spmv::spmv(&a, &x);
-        let (y, stats) = ex.spmv_budgeted(&sys, &x, Some(&hook), &JobBudget::unbounded()).unwrap();
+        let unbounded = JobBudget::unbounded();
+        let ctx = RunCtx { hook: Some(&hook), budget: Some(&unbounded), tel: None };
+        let (y, stats) = ex.spmv_with(&sys, &x, ctx).unwrap();
         assert!(max_rel_err(&y, &want) < 1e-10);
         assert!(stats.degraded);
         assert_eq!(
@@ -1479,6 +1246,76 @@ mod tests {
             stats.accel.jobs,
             "overlap accounting identity"
         );
+    }
+
+    #[test]
+    fn injected_job_panic_is_contained_recovered_and_marks_the_lane() {
+        let a = test_matrix();
+        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let sys = SystemConfig::ddr4();
+        let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
+        let want = recode_sparse::spmv::spmv(&a, &x);
+        let hook = FaultHook::new().panic_job(1);
+        let ex =
+            OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 });
+        let (y, stats) = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap();
+        assert!(max_rel_err(&y, &want) < 1e-10, "the panicked block is re-decoded in place");
+        // Contained as a per-job failure and recovered by one retry — the
+        // same accounting the batch schedule reports for the same hook.
+        assert_eq!(stats.accel.jobs_failed, 1);
+        assert_eq!(
+            (stats.blocks_recovered, stats.blocks_retried, stats.blocks_fell_back),
+            (1, 1, 0)
+        );
+        assert!(stats.degraded);
+        let (_, batch) = r.spmv_faulty(&sys, SpmvKernel::Serial, &x, Some(&hook)).unwrap();
+        assert_eq!(batch.accel.jobs_failed, 1);
+        assert_eq!((batch.blocks_recovered, batch.blocks_retried), (1, 1));
+        assert_eq!(batch.retry_cycles, stats.retry_cycles);
+
+        // The hook reading itself: the panic surfaces as a typed lane error
+        // and counts against the lane's health, exactly as on the batch path.
+        let mut lane = recode_udp::Lane::new();
+        let run = |lane: &mut Lane| r.decode_job(lane, 1);
+        let (_, first) = Accelerator::dispatch::<recode_udp::UdpError, _>(&mut lane, &hook, 1, run);
+        let err = first.unwrap_err();
+        assert!(err.to_string().contains("injected panic in job 1"), "{err}");
+        assert_eq!(lane.health().consecutive_traps, 1, "note_trap() marks the lane");
+    }
+
+    #[test]
+    fn budget_exhaustion_counts_finished_blocks_on_both_schedules() {
+        use crate::resilience::JobBudget;
+        let a = test_matrix();
+        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let sys = SystemConfig::ddr4();
+        let x = vec![1.0; a.ncols()];
+        let n_index = r.compressed().index_stream.blocks.len();
+        assert!(n_index >= 2, "need several index blocks");
+        // Index block 0 and the first value block trap; the budget admits
+        // one retry, so the value block's retry is the one denied.
+        let hook = FaultHook::new().trap(0).trap(n_index);
+        let budget = JobBudget { max_total_retries: Some(1), ..JobBudget::default() };
+        let progress = |err: ExecError| match err {
+            ExecError::DeadlineExceeded { budget, completed_blocks, total_blocks } => {
+                assert_eq!(budget, "retry budget");
+                assert_eq!(total_blocks, r.total_jobs());
+                completed_blocks
+            }
+            other => panic!("expected DeadlineExceeded, got {other}"),
+        };
+        let ctx = || RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None };
+        // Batch: every index block finished (one by retry) before the denied
+        // value block is settled.
+        let batch = progress(r.decompress_with(&sys, ctx()).unwrap_err());
+        assert_eq!(batch, n_index);
+        // Tiled: only index block 0 finished before tile 0 asked for its
+        // first value block — not `n_index`, the value block's job number.
+        let ex = OverlapExecutor::new(&r, OverlapConfig::default());
+        let tiled = progress(ex.spmv_with(&sys, &x, ctx()).unwrap_err());
+        assert_eq!(tiled, 1);
+        let streamed = progress(r.spmv_streaming_with(&sys, &x, ctx()).unwrap_err());
+        assert_eq!(streamed, 1);
     }
 
     #[test]
@@ -1492,7 +1329,8 @@ mod tests {
         let ex =
             OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 });
         let budget = JobBudget { backoff_cycles_per_retry: 1_000, ..JobBudget::default() };
-        let (_, stats) = ex.spmv_budgeted(&sys, &x, Some(&hook), &budget).unwrap();
+        let ctx = RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None };
+        let (_, stats) = ex.spmv_with(&sys, &x, ctx).unwrap();
         assert_eq!(stats.backoff_cycles, 1_000, "one retry, one backoff charge");
         // The overlap schedule invariant pins makespan to the overlapped
         // schedule, so backoff stays a reported stat here.

@@ -234,10 +234,54 @@ impl Ring {
     }
 }
 
+/// The shared half of a recorder: the ring every thread's staging buffer
+/// drains into, and the count of events accepted. The process has one
+/// ([`SINK`]); tests that assert exact counts build their own, so events
+/// other tests record while the recorder is enabled cannot reach them.
+struct Sink {
+    recorded: AtomicU64,
+    ring: Mutex<Ring>,
+}
+
+impl Sink {
+    const fn new() -> Sink {
+        Sink { recorded: AtomicU64::new(0), ring: Mutex::new(Ring::empty()) }
+    }
+
+    /// Preallocates a cleared ring of `capacity` events and zeroes the count.
+    fn reset(&self, capacity: usize) {
+        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        *ring = Ring { buf: vec![EMPTY_EVENT; capacity], capacity, ..Ring::empty() };
+        self.recorded.store(0, Ordering::Relaxed);
+    }
+
+    /// Counts `e` as accepted and stages it in `local`.
+    fn accept(&self, local: &mut LocalBuf, e: Event) {
+        self.recorded.fetch_add(1, Ordering::Relaxed);
+        local.push(e, self);
+    }
+
+    /// Every ringed event in chronological order (ties broken by arrival),
+    /// leaving the ring empty.
+    fn drain(&self) -> Vec<Event> {
+        let mut events = self.ring.lock().unwrap_or_else(PoisonError::into_inner).drain_ordered();
+        events.sort_by_key(|e| (e.ts_ns, e.seq));
+        events
+    }
+
+    fn stats(&self) -> RecorderStats {
+        let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        RecorderStats {
+            recorded: self.recorded.load(Ordering::Relaxed),
+            dropped: ring.dropped,
+            capacity: ring.capacity,
+        }
+    }
+}
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDED: AtomicU64 = AtomicU64::new(0);
 static SEQ: AtomicU64 = AtomicU64::new(0);
-static RING: Mutex<Ring> = Mutex::new(Ring::empty());
+static SINK: Sink = Sink::new();
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -245,41 +289,46 @@ fn epoch() -> Instant {
 }
 
 thread_local! {
-    static LOCAL: RefCell<LocalBuf> = const { RefCell::new(LocalBuf { buf: Vec::new() }) };
+    static LOCAL: RefCell<ThreadBuf> =
+        const { RefCell::new(ThreadBuf(LocalBuf { buf: Vec::new() })) };
 }
 
-/// Thread-local staging buffer. The `Drop` impl flushes as a best-effort
-/// safety net; threads whose completion is observed before they exit
-/// (scoped workers, watchdogged trials) call [`flush_thread`] explicitly.
+/// The calling thread's staging buffer for [`SINK`]. The `Drop` impl flushes
+/// as a best-effort safety net; threads whose completion is observed before
+/// they exit (scoped workers, watchdogged trials) call [`flush_thread`]
+/// explicitly.
+struct ThreadBuf(LocalBuf);
+
+impl Drop for ThreadBuf {
+    fn drop(&mut self) {
+        self.0.flush(&SINK);
+    }
+}
+
+/// A staging buffer, drained into a [`Sink`]'s ring when full.
 struct LocalBuf {
     buf: Vec<Event>,
 }
 
 impl LocalBuf {
-    fn push(&mut self, e: Event) {
+    fn push(&mut self, e: Event, sink: &Sink) {
         if self.buf.capacity() == 0 {
             // One-time allocation per thread, on its first recorded event.
             self.buf.reserve_exact(LOCAL_CAPACITY);
         }
         self.buf.push(e);
         if self.buf.len() >= LOCAL_CAPACITY {
-            self.flush();
+            self.flush(sink);
         }
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self, sink: &Sink) {
         if self.buf.is_empty() {
             return;
         }
-        let mut ring = RING.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ring = sink.ring.lock().unwrap_or_else(PoisonError::into_inner);
         ring.push_slice(&self.buf);
         self.buf.clear();
-    }
-}
-
-impl Drop for LocalBuf {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -294,16 +343,7 @@ pub fn is_enabled() -> bool {
 /// least [`LOCAL_CAPACITY`]), preallocating all sink storage up front and
 /// installing the pool event hook. Re-enabling resizes and clears the ring.
 pub fn enable(capacity: usize) {
-    let capacity = capacity.max(LOCAL_CAPACITY);
-    {
-        let mut ring = RING.lock().unwrap_or_else(PoisonError::into_inner);
-        ring.buf = vec![EMPTY_EVENT; capacity];
-        ring.capacity = capacity;
-        ring.head = 0;
-        ring.len = 0;
-        ring.dropped = 0;
-    }
-    RECORDED.store(0, Ordering::Relaxed);
+    SINK.reset(capacity.max(LOCAL_CAPACITY));
     let _ = epoch();
     recode_udp::pool::set_event_hook(pool_event_hook);
     recode_codec::jit::set_compile_hook(jit_compile_hook);
@@ -334,21 +374,18 @@ pub fn record(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64)
     record_slow(kind, track, name, a, b);
 }
 
+/// Stamps an event with the time since the epoch and its arrival sequence.
+fn stamp(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64) -> Event {
+    let ts_ns = epoch().elapsed().as_nanos() as u64;
+    Event { ts_ns, seq: SEQ.fetch_add(1, Ordering::Relaxed), kind, track, name, a, b }
+}
+
 #[cold]
 fn record_slow(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64) {
-    let e = Event {
-        ts_ns: epoch().elapsed().as_nanos() as u64,
-        seq: SEQ.fetch_add(1, Ordering::Relaxed),
-        kind,
-        track,
-        name,
-        a,
-        b,
-    };
-    RECORDED.fetch_add(1, Ordering::Relaxed);
+    let e = stamp(kind, track, name, a, b);
     // Destroyed-TLS fallback (thread teardown): drop the event rather than
     // touch a dead slot.
-    let _ = LOCAL.try_with(|l| l.borrow_mut().push(e));
+    let _ = LOCAL.try_with(|l| SINK.accept(&mut l.borrow_mut().0, e));
 }
 
 /// Opens a span on `track`; the returned guard closes it on drop. Guards
@@ -379,26 +416,19 @@ impl Drop for SpanGuard {
 /// destructors, so relying on the `Drop` flush alone would let the owner
 /// `drain()` before the worker's buffer reaches the ring.
 pub fn flush_thread() {
-    let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
+    let _ = LOCAL.try_with(|l| l.borrow_mut().0.flush(&SINK));
 }
 
 /// Flushes this thread's buffer and returns every ringed event in
 /// chronological order (ties broken by arrival), leaving the ring empty.
 pub fn drain() -> Vec<Event> {
-    LOCAL.with(|l| l.borrow_mut().flush());
-    let mut events = RING.lock().unwrap_or_else(PoisonError::into_inner).drain_ordered();
-    events.sort_by_key(|e| (e.ts_ns, e.seq));
-    events
+    LOCAL.with(|l| l.borrow_mut().0.flush(&SINK));
+    SINK.drain()
 }
 
 /// Point-in-time counters (valid whether enabled or not).
 pub fn stats() -> RecorderStats {
-    let ring = RING.lock().unwrap_or_else(PoisonError::into_inner);
-    RecorderStats {
-        recorded: RECORDED.load(Ordering::Relaxed),
-        dropped: ring.dropped,
-        capacity: ring.capacity,
-    }
+    SINK.stats()
 }
 
 /// The pool-side event hook ([`recode_udp::pool::PoolEvent`] → recorder
@@ -440,6 +470,13 @@ mod tests {
         GATE.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Drains the global ring, keeping only events named in `mine`: while
+    /// one of these tests has the recorder enabled, the exec, overlap and
+    /// chaos tests running beside it record into the same ring.
+    fn drain_named(mine: &[&str]) -> Vec<Event> {
+        drain().into_iter().filter(|e| mine.contains(&e.name)).collect()
+    }
+
     #[test]
     fn disabled_recorder_records_nothing() {
         let _g = serialized();
@@ -467,10 +504,10 @@ mod tests {
             }
         });
         record(EventKind::Retry, Track::MAIN, "after", 0, 0);
-        let events = drain();
+        let events = drain_named(&["blk", "after"]);
         disable();
         assert_eq!(events.len(), 201, "4x50 worker events + 1 main event");
-        assert_eq!(stats().recorded - before, 201);
+        assert!(stats().recorded - before >= 201, "every record() call is counted");
         assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns), "chronological");
         for w in 0..4 {
             let n = events.iter().filter(|e| e.track == Track::worker(w)).count();
@@ -480,15 +517,26 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let _g = serialized();
-        enable(0); // clamped up to LOCAL_CAPACITY
-        assert_eq!(stats().capacity, LOCAL_CAPACITY);
-        for i in 0..(LOCAL_CAPACITY as u64 * 3) {
-            record(EventKind::Retry, Track::MAIN, "spin", i, 0);
+        {
+            let _g = serialized();
+            enable(0); // clamped up to LOCAL_CAPACITY
+            let capacity = stats().capacity;
+            disable();
+            assert_eq!(capacity, LOCAL_CAPACITY);
         }
-        let events = drain();
-        let st = stats();
-        disable();
+        // The counts below are exact, so they run on a private sink: the
+        // exec and overlap tests record into the global one whenever any
+        // test has it enabled.
+        let sink = Sink::new();
+        sink.reset(LOCAL_CAPACITY);
+        let mut local = LocalBuf { buf: Vec::new() };
+        for i in 0..(LOCAL_CAPACITY as u64 * 3) {
+            sink.accept(&mut local, stamp(EventKind::Retry, Track::MAIN, "spin", i, 0));
+        }
+        local.flush(&sink);
+        let events = sink.drain();
+        let st = sink.stats();
+        assert_eq!(st.recorded, LOCAL_CAPACITY as u64 * 3);
         assert_eq!(events.len(), LOCAL_CAPACITY, "ring keeps exactly its capacity");
         assert_eq!(st.dropped, LOCAL_CAPACITY as u64 * 2, "overflow is counted");
         // The survivors are the *newest* events.
@@ -504,9 +552,12 @@ mod tests {
     fn concurrent_overflow_accounting_is_exact() {
         const THREADS: usize = 8;
         const CAPACITY: usize = 512;
-        let _g = serialized();
-        enable(CAPACITY);
-        let before = stats().recorded;
+        // A private sink, for the reason given in
+        // `ring_overwrites_oldest_and_counts_drops`; each thread stages
+        // through its own buffer exactly as `record` does through the
+        // thread-local one.
+        let sink = Sink::new();
+        sink.reset(CAPACITY);
         // Fixed xorshift seed → fixed per-thread event counts, so the
         // totals below are deterministic across runs and machines.
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
@@ -520,20 +571,21 @@ mod tests {
         let barrier = std::sync::Barrier::new(THREADS);
         std::thread::scope(|s| {
             for (w, &n) in counts.iter().enumerate() {
-                let barrier = &barrier;
+                let (barrier, sink) = (&barrier, &sink);
                 s.spawn(move || {
+                    let mut local = LocalBuf { buf: Vec::new() };
                     barrier.wait();
                     for i in 0..n {
-                        record(EventKind::BlockOutcome, Track::lane(w), "stress", i, 0);
+                        let e = stamp(EventKind::BlockOutcome, Track::lane(w), "stress", i, 0);
+                        sink.accept(&mut local, e);
                     }
-                    flush_thread();
+                    local.flush(sink);
                 });
             }
         });
-        let events = drain();
-        let st = stats();
-        disable();
-        assert_eq!(st.recorded - before, total, "every record() call is counted once");
+        let events = sink.drain();
+        let st = sink.stats();
+        assert_eq!(st.recorded, total, "every accepted event is counted once");
         assert_eq!(
             events.len() as u64 + st.dropped,
             total,
@@ -559,7 +611,7 @@ mod tests {
             let _outer = span(Track::stage(0), "outer");
             let _inner = span(Track::stage(0), "inner");
         }
-        let events = drain();
+        let events = drain_named(&["outer", "inner"]);
         disable();
         let kinds: Vec<(EventKind, &str)> = events.iter().map(|e| (e.kind, e.name)).collect();
         assert_eq!(

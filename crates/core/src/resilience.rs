@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 /// Resource budget for one job (one full decode or decode+multiply run).
 ///
 /// All limits default to "unbounded"; the per-block retry cap
-/// ([`crate::exec::MAX_BLOCK_RETRIES`]) still applies underneath.
+/// ([`crate::ladder::MAX_BLOCK_RETRIES`]) still applies underneath.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobBudget {
     /// Wall-clock deadline for the whole job. Checked at retry boundaries

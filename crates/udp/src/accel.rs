@@ -141,8 +141,7 @@ pub struct FaultHook {
     /// Extra cycles charged to a job's lane before it runs.
     pub stall_cycles: BTreeMap<usize, u64>,
     /// Jobs whose lane worker panics instead of executing; contained by
-    /// [`Accelerator::run_jobs_from`] and surfaced as
-    /// [`LaneError::Panicked`].
+    /// [`Accelerator::dispatch`] and surfaced as [`LaneError::Panicked`].
     pub panic_jobs: BTreeSet<usize>,
     /// Tiles whose *multiply* worker panics in the overlap executor
     /// (stage-boundary injection point; ignored by the batch path).
@@ -276,32 +275,6 @@ impl AccelReport {
         self.lane_utilization =
             lane_utilization(self.busy_cycles, self.makespan_cycles, self.lanes);
     }
-
-    /// Accumulates `other` into `self`: job counts, cycle totals, and
-    /// attribution merge; the makespan extends (waves hand off back-to-back,
-    /// so their critical paths add) and utilization is refreshed. Lane
-    /// profiles are merged per lane when both sides carry them.
-    pub fn absorb_wave(&mut self, other: &AccelReport) {
-        self.jobs += other.jobs;
-        self.jobs_failed += other.jobs_failed;
-        self.makespan_cycles += other.makespan_cycles;
-        self.busy_cycles += other.busy_cycles;
-        self.injected_stall_cycles += other.injected_stall_cycles;
-        self.output_bytes += other.output_bytes;
-        self.opclass.merge(&other.opclass);
-        self.stage_cycles.merge(&other.stage_cycles);
-        if self.lane_profiles.len() == other.lane_profiles.len() {
-            for (mine, theirs) in self.lane_profiles.iter_mut().zip(&other.lane_profiles) {
-                mine.jobs += theirs.jobs;
-                mine.jobs_failed += theirs.jobs_failed;
-                mine.busy_cycles += theirs.busy_cycles;
-                mine.stall_cycles += theirs.stall_cycles;
-                mine.output_bytes += theirs.output_bytes;
-                mine.opclass.merge(&theirs.opclass);
-            }
-        }
-        self.refresh_utilization();
-    }
 }
 
 impl Default for AccelReport {
@@ -375,6 +348,42 @@ impl Accelerator {
         self.run_jobs_observed(jobs, run, hook, None)
     }
 
+    /// The one reading of a [`FaultHook`] for one job: looks up the DMA stall
+    /// charged to global job `g`, and either traps it without running
+    /// ([`LaneError::InjectedFault`]) or runs `run` on `lane` inside a
+    /// `catch_unwind` boundary, so a panicking job (injected through
+    /// `hook.panic_jobs` or organic) becomes a typed [`LaneError::Panicked`]
+    /// instead of unwinding through the caller. Traps and contained panics
+    /// count against the lane's health record ([`Lane::note_trap`]). Every
+    /// schedule that dispatches blocks — the batch fan-out below and the
+    /// tiled executors in `recode-core` — goes through here, so the same hook
+    /// means the same faults everywhere. Returns the stall and the result.
+    pub fn dispatch<E, R>(
+        lane: &mut Lane,
+        hook: &FaultHook,
+        g: usize,
+        run: R,
+    ) -> (u64, Result<JobOutcome, E>)
+    where
+        E: From<LaneError>,
+        R: FnOnce(&mut Lane) -> Result<JobOutcome, E>,
+    {
+        let stall = hook.stall_cycles.get(&g).copied().unwrap_or(0);
+        if hook.trap_jobs.contains(&g) {
+            lane.note_trap();
+            return (stall, Err(E::from(LaneError::InjectedFault)));
+        }
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            assert!(!hook.panic_jobs.contains(&g), "injected panic in job {g}");
+            run(lane)
+        }));
+        let result = caught.unwrap_or_else(|payload| {
+            lane.note_trap();
+            Err(E::from(LaneError::Panicked { message: panic_payload_message(payload.as_ref()) }))
+        });
+        (stall, result)
+    }
+
     /// [`Accelerator::run_jobs_with_faults`] plus an optional per-job event
     /// sink: `sink` is invoked once per job (from lane worker threads, so it
     /// must be `Sync`) with the job's lane, cycles, injected stalls, and
@@ -392,34 +401,10 @@ impl Accelerator {
         E: From<LaneError> + Send,
         F: Fn(&mut Lane, &J) -> Result<JobOutcome, E> + Sync,
     {
-        self.run_jobs_from(0, jobs, run, hook, sink)
-    }
-
-    /// Batch-handoff entry point: runs a *wave* of jobs whose global batch
-    /// numbering starts at `job_base`. Lane assignment, fault-hook lookups,
-    /// and emitted [`JobEvent`]s all use the global index `job_base + k`, so
-    /// a pipelined caller can hand the accelerator one tile's blocks at a
-    /// time while keeping the exact job→lane mapping and fault semantics of
-    /// a single monolithic batch. `outcome.results` stays indexed by the
-    /// *local* position within `jobs`.
-    pub fn run_jobs_from<J, E, F>(
-        &self,
-        job_base: usize,
-        jobs: &[J],
-        run: F,
-        hook: &FaultHook,
-        sink: Option<JobEventSink<'_>>,
-    ) -> BatchOutcome<E>
-    where
-        J: Sync,
-        E: From<LaneError> + Send,
-        F: Fn(&mut Lane, &J) -> Result<JobOutcome, E> + Sync,
-    {
         type LaneRun<E> = (LaneProfile, StageCycles, Vec<(usize, Result<JobOutcome, E>)>);
         assert!(self.lanes > 0, "need at least one lane");
-        // Each simulated lane runs on a host thread; global job g goes to
-        // lane g % lanes, preserving the paper's block-round-robin
-        // assignment across wave boundaries.
+        // Each simulated lane runs on a host thread; job k goes to lane
+        // k % lanes, the paper's block-round-robin assignment.
         let per_lane: Vec<LaneRun<E>> = (0..self.lanes)
             .into_par_iter()
             .map(|lane_idx| {
@@ -427,38 +412,9 @@ impl Accelerator {
                 let mut done = Vec::new();
                 let mut profile = LaneProfile { lane: lane_idx, ..Default::default() };
                 let mut stages = StageCycles::default();
-                // First local index whose global position lands on this
-                // lane: job_base + start ≡ lane_idx (mod lanes).
-                let start = (lane_idx + self.lanes - job_base % self.lanes) % self.lanes;
-                for (k, job) in jobs.iter().enumerate().skip(start).step_by(self.lanes) {
-                    let g = job_base + k;
-                    let stall = hook.stall_cycles.get(&g).copied().unwrap_or(0);
+                for (k, job) in jobs.iter().enumerate().skip(lane_idx).step_by(self.lanes) {
+                    let (stall, result) = Self::dispatch(&mut lane, hook, k, |lane| run(lane, job));
                     profile.stall_cycles += stall;
-                    let result = if hook.trap_jobs.contains(&g) {
-                        // Injected traps model transient lane faults, so
-                        // they count against the lane's health record just
-                        // like organic traps do.
-                        lane.note_trap();
-                        Err(E::from(LaneError::InjectedFault))
-                    } else {
-                        // Panic containment: a panicking job (injected or
-                        // organic) must never unwind through the rayon
-                        // worker — it becomes a typed per-job error and the
-                        // lane moves on to its next job.
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            assert!(!hook.panic_jobs.contains(&g), "injected panic in job {g}");
-                            run(&mut lane, job)
-                        }));
-                        match caught {
-                            Ok(r) => r,
-                            Err(payload) => {
-                                lane.note_trap();
-                                Err(E::from(LaneError::Panicked {
-                                    message: panic_payload_message(payload.as_ref()),
-                                }))
-                            }
-                        }
-                    };
                     profile.jobs += 1;
                     let mut cycles = 0u64;
                     match &result {
@@ -473,7 +429,7 @@ impl Accelerator {
                     }
                     if let Some(sink) = sink {
                         sink(&JobEvent {
-                            job: g,
+                            job: k,
                             lane: lane_idx,
                             cycles,
                             stall_cycles: stall,
@@ -688,54 +644,34 @@ mod tests {
     }
 
     #[test]
-    fn waves_with_offsets_match_one_monolithic_batch() {
-        use std::sync::Mutex;
-        let acc = Accelerator { lanes: 3, freq_hz: 1e9 };
-        let jobs: Vec<Fake> = (0..11).map(|i| Fake { cycles: 10 + i, bytes: 2 }).collect();
-        let hook = FaultHook::new().trap(4).stall(7, 13);
-
-        let mono = acc.run_jobs_with_faults::<_, LaneError, _>(&jobs, run_fake, &hook);
-
-        // Same jobs, handed off in three waves with global numbering.
-        let events: Mutex<Vec<JobEvent>> = Mutex::new(Vec::new());
-        let sink = |e: &JobEvent| events.lock().unwrap().push(*e);
-        let mut agg = AccelReport { lanes: 3, freq_hz: 1e9, ..Default::default() };
-        agg.lane_profiles = (0..3).map(|l| LaneProfile { lane: l, ..Default::default() }).collect();
-        let mut results = Vec::new();
-        let mut base = 0usize;
-        for wave in jobs.chunks(4) {
-            let out =
-                acc.run_jobs_from::<_, LaneError, _>(base, wave, run_fake, &hook, Some(&sink));
-            agg.absorb_wave(&out.report);
-            results.extend(out.results);
-            base += wave.len();
+    fn dispatch_contains_a_panicking_job_and_marks_the_lane() {
+        let acc = Accelerator { lanes: 2, freq_hz: 1e9 };
+        let jobs: Vec<Fake> = (0..4).map(|_| Fake { cycles: 10, bytes: 4 }).collect();
+        let hook = FaultHook::new().panic_job(1).stall(1, 7);
+        let out = acc.run_jobs_with_faults::<_, LaneError, _>(&jobs, run_fake, &hook);
+        assert_eq!(out.failed_jobs(), vec![1]);
+        match &out.results[1] {
+            Err(LaneError::Panicked { message }) => assert!(message.contains("job 1"), "{message}"),
+            other => panic!("expected a contained panic, got {other:?}"),
         }
-        // Cycle totals and job accounting line up with the monolithic run.
-        assert_eq!(agg.jobs, mono.report.jobs);
-        assert_eq!(agg.jobs_failed, mono.report.jobs_failed);
-        assert_eq!(agg.busy_cycles, mono.report.busy_cycles);
-        assert_eq!(agg.output_bytes, mono.report.output_bytes);
-        assert_eq!(agg.injected_stall_cycles, mono.report.injected_stall_cycles);
-        // Waves serialize at handoff boundaries, so the critical path can
-        // only grow.
-        assert!(agg.makespan_cycles >= mono.report.makespan_cycles);
-        let util = lane_utilization(agg.busy_cycles, agg.makespan_cycles, agg.lanes);
-        assert!((agg.lane_utilization - util).abs() < 1e-12);
-        // Every job kept its global lane assignment and fault outcome.
-        let mut events = events.into_inner().unwrap();
-        events.sort_by_key(|e| e.job);
-        assert_eq!(events.len(), 11);
-        for (g, e) in events.iter().enumerate() {
-            assert_eq!(e.job, g);
-            assert_eq!(e.lane, g % 3, "wave handoff must preserve g % lanes");
-            assert_eq!(e.ok, g != 4);
-            assert_eq!(e.stall_cycles, if g == 7 { 13 } else { 0 });
-        }
-        assert!(matches!(results[4], Err(LaneError::InjectedFault)));
-        assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 10);
-        // Per-lane profiles still tile the busy cycles after merging.
-        let busy: u64 = agg.lane_profiles.iter().map(|p| p.busy_cycles + p.stall_cycles).sum();
-        assert_eq!(busy, agg.busy_cycles);
+        // The stall is charged even though the job died; its lane moved on.
+        assert_eq!(out.report.injected_stall_cycles, 7);
+        assert!(out.results[3].is_ok(), "lane 1 ran its next job after the panic");
+
+        // One job, called directly: traps and panics both count against the
+        // lane's health, a clean run does not.
+        let mut lane = Lane::new();
+        let run = |l: &mut Lane| run_fake(l, &jobs[0]);
+        let (stall, r) = Accelerator::dispatch::<LaneError, _>(&mut lane, &hook, 0, run);
+        assert!(r.is_ok() && stall == 0);
+        assert_eq!(lane.health().consecutive_traps, 0);
+        let (stall, r) = Accelerator::dispatch::<LaneError, _>(&mut lane, &hook, 1, run);
+        assert!(matches!(r, Err(LaneError::Panicked { .. })) && stall == 7);
+        assert_eq!(lane.health().consecutive_traps, 1);
+        let trap = FaultHook::new().trap(5);
+        let (_, r) = Accelerator::dispatch::<LaneError, _>(&mut lane, &trap, 5, run);
+        assert!(matches!(r, Err(LaneError::InjectedFault)));
+        assert_eq!(lane.health().consecutive_traps, 2);
     }
 
     #[test]

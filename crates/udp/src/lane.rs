@@ -137,7 +137,7 @@ pub enum LaneError {
         errors: usize,
     },
     /// A panic escaped the lane runner and was contained by the dispatch
-    /// layer's `catch_unwind` boundary (see `accel::run_jobs_from`). The
+    /// layer's `catch_unwind` boundary (see `Accelerator::dispatch`). The
     /// lane's architectural state is unreliable afterwards; callers treat
     /// this like any other trap and retry on a fresh lane.
     Panicked {

@@ -447,7 +447,13 @@ fn cmd_spmv(flags: &Flags) -> Result<ExitCode, String> {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
         let (y, stats, mut doc) = recoded
-            .spmv_traced(&sys, kernel, &x, hook.as_ref(), &name)
+            .spmv_traced(
+                &sys,
+                kernel,
+                &x,
+                RunCtx { hook: hook.as_ref(), ..RunCtx::default() },
+                &name,
+            )
             .map_err(|e| e.to_string())?;
         if let Some(ct_path) = &flags.chrome_trace {
             let (events, rec_stats) = finish_chrome_trace(ct_path)?;
@@ -550,8 +556,9 @@ fn cmd_spmv_overlap(flags: &Flags, a: &Csr) -> Result<ExitCode, String> {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
+        let ctx = RunCtx { hook: hook.as_ref(), ..RunCtx::default() };
         let (y, stats, mut doc) =
-            ex.spmv_traced(&sys, &x, hook.as_ref(), &name).map_err(|e| e.to_string())?;
+            ex.spmv_traced(&sys, &x, ctx, &name).map_err(|e| e.to_string())?;
         if let Some(ct_path) = &flags.chrome_trace {
             let (events, rec_stats) = finish_chrome_trace(ct_path)?;
             doc.attach_recorder(RecorderSummary::from_events(&events, rec_stats));
@@ -977,8 +984,7 @@ fn cmd_metrics(flags: &Flags) -> Result<ExitCode, String> {
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_default();
     let mut breaker = CircuitBreaker::new(BreakerConfig::default());
-    let (report, doc) =
-        recoded.run_job_traced(&sys, None, &JobBudget::default(), Some(&mut breaker), &name);
+    let (report, doc) = recoded.run_job_traced(&sys, RunCtx::default(), Some(&mut breaker), &name);
     let mut doc =
         doc.ok_or_else(|| format!("job produced no trace document (state {:?})", report.state))?;
     doc.attach_recorder(RecorderSummary::from_events(&recorder::drain(), recorder::stats()));

@@ -56,6 +56,12 @@ fn chaos_campaign_terminates_typed_on_every_trial() {
     // Lane panics and stage-boundary faults are the only plans that route a
     // deliberate panic through the executors; every one must be contained.
     assert!(summary.panics_contained > 0, "no trial exercised panic containment");
+    assert_eq!(
+        summary.panics_contained,
+        summary.panics_injected(),
+        "an injected panic never fired: its trial completed on the happy path\n{}",
+        summary.render()
+    );
 
     // Rarer coverage (stage-boundary ≈3%, each corruption kind ≈7% of
     // trials) is only a sound assertion at full campaign size.

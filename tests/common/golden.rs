@@ -36,7 +36,7 @@ pub fn traced_overlap_run(recoded: &RecodedSpmv, ncols: usize, name: &str) -> Tr
     let sys = SystemConfig::ddr4();
     let ex = OverlapExecutor::new(recoded, golden_overlap_config());
     let x = vec![1.0; ncols];
-    let (_, _, mut doc) = ex.spmv_traced(&sys, &x, None, name).expect("traced run");
+    let (_, _, mut doc) = ex.spmv_traced(&sys, &x, RunCtx::default(), name).expect("traced run");
     normalize_wall(&mut doc);
     doc
 }

@@ -10,13 +10,15 @@
 //! 2. a **typed error** that names the offending block.
 //!
 //! Panics and silently wrong results both fail the suite. The trial count
-//! is ≥ 256 across all fault classes, per the robustness acceptance bar.
+//! is ≥ 256 across all fault classes, per the robustness acceptance bar, and
+//! every stream-mutation trial runs through every executor — which must
+//! agree block for block, because one recovery ladder sits under all of them.
 
 use recode_spmv::codec::faults::{FaultInjector, FaultKind};
 use recode_spmv::codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_spmv::core::error::ExecError;
-use recode_spmv::core::exec::RecodedSpmv;
-use recode_spmv::core::SystemConfig;
+use recode_spmv::core::exec::{ExecStats, RawFallbackStore};
+use recode_spmv::core::telemetry::{BlockOutcome, Telemetry};
 use recode_spmv::prelude::*;
 use recode_spmv::udp::FaultHook;
 
@@ -41,7 +43,8 @@ fn small_block_config() -> MatrixCodecConfig {
     }
 }
 
-/// Outcome bookkeeping across the whole campaign.
+/// Outcome bookkeeping across the whole campaign, one count per trial and
+/// executor.
 #[derive(Default, Debug)]
 struct Tally {
     recovered_degraded: usize,
@@ -49,17 +52,76 @@ struct Tally {
     typed_error: usize,
 }
 
-/// Runs one stream-mutation trial; panics (failing the test) on silent
-/// corruption or an error without block context.
+/// The schedules every stream-mutation trial is routed through: the 64-lane
+/// batch, the pipelined tile walker (decode of tile i+1 overlapped with the
+/// multiply of tile i, decoded-block cache enabled) with one and with two
+/// multiply workers, and the same walker inline.
+#[derive(Clone, Copy, Debug)]
+enum Executor {
+    Batch,
+    Overlap { workers: usize },
+    Streaming,
+}
+
+const EXECUTORS: [Executor; 4] = [
+    Executor::Batch,
+    Executor::Overlap { workers: 1 },
+    Executor::Overlap { workers: 2 },
+    Executor::Streaming,
+];
+
+/// Clean-run context shared by every stream fault trial: the matrix, the
+/// probe vector, its reference product, and the uncorrupted streams.
+#[derive(Clone, Copy)]
+struct Probe<'a> {
+    a: &'a Csr,
+    x: &'a [f64],
+    y_ref: &'a [f64],
+    clean_cm: &'a CompressedMatrix,
+}
+
+/// What one executor made of one (possibly corrupted) operand.
+struct Run {
+    y: Vec<f64>,
+    stats: ExecStats,
+    /// Per-job outcome, in job order.
+    outcomes: Vec<(usize, BlockOutcome)>,
+}
+
+/// Runs `r` through `executor`, traced so the per-job outcomes are visible.
+/// The batch also proves the decoded matrix itself is the original.
+fn run_on(executor: Executor, r: &RecodedSpmv, probe: &Probe<'_>) -> Result<Run, ExecError> {
+    let sys = SystemConfig::ddr4();
+    let mut tel = Telemetry::new();
+    let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
+    let (y, stats) = match executor {
+        Executor::Batch => {
+            let (b, stats) = r.decompress_with(&sys, ctx)?;
+            assert_eq!(&b, probe.a, "decode differs from original without an error");
+            (spmv(&b, probe.x), stats)
+        }
+        Executor::Overlap { workers } => {
+            let config = OverlapConfig { overlap: true, cache_blocks: 64, workers };
+            OverlapExecutor::new(r, config).spmv_with(&sys, probe.x, ctx)?
+        }
+        Executor::Streaming => r.spmv_streaming_with(&sys, probe.x, ctx)?,
+    };
+    let outcomes = tel.block_events().iter().map(|e| (e.job, e.outcome)).collect();
+    Ok(Run { y, stats, outcomes })
+}
+
+/// Runs one stream-mutation trial through every executor; panics (failing
+/// the test) on silent corruption, an error without block context, or two
+/// executors disagreeing about what happened to any block.
 fn run_stream_trial(
-    a: &Csr,
-    clean_cm: &CompressedMatrix,
+    probe: &Probe<'_>,
     seed: u64,
     kind: FaultKind,
     hit_values: bool,
     with_store: bool,
     tally: &mut Tally,
 ) {
+    let Probe { a, y_ref, clean_cm, .. } = *probe;
     let mut cm = clean_cm.clone();
     let mut inj = FaultInjector::new(seed);
     let report = if hit_values {
@@ -69,56 +131,96 @@ fn run_stream_trial(
     };
 
     let r = if with_store {
-        RecodedSpmv::from_compressed_with_store(
-            cm,
-            Some(recode_spmv::core::exec::RawFallbackStore::from_csr(a)),
-        )
-        .expect("decoder construction is fault-independent")
+        RecodedSpmv::from_compressed_with_store(cm, Some(RawFallbackStore::from_csr(a)))
+            .expect("decoder construction is fault-independent")
     } else {
         RecodedSpmv::from_compressed(cm).expect("decoder construction is fault-independent")
     };
 
-    let sys = SystemConfig::ddr4();
-    match r.decompress_via_udp(&sys) {
-        Ok((b, stats)) => {
-            assert_eq!(
-                &b, a,
-                "seed {seed} kind {kind} (values={hit_values}): decode differs from original \
-                 without an error — silent corruption"
-            );
-            if report.is_some() && stats.degraded {
-                assert!(
-                    stats.blocks_retried > 0 || stats.blocks_fell_back > 0,
-                    "degraded run must count retries or fallbacks"
+    let mut batch: Option<Result<Run, ExecError>> = None;
+    for executor in EXECUTORS {
+        let what = format!("seed {seed} kind {kind} (values={hit_values}) on {executor:?}");
+        let run = run_on(executor, &r, probe);
+        match &run {
+            Ok(Run { y, stats, .. }) => {
+                // Tile-merge reassociates rows that straddle block boundaries
+                // on the pipelined schedule, so recovery there is numerically
+                // identical only to 1e-10; the other two are bit-exact.
+                match executor {
+                    Executor::Overlap { .. } => assert_spmv_close(&what, y, y_ref),
+                    _ => assert_eq!(y, y_ref, "{what}: silent corruption"),
+                }
+                assert_eq!(
+                    stats.blocks_ok + stats.blocks_recovered + stats.blocks_fell_back,
+                    stats.accel.jobs,
+                    "{what}: block accounting"
                 );
-                tally.recovered_degraded += 1;
-            } else {
-                // No-op mutation (e.g. truncation of an empty payload) or a
-                // fault on bytes the decode never depends on.
-                tally.clean += 1;
+                if report.is_some() && stats.degraded {
+                    assert!(
+                        stats.blocks_retried > 0 || stats.blocks_fell_back > 0,
+                        "{what}: degraded run must count retries or fallbacks"
+                    );
+                    tally.recovered_degraded += 1;
+                } else {
+                    // No-op mutation (e.g. truncation of an empty payload) or
+                    // a fault on bytes the decode never depends on.
+                    tally.clean += 1;
+                }
+            }
+            Err(e) => {
+                assert!(report.is_some(), "{what}: error {e} from an uncorrupted stream");
+                match e {
+                    ExecError::Udp(u) => assert!(
+                        u.block().is_some() || u.codec_error().is_some(),
+                        "{what}: untyped context in {e}"
+                    ),
+                    ExecError::Unrecoverable { block, .. } => {
+                        assert!(block.is_some(), "{what}: no block in {e}");
+                    }
+                    ExecError::Reassembly(_) | ExecError::Codec(_) => {}
+                    // These trials run unbudgeted, panic-free plans; the
+                    // resilience-only terminal states must never appear here.
+                    ExecError::DeadlineExceeded { .. } | ExecError::WorkerPanic { .. } => {
+                        panic!("{what}: unexpected resilience error {e}")
+                    }
+                }
+                tally.typed_error += 1;
             }
         }
-        Err(e) => {
-            assert!(
-                report.is_some(),
-                "seed {seed} kind {kind}: error {e} from an uncorrupted stream"
-            );
-            match &e {
-                ExecError::Udp(u) => assert!(
-                    u.block().is_some() || u.codec_error().is_some(),
-                    "seed {seed} kind {kind}: untyped context in {e}"
-                ),
-                ExecError::Unrecoverable { block, .. } => {
-                    assert!(block.is_some(), "seed {seed} kind {kind}: no block in {e}");
-                }
-                ExecError::Reassembly(_) | ExecError::Codec(_) => {}
-                // These trials run unbudgeted, panic-free plans; the
-                // resilience-only terminal states must never appear here.
-                ExecError::DeadlineExceeded { .. } | ExecError::WorkerPanic { .. } => {
-                    panic!("seed {seed} kind {kind}: unexpected resilience error {e}")
-                }
+        // One ladder under every schedule: the same operand recovers the
+        // same blocks the same way, or fails with the same kind of error
+        // naming the same block.
+        let Some(batch) = &batch else {
+            batch = Some(run);
+            continue;
+        };
+        match (batch, &run) {
+            (Ok(want), Ok(got)) => {
+                let ladder = |s: &ExecStats| {
+                    [
+                        s.blocks_ok,
+                        s.blocks_recovered,
+                        s.blocks_retried,
+                        s.blocks_fell_back,
+                        s.fallback_bytes,
+                        s.retry_cycles as usize,
+                    ]
+                };
+                assert_eq!(ladder(&got.stats), ladder(&want.stats), "{what}: tally vs batch");
+                assert_eq!(got.outcomes, want.outcomes, "{what}: per-job outcomes vs batch");
             }
-            tally.typed_error += 1;
+            (Err(want), Err(got)) => {
+                assert_eq!(
+                    (std::mem::discriminant(got), got.block()),
+                    (std::mem::discriminant(want), want.block()),
+                    "{what}: failed with {got}, the batch with {want}"
+                );
+            }
+            (want, got) => panic!(
+                "{what}: {:?}, but the batch {:?}",
+                got.as_ref().map(|_| "succeeded").map_err(ToString::to_string),
+                want.as_ref().map(|_| "succeeded").map_err(ToString::to_string),
+            ),
         }
     }
 }
@@ -127,15 +229,19 @@ fn run_stream_trial(
 fn seeded_stream_faults_recover_or_error_never_corrupt() {
     let a = test_matrix();
     let clean = CompressedMatrix::compress(&a, small_block_config()).unwrap();
+    let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
+    let y_ref = spmv(&a, &x);
+    let probe = Probe { a: &a, x: &x, y_ref: &y_ref, clean_cm: &clean };
     let mut tally = Tally::default();
     let mut trials = 0usize;
-    // 2 store modes x 2 streams x 6 kinds x 12 seeds = 288 trials.
+    // 2 store modes x 2 streams x 6 kinds x 12 seeds = 288 trials, each
+    // through all four executors.
     for with_store in [true, false] {
         for hit_values in [false, true] {
             for (ki, kind) in FaultKind::ALL.into_iter().enumerate() {
                 for s in 0..12u64 {
                     let seed = 1 + s + 100 * ki as u64 + 10_000 * u64::from(hit_values);
-                    run_stream_trial(&a, &clean, seed, kind, hit_values, with_store, &mut tally);
+                    run_stream_trial(&probe, seed, kind, hit_values, with_store, &mut tally);
                     trials += 1;
                 }
             }
@@ -205,7 +311,6 @@ fn retry_cycles_fold_into_makespan_under_traps() {
 
 #[test]
 fn telemetry_events_record_fault_outcomes() {
-    use recode_spmv::core::telemetry::{BlockOutcome, Telemetry};
     let a = test_matrix();
     let mut r = RecodedSpmv::new(&a, small_block_config()).unwrap();
     // Index block 1 is CRC-corrupt (falls back); the first value job traps
@@ -215,7 +320,8 @@ fn telemetry_events_record_fault_outcomes() {
     let hook = FaultHook::new().trap(n_index);
     let sys = SystemConfig::ddr4();
     let mut tel = Telemetry::new();
-    let (b, stats) = r.decompress_via_udp_traced(&sys, Some(&hook), Some(&mut tel)).unwrap();
+    let ctx = RunCtx { hook: Some(&hook), tel: Some(&mut tel), ..RunCtx::default() };
+    let (b, stats) = r.decompress_with(&sys, ctx).unwrap();
     assert_eq!(b, a);
     let evs = tel.block_events();
     assert_eq!(evs.len(), stats.accel.jobs, "one event per job");
@@ -233,133 +339,19 @@ fn telemetry_events_record_fault_outcomes() {
 /// Relative-tolerance check for the pipelined executor: tile-merge
 /// reassociates rows that straddle block boundaries, so recovery is
 /// numerically identical only to 1e-10, not bit-exact.
-fn assert_spmv_close(seed: u64, kind: FaultKind, y: &[f64], y_ref: &[f64]) {
+fn assert_spmv_close(what: &str, y: &[f64], y_ref: &[f64]) {
     for (i, (g, w)) in y.iter().zip(y_ref).enumerate() {
         let err = (g - w).abs() / w.abs().max(1.0);
         assert!(
             err <= 1e-10,
-            "seed {seed} kind {kind}: row {i} diverged after recovery \
-             (got {g}, want {w}) — silent corruption through the pipeline"
+            "{what}: row {i} diverged after recovery (got {g}, want {w}) — silent \
+             corruption through the pipeline"
         );
     }
 }
 
-/// Clean-run context shared by every overlap fault trial: the matrix, the
-/// probe vector, its reference product, and the uncorrupted streams.
-#[derive(Clone, Copy)]
-struct OverlapProbe<'a> {
-    a: &'a Csr,
-    x: &'a [f64],
-    y_ref: &'a [f64],
-    clean_cm: &'a CompressedMatrix,
-}
-
-/// One stream-mutation trial routed through the pipelined overlap executor
-/// (decode of tile i+1 overlapped with multiply of tile i, decoded-block
-/// cache enabled) instead of the batch path. Same oracle: recover within
-/// tolerance or produce a typed error naming the block.
-fn run_overlap_stream_trial(
-    probe: &OverlapProbe<'_>,
-    seed: u64,
-    kind: FaultKind,
-    hit_values: bool,
-    with_store: bool,
-    tally: &mut Tally,
-) {
-    use recode_spmv::core::{OverlapConfig, OverlapExecutor};
-    let OverlapProbe { a, x, y_ref, clean_cm } = *probe;
-    let mut cm = clean_cm.clone();
-    let mut inj = FaultInjector::new(seed);
-    let report = if hit_values {
-        inj.inject(&mut cm.value_stream, kind)
-    } else {
-        inj.inject(&mut cm.index_stream, kind)
-    };
-
-    let r = if with_store {
-        RecodedSpmv::from_compressed_with_store(
-            cm,
-            Some(recode_spmv::core::exec::RawFallbackStore::from_csr(a)),
-        )
-        .expect("decoder construction is fault-independent")
-    } else {
-        RecodedSpmv::from_compressed(cm).expect("decoder construction is fault-independent")
-    };
-    let ex =
-        OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 64, workers: 0 });
-
-    let sys = SystemConfig::ddr4();
-    match ex.spmv(&sys, x) {
-        Ok((y, stats)) => {
-            assert_spmv_close(seed, kind, &y, y_ref);
-            if report.is_some() && stats.degraded {
-                assert!(
-                    stats.blocks_retried > 0 || stats.blocks_fell_back > 0,
-                    "degraded pipelined run must count retries or fallbacks"
-                );
-                tally.recovered_degraded += 1;
-            } else {
-                tally.clean += 1;
-            }
-        }
-        Err(e) => {
-            assert!(
-                report.is_some(),
-                "seed {seed} kind {kind}: error {e} from an uncorrupted stream"
-            );
-            match &e {
-                ExecError::Udp(u) => assert!(
-                    u.block().is_some() || u.codec_error().is_some(),
-                    "seed {seed} kind {kind}: untyped context in {e}"
-                ),
-                ExecError::Unrecoverable { block, .. } => {
-                    assert!(block.is_some(), "seed {seed} kind {kind}: no block in {e}");
-                }
-                ExecError::Reassembly(_) | ExecError::Codec(_) => {}
-                // These trials run unbudgeted, panic-free plans; the
-                // resilience-only terminal states must never appear here.
-                ExecError::DeadlineExceeded { .. } | ExecError::WorkerPanic { .. } => {
-                    panic!("seed {seed} kind {kind}: unexpected resilience error {e}")
-                }
-            }
-            tally.typed_error += 1;
-        }
-    }
-}
-
-#[test]
-fn seeded_stream_faults_through_the_overlap_executor() {
-    let a = test_matrix();
-    let clean = CompressedMatrix::compress(&a, small_block_config()).unwrap();
-    let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
-    let y_ref = spmv(&a, &x);
-    let probe = OverlapProbe { a: &a, x: &x, y_ref: &y_ref, clean_cm: &clean };
-    let mut tally = Tally::default();
-    let mut trials = 0usize;
-    // Same 288-trial grid as the batch campaign, through the pipeline:
-    // 2 store modes x 2 streams x 6 kinds x 12 seeds.
-    for with_store in [true, false] {
-        for hit_values in [false, true] {
-            for (ki, kind) in FaultKind::ALL.into_iter().enumerate() {
-                for s in 0..12u64 {
-                    let seed = 1 + s + 100 * ki as u64 + 10_000 * u64::from(hit_values);
-                    run_overlap_stream_trial(
-                        &probe, seed, kind, hit_values, with_store, &mut tally,
-                    );
-                    trials += 1;
-                }
-            }
-        }
-    }
-    assert!(trials >= 256, "need >=256 trials, ran {trials}");
-    assert!(tally.recovered_degraded > 0, "no trial recovered via degradation: {tally:?}");
-    assert!(tally.typed_error > 0, "no trial produced a typed error: {tally:?}");
-}
-
 #[test]
 fn overlap_recovery_keeps_blocks_in_position_and_traces_stay_valid() {
-    use recode_spmv::core::telemetry::BlockOutcome;
-    use recode_spmv::core::{OverlapConfig, OverlapExecutor};
     let a = test_matrix();
     let mut r = RecodedSpmv::new(&a, small_block_config()).unwrap();
     // A CRC-corrupt index block (falls back mid-pipeline) plus a transient
@@ -373,8 +365,9 @@ fn overlap_recovery_keeps_blocks_in_position_and_traces_stay_valid() {
     let y_ref = spmv(&a, &x);
     let ex =
         OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 256, workers: 0 });
-    let (y, stats, doc) = ex.spmv_traced(&sys, &x, Some(&hook), "fault_pipeline").unwrap();
-    assert_spmv_close(0, FaultKind::BitFlip, &y, &y_ref);
+    let ctx = RunCtx { hook: Some(&hook), ..RunCtx::default() };
+    let (y, stats, doc) = ex.spmv_traced(&sys, &x, ctx, "fault_pipeline").unwrap();
+    assert_spmv_close("fault_pipeline", &y, &y_ref);
     assert!(stats.degraded);
     assert_eq!(stats.blocks_fell_back, 1, "the CRC-broken block needs the raw store");
     assert!(stats.blocks_retried > 0, "the trapped value job recovers via retry");

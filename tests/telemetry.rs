@@ -31,7 +31,8 @@ fn traced_run() -> (Csr, TraceDocument) {
     assert_eq!(sw, a);
     let sys = SystemConfig::ddr4();
     let x = vec![1.0; a.ncols()];
-    let (_, _, doc) = r.spmv_traced(&sys, SpmvKernel::Serial, &x, None, "stencil70").unwrap();
+    let (_, _, doc) =
+        r.spmv_traced(&sys, SpmvKernel::Serial, &x, RunCtx::default(), "stencil70").unwrap();
     (a, doc)
 }
 

@@ -54,7 +54,7 @@ fn canonical_tuned_doc(tuned: &TunedConfig) -> TraceDocument {
         .expect("tuned executor");
     let x = vec![1.0; a.ncols()];
     let (_, _, mut doc) =
-        ex.spmv_traced(&sys, &x, None, "golden_stencil16_tuned").expect("traced run");
+        ex.spmv_traced(&sys, &x, RunCtx::default(), "golden_stencil16_tuned").expect("traced run");
     normalize_wall(&mut doc);
     doc
 }
