@@ -8,15 +8,14 @@ use recode_bench::{maybe_dump_json, parse_args};
 use recode_codec::pipeline::{Pipeline, PipelineConfig};
 use recode_udp::lane::{Lane, RunConfig};
 use recode_udp::progs::huffman::compile_with_width;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     width: u8,
     cycles_per_symbol: f64,
     code_bytes: usize,
     utilization: f64,
 }
+recode_core::json_struct!(write Row { width, cycles_per_symbol, code_bytes, utilization });
 
 fn main() {
     let args = parse_args();

@@ -10,10 +10,9 @@
 use recode_bench::{corpus_entries, maybe_dump_json, parse_args};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_sparse::formats::{BitmaskBlockCsr, Ell, SellCs, VarintCsr};
+use recode_sparse::par;
 use recode_sparse::util::geometric_mean;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     name: String,
     family: String,
@@ -25,6 +24,9 @@ struct Row {
     varint_csr: f64,
     dsh: f64,
 }
+recode_core::json_struct!(write Row {
+    name, family, nnz, csr, ell, sell_32_512, bitmask_4x4, varint_csr, dsh
+});
 
 fn main() {
     let mut args = parse_args();
@@ -32,29 +34,21 @@ fn main() {
         args.sample = Some(60);
     }
     let entries = corpus_entries(&args);
-    let rows: Vec<Row> = {
-        use rayon::prelude::*;
-        entries
-            .par_iter()
-            .map(|e| {
-                let a = e.generate();
-                Row {
-                    name: e.name.clone(),
-                    family: e.family.to_string(),
-                    nnz: a.nnz(),
-                    csr: 12.0,
-                    ell: Ell::from_csr(&a).map_or(f64::NAN, |f| f.bytes_per_nnz()),
-                    sell_32_512: SellCs::from_csr(&a, 32, 512)
-                        .map_or(f64::NAN, |f| f.bytes_per_nnz()),
-                    bitmask_4x4: BitmaskBlockCsr::from_csr(&a)
-                        .map_or(f64::NAN, |f| f.bytes_per_nnz()),
-                    varint_csr: VarintCsr::from_csr(&a).map_or(f64::NAN, |f| f.bytes_per_nnz()),
-                    dsh: CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh())
-                        .map_or(f64::NAN, |c| c.bytes_per_nnz()),
-                }
-            })
-            .collect()
-    };
+    let rows: Vec<Row> = par::map(&entries, |_, e| {
+        let a = e.generate();
+        Row {
+            name: e.name.clone(),
+            family: e.family.to_string(),
+            nnz: a.nnz(),
+            csr: 12.0,
+            ell: Ell::from_csr(&a).map_or(f64::NAN, |f| f.bytes_per_nnz()),
+            sell_32_512: SellCs::from_csr(&a, 32, 512).map_or(f64::NAN, |f| f.bytes_per_nnz()),
+            bitmask_4x4: BitmaskBlockCsr::from_csr(&a).map_or(f64::NAN, |f| f.bytes_per_nnz()),
+            varint_csr: VarintCsr::from_csr(&a).map_or(f64::NAN, |f| f.bytes_per_nnz()),
+            dsh: CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh())
+                .map_or(f64::NAN, |c| c.bytes_per_nnz()),
+        }
+    });
 
     println!(
         "Format ablation — geometric mean bytes/nnz over {} matrices (lower is better)",

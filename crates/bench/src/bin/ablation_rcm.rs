@@ -9,13 +9,12 @@
 
 use recode_bench::{corpus_entries, maybe_dump_json, parse_args};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
+use recode_sparse::par;
 use recode_sparse::reorder::{reverse_cuthill_mckee, Permutation};
 use recode_sparse::stats::MatrixStats;
-use recode_sparse::util::geometric_mean;
+use recode_sparse::util::{geometric_mean, SplitMix64};
 use recode_sparse::Csr;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     name: String,
     family: String,
@@ -26,6 +25,9 @@ struct Row {
     bpnnz_scrambled: f64,
     bpnnz_rcm: f64,
 }
+recode_core::json_struct!(write Row {
+    name, family, bw_natural, bw_scrambled, bw_rcm, bpnnz_natural, bpnnz_scrambled, bpnnz_rcm
+});
 
 fn bpnnz(a: &Csr) -> f64 {
     CompressedMatrix::compress(a, MatrixCodecConfig::udp_dsh())
@@ -39,9 +41,9 @@ fn bpnnz(a: &Csr) -> f64 {
 fn scramble(a: &Csr, seed: u64) -> Csr {
     let n = a.nrows();
     let mut perm: Vec<u32> = (0..n as u32).collect();
-    let mut state = seed ^ 0x5C4A_11B1;
+    let mut rng = SplitMix64::new(seed ^ 0x5C4A_11B1);
     for i in (1..n).rev() {
-        let j = (recode_sparse::util::splitmix64(&mut state) % (i as u64 + 1)) as usize;
+        let j = rng.below(i + 1);
         perm.swap(i, j);
     }
     Permutation::new(perm).apply_symmetric(a)
@@ -53,28 +55,22 @@ fn main() {
         args.sample = Some(40);
     }
     let entries = corpus_entries(&args);
-    let rows: Vec<Row> = {
-        use rayon::prelude::*;
-        entries
-            .par_iter()
-            .map(|e| {
-                let a = e.generate();
-                let scrambled = scramble(&a, e.seed);
-                let perm = reverse_cuthill_mckee(&scrambled);
-                let recovered = perm.apply_symmetric(&scrambled);
-                Row {
-                    name: e.name.clone(),
-                    family: e.family.to_string(),
-                    bw_natural: MatrixStats::compute(&a).bandwidth,
-                    bw_scrambled: MatrixStats::compute(&scrambled).bandwidth,
-                    bw_rcm: MatrixStats::compute(&recovered).bandwidth,
-                    bpnnz_natural: bpnnz(&a),
-                    bpnnz_scrambled: bpnnz(&scrambled),
-                    bpnnz_rcm: bpnnz(&recovered),
-                }
-            })
-            .collect()
-    };
+    let rows: Vec<Row> = par::map(&entries, |_, e| {
+        let a = e.generate();
+        let scrambled = scramble(&a, e.seed);
+        let perm = reverse_cuthill_mckee(&scrambled);
+        let recovered = perm.apply_symmetric(&scrambled);
+        Row {
+            name: e.name.clone(),
+            family: e.family.to_string(),
+            bw_natural: MatrixStats::compute(&a).bandwidth,
+            bw_scrambled: MatrixStats::compute(&scrambled).bandwidth,
+            bw_rcm: MatrixStats::compute(&recovered).bandwidth,
+            bpnnz_natural: bpnnz(&a),
+            bpnnz_scrambled: bpnnz(&scrambled),
+            bpnnz_rcm: bpnnz(&recovered),
+        }
+    });
     println!("RCM ablation — DSH bytes/nnz: natural vs scrambled vs scrambled+RCM");
     println!(
         "{:<22} {:<11} {:>9} {:>9} {:>9} {:>8} {:>9} {:>8}",

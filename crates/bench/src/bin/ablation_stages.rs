@@ -6,10 +6,9 @@
 
 use recode_bench::{corpus_entries, maybe_dump_json, parse_args};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig, PipelineConfig};
+use recode_sparse::par;
 use recode_sparse::util::geometric_mean;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     name: String,
     family: String,
@@ -20,6 +19,9 @@ struct Row {
     snappy_huffman: f64,
     dsh: f64,
 }
+recode_core::json_struct!(write Row {
+    name, family, nnz, delta_only, snappy_only, delta_snappy, snappy_huffman, dsh
+});
 
 fn config(delta: bool, snappy: bool, huffman: bool) -> MatrixCodecConfig {
     let base = PipelineConfig { delta, snappy, huffman, ..PipelineConfig::dsh_udp() };
@@ -32,26 +34,20 @@ fn main() {
         args.sample = Some(60);
     }
     let entries = corpus_entries(&args);
-    let rows: Vec<Row> = {
-        use rayon::prelude::*;
-        entries
-            .par_iter()
-            .map(|e| {
-                let a = e.generate();
-                let bpnnz = |cfg| CompressedMatrix::compress(&a, cfg).unwrap().bytes_per_nnz();
-                Row {
-                    name: e.name.clone(),
-                    family: e.family.to_string(),
-                    nnz: a.nnz(),
-                    delta_only: bpnnz(config(true, false, false)),
-                    snappy_only: bpnnz(config(false, true, false)),
-                    delta_snappy: bpnnz(config(true, true, false)),
-                    snappy_huffman: bpnnz(config(false, true, true)),
-                    dsh: bpnnz(config(true, true, true)),
-                }
-            })
-            .collect()
-    };
+    let rows: Vec<Row> = par::map(&entries, |_, e| {
+        let a = e.generate();
+        let bpnnz = |cfg| CompressedMatrix::compress(&a, cfg).unwrap().bytes_per_nnz();
+        Row {
+            name: e.name.clone(),
+            family: e.family.to_string(),
+            nnz: a.nnz(),
+            delta_only: bpnnz(config(true, false, false)),
+            snappy_only: bpnnz(config(false, true, false)),
+            delta_snappy: bpnnz(config(true, true, false)),
+            snappy_huffman: bpnnz(config(false, true, true)),
+            dsh: bpnnz(config(true, true, true)),
+        }
+    });
     println!("Stage ablation — geometric mean bytes per non-zero ({} matrices)", rows.len());
     let g = |f: fn(&Row) -> f64| geometric_mean(&rows.iter().map(f).collect::<Vec<_>>()).unwrap();
     println!("{:<22} {:>8}", "configuration", "B/nnz");

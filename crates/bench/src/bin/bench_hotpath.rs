@@ -105,9 +105,7 @@ fn certified_bounds_json(decoder: &DshDecoder) -> Json {
 }
 
 impl Snapshot {
-    /// Serializes through the dependency-free shared writer so the
-    /// snapshot (and the `bench-compare` gate reading it) works on every
-    /// build, including the offline stub build where serde_json panics.
+    /// The snapshot as the tree `bench-compare` reads back.
     fn to_json(&self) -> Json {
         let mut doc = Json::obj()
             .set("schema", Json::Str(self.schema.to_string()))

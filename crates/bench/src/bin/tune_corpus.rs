@@ -9,9 +9,7 @@ use recode_core::seven;
 use recode_core::tune::{default_candidate, tune_matrix, TuneOptions};
 use recode_core::SystemConfig;
 use recode_sparse::util::geometric_mean;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     name: String,
     family: String,
@@ -25,6 +23,10 @@ struct Row {
     default_bpnnz: f64,
     speedup: f64,
 }
+recode_core::json_struct!(write Row {
+    name, family, nnz, kernel, stages, block_bytes, tuned_cycles, default_cycles, tuned_bpnnz,
+    default_bpnnz, speedup
+});
 
 fn main() {
     let mut args = parse_args();

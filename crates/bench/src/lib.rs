@@ -14,8 +14,8 @@
 
 use recode_core::corpus::{corpus, CorpusEntry, CorpusScale};
 use recode_core::experiment::{materialize, spmv_study};
+use recode_core::json::ToJson;
 use recode_core::{report, seven, SystemConfig};
-use serde::Serialize;
 use std::path::PathBuf;
 
 /// Parsed harness flags.
@@ -102,10 +102,9 @@ pub fn corpus_entries(args: &Args) -> Vec<CorpusEntry> {
 }
 
 /// Writes rows as pretty JSON if `--json` was given.
-pub fn maybe_dump_json<T: Serialize>(args: &Args, rows: &T) {
+pub fn maybe_dump_json<T: ToJson>(args: &Args, rows: &T) {
     if let Some(path) = &args.json {
-        let text = serde_json::to_string_pretty(rows).expect("rows serialize");
-        std::fs::write(path, text).unwrap_or_else(|e| {
+        std::fs::write(path, rows.to_json().to_string_pretty()).unwrap_or_else(|e| {
             eprintln!("failed to write {}: {e}", path.display());
             std::process::exit(1);
         });

@@ -11,8 +11,6 @@
 //! and block drop/duplication/reorder before a corrupted block can poison an
 //! SpMV result.
 
-use serde::{Deserialize, Serialize};
-
 use crate::crc32c::Crc32c;
 use crate::error::{CodecError, CodecResult};
 
@@ -23,7 +21,7 @@ use crate::error::{CodecError, CodecResult};
 pub const BLOCK_HEADER_BYTES: usize = 12;
 
 /// One compressed block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedBlock {
     /// Stage-pipeline output. When a Huffman stage is present this is a
     /// bit-packed stream and `bit_len` counts its valid bits; otherwise
@@ -81,7 +79,7 @@ impl CompressedBlock {
 }
 
 /// A sequence of compressed blocks representing one byte stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockStream {
     /// Uncompressed bytes per block (last block may be short).
     pub block_bytes: usize,

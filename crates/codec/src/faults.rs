@@ -6,11 +6,12 @@
 //! re-order buffer would: single-bit payload flips, payload truncation,
 //! whole-block drop/duplication/reorder, and header-field corruption.
 //!
-//! All randomness comes from an internal splitmix64 generator so a trial is
-//! fully determined by its seed — no `rand` dependency, and failures shrink
-//! to a reproducible `(seed, fault class)` pair.
+//! All randomness comes from the workspace's [`SplitMix64`], so a trial is
+//! fully determined by its seed and a failure reduces to a reproducible
+//! `(seed, fault class)` pair.
 
 use crate::block::BlockStream;
+pub use recode_sparse::util::SplitMix64;
 
 /// The corruption classes the injector can apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,41 +67,6 @@ pub struct FaultReport {
     pub block: usize,
     /// Human-readable description of the exact mutation.
     pub detail: String,
-}
-
-/// Seeded splitmix64 generator — tiny, fast, and fully determined by its
-/// seed. This is the *only* randomness source in the workspace's fault and
-/// property tests: no `rand` dependency, and every failure shrinks to a
-/// reproducible seed.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Generator whose whole sequence is determined by `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64-bit draw (the splitmix64 step function).
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `0..n`. `n` must be nonzero.
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// Seeded deterministic fault injector.

@@ -16,6 +16,8 @@
 //!   with 8 KB block framing ([`block`]), applied independently to the
 //!   column-index stream and the value stream exactly as the two
 //!   `recode()` calls in the paper's Fig. 7.
+//! * [`container`] — the little-endian binary `.rcmx` file form of a
+//!   [`CompressedMatrix`], with a reader that treats its input as hostile.
 //! * [`metrics`] — the bytes-per-non-zero accounting used throughout the
 //!   evaluation (raw CSR = 12 B/nnz), and [`telemetry`] — optional
 //!   per-stage encode/decode timing + byte counters for the trace path.
@@ -28,6 +30,7 @@
 
 pub mod bitstream;
 pub mod block;
+pub mod container;
 pub mod crc32c;
 pub mod delta;
 pub mod error;

@@ -1,7 +1,6 @@
 //! Compression accounting in the paper's units: bytes per non-zero.
 
 use crate::pipeline::CompressedMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Raw CSR storage per non-zero: 4-byte index + 8-byte double.
 pub const RAW_CSR_BYTES_PER_NNZ: f64 = 12.0;
@@ -21,7 +20,7 @@ pub fn bytes_per_nnz(wire_bytes: usize, nnz: usize) -> f64 {
 }
 
 /// Per-matrix compression summary (one row of the paper's Fig. 10/11 data).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompressionSummary {
     /// Stored non-zeros.
     pub nnz: usize,

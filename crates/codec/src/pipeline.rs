@@ -16,14 +16,12 @@ use crate::error::{CodecError, CodecResult};
 use crate::huffman::{self, FlatDecoder, HuffmanTable};
 use crate::telemetry::StageTelemetry;
 use crate::{delta, snappy};
-use rayon::prelude::*;
 use recode_sparse::Csr;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Which stages a pipeline runs and at what block granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Fixed-width zigzag delta (index streams only — requires 4-byte
     /// alignment).
@@ -286,14 +284,15 @@ impl Pipeline {
         Ok(out)
     }
 
-    /// Encodes a whole byte stream into framed blocks (parallel across
-    /// blocks).
+    /// Encodes a whole byte stream into framed blocks, one after another on
+    /// the calling thread (`&self` is `Sync`, so a caller may fan streams
+    /// out itself).
     ///
     /// # Errors
     /// First failing block's error.
     pub fn encode_stream(&self, data: &[u8]) -> CodecResult<BlockStream> {
         let blocks: Vec<CompressedBlock> = split_blocks(data, self.config.block_bytes)?
-            .into_par_iter()
+            .into_iter()
             .enumerate()
             .map(|(k, b)| self.encode_block_at(b, k as u32))
             .collect::<CodecResult<_>>()?;
@@ -304,7 +303,7 @@ impl Pipeline {
         })
     }
 
-    /// Decodes a framed stream back to bytes (parallel across blocks).
+    /// Decodes a framed stream back to bytes, block by block.
     /// Stream structure (block count, sequence numbers, checksums) is
     /// verified up front, so dropped/duplicated/reordered blocks surface as
     /// typed errors instead of silently wrong bytes.
@@ -315,7 +314,7 @@ impl Pipeline {
     pub fn decode_stream(&self, stream: &BlockStream) -> CodecResult<Vec<u8>> {
         stream.verify()?;
         let parts: Vec<Vec<u8>> =
-            stream.blocks.par_iter().map(|b| self.decode_block(b)).collect::<CodecResult<_>>()?;
+            stream.blocks.iter().map(|b| self.decode_block(b)).collect::<CodecResult<_>>()?;
         let out: Vec<u8> = parts.concat();
         if out.len() != stream.total_uncompressed {
             return Err(CodecError::LengthMismatch {
@@ -328,7 +327,7 @@ impl Pipeline {
 }
 
 /// Matrix-level codec configuration: one pipeline per stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixCodecConfig {
     /// Pipeline for the column-index stream.
     pub index: PipelineConfig,
@@ -363,7 +362,7 @@ impl MatrixCodecConfig {
 /// A fully compressed sparse matrix: raw `row_ptr`, compressed index and
 /// value streams, and everything needed to decode (configs + Huffman code
 /// lengths).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompressedMatrix {
     /// Rows.
     pub nrows: usize,
@@ -728,11 +727,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_decodability() {
+    fn container_round_trip_preserves_decodability() {
         let a = banded_matrix();
         let c = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let json = serde_json::to_string(&c).unwrap();
-        let c2: CompressedMatrix = serde_json::from_str(&json).unwrap();
+        let c2 = CompressedMatrix::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!(c2.decompress().unwrap(), a);
     }
 }

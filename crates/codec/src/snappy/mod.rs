@@ -39,9 +39,7 @@ pub const DEFAULT_MAX_UNCOMPRESSED: usize = 1 << 28;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use recode_sparse::util::SplitMix64;
 
     fn round_trip(data: &[u8]) -> Vec<u8> {
         let c = compress(data);
@@ -81,8 +79,8 @@ mod tests {
 
     #[test]
     fn incompressible_data_round_trips_with_bounded_expansion() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let data: Vec<u8> = (0..100_000).map(|_| rng.gen()).collect();
+        let mut rng = SplitMix64::new(7);
+        let data: Vec<u8> = (0..100_000).map(|_| rng.next_u64() as u8).collect();
         let c = round_trip(&data);
         // Snappy guarantees ~ len + len/6 + 32 worst case.
         assert!(c.len() <= data.len() + data.len() / 6 + 32);
@@ -122,13 +120,13 @@ mod tests {
 
     #[test]
     fn mixed_compressible_and_random_sections() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut rng = SplitMix64::new(11);
         let mut data = Vec::new();
         for section in 0..20 {
             if section % 2 == 0 {
                 data.extend(std::iter::repeat_n(section as u8, 700));
             } else {
-                data.extend((0..700).map(|_| rng.gen::<u8>()));
+                data.extend((0..700).map(|_| rng.next_u64() as u8));
             }
         }
         round_trip(&data);

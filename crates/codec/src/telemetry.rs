@@ -2,13 +2,12 @@
 //! software Delta/Snappy/Huffman stages, in both directions.
 //!
 //! A [`StageTelemetry`] is a bag of relaxed atomics so a single instance can
-//! be shared (via `Arc`) across the rayon-parallel encode/decode paths with
-//! no locking. The trace-off path carries zero cost: a [`Pipeline`] without
+//! be shared (via `Arc`) across threads encoding or decoding at once with no
+//! locking. The trace-off path carries zero cost: a [`Pipeline`] without
 //! an attached telemetry never calls `Instant::now()`.
 //!
 //! [`Pipeline`]: crate::pipeline::Pipeline
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -42,7 +41,7 @@ impl StageCounters {
 }
 
 /// Snapshot of one (stage, direction) accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// Stage invocations (blocks).
     pub calls: u64,
@@ -86,7 +85,7 @@ impl DirectionCounters {
 }
 
 /// Snapshot of one direction's three stages.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirectionStats {
     /// Zigzag-delta stage.
     pub delta: StageStats,
@@ -135,7 +134,7 @@ impl StageTelemetry {
 }
 
 /// Serializable snapshot of a [`StageTelemetry`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CodecStageReport {
     /// Encode-direction stage stats.
     pub encode: DirectionStats,

@@ -1,10 +1,9 @@
-//! Seeded property-based round-trip fuzzing of the DSH codec — no external
-//! fuzzing crate, so this suite runs everywhere (including offline builds
-//! where `proptest` is unavailable). All randomness comes from the same
-//! [`SplitMix64`] generator the fault injector uses, so any failure is a
-//! reproducible `(MASTER_SEED, case index)` pair.
+//! Seeded property-based round-trip fuzzing of the DSH codec and its `.rcmx`
+//! container. All randomness comes from the same [`SplitMix64`] generator
+//! the fault injector uses, so any failure is a reproducible
+//! `(MASTER_SEED, case index)` pair.
 //!
-//! Three identities, ~1k cases total:
+//! Three identities, ~1k cases total, then the container's reader:
 //!
 //! 1. software `Pipeline` encode→decode is the identity on random
 //!    CSR-shaped index streams and value payloads (768 cases);
@@ -12,10 +11,14 @@
 //!    produces byte-identical output to the software decoder (128 cases);
 //! 3. `CompressedMatrix` compress→decompress is the identity on random CSR
 //!    matrices covering empty rows, dense rows, single-element rows, and
-//!    extreme column deltas (128 cases).
+//!    extreme column deltas (128 cases);
+//! 4. `to_bytes` → `from_bytes` is the identity on those matrices, and the
+//!    reader answers truncation, malformed headers and bit flips with a
+//!    typed error, never a panic.
 
 use recode_codec::faults::SplitMix64;
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline, PipelineConfig};
+use recode_codec::{CodecError, CodecResult};
 use recode_sparse::prelude::*;
 use recode_udp::progs::DshDecoder;
 use recode_udp::Lane;
@@ -185,16 +188,137 @@ fn compressed_matrix_round_trips_random_csr() {
     let mut rng = SplitMix64::new(MASTER_SEED ^ 0xCC55);
     for case in 0..128 {
         let a = random_csr(&mut rng);
-        // Small blocks so even tiny matrices span several of them.
-        let cfg = MatrixCodecConfig {
-            index: PipelineConfig { block_bytes: 512, ..PipelineConfig::dsh_udp() },
-            value: PipelineConfig { block_bytes: 512, ..PipelineConfig::sh_udp() },
-        };
-        let cm = CompressedMatrix::compress(&a, cfg)
+        let cm = CompressedMatrix::compress(&a, small_block_matrix_config())
             .unwrap_or_else(|e| panic!("case {case}: compress failed: {e}"));
         let back =
             cm.decompress().unwrap_or_else(|e| panic!("case {case}: decompress failed: {e}"));
         assert_eq!(back, a, "case {case}: matrix round trip diverged");
         assert_eq!(cm.nnz, a.nnz(), "case {case}: nnz drifted");
+    }
+}
+
+/// The small-block configuration the matrix properties share, so even tiny
+/// matrices span several blocks per stream.
+fn small_block_matrix_config() -> MatrixCodecConfig {
+    MatrixCodecConfig {
+        index: PipelineConfig { block_bytes: 512, ..PipelineConfig::dsh_udp() },
+        value: PipelineConfig { block_bytes: 512, ..PipelineConfig::sh_udp() },
+    }
+}
+
+#[test]
+fn rcmx_container_round_trips_random_csr() {
+    let mut rng = SplitMix64::new(MASTER_SEED ^ 0x5C3A);
+    for case in 0..128 {
+        let a = random_csr(&mut rng);
+        // Every third case without Huffman: no code-length tables to carry.
+        let cfg =
+            if case % 3 == 0 { MatrixCodecConfig::udp_ds() } else { small_block_matrix_config() };
+        let cm = CompressedMatrix::compress(&a, cfg).unwrap();
+        let bytes = cm.to_bytes();
+        let back = CompressedMatrix::from_bytes(&bytes)
+            .unwrap_or_else(|e| panic!("case {case}: from_bytes failed: {e}"));
+        assert_eq!(back.to_bytes(), bytes, "case {case}: container is not a fixed point");
+        assert_eq!(
+            (back.nrows, back.ncols, back.nnz, &back.row_ptr, back.config),
+            (cm.nrows, cm.ncols, cm.nnz, &cm.row_ptr, cm.config),
+            "case {case}"
+        );
+        assert_eq!(back.index_stream, cm.index_stream, "case {case}");
+        assert_eq!(back.value_stream, cm.value_stream, "case {case}");
+        assert_eq!(back.index_table_lengths, cm.index_table_lengths, "case {case}");
+        assert_eq!(back.value_table_lengths, cm.value_table_lengths, "case {case}");
+        assert_eq!(back.decompress().unwrap(), a, "case {case}: matrix diverged");
+    }
+}
+
+#[test]
+fn rcmx_reader_rejects_every_truncated_prefix_and_trailing_bytes() {
+    let mut rng = SplitMix64::new(MASTER_SEED ^ 0x7A11);
+    for case in 0..8 {
+        let a = random_csr(&mut rng);
+        let bytes = CompressedMatrix::compress(&a, small_block_matrix_config()).unwrap().to_bytes();
+        for cut in 0..bytes.len() {
+            match CompressedMatrix::from_bytes(&bytes[..cut]) {
+                Err(CodecError::Truncated { .. }) => {}
+                other => panic!("case {case}: prefix of {cut} bytes gave {other:?}"),
+            }
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(
+            matches!(CompressedMatrix::from_bytes(&longer), Err(CodecError::Corrupt(_))),
+            "case {case}: a trailing byte must be refused"
+        );
+    }
+}
+
+#[test]
+fn rcmx_reader_rejects_malformed_headers_without_allocating_for_them() {
+    let a = random_csr(&mut SplitMix64::new(MASTER_SEED ^ 0xBAD));
+    let good = CompressedMatrix::compress(&a, small_block_matrix_config()).unwrap().to_bytes();
+    let patched = |at: usize, with: &[u8]| {
+        let mut bytes = good.clone();
+        bytes[at..at + with.len()].copy_from_slice(with);
+        CompressedMatrix::from_bytes(&bytes)
+    };
+    let corrupt = |r: CodecResult<CompressedMatrix>| matches!(r, Err(CodecError::Corrupt(_)));
+    let truncated =
+        |r: CodecResult<CompressedMatrix>| matches!(r, Err(CodecError::Truncated { .. }));
+    assert!(corrupt(patched(0, b"RCMY")), "bad magic");
+    assert!(corrupt(patched(4, &2u32.to_le_bytes())), "unknown version");
+    assert!(corrupt(CompressedMatrix::from_bytes(b"{\"nrows\": 3}")), "the old JSON container");
+    // Lengths no input could back: refused before anything is reserved.
+    assert!(truncated(patched(8, &u64::MAX.to_le_bytes())), "nrows = 2^64 - 1");
+    assert!(truncated(patched(8, &(1u64 << 40).to_le_bytes())), "nrows = 2^40");
+    // row_ptr starts at byte 32; entry 1 above entry 2 breaks monotonicity,
+    // a last entry that is not nnz breaks the ramp.
+    assert!(a.nrows() >= 2);
+    assert!(corrupt(patched(32 + 8, &u64::MAX.to_le_bytes())), "non-monotone row_ptr");
+    assert!(corrupt(patched(32, &1u64.to_le_bytes())), "row_ptr[0] != 0");
+    assert!(corrupt(patched(24, &(a.nnz() as u64 + 1).to_le_bytes())), "nnz disagrees");
+    let configs = 32 + 8 * (a.nrows() + 1);
+    assert!(corrupt(patched(configs, &[0xFF])), "unknown stage flags");
+    let tables = configs + 2 * 17;
+    assert!(corrupt(patched(tables, &[7])), "table marker");
+    assert!(truncated(patched(tables + 1, &u64::MAX.to_le_bytes())), "table length overruns");
+}
+
+/// A seeded sweep of 1-bit flips over the whole container. Whatever the flip
+/// hits, reading and decompressing end in a typed error or a clean `Ok` —
+/// never a panic — and a flip anywhere inside a block (header or payload)
+/// is always caught, because the block's CRC covers both.
+#[test]
+fn rcmx_single_bit_flips_never_panic_and_block_flips_never_pass() {
+    let mut rng = SplitMix64::new(MASTER_SEED ^ 0xF11B);
+    for case in 0..4 {
+        let a = random_csr(&mut rng);
+        let cm = CompressedMatrix::compress(&a, small_block_matrix_config()).unwrap();
+        let bytes = cm.to_bytes();
+        // Byte ranges of the blocks: everything after a stream's 24-byte
+        // header, up to the next stream.
+        let value_len =
+            24 + cm.value_stream.blocks.iter().map(|b| 32 + b.payload.len()).sum::<usize>();
+        let index_len =
+            24 + cm.index_stream.blocks.iter().map(|b| 32 + b.payload.len()).sum::<usize>();
+        let value_blocks = bytes.len() - value_len + 24..bytes.len();
+        let index_blocks = bytes.len() - value_len - index_len + 24..bytes.len() - value_len;
+        // Every bit of the fixed header and row_ptr, then a seeded sample
+        // of the rest.
+        let dense = (32 + 8 * cm.row_ptr.len() + 64).min(bytes.len()) * 8;
+        let flips = (0..dense).chain((0..4096).map(|_| rng.below(bytes.len() * 8)));
+        for bit in flips {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let outcome = CompressedMatrix::from_bytes(&flipped).and_then(|cm| cm.decompress());
+            let in_block = index_blocks.contains(&(bit / 8)) || value_blocks.contains(&(bit / 8));
+            if in_block {
+                assert!(outcome.is_err(), "case {case}: flip of bit {bit} inside a block passed");
+            } else if let Ok(b) = outcome {
+                // Outside the blocks only fields decode never reads
+                // (`huffman_sample_every`, high `ncols` bits) can pass.
+                assert_eq!(b.nnz(), a.nnz(), "case {case}: flip of bit {bit}");
+            }
+        }
     }
 }

@@ -2,10 +2,9 @@
 
 use recode_mem::{CpuModel, DmaModel, MemorySystem};
 use recode_udp::accel::Accelerator;
-use serde::{Deserialize, Serialize};
 
 /// Which system executes SpMV (the three bar groups of Figs. 14/15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
     /// CPU streaming raw 12 B/nnz CSR — "Max Uncompressed".
     CpuUncompressed,

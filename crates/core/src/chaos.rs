@@ -669,7 +669,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_json_is_well_formed_without_serde() {
+    fn summary_json_is_well_formed() {
         let config = ChaosConfig { trials: 4, seed: 1, trial_timeout: Duration::from_secs(30) };
         let s = run_campaign(&config);
         let json = s.to_json();

@@ -8,17 +8,15 @@
 //! a scale-dependent range (the paper's sizes are scaled down by default so
 //! the full evaluation runs on one machine; see DESIGN.md §3).
 
-use rayon::prelude::*;
 use recode_sparse::gen::{GenSpec, KroneckerBase, ValueModel};
-use recode_sparse::util::splitmix64;
-use recode_sparse::Csr;
-use serde::{Deserialize, Serialize};
+use recode_sparse::util::SplitMix64;
+use recode_sparse::{par, Csr};
 
 /// Number of matrices, matching the paper.
 pub const CORPUS_SIZE: usize = 369;
 
 /// Corpus size regimes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorpusScale {
     /// nnz ~ 2e4..2e5 — unit tests and quick runs.
     Small,
@@ -41,7 +39,7 @@ impl CorpusScale {
 }
 
 /// One corpus member: a named, seeded generator spec.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusEntry {
     /// Stable name, e.g. `m042_femband`.
     pub name: String,
@@ -65,14 +63,13 @@ impl CorpusEntry {
 /// Builds the deterministic 369-entry corpus.
 pub fn corpus(scale: CorpusScale, seed: u64) -> Vec<CorpusEntry> {
     let (lo, hi) = scale.nnz_range();
-    let mut state = seed ^ 0xC0_8215;
+    let mut rng = SplitMix64::new(seed ^ 0xC0_8215);
     (0..CORPUS_SIZE)
         .map(|i| {
             // Log-uniform nnz target.
-            let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-            let target = (lo.ln() + u * (hi.ln() - lo.ln())).exp() as usize;
-            let entry_seed = splitmix64(&mut state);
-            let variant = splitmix64(&mut state);
+            let target = (lo.ln() + rng.f64() * (hi.ln() - lo.ln())).exp() as usize;
+            let entry_seed = rng.next_u64();
+            let variant = rng.next_u64();
             let spec = spec_for(i % 11, target, variant);
             CorpusEntry {
                 name: format!("m{i:03}_{}", spec.family()),
@@ -89,13 +86,10 @@ pub fn corpus(scale: CorpusScale, seed: u64) -> Vec<CorpusEntry> {
 /// scale the corpus holds ~3e8 total non-zeros (~4 GB); prefer streaming
 /// with [`corpus`] + [`CorpusEntry::generate`] per entry for large scales.
 pub fn generate_all(scale: CorpusScale, seed: u64) -> Vec<(CorpusEntry, Csr)> {
-    corpus(scale, seed)
-        .into_par_iter()
-        .map(|e| {
-            let m = e.generate();
-            (e, m)
-        })
-        .collect()
+    par::map(corpus(scale, seed), |_, e| {
+        let m = e.generate();
+        (e, m)
+    })
 }
 
 /// Public lookup: builds a spec for `family` sized for `target` non-zeros

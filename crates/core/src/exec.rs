@@ -30,12 +30,11 @@ use recode_sparse::Csr;
 use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEventSink, JobOutcome};
 use recode_udp::progs::DshDecoder;
 use recode_udp::{Lane, UdpError};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Statistics from one UDP-decoded execution.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecStats {
     /// Accelerator-side report (cycles, throughput, utilization). Cycles
     /// spent on successful retry decodes *are* folded into the makespan and
@@ -60,49 +59,29 @@ pub struct ExecStats {
     pub fallback_bytes: usize,
     /// Lane cycles spent on successful retry decodes, already included in
     /// `accel.makespan_cycles` / `accel.busy_cycles`.
-    #[serde(default)]
     pub retry_cycles: u64,
     /// Scheduler backoff cycles charged by the [`crate::resilience::JobBudget`]
     /// per retry attempt. Folded into `accel.makespan_cycles` on the batch
     /// schedule only — backoff is waiting, not work, so busy cycles are
     /// untouched. Zero unless a budget with backoff was supplied.
-    #[serde(default, skip_serializing_if = "serde_is_zero_u64")]
     pub backoff_cycles: u64,
     /// True when any block needed a retry or a fallback — the result is
     /// still bit-exact, but the run did not complete on the happy path.
     pub degraded: bool,
     /// True when the run never touched the accelerator: the circuit breaker
     /// bypassed it to the software decoder ([`RecodedSpmv::run_job`]).
-    #[serde(default, skip_serializing_if = "serde_is_false")]
     pub software_decode: bool,
     /// Blocks that decoded cleanly on the first attempt. In-memory
     /// accounting only (not serialized):
     /// `blocks_ok + blocks_recovered + blocks_fell_back == accel.jobs`.
-    #[serde(skip)]
     pub blocks_ok: usize,
     /// Blocks that failed initially but recovered via retry (each counted
     /// once, unlike [`ExecStats::blocks_retried`] which counts attempts).
-    #[serde(skip)]
     pub blocks_recovered: usize,
     /// Tiled-schedule and decoded-block-cache statistics. All-zero
     /// (`enabled == false`, no stages) on the batch schedule, populated by
     /// the tile walker of [`crate::overlap`].
-    #[serde(default)]
     pub overlap: OverlapStats,
-}
-
-/// `skip_serializing_if` helper: keeps clean-run trace JSON byte-identical
-/// to pre-resilience documents. (`dead_code` allowed: only the serde derive
-/// references it, through the attribute string.)
-#[allow(dead_code, clippy::trivially_copy_pass_by_ref)]
-fn serde_is_zero_u64(v: &u64) -> bool {
-    *v == 0
-}
-
-/// `skip_serializing_if` helper for the software-bypass flag.
-#[allow(dead_code, clippy::trivially_copy_pass_by_ref)]
-fn serde_is_false(v: &bool) -> bool {
-    !*v
 }
 
 impl ExecStats {

@@ -6,17 +6,16 @@
 
 use crate::arch::SystemConfig;
 use crate::corpus::CorpusEntry;
+use crate::json_struct;
 use crate::measure::{measure_udp_decomp, DecompMeasurement};
 use crate::perfmodel::SpmvPerfModel;
 use crate::power::PowerSavings;
 use crate::seven;
-use rayon::prelude::*;
 use recode_codec::metrics::RAW_CSR_BYTES_PER_NNZ;
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
 use recode_sparse::util::geometric_mean;
-use recode_sparse::Csr;
-use serde::{Deserialize, Serialize};
+use recode_sparse::{par, Csr};
 
 /// Default number of blocks simulated per stream when measuring UDP
 /// throughput (evenly sampled; cycle counts extrapolate linearly).
@@ -25,7 +24,7 @@ pub const DEFAULT_BLOCK_SAMPLE: usize = 24;
 // ---------------------------------------------------------------- Fig. 3
 
 /// One matrix's CPU-only SpMV rates (modeled and host-measured).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Row {
     /// Matrix name.
     pub name: String,
@@ -40,40 +39,38 @@ pub struct Fig3Row {
     /// reproduction target.
     pub host_gflops: f64,
 }
+json_struct!(write Fig3Row { name, family, nnz, modeled_gflops, host_gflops });
 
 /// Runs the Fig. 3 study on `entries`.
 pub fn fig3_cpu_spmv(sys: &SystemConfig, entries: &[CorpusEntry]) -> Vec<Fig3Row> {
     let modeled = sys.cpu.spmv_flops(&sys.mem, RAW_CSR_BYTES_PER_NNZ) / 1e9;
-    entries
-        .par_iter()
-        .map(|e| {
-            let a = e.generate();
-            let x = vec![1.0f64; a.ncols()];
-            let mut y = vec![0.0f64; a.nrows()];
-            // Warm once, then time a few iterations.
+    par::map(entries, |_, e| {
+        let a = e.generate();
+        let x = vec![1.0f64; a.ncols()];
+        let mut y = vec![0.0f64; a.nrows()];
+        // Warm once, then time a few iterations.
+        spmv_with_into(SpmvKernel::RowParallel, &a, &x, &mut y);
+        let iters = (20_000_000 / a.nnz().max(1)).clamp(1, 50);
+        let t0 = std::time::Instant::now();
+        for _ in 0..iters {
             spmv_with_into(SpmvKernel::RowParallel, &a, &x, &mut y);
-            let iters = (20_000_000 / a.nnz().max(1)).clamp(1, 50);
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                spmv_with_into(SpmvKernel::RowParallel, &a, &x, &mut y);
-            }
-            let secs = t0.elapsed().as_secs_f64();
-            let host_gflops = (2.0 * a.nnz() as f64 * iters as f64) / secs / 1e9;
-            Fig3Row {
-                name: e.name.clone(),
-                family: e.family.to_string(),
-                nnz: a.nnz(),
-                modeled_gflops: modeled,
-                host_gflops,
-            }
-        })
-        .collect()
+        }
+        let secs = t0.elapsed().as_secs_f64();
+        let host_gflops = (2.0 * a.nnz() as f64 * iters as f64) / secs / 1e9;
+        Fig3Row {
+            name: e.name.clone(),
+            family: e.family.to_string(),
+            nnz: a.nnz(),
+            modeled_gflops: modeled,
+            host_gflops,
+        }
+    })
 }
 
 // ---------------------------------------------------------- Figs. 10 / 11
 
 /// Compressed sizes of one matrix under the three configurations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompressionRow {
     /// Matrix name.
     pub name: String,
@@ -88,9 +85,10 @@ pub struct CompressionRow {
     /// UDP Delta+Snappy+Huffman bytes/nnz — paper geomean 5.00.
     pub dsh_bpnnz: f64,
 }
+json_struct!(write CompressionRow { name, family, nnz, cpu_snappy_bpnnz, ds_bpnnz, dsh_bpnnz });
 
 /// Corpus-level geometric means for the three configurations.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CompressionGeomeans {
     /// CPU Snappy geomean.
     pub cpu_snappy: f64,
@@ -102,25 +100,22 @@ pub struct CompressionGeomeans {
 
 /// Compresses every entry three ways (Figs. 10 and 11 share this data).
 pub fn compression_study(entries: &[CorpusEntry]) -> Vec<CompressionRow> {
-    entries
-        .par_iter()
-        .map(|e| {
-            let a = e.generate();
-            let bpnnz = |cfg: MatrixCodecConfig| {
-                CompressedMatrix::compress(&a, cfg)
-                    .expect("corpus matrices satisfy codec preconditions")
-                    .bytes_per_nnz()
-            };
-            CompressionRow {
-                name: e.name.clone(),
-                family: e.family.to_string(),
-                nnz: a.nnz(),
-                cpu_snappy_bpnnz: bpnnz(MatrixCodecConfig::cpu_snappy()),
-                ds_bpnnz: bpnnz(MatrixCodecConfig::udp_ds()),
-                dsh_bpnnz: bpnnz(MatrixCodecConfig::udp_dsh()),
-            }
-        })
-        .collect()
+    par::map(entries, |_, e| {
+        let a = e.generate();
+        let bpnnz = |cfg: MatrixCodecConfig| {
+            CompressedMatrix::compress(&a, cfg)
+                .expect("corpus matrices satisfy codec preconditions")
+                .bytes_per_nnz()
+        };
+        CompressionRow {
+            name: e.name.clone(),
+            family: e.family.to_string(),
+            nnz: a.nnz(),
+            cpu_snappy_bpnnz: bpnnz(MatrixCodecConfig::cpu_snappy()),
+            ds_bpnnz: bpnnz(MatrixCodecConfig::udp_ds()),
+            dsh_bpnnz: bpnnz(MatrixCodecConfig::udp_dsh()),
+        }
+    })
 }
 
 /// Geometric means over a compression study.
@@ -136,7 +131,7 @@ pub fn compression_geomeans(rows: &[CompressionRow]) -> Option<CompressionGeomea
 
 /// Decompression throughput of one matrix: 32-thread CPU Snappy vs 64-lane
 /// UDP DSH.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecompRow {
     /// Matrix name.
     pub name: String,
@@ -153,6 +148,7 @@ pub struct DecompRow {
     /// `udp / cpu` (paper: geomean ≈ 7×, 2–5× on the seven).
     pub speedup: f64,
 }
+json_struct!(write DecompRow { name, family, nnz, cpu_bps, udp_bps, us_per_block, speedup });
 
 /// Runs the Fig. 12/13 study on pre-generated `(name, family, matrix)`
 /// triples (callers choose corpus or the seven).
@@ -162,30 +158,27 @@ pub fn decomp_study(
     max_blocks_per_stream: usize,
 ) -> Vec<DecompRow> {
     let cpu_bps = sys.cpu.snappy_decomp_bps(sys.cpu.threads);
-    matrices
-        .par_iter()
-        .map(|(name, family, a)| {
-            let cm = CompressedMatrix::compress(a, MatrixCodecConfig::udp_dsh())
-                .expect("codec preconditions");
-            let m: DecompMeasurement = measure_udp_decomp(&cm, &sys.udp, max_blocks_per_stream)
-                .expect("self-encoded blocks decode");
-            DecompRow {
-                name: name.clone(),
-                family: family.clone(),
-                nnz: a.nnz(),
-                cpu_bps,
-                udp_bps: m.accel_out_bps,
-                us_per_block: m.us_per_block,
-                speedup: if cpu_bps > 0.0 { m.accel_out_bps / cpu_bps } else { 0.0 },
-            }
-        })
-        .collect()
+    par::map(matrices, |_, (name, family, a)| {
+        let cm = CompressedMatrix::compress(a, MatrixCodecConfig::udp_dsh())
+            .expect("codec preconditions");
+        let m: DecompMeasurement = measure_udp_decomp(&cm, &sys.udp, max_blocks_per_stream)
+            .expect("self-encoded blocks decode");
+        DecompRow {
+            name: name.clone(),
+            family: family.clone(),
+            nnz: a.nnz(),
+            cpu_bps,
+            udp_bps: m.accel_out_bps,
+            us_per_block: m.us_per_block,
+            speedup: if cpu_bps > 0.0 { m.accel_out_bps / cpu_bps } else { 0.0 },
+        }
+    })
 }
 
 // ---------------------------------------------------------- Figs. 14 / 15
 
 /// The three-scenario SpMV comparison for one matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpmvRow {
     /// Matrix name.
     pub name: String,
@@ -206,6 +199,10 @@ pub struct SpmvRow {
     /// UDP accelerators the model sized for the memory rate.
     pub udps: usize,
 }
+json_struct!(write SpmvRow {
+    name, family, nnz, bytes_per_nnz, uncompressed_gflops, cpu_decomp_gflops, hetero_gflops,
+    speedup, udps
+});
 
 /// Runs the Fig. 14/15 study.
 pub fn spmv_study(
@@ -213,37 +210,34 @@ pub fn spmv_study(
     matrices: &[(String, String, Csr)],
     max_blocks_per_stream: usize,
 ) -> Vec<SpmvRow> {
-    matrices
-        .par_iter()
-        .map(|(name, family, a)| {
-            let cm = CompressedMatrix::compress(a, MatrixCodecConfig::udp_dsh())
-                .expect("codec preconditions");
-            let m = measure_udp_decomp(&cm, &sys.udp, max_blocks_per_stream)
-                .expect("self-encoded blocks decode");
-            let model = SpmvPerfModel {
-                bytes_per_nnz: cm.bytes_per_nnz().max(0.01),
-                udp_out_bps_per_accel: m.accel_out_bps.max(1e9),
-            };
-            let [unc, sw, het] = model.evaluate_all(sys);
-            SpmvRow {
-                name: name.clone(),
-                family: family.clone(),
-                nnz: a.nnz(),
-                bytes_per_nnz: cm.bytes_per_nnz(),
-                uncompressed_gflops: unc.gflops,
-                cpu_decomp_gflops: sw.gflops,
-                hetero_gflops: het.gflops,
-                speedup: het.gflops / unc.gflops,
-                udps: het.udps,
-            }
-        })
-        .collect()
+    par::map(matrices, |_, (name, family, a)| {
+        let cm = CompressedMatrix::compress(a, MatrixCodecConfig::udp_dsh())
+            .expect("codec preconditions");
+        let m = measure_udp_decomp(&cm, &sys.udp, max_blocks_per_stream)
+            .expect("self-encoded blocks decode");
+        let model = SpmvPerfModel {
+            bytes_per_nnz: cm.bytes_per_nnz().max(0.01),
+            udp_out_bps_per_accel: m.accel_out_bps.max(1e9),
+        };
+        let [unc, sw, het] = model.evaluate_all(sys);
+        SpmvRow {
+            name: name.clone(),
+            family: family.clone(),
+            nnz: a.nnz(),
+            bytes_per_nnz: cm.bytes_per_nnz(),
+            uncompressed_gflops: unc.gflops,
+            cpu_decomp_gflops: sw.gflops,
+            hetero_gflops: het.gflops,
+            speedup: het.gflops / unc.gflops,
+            udps: het.udps,
+        }
+    })
 }
 
 // ---------------------------------------------------------- Figs. 16 / 17
 
 /// Power savings for one of the seven representative matrices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerRow {
     /// Matrix name.
     pub name: String,
@@ -252,6 +246,7 @@ pub struct PowerRow {
     /// The savings breakdown.
     pub savings: PowerSavings,
 }
+json_struct!(write PowerRow { name, bytes_per_nnz, savings });
 
 /// Runs the Fig. 16/17 study on the seven representative matrices at the
 /// given generation scale.
@@ -261,27 +256,24 @@ pub fn power_study(
     seed: u64,
     max_blocks_per_stream: usize,
 ) -> Vec<PowerRow> {
-    seven::generate_all(rep_scale, seed)
-        .into_par_iter()
-        .map(|(rep, a)| {
-            let cm = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh())
-                .expect("codec preconditions");
-            let m = measure_udp_decomp(&cm, &sys.udp, max_blocks_per_stream)
-                .expect("self-encoded blocks decode");
-            let bpnnz = cm.bytes_per_nnz();
-            PowerRow {
-                name: rep.name.to_string(),
-                bytes_per_nnz: bpnnz,
-                savings: PowerSavings::compute(sys, bpnnz, m.accel_out_bps.max(1e9)),
-            }
-        })
-        .collect()
+    par::map(seven::generate_all(rep_scale, seed), |_, (rep, a)| {
+        let cm = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh())
+            .expect("codec preconditions");
+        let m = measure_udp_decomp(&cm, &sys.udp, max_blocks_per_stream)
+            .expect("self-encoded blocks decode");
+        let bpnnz = cm.bytes_per_nnz();
+        PowerRow {
+            name: rep.name.to_string(),
+            bytes_per_nnz: bpnnz,
+            savings: PowerSavings::compute(sys, bpnnz, m.accel_out_bps.max(1e9)),
+        }
+    })
 }
 
 /// Helper: materialize corpus entries as named matrices (streamed by the
 /// caller for large scales).
 pub fn materialize(entries: &[CorpusEntry]) -> Vec<(String, String, Csr)> {
-    entries.par_iter().map(|e| (e.name.clone(), e.family.to_string(), e.generate())).collect()
+    par::map(entries, |_, e| (e.name.clone(), e.family.to_string(), e.generate()))
 }
 
 #[cfg(test)]

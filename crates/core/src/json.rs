@@ -1,14 +1,16 @@
-//! Dependency-free JSON tree: a writer and a minimal parser.
+//! The workspace's one JSON stack: a tree, a writer, a parser, and the
+//! [`ToJson`]/[`FromJson`] pair that maps plain structs onto the tree.
 //!
-//! This is the shared emitter behind every machine-readable artifact that
-//! must work in offline builds where `serde_json` is unavailable at
-//! runtime: the Chrome trace exporter, `chaos::CampaignSummary::to_json`,
-//! the `BENCH_*.json` snapshot binaries, and the `recode bench-compare`
-//! comparator's input side. It is deliberately small: objects preserve
-//! insertion order (stable output bytes), numbers are written with Rust's
-//! shortest-round-trip `Display`, and the parser accepts exactly the JSON
-//! these writers produce plus anything `serde_json` emits.
+//! Every machine-readable artifact goes through it: `recode-trace/v1|v2`
+//! documents ([`crate::trace_json`]), `recode-tuned/v1`, the Chrome trace
+//! exporter, `chaos::CampaignSummary::to_json`, the figure binaries' result
+//! rows, the `BENCH_*.json` snapshots and `recode bench-compare`. It is
+//! deliberately small: objects preserve insertion order (stable output
+//! bytes), numbers are written with Rust's shortest-round-trip `Display`,
+//! and the parser reads standard JSON from outside files with a bounded
+//! nesting depth.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One JSON value. Objects keep insertion order so emitted bytes are
@@ -108,7 +110,7 @@ impl Json {
         }
     }
 
-    /// Pretty serialization (2-space indent, `serde_json` style).
+    /// Pretty serialization (2-space indent, one member per line).
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
@@ -224,13 +226,20 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level and reads files from outside the program, so the bound is what
+/// keeps a hostile `[[[[…` from overflowing the stack; the deepest schema
+/// here (a trace's `exec.accel.lane_profiles[].opclass`) nests 5 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
-/// A message with the byte offset of the first syntax error.
+/// A message with the byte offset of the first syntax error, or of the
+/// bracket that nests deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -243,6 +252,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -282,8 +293,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
@@ -368,16 +386,19 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            // Surrogate pairs are not produced by our
-                            // writers; map them to the replacement char.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                            let mut code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate followed by `\uDC00..DFFF`
+                            // is one scalar; a lone half is U+FFFD.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                            {
+                                if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
                     }
@@ -386,6 +407,15 @@ impl Parser<'_> {
                 _ => return Err("unterminated string".to_string()),
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        self.bytes
+            .get(at..at + 4)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| format!("bad \\u escape at byte {}", at - 1))
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -418,6 +448,196 @@ impl Parser<'_> {
             .map(Json::F64)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
     }
+}
+
+/// A value with a JSON form. Structs get theirs from [`json_struct!`].
+pub trait ToJson {
+    /// The value as a JSON tree.
+    fn to_json(&self) -> Json;
+}
+
+/// A value readable back from its [`ToJson`] form.
+pub trait FromJson: Sized {
+    /// Reads the value from a JSON tree.
+    ///
+    /// # Errors
+    /// A message naming what was expected (and, through
+    /// [`field`], which field held something else).
+    fn from_json(j: &Json) -> Result<Self, String>;
+}
+
+macro_rules! json_uint {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Json {
+                Json::U64(*self as u64)
+            }
+        }
+        impl FromJson for $t {
+            fn from_json(j: &Json) -> Result<Self, String> {
+                j.as_u64()
+                    .and_then(|v| <$t>::try_from(v).ok())
+                    .ok_or_else(|| format!("expected a {}, found {j}", stringify!($t)))
+            }
+        }
+    )*};
+}
+json_uint!(u8, u64, usize);
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::F64(*self)
+    }
+}
+
+impl FromJson for f64 {
+    /// `null` is how the writer spells a non-finite value; it reads back as
+    /// NaN so a trace that recorded one stays readable.
+    fn from_json(j: &Json) -> Result<Self, String> {
+        match j {
+            Json::Null => Ok(f64::NAN),
+            _ => j.as_f64().ok_or_else(|| format!("expected a number, found {j}")),
+        }
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        j.as_bool().ok_or_else(|| format!("expected a bool, found {j}"))
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+impl FromJson for String {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        j.as_str().map(str::to_string).ok_or_else(|| format!("expected a string, found {j}"))
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        let items = j.as_array().ok_or_else(|| format!("expected an array, found {j}"))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json(item).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
+    }
+}
+
+/// A pair is a two-element array (what a figure binary dumps when it has
+/// two row tables).
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+}
+
+/// Maps are objects; keys print through `Display` (`u8` bucket indices
+/// become `"7"`) and `BTreeMap` order keeps the bytes stable.
+impl<K: std::fmt::Display, V: ToJson> ToJson for BTreeMap<K, V> {
+    fn to_json(&self) -> Json {
+        Json::Obj(self.iter().map(|(k, v)| (k.to_string(), v.to_json())).collect())
+    }
+}
+
+impl<K: std::str::FromStr + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        let fields = j.entries().ok_or_else(|| format!("expected an object, found {j}"))?;
+        fields
+            .iter()
+            .map(|(k, v)| {
+                let key = k.parse::<K>().map_err(|_| format!("bad map key `{k}`"))?;
+                Ok((key, V::from_json(v).map_err(|e| format!("{k}: {e}"))?))
+            })
+            .collect()
+    }
+}
+
+/// Reads field `key` of object `j`; `None` when the field is absent.
+///
+/// # Errors
+/// `j` is not an object, or the field does not read as a `T` (the message
+/// is prefixed with the field name, so nested errors spell out a path).
+pub fn field<T: FromJson>(j: &Json, key: &str) -> Result<Option<T>, String> {
+    if j.entries().is_none() {
+        return Err(format!("expected an object, found {j}"));
+    }
+    j.get(key).map(|v| T::from_json(v).map_err(|e| format!("{key}: {e}"))).transpose()
+}
+
+/// Reads field `key` of object `j`, which must be present.
+///
+/// # Errors
+/// As [`field`], plus ``missing field `key` ``.
+pub fn required<T: FromJson>(j: &Json, key: &str) -> Result<T, String> {
+    field(j, key)?.ok_or_else(|| format!("missing field `{key}`"))
+}
+
+/// Maps a struct onto a JSON object, one key per listed field, in the order
+/// listed. `json_struct!(write T { a, b })` implements [`ToJson`] only;
+/// `json_struct!(T { a, b; c, d })` implements [`FromJson`] as well, where
+/// the fields after `;` take their `Default` when the object lacks them.
+/// Keys the struct does not list are ignored on reading.
+#[macro_export]
+macro_rules! json_struct {
+    (write $ty:ty { $($f:ident),* $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Obj(vec![
+                    $((stringify!($f).to_string(), $crate::json::ToJson::to_json(&self.$f))),*
+                ])
+            }
+        }
+    };
+    ($ty:ty { $($req:ident),* $(; $($opt:ident),*)? }) => {
+        $crate::json_struct!(write $ty { $($req,)* $($($opt,)*)? });
+        impl $crate::json::FromJson for $ty {
+            fn from_json(j: &$crate::json::Json) -> Result<Self, String> {
+                Ok(Self {
+                    $($req: $crate::json::required(j, stringify!($req))?,)*
+                    $($($opt: $crate::json::field(j, stringify!($opt))?.unwrap_or_default(),)*)?
+                })
+            }
+        }
+    };
+}
+
+/// Maps a field-less enum onto its variant names, as strings.
+#[macro_export]
+macro_rules! json_enum {
+    ($ty:ty { $($v:ident),* $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Str(match self { $(Self::$v => stringify!($v),)* }.to_string())
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(j: &$crate::json::Json) -> Result<Self, String> {
+                match j.as_str() {
+                    $(Some(stringify!($v)) => Ok(Self::$v),)*
+                    _ => Err(format!("expected one of {:?}, found {j}", [$(stringify!($v)),*])),
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -461,7 +681,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_serde_style_documents() {
+    fn parse_accepts_standard_documents() {
         let text = r#"{
   "schema": "recode-bench/v1",
   "count": 3,
@@ -484,5 +704,84 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "{\"a\":1} extra", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_and_names_the_offset() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok(), "{MAX_DEPTH} levels are within the bound");
+        let err = parse(&"[".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // What used to overflow the stack and abort the process.
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128 levels at byte"), "{err}");
+        }
+        // Depth is nesting, not a count of containers.
+        assert!(parse(&format!("[{}]", "[],".repeat(1000) + "[]")).is_ok());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        assert_eq!(parse(r#""\ud83d\ude00""#), Ok(Json::Str("\u{1F600}".into())));
+        assert_eq!(parse(r#""a\ud83d\ude00b\u00e9""#), Ok(Json::Str("a\u{1F600}b\u{e9}".into())));
+        // Lone halves stay replacement characters; nothing is swallowed.
+        assert_eq!(parse(r#""\ud83dx""#), Ok(Json::Str("\u{fffd}x".into())));
+        assert_eq!(parse(r#""\ude00""#), Ok(Json::Str("\u{fffd}".into())));
+        assert_eq!(parse(r#""\ud83d\u0041""#), Ok(Json::Str("\u{fffd}A".into())));
+        assert!(parse(r#""\ud83d\u00""#).is_err());
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Probe {
+        name: String,
+        hits: u64,
+        ratio: f64,
+        tags: Vec<u8>,
+        buckets: BTreeMap<u8, u64>,
+        extra: usize,
+    }
+    json_struct!(Probe { name, hits, ratio, tags, buckets; extra });
+
+    #[derive(Debug, PartialEq)]
+    enum Mode {
+        Fast,
+        Exact,
+    }
+    json_enum!(Mode { Fast, Exact });
+
+    #[test]
+    fn json_struct_round_trips_defaults_and_ignores_unknown_keys() {
+        let p = Probe {
+            name: "p".into(),
+            hits: 3,
+            ratio: 0.5,
+            tags: vec![1, 2],
+            buckets: BTreeMap::from([(7, 9)]),
+            extra: 4,
+        };
+        let j = p.to_json();
+        assert_eq!(
+            j.to_string(),
+            r#"{"name":"p","hits":3,"ratio":0.5,"tags":[1,2],"buckets":{"7":9},"extra":4}"#
+        );
+        assert_eq!(Probe::from_json(&j), Ok(p));
+
+        let sparse =
+            parse(r#"{"name":"q","hits":1,"ratio":null,"tags":[],"buckets":{},"new":[1]}"#)
+                .unwrap();
+        let q = Probe::from_json(&sparse).expect("`extra` defaults, `new` is ignored");
+        assert!(q.ratio.is_nan() && q.extra == 0);
+
+        let missing = Probe::from_json(&parse(r#"{"name":"q"}"#).unwrap()).unwrap_err();
+        assert_eq!(missing, "missing field `hits`");
+        let wrong =
+            parse(r#"{"name":"q","hits":1,"ratio":0,"tags":[1,300],"buckets":{}}"#).unwrap();
+        assert_eq!(Probe::from_json(&wrong).unwrap_err(), "tags: [1]: expected a u8, found 300");
+        assert!(Probe::from_json(&Json::U64(1)).is_err());
+
+        assert_eq!(Mode::Exact.to_json(), Json::Str("Exact".into()));
+        assert_eq!(Mode::from_json(&Json::Str("Fast".into())), Ok(Mode::Fast));
+        assert!(Mode::from_json(&Json::Str("Slow".into())).is_err());
     }
 }

@@ -39,8 +39,8 @@
 //!   Prometheus text exposition;
 //! * [`benchcmp`] — the BENCH_*.json regression comparator behind
 //!   `recode bench-compare`;
-//! * [`json`] — the dependency-free JSON writer/parser shared by the
-//!   chaos, bench, trace-export, and metrics emitters;
+//! * [`json`] — the workspace's one JSON tree, writer, parser and
+//!   struct mapping; [`trace_json`] maps a [`TraceDocument`] through it;
 //! * [`tune`] — the per-matrix auto-tuner: kernel × codec-stage × block
 //!   search scored by deterministic modeled cycles, persisted as a
 //!   digest-keyed `recode-tuned/v1` document.
@@ -65,6 +65,7 @@ pub mod report;
 pub mod resilience;
 pub mod seven;
 pub mod telemetry;
+pub mod trace_json;
 pub mod tune;
 
 pub use arch::SystemConfig;

@@ -8,13 +8,12 @@
 
 use crate::error::{ExecError, ExecResult};
 use recode_codec::block::CompressedBlock;
-use recode_codec::pipeline::CompressedMatrix;
+use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline};
 use recode_udp::accel::Accelerator;
 use recode_udp::progs::DshDecoder;
-use serde::{Deserialize, Serialize};
 
 /// Measured decompression characteristics of one compressed matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecompMeasurement {
     /// Blocks actually simulated (sampled).
     pub blocks_simulated: usize,
@@ -105,7 +104,7 @@ pub fn measure_udp_decomp(
 /// constants; this machine is not the paper's Xeon), but a qualitative
 /// check that software DSH decoding really is far slower than plain Snappy,
 /// which is the mechanism behind the paper's ">30x" claim.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HostCodecRates {
     /// Single-thread Snappy decompression, output bytes/s.
     pub snappy_bps: f64,
@@ -114,41 +113,35 @@ pub struct HostCodecRates {
 }
 
 /// Times the software decoders over the matrix's blocks (single-threaded,
-/// best of `reps` passes).
+/// best of `reps` passes). The two decoders take turns — DSH, Snappy, DSH,
+/// … — so a slow phase of the host lands on both minima's candidates and
+/// not on one decoder's whole window.
 ///
 /// # Errors
 /// Decode failures (impossible for self-encoded blocks).
 pub fn measure_host_codec(cm: &CompressedMatrix, reps: usize) -> ExecResult<HostCodecRates> {
-    use recode_codec::pipeline::{MatrixCodecConfig, Pipeline};
-    let reps = reps.max(1);
-    // DSH: decode this matrix's own streams.
-    let (index_pipe, value_pipe) = cm.pipelines()?;
-    let mut best_dsh = f64::INFINITY;
-    let total_out =
-        (cm.index_stream.total_uncompressed + cm.value_stream.total_uncompressed) as f64;
-    for _ in 0..reps {
+    /// Seconds for one pass over every block of both streams.
+    fn pass(cm: &CompressedMatrix, pipes: &(Pipeline, Pipeline)) -> ExecResult<f64> {
         let t0 = std::time::Instant::now();
-        for (pipe, stream) in [(&index_pipe, &cm.index_stream), (&value_pipe, &cm.value_stream)] {
+        for (pipe, stream) in [(&pipes.0, &cm.index_stream), (&pipes.1, &cm.value_stream)] {
             for b in &stream.blocks {
                 std::hint::black_box(pipe.decode_block(b)?);
             }
         }
-        best_dsh = best_dsh.min(t0.elapsed().as_secs_f64());
+        Ok(t0.elapsed().as_secs_f64())
     }
-    // Snappy-only: re-encode under the CPU baseline and decode.
-    let a = cm.decompress()?;
-    let snappy_cm = CompressedMatrix::compress(&a, MatrixCodecConfig::cpu_snappy())?;
-    let (sp, vp) = snappy_cm.pipelines()?;
-    let mut best_snappy = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        for (pipe, stream) in [(&sp, &snappy_cm.index_stream), (&vp, &snappy_cm.value_stream)] {
-            for b in &stream.blocks {
-                std::hint::black_box(Pipeline::decode_block(pipe, b)?);
-            }
-        }
-        best_snappy = best_snappy.min(t0.elapsed().as_secs_f64());
+    // DSH decodes this matrix's own streams; Snappy-only decodes the same
+    // matrix re-encoded under the CPU baseline.
+    let dsh_pipes = cm.pipelines()?;
+    let snappy_cm = CompressedMatrix::compress(&cm.decompress()?, MatrixCodecConfig::cpu_snappy())?;
+    let snappy_pipes = snappy_cm.pipelines()?;
+    let (mut best_dsh, mut best_snappy) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        best_dsh = best_dsh.min(pass(cm, &dsh_pipes)?);
+        best_snappy = best_snappy.min(pass(&snappy_cm, &snappy_pipes)?);
     }
+    let total_out =
+        (cm.index_stream.total_uncompressed + cm.value_stream.total_uncompressed) as f64;
     Ok(HostCodecRates {
         snappy_bps: total_out / best_snappy.max(1e-12),
         dsh_bps: total_out / best_dsh.max(1e-12),
@@ -158,7 +151,6 @@ pub fn measure_host_codec(cm: &CompressedMatrix, reps: usize) -> ExecResult<Host
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recode_codec::pipeline::MatrixCodecConfig;
     use recode_sparse::prelude::*;
 
     fn compressed_banded() -> CompressedMatrix {

@@ -51,7 +51,6 @@ use recode_mem::traffic::TrafficSource;
 use recode_sparse::solve::{self, SolveResult};
 use recode_udp::accel::{panic_payload_message, AccelReport, Accelerator, FaultHook};
 use recode_udp::Lane;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -63,7 +62,7 @@ pub type CacheKey = (StreamKind, usize);
 
 /// Lifetime counters of an [`ExecCache`]. Per-run numbers in
 /// [`OverlapStats`] are deltas of two snapshots of these.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
@@ -238,8 +237,7 @@ impl OverlapConfig {
 /// Pipelined-schedule and cache statistics of one overlapped run, carried
 /// inside [`ExecStats::overlap`]. All-zero (`enabled == false`) for the
 /// plain batch path, so old traces deserialize unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OverlapStats {
     /// True when the run modeled the pipelined schedule.
     pub enabled: bool,

@@ -13,10 +13,9 @@
 
 use crate::arch::{Scenario, SystemConfig};
 use recode_codec::metrics::RAW_CSR_BYTES_PER_NNZ;
-use serde::{Deserialize, Serialize};
 
 /// Inputs for one scenario evaluation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpmvPerfModel {
     /// Compressed bytes per non-zero (12.0 for uncompressed CSR).
     pub bytes_per_nnz: f64,
@@ -26,7 +25,7 @@ pub struct SpmvPerfModel {
 }
 
 /// One scenario's modeled outcome.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScenarioResult {
     /// The scenario.
     pub scenario: Scenario,

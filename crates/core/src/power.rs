@@ -8,10 +8,9 @@
 
 use crate::arch::SystemConfig;
 use recode_codec::metrics::RAW_CSR_BYTES_PER_NNZ;
-use serde::{Deserialize, Serialize};
 
 /// Power accounting for one matrix on one memory system.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PowerSavings {
     /// Full-bandwidth memory power (the paper's 80 W DDR / 64 W HBM).
     pub max_power_w: f64,
@@ -26,6 +25,9 @@ pub struct PowerSavings {
     /// UDP accelerators required.
     pub udps: usize,
 }
+crate::json_struct!(write PowerSavings {
+    max_power_w, compressed_power_w, raw_saving_w, udp_power_w, net_saving_w, udps
+});
 
 impl PowerSavings {
     /// Computes savings for a matrix compressed to `bytes_per_nnz`, with

@@ -10,10 +10,9 @@
 
 use recode_sparse::gen::{generate, GenSpec, ValueModel};
 use recode_sparse::Csr;
-use serde::{Deserialize, Serialize};
 
 /// Descriptor of one representative matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Representative {
     /// SuiteSparse name of the original.
     pub name: &'static str,

@@ -26,7 +26,6 @@ use crate::exec::ExecStats;
 use recode_codec::telemetry::CodecStageReport;
 use recode_mem::traffic::{TrafficLedger, TrafficReport};
 use recode_mem::MemorySystem;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Current trace-document schema identifier. v2 adds the resilience layer:
@@ -44,7 +43,7 @@ pub const TRACE_SCHEMA_V1: &str = "recode-trace/v1";
 /// Bucket 0 holds zeros; bucket `b ≥ 1` holds values in
 /// `[2^(b-1), 2^b - 1]`. Buckets are stored sparsely so the JSON stays
 /// small and schema-stable.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleHistogram {
     /// Samples recorded.
     pub count: u64,
@@ -127,7 +126,7 @@ impl CycleHistogram {
 /// One named pipeline phase. `wall_ns` is host wall-clock time actually
 /// spent simulating/executing the phase; `modeled_seconds` is the
 /// architectural model's time for the phase (0.0 when not applicable).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Dotted lowercase phase name (e.g. `exec.decode_batch`).
     pub name: String,
@@ -140,7 +139,7 @@ pub struct Span {
 }
 
 /// Which compressed stream a block belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamKind {
     /// Column-index stream.
     Index,
@@ -149,7 +148,7 @@ pub enum StreamKind {
 }
 
 /// How a block's decode ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockOutcome {
     /// Decoded cleanly on the first attempt.
     Ok,
@@ -160,7 +159,7 @@ pub enum BlockOutcome {
 }
 
 /// One block's journey through the decode batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockEvent {
     /// Job index in the interleaved batch.
     pub job: usize,
@@ -178,7 +177,7 @@ pub struct BlockEvent {
 
 /// Aggregate view of a flight-recorder session, embedded in v2 traces when
 /// the recorder was enabled for the run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecorderSummary {
     /// Events accepted by the recorder over the run.
     pub recorded: u64,
@@ -326,7 +325,7 @@ impl Telemetry {
 }
 
 /// Matrix identity in a trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatrixMeta {
     /// Display name (file stem or generator name; may be empty).
     pub name: String,
@@ -343,7 +342,7 @@ pub struct MatrixMeta {
 }
 
 /// Simulated-platform identity in a trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemMeta {
     /// Memory-system name.
     pub memory: String,
@@ -354,7 +353,7 @@ pub struct SystemMeta {
 }
 
 /// The exported trace: one self-contained, schema-versioned JSON document.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceDocument {
     /// Schema identifier ([`TRACE_SCHEMA`]).
     pub schema: String,
@@ -381,7 +380,6 @@ pub struct TraceDocument {
     pub exec: ExecStats,
     /// Flight-recorder summary (v2; absent in v1 documents and when the
     /// recorder was off for the run).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub recorder: Option<RecorderSummary>,
 }
 

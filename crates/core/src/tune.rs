@@ -38,6 +38,7 @@ use recode_sparse::formats::{PartialDiag, SellCs};
 use recode_sparse::spmv::pdiag::DEFAULT_MIN_OCCUPANCY;
 use recode_sparse::spmv::sellcs::{DEFAULT_C, DEFAULT_SIGMA};
 use recode_sparse::spmv::{spmv_with, spmv_with_into, SpmvKernel};
+use recode_sparse::util::SplitMix64;
 use recode_sparse::Csr;
 use recode_udp::isa::SCRATCHPAD_BYTES;
 use recode_udp::progs::DshDecoder;
@@ -475,20 +476,10 @@ pub struct TuneOutcome {
     pub candidates: Vec<CandidateScore>,
 }
 
-/// Deterministic probe vector in [-1, 1) (SplitMix64 — same generator the
-/// differential suite uses).
+/// Deterministic probe vector in [-1, 1).
 fn probe_vector(n: usize, seed: u64) -> Vec<f64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^= z >> 31;
-            (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        })
-        .collect()
+    let mut rng = SplitMix64::new(seed);
+    (0..n).map(|_| rng.f64() * 2.0 - 1.0).collect()
 }
 
 /// Modeled SpMV traffic per non-zero for a kernel on this matrix. CSR

@@ -17,10 +17,9 @@
 //!   check, but reproduction uses these constants for determinism.
 
 use crate::memsys::MemorySystem;
-use serde::{Deserialize, Serialize};
 
 /// CPU configuration and software-codec throughput constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     /// Hardware threads used for recoding (paper Fig. 12 uses 32).
     pub threads: usize,

@@ -4,10 +4,8 @@
 //! on-die, and cheap — the model charges a small per-block descriptor
 //! overhead plus bandwidth-limited transfer time.
 
-use serde::{Deserialize, Serialize};
-
 /// DMA engine model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaModel {
     /// Per-block descriptor setup/completion overhead, seconds.
     pub per_block_overhead_s: f64,

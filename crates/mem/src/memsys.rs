@@ -1,10 +1,8 @@
 //! Bandwidth and energy models for the two memory systems the paper
 //! evaluates.
 
-use serde::{Deserialize, Serialize};
-
 /// A DRAM memory system characterized by peak bandwidth and transfer energy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySystem {
     /// Display name ("DDR4-100GB/s", "HBM2-1TB/s").
     pub name: &'static str,

@@ -10,10 +10,9 @@
 //! [`MemorySystem`].
 
 use crate::memsys::MemorySystem;
-use serde::{Deserialize, Serialize};
 
 /// Who caused a memory transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficSource {
     /// Compressed index/value block streams (the recoded payload).
     CompressedStream,
@@ -63,7 +62,7 @@ impl TrafficSource {
 }
 
 /// Read/write byte counters for every [`TrafficSource`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficLedger {
     read: [u64; 5],
     write: [u64; 5],
@@ -129,7 +128,7 @@ impl TrafficLedger {
 }
 
 /// One source's share of the traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceTraffic {
     /// Traffic source.
     pub source: TrafficSource,
@@ -140,7 +139,7 @@ pub struct SourceTraffic {
 }
 
 /// Serializable traffic snapshot (trace-document `mem_traffic` section).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficReport {
     /// Memory-system name the time/energy numbers assume.
     pub memory: String,

@@ -1,10 +1,8 @@
 //! Application-structured families: block Jacobians (economic and chemical
 //! process models) and circuit matrices (near-diagonal plus dense rails).
 
+use crate::util::SplitMix64;
 use crate::{Coo, Csr};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Block-diagonal Jacobian: `nblocks` dense `block x block` diagonal blocks
 /// plus, per row, `Poisson(coupling)`-ish sparse couplings to other blocks.
@@ -12,7 +10,7 @@ pub fn block_jacobian(nblocks: usize, block: usize, coupling: f64, seed: u64) ->
     assert!(nblocks > 0 && block > 0, "need at least one non-empty block");
     assert!(coupling >= 0.0, "coupling must be non-negative");
     let n = nblocks * block;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x006a_6163_u64);
+    let mut rng = SplitMix64::new(seed ^ 0x006a_6163_u64);
     let expect = n * block + (n as f64 * coupling) as usize;
     let mut coo = Coo::with_capacity(n, n, expect).expect("validated shape");
     for b in 0..nblocks {
@@ -24,7 +22,7 @@ pub fn block_jacobian(nblocks: usize, block: usize, coupling: f64, seed: u64) ->
             // Sparse inter-block couplings.
             let k = sample_poissonish(&mut rng, coupling);
             for _ in 0..k {
-                let c = rng.gen_range(0..n);
+                let c = rng.below(n);
                 coo.push(base + r, c, 1.0).expect("in bounds");
             }
         }
@@ -38,7 +36,7 @@ pub fn block_jacobian(nblocks: usize, block: usize, coupling: f64, seed: u64) ->
 pub fn circuit(n: usize, avg_deg: f64, hubs: usize, seed: u64) -> Csr {
     assert!(n > 0, "matrix must be non-empty");
     assert!(hubs < n, "hubs must be fewer than nodes");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0063_6b74_u64);
+    let mut rng = SplitMix64::new(seed ^ 0x0063_6b74_u64);
     let expect = n + (n as f64 * avg_deg) as usize * 2 + hubs * n * 2;
     let mut coo = Coo::with_capacity(n, n, expect).expect("validated shape");
     for r in 0..n {
@@ -47,7 +45,7 @@ pub fn circuit(n: usize, avg_deg: f64, hubs: usize, seed: u64) -> Csr {
         for _ in 0..k {
             // Mostly-local neighbours, as in physical layouts.
             let span = (n / 16).max(2);
-            let off = rng.gen_range(1..=span);
+            let off = 1 + rng.below(span);
             let c = (r + off) % n;
             coo.push(r, c, 1.0).expect("in bounds");
             coo.push(c, r, 1.0).expect("in bounds");
@@ -67,18 +65,18 @@ pub fn circuit(n: usize, avg_deg: f64, hubs: usize, seed: u64) -> Csr {
 
 /// Small integer draw with mean `lambda` — a cheap Poisson stand-in adequate
 /// for structure generation (bounded tail keeps row lengths sane).
-fn sample_poissonish<R: Rng>(rng: &mut R, lambda: f64) -> usize {
+fn sample_poissonish(rng: &mut SplitMix64, lambda: f64) -> usize {
     if lambda <= 0.0 {
         return 0;
     }
     let base = lambda.floor() as usize;
     let frac = lambda - base as f64;
     let mut k = base;
-    if rng.gen::<f64>() < frac {
+    if rng.f64() < frac {
         k += 1;
     }
     // +/- 1 jitter for variance.
-    match rng.gen_range(0..4) {
+    match rng.below(4) {
         0 if k > 0 => k - 1,
         1 => k + 1,
         _ => k,
@@ -124,7 +122,7 @@ mod tests {
 
     #[test]
     fn poissonish_mean_is_close() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         let n = 20_000;
         let sum: usize = (0..n).map(|_| sample_poissonish(&mut rng, 3.0)).sum();
         let mean = sum as f64 / n as f64;

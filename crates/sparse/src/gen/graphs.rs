@@ -4,10 +4,8 @@
 //! coding carries the compression.
 
 use super::KroneckerBase;
+use crate::util::SplitMix64;
 use crate::{Coo, Csr};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Graph500 RMAT probabilities.
 const RMAT_A: f64 = 0.57;
@@ -20,12 +18,12 @@ pub fn rmat(scale: u8, edge_factor: usize, seed: u64) -> Csr {
     assert!(scale > 0 && scale < 31, "scale must be in 1..31");
     let n = 1usize << scale;
     let edges = n * edge_factor;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0000_726d_6174_u64);
+    let mut rng = SplitMix64::new(seed ^ 0x0000_726d_6174_u64);
     let mut coo = Coo::with_capacity(n, n, edges).expect("validated shape");
     for _ in 0..edges {
         let (mut r, mut c) = (0usize, 0usize);
         for bit in (0..scale).rev() {
-            let p: f64 = rng.gen();
+            let p = rng.f64();
             let (dr, dc) = if p < RMAT_A {
                 (0, 0)
             } else if p < RMAT_A + RMAT_B {
@@ -48,11 +46,11 @@ pub fn erdos_renyi(n: usize, avg_deg: f64, seed: u64) -> Csr {
     assert!(n > 0, "graph must be non-empty");
     assert!(avg_deg >= 0.0, "degree must be non-negative");
     let edges = (n as f64 * avg_deg) as usize;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0065_7264_6f73_u64);
+    let mut rng = SplitMix64::new(seed ^ 0x0065_7264_6f73_u64);
     let mut coo = Coo::with_capacity(n, n, edges).expect("validated shape");
     for _ in 0..edges {
-        let r = rng.gen_range(0..n);
-        let c = rng.gen_range(0..n);
+        let r = rng.below(n);
+        let c = rng.below(n);
         coo.push(r, c, 1.0).expect("in bounds");
     }
     super::coo_pattern_to_csr(coo)
@@ -98,13 +96,13 @@ pub fn kronecker(base: KroneckerBase, power: u8) -> Csr {
 pub fn small_world(n: usize, k: usize, rewire: f64, seed: u64) -> Csr {
     assert!(n > 2 * k, "ring needs n > 2k");
     assert!((0.0..=1.0).contains(&rewire), "rewire must be a probability");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0073_6d61_6c6c_u64);
+    let mut rng = SplitMix64::new(seed ^ 0x0073_6d61_6c6c_u64);
     let mut coo = Coo::with_capacity(n, n, 2 * n * k).expect("validated shape");
     for v in 0..n {
         for step in 1..=k {
             let mut u = (v + step) % n;
-            if rng.gen::<f64>() < rewire {
-                u = rng.gen_range(0..n);
+            if rng.f64() < rewire {
+                u = rng.below(n);
                 if u == v {
                     u = (v + 1) % n;
                 }

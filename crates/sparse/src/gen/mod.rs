@@ -26,17 +26,14 @@ mod application;
 mod graphs;
 mod structured;
 
+use crate::util::SplitMix64;
 use crate::{Coo, Csr};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// How non-zero *values* are produced. Value entropy is a first-order input
 /// to the paper's compression results (the value stream is 8 of the 12 raw
 /// bytes per non-zero), so each family picks a model that matches its
 /// real-world analogue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValueModel {
     /// All ones — pattern matrices and unweighted graphs.
     Ones,
@@ -65,13 +62,13 @@ impl ValueModel {
     /// Assigns values to every stored entry of `a`, deterministically from
     /// `seed`, preserving structure.
     pub fn assign(self, a: &mut Csr, seed: u64) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed_0001);
+        let mut rng = SplitMix64::new(seed ^ 0x5eed_0001);
         // Snapshot structure before borrowing values mutably.
         let bands: Vec<i64> = a.iter().map(|(r, c, _)| c as i64 - r as i64).collect();
         let table: Vec<f64> = match self {
             ValueModel::MixedRepeated { distinct } => {
                 let n = distinct.max(1) as usize;
-                (0..n).map(|_| rng.gen_range(-4.0..4.0)).collect()
+                (0..n).map(|_| rng.range_f64(-4.0, 4.0)).collect()
             }
             _ => Vec::new(),
         };
@@ -87,14 +84,14 @@ impl ValueModel {
                         -0.5
                     }
                 }
-                ValueModel::MixedRepeated { .. } => table[rng.gen_range(0..table.len())],
+                ValueModel::MixedRepeated { .. } => table[rng.below(table.len())],
                 ValueModel::QuantizedGaussian { levels } => {
                     let l = levels.max(1) as f64;
                     // Irwin–Hall approximation of a Gaussian.
-                    let g: f64 = (0..6).map(|_| rng.gen_range(-0.5..0.5)).sum();
+                    let g: f64 = (0..6).map(|_| rng.range_f64(-0.5, 0.5)).sum();
                     (g * l).round() / l
                 }
-                ValueModel::UniformRandom => 1.0 - rng.gen::<f64>(),
+                ValueModel::UniformRandom => 1.0 - rng.f64(),
             };
             // Keep entries structurally non-zero.
             if *v == 0.0 {
@@ -105,7 +102,7 @@ impl ValueModel {
 }
 
 /// Base pattern for [`GenSpec::Kronecker`] products.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KroneckerBase {
     /// 3-vertex star (hub-and-spoke growth).
     Star,
@@ -117,7 +114,7 @@ pub enum KroneckerBase {
 
 /// A synthetic matrix family plus its parameters. See the module docs for
 /// the TAMU analogue of each family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GenSpec {
     /// 2D grid stencil (`points` ∈ {5, 9}) on an `nx x ny` grid.
     Stencil2D {

@@ -2,10 +2,8 @@
 //! matrices and FEM-like variable bands. These are the banded/diagonal/
 //! symmetric part of the TAMU spectrum and the best case for delta recoding.
 
+use crate::util::SplitMix64;
 use crate::{Coo, Csr};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// 2D grid stencil pattern. `points` must be 5 (von Neumann) or 9 (Moore).
 ///
@@ -106,14 +104,14 @@ pub fn multi_diagonal(n: usize, offsets: &[i64]) -> Csr {
 pub fn fem_band(n: usize, band: usize, fill: f64, seed: u64) -> Csr {
     assert!(n > 0, "matrix must be non-empty");
     assert!((0.0..=1.0).contains(&fill), "fill must be a probability");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ FEM_SEED_TAG);
+    let mut rng = SplitMix64::new(seed ^ FEM_SEED_TAG);
     let expect = n + (n as f64 * band as f64 * fill) as usize * 2;
     let mut coo = Coo::with_capacity(n, n, expect).expect("validated shape");
     for r in 0..n {
         coo.push(r, r, 1.0).expect("in bounds");
         let hi = (r + band).min(n - 1);
         for c in (r + 1)..=hi {
-            if rng.gen::<f64>() < fill {
+            if rng.f64() < fill {
                 coo.push(r, c, 1.0).expect("in bounds");
                 coo.push(c, r, 1.0).expect("in bounds");
             }

@@ -11,8 +11,8 @@
 //!   reference type, with lossless
 //!   conversions between them. `Csr` uses 4-byte column indices and 8-byte
 //!   values, matching the paper's 12 bytes-per-non-zero baseline.
-//! * **SpMV kernels** — the paper's basic CSR kernel (Fig. 2), a Rayon
-//!   row-parallel kernel, and a merge-based kernel in the style of
+//! * **SpMV kernels** — the paper's basic CSR kernel (Fig. 2), a
+//!   row-parallel kernel on scoped threads, and a merge-based kernel in the style of
 //!   Merrill & Garland (the strongest CPU baseline the paper cites).
 //! * **I/O** — a MatrixMarket reader/writer so real TAMU/SuiteSparse
 //!   matrices can be dropped into any experiment.
@@ -34,6 +34,7 @@ pub mod error;
 pub mod formats;
 pub mod gen;
 pub mod io;
+pub mod par;
 pub mod reorder;
 pub mod solve;
 pub mod spmv;

@@ -13,8 +13,8 @@
 //! summed as partials, so results can differ from serial by floating-point
 //! rounding (never by more than reassociation error).
 
-use crate::Csr;
-use rayon::prelude::*;
+use super::PAR_MIN_NNZ;
+use crate::{par, Csr};
 
 /// Start coordinate of a diagonal on the merge path.
 ///
@@ -57,34 +57,36 @@ pub fn spmv_into(a: &Csr, x: &[f64], y: &mut [f64]) {
     let val = a.values();
 
     let path_len = m + nnz;
-    let parts = (rayon::current_num_threads() * 4).clamp(1, path_len.max(1));
+    let parts = (par::threads() * 4).clamp(1, path_len.max(1));
     let per_part = path_len.div_ceil(parts);
 
-    let outs: Vec<PartitionOut> = (0..parts)
-        .into_par_iter()
-        .map(|p| {
-            let d0 = (p * per_part).min(path_len);
-            let d1 = ((p + 1) * per_part).min(path_len);
-            let (i0, j0) = merge_path_search(d0, row_end, nnz);
-            let (i1, j1) = merge_path_search(d1, row_end, nnz);
-            let mut finished = Vec::with_capacity(i1 - i0);
-            let mut j = j0;
-            for &e in &row_end[i0..i1] {
-                let mut acc = 0.0;
-                while j < e {
-                    acc += val[j] * x[col_idx[j] as usize];
-                    j += 1;
-                }
-                finished.push(acc);
-            }
-            let mut carry = 0.0;
-            while j < j1 {
-                acc_step(&mut carry, val[j], x[col_idx[j] as usize]);
+    let partition = |p: usize| {
+        let d0 = (p * per_part).min(path_len);
+        let d1 = ((p + 1) * per_part).min(path_len);
+        let (i0, j0) = merge_path_search(d0, row_end, nnz);
+        let (i1, j1) = merge_path_search(d1, row_end, nnz);
+        let mut finished = Vec::with_capacity(i1 - i0);
+        let mut j = j0;
+        for &e in &row_end[i0..i1] {
+            let mut acc = 0.0;
+            while j < e {
+                acc += val[j] * x[col_idx[j] as usize];
                 j += 1;
             }
-            PartitionOut { first_row: i0, finished, carry_row: i1, carry }
-        })
-        .collect();
+            finished.push(acc);
+        }
+        let mut carry = 0.0;
+        while j < j1 {
+            acc_step(&mut carry, val[j], x[col_idx[j] as usize]);
+            j += 1;
+        }
+        PartitionOut { first_row: i0, finished, carry_row: i1, carry }
+    };
+    let outs: Vec<PartitionOut> = if nnz < PAR_MIN_NNZ {
+        (0..parts).map(partition).collect()
+    } else {
+        par::map(0..parts, |_, p| partition(p))
+    };
 
     y.fill(0.0);
     for out in outs {
@@ -161,6 +163,27 @@ mod tests {
         let x = vec![1.5; n];
         let mut y_m = vec![0.0; 3];
         let mut y_s = vec![0.0; 3];
+        spmv_into(&a, &x, &mut y_m);
+        serial::spmv_into(&a, &x, &mut y_s);
+        assert_close(&y_m, &y_s);
+    }
+
+    #[test]
+    fn threaded_path_matches_serial_on_a_skewed_graph() {
+        // Above the cut-off the partitions really run on workers; a power-law
+        // graph puts hub rows across several partition boundaries.
+        let a = crate::gen::generate(
+            &crate::gen::GenSpec::Rmat {
+                scale: 15,
+                edge_factor: 12,
+                values: crate::gen::ValueModel::UniformRandom,
+            },
+            3,
+        );
+        assert!(a.nnz() >= PAR_MIN_NNZ, "{} non-zeros", a.nnz());
+        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64).cos()).collect();
+        let mut y_m = vec![f64::NAN; a.nrows()];
+        let mut y_s = vec![0.0; a.nrows()];
         spmv_into(&a, &x, &mut y_m);
         serial::spmv_into(&a, &x, &mut y_s);
         assert_close(&y_m, &y_s);

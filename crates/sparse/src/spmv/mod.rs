@@ -4,7 +4,7 @@
 //! related work discuss:
 //!
 //! * [`serial`] — the paper's Fig. 2 basic CSR loop;
-//! * [`parallel`] — row-parallel CSR using Rayon (the "state-of-the-art
+//! * [`parallel`] — row-parallel CSR on scoped threads (the "state-of-the-art
 //!   libraries easily saturate memory bandwidth" point of §III-B);
 //! * [`merge`] — merge-path SpMV after Merrill & Garland \[33\], the
 //!   load-balanced baseline the related-work section highlights;
@@ -28,12 +28,18 @@ pub mod serial;
 
 use crate::Csr;
 
+/// Below this many non-zeros the two threaded kernels run their tasks on the
+/// calling thread: spawning and joining scoped workers costs on the order of
+/// 100 µs, and a serial pass over 2^18 entries takes about 300 µs, so smaller
+/// matrices cannot win it back.
+pub(crate) const PAR_MIN_NNZ: usize = 1 << 18;
+
 /// Which SpMV implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpmvKernel {
     /// Basic CSR loop (paper Fig. 2).
     Serial,
-    /// Rayon row-parallel CSR.
+    /// Row-parallel CSR.
     RowParallel,
     /// Merge-path load-balanced CSR.
     MergePath,

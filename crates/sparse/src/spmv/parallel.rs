@@ -1,14 +1,14 @@
-//! Row-parallel CSR SpMV using Rayon.
+//! Row-parallel CSR SpMV over [`crate::par`].
 //!
 //! Each output element is owned by exactly one task, so the kernel is
 //! data-race free by construction and bit-identical to the serial kernel
 //! (per-row reduction order is unchanged). Rows are grouped into chunks to
 //! amortize task overhead on short rows.
 
-use crate::Csr;
-use rayon::prelude::*;
+use super::PAR_MIN_NNZ;
+use crate::{par, Csr};
 
-/// Rows per Rayon task. Tuned low enough to balance skewed matrices
+/// Rows per task. Tuned low enough to balance skewed matrices
 /// (power-law rows) and high enough to amortize scheduling on stencils.
 const ROW_CHUNK: usize = 256;
 
@@ -17,7 +17,7 @@ pub fn spmv_into(a: &Csr, x: &[f64], y: &mut [f64]) {
     let row_ptr = a.row_ptr();
     let col_idx = a.col_idx();
     let val = a.values();
-    y.par_chunks_mut(ROW_CHUNK).enumerate().for_each(|(chunk, y_chunk)| {
+    let rows = |chunk: usize, y_chunk: &mut [f64]| {
         let base = chunk * ROW_CHUNK;
         for (k, y_i) in y_chunk.iter_mut().enumerate() {
             let i = base + k;
@@ -27,7 +27,12 @@ pub fn spmv_into(a: &Csr, x: &[f64], y: &mut [f64]) {
             }
             *y_i = temp;
         }
-    });
+    };
+    if a.nnz() < PAR_MIN_NNZ {
+        y.chunks_mut(ROW_CHUNK).enumerate().for_each(|(chunk, y_chunk)| rows(chunk, y_chunk));
+    } else {
+        par::map(y.chunks_mut(ROW_CHUNK), rows);
+    }
 }
 
 #[cfg(test)]
@@ -55,6 +60,26 @@ mod tests {
         spmv_into(&a, &x, &mut y_par);
         serial::spmv_into(&a, &x, &mut y_ser);
         assert_eq!(y_par, y_ser, "parallel kernel must be bit-identical to serial");
+    }
+
+    #[test]
+    fn threaded_path_is_bit_identical_to_serial() {
+        // Above the cut-off the row chunks really are claimed by workers.
+        let a = crate::gen::generate(
+            &crate::gen::GenSpec::Rmat {
+                scale: 15,
+                edge_factor: 12,
+                values: crate::gen::ValueModel::UniformRandom,
+            },
+            3,
+        );
+        assert!(a.nnz() >= PAR_MIN_NNZ, "{} non-zeros", a.nnz());
+        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64).cos()).collect();
+        let mut y_par = vec![f64::NAN; a.nrows()];
+        let mut y_ser = vec![0.0; a.nrows()];
+        spmv_into(&a, &x, &mut y_par);
+        serial::spmv_into(&a, &x, &mut y_ser);
+        assert_eq!(y_par, y_ser);
     }
 
     #[test]

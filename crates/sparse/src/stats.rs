@@ -3,11 +3,10 @@
 //! range, banded/diagonal/symmetric/unstructured mix).
 
 use crate::Csr;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Summary statistics for one sparse matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatrixStats {
     /// Number of rows.
     pub nrows: usize,

@@ -1,4 +1,5 @@
-//! Property tests pinning the grown kernel formats: CSR → SELL-C-σ and
+//! Property tests (seeded cases through `for_each_case`; a failure prints
+//! `(seed, case)`) pinning the grown kernel formats: CSR → SELL-C-σ and
 //! CSR → partially-diagonal must round-trip the exact (row, col, value)
 //! multiset, and neither padding (SELL-C-σ's PAD slots) nor splitting
 //! (partially-diagonal's dense-run extraction) may change `y = A·x`
@@ -6,22 +7,26 @@
 //! structural edge cases (empty rows, singleton rows, fully dense rows,
 //! explicitly stored zeros).
 
-use proptest::prelude::*;
 use recode_sparse::formats::{PartialDiag, SellCs};
 use recode_sparse::prelude::*;
+use recode_sparse::util::{for_each_case, SplitMix64};
 
-/// Strategy: a random COO matrix up to 24x24 with up to 120 entries
-/// (duplicates allowed; integer values keep kernel comparisons exact).
-fn coo_strategy() -> impl Strategy<Value = Coo> {
-    (1usize..24, 1usize..24).prop_flat_map(|(nrows, ncols)| {
-        proptest::collection::vec((0..nrows, 0..ncols, -8i32..8), 0..120).prop_map(move |entries| {
-            let mut coo = Coo::new(nrows, ncols).unwrap();
-            for (r, c, v) in entries {
-                coo.push(r, c, v as f64).unwrap();
-            }
-            coo
-        })
-    })
+const CASES: usize = 96;
+
+/// A random matrix up to 24x24 with up to 120 entries (duplicates allowed;
+/// integer values keep kernel comparisons exact).
+fn random_csr(rng: &mut SplitMix64) -> Csr {
+    let (nrows, ncols) = (1 + rng.below(23), 1 + rng.below(23));
+    let mut coo = Coo::new(nrows, ncols).unwrap();
+    for _ in 0..rng.below(120) {
+        coo.push(rng.below(nrows), rng.below(ncols), rng.range(-8, 8) as f64).unwrap();
+    }
+    coo.to_csr()
+}
+
+/// A partially-diagonal occupancy threshold in {0.1, 0.2, …, 1.0}.
+fn threshold(rng: &mut SplitMix64) -> f64 {
+    (1 + rng.below(10)) as f64 / 10.0
 }
 
 /// The (row, col, value-bits) multiset of a CSR matrix, sorted.
@@ -53,83 +58,87 @@ fn edge_case_matrix(n: usize, extra: &[(usize, usize, f64)]) -> Csr {
     coo.to_csr()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+#[test]
+fn sellcs_round_trips_the_exact_multiset() {
+    for_each_case(0xF0A7_0001, CASES, |rng| {
+        let a = random_csr(rng);
+        let (c, w) = (1 + rng.below(8), 1 + rng.below(4));
+        let back = SellCs::from_csr(&a, c, w * c).unwrap().to_csr();
+        assert_eq!(back, a);
+        assert_eq!(triplets(&back), triplets(&a));
+    });
+}
 
-    #[test]
-    fn sellcs_round_trips_the_exact_multiset(coo in coo_strategy(), c in 1usize..9, w in 1usize..5) {
-        let a = coo.to_csr();
-        let s = SellCs::from_csr(&a, c, w * c).unwrap();
-        let back = s.to_csr();
-        prop_assert_eq!(&back, &a);
-        prop_assert_eq!(triplets(&back), triplets(&a));
-    }
-
-    #[test]
-    fn pdiag_round_trips_the_exact_multiset(coo in coo_strategy(), t in 1usize..11) {
-        let a = coo.to_csr();
-        let p = PartialDiag::from_csr(&a, t as f64 / 10.0).unwrap();
+#[test]
+fn pdiag_round_trips_the_exact_multiset() {
+    for_each_case(0xF0A7_0002, CASES, |rng| {
+        let a = random_csr(rng);
+        let p = PartialDiag::from_csr(&a, threshold(rng)).unwrap();
         let back = p.to_csr();
-        prop_assert_eq!(&back, &a);
-        prop_assert_eq!(triplets(&back), triplets(&a));
-        prop_assert_eq!(p.nnz(), a.nnz());
-    }
+        assert_eq!(back, a);
+        assert_eq!(triplets(&back), triplets(&a));
+        assert_eq!(p.nnz(), a.nnz());
+    });
+}
 
-    #[test]
-    fn sellcs_padding_never_changes_spmv(coo in coo_strategy(), c in 1usize..9) {
+#[test]
+fn sellcs_padding_never_changes_spmv() {
+    for_each_case(0xF0A7_0003, CASES, |rng| {
         // SELL-C-σ keeps per-row left-to-right accumulation, so it is
         // bit-identical to serial CSR — padding contributes exact zeros.
-        let a = coo.to_csr();
+        let a = random_csr(rng);
+        let c = 1 + rng.below(8);
         let x: Vec<f64> = (0..a.ncols()).map(|i| ((i % 7) as f64) - 3.0).collect();
         let mut y = vec![0.0; a.nrows()];
         SellCs::from_csr(&a, c, 4 * c).unwrap().spmv_into(&x, &mut y);
-        prop_assert_eq!(y, spmv(&a, &x));
-    }
+        assert_eq!(y, spmv(&a, &x));
+    });
+}
 
-    #[test]
-    fn pdiag_split_never_changes_spmv(coo in coo_strategy(), t in 1usize..11) {
+#[test]
+fn pdiag_split_never_changes_spmv() {
+    for_each_case(0xF0A7_0004, CASES, |rng| {
         // The diagonal/remainder split reassociates mixed rows, so the
         // oracle is a tolerance, not bit equality.
-        let a = coo.to_csr();
+        let a = random_csr(rng);
         let x: Vec<f64> = (0..a.ncols()).map(|i| ((i % 7) as f64) - 3.0).collect();
         let mut y = vec![0.0; a.nrows()];
-        PartialDiag::from_csr(&a, t as f64 / 10.0).unwrap().spmv_into(&x, &mut y);
-        let want = spmv(&a, &x);
-        for (g, w) in y.iter().zip(&want) {
-            prop_assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{} vs {}", g, w);
+        PartialDiag::from_csr(&a, threshold(rng)).unwrap().spmv_into(&x, &mut y);
+        for (g, w) in y.iter().zip(&spmv(&a, &x)) {
+            assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{g} vs {w}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn edge_case_rows_survive_both_formats(
-        n in 4usize..24,
-        c in 1usize..9,
-        t in 1usize..11,
-        extra in proptest::collection::vec((3usize..24, 0usize..24, -4i32..5), 0..40),
-    ) {
+#[test]
+fn edge_case_rows_survive_both_formats() {
+    for_each_case(0xF0A7_0005, CASES, |rng| {
         // Fully dense row 0, empty row 1, singleton row 2 — the shapes
         // that break padding and window-sorting logic first.
-        let extra: Vec<(usize, usize, f64)> =
-            extra.iter().map(|&(r, c2, v)| (r, c2, v as f64)).collect();
+        let n = 4 + rng.below(20);
+        let c = 1 + rng.below(8);
+        let extra: Vec<(usize, usize, f64)> = (0..rng.below(40))
+            .map(|_| (3 + rng.below(21), rng.below(24), rng.range(-4, 5) as f64))
+            .collect();
         let a = edge_case_matrix(n, &extra);
-        prop_assert_eq!(a.row(0).0.len(), n, "row 0 must be fully dense");
-        prop_assert_eq!(a.row(1).0.len(), 0, "row 1 must be empty");
+        assert_eq!(a.row(0).0.len(), n, "row 0 must be fully dense");
+        assert_eq!(a.row(1).0.len(), 0, "row 1 must be empty");
 
         let s = SellCs::from_csr(&a, c, 4 * c).unwrap();
-        prop_assert_eq!(s.to_csr(), a.clone());
-        let p = PartialDiag::from_csr(&a, t as f64 / 10.0).unwrap();
-        prop_assert_eq!(p.to_csr(), a.clone());
+        assert_eq!(s.to_csr(), a);
+        let p = PartialDiag::from_csr(&a, threshold(rng)).unwrap();
+        assert_eq!(p.to_csr(), a);
 
         let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
         let want = spmv(&a, &x);
         let mut y = vec![0.0; n];
         s.spmv_into(&x, &mut y);
-        prop_assert_eq!(&y, &want);
+        assert_eq!(y, want);
         p.spmv_into(&x, &mut y);
         for (g, w) in y.iter().zip(&want) {
-            prop_assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{} vs {}", g, w);
+            assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{g} vs {w}");
         }
-    }
+    });
 }
 
 /// Explicitly stored zeros are part of the multiset contract: the

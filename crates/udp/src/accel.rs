@@ -12,13 +12,11 @@ use crate::energy;
 use crate::error::UdpError;
 use crate::lane::{Lane, LaneError, OpClassCycles};
 use crate::machine::Image;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-decode-stage cycle attribution for one job (or aggregated over a
 /// batch). Stages that a pipeline config disables simply stay zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCycles {
     /// Canonical-Huffman decode stage.
     pub huffman: u64,
@@ -58,7 +56,7 @@ pub struct JobOutcome {
 
 /// One lane's share of a batch — the per-lane busy/stall/trap breakdown
 /// surfaced in [`AccelReport::lane_profiles`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LaneProfile {
     /// Lane index (job `k` runs on lane `k % lanes`).
     pub lane: usize,
@@ -79,7 +77,7 @@ pub struct LaneProfile {
 /// One per-job record emitted through the event sink of
 /// [`Accelerator::run_jobs_observed`] — enough for the fault-injection
 /// suite to assert on what actually ran where.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobEvent {
     /// Job index in the submitted batch.
     pub job: usize,
@@ -200,7 +198,7 @@ pub fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Accelerator configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Accelerator {
     /// Number of parallel lanes (paper: 64).
     pub lanes: usize,
@@ -215,7 +213,7 @@ impl Default for Accelerator {
 }
 
 /// Aggregate result of running a batch of jobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccelReport {
     /// Jobs executed.
     pub jobs: usize,
@@ -236,13 +234,10 @@ pub struct AccelReport {
     /// Clock frequency used for time/throughput conversions.
     pub freq_hz: f64,
     /// Per-lane busy/stall/trap breakdown (one entry per configured lane).
-    #[serde(default)]
     pub lane_profiles: Vec<LaneProfile>,
     /// Batch-wide cycle attribution by opcode class (successful jobs).
-    #[serde(default)]
     pub opclass: OpClassCycles,
     /// Batch-wide cycle attribution by decode stage (successful jobs).
-    #[serde(default)]
     pub stage_cycles: StageCycles,
 }
 
@@ -403,10 +398,11 @@ impl Accelerator {
     {
         type LaneRun<E> = (LaneProfile, StageCycles, Vec<(usize, Result<JobOutcome, E>)>);
         assert!(self.lanes > 0, "need at least one lane");
-        // Each simulated lane runs on a host thread; job k goes to lane
-        // k % lanes, the paper's block-round-robin assignment.
+        // Job k goes to lane k % lanes, the paper's block-round-robin
+        // assignment. The simulated lanes run one after another on the
+        // calling thread; the `Sync`/`Send` bounds above are what a host
+        // fan-out needs, so threading this loop is not an API change.
         let per_lane: Vec<LaneRun<E>> = (0..self.lanes)
-            .into_par_iter()
             .map(|lane_idx| {
                 let mut lane = crate::pool::global().checkout();
                 let mut done = Vec::new();

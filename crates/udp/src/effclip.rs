@@ -21,10 +21,9 @@
 use crate::error::UdpError;
 use crate::isa::{BlockId, Transition};
 use crate::program::Program;
-use serde::{Deserialize, Serialize};
 
 /// Placement result: concrete code addresses for every block and group base.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Placement {
     /// Code address per block.
     pub block_addr: Vec<u32>,

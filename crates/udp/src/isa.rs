@@ -14,7 +14,6 @@
 //! (`insym`/`peek`/`skip`/`inrem`).
 
 use crate::error::UdpError;
-use serde::{Deserialize, Serialize};
 
 /// Register index (0..16). `r0` reads as zero and ignores writes.
 pub type Reg = u8;
@@ -30,7 +29,7 @@ pub const SCRATCHPAD_BYTES: usize = 64 * 1024;
 pub const MAX_ACTIONS_PER_BLOCK: usize = 4;
 
 /// Memory access width in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Width {
     /// 1 byte.
     B1,
@@ -55,7 +54,7 @@ impl Width {
 }
 
 /// One action, executed by the lane's Action unit in one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// `rd = imm` (sign-extended 15-bit immediate).
     LoadImm {
@@ -294,7 +293,7 @@ impl Action {
 }
 
 /// Branch conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cond {
     /// `rs == rt`.
     Eq,
@@ -331,7 +330,7 @@ pub type BlockId = u32;
 pub type GroupId = u32;
 
 /// Block terminator, executed by the Dispatch unit in one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transition {
     /// Stop the lane.
     Halt,
@@ -411,7 +410,7 @@ impl Transition {
 }
 
 /// One code block: a short straight-line action sequence plus a transition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Up to [`MAX_ACTIONS_PER_BLOCK`] actions.
     pub actions: Vec<Action>,

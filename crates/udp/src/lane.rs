@@ -20,7 +20,6 @@
 
 use crate::isa::{Action, NUM_REGS, SCRATCHPAD_BYTES};
 use crate::machine::{DecodedTransition, Image};
-use serde::{Deserialize, Serialize};
 
 /// Cycle attribution by opcode class (paper Figs. 12/13 break decode time
 /// down the same way: dispatch overhead vs. ALU vs. memory vs. stream I/O).
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// Every cycle a lane spends is attributed to exactly one class, so
 /// `total()` equals the run's cycle count — the invariant the telemetry
 /// layer asserts on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpClassCycles {
     /// Block-dispatch cycles (1 per dispatched code block).
     pub dispatch: u64,

@@ -17,11 +17,10 @@
 
 use crate::error::UdpError;
 use crate::isa::{Block, BlockId, GroupId, Transition};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A complete symbolic program.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     /// Diagnostic name (shows up in errors and reports).
     pub name: String,

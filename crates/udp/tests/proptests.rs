@@ -1,64 +1,88 @@
 //! Property tests: the UDP decoder programs must agree bit-for-bit with the
 //! software codecs on arbitrary inputs, and the EffCLiP pipeline must place
 //! arbitrary generated programs validly.
+//!
+//! Each property runs its cases through
+//! [`recode_sparse::util::for_each_case`]; a failure prints `(seed, case)`.
 
-use proptest::prelude::*;
 use recode_codec::huffman::HuffmanTable;
 use recode_codec::pipeline::{Pipeline, PipelineConfig};
 use recode_codec::{delta, huffman, snappy};
+use recode_sparse::util::{for_each_case, SplitMix64};
 use recode_udp::lane::{Lane, RunConfig};
 use recode_udp::machine;
 use recode_udp::progs::{self, DshDecoder};
 
-fn payload() -> impl Strategy<Value = Vec<u8>> {
-    prop_oneof![
-        proptest::collection::vec(any::<u8>(), 0..1500),
-        (any::<u8>(), 1usize..1500).prop_map(|(b, n)| vec![b; n]),
-        proptest::collection::vec(0u8..6, 0..1500),
-        (1usize..12, 1usize..1500).prop_map(|(p, n)| (0..n).map(|i| (i % p) as u8).collect()),
-    ]
+const DECODER_CASES: usize = 32;
+const PLACEMENT_CASES: usize = 48;
+
+fn payload(rng: &mut SplitMix64) -> Vec<u8> {
+    match rng.below(4) {
+        0 => (0..rng.below(1500)).map(|_| rng.next_u64() as u8).collect(),
+        1 => vec![rng.next_u64() as u8; 1 + rng.below(1499)],
+        2 => (0..rng.below(1500)).map(|_| rng.below(6) as u8).collect(),
+        _ => {
+            let (p, n) = (1 + rng.below(11), 1 + rng.below(1499));
+            (0..n).map(|i| (i % p) as u8).collect()
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// A payload the delta stage accepts: whole little-endian u32 words, each
+/// below 2^31.
+fn index_payload(rng: &mut SplitMix64) -> Vec<u8> {
+    let mut data = payload(rng);
+    data.truncate(data.len() & !3);
+    for word in data.chunks_exact_mut(4) {
+        word[3] &= 0x7F;
+    }
+    data
+}
 
-    #[test]
-    fn udp_snappy_matches_software(data in payload()) {
-        let c = snappy::compress(&data);
+#[test]
+fn udp_snappy_matches_software() {
+    for_each_case(0x0D9_0001, DECODER_CASES, |rng| {
+        let c = snappy::compress(&payload(rng));
         let image = progs::snappy::build().unwrap();
         let mut lane = Lane::new();
         let out = lane.run(&image, &c, c.len() * 8, RunConfig::default()).unwrap().output;
-        prop_assert_eq!(out, snappy::decompress(&c).unwrap());
-    }
+        assert_eq!(out, snappy::decompress(&c).unwrap());
+    });
+}
 
-    #[test]
-    fn udp_huffman_matches_software(data in payload()) {
+#[test]
+fn udp_huffman_matches_software() {
+    for_each_case(0x0D9_0002, DECODER_CASES, |rng| {
+        let data = payload(rng);
         let mut hist = [1u64; 256];
-        for &b in &data { hist[b as usize] += 1; }
+        for &b in &data {
+            hist[b as usize] += 1;
+        }
         let t = HuffmanTable::from_histogram(&hist);
         let (bytes, bits) = huffman::encode(&data, &t).unwrap();
         let image = progs::huffman::compile(&t.lengths).unwrap();
         let mut lane = Lane::new();
         let out = lane.run(&image, &bytes, bits, RunConfig::default()).unwrap().output;
-        prop_assert_eq!(out, data);
-    }
+        assert_eq!(out, data);
+    });
+}
 
-    #[test]
-    fn udp_delta_matches_software(idx in proptest::collection::vec(0u32..(1 << 31), 0..400)) {
+#[test]
+fn udp_delta_matches_software() {
+    for_each_case(0x0D9_0003, DECODER_CASES, |rng| {
+        let idx: Vec<u32> = (0..rng.below(400)).map(|_| rng.below(1 << 31) as u32).collect();
         let enc = delta::encode_u32(&idx).unwrap();
         let image = progs::delta::build().unwrap();
         let mut lane = Lane::new();
         let out = lane.run(&image, &enc, enc.len() * 8, RunConfig::default()).unwrap().output;
-        prop_assert_eq!(out, delta::decode_bytes(&enc).unwrap());
-    }
+        assert_eq!(out, delta::decode_bytes(&enc).unwrap());
+    });
+}
 
-    #[test]
-    fn udp_full_pipeline_matches_encoder_input(data in payload()) {
-        let mut data = data;
-        data.truncate(data.len() & !3);
-        for word in data.chunks_exact_mut(4) {
-            word[3] &= 0x7F; // keep words < 2^31 for the delta stage
-        }
+#[test]
+fn udp_full_pipeline_matches_encoder_input() {
+    for_each_case(0x0D9_0004, DECODER_CASES, |rng| {
+        let data = index_payload(rng);
         let config = PipelineConfig { block_bytes: 2048, ..PipelineConfig::dsh_udp() };
         let pipe = Pipeline::train(config, &data).unwrap();
         let stream = pipe.encode_stream(&data).unwrap();
@@ -68,45 +92,45 @@ proptest! {
         for block in &stream.blocks {
             out.extend(decoder.decode_block(&mut lane, block).unwrap().output);
         }
-        prop_assert_eq!(out, data);
-    }
+        assert_eq!(out, data);
+    });
+}
 
-    #[test]
-    fn corrupt_payload_never_panics_the_lane(data in payload(), flip in any::<(usize, usize, u8)>()) {
-        let mut data = data;
-        data.truncate(data.len() & !3);
-        for word in data.chunks_exact_mut(4) {
-            word[3] &= 0x7F;
-        }
+#[test]
+fn corrupt_payload_never_panics_the_lane() {
+    for_each_case(0x0D9_0005, DECODER_CASES, |rng| {
+        let data = index_payload(rng);
         let config = PipelineConfig { block_bytes: 2048, ..PipelineConfig::dsh_udp() };
         let pipe = Pipeline::train(config, &data).unwrap();
         let mut stream = pipe.encode_stream(&data).unwrap();
-        if stream.blocks.is_empty() { return Ok(()); }
-        let bi = flip.0 % stream.blocks.len();
+        if stream.blocks.is_empty() {
+            return;
+        }
+        let bi = rng.below(stream.blocks.len());
         let block = &mut stream.blocks[bi];
-        if block.payload.is_empty() { return Ok(()); }
-        let pos = flip.1 % block.payload.len();
-        block.payload[pos] ^= flip.2 | 1;
+        if block.payload.is_empty() {
+            return;
+        }
+        let pos = rng.below(block.payload.len());
+        block.payload[pos] ^= rng.next_u64() as u8 | 1;
         let decoder = DshDecoder::new(config, pipe.table().map(|t| t.lengths.as_slice())).unwrap();
         let mut lane = Lane::new();
-        let _ = decoder.decode_block(&mut lane, &stream.blocks[bi]); // trap or garbage, never panic
-    }
+        let _ = decoder.decode_block(&mut lane, block); // trap or garbage, never panic
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Random well-formed programs place validly under EffCLiP and their
+/// binary encodings decode back to the same logical blocks.
+#[test]
+fn random_programs_place_and_encode_round_trip() {
+    use recode_udp::isa::{Action, Block, Cond, Transition};
+    use recode_udp::program::ProgramBuilder;
+    for_each_case(0x0D9_0006, PLACEMENT_CASES, |rng| {
+        let n_singles = 1 + rng.below(39);
+        let group_sizes: Vec<usize> = (0..rng.below(4)).map(|_| 1 + rng.below(19)).collect();
+        let chain_lens: Vec<usize> = (0..rng.below(6)).map(|_| 1 + rng.below(5)).collect();
+        let imm = rng.range(-100, 100) as i16;
 
-    /// Random well-formed programs place validly under EffCLiP and their
-    /// binary encodings decode back to the same logical blocks.
-    #[test]
-    fn random_programs_place_and_encode_round_trip(
-        n_singles in 1usize..40,
-        group_sizes in proptest::collection::vec(1usize..20, 0..4),
-        chain_lens in proptest::collection::vec(1usize..6, 0..6),
-        imm in -100i16..100,
-    ) {
-        use recode_udp::isa::{Action, Block, Cond, Transition};
-        use recode_udp::program::ProgramBuilder;
         let mut pb = ProgramBuilder::new("fuzz");
         let done = pb.block(Block { actions: vec![], transition: Transition::Halt });
         let mut groups = Vec::new();
@@ -119,9 +143,9 @@ proptest! {
                     })
                 })
                 .collect();
-            groups.push(pb.group(
-                members.iter().enumerate().map(|(i, &b)| (2 * i as u32, b)).collect(),
-            ));
+            groups.push(
+                pb.group(members.iter().enumerate().map(|(i, &b)| (2 * i as u32, b)).collect()),
+            );
         }
         for len in &chain_lens {
             let mut next = done;
@@ -146,7 +170,10 @@ proptest! {
             });
         }
         let entry = if let Some(&g) = groups.first() {
-            pb.block(Block { actions: vec![], transition: Transition::DispatchSym { bits: 6, group: g } })
+            pb.block(Block {
+                actions: vec![],
+                transition: Transition::DispatchSym { bits: 6, group: g },
+            })
         } else {
             pb.block(Block { actions: vec![], transition: Transition::Jump(done) })
         };
@@ -158,9 +185,9 @@ proptest! {
         // Every placed block decodes to its logical actions.
         for (bid, block) in program.blocks.iter().enumerate() {
             let dec = image.decode(placement.block_addr[bid]).unwrap();
-            prop_assert_eq!(&dec.actions, &block.actions);
+            assert_eq!(&dec.actions, &block.actions);
         }
         // Packing density stays reasonable even for adversarial mixes.
-        prop_assert!(placement.utilization > 0.3, "utilization {}", placement.utilization);
-    }
+        assert!(placement.utilization > 0.3, "utilization {}", placement.utilization);
+    });
 }

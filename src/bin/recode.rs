@@ -348,8 +348,8 @@ fn cmd_compress(flags: &Flags) -> Result<ExitCode, String> {
     let a = load(flags)?;
     let out = flags.output.as_ref().ok_or("compress needs -o <out.rcmx>")?;
     let cm = CompressedMatrix::compress(&a, flags.config).map_err(|e| e.to_string())?;
-    let json = serde_json::to_vec(&cm).map_err(|e| e.to_string())?;
-    std::fs::write(out, &json).map_err(|e| e.to_string())?;
+    let container = cm.to_bytes();
+    std::fs::write(out, &container).map_err(|e| e.to_string())?;
     let raw = a.nnz() * 12;
     println!(
         "{} -> {}: {} nnz, {:.2} B/nnz ({} compressed bytes vs {} raw, container {} bytes)",
@@ -359,7 +359,7 @@ fn cmd_compress(flags: &Flags) -> Result<ExitCode, String> {
         cm.bytes_per_nnz(),
         cm.wire_bytes(),
         raw,
-        json.len()
+        container.len()
     );
     Ok(ExitCode::SUCCESS)
 }
@@ -367,8 +367,8 @@ fn cmd_compress(flags: &Flags) -> Result<ExitCode, String> {
 fn cmd_decompress(flags: &Flags) -> Result<ExitCode, String> {
     let input = flags.positional.first().ok_or("missing input .rcmx path")?;
     let out = flags.output.as_ref().ok_or("decompress needs -o <matrix.mtx>")?;
-    let json = std::fs::read(input).map_err(|e| e.to_string())?;
-    let cm: CompressedMatrix = serde_json::from_slice(&json).map_err(|e| e.to_string())?;
+    let container = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+    let cm = CompressedMatrix::from_bytes(&container).map_err(|e| format!("{input}: {e}"))?;
     let a = cm.decompress().map_err(|e| e.to_string())?;
     let mut buf = Vec::new();
     write_matrix_market(&a, &mut buf).map_err(|e| e.to_string())?;
@@ -459,8 +459,8 @@ fn cmd_spmv(flags: &Flags) -> Result<ExitCode, String> {
             let (events, rec_stats) = finish_chrome_trace(ct_path)?;
             doc.attach_recorder(RecorderSummary::from_events(&events, rec_stats));
         }
-        let json = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-        std::fs::write(trace_path, json).map_err(|e| format!("{trace_path}: {e}"))?;
+        std::fs::write(trace_path, doc.to_json().to_string_pretty())
+            .map_err(|e| format!("{trace_path}: {e}"))?;
         println!(
             "trace ({}) written to {trace_path}: {} spans, {} block events, {} counters",
             doc.schema,
@@ -563,8 +563,8 @@ fn cmd_spmv_overlap(flags: &Flags, a: &Csr) -> Result<ExitCode, String> {
             let (events, rec_stats) = finish_chrome_trace(ct_path)?;
             doc.attach_recorder(RecorderSummary::from_events(&events, rec_stats));
         }
-        let json = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-        std::fs::write(trace_path, json).map_err(|e| format!("{trace_path}: {e}"))?;
+        std::fs::write(trace_path, doc.to_json().to_string_pretty())
+            .map_err(|e| format!("{trace_path}: {e}"))?;
         println!(
             "trace ({}) written to {trace_path}: {} spans, {} block events, {} counters",
             doc.schema,
@@ -697,8 +697,10 @@ fn cmd_tune(flags: &Flags) -> Result<ExitCode, String> {
 
 fn load_trace(flags: &Flags) -> Result<recode_spmv::core::telemetry::TraceDocument, String> {
     let path = flags.positional.first().ok_or("missing trace.json path")?;
-    let json = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    serde_json::from_slice(&json).map_err(|e| format!("{path}: {e}"))
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let json = recode_spmv::core::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    recode_spmv::core::telemetry::TraceDocument::from_json(&json)
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_report(flags: &Flags) -> Result<ExitCode, String> {

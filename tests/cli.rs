@@ -91,8 +91,9 @@ fn spmv_trace_report_and_check_workflow() {
     assert!(text.contains("verified against the uncompressed kernel"), "{text}");
 
     // The file is a valid, internally consistent TraceDocument.
-    let doc: recode_spmv::core::telemetry::TraceDocument =
-        serde_json::from_slice(&std::fs::read(&trace).expect("read trace")).expect("parse");
+    let text = std::fs::read_to_string(&trace).expect("read trace");
+    let json = recode_spmv::core::json::parse(&text).expect("parse");
+    let doc = recode_spmv::core::telemetry::TraceDocument::from_json(&json).expect("map");
     assert_eq!(doc.schema, recode_spmv::core::telemetry::TRACE_SCHEMA);
     assert!(doc.validate().is_empty(), "{:?}", doc.validate());
     assert_eq!(doc.matrix.name, "t");
@@ -154,6 +155,24 @@ fn spmv_trace_report_and_check_workflow() {
         .expect("run trace-check tampered");
     assert!(!out.status.success(), "tampered trace must fail validation");
     assert!(String::from_utf8_lossy(&out.stderr).contains("schema"));
+
+    // A file nested deeper than any schema here is refused with the offset
+    // of the offending bracket and the ordinary failure code; it used to
+    // recurse until the stack overflowed and the process aborted.
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).unwrap();
+    for cmd in ["trace-check", "report"] {
+        let out = bin().args([cmd, deep.to_str().unwrap()]).output().expect("run on deep file");
+        assert_eq!(out.status.code(), Some(1), "{cmd}: typed failure, not an abort");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("nesting deeper than 128 levels at byte 128"), "{cmd}: {err}");
+    }
+    // Well-formed JSON that is not a trace names the field it misses.
+    let not_a_trace = dir.join("other.json");
+    std::fs::write(&not_a_trace, r#"{"schema": "recode-trace/v2", "matrix": 3}"#).unwrap();
+    let out = bin().args(["trace-check", not_a_trace.to_str().unwrap()]).output().expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("matrix: expected an object"));
 
     std::fs::remove_dir_all(&dir).ok();
 }

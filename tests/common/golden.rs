@@ -1,8 +1,10 @@
 //! Shared golden-trace machinery: the canonical default run and the
-//! hand-rolled serde-identical `TraceDocument` emitter, included by both
-//! `trace_golden.rs` (default pipeline fixture) and `trace_golden_tuned.rs`
-//! (auto-tuned pipeline fixture) via `#[path]`. Lives under `tests/common/`
-//! so Cargo does not compile it as a test crate of its own.
+//! hand-rolled `TraceDocument` emitter (the schema's independent oracle:
+//! same field names, nesting and order as `TraceDocument::to_json`),
+//! included by both `trace_golden.rs` (default pipeline fixture) and
+//! `trace_golden_tuned.rs` (auto-tuned pipeline fixture) via `#[path]`.
+//! Lives under `tests/common/` so Cargo does not compile it as a test crate
+//! of its own.
 
 use recode_spmv::core::telemetry::TraceDocument;
 use recode_spmv::prelude::*;
@@ -89,9 +91,9 @@ pub fn assert_matches_fixture(rendered: &str, fixture: &str, allow_bless: bool) 
     }
 }
 
-/// Serializes a [`TraceDocument`] exactly as serde would (same field names,
-/// same nesting, unit enum variants as strings, u8 map keys as strings),
-/// pretty-printed with 2-space indents and a trailing newline.
+/// Serializes a [`TraceDocument`] with the schema's field names and nesting
+/// (unit enum variants as strings, u8 map keys as strings), pretty-printed
+/// with 2-space indents and a trailing newline.
 pub fn to_golden_json(doc: &TraceDocument) -> String {
     let mut o = String::new();
     let m = &doc.matrix;

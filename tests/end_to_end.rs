@@ -101,8 +101,7 @@ fn compressed_matrix_survives_serialization() {
         8,
     );
     let cm = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-    let json = serde_json::to_vec(&cm).unwrap();
-    let cm2: CompressedMatrix = serde_json::from_slice(&json).unwrap();
+    let cm2 = CompressedMatrix::from_bytes(&cm.to_bytes()).unwrap();
     let recoded = RecodedSpmv::from_compressed(cm2).unwrap();
     let (b, _) = recoded.decompress_via_udp(&SystemConfig::ddr4()).unwrap();
     assert_eq!(b, a);

@@ -1,7 +1,7 @@
 //! Integration tests for the observability path: a traced SpMV must produce
 //! a schema-stable JSON document whose numbers are internally consistent —
 //! spans fit inside the wall clock, per-lane cycles sum to the batch totals,
-//! traffic is attributed by source, and serde round-trips losslessly.
+//! traffic is attributed by source, and the JSON form round-trips losslessly.
 
 use recode_spmv::codec::pipeline::MatrixCodecConfig;
 use recode_spmv::core::exec::RecodedSpmv;
@@ -36,11 +36,27 @@ fn traced_run() -> (Csr, TraceDocument) {
     (a, doc)
 }
 
+/// `to_json` → text → `parse` → `from_json`. The result must write the same
+/// text again (so every field of the schema survived, a non-finite float
+/// included) and still validate.
+fn round_trip(doc: &TraceDocument) -> TraceDocument {
+    let text = doc.to_json().to_string_pretty();
+    let back = parse_trace(&text);
+    assert_eq!(back.to_json().to_string_pretty(), text, "round trip changed the document");
+    assert!(back.validate().is_empty(), "round-tripped trace must validate: {:?}", back.validate());
+    back
+}
+
+fn parse_trace(text: &str) -> TraceDocument {
+    let json = recode_spmv::core::json::parse(text).expect("trace text is JSON");
+    TraceDocument::from_json(&json).expect("JSON maps onto a TraceDocument")
+}
+
 #[test]
 fn trace_document_round_trips_through_json() {
-    let (_, doc) = traced_run();
-    let json = serde_json::to_string(&doc).unwrap();
-    let back: TraceDocument = serde_json::from_str(&json).unwrap();
+    // A live v2 run, with per-lane profiles and both codec directions.
+    let (_, mut doc) = traced_run();
+    let back = round_trip(&doc);
     assert_eq!(back.schema, TRACE_SCHEMA);
     assert_eq!(back.matrix, doc.matrix);
     assert_eq!(back.system, doc.system);
@@ -51,8 +67,49 @@ fn trace_document_round_trips_through_json() {
     assert_eq!(back.block_events, doc.block_events);
     assert_eq!(back.codec_stages, doc.codec_stages);
     assert_eq!(back.mem_traffic, doc.mem_traffic);
-    let errs = back.validate();
-    assert!(errs.is_empty(), "round-tripped trace must still validate: {errs:?}");
+    assert_eq!(back.exec.accel.lane_profiles.len(), doc.exec.accel.lanes);
+    assert_eq!(back.exec.accel.stage_cycles, doc.exec.accel.stage_cycles);
+    assert!(back.recorder.is_none());
+
+    // The same run with a flight-recorder summary attached.
+    let by_kind = std::collections::BTreeMap::from([("span_begin".to_string(), 2u64)]);
+    let summary = RecorderSummary { recorded: 2, dropped: 0, capacity: 64, by_kind };
+    doc.attach_recorder(summary.clone());
+    assert_eq!(round_trip(&doc).recorder, Some(summary));
+
+    // A v1 document: no `recorder` key, before or after.
+    let v1 = include_str!("fixtures/golden_trace_v1.json");
+    assert!(!v1.contains("\"recorder\""));
+    let doc = round_trip(&parse_trace(v1));
+    assert_eq!(doc.schema, TRACE_SCHEMA_V1);
+    assert!(doc.recorder.is_none());
+    assert!(!doc.to_json().to_string_pretty().contains("\"recorder\""));
+
+    // Keys a newer writer might add, at the top and nested, are ignored.
+    let extended = v1
+        .replacen(
+            "\"schema\":",
+            "\"generator\": {\"name\": \"x\", \"tags\": [1, null]},\n  \"schema\":",
+            1,
+        )
+        .replacen("\"jobs\":", "\"queue_depth\": 4, \"jobs\":", 1);
+    assert_ne!(extended, v1);
+    assert_eq!(parse_trace(&extended).to_json(), doc.to_json());
+
+    // A matrix with no non-zeros: nothing to decode, every ratio finite or
+    // written as `null`, and the trace still reads back.
+    let empty = Csr::try_from_parts(5, 5, vec![0; 6], vec![], vec![]).unwrap();
+    let r = RecodedSpmv::new(&empty, MatrixCodecConfig::udp_dsh()).unwrap();
+    let x = vec![1.0; 5];
+    let (y, _, mut doc) = r
+        .spmv_traced(&SystemConfig::ddr4(), SpmvKernel::Serial, &x, RunCtx::default(), "empty")
+        .unwrap();
+    assert_eq!(y, vec![0.0; 5]);
+    assert_eq!(round_trip(&doc).matrix.nnz, 0);
+    doc.matrix.bytes_per_nnz = f64::INFINITY;
+    doc.exec.accel.lane_utilization = f64::NAN;
+    let back = round_trip(&doc);
+    assert!(back.matrix.bytes_per_nnz.is_nan() && back.exec.accel.lane_utilization.is_nan());
 }
 
 #[test]
@@ -211,20 +268,10 @@ fn zero_cycle_lane_events_fail_validation() {
 
 /// Back-compat (ISSUE 7 satellite): the PR 3 golden fixture is a v1
 /// document and must still load and validate as v1 — `validate()` accepts
-/// both schema generations. Parsing uses serde, so the offline stub build
-/// skips gracefully (same pattern as the golden-trace suite).
+/// both schema generations.
 #[test]
 fn golden_v1_fixture_still_validates_as_v1() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_trace_v1.json");
-    let golden = std::fs::read_to_string(path).expect("golden fixture present");
-    let parsed = std::panic::catch_unwind(|| {
-        serde_json::from_str::<TraceDocument>(&golden).map_err(|e| e.to_string())
-    });
-    let Ok(result) = parsed else {
-        eprintln!("serde_json unavailable (stubbed build) — skipping");
-        return;
-    };
-    let doc = result.expect("v1 fixture parses");
+    let doc = parse_trace(include_str!("fixtures/golden_trace_v1.json"));
     assert_eq!(doc.schema, TRACE_SCHEMA_V1);
     assert!(!doc.has_v2_content(), "the v1 fixture must not carry v2 content");
     assert!(doc.recorder.is_none(), "absent recorder field defaults to None");

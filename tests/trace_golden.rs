@@ -14,9 +14,9 @@
 //! to zero in both the fixture and the regenerated document.
 //!
 //! The serializer (shared with `trace_golden_tuned.rs` via
-//! `tests/common/golden.rs`) is a ~100-line hand-rolled JSON emitter
-//! mirroring serde's layout, so the suite needs no JSON dependency and
-//! runs in offline builds too. To regenerate the fixture after an
+//! `tests/common/golden.rs`) is a hand-rolled JSON emitter, independent of
+//! `core::json`, so the fixtures have an oracle the engine's own writer
+//! cannot drift with. To regenerate the fixture after an
 //! intentional schema change:
 //! `RECODE_BLESS_TRACE=1 cargo test --test trace_golden`.
 
@@ -93,22 +93,15 @@ fn golden_trace_is_unchanged_with_the_recorder_enabled() {
     assert_eq!(rendered, golden, "recorder-on run must not move a byte of the golden trace");
 }
 
-/// When a real JSON layer is present (CI builds; the offline stub panics),
-/// the fixture must parse back into a `TraceDocument` through serde and
-/// still validate — proving the hand-rolled emitter writes exactly the
-/// schema serde reads.
+/// The fixture must parse back into a `TraceDocument` through the JSON
+/// stack the CLI reads traces with, and still validate — proving the
+/// hand-rolled emitter writes exactly the schema `from_json` reads.
 #[test]
-fn golden_fixture_parses_through_serde_where_available() {
+fn golden_fixture_parses_through_the_json_stack() {
     // When bless has not been run yet, the byte test reports it.
     let Ok(golden) = std::fs::read_to_string(FIXTURE) else { return };
-    let parsed = std::panic::catch_unwind(|| {
-        serde_json::from_str::<TraceDocument>(&golden).map_err(|e| e.to_string())
-    });
-    let Ok(result) = parsed else {
-        eprintln!("serde_json unavailable (stubbed build) — skipping");
-        return;
-    };
-    let doc = result.expect("golden fixture must parse as a TraceDocument");
+    let json = recode_spmv::core::json::parse(&golden).expect("golden fixture must be JSON");
+    let doc = TraceDocument::from_json(&json).expect("golden fixture must map onto a trace");
     let errs = doc.validate();
     assert!(errs.is_empty(), "parsed fixture fails validation: {errs:?}");
     let live = canonical_doc();
