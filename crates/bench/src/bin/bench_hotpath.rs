@@ -16,6 +16,7 @@
 
 use recode_codec::pipeline::{Pipeline, PipelineConfig};
 use recode_core::json::Json;
+use recode_udp::jit::LaneJit;
 use recode_udp::lane::Lane;
 use recode_udp::progs::DshDecoder;
 use std::path::PathBuf;
@@ -227,16 +228,23 @@ fn jit_section(
     huff_blocks: &[recode_codec::block::CompressedBlock],
     reps: usize,
 ) -> Json {
-    let mut images = 0u64;
-    let mut blocks_lowered = 0u64;
-    let mut code_bytes = 0u64;
-    for img in [&decoder.huffman, &decoder.snappy, &decoder.delta].into_iter().flatten() {
-        if let Some(jit) = img.jit() {
-            images += 1;
-            blocks_lowered += jit.blocks_lowered() as u64;
-            code_bytes += jit.code_bytes() as u64;
-        }
-    }
+    type Leaf = fn(&LaneJit) -> usize;
+    let jits: Vec<&LaneJit> = [&decoder.huffman, &decoder.snappy, &decoder.delta]
+        .into_iter()
+        .flatten()
+        .filter_map(|img| img.jit())
+        .collect();
+    let inventory: [(&str, Leaf); 6] = [
+        ("lane_images", |_| 1),
+        ("lane_blocks_lowered", LaneJit::blocks_lowered),
+        ("lane_code_bytes", LaneJit::code_bytes),
+        ("lane_hot_code_bytes", LaneJit::hot_code_bytes),
+        ("lane_table_groups", LaneJit::table_groups),
+        ("lane_table_bytes", LaneJit::table_bytes),
+    ];
+    let section = inventory.into_iter().fold(Json::obj(), |section, (leaf, of)| {
+        section.set(leaf, Json::U64(jits.iter().map(|jit| of(jit) as u64).sum()))
+    });
     let compiled = measure(huff_blocks.len(), reps, || {
         huff_blocks
             .iter()
@@ -249,18 +257,14 @@ fn jit_section(
             .map(|b| flat.decode_all_scalar(&b.payload, b.bit_len).expect("scalar decode").len())
             .sum()
     });
-    Json::obj()
-        .set("lane_images", Json::U64(images))
-        .set("lane_blocks_lowered", Json::U64(blocks_lowered))
-        .set("lane_code_bytes", Json::U64(code_bytes))
-        .set(
-            "huffman_flat",
-            Json::obj()
-                .set("jit_mb_per_s", Json::F64(compiled.mb_per_s))
-                .set("scalar_mb_per_s", Json::F64(scalar.mb_per_s))
-                .set("jit_wall_ns", Json::U64(compiled.wall_ns))
-                .set("scalar_wall_ns", Json::U64(scalar.wall_ns)),
-        )
+    section.set(
+        "huffman_flat",
+        Json::obj()
+            .set("jit_mb_per_s", Json::F64(compiled.mb_per_s))
+            .set("scalar_mb_per_s", Json::F64(scalar.mb_per_s))
+            .set("jit_wall_ns", Json::U64(compiled.wall_ns))
+            .set("scalar_wall_ns", Json::U64(scalar.wall_ns)),
+    )
 }
 
 /// The same DSH stage chain as [`lane_pass`], but through

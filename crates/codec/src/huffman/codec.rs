@@ -102,6 +102,8 @@ impl FlatDecoder {
             what: "huffman",
             code_bytes: res.as_ref().map_or(0, HuffJit::code_bytes),
             blocks: if res.is_ok() { windows } else { 0 },
+            table_groups: 0,
+            table_bytes: 0,
             wall_ns,
             ok: res.is_ok(),
         });

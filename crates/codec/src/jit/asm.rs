@@ -4,8 +4,10 @@
 //! Huffman dispatch) need. Memory operands are `[base + index*scale + disp]`
 //! in the shortest of the three displacement forms (none, disp8, disp32),
 //! and ALU immediates take the sign-extended imm8 form (`0x83`) when they
-//! fit: the lane images are dispatched at random through a 32 KB L1I, so
-//! bytes per block are a first-order cost. The architectural special cases
+//! fit: a lane image is hundreds of blocks entered in data-dependent order
+//! through a 32 KB L1I, so bytes per block are a first-order cost. Data
+//! published behind the code (the lane tier's dispatch tables) is addressed
+//! with `lea r, [rip + rel32]`. The architectural special cases
 //! are the RSP/R12 SIB byte, RBP/R13 having no displacement-free form, and
 //! index≠RSP.
 //!
@@ -294,6 +296,17 @@ impl Asm {
         self.modrm_mem(dst.0, m);
     }
 
+    /// `movzx dst32, src8` — the low byte of `src`, zero-extended into the
+    /// full register. Without a REX prefix only AL/CL/DL/BL encode as a
+    /// byte source.
+    pub fn movzx8_rr(&mut self, dst: Reg, src: Reg) {
+        assert!(src.0 < 4 || src.0 >= 8, "8-bit source needs al/cl/dl/bl or r8b+");
+        self.rex(false, dst.0, 0, src.0);
+        self.u8(0x0F);
+        self.u8(0xB6);
+        self.u8(0xC0 | (dst.0 & 7) << 3 | (src.0 & 7));
+    }
+
     /// `mov qword [m], src`.
     pub fn store(&mut self, m: Mem, src: Reg) {
         self.mem_rex(true, src.0, m);
@@ -400,6 +413,14 @@ impl Asm {
         self.u8(0xC0 | (b.0 & 7) << 3 | (a.0 & 7));
     }
 
+    /// `test dst32, imm32` (32-bit AND, flags only).
+    pub fn test32_ri(&mut self, dst: Reg, imm: u32) {
+        self.rex(false, 0, 0, dst.0);
+        self.u8(0xF7);
+        self.u8(0xC0 | (dst.0 & 7));
+        self.code.extend_from_slice(&imm.to_le_bytes());
+    }
+
     /// `neg dst` (64-bit two's complement).
     pub fn neg(&mut self, dst: Reg) {
         self.rex(true, 0, 0, dst.0);
@@ -429,6 +450,18 @@ impl Asm {
         self.modrm_mem(dst.0, m);
     }
 
+    /// `lea dst, [rip + rel32]` with a zero placeholder; returns the offset
+    /// of the rel32 field for [`Asm::patch_rel32`] — the address of data
+    /// published in the same buffer, position-independently.
+    pub fn lea_rip(&mut self, dst: Reg) -> usize {
+        self.rex(true, dst.0, 0, 0);
+        self.u8(0x8D);
+        self.u8((dst.0 & 7) << 3 | 5);
+        let at = self.here();
+        self.i32le(0);
+        at
+    }
+
     // ---- shifts ----------------------------------------------------------
 
     /// `shl dst, imm8`.
@@ -444,6 +477,14 @@ impl Asm {
         self.rex(true, 0, 0, dst.0);
         self.u8(0xC1);
         self.u8(0xC0 | 5 << 3 | (dst.0 & 7));
+        self.u8(amount);
+    }
+
+    /// `sar dst, imm8` (arithmetic: sign-extends a field shifted to the top).
+    pub fn sar_ri(&mut self, dst: Reg, amount: u8) {
+        self.rex(true, 0, 0, dst.0);
+        self.u8(0xC1);
+        self.u8(0xC0 | 7 << 3 | (dst.0 & 7));
         self.u8(amount);
     }
 
@@ -636,6 +677,11 @@ mod tests {
         assert_eq!(bytes_of(|a| a.mov32_ri(RSI, 57)), [0xBE, 57, 0, 0, 0]);
         assert_eq!(bytes_of(|a| a.mov32_ri(R9, 64)), [0x41, 0xB9, 64, 0, 0, 0]);
         assert_eq!(bytes_of(|a| a.neg(RCX)), [0x48, 0xF7, 0xD9]);
+        assert_eq!(bytes_of(|a| a.movzx8_rr(RCX, RDX)), [0x0F, 0xB6, 0xCA]);
+        assert_eq!(bytes_of(|a| a.test32_ri(RDX, 0x300)), [0xF7, 0xC2, 0x00, 0x03, 0, 0]);
+        assert_eq!(bytes_of(|a| a.sar_ri(RAX, 48)), [0x48, 0xC1, 0xF8, 48]);
+        // Table lookup: a dword row at [table + window*4].
+        assert_eq!(bytes_of(|a| a.load32(RDX, Mem::index(RCX, RAX, 2, 0))), [0x8B, 0x14, 0x81]);
         assert_eq!(bytes_of(|a| a.cmov(Cc::A, R13, RCX)), [0x4C, 0x0F, 0x47, 0xE9]);
     }
 
@@ -751,6 +797,40 @@ mod tests {
             unsafe { std::mem::transmute::<usize, extern "C" fn(u64, u64) -> u64>(buf.addr_of(0)) };
         for (x, y) in [(0u64, 1u64), (7, 3), (3, 7), (1 << 40, 5), (9, 9)] {
             assert_eq!(f(x, y), 2 * x.max(y) - 1, "x={x} y={y}");
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
+    #[test]
+    fn rip_relative_table_behind_the_code_is_read_in_place() {
+        use crate::jit::exec::ExecBuf;
+        // fn(i) -> sign-extended high half of row i, shifted left by the
+        // row's low byte; the rows sit behind the function's `ret`.
+        let rows: [u32; 4] = [0x0001_0003, 0xFFFF_0000, 0x7FFF_0010, 0x8000_0001];
+        let mut a = Asm::new();
+        let table = a.lea_rip(RCX);
+        a.load32(RDX, Mem::index(RCX, RDI, 2, 0));
+        a.movzx8_rr(RCX, RDX);
+        a.mov_rr(RAX, RDX);
+        a.shl_ri(RAX, 32);
+        a.sar_ri(RAX, 48);
+        a.shl_cl(RAX);
+        a.ret();
+        assert_eq!(a.bytes()[..3], [0x48, 0x8D, 0x0D], "lea rcx, [rip + rel32]");
+        for _ in a.here()..a.here().next_multiple_of(4) {
+            a.ret();
+        }
+        let at = a.here();
+        a.patch_rel32(table, at);
+        let mut code = a.into_bytes();
+        code.extend(rows.iter().flat_map(|r| r.to_le_bytes()));
+        let buf = ExecBuf::publish(&code).unwrap();
+        // SAFETY: complete SysV function, one integer arg below the row count.
+        let f: extern "C" fn(u64) -> i64 =
+            unsafe { std::mem::transmute::<usize, extern "C" fn(u64) -> i64>(buf.addr_of(0)) };
+        for (i, row) in rows.iter().enumerate() {
+            let want = i64::from((row >> 16) as u16 as i16) << (row & 0xFF);
+            assert_eq!(f(i as u64), want, "row {i}");
         }
     }
 

@@ -55,6 +55,11 @@ pub struct CompileEvent {
     pub code_bytes: usize,
     /// Blocks (lane) or dispatch entries (huffman) lowered.
     pub blocks: usize,
+    /// Dispatch groups the lane lowering serves from data tables instead of
+    /// indirect jumps, and the bytes of those tables (part of `code_bytes`).
+    pub table_groups: usize,
+    /// See `table_groups`.
+    pub table_bytes: usize,
     /// Wall time of the lowering + publish, in nanoseconds.
     pub wall_ns: u64,
     /// False when the compile failed and the tier fell back to the

@@ -72,7 +72,9 @@ pub enum EventKind {
     /// over machine-code bytes emitted (low 32), `b` = wall nanoseconds.
     /// The name says what was compiled (`jit.lane`, `jit.huffman`), with a
     /// `.failed` suffix when compilation failed and the interpreter/scalar
-    /// tier took over.
+    /// tier took over. A lane compile that lowered dispatch groups to data
+    /// tables is followed by a `jit.lane.tables` event: `a` packs the groups
+    /// over the table bytes the same way, `b` = 0.
     JitCompile,
 }
 
@@ -457,6 +459,10 @@ fn jit_compile_hook(event: &recode_codec::jit::CompileEvent) {
     };
     let a = ((event.blocks as u64) << 32) | (event.code_bytes as u64 & 0xFFFF_FFFF);
     record(EventKind::JitCompile, Track::MAIN, name, a, event.wall_ns);
+    if event.table_groups > 0 {
+        let a = ((event.table_groups as u64) << 32) | (event.table_bytes as u64 & 0xFFFF_FFFF);
+        record(EventKind::JitCompile, Track::MAIN, "jit.lane.tables", a, 0);
+    }
 }
 
 #[cfg(test)]
@@ -636,6 +642,8 @@ mod tests {
             what: "lane",
             code_bytes: 1234,
             blocks: 7,
+            table_groups: 3,
+            table_bytes: 1280,
             wall_ns: 42,
             ok: true,
         });
@@ -643,17 +651,21 @@ mod tests {
             what: "huffman",
             code_bytes: 0,
             blocks: 0,
+            table_groups: 0,
+            table_bytes: 0,
             wall_ns: 9,
             ok: false,
         });
         let events = drain();
         disable();
         let jit: Vec<_> = events.iter().filter(|e| e.kind == EventKind::JitCompile).collect();
-        assert_eq!(jit.len(), 2, "both compile reports must reach the ring");
+        assert_eq!(jit.len(), 3, "both compile reports must reach the ring");
         assert_eq!(jit[0].name, "jit.lane");
         assert_eq!(jit[0].a >> 32, 7, "blocks lowered ride the high half of `a`");
         assert_eq!(jit[0].a & 0xFFFF_FFFF, 1234, "code bytes ride the low half");
         assert_eq!(jit[0].b, 42, "wall ns rides `b`");
-        assert_eq!(jit[1].name, "jit.huffman.failed", "failures are distinguishable");
+        assert_eq!(jit[1].name, "jit.lane.tables", "table lowering is its own event");
+        assert_eq!((jit[1].a >> 32, jit[1].a & 0xFFFF_FFFF), (3, 1280), "groups over bytes");
+        assert_eq!(jit[2].name, "jit.huffman.failed", "failures are distinguishable");
     }
 }

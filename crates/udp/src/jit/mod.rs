@@ -5,6 +5,22 @@
 //! block, with branch-stitched control flow between blocks. The pages live
 //! in the W^X-managed `ExecBuf` from `recode-codec`.
 //!
+//! ## Multi-way dispatch: a table row where the targets are siblings
+//!
+//! A `DispatchSym`/`DispatchPeek` lowers to an indirect jump through the
+//! per-image table of block entries — one mispredicted branch per
+//! unpredictable window. Where the targets of the group are parametric
+//! siblings (same actions, registers and successor; different immediates:
+//! the emit handlers and the long-code prefix handlers of a Huffman image),
+//! the lowering instead emits the block **once**, as a shared body, and a
+//! data table of the immediates, one `u32` row per window, published behind
+//! the code. The dispatch loads its window's row and falls into the body;
+//! rows the table does not serve (other blocks, holes) keep the indirect
+//! jump behind one tag test. The rule, the row layout and which blocks lose
+//! their own code are in the `sibling` submodule; the accounting is unchanged because
+//! siblings have the same actions, so a shared body charges what each of
+//! its members would.
+//!
 //! ## Steady state: registers only
 //!
 //! A block on its way through executes no helper call and no
@@ -55,12 +71,15 @@
 //! ## Integrity
 //!
 //! The artifact pins itself to its inputs with FNV digests: `code_digest`
-//! over the published machine code and `words_digest` over the image's
-//! code words. `verify_image` re-checks both (a mismatch is an `Error`
-//! finding under `Analysis::TranslationValidation`), and every run does a
-//! cheap sentinel check (first/last 8 bytes + length) that gates
-//! `Lane::run` with [`LaneError::JitInvalid`](crate::lane::LaneError) on
-//! damage.
+//! over the published bytes (machine code and dispatch tables) and
+//! `words_digest` over the image's code words. `verify_image` re-checks
+//! both and re-derives every table row from the predecoded blocks (a
+//! mismatch is an `Error` finding under `Analysis::TranslationValidation`),
+//! and every run does a cheap sentinel check (first/last 8 bytes + length)
+//! that gates `Lane::run` with
+//! [`LaneError::JitInvalid`](crate::lane::LaneError) on damage.
+
+mod sibling;
 
 use crate::isa::{Action, Cond, NUM_REGS, SCRATCHPAD_BYTES};
 use crate::lane::{
@@ -72,6 +91,7 @@ use recode_codec::jit::asm::reg::{
 };
 use recode_codec::jit::asm::{Alu, Asm, Cc, Mem, Reg};
 use recode_codec::jit::{fnv1a, fnv1a_words, ExecBuf, JitError};
+use sibling::{Group, Plan, IMM_SHIFT, LINK_SHIFT, TAG_GENERIC, TAG_SHIFT};
 use std::mem::offset_of;
 
 // Host register map. Everything a block touches on its way through lives in
@@ -190,9 +210,10 @@ impl StreamOp {
 /// refill buffer holds fewer than `need` bits.
 struct ColdSite {
     op: StreamOp,
-    /// Helper argument (bits, or bytes for `ReadLe`).
-    arg: u8,
-    need: u8,
+    /// Helper argument (bits, or bytes for `ReadLe`) and the buffered bits
+    /// the fast path needs; `None` when both are the table row's width, in
+    /// DL (a shared body's stream operation).
+    width: Option<(u8, u8)>,
     /// rel32 field of the hot path's `jb`.
     entry: usize,
     /// Hot-path offset of the buffered fast path (taken after a refill).
@@ -219,6 +240,27 @@ struct Lower {
     cold: Vec<ColdSite>,
     /// Image address → compiled code offset.
     block_off: Vec<Option<usize>>,
+    /// Which dispatch groups are served from tables, and by which bodies.
+    plan: Plan,
+    /// Sibling class → offset of its shared body, once emitted.
+    class_off: Vec<Option<usize>>,
+    /// `(rel32 field of a `lea`, first row)` references into the tables,
+    /// resolved once they are placed behind the code.
+    table_refs: Vec<(usize, u32)>,
+}
+
+/// Whether [`Lower::emit_action`] leaves RDX alone: a shared body keeps its
+/// table row there until the row's last use (the slow paths of the stream
+/// operations preserve it).
+fn keeps_rdx(a: Action) -> bool {
+    !matches!(
+        a,
+        Action::Load { .. }
+            | Action::Store { .. }
+            | Action::LoadInc { .. }
+            | Action::StoreInc { .. }
+            | Action::InSymLe { bytes: 8.., .. }
+    )
 }
 
 impl Lower {
@@ -269,7 +311,36 @@ impl Lower {
         let back = self.a.here();
         fast(self);
         let done = self.a.here();
-        self.cold.push(ColdSite { op, arg, need, entry, back, done });
+        self.cold.push(ColdSite { op, width: Some((arg, need)), entry, back, done });
+    }
+
+    /// The width of a shared body's stream operation, the low byte of the
+    /// table row in RDX: into RSI for arithmetic, and the row itself into
+    /// RCX, whose low byte is the shift count. The buffer shift is on the
+    /// loop-carried path from one symbol's row to the next one's window, and
+    /// a plain `mov` adds no latency to it.
+    fn row_width(&mut self) {
+        self.a.movzx8_rr(RSI, RDX);
+        self.a.mov32_rr(RCX, RDX);
+    }
+
+    /// [`Self::buffered`] for a shared body, whose width (at most 57) comes
+    /// from the row: `fast` finds it in RSI and CL ([`Self::row_width`]).
+    fn buffered_row(&mut self, op: StreamOp, fast: impl FnOnce(&mut Lower)) {
+        self.row_width();
+        self.a.alu_rr(Alu::Cmp, BITS, RSI);
+        let entry = self.a.jcc_rel32(Cc::B);
+        let back = self.a.here();
+        fast(self);
+        let done = self.a.here();
+        self.cold.push(ColdSite { op, width: None, entry, back, done });
+    }
+
+    /// Drops the CL = RSI bits (at most 57) the buffer is known to hold.
+    fn consume_row(&mut self) {
+        self.a.shl_cl(BUF);
+        self.a.alu_rr(Alu::Sub, BITS, RSI);
+        self.a.alu_rr(Alu::Add, POS, RSI);
     }
 
     /// `stream.read(bits)` / `stream.peek(bits)` into RAX: zero bits →
@@ -537,29 +608,40 @@ impl Lower {
         self.a.jmp_m(Mem::index(TABLE, RCX, 3, 0));
     }
 
-    #[allow(clippy::cast_possible_truncation)]
-    fn emit_block(&mut self, addr: u32, blk: &PredecodedBlock, next: Option<u32>) {
-        self.block_off[addr as usize] = Some(self.a.here());
-        // Whole-block accounting up front (interpreter order: the block's
-        // full cost lands before the budget check; a mid-block bail
-        // discards it all anyway).
-        self.a.alu_ri(Alu::Add, CYCLES, 1 + blk.actions().len() as i32);
+    /// Whole-block accounting up front (interpreter order: the block's full
+    /// cost lands before the budget check; a mid-block bail discards it all
+    /// anyway). Siblings have the same actions up to immediates, so a shared
+    /// body charges exactly what each of its members would.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+    fn account(&mut self, actions: &[Action]) {
+        self.a.alu_ri(Alu::Add, CYCLES, 1 + actions.len() as i32);
         self.a.alu_rm(Alu::Cmp, CYCLES, st(offset_of!(JitState, cycle_limit)));
         self.bail.push(self.a.jcc_rel32(Cc::A));
         let mut classes = OpClassCycles::default();
-        blk.actions().iter().for_each(|a| classes.bump(a));
+        for a in actions {
+            classes.bump(a);
+        }
         for (counter, n) in [(N_ALU, classes.alu), (N_MEM, classes.mem), (N_STREAM, classes.stream)]
         {
             if n > 0 {
                 self.a.alu_ri(Alu::Add, counter, n as i32);
             }
         }
+    }
 
+    fn emit_block(&mut self, addr: u32, blk: &PredecodedBlock, next: Option<u32>) {
+        self.block_off[addr as usize] = Some(self.a.here());
+        self.account(blk.actions());
         for act in blk.actions() {
             self.emit_action(*act);
         }
+        self.emit_transition(addr, blk.transition, next);
+    }
 
-        match blk.transition {
+    /// The terminator of the block at `addr` (which only a branch's
+    /// fall-through depends on).
+    fn emit_transition(&mut self, addr: u32, t: DecodedTransition, next: Option<u32>) {
+        match t {
             DecodedTransition::Halt => {
                 self.halt.push(self.a.jmp_rel32());
             }
@@ -585,11 +667,11 @@ impl Lower {
             }
             DecodedTransition::DispatchSym { bits, base } => {
                 self.stream_value(StreamOp::Read, bits);
-                self.dynamic_dispatch(base, Some(bits));
+                self.window_dispatch(base, bits);
             }
             DecodedTransition::DispatchPeek { bits, base } => {
                 self.stream_value(StreamOp::Peek, bits);
-                self.dynamic_dispatch(base, Some(bits));
+                self.window_dispatch(base, bits);
             }
             DecodedTransition::DispatchReg { rs, base } => {
                 if rs == 0 {
@@ -600,6 +682,102 @@ impl Lower {
                 self.dynamic_dispatch(base, None);
             }
         }
+    }
+
+    /// Points the forward jump whose rel32 field is at `field` here.
+    fn land(&mut self, field: usize) {
+        let at = self.a.here();
+        self.a.patch_rel32(field, at);
+    }
+
+    /// Dispatch on the `bits`-bit window in EAX. A table-lowered group loads
+    /// the window's row into EDX and enters the shared body its tag selects
+    /// — the row is data, so an unpredictable window costs a load, not a
+    /// mispredicted indirect branch. Rows the table does not serve (other
+    /// blocks, holes) keep the indirect jump, behind the tag test.
+    fn window_dispatch(&mut self, base: u32, bits: u8) {
+        let Some(&Group { start, ref classes, has_generic, .. }) = self.plan.group(bits, base)
+        else {
+            return self.dynamic_dispatch(base, Some(bits));
+        };
+        let (first, second) = (classes[0], classes.get(1).copied());
+        let at = self.a.lea_rip(RCX);
+        self.table_refs.push((at, start));
+        self.a.load32(RDX, Mem::index(RCX, RAX, 2, 0));
+        if second.is_none() && !has_generic {
+            return self.enter_class(first);
+        }
+        self.a.test32_ri(RDX, 3 << TAG_SHIFT);
+        let other = self.a.jcc_rel32(Cc::Ne);
+        self.enter_class(first);
+        self.land(other);
+        if let Some(second) = second {
+            let generic = has_generic.then(|| {
+                self.a.test32_ri(RDX, TAG_GENERIC << TAG_SHIFT);
+                self.a.jcc_rel32(Cc::Ne)
+            });
+            self.enter_class(second);
+            if let Some(generic) = generic {
+                self.land(generic);
+            }
+        }
+        if has_generic {
+            self.dynamic_dispatch(base, Some(bits));
+        }
+    }
+
+    /// Control reaches `class`'s shared body with a row of it in EDX: the
+    /// body is emitted right here at its first use, and jumped to after.
+    fn enter_class(&mut self, class: usize) {
+        if let Some(off) = self.class_off[class] {
+            self.a.jmp_to(off);
+        } else {
+            self.class_off[class] = Some(self.a.here());
+            self.emit_body(class);
+        }
+    }
+
+    /// The one body all siblings of `class` run, immediates from the row in
+    /// EDX (layout in [`sibling`]).
+    #[allow(clippy::cast_possible_truncation)]
+    fn emit_body(&mut self, class: usize) {
+        let shape = self.plan.classes[class];
+        self.account(shape.blk.actions());
+        for (i, act) in shape.blk.actions().iter().enumerate() {
+            match *act {
+                Action::SkipSym { .. } if shape.skip_at == Some(i) => {
+                    self.buffered_row(StreamOp::Skip, Lower::consume_row);
+                }
+                Action::LoadImm { rd, .. } if shape.imm_at == Some(i) => {
+                    if rd != 0 {
+                        self.a.mov_rr(RAX, RDX);
+                        self.a.shl_ri(RAX, 64 - 16 - IMM_SHIFT as u8);
+                        self.a.sar_ri(RAX, 64 - 16);
+                        self.a.store(lane_reg(rd), RAX);
+                    }
+                }
+                act => self.emit_action(act),
+            }
+        }
+        let Some(target) = shape.link else {
+            // A leaf ends in `Halt` or `Jump`, neither of which reads `addr`.
+            return self.emit_transition(0, shape.blk.transition, None);
+        };
+        // A link: peek the row's width in bits (at least one), then take the
+        // row of that window in the sibling's own group, which is pure of
+        // `target`.
+        self.buffered_row(StreamOp::Peek, |lo| {
+            lo.a.mov_rr(RAX, BUF);
+            lo.a.neg(RCX);
+            lo.a.shr_cl(RAX);
+        });
+        self.a.mov32_rr(RCX, RDX);
+        self.a.shr_ri(RCX, LINK_SHIFT as u8);
+        self.a.alu_rr(Alu::Add, RCX, RAX);
+        let at = self.a.lea_rip(RSI);
+        self.table_refs.push((at, 0));
+        self.a.load32(RDX, Mem::index(RSI, RCX, 2, 0));
+        self.enter_class(target);
     }
 
     /// The registers a helper may clobber (or reads through `JitState`),
@@ -709,13 +887,19 @@ impl Lower {
         }
 
         for site in std::mem::take(&mut self.cold) {
-            let at = self.a.here();
-            self.a.patch_rel32(site.entry, at);
+            self.land(site.entry);
             let call = self.a.call_rel32();
             self.a.patch_rel32(call, refill_at);
-            self.a.alu_ri(Alu::Cmp, BITS, i32::from(site.need));
-            self.a.jcc_to(Cc::Ae, site.back);
-            self.a.mov32_ri(RSI, u32::from(site.arg));
+            if let Some((arg, need)) = site.width {
+                self.a.alu_ri(Alu::Cmp, BITS, i32::from(need));
+                self.a.jcc_to(Cc::Ae, site.back);
+                self.a.mov32_ri(RSI, u32::from(arg));
+            } else {
+                // The refill clobbered RCX and RSI; the row is still in RDX.
+                self.row_width();
+                self.a.alu_rr(Alu::Cmp, BITS, RSI);
+                self.a.jcc_to(Cc::Ae, site.back);
+            }
             let call = self.a.call_rel32();
             self.a.patch_rel32(call, tramp_at[site.op as usize]);
             self.a.jmp_to(site.done);
@@ -748,12 +932,18 @@ pub struct LaneJit {
     words_digest: u64,
     /// Sentinels for the cheap per-run integrity check.
     code_len: usize,
-    /// Bytes ahead of the out-of-line region (prologue + blocks).
+    /// Bytes ahead of the out-of-line region (prologue, blocks and shared
+    /// bodies).
     hot_len: usize,
     first8: u64,
     last8: u64,
-    /// Blocks lowered (compiled dispatch targets).
+    /// Blocks lowered: with code of their own, or as a table row.
     blocks: usize,
+    /// Where the dispatch tables sit in the published bytes (behind the
+    /// code, so `code_digest` and the page protection cover them).
+    tables: std::ops::Range<usize>,
+    /// `(bits, base)` of the dispatch groups served from those tables.
+    table_groups: Vec<(u8, u32)>,
 }
 
 /// Artifact identity is its digest pair: equal digests ⇔ compiled from
@@ -782,6 +972,7 @@ impl LaneJit {
                 predecoded.len()
             )));
         }
+        let plan = Plan::new(predecoded, entry);
         let mut lo = Lower {
             a: Asm::new(),
             fixups: Vec::new(),
@@ -790,6 +981,9 @@ impl LaneJit {
             tramp_calls: Vec::new(),
             cold: Vec::new(),
             block_off: vec![None; predecoded.len()],
+            class_off: vec![None; plan.classes.len()],
+            plan,
+            table_refs: Vec::new(),
         };
         // Prologue: 6 callee-saved pushes leave RSP 8 off 16-alignment, so a
         // `call` to a trampoline realigns it for the helper with no padding.
@@ -804,18 +998,30 @@ impl LaneJit {
             lo.a.zero(r);
         }
 
+        // Siblings reached only through table rows get no code of their own.
         #[allow(clippy::cast_possible_truncation)]
-        let mapped: Vec<u32> =
-            (0..predecoded.len() as u32).filter(|&a| predecoded[a as usize].is_some()).collect();
-        lo.jump_to(entry, mapped.first().copied());
-        for (i, &addr) in mapped.iter().enumerate() {
+        let emitted: Vec<u32> = (0..predecoded.len() as u32)
+            .filter(|&a| predecoded[a as usize].is_some() && !lo.plan.elided[a as usize])
+            .collect();
+        lo.jump_to(entry, emitted.first().copied());
+        for (i, &addr) in emitted.iter().enumerate() {
             let blk = predecoded[addr as usize].as_ref().expect("filtered to mapped addresses");
-            lo.emit_block(addr, blk, mapped.get(i + 1).copied());
+            lo.emit_block(addr, blk, emitted.get(i + 1).copied());
         }
         let hot_len = lo.a.here();
         let bail_at = lo.emit_cold();
 
-        let code = lo.a.into_bytes();
+        // The tables go behind the code, on cache lines of their own.
+        let tables_at = lo.a.here().next_multiple_of(64);
+        for (field, row) in std::mem::take(&mut lo.table_refs) {
+            lo.a.patch_rel32(field, tables_at + row as usize * 4);
+        }
+        let mut code = lo.a.into_bytes();
+        if !lo.plan.groups.is_empty() {
+            code.resize(tables_at, 0xCC);
+            code.extend(lo.plan.groups.iter().flat_map(|g| &g.rows).flat_map(|r| r.to_le_bytes()));
+        }
+        let tables = code.len() - lo.plan.table_bytes()..code.len();
         let buf = ExecBuf::publish(&code)?;
         let published = buf.code();
         let table = lo.block_off.iter().map(|off| buf.addr_of(off.unwrap_or(bail_at))).collect();
@@ -828,26 +1034,59 @@ impl LaneJit {
             last8: u64::from_le_bytes(
                 published[published.len() - 8..].try_into().expect("epilogue > 8 bytes"),
             ),
-            blocks: mapped.len(),
+            blocks: predecoded.iter().flatten().count(),
+            tables,
+            table_groups: lo.plan.groups.iter().map(|g| (g.bits, g.base)).collect(),
             table,
             buf,
         })
     }
 
-    /// Machine-code bytes published.
+    /// Bytes published: machine code and the dispatch tables behind it.
     pub fn code_bytes(&self) -> usize {
         self.code_len
     }
 
-    /// The part of [`Self::code_bytes`] the steady state runs in: prologue
-    /// and blocks, ahead of the out-of-line stubs and slow paths.
+    /// The part of [`Self::code_bytes`] the steady state runs in: prologue,
+    /// blocks and shared bodies, ahead of the out-of-line stubs and slow
+    /// paths (and not counting the tables, which are data).
     pub fn hot_code_bytes(&self) -> usize {
         self.hot_len
     }
 
-    /// Blocks lowered to native code.
+    /// Blocks lowered to native code, with code of their own or as a row of
+    /// a dispatch table.
     pub fn blocks_lowered(&self) -> usize {
         self.blocks
+    }
+
+    /// Dispatch groups served from a data table rather than an indirect
+    /// jump.
+    pub fn table_groups(&self) -> usize {
+        self.table_groups.len()
+    }
+
+    /// Bytes of those tables, the tail of [`Self::code_bytes`].
+    pub fn table_bytes(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Whether a `bits`-wide dispatch into the group at `base` is served
+    /// from a table.
+    pub fn table_lowered(&self, bits: u8, base: u32) -> bool {
+        self.table_groups.contains(&(bits, base))
+    }
+
+    /// Where the tables sit in the published bytes.
+    #[doc(hidden)]
+    pub fn table_span(&self) -> std::ops::Range<usize> {
+        self.tables.clone()
+    }
+
+    /// Absolute address of the published byte at `off`.
+    #[doc(hidden)]
+    pub fn addr_of_for_test(&self, off: usize) -> usize {
+        self.buf.addr_of(off)
     }
 
     /// Cheap per-run integrity check: length + first/last 8 code bytes.
@@ -861,23 +1100,63 @@ impl LaneJit {
                 == self.last8
     }
 
-    /// Full integrity audit for `verify_image`: recomputes both digests.
-    /// Returns one message per violated pin (empty = intact).
-    pub fn integrity_errors(&self, words: &[u128]) -> Vec<String> {
+    /// Full integrity audit for `verify_image`: recomputes both digests, and
+    /// re-derives every dispatch table from `predecoded` to compare it with
+    /// the published rows. Returns one message per violated pin (empty =
+    /// intact), with the address of the group's first dispatching block for
+    /// a table.
+    pub fn integrity_errors(
+        &self,
+        words: &[u128],
+        predecoded: &[Option<PredecodedBlock>],
+        entry: u32,
+    ) -> Vec<(Option<u32>, String)> {
         let mut out = Vec::new();
         if fnv1a(self.buf.code()) != self.code_digest {
-            out.push(
+            out.push((
+                None,
                 "JIT artifact failed translation validation: published machine code \
                  does not match the digest recorded at compile time (tampered buffer)"
                     .to_string(),
-            );
+            ));
         }
         if fnv1a_words(words) != self.words_digest {
-            out.push(
+            out.push((
+                None,
                 "JIT artifact failed translation validation: image words changed after \
                  the artifact was compiled (stale buffer)"
                     .to_string(),
-            );
+            ));
+        }
+        let plan = Plan::new(predecoded, entry);
+        let published = &self.buf.code()[self.tables.clone()];
+        if plan.table_bytes() != published.len() {
+            out.push((
+                None,
+                format!(
+                    "JIT artifact failed translation validation: {} bytes of dispatch tables \
+                     published, the predecode table derives {}",
+                    published.len(),
+                    plan.table_bytes()
+                ),
+            ));
+            return out;
+        }
+        for g in &plan.groups {
+            let got = published[g.start as usize * 4..].chunks_exact(4);
+            if let Some(w) =
+                g.rows.iter().zip(got).position(|(want, got)| want.to_le_bytes() != *got)
+            {
+                out.push((
+                    Some(g.site),
+                    format!(
+                        "JIT artifact failed translation validation: row {w} of the dispatch \
+                         table for the {}-bit group at {} does not match the blocks it was \
+                         derived from (tampered or stale table)",
+                        g.bits, g.base
+                    ),
+                ));
+            }
         }
         out
     }
@@ -927,6 +1206,8 @@ pub(crate) fn maybe_compile(
         what: "lane",
         code_bytes: res.as_ref().map_or(0, LaneJit::code_bytes),
         blocks: res.as_ref().map_or(0, LaneJit::blocks_lowered),
+        table_groups: res.as_ref().map_or(0, LaneJit::table_groups),
+        table_bytes: res.as_ref().map_or(0, LaneJit::table_bytes),
         wall_ns,
         ok: res.is_ok(),
     });

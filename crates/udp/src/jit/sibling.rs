@@ -1,0 +1,459 @@
+//! Parametric-sibling analysis: which dispatch groups the lowering serves
+//! from a data table instead of an indirect jump.
+//!
+//! A multi-way dispatch lowered to `jmp [table + window*8]` costs the host a
+//! branch misprediction whenever the window is unpredictable — exactly the
+//! cost the UDP's dispatch unit exists to avoid. But the targets of such a
+//! group are often **parametric siblings**: blocks with the same actions,
+//! the same register operands and the same successor, differing only in
+//! immediates (a Huffman image's emit handlers are `skip n; limm r4, sym;
+//! storebi r4, r2; jump head` 256 times over). For those the lowering emits
+//! the block **once**, as a shared body reading its immediates from a table
+//! row indexed by the window: the unpredictable bits become a data
+//! dependency instead of a control dependency.
+//!
+//! Two kinds of sibling class are recognised, from the predecoded blocks
+//! alone:
+//!
+//! * a **leaf** ends in `Halt` or `Jump(t)`; its first `SkipSym` (of up to 57
+//!   bits) and its first `LoadImm` may differ between siblings;
+//! * a **link** ends in a `DispatchPeek` of its own width into its own
+//!   group, where every one of those groups is *pure* — all of its rows are
+//!   leaves of one class; its actions are identical.
+//!
+//! Every sibling of a class charges the same `1 + n` cycles and the same
+//! class counts (they have the same actions), so the shared body's
+//! accounting is the per-block accounting.
+//!
+//! This module only plans; `super::Lower` emits. The plan is a pure function
+//! of the predecode table, so `verify_image` re-derives it and compares the
+//! published tables row for row.
+
+use super::keeps_rdx;
+use crate::isa::Action;
+use crate::machine::{DecodedTransition, PredecodedBlock};
+use std::collections::{HashMap, HashSet};
+
+/// Widest dispatch a table is built for (4,096 rows).
+const MAX_TABLE_BITS: u8 = 12;
+
+// Row layout, one `u32` per window:
+//   bits 0..8    stream width: a leaf's `SkipSym` bits, a link's dispatch bits
+//   bits 8..10   tag: index into the group's classes, or `TAG_GENERIC`
+//   bits 16..32  leaf: the `LoadImm` immediate
+//   bits 10..32  link: first row of the target group's table
+/// Bit position of the tag.
+pub(crate) const TAG_SHIFT: u32 = 8;
+/// Tag of a row the table does not serve: the window takes the per-block
+/// path (the bail stub, for a hole).
+pub(crate) const TAG_GENERIC: u32 = 2;
+/// Bit position of a leaf row's immediate.
+pub(crate) const IMM_SHIFT: u32 = 16;
+/// Bit position of a link row's target table.
+pub(crate) const LINK_SHIFT: u32 = 10;
+
+/// A sibling class: the block all its members are, immediates aside.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Shape {
+    /// A member with its parametric immediates zeroed (a link's width and
+    /// group included).
+    pub blk: PredecodedBlock,
+    /// Index of the action whose `SkipSym` width comes from the row.
+    pub skip_at: Option<usize>,
+    /// Index of the action whose `LoadImm` immediate comes from the row.
+    pub imm_at: Option<usize>,
+    /// For a link: the class every member's target group is pure of.
+    pub link: Option<usize>,
+}
+
+/// What one sibling contributes to its row.
+#[derive(Debug, Clone, Copy)]
+enum Param {
+    Leaf { width: u8, imm: i16 },
+    Link { width: u8, base: u32 },
+}
+
+/// `(bits, base)` of every pure group → its class.
+type Pure = HashMap<(u8, u32), usize>;
+
+/// A table-lowered dispatch group.
+#[derive(Debug)]
+pub(crate) struct Group {
+    pub bits: u8,
+    pub base: u32,
+    /// Address of the first block that dispatches into the group.
+    pub site: u32,
+    /// The classes tags 0 and 1 select, most rows first.
+    pub classes: Vec<usize>,
+    /// Whether any row is [`TAG_GENERIC`].
+    pub has_generic: bool,
+    /// First row of this group's table, counted from the first table.
+    pub start: u32,
+    /// `1 << bits` rows.
+    pub rows: Vec<u32>,
+}
+
+/// The lowering plan for one image.
+#[derive(Debug, Default)]
+pub(crate) struct Plan {
+    /// Shared bodies, by class index.
+    pub classes: Vec<Shape>,
+    /// Table-lowered groups; their tables are laid out in this order.
+    pub groups: Vec<Group>,
+    /// Per address: a sibling reached only through tables, which gets no
+    /// code of its own (its dispatch-table entry is the bail stub).
+    pub elided: Vec<bool>,
+}
+
+fn dispatch_group(blk: &PredecodedBlock) -> Option<(u8, u32)> {
+    match blk.transition {
+        DecodedTransition::DispatchSym { bits, base }
+        | DecodedTransition::DispatchPeek { bits, base } => Some((bits, base)),
+        _ => None,
+    }
+}
+
+/// The class `blk` would belong to and its row parameters; `None` when it
+/// can only be lowered as a block of its own.
+fn classify(blk: &PredecodedBlock, pure: &Pure) -> Option<(Shape, Param)> {
+    let mut shape = Shape { blk: *blk, skip_at: None, imm_at: None, link: None };
+    match blk.transition {
+        DecodedTransition::Halt | DecodedTransition::Jump(_) => {
+            let (mut width, mut imm) = (0, 0);
+            for (i, a) in shape.blk.actions_mut().iter_mut().enumerate() {
+                match a {
+                    Action::SkipSym { bits } if shape.skip_at.is_none() && *bits <= 57 => {
+                        width = std::mem::take(bits);
+                        shape.skip_at = Some(i);
+                    }
+                    Action::LoadImm { imm: v, .. } if shape.imm_at.is_none() => {
+                        imm = std::mem::take(v);
+                        shape.imm_at = Some(i);
+                    }
+                    _ => {}
+                }
+            }
+            // The row rides in RDX until its last use.
+            let last = shape.skip_at.max(shape.imm_at).unwrap_or(0);
+            blk.actions()[..last]
+                .iter()
+                .all(|&a| keeps_rdx(a))
+                .then_some((shape, Param::Leaf { width, imm }))
+        }
+        DecodedTransition::DispatchPeek { bits, base } => {
+            shape.link = Some(*pure.get(&(bits, base))?);
+            shape.blk.transition = DecodedTransition::DispatchPeek { bits: 0, base: 0 };
+            blk.actions()
+                .iter()
+                .all(|&a| keeps_rdx(a))
+                .then_some((shape, Param::Link { width: bits, base }))
+        }
+        // A branch falls through to its own address + 1, a register dispatch
+        // has no window to index a table with, and no program chains
+        // consuming dispatches.
+        DecodedTransition::Branch { .. }
+        | DecodedTransition::DispatchReg { .. }
+        | DecodedTransition::DispatchSym { .. } => None,
+    }
+}
+
+impl Plan {
+    /// Plans the table lowering of `predecoded`, entered at `entry`.
+    #[allow(clippy::cast_possible_truncation)]
+    pub(crate) fn new(predecoded: &[Option<PredecodedBlock>], entry: u32) -> Plan {
+        let at = |addr: u32| predecoded.get(addr as usize).and_then(Option::as_ref);
+
+        // Candidate groups, in address order of their first dispatch site.
+        // Placed groups do not overlap, so their windows add up to about the
+        // image; the cap only keeps garbage words from costing more than that.
+        let mut seen = HashSet::new();
+        let mut cands: Vec<(u8, u32, u32)> = Vec::new();
+        let mut windows = 0usize;
+        for (addr, blk) in predecoded.iter().enumerate() {
+            let Some((bits, base)) = blk.as_ref().and_then(dispatch_group) else { continue };
+            if (1..=MAX_TABLE_BITS).contains(&bits)
+                && windows + (1 << bits) <= 8 * predecoded.len()
+                && seen.insert((bits, base))
+            {
+                cands.push((bits, base, addr as u32));
+                windows += 1 << bits;
+            }
+        }
+
+        // Classify every row of every candidate: leaves first, which names
+        // the pure groups; then again with links into those.
+        let mut classes: Vec<Shape> = Vec::new();
+        let mut classify_rows = |pure: &Pure| -> Vec<Vec<Option<(usize, Param)>>> {
+            let mut row = |addr: u32| {
+                let (shape, param) = classify(at(addr)?, pure)?;
+                let class = classes.iter().position(|s| *s == shape).unwrap_or_else(|| {
+                    classes.push(shape);
+                    classes.len() - 1
+                });
+                Some((class, param))
+            };
+            cands
+                .iter()
+                .map(|&(bits, base, _)| (0..1u32 << bits).map(|w| row(base + w)).collect())
+                .collect()
+        };
+        let mut rows = classify_rows(&Pure::new());
+        let pure: Pure = cands
+            .iter()
+            .zip(&rows)
+            .filter_map(|(&(bits, base, _), r)| {
+                let (class, _) = r[0]?;
+                r.iter().all(|x| x.is_some_and(|x| x.0 == class)).then_some(((bits, base), class))
+            })
+            .collect();
+        if !pure.is_empty() {
+            rows = classify_rows(&pure);
+        }
+
+        // A group is lowered when at least two of its rows are siblings; its
+        // two largest classes of two or more get tags, every other row stays
+        // generic.
+        let mut groups: Vec<Group> = Vec::new();
+        let mut params = Vec::new();
+        let mut start = 0u32;
+        for (&(bits, base, site), r) in cands.iter().zip(rows) {
+            let mut counts: Vec<(usize, usize)> = Vec::new();
+            for &(class, _) in r.iter().flatten() {
+                match counts.iter_mut().find(|c| c.0 == class) {
+                    Some(c) => c.1 += 1,
+                    None => counts.push((class, 1)),
+                }
+            }
+            counts.retain(|c| c.1 >= 2);
+            counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            if counts.is_empty() {
+                continue;
+            }
+            let classes = counts.iter().take(2).map(|c| c.0).collect();
+            groups.push(Group {
+                bits,
+                base,
+                site,
+                classes,
+                has_generic: false,
+                start,
+                rows: vec![],
+            });
+            params.push(r);
+            start += 1 << bits;
+        }
+        // A link row addresses its target table in 22 bits.
+        if start >= 1 << (32 - LINK_SHIFT) {
+            return Plan { elided: vec![false; predecoded.len()], ..Plan::default() };
+        }
+
+        let starts: HashMap<(u8, u32), u32> =
+            groups.iter().map(|g| ((g.bits, g.base), g.start)).collect();
+        // Blocks something other than a table row can reach keep their own
+        // code: every window a table leaves generic, the entry, every jump
+        // and branch target, and every window of a dispatch without a table.
+        let mut direct = vec![false; predecoded.len()];
+        let mut tagged = vec![false; predecoded.len()];
+        for (g, r) in groups.iter_mut().zip(params) {
+            g.rows = r
+                .iter()
+                .enumerate()
+                .map(|(w, x)| {
+                    let tagged_row = x.and_then(|(class, param)| {
+                        Some((g.classes.iter().position(|&c| c == class)? as u32, param))
+                    });
+                    let Some((tag, param)) = tagged_row else {
+                        g.has_generic = true;
+                        if let Some(d) = direct.get_mut(g.base as usize + w) {
+                            *d = true;
+                        }
+                        return TAG_GENERIC << TAG_SHIFT;
+                    };
+                    tagged[g.base as usize + w] = true;
+                    tag << TAG_SHIFT
+                        | match param {
+                            Param::Leaf { width, imm } => {
+                                u32::from(width) | u32::from(imm as u16) << IMM_SHIFT
+                            }
+                            // Pure groups are always lowered.
+                            Param::Link { width, base } => {
+                                u32::from(width) | starts[&(width, base)] << LINK_SHIFT
+                            }
+                        }
+                })
+                .collect();
+        }
+
+        let mut mark = |addr: u32| {
+            if let Some(d) = direct.get_mut(addr as usize) {
+                *d = true;
+            }
+        };
+        mark(entry);
+        for (addr, blk) in predecoded.iter().enumerate() {
+            let Some(blk) = blk else { continue };
+            match blk.transition {
+                DecodedTransition::Jump(t) => mark(t),
+                DecodedTransition::Branch { taken, .. } => {
+                    mark(taken);
+                    mark(addr as u32 + 1);
+                }
+                DecodedTransition::DispatchSym { bits, base }
+                | DecodedTransition::DispatchPeek { bits, base }
+                    if !starts.contains_key(&(bits, base)) =>
+                {
+                    let end = (u64::from(base) + (1u64 << bits)).min(predecoded.len() as u64);
+                    (base..end as u32).for_each(&mut mark);
+                }
+                // A register dispatch can land anywhere; on a sibling that
+                // has no code of its own it bails.
+                _ => {}
+            }
+        }
+        let elided = tagged.iter().zip(&direct).map(|(&t, &d)| t && !d).collect();
+        Plan { classes, groups, elided }
+    }
+
+    /// The group a `(bits, base)` dispatch is served by, if it is lowered.
+    pub(crate) fn group(&self, bits: u8, base: u32) -> Option<&Group> {
+        self.groups.iter().find(|g| (g.bits, g.base) == (bits, base))
+    }
+
+    /// Total bytes of all tables.
+    pub(crate) fn table_bytes(&self) -> usize {
+        self.groups.iter().map(|g| g.rows.len() * 4).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::isa::{Block, Transition, Width};
+    use crate::machine::assemble;
+    use crate::program::ProgramBuilder;
+
+    fn plan_of(image: &crate::machine::Image) -> Plan {
+        let predecoded: Vec<_> =
+            (0..image.words.len() as u32).map(|a| image.predecoded(a).copied()).collect();
+        Plan::new(&predecoded, image.entry)
+    }
+
+    /// `n` emit handlers behind a `dispatch.peek`, built by `handler(i)`.
+    fn dispatch_program(bits: u8, handler: impl Fn(u32, u32) -> Option<Block>) -> crate::Program {
+        let mut pb = ProgramBuilder::new("siblings");
+        let done = pb.block(Block {
+            actions: vec![Action::Sub { rd: 15, rs: 2, rt: 14 }],
+            transition: Transition::Halt,
+        });
+        let members: Vec<(u32, u32)> =
+            (0..1u32 << bits).filter_map(|w| handler(w, done).map(|b| (w, pb.block(b)))).collect();
+        let g = pb.group(members);
+        let start = pb.block(Block {
+            actions: vec![Action::Mov { rd: 2, rs: 14 }],
+            transition: Transition::DispatchPeek { bits, group: g },
+        });
+        pb.entry(start);
+        pb.build().unwrap()
+    }
+
+    fn emit(skip: u8, sym: i16, to: u32) -> Block {
+        Block {
+            actions: vec![
+                Action::SkipSym { bits: skip },
+                Action::LoadImm { rd: 4, imm: sym },
+                Action::StoreInc { rs: 4, base: 2, width: Width::B1 },
+            ],
+            transition: Transition::Jump(to),
+        }
+    }
+
+    #[test]
+    fn siblings_share_one_class_and_lose_their_blocks() {
+        let p = dispatch_program(3, |w, done| Some(emit(1 + w as u8, 100 + w as i16, done)));
+        let image = assemble(&p).unwrap();
+        let plan = plan_of(&image);
+        assert_eq!(plan.groups.len(), 1);
+        let g = &plan.groups[0];
+        assert_eq!((g.bits, g.classes.len(), g.has_generic), (3, 1, false));
+        for (w, row) in g.rows.iter().enumerate() {
+            assert_eq!(row & 0xFF, 1 + w as u32, "width");
+            assert_eq!(row >> TAG_SHIFT & 3, 0, "tag");
+            assert_eq!(row >> IMM_SHIFT, 100 + w as u32, "immediate");
+            assert!(plan.elided[g.base as usize + w]);
+        }
+        let shape = plan.classes[g.classes[0]];
+        assert_eq!((shape.skip_at, shape.imm_at, shape.link), (Some(0), Some(1), None));
+        assert_eq!(plan.elided.iter().filter(|&&e| e).count(), 8);
+    }
+
+    #[test]
+    fn near_siblings_stay_generic() {
+        // Window 2 writes another register, window 5 has an extra action,
+        // window 6 jumps elsewhere, window 7 is a hole.
+        let p = dispatch_program(3, |w, done| {
+            let mut b = emit(2, w as i16, done);
+            match w {
+                2 => b.actions[1] = Action::LoadImm { rd: 5, imm: 2 },
+                5 => b.actions.push(Action::AddI { rd: 6, rs: 6, imm: 1 }),
+                6 => b.transition = Transition::Halt,
+                7 => return None,
+                _ => {}
+            }
+            Some(b)
+        });
+        let image = assemble(&p).unwrap();
+        let plan = plan_of(&image);
+        let g = &plan.groups[0];
+        assert!(g.has_generic);
+        let tags: Vec<u32> = g.rows.iter().map(|r| r >> TAG_SHIFT & 3).collect();
+        assert_eq!(tags, [0, 0, 2, 0, 0, 2, 2, 2]);
+        for w in [2usize, 5, 6] {
+            assert!(!plan.elided[g.base as usize + w], "window {w} keeps its block");
+        }
+    }
+
+    #[test]
+    fn a_row_that_would_outlive_rdx_is_not_a_sibling() {
+        // The store ahead of the skip clobbers the register the row rides in.
+        let p = dispatch_program(2, |w, done| {
+            Some(Block {
+                actions: vec![
+                    Action::StoreInc { rs: 4, base: 2, width: Width::B1 },
+                    Action::SkipSym { bits: 1 + w as u8 },
+                ],
+                transition: Transition::Jump(done),
+            })
+        });
+        let plan = plan_of(&assemble(&p).unwrap());
+        assert!(plan.groups.is_empty() && plan.elided.iter().all(|&e| !e));
+    }
+
+    #[test]
+    fn huffman_images_lower_every_group() {
+        // 40 short codes and a long tail: the primary group holds leaves and
+        // links, every secondary group is pure.
+        let mut hist = [1u64; 256];
+        for (s, h) in hist.iter_mut().enumerate().take(40) {
+            *h = 1 << (20 - s / 3);
+        }
+        let lengths = recode_codec::huffman::HuffmanTable::from_histogram(&hist).lengths;
+        assert!(lengths.iter().any(|&l| l > 8));
+        let image = crate::progs::huffman::compile(&lengths).unwrap();
+        let plan = plan_of(&image);
+        let dispatches = (0..image.words.len() as u32)
+            .filter(|&a| image.predecoded(a).and_then(dispatch_group).is_some())
+            .count();
+        assert_eq!(plan.groups.len(), dispatches, "every dispatch is table-lowered");
+        assert_eq!(plan.classes.len(), 2, "one leaf class, one link class");
+        let primary = plan.groups.iter().find(|g| g.bits == 8).unwrap();
+        assert_eq!((primary.classes.len(), primary.has_generic), (2, false));
+        for g in plan.groups.iter().filter(|g| g.bits != 8) {
+            assert_eq!((g.classes.len(), g.has_generic), (1, false), "secondary @{}", g.base);
+        }
+        // Only the loop scaffolding keeps code of its own.
+        let kept = (0..image.words.len())
+            .filter(|&a| image.predecoded(a as u32).is_some() && !plan.elided[a])
+            .count();
+        assert_eq!(kept, 4, "init, loop head, dispatch block, done");
+    }
+}

@@ -527,6 +527,9 @@ pub struct Lane {
     /// Helper calls compiled runs on this lane have made (see
     /// [`Lane::jit_helper_calls`]).
     jit_helper_calls: u64,
+    /// Compiled runs on this lane that bailed to the interpreter (see
+    /// [`Lane::jit_bails`]).
+    jit_bails: u64,
     /// Spare output buffers recycled by `DshDecoder::decode_block`'s stage
     /// chain (held here so every consumer of a pooled lane reuses the same
     /// allocations).
@@ -558,6 +561,7 @@ impl Lane {
             dirty_hi: 0,
             health: LaneHealth::default(),
             jit_helper_calls: 0,
+            jit_bails: 0,
             io_a: Vec::new(),
             io_b: Vec::new(),
         }
@@ -574,6 +578,15 @@ impl Lane {
     #[doc(hidden)]
     pub fn jit_helper_calls(&self) -> u64 {
         self.jit_helper_calls
+    }
+
+    /// Lifetime count of compiled runs that bailed and were rerun on the
+    /// interpreter. A bail is correct but several times slower than either
+    /// tier alone, and nothing else shows it: the differential suite pins
+    /// that a well-formed block never bails and that a trapping one does.
+    #[doc(hidden)]
+    pub fn jit_bails(&self) -> u64 {
+        self.jit_bails
     }
 
     /// Records one lane-attributable trap (decode failed on this lane for a
@@ -846,6 +859,7 @@ impl Lane {
         // compiled code stored, or stale bytes leak into the next run.
         self.dirty_hi = self.dirty_hi.max(st.dirty_hi as usize);
         if st.status != 0 {
+            self.jit_bails += 1;
             return self.run_into_interp(image, input, input_bits, cfg, out);
         }
         self.regs = st.regs;

@@ -146,6 +146,12 @@ impl PredecodedBlock {
     pub fn actions(&self) -> &[Action] {
         &self.actions[..self.n_actions as usize]
     }
+
+    /// The occupied action slots, for the JIT's sibling analysis to zero a
+    /// block's parametric immediates in a copy.
+    pub(crate) fn actions_mut(&mut self) -> &mut [Action] {
+        &mut self.actions[..self.n_actions as usize]
+    }
 }
 
 /// An executable image: one code word per address, plus the entry address.
@@ -197,6 +203,11 @@ impl Image {
     #[inline]
     pub fn predecoded(&self, addr: u32) -> Option<&PredecodedBlock> {
         self.predecoded.get(addr as usize)?.as_ref()
+    }
+
+    /// The whole predecode table, one record per word.
+    pub(crate) fn predecode_table(&self) -> &[Option<PredecodedBlock>] {
+        &self.predecoded
     }
 
     /// The compiled JIT artifact, when the encoder produced one.

@@ -1696,15 +1696,20 @@ impl<'a> Verifier<'a> {
             }
         }
         // The JIT artifact is a further translation of the same table; audit
-        // its digest pins so a tampered code buffer or an artifact compiled
-        // from different words is an `Error` that gates `Lane::run` exactly
-        // like a stale predecode table.
+        // its digest pins and re-derive its dispatch tables, so a tampered
+        // code buffer, a table row that no longer says what its block does,
+        // or an artifact compiled from different words is an `Error` that
+        // gates `Lane::run` exactly like a stale predecode table. A table
+        // finding is anchored to the group's dispatching block.
         if let Some(jit) = image.jit() {
-            for why in jit.integrity_errors(&image.words) {
+            for (site, why) in
+                jit.integrity_errors(&image.words, image.predecode_table(), image.entry)
+            {
+                let block = site.map_or(self.p.entry, |addr| owner[addr as usize]);
                 self.report.push(
                     Severity::Error,
                     Analysis::TranslationValidation,
-                    self.p.entry,
+                    block,
                     None,
                     why,
                 );

@@ -11,7 +11,11 @@
 //! 3. a poisoned (failed) compile degrades to the interpreter tier with a
 //!    recorded `CompileEvent { ok: false }`, and a tampered buffer is
 //!    caught twice: the per-run sentinel gates `Lane::run` with
-//!    `JitInvalid`, and a re-verify flags a translation-validation `Error`.
+//!    `JitInvalid`, and a re-verify flags a translation-validation `Error`;
+//! 4. the dispatch tables of a table-lowered image (ISSUE 15) are published
+//!    with the code — inside the same read+execute mapping, never writable —
+//!    and `verify_image` re-derives them: one flipped table byte is an
+//!    `Error` naming the group's dispatch block, which gates `Lane::run`.
 //!
 //! The whole file is x86-64 Linux only (the only platform that publishes
 //! pages) and every test early-outs under `RECODE_NO_JIT=1`, so CI's
@@ -23,7 +27,7 @@ use std::sync::Mutex;
 
 use recode_codec::jit::exec::{live_exec_bytes, poison_next_publish_for_test, wx_violations};
 use recode_codec::jit::{set_compile_hook, CompileEvent};
-use recode_udp::isa::{Action, Block, Transition, Width};
+use recode_udp::isa::{Action, Block, BlockId, Transition, Width};
 use recode_udp::lane::{Lane, LaneError, RunConfig};
 use recode_udp::machine::assemble;
 use recode_udp::program::{Program, ProgramBuilder};
@@ -167,4 +171,97 @@ fn tampered_artifact_is_gated_at_run_time_and_flagged_by_reverify() {
         .find(|f| f.analysis == Analysis::TranslationValidation && f.severity == Severity::Error)
         .expect("tampered code digest must surface as an Error finding");
     assert!(finding.message.contains("tampered"), "diagnosis names the cause: {finding:?}");
+}
+
+/// Four sibling emit handlers behind a `dispatch.sym 2`: `limm r4, 40 + w;
+/// storeb r4, r14; limm r15, 1; halt`. Returns the dispatching block too.
+fn sibling_program() -> (Program, BlockId) {
+    let mut pb = ProgramBuilder::new("jit-tables");
+    let members = (0..4u32)
+        .map(|w| {
+            let b = pb.block(Block {
+                actions: vec![
+                    Action::LoadImm { rd: 4, imm: 40 + w as i16 },
+                    Action::Store { rs: 4, base: 14, offset: 0, width: Width::B1 },
+                    Action::LoadImm { rd: 15, imm: 1 },
+                ],
+                transition: Transition::Halt,
+            });
+            (w, b)
+        })
+        .collect();
+    let group = pb.group(members);
+    let start =
+        pb.block(Block { actions: vec![], transition: Transition::DispatchSym { bits: 2, group } });
+    pb.entry(start);
+    (pb.build().unwrap(), start)
+}
+
+#[test]
+fn dispatch_tables_are_published_read_exec_with_the_code() {
+    if !recode_codec::jit::enabled() {
+        return;
+    }
+    let _g = GATE.lock().unwrap();
+    let image = assemble(&sibling_program().0).unwrap();
+    let jit = image.jit().expect("artifact");
+    assert_eq!((jit.table_groups(), jit.table_bytes()), (1, 16), "four 4-byte rows");
+    let span = jit.table_span();
+    assert_eq!(span.end, jit.code_bytes(), "the tables are the tail of the published bytes");
+    let (lo, hi) = (jit.addr_of_for_test(span.start), jit.addr_of_for_test(span.end - 1));
+    let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+    let perms = maps
+        .lines()
+        .find_map(|l| {
+            let (range, rest) = l.split_once(' ')?;
+            let (from, to) = range.split_once('-')?;
+            let from = usize::from_str_radix(from, 16).ok()?;
+            let to = usize::from_str_radix(to, 16).ok()?;
+            (from <= lo && hi < to && from <= jit.addr_of_for_test(0)).then_some(&rest[..4])
+        })
+        .expect("code and tables share one mapping");
+    assert_eq!(&perms[..3], "r-x", "tables are never writable after publish");
+    assert_eq!(wx_violations(), 0);
+}
+
+#[test]
+fn tampered_table_row_is_flagged_by_reverify_and_gates_the_lane() {
+    if !recode_codec::jit::enabled() {
+        return;
+    }
+    let _g = GATE.lock().unwrap();
+    let (program, start) = sibling_program();
+    let placement = recode_udp::effclip::place(&program).unwrap();
+    let mut image = recode_udp::machine::encode(&program, &placement).unwrap();
+    assert_eq!(image.verify_report.error_count(), 0);
+    // Window 1 of the two-bit symbol: the second handler's immediate.
+    let run = |image: &recode_udp::machine::Image, cfg| Lane::new().run(image, &[0x40], 8, cfg);
+    assert_eq!(run(&image, RunConfig::default()).unwrap().output, vec![41]);
+
+    // Flip one bit of row 1's immediate (the row's third byte). The run-time
+    // sentinel only watches the two ends of the buffer, so this takes the
+    // full audit to see.
+    let jit = image.jit().expect("artifact");
+    jit.corrupt_for_test(jit.table_span().start + 4 + 2, 0x01);
+    let report = verify_image(&program, &placement, &image, &VerifyConfig::default());
+    let errors: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.analysis == Analysis::TranslationValidation && f.severity == Severity::Error)
+        .collect();
+    assert!(errors.iter().any(|f| f.message.contains("tampered buffer")), "{errors:?}");
+    let row = errors
+        .iter()
+        .find(|f| f.message.contains("dispatch table"))
+        .expect("the re-derived table must disagree with the published row");
+    assert!(row.message.contains("row 1"), "{row:?}");
+    assert_eq!(row.block, start, "the finding names the group's dispatch block");
+
+    // The report gates the lane; opting out runs the table as published,
+    // which is how the row is seen to be live data.
+    let errors = errors.len();
+    image.verify_report = report;
+    assert_eq!(run(&image, RunConfig::default()).unwrap_err(), LaneError::Unverified { errors });
+    let cfg = RunConfig { allow_unverified: true, ..RunConfig::default() };
+    assert_eq!(run(&image, cfg).unwrap().output, vec![40]);
 }
