@@ -7,18 +7,22 @@
 //! `lane_decode_reference` sections force the two slower tiers over the
 //! same blocks, so one snapshot holds the whole JIT/interp/reference
 //! ladder; `huffman_flat` does the same for the codec's compiled Huffman
-//! dispatch versus its scalar loop. These are *host* numbers: modeled lane
+//! dispatch versus its scalar loop, and `jit.huffman_random` reads the lane
+//! JIT's cost per Huffman symbol against the share of symbols on codes longer
+//! than the primary dispatch width. These are *host* numbers: modeled lane
 //! cycles are pinned by the golden trace fixture, must not move when these
 //! get faster, and must be byte-identical across all three tiers.
 //!
 //! Usage: `bench_hotpath [--json PATH] [--smoke]`
 //! (`--smoke` shrinks the corpus and repetitions for CI).
 
+use recode_codec::huffman::{self, HuffmanTable};
 use recode_codec::pipeline::{Pipeline, PipelineConfig};
 use recode_core::json::Json;
+use recode_sparse::util::SplitMix64;
 use recode_udp::jit::LaneJit;
-use recode_udp::lane::Lane;
-use recode_udp::progs::DshDecoder;
+use recode_udp::lane::{Lane, RunConfig};
+use recode_udp::progs::{self, DshDecoder};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -192,7 +196,7 @@ fn interp_pass(
     decoder: &DshDecoder,
     blocks: &[recode_codec::block::CompressedBlock],
 ) -> (usize, u64) {
-    let cfg = recode_udp::lane::RunConfig::default();
+    let cfg = RunConfig::default();
     let mut lane = Lane::new();
     let mut bytes = 0usize;
     let mut cycles = 0u64;
@@ -234,13 +238,14 @@ fn jit_section(
         .flatten()
         .filter_map(|img| img.jit())
         .collect();
-    let inventory: [(&str, Leaf); 6] = [
+    let inventory: [(&str, Leaf); 7] = [
         ("lane_images", |_| 1),
         ("lane_blocks_lowered", LaneJit::blocks_lowered),
         ("lane_code_bytes", LaneJit::code_bytes),
         ("lane_hot_code_bytes", LaneJit::hot_code_bytes),
         ("lane_table_groups", LaneJit::table_groups),
         ("lane_table_bytes", LaneJit::table_bytes),
+        ("lane_composed_table_bytes", LaneJit::composed_table_bytes),
     ];
     let section = inventory.into_iter().fold(Json::obj(), |section, (leaf, of)| {
         section.set(leaf, Json::U64(jits.iter().map(|jit| of(jit) as u64).sum()))
@@ -257,14 +262,66 @@ fn jit_section(
             .map(|b| flat.decode_all_scalar(&b.payload, b.bit_len).expect("scalar decode").len())
             .sum()
     });
-    section.set(
-        "huffman_flat",
-        Json::obj()
-            .set("jit_mb_per_s", Json::F64(compiled.mb_per_s))
-            .set("scalar_mb_per_s", Json::F64(scalar.mb_per_s))
-            .set("jit_wall_ns", Json::U64(compiled.wall_ns))
-            .set("scalar_wall_ns", Json::U64(scalar.wall_ns)),
-    )
+    section
+        .set(
+            "huffman_flat",
+            Json::obj()
+                .set("jit_mb_per_s", Json::F64(compiled.mb_per_s))
+                .set("scalar_mb_per_s", Json::F64(scalar.mb_per_s))
+                .set("jit_wall_ns", Json::U64(compiled.wall_ns))
+                .set("scalar_wall_ns", Json::U64(scalar.wall_ns)),
+        )
+        .set("huffman_random", huffman_random_section(reps))
+}
+
+/// What a Huffman symbol costs the lane JIT on the host, against the share of
+/// symbols whose code is longer than the 8-bit primary dispatch: the
+/// `ns_per_symbol_long_{0,12,25}` leaves, for tables that put 0, 12.5 and 25 %
+/// of the symbols drawn on 9-bit codes. Every reading is the fastest of
+/// `reps + 1` passes over 64 *distinct* random blocks of 8,192 symbols, so the
+/// branch predictor cannot learn the stream (a loop over one block lets it).
+/// Host wall-clock, informational under `bench-compare`.
+fn huffman_random_section(reps: usize) -> Json {
+    const BLOCKS: usize = 64;
+    const SYMBOLS: usize = 8192;
+    let mut rng = SplitMix64::new(0x010C_0DE5);
+    let mut section = Json::obj();
+    for nine_bit in [0usize, 64, 128] {
+        // `nine_bit` 9-bit codes and half as many 7-bit ones among 8-bit
+        // codes: Kraft-complete over all 256 symbols, and `nine_bit / 512` of
+        // the probability the lengths imply sits on the 9-bit codes.
+        let mut lengths = vec![8u8; 256];
+        lengths[..nine_bit / 2].fill(7);
+        lengths[256 - nine_bit..].fill(9);
+        let table = HuffmanTable::from_lengths(lengths.clone()).expect("a complete length table");
+        let image = progs::huffman::compile(&lengths).expect("compile the decoder");
+        let by_window: Vec<u8> = (0..=255u8)
+            .flat_map(|s| std::iter::repeat_n(s, 1 << (9 - lengths[usize::from(s)])))
+            .collect();
+        let blocks: Vec<(Vec<u8>, usize)> = (0..BLOCKS)
+            .map(|_| {
+                let data: Vec<u8> = (0..SYMBOLS).map(|_| by_window[rng.below(512)]).collect();
+                huffman::encode(&data, &table).expect("every symbol has a code")
+            })
+            .collect();
+        let mut lane = Lane::new();
+        let mut out = Vec::new();
+        let mut best = u128::MAX;
+        for _ in 0..=reps {
+            let t0 = Instant::now();
+            for (bytes, bits) in &blocks {
+                lane.run_into(&image, bytes, *bits, RunConfig::default(), &mut out)
+                    .expect("intact blocks decode");
+                std::hint::black_box(&out);
+            }
+            best = best.min(t0.elapsed().as_nanos());
+        }
+        section = section.set(
+            &format!("ns_per_symbol_long_{}", nine_bit * 100 / 512),
+            Json::F64(best as f64 / (BLOCKS * SYMBOLS) as f64),
+        );
+    }
+    section
 }
 
 /// The same DSH stage chain as [`lane_pass`], but through
@@ -275,7 +332,7 @@ fn reference_pass(
     decoder: &DshDecoder,
     blocks: &[recode_codec::block::CompressedBlock],
 ) -> (usize, u64) {
-    let cfg = recode_udp::lane::RunConfig::default();
+    let cfg = RunConfig::default();
     let mut lane = Lane::new();
     let mut bytes = 0usize;
     let mut cycles = 0u64;

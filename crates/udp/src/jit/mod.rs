@@ -21,6 +21,16 @@
 //! siblings have the same actions, so a shared body charges what each of
 //! its members would.
 //!
+//! A two-level group — a Huffman image's primary dispatch, whose long codes
+//! take a prefix handler (`skip b; dispatch.peek k`) into a second group of
+//! emit handlers — also gets a **composed** table over a wider window of up
+//! to 12 bits, whose rows are the second hop's rows with the first hop's
+//! width and charge folded in. While the buffer holds a whole wide window,
+//! one row load and the leaf body serve every code that fits it, long or
+//! short, with no test the host could mispredict on the code's length; a
+//! window the table does not cover and the stream's tail take the group's
+//! own table as before.
+//!
 //! ## Steady state: registers only
 //!
 //! A block on its way through executes no helper call and no
@@ -91,7 +101,7 @@ use recode_codec::jit::asm::reg::{
 };
 use recode_codec::jit::asm::{Alu, Asm, Cc, Mem, Reg};
 use recode_codec::jit::{fnv1a, fnv1a_words, ExecBuf, JitError};
-use sibling::{Group, Plan, IMM_SHIFT, LINK_SHIFT, TAG_GENERIC, TAG_SHIFT};
+use sibling::{Composed, Group, Plan, IMM_SHIFT, LINK_SHIFT, TAG_GENERIC, TAG_SHIFT, VIA_SHIFT};
 use std::mem::offset_of;
 
 // Host register map. Everything a block touches on its way through lives in
@@ -209,7 +219,9 @@ impl StreamOp {
 /// The out-of-line half of a buffered stream operation: entered when the
 /// refill buffer holds fewer than `need` bits.
 struct ColdSite {
-    op: StreamOp,
+    /// The helper that serves the operation past the last whole word; `None`
+    /// when `done` is a narrower path that does its own asking.
+    op: Option<StreamOp>,
     /// Helper argument (bits, or bytes for `ReadLe`) and the buffered bits
     /// the fast path needs; `None` when both are the table row's width, in
     /// DL (a shared body's stream operation).
@@ -311,7 +323,7 @@ impl Lower {
         let back = self.a.here();
         fast(self);
         let done = self.a.here();
-        self.cold.push(ColdSite { op, width: Some((arg, need)), entry, back, done });
+        self.cold.push(ColdSite { op: Some(op), width: Some((arg, need)), entry, back, done });
     }
 
     /// The width of a shared body's stream operation, the low byte of the
@@ -333,7 +345,7 @@ impl Lower {
         let back = self.a.here();
         fast(self);
         let done = self.a.here();
-        self.cold.push(ColdSite { op, width: None, entry, back, done });
+        self.cold.push(ColdSite { op: Some(op), width: None, entry, back, done });
     }
 
     /// Drops the CL = RSI bits (at most 57) the buffer is known to hold.
@@ -612,15 +624,32 @@ impl Lower {
     /// cost lands before the budget check; a mid-block bail discards it all
     /// anyway). Siblings have the same actions up to immediates, so a shared
     /// body charges exactly what each of its members would.
+    ///
+    /// With `via`, the block is a leaf body whose row (in EDX) may stand for
+    /// a link and the leaf behind it: the row's via-link bit `v` adds the
+    /// link's hop, a lone `skip` — `1 + 1` cycles, one stream action —
+    /// without a branch. The interpreter checks the budget after the link
+    /// and again after the leaf; cycles only grow, so one compare on the sum
+    /// bails exactly when either of those would trap.
     #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
-    fn account(&mut self, actions: &[Action]) {
-        self.a.alu_ri(Alu::Add, CYCLES, 1 + actions.len() as i32);
-        self.a.alu_rm(Alu::Cmp, CYCLES, st(offset_of!(JitState, cycle_limit)));
-        self.bail.push(self.a.jcc_rel32(Cc::A));
+    fn account(&mut self, actions: &[Action], via: bool) {
         let mut classes = OpClassCycles::default();
         for a in actions {
             classes.bump(a);
         }
+        let cycles = 1 + actions.len() as i32;
+        if via {
+            self.a.mov32_rr(RAX, RDX);
+            self.a.shr_ri(RAX, VIA_SHIFT as u8);
+            self.a.alu32_ri(Alu::And, RAX, 1);
+            self.a.lea(CYCLES, Mem::index(CYCLES, RAX, 1, cycles));
+            self.a.lea(N_STREAM, Mem::index(N_STREAM, RAX, 0, classes.stream as i32));
+            classes.stream = 0;
+        } else {
+            self.a.alu_ri(Alu::Add, CYCLES, cycles);
+        }
+        self.a.alu_rm(Alu::Cmp, CYCLES, st(offset_of!(JitState, cycle_limit)));
+        self.bail.push(self.a.jcc_rel32(Cc::A));
         for (counter, n) in [(N_ALU, classes.alu), (N_MEM, classes.mem), (N_STREAM, classes.stream)]
         {
             if n > 0 {
@@ -631,7 +660,7 @@ impl Lower {
 
     fn emit_block(&mut self, addr: u32, blk: &PredecodedBlock, next: Option<u32>) {
         self.block_off[addr as usize] = Some(self.a.here());
-        self.account(blk.actions());
+        self.account(blk.actions(), false);
         for act in blk.actions() {
             self.emit_action(*act);
         }
@@ -670,6 +699,7 @@ impl Lower {
                 self.window_dispatch(base, bits);
             }
             DecodedTransition::DispatchPeek { bits, base } => {
+                self.composed_dispatch(base, bits);
                 self.stream_value(StreamOp::Peek, bits);
                 self.window_dispatch(base, bits);
             }
@@ -688,6 +718,36 @@ impl Lower {
     fn land(&mut self, field: usize) {
         let at = self.a.here();
         self.a.patch_rel32(field, at);
+    }
+
+    /// The wide front of a `dispatch.peek` into a group with a composed
+    /// table: while the buffer holds `W` bits, the row of the `W`-bit window
+    /// is both hops of a two-level code in one load — a leaf row, with the
+    /// link's width and charge folded in ([`Self::account`]) — and the leaf
+    /// body is entered with it. Nothing can underflow there: a row that
+    /// crossed a link skips at most `W` bits. A window the table does not
+    /// cover, and a buffer still short of `W` bits after the word refill
+    /// (the stream's tail), fall to the group's own dispatch, emitted next.
+    fn composed_dispatch(&mut self, base: u32, bits: u8) {
+        let Some(&Composed { bits: wide, leaf, start, .. }) =
+            self.plan.group(bits, base).and_then(|g| g.composed.as_ref())
+        else {
+            return;
+        };
+        self.a.alu_ri(Alu::Cmp, BITS, i32::from(wide));
+        let entry = self.a.jcc_rel32(Cc::B);
+        let back = self.a.here();
+        self.a.mov_rr(RAX, BUF);
+        self.a.shr_ri(RAX, 64 - wide);
+        let at = self.a.lea_rip(RCX);
+        self.table_refs.push((at, start));
+        self.a.load32(RDX, Mem::index(RCX, RAX, 2, 0));
+        self.a.test32_ri(RDX, 3 << TAG_SHIFT);
+        let not_covered = self.a.jcc_rel32(Cc::Ne);
+        self.enter_class(leaf);
+        self.land(not_covered);
+        let done = self.a.here();
+        self.cold.push(ColdSite { op: None, width: Some((0, wide)), entry, back, done });
     }
 
     /// Dispatch on the `bits`-bit window in EAX. A table-lowered group loads
@@ -742,7 +802,7 @@ impl Lower {
     #[allow(clippy::cast_possible_truncation)]
     fn emit_body(&mut self, class: usize) {
         let shape = self.plan.classes[class];
-        self.account(shape.blk.actions());
+        self.account(shape.blk.actions(), shape.via);
         for (i, act) in shape.blk.actions().iter().enumerate() {
             match *act {
                 Action::SkipSym { .. } if shape.skip_at == Some(i) => {
@@ -890,18 +950,22 @@ impl Lower {
             self.land(site.entry);
             let call = self.a.call_rel32();
             self.a.patch_rel32(call, refill_at);
-            if let Some((arg, need)) = site.width {
+            if let Some((_, need)) = site.width {
                 self.a.alu_ri(Alu::Cmp, BITS, i32::from(need));
                 self.a.jcc_to(Cc::Ae, site.back);
-                self.a.mov32_ri(RSI, u32::from(arg));
             } else {
                 // The refill clobbered RCX and RSI; the row is still in RDX.
                 self.row_width();
                 self.a.alu_rr(Alu::Cmp, BITS, RSI);
                 self.a.jcc_to(Cc::Ae, site.back);
             }
-            let call = self.a.call_rel32();
-            self.a.patch_rel32(call, tramp_at[site.op as usize]);
+            if let Some(op) = site.op {
+                if let Some((arg, _)) = site.width {
+                    self.a.mov32_ri(RSI, u32::from(arg));
+                }
+                let call = self.a.call_rel32();
+                self.a.patch_rel32(call, tramp_at[op as usize]);
+            }
             self.a.jmp_to(site.done);
         }
 
@@ -942,8 +1006,18 @@ pub struct LaneJit {
     /// Where the dispatch tables sit in the published bytes (behind the
     /// code, so `code_digest` and the page protection cover them).
     tables: std::ops::Range<usize>,
-    /// `(bits, base)` of the dispatch groups served from those tables.
-    table_groups: Vec<(u8, u32)>,
+    /// The dispatch groups served from those tables.
+    table_groups: Vec<TableGroup>,
+}
+
+/// A table-lowered dispatch group of a published artifact.
+#[derive(Debug)]
+struct TableGroup {
+    bits: u8,
+    base: u32,
+    /// The composed table in front of it: window width, and where its rows
+    /// sit in the published bytes.
+    composed: Option<(u8, std::ops::Range<usize>)>,
 }
 
 /// Artifact identity is its digest pair: equal digests ⇔ compiled from
@@ -1019,9 +1093,19 @@ impl LaneJit {
         let mut code = lo.a.into_bytes();
         if !lo.plan.groups.is_empty() {
             code.resize(tables_at, 0xCC);
-            code.extend(lo.plan.groups.iter().flat_map(|g| &g.rows).flat_map(|r| r.to_le_bytes()));
+            let rows = lo.plan.tables().flat_map(|(.., rows)| rows);
+            code.extend(rows.flat_map(|r| r.to_le_bytes()));
         }
         let tables = code.len() - lo.plan.table_bytes()..code.len();
+        let table_groups = (lo.plan.groups.iter())
+            .map(|g| {
+                let composed = g.composed.as_ref().map(|c| {
+                    let at = tables.start + c.start as usize * 4;
+                    (c.bits, at..at + c.rows.len() * 4)
+                });
+                TableGroup { bits: g.bits, base: g.base, composed }
+            })
+            .collect();
         let buf = ExecBuf::publish(&code)?;
         let published = buf.code();
         let table = lo.block_off.iter().map(|off| buf.addr_of(off.unwrap_or(bail_at))).collect();
@@ -1036,7 +1120,7 @@ impl LaneJit {
             ),
             blocks: predecoded.iter().flatten().count(),
             tables,
-            table_groups: lo.plan.groups.iter().map(|g| (g.bits, g.base)).collect(),
+            table_groups,
             table,
             buf,
         })
@@ -1074,7 +1158,24 @@ impl LaneJit {
     /// Whether a `bits`-wide dispatch into the group at `base` is served
     /// from a table.
     pub fn table_lowered(&self, bits: u8, base: u32) -> bool {
-        self.table_groups.contains(&(bits, base))
+        self.table_group(bits, base).is_some()
+    }
+
+    fn table_group(&self, bits: u8, base: u32) -> Option<&TableGroup> {
+        self.table_groups.iter().find(|g| (g.bits, g.base) == (bits, base))
+    }
+
+    /// Bytes of the composed tables, the tail of [`Self::table_bytes`].
+    pub fn composed_table_bytes(&self) -> usize {
+        self.table_groups.iter().filter_map(|g| Some(g.composed.as_ref()?.1.len())).sum()
+    }
+
+    /// The composed table a `dispatch.peek` of `bits` into the group at
+    /// `base` tries first, if the group has one: its window width and where
+    /// its rows sit in the published bytes.
+    #[doc(hidden)]
+    pub fn composed(&self, bits: u8, base: u32) -> Option<(u8, std::ops::Range<usize>)> {
+        self.table_group(bits, base)?.composed.clone()
     }
 
     /// Where the tables sit in the published bytes.
@@ -1142,15 +1243,14 @@ impl LaneJit {
             ));
             return out;
         }
-        for g in &plan.groups {
-            let got = published[g.start as usize * 4..].chunks_exact(4);
-            if let Some(w) =
-                g.rows.iter().zip(got).position(|(want, got)| want.to_le_bytes() != *got)
+        for (g, what, start, rows) in plan.tables() {
+            let got = published[start as usize * 4..].chunks_exact(4);
+            if let Some(w) = rows.iter().zip(got).position(|(want, got)| want.to_le_bytes() != *got)
             {
                 out.push((
                     Some(g.site),
                     format!(
-                        "JIT artifact failed translation validation: row {w} of the dispatch \
+                        "JIT artifact failed translation validation: row {w} of the {what} \
                          table for the {}-bit group at {} does not match the blocks it was \
                          derived from (tampered or stale table)",
                         g.bits, g.base

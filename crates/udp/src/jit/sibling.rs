@@ -25,6 +25,17 @@
 //! class counts (they have the same actions), so the shared body's
 //! accounting is the per-block accounting.
 //!
+//! A `dispatch.peek b` group whose links are a lone `skip b` is the first
+//! level of a two-level code (a Huffman image's primary group): the window
+//! behind the link is already in the stream, so both levels can be walked
+//! ahead of time. Such a group also gets a **composed** table over a wider
+//! window of `W <= 12` bits, each row the leaf row the two hops end in —
+//! total skip width, the leaf's immediate, and a bit saying a link was
+//! crossed, for which the leaf body charges the link's cycles as well. One
+//! row load then serves every code of up to `W` bits. Windows it cannot
+//! resolve (a longer code, another shape, a hole) are tagged not covered and
+//! take the group's own table, as does a buffer holding fewer than `W` bits.
+//!
 //! This module only plans; `super::Lower` emits. The plan is a pure function
 //! of the predecode table, so `verify_image` re-derives it and compares the
 //! published tables row for row.
@@ -34,19 +45,40 @@ use crate::isa::Action;
 use crate::machine::{DecodedTransition, PredecodedBlock};
 use std::collections::{HashMap, HashSet};
 
-/// Widest dispatch a table is built for (4,096 rows).
+/// Widest window a table is built for (4,096 rows, 16 KiB), dispatch or
+/// composed.
 const MAX_TABLE_BITS: u8 = 12;
+/// Dispatch-table rows a plan may hold per code word of the image. Placed
+/// groups do not overlap, so their windows add up to about the image; this
+/// only keeps garbage words from costing more than that.
+const ROWS_PER_WORD: usize = 8;
+/// Rows a plan may hold in all, composed tables included: 1 MiB of tables
+/// whatever the image says, and every row index fits a link row's field.
+const MAX_TABLE_ROWS: usize = 1 << 18;
+const _: () = assert!(MAX_TABLE_ROWS <= 1 << (32 - LINK_SHIFT));
+
+/// Most table rows [`Plan::new`] derives from an image of `words` code
+/// words: [`ROWS_PER_WORD`] each, plus one full-width composed table so that
+/// a small two-level image can have its own, within [`MAX_TABLE_ROWS`].
+pub(crate) fn max_table_rows(words: usize) -> usize {
+    (ROWS_PER_WORD * words + (1 << MAX_TABLE_BITS)).min(MAX_TABLE_ROWS)
+}
 
 // Row layout, one `u32` per window:
 //   bits 0..8    stream width: a leaf's `SkipSym` bits, a link's dispatch bits
 //   bits 8..10   tag: index into the group's classes, or `TAG_GENERIC`
+//   bit  10      leaf, composed tables only: the row crossed a link
 //   bits 16..32  leaf: the `LoadImm` immediate
 //   bits 10..32  link: first row of the target group's table
+// A composed row is a leaf row with tag 0 (its width the link's and the
+// leaf's together), or `TAG_GENERIC` for a window the table does not cover.
 /// Bit position of the tag.
 pub(crate) const TAG_SHIFT: u32 = 8;
 /// Tag of a row the table does not serve: the window takes the per-block
 /// path (the bail stub, for a hole).
 pub(crate) const TAG_GENERIC: u32 = 2;
+/// Bit of a composed leaf row that stands for a link and the leaf behind it.
+pub(crate) const VIA_SHIFT: u32 = 10;
 /// Bit position of a leaf row's immediate.
 pub(crate) const IMM_SHIFT: u32 = 16;
 /// Bit position of a link row's target table.
@@ -64,6 +96,9 @@ pub(crate) struct Shape {
     pub imm_at: Option<usize>,
     /// For a link: the class every member's target group is pure of.
     pub link: Option<usize>,
+    /// For a leaf: a composed table enters it with rows that crossed a link,
+    /// so its body charges the link's hop when the row says so.
+    pub via: bool,
 }
 
 /// What one sibling contributes to its row.
@@ -91,10 +126,94 @@ pub(crate) struct Group {
     pub start: u32,
     /// `1 << bits` rows.
     pub rows: Vec<u32>,
+    /// The wider first-level table a `dispatch.peek` into the group tries
+    /// first.
+    pub composed: Option<Composed>,
+}
+
+/// A composed table: both levels of a two-level group, walked per window.
+#[derive(Debug)]
+pub(crate) struct Composed {
+    /// Window width `W`: the most bits a link and the leaf behind it skip
+    /// together, of those that fit [`MAX_TABLE_BITS`].
+    pub bits: u8,
+    /// The leaf class every covered row enters.
+    pub leaf: usize,
+    /// First row, counted from the first table; composed tables sit behind
+    /// every dispatch table.
+    pub start: u32,
+    /// `1 << bits` rows.
+    pub rows: Vec<u32>,
+}
+
+impl Composed {
+    /// Walks both levels of `g` on every window as wide as the longest
+    /// two-hop skip of at most [`MAX_TABLE_BITS`]; `None` when `g` has no
+    /// link or no window could be covered through one. `tables` holds every
+    /// group's rows, in table order.
+    fn new(g: &Group, classes: &[Shape], tables: &[u32], start: u32) -> Option<Composed> {
+        const NOT_COVERED: u32 = TAG_GENERIC << TAG_SHIFT;
+        let tag_of = |row: u32| row >> TAG_SHIFT & 3;
+        let width_of = |row: u32| row & 0xFF;
+        // The link must be a lone `skip b`: the window behind it starts
+        // where the group's own ends.
+        let b = u32::from(g.bits);
+        let (link_tag, leaf) = g.classes.iter().enumerate().find_map(|(tag, &class)| {
+            let shape = &classes[class];
+            let lone_skip = shape.blk.actions() == [Action::SkipSym { bits: g.bits }];
+            Some((tag as u32, shape.link.filter(|_| lone_skip)?))
+        })?;
+        // Its other class, if any, must be the leaf the links end in: one
+        // body then serves every covered row.
+        let leaf_tag = g.classes.iter().position(|&class| class == leaf).map(|tag| tag as u32);
+        if g.classes.len() > 1 && leaf_tag.is_none() {
+            return None;
+        }
+        // The rows behind a link (its group is pure of `leaf`: every row
+        // tag 0).
+        let behind = |link: u32| {
+            let at = (link >> LINK_SHIFT) as usize;
+            &tables[at..at + (1 << width_of(link))]
+        };
+        let wide = (g.rows.iter().filter(|&&row| tag_of(row) == link_tag))
+            .flat_map(|&link| behind(link))
+            .map(|&second| b + width_of(second))
+            .filter(|&total| total <= u32::from(MAX_TABLE_BITS))
+            .max()
+            .filter(|&wide| wide > b)?;
+        let rows = (0..1u32 << wide)
+            .map(|w| {
+                let first = g.rows[(w >> (wide - b)) as usize];
+                if Some(tag_of(first)) == leaf_tag {
+                    return first & !(3 << TAG_SHIFT);
+                }
+                if tag_of(first) != link_tag {
+                    return NOT_COVERED;
+                }
+                // The `have` window bits behind the first level select the
+                // link's row, or — a link wider than that — a run of rows,
+                // which must all say the same: a code no longer than the
+                // window.
+                let (k, have) = (width_of(first), wide - b);
+                let below = w & ((1 << have) - 1);
+                let run = if k <= have {
+                    &behind(first)[(below >> (have - k)) as usize..][..1]
+                } else {
+                    &behind(first)[(below << (k - have)) as usize..][..1 << (k - have)]
+                };
+                let total = b + width_of(run[0]);
+                if total > wide || run.iter().any(|&second| second != run[0]) {
+                    return NOT_COVERED;
+                }
+                run[0] & !0xFF | total | 1 << VIA_SHIFT
+            })
+            .collect();
+        Some(Composed { bits: wide as u8, leaf, start, rows })
+    }
 }
 
 /// The lowering plan for one image.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Plan {
     /// Shared bodies, by class index.
     pub classes: Vec<Shape>,
@@ -116,7 +235,7 @@ fn dispatch_group(blk: &PredecodedBlock) -> Option<(u8, u32)> {
 /// The class `blk` would belong to and its row parameters; `None` when it
 /// can only be lowered as a block of its own.
 fn classify(blk: &PredecodedBlock, pure: &Pure) -> Option<(Shape, Param)> {
-    let mut shape = Shape { blk: *blk, skip_at: None, imm_at: None, link: None };
+    let mut shape = Shape { blk: *blk, skip_at: None, imm_at: None, link: None, via: false };
     match blk.transition {
         DecodedTransition::Halt | DecodedTransition::Jump(_) => {
             let (mut width, mut imm) = (0, 0);
@@ -164,15 +283,19 @@ impl Plan {
         let at = |addr: u32| predecoded.get(addr as usize).and_then(Option::as_ref);
 
         // Candidate groups, in address order of their first dispatch site.
-        // Placed groups do not overlap, so their windows add up to about the
-        // image; the cap only keeps garbage words from costing more than that.
         let mut seen = HashSet::new();
+        let mut peeked = HashSet::new();
         let mut cands: Vec<(u8, u32, u32)> = Vec::new();
         let mut windows = 0usize;
+        let cap = (ROWS_PER_WORD * predecoded.len()).min(MAX_TABLE_ROWS);
         for (addr, blk) in predecoded.iter().enumerate() {
-            let Some((bits, base)) = blk.as_ref().and_then(dispatch_group) else { continue };
+            let Some(blk) = blk else { continue };
+            let Some((bits, base)) = dispatch_group(blk) else { continue };
+            if matches!(blk.transition, DecodedTransition::DispatchPeek { .. }) {
+                peeked.insert((bits, base));
+            }
             if (1..=MAX_TABLE_BITS).contains(&bits)
-                && windows + (1 << bits) <= 8 * predecoded.len()
+                && windows + (1 << bits) <= cap
                 && seen.insert((bits, base))
             {
                 cands.push((bits, base, addr as u32));
@@ -238,13 +361,10 @@ impl Plan {
                 has_generic: false,
                 start,
                 rows: vec![],
+                composed: None,
             });
             params.push(r);
             start += 1 << bits;
-        }
-        // A link row addresses its target table in 22 bits.
-        if start >= 1 << (32 - LINK_SHIFT) {
-            return Plan { elided: vec![false; predecoded.len()], ..Plan::default() };
         }
 
         let starts: HashMap<(u8, u32), u32> =
@@ -284,6 +404,19 @@ impl Plan {
                 .collect();
         }
 
+        // A composed table in front of every peeked two-level group, while
+        // the image's rows last.
+        let tables: Vec<u32> = groups.iter().flat_map(|g| g.rows.iter().copied()).collect();
+        let mut total = tables.len();
+        for g in groups.iter_mut().filter(|g| peeked.contains(&(g.bits, g.base))) {
+            let Some(c) = Composed::new(g, &classes, &tables, total as u32) else { continue };
+            if total + c.rows.len() <= max_table_rows(predecoded.len()) {
+                total += c.rows.len();
+                classes[c.leaf].via = true;
+                g.composed = Some(c);
+            }
+        }
+
         let mut mark = |addr: u32| {
             if let Some(d) = direct.get_mut(addr as usize) {
                 *d = true;
@@ -319,9 +452,21 @@ impl Plan {
         self.groups.iter().find(|g| (g.bits, g.base) == (bits, base))
     }
 
+    /// The composed tables, in table order.
+    pub(crate) fn composed(&self) -> impl Iterator<Item = (&Group, &Composed)> {
+        self.groups.iter().filter_map(|g| Some((g, g.composed.as_ref()?)))
+    }
+
+    /// Every table in published order — each group's own, then the composed
+    /// ones — as `(group, kind, first row, rows)`.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = (&Group, &'static str, u32, &[u32])> {
+        let dispatch = self.groups.iter().map(|g| (g, "dispatch", g.start, &g.rows[..]));
+        dispatch.chain(self.composed().map(|(g, c)| (g, "composed", c.start, &c.rows[..])))
+    }
+
     /// Total bytes of all tables.
     pub(crate) fn table_bytes(&self) -> usize {
-        self.groups.iter().map(|g| g.rows.len() * 4).sum()
+        4 * self.tables().map(|(.., rows)| rows.len()).sum::<usize>()
     }
 }
 
@@ -455,5 +600,77 @@ mod tests {
             .filter(|&a| image.predecoded(a as u32).is_some() && !plan.elided[a])
             .count();
         assert_eq!(kept, 4, "init, loop head, dispatch block, done");
+    }
+
+    #[test]
+    fn two_level_groups_compose_while_the_images_rows_last() {
+        // Twelve first levels, each `dispatch.peek 2` with two links into the
+        // same 1,024 emit handlers: twelve 4,096-row composed tables asked
+        // for by ~1,100 code words.
+        let mut pb = ProgramBuilder::new("greedy");
+        let done = pb.block(Block {
+            actions: vec![Action::Sub { rd: 15, rs: 2, rt: 14 }],
+            transition: Transition::Halt,
+        });
+        let behind = (0..1u32 << 10).map(|v| (v, pb.block(emit(10, v as i16, done)))).collect();
+        let behind = pb.group(behind);
+        let mut entry = done;
+        for _ in 0..12 {
+            let members = (0..4u32)
+                .map(|w| {
+                    let b = if w < 2 {
+                        emit(2, w as i16, done)
+                    } else {
+                        Block {
+                            actions: vec![Action::SkipSym { bits: 2 }],
+                            transition: Transition::DispatchPeek { bits: 10, group: behind },
+                        }
+                    };
+                    (w, pb.block(b))
+                })
+                .collect();
+            let group = pb.group(members);
+            entry = pb.block(Block {
+                actions: vec![],
+                transition: Transition::DispatchPeek { bits: 2, group },
+            });
+        }
+        pb.entry(entry);
+        let image = assemble(&pb.build().unwrap()).unwrap();
+        let plan = plan_of(&image);
+        assert_eq!(plan.groups.len(), 13, "every group is table-lowered");
+        let composed: Vec<_> = plan.composed().map(|(_, c)| (c.bits, c.start)).collect();
+        let narrow = (1 << 10) + 12 * 4;
+        assert_eq!(composed, [(12, narrow), (12, narrow + 4096)], "two fit, in table order");
+        let words = image.words.len();
+        assert!(narrow as usize + 3 * 4096 > max_table_rows(words), "{words} words");
+        assert!(plan.table_bytes() <= 4 * max_table_rows(words));
+        // The leaf body charges a link's hop for the rows that crossed one.
+        let (g, c) = plan.composed().next().unwrap();
+        assert!(plan.classes[c.leaf].via && plan.classes[c.leaf].link.is_none());
+        assert_eq!(c.rows[0b01 << 10], g.rows[1], "a leaf row is the group's own, tag 0");
+        assert_eq!(c.rows[0b10 << 10 | 5] & 0xFFFF, 0xC | 1 << VIA_SHIFT, "both widths, via");
+        assert_eq!(c.rows[0b10 << 10 | 5] >> IMM_SHIFT, 5, "the immediate behind the link");
+    }
+
+    #[test]
+    fn no_image_gets_more_than_the_stated_rows() {
+        // 40,000 code words of one emit handler, and 70 blocks that each
+        // dispatch 12 bits wide into them: 8 rows per word would be 320,000.
+        let p = dispatch_program(1, |w, done| Some(emit(1, w as i16, done)));
+        let image = assemble(&p).unwrap();
+        let at = |addr| *image.predecoded(addr).unwrap();
+        let dispatcher = at(image.entry);
+        let Some((_, leaf)) = dispatch_group(&dispatcher) else { panic!("{dispatcher:?}") };
+        let mut predecoded = vec![Some(at(leaf)); 40_000];
+        for (i, slot) in predecoded.iter_mut().enumerate().take(70) {
+            let mut blk = dispatcher;
+            blk.transition = DecodedTransition::DispatchPeek { bits: 12, base: 1000 + i as u32 };
+            *slot = Some(blk);
+        }
+        let plan = Plan::new(&predecoded, 0);
+        assert_eq!(max_table_rows(predecoded.len()), MAX_TABLE_ROWS);
+        assert_eq!(plan.groups.len(), MAX_TABLE_ROWS >> 12, "the 65th group keeps its jump");
+        assert_eq!(plan.table_bytes(), 4 * MAX_TABLE_ROWS);
     }
 }

@@ -210,15 +210,67 @@ mod tests {
         round_trip(&[0x42]);
     }
 
+    /// The modeled charge, exactly, on every tier. Per run: `init` (2
+    /// cycles), the `loop_head` that sees the stream empty (2) and `done`
+    /// (2). Per symbol: `loop_head` (`inrem` + branch, 2), the dispatch
+    /// block (1) and the emit handler (`skip`, `limm`, `storebi`, 4) — and,
+    /// for a code longer than the primary width, the prefix handler in
+    /// between (`skip 8`, 2). Whatever a tier does to get there faster, this
+    /// is what it must report.
     #[test]
-    fn cycles_per_symbol_is_small_constant() {
-        let data: Vec<u8> = (0..4096).map(|i| ((i * 7) % 40) as u8).collect();
-        let cycles = round_trip(&data);
-        let per_sym = cycles as f64 / data.len() as f64;
-        assert!(
-            per_sym < 12.0,
-            "multi-way dispatch should decode in ~8 cycles/symbol, got {per_sym:.1}"
-        );
+    fn cycles_and_opclass_are_exact_per_code_length() {
+        use crate::lane::{OpClassCycles, RunResult};
+        // Three common symbols and a quarter of the stream spread over 150
+        // rare ones, which land on 9- and 10-bit codes; against 40 equally
+        // likely symbols, none above 6 bits.
+        let long_tail: Vec<u8> = (0..4096usize)
+            .map(|i| if i % 4 == 0 { 100 + (i / 4 % 150) as u8 } else { (i % 3) as u8 })
+            .collect();
+        let flat: Vec<u8> = (0..4096).map(|i| ((i * 7) % 40) as u8).collect();
+        for (data, has_long) in [(long_tail, true), (flat, false)] {
+            let t = smoothed_table(&data);
+            let long =
+                data.iter().filter(|&&s| t.lengths[s as usize] > PRIMARY_BITS).count() as u64;
+            let short = data.len() as u64 - long;
+            if has_long {
+                assert!(long * 5 >= data.len() as u64, "{long} long codes: under 20 %");
+            } else {
+                assert_eq!(long, 0);
+            }
+            let want = OpClassCycles {
+                dispatch: 3 + 3 * short + 4 * long,
+                alu: 2 + short + long,
+                mem: short + long,
+                stream: 1 + 2 * short + 3 * long,
+            };
+            assert_eq!(want.total(), 6 + 7 * short + 9 * long);
+
+            let (bytes, bits) = encode(&data, &t).unwrap();
+            let image = compile(&t.lengths).unwrap();
+            let cfg = RunConfig::default();
+            let mut out = Vec::new();
+            let interp = Lane::new().run_into_interp(&image, &bytes, bits, cfg, &mut out).unwrap();
+            let tiers: [(&str, RunResult); 3] = [
+                ("run", Lane::new().run(&image, &bytes, bits, cfg).unwrap()),
+                (
+                    "interpreter",
+                    RunResult {
+                        cycles: interp.cycles,
+                        dispatches: interp.dispatches,
+                        actions: interp.actions,
+                        opclass: interp.opclass,
+                        output: out,
+                    },
+                ),
+                ("reference", Lane::new().run_reference(&image, &bytes, bits, cfg).unwrap()),
+            ];
+            for (tier, r) in tiers {
+                assert_eq!(r.output, data, "{tier}");
+                assert_eq!(r.cycles, want.total(), "{tier}: cycles");
+                assert_eq!(r.opclass, want, "{tier}: op-class attribution");
+                assert_eq!((r.dispatches, r.actions), (want.dispatch, r.cycles - want.dispatch));
+            }
+        }
     }
 
     #[test]

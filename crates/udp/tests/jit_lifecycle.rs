@@ -15,7 +15,11 @@
 //! 4. the dispatch tables of a table-lowered image (ISSUE 15) are published
 //!    with the code — inside the same read+execute mapping, never writable —
 //!    and `verify_image` re-derives them: one flipped table byte is an
-//!    `Error` naming the group's dispatch block, which gates `Lane::run`.
+//!    `Error` naming the group's dispatch block, which gates `Lane::run`;
+//! 5. the composed first-level table of a two-level group (ISSUE 16) is
+//!    re-derived the same way: a flipped width bit or via-link bit of one of
+//!    its rows is an `Error` naming group and row, and — run anyway — shows
+//!    in the output or in the modeled cycles.
 //!
 //! The whole file is x86-64 Linux only (the only platform that publishes
 //! pages) and every test early-outs under `RECODE_NO_JIT=1`, so CI's
@@ -27,7 +31,7 @@ use std::sync::Mutex;
 
 use recode_codec::jit::exec::{live_exec_bytes, poison_next_publish_for_test, wx_violations};
 use recode_codec::jit::{set_compile_hook, CompileEvent};
-use recode_udp::isa::{Action, Block, BlockId, Transition, Width};
+use recode_udp::isa::{Action, Block, BlockId, Cond, Transition, Width};
 use recode_udp::lane::{Lane, LaneError, RunConfig};
 use recode_udp::machine::assemble;
 use recode_udp::program::{Program, ProgramBuilder};
@@ -264,4 +268,129 @@ fn tampered_table_row_is_flagged_by_reverify_and_gates_the_lane() {
     assert_eq!(run(&image, RunConfig::default()).unwrap_err(), LaneError::Unverified { errors });
     let cfg = RunConfig { allow_unverified: true, ..RunConfig::default() };
     assert_eq!(run(&image, cfg).unwrap().output, vec![40]);
+}
+
+/// A decode loop over a two-level code: `dispatch.peek 2` into two emit
+/// handlers (`skip 2; limm r4, 10 + w; storebi r4, r2; jump head`) and two
+/// prefix handlers `skip 2; dispatch.peek 1` with two more emit handlers
+/// behind each (`skip 1; limm r4, 10·w + v; …`). Returns the block that
+/// dispatches into the first level too.
+fn two_level_program() -> (Program, BlockId) {
+    let mut pb = ProgramBuilder::new("jit-composed");
+    let done = pb.block(Block {
+        actions: vec![Action::Sub { rd: 15, rs: 2, rt: 14 }],
+        transition: Transition::Halt,
+    });
+    let head = pb.reserve();
+    let emit = |pb: &mut ProgramBuilder, skip: u8, sym: u32| {
+        pb.block(Block {
+            actions: vec![
+                Action::SkipSym { bits: skip },
+                Action::LoadImm { rd: 4, imm: sym as i16 },
+                Action::StoreInc { rs: 4, base: 2, width: Width::B1 },
+            ],
+            transition: Transition::Jump(head),
+        })
+    };
+    let mut members = vec![(0, emit(&mut pb, 2, 10)), (1, emit(&mut pb, 2, 11))];
+    for w in 2..4u32 {
+        let behind = (0..2).map(|v| (v, emit(&mut pb, 1, 10 * w + v))).collect();
+        let group = pb.group(behind);
+        let link = pb.block(Block {
+            actions: vec![Action::SkipSym { bits: 2 }],
+            transition: Transition::DispatchPeek { bits: 1, group },
+        });
+        members.push((w, link));
+    }
+    let group = pb.group(members);
+    let dispatch = pb
+        .block(Block { actions: vec![], transition: Transition::DispatchPeek { bits: 2, group } });
+    pb.define(
+        head,
+        Block {
+            actions: vec![Action::InRem { rd: 3 }],
+            transition: Transition::Branch {
+                cond: Cond::Eq,
+                rs: 3,
+                rt: 0,
+                taken: done,
+                fallthrough: dispatch,
+            },
+        },
+    );
+    let init = pb.block(Block {
+        actions: vec![Action::Mov { rd: 2, rs: 14 }],
+        transition: Transition::Jump(head),
+    });
+    pb.entry(init);
+    (pb.build().unwrap(), dispatch)
+}
+
+#[test]
+fn tampered_composed_row_is_flagged_by_reverify_and_gates_the_lane() {
+    if !recode_codec::jit::enabled() {
+        return;
+    }
+    let _g = GATE.lock().unwrap();
+    let (program, dispatch) = two_level_program();
+    let placement = recode_udp::effclip::place(&program).unwrap();
+    let mut image = recode_udp::machine::encode(&program, &placement).unwrap();
+    let clean = image.verify_report.clone();
+    assert_eq!(clean.error_count(), 0);
+    // `101` (behind the first prefix handler), `01`, `110`, `01`, then `00`s:
+    // enough of them that the word refill fills the buffer and the composed
+    // table serves the head of the stream. A decode that takes `101` for a
+    // two-bit code falls in step again at bit 12, so it halts cleanly too —
+    // a run that traps is rerun on the interpreter, which no table can fool.
+    let input = [0b1010_1110, 0b0100_0000, 0, 0, 0, 0, 0, 0, 0, 0];
+    let run = |image: &recode_udp::machine::Image, cfg| Lane::new().run(image, &input, 80, cfg);
+    let intact = run(&image, RunConfig::default()).unwrap();
+    assert_eq!(intact.output[..6], [21, 11, 30, 11, 10, 10]);
+
+    let first_level = (0..image.words.len() as u32)
+        .find_map(|a| match image.predecoded(a)?.transition {
+            recode_udp::machine::DecodedTransition::DispatchPeek { bits: 2, base } => Some(base),
+            _ => None,
+        })
+        .expect("the first level's dispatch");
+    let jit = image.jit().expect("artifact");
+    let (wide, span) = jit.composed(2, first_level).expect("a two-level group composes");
+    assert_eq!((wide, span.len()), (3, 32), "eight three-bit windows");
+    assert!(jit.table_span().start < span.start && span.end == jit.table_span().end);
+
+    // Row 5, `101`: width 3 in its low byte, the via-link bit is bit 10.
+    let row = span.start + 5 * 4;
+    for (what, off, xor) in [("width", row, 0x01u8), ("via-link bit", row + 1, 0x04)] {
+        image.jit().expect("artifact").corrupt_for_test(off, xor);
+        let report = verify_image(&program, &placement, &image, &VerifyConfig::default());
+        let errors: Vec<_> = (report.findings.iter())
+            .filter(|f| {
+                f.analysis == Analysis::TranslationValidation && f.severity == Severity::Error
+            })
+            .collect();
+        let finding = errors
+            .iter()
+            .find(|f| f.message.contains("composed table"))
+            .unwrap_or_else(|| panic!("{what}: the re-derived row must disagree: {errors:?}"));
+        assert!(finding.message.contains("row 5"), "{what}: {finding:?}");
+        assert!(finding.message.contains("2-bit group"), "{what}: {finding:?}");
+        assert_eq!(finding.block, dispatch, "{what}: anchored at the dispatching block");
+
+        let errors = errors.len();
+        image.verify_report = report;
+        let gated = run(&image, RunConfig::default()).unwrap_err();
+        assert_eq!(gated, LaneError::Unverified { errors }, "{what}");
+        let cfg = RunConfig { allow_unverified: true, ..RunConfig::default() };
+        let damaged = run(&image, cfg).unwrap();
+        if what == "width" {
+            assert_eq!(damaged.output[..6], [21, 21, 31, 10, 20, 10], "`101` skipped two bits");
+        } else {
+            assert_eq!(damaged.output, intact.output);
+            assert_eq!(damaged.cycles, intact.cycles - 2, "the link's hop went uncharged");
+        }
+        // Flip it back for the next round.
+        image.jit().expect("artifact").corrupt_for_test(off, xor);
+        image.verify_report = clean.clone();
+        assert_eq!(run(&image, RunConfig::default()).unwrap().cycles, intact.cycles);
+    }
 }

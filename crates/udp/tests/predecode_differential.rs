@@ -25,6 +25,13 @@
 //! width × intact, truncated and bit-flipped streams × the budget edge × an
 //! output window that overruns the scratchpad — and hand-builds the
 //! near-siblings the rule must leave on the per-block path.
+//!
+//! A two-level group also gets a composed first-level table that resolves a
+//! long code in one row load (ISSUE 16). The generated images pin when one
+//! exists and how wide it is, run a stream long enough for it to be the
+//! steady state, cut the stream at every bit of its tail and everywhere
+//! inside a long code, and the hand-built two-level loops cover the shapes
+//! that must not compose.
 
 use recode_codec::huffman::{self, HuffmanTable};
 use recode_codec::pipeline::{Pipeline, PipelineConfig};
@@ -504,6 +511,20 @@ fn dispatch_groups(image: &Image) -> Vec<(u8, u32)> {
         .collect()
 }
 
+/// The first level of a two-level decode loop: the group its action-free
+/// `dispatch.peek` block dispatches into.
+fn first_level_group(image: &Image) -> (u8, u32) {
+    (0..image.words.len() as u32)
+        .find_map(|addr| match image.predecoded(addr)? {
+            b if b.actions().is_empty() => match b.transition {
+                DecodedTransition::DispatchPeek { bits, base } => Some((bits, base)),
+                _ => None,
+            },
+            _ => None,
+        })
+        .expect("a dispatch block")
+}
+
 /// The shape of the compiled artifacts is part of the lowering's contract.
 /// A Huffman image is a few hundred sibling handlers behind a two-level
 /// dispatch: every one of its groups — the primary and each secondary — must
@@ -511,7 +532,9 @@ fn dispatch_groups(image: &Image) -> Vec<(u8, u32)> {
 /// shared bodies as the only code the steady state runs. That code has to
 /// stay L1I-resident whatever the table looks like: at most 4 KiB, tables
 /// (data, behind the slow paths) not counted. No `jmp [m]` is left on the
-/// path of a code within the primary width. The other images have no sibling
+/// path of a code within the primary width. The tables are one 4-byte row per
+/// window of every group plus the composed table in front of the primary
+/// group, at most 16 KiB, and nothing else. The other images have no sibling
 /// groups and keep the per-block bound: the first lowering spent ~285 bytes
 /// per block.
 #[test]
@@ -527,10 +550,23 @@ fn compiled_images_stay_compact() {
             }
             assert_eq!(jit.table_groups(), groups.len());
             let rows: usize = groups.iter().map(|&(bits, _)| 1usize << bits).sum();
-            assert_eq!(jit.table_bytes(), rows * 4, "one 4-byte row per window");
+            let composed: Vec<_> =
+                groups.iter().filter_map(|&(bits, base)| jit.composed(bits, base)).collect();
+            assert_eq!(composed.len(), 1, "the primary group has a composed table");
+            for (wide, span) in &composed {
+                assert_eq!(span.len(), 4 << wide, "one 4-byte row per {wide}-bit window");
+                assert!(span.len() <= 16 << 10 && span.end <= jit.table_span().end);
+            }
+            assert_eq!(jit.composed_table_bytes(), composed[0].1.len());
+            assert_eq!(
+                jit.table_bytes(),
+                rows * 4 + jit.composed_table_bytes(),
+                "group rows and composed rows account for every table byte"
+            );
             assert!(hot <= 4096, "{hot} hot bytes");
         } else {
             assert_eq!(jit.table_groups(), 0, "{stage} has no sibling groups");
+            assert_eq!(jit.table_bytes(), 0, "{stage} has no tables");
             assert!(hot <= 100 + 100 * blocks, "{stage}: {hot} hot bytes for {blocks} blocks");
         }
         assert!(total <= 800 + 135 * blocks, "{stage}: {total} bytes for {blocks} blocks");
@@ -584,17 +620,34 @@ fn draw_symbols(rng: &mut SplitMix64, lengths: &[u8], n: usize) -> Vec<u8> {
         .collect()
 }
 
+/// The window width of the composed table the primary group of a Huffman
+/// image must get: the longest code of at most 12 bits behind a prefix
+/// handler, if there is one. Prefix handlers are siblings only of each other,
+/// so a lone one is a class of one and stays on the per-block path.
+fn expected_composed_width(table: &HuffmanTable, width: u8) -> Option<u8> {
+    let long = || table.lengths.iter().zip(&table.codes).filter(|(&l, _)| l > width);
+    let prefixes: std::collections::BTreeSet<_> = long().map(|(&l, &c)| c >> (l - width)).collect();
+    long().map(|(&l, _)| l).filter(|&l| l <= 12 && prefixes.len() >= 2).max()
+}
+
 /// One generated Huffman image through every way a run can end: the intact
-/// stream, the budget edge, truncations, bit flips, and an output window that
-/// runs off the scratchpad — three tiers each.
+/// stream, a stream long enough for the composed table to be the steady
+/// state, the budget edge, a cut at every bit of the tail and everywhere
+/// inside a long code, bit flips, and an output window that runs off the
+/// scratchpad — three tiers each.
 fn huffman_image_agrees_three_ways(rng: &mut SplitMix64, lengths: &[u8], width: u8) {
     let table = HuffmanTable::from_lengths(lengths.to_vec()).unwrap();
     let image = progs::huffman::compile_with_width(lengths, width).unwrap();
     let what = format!("{} codes, width {width}", table.coded_symbols());
     assert_eq!(image.verify_report.error_count(), 0, "{what}");
     if let Some(jit) = image.jit() {
+        // Only the primary group has links behind it.
+        let primary = first_level_group(&image);
         for (bits, base) in dispatch_groups(&image) {
             assert!(jit.table_lowered(bits, base), "{what}: {bits}-bit group at {base}");
+            let want = expected_composed_width(&table, width).filter(|_| (bits, base) == primary);
+            let got = jit.composed(bits, base).map(|(wide, _)| wide);
+            assert_eq!(got, want, "{what}: composed table of the {bits}-bit group at {base}");
         }
     }
     let n = 1 + rng.below(400);
@@ -605,6 +658,17 @@ fn huffman_image_agrees_three_ways(rng: &mut SplitMix64, lengths: &[u8], width: 
     let mut lanes = [Lane::new(), Lane::new(), Lane::new()];
     let r = differential_on(&mut lanes, &image, &bytes, bits, cfg, &what).unwrap();
     assert_eq!(r.output, data, "{what}");
+
+    let long_run = draw_symbols(rng, lengths, 4096);
+    let (long_bytes, long_bits) = huffman::encode(&long_run, &table).unwrap();
+    let calls = lanes[0].jit_helper_calls();
+    let got = differential_on(&mut lanes, &image, &long_bytes, long_bits, cfg, &what).unwrap();
+    assert_eq!(got.output, long_run, "{what}");
+    // The scalar helpers serve the last partial word — two refills at most —
+    // and a zero-padded peek for every symbol that starts inside the last
+    // `width` bits.
+    let calls = lanes[0].jit_helper_calls() - calls;
+    assert!(calls <= 2 + u64::from(width), "{what}: {calls} helper calls in 4,096 symbols");
     assert_eq!(lanes[0].jit_bails(), 0, "{what}: an intact stream must not bail");
 
     let min = image.verify_report.cycle_bound.expect("certified").min;
@@ -617,9 +681,29 @@ fn huffman_image_agrees_three_ways(rng: &mut SplitMix64, lengths: &[u8], width: 
             assert_eq!(got.unwrap_err(), LaneError::CycleLimit { limit }, "{what}");
         }
     }
-    for _ in 0..3 {
-        let cut = bits - rng.below(bits.min(24));
+    // The stream's tail is where the compiled tier changes hands: from the
+    // composed table to the group's own once the buffer is short of a wide
+    // window, then to the scalar helpers.
+    for cut in bits.saturating_sub(40)..bits {
         let _ = differential_on(&mut lanes, &image, &bytes[..cut.div_ceil(8)], cut, cfg, &what);
+    }
+    // The same hand-over in front of a code longer than the primary width,
+    // which takes two hops on the narrow path: the stream ends 1..=16 bits
+    // into (or, with the short codes that follow, past) the longest code.
+    let longest = (0..256).max_by_key(|&s| lengths[s]).expect("256 symbols");
+    if lengths[longest] > width {
+        let shortest = (0..256).filter(|&s| lengths[s] > 0).min_by_key(|&s| lengths[s]).unwrap();
+        let mut tail = data[..data.len().min(40)].to_vec();
+        let (_, before) = huffman::encode(&tail, &table).unwrap();
+        tail.push(longest as u8);
+        tail.extend([shortest as u8; 16]);
+        let (tail_bytes, _) = huffman::encode(&tail, &table).unwrap();
+        for cut in before + 1..=before + 16 {
+            let input = &tail_bytes[..cut.div_ceil(8)];
+            let _ = differential_on(&mut lanes, &image, input, cut, cfg, &what);
+        }
+    }
+    for _ in 0..3 {
         let mut flipped = bytes.clone();
         let at = rng.below(bits);
         flipped[at / 8] ^= 0x80 >> (at % 8);
@@ -718,16 +802,21 @@ fn sibling_loop(by_reg: bool, tweak: impl Fn(u32, &mut Block, u32) -> bool) -> I
     assemble(&pb.build().unwrap()).unwrap()
 }
 
-/// Packs 3-bit windows MSB-first; returns the bytes and the bit length.
-fn pack_windows(windows: &[u32]) -> (Vec<u8>, usize) {
-    let mut bytes = vec![0u8; (windows.len() * 3).div_ceil(8)];
-    for (i, w) in windows.iter().enumerate() {
-        for b in 0..3 {
-            let at = i * 3 + b;
-            bytes[at / 8] |= ((w >> (2 - b) & 1) as u8) << (7 - at % 8);
+/// Packs `(value, width)` fields MSB-first; returns the bytes and the bit
+/// length.
+fn pack_bits(fields: &[(u32, u8)]) -> (Vec<u8>, usize) {
+    let mut bytes = Vec::new();
+    let mut at = 0usize;
+    for &(value, width) in fields {
+        for b in (0..width).rev() {
+            if at.is_multiple_of(8) {
+                bytes.push(0);
+            }
+            bytes[at / 8] |= ((value >> b & 1) as u8) << (7 - at % 8);
+            at += 1;
         }
     }
-    (bytes, windows.len() * 3)
+    (bytes, at)
 }
 
 /// Near-siblings: a group where one handler writes another register, has an
@@ -789,7 +878,8 @@ fn near_siblings_take_the_per_block_path_and_agree() {
         let mut windows: Vec<u32> = if hole.is_some() { vec![0, 1, 2] } else { (0..8).collect() };
         windows.extend([2, 1]);
         windows.extend(hole);
-        let (input, input_bits) = pack_windows(&windows);
+        let fields: Vec<(u32, u8)> = windows.iter().map(|&w| (w, 3)).collect();
+        let (input, input_bits) = pack_bits(&fields);
         let mut lanes = [Lane::new(), Lane::new(), Lane::new()];
         let r = differential_on(&mut lanes, &image, &input, input_bits, cfg, name);
         match name {
@@ -805,5 +895,146 @@ fn near_siblings_take_the_per_block_path_and_agree() {
         let Some(jit) = image.jit() else { continue };
         assert!(jit.table_lowered(bits, base), "{name}: the siblings are still table-lowered");
         assert_eq!(lanes[0].jit_bails(), bails, "{name}");
+    }
+}
+
+/// A decode loop over a two-level code, the shape of a Huffman image: a
+/// `dispatch.peek b` group of emit handlers (`skip b; limm r4, w; storebi r4,
+/// r2; jump head`) with, at each window of `links`, a prefix handler `skip b;
+/// dispatch.peek k` into a group of `2^k` more emit handlers (`skip k; limm
+/// r4, 100·i + v; …`). `tweak` gets every prefix handler and every handler
+/// behind one to change.
+fn two_level_loop(b: u8, links: &[(u32, u8)], tweak: impl Fn(&mut Block, &mut Block)) -> Image {
+    let mut pb = ProgramBuilder::new("two-level");
+    let done = pb.block(Block {
+        actions: vec![Action::Sub { rd: 15, rs: 2, rt: 14 }],
+        transition: Transition::Halt,
+    });
+    let head = pb.reserve();
+    let emit = |skip: u8, sym: usize| Block {
+        actions: vec![
+            Action::SkipSym { bits: skip },
+            Action::LoadImm { rd: 4, imm: sym as i16 },
+            Action::StoreInc { rs: 4, base: 2, width: Width::B1 },
+        ],
+        transition: Transition::Jump(head),
+    };
+    let mut members = Vec::new();
+    for w in 0..1u32 << b {
+        let Some(i) = links.iter().position(|&(at, _)| at == w) else {
+            members.push((w, pb.block(emit(b, w as usize))));
+            continue;
+        };
+        let k = links[i].1;
+        let mut link = Block {
+            actions: vec![Action::SkipSym { bits: b }],
+            transition: Transition::Halt, // the group comes with the handlers
+        };
+        let mut behind = Vec::new();
+        for v in 0..1u32 << k {
+            let mut leaf = emit(k, 100 * (i + 1) + v as usize);
+            tweak(&mut link, &mut leaf);
+            behind.push((v, pb.block(leaf)));
+        }
+        link.transition = Transition::DispatchPeek { bits: k, group: pb.group(behind) };
+        members.push((w, pb.block(link)));
+    }
+    let group = pb.group(members);
+    let dispatch = pb
+        .block(Block { actions: vec![], transition: Transition::DispatchPeek { bits: b, group } });
+    pb.define(
+        head,
+        Block {
+            actions: vec![Action::InRem { rd: 3 }],
+            transition: Transition::Branch {
+                cond: Cond::Eq,
+                rs: 3,
+                rt: 0,
+                taken: done,
+                fallthrough: dispatch,
+            },
+        },
+    );
+    let init = pb.block(Block {
+        actions: vec![Action::Mov { rd: 2, rs: 14 }],
+        transition: Transition::Jump(head),
+    });
+    pb.entry(init);
+    assemble(&pb.build().unwrap()).unwrap()
+}
+
+/// Which two-level groups get a composed table, and that the ones that do
+/// not lose nothing but speed. The rule composes a link that is a lone `skip
+/// b` into a group pure of the class the first level's own leaves have, as
+/// far as the link's window fits 12 bits; a link with a second action, a
+/// link into handlers of another class, and links too wide for any of them to
+/// fit must leave the group on its own table, and a link too wide next to
+/// one that fits is a row the composed table does not cover. Every stream
+/// takes every first-level window and every handler behind every link, three
+/// ways exact, and never bails.
+#[test]
+fn only_lone_skip_links_into_the_same_leaf_class_compose() {
+    type Tweak = fn(&mut Block, &mut Block);
+    type Case = (&'static str, u8, &'static [(u32, u8)], Tweak, Option<u8>);
+    let cases: [Case; 6] = [
+        ("two levels", 3, &[(5, 2), (6, 3)], |_, _| {}, Some(6)),
+        (
+            "a link with a second action",
+            3,
+            &[(5, 2), (6, 3)],
+            |link, _| {
+                if link.actions.len() == 1 {
+                    link.actions.push(Action::AddI { rd: 6, rs: 6, imm: 1 });
+                }
+            },
+            None,
+        ),
+        (
+            "links into another class",
+            3,
+            &[(5, 2), (6, 3)],
+            |_, leaf| leaf.actions.push(Action::AddI { rd: 6, rs: 6, imm: 1 }),
+            None,
+        ),
+        ("a link past 12 bits beside one that fits", 6, &[(9, 2), (33, 7)], |_, _| {}, Some(8)),
+        ("links past 12 bits only", 6, &[(9, 7), (33, 7)], |_, _| {}, None),
+        ("no link", 3, &[], |_, _| {}, None),
+    ];
+    let cfg = RunConfig { cycle_limit: 100_000, allow_unverified: true, ..RunConfig::default() };
+    for (name, b, links, tweak, composed) in cases {
+        let image = two_level_loop(b, links, tweak);
+        let mut fields = Vec::new();
+        let mut want = Vec::new();
+        for w in 0..1u32 << b {
+            match links.iter().position(|&(at, _)| at == w) {
+                None => {
+                    fields.push((w, b));
+                    want.push(w as u8);
+                }
+                Some(i) => {
+                    for v in 0..1u32 << links[i].1 {
+                        fields.extend([(w, b), (v, links[i].1)]);
+                        want.push((100 * (i + 1) + v as usize) as u8);
+                    }
+                }
+            }
+        }
+        // Once more from the top, so that the last windows are short ones
+        // and the stream's tail is not the only place a link is taken.
+        fields.extend((0..4).map(|w| (w, b)));
+        want.extend(0..4);
+        let (input, input_bits) = pack_bits(&fields);
+        let mut lanes = [Lane::new(), Lane::new(), Lane::new()];
+        let r = differential_on(&mut lanes, &image, &input, input_bits, cfg, name).unwrap();
+        assert_eq!(r.output, want, "{name}");
+        let Some(jit) = image.jit() else { continue };
+        let first = first_level_group(&image);
+        for (bits, base) in dispatch_groups(&image) {
+            assert!(jit.table_lowered(bits, base), "{name}: {bits}-bit group at {base}");
+            let want = composed.filter(|_| (bits, base) == first);
+            let got = jit.composed(bits, base).map(|(wide, _)| wide);
+            assert_eq!(got, want, "{name}: composed table of the {bits}-bit group at {base}");
+        }
+        assert_eq!(lanes[0].jit_bails(), 0, "{name}");
     }
 }
