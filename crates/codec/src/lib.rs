@@ -24,6 +24,8 @@
 //! * [`crc32c`] — hand-rolled table-driven CRC32c sealing every block's
 //!   framing, and [`faults`] — a deterministic seed-driven injector that
 //!   exercises the integrity layer with every corruption class.
+//! * [`words`] — the byte views of `[u32]` / `[f64]` through which decoded
+//!   blocks land directly in the CSR arrays.
 //!
 //! Every decoder is hardened against corrupt or truncated input: they
 //! return [`CodecError`], never panic, and never read out of bounds.
@@ -42,6 +44,7 @@ pub mod pipeline;
 pub mod snappy;
 pub mod telemetry;
 pub mod varint;
+pub mod words;
 
 pub use block::{BlockStream, CompressedBlock};
 pub use crc32c::crc32c;

@@ -7,8 +7,9 @@
 //! uncompressed kernel bit-for-bit, because the pipeline is lossless.
 //!
 //! This is the **batch schedule**: every block is fanned out over the 64
-//! lanes at once, the outputs are reassembled into a [`Csr`], and any of the
-//! multiply kernels runs over it. What varies between runs — fault hook,
+//! lanes at once, each lane decoding straight into its block's final slice
+//! of the [`Csr`] arrays, and any of the multiply kernels runs over the
+//! result. What varies between runs — fault hook,
 //! budget, telemetry — arrives in a [`RunCtx`]; a block whose first attempt
 //! fails climbs the shared recovery ladder of [`crate::ladder`], so a batch
 //! never dies on one bad block.
@@ -24,12 +25,13 @@ use crate::telemetry::{MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocum
 use recode_codec::block::{BlockStream, CompressedBlock};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_codec::telemetry::StageTelemetry;
-use recode_codec::CodecError;
+use recode_codec::{words, CodecError};
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
 use recode_sparse::Csr;
 use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEventSink, JobOutcome};
 use recode_udp::progs::DshDecoder;
-use recode_udp::{Lane, UdpError};
+use recode_udp::{Lane, UdpError, OUTPUT_WINDOW_BYTES};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -107,20 +109,9 @@ impl RawFallbackStore {
     /// Serializes the fallback streams from an uncompressed matrix.
     pub fn from_csr(a: &Csr) -> Self {
         RawFallbackStore {
-            index_bytes: a.col_idx().iter().flat_map(|c| c.to_le_bytes()).collect(),
-            value_bytes: a.values().iter().flat_map(|v| v.to_le_bytes()).collect(),
+            index_bytes: words::to_le_bytes(a.col_idx()),
+            value_bytes: words::to_le_bytes(a.values()),
         }
-    }
-
-    /// The uncompressed byte range block `block` of a stream covers, or
-    /// `None` if the store is shorter than the block claims.
-    fn block_range(bytes: &[u8], block: usize, block_bytes: usize) -> Option<&[u8]> {
-        let start = block.checked_mul(block_bytes)?;
-        if start >= bytes.len() && !(start == 0 && bytes.is_empty()) {
-            return None;
-        }
-        let end = start.checked_add(block_bytes)?.min(bytes.len());
-        Some(&bytes[start..end])
     }
 }
 
@@ -160,44 +151,6 @@ fn check_stream_structure(stream: &BlockStream) -> Result<(), UdpError> {
         }
     }
     Ok(())
-}
-
-/// The little-endian `N`-byte words of the concatenation of `parts`, built
-/// in one pass from the per-block outputs: a word that straddles two blocks
-/// is finished in a carry.
-///
-/// # Errors
-/// The total byte count, when it is not a multiple of `N`.
-fn le_words<const N: usize, T>(
-    parts: &[Vec<u8>],
-    from_le: fn([u8; N]) -> T,
-) -> Result<Vec<T>, usize> {
-    let total: usize = parts.iter().map(Vec::len).sum();
-    if !total.is_multiple_of(N) {
-        return Err(total);
-    }
-    let mut words = Vec::with_capacity(total / N);
-    let mut carry = [0u8; N];
-    let mut carried = 0usize;
-    for part in parts {
-        let mut bytes = part.as_slice();
-        if carried > 0 {
-            let take = (N - carried).min(bytes.len());
-            carry[carried..carried + take].copy_from_slice(&bytes[..take]);
-            carried += take;
-            bytes = &bytes[take..];
-            if carried < N {
-                continue;
-            }
-            words.push(from_le(carry));
-        }
-        let whole = bytes.chunks_exact(N);
-        let rest = whole.remainder();
-        words.extend(whole.map(|c| from_le(c.try_into().expect("chunks_exact"))));
-        carry[..rest.len()].copy_from_slice(rest);
-        carried = rest.len();
-    }
-    Ok(words)
 }
 
 impl RecodedSpmv {
@@ -333,27 +286,87 @@ impl RecodedSpmv {
         }
     }
 
-    /// Decodes job `job`'s block on `lane` with its stream's decoder.
-    pub(crate) fn decode_job(&self, lane: &mut Lane, job: usize) -> Result<JobOutcome, UdpError> {
+    /// Where job `job`'s block belongs in its stream's uncompressed bytes:
+    /// `[k·block_bytes, min((k+1)·block_bytes, total_uncompressed))` for
+    /// block `k`. This comes from the stream's geometry (validated by
+    /// [`RecodedSpmv::check_structure`]) and never from the block's own
+    /// header, which is what may be corrupt: every rung of the recovery
+    /// ladder fills a destination of this size.
+    pub(crate) fn extent(&self, job: usize) -> Range<usize> {
+        let (stream, pos) = match self.locate(job) {
+            (StreamKind::Index, pos) => (&self.compressed.index_stream, pos),
+            (StreamKind::Value, pos) => (&self.compressed.value_stream, pos),
+        };
+        let start = pos * stream.block_bytes;
+        start..(start + stream.block_bytes).min(stream.total_uncompressed)
+    }
+
+    /// Decodes job `job`'s block on `lane` with its stream's decoder into
+    /// `dst`, which must be [`RecodedSpmv::extent`] bytes long.
+    pub(crate) fn decode_job_into(
+        &self,
+        lane: &mut Lane,
+        job: usize,
+        dst: &mut [u8],
+    ) -> Result<JobOutcome, UdpError> {
         let (decoder, block) = self.job_block(job);
-        decoder.decode_block(lane, block)
+        decoder.decode_block_into(lane, block, dst)
     }
 
     /// The uncompressed bytes of job `job`'s block, when a fallback store
-    /// was kept and covers it.
+    /// was kept and covers its whole extent.
     pub(crate) fn raw_block(&self, job: usize) -> Option<&[u8]> {
         let store = self.raw_store.as_ref()?;
-        let (bytes, pos, stream) = match self.locate(job) {
-            (StreamKind::Index, pos) => (&store.index_bytes, pos, &self.compressed.index_stream),
-            (StreamKind::Value, pos) => (&store.value_bytes, pos, &self.compressed.value_stream),
+        let bytes = match self.locate(job).0 {
+            StreamKind::Index => &store.index_bytes,
+            StreamKind::Value => &store.value_bytes,
         };
-        RawFallbackStore::block_range(bytes, pos, stream.block_bytes)
+        bytes.get(self.extent(job))
     }
 
-    /// Both streams' transport structure ([`check_stream_structure`]).
-    pub(crate) fn check_structure(&self) -> Result<(), UdpError> {
-        check_stream_structure(&self.compressed.index_stream)?;
-        check_stream_structure(&self.compressed.value_stream)
+    /// What must hold before the first lane runs and before anything is
+    /// sized from a header field: the geometry — `row_ptr` ends at `nnz`,
+    /// the streams declare exactly `4·nnz` and `8·nnz` bytes in blocks no
+    /// larger than a lane's output window, which bounds every allocation by
+    /// `blocks.len() × block_bytes` — and both streams' transport structure
+    /// ([`check_stream_structure`]).
+    ///
+    /// # Errors
+    /// [`ExecError::Reassembly`] for the geometry, [`ExecError::Udp`] for
+    /// the transport structure.
+    pub(crate) fn check_structure(&self) -> ExecResult<()> {
+        let cm = &self.compressed;
+        if cm.row_ptr.last() != Some(&cm.nnz) {
+            return Err(ExecError::Reassembly(format!(
+                "row_ptr ends at {:?} but the matrix declares {} non-zeros",
+                cm.row_ptr.last(),
+                cm.nnz
+            )));
+        }
+        for (name, stream, word) in
+            [("index", &cm.index_stream, 4usize), ("value", &cm.value_stream, 8)]
+        {
+            let total = stream.total_uncompressed;
+            if !total.is_multiple_of(word) {
+                return Err(ExecError::Reassembly(format!(
+                    "{name} stream decoded to {total} bytes, not {word}-byte aligned"
+                )));
+            }
+            if Some(total) != cm.nnz.checked_mul(word) {
+                return Err(ExecError::Reassembly(format!(
+                    "{name} stream declares {total} bytes for {} non-zeros",
+                    cm.nnz
+                )));
+            }
+            if stream.block_bytes > OUTPUT_WINDOW_BYTES {
+                return Err(ExecError::Reassembly(format!(
+                    "{name} stream declares {}-byte blocks, a lane emits at most {OUTPUT_WINDOW_BYTES}",
+                    stream.block_bytes
+                )));
+            }
+            check_stream_structure(stream)?;
+        }
+        Ok(())
     }
 
     /// Decodes the whole matrix through the UDP simulator and reassembles
@@ -379,8 +392,10 @@ impl RecodedSpmv {
     }
 
     /// The batch engine: one fan-out of every block over the lanes under
-    /// `ctx.hook`, the recovery ladder for each failed job under
-    /// `ctx.budget`, reassembly into a [`Csr`]. Successful retries run
+    /// `ctx.hook`, each decoding into its extent of the final `col_idx` /
+    /// `values` arrays; the recovery ladder for each failed job under
+    /// `ctx.budget`, recovering into the same extent; validation of the
+    /// result as a [`Csr`]. Successful retries run
     /// serially after the batch, so their cycles extend the makespan as well
     /// as the busy sum; budget backoff is pure waiting and stretches the
     /// makespan only. With `ctx.tel` the run records the spans
@@ -393,8 +408,9 @@ impl RecodedSpmv {
     /// [`ExecError::Unrecoverable`] if a block fails decoding, exhausts its
     /// retries, and no fallback store covers it;
     /// [`ExecError::DeadlineExceeded`] when the budget runs out;
-    /// [`ExecError::Reassembly`] if the decoded streams do not form a valid
-    /// matrix.
+    /// [`ExecError::Reassembly`] if the declared geometry is inconsistent
+    /// ([`RecodedSpmv::check_structure`]) or the decoded streams do not form
+    /// a valid matrix.
     pub fn decompress_with(
         &self,
         sys: &SystemConfig,
@@ -402,8 +418,7 @@ impl RecodedSpmv {
     ) -> ExecResult<(Csr, ExecStats)> {
         self.check_structure()?;
         let RunCtx { hook, budget, tel } = ctx;
-        let n_index = self.compressed.index_stream.blocks.len();
-        let jobs: Vec<usize> = (0..self.total_jobs()).collect();
+        let cm = &self.compressed;
         let empty_hook = FaultHook::default();
         let pool_before = tel.is_some().then(|| recode_udp::pool::global().stats());
         let sink_fn = |e: &JobEvent| {
@@ -419,18 +434,33 @@ impl RecodedSpmv {
         // its per-block events from the ladder's tally.
         let sink: Option<JobEventSink<'_>> =
             if recorder::is_enabled() { Some(&sink_fn) } else { None };
+
+        // The arrays at their final length (sized by the geometry checked
+        // above), viewed as bytes and cut into one extent per block: a job
+        // *is* its index and its destination. Nothing reads the arrays
+        // before the last `settle` — after a failed attempt a destination's
+        // contents are unspecified until the ladder has settled that job.
+        let mut col_idx = vec![0u32; cm.nnz];
+        let mut values = vec![0f64; cm.nnz];
+        let index_extents = words::bytes_mut(&mut col_idx).chunks_mut(cm.index_stream.block_bytes);
+        let value_extents = words::bytes_mut(&mut values).chunks_mut(cm.value_stream.block_bytes);
+        let mut jobs: Vec<(usize, &mut [u8])> =
+            index_extents.chain(value_extents).enumerate().collect();
+        debug_assert_eq!(jobs.len(), self.total_jobs());
+
         let t_batch = tel.is_some().then(Instant::now);
         let outcome: BatchOutcome<UdpError> = {
             let _span = recorder::span(recorder::Track::MAIN, "exec.decode_batch");
-            let run = |lane: &mut Lane, job: &usize| self.decode_job(lane, *job);
-            sys.udp.run_jobs_observed(&jobs, run, hook.unwrap_or(&empty_hook), sink)
+            let run = |lane: &mut Lane, (job, dst): &mut (usize, &mut [u8])| {
+                self.decode_job_into(lane, *job, dst)
+            };
+            sys.udp.run_jobs_observed(&mut jobs, run, hook.unwrap_or(&empty_hook), sink)
         };
         let batch_ns = t_batch.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
         let mut ladder = Ladder::new(self, budget, recorder::Track::MAIN, tel.is_some());
-        let mut outputs: Vec<Vec<u8>> = Vec::with_capacity(jobs.len());
-        for (job, first) in outcome.results.into_iter().enumerate() {
-            outputs.push(ladder.settle(job, first)?.0);
+        for ((job, dst), first) in jobs.into_iter().zip(outcome.results) {
+            ladder.settle(job, first, dst)?;
         }
         let backoff_cycles = ladder.backoff_cycles();
         let tally = ladder.tally;
@@ -444,29 +474,15 @@ impl RecodedSpmv {
         report.refresh_utilization();
 
         let t_reassemble = tel.is_some().then(Instant::now);
-        let col_idx = le_words(&outputs[..n_index], u32::from_le_bytes).map_err(|len| {
-            ExecError::Reassembly(format!(
-                "index stream decoded to {len} bytes, not 4-byte aligned"
-            ))
-        })?;
-        let values = le_words(&outputs[n_index..], f64::from_le_bytes).map_err(|len| {
-            ExecError::Reassembly(format!(
-                "value stream decoded to {len} bytes, not 8-byte aligned"
-            ))
-        })?;
-        let decoded_bytes = (col_idx.len() * 4 + values.len() * 8) as u64;
-        let a = Csr::try_from_parts(
-            self.compressed.nrows,
-            self.compressed.ncols,
-            self.compressed.row_ptr.clone(),
-            col_idx,
-            values,
-        )
-        .map_err(|e| ExecError::Reassembly(format!("decoded matrix invalid: {e}")))?;
+        words::from_le_in_place(&mut col_idx);
+        words::from_le_in_place(&mut values);
+        let decoded_bytes = (cm.nnz * 12) as u64;
+        let a = Csr::try_from_parts(cm.nrows, cm.ncols, cm.row_ptr.clone(), col_idx, values)
+            .map_err(|e| ExecError::Reassembly(format!("decoded matrix invalid: {e}")))?;
         let reassemble_ns = t_reassemble.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
-        let wire_bytes = self.compressed.wire_bytes();
-        let stats = tally.stats(sys, report, wire_bytes, backoff_cycles, OverlapStats::default());
+        let stats =
+            tally.stats(sys, report, cm.wire_bytes(), backoff_cycles, OverlapStats::default());
 
         if let Some(tel) = tel {
             let freq = sys.udp.freq_hz;
@@ -777,33 +793,6 @@ mod tests {
             },
             17,
         )
-    }
-
-    #[test]
-    fn le_words_equals_concat_then_convert_for_every_split() {
-        let bytes: Vec<u8> = (0..48u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
-        let want32: Vec<u32> =
-            bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
-        let want64: Vec<f64> =
-            bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
-        // Two cuts at every pair of offsets: words straddle one boundary, two
-        // boundaries (a part shorter than the carry needs), and empty parts.
-        for i in 0..=bytes.len() {
-            for j in i..=bytes.len() {
-                let parts = [bytes[..i].to_vec(), bytes[i..j].to_vec(), bytes[j..].to_vec()];
-                assert_eq!(le_words(&parts, u32::from_le_bytes).unwrap(), want32, "cuts {i},{j}");
-                let got64 = le_words(&parts, f64::from_le_bytes).unwrap();
-                assert_eq!(
-                    got64.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want64.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "cuts {i},{j}"
-                );
-            }
-        }
-        assert_eq!(le_words::<4, u32>(&[], u32::from_le_bytes).unwrap(), Vec::<u32>::new());
-        let ragged = [bytes[..5].to_vec(), bytes[5..9].to_vec()];
-        assert_eq!(le_words(&ragged, u32::from_le_bytes), Err(9));
-        assert_eq!(le_words(&ragged, f64::from_le_bytes).map(|_| ()), Err(9));
     }
 
     #[test]

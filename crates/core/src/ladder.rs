@@ -209,9 +209,12 @@ impl<'m> Ladder<'m> {
     }
 
     /// Takes the first attempt at `job` (batch numbering: index blocks, then
-    /// value blocks) from whichever schedule made it and returns the block's
-    /// bytes with the lane cycles of the attempt that produced them (0 for a
-    /// fallback), climbing the ladder if the attempt failed.
+    /// value blocks) from whichever schedule made it *into `dst`* — the
+    /// block's [`RecodedSpmv::extent`] — and returns the lane cycles of the
+    /// attempt that produced the bytes now in `dst` (0 for a fallback),
+    /// climbing the ladder if the attempt failed. A good first attempt has
+    /// nothing to move; a failed one left `dst` unspecified, and every rung
+    /// fills all of it.
     ///
     /// # Errors
     /// [`ExecError::DeadlineExceeded`] when the budget denies a retry;
@@ -221,25 +224,27 @@ impl<'m> Ladder<'m> {
         &mut self,
         job: usize,
         first: Result<JobOutcome, UdpError>,
-    ) -> ExecResult<(Vec<u8>, u64)> {
-        let (bytes, cycles, outcome) = match first {
+        dst: &mut [u8],
+    ) -> ExecResult<u64> {
+        let (cycles, outcome) = match first {
             Ok(o) => {
                 self.tally.blocks_ok += 1;
-                (o.output, o.cycles, BlockOutcome::Ok)
+                (o.cycles, BlockOutcome::Ok)
             }
-            Err(e) => self.recover(job, e)?,
+            Err(e) => self.recover(job, e, dst)?,
         };
         if self.traced {
             self.tally.events.push((job, cycles, outcome));
         }
-        Ok((bytes, cycles))
+        Ok(cycles)
     }
 
     fn recover(
         &mut self,
         job: usize,
         first_err: UdpError,
-    ) -> ExecResult<(Vec<u8>, u64, BlockOutcome)> {
+        dst: &mut [u8],
+    ) -> ExecResult<(u64, BlockOutcome)> {
         let r = self.recoded;
         let mut last_err = first_err;
         let mut retried = None;
@@ -263,7 +268,7 @@ impl<'m> Ladder<'m> {
                 job as u64,
             );
             self.tally.blocks_retried += 1;
-            match r.decode_job(&mut lane, job) {
+            match r.decode_job_into(&mut lane, job, dst) {
                 Ok(o) => {
                     retried = Some(o);
                     break;
@@ -279,14 +284,14 @@ impl<'m> Ladder<'m> {
             }
             self.tally.blocks_recovered += 1;
             self.tally.retry_cycles += o.cycles;
-            self.tally.recovered_bytes += o.output.len() as u64;
+            self.tally.recovered_bytes += o.output_bytes;
             self.tally.retry_opclass.merge(&o.opclass);
             self.tally.retry_stages.merge(&o.stage_cycles);
-            return Ok((o.output, o.cycles, BlockOutcome::Retried));
+            return Ok((o.cycles, BlockOutcome::Retried));
         }
         // Retries exhausted: re-fetch the block's uncompressed range.
         let t_fallback = self.traced.then(Instant::now);
-        let raw = r.raw_block(job);
+        let raw = r.raw_block(job).inspect(|raw| dst.copy_from_slice(raw));
         self.tally.fallback_ns += t_fallback.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let Some(raw) = raw else {
             return Err(ExecError::Unrecoverable {
@@ -305,6 +310,6 @@ impl<'m> Ladder<'m> {
         self.tally.blocks_fell_back += 1;
         self.tally.fallback_bytes += raw.len();
         self.tally.recovered_bytes += raw.len() as u64;
-        Ok((raw.to_vec(), 0, BlockOutcome::FellBack))
+        Ok((0, BlockOutcome::FellBack))
     }
 }

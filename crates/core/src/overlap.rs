@@ -540,12 +540,16 @@ impl<'m> OverlapExecutor<'m> {
             // Decode work happens on the producer (stage 0) track; cache
             // hits never open this span.
             let _decode_span = recorder::span(recorder::Track::stage(0), "decode");
+            // The block's own buffer at its extent: first attempt and every
+            // rung of the ladder fill it in place, then it moves into the
+            // `Arc` the tile (and the cache) hold.
+            let mut bytes = vec![0u8; self.recoded.extent(job).len()];
             let (stall, first) = {
                 let mut lane = recode_udp::pool::global().checkout();
-                let run = |lane: &mut Lane| self.recoded.decode_job(lane, job);
+                let run = |lane: &mut Lane| self.recoded.decode_job_into(lane, job, &mut bytes);
                 Accelerator::dispatch(&mut lane, hook, job, run)
             };
-            let (bytes, cycles) = ladder.settle(job, first)?;
+            let cycles = ladder.settle(job, first, &mut bytes)?;
             walk.fetched_bytes += self.recoded.job_block(job).1.payload.len();
             walk.stall_cycles += stall;
             let bytes = Arc::new(bytes);
@@ -753,6 +757,14 @@ impl<'m> OverlapExecutor<'m> {
         let cm = self.recoded.compressed();
         assert_eq!(x.len(), cm.ncols, "x length must equal ncols");
         self.recoded.check_structure()?;
+        // A tile is one index block, so each must hold whole column words
+        // (value blocks may cut a word: the walker buffers those).
+        if !cm.index_stream.block_bytes.is_multiple_of(4) {
+            return Err(ExecError::Reassembly(format!(
+                "the tiled schedules need 4-byte aligned index blocks, the stream has {}-byte ones",
+                cm.index_stream.block_bytes
+            )));
+        }
         let RunCtx { hook, budget, tel } = ctx;
         let empty_hook = FaultHook::default();
         let hook = hook.unwrap_or(&empty_hook);
@@ -1274,7 +1286,8 @@ mod tests {
         // The hook reading itself: the panic surfaces as a typed lane error
         // and counts against the lane's health, exactly as on the batch path.
         let mut lane = recode_udp::Lane::new();
-        let run = |lane: &mut Lane| r.decode_job(lane, 1);
+        let mut dst = vec![0u8; r.extent(1).len()];
+        let run = |lane: &mut Lane| r.decode_job_into(lane, 1, &mut dst);
         let (_, first) = Accelerator::dispatch::<recode_udp::UdpError, _>(&mut lane, &hook, 1, run);
         let err = first.unwrap_err();
         assert!(err.to_string().contains("injected panic in job 1"), "{err}");

@@ -50,7 +50,12 @@ pub struct JobOutcome {
     pub opclass: OpClassCycles,
     /// Cycle attribution by decode stage (zero when not applicable).
     pub stage_cycles: StageCycles,
-    /// Bytes the job produced.
+    /// Bytes the job produced, wherever they went: every accounting site
+    /// counts these.
+    pub output_bytes: u64,
+    /// The bytes themselves, from the owning entry points only
+    /// ([`DshDecoder::decode_block`](crate::progs::DshDecoder::decode_block));
+    /// empty when the job placed them in its caller's slice.
     pub output: Vec<u8>,
 }
 
@@ -316,7 +321,8 @@ impl Accelerator {
     ///
     /// `run` is invoked once per job with a reusable [`Lane`]; it should
     /// execute however many program stages the job needs and return the
-    /// total cycles and final output.
+    /// total cycles and the bytes produced. The shared-job form of
+    /// [`Accelerator::run_jobs_observed`], for jobs that own their output.
     pub fn run_jobs<J, E, F>(&self, jobs: &[J], run: F) -> BatchOutcome<E>
     where
         J: Sync,
@@ -340,7 +346,8 @@ impl Accelerator {
         E: From<LaneError> + Send,
         F: Fn(&mut Lane, &J) -> Result<JobOutcome, E> + Sync,
     {
-        self.run_jobs_observed(jobs, run, hook, None)
+        let mut jobs: Vec<&J> = jobs.iter().collect();
+        self.run_jobs_observed(&mut jobs, |lane, job| run(lane, job), hook, None)
     }
 
     /// The one reading of a [`FaultHook`] for one job: looks up the DMA stall
@@ -379,76 +386,73 @@ impl Accelerator {
         (stall, result)
     }
 
-    /// [`Accelerator::run_jobs_with_faults`] plus an optional per-job event
-    /// sink: `sink` is invoked once per job (from lane worker threads, so it
-    /// must be `Sync`) with the job's lane, cycles, injected stalls, and
-    /// success flag. The fault-injection suite uses this to assert on the
-    /// events the batch actually emitted.
+    /// The fan-out itself. Each job is handed to `run` *mutably*, so a job
+    /// can carry the `&mut [u8]` its bytes belong in (`(index, destination)`
+    /// is what the batch executor submits) and nothing has to be collected
+    /// and moved afterwards. `sink`, when given, is invoked once per job
+    /// (from lane worker threads, so it must be `Sync`) with the job's lane,
+    /// cycles, injected stalls, and success flag; the fault-injection suite
+    /// uses this to assert on the events the batch actually emitted.
     pub fn run_jobs_observed<J, E, F>(
         &self,
-        jobs: &[J],
+        jobs: &mut [J],
         run: F,
         hook: &FaultHook,
         sink: Option<JobEventSink<'_>>,
     ) -> BatchOutcome<E>
     where
-        J: Sync,
+        J: Send,
         E: From<LaneError> + Send,
-        F: Fn(&mut Lane, &J) -> Result<JobOutcome, E> + Sync,
+        F: Fn(&mut Lane, &mut J) -> Result<JobOutcome, E> + Sync,
     {
-        type LaneRun<E> = (LaneProfile, StageCycles, Vec<(usize, Result<JobOutcome, E>)>);
         assert!(self.lanes > 0, "need at least one lane");
+        let mut results: Vec<Option<Result<JobOutcome, E>>> =
+            (0..jobs.len()).map(|_| None).collect();
+        let mut stage_cycles = StageCycles::default();
+        let mut lane_profiles = Vec::with_capacity(self.lanes);
         // Job k goes to lane k % lanes, the paper's block-round-robin
         // assignment. The simulated lanes run one after another on the
         // calling thread; the `Sync`/`Send` bounds above are what a host
         // fan-out needs, so threading this loop is not an API change.
-        let per_lane: Vec<LaneRun<E>> = (0..self.lanes)
-            .map(|lane_idx| {
-                let mut lane = crate::pool::global().checkout();
-                let mut done = Vec::new();
-                let mut profile = LaneProfile { lane: lane_idx, ..Default::default() };
-                let mut stages = StageCycles::default();
-                for (k, job) in jobs.iter().enumerate().skip(lane_idx).step_by(self.lanes) {
-                    let (stall, result) = Self::dispatch(&mut lane, hook, k, |lane| run(lane, job));
-                    profile.stall_cycles += stall;
-                    profile.jobs += 1;
-                    let mut cycles = 0u64;
-                    match &result {
-                        Ok(o) => {
-                            cycles = o.cycles;
-                            profile.busy_cycles += o.cycles;
-                            profile.output_bytes += o.output.len() as u64;
-                            profile.opclass.merge(&o.opclass);
-                            stages.merge(&o.stage_cycles);
-                        }
-                        Err(_) => profile.jobs_failed += 1,
+        for lane_idx in 0..self.lanes {
+            let mut lane = crate::pool::global().checkout();
+            let mut profile = LaneProfile { lane: lane_idx, ..Default::default() };
+            for (k, job) in jobs.iter_mut().enumerate().skip(lane_idx).step_by(self.lanes) {
+                let (stall, result) = Self::dispatch(&mut lane, hook, k, |lane| run(lane, job));
+                profile.stall_cycles += stall;
+                profile.jobs += 1;
+                let mut cycles = 0u64;
+                match &result {
+                    Ok(o) => {
+                        cycles = o.cycles;
+                        profile.busy_cycles += o.cycles;
+                        profile.output_bytes += o.output_bytes;
+                        profile.opclass.merge(&o.opclass);
+                        stage_cycles.merge(&o.stage_cycles);
                     }
-                    if let Some(sink) = sink {
-                        sink(&JobEvent {
-                            job: k,
-                            lane: lane_idx,
-                            cycles,
-                            stall_cycles: stall,
-                            ok: result.is_ok(),
-                        });
-                    }
-                    done.push((k, result));
+                    Err(_) => profile.jobs_failed += 1,
                 }
-                (profile, stages, done)
-            })
-            .collect();
+                if let Some(sink) = sink {
+                    sink(&JobEvent {
+                        job: k,
+                        lane: lane_idx,
+                        cycles,
+                        stall_cycles: stall,
+                        ok: result.is_ok(),
+                    });
+                }
+                results[k] = Some(result);
+            }
+            lane_profiles.push(profile);
+        }
 
-        let mut results: Vec<Option<Result<JobOutcome, E>>> =
-            (0..jobs.len()).map(|_| None).collect();
         let mut makespan = 0u64;
         let mut busy = 0u64;
         let mut out_bytes = 0u64;
         let mut failed = 0usize;
         let mut stall_total = 0u64;
         let mut opclass = OpClassCycles::default();
-        let mut stage_cycles = StageCycles::default();
-        let mut lane_profiles = Vec::with_capacity(self.lanes);
-        for (profile, stages, lane_jobs) in per_lane {
+        for profile in &lane_profiles {
             // A lane's wall-clock share is its successful-job cycles plus
             // any injected stalls (failed jobs cost no modeled cycles).
             let lane_cycles = profile.busy_cycles + profile.stall_cycles;
@@ -456,13 +460,8 @@ impl Accelerator {
             out_bytes += profile.output_bytes;
             failed += profile.jobs_failed;
             opclass.merge(&profile.opclass);
-            stage_cycles.merge(&stages);
-            for (k, r) in lane_jobs {
-                results[k] = Some(r);
-            }
             makespan = makespan.max(lane_cycles);
             busy += lane_cycles;
-            lane_profiles.push(profile);
         }
         let results: Vec<Result<JobOutcome, E>> = results
             .into_iter()
@@ -491,7 +490,7 @@ mod tests {
     use super::*;
     use crate::lane::RunResult;
 
-    /// Fake job: pretend each job costs `cycles` and emits `bytes` zeros.
+    /// Fake job: pretend each job costs `cycles` and places `bytes` bytes.
     struct Fake {
         cycles: u64,
         bytes: usize,
@@ -500,7 +499,7 @@ mod tests {
     // The Result is forced by the `run_jobs` callback signature.
     #[allow(clippy::unnecessary_wraps)]
     fn run_fake(_lane: &mut Lane, j: &Fake) -> Result<JobOutcome, LaneError> {
-        Ok(JobOutcome { cycles: j.cycles, output: vec![0u8; j.bytes], ..Default::default() })
+        Ok(JobOutcome { cycles: j.cycles, output_bytes: j.bytes as u64, ..Default::default() })
     }
 
     #[test]
@@ -538,7 +537,7 @@ mod tests {
             if j == 3 {
                 Err(LaneError::CycleLimit { limit: 1 })
             } else {
-                Ok(JobOutcome { cycles: 1, output: vec![7], ..Default::default() })
+                Ok(JobOutcome { cycles: 1, output_bytes: 1, ..Default::default() })
             }
         });
         assert_eq!(out.report.jobs_failed, 1);
@@ -621,11 +620,12 @@ mod tests {
     fn event_sink_sees_every_job_with_lane_and_outcome() {
         use std::sync::Mutex;
         let acc = Accelerator { lanes: 3, freq_hz: 1e9 };
-        let jobs: Vec<Fake> = (0..7).map(|_| Fake { cycles: 5, bytes: 1 }).collect();
+        let mut jobs: Vec<Fake> = (0..7).map(|_| Fake { cycles: 5, bytes: 1 }).collect();
         let hook = FaultHook::new().trap(4).stall(5, 9);
         let events: Mutex<Vec<JobEvent>> = Mutex::new(Vec::new());
         let sink = |e: &JobEvent| events.lock().unwrap().push(*e);
-        let out = acc.run_jobs_observed::<_, LaneError, _>(&jobs, run_fake, &hook, Some(&sink));
+        let run = |l: &mut Lane, j: &mut Fake| run_fake(l, j);
+        let out = acc.run_jobs_observed::<_, LaneError, _>(&mut jobs, run, &hook, Some(&sink));
         let mut events = events.into_inner().unwrap();
         events.sort_by_key(|e| e.job);
         assert_eq!(events.len(), 7);
@@ -637,6 +637,36 @@ mod tests {
             assert_eq!(e.stall_cycles, if k == 5 { 9 } else { 0 });
         }
         assert_eq!(out.report.jobs_failed, 1);
+    }
+
+    #[test]
+    fn a_job_can_be_the_slice_its_bytes_belong_in() {
+        // The placing form: jobs are disjoint `&mut` windows of one buffer,
+        // each filled by its own job; a trapped job leaves its window alone
+        // and only placed bytes are counted.
+        let acc = Accelerator { lanes: 3, freq_hz: 1e9 };
+        let mut buffer = [0u8; 23];
+        let mut jobs: Vec<(usize, &mut [u8])> = buffer.chunks_mut(4).enumerate().collect();
+        let order = std::sync::Mutex::new(Vec::new());
+        let hook = FaultHook::new().trap(2);
+        let out = acc.run_jobs_observed::<_, LaneError, _>(
+            &mut jobs,
+            |_lane, (k, dst)| {
+                order.lock().unwrap().push(*k);
+                dst.fill(*k as u8 + 1);
+                Ok(JobOutcome { cycles: 1, output_bytes: dst.len() as u64, ..Default::default() })
+            },
+            &hook,
+            None,
+        );
+        // Lane k takes jobs k, k + lanes, ... in order; job 2 never ran.
+        assert_eq!(order.into_inner().unwrap(), vec![0, 3, 1, 4, 5]);
+        assert_eq!(out.failed_jobs(), vec![2]);
+        assert_eq!(out.report.output_bytes, 23 - 4);
+        assert!(out.results.iter().flatten().all(|o| o.output.is_empty()));
+        let want: Vec<u8> =
+            (0..23).map(|i| if i / 4 == 2 { 0 } else { (i / 4) as u8 + 1 }).collect();
+        assert_eq!(buffer.to_vec(), want);
     }
 
     #[test]
@@ -690,6 +720,7 @@ mod tests {
             cycles: r.cycles,
             opclass: r.opclass,
             stage_cycles: StageCycles::default(),
+            output_bytes: r.output.len() as u64,
             output: r.output,
         }
     }

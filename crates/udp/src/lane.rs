@@ -208,12 +208,15 @@ pub struct RunConfig {
     pub allow_unverified: bool,
 }
 
+/// The most one run can emit under the default [`RunConfig`]: output goes to
+/// the upper half of the scratchpad, which leaves the lower half for program
+/// temporaries. No block may decode to more than this.
+pub const OUTPUT_WINDOW_BYTES: usize = SCRATCHPAD_BYTES / 2;
+
 impl Default for RunConfig {
     fn default() -> Self {
-        // Output in the upper half of the scratchpad leaves the lower half
-        // for program temporaries.
         RunConfig {
-            out_base: (SCRATCHPAD_BYTES / 2) as u32,
+            out_base: (SCRATCHPAD_BYTES - OUTPUT_WINDOW_BYTES) as u32,
             cycle_limit: 200_000_000,
             allow_unverified: false,
         }
@@ -530,7 +533,7 @@ pub struct Lane {
     /// Compiled runs on this lane that bailed to the interpreter (see
     /// [`Lane::jit_bails`]).
     jit_bails: u64,
-    /// Spare output buffers recycled by `DshDecoder::decode_block`'s stage
+    /// Spare output buffers recycled by `DshDecoder::decode_block_into`'s stage
     /// chain (held here so every consumer of a pooled lane reuses the same
     /// allocations).
     pub(crate) io_a: Vec<u8>,

@@ -55,7 +55,9 @@ pub use accel::{
 };
 pub use error::{UdpError, UdpResult};
 pub use jit::LaneJit;
-pub use lane::{Lane, LaneError, LaneHealth, OpClassCycles, RunConfig, RunResult, RunStats};
+pub use lane::{
+    Lane, LaneError, LaneHealth, OpClassCycles, RunConfig, RunResult, RunStats, OUTPUT_WINDOW_BYTES,
+};
 pub use machine::Image;
 pub use pool::{
     set_event_hook, LanePool, PoolConfig, PoolEvent, PoolStats, PooledLane, DEFAULT_POOL_CAPACITY,

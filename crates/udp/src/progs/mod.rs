@@ -22,10 +22,11 @@ pub mod snappy;
 
 use crate::accel::{JobOutcome, StageCycles};
 use crate::error::UdpError;
-use crate::lane::{Lane, OpClassCycles, RunConfig};
+use crate::lane::{Lane, LaneError, RunConfig, OUTPUT_WINDOW_BYTES};
 use crate::machine::Image;
 use recode_codec::block::CompressedBlock;
 use recode_codec::pipeline::PipelineConfig;
+use recode_codec::CodecError;
 
 /// The per-stage images needed to decode one stream's blocks, mirroring a
 /// [`PipelineConfig`].
@@ -69,92 +70,121 @@ impl DshDecoder {
     }
 
     /// Decodes one compressed block on `lane`, running the enabled stages
-    /// in reverse pipeline order. Returns the decoded bytes and the *total*
-    /// lane cycles across stages.
+    /// in reverse pipeline order, *into* `dst`: the block's final position in
+    /// whatever buffer the caller is assembling. Returns the *total* lane
+    /// cycles across stages and `dst.len()` as the bytes placed.
+    ///
+    /// `dst` must be the block's extent in its stream's geometry
+    /// (`[seq·block_bytes, min((seq+1)·block_bytes, total_uncompressed))`),
+    /// never a length read from the block's own header: the header is what
+    /// may be corrupt, and the caller's recovery needs a destination of the
+    /// right size to recover into.
     ///
     /// The block's CRC32c framing checksum is verified before any lane
     /// cycles are spent — a corrupt block surfaces as
     /// [`UdpError::Codec`] with the block's stream position attached, not
-    /// as a wrong decode. Lane traps surface as [`UdpError::Trap`] with
-    /// the same context.
+    /// as a wrong decode — and so is the header's `uncompressed_len` against
+    /// `dst.len()`. Lane traps surface as [`UdpError::Trap`] with the same
+    /// context, and a chain that runs clean but yields another length than
+    /// `dst.len()` as [`CodecError::LengthMismatch`].
     ///
     /// # Errors
-    /// Checksum mismatches and lane traps (corrupt blocks never panic).
+    /// Checksum and length mismatches and lane traps (corrupt blocks never
+    /// panic). After an error the contents of `dst` are unspecified.
+    pub fn decode_block_into(
+        &self,
+        lane: &mut Lane,
+        block: &CompressedBlock,
+        dst: &mut [u8],
+    ) -> Result<JobOutcome, UdpError> {
+        let seq = block.seq as usize;
+        block.verify_checksum().map_err(|e| UdpError::from(e).with_block(seq))?;
+        if block.uncompressed_len != dst.len() {
+            return Err(length_mismatch(seq, dst.len(), block.uncompressed_len));
+        }
+        // The stage chain ping-pongs through the lane's two spare buffers,
+        // so a warm lane runs the whole chain without allocating. They go
+        // back to the lane on every exit path: a trap must not cost the
+        // lane's next block its buffers.
+        let mut cur = std::mem::take(&mut lane.io_a);
+        let mut nxt = std::mem::take(&mut lane.io_b);
+        let placed = match self.run_stages(lane, block, &mut cur, &mut nxt) {
+            Ok(outcome) if cur.len() == dst.len() => {
+                dst.copy_from_slice(&cur);
+                // A clean chain clears the lane's trap streak.
+                lane.note_success();
+                Ok(JobOutcome { output_bytes: dst.len() as u64, ..outcome })
+            }
+            // The lane ran clean: like a CRC failure this is the data's
+            // fault, and stays health-neutral.
+            Ok(_) => Err(length_mismatch(seq, dst.len(), cur.len())),
+            // Any stage trap is charged to the lane's health record (the
+            // retry ladder re-runs the block on a *different* lane precisely
+            // because a trap may be lane-attributable).
+            Err(trap) => {
+                lane.note_trap();
+                Err(UdpError::from(trap).with_block(seq))
+            }
+        };
+        lane.io_a = cur;
+        lane.io_b = nxt;
+        placed
+    }
+
+    /// [`DshDecoder::decode_block_into`] for a caller with nowhere to put
+    /// the bytes: allocates the extent the block's header declares, places
+    /// into it, and returns it as [`JobOutcome::output`].
+    ///
+    /// # Errors
+    /// As [`DshDecoder::decode_block_into`].
     pub fn decode_block(
         &self,
         lane: &mut Lane,
         block: &CompressedBlock,
     ) -> Result<JobOutcome, UdpError> {
-        let seq = block.seq as usize;
-        block.verify_checksum().map_err(|e| UdpError::from(e).with_block(seq))?;
-        // The stage chain ping-pongs through the lane's two spare buffers so
-        // a warm lane runs the whole chain with a single allocation (the
-        // owned output `Vec`). On a trap the buffers' capacity is dropped
-        // with them — acceptable, traps are the cold path.
-        let mut cur = std::mem::take(&mut lane.io_a);
-        let mut nxt = std::mem::take(&mut lane.io_b);
+        // The header is not verified yet, so it sizes nothing a lane could
+        // not fill: a larger claim fails the length check behind the CRC.
+        let mut output = vec![0u8; block.uncompressed_len.min(OUTPUT_WINDOW_BYTES)];
+        let outcome = self.decode_block_into(lane, block, &mut output)?;
+        Ok(JobOutcome { output, ..outcome })
+    }
+
+    /// The stage chain: each enabled stage reads the previous one's output
+    /// (the first reads the payload) and writes `nxt`, which then becomes
+    /// `cur`. On `Ok`, `cur` holds the decoded block.
+    fn run_stages(
+        &self,
+        lane: &mut Lane,
+        block: &CompressedBlock,
+        cur: &mut Vec<u8>,
+        nxt: &mut Vec<u8>,
+    ) -> Result<JobOutcome, LaneError> {
         let cfg = RunConfig::default();
-        let mut cycles = 0u64;
-        let mut opclass = OpClassCycles::default();
-        let mut stage_cycles = StageCycles::default();
-        // Any stage trap is charged to the lane's health record (the retry
-        // ladder re-runs the block on a *different* lane precisely because a
-        // trap may be lane-attributable); a clean chain clears the streak.
-        // CRC failures above are the data's fault and stay health-neutral.
-        // Stage 1: Huffman (bit stream in, bytes out).
-        let mut bits: usize;
-        if let Some(img) = &self.huffman {
-            let r = match lane.run_into(img, &block.payload, block.bit_len, cfg, &mut cur) {
-                Ok(r) => r,
-                Err(e) => {
-                    lane.note_trap();
-                    return Err(UdpError::from(e).with_block(seq));
-                }
+        let mut outcome = JobOutcome::default();
+        let mut per_stage = [0u64; 3];
+        let mut staged = false;
+        for (image, stage) in [&self.huffman, &self.snappy, &self.delta].into_iter().zip(0..) {
+            let Some(image) = image else { continue };
+            let (input, bits) = if staged {
+                (cur.as_slice(), cur.len() * 8)
+            } else {
+                (block.payload.as_slice(), block.bit_len)
             };
-            cycles += r.cycles;
-            stage_cycles.huffman = r.cycles;
-            opclass.merge(&r.opclass);
-            bits = cur.len() * 8;
-        } else {
+            let r = lane.run_into(image, input, bits, cfg, nxt)?;
+            outcome.cycles += r.cycles;
+            outcome.opclass.merge(&r.opclass);
+            per_stage[stage] = r.cycles;
+            std::mem::swap(cur, nxt);
+            staged = true;
+        }
+        if !staged {
+            // No stage enabled: the payload is the block.
             cur.clear();
             cur.extend_from_slice(&block.payload);
-            bits = block.bit_len;
         }
-        // Stage 2: Snappy.
-        if let Some(img) = &self.snappy {
-            let r = match lane.run_into(img, &cur, bits, cfg, &mut nxt) {
-                Ok(r) => r,
-                Err(e) => {
-                    lane.note_trap();
-                    return Err(UdpError::from(e).with_block(seq));
-                }
-            };
-            cycles += r.cycles;
-            stage_cycles.snappy = r.cycles;
-            opclass.merge(&r.opclass);
-            std::mem::swap(&mut cur, &mut nxt);
-            bits = cur.len() * 8;
-        }
-        // Stage 3: inverse delta.
-        if let Some(img) = &self.delta {
-            let r = match lane.run_into(img, &cur, bits, cfg, &mut nxt) {
-                Ok(r) => r,
-                Err(e) => {
-                    lane.note_trap();
-                    return Err(UdpError::from(e).with_block(seq));
-                }
-            };
-            cycles += r.cycles;
-            stage_cycles.delta = r.cycles;
-            opclass.merge(&r.opclass);
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        let _ = bits;
-        let output = cur.clone();
-        lane.io_a = cur;
-        lane.io_b = nxt;
-        lane.note_success();
-        Ok(JobOutcome { cycles, opclass, stage_cycles, output })
+        let [huffman, snappy, delta] = per_stage;
+        outcome.stage_cycles = StageCycles { huffman, snappy, delta };
+        Ok(outcome)
     }
 
     /// Total code-memory bytes across the stage images (for reports).
@@ -165,6 +195,12 @@ impl DshDecoder {
             .map(Image::code_bytes)
             .sum()
     }
+}
+
+/// Block `seq` holds (or declares) `actual` bytes where its extent is
+/// `expected`.
+fn length_mismatch(seq: usize, expected: usize, actual: usize) -> UdpError {
+    UdpError::from(CodecError::LengthMismatch { expected, actual }).with_block(seq)
 }
 
 #[cfg(test)]
@@ -264,6 +300,51 @@ mod tests {
         block.reseal();
         let mut lane = Lane::new();
         let _ = decoder.decode_block(&mut lane, &stream.blocks[0]);
+    }
+
+    #[test]
+    fn a_block_of_another_length_than_its_destination_is_a_length_mismatch() {
+        let data = banded_index_stream(3000);
+        let config = PipelineConfig::dsh_udp();
+        let pipe = Pipeline::train(config, &data).unwrap();
+        let decoder = DshDecoder::new(config, pipe.table().map(|t| t.lengths.as_slice())).unwrap();
+        let mut lane = Lane::new();
+        let mismatch = |r: Result<JobOutcome, UdpError>| match r.unwrap_err() {
+            UdpError::Codec {
+                block: Some(7),
+                source: CodecError::LengthMismatch { expected, actual },
+            } => (expected, actual),
+            other => panic!("expected a length mismatch on block 7, got {other}"),
+        };
+        // An honest header that disagrees with the destination: refused
+        // before a lane cycle is spent.
+        let block = pipe.encode_block_at(&data[..4000], 7).unwrap();
+        let mut dst = vec![0u8; 4096];
+        assert_eq!(mismatch(decoder.decode_block_into(&mut lane, &block, &mut dst)), (4096, 4000));
+        assert_eq!(lane.health().total_successes, 0);
+        // A header resealed to claim the destination's length: the chain
+        // runs clean, and what it produced does not fit.
+        let mut lying = block.clone();
+        lying.uncompressed_len = 4096;
+        lying.reseal();
+        assert_eq!(mismatch(decoder.decode_block_into(&mut lane, &lying, &mut dst)), (4096, 4000));
+        assert_eq!(mismatch(decoder.decode_block(&mut lane, &lying)), (4096, 4000));
+        assert_eq!(lane.health().consecutive_traps, 0, "the data's fault, not the lane's");
+        // A header that claims more than a lane can emit sizes nothing.
+        lying.uncompressed_len = 1 << 40;
+        lying.reseal();
+        assert_eq!(
+            mismatch(decoder.decode_block(&mut lane, &lying)),
+            (OUTPUT_WINDOW_BYTES, 1 << 40)
+        );
+        // The block as encoded places exactly, through either entry.
+        let mut dst = vec![0u8; 4000];
+        let placed = decoder.decode_block_into(&mut lane, &block, &mut dst).unwrap();
+        assert_eq!((dst.as_slice(), placed.output_bytes), (&data[..4000], 4000));
+        assert!(placed.output.is_empty());
+        let owned = decoder.decode_block(&mut lane, &block).unwrap();
+        assert_eq!((owned.output.as_slice(), owned.output_bytes), (&data[..4000], 4000));
+        assert_eq!(owned.cycles, placed.cycles);
     }
 
     #[test]

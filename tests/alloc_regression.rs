@@ -12,7 +12,12 @@
 //! 3. the flight recorder (ISSUE 7): the disabled path is one relaxed
 //!    atomic load per would-be event and must allocate **zero** times per
 //!    dispatched block, and the *enabled* steady state (thread-local
-//!    buffer warm, ring preallocated) must also allocate nothing.
+//!    buffer warm, ring preallocated) must also allocate nothing;
+//! 4. direct placement (ISSUE 17): a lane keeps its stage buffers across a
+//!    trapping block, a batch decode allocates the CSR arrays plus per-job
+//!    bookkeeping and nothing that grows with the block count, and a
+//!    matrix whose declared geometry is inconsistent is refused before
+//!    anything is sized from it.
 //!
 //! Everything lives in one `#[test]` so no concurrent harness thread can
 //! allocate between the two counter reads.
@@ -20,7 +25,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use recode_spmv::codec::pipeline::{MatrixCodecConfig, Pipeline, PipelineConfig};
+use recode_spmv::codec::pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline, PipelineConfig};
+use recode_spmv::core::error::ExecError;
 use recode_spmv::core::exec::RecodedSpmv;
 use recode_spmv::core::overlap::{OverlapConfig, OverlapExecutor};
 use recode_spmv::core::telemetry::StreamKind;
@@ -28,23 +34,30 @@ use recode_spmv::prelude::*;
 use recode_spmv::udp::progs::DshDecoder;
 use recode_spmv::udp::{Lane, RunConfig};
 
-/// System allocator with an allocation-event counter. `dealloc` is not
+/// System allocator with an allocation-event counter and a requested-bytes
+/// counter (a `realloc` counts its whole new size). `dealloc` is not
 /// counted: freeing is fine, acquiring is what the hot paths must avoid.
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -57,6 +70,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn alloc_events() -> u64 {
     ALLOC_EVENTS.load(Ordering::SeqCst)
+}
+
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.load(Ordering::SeqCst)
 }
 
 fn banded_index_stream(n: usize) -> Vec<u8> {
@@ -210,10 +227,145 @@ fn enabled_recorder_steady_state_is_allocation_free() {
     assert_eq!(delta, 0, "enabled recorder steady state allocated {delta} times over 8192 blocks");
 }
 
+/// A stage trap must hand the lane its two stage buffers back: the next
+/// clean block on the same lane places into its destination without a
+/// single allocator call.
+fn trapping_block_leaves_the_lane_its_buffers() {
+    let data = banded_index_stream(8000);
+    let config = PipelineConfig::ds_udp();
+    let pipe = Pipeline::train(config, &data).unwrap();
+    let mut stream = pipe.encode_stream(&data).unwrap();
+    assert!(stream.blocks.len() >= 3, "need a block to break and clean ones around it");
+    let decoder = DshDecoder::new(config, None).unwrap();
+    // Block 1 keeps its frame but loses the tail of its Snappy stream: the
+    // CRC passes (resealed), the Snappy stage runs out of input and traps.
+    let broken = &mut stream.blocks[1];
+    broken.payload.truncate(broken.payload.len() / 2);
+    broken.bit_len = broken.payload.len() * 8;
+    broken.reseal();
+
+    let mut lane = Lane::new();
+    let mut dst = vec![0u8; config.block_bytes];
+    decoder.decode_block_into(&mut lane, &stream.blocks[0], &mut dst).expect("warm-up block");
+    let err = decoder.decode_block_into(&mut lane, &stream.blocks[1], &mut dst).unwrap_err();
+    assert!(err.lane_error().is_some(), "expected a stage trap, got {err}");
+    assert_eq!(lane.health().consecutive_traps, 1);
+
+    let before = alloc_events();
+    decoder.decode_block_into(&mut lane, &stream.blocks[2], &mut dst).expect("clean block");
+    let delta = alloc_events() - before;
+    assert_eq!(dst, data[2 * config.block_bytes..3 * config.block_bytes]);
+    assert_eq!(
+        delta, 0,
+        "the block after a trap allocated {delta} times: the lane lost its buffers"
+    );
+}
+
+/// A batch decode allocates the two CSR arrays at final length, the
+/// `row_ptr` copy, and per-job bookkeeping in a fixed number of vectors: the
+/// same matrix cut into four times as many blocks makes the same number of
+/// allocations, and the bytes stay within a stated slack of what the CSR
+/// itself needs.
+fn batch_decode_allocates_the_csr_and_little_else() {
+    /// Bookkeeping allowed per job (the job list and the outcome vectors)
+    /// and per run (lane profiles, the stats).
+    const SLACK_PER_JOB: u64 = 256;
+    const SLACK_PER_RUN: u64 = 16 * 1024;
+    let a = generate(
+        &GenSpec::FemBand {
+            n: 2000,
+            band: 10,
+            fill: 0.6,
+            values: ValueModel::MixedRepeated { distinct: 8 },
+        },
+        7,
+    );
+    let sys = SystemConfig::ddr4();
+    let mut events = Vec::new();
+    for block_bytes in [8192, 2048] {
+        let codec_cfg = MatrixCodecConfig {
+            index: PipelineConfig { block_bytes, ..PipelineConfig::dsh_udp() },
+            value: PipelineConfig { block_bytes, ..PipelineConfig::sh_udp() },
+        };
+        let recoded = RecodedSpmv::new(&a, codec_cfg).unwrap();
+        // Warm-up: builds the pooled lanes and sizes their stage buffers.
+        recoded.decompress_via_udp(&sys).unwrap();
+        let (events0, bytes0) = (alloc_events(), alloc_bytes());
+        let (b, stats) = recoded.decompress_via_udp(&sys).unwrap();
+        let (events1, bytes1) = (alloc_events(), alloc_bytes());
+        assert_eq!(b, a);
+        let jobs = stats.accel.jobs as u64;
+        let csr = (12 * a.nnz() + 8 * (a.nrows() + 1)) as u64;
+        let allowed = csr + SLACK_PER_JOB * jobs + SLACK_PER_RUN;
+        assert!(
+            bytes1 - bytes0 <= allowed,
+            "{block_bytes}-byte blocks: allocated {} bytes for a {csr}-byte CSR over {jobs} jobs \
+             (allowed {allowed})",
+            bytes1 - bytes0
+        );
+        events.push((jobs, events1 - events0));
+    }
+    let [(few_jobs, few), (many_jobs, many)] = events[..] else { unreachable!() };
+    assert!(many_jobs >= 3 * few_jobs, "{few_jobs} vs {many_jobs} jobs");
+    assert_eq!(
+        few, many,
+        "allocation count grew with the block count ({few_jobs} -> {many_jobs} jobs)"
+    );
+}
+
+/// The arrays are sized from header fields, so a header that lies about the
+/// geometry is refused before the first lane runs, with the typed error and
+/// without an allocation anywhere near the claimed size.
+fn inconsistent_geometry_is_refused_before_anything_is_sized() {
+    type Edit = fn(&mut CompressedMatrix);
+    let a = generate(
+        &GenSpec::Stencil2D { nx: 40, ny: 40, points: 5, values: ValueModel::StencilCoeffs },
+        3,
+    );
+    let image = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).unwrap().to_bytes();
+    let sys = SystemConfig::ddr4();
+    let edits: [(&str, Edit); 5] = [
+        ("index stream claims 2^40 bytes", |cm| cm.index_stream.total_uncompressed = 1 << 40),
+        ("value stream claims 2^40 bytes in as many blocks as it has", |cm| {
+            cm.value_stream.total_uncompressed = 1 << 40;
+            cm.value_stream.block_bytes = (1 << 40) / cm.value_stream.blocks.len();
+        }),
+        ("nnz off by one", |cm| cm.nnz += 1),
+        ("nnz and both streams agree on 2^37 non-zeros, row_ptr does not", |cm| {
+            cm.nnz = 1 << 37;
+            cm.index_stream.total_uncompressed = 4 << 37;
+            cm.value_stream.total_uncompressed = 8 << 37;
+        }),
+        ("blocks larger than a lane's output window", |cm| {
+            cm.index_stream.block_bytes = 64 * 1024;
+        }),
+    ];
+    for (what, edit) in edits {
+        let mut cm = CompressedMatrix::from_bytes(&image).unwrap();
+        edit(&mut cm);
+        let recoded = RecodedSpmv::from_compressed(cm).unwrap();
+        let x = vec![1.0; a.ncols()];
+        let bytes0 = alloc_bytes();
+        let batch = recoded.decompress_via_udp(&sys).map(|_| ());
+        let streaming = recoded.spmv_streaming(&x).map(|_| ());
+        let allocated = alloc_bytes() - bytes0;
+        for (executor, result) in [("batch", batch), ("streaming", streaming)] {
+            match result {
+                Err(ExecError::Reassembly(_)) => {}
+                other => panic!("{what} on {executor}: expected a Reassembly error, got {other:?}"),
+            }
+        }
+        assert!(allocated < 64 * 1024, "{what}: allocated {allocated} bytes while refusing");
+    }
+}
+
 #[test]
 fn hot_paths_do_not_allocate_in_steady_state() {
     lane_run_into_is_allocation_free();
     warm_cache_tiles_are_allocation_free();
     disabled_recorder_records_allocation_free();
     enabled_recorder_steady_state_is_allocation_free();
+    trapping_block_leaves_the_lane_its_buffers();
+    batch_decode_allocates_the_csr_and_little_else();
+    inconsistent_geometry_is_refused_before_anything_is_sized();
 }
