@@ -2,17 +2,31 @@
 //! of items on scoped threads and returns the results in item order.
 //!
 //! Workers claim items one at a time through a shared counter, so uneven
-//! items (skewed rows, matrices of different sizes) balance themselves. A
-//! call made from inside a worker runs inline on that worker: the outer
-//! loop already owns every core, and nesting would only oversubscribe them.
+//! items (skewed rows, matrices of different sizes) balance themselves. The
+//! calling thread is one of the workers — it would otherwise only wait — so
+//! a call spawns one thread fewer than it has workers. A call made from
+//! inside a worker runs inline on that worker: the outer loop already owns
+//! every core, and nesting would only oversubscribe them.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 thread_local! {
-    /// Set for the lifetime of a worker thread spawned by [`map`].
+    /// Set while the thread is a worker of [`map`]: for the lifetime of a
+    /// spawned one, and for the caller while it works its share.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Clears the current thread's worker mark when dropped (on unwind too: a
+/// panic in the caller's share must not leave its thread running inline for
+/// good).
+struct WorkerMark;
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.set(false);
+    }
 }
 
 /// The host's available parallelism, read once. The same inside a worker
@@ -24,8 +38,8 @@ pub fn threads() -> usize {
 }
 
 /// `items.enumerate().map(|(i, item)| f(i, item)).collect()`, fanned out
-/// over [`threads`] scoped workers. A panic in `f` resumes on the caller
-/// once every worker has stopped.
+/// over [`threads`] workers: the caller and scoped threads for the rest. A
+/// panic in `f` resumes on the caller once every worker has stopped.
 pub fn map<I, T, F>(items: impl IntoIterator<Item = I>, f: F) -> Vec<T>
 where
     I: Send,
@@ -43,6 +57,7 @@ where
     let next = AtomicUsize::new(0);
     let work = || {
         IN_WORKER.set(true);
+        let _mark = WorkerMark;
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -54,11 +69,12 @@ where
         }
     };
     let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for h in handles {
+            done.extend(h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        done
     });
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, t)| t).collect()
@@ -95,6 +111,22 @@ mod tests {
             map(0..8usize, |_, _| std::thread::current().id() == me)
         });
         assert!(nested.iter().flatten().all(|&same_thread| same_thread));
+    }
+
+    #[test]
+    fn the_caller_works_a_share_itself() {
+        // As many items as workers, each waiting for all of them to have
+        // started: only a call whose every worker takes one item returns.
+        let (n, started) = (threads(), AtomicUsize::new(0));
+        let ids = map(0..n, |_, _| {
+            started.fetch_add(1, Ordering::SeqCst);
+            while started.load(Ordering::SeqCst) < n {
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
+        });
+        assert!(ids.contains(&std::thread::current().id()), "the caller is a worker");
+        assert!(!IN_WORKER.get(), "and stops being one when the call returns");
     }
 
     #[test]

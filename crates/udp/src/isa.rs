@@ -29,7 +29,7 @@ pub const SCRATCHPAD_BYTES: usize = 64 * 1024;
 pub const MAX_ACTIONS_PER_BLOCK: usize = 4;
 
 /// Memory access width in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Width {
     /// 1 byte.
     B1,

@@ -7,33 +7,59 @@ use crate::asm::assemble_text;
 use crate::error::UdpError;
 use crate::machine::{assemble, Image};
 
-/// The program source. Register roles:
-/// `r1` previous index · `r2` output cursor · `r3` remaining-bits ·
-/// `r4` current word · `r5`/`r6` zigzag temporaries · `r11` constant 1.
+/// The program source. Two words per trip while 64 bits remain: both sign
+/// bits with one `and`, both magnitudes with one shift (the sign bits are
+/// cleared first, so the upper word's cannot slide into the lower word's top
+/// bit), both masks with one `shli`/`sub` — the lower lane's sign bit,
+/// shifted up 32, minus the pair of sign bits is all-ones in exactly the
+/// lanes whose bit was set, the borrow stopping where the upper lane needs
+/// it — and one `xor`. The prefix sum then runs through the low half of
+/// `r1`: 4-byte stores never see the upper half, which holds whatever the
+/// 64-bit adds carried there. A last odd word takes the one-word body.
+///
+/// Register roles: `r1` previous index · `r2` output cursor · `r3`
+/// remaining-bits · `r4` current word(s) · `r5`/`r6`/`r7` zigzag temporaries
+/// · `r10` constant 64 · `r11` constant 1 · `r12` constant 2^32 + 1.
 pub const SOURCE: &str = "\
 ; inverse zigzag delta over 4-byte LE words
 .entry init
 init:
     mov r2, r14
     limm r11, 1
+    shli r12, r11, 32
     inrem r3
     beq r3, r0, done
-first:
-    insymle r1, 4
+    or r12, r12, r11     ; the sign bit of either lane
+    limm r10, 64
+    insymle r1, 4        ; the first word is absolute
     storewi r1, r2       ; 4-byte store truncates to u32 naturally
-    jump loop
-loop:
+    jump pair
+pair:
     inrem r3
+    bltu r3, r10, last
+    insymle r4, 8
+    and r5, r4, r12      ; sign bits
+    xor r6, r4, r5
+    shri r6, r6, 1       ; magnitudes
+    shli r7, r5, 32
+    sub r7, r7, r5       ; 0 or all-ones, per lane
+    xor r6, r6, r7       ; signed deltas (two's complement, per lane)
+    add r1, r1, r6       ; prev += delta (wrapping; valid streams stay in range)
+    storewi r1, r2
+    shri r6, r6, 32
+    add r1, r1, r6
+    storewi r1, r2
+    jump pair
+last:
     beq r3, r0, done
-body:
     insymle r4, 4
     and r5, r4, r11      ; sign bit
     shri r6, r4, 1       ; magnitude
     sub r5, r0, r5       ; 0 or all-ones
-    xor r6, r6, r5       ; signed delta (two's complement)
-    add r1, r1, r6       ; prev += delta (wrapping; valid streams stay in range)
+    xor r6, r6, r5
+    add r1, r1, r6
     storewi r1, r2
-    jump loop
+    jump pair
 done:
     sub r15, r2, r14
     halt

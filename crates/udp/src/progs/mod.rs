@@ -27,38 +27,60 @@ use crate::machine::Image;
 use recode_codec::block::CompressedBlock;
 use recode_codec::pipeline::PipelineConfig;
 use recode_codec::CodecError;
+use std::sync::{Arc, OnceLock};
 
 /// The per-stage images needed to decode one stream's blocks, mirroring a
-/// [`PipelineConfig`].
+/// [`PipelineConfig`]. An image is immutable once assembled, so a decoder
+/// holds each behind an [`Arc`]: cloning a decoder copies no code words,
+/// predecode table or verify report.
 #[derive(Debug, Clone)]
 pub struct DshDecoder {
     /// Stage config this decoder implements.
     pub config: PipelineConfig,
     /// Huffman image (present iff `config.huffman`); compiled per matrix.
-    pub huffman: Option<Image>,
-    /// Snappy image (present iff `config.snappy`); table-independent.
-    pub snappy: Option<Image>,
-    /// Inverse-delta image (present iff `config.delta`); table-independent.
-    pub delta: Option<Image>,
+    pub huffman: Option<Arc<Image>>,
+    /// Snappy image (present iff `config.snappy`); table-independent, so
+    /// every decoder of the process shares one.
+    pub snappy: Option<Arc<Image>>,
+    /// Inverse-delta image (present iff `config.delta`); shared likewise.
+    pub delta: Option<Arc<Image>>,
+}
+
+/// The process's one image of a table-independent program, built by `build`
+/// on first use. (`build` itself stays a plain constructor: a caller that
+/// wants an image of its own to tamper with or retire gets one.)
+fn shared(
+    cell: &'static OnceLock<Arc<Image>>,
+    build: fn() -> Result<Image, UdpError>,
+) -> Result<Arc<Image>, UdpError> {
+    if let Some(image) = cell.get() {
+        return Ok(Arc::clone(image));
+    }
+    // Two first users may both build; one image wins and the other is dropped.
+    let image = Arc::new(build()?);
+    Ok(Arc::clone(cell.get_or_init(|| image)))
 }
 
 impl DshDecoder {
     /// Builds the decoder set for `config`, compiling the Huffman stage
-    /// from the given code lengths (required iff the config enables it).
+    /// from the given code lengths (required iff the config enables it). The
+    /// two table-independent images are assembled once per process, here.
     ///
     /// # Errors
     /// Program-construction failures (invalid table lengths).
     pub fn new(config: PipelineConfig, huffman_lengths: Option<&[u8]>) -> Result<Self, UdpError> {
+        static SNAPPY: OnceLock<Arc<Image>> = OnceLock::new();
+        static DELTA: OnceLock<Arc<Image>> = OnceLock::new();
         let huffman = if config.huffman {
             let lengths = huffman_lengths.ok_or_else(|| {
                 UdpError::Table("config enables huffman but no table provided".into())
             })?;
-            Some(huffman::compile(lengths)?)
+            Some(Arc::new(huffman::compile(lengths)?))
         } else {
             None
         };
-        let snappy = if config.snappy { Some(snappy::build()?) } else { None };
-        let delta = if config.delta { Some(delta::build()?) } else { None };
+        let snappy = config.snappy.then(|| shared(&SNAPPY, snappy::build)).transpose()?;
+        let delta = config.delta.then(|| shared(&DELTA, delta::build)).transpose()?;
         let decoder = DshDecoder { config, huffman, snappy, delta };
         // Admission gate: a stage image the static verifier rejects never
         // reaches a lane (compiled Huffman programs are table-dependent, so
@@ -192,7 +214,7 @@ impl DshDecoder {
         [&self.huffman, &self.snappy, &self.delta]
             .into_iter()
             .flatten()
-            .map(Image::code_bytes)
+            .map(|image| image.code_bytes())
             .sum()
     }
 }

@@ -8,18 +8,149 @@
 //! split baked in at program-construction time, so there is no branch tree
 //! and no prediction, just `base + tag`.
 //!
-//! Copy loops move 8 bytes per iteration when length and offset allow
-//! (overlapping copies fall back to the byte loop, preserving Snappy's
-//! run-extension semantics).
+//! What the tag says is decided here, not on the lane. A length the tag
+//! holds becomes a straight **chain** of move pairs (`insymle`/`storeinc`
+//! for a literal, `loadinc`/`storeinc` for a copy), two pairs per 4-action
+//! block, widest moves first: 8-byte pairs, then a 4, then single bytes
+//! (`StoreInc` has no 2-byte row). The one thing a copy's tag does not say
+//! is how far back its source lies, and a move may only be as wide as the
+//! offset, so a copy handler computes offset and source and jumps to its
+//! length's **tier test**: one or two action-free branches (`offset < 8`,
+//! `offset < 4`) that fall into the length's chain of 8-byte or 4-byte
+//! moves, or leave for the byte loop (offsets 1..3: Snappy's run extension).
+//! A `copy1` tag with offset bits of its own (offset ≥ 256) skips the test.
+//! Every chain jumps straight back to `main`.
+//!
+//! Three loops remain behind the preamble's, each owning its back-edge
+//! branch and running against a limit cursor instead of counting down: an
+//! extended-length literal moves 16 bytes per 5-cycle trip, a copy of more
+//! than 16 bytes at offset 4..7 moves 8, the byte loop 1 per 3 cycles. The
+//! two wide loops hand what is left (fewer bytes than one trip) to a
+//! register dispatch into a small group of chains.
+//!
+//! Three placement rules shape the blocks (see `crate::program`):
+//! a member of a dispatch group cannot end in a branch (EffCLiP would want
+//! its fall-through in the next member's slot), so a tier test is a block of
+//! its own; a block may be the fall-through of only one branch, so the first
+//! block of a chain behind a tier test is private to it while everything
+//! behind that is shared between all chains with the same moves left; and a
+//! jump may target anything, which is what lets the sharing happen.
 //!
 //! Register roles: `r1` tag · `r2` output cursor · `r3` remaining-bits ·
-//! `r4` length · `r5` offset · `r6` data · `r7` copy-source cursor ·
+//! `r4` byte-loop limit / bytes left after a loop · `r5` offset · `r6` data
+//! · `r7` copy-source cursor · `r8` limit cursor of the wide loops ·
 //! `r9` constant 0x80 · `r12` constant 4 · `r13` constant 8.
 
 use crate::error::UdpError;
-use crate::isa::{Action, Block, Cond, Transition, Width};
+use crate::isa::{Action, Block, BlockId, Cond, Transition, Width, MAX_ACTIONS_PER_BLOCK};
 use crate::machine::{assemble, Image};
 use crate::program::ProgramBuilder;
+use std::collections::HashMap;
+
+/// Where a chain's bytes come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Source {
+    /// The input stream: a literal.
+    Stream,
+    /// The output written so far, through `r7`: a copy.
+    Back,
+}
+
+impl Source {
+    /// One move of `width` bytes to the output cursor.
+    fn pair(self, width: Width) -> [Action; 2] {
+        let get = match self {
+            Source::Stream => Action::InSymLe { rd: 6, bytes: width.bytes() as u8 },
+            Source::Back => Action::LoadInc { rd: 6, base: 7, width },
+        };
+        [get, Action::StoreInc { rs: 6, base: 2, width }]
+    }
+}
+
+/// The moves of a `len`-byte chain, none wider than `widest` bytes: as many
+/// of the widest as fit, then the next width down.
+fn widths(len: usize, widest: usize) -> Vec<Width> {
+    let mut out = Vec::new();
+    let mut left = len;
+    for width in [Width::B8, Width::B4, Width::B1] {
+        let w = width.bytes();
+        if w <= widest {
+            out.extend(std::iter::repeat_n(width, left / w));
+            left %= w;
+        }
+    }
+    out
+}
+
+/// A two-way test that falls into `fallthrough`.
+fn branch(cond: Cond, rs: u8, rt: u8, taken: BlockId, fallthrough: BlockId) -> Transition {
+    Transition::Branch { cond, rs, rt, taken, fallthrough }
+}
+
+/// The program under construction.
+struct Builder {
+    pb: ProgramBuilder,
+    /// The element loop's head, where every chain ends.
+    main: BlockId,
+    /// Shared chain blocks, by what they and the blocks behind them move.
+    shared: HashMap<(Source, Vec<Width>), BlockId>,
+}
+
+impl Builder {
+    /// The shared block that moves `widths` and goes back to `main`.
+    fn chain(&mut self, from: Source, widths: &[Width]) -> BlockId {
+        if widths.is_empty() {
+            return self.main;
+        }
+        let key = (from, widths.to_vec());
+        if let Some(&block) = self.shared.get(&key) {
+            return block;
+        }
+        let block = self.head(Vec::new(), from, widths);
+        self.shared.insert(key, block);
+        block
+    }
+
+    /// A block of its own (a group member, a fall-through): `actions`, as
+    /// many whole moves of `widths` as its free slots hold, and a jump to
+    /// the shared chain of the rest.
+    fn head(&mut self, mut actions: Vec<Action>, from: Source, widths: &[Width]) -> BlockId {
+        let here = ((MAX_ACTIONS_PER_BLOCK - actions.len()) / 2).min(widths.len());
+        for &width in &widths[..here] {
+            actions.extend(from.pair(width));
+        }
+        let next = self.chain(from, &widths[here..]);
+        self.pb.block(Block { actions, transition: Transition::Jump(next) })
+    }
+
+    /// A loop that moves two `width`-byte pairs per trip while a whole trip
+    /// lies below the end of the element: `r8` holds that end less
+    /// `trip − 1`, so the loop runs while the output cursor is below it, and
+    /// then `r2 − r8` in `0..trip` says how few bytes are left — slot `s` of
+    /// the dispatch behind the loop is the chain that moves `trip − 1 − s`.
+    /// Returns the loop block and that dispatch, for a caller that may have
+    /// no whole trip to make.
+    fn wide_loop(&mut self, from: Source, width: Width) -> (BlockId, BlockId) {
+        let trip = 2 * width.bytes();
+        let slots = (0..trip)
+            .map(|s| (s as u32, self.head(Vec::new(), from, &widths(trip - 1 - s, width.bytes()))))
+            .collect();
+        let group = self.pb.group(slots);
+        let rest = self.pb.block(Block {
+            actions: vec![Action::Sub { rd: 4, rs: 2, rt: 8 }],
+            transition: Transition::DispatchReg { rs: 4, group },
+        });
+        let body = self.pb.reserve();
+        let actions = [from.pair(width), from.pair(width)].concat();
+        self.pb.define(body, Block { actions, transition: branch(Cond::Ltu, 2, 8, body, rest) });
+        (body, rest)
+    }
+}
+
+/// Longest copy a tag can ask for.
+const MAX_COPY: usize = 64;
+/// Longest copy at offset 4..7 that is a straight chain; above it, a loop.
+const MAX_NARROW_CHAIN: usize = 16;
 
 /// Builds the (table-independent) Snappy decode image.
 ///
@@ -27,237 +158,121 @@ use crate::program::ProgramBuilder;
 /// Construction/placement failures (a bug, not a data condition).
 pub fn build() -> Result<Image, UdpError> {
     let mut pb = ProgramBuilder::new("udp-snappy-decode");
+    let main = pb.reserve();
+    let mut b = Builder { pb, main, shared: HashMap::new() };
 
     // done: r15 = out length; halt.
-    let done = pb.block(Block {
+    let done = b.pb.block(Block {
         actions: vec![Action::Sub { rd: 15, rs: 2, rt: 14 }],
         transition: Transition::Halt,
     });
 
-    // Forward declarations.
-    let main = pb.reserve();
-    let lit_loop = pb.reserve();
-    let lit_tail_head = pb.reserve();
-    let bc_loop = pb.reserve();
-    let bc_tail_head = pb.reserve();
-
-    // ---- literal copy: r4 bytes from input to output ----
-    let lit_wide = pb.block(Block {
-        actions: vec![
-            Action::InSymLe { rd: 6, bytes: 8 },
-            Action::StoreInc { rs: 6, base: 2, width: Width::B8 },
-            Action::AddI { rd: 4, rs: 4, imm: -8 },
-        ],
-        transition: Transition::Jump(lit_loop),
-    });
-    pb.define(
-        lit_loop,
+    // ---- offsets 1..3: byte loop up to r4, falling into main ----
+    let byte_loop = b.pb.reserve();
+    b.pb.define(
+        byte_loop,
         Block {
-            actions: vec![],
-            transition: Transition::Branch {
-                cond: Cond::Ltu,
-                rs: 4,
-                rt: 13,
-                taken: lit_tail_head,
-                fallthrough: lit_wide,
-            },
-        },
-    );
-    let lit_tail_body = pb.block(Block {
-        actions: vec![
-            Action::InSymLe { rd: 6, bytes: 1 },
-            Action::StoreInc { rs: 6, base: 2, width: Width::B1 },
-            Action::AddI { rd: 4, rs: 4, imm: -1 },
-        ],
-        transition: Transition::Jump(lit_tail_head),
-    });
-    pb.define(
-        lit_tail_head,
-        Block {
-            actions: vec![],
-            transition: Transition::Branch {
-                cond: Cond::Eq,
-                rs: 4,
-                rt: 0,
-                taken: main,
-                fallthrough: lit_tail_body,
-            },
+            actions: Source::Back.pair(Width::B1).to_vec(),
+            transition: branch(Cond::Ltu, 2, 4, byte_loop, main),
         },
     );
 
-    // ---- back copy: r4 bytes from distance r5 ----
-    // Three tiers: 8-byte chunks (len >= 8, offset >= 8), 4-byte chunks
-    // (len >= 4, offset >= 4 — common for delta-coded index streams whose
-    // period is one 4-byte word), then the byte loop for short overlaps.
-    let bc_four_loop = pb.reserve();
-    let bc_init = pb.block(Block {
-        actions: vec![Action::Sub { rd: 7, rs: 2, rt: 5 }],
-        transition: Transition::Jump(bc_loop),
-    });
-    let bc_wide = pb.block(Block {
-        actions: vec![
-            Action::LoadInc { rd: 6, base: 7, width: Width::B8 },
-            Action::StoreInc { rs: 6, base: 2, width: Width::B8 },
-            Action::AddI { rd: 4, rs: 4, imm: -8 },
-        ],
-        transition: Transition::Jump(bc_loop),
-    });
-    // Overlap guard: 8-byte path only when offset >= 8.
-    let bc_check_off = pb.block(Block {
+    // ---- copies of 4..=64 bytes: per length, where a handler enters ----
+    // `test[len]` when the offset has to be looked at, `wide[len]` when the
+    // tag says it is at least 8 (slots below 4 are never read).
+    let (narrow_loop, _) = b.wide_loop(Source::Back, Width::B4);
+    let mut test = [main; MAX_COPY + 1];
+    let mut wide = [main; MAX_COPY + 1];
+    for len in 4..=MAX_COPY {
+        let bytes = b.pb.block(Block {
+            actions: vec![Action::AddI { rd: 4, rs: 2, imm: len as i16 }],
+            transition: Transition::Jump(byte_loop),
+        });
+        let narrow = if len <= MAX_NARROW_CHAIN {
+            b.head(Vec::new(), Source::Back, &widths(len, 4))
+        } else {
+            b.pb.block(Block {
+                actions: vec![Action::AddI { rd: 8, rs: 2, imm: len as i16 - 7 }],
+                transition: Transition::Jump(narrow_loop),
+            })
+        };
+        let test4 = b
+            .pb
+            .block(Block { actions: vec![], transition: branch(Cond::Ltu, 5, 12, bytes, narrow) });
+        (test[len], wide[len]) = if len < 8 {
+            (test4, narrow)
+        } else {
+            let chain = b.head(Vec::new(), Source::Back, &widths(len, 8));
+            let test8 = b.pb.block(Block {
+                actions: vec![],
+                transition: branch(Cond::Ltu, 5, 13, test4, chain),
+            });
+            (test8, chain)
+        };
+    }
+
+    // ---- extended-length literal: r4 = length - 1 ----
+    let (literal_loop, literal_rest) = b.wide_loop(Source::Stream, Width::B8);
+    let literal_test = b.pb.block(Block {
         actions: vec![],
-        transition: Transition::Branch {
-            cond: Cond::Ltu,
-            rs: 5,
-            rt: 13,
-            taken: bc_four_loop,
-            fallthrough: bc_wide,
-        },
+        transition: branch(Cond::Geu, 2, 8, literal_rest, literal_loop),
     });
-    pb.define(
-        bc_loop,
-        Block {
-            actions: vec![],
-            transition: Transition::Branch {
-                cond: Cond::Ltu,
-                rs: 4,
-                rt: 13,
-                taken: bc_four_loop,
-                fallthrough: bc_check_off,
-            },
-        },
-    );
-    // 4-byte tier.
-    let bc_wide4 = pb.block(Block {
-        actions: vec![
-            Action::LoadInc { rd: 6, base: 7, width: Width::B4 },
-            Action::StoreInc { rs: 6, base: 2, width: Width::B4 },
-            Action::AddI { rd: 4, rs: 4, imm: -4 },
-        ],
-        transition: Transition::Jump(bc_four_loop),
-    });
-    let bc_four_checkoff = pb.block(Block {
-        actions: vec![],
-        transition: Transition::Branch {
-            cond: Cond::Ltu,
-            rs: 5,
-            rt: 12,
-            taken: bc_tail_head,
-            fallthrough: bc_wide4,
-        },
-    });
-    pb.define(
-        bc_four_loop,
-        Block {
-            actions: vec![],
-            transition: Transition::Branch {
-                cond: Cond::Ltu,
-                rs: 4,
-                rt: 12,
-                taken: bc_tail_head,
-                fallthrough: bc_four_checkoff,
-            },
-        },
-    );
-    let bc_tail_body = pb.block(Block {
-        actions: vec![
-            Action::LoadInc { rd: 6, base: 7, width: Width::B1 },
-            Action::StoreInc { rs: 6, base: 2, width: Width::B1 },
-            Action::AddI { rd: 4, rs: 4, imm: -1 },
-        ],
-        transition: Transition::Jump(bc_tail_head),
-    });
-    pb.define(
-        bc_tail_head,
-        Block {
-            actions: vec![],
-            transition: Transition::Branch {
-                cond: Cond::Eq,
-                rs: 4,
-                rt: 0,
-                taken: main,
-                fallthrough: bc_tail_body,
-            },
-        },
-    );
 
     // ---- 256 tag handlers ----
+    // A copy's offset and source, its offset in `bytes` stream bytes.
+    let copy = |bytes| vec![Action::InSymLe { rd: 5, bytes }, Action::Sub { rd: 7, rs: 2, rt: 5 }];
     let mut handlers = Vec::with_capacity(256);
     for tag in 0..=255u32 {
+        let field = (tag >> 2) as usize;
         let handler = match tag & 0b11 {
-            0 => {
-                // Literal.
-                let len_code = tag >> 2;
-                if len_code < 60 {
-                    pb.block(Block {
-                        actions: vec![Action::LoadImm { rd: 4, imm: (len_code + 1) as i16 }],
-                        transition: Transition::Jump(lit_loop),
-                    })
-                } else {
-                    let nbytes = (len_code - 59) as u8;
-                    pb.block(Block {
-                        actions: vec![
-                            Action::InSymLe { rd: 4, bytes: nbytes },
-                            Action::AddI { rd: 4, rs: 4, imm: 1 },
-                        ],
-                        transition: Transition::Jump(lit_loop),
-                    })
-                }
-            }
+            // Literal, its length in the tag or in 1..=4 bytes behind it.
+            0 if field < 60 => b.head(Vec::new(), Source::Stream, &widths(field + 1, 8)),
+            0 => b.pb.block(Block {
+                actions: vec![
+                    Action::InSymLe { rd: 4, bytes: (field - 59) as u8 },
+                    Action::Add { rd: 8, rs: 2, rt: 4 },
+                    Action::AddI { rd: 8, rs: 8, imm: -14 },
+                ],
+                transition: Transition::Jump(literal_test),
+            }),
+            // Copy, 1-byte offset: len 4..11, three more offset bits in the
+            // tag — `addi` takes them off the source 1024 at a time, and with
+            // any of them set the offset is 256 or more: no test.
             1 => {
-                // Copy, 1-byte offset: len 4..11, offset high bits in tag.
-                let len = ((tag >> 2) & 0x7) + 4;
-                let off_hi = (tag >> 5) << 8;
-                pb.block(Block {
-                    actions: vec![
-                        Action::LoadImm { rd: 4, imm: len as i16 },
-                        Action::LoadImm { rd: 5, imm: off_hi as i16 },
-                        Action::InSymLe { rd: 6, bytes: 1 },
-                        Action::Or { rd: 5, rs: 5, rt: 6 },
-                    ],
-                    transition: Transition::Jump(bc_init),
-                })
+                let (len, mut high) = ((field & 0x7) + 4, (tag >> 5 << 8) as i16);
+                let target = if high == 0 { test[len] } else { wide[len] };
+                let mut actions = copy(1);
+                while high > 0 {
+                    actions.push(Action::AddI { rd: 7, rs: 7, imm: -high.min(1024) });
+                    high -= high.min(1024);
+                }
+                b.pb.block(Block { actions, transition: Transition::Jump(target) })
             }
-            2 => {
-                // Copy, 2-byte offset: len 1..64.
-                pb.block(Block {
-                    actions: vec![
-                        Action::LoadImm { rd: 4, imm: ((tag >> 2) + 1) as i16 },
-                        Action::InSymLe { rd: 5, bytes: 2 },
-                    ],
-                    transition: Transition::Jump(bc_init),
-                })
-            }
-            _ => {
-                // Copy, 4-byte offset.
-                pb.block(Block {
-                    actions: vec![
-                        Action::LoadImm { rd: 4, imm: ((tag >> 2) + 1) as i16 },
-                        Action::InSymLe { rd: 5, bytes: 4 },
-                    ],
-                    transition: Transition::Jump(bc_init),
-                })
+            // Copy, 2- or 4-byte offset: len 1..64. Under 4 bytes there is
+            // nothing to test for, and the first byte moves here.
+            low => {
+                let (len, actions) = (field + 1, copy(if low == 2 { 2 } else { 4 }));
+                if len < 4 {
+                    b.head(actions, Source::Back, &widths(len, 1))
+                } else {
+                    b.pb.block(Block { actions, transition: Transition::Jump(test[len]) })
+                }
             }
         };
         handlers.push((tag, handler));
     }
-    let tags = pb.group(handlers);
+    let tags = b.pb.group(handlers);
 
     // ---- main loop: element per iteration ----
-    let gettag = pb.block(Block {
+    let gettag = b.pb.block(Block {
         actions: vec![Action::InSymLe { rd: 1, bytes: 1 }],
         transition: Transition::DispatchReg { rs: 1, group: tags },
     });
-    pb.define(
+    b.pb.define(
         main,
         Block {
             actions: vec![Action::InRem { rd: 3 }],
-            transition: Transition::Branch {
-                cond: Cond::Eq,
-                rs: 3,
-                rt: 0,
-                taken: done,
-                fallthrough: gettag,
-            },
+            transition: branch(Cond::Eq, 3, 0, done, gettag),
         },
     );
 
@@ -265,34 +280,22 @@ pub fn build() -> Result<Image, UdpError> {
     // Guarded per byte: a truncated preamble (every byte with the
     // continuation bit set) must fall through to main's empty-stream exit,
     // not run the stream unit dry.
-    let varint = pb.reserve();
-    let to_main = pb.block(Block { actions: vec![], transition: Transition::Jump(main) });
-    let varint_body = pb.block(Block {
+    let varint = b.pb.reserve();
+    let to_main = b.pb.block(Block { actions: vec![], transition: Transition::Jump(main) });
+    let varint_body = b.pb.block(Block {
         actions: vec![Action::InSymLe { rd: 6, bytes: 1 }, Action::And { rd: 7, rs: 6, rt: 9 }],
-        transition: Transition::Branch {
-            cond: Cond::Ne,
-            rs: 7,
-            rt: 0,
-            taken: varint,
-            fallthrough: to_main,
-        },
+        transition: branch(Cond::Ne, 7, 0, varint, to_main),
     });
-    pb.define(
+    b.pb.define(
         varint,
         Block {
             actions: vec![Action::InRem { rd: 3 }],
-            transition: Transition::Branch {
-                cond: Cond::Eq,
-                rs: 3,
-                rt: 0,
-                taken: to_main,
-                fallthrough: varint_body,
-            },
+            transition: branch(Cond::Eq, 3, 0, to_main, varint_body),
         },
     );
 
     // ---- init ----
-    let init = pb.block(Block {
+    let init = b.pb.block(Block {
         actions: vec![
             Action::Mov { rd: 2, rs: 14 },
             Action::LoadImm { rd: 13, imm: 8 },
@@ -301,9 +304,9 @@ pub fn build() -> Result<Image, UdpError> {
         ],
         transition: Transition::Jump(varint),
     });
-    pb.entry(init);
+    b.pb.entry(init);
 
-    let program = pb.build()?;
+    let program = b.pb.build()?;
     assemble(&program)
 }
 

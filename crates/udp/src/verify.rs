@@ -64,6 +64,7 @@ use crate::error::UdpError;
 use crate::isa::{Action, Block, BlockId, Transition, Width, NUM_REGS, SCRATCHPAD_BYTES};
 use crate::machine::{DecodedTransition, Image};
 use crate::program::Program;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 /// Finding severity, ordered `Info < Warn < Error`.
@@ -145,6 +146,18 @@ pub struct Finding {
     pub line: Option<usize>,
     /// Human-readable description.
     pub message: String,
+    /// Findings this one stands for: itself, plus every later `Info` of the
+    /// same analysis whose message differs from it only in its numbers
+    /// (always 1 for warnings and errors, which are never folded).
+    pub count: usize,
+}
+
+impl Finding {
+    /// The message with its numbers taken out: what two findings of one
+    /// analysis share when they say the same thing about different places.
+    fn shape(&self) -> String {
+        self.message.chars().filter(|&c| !(c.is_ascii_digit() || c == '∞' || c == '-')).collect()
+    }
 }
 
 impl fmt::Display for Finding {
@@ -156,7 +169,11 @@ impl fmt::Display for Finding {
         if let Some(l) = self.line {
             write!(f, " (line {l})")?;
         }
-        write!(f, ": {}", self.message)
+        write!(f, ": {}", self.message)?;
+        if self.count > 1 {
+            write!(f, " (and {} more like it)", self.count - 1)?;
+        }
+        Ok(())
     }
 }
 
@@ -299,7 +316,7 @@ impl VerifyReport {
     }
 
     fn count(&self, s: Severity) -> usize {
-        self.findings.iter().filter(|f| f.severity == s).count()
+        self.findings.iter().filter(|f| f.severity == s).map(|f| f.count).sum()
     }
 
     /// Number of `Error` findings.
@@ -312,7 +329,7 @@ impl VerifyReport {
         self.count(Severity::Warn)
     }
 
-    /// Number of `Info` findings.
+    /// Number of `Info` findings, folded ones included.
     pub fn info_count(&self) -> usize {
         self.count(Severity::Info)
     }
@@ -358,13 +375,40 @@ impl VerifyReport {
         slot: Option<usize>,
         message: String,
     ) {
-        self.findings.push(Finding { severity, analysis, block, slot, line: None, message });
+        self.findings.push(Finding {
+            severity,
+            analysis,
+            block,
+            slot,
+            line: None,
+            message,
+            count: 1,
+        });
     }
 
+    /// Sorts the findings, then folds the infos: an image of a few hundred
+    /// blocks repeats some of them once per load/store slot, and every one is
+    /// a formatted string that travels with the image. The first of each
+    /// kind (lowest block, then slot) stays and counts the rest.
     fn finalize(&mut self) {
         self.findings.sort_by(|a, b| {
             b.severity.cmp(&a.severity).then(a.block.cmp(&b.block)).then(a.slot.cmp(&b.slot))
         });
+        let mut first: HashMap<(Analysis, String), usize> = HashMap::new();
+        let mut folded: Vec<Finding> = Vec::new();
+        for f in std::mem::take(&mut self.findings) {
+            if f.severity == Severity::Info {
+                match first.entry((f.analysis, f.shape())) {
+                    Entry::Occupied(kept) => {
+                        folded[*kept.get()].count += 1;
+                        continue;
+                    }
+                    Entry::Vacant(new) => new.insert(folded.len()),
+                };
+            }
+            folded.push(f);
+        }
+        self.findings = folded;
     }
 }
 
@@ -477,13 +521,25 @@ fn action_consumes_stream(a: Action) -> bool {
     )
 }
 
-/// Stream bits an action consumes on *every* execution. Strictly tighter
-/// than [`action_consumes_stream`]: `skipreg` may skip 0 bits (the stream
-/// unit accepts `skip(0)`), so it gives no termination-progress guarantee
-/// even though it touches the stream.
-fn action_always_consumes_stream(a: Action) -> bool {
+/// Stream bits a block consumes on every execution that a completing run
+/// makes of it: the widths of its `insym`/`insymle`/`skip` actions and of a
+/// consuming dispatch. Each takes exactly its width or traps on under-run.
+/// Strictly tighter than [`action_consumes_stream`]: `skipreg` may skip 0
+/// bits (the stream unit accepts `skip(0)`), so it guarantees nothing even
+/// though it touches the stream.
+fn block_consumes_stream(blk: &Block) -> u64 {
     // InSym/SkipSym bits and InSymLe bytes are ISA-validated to be ≥ 1.
-    matches!(a, Action::InSym { .. } | Action::InSymLe { .. } | Action::SkipSym { .. })
+    let actions: u64 = (blk.actions.iter())
+        .map(|a| match *a {
+            Action::InSym { bits, .. } | Action::SkipSym { bits } => u64::from(bits),
+            Action::InSymLe { bytes, .. } => 8 * u64::from(bytes),
+            _ => 0,
+        })
+        .sum();
+    match blk.transition {
+        Transition::DispatchSym { bits, .. } => actions + u64::from(bits),
+        _ => actions,
+    }
 }
 
 /// `true` for pure ALU ops whose only effect is the register write — the
@@ -1373,8 +1429,9 @@ impl<'a> Verifier<'a> {
     /// monotone scratchpad cursor) separated by paths through non-progress
     /// blocks; when the non-progress subgraph is acyclic its longest path
     /// bounds each separator, stream events are bounded by the input
-    /// length, and cursor events by the dereference window — giving an
-    /// affine `fixed + per_input_bit × bits` worst case.
+    /// length over the fewest bits any of them consumes, and cursor events
+    /// by the dereference window — giving an affine
+    /// `fixed + per_input_bit × bits` worst case.
     fn certify_cycle_bound(&mut self) {
         let Some(min) = self.min_cycles_to_halt() else {
             // No reachable halt: reachability already reported the Error
@@ -1461,15 +1518,18 @@ impl<'a> Verifier<'a> {
     /// loop cannot be shown to make progress.
     fn certify_max_bound(&mut self) -> Option<MaxBound> {
         let n = self.p.blocks.len();
-        // A *stream-progress* block consumes ≥1 stream bit on every
-        // execution, so an input of B bits executes such blocks ≤ B times
-        // in total (the stream unit traps on under-run; completing runs
-        // never replay a bit).
+        // A *stream-progress* block consumes at least `b_min` ≥ 1 stream
+        // bits on every execution, so an input of B bits executes such
+        // blocks ≤ B / b_min times in total (the stream unit traps on
+        // under-run; completing runs never replay a bit).
         let mut stream_progress = vec![false; n];
+        let mut b_min = u64::MAX;
         for (i, blk) in self.p.blocks.iter().enumerate() {
-            stream_progress[i] = self.g.reachable[i]
-                && (blk.actions.iter().any(|a| action_always_consumes_stream(*a))
-                    || matches!(blk.transition, Transition::DispatchSym { .. }));
+            let consumed = block_consumes_stream(blk);
+            stream_progress[i] = self.g.reachable[i] && consumed > 0;
+            if stream_progress[i] {
+                b_min = b_min.min(consumed);
+            }
         }
         // Blocks on some CFG cycle; a reachable block on no cycle executes
         // at most once per run.
@@ -1586,8 +1646,12 @@ impl<'a> Verifier<'a> {
             .map(|i| self.p.blocks[i].cycles())
             .max()
             .unwrap_or(0);
+        // Stream events number at most `bits / b_min`, so each bit pays for
+        // its share of one, rounded up; one further event in `fixed` keeps
+        // the division's rounding out of the argument altogether.
         let has_stream = stream_progress.iter().any(|&s| s);
-        let per_input_bit = if has_stream { lp + cmax } else { 0 };
+        let (per_input_bit, rounding) =
+            if has_stream { ((lp + cmax).div_ceil(b_min), lp + cmax) } else { (0, 0) };
         // Cursor-progress events per run: (resets + 1) monotone phases,
         // each capped by the dereference window (scratchpad + ±1023
         // offsets, with 2× slack); see DESIGN.md §10 for the u64
@@ -1596,7 +1660,8 @@ impl<'a> Verifier<'a> {
             .filter(|&c| cursor_used[c])
             .map(|c| (cursor_resets[c] + 1).saturating_mul(4 * SCRATCHPAD_BYTES as u64))
             .fold(0u64, u64::saturating_add);
-        let fixed = lp.saturating_add(cursor_events.saturating_mul(lp + cmax));
+        let fixed =
+            lp.saturating_add(rounding).saturating_add(cursor_events.saturating_mul(lp + cmax));
         Some(MaxBound { fixed, per_input_bit })
     }
 
@@ -2032,6 +2097,39 @@ done:
         // 8 bits consumed per iteration of a ≤(fixed + per_bit·8)-cycle
         // body: a real n-byte run must fit.
         assert!(b.contains(b.min, 0));
+    }
+
+    #[test]
+    fn per_bit_cost_divides_by_the_least_a_progress_block_consumes() {
+        // One loop, its only stream-progress block reading `bytes` bytes:
+        // lp = 5 (init, done), cmax = 4, so an event costs at most 9 cycles
+        // and there are at most bits / (8·bytes) of them.
+        let bound = |bytes: u8| {
+            let src = format!(
+                ".entry init\ninit:\n    mov r2, r14\n    inrem r3\n    beq r3, r0, done\n\
+                 body:\n    insymle r1, {bytes}\n    storebi r1, r2\n    inrem r3\n    \
+                 beq r3, r0, done\nback:\n    jump body\ndone:\n    sub r15, r2, r14\n    halt\n"
+            );
+            report_for(&src).cycle_bound.expect("must certify").max.expect("boundable")
+        };
+        assert_eq!(bound(1), MaxBound { fixed: 5 + 9, per_input_bit: 2 });
+        assert_eq!(bound(2), MaxBound { fixed: 5 + 9, per_input_bit: 1 });
+        assert_eq!(bound(8), MaxBound { fixed: 5 + 9, per_input_bit: 1 });
+    }
+
+    #[test]
+    fn repeated_infos_fold_into_the_first_with_a_count() {
+        // Two discarded writes to r0, lines 3 and 4: one finding, counted
+        // twice, anchored at the first.
+        let r = report_for(
+            ".entry m\nm:\n    mov r0, r14\n    limm r0, 7\n    limm r15, 0\n    halt\n",
+        );
+        assert_eq!(r.findings.len(), 1, "{r}");
+        let f = &r.findings[0];
+        assert_eq!((f.severity, f.count, f.line), (Severity::Info, 2, Some(3)), "{f}");
+        assert_eq!(r.info_count(), 2, "the header still counts what the analyses found");
+        assert!(f.to_string().ends_with("(and 1 more like it)"), "{f}");
+        assert!(r.is_clean() && r.gate().is_ok());
     }
 
     #[test]

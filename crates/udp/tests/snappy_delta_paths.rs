@@ -1,0 +1,491 @@
+//! The Snappy and inverse-delta lane programs, path by path (ISSUE 18).
+//!
+//! Both programs decide at construction time whatever their input's tags
+//! and lengths already say, so they have many short paths instead of a few
+//! loops. This suite pins two things about them:
+//!
+//! * **the cost table** — a closed form written from DESIGN §11's table,
+//!   with no simulator in it, must equal the modeled cycles of every run:
+//!   on `snappy::compress` output of the three generator shapes and of random
+//!   data, and on every hand-built stream below;
+//! * **every path** — hand-built streams visit all 256 tags, every copy
+//!   length at every offset tier (run extension included), every literal
+//!   length and the extended lengths on both sides of a loop trip, and a cut
+//!   inside every operand; inverse delta gets every word count around its
+//!   two-word trip, a ragged tail, and the sums that wrap.
+//!
+//! Every run goes through all three tiers (`common::differential`): output,
+//! cycles, opclass attribution and traps agree exactly, under the JIT and
+//! under `RECODE_NO_JIT=1`.
+
+mod common;
+
+use common::differential;
+use recode_codec::{delta, snappy};
+use recode_sparse::gen::{generate, GenSpec, ValueModel};
+use recode_sparse::util::SplitMix64;
+use recode_udp::lane::{LaneError, RunConfig};
+use recode_udp::machine::Image;
+use recode_udp::progs;
+
+// ---------------------------------------------------------------------------
+// Snappy: the cost table
+// ---------------------------------------------------------------------------
+
+/// One element of a Snappy stream.
+#[derive(Debug, Clone, Copy)]
+enum Element {
+    /// `length_bytes` is 0 when the tag holds the length.
+    Literal { len: usize, length_bytes: usize },
+    /// `offset_bytes` is 1, 2 or 4: `copy1`, `copy2`, `copy4`.
+    Copy { offset_bytes: usize, len: usize, offset: usize },
+}
+
+/// Splits a well-formed stream into its preamble's byte count and elements.
+fn parse(stream: &[u8]) -> (usize, Vec<Element>) {
+    let le = |bytes: &[u8]| bytes.iter().rev().fold(0usize, |v, &b| v << 8 | usize::from(b));
+    let preamble = stream.iter().position(|b| b & 0x80 == 0).map_or(stream.len(), |p| p + 1);
+    let (mut pos, mut elements) = (preamble, Vec::new());
+    while pos < stream.len() {
+        let tag = usize::from(stream[pos]);
+        pos += 1;
+        let operand = match tag & 3 {
+            0 => (tag >> 2).saturating_sub(59),
+            1 => 1,
+            2 => 2,
+            _ => 4,
+        };
+        let value = le(&stream[pos..pos + operand]);
+        pos += operand;
+        elements.push(match tag & 3 {
+            0 if operand == 0 => Element::Literal { len: (tag >> 2) + 1, length_bytes: 0 },
+            0 => Element::Literal { len: value + 1, length_bytes: operand },
+            1 => Element::Copy {
+                offset_bytes: 1,
+                len: (tag >> 2 & 7) + 4,
+                offset: tag >> 5 << 8 | value,
+            },
+            _ => Element::Copy { offset_bytes: operand, len: (tag >> 2) + 1, offset: value },
+        });
+        if let Some(Element::Literal { len, .. }) = elements.last() {
+            pos += len;
+        }
+    }
+    (preamble, elements)
+}
+
+/// A chain that moves `len` bytes in moves of at most `widest`: two cycles a
+/// move (fetch, store) and one a block of two moves.
+fn chain(len: usize, widest: usize) -> u64 {
+    let (mut moves, mut left) = (0, len);
+    for width in [8, 4, 1] {
+        if width <= widest {
+            moves += left / width;
+            left %= width;
+        }
+    }
+    (2 * moves + moves.div_ceil(2)) as u64
+}
+
+/// What the dispatch behind a wide loop enters: a jump back to `main` when
+/// nothing is left, else the chain of what is.
+fn rest(len: usize, widest: usize) -> u64 {
+    if len == 0 {
+        1
+    } else {
+        chain(len, widest)
+    }
+}
+
+/// A copy of `len >= 4` bytes entered through its length's tier test.
+fn tiers(len: usize, offset: usize) -> u64 {
+    let test8 = u64::from(len >= 8);
+    if len >= 8 && offset >= 8 {
+        return test8 + chain(len, 8);
+    }
+    test8
+        + 1
+        + match (offset >= 4, len <= 16) {
+            // The byte loop: a limit (2), three cycles a byte.
+            (false, _) => 2 + 3 * len as u64,
+            (true, true) => chain(len, 4),
+            // A limit (2), five cycles a trip of 8, the dispatch (2), the rest.
+            (true, false) => 2 + 5 * (len / 8) as u64 + 2 + rest(len % 8, 4),
+        }
+}
+
+/// DESIGN §11's per-element cost, `main` and the tag dispatch included.
+fn element_cycles(e: Element) -> u64 {
+    // main: inrem, branch · gettag: insymle, dispatch.
+    4 + match e {
+        Element::Literal { len, length_bytes: 0 } => chain(len, 8),
+        // Handler (4), test (1), five cycles a trip of 16, the dispatch (2).
+        Element::Literal { len, .. } => 4 + 1 + 5 * (len / 16) as u64 + 2 + rest(len % 16, 8),
+        // Offset and source are two actions; the first byte of a copy too
+        // short for a tier test moves in the handler.
+        Element::Copy { offset_bytes: 2 | 4, len: len @ 1..=3, .. } => 5 + chain(len - 1, 1),
+        Element::Copy { offset_bytes: 2 | 4, len, offset } => 3 + tiers(len, offset),
+        // `copy1` adds its tag's offset bits 1024 at a time, and with any of
+        // them set knows the offset is wide.
+        Element::Copy { len, offset, .. } => match (offset >> 8 << 8).div_ceil(1024) as u64 {
+            0 => 3 + tiers(len, offset),
+            adds => 3 + adds + chain(len, 8),
+        },
+    }
+}
+
+/// Modeled cycles of the Snappy program on `stream`, by the table alone.
+fn snappy_cycles(stream: &[u8]) -> u64 {
+    let (preamble, elements) = parse(stream);
+    // init (5), a test and a read (2 + 3) per preamble byte, the jump to main
+    // (1); and at the end main's exit (2) and done (2).
+    let fixed = 5 + 5 * preamble as u64 + 1 + 2 + 2;
+    fixed + elements.into_iter().map(element_cycles).sum::<u64>()
+}
+
+/// Runs `stream` three ways and against the software decoder: the same bytes
+/// in the table's cycles, or a trap where the software decoder fails too.
+fn check_snappy(image: &Image, stream: &[u8], context: &str) {
+    let run = differential(image, stream, stream.len() * 8, RunConfig::default(), context);
+    match (run, snappy::decompress(stream)) {
+        (Ok(r), Ok(want)) => {
+            assert_eq!(r.output, want, "{context}: output");
+            assert_eq!(r.cycles, snappy_cycles(stream), "{context}: cycles off the cost table");
+        }
+        (Err(LaneError::StreamUnderflow { .. }), Err(_)) => {}
+        (run, want) => panic!("{context}: lane {run:?}, software {want:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Snappy: stream builders
+// ---------------------------------------------------------------------------
+
+fn random_bytes(rng: &mut SplitMix64, n: usize) -> Vec<u8> {
+    (0..n).map(|_| rng.next_u64() as u8).collect()
+}
+
+/// A stream under construction: elements, and the bytes they decode to (for
+/// the preamble, and so that a copy can be checked against its history).
+#[derive(Default)]
+struct Stream {
+    elements: Vec<u8>,
+    decoded: usize,
+}
+
+impl Stream {
+    /// A stream that opens with `history` random bytes for copies to reach.
+    fn with_history(rng: &mut SplitMix64, history: usize) -> Stream {
+        let mut s = Stream::default();
+        s.literal(&random_bytes(rng, history), 0);
+        s
+    }
+
+    /// A literal of `data`, its length in the tag (`length_bytes == 0`, at
+    /// most 60 bytes) or in `length_bytes` bytes behind it.
+    fn literal(&mut self, data: &[u8], length_bytes: usize) {
+        // Lengths the tag cannot hold take the fewest bytes that can.
+        let needed = (1..=4).find(|&n| data.len() - 1 < 1 << (8 * n)).unwrap();
+        let length_bytes = if length_bytes == 0 && data.len() > 60 { needed } else { length_bytes };
+        if length_bytes == 0 {
+            self.elements.push(((data.len() - 1) << 2) as u8);
+        } else {
+            assert!(length_bytes >= needed);
+            self.elements.push(((59 + length_bytes) << 2) as u8);
+            self.elements.extend(&(data.len() as u32 - 1).to_le_bytes()[..length_bytes]);
+        }
+        self.elements.extend(data);
+        self.decoded += data.len();
+    }
+
+    /// A copy with its offset in `offset_bytes` (1, 2 or 4) bytes.
+    fn copy(&mut self, offset_bytes: usize, len: usize, offset: usize) {
+        assert!((1..=self.decoded).contains(&offset), "offset {offset} of {}", self.decoded);
+        match offset_bytes {
+            1 => {
+                assert!((4..=11).contains(&len) && offset < 2048);
+                self.elements.push((offset >> 8 << 5 | (len - 4) << 2 | 1) as u8);
+                self.elements.push(offset as u8);
+            }
+            n => {
+                assert!((1..=64).contains(&len) && (n == 4 || offset < 1 << 16));
+                self.elements.push(((len - 1) << 2 | if n == 2 { 2 } else { 3 }) as u8);
+                self.elements.extend(&(offset as u32).to_le_bytes()[..n]);
+            }
+        }
+        self.decoded += len;
+    }
+
+    /// Preamble and elements.
+    fn bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut n = self.decoded;
+        while n >= 0x80 {
+            out.push(n as u8 | 0x80);
+            n >>= 7;
+        }
+        out.push(n as u8);
+        out.extend(&self.elements);
+        out
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Snappy: the tests
+// ---------------------------------------------------------------------------
+
+/// Index and value streams of one matrix of each generator shape the
+/// benchmark runs (stencil, power-law graph, FEM band), cut into 8 KiB blocks
+/// the way the pipeline cuts them, plus random and constant blocks.
+#[test]
+fn compressed_blocks_cost_what_the_table_says() {
+    let image = progs::snappy::build().unwrap();
+    let specs = [
+        GenSpec::Stencil3D { nx: 14, ny: 14, nz: 14, points: 7, values: ValueModel::StencilCoeffs },
+        GenSpec::Rmat { scale: 10, edge_factor: 8, values: ValueModel::UniformRandom },
+        GenSpec::FemBand {
+            n: 1500,
+            band: 24,
+            fill: 0.4,
+            values: ValueModel::MixedRepeated { distinct: 24 },
+        },
+    ];
+    let mut blocks = 0;
+    for spec in &specs {
+        let a = generate(spec, 42);
+        let indices = delta::encode_u32(a.col_idx()).unwrap();
+        let values: Vec<u8> = a.values().iter().flat_map(|v| v.to_le_bytes()).collect();
+        for (what, bytes) in [("indices", indices), ("values", values)] {
+            for (i, block) in bytes.chunks(8192).enumerate() {
+                let context = format!("{} {what} block {i}", spec.family());
+                check_snappy(&image, &snappy::compress(block), &context);
+                blocks += 1;
+            }
+        }
+    }
+    assert!(blocks > 40, "{blocks} blocks");
+    let mut rng = SplitMix64::new(0x5EED_0018);
+    for len in [0, 1, 59, 60, 61, 4096, 8192] {
+        check_snappy(&image, &snappy::compress(&random_bytes(&mut rng, len)), "random");
+        check_snappy(&image, &snappy::compress(&vec![7; len]), "constant");
+    }
+}
+
+/// Every tag value once, behind enough history for the widest `copy1`
+/// offset, with an offset in each tier the tag can express.
+#[test]
+fn every_tag_decodes_and_costs_what_the_table_says() {
+    let image = progs::snappy::build().unwrap();
+    let mut rng = SplitMix64::new(0x7A65);
+    for tag in 0..=255usize {
+        let (field, low) = (tag >> 2, tag & 3);
+        let offsets: &[usize] = match low {
+            0 => &[0],
+            1 => &[1, 3, 4, 7, 8, 200],
+            _ => &[1, 2, 3, 4, 5, 7, 8, 9, 64, 2047],
+        };
+        for &offset in offsets {
+            let mut s = Stream::with_history(&mut rng, 2048);
+            match low {
+                0 if field < 60 => s.literal(&random_bytes(&mut rng, field + 1), 0),
+                0 => s.literal(&random_bytes(&mut rng, 30 * (field - 59) + 3), field - 59),
+                // `copy1`'s tag holds three offset bits of its own.
+                1 => s.copy(1, (field & 7) + 4, ((field >> 3) << 8) | (offset % 256)),
+                2 => s.copy(2, field + 1, offset),
+                _ => s.copy(4, field + 1, offset),
+            }
+            let stream = s.bytes();
+            let elements = parse(&stream).1;
+            assert_eq!(stream[stream.len() - bytes_of(elements[1])], tag as u8, "tag {tag}");
+            // A literal behind the element: its chain came back to `main`.
+            s.literal(b"end", 0);
+            check_snappy(&image, &s.bytes(), &format!("tag {tag:#04x} offset {offset}"));
+        }
+    }
+}
+
+/// Stream bytes of one element: tag, operand, and a literal's data.
+fn bytes_of(e: Element) -> usize {
+    match e {
+        Element::Literal { len, length_bytes } => 1 + length_bytes + len,
+        Element::Copy { offset_bytes, .. } => 1 + offset_bytes,
+    }
+}
+
+/// Every copy length at every offset tier — 1, 2, 3 (the byte loop, which is
+/// run extension whenever the offset is below the length), 4..=7, and 8 up —
+/// with the tier edges 4 and 8, and offsets on both sides of each length.
+#[test]
+fn every_copy_length_at_every_offset_tier() {
+    let image = progs::snappy::build().unwrap();
+    let mut rng = SplitMix64::new(0xC0B1);
+    for len in 1..=64usize {
+        let mut offsets = vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 300];
+        offsets.extend([len.saturating_sub(1).max(1), len, len + 1]);
+        let mut s = Stream::with_history(&mut rng, 320);
+        for &offset in &offsets {
+            for offset_bytes in [2, 4] {
+                s.copy(offset_bytes, len, offset);
+            }
+            if (4..=11).contains(&len) {
+                s.copy(1, len, offset);
+            }
+            // Fresh bytes between copies, so a run does not feed the next.
+            s.literal(&random_bytes(&mut rng, 5), 0);
+        }
+        check_snappy(&image, &s.bytes(), &format!("copy length {len}"));
+    }
+}
+
+/// Every literal length a tag holds, and extended lengths in 1..=4 length
+/// bytes around the loop's 16-byte trip: none, one and several whole trips,
+/// with every number of bytes left behind them.
+#[test]
+fn every_literal_length_short_and_extended() {
+    let image = progs::snappy::build().unwrap();
+    let mut rng = SplitMix64::new(0x117E);
+    let mut s = Stream::default();
+    for len in 1..=60 {
+        s.literal(&random_bytes(&mut rng, len), 0);
+    }
+    check_snappy(&image, &s.bytes(), "literal lengths 1..=60");
+    for length_bytes in 1..=4 {
+        let mut s = Stream::default();
+        for len in (1..=50).chain([61, 63, 64, 65, 255, 256, 257, 1000]) {
+            s.literal(&random_bytes(&mut rng, len), length_bytes.max(1 + usize::from(len > 256)));
+        }
+        check_snappy(&image, &s.bytes(), &format!("{length_bytes}-byte literal lengths"));
+    }
+    // One block-sized literal: the loop at its steady state.
+    let mut s = Stream::default();
+    s.literal(&random_bytes(&mut rng, 8192), 2);
+    check_snappy(&image, &s.bytes(), "an 8 KiB literal");
+}
+
+/// A cut anywhere inside an element — its operand, or a literal's data — is
+/// a stream underflow on the lane and an error in software, identically on
+/// all three tiers. A cut between elements is a shorter stream, which the
+/// lane decodes (the block framing, not the lane, knows the length).
+#[test]
+fn a_cut_inside_any_operand_underflows() {
+    type Last = fn(&mut Stream, &mut SplitMix64);
+    let image = progs::snappy::build().unwrap();
+    let mut rng = SplitMix64::new(0xC07);
+    let lasts: [(&str, Last); 7] = [
+        ("literal 13", |s, rng| s.literal(&random_bytes(rng, 13), 0)),
+        ("literal 60", |s, rng| s.literal(&random_bytes(rng, 60), 0)),
+        ("literal 70, 1 length byte", |s, rng| s.literal(&random_bytes(rng, 70), 1)),
+        ("literal 9, 4 length bytes", |s, rng| s.literal(&random_bytes(rng, 9), 4)),
+        ("copy1", |s, _| s.copy(1, 8, 300)),
+        ("copy2", |s, _| s.copy(2, 33, 5)),
+        ("copy4", |s, _| s.copy(4, 64, 100)),
+    ];
+    for (name, last) in lasts {
+        let mut s = Stream::with_history(&mut rng, 400);
+        let before = s.bytes().len();
+        last(&mut s, &mut rng);
+        let stream = s.bytes();
+        for cut in before + 1..stream.len() {
+            let context = format!("{name} cut at {} of {}", cut - before, stream.len() - before);
+            let cfg = RunConfig::default();
+            let run = differential(&image, &stream[..cut], cut * 8, cfg, &context);
+            assert!(matches!(run, Err(LaneError::StreamUnderflow { .. })), "{context}: {run:?}");
+            assert!(snappy::decompress(&stream[..cut]).is_err(), "{context}");
+        }
+        let whole = differential(&image, &stream[..before], before * 8, RunConfig::default(), name);
+        assert_eq!(whole.unwrap().output.len(), 400, "{name}: a cut between elements");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Inverse delta
+// ---------------------------------------------------------------------------
+
+/// Modeled cycles of the inverse-delta program on `words` whole input words:
+/// init (5) and the first word (5), then per trip the test (2) and two words
+/// in three blocks (15) — or, for a last odd word, both tests (2 + 1) and one
+/// word in two blocks (9) — and the way out: both tests and done (2 + 1 + 2).
+/// An empty stream leaves from init (5 + 2).
+fn delta_cycles(words: usize) -> u64 {
+    let Some(rest) = words.checked_sub(1) else { return 5 + 2 };
+    let (pairs, odd) = ((rest / 2) as u64, (rest % 2) as u64);
+    5 + 5 + 17 * pairs + 12 * odd + 5
+}
+
+/// Encodes `indices` with differences that wrap 32 bits — the lane's sums
+/// do, where the software codec refuses indices from 2^31 up and sums that
+/// leave `u32` — and checks the decode three ways, against the indices, and
+/// against the software decoder wherever it accepts the stream.
+fn check_delta(image: &Image, indices: &[u32], context: &str) {
+    let mut stream = Vec::new();
+    let mut prev = 0u32;
+    for (i, &index) in indices.iter().enumerate() {
+        let d = index.wrapping_sub(prev) as i32;
+        let word = if i == 0 { index } else { ((d << 1) ^ (d >> 31)) as u32 };
+        stream.extend(word.to_le_bytes());
+        prev = index;
+    }
+    let r = differential(image, &stream, stream.len() * 8, RunConfig::default(), context).unwrap();
+    let want: Vec<u8> = indices.iter().flat_map(|w| w.to_le_bytes()).collect();
+    assert_eq!(r.output, want, "{context}: output");
+    if let Ok(software) = delta::decode_bytes(&stream) {
+        assert_eq!(r.output, software, "{context}: software");
+    }
+    assert_eq!(r.cycles, delta_cycles(indices.len()), "{context}: cycles off the cost table");
+}
+
+/// Every word count around the two-word trip, odd and even, with deltas of
+/// either sign in either lane.
+#[test]
+fn delta_word_counts_and_lane_signs() {
+    let image = progs::delta::build().unwrap();
+    let mut rng = SplitMix64::new(0xDE17A);
+    for words in (0..=9).chain([64, 65, 2047, 2048]) {
+        let indices: Vec<u32> = (0..words).map(|_| rng.below(1 << 31) as u32).collect();
+        check_delta(&image, &indices, &format!("{words} random words"));
+        let climbing: Vec<u32> = (0..words as u32).map(|i| 1000 + 3 * i).collect();
+        check_delta(&image, &climbing, &format!("{words} climbing words"));
+    }
+    // The four sign patterns of a pair, at the front of a trip.
+    for (d0, d1) in [(5i64, 7i64), (5, -7), (-5, 7), (-5, -7)] {
+        let (a, b) = (1000 + d0, 1000 + d0 + d1);
+        check_delta(&image, &[1000, a as u32, b as u32, 9], &format!("deltas {d0}, {d1}"));
+    }
+}
+
+/// The extremes of a zigzagged word, and sums that wrap 32 bits: the upper
+/// half of the running sum is scratch, and nothing of it may reach a store.
+#[test]
+fn delta_extremes_and_wrapping_sums() {
+    let image = progs::delta::build().unwrap();
+    let (min, max) = (i32::MIN as u32, i32::MAX as u32);
+    // Consecutive indices whose differences are i32::MIN, i32::MAX, -1, 1,
+    // in both lanes of a trip, and running sums that pass 2^32 and 0.
+    check_delta(&image, &[0, min, 0, max, 0], "deltas MIN and MAX from zero");
+    check_delta(&image, &[5, 5u32.wrapping_add(min), 4, 4 + max, 3, 2], "MIN and MAX, odd lanes");
+    check_delta(&image, &[u32::MAX, 0, u32::MAX, 1, u32::MAX - 1], "sums across 2^32");
+    check_delta(&image, &[max, min, max, min, max, min, max], "alternating halves");
+    check_delta(&image, &[u32::MAX; 6], "all ones, zero deltas");
+    check_delta(&image, &[0, u32::MAX, u32::MAX - 1, 0, 1, 0], "steps of -1 and 1 across zero");
+}
+
+/// A trailing partial word — 1 to 3 bytes, or a ragged bit count — is a
+/// stream underflow behind an even and behind an odd number of whole words,
+/// identically on all three tiers, as it is an error in software.
+#[test]
+fn delta_ragged_tail_underflows() {
+    let image = progs::delta::build().unwrap();
+    let stream: Vec<u8> = (0..40u8).collect();
+    for words in 0..=5 {
+        for extra_bits in [1usize, 8, 13, 24, 31] {
+            let bits = 32 * words + extra_bits;
+            let input = &stream[..bits.div_ceil(8)];
+            let context = format!("{words} words and {extra_bits} bits");
+            let run = differential(&image, input, bits, RunConfig::default(), &context);
+            assert!(matches!(run, Err(LaneError::StreamUnderflow { .. })), "{context}: {run:?}");
+            if extra_bits % 8 == 0 {
+                assert!(delta::decode_bytes(input).is_err(), "{context}");
+            }
+        }
+    }
+}
