@@ -6,8 +6,8 @@
 //! stage (both MB/s of uncompressed output). The `lane_decode_interp` and
 //! `lane_decode_reference` sections force the two slower tiers over the
 //! same blocks, so one snapshot holds the whole JIT/interp/reference
-//! ladder; `huffman_flat` does the same for the codec's compiled Huffman
-//! dispatch versus its scalar loop, and `jit.huffman_random` reads the lane
+//! ladder; `huffman_flat` reads the codec's `FlatDecoder` against its own
+//! one-symbol-at-a-time reference loop, and `jit.huffman_random` reads the lane
 //! JIT's cost per Huffman symbol against the share of symbols on codes longer
 //! than the primary dispatch width. These are *host* numbers: modeled lane
 //! cycles are pinned by the golden trace fixture, must not move when these
@@ -72,10 +72,13 @@ struct Snapshot {
     /// (`Lane::run_reference`), the pre-predecode baseline path.
     lane_decode_reference: Option<Throughput>,
     /// Compiled-tier inventory: lane images lowered, native bytes
-    /// published, and the codec Huffman dispatch loop. Absent when the JIT
-    /// is disabled or unsupported, so a `RECODE_NO_JIT=1` snapshot still
-    /// parses.
+    /// published, and the lane JIT's cost per Huffman symbol. Absent when
+    /// the JIT is disabled or unsupported, so a `RECODE_NO_JIT=1` snapshot
+    /// still parses.
     jit: Option<Json>,
+    /// The codec's `FlatDecoder::decode_all` against `decode_all_scalar`
+    /// over the `huffman_cpu` blocks.
+    huffman_flat: Json,
     /// CPU pipeline Huffman decode stage (8 KB blocks).
     huffman_cpu: Throughput,
     /// CPU pipeline Snappy decode stage (32 KB blocks).
@@ -125,7 +128,8 @@ impl Snapshot {
         if let Some(j) = &self.jit {
             doc = doc.set("jit", j.clone());
         }
-        doc.set("huffman_cpu", self.huffman_cpu.to_json())
+        doc.set("huffman_flat", self.huffman_flat.clone())
+            .set("huffman_cpu", self.huffman_cpu.to_json())
             .set("snappy_cpu", self.snappy_cpu.to_json())
             .set("certified_bounds", self.certified_bounds.clone())
     }
@@ -220,18 +224,9 @@ fn interp_pass(
     (bytes, cycles)
 }
 
-/// Compiled-tier inventory for the decoder's lane images, plus an
-/// apples-to-apples reading of the codec's Huffman `FlatDecoder` dispatch:
-/// the compiled loop (`decode_all`) against the scalar one
-/// (`decode_all_scalar`) over the same encoded blocks. The `*_mb_per_s`
-/// leaves are host wall-clock — informational under the `bench-compare`
-/// policy, like every other throughput reading here.
-fn jit_section(
-    decoder: &DshDecoder,
-    flat: &recode_codec::huffman::FlatDecoder,
-    huff_blocks: &[recode_codec::block::CompressedBlock],
-    reps: usize,
-) -> Json {
+/// Compiled-tier inventory for the decoder's lane images, plus what a
+/// Huffman symbol costs the lane JIT ([`huffman_random_section`]).
+fn jit_section(decoder: &DshDecoder, reps: usize) -> Json {
     type Leaf = fn(&LaneJit) -> usize;
     let jits: Vec<&LaneJit> = [&decoder.huffman, &decoder.snappy, &decoder.delta]
         .into_iter()
@@ -250,28 +245,36 @@ fn jit_section(
     let section = inventory.into_iter().fold(Json::obj(), |section, (leaf, of)| {
         section.set(leaf, Json::U64(jits.iter().map(|jit| of(jit) as u64).sum()))
     });
-    let compiled = measure(huff_blocks.len(), reps, || {
+    section.set("huffman_random", huffman_random_section(reps))
+}
+
+/// The codec's Huffman `FlatDecoder` (`decode_all`: fast region, then the
+/// one-symbol-at-a-time loop for the tail) against that loop alone
+/// (`decode_all_scalar`) over the same encoded blocks. Host wall-clock —
+/// informational under the `bench-compare` policy, like every other
+/// throughput reading here.
+fn huffman_flat_section(
+    flat: &recode_codec::huffman::FlatDecoder,
+    huff_blocks: &[recode_codec::block::CompressedBlock],
+    reps: usize,
+) -> Json {
+    let fast = measure(huff_blocks.len(), reps, || {
         huff_blocks
             .iter()
             .map(|b| flat.decode_all(&b.payload, b.bit_len).expect("flat decode").len())
             .sum()
     });
-    let scalar = measure(huff_blocks.len(), reps, || {
+    let reference = measure(huff_blocks.len(), reps, || {
         huff_blocks
             .iter()
             .map(|b| flat.decode_all_scalar(&b.payload, b.bit_len).expect("scalar decode").len())
             .sum()
     });
-    section
-        .set(
-            "huffman_flat",
-            Json::obj()
-                .set("jit_mb_per_s", Json::F64(compiled.mb_per_s))
-                .set("scalar_mb_per_s", Json::F64(scalar.mb_per_s))
-                .set("jit_wall_ns", Json::U64(compiled.wall_ns))
-                .set("scalar_wall_ns", Json::U64(scalar.wall_ns)),
-        )
-        .set("huffman_random", huffman_random_section(reps))
+    Json::obj()
+        .set("mb_per_s", Json::F64(fast.mb_per_s))
+        .set("wall_ns", Json::U64(fast.wall_ns))
+        .set("reference_mb_per_s", Json::F64(reference.mb_per_s))
+        .set("reference_wall_ns", Json::U64(reference.wall_ns))
 }
 
 /// What a Huffman symbol costs the lane JIT on the host, against the share of
@@ -439,14 +442,11 @@ fn main() {
     let huff_stream = huff_pipe.encode_stream(&huff_data).expect("encode huffman");
     let huffman_cpu =
         measure(huff_stream.blocks.len(), reps, || cpu_pass(&huff_pipe, &huff_stream.blocks));
-    let jit = if recode_codec::jit::enabled() {
-        let flat = recode_codec::huffman::FlatDecoder::build(
-            huff_pipe.table().expect("huffman-only pipeline has a table"),
-        );
-        Some(jit_section(&decoder, &flat, &huff_stream.blocks, reps))
-    } else {
-        None
-    };
+    let flat = recode_codec::huffman::FlatDecoder::build(
+        huff_pipe.table().expect("huffman-only pipeline has a table"),
+    );
+    let huffman_flat = huffman_flat_section(&flat, &huff_stream.blocks, reps);
+    let jit = recode_udp::jit::enabled().then(|| jit_section(&decoder, reps));
 
     // 3) CPU Snappy decode (the paper's CPU baseline config, 32 KB blocks).
     let snap_cfg = PipelineConfig::snappy_cpu();
@@ -462,6 +462,7 @@ fn main() {
         lane_decode_interp: Some(lane_decode_interp),
         lane_decode_reference: Some(lane_decode_reference),
         jit,
+        huffman_flat,
         huffman_cpu,
         snappy_cpu,
         certified_bounds: certified_bounds_json(&decoder),
@@ -470,7 +471,7 @@ fn main() {
         "lane_decode      {:>12.0} blocks/s  {:>8.1} MB/s  (jit {})",
         snap.lane_decode.blocks_per_s,
         snap.lane_decode.mb_per_s,
-        if recode_codec::jit::enabled() { "on" } else { "off" }
+        if recode_udp::jit::enabled() { "on" } else { "off" }
     );
     if let Some(r) = &snap.lane_decode_interp {
         eprintln!("lane_interp      {:>12.0} blocks/s  {:>8.1} MB/s", r.blocks_per_s, r.mb_per_s);

@@ -87,21 +87,21 @@ impl<'a> BitReader<'a> {
         Ok(BitReader { bytes, pos: 0, bit_len, buf: 0, buf_bits: 0 })
     }
 
-    /// Wraps `bytes` with the cursor already at bit `pos` — how the scalar
-    /// decoder takes over mid-stream from the compiled Huffman loop. `pos`
-    /// may be mid-byte; the refill invariant is re-established.
-    ///
-    /// # Errors
-    /// [`CodecError::Corrupt`] if `bit_len` exceeds the buffer.
+    /// Moves the cursor to bit `pos` (possibly mid-byte) and re-establishes
+    /// the refill invariant — how the one-symbol-at-a-time Huffman loop takes
+    /// over from the fast region that decoded up to `pos` on its own window.
     ///
     /// # Panics
-    /// Debug-asserts `pos <= bit_len`.
-    pub(crate) fn resume_at(bytes: &'a [u8], bit_len: usize, pos: usize) -> CodecResult<Self> {
-        let mut r = BitReader::new(bytes, bit_len)?;
-        debug_assert!(pos <= bit_len, "resume position {pos} past bit length {bit_len}");
-        r.pos = pos.min(bit_len);
-        r.rebase();
-        Ok(r)
+    /// If `pos` is past the stream's valid bits.
+    pub(crate) fn seek(&mut self, pos: usize) {
+        assert!(pos <= self.bit_len, "seek to {pos} past bit length {}", self.bit_len);
+        self.pos = pos;
+        self.rebase();
+    }
+
+    /// The whole underlying byte slice.
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.bytes
     }
 
     /// Bits remaining.

@@ -7,8 +7,6 @@
 use super::{HuffmanTable, MAX_CODE_LEN};
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::{CodecError, CodecResult};
-#[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-use crate::jit::huff::{HuffState, STATUS_BAIL};
 
 /// Encodes `data`, returning `(bytes, bit_len)`.
 ///
@@ -37,17 +35,10 @@ pub struct FlatDecoder {
     entries: Vec<(u8, u8)>,
     /// Shortest code length in the table (0 when the table has no codes).
     min_len: u8,
-    /// Compiled dispatch loop (x86-64 Linux with the JIT tier enabled);
-    /// `None` sends every decode down the scalar path. Shared so clones
-    /// reuse the published pages — the compiled code reads the entry table
-    /// through per-call state, never a captured pointer, so a clone can
-    /// never execute against a stale table.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-    jit: Option<std::sync::Arc<crate::jit::huff::HuffJit>>,
 }
 
-// The elided fields are a 32 Ki-entry LUT and the compiled artifact —
-// noise in debug output; the shape identifies the decoder.
+// The elided field is a 32 Ki-entry LUT — noise in debug output; the shape
+// identifies the decoder.
 #[allow(clippy::missing_fields_in_debug)]
 impl std::fmt::Debug for FlatDecoder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -77,37 +68,7 @@ impl FlatDecoder {
                 *e = (s as u8, l);
             }
         }
-        #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-        let jit = Self::compile_dispatch(entries.len());
-        FlatDecoder {
-            entries,
-            min_len,
-            #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-            jit,
-        }
-    }
-
-    /// Lowers the dispatch loop to native code, reporting the compile (or
-    /// its failure, which falls back to the scalar tier) to the JIT hook.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-    fn compile_dispatch(windows: usize) -> Option<std::sync::Arc<crate::jit::huff::HuffJit>> {
-        use crate::jit::{huff::HuffJit, report_compile, CompileEvent};
-        if !crate::jit::enabled() {
-            return None;
-        }
-        let t0 = std::time::Instant::now();
-        let res = HuffJit::compile();
-        let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        report_compile(&CompileEvent {
-            what: "huffman",
-            code_bytes: res.as_ref().map_or(0, HuffJit::code_bytes),
-            blocks: if res.is_ok() { windows } else { 0 },
-            table_groups: 0,
-            table_bytes: 0,
-            wall_ns,
-            ok: res.is_ok(),
-        });
-        res.ok().map(std::sync::Arc::new)
+        FlatDecoder { entries, min_len }
     }
 
     /// Shortest code length in the table (0 when the table has no codes).
@@ -134,6 +95,46 @@ impl FlatDecoder {
         Ok(sym)
     }
 
+    /// The fast region: decodes from a fresh reader while whole 64-bit words
+    /// can be loaded and fewer than `limit` symbols are out, then leaves `r`
+    /// at the first bit it did not consume. The window lives in locals, not
+    /// in the reader — a word refill inside `BitReader::refill` alone leaves
+    /// the per-symbol call and state round trip, which is most of the cost.
+    ///
+    /// Every window looked up here holds 15 real stream bits (a refill needs
+    /// 64 bits past the window and appends whole bytes only), so the symbols
+    /// are the scalar loop's; on anything else — fewer than 64 bits left, an
+    /// invalid window — it stops and the scalar loop meets the same bits at
+    /// the same position and reports them.
+    fn fast_region(&self, r: &mut BitReader<'_>, limit: usize, out: &mut Vec<u8>) {
+        let (bytes, bit_len) = (r.bytes(), r.bit_len());
+        let entries: &[(u8, u8); 1 << MAX_CODE_LEN] =
+            self.entries.as_slice().try_into().expect("one entry per window");
+        // Bits `[pos, pos + bits)` of the stream, MSB-aligned, zero below.
+        let (mut pos, mut window, mut bits) = (0usize, 0u64, 0usize);
+        while out.len() < limit {
+            if bits < MAX_CODE_LEN as usize {
+                let next = pos + bits;
+                if bit_len - next < 64 {
+                    break;
+                }
+                let word: [u8; 8] = bytes[next / 8..next / 8 + 8].try_into().expect("8 bytes");
+                // 48 bits: the most whole bytes that fit above 14 kept bits.
+                window |= (u64::from_be_bytes(word) & !0xFFFF) >> bits;
+                bits += 48;
+            }
+            let (sym, len) = entries[(window >> (64 - MAX_CODE_LEN)) as usize];
+            if len == 0 {
+                break;
+            }
+            out.push(sym);
+            window <<= len;
+            bits -= len as usize;
+            pos += len as usize;
+        }
+        r.seek(pos);
+    }
+
     /// Decodes exactly `expected_len` symbols from a bitstream of `bit_len`
     /// valid bits.
     ///
@@ -146,19 +147,11 @@ impl FlatDecoder {
         bit_len: usize,
         expected_len: usize,
     ) -> CodecResult<Vec<u8>> {
-        #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-        if let Some(jit) = &self.jit {
-            if bit_len <= bytes.len() * 8 {
-                return self.decode_exact_jit(jit, bytes, bit_len, expected_len);
-            }
-            // Out-of-range bit_len: scalar produces the exact error.
-        }
-        self.decode_exact_scalar(bytes, bit_len, expected_len)
+        self.exact(bytes, bit_len, expected_len, true)
     }
 
-    /// The scalar tier of [`Self::decode_exact`] — the semantic source of
-    /// truth the compiled loop is differenced against, and the portable
-    /// fallback.
+    /// [`Self::decode_exact`] through the one-symbol-at-a-time loop alone —
+    /// the reference the fast region is differenced against.
     ///
     /// # Errors
     /// As [`Self::decode_exact`].
@@ -168,8 +161,21 @@ impl FlatDecoder {
         bit_len: usize,
         expected_len: usize,
     ) -> CodecResult<Vec<u8>> {
+        self.exact(bytes, bit_len, expected_len, false)
+    }
+
+    fn exact(
+        &self,
+        bytes: &[u8],
+        bit_len: usize,
+        expected_len: usize,
+        fast: bool,
+    ) -> CodecResult<Vec<u8>> {
         let mut r = BitReader::new(bytes, bit_len)?;
         let mut out = Vec::with_capacity(expected_len);
+        if fast {
+            self.fast_region(&mut r, expected_len, &mut out);
+        }
         while out.len() < expected_len {
             out.push(self.read_symbol(&mut r)?);
         }
@@ -191,23 +197,19 @@ impl FlatDecoder {
     /// [`CodecError`] on invalid windows, premature end, leftover bits, or
     /// a code-less table facing a non-empty stream.
     pub fn decode_all(&self, bytes: &[u8], bit_len: usize) -> CodecResult<Vec<u8>> {
-        #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-        if let Some(jit) = &self.jit {
-            if self.min_len > 0 && bit_len <= bytes.len() * 8 {
-                return self.decode_all_jit(jit, bytes, bit_len);
-            }
-            // min_len == 0 / out-of-range bit_len: scalar early paths apply.
-        }
-        self.decode_all_scalar(bytes, bit_len)
+        self.all(bytes, bit_len, true)
     }
 
-    /// The scalar tier of [`Self::decode_all`] — the semantic source of
-    /// truth the compiled loop is differenced against, and the portable
-    /// fallback.
+    /// [`Self::decode_all`] through the one-symbol-at-a-time loop alone —
+    /// the reference the fast region is differenced against.
     ///
     /// # Errors
     /// As [`Self::decode_all`].
     pub fn decode_all_scalar(&self, bytes: &[u8], bit_len: usize) -> CodecResult<Vec<u8>> {
+        self.all(bytes, bit_len, false)
+    }
+
+    fn all(&self, bytes: &[u8], bit_len: usize, fast: bool) -> CodecResult<Vec<u8>> {
         if self.min_len == 0 {
             return if bit_len == 0 {
                 Ok(Vec::new())
@@ -217,102 +219,9 @@ impl FlatDecoder {
         }
         let mut r = BitReader::new(bytes, bit_len)?;
         let mut out = Vec::with_capacity(bit_len / self.min_len as usize + 1);
-        while r.remaining() >= self.min_len as usize {
-            out.push(self.read_symbol(&mut r)?);
+        if fast {
+            self.fast_region(&mut r, usize::MAX, &mut out);
         }
-        if r.remaining() != 0 {
-            return Err(CodecError::Corrupt(format!(
-                "{} leftover bits shorter than any code",
-                r.remaining()
-            )));
-        }
-        Ok(out)
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-impl FlatDecoder {
-    /// Seeds the per-call state for a compiled decode starting at bit 0.
-    fn jit_state(
-        &self,
-        bytes: &[u8],
-        bit_len: usize,
-        out: &mut Vec<u8>,
-        expected: usize,
-    ) -> HuffState {
-        HuffState {
-            in_ptr: bytes.as_ptr(),
-            bit_len: bit_len as u64,
-            pos: 0,
-            entries: self.entries.as_ptr().cast(),
-            out_ptr: out.as_mut_ptr(),
-            out_len: 0,
-            expected: expected as u64,
-            status: 0,
-        }
-    }
-
-    /// Compiled tier of [`Self::decode_exact`]: fast loop over the easy
-    /// region, scalar tail, full scalar re-run on bail (reproducing the
-    /// exact error).
-    fn decode_exact_jit(
-        &self,
-        jit: &crate::jit::huff::HuffJit,
-        bytes: &[u8],
-        bit_len: usize,
-        expected_len: usize,
-    ) -> CodecResult<Vec<u8>> {
-        let mut out = Vec::with_capacity(expected_len);
-        let mut st = self.jit_state(bytes, bit_len, &mut out, expected_len);
-        // SAFETY: `bytes` backs `bit_len` (checked by the caller) and is
-        // readable through any 8-byte refill window (the loop only loads
-        // when >= 64 bits remain); `entries` is the live table; `out` has
-        // capacity `expected_len` and the loop stops at that count.
-        unsafe { jit.run_exact(&mut st) };
-        if st.status == STATUS_BAIL {
-            return self.decode_exact_scalar(bytes, bit_len, expected_len);
-        }
-        let produced = usize::try_from(st.out_len).expect("count fits usize");
-        debug_assert!(produced <= expected_len);
-        // SAFETY: the compiled loop initialized exactly `produced` bytes
-        // (bounded by the capacity reserved above).
-        unsafe { out.set_len(produced) };
-        let mut r = BitReader::resume_at(bytes, bit_len, usize::try_from(st.pos).expect("pos"))?;
-        while out.len() < expected_len {
-            out.push(self.read_symbol(&mut r)?);
-        }
-        if r.remaining() >= 8 {
-            return Err(CodecError::Corrupt(format!(
-                "{} unread bits after decoding {expected_len} symbols",
-                r.remaining()
-            )));
-        }
-        Ok(out)
-    }
-
-    /// Compiled tier of [`Self::decode_all`]; caller guarantees
-    /// `min_len > 0` and an in-range `bit_len`.
-    fn decode_all_jit(
-        &self,
-        jit: &crate::jit::huff::HuffJit,
-        bytes: &[u8],
-        bit_len: usize,
-    ) -> CodecResult<Vec<u8>> {
-        let cap = bit_len / self.min_len as usize + 1;
-        let mut out = Vec::with_capacity(cap);
-        let mut st = self.jit_state(bytes, bit_len, &mut out, usize::MAX);
-        // SAFETY: as in `decode_exact_jit`; every decoded symbol consumes
-        // at least `min_len >= 1` bits, so the loop writes at most
-        // `bit_len / min_len < cap` symbols.
-        unsafe { jit.run_all(&mut st) };
-        if st.status == STATUS_BAIL {
-            return self.decode_all_scalar(bytes, bit_len);
-        }
-        let produced = usize::try_from(st.out_len).expect("count fits usize");
-        debug_assert!(produced < cap);
-        // SAFETY: the compiled loop initialized exactly `produced` bytes.
-        unsafe { out.set_len(produced) };
-        let mut r = BitReader::resume_at(bytes, bit_len, usize::try_from(st.pos).expect("pos"))?;
         while r.remaining() >= self.min_len as usize {
             out.push(self.read_symbol(&mut r)?);
         }
@@ -423,28 +332,29 @@ mod tests {
         assert!(matches!(r, Err(CodecError::Corrupt(_))), "got {r:?}");
     }
 
-    /// The compiled dispatch must be observationally identical to the
-    /// scalar decoder — same symbols, same `CodecError` payloads — on
-    /// clean, truncated, and bit-flipped streams, for both entry points.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
+    /// The fast region must be observationally identical to the scalar
+    /// loop — same symbols, same `CodecError` payloads — on clean,
+    /// truncated, and bit-flipped streams, for both entry points. Miri
+    /// interprets it on a corpus small enough to finish.
     #[test]
-    fn compiled_dispatch_matches_scalar_exactly() {
+    fn fast_region_matches_scalar_exactly() {
         fn all_pairs(fd: &FlatDecoder, bytes: &[u8], bits: usize, expected: usize) {
-            let jit_all = fd.decode_all(bytes, bits);
+            let fast_all = fd.decode_all(bytes, bits);
             let sc_all = fd.decode_all_scalar(bytes, bits);
-            assert_eq!(format!("{jit_all:?}"), format!("{sc_all:?}"));
-            let jit_ex = fd.decode_exact(bytes, bits, expected);
+            assert_eq!(format!("{fast_all:?}"), format!("{sc_all:?}"));
+            let fast_ex = fd.decode_exact(bytes, bits, expected);
             let sc_ex = fd.decode_exact_scalar(bytes, bits, expected);
-            assert_eq!(format!("{jit_ex:?}"), format!("{sc_ex:?}"));
+            assert_eq!(format!("{fast_ex:?}"), format!("{sc_ex:?}"));
         }
 
+        let (skewed, mixed) = if cfg!(miri) { (300, 200) } else { (9000, 4096) };
         let datasets: Vec<Vec<u8>> = vec![
             Vec::new(),
             b"a".to_vec(),
             b"abracadabra, abracadabra!".to_vec(),
             (0..=255u8).collect(),
-            (0..9000).map(|i| if i % 17 == 0 { 7 } else { 0 }).collect(),
-            (0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 20) as u8).collect(),
+            (0..skewed).map(|i| if i % 17 == 0 { 7 } else { 0 }).collect(),
+            (0..mixed).map(|i: u32| (i.wrapping_mul(2_654_435_761) >> 20) as u8).collect(),
         ];
         for data in &datasets {
             let t = table_for(data);
@@ -458,16 +368,16 @@ mod tests {
             }
             // Bit flips across the stream (every byte for short streams).
             let mut mutated = bytes.clone();
-            for i in 0..mutated.len() {
+            for i in (0..mutated.len()).step_by(if cfg!(miri) { 37 } else { 1 }) {
                 mutated[i] ^= 0x55;
                 all_pairs(&fd, &mutated, bits, data.len());
                 mutated[i] ^= 0x55;
             }
             // Wrong expected counts exercise the unread-bits tail error.
             for wrong in [data.len() / 2, data.len() + 3] {
-                let jit = fd.decode_exact(&bytes, bits, wrong);
+                let fast = fd.decode_exact(&bytes, bits, wrong);
                 let sc = fd.decode_exact_scalar(&bytes, bits, wrong);
-                assert_eq!(format!("{jit:?}"), format!("{sc:?}"));
+                assert_eq!(format!("{fast:?}"), format!("{sc:?}"));
             }
         }
     }

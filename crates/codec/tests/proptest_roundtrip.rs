@@ -3,7 +3,8 @@
 //! the fault injector uses, so any failure is a reproducible
 //! `(MASTER_SEED, case index)` pair.
 //!
-//! Three identities, ~1k cases total, then the container's reader:
+//! Three identities, ~1k cases total, then the container's reader and the
+//! Huffman decoder's fast region:
 //!
 //! 1. software `Pipeline` encode→decode is the identity on random
 //!    CSR-shaped index streams and value payloads (768 cases);
@@ -14,9 +15,13 @@
 //!    extreme column deltas (128 cases);
 //! 4. `to_bytes` → `from_bytes` is the identity on those matrices, and the
 //!    reader answers truncation, malformed headers and bit flips with a
-//!    typed error, never a panic.
+//!    typed error, never a panic;
+//! 5. `FlatDecoder::{decode_all, decode_exact}` (fast region, then the
+//!    one-symbol-at-a-time loop) answer exactly as that loop alone does, on
+//!    generated tables and streams cut and flipped around the hand-off.
 
 use recode_codec::faults::SplitMix64;
+use recode_codec::huffman::{self, FlatDecoder, HuffmanTable};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline, PipelineConfig};
 use recode_codec::{CodecError, CodecResult};
 use recode_sparse::prelude::*;
@@ -321,4 +326,125 @@ fn rcmx_single_bit_flips_never_panic_and_block_flips_never_pass() {
             }
         }
     }
+}
+
+/// A Kraft-complete length table with `n` coded symbols: a code tree grown
+/// by splitting one leaf at a time — mostly the newest one when `deep`,
+/// which keeps a 1-bit code and reaches 15 bits — with the codes on random
+/// byte values.
+fn grown_lengths(rng: &mut SplitMix64, n: usize, deep: bool) -> Vec<u8> {
+    let mut depths = vec![1u8, 1];
+    while depths.len() < n {
+        let pick =
+            if deep && rng.below(4) != 0 { depths.len() - 1 } else { rng.below(depths.len()) };
+        if depths[pick] < 15 {
+            depths[pick] += 1;
+            depths.push(depths[pick]);
+        }
+    }
+    let mut symbols: Vec<usize> = (0..256).collect();
+    let mut lengths = vec![0u8; 256];
+    for d in depths {
+        lengths[symbols.swap_remove(rng.below(symbols.len()))] = d;
+    }
+    lengths
+}
+
+/// `n` coded symbols: each equally likely when `uniform` (long codes turn up
+/// as often as short ones), else with the probabilities the lengths imply.
+fn draw_symbols(rng: &mut SplitMix64, lengths: &[u8], n: usize, uniform: bool) -> Vec<u8> {
+    let weight = |l: u8| match l {
+        0 => 0,
+        _ if uniform => 1,
+        _ => 1usize << (15 - l),
+    };
+    let total: usize = lengths.iter().map(|&l| weight(l)).sum();
+    (0..n)
+        .map(|_| {
+            let mut r = rng.below(total);
+            let mut s = 0;
+            while r >= weight(lengths[s]) {
+                r -= weight(lengths[s]);
+                s += 1;
+            }
+            s as u8
+        })
+        .collect()
+}
+
+/// The fast region of `FlatDecoder` stops at "fewer than 64 bits past the
+/// window", at an invalid window and at the symbol budget, and the
+/// one-symbol-at-a-time loop takes over mid-byte. Whatever the table and
+/// wherever the stream ends, is damaged or the budget lands, both entry
+/// points must answer exactly as that loop alone does — `Debug`-equal, error
+/// payloads included.
+#[test]
+fn huffman_fast_region_hands_off_exactly_like_the_scalar_loop() {
+    fn agree(fd: &FlatDecoder, bytes: &[u8], bits: usize, expected: &[usize], what: &str) {
+        let (fast, scalar) = (fd.decode_all(bytes, bits), fd.decode_all_scalar(bytes, bits));
+        assert_eq!(format!("{fast:?}"), format!("{scalar:?}"), "{what}: decode_all");
+        for &n in expected {
+            let fast = fd.decode_exact(bytes, bits, n);
+            let scalar = fd.decode_exact_scalar(bytes, bits, n);
+            assert_eq!(format!("{fast:?}"), format!("{scalar:?}"), "{what}: decode_exact({n})");
+        }
+    }
+
+    let mut rng = SplitMix64::new(MASTER_SEED ^ 0xFA57);
+    // The corners first: one symbol on a 1-bit code (every window that starts
+    // with a 1 is invalid), 256 codes of 15 bits (nearly every window is), no
+    // code at all, and a complete table that is mostly 15-bit codes (a chain
+    // of 1..=8 bits over 128 of them: the window is short of a whole code as
+    // often as can be); then grown trees, shallow and deep.
+    let mut single = vec![0u8; 256];
+    single[0x5A] = 1;
+    let mut long_codes = vec![0u8; 256];
+    long_codes[..8].copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+    long_codes[128..].fill(15);
+    let mut tables = vec![single, vec![15u8; 256], vec![0u8; 256], long_codes];
+    for case in 0..14 {
+        let n = [2, 3, 17, 64, 256][case % 5];
+        tables.push(grown_lengths(&mut rng, n, case % 2 == 1));
+    }
+    let mut shortest_codes = std::collections::BTreeSet::new();
+    for (ti, lengths) in tables.iter().enumerate() {
+        let table = HuffmanTable::from_lengths(lengths.clone()).expect("lengths satisfy Kraft");
+        let fd = FlatDecoder::build(&table);
+        shortest_codes.insert(fd.min_code_len());
+        // Streams shorter than one refill, a few refills long, and long
+        // enough that the budget can land deep inside the region.
+        for symbols in [rng.below(8), 8 + rng.below(40), 200 + rng.below(200)] {
+            let (bytes, bits) = if fd.min_code_len() == 0 {
+                ((0..symbols).map(|_| rng.below(256) as u8).collect(), symbols * 8)
+            } else {
+                let data = draw_symbols(&mut rng, lengths, symbols, symbols % 2 == 0);
+                huffman::encode(&data, &table).expect("every drawn symbol has a code")
+            };
+            let what = format!("table {ti}, {symbols} symbols, {bits} bits");
+            // Budgets inside the region, inside the tail, exact, past the end.
+            let budgets =
+                [0, symbols / 2, symbols.saturating_sub(2), symbols, symbols + 1, symbols + 9];
+            agree(&fd, &bytes, bits, &budgets, &what);
+            agree(&fd, &bytes, bytes.len() * 8 + 1, &budgets[3..4], &format!("{what}, overlong"));
+            // Cut at every bit of the last 80, with and without the bytes
+            // behind the cut (the reader must mask them).
+            for cut in bits.saturating_sub(80)..bits {
+                let kept = if cut % 2 == 0 { &bytes[..cut.div_ceil(8)] } else { &bytes[..] };
+                agree(&fd, kept, cut, &budgets[2..5], &format!("{what}, cut at {cut}"));
+            }
+            // Single-bit flips: every bit of the last 80, a sample before.
+            let sampled: Vec<usize> = (0..32).map(|_| rng.below(bits.max(1))).collect();
+            for bit in (bits.saturating_sub(80)..bits).chain(sampled) {
+                let mut flipped = bytes.clone();
+                if let Some(byte) = flipped.get_mut(bit / 8) {
+                    *byte ^= 0x80 >> (bit % 8);
+                }
+                agree(&fd, &flipped, bits, &budgets[3..4], &format!("{what}, bit {bit} flipped"));
+            }
+        }
+    }
+    assert!(
+        shortest_codes.contains(&1) && shortest_codes.contains(&15) && shortest_codes.len() >= 5,
+        "the generated tables must span the shortest-code range: {shortest_codes:?}"
+    );
 }

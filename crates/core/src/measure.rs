@@ -190,20 +190,9 @@ mod tests {
         let cm = compressed_banded();
         // Best-of-8: the minimum must survive scheduling noise from sibling
         // test threads (the chaos campaign saturates the machine for ~25 s).
+        // The Huffman stage is what DSH pays over Snappy (~1.6x observed).
         let r = measure_host_codec(&cm, 8).unwrap();
         assert!(r.snappy_bps > r.dsh_bps, "snappy {:.2e} vs dsh {:.2e}", r.snappy_bps, r.dsh_bps);
-        // The margin documents the cost of *bit-serial* Huffman decode
-        // (~2x observed); the compiled dispatch loop narrows it to ~1.6x,
-        // so the stronger claim is only pinned on the interpreter tier —
-        // at 1.7x, below the observed ratio but above the JIT's.
-        if !recode_codec::jit::enabled() {
-            assert!(
-                r.snappy_bps > 1.7 * r.dsh_bps,
-                "bit-serial huffman should dominate DSH cost: snappy {:.2e} vs dsh {:.2e}",
-                r.snappy_bps,
-                r.dsh_bps
-            );
-        }
     }
 
     #[test]

@@ -68,11 +68,11 @@ pub enum EventKind {
     CacheEvict,
     /// A chaos campaign injected a fault: `a` = trial seed (low bits).
     ChaosInjection,
-    /// A JIT compile finished: `a` packs blocks lowered (high 32 bits)
-    /// over machine-code bytes emitted (low 32), `b` = wall nanoseconds.
-    /// The name says what was compiled (`jit.lane`, `jit.huffman`), with a
-    /// `.failed` suffix when compilation failed and the interpreter/scalar
-    /// tier took over. A lane compile that lowered dispatch groups to data
+    /// A lane-image JIT compile finished: `a` packs blocks lowered (high 32
+    /// bits) over machine-code bytes emitted (low 32), `b` = wall
+    /// nanoseconds. The name is `jit.lane`, or `jit.lane.failed` when
+    /// compilation failed and the interpreter tier took over. A compile
+    /// that lowered dispatch groups to data
     /// tables is followed by a `jit.lane.tables` event: `a` packs the groups
     /// over the table bytes the same way, `b` = 0.
     JitCompile,
@@ -348,7 +348,7 @@ pub fn enable(capacity: usize) {
     SINK.reset(capacity.max(LOCAL_CAPACITY));
     let _ = epoch();
     recode_udp::pool::set_event_hook(pool_event_hook);
-    recode_codec::jit::set_compile_hook(jit_compile_hook);
+    recode_udp::jit::set_compile_hook(jit_compile_hook);
     ENABLED.store(true, Ordering::Relaxed);
 }
 
@@ -445,18 +445,11 @@ fn pool_event_hook(event: recode_udp::pool::PoolEvent) {
     record(kind, Track::MAIN, name, 0, 0);
 }
 
-/// The codec-side JIT compile hook
-/// ([`recode_codec::jit::CompileEvent`] → recorder events). Installed by
+/// The lane-JIT compile hook
+/// ([`recode_udp::jit::CompileEvent`] → recorder events). Installed by
 /// [`enable`]; itself gated on [`is_enabled`].
-fn jit_compile_hook(event: &recode_codec::jit::CompileEvent) {
-    let name = match (event.what, event.ok) {
-        ("lane", true) => "jit.lane",
-        ("lane", false) => "jit.lane.failed",
-        ("huffman", true) => "jit.huffman",
-        ("huffman", false) => "jit.huffman.failed",
-        (_, true) => "jit.compile",
-        (_, false) => "jit.compile.failed",
-    };
+fn jit_compile_hook(event: &recode_udp::jit::CompileEvent) {
+    let name = if event.ok { "jit.lane" } else { "jit.lane.failed" };
     let a = ((event.blocks as u64) << 32) | (event.code_bytes as u64 & 0xFFFF_FFFF);
     record(EventKind::JitCompile, Track::MAIN, name, a, event.wall_ns);
     if event.table_groups > 0 {
@@ -638,8 +631,7 @@ mod tests {
         enable(4096);
         // Drive the hook directly — assemble-time compiles fire the same
         // path, but depend on platform/env JIT availability.
-        recode_codec::jit::report_compile(&recode_codec::jit::CompileEvent {
-            what: "lane",
+        recode_udp::jit::report_compile(&recode_udp::jit::CompileEvent {
             code_bytes: 1234,
             blocks: 7,
             table_groups: 3,
@@ -647,8 +639,7 @@ mod tests {
             wall_ns: 42,
             ok: true,
         });
-        recode_codec::jit::report_compile(&recode_codec::jit::CompileEvent {
-            what: "huffman",
+        recode_udp::jit::report_compile(&recode_udp::jit::CompileEvent {
             code_bytes: 0,
             blocks: 0,
             table_groups: 0,
@@ -666,6 +657,6 @@ mod tests {
         assert_eq!(jit[0].b, 42, "wall ns rides `b`");
         assert_eq!(jit[1].name, "jit.lane.tables", "table lowering is its own event");
         assert_eq!((jit[1].a >> 32, jit[1].a & 0xFFFF_FFFF), (3, 1280), "groups over bytes");
-        assert_eq!(jit[2].name, "jit.huffman.failed", "failures are distinguishable");
+        assert_eq!(jit[2].name, "jit.lane.failed", "failures are distinguishable");
     }
 }

@@ -11,9 +11,9 @@
 //!
 //! There is no state in which a mapping is writable *and* executable:
 //! [`Prot`] has no member carrying both bits, and every protection change
-//! funnels through the one private `protect` choke point. Global counters
-//! track mapped/unmapped bytes so tests can prove pages are reclaimed when
-//! the owning image (or decoder) is dropped.
+//! funnels through the one private `protect` choke point. A global counter
+//! tracks the mapped bytes so tests can prove pages are reclaimed when the
+//! owning image is dropped.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -70,10 +70,6 @@ impl Prot {
 
 /// Executable bytes currently mapped (page-rounded, live buffers only).
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Lifetime count of published buffers.
-static PUBLISHED: AtomicU64 = AtomicU64::new(0);
-/// Lifetime count of reclaimed (unmapped) buffers.
-static RECLAIMED: AtomicU64 = AtomicU64::new(0);
 /// Incremented if a protection request ever carried write+exec together.
 /// Structurally impossible with [`Prot`]; the counter exists so tests can
 /// assert the invariant held for a whole workload.
@@ -82,16 +78,6 @@ static WX_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
 /// Executable bytes currently mapped by live [`ExecBuf`]s.
 pub fn live_exec_bytes() -> usize {
     LIVE_BYTES.load(Ordering::SeqCst)
-}
-
-/// Lifetime number of buffers published.
-pub fn published_total() -> u64 {
-    PUBLISHED.load(Ordering::SeqCst)
-}
-
-/// Lifetime number of buffers reclaimed (unmapped on drop).
-pub fn reclaimed_total() -> u64 {
-    RECLAIMED.load(Ordering::SeqCst)
 }
 
 /// Number of protection requests that carried write and execute at once.
@@ -252,7 +238,6 @@ impl ExecBuf {
             return Err(JitError::Protect(rc));
         }
         LIVE_BYTES.fetch_add(map_len, Ordering::SeqCst);
-        PUBLISHED.fetch_add(1, Ordering::SeqCst);
         Ok(ExecBuf { base, map_len, code_len: code.len() })
     }
 
@@ -318,7 +303,6 @@ impl Drop for ExecBuf {
             sys::munmap(self.base, self.map_len);
         }
         LIVE_BYTES.fetch_sub(self.map_len, Ordering::SeqCst);
-        RECLAIMED.fetch_add(1, Ordering::SeqCst);
     }
 }
 

@@ -2,8 +2,10 @@
 //!
 //! At assemble time every verified [`Image`](crate::machine::Image) gets
 //! its `PredecodedBlock` table compiled to straight-line machine code per
-//! block, with branch-stitched control flow between blocks. The pages live
-//! in the W^X-managed `ExecBuf` from `recode-codec`.
+//! block, with branch-stitched control flow between blocks. Everything that
+//! emits or maps machine code sits here, next to its one consumer: `x86`
+//! is the instruction encoder, [`exec`] the W^X-managed pages (`ExecBuf`),
+//! and [`enabled`] the tier's one switch (`RECODE_NO_JIT=1`).
 //!
 //! ## Multi-way dispatch: a table row where the targets are siblings
 //!
@@ -89,20 +91,106 @@
 //! that gates `Lane::run` with
 //! [`LaneError::JitInvalid`](crate::lane::LaneError) on damage.
 
+pub mod exec;
 mod sibling;
+mod x86;
+
+pub use exec::{ExecBuf, JitError};
 
 use crate::isa::{Action, Cond, NUM_REGS, SCRATCHPAD_BYTES};
 use crate::lane::{
     jit_stream_peek, jit_stream_read, jit_stream_read_le, jit_stream_skip, OpClassCycles,
 };
 use crate::machine::{DecodedTransition, PredecodedBlock};
-use recode_codec::jit::asm::reg::{
-    R10, R11, R12, R13, R14, R15, R8, R9, RAX, RBP, RBX, RCX, RDI, RDX, RSI,
-};
-use recode_codec::jit::asm::{Alu, Asm, Cc, Mem, Reg};
-use recode_codec::jit::{fnv1a, fnv1a_words, ExecBuf, JitError};
 use sibling::{Composed, Group, Plan, IMM_SHIFT, LINK_SHIFT, TAG_GENERIC, TAG_SHIFT, VIA_SHIFT};
 use std::mem::offset_of;
+use x86::reg::{R10, R11, R12, R13, R14, R15, R8, R9, RAX, RBP, RBX, RCX, RDI, RDX, RSI};
+use x86::{Alu, Asm, Cc, Mem, Reg};
+
+/// True when this build can emit native code at all: x86-64 Linux, not
+/// under Miri (which interprets MIR and cannot run machine code).
+#[must_use]
+pub const fn supported() -> bool {
+    cfg!(all(target_arch = "x86_64", target_os = "linux", not(miri)))
+}
+
+/// True when the JIT tier should be used: the platform supports it and
+/// the `RECODE_NO_JIT=1` escape hatch is not set.
+///
+/// The environment is consulted exactly once per process — `Lane::run`
+/// sits on an allocation-free hot path, and `std::env::var` allocates.
+#[must_use]
+pub fn enabled() -> bool {
+    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ENABLED.get_or_init(|| {
+        supported() && !std::env::var("RECODE_NO_JIT").is_ok_and(|v| v.trim() == "1")
+    })
+}
+
+/// A completed (or failed) lane-image compilation, reported through the
+/// process-wide hook so the flight recorder can turn it into an
+/// `EventKind::JitCompile` span without this crate depending on the
+/// recorder.
+#[derive(Debug, Clone, Copy)]
+pub struct CompileEvent {
+    /// Machine-code bytes published (0 on failure).
+    pub code_bytes: usize,
+    /// Blocks lowered.
+    pub blocks: usize,
+    /// Dispatch groups the lowering serves from data tables instead of
+    /// indirect jumps, and the bytes of those tables (part of `code_bytes`).
+    pub table_groups: usize,
+    /// See `table_groups`.
+    pub table_bytes: usize,
+    /// Wall time of the lowering + publish, in nanoseconds.
+    pub wall_ns: u64,
+    /// False when the compile failed and the tier fell back to the
+    /// interpreter.
+    pub ok: bool,
+}
+
+static COMPILE_HOOK: std::sync::OnceLock<fn(&CompileEvent)> = std::sync::OnceLock::new();
+
+/// Installs the process-wide compile-event hook (first caller wins;
+/// returns whether this call installed it).
+pub fn set_compile_hook(hook: fn(&CompileEvent)) -> bool {
+    COMPILE_HOOK.set(hook).is_ok()
+}
+
+/// Reports a compile to the hook, if one is installed.
+pub fn report_compile(ev: &CompileEvent) {
+    if let Some(h) = COMPILE_HOOK.get() {
+        h(ev);
+    }
+}
+
+/// 64-bit FNV-1a over a byte stream — the digest used to pin compiled
+/// artifacts to the exact bytes they were lowered from. Not
+/// cryptographic; it detects tampering and staleness, not adversaries
+/// (the W^X page protection is the integrity boundary).
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a over a `u128` word table (little-endian bytes), for pinning a
+/// lane-program JIT artifact to the image words it was compiled from.
+#[must_use]
+pub fn fnv1a_words(words: &[u128]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for &b in &w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
 
 // Host register map. Everything a block touches on its way through lives in
 // a register; `JitState` memory is read (never read-modify-written) by the
@@ -1295,15 +1383,13 @@ pub(crate) fn maybe_compile(
     predecoded: &[Option<PredecodedBlock>],
     entry: u32,
 ) -> Option<std::sync::Arc<LaneJit>> {
-    use recode_codec::jit::{report_compile, CompileEvent};
-    if !recode_codec::jit::enabled() {
+    if !enabled() {
         return None;
     }
     let t0 = std::time::Instant::now();
     let res = LaneJit::compile(words, predecoded, entry);
     let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     report_compile(&CompileEvent {
-        what: "lane",
         code_bytes: res.as_ref().map_or(0, LaneJit::code_bytes),
         blocks: res.as_ref().map_or(0, LaneJit::blocks_lowered),
         table_groups: res.as_ref().map_or(0, LaneJit::table_groups),
@@ -1312,4 +1398,18 @@ pub(crate) fn maybe_compile(
         ok: res.is_ok(),
     });
     res.ok().map(std::sync::Arc::new)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv_is_stable_and_input_sensitive() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        assert_ne!(fnv1a_words(&[1]), fnv1a_words(&[2]));
+        let w = [0x0102_0304_0506_0708_090a_0b0c_0d0e_0f10u128];
+        assert_eq!(fnv1a_words(&w), fnv1a(&w[0].to_le_bytes()));
+    }
 }

@@ -1,15 +1,15 @@
 //! A minimal x86-64 instruction emitter for the JIT tier.
 //!
-//! Deliberately tiny: only the encodings the two lowerings (lane programs,
-//! Huffman dispatch) need. Memory operands are `[base + index*scale + disp]`
-//! in the shortest of the three displacement forms (none, disp8, disp32),
-//! and ALU immediates take the sign-extended imm8 form (`0x83`) when they
-//! fit: a lane image is hundreds of blocks entered in data-dependent order
-//! through a 32 KB L1I, so bytes per block are a first-order cost. Data
-//! published behind the code (the lane tier's dispatch tables) is addressed
-//! with `lea r, [rip + rel32]`. The architectural special cases
-//! are the RSP/R12 SIB byte, RBP/R13 having no displacement-free form, and
-//! index≠RSP.
+//! Deliberately tiny: only the encodings the lane lowering emits (the module
+//! is private, so an encoder with no caller is a dead-code warning). Memory
+//! operands are `[base + index*scale + disp]` in the shortest of the three
+//! displacement forms (none, disp8, disp32), and ALU immediates take the
+//! sign-extended imm8 form (`0x83`) when they fit: a lane image is hundreds
+//! of blocks entered in data-dependent order through a 32 KB L1I, so bytes
+//! per block are a first-order cost. Data published behind the code (the
+//! dispatch tables) is addressed with `lea r, [rip + rel32]`. The
+//! architectural special cases are the RSP/R12 SIB byte, RBP/R13 having no
+//! displacement-free form, and index≠RSP.
 //!
 //! Emitted code is position-independent: intra-buffer control flow uses
 //! rel32 jumps and calls patched via [`Asm::patch_rel32`] (or rel8 to an
@@ -117,14 +117,10 @@ pub enum Cc {
     Ae = 0x3,
     /// Unsigned above.
     A = 0x7,
-    /// Unsigned below or equal.
-    Be = 0x6,
     /// Signed less.
     L = 0xC,
     /// Signed greater or equal.
     Ge = 0xD,
-    /// Sign set (negative).
-    S = 0x8,
 }
 
 /// Opcode of the group-1 immediate form that holds `imm`: `83` (imm8,
@@ -152,11 +148,6 @@ impl Asm {
     /// Current offset — a label for later jumps/patches.
     pub fn here(&self) -> usize {
         self.code.len()
-    }
-
-    /// The emitted bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.code
     }
 
     /// Consumes the buffer.
@@ -230,20 +221,6 @@ impl Asm {
     }
 
     // ---- moves ----------------------------------------------------------
-
-    /// `mov dst, imm` — sign-extended imm32 when it fits, else movabs.
-    pub fn mov_ri(&mut self, dst: Reg, imm: u64) {
-        if let Ok(v) = i32::try_from(imm as i64) {
-            self.rex(true, 0, 0, dst.0);
-            self.u8(0xC7);
-            self.u8(0xC0 | (dst.0 & 7));
-            self.i32le(v);
-        } else {
-            self.rex(true, 0, 0, dst.0);
-            self.u8(0xB8 | (dst.0 & 7));
-            self.code.extend_from_slice(&imm.to_le_bytes());
-        }
-    }
 
     /// `mov dst32, imm32` — zero-extends into the full register.
     pub fn mov32_ri(&mut self, dst: Reg, imm: u32) {
@@ -355,13 +332,6 @@ impl Asm {
         self.u8(0xC0 | (src.0 & 7) << 3 | (dst.0 & 7));
     }
 
-    /// `op dst32, src32` (32-bit, wraps — used for dispatch-base adds).
-    pub fn alu32_rr(&mut self, op: Alu, dst: Reg, src: Reg) {
-        self.rex(false, src.0, 0, dst.0);
-        self.u8(op.mr_opcode());
-        self.u8(0xC0 | (src.0 & 7) << 3 | (dst.0 & 7));
-    }
-
     /// `op dst, imm` (imm8 or imm32, sign-extended to 64 bits; RAX with an
     /// imm32 takes the accumulator short form, which has no ModRM byte).
     pub fn alu_ri(&mut self, op: Alu, dst: Reg, imm: i32) {
@@ -391,26 +361,12 @@ impl Asm {
         self.modrm_mem(dst.0, m);
     }
 
-    /// `op qword [m], src`.
-    pub fn alu_mr(&mut self, op: Alu, m: Mem, src: Reg) {
-        self.mem_rex(true, src.0, m);
-        self.u8(op.mr_opcode());
-        self.modrm_mem(src.0, m);
-    }
-
     /// `op qword [m], imm` (imm8 or imm32, sign-extended).
     pub fn alu_mi(&mut self, op: Alu, m: Mem, imm: i32) {
         self.mem_rex(true, 0, m);
         self.u8(imm_opcode(imm));
         self.modrm_mem(op.imm_ext(), m);
         self.imm8_or_32(imm);
-    }
-
-    /// `test a, b` (64-bit AND, flags only).
-    pub fn test_rr(&mut self, a: Reg, b: Reg) {
-        self.rex(true, b.0, 0, a.0);
-        self.u8(0x85);
-        self.u8(0xC0 | (b.0 & 7) << 3 | (a.0 & 7));
     }
 
     /// `test dst32, imm32` (32-bit AND, flags only).
@@ -502,13 +458,6 @@ impl Asm {
         self.u8(0xC0 | 5 << 3 | (dst.0 & 7));
     }
 
-    /// `shl qword [m], cl`.
-    pub fn shl_m_cl(&mut self, m: Mem) {
-        self.mem_rex(true, 0, m);
-        self.u8(0xD3);
-        self.modrm_mem(4, m);
-    }
-
     /// `bswap dst` (64-bit byte reversal — big-endian bit-stream loads).
     pub fn bswap(&mut self, dst: Reg) {
         self.rex(true, 0, 0, dst.0);
@@ -530,14 +479,6 @@ impl Asm {
         self.u8(0x58 | (r.0 & 7));
     }
 
-    /// `sub rsp, imm8` (stack alignment).
-    pub fn sub_rsp(&mut self, imm: u8) {
-        self.u8(0x48);
-        self.u8(0x83);
-        self.u8(0xEC);
-        self.u8(imm);
-    }
-
     /// `add rsp, imm8`.
     pub fn add_rsp(&mut self, imm: u8) {
         self.u8(0x48);
@@ -547,17 +488,10 @@ impl Asm {
     }
 
     /// `call r` (indirect).
-    pub fn call_r(&mut self, r: Reg) {
+    fn call_r(&mut self, r: Reg) {
         self.rex(false, 0, 0, r.0);
         self.u8(0xFF);
         self.u8(0xC0 | 2 << 3 | (r.0 & 7));
-    }
-
-    /// `jmp r` (indirect).
-    pub fn jmp_r(&mut self, r: Reg) {
-        self.rex(false, 0, 0, r.0);
-        self.u8(0xFF);
-        self.u8(0xC0 | 4 << 3 | (r.0 & 7));
     }
 
     /// `jmp qword [m]` (indirect through memory — table dispatch).
@@ -669,11 +603,6 @@ mod tests {
             bytes_of(|a| a.load16_zx(RCX, Mem::index(R12, RDX, 1, 0))),
             [0x49, 0x0F, 0xB7, 0x0C, 0x54]
         );
-        assert_eq!(bytes_of(|a| a.mov_ri(RAX, 0x2A)), [0x48, 0xC7, 0xC0, 0x2A, 0, 0, 0]);
-        assert_eq!(
-            bytes_of(|a| a.mov_ri(R11, 0x1122_3344_5566_7788)),
-            [0x49, 0xBB, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11]
-        );
         assert_eq!(bytes_of(|a| a.mov32_ri(RSI, 57)), [0xBE, 57, 0, 0, 0]);
         assert_eq!(bytes_of(|a| a.mov32_ri(R9, 64)), [0x41, 0xB9, 64, 0, 0, 0]);
         assert_eq!(bytes_of(|a| a.neg(RCX)), [0x48, 0xF7, 0xD9]);
@@ -750,14 +679,14 @@ mod tests {
         let stub = a.here();
         a.ret();
         a.patch_rel32(call, stub);
-        assert_eq!(a.bytes(), [0xE8, 0x01, 0, 0, 0, 0xC3, 0xC3]);
+        assert_eq!(a.into_bytes(), [0xE8, 0x01, 0, 0, 0, 0xC3, 0xC3]);
 
         // Backward targets: rel8 while it reaches, rel32 beyond.
         let mut a = Asm::new();
         a.ret();
         a.jmp_to(0);
         a.jcc_to(Cc::Ae, 0);
-        assert_eq!(a.bytes(), [0xC3, 0xEB, 0xFD, 0x73, 0xFB]);
+        assert_eq!(a.into_bytes(), [0xC3, 0xEB, 0xFD, 0x73, 0xFB]);
         let mut a = Asm::new();
         for _ in 0..126 {
             a.ret();
@@ -766,15 +695,29 @@ mod tests {
         a.jmp_to(0); // -130: rel32
         a.jcc_to(Cc::B, 0);
         assert_eq!(
-            a.bytes()[126..],
+            a.into_bytes()[126..],
             [0xEB, 0x80, 0xE9, 0x7B, 0xFF, 0xFF, 0xFF, 0x0F, 0x82, 0x75, 0xFF, 0xFF, 0xFF]
         );
+    }
+
+    /// Publishes `code` as a function of two integers.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
+    fn published(code: &[u8]) -> impl Fn(u64, u64) -> u64 {
+        let buf = crate::jit::exec::ExecBuf::publish(code).unwrap();
+        // SAFETY: every caller emits a complete SysV function that reads at
+        // most `rdi` and `rsi`, answers in `rax` and leaves through `ret`;
+        // the closure owns the pages, so they stay mapped while it can run.
+        let f =
+            unsafe { std::mem::transmute::<usize, extern "C" fn(u64, u64) -> u64>(buf.addr_of(0)) };
+        move |a, b| {
+            let _mapped = &buf;
+            f(a, b)
+        }
     }
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
     #[test]
     fn local_stub_is_called_and_returned_through() {
-        use crate::jit::exec::ExecBuf;
         // fn(a, b) -> 2 * max(a, b) - 1, the doubling done by a stub behind
         // the function's own `ret`.
         let mut a = Asm::new();
@@ -790,11 +733,7 @@ mod tests {
         a.alu_rr(Alu::Add, RAX, RAX);
         a.alu_ri(Alu::Add, RAX, 1);
         a.ret();
-        let buf = ExecBuf::publish(a.bytes()).unwrap();
-        // SAFETY: complete SysV function taking two integer args; the stub
-        // is reached by `call` and leaves through its own `ret`.
-        let f: extern "C" fn(u64, u64) -> u64 =
-            unsafe { std::mem::transmute::<usize, extern "C" fn(u64, u64) -> u64>(buf.addr_of(0)) };
+        let f = published(&a.into_bytes());
         for (x, y) in [(0u64, 1u64), (7, 3), (3, 7), (1 << 40, 5), (9, 9)] {
             assert_eq!(f(x, y), 2 * x.max(y) - 1, "x={x} y={y}");
         }
@@ -803,7 +742,6 @@ mod tests {
     #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
     #[test]
     fn rip_relative_table_behind_the_code_is_read_in_place() {
-        use crate::jit::exec::ExecBuf;
         // fn(i) -> sign-extended high half of row i, shifted left by the
         // row's low byte; the rows sit behind the function's `ret`.
         let rows: [u32; 4] = [0x0001_0003, 0xFFFF_0000, 0x7FFF_0010, 0x8000_0001];
@@ -816,28 +754,24 @@ mod tests {
         a.sar_ri(RAX, 48);
         a.shl_cl(RAX);
         a.ret();
-        assert_eq!(a.bytes()[..3], [0x48, 0x8D, 0x0D], "lea rcx, [rip + rel32]");
         for _ in a.here()..a.here().next_multiple_of(4) {
             a.ret();
         }
         let at = a.here();
         a.patch_rel32(table, at);
         let mut code = a.into_bytes();
+        assert_eq!(code[..3], [0x48, 0x8D, 0x0D], "lea rcx, [rip + rel32]");
         code.extend(rows.iter().flat_map(|r| r.to_le_bytes()));
-        let buf = ExecBuf::publish(&code).unwrap();
-        // SAFETY: complete SysV function, one integer arg below the row count.
-        let f: extern "C" fn(u64) -> i64 =
-            unsafe { std::mem::transmute::<usize, extern "C" fn(u64) -> i64>(buf.addr_of(0)) };
+        let f = published(&code);
         for (i, row) in rows.iter().enumerate() {
             let want = i64::from((row >> 16) as u16 as i16) << (row & 0xFF);
-            assert_eq!(f(i as u64), want, "row {i}");
+            assert_eq!(f(i as u64, 0) as i64, want, "row {i}");
         }
     }
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
     #[test]
     fn emitted_arithmetic_executes_correctly() {
-        use crate::jit::exec::ExecBuf;
         // fn(a: u64 /*rdi*/, b: u64 /*rsi*/) -> (a + b*8 - 5) ^ (a >> 3)
         let mut a = Asm::new();
         a.mov_rr(RAX, RDI);
@@ -846,10 +780,7 @@ mod tests {
         a.alu_rr(Alu::Xor, RCX, RAX);
         a.mov_rr(RAX, RCX);
         a.ret();
-        let buf = ExecBuf::publish(a.bytes()).unwrap();
-        // SAFETY: complete SysV function taking two integer args.
-        let f: extern "C" fn(u64, u64) -> u64 =
-            unsafe { std::mem::transmute::<usize, extern "C" fn(u64, u64) -> u64>(buf.addr_of(0)) };
+        let f = published(&a.into_bytes());
         for (x, y) in [(0u64, 0u64), (123, 7), (u64::MAX, 1), (1 << 40, 9999)] {
             let want = x.wrapping_add(y.wrapping_mul(8)).wrapping_sub(5) ^ (x >> 3);
             assert_eq!(f(x, y), want, "x={x} y={y}");
@@ -859,7 +790,6 @@ mod tests {
     #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
     #[test]
     fn rel32_branches_loop_and_land() {
-        use crate::jit::exec::ExecBuf;
         // fn(n: u64) -> sum 1..=n, via a backwards branch.
         let mut a = Asm::new();
         a.zero(RAX);
@@ -874,12 +804,9 @@ mod tests {
         let end = a.here();
         a.patch_rel32(done, end);
         a.ret();
-        let buf = ExecBuf::publish(a.bytes()).unwrap();
-        // SAFETY: complete SysV function, one integer arg.
-        let f: extern "C" fn(u64) -> u64 =
-            unsafe { std::mem::transmute::<usize, extern "C" fn(u64) -> u64>(buf.addr_of(0)) };
-        assert_eq!(f(0), 0);
-        assert_eq!(f(10), 55);
-        assert_eq!(f(1000), 500_500);
+        let f = published(&a.into_bytes());
+        assert_eq!(f(0, 0), 0);
+        assert_eq!(f(10, 0), 55);
+        assert_eq!(f(1000, 0), 500_500);
     }
 }

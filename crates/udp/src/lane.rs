@@ -763,7 +763,7 @@ impl Lane {
         out: &mut Vec<u8>,
     ) -> Result<RunStats, LaneError> {
         if let Some(jit) = image.jit() {
-            if recode_codec::jit::enabled() {
+            if crate::jit::enabled() {
                 return self.run_into_jit(image, jit, input, input_bits, cfg, out);
             }
         }

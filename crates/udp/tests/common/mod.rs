@@ -66,7 +66,7 @@ pub fn differential_on(
     // When the JIT tier is live, images assembled here must actually carry
     // an artifact — otherwise this suite would silently degrade to a
     // two-way interpreter comparison and prove nothing about the JIT.
-    if recode_codec::jit::enabled() {
+    if recode_udp::jit::enabled() {
         assert!(image.jit().is_some(), "{context}: image `{}` has no JIT artifact", image.name);
     }
     let [fast_lane, interp_lane, slow_lane] = lanes;

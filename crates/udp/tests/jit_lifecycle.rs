@@ -29,9 +29,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use recode_codec::jit::exec::{live_exec_bytes, poison_next_publish_for_test, wx_violations};
-use recode_codec::jit::{set_compile_hook, CompileEvent};
 use recode_udp::isa::{Action, Block, BlockId, Cond, Transition, Width};
+use recode_udp::jit::exec::{live_exec_bytes, poison_next_publish_for_test, wx_violations};
+use recode_udp::jit::{set_compile_hook, CompileEvent};
 use recode_udp::lane::{Lane, LaneError, RunConfig};
 use recode_udp::machine::assemble;
 use recode_udp::program::{Program, ProgramBuilder};
@@ -75,7 +75,7 @@ fn tiny_program() -> Program {
 
 #[test]
 fn published_pages_are_never_writable_and_executable() {
-    if !recode_codec::jit::enabled() {
+    if !recode_udp::jit::enabled() {
         return;
     }
     let _g = GATE.lock().unwrap();
@@ -94,7 +94,7 @@ fn published_pages_are_never_writable_and_executable() {
 
 #[test]
 fn retiring_an_image_reclaims_its_executable_pages() {
-    if !recode_codec::jit::enabled() {
+    if !recode_udp::jit::enabled() {
         return;
     }
     let _g = GATE.lock().unwrap();
@@ -119,7 +119,7 @@ fn retiring_an_image_reclaims_its_executable_pages() {
 
 #[test]
 fn poisoned_compile_falls_back_to_interpreter_with_a_recorded_event() {
-    if !recode_codec::jit::enabled() {
+    if !recode_udp::jit::enabled() {
         return;
     }
     let _g = GATE.lock().unwrap();
@@ -141,7 +141,7 @@ fn poisoned_compile_falls_back_to_interpreter_with_a_recorded_event() {
 
 #[test]
 fn tampered_artifact_is_gated_at_run_time_and_flagged_by_reverify() {
-    if !recode_codec::jit::enabled() {
+    if !recode_udp::jit::enabled() {
         return;
     }
     let _g = GATE.lock().unwrap();
@@ -203,7 +203,7 @@ fn sibling_program() -> (Program, BlockId) {
 
 #[test]
 fn dispatch_tables_are_published_read_exec_with_the_code() {
-    if !recode_codec::jit::enabled() {
+    if !recode_udp::jit::enabled() {
         return;
     }
     let _g = GATE.lock().unwrap();
@@ -230,7 +230,7 @@ fn dispatch_tables_are_published_read_exec_with_the_code() {
 
 #[test]
 fn tampered_table_row_is_flagged_by_reverify_and_gates_the_lane() {
-    if !recode_codec::jit::enabled() {
+    if !recode_udp::jit::enabled() {
         return;
     }
     let _g = GATE.lock().unwrap();
@@ -328,7 +328,7 @@ fn two_level_program() -> (Program, BlockId) {
 
 #[test]
 fn tampered_composed_row_is_flagged_by_reverify_and_gates_the_lane() {
-    if !recode_codec::jit::enabled() {
+    if !recode_udp::jit::enabled() {
         return;
     }
     let _g = GATE.lock().unwrap();

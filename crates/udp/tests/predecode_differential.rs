@@ -394,7 +394,7 @@ fn budget_edge_is_exact_on_every_tier() {
 /// (even with the budget set to exactly its cycles), one on a run that traps.
 #[test]
 fn whole_blocks_call_helpers_only_for_the_stream_tail() {
-    if !recode_codec::jit::enabled() {
+    if !recode_udp::jit::enabled() {
         return;
     }
     let mut lane = Lane::new();
