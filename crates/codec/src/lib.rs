@@ -57,7 +57,7 @@ pub use crc32c::crc32c;
 pub use error::{CodecError, CodecResult};
 pub use faults::{FaultInjector, FaultKind, FaultReport, SplitMix64};
 pub use pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline, PipelineConfig};
-pub use telemetry::{CodecStageReport, StageStats, StageTelemetry};
+pub use telemetry::{CodecStageReport, StageSink, StageStats};
 
 /// The paper's UDP-side uncompressed block size: 8 KB.
 pub const UDP_BLOCK_BYTES: usize = 8 * 1024;

@@ -14,10 +14,9 @@
 use crate::block::{split_blocks, BlockStream, CompressedBlock};
 use crate::error::{CodecError, CodecResult};
 use crate::huffman::{self, FlatDecoder, HuffmanTable};
-use crate::telemetry::StageTelemetry;
+use crate::telemetry::{CodecStageReport as Cell, StageCell, StageSink};
 use crate::{delta, snappy};
 use recode_sparse::Csr;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Which stages a pipeline runs and at what block granularity.
@@ -84,9 +83,24 @@ pub struct Pipeline {
     /// Flat decode LUT built once per table at pipeline construction —
     /// `decode_block` must not pay the 2^15-entry rebuild per block.
     decoder: Option<FlatDecoder>,
-    /// Optional shared per-stage telemetry. `None` (the default) keeps the
+    /// Where the stages are clocked into. `None` (the default) keeps the
     /// encode/decode hot paths free of any timing calls.
-    telemetry: Option<Arc<StageTelemetry>>,
+    stage_times: Option<StageSink>,
+}
+
+/// Runs one stage over `bytes_in` bytes of input, clocking it into `cell`
+/// of the sink when there is one.
+fn staged(
+    sink: Option<&StageSink>,
+    cell: StageCell,
+    bytes_in: usize,
+    run: impl FnOnce() -> CodecResult<Vec<u8>>,
+) -> CodecResult<Vec<u8>> {
+    let Some(sink) = sink else { return run() };
+    let started = Instant::now();
+    let out = run()?;
+    sink.record(cell, started, bytes_in, out.len());
+    Ok(out)
 }
 
 impl Pipeline {
@@ -110,7 +124,7 @@ impl Pipeline {
                 if i % stride != 0 {
                     continue;
                 }
-                let pre = Self::run_pre_huffman(&config, block)?;
+                let pre = Self::run_pre_huffman(&config, block, None)?;
                 for &b in &pre {
                     hist[b as usize] += 1;
                 }
@@ -120,7 +134,7 @@ impl Pipeline {
             None
         };
         let decoder = table.as_ref().map(FlatDecoder::build);
-        Ok(Pipeline { config, table, decoder, telemetry: None })
+        Ok(Pipeline { config, table, decoder, stage_times: None })
     }
 
     /// Builds a pipeline with an externally supplied table (e.g. decoder
@@ -134,7 +148,7 @@ impl Pipeline {
             return Err(CodecError::MissingTable);
         }
         let decoder = table.as_ref().map(FlatDecoder::build);
-        Ok(Pipeline { config, table, decoder, telemetry: None })
+        Ok(Pipeline { config, table, decoder, stage_times: None })
     }
 
     /// The configuration this pipeline runs.
@@ -147,48 +161,28 @@ impl Pipeline {
         self.table.as_ref()
     }
 
-    /// Attaches (or detaches) shared per-stage telemetry. With `None`, the
-    /// encode/decode paths make no timing calls at all.
-    pub fn set_telemetry(&mut self, telemetry: Option<Arc<StageTelemetry>>) {
-        self.telemetry = telemetry;
-    }
-
-    /// The attached telemetry, if any.
-    pub fn telemetry(&self) -> Option<&Arc<StageTelemetry>> {
-        self.telemetry.as_ref()
+    /// Clocks every stage of this pipeline into `sink` from now on: the one
+    /// way to time stages. With `None` (the state a pipeline is built in)
+    /// the encode/decode paths make no timing calls at all.
+    pub fn time_stages(&mut self, sink: Option<StageSink>) {
+        self.stage_times = sink;
     }
 
     /// Stages before Huffman (shared by encoding and table training).
-    fn run_pre_huffman(config: &PipelineConfig, block: &[u8]) -> CodecResult<Vec<u8>> {
-        Self::run_pre_huffman_observed(config, block, None)
-    }
-
-    /// [`Self::run_pre_huffman`] with optional per-stage instrumentation.
-    fn run_pre_huffman_observed(
+    fn run_pre_huffman(
         config: &PipelineConfig,
         block: &[u8],
-        tel: Option<&StageTelemetry>,
+        sink: Option<&StageSink>,
     ) -> CodecResult<Vec<u8>> {
         let after_delta = if config.delta {
-            let t0 = tel.map(|_| Instant::now());
-            let out = delta::encode_bytes(block)?;
-            if let (Some(tel), Some(t0)) = (tel, t0) {
-                tel.encode.delta.record(t0, block.len(), out.len());
-            }
-            out
+            staged(sink, Cell::ENCODE_DELTA, block.len(), || delta::encode_bytes(block))?
         } else {
             block.to_vec()
         };
-        Ok(if config.snappy {
-            let t0 = tel.map(|_| Instant::now());
-            let out = snappy::compress(&after_delta);
-            if let (Some(tel), Some(t0)) = (tel, t0) {
-                tel.encode.snappy.record(t0, after_delta.len(), out.len());
-            }
-            out
-        } else {
-            after_delta
-        })
+        if !config.snappy {
+            return Ok(after_delta);
+        }
+        staged(sink, Cell::ENCODE_SNAPPY, after_delta.len(), || Ok(snappy::compress(&after_delta)))
     }
 
     /// Encodes one standalone block (sealed with sequence number 0).
@@ -205,19 +199,18 @@ impl Pipeline {
     /// # Errors
     /// Stage preconditions (alignment) and internal encoding failures.
     pub fn encode_block_at(&self, block: &[u8], seq: u32) -> CodecResult<CompressedBlock> {
-        let tel = self.telemetry.as_deref();
-        let pre = Self::run_pre_huffman_observed(&self.config, block, tel)?;
-        let (payload, bit_len) = if self.config.huffman {
+        let sink = self.stage_times.as_ref();
+        let pre = Self::run_pre_huffman(&self.config, block, sink)?;
+        let mut bit_len = pre.len() * 8;
+        let payload = if self.config.huffman {
             let table = self.table.as_ref().ok_or(CodecError::MissingTable)?;
-            let t0 = tel.map(|_| Instant::now());
-            let (payload, bit_len) = huffman::encode(&pre, table)?;
-            if let (Some(tel), Some(t0)) = (tel, t0) {
-                tel.encode.huffman.record(t0, pre.len(), payload.len());
-            }
-            (payload, bit_len)
+            staged(sink, Cell::ENCODE_HUFFMAN, pre.len(), || {
+                let (payload, bits) = huffman::encode(&pre, table)?;
+                bit_len = bits;
+                Ok(payload)
+            })?
         } else {
-            let bits = pre.len() * 8;
-            (pre, bits)
+            pre
         };
         Ok(CompressedBlock::sealed(payload, bit_len, block.len(), seq))
     }
@@ -232,46 +225,33 @@ impl Pipeline {
     /// final length is verified against the block header.
     pub fn decode_block(&self, block: &CompressedBlock) -> CodecResult<Vec<u8>> {
         block.verify_checksum()?;
-        let tel = self.telemetry.as_deref();
+        let sink = self.stage_times.as_ref();
         // Stage 1: Huffman decode (needs the intermediate length, which is
         // recoverable: snappy self-describes, so decode until the bitstream
         // is exhausted — we instead store the intermediate implicitly by
         // decoding symbol-by-symbol until all bits are consumed).
         let pre = if self.config.huffman {
             let decoder = self.decoder.as_ref().ok_or(CodecError::MissingTable)?;
-            let t0 = tel.map(|_| Instant::now());
-            let out = decoder.decode_all(&block.payload, block.bit_len)?;
-            if let (Some(tel), Some(t0)) = (tel, t0) {
-                tel.decode.huffman.record(t0, block.payload.len(), out.len());
-            }
-            out
+            staged(sink, Cell::DECODE_HUFFMAN, block.payload.len(), || {
+                decoder.decode_all(&block.payload, block.bit_len)
+            })?
         } else {
             block.payload.clone()
         };
         // Stage 2: Snappy decode.
         let after_snappy = if self.config.snappy {
-            let t0 = tel.map(|_| Instant::now());
-            let in_len = pre.len();
-            let out = snappy::decompress_with_limit(
-                &pre,
-                self.config.block_bytes.max(block.uncompressed_len),
-            )?;
-            if let (Some(tel), Some(t0)) = (tel, t0) {
-                tel.decode.snappy.record(t0, in_len, out.len());
-            }
-            out
+            let limit = self.config.block_bytes.max(block.uncompressed_len);
+            staged(sink, Cell::DECODE_SNAPPY, pre.len(), || {
+                snappy::decompress_with_limit(&pre, limit)
+            })?
         } else {
             pre
         };
         // Stage 3: inverse delta.
         let out = if self.config.delta {
-            let t0 = tel.map(|_| Instant::now());
-            let in_len = after_snappy.len();
-            let out = delta::decode_bytes(&after_snappy)?;
-            if let (Some(tel), Some(t0)) = (tel, t0) {
-                tel.decode.delta.record(t0, in_len, out.len());
-            }
-            out
+            staged(sink, Cell::DECODE_DELTA, after_snappy.len(), || {
+                delta::decode_bytes(&after_snappy)
+            })?
         } else {
             after_snappy
         };
@@ -391,33 +371,25 @@ impl CompressedMatrix {
     /// Stage preconditions (e.g. a matrix with `ncols > 2^31` cannot be
     /// delta-coded).
     pub fn compress(a: &Csr, config: MatrixCodecConfig) -> CodecResult<Self> {
-        Self::compress_observed(a, config, None)
+        Self::compress_timed(a, config, None)
     }
 
-    /// [`Self::compress`] with per-stage encode telemetry recorded into
-    /// `telemetry`.
+    /// [`Self::compress`], clocking each encode stage into `stages` when
+    /// there is one.
     ///
     /// # Errors
     /// Same as [`Self::compress`].
-    pub fn compress_with_telemetry(
+    pub fn compress_timed(
         a: &Csr,
         config: MatrixCodecConfig,
-        telemetry: &Arc<StageTelemetry>,
-    ) -> CodecResult<Self> {
-        Self::compress_observed(a, config, Some(telemetry))
-    }
-
-    fn compress_observed(
-        a: &Csr,
-        config: MatrixCodecConfig,
-        telemetry: Option<&Arc<StageTelemetry>>,
+        stages: Option<&StageSink>,
     ) -> CodecResult<Self> {
         let index_bytes: Vec<u8> = a.col_idx().iter().flat_map(|c| c.to_le_bytes()).collect();
         let value_bytes: Vec<u8> = a.values().iter().flat_map(|v| v.to_le_bytes()).collect();
         let mut index_pipe = Pipeline::train(config.index, &index_bytes)?;
         let mut value_pipe = Pipeline::train(config.value, &value_bytes)?;
-        index_pipe.set_telemetry(telemetry.cloned());
-        value_pipe.set_telemetry(telemetry.cloned());
+        index_pipe.time_stages(stages.cloned());
+        value_pipe.time_stages(stages.cloned());
         Ok(CompressedMatrix {
             nrows: a.nrows(),
             ncols: a.ncols(),
@@ -429,21 +401,6 @@ impl CompressedMatrix {
             index_table_lengths: index_pipe.table().map(|t| t.lengths.clone()),
             value_table_lengths: value_pipe.table().map(|t| t.lengths.clone()),
         })
-    }
-
-    /// Rebuilds the per-stream decode pipelines with shared telemetry
-    /// attached to both.
-    ///
-    /// # Errors
-    /// Corrupt table lengths or missing tables.
-    pub fn pipelines_with_telemetry(
-        &self,
-        telemetry: &Arc<StageTelemetry>,
-    ) -> CodecResult<(Pipeline, Pipeline)> {
-        let (mut index_pipe, mut value_pipe) = self.pipelines()?;
-        index_pipe.set_telemetry(Some(Arc::clone(telemetry)));
-        value_pipe.set_telemetry(Some(Arc::clone(telemetry)));
-        Ok((index_pipe, value_pipe))
     }
 
     /// Rebuilds the per-stream decode pipelines from the serialized state.
@@ -474,23 +431,18 @@ impl CompressedMatrix {
     /// Decode errors, or structural errors if the decoded streams do not
     /// reassemble into a valid CSR matrix.
     pub fn decompress(&self) -> CodecResult<Csr> {
-        self.decompress_observed(None)
+        self.decompress_timed(None)
     }
 
-    /// [`Self::decompress`] with per-stage decode telemetry recorded into
-    /// `telemetry`.
+    /// [`Self::decompress`], clocking each decode stage into `stages` when
+    /// there is one.
     ///
     /// # Errors
     /// Same as [`Self::decompress`].
-    pub fn decompress_with_telemetry(&self, telemetry: &Arc<StageTelemetry>) -> CodecResult<Csr> {
-        self.decompress_observed(Some(telemetry))
-    }
-
-    fn decompress_observed(&self, telemetry: Option<&Arc<StageTelemetry>>) -> CodecResult<Csr> {
-        let (index_pipe, value_pipe) = match telemetry {
-            Some(t) => self.pipelines_with_telemetry(t)?,
-            None => self.pipelines()?,
-        };
+    pub fn decompress_timed(&self, stages: Option<&StageSink>) -> CodecResult<Csr> {
+        let (mut index_pipe, mut value_pipe) = self.pipelines()?;
+        index_pipe.time_stages(stages.cloned());
+        value_pipe.time_stages(stages.cloned());
         let index_bytes = index_pipe.decode_stream(&self.index_stream)?;
         let value_bytes = value_pipe.decode_stream(&self.value_stream)?;
         if index_bytes.len() != self.nnz * 4 || value_bytes.len() != self.nnz * 8 {
@@ -698,32 +650,37 @@ mod tests {
 
     #[test]
     fn telemetry_sees_enabled_stages_in_both_directions() {
-        use crate::telemetry::StageTelemetry;
-        use std::sync::Arc;
         let a = banded_matrix();
-        let tel = Arc::new(StageTelemetry::new());
-        let c = CompressedMatrix::compress_with_telemetry(&a, MatrixCodecConfig::udp_dsh(), &tel)
-            .unwrap();
-        let enc = tel.snapshot().encode;
+        let sink = StageSink::default();
+        let config = MatrixCodecConfig::udp_dsh();
+        let c = CompressedMatrix::compress_timed(&a, config, Some(&sink)).unwrap();
+        let enc = sink.report().encode;
         // Index stream is DSH, value stream SH: every stage ran somewhere.
         assert!(enc.delta.calls > 0 && enc.snappy.calls > 0 && enc.huffman.calls > 0);
         assert_eq!(enc.delta.bytes_in, (a.nnz() * 4) as u64, "delta sees raw index bytes");
-        // Decode through instrumented pipelines and check the other side.
-        let (ip, vp) = c.pipelines_with_telemetry(&tel).unwrap();
-        ip.decode_stream(&c.index_stream).unwrap();
-        vp.decode_stream(&c.value_stream).unwrap();
-        let dec = tel.snapshot().decode;
+        // Decode through timed pipelines and check the other side.
+        assert_eq!(c.decompress_timed(Some(&sink)).unwrap(), a);
+        let dec = sink.report().decode;
         assert!(dec.delta.calls > 0 && dec.snappy.calls > 0 && dec.huffman.calls > 0);
         assert_eq!(dec.delta.bytes_out, (a.nnz() * 4) as u64);
         assert_eq!(dec.snappy.bytes_out, ((a.nnz() * 12) as u64), "snappy emits both streams");
     }
 
     #[test]
-    fn untraced_pipeline_has_no_telemetry_attached() {
+    fn untimed_runs_leave_a_sink_alone() {
         let a = banded_matrix();
-        let c = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let sink = StageSink::default();
+        let config = MatrixCodecConfig::udp_dsh();
+        let c = CompressedMatrix::compress_timed(&a, config, Some(&sink)).unwrap();
+        let timed = sink.report();
+        // The pipelines a matrix hands out, and its own untimed entries,
+        // are detached from the sink that clocked its compression.
         let (ip, vp) = c.pipelines().unwrap();
-        assert!(ip.telemetry().is_none() && vp.telemetry().is_none());
+        ip.decode_stream(&c.index_stream).unwrap();
+        vp.decode_stream(&c.value_stream).unwrap();
+        c.decompress().unwrap();
+        CompressedMatrix::compress(&a, config).unwrap();
+        assert_eq!(sink.report(), timed);
     }
 
     #[test]

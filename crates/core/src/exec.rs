@@ -16,15 +16,17 @@
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
-use crate::ladder::{vector_traffic, BlockTally, Ladder};
+use crate::ladder::{report_run, vector_traffic, BlockTally, Ladder};
 pub use crate::ladder::{RunCtx, MAX_BLOCK_RETRIES};
 use crate::overlap::{OverlapConfig, OverlapExecutor, OverlapStats};
 use crate::recorder;
 use crate::resilience::{BreakerState, CircuitBreaker, JobReport, JobState};
-use crate::telemetry::{MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument};
+use crate::telemetry::{
+    MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument, BREAKER_COUNTERS, POOL_COUNTERS,
+};
 use recode_codec::block::{BlockStream, CompressedBlock};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
-use recode_codec::telemetry::StageTelemetry;
+use recode_codec::telemetry::StageSink;
 use recode_codec::{words, CodecError};
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
 use recode_sparse::Csr;
@@ -32,7 +34,6 @@ use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEvent
 use recode_udp::progs::DshDecoder;
 use recode_udp::{Lane, UdpError, OUTPUT_WINDOW_BYTES};
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Statistics from one UDP-decoded execution.
@@ -122,10 +123,11 @@ pub struct RecodedSpmv {
     index_decoder: DshDecoder,
     value_decoder: DshDecoder,
     raw_store: Option<RawFallbackStore>,
-    /// Software-codec stage telemetry, present on traced instances
-    /// ([`RecodedSpmv::new_traced`]). Encode timings accumulate at
-    /// compression; decode timings whenever the software path runs.
-    stage_telemetry: Option<Arc<StageTelemetry>>,
+    /// Software-codec stage timing, present when
+    /// [`RecodedSpmv::with_stage_timing`] was asked for it. Encode timings
+    /// accumulate at compression; decode timings whenever the software path
+    /// runs.
+    stage_times: Option<StageSink>,
 }
 
 /// Transport-structure check: block count and sequence positions. Per-block
@@ -160,8 +162,23 @@ impl RecodedSpmv {
     /// # Errors
     /// Codec preconditions or decoder-construction failures.
     pub fn new(a: &Csr, config: MatrixCodecConfig) -> ExecResult<Self> {
-        let compressed = CompressedMatrix::compress(a, config)?;
-        Self::from_compressed_with_store(compressed, Some(RawFallbackStore::from_csr(a)))
+        Self::with_stage_timing(a, config, false)
+    }
+
+    /// [`RecodedSpmv::new`], clocking the software codec's stages when
+    /// `timed`: per-stage encode timings are recorded during compression
+    /// here, decode timings whenever [`RecodedSpmv::decompress_via_software`]
+    /// runs, and the accumulated report lands in every [`TraceDocument`]
+    /// sealed over this operand. Untimed, no stage reads a clock and the
+    /// report stays all-zero.
+    ///
+    /// # Errors
+    /// As [`RecodedSpmv::new`].
+    pub fn with_stage_timing(a: &Csr, config: MatrixCodecConfig, timed: bool) -> ExecResult<Self> {
+        let stage_times = timed.then(StageSink::default);
+        let compressed = CompressedMatrix::compress_timed(a, config, stage_times.as_ref())?;
+        let store = Some(RawFallbackStore::from_csr(a));
+        Ok(RecodedSpmv { stage_times, ..Self::from_compressed_with_store(compressed, store)? })
     }
 
     /// Compresses `a` under a persisted [`crate::tune::TunedConfig`],
@@ -185,23 +202,6 @@ impl RecodedSpmv {
         Ok(Self::new(a, tuned.codec_config())?)
     }
 
-    /// [`RecodedSpmv::new`] with codec-stage telemetry attached: per-stage
-    /// encode timings are recorded during compression here, decode timings
-    /// whenever [`RecodedSpmv::decompress_via_software`] runs, and the
-    /// accumulated snapshot lands in every [`TraceDocument`] sealed over
-    /// this operand.
-    ///
-    /// # Errors
-    /// As [`RecodedSpmv::new`].
-    pub fn new_traced(a: &Csr, config: MatrixCodecConfig) -> ExecResult<Self> {
-        let stage_telemetry = Arc::new(StageTelemetry::new());
-        let compressed = CompressedMatrix::compress_with_telemetry(a, config, &stage_telemetry)?;
-        let mut this =
-            Self::from_compressed_with_store(compressed, Some(RawFallbackStore::from_csr(a)))?;
-        this.stage_telemetry = Some(stage_telemetry);
-        Ok(this)
-    }
-
     /// Wraps an already-compressed matrix (no fallback store: unrecoverable
     /// blocks become hard errors).
     ///
@@ -223,19 +223,7 @@ impl RecodedSpmv {
             DshDecoder::new(compressed.config.index, compressed.index_table_lengths.as_deref())?;
         let value_decoder =
             DshDecoder::new(compressed.config.value, compressed.value_table_lengths.as_deref())?;
-        Ok(RecodedSpmv {
-            compressed,
-            index_decoder,
-            value_decoder,
-            raw_store,
-            stage_telemetry: None,
-        })
-    }
-
-    /// The codec-stage telemetry attached by [`RecodedSpmv::new_traced`],
-    /// if any.
-    pub fn stage_telemetry(&self) -> Option<&Arc<StageTelemetry>> {
-        self.stage_telemetry.as_ref()
+        Ok(RecodedSpmv { compressed, index_decoder, value_decoder, raw_store, stage_times: None })
     }
 
     /// The compressed representation.
@@ -398,11 +386,11 @@ impl RecodedSpmv {
     /// result as a [`Csr`]. Successful retries run
     /// serially after the batch, so their cycles extend the makespan as well
     /// as the busy sum; budget backoff is pure waiting and stretches the
-    /// makespan only. With `ctx.tel` the run records the spans
-    /// `exec.decode_batch`, `exec.retry`, `exec.fallback`,
-    /// `exec.reassemble`, `exec.mem_stream` and `exec.dma`, per-block events
-    /// with lane and outcome, `exec.*` and `pool.*` counters, and memory
-    /// traffic by source.
+    /// makespan only. With `ctx.tel` the run records the phases
+    /// `exec.decode_batch`, an `exec.retry` (and `exec.fallback`) per block
+    /// on the ladder and `exec.reassemble`, the modeled `exec.mem_stream`
+    /// and `exec.dma`, per-block events with lane and outcome, `exec.*` and
+    /// `pool.*` counters, and memory traffic by source.
     ///
     /// # Errors
     /// [`ExecError::Unrecoverable`] if a block fails decoding, exhausts its
@@ -417,7 +405,7 @@ impl RecodedSpmv {
         ctx: RunCtx<'_>,
     ) -> ExecResult<(Csr, ExecStats)> {
         self.check_structure()?;
-        let RunCtx { hook, budget, tel } = ctx;
+        let RunCtx { hook, budget, mut tel } = ctx;
         let cm = &self.compressed;
         let empty_hook = FaultHook::default();
         let pool_before = tel.is_some().then(|| recode_udp::pool::global().stats());
@@ -431,7 +419,7 @@ impl RecodedSpmv {
             );
         };
         // Lane-track block events for the flight recorder; telemetry takes
-        // its per-block events from the ladder's tally.
+        // its per-block events from the ladder.
         let sink: Option<JobEventSink<'_>> =
             if recorder::is_enabled() { Some(&sink_fn) } else { None };
 
@@ -448,24 +436,24 @@ impl RecodedSpmv {
             index_extents.chain(value_extents).enumerate().collect();
         debug_assert_eq!(jobs.len(), self.total_jobs());
 
-        let t_batch = tel.is_some().then(Instant::now);
-        let outcome: BatchOutcome<UdpError> = {
-            let _span = recorder::span(recorder::Track::MAIN, "exec.decode_batch");
-            let run = |lane: &mut Lane, (job, dst): &mut (usize, &mut [u8])| {
-                self.decode_job_into(lane, *job, dst)
-            };
-            sys.udp.run_jobs_observed(&mut jobs, run, hook.unwrap_or(&empty_hook), sink)
+        let phase = recorder::phase(recorder::Track::MAIN, "exec.decode_batch", tel.is_some());
+        let run = |lane: &mut Lane, (job, dst): &mut (usize, &mut [u8])| {
+            self.decode_job_into(lane, *job, dst)
         };
-        let batch_ns = t_batch.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let outcome: BatchOutcome<UdpError> =
+            sys.udp.run_jobs_observed(&mut jobs, run, hook.unwrap_or(&empty_hook), sink);
+        let mut report = outcome.report;
+        let batch_seconds = report.makespan_cycles as f64 / sys.udp.freq_hz;
+        phase.finish(tel.as_deref_mut(), batch_seconds, report.output_bytes);
 
-        let mut ladder = Ladder::new(self, budget, recorder::Track::MAIN, tel.is_some());
+        let mut ladder =
+            Ladder::new(self, &sys.udp, budget, recorder::Track::MAIN, tel.as_deref_mut());
         for ((job, dst), first) in jobs.into_iter().zip(outcome.results) {
             ladder.settle(job, first, dst)?;
         }
         let backoff_cycles = ladder.backoff_cycles();
         let tally = ladder.tally;
 
-        let mut report = outcome.report;
         report.output_bytes += tally.recovered_bytes;
         report.opclass.merge(&tally.retry_opclass);
         report.stage_cycles.merge(&tally.retry_stages);
@@ -473,54 +461,21 @@ impl RecodedSpmv {
         report.busy_cycles += tally.retry_cycles;
         report.refresh_utilization();
 
-        let t_reassemble = tel.is_some().then(Instant::now);
+        let phase = recorder::phase(recorder::Track::MAIN, "exec.reassemble", tel.is_some());
         words::from_le_in_place(&mut col_idx);
         words::from_le_in_place(&mut values);
-        let decoded_bytes = (cm.nnz * 12) as u64;
         let a = Csr::try_from_parts(cm.nrows, cm.ncols, cm.row_ptr.clone(), col_idx, values)
             .map_err(|e| ExecError::Reassembly(format!("decoded matrix invalid: {e}")))?;
-        let reassemble_ns = t_reassemble.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        phase.finish(tel.as_deref_mut(), 0.0, (cm.nnz * 12) as u64);
 
         let stats =
             tally.stats(sys, report, cm.wire_bytes(), backoff_cycles, OverlapStats::default());
-
-        if let Some(tel) = tel {
-            let freq = sys.udp.freq_hz;
-            let batch_modeled = (stats.accel.makespan_cycles - stats.retry_cycles) as f64 / freq;
-            tel.span("exec.decode_batch", batch_ns, batch_modeled, stats.accel.output_bytes);
-            if stats.blocks_retried > 0 {
-                tel.span("exec.retry", tally.retry_ns, stats.retry_cycles as f64 / freq, 0);
-            }
-            if stats.blocks_fell_back > 0 {
-                tel.span("exec.fallback", tally.fallback_ns, 0.0, stats.fallback_bytes as u64);
-            }
-            tel.span("exec.reassemble", reassemble_ns, 0.0, decoded_bytes);
-            tally.emit(tel, sys, &stats, self);
-
-            // Lane-pool traffic over this batch, as deltas of the
-            // process-wide pool's monotonic counters. Parallel tests can
-            // inflate these (the pool is shared), so they are reported, not
-            // validated. Emitting any `pool.*` counter stamps the document
-            // `recode-trace/v2`. Saturating: `LanePool::reset` (chaos trial
-            // isolation) can zero the counters mid-run in a shared process.
-            if let Some(before) = pool_before {
-                let after = recode_udp::pool::global().stats();
-                for (name, after, before) in [
-                    ("pool.checkouts", after.checkouts, before.checkouts),
-                    ("pool.recycled_hits", after.recycled_hits, before.recycled_hits),
-                    ("pool.fresh_builds", after.fresh_builds, before.fresh_builds),
-                    ("pool.returned", after.returned, before.returned),
-                    (
-                        "pool.dropped_at_capacity",
-                        after.dropped_at_capacity,
-                        before.dropped_at_capacity,
-                    ),
-                    ("pool.quarantined", after.quarantined, before.quarantined),
-                    ("pool.readmitted", after.readmitted, before.readmitted),
-                ] {
-                    tel.add(name, after.saturating_sub(before));
-                }
-            }
+        if let (Some(tel), Some(before)) = (tel, pool_before) {
+            report_run(tel, &stats, self);
+            // Saturating: `LanePool::reset` (chaos trial isolation) can zero
+            // the pool's counters mid-run in a shared process.
+            let after = recode_udp::pool::global().stats();
+            tel.derive(POOL_COUNTERS, |get| get(&after).saturating_sub(get(&before)));
         }
         Ok((a, stats))
     }
@@ -554,7 +509,7 @@ impl RecodedSpmv {
     }
 
     /// [`RecodedSpmv::decompress_with`], then the multiply with `kernel`.
-    /// With `ctx.tel` the multiply adds the `exec.cpu_multiply` span and the
+    /// With `ctx.tel` the multiply adds the `exec.cpu_multiply` phase and the
     /// dense-vector traffic.
     ///
     /// # Errors
@@ -569,14 +524,11 @@ impl RecodedSpmv {
         let RunCtx { hook, budget, mut tel } = ctx;
         let (a, stats) =
             self.decompress_with(sys, RunCtx { hook, budget, tel: tel.as_deref_mut() })?;
-        let t_multiply = tel.is_some().then(Instant::now);
+        let phase = recorder::phase(recorder::Track::MAIN, "exec.cpu_multiply", tel.is_some());
         let mut y = vec![0.0; a.nrows()];
         spmv_with_into(kernel, &a, x, &mut y);
-        if let (Some(tel), Some(t)) = (tel, t_multiply) {
-            let multiply_ns = t.elapsed().as_nanos() as u64;
-            let bytes = vector_traffic(tel, a.nrows(), a.ncols());
-            tel.span("exec.cpu_multiply", multiply_ns, sys.mem.stream_seconds(bytes), bytes);
-        }
+        let bytes = tel.as_deref_mut().map_or(0, |tel| vector_traffic(tel, a.nrows(), a.ncols()));
+        phase.finish(tel, sys.mem.stream_seconds(bytes), bytes);
         Ok((y, stats))
     }
 
@@ -585,8 +537,9 @@ impl RecodedSpmv {
     /// — UDP decode with per-lane and per-opcode-class breakdowns,
     /// retry/fallback recovery, reassembly, modeled memory/DMA streaming,
     /// and the CPU multiply — along with per-block events, dotted counters,
-    /// memory traffic by source, and the codec-stage snapshot (non-zero when
-    /// built via [`RecodedSpmv::new_traced`]). `name` labels the matrix.
+    /// memory traffic by source, and the codec-stage report (non-zero when
+    /// built via [`RecodedSpmv::with_stage_timing`]). `name` labels the
+    /// matrix.
     ///
     /// # Errors
     /// As [`RecodedSpmv::decompress_with`].
@@ -606,9 +559,13 @@ impl RecodedSpmv {
     }
 
     /// The one [`TraceDocument`] sealer: matrix and platform identity, the
-    /// codec-stage snapshot, and the wall time since `t_total`, around
-    /// whatever `tel` collected during a run over this operand.
-    pub(crate) fn seal(
+    /// codec-stage report, and the wall time since `t_total`, around
+    /// whatever `tel` collected during a run over this operand (the registry
+    /// a caller put in its [`RunCtx`]; the `spmv_traced` entries own theirs).
+    /// A governed job ([`RecodedSpmv::run_job`]) seals the same way whenever
+    /// it produced stats; its document carries `pool.*` and `breaker.*`
+    /// counters and so is stamped `recode-trace/v2` (`recode metrics`).
+    pub fn seal(
         &self,
         sys: &SystemConfig,
         tel: Telemetry,
@@ -630,7 +587,7 @@ impl RecodedSpmv {
             lanes: sys.udp.lanes,
             freq_hz: sys.udp.freq_hz,
         };
-        let codec_stages = self.stage_telemetry.as_ref().map(|t| t.snapshot()).unwrap_or_default();
+        let codec_stages = self.stage_times.as_ref().map(StageSink::report).unwrap_or_default();
         let wall_ns_total = t_total.elapsed().as_nanos() as u64;
         tel.into_document(matrix, system, stats.clone(), codec_stages, &sys.mem, wall_ns_total)
     }
@@ -682,20 +639,10 @@ impl RecodedSpmv {
                 (a, stats)
             })
         };
-        // Breaker posture after the job, as `breaker.*` counters (v2
-        // content). `breaker.state` is a code: 0 closed, 1 open, 2 half-open.
+        // Breaker posture after the job, as `breaker.*` counters (v2 content).
         let breaker_state = breaker.as_deref().map_or(BreakerState::Closed, CircuitBreaker::state);
         if let (Some(tel), Some(b)) = (tel, breaker.as_deref()) {
-            tel.add("breaker.trips", b.trips());
-            tel.add("breaker.probes", b.probes());
-            tel.add(
-                "breaker.state",
-                match breaker_state {
-                    BreakerState::Closed => 0,
-                    BreakerState::Open => 1,
-                    BreakerState::HalfOpen => 2,
-                },
-            );
+            tel.derive(BREAKER_COUNTERS, |get| get(b));
         }
         let (state, matrix, stats, error) = match result {
             Ok((a, stats)) => {
@@ -710,36 +657,14 @@ impl RecodedSpmv {
         JobReport { state, matrix, stats, error, software_path: !admitted, breaker: breaker_state }
     }
 
-    /// [`RecodedSpmv::run_job`] (whose `ctx.tel` is supplied here) plus a
-    /// sealed [`TraceDocument`] when the job produced stats (every state but
-    /// `Rejected`/`DeadlineExceeded`). The document carries the `pool.*` and
-    /// — when a breaker was supplied — `breaker.*` counters, so it is always
-    /// stamped `recode-trace/v2`. This is the `recode metrics` scrape path.
-    pub fn run_job_traced(
-        &self,
-        sys: &SystemConfig,
-        ctx: RunCtx<'_>,
-        breaker: Option<&mut CircuitBreaker>,
-        name: &str,
-    ) -> (JobReport, Option<TraceDocument>) {
-        let t_total = Instant::now();
-        let mut tel = Telemetry::new();
-        let report = self.run_job(sys, ctx.traced(&mut tel), breaker);
-        let doc = report.stats.as_ref().map(|stats| self.seal(sys, tel, stats, name, t_total));
-        (report, doc)
-    }
-
     /// Software-only decode path (reference), for differential testing.
-    /// On a traced instance ([`RecodedSpmv::new_traced`]) the per-stage
-    /// decode timings accumulate into the attached telemetry.
+    /// On a timed instance ([`RecodedSpmv::with_stage_timing`]) the
+    /// per-stage decode timings accumulate into its report.
     ///
     /// # Errors
     /// Codec errors.
     pub fn decompress_via_software(&self) -> Result<Csr, CodecError> {
-        match &self.stage_telemetry {
-            Some(t) => self.compressed.decompress_with_telemetry(t),
-            None => self.compressed.decompress(),
-        }
+        self.compressed.decompress_timed(self.stage_times.as_ref())
     }
 
     /// **Streaming tiled SpMV** — the paper's Fig. 7 execution mode, on the
@@ -979,7 +904,7 @@ mod tests {
     #[test]
     fn traced_spmv_emits_a_consistent_document() {
         let a = test_matrix();
-        let r = RecodedSpmv::new_traced(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let r = RecodedSpmv::with_stage_timing(&a, MatrixCodecConfig::udp_dsh(), true).unwrap();
         let sys = SystemConfig::ddr4();
         let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
         let (y, stats, doc) =

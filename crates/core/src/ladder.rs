@@ -1,9 +1,9 @@
 //! The parts of one run that do not depend on the schedule: what varies
 //! between plain, faulty, budgeted and traced runs ([`RunCtx`]), the
-//! block-recovery ladder every failed first attempt climbs (`Ladder`), and
-//! the per-run accounting (`BlockTally`) from which the [`ExecStats`], the
-//! common `exec.*` telemetry and a `DeadlineExceeded`'s progress count are all
-//! derived.
+//! block-recovery ladder every failed first attempt climbs (`Ladder`), the
+//! per-run accounting (`BlockTally`) from which the [`ExecStats`] and a
+//! `DeadlineExceeded`'s progress count are derived, and the telemetry every
+//! schedule reports the same way (`report_run`).
 //!
 //! A schedule — the 64-lane batch fan-out of [`crate::exec`], or the tile
 //! walker of [`crate::overlap`], threaded or inline — makes each block's
@@ -21,12 +21,11 @@ use crate::exec::{ExecStats, RecodedSpmv};
 use crate::overlap::OverlapStats;
 use crate::recorder;
 use crate::resilience::{BudgetTracker, JobBudget};
-use crate::telemetry::{BlockEvent, BlockOutcome, Telemetry};
+use crate::telemetry::{BlockEvent, BlockOutcome, Telemetry, EXEC_COUNTERS};
 use recode_mem::traffic::TrafficSource;
-use recode_udp::accel::{AccelReport, FaultHook, JobOutcome, StageCycles};
+use recode_udp::accel::{AccelReport, Accelerator, FaultHook, JobOutcome, StageCycles};
 use recode_udp::lane::OpClassCycles;
 use recode_udp::UdpError;
-use std::time::Instant;
 
 /// How many times a failed block is re-decoded on a fresh lane before the
 /// raw-store fallback kicks in.
@@ -44,7 +43,8 @@ pub struct RunCtx<'a> {
     /// [`ExecError::DeadlineExceeded`], never as a hang. `None` and an
     /// unbounded budget behave identically.
     pub budget: Option<&'a JobBudget>,
-    /// Telemetry registry. When `Some`, the run records per-phase spans,
+    /// Telemetry registry: whether a run is traced is this value, not a
+    /// second entry point. When `Some`, the run records per-phase spans,
     /// per-block events, dotted counters and memory traffic by source; when
     /// `None`, no clocks are read and no events are collected.
     pub tel: Option<&'a mut Telemetry>,
@@ -52,7 +52,7 @@ pub struct RunCtx<'a> {
 
 impl<'a> RunCtx<'a> {
     /// This context recording into `tel`, in place of any registry it
-    /// carried: what the `_traced` entries, which own their registry, run.
+    /// carried: what the `spmv_traced` entries, which own theirs, run.
     #[must_use]
     pub fn traced(self, tel: &'a mut Telemetry) -> Self {
         RunCtx { tel: Some(tel), ..self }
@@ -76,12 +76,6 @@ pub(crate) struct BlockTally {
     pub recovered_bytes: u64,
     pub retry_opclass: OpClassCycles,
     pub retry_stages: StageCycles,
-    /// Host time on the two rungs (traced runs only).
-    pub retry_ns: u64,
-    pub fallback_ns: u64,
-    /// `(job, lane cycles of the attempt that produced the bytes, outcome)`
-    /// per settled block (traced runs only).
-    events: Vec<(usize, u64, BlockOutcome)>,
 }
 
 impl BlockTally {
@@ -126,47 +120,23 @@ impl BlockTally {
             overlap,
         }
     }
+}
 
-    /// The telemetry every schedule reports the same way, after its own
-    /// phase spans: modeled memory/DMA spans, the `exec.*` counters, the
-    /// compressed-stream traffic rows, and one event per job in job order
-    /// (job `k` runs on lane `k % lanes` under every schedule).
-    pub fn emit(
-        mut self,
-        tel: &mut Telemetry,
-        sys: &SystemConfig,
-        stats: &ExecStats,
-        r: &RecodedSpmv,
-    ) {
-        let fetched = stats.compressed_bytes as u64;
-        let fallback = stats.fallback_bytes as u64;
-        tel.span("exec.mem_stream", 0, stats.mem_stream_seconds, fetched + fallback);
-        tel.span("exec.dma", 0, stats.dma_seconds, fetched);
+/// The telemetry every schedule reports the same way once its stats exist,
+/// after its own phases: the modeled-only memory/DMA spans (no clock is
+/// read for them), the `exec.*` counters, the compressed-stream traffic
+/// rows, and the settled blocks' events put in job order.
+pub(crate) fn report_run(tel: &mut Telemetry, stats: &ExecStats, r: &RecodedSpmv) {
+    let fetched = stats.compressed_bytes as u64;
+    let fallback = stats.fallback_bytes as u64;
+    tel.span("exec.mem_stream", 0, stats.mem_stream_seconds, fetched + fallback);
+    tel.span("exec.dma", 0, stats.dma_seconds, fetched);
+    tel.derive(EXEC_COUNTERS, |get| get(stats));
 
-        tel.add("exec.jobs", stats.accel.jobs as u64);
-        tel.add("exec.jobs_failed", stats.accel.jobs_failed as u64);
-        tel.add("exec.blocks_retried", stats.blocks_retried as u64);
-        tel.add("exec.blocks_fell_back", stats.blocks_fell_back as u64);
-        tel.add("exec.fallback_bytes", fallback);
-        tel.add("exec.retry_cycles", stats.retry_cycles);
-
-        tel.traffic.read(TrafficSource::CompressedStream, fetched);
-        tel.traffic.read(TrafficSource::FallbackRefetch, fallback);
-        tel.traffic.read(TrafficSource::RowPtr, ((r.compressed().nrows + 1) * 8) as u64);
-
-        self.events.sort_by_key(|e| e.0);
-        for (job, cycles, outcome) in self.events {
-            let (stream, block) = r.locate(job);
-            tel.block_event(BlockEvent {
-                job,
-                stream,
-                block,
-                lane: job % sys.udp.lanes,
-                cycles,
-                outcome,
-            });
-        }
-    }
+    tel.traffic.read(TrafficSource::CompressedStream, fetched);
+    tel.traffic.read(TrafficSource::FallbackRefetch, fallback);
+    tel.traffic.read(TrafficSource::RowPtr, ((r.compressed().nrows + 1) * 8) as u64);
+    tel.sort_block_events();
 }
 
 /// Charges the dense vectors of one multiply to `tel`'s traffic ledger (the
@@ -179,28 +149,31 @@ pub(crate) fn vector_traffic(tel: &mut Telemetry, nrows: usize, ncols: usize) ->
     read + write
 }
 
-/// The block-recovery ladder of one run, with the budget it spends and the
-/// tally it fills.
-pub(crate) struct Ladder<'m> {
-    recoded: &'m RecodedSpmv,
+/// The block-recovery ladder of one run, with the budget it spends, the
+/// tally it fills and the telemetry it reports each settled block to.
+pub(crate) struct Ladder<'a> {
+    recoded: &'a RecodedSpmv,
+    /// Job `k` runs on lane `k % lanes` under every schedule.
+    udp: &'a Accelerator,
     tracker: Option<BudgetTracker>,
     /// Recorder track of the thread that climbs the ladder.
     track: recorder::Track,
-    traced: bool,
+    tel: Option<&'a mut Telemetry>,
     pub tally: BlockTally,
 }
 
-impl<'m> Ladder<'m> {
-    /// Starts the budget's clock. `traced` turns on rung timing and the
-    /// per-block event list.
+impl<'a> Ladder<'a> {
+    /// Starts the budget's clock. With `tel` every settled block leaves an
+    /// event and every rung a phase.
     pub fn new(
-        recoded: &'m RecodedSpmv,
+        recoded: &'a RecodedSpmv,
+        udp: &'a Accelerator,
         budget: Option<&JobBudget>,
         track: recorder::Track,
-        traced: bool,
+        tel: Option<&'a mut Telemetry>,
     ) -> Self {
         let tracker = budget.map(|b| BudgetTracker::new(*b));
-        Ladder { recoded, tracker, track, traced, tally: BlockTally::default() }
+        Ladder { recoded, udp, tracker, track, tel, tally: BlockTally::default() }
     }
 
     /// Scheduler backoff charged by the budget so far.
@@ -233,8 +206,10 @@ impl<'m> Ladder<'m> {
             }
             Err(e) => self.recover(job, e, dst)?,
         };
-        if self.traced {
-            self.tally.events.push((job, cycles, outcome));
+        if let Some(tel) = self.tel.as_deref_mut() {
+            let (stream, block) = self.recoded.locate(job);
+            let lane = job % self.udp.lanes;
+            tel.block_event(BlockEvent { job, stream, block, lane, cycles, outcome });
         }
         Ok(cycles)
     }
@@ -248,7 +223,8 @@ impl<'m> Ladder<'m> {
         let r = self.recoded;
         let mut last_err = first_err;
         let mut retried = None;
-        let t_retry = self.traced.then(Instant::now);
+        let backoff_before = self.backoff_cycles();
+        let phase = recorder::phase(self.track, "exec.retry", self.tel.is_some());
         // One pooled lane serves every attempt: a decode fully resets lane
         // state, so attempt N is as "fresh" as a new lane.
         let mut lane = recode_udp::pool::global().checkout();
@@ -277,7 +253,11 @@ impl<'m> Ladder<'m> {
             }
         }
         drop(lane);
-        self.tally.retry_ns += t_retry.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        // The rung's modeled time: the decode that succeeded, if one did,
+        // and the backoff the budget charged for the attempts.
+        let (cycles, bytes) = retried.as_ref().map_or((0, 0), |o| (o.cycles, o.output_bytes));
+        let waited = self.backoff_cycles() - backoff_before;
+        phase.finish(self.tel.as_deref_mut(), (cycles + waited) as f64 / self.udp.freq_hz, bytes);
         if let Some(o) = retried {
             if let Some(t) = self.tracker.as_mut() {
                 t.charge_retry_cycles(o.cycles);
@@ -290,9 +270,9 @@ impl<'m> Ladder<'m> {
             return Ok((o.cycles, BlockOutcome::Retried));
         }
         // Retries exhausted: re-fetch the block's uncompressed range.
-        let t_fallback = self.traced.then(Instant::now);
+        let phase = recorder::phase(self.track, "exec.fallback", self.tel.is_some());
         let raw = r.raw_block(job).inspect(|raw| dst.copy_from_slice(raw));
-        self.tally.fallback_ns += t_fallback.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        phase.finish(self.tel.as_deref_mut(), 0.0, raw.map_or(0, |raw| raw.len() as u64));
         let Some(raw) = raw else {
             return Err(ExecError::Unrecoverable {
                 block: last_err.block().or(Some(r.locate(job).1)),

@@ -9,8 +9,10 @@
 //! Naming follows the Prometheus conventions: dotted trace counters map to
 //! underscored metric names under the `recode_` prefix (`exec.jobs` →
 //! `recode_exec_jobs`), monotonic values are typed `counter`, point-in-time
-//! values `gauge`, and per-span wall times share one family with a `span`
-//! label.
+//! values `gauge` (`breaker.state` is a state code, not a count), and
+//! per-span wall times share one family with a `span` label — one sample per
+//! span name, so the per-block `exec.retry` phases of a faulted run add up
+//! under a single label.
 
 use crate::telemetry::TraceDocument;
 use std::fmt::Write as _;
@@ -50,7 +52,7 @@ impl MetricsSnapshot {
         for (name, value) in &doc.counters {
             families.push(Family {
                 name: metric_name(name),
-                kind: "counter",
+                kind: if name == "breaker.state" { "gauge" } else { "counter" },
                 help: format!("Trace counter `{name}`."),
                 samples: vec![(None, *value as f64)],
             });
@@ -113,14 +115,18 @@ impl MetricsSnapshot {
         }
 
         if !doc.spans.is_empty() {
+            // A label set may appear once per family: same-named spans add up.
+            let mut by_name = std::collections::BTreeMap::<&str, u64>::new();
+            for s in &doc.spans {
+                *by_name.entry(&s.name).or_default() += s.wall_ns;
+            }
             families.push(Family {
                 name: "recode_span_wall_ns".to_string(),
                 kind: "gauge",
                 help: "Host wall-clock nanoseconds per pipeline phase.".to_string(),
-                samples: doc
-                    .spans
-                    .iter()
-                    .map(|s| (Some(("span".to_string(), s.name.clone())), s.wall_ns as f64))
+                samples: by_name
+                    .into_iter()
+                    .map(|(name, ns)| (Some(("span".to_string(), name.to_string())), ns as f64))
                     .collect(),
             });
         }
@@ -148,16 +154,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Number of metric families in the snapshot.
-    pub fn len(&self) -> usize {
-        self.families.len()
-    }
-
-    /// True when the snapshot carries no families.
-    pub fn is_empty(&self) -> bool {
-        self.families.is_empty()
-    }
 }
 
 /// Integral values print without an exponent or decimal; the rest use
@@ -184,7 +180,11 @@ mod tests {
         let mut tel = Telemetry::new();
         tel.add("exec.jobs", 8);
         tel.add("pool.checkouts", 3);
+        tel.add("breaker.trips", 1);
+        tel.add("breaker.state", 2);
         tel.span("exec.decode_batch", 1_000, 0.0, 64);
+        tel.span("exec.retry", 30, 0.0, 0);
+        tel.span("exec.retry", 12, 0.0, 0);
         let mut doc = tel.into_document(
             MatrixMeta { name: "m".into(), nnz: 100, bytes_per_nnz: 4.5, ..MatrixMeta::default() },
             SystemMeta::default(),
@@ -211,9 +211,16 @@ mod tests {
         assert!(text.contains("# TYPE recode_exec_jobs counter"), "{text}");
         assert!(text.contains("\nrecode_exec_jobs 8\n"), "{text}");
         assert!(text.contains("# TYPE recode_pool_checkouts counter"), "{text}");
+        assert!(text.contains("# TYPE recode_breaker_trips counter"), "{text}");
+        // A state code (0 closed, 1 open, 2 half-open) goes down as well as up.
+        assert!(text.contains("# TYPE recode_breaker_state gauge"), "{text}");
+        assert!(text.contains("\nrecode_breaker_state 2\n"), "{text}");
         assert!(text.contains("# TYPE recode_matrix_bytes_per_nnz gauge"), "{text}");
         assert!(text.contains("\nrecode_matrix_bytes_per_nnz 4.5\n"), "{text}");
         assert!(text.contains("recode_span_wall_ns{span=\"exec.decode_batch\"} 1000"), "{text}");
+        // One sample per label set: the two retry phases add up.
+        assert_eq!(text.matches("span=\"exec.retry\"").count(), 1, "{text}");
+        assert!(text.contains("recode_span_wall_ns{span=\"exec.retry\"} 42"), "{text}");
         assert!(text.contains("\nrecode_recorder_dropped 2\n"), "{text}");
         assert!(text.contains("recode_recorder_events_total{kind=\"jit_compile\"} 7"), "{text}");
         assert!(text.contains("recode_recorder_events_total{kind=\"block_done\"} 3"), "{text}");

@@ -43,10 +43,9 @@
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
 use crate::exec::{ExecStats, RecodedSpmv};
-use crate::ladder::{vector_traffic, Ladder, RunCtx};
+use crate::ladder::{report_run, vector_traffic, Ladder, RunCtx};
 use crate::recorder;
-use crate::resilience::JobBudget;
-use crate::telemetry::{StreamKind, Telemetry, TraceDocument};
+use crate::telemetry::{StreamKind, Telemetry, TraceDocument, TILED_COUNTERS};
 use recode_mem::traffic::TrafficSource;
 use recode_sparse::solve::{self, SolveResult};
 use recode_udp::accel::{panic_payload_message, AccelReport, Accelerator, FaultHook};
@@ -387,9 +386,11 @@ impl<'m> OverlapExecutor<'m> {
     /// points); backoff accumulates into [`ExecStats::backoff_cycles`] as a
     /// reported quantity while the modeled pipelined makespan keeps its
     /// `max(decode, multiply)` definition. With `ctx.tel` the run records
-    /// the spans `exec.overlap`, `exec.mem_stream`, `exec.dma`, the
-    /// `exec.*`, `pipeline.overlap.*` and `cache.*` counters, per-block
-    /// events, and traffic by source.
+    /// the phase `exec.overlap` (the walker's own `decode`, `exec.retry` and
+    /// `exec.fallback` spans run underneath it on the stage-0 track and stay
+    /// in the flight recorder), the modeled `exec.mem_stream` and
+    /// `exec.dma`, the `exec.*`, `pipeline.overlap.*` and `cache.*`
+    /// counters, per-block events, and traffic by source.
     ///
     /// # Errors
     /// [`ExecError::Unrecoverable`] for a block that fails decode, exhausts
@@ -516,7 +517,8 @@ impl<'m> OverlapExecutor<'m> {
             StreamKind::Index => pos,
             StreamKind::Value => self.recoded.compressed().index_stream.blocks.len() + pos,
         };
-        let mut ladder = Ladder::new(self.recoded, None, recorder::Track::stage(0), false);
+        let udp = Accelerator::default();
+        let mut ladder = Ladder::new(self.recoded, &udp, None, recorder::Track::stage(0), None);
         let mut walk = TileWalk::default();
         self.decode_one(job, &FaultHook::default(), &mut ladder, &mut walk).map(|d| d.0.len())
     }
@@ -538,8 +540,8 @@ impl<'m> OverlapExecutor<'m> {
             (bytes, 0)
         } else {
             // Decode work happens on the producer (stage 0) track; cache
-            // hits never open this span.
-            let _decode_span = recorder::span(recorder::Track::stage(0), "decode");
+            // hits never open this span. Off the main track, so ring only.
+            let _decode = recorder::phase(recorder::Track::stage(0), "decode", false);
             // The block's own buffer at its extent: first attempt and every
             // rung of the ladder fill it in place, then it moves into the
             // `Arc` the tile (and the cache) hold.
@@ -569,16 +571,18 @@ impl<'m> OverlapExecutor<'m> {
     /// `emit` returns `false` when the consumers are gone (every worker
     /// exited); the walk then stops decoding immediately instead of filling
     /// a channel nobody drains.
-    fn produce_tiles(
-        &self,
-        hook: &FaultHook,
-        budget: Option<&JobBudget>,
-        traced: bool,
+    fn produce_tiles<'a>(
+        &'a self,
+        udp: &'a Accelerator,
+        ctx: RunCtx<'a>,
         mut emit: impl FnMut(TileWork) -> bool,
-    ) -> ExecResult<(TileWalk, Ladder<'m>)> {
+    ) -> ExecResult<(TileWalk, Ladder<'a>)> {
         let cm = self.recoded.compressed();
         let n_index = cm.index_stream.blocks.len();
-        let mut ladder = Ladder::new(self.recoded, budget, recorder::Track::stage(0), traced);
+        let RunCtx { hook, budget, tel } = ctx;
+        let empty_hook = FaultHook::default();
+        let hook = hook.unwrap_or(&empty_hook);
+        let mut ladder = Ladder::new(self.recoded, udp, budget, recorder::Track::stage(0), tel);
         let mut walk = TileWalk::default();
         let mut val_buf: Vec<u8> = Vec::new();
         let mut next_value = n_index;
@@ -633,15 +637,15 @@ impl<'m> OverlapExecutor<'m> {
     /// producer stops as soon as a send fails, and this function drops its
     /// own handle on the tile receiver so dead workers actually close the
     /// channel.
-    fn run_threaded(
-        &self,
+    fn run_threaded<'a>(
+        &'a self,
         workers: usize,
+        udp: &'a Accelerator,
         x: &[f64],
         y: &mut [f64],
-        hook: &FaultHook,
-        budget: Option<&JobBudget>,
-        traced: bool,
-    ) -> ExecResult<(TileWalk, Ladder<'m>)> {
+        ctx: RunCtx<'a>,
+    ) -> ExecResult<(TileWalk, Ladder<'a>)> {
+        let hook = ctx.hook;
         let row_ptr: &[usize] = &self.recoded.compressed().row_ptr;
         let (tile_tx, tile_rx) = mpsc::sync_channel::<TileWork>(workers + 1);
         let tile_rx = Arc::new(Mutex::new(tile_rx));
@@ -654,7 +658,7 @@ impl<'m> OverlapExecutor<'m> {
                 let out = catch_unwind(AssertUnwindSafe(|| {
                     // `send` fails only when every worker is gone; the
                     // producer then stops decoding instead of blocking.
-                    self.produce_tiles(hook, budget, traced, |tile| tile_tx.send(tile).is_ok())
+                    self.produce_tiles(udp, ctx, |tile| tile_tx.send(tile).is_ok())
                 }));
                 drop(tile_tx);
                 // The scope waits for this closure, not the thread's TLS
@@ -676,10 +680,11 @@ impl<'m> OverlapExecutor<'m> {
                         let tile = work.tile;
                         let result = catch_unwind(AssertUnwindSafe(|| {
                             assert!(
-                                !hook.panic_tiles.contains(&tile),
+                                !hook.is_some_and(|h| h.panic_tiles.contains(&tile)),
                                 "injected panic in tile {tile}"
                             );
-                            let _span = recorder::span(recorder::Track::worker(w), "multiply_tile");
+                            let _multiply =
+                                recorder::phase(recorder::Track::worker(w), "multiply_tile", false);
                             multiply_tile(row_ptr, x, &work)
                         }));
                         match result {
@@ -765,25 +770,25 @@ impl<'m> OverlapExecutor<'m> {
                 cm.index_stream.block_bytes
             )));
         }
-        let RunCtx { hook, budget, tel } = ctx;
-        let empty_hook = FaultHook::default();
-        let hook = hook.unwrap_or(&empty_hook);
+        let RunCtx { hook, budget, mut tel } = ctx;
         let cache_before = self.cache.lock().expect("cache poisoned").stats();
 
-        let t_wall = Instant::now();
-        let _overlap_span = recorder::span(recorder::Track::MAIN, "exec.overlap");
+        let phase = recorder::phase(recorder::Track::MAIN, "exec.overlap", tel.is_some());
         let mut y = vec![0.0f64; cm.nrows];
+        // The walker's context: the same run, its registry lent for the walk.
+        let ctx = RunCtx { hook, budget, tel: tel.as_deref_mut() };
         let (workers, (walk, ladder)) = if threaded {
             let workers = self.config.effective_workers().max(1);
-            (workers, self.run_threaded(workers, x, &mut y, hook, budget, tel.is_some())?)
+            (workers, self.run_threaded(workers, &sys.udp, x, &mut y, ctx)?)
         } else {
             let inline = |tile: TileWork| {
                 accumulate_tile(&cm.row_ptr, x, &tile, 0, &mut y);
                 true
             };
-            (0, self.produce_tiles(hook, budget, tel.is_some(), inline)?)
+            (0, self.produce_tiles(&sys.udp, ctx, inline)?)
         };
-        let wall_ns = t_wall.elapsed().as_nanos() as u64;
+        let backoff_cycles = ladder.backoff_cycles();
+        let tally = ladder.tally;
 
         // Modeled schedule: the lane decodes tile i+1 while the CPU
         // multiplies tile i.
@@ -820,8 +825,7 @@ impl<'m> OverlapExecutor<'m> {
             cache_hit_bytes: cache_after.hit_bytes - cache_before.hit_bytes,
         };
 
-        let backoff_cycles = ladder.backoff_cycles();
-        let tally = ladder.tally;
+        phase.finish(tel.as_deref_mut(), makespan as f64 / sys.udp.freq_hz, walk.decoded_bytes);
         let mut report = AccelReport {
             jobs: tally.completed(),
             jobs_failed: tally.failed(),
@@ -837,21 +841,9 @@ impl<'m> OverlapExecutor<'m> {
         let stats = tally.stats(sys, report, walk.fetched_bytes, backoff_cycles, overlap);
 
         if let Some(tel) = tel {
-            let modeled = makespan as f64 / sys.udp.freq_hz;
-            tel.span("exec.overlap", wall_ns, modeled, walk.decoded_bytes);
-            tally.emit(tel, sys, &stats, self.recoded);
+            report_run(tel, &stats, self.recoded);
             vector_traffic(tel, cm.nrows, cm.ncols);
-
-            tel.add("pipeline.overlap.stages", overlap.stages as u64);
-            tel.add("pipeline.overlap.decode_cycles", overlap.decode_cycles);
-            tel.add("pipeline.overlap.multiply_cycles", overlap.multiply_cycles);
-            tel.add("pipeline.overlap.makespan_cycles", overlap.overlapped_makespan_cycles);
-            tel.add("pipeline.overlap.serial_cycles", overlap.serial_makespan_cycles);
-            tel.add("pipeline.overlap.saved_cycles", overlap.saved_cycles());
-            tel.add("cache.hits", overlap.cache_hits);
-            tel.add("cache.misses", overlap.cache_misses);
-            tel.add("cache.evictions", overlap.cache_evictions);
-            tel.add("cache.hit_bytes", overlap.cache_hit_bytes);
+            tel.derive(TILED_COUNTERS, |get| get(&overlap));
             tel.traffic.read(TrafficSource::DecodedCache, overlap.cache_hit_bytes);
         }
         Ok((y, stats, walk.peak_resident_bytes))
@@ -905,6 +897,7 @@ fn modeled_multiply_cycles(sys: &SystemConfig, bytes_per_nnz: f64, nnz: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::JobBudget;
     use recode_codec::pipeline::MatrixCodecConfig;
     use recode_sparse::prelude::*;
     use recode_sparse::spmv::SpmvKernel;
@@ -1065,7 +1058,7 @@ mod tests {
     #[test]
     fn traced_overlap_run_seals_a_valid_document() {
         let a = test_matrix();
-        let r = RecodedSpmv::new_traced(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let r = RecodedSpmv::with_stage_timing(&a, MatrixCodecConfig::udp_dsh(), true).unwrap();
         let sys = SystemConfig::ddr4();
         let x = vec![1.0; a.ncols()];
         let ex = OverlapExecutor::new(
@@ -1229,7 +1222,6 @@ mod tests {
 
     #[test]
     fn overlap_budget_exhaustion_is_deadline_exceeded() {
-        use crate::resilience::JobBudget;
         use std::time::Duration;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
@@ -1296,7 +1288,6 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_counts_finished_blocks_on_both_schedules() {
-        use crate::resilience::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -1331,7 +1322,6 @@ mod tests {
 
     #[test]
     fn overlap_backoff_is_reported_but_never_folded_into_the_makespan() {
-        use crate::resilience::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();

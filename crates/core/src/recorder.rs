@@ -27,6 +27,7 @@
 //! Event names are `&'static str` by construction: no formatting happens
 //! at record time.
 
+use crate::telemetry::Telemetry;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -97,23 +98,6 @@ impl EventKind {
             EventKind::JitCompile => "jit_compile",
         }
     }
-
-    /// Every kind, for summary tables.
-    pub const ALL: [EventKind; 13] = [
-        EventKind::SpanBegin,
-        EventKind::SpanEnd,
-        EventKind::BlockOutcome,
-        EventKind::Retry,
-        EventKind::Fallback,
-        EventKind::BreakerTransition,
-        EventKind::PoolQuarantine,
-        EventKind::PoolProbation,
-        EventKind::PoolRecycle,
-        EventKind::CacheHit,
-        EventKind::CacheEvict,
-        EventKind::ChaosInjection,
-        EventKind::JitCompile,
-    ];
 }
 
 /// Which timeline an event belongs to. Encoded in one `u32`: the high
@@ -370,21 +354,22 @@ const EMPTY_EVENT: Event = Event {
 /// Records one event. No-op (one atomic load) while disabled.
 #[inline]
 pub fn record(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64) {
-    if !is_enabled() {
-        return;
+    if is_enabled() {
+        record_at(kind, track, name, a, b, Instant::now());
     }
-    record_slow(kind, track, name, a, b);
 }
 
-/// Stamps an event with the time since the epoch and its arrival sequence.
-fn stamp(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64) -> Event {
-    let ts_ns = epoch().elapsed().as_nanos() as u64;
+/// Stamps an event with its time since the epoch (zero for an instant read
+/// before the recorder was first enabled) and its arrival sequence.
+fn stamp(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64, at: Instant) -> Event {
+    let ts_ns = at.saturating_duration_since(epoch()).as_nanos() as u64;
     Event { ts_ns, seq: SEQ.fetch_add(1, Ordering::Relaxed), kind, track, name, a, b }
 }
 
+/// Records one event whose clock the caller has already read.
 #[cold]
-fn record_slow(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64) {
-    let e = stamp(kind, track, name, a, b);
+fn record_at(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64, at: Instant) {
+    let e = stamp(kind, track, name, a, b, at);
     // Destroyed-TLS fallback (thread teardown): drop the event rather than
     // touch a dead slot.
     let _ = LOCAL.try_with(|l| SINK.accept(&mut l.borrow_mut().0, e));
@@ -394,19 +379,65 @@ fn record_slow(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64
 /// nest per thread, so each track's B/E events pair up like a stack.
 #[must_use = "the span closes when the guard drops"]
 pub fn span(track: Track, name: &'static str) -> SpanGuard {
-    record(EventKind::SpanBegin, track, name, 0, 0);
-    SpanGuard { track, name }
+    phase(track, name, false)
 }
 
-/// Closes its span on drop (records nothing while disabled).
+/// Opens one phase of a run: a [`span`] whose wall time a
+/// [`Telemetry`] wants too when `traced`. This guard is the only place the
+/// executors read a clock for a phase: the read that stamps the ring's
+/// `SpanBegin`/`SpanEnd` is the read the document's [`Span`] is measured
+/// from, so the two views cannot disagree. Untraced with the recorder off
+/// it reads no clock at all.
+///
+/// [`Span`]: crate::telemetry::Span
+#[must_use = "the phase closes when the guard drops"]
+pub fn phase(track: Track, name: &'static str, traced: bool) -> SpanGuard {
+    let recording = is_enabled();
+    let opened = (traced || recording).then(Instant::now);
+    if let (Some(at), true) = (opened, recording) {
+        record_at(EventKind::SpanBegin, track, name, 0, 0, at);
+    }
+    SpanGuard { track, name, opened }
+}
+
+/// An open [`span`] or [`phase`]. Dropping it closes the ring's span (an
+/// error return leaves the ring balanced); [`SpanGuard::finish`] also hands
+/// the phase to the run's telemetry.
 pub struct SpanGuard {
     track: Track,
     name: &'static str,
+    /// The opening clock read; `None` when nobody wanted one, and once closed.
+    opened: Option<Instant>,
+}
+
+impl SpanGuard {
+    /// Reads the closing clock once, emits `SpanEnd`, and returns the wall
+    /// nanoseconds between the two reads (0 when the open read no clock).
+    fn close(&mut self) -> u64 {
+        let Some(opened) = self.opened.take() else { return 0 };
+        let closed = Instant::now();
+        if is_enabled() {
+            record_at(EventKind::SpanEnd, self.track, self.name, 0, 0, closed);
+        }
+        closed.duration_since(opened).as_nanos() as u64
+    }
+
+    /// Closes the phase and, when the run is traced, appends it to `tel` as
+    /// a [`crate::telemetry::Span`] with the given modeled time and bytes.
+    /// Only [`Track::MAIN`] phases become document spans: the other tracks
+    /// run underneath one, and the document's spans have to add up to no
+    /// more than the run's wall time.
+    pub fn finish(mut self, tel: Option<&mut Telemetry>, modeled_seconds: f64, bytes: u64) {
+        let wall_ns = self.close();
+        if let Some(tel) = tel.filter(|_| self.track == Track::MAIN) {
+            tel.span(self.name, wall_ns, modeled_seconds, bytes);
+        }
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        record(EventKind::SpanEnd, self.track, self.name, 0, 0);
+        self.close();
     }
 }
 
@@ -530,7 +561,10 @@ mod tests {
         sink.reset(LOCAL_CAPACITY);
         let mut local = LocalBuf { buf: Vec::new() };
         for i in 0..(LOCAL_CAPACITY as u64 * 3) {
-            sink.accept(&mut local, stamp(EventKind::Retry, Track::MAIN, "spin", i, 0));
+            sink.accept(
+                &mut local,
+                stamp(EventKind::Retry, Track::MAIN, "spin", i, 0, Instant::now()),
+            );
         }
         local.flush(&sink);
         let events = sink.drain();
@@ -575,7 +609,14 @@ mod tests {
                     let mut local = LocalBuf { buf: Vec::new() };
                     barrier.wait();
                     for i in 0..n {
-                        let e = stamp(EventKind::BlockOutcome, Track::lane(w), "stress", i, 0);
+                        let e = stamp(
+                            EventKind::BlockOutcome,
+                            Track::lane(w),
+                            "stress",
+                            i,
+                            0,
+                            Instant::now(),
+                        );
                         sink.accept(&mut local, e);
                     }
                     local.flush(sink);

@@ -161,6 +161,18 @@ pub enum BreakerState {
     HalfOpen,
 }
 
+impl BreakerState {
+    /// The state's numeric code on recorder events and in the
+    /// `breaker.state` gauge: 0 closed, 1 open, 2 half-open.
+    pub fn code(self) -> u64 {
+        match self {
+            BreakerState::Closed => 0,
+            BreakerState::Open => 1,
+            BreakerState::HalfOpen => 2,
+        }
+    }
+}
+
 impl std::fmt::Display for BreakerState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
@@ -266,19 +278,14 @@ impl CircuitBreaker {
     }
 
     /// State change + flight-recorder notification (free when the recorder
-    /// is off). Codes on the event: 0 closed, 1 open, 2 half-open.
+    /// is off), carrying both states' [`BreakerState::code`].
     fn transition(&mut self, to: BreakerState) {
-        let code = |s: BreakerState| match s {
-            BreakerState::Closed => 0u64,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        };
         crate::recorder::record(
             crate::recorder::EventKind::BreakerTransition,
             crate::recorder::Track::MAIN,
             "breaker",
-            code(self.state),
-            code(to),
+            self.state.code(),
+            to.code(),
         );
         self.state = to;
     }

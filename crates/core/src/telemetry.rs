@@ -2,19 +2,24 @@
 //! pipeline, exported as one stable JSON trace document.
 //!
 //! Everything here is plain data + `std` — no new dependencies. The
-//! trace-off path costs nothing: every instrumented function takes
-//! `Option<&mut Telemetry>` and skips all timing when it is `None`.
+//! trace-off path costs nothing: a run carries `Option<&mut Telemetry>` in
+//! its [`crate::ladder::RunCtx`] and skips all timing when it is `None`.
 //!
 //! ## Schema
 //!
 //! A [`TraceDocument`] (version [`TRACE_SCHEMA`]) aggregates:
 //!
 //! * [`Span`]s — wall-clock (`wall_ns`) and/or modeled (`modeled_seconds`)
-//!   durations for each pipeline phase (`exec.decode_batch`, `exec.retry`,
-//!   `exec.fallback`, `exec.reassemble`, `exec.mem_stream`, `exec.dma`,
-//!   `exec.cpu_multiply`);
-//! * counters — dotted lowercase names (`exec.blocks_retried`,
-//!   `mem.read.compressed_stream`, ...);
+//!   durations for each main-track phase, pushed by the one phase guard
+//!   ([`crate::recorder::phase`]) from the clock reads that stamp the flight
+//!   recorder's `B`/`E` pair: `exec.decode_batch`, one `exec.retry` (and
+//!   `exec.fallback`) per block that climbed the ladder, `exec.reassemble`,
+//!   `exec.cpu_multiply`, or `exec.overlap` on the tiled schedules; plus the
+//!   modeled-only `exec.mem_stream` and `exec.dma`;
+//! * counters — dotted lowercase names. Those that are copies of a stats
+//!   field come from the tables below ([`EXEC_COUNTERS`], ...), which
+//!   [`TraceDocument::validate`] walks again; `mem.read.*`/`mem.write.*` are
+//!   derived from the traffic ledger at the seal;
 //! * a log₂-bucketed [`CycleHistogram`] of per-block decode cycles;
 //! * per-block [`BlockEvent`] records (job, stream, block, lane, cycles,
 //!   outcome);
@@ -23,9 +28,12 @@
 //!   traffic ledger by source.
 
 use crate::exec::ExecStats;
+use crate::overlap::OverlapStats;
+use crate::resilience::CircuitBreaker;
 use recode_codec::telemetry::CodecStageReport;
 use recode_mem::traffic::{TrafficLedger, TrafficReport};
 use recode_mem::MemorySystem;
+use recode_udp::pool::PoolStats;
 use std::collections::BTreeMap;
 
 /// Current trace-document schema identifier. v2 adds the resilience layer:
@@ -37,6 +45,62 @@ pub const TRACE_SCHEMA: &str = "recode-trace/v2";
 /// touch the resilience machinery — and old golden fixtures — stay
 /// byte-identical.
 pub const TRACE_SCHEMA_V1: &str = "recode-trace/v1";
+
+/// One derived counter: its dotted name and the stats field it is a copy of.
+pub type Derived<S> = (&'static str, fn(&S) -> u64);
+
+/// Every run: written by [`Telemetry::derive`] when the run's stats exist,
+/// re-read by [`TraceDocument::validate`] against `exec`.
+pub const EXEC_COUNTERS: &[Derived<ExecStats>] = &[
+    ("exec.jobs", |s| s.accel.jobs as u64),
+    ("exec.jobs_failed", |s| s.accel.jobs_failed as u64),
+    ("exec.blocks_retried", |s| s.blocks_retried as u64),
+    ("exec.blocks_fell_back", |s| s.blocks_fell_back as u64),
+    ("exec.fallback_bytes", |s| s.fallback_bytes as u64),
+    ("exec.retry_cycles", |s| s.retry_cycles),
+];
+
+/// The tiled schedules only (a batch document carries none of these keys);
+/// validated against `exec.overlap`.
+pub const TILED_COUNTERS: &[Derived<OverlapStats>] = &[
+    ("pipeline.overlap.stages", |o| o.stages as u64),
+    ("pipeline.overlap.decode_cycles", |o| o.decode_cycles),
+    ("pipeline.overlap.multiply_cycles", |o| o.multiply_cycles),
+    ("pipeline.overlap.makespan_cycles", |o| o.overlapped_makespan_cycles),
+    ("pipeline.overlap.serial_cycles", |o| o.serial_makespan_cycles),
+    ("pipeline.overlap.saved_cycles", OverlapStats::saved_cycles),
+    ("cache.hits", |o| o.cache_hits),
+    ("cache.misses", |o| o.cache_misses),
+    ("cache.evictions", |o| o.cache_evictions),
+    ("cache.hit_bytes", |o| o.cache_hit_bytes),
+];
+
+/// Lane-pool traffic over a batch, as deltas of the process-wide pool's
+/// monotonic counters. Parallel tests can inflate these (the pool is
+/// shared) and the pool is not part of the document, so they are reported,
+/// not validated. Any `pool.*` key stamps the document `recode-trace/v2`.
+pub const POOL_COUNTERS: &[Derived<PoolStats>] = &[
+    ("pool.checkouts", |p| p.checkouts),
+    ("pool.recycled_hits", |p| p.recycled_hits),
+    ("pool.fresh_builds", |p| p.fresh_builds),
+    ("pool.returned", |p| p.returned),
+    ("pool.dropped_at_capacity", |p| p.dropped_at_capacity),
+    ("pool.quarantined", |p| p.quarantined),
+    ("pool.readmitted", |p| p.readmitted),
+];
+
+/// Breaker posture after a governed job (v2 content, reported only).
+/// `breaker.state` is [`crate::resilience::BreakerState::code`], a gauge.
+pub const BREAKER_COUNTERS: &[Derived<CircuitBreaker>] = &[
+    ("breaker.trips", CircuitBreaker::trips),
+    ("breaker.probes", CircuitBreaker::probes),
+    ("breaker.state", |b| b.state().code()),
+];
+
+/// Does `counters` carry the resilience layer's keys (v2-only content)?
+fn has_resilience_counters(counters: &BTreeMap<String, u64>) -> bool {
+    counters.keys().any(|k| k.starts_with("pool.") || k.starts_with("breaker."))
+}
 
 /// A log₂-bucketed histogram of `u64` samples (block decode cycles).
 ///
@@ -58,11 +122,6 @@ pub struct CycleHistogram {
 }
 
 impl CycleHistogram {
-    /// Fresh empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The bucket index `value` lands in.
     pub fn bucket_index(value: u64) -> u8 {
         if value == 0 {
@@ -101,24 +160,6 @@ impl CycleHistogram {
             0.0
         } else {
             self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &CycleHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (&b, &c) in &other.buckets {
-            *self.buckets.entry(b).or_insert(0) += c;
         }
     }
 }
@@ -235,25 +276,29 @@ impl Telemetry {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
+    /// Writes every counter of `rows`: `read` is handed each row's getter
+    /// and applies it to the source (or to two snapshots of it, for a delta).
+    pub fn derive<S>(&mut self, rows: &[Derived<S>], read: impl Fn(fn(&S) -> u64) -> u64) {
+        for &(name, get) in rows {
+            self.add(name, read(get));
+        }
+    }
+
     /// Records one block event (and its cycles into the histogram).
     pub fn block_event(&mut self, event: BlockEvent) {
         self.block_cycles.record(event.cycles);
         self.block_events.push(event);
     }
 
-    /// Recorded spans, in order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
+    /// Puts the block events in job order: a tile walk settles value blocks
+    /// between index blocks.
+    pub(crate) fn sort_block_events(&mut self) {
+        self.block_events.sort_by_key(|e| e.job);
     }
 
     /// Counter value (0 when never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters.
-    pub fn counters(&self) -> &BTreeMap<String, u64> {
-        &self.counters
     }
 
     /// Recorded block events, in batch order.
@@ -264,18 +309,6 @@ impl Telemetry {
     /// The block-cycle histogram.
     pub fn block_cycles(&self) -> &CycleHistogram {
         &self.block_cycles
-    }
-
-    /// Folds `other` into `self`: spans/events append, counters and the
-    /// histogram add, traffic merges.
-    pub fn merge(&mut self, other: Telemetry) {
-        self.spans.extend(other.spans);
-        for (k, v) in other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        self.block_cycles.merge(&other.block_cycles);
-        self.block_events.extend(other.block_events);
-        self.traffic.merge(&other.traffic);
     }
 
     /// Seals the registry into a [`TraceDocument`]. Memory-traffic counters
@@ -305,10 +338,9 @@ impl Telemetry {
         // actually carries v2 content (resilience counters; a recorder
         // summary attached later also promotes). Runs that never touch the
         // resilience layer keep emitting byte-identical v1 documents.
-        let has_v2_counters =
-            self.counters.keys().any(|k| k.starts_with("pool.") || k.starts_with("breaker."));
+        let v2 = has_resilience_counters(&self.counters);
         TraceDocument {
-            schema: if has_v2_counters { TRACE_SCHEMA } else { TRACE_SCHEMA_V1 }.to_string(),
+            schema: if v2 { TRACE_SCHEMA } else { TRACE_SCHEMA_V1 }.to_string(),
             matrix,
             system,
             wall_ns_total,
@@ -399,8 +431,7 @@ impl TraceDocument {
     /// True when the document carries any v2-only content (resilience
     /// counters or a recorder summary).
     pub fn has_v2_content(&self) -> bool {
-        self.recorder.is_some()
-            || self.counters.keys().any(|k| k.starts_with("pool.") || k.starts_with("breaker."))
+        self.recorder.is_some() || has_resilience_counters(&self.counters)
     }
 
     /// Structural validation: schema version plus the invariants the
@@ -497,20 +528,24 @@ impl TraceDocument {
                 traffic_total, self.mem_traffic.total_bytes
             ));
         }
-        for (name, stat) in [
-            ("exec.blocks_retried", self.exec.blocks_retried as u64),
-            ("exec.blocks_fell_back", self.exec.blocks_fell_back as u64),
-        ] {
+        // Every derived counter against the stats field it copies. A batch
+        // document has neither the tiled keys nor tiled stats (all zero).
+        let mut check = |name: &str, stat: u64, of: &str| {
             if self.counter(name) != stat {
                 errs.push(format!(
-                    "counter {name} = {} disagrees with exec stats {stat}",
+                    "counter {name} = {} disagrees with {of} stats {stat}",
                     self.counter(name)
                 ));
             }
+        };
+        for &(name, get) in EXEC_COUNTERS {
+            check(name, get(&self.exec), "exec");
         }
-        // Overlapped-schedule invariants. The batch path leaves OverlapStats
-        // all-zero and emits none of these counters, so every check below is
-        // vacuously true on old traces.
+        for &(name, get) in TILED_COUNTERS {
+            check(name, get(&self.exec.overlap), "overlap");
+        }
+        // Overlapped-schedule invariants, vacuously true of a batch's all-zero
+        // OverlapStats.
         let ov = &self.exec.overlap;
         if ov.overlapped_makespan_cycles > ov.serial_makespan_cycles {
             errs.push(format!(
@@ -523,24 +558,6 @@ impl TraceDocument {
                 "overlapped makespan {} below an engine's critical path (decode {}, multiply {})",
                 ov.overlapped_makespan_cycles, ov.decode_cycles, ov.multiply_cycles
             ));
-        }
-        for (name, stat) in [
-            ("pipeline.overlap.stages", ov.stages as u64),
-            ("pipeline.overlap.decode_cycles", ov.decode_cycles),
-            ("pipeline.overlap.multiply_cycles", ov.multiply_cycles),
-            ("pipeline.overlap.makespan_cycles", ov.overlapped_makespan_cycles),
-            ("pipeline.overlap.serial_cycles", ov.serial_makespan_cycles),
-            ("cache.hits", ov.cache_hits),
-            ("cache.misses", ov.cache_misses),
-            ("cache.evictions", ov.cache_evictions),
-            ("cache.hit_bytes", ov.cache_hit_bytes),
-        ] {
-            if self.counter(name) != stat {
-                errs.push(format!(
-                    "counter {name} = {} disagrees with overlap stats {stat}",
-                    self.counter(name)
-                ));
-            }
         }
         if ov.enabled && self.exec.accel.makespan_cycles != ov.overlapped_makespan_cycles {
             errs.push(format!(
@@ -766,8 +783,8 @@ mod tests {
     }
 
     #[test]
-    fn histogram_records_and_merges() {
-        let mut a = CycleHistogram::new();
+    fn histogram_records_count_sum_extremes_and_buckets() {
+        let mut a = CycleHistogram::default();
         for v in [0u64, 1, 5, 5, 1000] {
             a.record(v);
         }
@@ -777,65 +794,145 @@ mod tests {
         assert_eq!(a.max, 1000);
         assert_eq!(a.buckets[&0], 1);
         assert_eq!(a.buckets[&3], 2, "two fives in [4,7]");
-
-        let mut b = CycleHistogram::new();
-        b.record(7);
-        b.record(2000);
-        a.merge(&b);
-        assert_eq!(a.count, 7);
-        assert_eq!(a.sum, 1011 + 2007);
-        assert_eq!(a.max, 2000);
-        assert_eq!(a.buckets[&3], 3, "7 joins the [4,7] bucket");
-
-        let mut empty = CycleHistogram::new();
-        empty.merge(&a);
-        assert_eq!(empty, a, "merge into empty copies");
-        let snapshot = a.clone();
-        a.merge(&CycleHistogram::new());
-        assert_eq!(a, snapshot, "merging empty is a no-op");
+        assert_eq!(a.mean(), 1011.0 / 5.0);
+        assert_eq!(CycleHistogram::default().mean(), 0.0, "empty histogram");
     }
 
     #[test]
-    fn counter_merge_adds_and_unions() {
+    fn counters_accumulate_and_default_to_zero() {
         let mut a = Telemetry::new();
         a.add("exec.blocks_retried", 2);
         a.add("exec.jobs", 10);
-        let mut b = Telemetry::new();
-        b.add("exec.blocks_retried", 3);
-        b.add("exec.blocks_fell_back", 1);
-        a.merge(b);
+        a.add("exec.blocks_retried", 3);
         assert_eq!(a.counter("exec.blocks_retried"), 5);
         assert_eq!(a.counter("exec.jobs"), 10);
-        assert_eq!(a.counter("exec.blocks_fell_back"), 1);
         assert_eq!(a.counter("never.touched"), 0);
     }
 
     #[test]
-    fn telemetry_merge_concatenates_spans_and_events() {
+    fn block_events_feed_the_histogram_and_sort_into_job_order() {
+        let event = |job, cycles, outcome| BlockEvent {
+            job,
+            stream: StreamKind::Index,
+            block: job,
+            lane: job,
+            cycles,
+            outcome,
+        };
         let mut a = Telemetry::new();
         a.span("exec.decode_batch", 100, 0.5, 64);
-        a.block_event(BlockEvent {
-            job: 0,
-            stream: StreamKind::Index,
-            block: 0,
-            lane: 0,
-            cycles: 10,
-            outcome: BlockOutcome::Ok,
-        });
-        let mut b = Telemetry::new();
-        b.span("exec.retry", 50, 0.0, 0);
-        b.block_event(BlockEvent {
-            job: 1,
-            stream: StreamKind::Value,
-            block: 0,
-            lane: 1,
-            cycles: 20,
-            outcome: BlockOutcome::Retried,
-        });
-        a.merge(b);
-        assert_eq!(a.spans().len(), 2);
-        assert_eq!(a.block_events().len(), 2);
+        a.block_event(event(1, 20, BlockOutcome::Retried));
+        a.block_event(event(0, 10, BlockOutcome::Ok));
+        a.sort_block_events();
+        assert_eq!(a.spans.len(), 1);
+        assert_eq!(a.block_events().iter().map(|e| e.job).collect::<Vec<_>>(), [0, 1]);
         assert_eq!(a.block_cycles().count, 2);
         assert_eq!(a.block_cycles().sum, 30);
+    }
+
+    /// The counter tables drive both directions. Writing: a live batch, a
+    /// live tiled run and a governed job seal exactly the key sets the
+    /// hand-kept `tel.add` lists produced before the tables existed (listed
+    /// here, not computed) — in particular a batch document carries no
+    /// `pipeline.overlap.*`/`cache.*` key. Reading: tamper any counter whose
+    /// source is in the document, round-trip through JSON, and `validate()`
+    /// names it.
+    #[test]
+    fn counter_tables_write_the_documents_and_validate_reads_them_back() {
+        use crate::arch::SystemConfig;
+        use crate::exec::RecodedSpmv;
+        use crate::ladder::RunCtx;
+        use crate::overlap::{OverlapConfig, OverlapExecutor};
+        use crate::resilience::{BreakerConfig, CircuitBreaker};
+        use recode_codec::pipeline::MatrixCodecConfig;
+        use recode_sparse::prelude::*;
+
+        const EXEC: [&str; 6] = [
+            "exec.blocks_fell_back",
+            "exec.blocks_retried",
+            "exec.fallback_bytes",
+            "exec.jobs",
+            "exec.jobs_failed",
+            "exec.retry_cycles",
+        ];
+        const MEM: [&str; 4] = [
+            "mem.read.compressed_stream",
+            "mem.read.row_ptr",
+            "mem.read.vectors",
+            "mem.write.vectors",
+        ];
+        const POOL: [&str; 7] = [
+            "pool.checkouts",
+            "pool.dropped_at_capacity",
+            "pool.fresh_builds",
+            "pool.quarantined",
+            "pool.readmitted",
+            "pool.recycled_hits",
+            "pool.returned",
+        ];
+        const TILED: [&str; 10] = [
+            "cache.evictions",
+            "cache.hit_bytes",
+            "cache.hits",
+            "cache.misses",
+            "pipeline.overlap.decode_cycles",
+            "pipeline.overlap.makespan_cycles",
+            "pipeline.overlap.multiply_cycles",
+            "pipeline.overlap.saved_cycles",
+            "pipeline.overlap.serial_cycles",
+            "pipeline.overlap.stages",
+        ];
+        const BREAKER: [&str; 3] = ["breaker.probes", "breaker.state", "breaker.trips"];
+        let sorted = |parts: &[&[&str]]| {
+            let mut keys: Vec<String> = parts.concat().into_iter().map(String::from).collect();
+            keys.sort();
+            keys
+        };
+        let keys = |doc: &TraceDocument| doc.counters.keys().cloned().collect::<Vec<_>>();
+
+        let spec =
+            GenSpec::Stencil2D { nx: 40, ny: 40, points: 5, values: ValueModel::StencilCoeffs };
+        let a = generate(&spec, 3);
+        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let sys = SystemConfig::ddr4();
+        let x = vec![1.0; a.ncols()];
+        let kernel = recode_sparse::spmv::SpmvKernel::Serial;
+
+        let (_, _, batch) = r.spmv_traced(&sys, kernel, &x, RunCtx::default(), "batch").unwrap();
+        assert_eq!(keys(&batch), sorted(&[&EXEC, &MEM, &POOL]));
+        let ex = OverlapExecutor::new(&r, OverlapConfig::default());
+        let (_, _, tiled) = ex.spmv_traced(&sys, &x, RunCtx::default(), "tiled").unwrap();
+        assert_eq!(keys(&tiled), sorted(&[&EXEC, &MEM, &TILED]));
+        let mut breaker = CircuitBreaker::new(BreakerConfig::default());
+        let (mut tel, t_total) = (Telemetry::new(), std::time::Instant::now());
+        let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
+        let job = r.run_job(&sys, ctx, Some(&mut breaker));
+        let stats = job.stats.as_ref().expect("a completed job has stats");
+        let governed = r.seal(&sys, tel, stats, "job", t_total);
+        // A bare decode multiplies nothing: no vector traffic.
+        assert_eq!(keys(&governed), sorted(&[&EXEC, &MEM[..2], &POOL, &BREAKER]));
+
+        let validated: Vec<&str> = EXEC_COUNTERS
+            .iter()
+            .map(|row| row.0)
+            .chain(TILED_COUNTERS.iter().map(|row| row.0))
+            .collect();
+        assert_eq!(sorted(&[&validated]), sorted(&[&EXEC, &TILED]), "the tables are those rows");
+        for doc in [&batch, &tiled, &governed] {
+            assert!(doc.validate().is_empty(), "{:?}", doc.validate());
+            for name in &validated {
+                let bumped = doc.counter(name) + 1;
+                let mut tampered = doc.clone();
+                tampered.counters.insert(name.to_string(), bumped);
+                let text = tampered.to_json().to_string_pretty();
+                let parsed = crate::json::parse(&text).expect("tampered document parses");
+                let errs = TraceDocument::from_json(&parsed).expect("and maps").validate();
+                assert!(
+                    errs.iter().any(|e| e.contains(&format!("counter {name} = {bumped} "))),
+                    "{}: tampering `{name}` went unnoticed: {errs:?}",
+                    doc.matrix.name
+                );
+            }
+        }
     }
 }

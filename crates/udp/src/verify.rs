@@ -1355,8 +1355,11 @@ impl<'a> Verifier<'a> {
             }
         }
         if sccs.is_empty() {
-            // Acyclic: longest path is a hard bound.
-            let bound = self.acyclic_cycle_bound();
+            // Acyclic: longest path is a hard bound. Every reachable block
+            // lies on a path from the entry and no block costs less than
+            // nothing, so the longest path from any of them is the longest
+            // from the entry.
+            let bound = Self::longest_path(&self.g, &self.p.blocks);
             self.report.max_acyclic_cycles = Some(bound);
             if bound > self.cfg.cycle_limit {
                 self.report.push(
@@ -1372,49 +1375,6 @@ impl<'a> Verifier<'a> {
                 );
             }
         }
-    }
-
-    /// Longest-path cycle cost over the (acyclic, reachable) CFG.
-    fn acyclic_cycle_bound(&self) -> u64 {
-        let n = self.p.blocks.len();
-        // Topological order via DFS post-order (graph is acyclic here).
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut state = vec![0u8; n]; // 0 unvisited, 1 in-progress, 2 done
-        let mut stack: Vec<(usize, usize)> = vec![(self.p.entry as usize, 0)];
-        state[self.p.entry as usize] = 1;
-        while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-            if *i < self.g.succ[v].len() {
-                let w = self.g.succ[v][*i] as usize;
-                *i += 1;
-                if state[w] == 0 {
-                    state[w] = 1;
-                    stack.push((w, 0));
-                }
-            } else {
-                state[v] = 2;
-                order.push(v);
-                stack.pop();
-            }
-        }
-        order.reverse(); // topological order from entry
-        let mut dist = vec![0u64; n];
-        dist[self.p.entry as usize] = self.p.blocks[self.p.entry as usize].cycles();
-        let mut best = dist[self.p.entry as usize];
-        for &v in &order {
-            let d = dist[v];
-            if d == 0 && v != self.p.entry as usize {
-                continue;
-            }
-            for &s in &self.g.succ[v] {
-                let s = s as usize;
-                let nd = d + self.p.blocks[s].cycles();
-                if nd > dist[s] {
-                    dist[s] = nd;
-                    best = best.max(nd);
-                }
-            }
-        }
-        best
     }
 
     // -- analysis 6: cycle-bound certification -----------------------------

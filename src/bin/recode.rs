@@ -82,12 +82,13 @@ use recode_spmv::core::measure::measure_udp_decomp;
 use recode_spmv::core::perfmodel::SpmvPerfModel;
 use recode_spmv::core::recorder;
 use recode_spmv::core::report;
-use recode_spmv::core::telemetry::RecorderSummary;
+use recode_spmv::core::telemetry::{RecorderSummary, Telemetry};
 use recode_spmv::prelude::*;
 use recode_spmv::sparse::io::{read_matrix_market_path, write_matrix_market};
 use recode_spmv::sparse::spmv::SpmvKernel;
 use recode_spmv::sparse::stats::MatrixStats;
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// Exit code for a run that finished bit-exact but needed retries.
 const EXIT_DEGRADED: u8 = 3;
@@ -296,6 +297,17 @@ fn load(flags: &Flags) -> Result<Csr, String> {
     read_matrix_market_path(path).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Worst error of `y` against `y_ref`, relative above magnitude 1.
+fn worst_rel_err(y: &[f64], y_ref: &[f64]) -> f64 {
+    y.iter().zip(y_ref).fold(0.0, |w, (got, want)| w.max((got - want).abs() / want.abs().max(1.0)))
+}
+
+/// The input matrix's file stem: how a trace document names its matrix.
+fn matrix_name(flags: &Flags) -> String {
+    let stem = std::path::Path::new(&flags.positional[0]).file_stem();
+    stem.map(|s| s.to_string_lossy().into_owned()).unwrap_or_default()
+}
+
 /// Switches on the flight recorder when `--chrome-trace` was given. Called
 /// before the run so every span/instant of the pipeline lands in the ring.
 fn arm_recorder(flags: &Flags) {
@@ -305,11 +317,8 @@ fn arm_recorder(flags: &Flags) {
 }
 
 /// Drains the flight recorder and writes the Chrome trace-event JSON.
-/// Returns the drained events and ring stats so a `--trace` document can
-/// also carry the [`RecorderSummary`].
-fn finish_chrome_trace(
-    path: &str,
-) -> Result<(Vec<recorder::Event>, recorder::RecorderStats), String> {
+/// Returns the ring's summary so a `--trace` document can carry it too.
+fn finish_chrome_trace(path: &str) -> Result<RecorderSummary, String> {
     let events = recorder::drain();
     let stats = recorder::stats();
     let doc = recode_spmv::core::export_chrome_trace(&events);
@@ -319,7 +328,39 @@ fn finish_chrome_trace(
         events.len(),
         stats.dropped
     );
-    Ok((events, stats))
+    Ok(RecorderSummary::from_events(&events, stats))
+}
+
+/// What either `spmv` schedule does once its run is over: write the flight
+/// recorder's timeline (`--chrome-trace`) and, when the run carried a
+/// telemetry registry (`--trace`), seal it into the trace document.
+fn finish_spmv_run(
+    flags: &Flags,
+    recoded: &RecodedSpmv,
+    sys: &SystemConfig,
+    tel: Option<Telemetry>,
+    stats: &recode_spmv::core::ExecStats,
+    t_total: Instant,
+) -> Result<(), String> {
+    let recorded = flags.chrome_trace.as_deref().map(finish_chrome_trace).transpose()?;
+    let (Some(tel), Some(trace_path)) = (tel, &flags.trace) else {
+        return Ok(());
+    };
+    let name = matrix_name(flags);
+    let mut doc = recoded.seal(sys, tel, stats, &name, t_total);
+    if let Some(summary) = recorded {
+        doc.attach_recorder(summary);
+    }
+    std::fs::write(trace_path, doc.to_json().to_string_pretty())
+        .map_err(|e| format!("{trace_path}: {e}"))?;
+    println!(
+        "trace ({}) written to {trace_path}: {} spans, {} block events, {} counters",
+        doc.schema,
+        doc.spans.len(),
+        doc.block_events.len(),
+        doc.counters.len()
+    );
+    Ok(())
 }
 
 fn cmd_info(flags: &Flags) -> Result<ExitCode, String> {
@@ -433,60 +474,26 @@ fn cmd_spmv(flags: &Flags) -> Result<ExitCode, String> {
     let y_ref = spmv(&a, &x);
     let hook = flags.inject_trap.map(|j| FaultHook::new().trap(j));
     arm_recorder(flags);
-    let (recoded, y, stats) = if let Some(trace_path) = &flags.trace {
-        let mut recoded = RecodedSpmv::new_traced(&a, config).map_err(|e| e.to_string())?;
-        // The software decode both cross-checks losslessness and populates
-        // the decode direction of the codec-stage telemetry in the trace.
-        let sw = recoded.decompress_via_software().map_err(|e| e.to_string())?;
-        if sw != a {
-            return Err("software decode diverged from the original matrix".into());
-        }
-        apply_injection(&mut recoded, flags)?;
-        let name = std::path::Path::new(&flags.positional[0])
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let (y, stats, mut doc) = recoded
-            .spmv_traced(
-                &sys,
-                kernel,
-                &x,
-                RunCtx { hook: hook.as_ref(), ..RunCtx::default() },
-                &name,
-            )
-            .map_err(|e| e.to_string())?;
-        if let Some(ct_path) = &flags.chrome_trace {
-            let (events, rec_stats) = finish_chrome_trace(ct_path)?;
-            doc.attach_recorder(RecorderSummary::from_events(&events, rec_stats));
-        }
-        std::fs::write(trace_path, doc.to_json().to_string_pretty())
-            .map_err(|e| format!("{trace_path}: {e}"))?;
-        println!(
-            "trace ({}) written to {trace_path}: {} spans, {} block events, {} counters",
-            doc.schema,
-            doc.spans.len(),
-            doc.block_events.len(),
-            doc.counters.len()
-        );
-        (recoded, y, stats)
-    } else {
-        let mut recoded = RecodedSpmv::new(&a, config).map_err(|e| e.to_string())?;
-        apply_injection(&mut recoded, flags)?;
-        let (y, stats) =
-            recoded.spmv_faulty(&sys, kernel, &x, hook.as_ref()).map_err(|e| e.to_string())?;
-        if let Some(ct_path) = &flags.chrome_trace {
-            finish_chrome_trace(ct_path)?;
-        }
-        (recoded, y, stats)
-    };
+    // Whether the run is traced is one value: the registry in its context
+    // (and the stage timing of the operand it runs over).
+    let mut tel = flags.trace.is_some().then(Telemetry::new);
+    let mut recoded =
+        RecodedSpmv::with_stage_timing(&a, config, tel.is_some()).map_err(|e| e.to_string())?;
+    // The software decode cross-checks losslessness and, on a traced run,
+    // fills the decode direction of the trace's codec-stage report.
+    if recoded.decompress_via_software().map_err(|e| e.to_string())? != a {
+        return Err("software decode diverged from the original matrix".into());
+    }
+    apply_injection(&mut recoded, flags)?;
+    let t_total = Instant::now();
+    let ctx = RunCtx { hook: hook.as_ref(), tel: tel.as_mut(), ..RunCtx::default() };
+    let (y, stats) = recoded.spmv_with(&sys, kernel, &x, ctx).map_err(|e| e.to_string())?;
+    finish_spmv_run(flags, &recoded, &sys, tel, &stats, t_total)?;
     // Merge-path and partially-diagonal kernels reassociate row sums, so a
     // tuned run verifies to summation tolerance; the default row-parallel
     // path stays bit-exact.
     if tuned.is_some() {
-        let worst = y
-            .iter()
-            .zip(&y_ref)
-            .fold(0.0f64, |w, (got, want)| w.max((got - want).abs() / want.abs().max(1.0)));
+        let worst = worst_rel_err(&y, &y_ref);
         if worst > 1e-10 {
             return Err(format!(
                 "tuned SpMV diverged from the uncompressed kernel (worst rel err {worst:.3e})"
@@ -533,12 +540,9 @@ fn cmd_spmv_overlap(flags: &Flags, a: &Csr) -> Result<ExitCode, String> {
     let y_ref = spmv(a, &x);
     let hook = flags.inject_trap.map(|j| FaultHook::new().trap(j));
     arm_recorder(flags);
-    let mut recoded = if flags.trace.is_some() {
-        RecodedSpmv::new_traced(a, config)
-    } else {
-        RecodedSpmv::new(a, config)
-    }
-    .map_err(|e| e.to_string())?;
+    let mut tel = flags.trace.is_some().then(Telemetry::new);
+    let mut recoded =
+        RecodedSpmv::with_stage_timing(a, config, tel.is_some()).map_err(|e| e.to_string())?;
     apply_injection(&mut recoded, flags)?;
     let overlap_config =
         OverlapConfig { overlap: true, cache_blocks: flags.cache_blocks, workers: 0 };
@@ -551,39 +555,11 @@ fn cmd_spmv_overlap(flags: &Flags, a: &Csr) -> Result<ExitCode, String> {
         }
         None => OverlapExecutor::new(&recoded, overlap_config),
     };
-    let (y, stats) = if let Some(trace_path) = &flags.trace {
-        let name = std::path::Path::new(&flags.positional[0])
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let ctx = RunCtx { hook: hook.as_ref(), ..RunCtx::default() };
-        let (y, stats, mut doc) =
-            ex.spmv_traced(&sys, &x, ctx, &name).map_err(|e| e.to_string())?;
-        if let Some(ct_path) = &flags.chrome_trace {
-            let (events, rec_stats) = finish_chrome_trace(ct_path)?;
-            doc.attach_recorder(RecorderSummary::from_events(&events, rec_stats));
-        }
-        std::fs::write(trace_path, doc.to_json().to_string_pretty())
-            .map_err(|e| format!("{trace_path}: {e}"))?;
-        println!(
-            "trace ({}) written to {trace_path}: {} spans, {} block events, {} counters",
-            doc.schema,
-            doc.spans.len(),
-            doc.block_events.len(),
-            doc.counters.len()
-        );
-        (y, stats)
-    } else {
-        let out = ex.spmv_faulty(&sys, &x, hook.as_ref()).map_err(|e| e.to_string())?;
-        if let Some(ct_path) = &flags.chrome_trace {
-            finish_chrome_trace(ct_path)?;
-        }
-        out
-    };
-    let worst = y
-        .iter()
-        .zip(&y_ref)
-        .fold(0.0f64, |w, (got, want)| w.max((got - want).abs() / want.abs().max(1.0)));
+    let t_total = Instant::now();
+    let ctx = RunCtx { hook: hook.as_ref(), tel: tel.as_mut(), ..RunCtx::default() };
+    let (y, stats) = ex.spmv_with(&sys, &x, ctx).map_err(|e| e.to_string())?;
+    finish_spmv_run(flags, &recoded, &sys, tel, &stats, t_total)?;
+    let worst = worst_rel_err(&y, &y_ref);
     if worst > 1e-10 {
         return Err(format!(
             "pipelined SpMV diverged from the uncompressed kernel (worst rel err {worst:.3e})"
@@ -980,15 +956,18 @@ fn cmd_metrics(flags: &Flags) -> Result<ExitCode, String> {
     // per-kind event counters — including the jit_compile events fired
     // while the decoder's lane images are assembled just below.
     recorder::enable(recorder::DEFAULT_CAPACITY);
-    let recoded = RecodedSpmv::new_traced(&a, flags.config).map_err(|e| e.to_string())?;
-    let name = std::path::Path::new(&flags.positional[0])
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
+    let recoded =
+        RecodedSpmv::with_stage_timing(&a, flags.config, true).map_err(|e| e.to_string())?;
+    let name = matrix_name(flags);
     let mut breaker = CircuitBreaker::new(BreakerConfig::default());
-    let (report, doc) = recoded.run_job_traced(&sys, RunCtx::default(), Some(&mut breaker), &name);
-    let mut doc =
-        doc.ok_or_else(|| format!("job produced no trace document (state {:?})", report.state))?;
+    let (mut tel, t_total) = (Telemetry::new(), Instant::now());
+    let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
+    let report = recoded.run_job(&sys, ctx, Some(&mut breaker));
+    let stats = report
+        .stats
+        .as_ref()
+        .ok_or_else(|| format!("job produced no trace document (state {:?})", report.state))?;
+    let mut doc = recoded.seal(&sys, tel, stats, &name, t_total);
     doc.attach_recorder(RecorderSummary::from_events(&recorder::drain(), recorder::stats()));
     let text = MetricsSnapshot::from_document(&doc).render_prometheus();
     match &flags.output {

@@ -222,6 +222,49 @@ fn spmv_exit_codes_distinguish_degraded_and_fallback_runs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Whether a run is traced is a value in its context, not a second code
+/// path: with and without `--trace`, on either schedule and under either
+/// injected fault, `recode spmv` prints the same verification and statistics
+/// lines (all modeled, so deterministic) and exits with the same code.
+#[test]
+fn spmv_prints_and_exits_the_same_traced_or_not() {
+    let dir = std::env::temp_dir().join(format!("recode-cli-traced-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mtx = dir.join("p.mtx");
+    let trace = dir.join("p.trace.json");
+    let out = bin()
+        .args(["gen", "stencil2d", "30000", "-o", mtx.to_str().unwrap(), "--seed", "5"])
+        .output()
+        .expect("run gen");
+    assert!(out.status.success(), "gen: {}", String::from_utf8_lossy(&out.stderr));
+
+    let faults: [(&[&str], i32); 3] =
+        [(&[], 0), (&["--inject-trap", "0"], 3), (&["--inject-corrupt", "0"], 4)];
+    for schedule in [&[][..], &["--overlap"][..]] {
+        for (fault, code) in faults {
+            let run = |traced: bool| {
+                let mut cmd = bin();
+                cmd.arg("spmv").arg(&mtx).args(schedule).args(fault);
+                if traced {
+                    cmd.arg("--trace").arg(&trace);
+                }
+                let out = cmd.output().expect("run spmv");
+                let what = format!("{schedule:?} {fault:?} traced={traced}");
+                let err = String::from_utf8_lossy(&out.stderr).into_owned();
+                assert_eq!(out.status.code(), Some(code), "{what}: {err}");
+                let text = String::from_utf8_lossy(&out.stdout).into_owned();
+                assert_eq!(text.contains("trace (recode-trace/"), traced, "{what}: {text}");
+                assert!(text.contains("verified against the uncompressed kernel"), "{what}");
+                let lines: Vec<String> =
+                    text.lines().filter(|l| !l.starts_with("trace (")).map(String::from).collect();
+                (lines, err)
+            };
+            assert_eq!(run(false), run(true), "{schedule:?} {fault:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn chaos_subcommand_runs_a_seeded_campaign_and_writes_json() {
     let dir = std::env::temp_dir().join(format!("recode-cli-chaos-{}", std::process::id()));

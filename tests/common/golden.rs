@@ -46,7 +46,7 @@ pub fn traced_overlap_run(recoded: &RecodedSpmv, ncols: usize, name: &str) -> Tr
 /// The one canonical default run `golden_trace_v1.json` pins.
 pub fn canonical_doc() -> TraceDocument {
     let a = golden_matrix();
-    // No stage telemetry (RecodedSpmv::new, not new_traced): the codec
+    // No stage telemetry (RecodedSpmv::new, not with_stage_timing): the codec
     // section stays all-zero, which keeps the fixture deterministic.
     let recoded = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).expect("compress");
     traced_overlap_run(&recoded, a.ncols(), "golden_stencil16")

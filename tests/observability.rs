@@ -4,6 +4,9 @@
 //! * `--chrome-trace` produces a Chrome trace-event / Perfetto JSON file
 //!   whose events are monotonic in time, whose `B`/`E` span markers balance
 //!   per track, and which names one track per lane / worker / stage;
+//! * `--trace` and `--chrome-trace` of one run are two views of the same
+//!   phases: every timed span of the document is a `B`/`E` pair of the
+//!   timeline, measured from the same two clock reads;
 //! * `recode metrics` emits the trace as Prometheus exposition text;
 //! * `recode bench-compare` passes identical snapshots and fails a synthetic
 //!   25% cycle regression with a nonzero exit code.
@@ -157,6 +160,106 @@ fn chrome_trace_from_the_overlap_path_has_worker_and_stage_tracks() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Durations (ns) of the balanced `B`/`E` pairs on the main track, by name.
+/// The exporter writes microseconds as the shortest decimal that round-trips
+/// the `f64`, so the recorder's nanosecond stamps are recovered exactly.
+fn main_track_pairs(events: &[Json]) -> std::collections::BTreeMap<String, Vec<u64>> {
+    let main_tid = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
+        .find(|e| e.get("args").and_then(|a| a.get("name")).and_then(Json::as_str) == Some("main"))
+        .and_then(|e| e.get("tid").and_then(Json::as_u64))
+        .expect("the run names a main track");
+    let mut open: Vec<(String, u64)> = Vec::new();
+    let mut pairs = std::collections::BTreeMap::<String, Vec<u64>>::new();
+    for e in events.iter().filter(|e| e.get("tid").and_then(Json::as_u64) == Some(main_tid)) {
+        let ph = e.get("ph").and_then(Json::as_str).expect("event has ph");
+        if ph != "B" && ph != "E" {
+            continue;
+        }
+        let name = e.get("name").and_then(Json::as_str).expect("event has name").to_string();
+        let ts_ns = (e.get("ts").and_then(Json::as_f64).expect("event has ts") * 1000.0).round();
+        if ph == "B" {
+            open.push((name, ts_ns as u64));
+        } else {
+            let (opened, began) = open.pop().expect("E closes an open B");
+            assert_eq!(opened, name, "E must close the matching B");
+            pairs.entry(name).or_default().push(ts_ns as u64 - began);
+        }
+    }
+    assert!(open.is_empty(), "main track has unbalanced spans: {open:?}");
+    pairs
+}
+
+/// One run's `--trace` document and `--chrome-trace` timeline come from one
+/// phase guard: every document span that was timed (`wall_ns > 0`; the
+/// modeled-only `exec.mem_stream`/`exec.dma` read no clock) is exactly one
+/// `B`/`E` pair of that name on the main track, and the pair's duration *is*
+/// the span's `wall_ns` — the same two clock reads, not two measurements.
+/// Checked per name as multisets, so two `exec.retry` phases of equal length
+/// still each need their own pair.
+#[test]
+fn document_spans_are_the_main_track_pairs_of_the_flight_recorder() {
+    let dir = tmpdir("views");
+    let mtx = gen_matrix(&dir, "stencil2d", "40000", "3");
+    // One transient trap (one retry phase) and one corrupt block (a retry
+    // phase whose attempts all fail, then a fallback phase) on the batch
+    // schedule; a clean run on the tiled one.
+    let batch: &[&str] = &["--inject-trap", "1", "--inject-corrupt", "0"];
+    let batch_spans = [
+        "exec.decode_batch",
+        "exec.retry",
+        "exec.fallback",
+        "exec.reassemble",
+        "exec.cpu_multiply",
+    ];
+    let overlap: &[&str] = &["--overlap"];
+    for (args, code, expect) in [(batch, 4, &batch_spans[..]), (overlap, 0, &["exec.overlap"][..])]
+    {
+        let doc_path = dir.join("doc.json");
+        let timeline = dir.join("timeline.json");
+        let out = bin()
+            .arg("spmv")
+            .arg(&mtx)
+            .args(args)
+            .arg("--trace")
+            .arg(&doc_path)
+            .arg("--chrome-trace")
+            .arg(&timeline)
+            .output()
+            .expect("run spmv --trace --chrome-trace");
+        assert_eq!(out.status.code(), Some(code), "{}", String::from_utf8_lossy(&out.stderr));
+
+        let text = std::fs::read_to_string(&doc_path).expect("read trace document");
+        let doc = recode_spmv::core::telemetry::TraceDocument::from_json(
+            &json::parse(&text).expect("trace document parses"),
+        )
+        .expect("trace document maps");
+        assert!(doc.validate().is_empty(), "{args:?}: {:?}", doc.validate());
+        let mut timed = std::collections::BTreeMap::<String, Vec<u64>>::new();
+        for span in doc.spans.iter().filter(|s| s.wall_ns > 0) {
+            timed.entry(span.name.clone()).or_default().push(span.wall_ns);
+        }
+        for name in expect {
+            assert!(timed.contains_key(*name), "{args:?}: no timed `{name}` span in {timed:?}");
+        }
+
+        let events = load_trace_events(&timeline);
+        validate_trace(&events);
+        let mut pairs = main_track_pairs(&events);
+        for (name, mut walls) in timed {
+            let mut durations = pairs.remove(&name).unwrap_or_default();
+            walls.sort_unstable();
+            durations.sort_unstable();
+            assert_eq!(
+                durations, walls,
+                "{args:?}: `{name}` — timeline pair durations vs document wall_ns"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn chaos_campaign_can_record_a_chrome_trace() {
     let dir = tmpdir("chaos");
@@ -190,7 +293,8 @@ fn metrics_subcommand_emits_prometheus_exposition_text() {
     for needle in [
         "# TYPE recode_exec_jobs counter",
         "# TYPE recode_pool_checkouts counter",
-        "# TYPE recode_breaker_state counter",
+        "# TYPE recode_breaker_trips counter",
+        "# TYPE recode_breaker_state gauge",
         "# TYPE recode_trace_wall_ns_total gauge",
         "# TYPE recode_matrix_nnz gauge",
         "recode_span_wall_ns{span=\"exec.decode_batch\"}",

@@ -24,7 +24,7 @@ fn test_matrix() -> Csr {
 
 fn traced_run() -> (Csr, TraceDocument) {
     let a = test_matrix();
-    let r = RecodedSpmv::new_traced(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+    let r = RecodedSpmv::with_stage_timing(&a, MatrixCodecConfig::udp_dsh(), true).unwrap();
     // Exercise the software decoder too, so the codec-stage snapshot has
     // both directions populated.
     let sw = r.decompress_via_software().unwrap();
