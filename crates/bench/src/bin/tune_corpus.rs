@@ -1,12 +1,12 @@
 //! Auto-tuner study: modeled end-to-end cycles for the tuned
-//! (kernel, stages, block) choice versus the untuned default
-//! (row-parallel CSR over full-DSH 8 KiB blocks), across the seven
-//! representative matrices plus a corpus sample. The speedup column is
-//! the headline number EXPERIMENTS.md quotes for `recode tune`.
+//! (stages, block) choice versus the untuned default (full-DSH 8 KiB
+//! blocks), across the seven representative matrices plus a corpus sample.
+//! The speedup column is the headline number EXPERIMENTS.md quotes for
+//! `recode tune`.
 
 use recode_bench::{corpus_entries, maybe_dump_json, parse_args};
 use recode_core::seven;
-use recode_core::tune::{default_candidate, tune_matrix, TuneOptions};
+use recode_core::tune::{default_candidate, tune_matrix};
 use recode_core::SystemConfig;
 use recode_sparse::util::geometric_mean;
 
@@ -14,7 +14,6 @@ struct Row {
     name: String,
     family: String,
     nnz: usize,
-    kernel: String,
     stages: String,
     block_bytes: usize,
     tuned_cycles: u64,
@@ -24,7 +23,7 @@ struct Row {
     speedup: f64,
 }
 recode_core::json_struct!(write Row {
-    name, family, nnz, kernel, stages, block_bytes, tuned_cycles, default_cycles, tuned_bpnnz,
+    name, family, nnz, stages, block_bytes, tuned_cycles, default_cycles, tuned_bpnnz,
     default_bpnnz, speedup
 });
 
@@ -34,7 +33,6 @@ fn main() {
         args.sample = Some(24);
     }
     let sys = SystemConfig::ddr4();
-    let opts = TuneOptions { seed: args.seed, trials: 0, sys };
 
     let mut mats: Vec<(String, String, recode_sparse::Csr)> =
         seven::generate_all(args.rep_scale, args.seed)
@@ -50,7 +48,7 @@ fn main() {
         .iter()
         .map(|(name, family, a)| {
             let tuned =
-                tune_matrix(a, &opts).unwrap_or_else(|e| panic!("{name}: tune failed: {e}")).config;
+                tune_matrix(a, &sys).unwrap_or_else(|e| panic!("{name}: tune failed: {e}")).config;
             let base = default_candidate(a, &sys)
                 .unwrap_or_else(|e| panic!("{name}: default model failed: {e}"));
             let tuned_cycles = tuned.modeled_total_cycles();
@@ -59,7 +57,6 @@ fn main() {
                 name: name.clone(),
                 family: family.clone(),
                 nnz: a.nnz(),
-                kernel: tuned.kernel.name().to_string(),
                 stages: tuned.stages.name().to_string(),
                 block_bytes: tuned.block_bytes,
                 tuned_cycles,
@@ -73,11 +70,10 @@ fn main() {
 
     println!("Auto-tuner study — modeled cycles, tuned vs default ({} matrices)", rows.len());
     println!(
-        "{:<26} {:<10} {:>9} {:<17} {:<7} {:>7} {:>7} {:>12} {:>12} {:>8}",
+        "{:<26} {:<10} {:>9} {:<7} {:>7} {:>7} {:>12} {:>12} {:>8}",
         "matrix",
         "family",
         "nnz",
-        "kernel",
         "stages",
         "block",
         "B/nnz",
@@ -87,11 +83,10 @@ fn main() {
     );
     for r in &rows {
         println!(
-            "{:<26} {:<10} {:>9} {:<17} {:<7} {:>7} {:>7.2} {:>12} {:>12} {:>7.2}x",
+            "{:<26} {:<10} {:>9} {:<7} {:>7} {:>7.2} {:>12} {:>12} {:>7.2}x",
             r.name,
             r.family,
             r.nnz,
-            r.kernel,
             r.stages,
             r.block_bytes,
             r.tuned_bpnnz,

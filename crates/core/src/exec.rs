@@ -185,10 +185,7 @@ impl RecodedSpmv {
     /// after checking the config actually belongs to this matrix.
     ///
     /// The tuned codec (stage subset + block size) governs compression
-    /// here; callers then run the tuned kernel via [`RecodedSpmv::spmv`]
-    /// with [`crate::tune::TunedConfig::kernel`], or hand the recoded
-    /// operand to an [`crate::overlap::OverlapExecutor`], whose tiled
-    /// multiply consumes the same tuned codec stream.
+    /// here; the multiply is whatever the caller runs on the decoded CSR.
     ///
     /// # Errors
     /// [`crate::tune::TuneError::DigestMismatch`] when the config was

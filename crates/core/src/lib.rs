@@ -41,9 +41,9 @@
 //!   `recode bench-compare`;
 //! * [`json`] — the workspace's one JSON tree, writer, parser and
 //!   struct mapping; [`trace_json`] maps a [`TraceDocument`] through it;
-//! * [`tune`] — the per-matrix auto-tuner: kernel × codec-stage × block
-//!   search scored by deterministic modeled cycles, persisted as a
-//!   digest-keyed `recode-tuned/v1` document.
+//! * [`tune`] — the per-matrix auto-tuner: codec-stage × block-size search
+//!   scored by [`perfmodel`]'s makespan, persisted as a digest-keyed
+//!   `recode-tuned/v2` document.
 
 pub mod arch;
 pub mod benchcmp;
@@ -85,8 +85,8 @@ pub use resilience::{
     BreakerConfig, BreakerState, BudgetTracker, CircuitBreaker, JobBudget, JobReport, JobState,
 };
 pub use tune::{
-    matrix_digest, tune_matrix, CandidateScore, StageSubset, TuneError, TuneOptions, TuneOutcome,
-    TunedConfig, TUNED_SCHEMA,
+    matrix_digest, tune_matrix, CandidateScore, StageSubset, TuneError, TuneOutcome, TunedConfig,
+    TUNED_SCHEMA,
 };
 
 pub use telemetry::{

@@ -18,10 +18,11 @@
 //! [`OverlapExecutor`] realizes both halves of that claim:
 //!
 //! * **modeled** — the per-tile decode cycles (from the lane simulator,
-//!   stalls and retries included) and modeled CPU multiply cycles are
-//!   combined by the pipelined-schedule formula above, and both the
-//!   overlapped and the serial (sum) makespan are reported in
-//!   [`OverlapStats`];
+//!   stalls and retries included) and modeled CPU multiply cycles
+//!   ([`perfmodel::multiply_cycles`]) are combined by the
+//!   pipelined-schedule formula above, whose only copy is
+//!   [`perfmodel::makespan`]; both the overlapped and the serial (sum)
+//!   makespan are reported in [`OverlapStats`];
 //! * **wall-clock** — a producer thread decodes blocks in stream order and
 //!   feeds tiles through a bounded channel to a pool of CPU worker threads
 //!   (`RECODE_THREADS`, default `available_parallelism`), whose partial row
@@ -44,6 +45,7 @@ use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
 use crate::exec::{ExecStats, RecodedSpmv};
 use crate::ladder::{report_run, vector_traffic, Ladder, RunCtx};
+use crate::perfmodel;
 use crate::recorder;
 use crate::telemetry::{StreamKind, Telemetry, TraceDocument, TILED_COUNTERS};
 use recode_mem::traffic::TrafficSource;
@@ -320,11 +322,6 @@ impl<'m> OverlapExecutor<'m> {
 
     /// Executor over an operand recoded under a persisted tuned config,
     /// verifying the operand really carries the tuned codec stream.
-    ///
-    /// The overlap pipeline's tiled multiply is kernel-agnostic (each tile
-    /// is reduced in CSR row order), so the tuned *kernel* choice applies
-    /// to the batch path; what the tuned config contributes here is the
-    /// codec stage subset and block size the decode lanes run.
     ///
     /// # Errors
     /// [`crate::tune::TuneError::CodecMismatch`] when `recoded` was
@@ -793,21 +790,16 @@ impl<'m> OverlapExecutor<'m> {
         // Modeled schedule: the lane decodes tile i+1 while the CPU
         // multiplies tile i.
         let bpnnz = cm.bytes_per_nnz();
-        let per_tile_multiply: Vec<u64> =
-            walk.per_tile_nnz.iter().map(|&nnz| modeled_multiply_cycles(sys, bpnnz, nnz)).collect();
+        let per_tile_multiply: Vec<u64> = walk
+            .per_tile_nnz
+            .iter()
+            .map(|&nnz| perfmodel::multiply_cycles(sys, bpnnz, nnz))
+            .collect();
         let decode_cycles: u64 = walk.per_tile_decode.iter().sum();
         let multiply_cycles: u64 = per_tile_multiply.iter().sum();
         let stages = walk.per_tile_decode.len();
-        let serial_makespan = decode_cycles + multiply_cycles;
-        let overlapped_makespan = if stages == 0 {
-            0
-        } else {
-            let mut total = walk.per_tile_decode[0];
-            for i in 1..stages {
-                total += walk.per_tile_decode[i].max(per_tile_multiply[i - 1]);
-            }
-            total + per_tile_multiply[stages - 1]
-        };
+        let (overlapped_makespan, serial_makespan) =
+            perfmodel::makespan(&walk.per_tile_decode, &per_tile_multiply);
         let makespan = if self.config.overlap { overlapped_makespan } else { serial_makespan };
 
         let cache_after = self.cache.lock().expect("cache poisoned").stats();
@@ -880,18 +872,6 @@ fn multiply_tile(row_ptr: &[usize], x: &[f64], work: &TileWork) -> (usize, Vec<f
     let mut partial = vec![0.0; row_last - row_start + 1];
     accumulate_tile(row_ptr, x, work, row_start, &mut partial);
     (row_start, partial)
-}
-
-/// Modeled CPU cycles (in UDP-clock cycles, so they compose with lane
-/// decode cycles) to multiply a tile of `nnz` non-zeros: `2·nnz` flops at
-/// the bandwidth-bound SpMV rate of [`recode_mem::cpu::CpuModel`].
-fn modeled_multiply_cycles(sys: &SystemConfig, bytes_per_nnz: f64, nnz: usize) -> u64 {
-    if nnz == 0 {
-        return 0;
-    }
-    let flops = 2.0 * nnz as f64;
-    let rate = sys.cpu.spmv_flops(&sys.mem, bytes_per_nnz);
-    ((flops / rate) * sys.udp.freq_hz).ceil() as u64
 }
 
 #[cfg(test)]

@@ -58,23 +58,6 @@ impl SpmvKernel {
         SpmvKernel::SellCSigma,
         SpmvKernel::PartialDiagonal,
     ];
-
-    /// Stable machine name, used by the tuned-config persistence schema
-    /// and the CLI.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpmvKernel::Serial => "serial",
-            SpmvKernel::RowParallel => "row-parallel",
-            SpmvKernel::MergePath => "merge-path",
-            SpmvKernel::SellCSigma => "sell-c-sigma",
-            SpmvKernel::PartialDiagonal => "partial-diagonal",
-        }
-    }
-
-    /// Inverse of [`SpmvKernel::name`].
-    pub fn parse_name(s: &str) -> Option<SpmvKernel> {
-        SpmvKernel::ALL.into_iter().find(|k| k.name() == s)
-    }
 }
 
 /// Computes `y = A x` with the chosen kernel, allocating `y`.
@@ -140,14 +123,6 @@ mod tests {
         for k in SpmvKernel::ALL {
             assert_eq!(spmv_with(k, &a, &x), want, "kernel {k:?}");
         }
-    }
-
-    #[test]
-    fn kernel_names_round_trip() {
-        for k in SpmvKernel::ALL {
-            assert_eq!(SpmvKernel::parse_name(k.name()), Some(k));
-        }
-        assert_eq!(SpmvKernel::parse_name("no-such-kernel"), None);
     }
 
     #[test]

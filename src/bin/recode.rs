@@ -17,18 +17,16 @@
 //!                                                its decoded-block LRU cache, and
 //!                                                --iters repeats the multiply to
 //!                                                show the warm-cache decode cost;
-//!                                                --tuned runs the kernel and codec
-//!                                                a persisted recode-tuned/v1
-//!                                                config prescribes (digest
-//!                                                mismatch is a hard error)
-//! recode tune      <matrix.mtx> [-o <config.json>] [--seed N]
-//!                                                search kernel x codec-stage x
-//!                                                block size, print the candidate
-//!                                                table, and persist the winner
-//!                                                (selection is by deterministic
-//!                                                modeled cycles; RECODE_TUNE_TRIALS
-//!                                                resizes only the informational
-//!                                                wall-clock column)
+//!                                                --tuned recodes under the codec
+//!                                                a persisted recode-tuned/v2
+//!                                                config prescribes (a digest or
+//!                                                schema mismatch is a hard error)
+//! recode tune      <matrix.mtx> [-o <config.json>]
+//!                                                search codec-stage x block size,
+//!                                                print the candidate table, and
+//!                                                persist the winner (selection is
+//!                                                by the deterministic modeled
+//!                                                decode + multiply makespan)
 //! recode report    <trace.json>                  render a trace as a table
 //! recode trace-check <trace.json> [--bounds]     validate a trace's schema and
 //!                                                internal invariants; --bounds
@@ -39,6 +37,7 @@
 //!                                                programs (exit 1 on violation)
 //! recode gen       <family> <target_nnz> -o <matrix.mtx>
 //!                                                emit a synthetic matrix
+//! recode disasm    <snappy|delta>                disassemble a builtin lane program
 //! recode verify-program <file.udp | builtin:NAME>
 //!                                                run the static verifier on a
 //!                                                lane program and print its
@@ -98,7 +97,7 @@ const EXIT_FALLBACK: u8 = 4;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  recode info <matrix.mtx>\n  recode compress <matrix.mtx> -o <out.rcmx> [--config dsh|ds|snappy]\n  recode decompress <in.rcmx> -o <matrix.mtx>\n  recode spmv <matrix.mtx> [--trace <out.json>] [--chrome-trace <out.trace.json>]\n              [--overlap] [--cache-blocks N] [--iters N] [--tuned <config.json>]\n              [--inject-trap JOB] [--inject-corrupt BLOCK]\n  recode tune <matrix.mtx> [-o <config.json>] [--seed N]\n  recode report <trace.json>\n  recode trace-check <trace.json> [--bounds]\n  recode gen <family> <target_nnz> -o <matrix.mtx> [--seed N]\n  recode disasm <snappy|delta>\n  recode verify-program <file.udp | builtin:delta|snappy|huffman|dsh>\n  recode chaos [--trials N] [--seed N] [--json <out.json>] [--chrome-trace <out.trace.json>]\n  recode metrics <matrix.mtx> [-o <metrics.prom>]\n  recode bench-compare <old.json> <new.json>\n\nspmv exit codes: 0 clean, 3 degraded (retries), 4 raw-CSR/software fallback\nfamilies: {}",
+        "usage:\n  recode info <matrix.mtx>\n  recode compress <matrix.mtx> -o <out.rcmx> [--config dsh|ds|snappy]\n  recode decompress <in.rcmx> -o <matrix.mtx>\n  recode spmv <matrix.mtx> [--trace <out.json>] [--chrome-trace <out.trace.json>]\n              [--overlap] [--cache-blocks N] [--iters N] [--tuned <config.json>]\n              [--inject-trap JOB] [--inject-corrupt BLOCK]\n  recode tune <matrix.mtx> [-o <config.json>]\n  recode report <trace.json>\n  recode trace-check <trace.json> [--bounds]\n  recode gen <family> <target_nnz> -o <matrix.mtx> [--seed N]\n  recode disasm <snappy|delta>\n  recode verify-program <file.udp | builtin:delta|snappy|huffman|dsh>\n  recode chaos [--trials N] [--seed N] [--json <out.json>] [--chrome-trace <out.trace.json>]\n  recode metrics <matrix.mtx> [-o <metrics.prom>]\n  recode bench-compare <old.json> <new.json>\n\nspmv exit codes: 0 clean, 3 degraded (retries), 4 raw-CSR/software fallback\nfamilies: {}",
         FAMILIES.join(", ")
     );
     ExitCode::from(2)
@@ -446,8 +445,7 @@ fn tuned_for(flags: &Flags, a: &Csr) -> Result<Option<TunedConfig>, String> {
     let tuned = TunedConfig::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?;
     tuned.validate_for(a).map_err(|e| format!("{path}: {e}"))?;
     println!(
-        "tuned: kernel {}, stages {}, block {} B ({} candidates searched)",
-        tuned.kernel.name(),
+        "tuned: stages {}, block {} B ({} candidates searched)",
         tuned.stages.name(),
         tuned.block_bytes,
         tuned.candidates
@@ -468,7 +466,6 @@ fn cmd_spmv(flags: &Flags) -> Result<ExitCode, String> {
     }
     let tuned = tuned_for(flags, &a)?;
     let config = tuned.as_ref().map_or(flags.config, TunedConfig::codec_config);
-    let kernel = tuned.as_ref().map_or(SpmvKernel::RowParallel, |t| t.kernel);
     let sys = SystemConfig::ddr4();
     let x = vec![1.0; a.ncols()];
     let y_ref = spmv(&a, &x);
@@ -487,22 +484,13 @@ fn cmd_spmv(flags: &Flags) -> Result<ExitCode, String> {
     apply_injection(&mut recoded, flags)?;
     let t_total = Instant::now();
     let ctx = RunCtx { hook: hook.as_ref(), tel: tel.as_mut(), ..RunCtx::default() };
-    let (y, stats) = recoded.spmv_with(&sys, kernel, &x, ctx).map_err(|e| e.to_string())?;
+    let (y, stats) =
+        recoded.spmv_with(&sys, SpmvKernel::RowParallel, &x, ctx).map_err(|e| e.to_string())?;
     finish_spmv_run(flags, &recoded, &sys, tel, &stats, t_total)?;
-    // Merge-path and partially-diagonal kernels reassociate row sums, so a
-    // tuned run verifies to summation tolerance; the default row-parallel
-    // path stays bit-exact.
-    if tuned.is_some() {
-        let worst = worst_rel_err(&y, &y_ref);
-        if worst > 1e-10 {
-            return Err(format!(
-                "tuned SpMV diverged from the uncompressed kernel (worst rel err {worst:.3e})"
-            ));
-        }
-    } else if y != y_ref {
+    if y != y_ref {
         return Err("recoded SpMV diverged from the uncompressed kernel".into());
     }
-    println!("recoded SpMV verified against the uncompressed kernel ({} rows)", y.len());
+    println!("recoded SpMV verified against the uncompressed kernel ({} rows, bit-exact)", y.len());
     println!(
         "UDP: {} blocks, makespan {} cycles, {:.2} GB/s decompressed, {:.1}% lane utilization",
         stats.accel.jobs,
@@ -511,8 +499,9 @@ fn cmd_spmv(flags: &Flags) -> Result<ExitCode, String> {
         stats.accel.lane_utilization * 100.0
     );
     // The throughput measurement re-decodes sampled blocks outside the
-    // retry/fallback ladder, so it only makes sense on a pristine stream.
-    if flags.inject_trap.is_none() && flags.inject_corrupt.is_none() {
+    // retry/fallback ladder, so it only makes sense on a pristine stream;
+    // an operand with no stored entries has no bytes per non-zero to model.
+    if flags.inject_trap.is_none() && flags.inject_corrupt.is_none() && a.nnz() > 0 {
         let cm = recoded.compressed();
         let m = measure_udp_decomp(cm, &sys.udp, 24).map_err(|e| e.to_string())?;
         let model = SpmvPerfModel {
@@ -546,9 +535,7 @@ fn cmd_spmv_overlap(flags: &Flags, a: &Csr) -> Result<ExitCode, String> {
     apply_injection(&mut recoded, flags)?;
     let overlap_config =
         OverlapConfig { overlap: true, cache_blocks: flags.cache_blocks, workers: 0 };
-    // The overlap pipeline's tiled multiply is kernel-agnostic; a tuned
-    // config contributes its codec stage subset and block size here, and
-    // `from_tuned` re-checks the operand really carries that stream.
+    // `from_tuned` re-checks the operand really carries the tuned stream.
     let ex = match &tuned {
         Some(t) => {
             OverlapExecutor::from_tuned(&recoded, t, overlap_config).map_err(|e| e.to_string())?
@@ -611,55 +598,38 @@ fn cmd_spmv_overlap(flags: &Flags, a: &Csr) -> Result<ExitCode, String> {
     Ok(exit_for(&stats))
 }
 
-/// `recode tune`: search kernel × codec-stage × block size over the input
-/// matrix, print the scored candidate table, and persist the winner as a
-/// digest-keyed `recode-tuned/v1` document for `recode spmv --tuned`.
+/// `recode tune`: search codec-stage × block size over the input matrix,
+/// print the scored candidate table, and persist the winner as a
+/// digest-keyed `recode-tuned/v2` document for `recode spmv --tuned`.
 /// Selection is purely by modeled cycles, so the written config is a pure
-/// function of (matrix, --seed); `RECODE_TUNE_TRIALS` resizes only the
-/// informational wall-clock column.
+/// function of the matrix.
 fn cmd_tune(flags: &Flags) -> Result<ExitCode, String> {
-    use recode_spmv::core::tune::TRIALS_ENV;
     let a = load(flags)?;
     let input = &flags.positional[0];
-    let mut opts = TuneOptions::from_env();
-    opts.seed = flags.seed;
-    println!(
-        "tuning {} ({} x {}, {} nnz) with seed {} ({} wall trial(s); {TRIALS_ENV} resizes)...",
-        input,
-        a.nrows(),
-        a.ncols(),
-        a.nnz(),
-        opts.seed,
-        opts.trials
-    );
-    let outcome = tune_matrix(&a, &opts).map_err(|e| e.to_string())?;
+    println!("tuning {} ({} x {}, {} nnz)...", input, a.nrows(), a.ncols(), a.nnz());
+    let outcome = tune_matrix(&a, &SystemConfig::ddr4()).map_err(|e| e.to_string())?;
     let mut ranked: Vec<&recode_spmv::core::CandidateScore> = outcome.candidates.iter().collect();
     ranked.sort_by_key(|c| c.total_cycles());
     println!(
-        "\n{:<18} {:>7} {:>7} {:>13} {:>13} {:>8} {:>10}",
-        "kernel", "stages", "block", "decode cyc", "multiply cyc", "B/nnz", "wall us"
+        "\n{:>7} {:>7} {:>13} {:>13} {:>13} {:>8}",
+        "stages", "block", "decode cyc", "multiply cyc", "total cyc", "B/nnz"
     );
-    for c in ranked.iter().take(10) {
+    for c in ranked {
         println!(
-            "{:<18} {:>7} {:>7} {:>13} {:>13} {:>8.2} {:>10.1}",
-            c.kernel.name(),
+            "{:>7} {:>7} {:>13} {:>13} {:>13} {:>8.2}",
             c.stages.name(),
             c.block_bytes,
             c.decode_cycles,
             c.multiply_cycles,
-            c.wire_bytes_per_nnz,
-            c.wall_ns as f64 / 1e3
+            c.total_cycles(),
+            c.wire_bytes_per_nnz
         );
-    }
-    if outcome.candidates.len() > 10 {
-        println!("({} more candidates not shown)", outcome.candidates.len() - 10);
     }
     let cfg = &outcome.config;
     let out = flags.output.clone().unwrap_or_else(|| format!("{input}.tuned.json"));
     std::fs::write(&out, cfg.to_json_string()).map_err(|e| format!("{out}: {e}"))?;
     println!(
-        "\nwinner: kernel {}, stages {}, block {} B — {} modeled cycles ({} decode + {} multiply)",
-        cfg.kernel.name(),
+        "\nwinner: stages {}, block {} B — {} modeled cycles ({} decode + {} multiply)",
         cfg.stages.name(),
         cfg.block_bytes,
         cfg.modeled_total_cycles(),

@@ -42,8 +42,7 @@ pub mod prelude {
     pub use recode_core::{
         run_campaign, tune_matrix, BreakerConfig, BreakerState, CampaignSummary, ChaosConfig,
         CircuitBreaker, JobBudget, JobReport, JobState, OverlapConfig, OverlapExecutor,
-        PowerSavings, RecodedSpmv, RunCtx, SystemConfig, TrialOutcome, TuneError, TuneOptions,
-        TunedConfig,
+        PowerSavings, RecodedSpmv, RunCtx, SystemConfig, TrialOutcome, TuneError, TunedConfig,
     };
     pub use recode_sparse::prelude::*;
     pub use recode_udp::accel::FaultHook;

@@ -265,6 +265,39 @@ fn spmv_prints_and_exits_the_same_traced_or_not() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A matrix with no stored entries has nothing to model: every `spmv`
+/// schedule and the tuner verify it and exit 0 without a scenario table.
+#[test]
+fn a_matrix_with_no_stored_entries_runs_and_tunes_cleanly() {
+    let dir = std::env::temp_dir().join(format!("recode-cli-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mtx = dir.join("empty.mtx");
+    std::fs::write(&mtx, "%%MatrixMarket matrix coordinate real general\n4 4 0\n").unwrap();
+    let trace = dir.join("empty.trace.json");
+    let tuned = dir.join("empty.tuned.json");
+    let (mtx, trace, tuned) =
+        (mtx.to_str().unwrap(), trace.to_str().unwrap(), tuned.to_str().unwrap());
+
+    let runs: [&[&str]; 5] = [
+        &["spmv", mtx],
+        &["spmv", mtx, "--trace", trace],
+        &["spmv", mtx, "--overlap"],
+        &["tune", mtx, "-o", tuned],
+        &["spmv", mtx, "--tuned", tuned],
+    ];
+    for args in runs {
+        let out = bin().args(args).output().expect("run recode");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        if args[0] == "spmv" {
+            assert!(text.contains("verified against the uncompressed kernel (4 rows"), "{text}");
+            assert!(!text.contains("modeled on"), "{args:?} modeled an empty operand: {text}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn chaos_subcommand_runs_a_seeded_campaign_and_writes_json() {
     let dir = std::env::temp_dir().join(format!("recode-cli-chaos-{}", std::process::id()));

@@ -35,13 +35,9 @@ const TUNED_CONFIG_FIXTURE: &str =
 const TUNED_TRACE_FIXTURE: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_trace_tuned_v1.json");
 
-/// The one canonical tuned config: golden matrix, seed 7. Trials are zero
-/// so the search never touches the wall clock — the persisted bytes are
-/// invariant to trial resizing anyway (see `tests/tune.rs`).
+/// The one canonical tuned config: the golden matrix on the DDR4 system.
 fn canonical_tuned_config() -> TunedConfig {
-    let a = golden_matrix();
-    let opts = TuneOptions { seed: 7, trials: 0, sys: SystemConfig::ddr4() };
-    tune_matrix(&a, &opts).expect("tune canonical matrix").config
+    tune_matrix(&golden_matrix(), &SystemConfig::ddr4()).expect("tune canonical matrix").config
 }
 
 /// The canonical tuned run: the golden matrix recoded under the tuned

@@ -1,11 +1,10 @@
-//! Auto-tuner contract tests: same-seed reproducibility, byte-stable
-//! persistence, typed rejection of stale configs, and the full CLI flow
-//! (`recode tune` → `recode spmv --tuned`).
+//! Auto-tuner contract tests: reproducibility, byte-stable persistence,
+//! typed rejection of stale configs, and the full CLI flow (`recode tune`
+//! → `recode spmv --tuned`).
 //!
 //! Determinism is the load-bearing property: the persisted `TunedConfig`
-//! must be a pure function of (matrix, seed) — invariant to wall-clock
-//! noise and to `RECODE_TUNE_TRIALS` resizing — so tuned runs reproduce
-//! across hosts and CI shards.
+//! must be a pure function of the matrix and the system model, so tuned
+//! runs reproduce across hosts and CI shards.
 
 use recode_spmv::core::tune::{StageSubset, TUNED_SCHEMA};
 use recode_spmv::prelude::*;
@@ -19,23 +18,56 @@ fn sample_matrix() -> Csr {
     )
 }
 
-fn opts(seed: u64, trials: usize) -> TuneOptions {
-    TuneOptions { seed, trials, sys: SystemConfig::ddr4() }
+fn tuned(a: &Csr) -> TunedConfig {
+    tune_matrix(a, &SystemConfig::ddr4()).unwrap().config
 }
 
+/// The v1 document committed as `tuned_golden_stencil16.json` before the
+/// kernel left the search space.
+const V1_GOLDEN: &str = r#"{
+  "schema": "recode-tuned/v1",
+  "digest": "0912525c21e44637",
+  "matrix": {
+    "nrows": 256,
+    "ncols": 256,
+    "nnz": 1216
+  },
+  "seed": 7,
+  "kernel": "partial-diagonal",
+  "kernel_params": {
+    "sell_c": 8,
+    "sell_sigma": 64,
+    "pdiag_occupancy_pct": 60
+  },
+  "codec": {
+    "stages": "snappy",
+    "block_bytes": 2048
+  },
+  "modeled": {
+    "decode_cycles": 5249,
+    "multiply_cycles": 196,
+    "total_cycles": 5445,
+    "wire_bytes_per_nnz": 2.841282894736842
+  },
+  "candidates": 45
+}
+"#;
+
 #[test]
-fn same_seed_produces_an_identical_config_regardless_of_trials() {
+fn repeated_searches_score_every_candidate_identically() {
     let a = sample_matrix();
-    let one = tune_matrix(&a, &opts(2019, 1)).unwrap();
-    let three = tune_matrix(&a, &opts(2019, 3)).unwrap();
-    assert_eq!(one.config, three.config);
-    assert_eq!(one.config.to_json_string(), three.config.to_json_string());
+    let sys = SystemConfig::ddr4();
+    let one = tune_matrix(&a, &sys).unwrap();
+    let two = tune_matrix(&a, &sys).unwrap();
+    assert_eq!(one.config, two.config);
+    assert_eq!(one.config.to_json_string(), two.config.to_json_string());
     // Modeled scores are wall-clock-free, so the whole scored field —
     // not just the winner — must agree between the two runs.
-    for (l, r) in one.candidates.iter().zip(&three.candidates) {
+    assert_eq!(one.candidates.len(), two.candidates.len());
+    for (l, r) in one.candidates.iter().zip(&two.candidates) {
         assert_eq!(
-            (l.kernel, l.stages, l.block_bytes, l.decode_cycles, l.multiply_cycles),
-            (r.kernel, r.stages, r.block_bytes, r.decode_cycles, r.multiply_cycles)
+            (l.stages, l.block_bytes, l.decode_cycles, l.multiply_cycles),
+            (r.stages, r.block_bytes, r.decode_cycles, r.multiply_cycles)
         );
     }
 }
@@ -43,7 +75,7 @@ fn same_seed_produces_an_identical_config_regardless_of_trials() {
 #[test]
 fn persistence_round_trips_byte_for_byte_through_the_filesystem() {
     let a = sample_matrix();
-    let config = tune_matrix(&a, &opts(2019, 0)).unwrap().config;
+    let config = tuned(&a);
     let dir = scratch_dir("roundtrip");
     let path = dir.join("a.tuned.json");
     std::fs::write(&path, config.to_json_string()).unwrap();
@@ -58,7 +90,7 @@ fn persistence_round_trips_byte_for_byte_through_the_filesystem() {
 #[test]
 fn schema_and_digest_drift_are_rejected_with_typed_errors() {
     let a = sample_matrix();
-    let config = tune_matrix(&a, &opts(2019, 0)).unwrap().config;
+    let config = tuned(&a);
 
     let wrong_schema = config.to_json_string().replace(TUNED_SCHEMA, "recode-tuned/v0");
     match TunedConfig::from_json_str(&wrong_schema) {
@@ -79,17 +111,26 @@ fn schema_and_digest_drift_are_rejected_with_typed_errors() {
         );
     }
 
-    // A tampered kernel or stage name is Malformed, not silently remapped.
-    let bad_kernel = config.to_json_string().replace(config.kernel.name(), "gpu-magic");
-    assert!(matches!(TunedConfig::from_json_str(&bad_kernel), Err(TuneError::Malformed(_))));
+    // A tampered stage name is Malformed, not silently remapped.
+    let stages = format!("\"stages\": \"{}\"", config.stages.name());
+    let bad_stages = config.to_json_string().replace(&stages, "\"stages\": \"lz-magic\"");
+    assert!(matches!(TunedConfig::from_json_str(&bad_stages), Err(TuneError::Malformed(_))));
+
+    // A v1 document is refused whole, never read with its kernel ignored.
+    match TunedConfig::from_json_str(V1_GOLDEN) {
+        Err(e @ TuneError::SchemaMismatch { .. }) => {
+            assert!(e.to_string().contains("re-run `recode tune`"), "{e}");
+        }
+        other => panic!("want SchemaMismatch for the v1 golden, got {other:?}"),
+    }
 }
 
 #[test]
 fn winner_is_reproducible_across_repeated_searches() {
     let a = sample_matrix();
-    let first = tune_matrix(&a, &opts(11, 0)).unwrap().config;
+    let first = tuned(&a);
     for _ in 0..3 {
-        assert_eq!(tune_matrix(&a, &opts(11, 0)).unwrap().config, first);
+        assert_eq!(tuned(&a), first);
     }
     // The config is keyed to this matrix and usable end to end.
     let recoded = RecodedSpmv::new_tuned(&a, &first).unwrap();
@@ -140,24 +181,16 @@ fn cli_tune_then_spmv_consumes_the_persisted_config() {
         .expect("spawn recode gen");
     assert!(gen.status.success(), "gen failed: {}", String::from_utf8_lossy(&gen.stderr));
 
-    // Two tunes with different trial counts must write identical bytes.
-    let mut written = Vec::new();
-    for trials in ["1", "2"] {
-        let out = recode()
-            .args(["tune"])
-            .arg(&mtx)
-            .args(["-o"])
-            .arg(&tuned)
-            .env("RECODE_TUNE_TRIALS", trials)
-            .output()
-            .expect("spawn recode tune");
-        assert!(out.status.success(), "tune failed: {}", String::from_utf8_lossy(&out.stderr));
-        written.push(std::fs::read(&tuned).unwrap());
-    }
-    assert_eq!(written[0], written[1], "RECODE_TUNE_TRIALS leaked into the persisted config");
+    let out =
+        recode().args(["tune"]).arg(&mtx).args(["-o"]).arg(&tuned).output().expect("spawn tune");
+    assert!(out.status.success(), "tune failed: {}", String::from_utf8_lossy(&out.stderr));
 
-    // The persisted config drives both the batch and the overlap path.
-    for extra in [&[][..], &["--overlap", "--cache-blocks", "4"][..]] {
+    // The persisted config drives both the batch and the overlap path; the
+    // batch path runs the default multiply, so it verifies bit for bit.
+    for (extra, verified) in [
+        (&[][..], "rows, bit-exact)"),
+        (&["--overlap", "--cache-blocks", "4"][..], "verified against the uncompressed kernel"),
+    ] {
         let out = recode()
             .args(["spmv"])
             .arg(&mtx)
@@ -172,8 +205,8 @@ fn cli_tune_then_spmv_consumes_the_persisted_config() {
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("tuned: kernel"), "missing tuned banner in: {stdout}");
-        assert!(stdout.contains("verified against the uncompressed kernel"), "{stdout}");
+        assert!(stdout.contains("tuned: stages"), "missing tuned banner in: {stdout}");
+        assert!(stdout.contains(verified), "{stdout}");
     }
 
     // A config tuned for a different matrix must hard-fail (exit 1).
@@ -195,37 +228,18 @@ fn cli_tune_then_spmv_consumes_the_persisted_config() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("different matrix"), "unexpected stderr: {stderr}");
 
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn garbage_tune_trials_warns_instead_of_silently_defaulting() {
-    let dir = scratch_dir("cli-trials");
-    let mtx = dir.join("m.mtx");
-    let gen = recode()
-        .args(["gen", "stencil2d", "900", "-o"])
-        .arg(&mtx)
-        .output()
-        .expect("spawn recode gen");
-    assert!(gen.status.success(), "gen failed: {}", String::from_utf8_lossy(&gen.stderr));
-
+    // So must a v1 config, whatever matrix it names.
+    std::fs::write(&tuned, V1_GOLDEN).unwrap();
     let out = recode()
-        .args(["tune"])
+        .args(["spmv"])
         .arg(&mtx)
-        .args(["-o"])
-        .arg(dir.join("m.tuned.json"))
-        .env("RECODE_TUNE_TRIALS", "three")
+        .args(["--tuned"])
+        .arg(&tuned)
         .output()
-        .expect("spawn recode tune");
-    // A garbage trial count is diagnosed (naming the variable and the
-    // value), then tuning proceeds on the default — it must not abort, and
-    // it must not silently pretend the variable was unset.
-    assert!(out.status.success(), "tune failed: {}", String::from_utf8_lossy(&out.stderr));
+        .expect("spawn recode spmv");
+    assert_eq!(out.status.code(), Some(1), "a v1 config must be a hard error");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("RECODE_TUNE_TRIALS") && stderr.contains("three"),
-        "expected a warning naming the bad value, got: {stderr}"
-    );
+    assert!(stderr.contains("schema mismatch"), "unexpected stderr: {stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
