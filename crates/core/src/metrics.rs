@@ -3,8 +3,7 @@
 //! [`MetricsSnapshot`] is built from the same [`TraceDocument`] counters
 //! `validate()` already cross-checks, so the scrape surface can never
 //! disagree with the trace. `recode metrics` prints the exposition to
-//! stdout today; a future `recode-serve` serves the identical bytes over
-//! HTTP (ROADMAP item 1).
+//! stdout (or writes it with `-o`); nothing in the tree serves it over HTTP.
 //!
 //! Naming follows the Prometheus conventions: dotted trace counters map to
 //! underscored metric names under the `recode_` prefix (`exec.jobs` →

@@ -1,6 +1,6 @@
 //! `recode-trace/v1|v2` ⇄ [`Json`]: the one mapping between a
 //! [`TraceDocument`] (and the public fields of everything nested in it) and
-//! its JSON form. `recode spmv|solve --trace` and `recode chaos` write
+//! its JSON form. `recode spmv --trace` and `recode chaos` write
 //! through it; `recode report`, `recode trace-check` and the tests read.
 //!
 //! Field names, nesting and order are the schema (the hand emitter in

@@ -31,12 +31,17 @@
 //! * `.entry LABEL` — entry point (required once).
 //! * `LABEL:` — block label. Falling off the end of a labeled run into the
 //!   next label inserts an implicit `jump`.
-//! * actions: `limm rd, imm` · `mov rd, rs` · `add|sub|and|or|xor rd, rs, rt`
+//! * actions — a mnemonic of [`OPS`](crate::isa::OPS) followed by that
+//!   row's operands, each checked against the row's range as it is parsed:
+//!   `limm rd, imm` · `mov rd, rs` · `add|sub|and|or|xor rd, rs, rt`
 //!   · `addi rd, rs, imm` · `shli|shri rd, rs, amt` ·
 //!   `loadb|loadh|loadw|loadd rd, rbase, off` ·
-//!   `storeb|storeh|storew|stored rs, rbase, off` · `insym rd, bits` ·
-//!   `insymle rd, bytes` · `peek rd, bits` · `skip bits` · `skipreg rs` ·
-//!   `inrem rd`
+//!   `storeb|storeh|storew|stored rs, rbase, off` ·
+//!   `loadbi|loadhi|loadwi|loaddi rd, rbase` ·
+//!   `storebi|storewi|storedi rs, rbase` (post-increment: access at
+//!   `rbase`, then `rbase += width`; there is no `storehi`) ·
+//!   `insym rd, bits` · `insymle rd, bytes` · `peek rd, bits` · `skip bits` ·
+//!   `skipreg rs` · `inrem rd`
 //! * terminators: `jump LABEL` · `halt` ·
 //!   `beq|bne|bltu|bgeu|blts|bges rs, rt, LABEL` (fall-through = next line) ·
 //!   `dispatch.sym BITS, GROUP` · `dispatch.peek BITS, GROUP` ·
@@ -46,7 +51,7 @@
 //! Blocks longer than four actions are split automatically with `jump`
 //! continuations, so straight-line code of any length assembles.
 
-use crate::isa::{Action, Block, BlockId, Cond, Transition, Width};
+use crate::isa::{Action, Block, BlockId, Cond, Op, Transition, CONDS, MAX_OPERANDS, NUM_REGS};
 use crate::program::{Program, ProgramBuilder};
 use std::collections::HashMap;
 
@@ -269,20 +274,37 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
-fn parse_reg(tok: &str, line: usize) -> Result<u8, AsmError> {
+fn parse_reg(tok: &str, line: usize) -> Result<i32, AsmError> {
     let t = tok.trim();
-    let n = t
-        .strip_prefix('r')
-        .and_then(|s| s.parse::<u8>().ok())
-        .ok_or_else(|| err(line, format!("expected register, got `{t}`")))?;
-    if n >= 16 {
-        return Err(err(line, format!("register r{n} out of range")));
-    }
-    Ok(n)
+    t.strip_prefix('r')
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| err(line, format!("expected register, got `{t}`")))
 }
 
 fn parse_int<T: std::str::FromStr>(tok: &str, line: usize) -> Result<T, AsmError> {
     tok.trim().parse::<T>().map_err(|_| err(line, format!("bad integer `{}`", tok.trim())))
+}
+
+/// A register operand of a terminator, which no opcode row describes.
+fn parse_transition_reg(tok: &str, line: usize) -> Result<u8, AsmError> {
+    let n = parse_reg(tok, line)?;
+    if (0..NUM_REGS as i32).contains(&n) {
+        Ok(n as u8)
+    } else {
+        Err(err(line, format!("register r{n} out of range")))
+    }
+}
+
+/// Parses the operands of an action statement against its opcode row: one
+/// token per operand, a register where the row has one, each value inside
+/// the row's range.
+fn parse_action(op: &Op, args: &[&str], lineno: usize) -> Result<Action, AsmError> {
+    let mut values = [0; MAX_OPERANDS];
+    for ((v, o), tok) in values.iter_mut().zip(op.operands).zip(args) {
+        *v = if o.role.is_reg() { parse_reg(tok, lineno)? } else { parse_int(tok, lineno)? };
+    }
+    op.check(&values).map_err(|msg| err(lineno, msg))?;
+    Ok(Action::compose(op, values))
 }
 
 fn parse_instruction(line: &str, lineno: usize) -> Result<Stmt, AsmError> {
@@ -309,137 +331,6 @@ fn parse_instruction(line: &str, lineno: usize) -> Result<Stmt, AsmError> {
             need(1)?;
             Stmt::Jump(args[0].to_string())
         }
-        "limm" => {
-            need(2)?;
-            Stmt::Action(Action::LoadImm {
-                rd: parse_reg(args[0], lineno)?,
-                imm: parse_int(args[1], lineno)?,
-            })
-        }
-        "mov" => {
-            need(2)?;
-            Stmt::Action(Action::Mov {
-                rd: parse_reg(args[0], lineno)?,
-                rs: parse_reg(args[1], lineno)?,
-            })
-        }
-        "add" | "sub" | "and" | "or" | "xor" => {
-            need(3)?;
-            let (rd, rs, rt) = (
-                parse_reg(args[0], lineno)?,
-                parse_reg(args[1], lineno)?,
-                parse_reg(args[2], lineno)?,
-            );
-            Stmt::Action(match m.as_str() {
-                "add" => Action::Add { rd, rs, rt },
-                "sub" => Action::Sub { rd, rs, rt },
-                "and" => Action::And { rd, rs, rt },
-                "or" => Action::Or { rd, rs, rt },
-                _ => Action::Xor { rd, rs, rt },
-            })
-        }
-        "addi" => {
-            need(3)?;
-            Stmt::Action(Action::AddI {
-                rd: parse_reg(args[0], lineno)?,
-                rs: parse_reg(args[1], lineno)?,
-                imm: parse_int(args[2], lineno)?,
-            })
-        }
-        "shli" | "shri" => {
-            need(3)?;
-            let (rd, rs) = (parse_reg(args[0], lineno)?, parse_reg(args[1], lineno)?);
-            let amount: u8 = parse_int(args[2], lineno)?;
-            Stmt::Action(if m == "shli" {
-                Action::ShlI { rd, rs, amount }
-            } else {
-                Action::ShrI { rd, rs, amount }
-            })
-        }
-        "loadb" | "loadh" | "loadw" | "loadd" => {
-            need(3)?;
-            Stmt::Action(Action::Load {
-                rd: parse_reg(args[0], lineno)?,
-                base: parse_reg(args[1], lineno)?,
-                offset: parse_int(args[2], lineno)?,
-                width: width_of(&m),
-            })
-        }
-        "loadbi" | "loadwi" | "loaddi" => {
-            need(2)?;
-            Stmt::Action(Action::LoadInc {
-                rd: parse_reg(args[0], lineno)?,
-                base: parse_reg(args[1], lineno)?,
-                width: width_of(&m[..m.len() - 1]),
-            })
-        }
-        "storebi" | "storewi" | "storedi" => {
-            need(2)?;
-            Stmt::Action(Action::StoreInc {
-                rs: parse_reg(args[0], lineno)?,
-                base: parse_reg(args[1], lineno)?,
-                width: width_of(&m[..m.len() - 1]),
-            })
-        }
-        "storeb" | "storeh" | "storew" | "stored" => {
-            need(3)?;
-            Stmt::Action(Action::Store {
-                rs: parse_reg(args[0], lineno)?,
-                base: parse_reg(args[1], lineno)?,
-                offset: parse_int(args[2], lineno)?,
-                width: width_of(&m),
-            })
-        }
-        "insym" => {
-            need(2)?;
-            Stmt::Action(Action::InSym {
-                rd: parse_reg(args[0], lineno)?,
-                bits: parse_int(args[1], lineno)?,
-            })
-        }
-        "insymle" => {
-            need(2)?;
-            Stmt::Action(Action::InSymLe {
-                rd: parse_reg(args[0], lineno)?,
-                bytes: parse_int(args[1], lineno)?,
-            })
-        }
-        "peek" => {
-            need(2)?;
-            Stmt::Action(Action::PeekSym {
-                rd: parse_reg(args[0], lineno)?,
-                bits: parse_int(args[1], lineno)?,
-            })
-        }
-        "skip" => {
-            need(1)?;
-            Stmt::Action(Action::SkipSym { bits: parse_int(args[0], lineno)? })
-        }
-        "skipreg" => {
-            need(1)?;
-            Stmt::Action(Action::SkipReg { rs: parse_reg(args[0], lineno)? })
-        }
-        "inrem" => {
-            need(1)?;
-            Stmt::Action(Action::InRem { rd: parse_reg(args[0], lineno)? })
-        }
-        "beq" | "bne" | "bltu" | "bgeu" | "blts" | "bges" => {
-            need(3)?;
-            let cond = match m.as_str() {
-                "beq" => Cond::Eq,
-                "bne" => Cond::Ne,
-                "bltu" => Cond::Ltu,
-                "bgeu" => Cond::Geu,
-                "blts" => Cond::Lts,
-                _ => Cond::Ges,
-            };
-            Stmt::Branch {
-                cond,
-                rs: parse_reg(args[0], lineno)?,
-                rt: parse_reg(args[1], lineno)?,
-                taken: args[2].to_string(),
-            }
-        }
         "dispatch.sym" | "dispatch.peek" => {
             need(2)?;
             let bits: u8 = parse_int(args[0], lineno)?;
@@ -452,20 +343,27 @@ fn parse_instruction(line: &str, lineno: usize) -> Result<Stmt, AsmError> {
         }
         "dispatch.reg" => {
             need(2)?;
-            Stmt::DispatchReg { rs: parse_reg(args[0], lineno)?, group: args[1].to_string() }
+            let rs = parse_transition_reg(args[0], lineno)?;
+            Stmt::DispatchReg { rs, group: args[1].to_string() }
         }
-        other => return Err(err(lineno, format!("unknown mnemonic `{other}`"))),
+        other => {
+            if let Some(&(cond, _)) = CONDS.iter().find(|(_, name)| *name == other) {
+                need(3)?;
+                Stmt::Branch {
+                    cond,
+                    rs: parse_transition_reg(args[0], lineno)?,
+                    rt: parse_transition_reg(args[1], lineno)?,
+                    taken: args[2].to_string(),
+                }
+            } else if let Some(op) = Op::by_mnemonic(other) {
+                need(op.operands.len())?;
+                Stmt::Action(parse_action(op, &args, lineno)?)
+            } else {
+                return Err(err(lineno, format!("unknown mnemonic `{other}`")));
+            }
+        }
     };
     Ok(stmt)
-}
-
-fn width_of(m: &str) -> Width {
-    match m.as_bytes()[m.len() - 1] {
-        b'b' => Width::B1,
-        b'h' => Width::B2,
-        b'w' => Width::B4,
-        _ => Width::B8,
-    }
 }
 
 /// Closes the open block: splits the action run into ≤4-action chunks
@@ -561,112 +459,50 @@ fn lower(
     let mut actions: Vec<(Action, usize)> = Vec::new();
     let mut lines_out: Vec<(BlockId, BlockLines)> = Vec::new();
 
-    let mut i = 0usize;
-    while i < stmts.len() {
-        let (line, stmt) = &stmts[i];
-        match stmt {
+    for (line, stmt) in stmts {
+        let transition = match stmt {
             Stmt::Label(l) => {
                 if current.is_some() || !actions.is_empty() {
                     // Implicit fall into the label: close with a jump.
-                    let target = resolve_label(&label_block, l, *line)?;
-                    finish(
-                        &mut pb,
-                        &mut current,
-                        &mut actions,
-                        Transition::Jump(target),
-                        0,
-                        &mut lines_out,
-                    );
+                    let fall = Transition::Jump(label_block[l]);
+                    finish(&mut pb, &mut current, &mut actions, fall, 0, &mut lines_out);
                 }
                 current = Some((label_block[l], *line));
+                continue;
             }
             Stmt::Action(a) => {
                 if current.is_none() && actions.is_empty() {
-                    // Code before any label: fine, becomes the entry chain if
-                    // .entry names a label later — actually require labels.
                     return Err(err(*line, "instruction before any label"));
                 }
                 actions.push((*a, *line));
+                continue;
             }
-            Stmt::Halt => {
-                finish(
-                    &mut pb,
-                    &mut current,
-                    &mut actions,
-                    Transition::Halt,
-                    *line,
-                    &mut lines_out,
-                );
-            }
-            Stmt::Jump(l) => {
-                let t = resolve_label(&label_block, l, *line)?;
-                finish(
-                    &mut pb,
-                    &mut current,
-                    &mut actions,
-                    Transition::Jump(t),
-                    *line,
-                    &mut lines_out,
-                );
-            }
-            Stmt::DispatchSym { bits, group } => {
-                let g = resolve_group(&group_ids, group, *line)?;
-                finish(
-                    &mut pb,
-                    &mut current,
-                    &mut actions,
-                    Transition::DispatchSym { bits: *bits, group: g },
-                    *line,
-                    &mut lines_out,
-                );
-            }
-            Stmt::DispatchPeek { bits, group } => {
-                let g = resolve_group(&group_ids, group, *line)?;
-                finish(
-                    &mut pb,
-                    &mut current,
-                    &mut actions,
-                    Transition::DispatchPeek { bits: *bits, group: g },
-                    *line,
-                    &mut lines_out,
-                );
-            }
+            Stmt::Halt => Transition::Halt,
+            Stmt::Jump(l) => Transition::Jump(resolve_label(&label_block, l, *line)?),
+            Stmt::DispatchSym { bits, group } => Transition::DispatchSym {
+                bits: *bits,
+                group: resolve_group(&group_ids, group, *line)?,
+            },
+            Stmt::DispatchPeek { bits, group } => Transition::DispatchPeek {
+                bits: *bits,
+                group: resolve_group(&group_ids, group, *line)?,
+            },
             Stmt::DispatchReg { rs, group } => {
-                let g = resolve_group(&group_ids, group, *line)?;
-                finish(
-                    &mut pb,
-                    &mut current,
-                    &mut actions,
-                    Transition::DispatchReg { rs: *rs, group: g },
-                    *line,
-                    &mut lines_out,
-                );
+                Transition::DispatchReg { rs: *rs, group: resolve_group(&group_ids, group, *line)? }
             }
-            Stmt::Branch { cond, rs, rt, taken } => {
-                let t = resolve_label(&label_block, taken, *line)?;
-                // Fall-through target: a fresh anonymous block starting at
-                // the next statement.
-                let fall = pb.reserve();
-                finish(
-                    &mut pb,
-                    &mut current,
-                    &mut actions,
-                    Transition::Branch {
-                        cond: *cond,
-                        rs: *rs,
-                        rt: *rt,
-                        taken: t,
-                        fallthrough: fall,
-                    },
-                    *line,
-                    &mut lines_out,
-                );
-                // The fall-through block is anonymous but starts right after
-                // the branch line.
-                current = Some((fall, 0));
-            }
+            Stmt::Branch { cond, rs, rt, taken } => Transition::Branch {
+                cond: *cond,
+                rs: *rs,
+                rt: *rt,
+                taken: resolve_label(&label_block, taken, *line)?,
+                // A fresh anonymous block starting at the next statement.
+                fallthrough: pb.reserve(),
+            },
+        };
+        finish(&mut pb, &mut current, &mut actions, transition, *line, &mut lines_out);
+        if let Transition::Branch { fallthrough, .. } = transition {
+            current = Some((fallthrough, 0));
         }
-        i += 1;
     }
     if let Some((_, ll)) = current {
         let at = if ll != 0 { ll } else { stmts.last().map_or(0, |(l, _)| *l) };
@@ -701,6 +537,7 @@ fn lower(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{Operand, OPS};
     use crate::lane::{Lane, RunConfig};
     use crate::machine::assemble;
 
@@ -799,6 +636,34 @@ mod tests {
         assert!(e.msg.contains("register"));
         let e = assemble_text("bad", ".entry m\nm:\n    jump nowhere\n").unwrap_err();
         assert!(e.msg.contains("nowhere"));
+    }
+
+    #[test]
+    fn every_opcode_row_assembles_under_its_own_mnemonic() {
+        // One statement per row, operands at the row's bounds; `loadhi` is
+        // a row, `storehi` is not.
+        for bound in [|o: &Operand| o.lo, |o: &Operand| o.hi] {
+            let want: Vec<Action> =
+                OPS.iter().map(|op| Action::compose(op, op.values(bound))).collect();
+            let body: Vec<String> = want.iter().map(|a| format!("    {a}\n")).collect();
+            let src = format!(".entry m\nm:\n{}    halt\n", body.concat());
+            assert!(src.contains("\n    loadhi r"), "{src}");
+            let program = assemble_text("rows", &src).unwrap();
+            // Follow the auto-split chain from the entry.
+            let (mut got, mut at) = (Vec::new(), program.entry);
+            loop {
+                let block = &program.blocks[at as usize];
+                got.extend_from_slice(&block.actions);
+                match block.transition {
+                    Transition::Jump(next) => at = next,
+                    _ => break,
+                }
+            }
+            assert_eq!(got, want);
+        }
+        let e = assemble_text("bad", ".entry m\nm:\n    storehi r3, r2\n    halt\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("unknown mnemonic `storehi`"), "{e}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * Input is consumed through the stream unit (`insym`/`peek`/`skip`);
 //!   programs must not assume input lives in the scratchpad.
 
-use crate::isa::{Action, NUM_REGS, SCRATCHPAD_BYTES};
+use crate::isa::{Action, OpClass, NUM_REGS, SCRATCHPAD_BYTES};
 use crate::machine::{DecodedTransition, Image};
 
 /// Cycle attribution by opcode class (paper Figs. 12/13 break decode time
@@ -53,30 +53,15 @@ impl OpClassCycles {
         self.stream += other.stream;
     }
 
-    /// Charges one cycle to the class of `action`.
+    /// Charges one cycle to the class of `action`'s opcode row.
     #[inline]
     pub fn bump(&mut self, action: &Action) {
-        match action {
-            Action::LoadImm { .. }
-            | Action::Mov { .. }
-            | Action::Add { .. }
-            | Action::Sub { .. }
-            | Action::And { .. }
-            | Action::Or { .. }
-            | Action::Xor { .. }
-            | Action::AddI { .. }
-            | Action::ShlI { .. }
-            | Action::ShrI { .. } => self.alu += 1,
-            Action::Load { .. }
-            | Action::Store { .. }
-            | Action::LoadInc { .. }
-            | Action::StoreInc { .. } => self.mem += 1,
-            Action::InSym { .. }
-            | Action::InSymLe { .. }
-            | Action::PeekSym { .. }
-            | Action::SkipSym { .. }
-            | Action::SkipReg { .. }
-            | Action::InRem { .. } => self.stream += 1,
+        match action.decompose().map(|(op, _)| op.class) {
+            Some(OpClass::Alu) => self.alu += 1,
+            Some(OpClass::Mem) => self.mem += 1,
+            Some(OpClass::Stream) => self.stream += 1,
+            // No code word decodes to an action without a row.
+            None => {}
         }
     }
 }
@@ -911,7 +896,7 @@ impl Lane {
         loop {
             let block =
                 image.decode(pc).ok_or(LaneError::UnmappedAddress { addr: pc, from: prev_pc })?;
-            self.step_block(&block.actions, &mut acct, cfg, &mut stream)?;
+            self.step_block(block.actions(), &mut acct, cfg, &mut stream)?;
             prev_pc = pc;
             match self.resolve_transition(block.transition, prev_pc, &mut stream)? {
                 Some(next) => pc = next,

@@ -6,50 +6,12 @@
 
 use crate::effclip::{self, Placement};
 use crate::error::UdpError;
-use crate::isa::{Action, Block, Cond, Transition, Width};
+use crate::isa::{Action, Block, Cond, Op, Transition, CONDS, OPCODE_SHIFT};
 use crate::program::Program;
 use crate::verify::{self, VerifyConfig, VerifyReport};
 
 /// Code word marking an unoccupied address.
 pub const HOLE: u128 = u128::MAX;
-
-/// Action opcodes (5 bits). 0 = empty slot.
-mod op {
-    /// Opcode 0 marks an empty action slot (checked by the decoder).
-    #[allow(dead_code)]
-    pub const NONE: u32 = 0;
-    pub const LOAD_IMM: u32 = 1;
-    pub const MOV: u32 = 2;
-    pub const ADD: u32 = 3;
-    pub const SUB: u32 = 4;
-    pub const AND: u32 = 5;
-    pub const OR: u32 = 6;
-    pub const XOR: u32 = 7;
-    pub const ADDI: u32 = 8;
-    pub const SHLI: u32 = 9;
-    pub const SHRI: u32 = 10;
-    pub const LOAD_B: u32 = 11;
-    pub const LOAD_H: u32 = 12;
-    pub const LOAD_W: u32 = 13;
-    pub const LOAD_D: u32 = 14;
-    pub const STORE_B: u32 = 15;
-    pub const STORE_H: u32 = 16;
-    pub const STORE_W: u32 = 17;
-    pub const STORE_D: u32 = 18;
-    pub const IN_SYM: u32 = 19;
-    pub const IN_SYM_LE: u32 = 20;
-    pub const PEEK_SYM: u32 = 21;
-    pub const SKIP_SYM: u32 = 22;
-    pub const SKIP_REG: u32 = 23;
-    pub const IN_REM: u32 = 24;
-    pub const LOAD_B_INC: u32 = 25;
-    pub const LOAD_W_INC: u32 = 26;
-    pub const LOAD_D_INC: u32 = 27;
-    pub const STORE_B_INC: u32 = 28;
-    pub const STORE_W_INC: u32 = 29;
-    pub const STORE_D_INC: u32 = 30;
-    pub const LOAD_H_INC: u32 = 31;
-}
 
 /// Transition type tags (3 bits).
 mod tt {
@@ -61,17 +23,8 @@ mod tt {
     pub const BRANCH: u32 = 5;
 }
 
-/// A block after placement: all control targets are concrete addresses.
-/// Branch fall-through is implicit (`pc + 1`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodedBlock {
-    /// Straight-line actions.
-    pub actions: Vec<Action>,
-    /// Resolved terminator.
-    pub transition: DecodedTransition,
-}
-
-/// [`Transition`] with numeric code addresses.
+/// [`Transition`] after placement: all control targets are concrete code
+/// addresses. Branch fall-through is implicit (`pc + 1`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodedTransition {
     /// Stop.
@@ -112,6 +65,28 @@ pub enum DecodedTransition {
     },
 }
 
+/// The disassembler's spelling of a terminator.
+impl std::fmt::Display for DecodedTransition {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            DecodedTransition::Halt => f.write_str("halt"),
+            DecodedTransition::Jump(a) => write!(f, "jump @{a}"),
+            DecodedTransition::DispatchSym { bits, base } => {
+                write!(f, "dispatch.sym {bits}, @{base}+sym")
+            }
+            DecodedTransition::DispatchPeek { bits, base } => {
+                write!(f, "dispatch.peek {bits}, @{base}+sym")
+            }
+            DecodedTransition::DispatchReg { rs, base } => {
+                write!(f, "dispatch.reg r{rs}, @{base}+r{rs}")
+            }
+            DecodedTransition::Branch { cond, rs, rt, taken } => {
+                write!(f, "{} r{rs}, r{rt}, @{taken}", CONDS[cond as usize].1)
+            }
+        }
+    }
+}
+
 /// A code word decoded once at assemble time into a fixed-size record the
 /// lane interpreter can index without allocating: the (at most four) action
 /// slots are inlined as an array, unused slots padded with a placeholder
@@ -129,15 +104,24 @@ pub struct PredecodedBlock {
 const PAD_ACTION: Action = Action::Mov { rd: 0, rs: 0 };
 
 impl PredecodedBlock {
-    /// Predecodes one code word; `None` for holes and malformed words —
-    /// exactly the cases where [`decode_word`] fails, so a dispatch into
-    /// `None` traps identically on both interpreter paths.
+    /// Decodes one code word: the occupied action slots compacted in slot
+    /// order, then the transition. `None` for holes and malformed words, so
+    /// a dispatch into `None` traps identically on both interpreter paths.
     pub fn from_word(w: u128) -> Option<PredecodedBlock> {
         if w == HOLE {
             return None;
         }
         let mut actions = [PAD_ACTION; 4];
-        let (n_actions, transition) = decode_word_into(w, &mut actions)?;
+        let mut n_actions = 0u8;
+        for slot in 0..4 {
+            let bits = ((w >> (24 * slot)) & 0xFF_FFFF) as u32;
+            if bits == 0 {
+                continue;
+            }
+            actions[n_actions as usize] = decode_action(bits)?;
+            n_actions += 1;
+        }
+        let transition = decode_transition(((w >> 96) & 0xFFFF_FFFF) as u32)?;
         Some(PredecodedBlock { actions, n_actions, transition })
     }
 
@@ -189,12 +173,8 @@ impl Image {
     /// Decodes the word at `addr`. Returns `None` for holes or
     /// out-of-range addresses (runtime trap). This is the word-at-a-time
     /// reference path; the lane's hot loop uses [`Image::predecoded`].
-    pub fn decode(&self, addr: u32) -> Option<DecodedBlock> {
-        let w = *self.words.get(addr as usize)?;
-        if w == HOLE {
-            return None;
-        }
-        decode_word(w)
+    pub fn decode(&self, addr: u32) -> Option<PredecodedBlock> {
+        decode_word(*self.words.get(addr as usize)?)
     }
 
     /// The predecoded record at `addr`; `None` agrees bit-for-bit with
@@ -286,301 +266,70 @@ fn encode_word(block: &Block, placement: &Placement) -> Result<u128, UdpError> {
 }
 
 fn encode_action(a: Action) -> Result<u32, UdpError> {
-    a.validate()?;
-    let r = |x: u8| x as u32;
-    let enc = match a {
-        Action::LoadImm { rd, imm } => {
-            (op::LOAD_IMM << 19) | (r(rd) << 15) | ((imm as u32) & 0x7FFF)
-        }
-        Action::Mov { rd, rs } => (op::MOV << 19) | (r(rd) << 15) | (r(rs) << 11),
-        Action::Add { rd, rs, rt } => {
-            (op::ADD << 19) | (r(rd) << 15) | (r(rs) << 11) | (r(rt) << 7)
-        }
-        Action::Sub { rd, rs, rt } => {
-            (op::SUB << 19) | (r(rd) << 15) | (r(rs) << 11) | (r(rt) << 7)
-        }
-        Action::And { rd, rs, rt } => {
-            (op::AND << 19) | (r(rd) << 15) | (r(rs) << 11) | (r(rt) << 7)
-        }
-        Action::Or { rd, rs, rt } => (op::OR << 19) | (r(rd) << 15) | (r(rs) << 11) | (r(rt) << 7),
-        Action::Xor { rd, rs, rt } => {
-            (op::XOR << 19) | (r(rd) << 15) | (r(rs) << 11) | (r(rt) << 7)
-        }
-        Action::AddI { rd, rs, imm } => {
-            (op::ADDI << 19) | (r(rd) << 15) | (r(rs) << 11) | ((imm as u32) & 0x7FF)
-        }
-        Action::ShlI { rd, rs, amount } => {
-            (op::SHLI << 19) | (r(rd) << 15) | (r(rs) << 11) | ((amount as u32) << 5)
-        }
-        Action::ShrI { rd, rs, amount } => {
-            (op::SHRI << 19) | (r(rd) << 15) | (r(rs) << 11) | ((amount as u32) << 5)
-        }
-        Action::Load { rd, base, offset, width } => {
-            let o = match width {
-                Width::B1 => op::LOAD_B,
-                Width::B2 => op::LOAD_H,
-                Width::B4 => op::LOAD_W,
-                Width::B8 => op::LOAD_D,
-            };
-            (o << 19) | (r(rd) << 15) | (r(base) << 11) | ((offset as u32) & 0x7FF)
-        }
-        Action::Store { rs, base, offset, width } => {
-            let o = match width {
-                Width::B1 => op::STORE_B,
-                Width::B2 => op::STORE_H,
-                Width::B4 => op::STORE_W,
-                Width::B8 => op::STORE_D,
-            };
-            (o << 19) | (r(rs) << 15) | (r(base) << 11) | ((offset as u32) & 0x7FF)
-        }
-        Action::LoadInc { rd, base, width } => {
-            let o = match width {
-                Width::B1 => op::LOAD_B_INC,
-                Width::B2 => op::LOAD_H_INC,
-                Width::B4 => op::LOAD_W_INC,
-                Width::B8 => op::LOAD_D_INC,
-            };
-            (o << 19) | (r(rd) << 15) | (r(base) << 11)
-        }
-        Action::StoreInc { rs, base, width } => {
-            let o = match width {
-                Width::B1 => op::STORE_B_INC,
-                // The 5-bit opcode space has no row left for a 2-byte
-                // post-increment store; no decoder program needs one.
-                Width::B2 => {
-                    return Err(UdpError::Encoding("StoreInc does not support 2-byte width".into()))
-                }
-                Width::B4 => op::STORE_W_INC,
-                Width::B8 => op::STORE_D_INC,
-            };
-            (o << 19) | (r(rs) << 15) | (r(base) << 11)
-        }
-        Action::InSym { rd, bits } => (op::IN_SYM << 19) | (r(rd) << 15) | ((bits as u32) << 9),
-        Action::InSymLe { rd, bytes } => {
-            (op::IN_SYM_LE << 19) | (r(rd) << 15) | ((bytes as u32) << 9)
-        }
-        Action::PeekSym { rd, bits } => (op::PEEK_SYM << 19) | (r(rd) << 15) | ((bits as u32) << 9),
-        Action::SkipSym { bits } => (op::SKIP_SYM << 19) | ((bits as u32) << 13),
-        Action::SkipReg { rs } => (op::SKIP_REG << 19) | (r(rs) << 15),
-        Action::InRem { rd } => (op::IN_REM << 19) | (r(rd) << 15),
-    };
-    Ok(enc)
+    let (op, values) = a.checked()?;
+    let slot = u32::from(op.opcode) << OPCODE_SHIFT;
+    Ok(op.operands.iter().zip(values).fold(slot, |slot, (o, v)| slot | o.pack(v)))
 }
 
 fn encode_transition(t: &Transition, placement: &Placement) -> Result<u32, UdpError> {
-    let addr_of = |b: u32| placement.block_addr[b as usize];
-    let base_of = |g: u32| placement.group_base[g as usize];
-    let enc = match *t {
-        Transition::Halt => tt::HALT << 29,
-        Transition::Jump(b) => {
-            let a = addr_of(b);
-            if a >= (1 << 24) {
-                return Err(UdpError::Encoding(format!("jump target address {a} exceeds 24 bits")));
-            }
-            (tt::JUMP << 29) | a
+    // A block address or group base, held to the `bits` its field has.
+    let fit = |what: &str, a: u32, bits: u32| {
+        if a >> bits == 0 {
+            Ok(a)
+        } else {
+            Err(UdpError::Encoding(format!("{what} {a} exceeds {bits} bits")))
         }
+    };
+    let addr_of = |what: &str, b: u32, bits| fit(what, placement.block_addr[b as usize], bits);
+    let base_of = |g: u32| fit("group base", placement.group_base[g as usize], 24);
+    Ok(match *t {
+        Transition::Halt => tt::HALT << 29,
+        Transition::Jump(b) => (tt::JUMP << 29) | addr_of("jump target address", b, 24)?,
         Transition::DispatchSym { bits, group } => {
-            let base = base_of(group);
-            if base >= (1 << 24) {
-                return Err(UdpError::Encoding(format!("group base {base} exceeds 24 bits")));
-            }
-            (tt::DISPATCH_SYM << 29) | ((bits as u32) << 24) | base
+            (tt::DISPATCH_SYM << 29) | ((bits as u32) << 24) | base_of(group)?
         }
         Transition::DispatchPeek { bits, group } => {
-            let base = base_of(group);
-            if base >= (1 << 24) {
-                return Err(UdpError::Encoding(format!("group base {base} exceeds 24 bits")));
-            }
-            (tt::DISPATCH_PEEK << 29) | ((bits as u32) << 24) | base
+            (tt::DISPATCH_PEEK << 29) | ((bits as u32) << 24) | base_of(group)?
         }
         Transition::DispatchReg { rs, group } => {
-            let base = base_of(group);
-            if base >= (1 << 24) {
-                return Err(UdpError::Encoding(format!("group base {base} exceeds 24 bits")));
-            }
-            (tt::DISPATCH_REG << 29) | ((rs as u32) << 24) | base
+            (tt::DISPATCH_REG << 29) | ((rs as u32) << 24) | base_of(group)?
         }
         Transition::Branch { cond, rs, rt, taken, .. } => {
-            let a = addr_of(taken);
-            if a >= (1 << 18) {
-                return Err(UdpError::Encoding(format!(
-                    "branch target address {a} exceeds 18 bits"
-                )));
-            }
             (tt::BRANCH << 29)
                 | ((cond as u32) << 26)
                 | ((rs as u32) << 22)
                 | ((rt as u32) << 18)
-                | a
+                | addr_of("branch target address", taken, 18)?
         }
-    };
-    Ok(enc)
-}
-
-/// Decodes one code word; `None` if any field is malformed.
-pub fn decode_word(w: u128) -> Option<DecodedBlock> {
-    let mut buf = [PAD_ACTION; 4];
-    let (n, transition) = decode_word_into(w, &mut buf)?;
-    Some(DecodedBlock { actions: buf[..n as usize].to_vec(), transition })
-}
-
-/// Non-allocating word decode: fills `out` with the occupied action slots
-/// (compacted, in slot order) and returns their count plus the transition;
-/// `None` if any field is malformed.
-fn decode_word_into(w: u128, out: &mut [Action; 4]) -> Option<(u8, DecodedTransition)> {
-    let mut n = 0u8;
-    for slot in 0..4 {
-        let bits = ((w >> (24 * slot)) & 0xFF_FFFF) as u32;
-        if bits == 0 {
-            continue;
-        }
-        out[n as usize] = decode_action(bits)?;
-        n += 1;
-    }
-    let transition = decode_transition(((w >> 96) & 0xFFFF_FFFF) as u32)?;
-    Some((n, transition))
-}
-
-fn sign_extend(v: u32, bits: u32) -> i16 {
-    let shift = 32 - bits;
-    (((v << shift) as i32) >> shift) as i16
-}
-
-fn decode_action(bits: u32) -> Option<Action> {
-    let opcode = bits >> 19;
-    let rd = ((bits >> 15) & 0xF) as u8;
-    let rs = ((bits >> 11) & 0xF) as u8;
-    let rt = ((bits >> 7) & 0xF) as u8;
-    let imm15 = sign_extend(bits & 0x7FFF, 15);
-    let imm11 = sign_extend(bits & 0x7FF, 11);
-    let amount6 = ((bits >> 5) & 0x3F) as u8;
-    let bits6 = ((bits >> 9) & 0x3F) as u8;
-    let skip6 = ((bits >> 13) & 0x3F) as u8;
-    let a = match opcode {
-        op::LOAD_IMM => Action::LoadImm { rd, imm: imm15 },
-        op::MOV => Action::Mov { rd, rs },
-        op::ADD => Action::Add { rd, rs, rt },
-        op::SUB => Action::Sub { rd, rs, rt },
-        op::AND => Action::And { rd, rs, rt },
-        op::OR => Action::Or { rd, rs, rt },
-        op::XOR => Action::Xor { rd, rs, rt },
-        op::ADDI => Action::AddI { rd, rs, imm: imm11 },
-        op::SHLI => Action::ShlI { rd, rs, amount: amount6 },
-        op::SHRI => Action::ShrI { rd, rs, amount: amount6 },
-        op::LOAD_B => Action::Load { rd, base: rs, offset: imm11, width: Width::B1 },
-        op::LOAD_H => Action::Load { rd, base: rs, offset: imm11, width: Width::B2 },
-        op::LOAD_W => Action::Load { rd, base: rs, offset: imm11, width: Width::B4 },
-        op::LOAD_D => Action::Load { rd, base: rs, offset: imm11, width: Width::B8 },
-        op::STORE_B => Action::Store { rs: rd, base: rs, offset: imm11, width: Width::B1 },
-        op::STORE_H => Action::Store { rs: rd, base: rs, offset: imm11, width: Width::B2 },
-        op::STORE_W => Action::Store { rs: rd, base: rs, offset: imm11, width: Width::B4 },
-        op::STORE_D => Action::Store { rs: rd, base: rs, offset: imm11, width: Width::B8 },
-        op::IN_SYM => Action::InSym { rd, bits: bits6 },
-        op::IN_SYM_LE => Action::InSymLe { rd, bytes: bits6 },
-        op::PEEK_SYM => Action::PeekSym { rd, bits: bits6 },
-        op::SKIP_SYM => Action::SkipSym { bits: skip6 },
-        op::SKIP_REG => Action::SkipReg { rs: rd },
-        op::IN_REM => Action::InRem { rd },
-        op::LOAD_B_INC => Action::LoadInc { rd, base: rs, width: Width::B1 },
-        op::LOAD_H_INC => Action::LoadInc { rd, base: rs, width: Width::B2 },
-        op::LOAD_W_INC => Action::LoadInc { rd, base: rs, width: Width::B4 },
-        op::LOAD_D_INC => Action::LoadInc { rd, base: rs, width: Width::B8 },
-        op::STORE_B_INC => Action::StoreInc { rs: rd, base: rs, width: Width::B1 },
-        op::STORE_W_INC => Action::StoreInc { rs: rd, base: rs, width: Width::B4 },
-        op::STORE_D_INC => Action::StoreInc { rs: rd, base: rs, width: Width::B8 },
-        _ => return None,
-    };
-    Some(a)
-}
-
-fn decode_cond(c: u32) -> Option<Cond> {
-    Some(match c {
-        0 => Cond::Eq,
-        1 => Cond::Ne,
-        2 => Cond::Ltu,
-        3 => Cond::Geu,
-        4 => Cond::Lts,
-        5 => Cond::Ges,
-        _ => return None,
     })
 }
 
+/// Decodes one code word; `None` if any field is malformed.
+pub fn decode_word(w: u128) -> Option<PredecodedBlock> {
+    PredecodedBlock::from_word(w)
+}
+
+fn decode_action(slot: u32) -> Option<Action> {
+    let op = Op::by_opcode(slot >> OPCODE_SHIFT)?;
+    Some(Action::compose(op, op.values(|o| o.unpack(slot))))
+}
+
 fn decode_transition(t: u32) -> Option<DecodedTransition> {
-    let ty = t >> 29;
-    Some(match ty {
-        x if x == tt::HALT => DecodedTransition::Halt,
-        x if x == tt::JUMP => DecodedTransition::Jump(t & 0xFF_FFFF),
-        x if x == tt::DISPATCH_SYM => {
-            DecodedTransition::DispatchSym { bits: ((t >> 24) & 0x1F) as u8, base: t & 0xFF_FFFF }
-        }
-        x if x == tt::DISPATCH_PEEK => {
-            DecodedTransition::DispatchPeek { bits: ((t >> 24) & 0x1F) as u8, base: t & 0xFF_FFFF }
-        }
-        x if x == tt::DISPATCH_REG => {
-            DecodedTransition::DispatchReg { rs: ((t >> 24) & 0xF) as u8, base: t & 0xFF_FFFF }
-        }
-        x if x == tt::BRANCH => DecodedTransition::Branch {
-            cond: decode_cond((t >> 26) & 0x7)?,
+    let (bits, base) = (((t >> 24) & 0x1F) as u8, t & 0xFF_FFFF);
+    Some(match t >> 29 {
+        tt::HALT => DecodedTransition::Halt,
+        tt::JUMP => DecodedTransition::Jump(base),
+        tt::DISPATCH_SYM => DecodedTransition::DispatchSym { bits, base },
+        tt::DISPATCH_PEEK => DecodedTransition::DispatchPeek { bits, base },
+        tt::DISPATCH_REG => DecodedTransition::DispatchReg { rs: bits & 0xF, base },
+        tt::BRANCH => DecodedTransition::Branch {
+            cond: CONDS.get(((t >> 26) & 0x7) as usize)?.0,
             rs: ((t >> 22) & 0xF) as u8,
             rt: ((t >> 18) & 0xF) as u8,
             taken: t & 0x3_FFFF,
         },
         _ => return None,
     })
-}
-
-/// Renders one action in the assembler's mnemonic syntax.
-fn action_mnemonic(a: Action) -> String {
-    match a {
-        Action::LoadImm { rd, imm } => format!("limm r{rd}, {imm}"),
-        Action::Mov { rd, rs } => format!("mov r{rd}, r{rs}"),
-        Action::Add { rd, rs, rt } => format!("add r{rd}, r{rs}, r{rt}"),
-        Action::Sub { rd, rs, rt } => format!("sub r{rd}, r{rs}, r{rt}"),
-        Action::And { rd, rs, rt } => format!("and r{rd}, r{rs}, r{rt}"),
-        Action::Or { rd, rs, rt } => format!("or r{rd}, r{rs}, r{rt}"),
-        Action::Xor { rd, rs, rt } => format!("xor r{rd}, r{rs}, r{rt}"),
-        Action::AddI { rd, rs, imm } => format!("addi r{rd}, r{rs}, {imm}"),
-        Action::ShlI { rd, rs, amount } => format!("shli r{rd}, r{rs}, {amount}"),
-        Action::ShrI { rd, rs, amount } => format!("shri r{rd}, r{rs}, {amount}"),
-        Action::Load { rd, base, offset, width } => {
-            format!("load{} r{rd}, r{base}, {offset}", width_suffix(width))
-        }
-        Action::Store { rs, base, offset, width } => {
-            format!("store{} r{rs}, r{base}, {offset}", width_suffix(width))
-        }
-        Action::LoadInc { rd, base, width } => {
-            format!("load{}i r{rd}, r{base}", width_suffix(width))
-        }
-        Action::StoreInc { rs, base, width } => {
-            format!("store{}i r{rs}, r{base}", width_suffix(width))
-        }
-        Action::InSym { rd, bits } => format!("insym r{rd}, {bits}"),
-        Action::InSymLe { rd, bytes } => format!("insymle r{rd}, {bytes}"),
-        Action::PeekSym { rd, bits } => format!("peek r{rd}, {bits}"),
-        Action::SkipSym { bits } => format!("skip {bits}"),
-        Action::SkipReg { rs } => format!("skipreg r{rs}"),
-        Action::InRem { rd } => format!("inrem r{rd}"),
-    }
-}
-
-fn width_suffix(w: Width) -> char {
-    match w {
-        Width::B1 => 'b',
-        Width::B2 => 'h',
-        Width::B4 => 'w',
-        Width::B8 => 'd',
-    }
-}
-
-fn cond_mnemonic(c: Cond) -> &'static str {
-    match c {
-        Cond::Eq => "beq",
-        Cond::Ne => "bne",
-        Cond::Ltu => "bltu",
-        Cond::Geu => "bgeu",
-        Cond::Lts => "blts",
-        Cond::Ges => "bges",
-    }
 }
 
 impl Image {
@@ -603,26 +352,16 @@ impl Image {
             };
             let marker = if addr as u32 == self.entry { " <entry>" } else { "" };
             let _ = writeln!(out, "{addr:6}:{marker}");
-            for a in &block.actions {
-                let _ = writeln!(out, "        {}", action_mnemonic(*a));
+            for a in block.actions() {
+                let _ = writeln!(out, "        {a}");
             }
-            let t = match block.transition {
-                DecodedTransition::Halt => "halt".to_string(),
-                DecodedTransition::Jump(a) => format!("jump @{a}"),
-                DecodedTransition::DispatchSym { bits, base } => {
-                    format!("dispatch.sym {bits}, @{base}+sym")
+            let t = block.transition;
+            let _ = match t {
+                DecodedTransition::Branch { .. } => {
+                    writeln!(out, "        {t} ; else @{}", addr + 1)
                 }
-                DecodedTransition::DispatchPeek { bits, base } => {
-                    format!("dispatch.peek {bits}, @{base}+sym")
-                }
-                DecodedTransition::DispatchReg { rs, base } => {
-                    format!("dispatch.reg r{rs}, @{base}+r{rs}")
-                }
-                DecodedTransition::Branch { cond, rs, rt, taken } => {
-                    format!("{} r{rs}, r{rt}, @{taken} ; else @{}", cond_mnemonic(cond), addr + 1)
-                }
+                _ => writeln!(out, "        {t}"),
             };
-            let _ = writeln!(out, "        {t}");
         }
         out
     }
@@ -631,38 +370,72 @@ impl Image {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::Block;
+    use crate::isa::{Block, Width, OPS};
     use crate::program::ProgramBuilder;
+    use recode_sparse::util::for_each_case;
+
+    /// The first action of a one-statement program, through the assembler.
+    fn assemble_one(stmt: &str) -> Result<Action, crate::asm::AsmError> {
+        let src = format!(".entry m\nm:\n    {stmt}\n    halt\n");
+        crate::asm::assemble_text("t", &src).map(|p| p.blocks[p.entry as usize].actions[0])
+    }
 
     #[test]
     fn action_encode_decode_round_trip() {
-        let actions = vec![
-            Action::LoadImm { rd: 3, imm: -100 },
-            Action::LoadImm { rd: 3, imm: 16383 },
-            Action::Mov { rd: 1, rs: 15 },
-            Action::Add { rd: 1, rs: 2, rt: 3 },
-            Action::Sub { rd: 15, rs: 0, rt: 7 },
-            Action::And { rd: 4, rs: 5, rt: 6 },
-            Action::Or { rd: 4, rs: 5, rt: 6 },
-            Action::Xor { rd: 4, rs: 5, rt: 6 },
-            Action::AddI { rd: 2, rs: 2, imm: -1 },
-            Action::AddI { rd: 2, rs: 2, imm: 1023 },
-            Action::ShlI { rd: 9, rs: 9, amount: 63 },
-            Action::ShrI { rd: 9, rs: 9, amount: 1 },
-            Action::Load { rd: 5, base: 6, offset: -3, width: Width::B4 },
-            Action::Load { rd: 5, base: 6, offset: 7, width: Width::B8 },
-            Action::InSym { rd: 7, bits: 32 },
-            Action::InSymLe { rd: 7, bytes: 8 },
-            Action::PeekSym { rd: 7, bits: 15 },
-            Action::SkipSym { bits: 9 },
-            Action::SkipReg { rs: 11 },
-            Action::InRem { rd: 12 },
-        ];
-        for a in actions {
-            let enc = encode_action(a).unwrap();
-            let dec = decode_action(enc).unwrap();
-            assert_eq!(dec, a, "encoding {enc:#08x}");
+        // Every row x in-range operands (all lowest, all highest, then
+        // random): the action, its code word and its assembly text all
+        // denote the same thing.
+        let mut case = 0;
+        for_each_case(0x15A_0001, 64, |rng| {
+            for op in &OPS {
+                let values = op.values(|o| match case {
+                    0 => o.lo,
+                    1 => o.hi,
+                    _ => rng.range(o.lo.into(), i64::from(o.hi) + 1) as i32,
+                });
+                let a = Action::compose(op, values);
+                assert_eq!(a.decompose(), Some((op, values)));
+                let enc = encode_action(a).unwrap();
+                assert_eq!(enc >> OPCODE_SHIFT, u32::from(op.opcode));
+                assert_eq!(decode_action(enc), Some(a), "encoding {enc:#08x}");
+                assert_eq!(assemble_one(&a.to_string()), Ok(a), "`{a}`");
+            }
+            case += 1;
+        });
+        // Every row x each operand one step outside its range: validation,
+        // the assembler and the encoder all refuse, the assembler at the
+        // statement's line.
+        for op in &OPS {
+            for (i, o) in op.operands.iter().enumerate() {
+                for bad in [o.lo - 1, o.hi + 1] {
+                    let mut values = op.values(|o| o.lo);
+                    values[i] = bad;
+                    let a = Action::compose(op, values);
+                    assert!(a.validate().is_err(), "{a:?}");
+                    assert!(encode_action(a).is_err(), "{a:?}");
+                    let mut stmt = String::new();
+                    op.write(&mut stmt, &values).unwrap();
+                    let e = assemble_one(&stmt).expect_err("out-of-range operand assembled");
+                    assert_eq!(e.line, 3, "{e}");
+                    assert!(e.msg.contains(op.mnemonic) && !e.msg.contains("program error"), "{e}");
+                }
+            }
         }
+        // The one action without a row.
+        let a = Action::StoreInc { rs: 1, base: 2, width: Width::B2 };
+        assert_eq!(a.decompose(), None);
+        assert!(a.validate().is_err() && encode_action(a).is_err());
+    }
+
+    #[test]
+    fn builtin_image_words_are_pinned() {
+        // Digests of the three builtin images as the hand-written encoder
+        // produced them before the opcode table replaced it.
+        use crate::jit::fnv1a_words;
+        use crate::progs::{delta, huffman, snappy};
+        assert_eq!(fnv1a_words(&snappy::build().unwrap().words), 0x5b7d_f81b_7db8_6582);
+        assert_eq!(fnv1a_words(&delta::build().unwrap().words), 0x5c80_ac3c_4f45_48db);
+        assert_eq!(fnv1a_words(&huffman::compile(&[8; 256]).unwrap().words), 0xd4d0_9201_6583_b295);
     }
 
     #[test]
@@ -705,7 +478,7 @@ mod tests {
         let placement = crate::effclip::place(&p).unwrap();
         for (bid, block) in p.blocks.iter().enumerate() {
             let dec = image.decode(placement.block_addr[bid]).expect("placed block decodes");
-            assert_eq!(dec.actions, block.actions, "block {bid}");
+            assert_eq!(dec.actions(), block.actions, "block {bid}");
         }
         // Entry resolves.
         assert!(image.decode(image.entry).is_some());

@@ -61,7 +61,9 @@
 use crate::asm::SourceMap;
 use crate::effclip::Placement;
 use crate::error::UdpError;
-use crate::isa::{Action, Block, BlockId, Transition, Width, NUM_REGS, SCRATCHPAD_BYTES};
+use crate::isa::{
+    Action, Block, BlockId, OpClass, Role, Transition, Width, NUM_REGS, SCRATCHPAD_BYTES,
+};
 use crate::machine::{DecodedTransition, Image};
 use crate::program::Program;
 use std::collections::hash_map::{Entry, HashMap};
@@ -453,52 +455,22 @@ impl fmt::Display for VerifyReport {
 // Action/transition register effects
 // ---------------------------------------------------------------------------
 
+/// The register operands of `a` whose role in its opcode row satisfies
+/// `pick`, in operand order.
+fn action_regs(a: Action, pick: fn(Role) -> bool) -> impl Iterator<Item = u8> {
+    a.decompose().into_iter().flat_map(move |(op, values)| {
+        op.operands.iter().zip(values).filter(move |(o, _)| pick(o.role)).map(|(_, v)| v as u8)
+    })
+}
+
 /// Registers an action reads (before any write it performs).
-fn action_reads(a: Action) -> Vec<u8> {
-    match a {
-        Action::LoadImm { .. }
-        | Action::InSym { .. }
-        | Action::InSymLe { .. }
-        | Action::PeekSym { .. }
-        | Action::SkipSym { .. }
-        | Action::InRem { .. } => vec![],
-        Action::Mov { rs, .. }
-        | Action::AddI { rs, .. }
-        | Action::ShlI { rs, .. }
-        | Action::ShrI { rs, .. }
-        | Action::SkipReg { rs } => vec![rs],
-        Action::Add { rs, rt, .. }
-        | Action::Sub { rs, rt, .. }
-        | Action::And { rs, rt, .. }
-        | Action::Or { rs, rt, .. }
-        | Action::Xor { rs, rt, .. } => vec![rs, rt],
-        Action::Load { base, .. } | Action::LoadInc { base, .. } => vec![base],
-        Action::Store { rs, base, .. } | Action::StoreInc { rs, base, .. } => vec![rs, base],
-    }
+fn action_reads(a: Action) -> impl Iterator<Item = u8> {
+    action_regs(a, Role::reads)
 }
 
 /// Registers an action writes.
-fn action_writes(a: Action) -> Vec<u8> {
-    match a {
-        Action::LoadImm { rd, .. }
-        | Action::Mov { rd, .. }
-        | Action::Add { rd, .. }
-        | Action::Sub { rd, .. }
-        | Action::And { rd, .. }
-        | Action::Or { rd, .. }
-        | Action::Xor { rd, .. }
-        | Action::AddI { rd, .. }
-        | Action::ShlI { rd, .. }
-        | Action::ShrI { rd, .. }
-        | Action::Load { rd, .. }
-        | Action::InSym { rd, .. }
-        | Action::InSymLe { rd, .. }
-        | Action::PeekSym { rd, .. }
-        | Action::InRem { rd } => vec![rd],
-        Action::LoadInc { rd, base, .. } => vec![rd, base],
-        Action::StoreInc { base, .. } => vec![base],
-        Action::Store { .. } | Action::SkipSym { .. } | Action::SkipReg { .. } => vec![],
-    }
+fn action_writes(a: Action) -> impl Iterator<Item = u8> {
+    action_regs(a, Role::writes)
 }
 
 /// Registers a transition reads.
@@ -545,19 +517,7 @@ fn block_consumes_stream(blk: &Block) -> u64 {
 /// `true` for pure ALU ops whose only effect is the register write — the
 /// candidates for dead-write findings.
 fn is_pure_alu(a: Action) -> bool {
-    matches!(
-        a,
-        Action::LoadImm { .. }
-            | Action::Mov { .. }
-            | Action::Add { .. }
-            | Action::Sub { .. }
-            | Action::And { .. }
-            | Action::Or { .. }
-            | Action::Xor { .. }
-            | Action::AddI { .. }
-            | Action::ShlI { .. }
-            | Action::ShrI { .. }
-    )
+    a.decompose().is_some_and(|(op, _)| op.class == OpClass::Alu)
 }
 
 // ---------------------------------------------------------------------------
@@ -1108,7 +1068,7 @@ impl<'a> Verifier<'a> {
             let mut dead: Vec<(usize, u8)> = Vec::new();
             for (slot, a) in blk.actions.iter().enumerate().rev() {
                 if is_pure_alu(*a) {
-                    let rd = action_writes(*a)[0];
+                    let rd = action_writes(*a).next().expect("an ALU row defines a register");
                     if rd != 0 && live & (1 << rd) == 0 {
                         dead.push((slot, rd));
                     }
@@ -1523,7 +1483,7 @@ impl<'a> Verifier<'a> {
                     continue;
                 }
                 for a in &blk.actions {
-                    if !action_writes(*a).contains(&c) {
+                    if !action_writes(*a).any(|w| w == c) {
                         continue;
                     }
                     if cyclic[i] {
@@ -1694,11 +1654,11 @@ impl<'a> Verifier<'a> {
                         .to_string(),
                 ),
                 (Some(d), Some(p)) => {
-                    if p.actions() != d.actions.as_slice() {
+                    if p.actions() != d.actions() {
                         Some(format!(
                             "action slots diverge ({} flat vs {} decoded)",
                             p.actions().len(),
-                            d.actions.len()
+                            d.actions().len()
                         ))
                     } else if p.transition != d.transition {
                         Some("the transition diverges".to_string())
@@ -1903,7 +1863,7 @@ impl<'a> Verifier<'a> {
                     );
                 }
                 Some(dec) => {
-                    if dec.actions != blk.actions {
+                    if dec.actions() != blk.actions {
                         self.report.push(
                             Severity::Error,
                             Analysis::DispatchTable,
@@ -1912,7 +1872,7 @@ impl<'a> Verifier<'a> {
                             format!(
                                 "encode/decode round-trip mismatch at address {addr}: \
                                  {} action(s) decoded, {} expected",
-                                dec.actions.len(),
+                                dec.actions().len(),
                                 blk.actions.len()
                             ),
                         );

@@ -107,9 +107,22 @@ fn source_map_spans_cover_label_through_transition() {
 
 #[test]
 fn operand_count_errors_carry_the_line() {
-    let e = fails(".entry m\nm:\n    limm r1\n    halt\n");
-    assert_eq!(e.line, 3, "{e}");
-    assert!(e.msg.contains("expects"), "{e}");
+    // A missing operand, then operands outside their opcode row's range:
+    // all caught while parsing the statement, so the error names its line
+    // and its mnemonic once, with no file-level `program error` wrapping.
+    for (stmt, what) in [
+        ("limm r1", "expects"),
+        ("limm r1, 20000", "outside"),
+        ("insym r1, 40", "outside"),
+        ("shli r1, r1, 70", "outside"),
+        ("addi r1, r1, 2000", "outside"),
+    ] {
+        let e = fails(&format!(".entry m\nm:\n    {stmt}\n    halt\n"));
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.msg.contains(what) && !e.msg.contains("program error"), "{e}");
+        let mnemonic = stmt.split(' ').next().unwrap();
+        assert_eq!(e.msg.matches(mnemonic).count(), 1, "{e}");
+    }
 }
 
 #[test]

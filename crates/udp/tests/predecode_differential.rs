@@ -57,7 +57,7 @@ fn assert_predecode_agrees_everywhere(image: &Image) {
         let fast = image.predecoded(addr);
         match (&slow, fast) {
             (Some(d), Some(p)) => {
-                assert_eq!(d.actions.as_slice(), p.actions(), "{}@{addr}: actions", image.name);
+                assert_eq!(d.actions(), p.actions(), "{}@{addr}: actions", image.name);
                 assert_eq!(d.transition, p.transition, "{}@{addr}: transition", image.name);
             }
             (None, None) => {}

@@ -185,7 +185,7 @@ fn random_programs_place_and_encode_round_trip() {
         // Every placed block decodes to its logical actions.
         for (bid, block) in program.blocks.iter().enumerate() {
             let dec = image.decode(placement.block_addr[bid]).unwrap();
-            assert_eq!(&dec.actions, &block.actions);
+            assert_eq!(dec.actions(), block.actions);
         }
         // Packing density stays reasonable even for adversarial mixes.
         assert!(placement.utilization > 0.3, "utilization {}", placement.utilization);

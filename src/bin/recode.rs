@@ -10,7 +10,9 @@
 //!                                                run SpMV through the simulated
 //!                                                heterogeneous system and report;
 //!                                                --trace writes the full telemetry
-//!                                                document (recode-trace/v1 JSON);
+//!                                                document (recode-trace/v2 JSON; a
+//!                                                document with no pool.*/breaker.*
+//!                                                counters is stamped v1);
 //!                                                --overlap routes through the
 //!                                                pipelined decode/multiply
 //!                                                executor, --cache-blocks seeds
@@ -37,7 +39,8 @@
 //!                                                programs (exit 1 on violation)
 //! recode gen       <family> <target_nnz> -o <matrix.mtx>
 //!                                                emit a synthetic matrix
-//! recode disasm    <snappy|delta>                disassemble a builtin lane program
+//! recode disasm    <file.udp | builtin:NAME>     disassemble a lane program (same
+//!                                                targets as verify-program)
 //! recode verify-program <file.udp | builtin:NAME>
 //!                                                run the static verifier on a
 //!                                                lane program and print its
@@ -97,7 +100,7 @@ const EXIT_FALLBACK: u8 = 4;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  recode info <matrix.mtx>\n  recode compress <matrix.mtx> -o <out.rcmx> [--config dsh|ds|snappy]\n  recode decompress <in.rcmx> -o <matrix.mtx>\n  recode spmv <matrix.mtx> [--trace <out.json>] [--chrome-trace <out.trace.json>]\n              [--overlap] [--cache-blocks N] [--iters N] [--tuned <config.json>]\n              [--inject-trap JOB] [--inject-corrupt BLOCK]\n  recode tune <matrix.mtx> [-o <config.json>]\n  recode report <trace.json>\n  recode trace-check <trace.json> [--bounds]\n  recode gen <family> <target_nnz> -o <matrix.mtx> [--seed N]\n  recode disasm <snappy|delta>\n  recode verify-program <file.udp | builtin:delta|snappy|huffman|dsh>\n  recode chaos [--trials N] [--seed N] [--json <out.json>] [--chrome-trace <out.trace.json>]\n  recode metrics <matrix.mtx> [-o <metrics.prom>]\n  recode bench-compare <old.json> <new.json>\n\nspmv exit codes: 0 clean, 3 degraded (retries), 4 raw-CSR/software fallback\nfamilies: {}",
+        "usage:\n  recode info <matrix.mtx>\n  recode compress <matrix.mtx> -o <out.rcmx> [--config dsh|ds|snappy]\n  recode decompress <in.rcmx> -o <matrix.mtx>\n  recode spmv <matrix.mtx> [--trace <out.json>] [--chrome-trace <out.trace.json>]\n              [--overlap] [--cache-blocks N] [--iters N] [--tuned <config.json>]\n              [--inject-trap JOB] [--inject-corrupt BLOCK]\n  recode tune <matrix.mtx> [-o <config.json>]\n  recode report <trace.json>\n  recode trace-check <trace.json> [--bounds]\n  recode gen <family> <target_nnz> -o <matrix.mtx> [--seed N]\n  recode disasm <file.udp | builtin:delta|snappy|huffman|dsh>\n  recode verify-program <file.udp | builtin:delta|snappy|huffman|dsh>\n  recode chaos [--trials N] [--seed N] [--json <out.json>] [--chrome-trace <out.trace.json>]\n  recode metrics <matrix.mtx> [-o <metrics.prom>]\n  recode bench-compare <old.json> <new.json>\n\nspmv exit codes: 0 clean, 3 degraded (retries), 4 raw-CSR/software fallback\nfamilies: {}",
         FAMILIES.join(", ")
     );
     ExitCode::from(2)
@@ -770,14 +773,47 @@ fn check_trace_bounds(doc: &recode_spmv::core::telemetry::TraceDocument) -> Resu
     Ok(())
 }
 
+/// Resolves the target of `recode disasm` / `recode verify-program` to the
+/// images it names: a shipped program (`delta`, `snappy`, `huffman`, or
+/// `dsh` for the whole pipeline in stage order; `builtin:` prefix optional)
+/// or a `.udp` assembly file, whose verify findings get source lines.
+fn lane_images(target: Option<&String>) -> Result<Vec<recode_spmv::udp::Image>, String> {
+    use recode_spmv::udp::{asm, machine, progs};
+    let target =
+        target.ok_or("needs a .udp file or a builtin (builtin:delta|snappy|huffman|dsh)")?;
+    let built = |r: Result<_, recode_spmv::udp::UdpError>| r.map_err(|e| e.to_string());
+    let spelled = target.strip_prefix("builtin:").unwrap_or(target);
+    // A representative compiled decoder: uniform 8-bit code lengths
+    // (Kraft-complete over 256 symbols).
+    let huffman = || built(progs::huffman::compile(&[8u8; 256]));
+    Ok(match spelled {
+        "delta" => vec![built(progs::delta::build())?],
+        "snappy" => vec![built(progs::snappy::build())?],
+        "huffman" => vec![huffman()?],
+        "dsh" => vec![huffman()?, built(progs::snappy::build())?, built(progs::delta::build())?],
+        _ if spelled.len() != target.len() => {
+            return Err(format!("unknown builtin `{spelled}` (try delta|snappy|huffman|dsh)"));
+        }
+        path => {
+            let src = std::fs::read_to_string(path).map_err(|e| {
+                format!("{path}: {e} (not a builtin either: delta|snappy|huffman|dsh)")
+            })?;
+            let name = std::path::Path::new(path)
+                .file_stem()
+                .map_or_else(|| "program".into(), |s| s.to_string_lossy().into_owned());
+            let (program, map) =
+                asm::assemble_text_with_map(&name, &src).map_err(|e| format!("{path}: {e}"))?;
+            let mut image = built(machine::assemble(&program))?;
+            image.verify_report.attach_lines(&map);
+            vec![image]
+        }
+    })
+}
+
 fn cmd_disasm(flags: &Flags) -> Result<ExitCode, String> {
-    let which = flags.positional.first().map_or("", String::as_str);
-    let image = match which {
-        "snappy" => recode_spmv::udp::progs::snappy::build().map_err(|e| e.to_string())?,
-        "delta" => recode_spmv::udp::progs::delta::build().map_err(|e| e.to_string())?,
-        other => return Err(format!("disasm takes `snappy` or `delta`, got `{other}`")),
-    };
-    print!("{}", image.disassemble());
+    for image in lane_images(flags.positional.first())? {
+        print!("{}", image.disassemble());
+    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -786,7 +822,6 @@ fn cmd_disasm(flags: &Flags) -> Result<ExitCode, String> {
 /// its per-visit cycle cost, capped for very large compiled programs, then
 /// the program's certified envelope.
 fn render_bounds_table(image: &recode_spmv::udp::Image) -> String {
-    use recode_spmv::udp::machine::DecodedTransition;
     use std::fmt::Write as _;
     const MAX_ROWS: usize = 32;
     let mut out = String::new();
@@ -801,20 +836,13 @@ fn render_bounds_table(image: &recode_spmv::udp::Image) -> String {
             continue;
         }
         shown += 1;
-        let term = match block.transition {
-            DecodedTransition::Halt => "halt".to_string(),
-            DecodedTransition::Jump(a) => format!("jump @{a}"),
-            DecodedTransition::DispatchSym { bits, .. } => format!("dispatch.sym {bits}"),
-            DecodedTransition::DispatchPeek { bits, .. } => format!("dispatch.peek {bits}"),
-            DecodedTransition::DispatchReg { rs, .. } => format!("dispatch.reg r{rs}"),
-            DecodedTransition::Branch { taken, .. } => format!("branch @{taken}"),
-        };
         let marker = if addr == image.entry { " <entry>" } else { "" };
         let _ = writeln!(
             out,
-            "{addr:>6}  {:>9}  {:>7}  {term}{marker}",
-            1 + block.actions.len(),
-            block.actions.len()
+            "{addr:>6}  {:>9}  {:>7}  {}{marker}",
+            1 + block.actions().len(),
+            block.actions().len(),
+            block.transition
         );
     }
     if total > shown {
@@ -833,50 +861,12 @@ fn render_bounds_table(image: &recode_spmv::udp::Image) -> String {
 
 /// `recode verify-program`: run the static verifier on a `.udp` assembly
 /// file (findings annotated with source lines) or one of the shipped
-/// programs by name (`builtin:delta`, `builtin:snappy`, `builtin:huffman`,
-/// or `builtin:dsh` for the whole pipeline; bare names still accepted).
+/// programs by name (see [`lane_images`]).
 /// Prints the severity-ranked report and the certified per-block bounds
 /// table; exits nonzero when a program carries `Error` findings — the same
 /// findings that make `Lane::run` refuse the image.
 fn cmd_verify_program(flags: &Flags) -> Result<ExitCode, String> {
-    use recode_spmv::udp::{asm, machine, progs, Image};
-    let target = flags.positional.first().ok_or(
-        "verify-program needs a .udp file or a builtin (builtin:delta|snappy|huffman|dsh)",
-    )?;
-    let build_builtin = |name: &str| -> Option<Result<Image, String>> {
-        match name {
-            "delta" => Some(progs::delta::build().map_err(|e| e.to_string())),
-            "snappy" => Some(progs::snappy::build().map_err(|e| e.to_string())),
-            // A representative compiled decoder: uniform 8-bit code lengths
-            // (Kraft-complete over 256 symbols).
-            "huffman" => Some(progs::huffman::compile(&[8u8; 256]).map_err(|e| e.to_string())),
-            _ => None,
-        }
-    };
-    let spelled = target.strip_prefix("builtin:").unwrap_or(target);
-    let images: Vec<Image> = if spelled == "dsh" {
-        // The whole decode pipeline, in stage order.
-        vec![
-            build_builtin("huffman").unwrap()?,
-            build_builtin("snappy").unwrap()?,
-            build_builtin("delta").unwrap()?,
-        ]
-    } else if let Some(img) = build_builtin(spelled) {
-        vec![img?]
-    } else if target.starts_with("builtin:") {
-        return Err(format!("unknown builtin `{spelled}` (try delta|snappy|huffman|dsh)"));
-    } else {
-        let path = target;
-        let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let name = std::path::Path::new(path)
-            .file_stem()
-            .map_or_else(|| "program".into(), |s| s.to_string_lossy().into_owned());
-        let (program, map) =
-            asm::assemble_text_with_map(&name, &src).map_err(|e| format!("{path}: {e}"))?;
-        let mut image = machine::assemble(&program).map_err(|e| e.to_string())?;
-        image.verify_report.attach_lines(&map);
-        vec![image]
-    };
+    let images = lane_images(flags.positional.first())?;
     let mut errors = 0usize;
     for image in &images {
         print!("{}", image.verify_report);
@@ -884,7 +874,7 @@ fn cmd_verify_program(flags: &Flags) -> Result<ExitCode, String> {
         errors += image.verify_report.error_count();
     }
     if errors > 0 {
-        return Err(format!("`{target}` rejected: {errors} error finding(s)"));
+        return Err(format!("`{}` rejected: {errors} error finding(s)", flags.positional[0]));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -345,6 +345,45 @@ fn verify_program_prints_certified_bounds_for_builtins() {
 }
 
 #[test]
+fn disasm_and_verify_program_resolve_the_same_targets() {
+    let dir = std::env::temp_dir().join(format!("recode-cli-lane-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let good = dir.join("halfwords.udp");
+    std::fs::write(&good, ".entry m\nm:\n    mov r2, r14\n    loadhi r3, r2\n    halt\n").unwrap();
+    let bad = dir.join("wide.udp");
+    std::fs::write(&bad, ".entry m\nm:\n    limm r1, 20000\n    halt\n").unwrap();
+    for command in ["disasm", "verify-program"] {
+        let run = |target: &str| bin().args([command, target]).output().expect("run recode");
+        // A builtin by bare name, then a file: both print the program.
+        for (target, name) in
+            [("huffman", "udp-huffman-decode"), (good.to_str().unwrap(), "halfwords")]
+        {
+            let out = run(target);
+            assert!(out.status.success(), "{command} {target}: {out:?}");
+            assert!(String::from_utf8_lossy(&out.stdout).contains(name), "{command} {target}");
+        }
+        // Unknown names and unassemblable files exit 1 and say why; an
+        // operand range error names its source line, once.
+        for (target, why) in [
+            ("builtin:nope", "unknown builtin"),
+            ("no-such-program", "not a builtin"),
+            (bad.to_str().unwrap(), "wide.udp: line 3: `limm`"),
+        ] {
+            let out = run(target);
+            assert_eq!(out.status.code(), Some(1), "{command} {target}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains(why) && !err.contains("program error"),
+                "{command} {target}: {err}"
+            );
+        }
+    }
+    let listing = bin().args(["disasm", good.to_str().unwrap()]).output().expect("run disasm");
+    assert!(String::from_utf8_lossy(&listing.stdout).contains("loadhi r3, r2"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_rejects_bad_usage() {
     let out = bin().output().expect("run bare");
     assert!(!out.status.success());
