@@ -88,6 +88,8 @@ struct Snapshot {
     /// so `bench-compare` gates each `*_cycles` leaf and an accidental
     /// certifier regression (a looser bound) fails the gate.
     certified_bounds: Json,
+    /// What building a lane image costs the host ([`image_build_section`]).
+    image_build: Json,
 }
 
 /// Per-stage certified envelope parameters as a JSON object keyed by stage
@@ -132,6 +134,7 @@ impl Snapshot {
             .set("huffman_cpu", self.huffman_cpu.to_json())
             .set("snappy_cpu", self.snappy_cpu.to_json())
             .set("certified_bounds", self.certified_bounds.clone())
+            .set("image_build", self.image_build.clone())
     }
 }
 
@@ -327,6 +330,23 @@ fn huffman_random_section(reps: usize) -> Json {
     section
 }
 
+/// What `progs::huffman::compile` costs on the trained table — program,
+/// placement, encoding, verifier and JIT — as the median of five calls, in
+/// microseconds. Host wall-clock, informational under `bench-compare`; the
+/// verifier's share is guarded without a clock by its join count
+/// (`VerifyReport::fixpoint_joins`).
+fn image_build_section(lengths: &[u8]) -> Json {
+    let mut us: Vec<f64> = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(progs::huffman::compile(lengths).expect("compile the decoder"));
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    Json::obj().set("huffman_us", Json::F64(us[2]))
+}
+
 /// The same DSH stage chain as [`lane_pass`], but through
 /// `Lane::run_reference` — the word-at-a-time interpreter `run` used before
 /// images were predecoded. Checksum verification is kept so both passes do
@@ -466,6 +486,7 @@ fn main() {
         huffman_cpu,
         snappy_cpu,
         certified_bounds: certified_bounds_json(&decoder),
+        image_build: image_build_section(&dsh_pipe.table().expect("dsh trains a table").lengths),
     };
     eprintln!(
         "lane_decode      {:>12.0} blocks/s  {:>8.1} MB/s  (jit {})",

@@ -23,6 +23,12 @@
 //! siblings have the same actions, so a shared body charges what each of
 //! its members would.
 //!
+//! A sibling's successor may itself be a dispatch: every emit handler of a
+//! Huffman image ends in the `dispatch.peek` of the next code. The shared
+//! body then ends in that dispatch — composed table, the group's own table,
+//! the tag test — and what the dispatch enters is the body it sits in, so
+//! the decode loop is the body and one jump back to its top.
+//!
 //! A two-level group — a Huffman image's primary dispatch, whose long codes
 //! take a prefix handler (`skip b; dispatch.peek k`) into a second group of
 //! emit handlers — also gets a **composed** table over a wider window of up
@@ -908,7 +914,10 @@ impl Lower {
             }
         }
         let Some(target) = shape.link else {
-            // A leaf ends in `Halt` or `Jump`, neither of which reads `addr`.
+            // A leaf ends in `Halt`, `Jump` or — chained — the `DispatchPeek`
+            // of the next symbol, none of which reads `addr`. The last is the
+            // loop: the dispatch it lowers to enters the classes of its group,
+            // and this body, whose offset is already known, by a jump back.
             return self.emit_transition(0, shape.blk.transition, None);
         };
         // A link: peek the row's width in bits (at least one), then take the

@@ -7,19 +7,28 @@
 //! group are often **parametric siblings**: blocks with the same actions,
 //! the same register operands and the same successor, differing only in
 //! immediates (a Huffman image's emit handlers are `skip n; limm r4, sym;
-//! storebi r4, r2; jump head` 256 times over). For those the lowering emits
-//! the block **once**, as a shared body reading its immediates from a table
-//! row indexed by the window: the unpredictable bits become a data
-//! dependency instead of a control dependency.
+//! storebi r4, r2; dispatch.peek 8, primary` 256 times over). For those the
+//! lowering emits the block **once**, as a shared body reading its immediates
+//! from a table row indexed by the window: the unpredictable bits become a
+//! data dependency instead of a control dependency.
 //!
 //! Two kinds of sibling class are recognised, from the predecoded blocks
 //! alone:
 //!
-//! * a **leaf** ends in `Halt` or `Jump(t)`; its first `SkipSym` (of up to 57
-//!   bits) and its first `LoadImm` may differ between siblings;
+//! * a **leaf** ends in `Halt` or `Jump(t)`, or — a **chained leaf** — in
+//!   the `DispatchPeek` of a group that is not pure, which siblings share
+//!   like any other successor; its first `SkipSym` (of up to 57 bits) and
+//!   its first `LoadImm` may differ between siblings;
 //! * a **link** ends in a `DispatchPeek` of its own width into its own
 //!   group, where every one of those groups is *pure* — all of its rows are
-//!   leaves of one class; its actions are identical.
+//!   leaves of one class, and that class is not chained into another group
+//!   of one class; its actions are identical.
+//!
+//! The body of a chained leaf ends in the dispatch of its successor group,
+//! and when the leaf is a row of that group — a Huffman image's emit
+//! handlers all dispatch into the primary group — the dispatch enters the
+//! body it ends: the loop closes inside one shared body, with no block of
+//! its own in between.
 //!
 //! Every sibling of a class charges the same `1 + n` cycles and the same
 //! class counts (they have the same actions), so the shared body's
@@ -224,6 +233,14 @@ pub(crate) struct Plan {
     pub elided: Vec<bool>,
 }
 
+/// The index of `shape` in `classes`, added if it is new.
+fn intern(classes: &mut Vec<Shape>, shape: Shape) -> usize {
+    classes.iter().position(|s| *s == shape).unwrap_or_else(|| {
+        classes.push(shape);
+        classes.len() - 1
+    })
+}
+
 fn dispatch_group(blk: &PredecodedBlock) -> Option<(u8, u32)> {
     match blk.transition {
         DecodedTransition::DispatchSym { bits, base }
@@ -237,7 +254,19 @@ fn dispatch_group(blk: &PredecodedBlock) -> Option<(u8, u32)> {
 fn classify(blk: &PredecodedBlock, pure: &Pure) -> Option<(Shape, Param)> {
     let mut shape = Shape { blk: *blk, skip_at: None, imm_at: None, link: None, via: false };
     match blk.transition {
-        DecodedTransition::Halt | DecodedTransition::Jump(_) => {
+        DecodedTransition::DispatchPeek { bits, base } if pure.contains_key(&(bits, base)) => {
+            shape.link = Some(pure[&(bits, base)]);
+            shape.blk.transition = DecodedTransition::DispatchPeek { bits: 0, base: 0 };
+            blk.actions()
+                .iter()
+                .all(|&a| keeps_rdx(a))
+                .then_some((shape, Param::Link { width: bits, base }))
+        }
+        // A leaf; chained, when it ends in the dispatch of a group that is
+        // not pure — which stays in the shape, so siblings agree on it.
+        DecodedTransition::Halt
+        | DecodedTransition::Jump(_)
+        | DecodedTransition::DispatchPeek { .. } => {
             let (mut width, mut imm) = (0, 0);
             for (i, a) in shape.blk.actions_mut().iter_mut().enumerate() {
                 match a {
@@ -258,14 +287,6 @@ fn classify(blk: &PredecodedBlock, pure: &Pure) -> Option<(Shape, Param)> {
                 .iter()
                 .all(|&a| keeps_rdx(a))
                 .then_some((shape, Param::Leaf { width, imm }))
-        }
-        DecodedTransition::DispatchPeek { bits, base } => {
-            shape.link = Some(*pure.get(&(bits, base))?);
-            shape.blk.transition = DecodedTransition::DispatchPeek { bits: 0, base: 0 };
-            blk.actions()
-                .iter()
-                .all(|&a| keeps_rdx(a))
-                .then_some((shape, Param::Link { width: bits, base }))
         }
         // A branch falls through to its own address + 1, a register dispatch
         // has no window to index a table with, and no program chains
@@ -303,61 +324,60 @@ impl Plan {
             }
         }
 
-        // Classify every row of every candidate: leaves first, which names
-        // the pure groups; then again with links into those.
-        let mut classes: Vec<Shape> = Vec::new();
-        let mut classify_rows = |pure: &Pure| -> Vec<Vec<Option<(usize, Param)>>> {
-            let mut row = |addr: u32| {
-                let (shape, param) = classify(at(addr)?, pure)?;
-                let class = classes.iter().position(|s| *s == shape).unwrap_or_else(|| {
-                    classes.push(shape);
-                    classes.len() - 1
-                });
-                Some((class, param))
-            };
-            cands
-                .iter()
+        // Classify every row of every candidate, twice. The first round
+        // knows no pure group, so every row it classifies is a leaf, and it
+        // names the pure groups: all rows one shape, and that shape not
+        // chained into such a group itself (whose rows may yet turn out
+        // links). The second round reads a block that dispatches into a pure
+        // group as a link.
+        let classify_rows = |pure: &Pure| -> Vec<Vec<Option<(Shape, Param)>>> {
+            let row = |addr: u32| classify(at(addr)?, pure);
+            (cands.iter())
                 .map(|&(bits, base, _)| (0..1u32 << bits).map(|w| row(base + w)).collect())
                 .collect()
         };
-        let mut rows = classify_rows(&Pure::new());
-        let pure: Pure = cands
-            .iter()
-            .zip(&rows)
+        let uniform: HashMap<(u8, u32), Shape> = (cands.iter().zip(classify_rows(&Pure::new())))
             .filter_map(|(&(bits, base, _), r)| {
-                let (class, _) = r[0]?;
-                r.iter().all(|x| x.is_some_and(|x| x.0 == class)).then_some(((bits, base), class))
+                let (leaf, _) = r[0]?;
+                r.iter().all(|x| x.is_some_and(|x| x.0 == leaf)).then_some(((bits, base), leaf))
             })
             .collect();
-        if !pure.is_empty() {
-            rows = classify_rows(&pure);
-        }
+        let mut classes: Vec<Shape> = Vec::new();
+        let pure: Pure = (cands.iter())
+            .filter_map(|&(bits, base, _)| {
+                let leaf = *uniform.get(&(bits, base))?;
+                dispatch_group(&leaf.blk)
+                    .is_none_or(|chained| !uniform.contains_key(&chained))
+                    .then(|| ((bits, base), intern(&mut classes, leaf)))
+            })
+            .collect();
+        let rows = classify_rows(&pure);
 
         // A group is lowered when at least two of its rows are siblings; its
-        // two largest classes of two or more get tags, every other row stays
-        // generic.
+        // two largest classes of two or more get tags (the earlier window
+        // first, of two as large), every other row stays generic.
         let mut groups: Vec<Group> = Vec::new();
         let mut params = Vec::new();
         let mut start = 0u32;
         for (&(bits, base, site), r) in cands.iter().zip(rows) {
-            let mut counts: Vec<(usize, usize)> = Vec::new();
-            for &(class, _) in r.iter().flatten() {
-                match counts.iter_mut().find(|c| c.0 == class) {
+            let mut counts: Vec<(Shape, usize)> = Vec::new();
+            for &(shape, _) in r.iter().flatten() {
+                match counts.iter_mut().find(|c| c.0 == shape) {
                     Some(c) => c.1 += 1,
-                    None => counts.push((class, 1)),
+                    None => counts.push((shape, 1)),
                 }
             }
             counts.retain(|c| c.1 >= 2);
-            counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            counts.sort_by_key(|c| std::cmp::Reverse(c.1));
             if counts.is_empty() {
                 continue;
             }
-            let classes = counts.iter().take(2).map(|c| c.0).collect();
+            let tags = counts.iter().take(2).map(|c| intern(&mut classes, c.0)).collect();
             groups.push(Group {
                 bits,
                 base,
                 site,
-                classes,
+                classes: tags,
                 has_generic: false,
                 start,
                 rows: vec![],
@@ -379,8 +399,8 @@ impl Plan {
                 .iter()
                 .enumerate()
                 .map(|(w, x)| {
-                    let tagged_row = x.and_then(|(class, param)| {
-                        Some((g.classes.iter().position(|&c| c == class)? as u32, param))
+                    let tagged_row = x.and_then(|(shape, param)| {
+                        Some((g.classes.iter().position(|&c| classes[c] == shape)? as u32, param))
                     });
                     let Some((tag, param)) = tagged_row else {
                         g.has_generic = true;
@@ -474,6 +494,7 @@ impl Plan {
 mod tests {
     use super::*;
     use crate::isa::{Block, Transition, Width};
+    use crate::lane::{Lane, LaneError, RunConfig};
     use crate::machine::assemble;
     use crate::program::ProgramBuilder;
 
@@ -585,21 +606,79 @@ mod tests {
         assert!(lengths.iter().any(|&l| l > 8));
         let image = crate::progs::huffman::compile(&lengths).unwrap();
         let plan = plan_of(&image);
-        let dispatches = (0..image.words.len() as u32)
-            .filter(|&a| image.predecoded(a).and_then(dispatch_group).is_some())
-            .count();
-        assert_eq!(plan.groups.len(), dispatches, "every dispatch is table-lowered");
-        assert_eq!(plan.classes.len(), 2, "one leaf class, one link class");
+        // Every handler dispatches; the groups they dispatch into are few.
+        let groups: HashSet<(u8, u32)> = (0..image.words.len() as u32)
+            .filter_map(|a| image.predecoded(a).and_then(dispatch_group))
+            .collect();
+        assert!(groups.len() > 2, "a primary group and secondary ones");
+        assert_eq!(plan.groups.len(), groups.len(), "every group is table-lowered");
+        assert_eq!(plan.classes.len(), 2, "one chained-leaf class, one link class");
         let primary = plan.groups.iter().find(|g| g.bits == 8).unwrap();
-        assert_eq!((primary.classes.len(), primary.has_generic), (2, false));
+        assert_eq!((primary.classes.len(), primary.has_generic), (2, true), "window 0 asks");
+        let leaf = plan.classes[primary.classes[0]];
+        assert_eq!(dispatch_group(&leaf.blk), Some((8, primary.base)), "chained into the group");
+        assert_eq!((leaf.link, leaf.via), (None, true));
+        assert_eq!(plan.classes[primary.classes[1]].link, Some(primary.classes[0]));
+        assert!(primary.composed.is_some());
         for g in plan.groups.iter().filter(|g| g.bits != 8) {
-            assert_eq!((g.classes.len(), g.has_generic), (1, false), "secondary @{}", g.base);
+            let pure_of_the_leaf = g.classes == [primary.classes[0]] && !g.has_generic;
+            assert!(pure_of_the_leaf, "secondary @{}: {:?}", g.base, g.classes);
         }
-        // Only the loop scaffolding keeps code of its own.
-        let kept = (0..image.words.len())
-            .filter(|&a| image.predecoded(a as u32).is_some() && !plan.elided[a])
-            .count();
-        assert_eq!(kept, 4, "init, loop head, dispatch block, done");
+        // Only the ends of the run keep code of their own: `init`, `guard` in
+        // window 0, `chk` and the handler it falls through to, and `done`.
+        let kept: Vec<u32> = (0..image.words.len() as u32)
+            .filter(|&a| image.predecoded(a).is_some() && !plan.elided[a as usize])
+            .collect();
+        let chk = kept.iter().find(|&&a| {
+            matches!(image.predecoded(a).unwrap().transition, DecodedTransition::Branch { .. })
+        });
+        let mut want = vec![image.entry, primary.base, *chk.unwrap(), chk.unwrap() + 1];
+        want.extend(kept.iter().find(|&&a| {
+            matches!(image.predecoded(a).unwrap().transition, DecodedTransition::Halt)
+        }));
+        want.sort_unstable();
+        assert_eq!(kept, want, "init, guard, chk, window 0's handler, done");
+    }
+
+    #[test]
+    fn groups_of_one_class_that_chain_into_each_other_are_not_pure() {
+        // Three 1-bit groups of two emit handlers each: `a` and `b` chain
+        // into each other, `c` into `a`. Each is of one class, and chains
+        // into a group that is too: were they pure, their handlers would be
+        // links into each other with nothing for a link to land on. None is,
+        // and every handler stays a chained leaf with a leaf's row.
+        let mut pb = ProgramBuilder::new("chains");
+        let [a, b, c] = [(); 3].map(|()| pb.group(vec![]));
+        for (group, next) in [(a, b), (b, a), (c, a)] {
+            let members = (0..2u32)
+                .map(|w| {
+                    let mut blk = emit(1, w as i16, 0);
+                    blk.transition = Transition::DispatchPeek { bits: 1, group: next };
+                    (w, pb.block(blk))
+                })
+                .collect();
+            pb.set_group(group, members);
+        }
+        let start = pb.block(Block {
+            actions: vec![Action::Mov { rd: 2, rs: 14 }],
+            transition: Transition::DispatchPeek { bits: 1, group: c },
+        });
+        pb.entry(start);
+        let image = assemble(&pb.build().unwrap()).unwrap();
+        let plan = plan_of(&image);
+        assert_eq!(plan.groups.len(), 3);
+        assert_eq!(plan.classes.len(), 2, "a leaf chained into `a`, one chained into `b`");
+        assert!(plan.classes.iter().all(|shape| shape.link.is_none()), "{:?}", plan.classes);
+        for g in &plan.groups {
+            assert_eq!((g.classes.len(), g.has_generic), (1, false));
+            assert!(g.rows.iter().all(|row| row & 0x3FF == 1), "tag 0, one bit: {:x?}", g.rows);
+        }
+        // Nothing ever asks for the end of the stream: eight symbols, then
+        // the ninth `skip` runs dry, on the compiled tier as on the others.
+        let cfg = RunConfig { allow_unverified: true, ..RunConfig::default() };
+        let trap = Lane::new().run(&image, &[0b0110_1001], 8, cfg).unwrap_err();
+        assert_eq!(trap, Lane::new().run_reference(&image, &[0b0110_1001], 8, cfg).unwrap_err());
+        assert!(matches!(trap, LaneError::StreamUnderflow { .. }), "{trap:?}");
     }
 
     #[test]

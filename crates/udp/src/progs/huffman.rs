@@ -11,10 +11,30 @@
 //! * **secondary `dispatch.peek k` groups** (k ≤ 7, since codes are capped
 //!   at 15 bits) per long-code prefix.
 //!
+//! **The dispatch is the loop.** Every emit handler, primary or secondary,
+//! ends in the primary `dispatch.peek` of the next code, and the entry block
+//! is `mov r2, r14` and the same dispatch: there is no loop head and no
+//! block that only dispatches. A code within the primary width costs `skip,
+//! limm, storebi, dispatch` = 4 cycles, a longer one 2 more for its prefix
+//! handler.
+//!
+//! The end of the stream is asked for in one place. `peek` pads an
+//! exhausted stream with zeros and the first canonical code is all zeros, so
+//! an exhausted stream always dispatches to **window 0** of the primary
+//! group. That slot holds `guard` (`inrem r3; jump chk`), and `chk` (`beq r3,
+//! r0, done`) falls through to what window 0's handler was — an emit handler,
+//! or the prefix handler when the all-zero code is long. A symbol that
+//! really starts with eight zero bits pays those 3 cycles; no other does. A
+//! stream cut inside a code still traps `StreamUnderflow` in the handler's
+//! `skip`, and one cut on a code boundary halts short and is refused by the
+//! decoder's length check.
+//!
 //! EffCLiP then packs the hundreds of handler blocks densely. Because the
 //! codec's tables are Kraft-complete (add-one smoothing covers all 256 byte
 //! values), every window in both levels is mapped; there are no reachable
-//! holes on valid streams.
+//! holes on valid streams. A table that is not complete leaves holes the
+//! verifier warns about (once per group), and one with no code at all an
+//! empty primary group, which the verifier rejects.
 //!
 //! Register roles: `r2` output cursor · `r3` remaining-bits · `r4` symbol.
 
@@ -50,29 +70,31 @@ pub fn compile_with_width(lengths: &[u8], primary_bits: u8) -> Result<Image, Udp
     let table =
         HuffmanTable::from_lengths(lengths.to_vec()).map_err(|e| UdpError::Table(e.to_string()))?;
     let mut pb = ProgramBuilder::new("udp-huffman-decode");
+    // Every handler ends in the next symbol's dispatch; the group is filled
+    // in once its members exist.
+    let primary = pb.group(vec![]);
+    let next = Transition::DispatchPeek { bits: primary_bits, group: primary };
 
     let done = pb.block(Block {
         actions: vec![Action::Sub { rd: 15, rs: 2, rt: 14 }],
         transition: Transition::Halt,
     });
-    let loop_head = pb.reserve();
 
-    // Emit handler: consume `skip` bits, output `sym`, continue.
+    // Emit handler: consume `skip` bits, output `sym`, dispatch the next code.
     let emit = |pb: &mut ProgramBuilder, skip: u8, sym: u8| {
-        let mut actions = Vec::with_capacity(4);
-        if skip > 0 {
-            actions.push(Action::SkipSym { bits: skip });
-        }
-        actions.extend([
-            Action::LoadImm { rd: 4, imm: sym as i16 },
-            Action::StoreInc { rs: 4, base: 2, width: Width::B1 },
-        ]);
-        pb.block(Block { actions, transition: Transition::Jump(loop_head) })
+        pb.block(Block {
+            actions: vec![
+                Action::SkipSym { bits: skip },
+                Action::LoadImm { rd: 4, imm: sym as i16 },
+                Action::StoreInc { rs: 4, base: 2, width: Width::B1 },
+            ],
+            transition: next,
+        })
     };
 
     // Partition symbols by code length.
     let mut primary_entries: Vec<(u32, u32)> = Vec::new();
-    // Long codes grouped by their first 8 bits.
+    // Long codes grouped by their first `primary_bits` bits.
     let mut by_prefix: std::collections::BTreeMap<u32, Vec<(u8, u8, u16)>> =
         std::collections::BTreeMap::new();
     for s in 0..256usize {
@@ -82,7 +104,7 @@ pub fn compile_with_width(lengths: &[u8], primary_bits: u8) -> Result<Image, Udp
         }
         let c = table.codes[s] as u32;
         if l <= primary_bits {
-            // All 8-bit windows whose top `l` bits equal the code.
+            // All primary windows whose top `l` bits equal the code.
             let lo = c << (primary_bits - l);
             let hi = lo + (1 << (primary_bits - l));
             for w in lo..hi {
@@ -110,7 +132,7 @@ pub fn compile_with_width(lengths: &[u8], primary_bits: u8) -> Result<Image, Udp
             }
         }
         let sec_group = pb.group(secondary_entries);
-        // Primary handler for this prefix: consume the 8 prefix bits, then
+        // Primary handler for this prefix: consume the prefix bits, then
         // peek-dispatch the extension.
         let h = pb.block(Block {
             actions: vec![Action::SkipSym { bits: primary_bits }],
@@ -119,28 +141,27 @@ pub fn compile_with_width(lengths: &[u8], primary_bits: u8) -> Result<Image, Udp
         primary_entries.push((prefix, h));
     }
 
-    let primary = pb.group(primary_entries);
-    let dispatch_blk = pb.block(Block {
-        actions: vec![],
-        transition: Transition::DispatchPeek { bits: primary_bits, group: primary },
-    });
-    pb.define(
-        loop_head,
-        Block {
-            actions: vec![Action::InRem { rd: 3 }],
+    // An exhausted stream peeks as zeros, and the first canonical code is
+    // all zeros: window 0 is the only slot that can be the end of the
+    // stream, so it alone asks, and falls through to its handler otherwise.
+    if let Some(slot) = primary_entries.iter_mut().find(|&&mut (w, _)| w == 0) {
+        let chk = pb.block(Block {
+            actions: vec![],
             transition: Transition::Branch {
                 cond: Cond::Eq,
                 rs: 3,
                 rt: 0,
                 taken: done,
-                fallthrough: dispatch_blk,
+                fallthrough: slot.1,
             },
-        },
-    );
-    let init = pb.block(Block {
-        actions: vec![Action::Mov { rd: 2, rs: 14 }],
-        transition: Transition::Jump(loop_head),
-    });
+        });
+        slot.1 = pb.block(Block {
+            actions: vec![Action::InRem { rd: 3 }],
+            transition: Transition::Jump(chk),
+        });
+    }
+    pb.set_group(primary, primary_entries);
+    let init = pb.block(Block { actions: vec![Action::Mov { rd: 2, rs: 14 }], transition: next });
     pb.entry(init);
 
     let program = pb.build()?;
@@ -210,13 +231,14 @@ mod tests {
         round_trip(&[0x42]);
     }
 
-    /// The modeled charge, exactly, on every tier. Per run: `init` (2
-    /// cycles), the `loop_head` that sees the stream empty (2) and `done`
-    /// (2). Per symbol: `loop_head` (`inrem` + branch, 2), the dispatch
-    /// block (1) and the emit handler (`skip`, `limm`, `storebi`, 4) — and,
-    /// for a code longer than the primary width, the prefix handler in
-    /// between (`skip 8`, 2). Whatever a tier does to get there faster, this
-    /// is what it must report.
+    /// The modeled charge, exactly, on every tier. Per run 7: `init` (`mov`,
+    /// dispatch: 2), the final window 0 with nothing left (`guard`, an
+    /// `inrem` and a jump: 2; `chk`, the branch: 1) and `done` (2). Per
+    /// symbol the emit handler and nothing else (`skip`, `limm`, `storebi`,
+    /// dispatch: 4), behind the prefix handler (`skip 8`, dispatch: 2) for a
+    /// code longer than the primary width; and `guard` and `chk` (3) again
+    /// for every dispatch that lands on window 0 with bits left. Whatever a
+    /// tier does to get there faster, this is what it must report.
     #[test]
     fn cycles_and_opclass_are_exact_per_code_length() {
         use crate::lane::{OpClassCycles, RunResult};
@@ -227,7 +249,13 @@ mod tests {
             .map(|i| if i % 4 == 0 { 100 + (i / 4 % 150) as u8 } else { (i % 3) as u8 })
             .collect();
         let flat: Vec<u8> = (0..4096).map(|i| ((i * 7) % 40) as u8).collect();
-        for (data, has_long) in [(long_tail, true), (flat, false)] {
+        // And one symbol fifteen times in sixteen: a 1-bit all-zero code,
+        // whose runs dispatch through window 0 most of the time.
+        let runs: Vec<u8> =
+            (0..4096).map(|i| if i % 16 == 0 { 1 + (i / 16 % 4) as u8 } else { 0 }).collect();
+        for (data, has_long, zero_runs) in
+            [(long_tail, true, false), (flat, false, false), (runs, false, true)]
+        {
             let t = smoothed_table(&data);
             let long =
                 data.iter().filter(|&&s| t.lengths[s as usize] > PRIMARY_BITS).count() as u64;
@@ -237,15 +265,29 @@ mod tests {
             } else {
                 assert_eq!(long, 0);
             }
+            let (bytes, bits) = encode(&data, &t).unwrap();
+            // Replay the windows: the eight bits a symbol's dispatch peeked.
+            let bit = |i: usize| if i < bits { bytes[i / 8] >> (7 - i % 8) & 1 } else { 0 };
+            let window = |at: usize| (at..at + 8).fold(0u8, |w, i| w << 1 | bit(i));
+            let starts = data.iter().scan(0usize, |at, &s| {
+                let here = *at;
+                *at += usize::from(t.lengths[s as usize]);
+                Some(here)
+            });
+            let zeros = starts.filter(|&at| window(at) == 0).count() as u64;
+            if zero_runs {
+                assert!(zeros > 1000, "{zeros} dispatches through window 0");
+            } else {
+                assert_eq!(zeros, u64::from(has_long), "dispatches through window 0");
+            }
             let want = OpClassCycles {
-                dispatch: 3 + 3 * short + 4 * long,
+                dispatch: 4 + short + 2 * long + 2 * zeros,
                 alu: 2 + short + long,
                 mem: short + long,
-                stream: 1 + 2 * short + 3 * long,
+                stream: 1 + short + 2 * long + zeros,
             };
-            assert_eq!(want.total(), 6 + 7 * short + 9 * long);
+            assert_eq!(want.total(), 7 + 4 * short + 6 * long + 3 * zeros);
 
-            let (bytes, bits) = encode(&data, &t).unwrap();
             let image = compile(&t.lengths).unwrap();
             let cfg = RunConfig::default();
             let mut out = Vec::new();

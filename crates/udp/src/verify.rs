@@ -301,6 +301,9 @@ pub struct VerifyReport {
     pub loops: Vec<LoopSummary>,
     /// Certified cycle envelope (`None` iff no halt is reachable).
     pub cycle_bound: Option<CycleBound>,
+    /// Block-entry joins the interval fixpoint made: what verifying cost,
+    /// as a count. It stays within a few times blocks + group windows.
+    pub fixpoint_joins: u64,
 }
 
 impl VerifyReport {
@@ -314,6 +317,7 @@ impl VerifyReport {
             max_acyclic_cycles: None,
             loops: Vec::new(),
             cycle_bound: None,
+            fixpoint_joins: 0,
         }
     }
 
@@ -418,13 +422,15 @@ impl fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "verify `{}`: {} error(s), {} warning(s), {} info — {}/{} blocks reachable",
+            "verify `{}`: {} error(s), {} warning(s), {} info — {}/{} blocks reachable, \
+             {} fixpoint joins",
             self.program,
             self.error_count(),
             self.warn_count(),
             self.info_count(),
             self.reachable,
             self.blocks,
+            self.fixpoint_joins,
         )?;
         if let Some(b) = self.cycle_bound {
             writeln!(f, "  certified cycle envelope: {b}")?;
@@ -524,37 +530,42 @@ fn is_pure_alu(a: Action) -> bool {
 // CFG
 // ---------------------------------------------------------------------------
 
+/// The control-flow graph: a node per block and, behind them, a node per
+/// dispatch group. A dispatching block has one successor, its group's node,
+/// and the group's node has the members — so whatever follows edges walks a
+/// group's windows once per group, not once per block that dispatches into
+/// it (every emit handler of a Huffman image does). A group node has no
+/// actions, costs nothing and hands every state on as it got it.
 struct Cfg {
     succ: Vec<Vec<BlockId>>,
     reachable: Vec<bool>,
+    /// Nodes below this are blocks, by id; node `blocks + g` is group `g`.
+    blocks: usize,
 }
 
 impl Cfg {
     fn build(p: &Program) -> Cfg {
         let n = p.blocks.len();
-        let mut succ: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for (i, b) in p.blocks.iter().enumerate() {
-            match b.transition {
-                Transition::Halt => {}
-                Transition::Jump(t) => succ[i].push(t),
-                Transition::Branch { taken, fallthrough, .. } => {
-                    succ[i].push(taken);
-                    succ[i].push(fallthrough);
-                }
-                Transition::DispatchSym { group, .. }
-                | Transition::DispatchPeek { group, .. }
-                | Transition::DispatchReg { group, .. } => {
-                    if let Some(entries) = p.groups.get(group as usize) {
-                        for &(_, bid) in entries {
-                            succ[i].push(bid);
-                        }
-                    }
-                }
+        let of_block = |b: &Block| match b.transition {
+            Transition::Halt => vec![],
+            Transition::Jump(t) => vec![t],
+            Transition::Branch { taken, fallthrough, .. } => vec![taken, fallthrough],
+            // Out-of-range group ids are rejected by Program::validate.
+            Transition::DispatchSym { group, .. }
+            | Transition::DispatchPeek { group, .. }
+            | Transition::DispatchReg { group, .. } => {
+                p.groups.get(group as usize).map_or(vec![], |_| vec![n as BlockId + group])
             }
-            succ[i].sort_unstable();
-            succ[i].dedup();
+        };
+        let of_group =
+            |entries: &Vec<(u32, BlockId)>| entries.iter().map(|&(_, bid)| bid).collect();
+        let mut succ: Vec<Vec<BlockId>> =
+            p.blocks.iter().map(of_block).chain(p.groups.iter().map(of_group)).collect();
+        for s in &mut succ {
+            s.sort_unstable();
+            s.dedup();
         }
-        let mut reachable = vec![false; n];
+        let mut reachable = vec![false; succ.len()];
         let mut work = vec![p.entry];
         while let Some(b) = work.pop() {
             let bi = b as usize;
@@ -564,7 +575,12 @@ impl Cfg {
             reachable[bi] = true;
             work.extend_from_slice(&succ[bi]);
         }
-        Cfg { succ, reachable }
+        Cfg { succ, reachable, blocks: n }
+    }
+
+    /// The blocks among `nodes`.
+    fn blocks_of(&self, nodes: &[BlockId]) -> Vec<BlockId> {
+        nodes.iter().copied().filter(|&b| (b as usize) < self.blocks).collect()
     }
 }
 
@@ -864,7 +880,7 @@ struct Verifier<'a> {
     cfg: &'a VerifyConfig,
     g: Cfg,
     report: VerifyReport,
-    /// Interval state at each block entry (fixpoint result).
+    /// Interval state at each CFG node's entry (fixpoint result).
     entry_state: Vec<RegState>,
 }
 
@@ -873,9 +889,19 @@ impl<'a> Verifier<'a> {
         let g = Cfg::build(p);
         let mut report = VerifyReport::empty(p.name.clone());
         report.blocks = p.blocks.len();
-        report.reachable = g.reachable.iter().filter(|&&r| r).count();
-        let entry_state = vec![[Iv::TOP; NUM_REGS]; p.blocks.len()];
+        report.reachable = g.reachable[..g.blocks].iter().filter(|&&r| r).count();
+        let entry_state = vec![[Iv::TOP; NUM_REGS]; g.succ.len()];
         Verifier { p, cfg, g, report, entry_state }
+    }
+
+    /// The actions of CFG node `node`: none for a group node.
+    fn actions(&self, node: usize) -> &'a [Action] {
+        self.p.blocks.get(node).map_or(&[], |b| &b.actions)
+    }
+
+    /// What one visit of CFG node `node` costs: nothing for a group node.
+    fn cost(&self, node: usize) -> u64 {
+        self.p.blocks.get(node).map_or(0, Block::cycles)
     }
 
     fn run(mut self, img: Option<(&Placement, &Image)>) -> VerifyReport {
@@ -931,16 +957,15 @@ impl<'a> Verifier<'a> {
     }
 
     fn check_register_init(&mut self) {
-        let n = self.p.blocks.len();
         let all: u16 = u16::MAX;
         // in[b] = mask of registers definitely written on *every* path.
-        let mut inm = vec![all; n];
+        let mut inm = vec![all; self.g.succ.len()];
         let entry = self.p.entry as usize;
         inm[entry] = Self::init_entry_mask();
         let mut work: Vec<usize> = vec![entry];
         while let Some(b) = work.pop() {
             let mut m = inm[b];
-            for a in &self.p.blocks[b].actions {
+            for a in self.actions(b) {
                 for w in action_writes(*a) {
                     m |= 1 << w;
                 }
@@ -1008,18 +1033,16 @@ impl<'a> Verifier<'a> {
     // -- analysis 2b: backward liveness (dead writes) ----------------------
 
     fn check_dead_writes(&mut self) {
-        let n = self.p.blocks.len();
-        // live-in per block.
+        let n = self.g.succ.len();
+        // live-in per CFG node.
         let mut live_in = vec![0u16; n];
         let block_live_in = |blocks: &[Block], live_in: &[u16], succs: &[BlockId], b: usize| {
-            let blk = &blocks[b];
-            let mut live: u16 = match blk.transition {
+            let mut live = succs.iter().fold(0u16, |live, &s| live | live_in[s as usize]);
+            // A group node passes on what its members need.
+            let Some(blk) = blocks.get(b) else { return live };
+            if matches!(blk.transition, Transition::Halt) {
                 // The hardware reads r15 (and r14 implicitly) at halt.
-                Transition::Halt => (1 << 15) | (1 << 14),
-                _ => 0,
-            };
-            for &s in succs {
-                live |= live_in[s as usize];
+                live |= (1 << 15) | (1 << 14);
             }
             for r in transition_reads(&blk.transition) {
                 live |= 1 << r;
@@ -1103,16 +1126,25 @@ impl<'a> Verifier<'a> {
 
     fn interval_fixpoint(&mut self) {
         let entry = self.p.entry as usize;
+        let nodes = self.g.succ.len();
         self.entry_state[entry] = self.entry_regs();
-        let mut visits = vec![0u32; self.p.blocks.len()];
+        let mut visits = vec![0u32; nodes];
         let mut work: Vec<usize> = vec![entry];
-        let mut seen = vec![false; self.p.blocks.len()];
+        let mut seen = vec![false; nodes];
         seen[entry] = true;
+        // Whether a node's entry state moved since it was last stepped
+        // through; a stale worklist entry has nothing new to say.
+        let mut moved = vec![false; nodes];
+        moved[entry] = true;
         while let Some(b) = work.pop() {
+            if !std::mem::take(&mut moved[b]) {
+                continue;
+            }
             let mut regs = self.entry_state[b];
-            for a in &self.p.blocks[b].actions {
+            for a in self.actions(b) {
                 interval_step(&mut regs, *a);
             }
+            self.report.fixpoint_joins += self.g.succ[b].len() as u64;
             for &s in &self.g.succ[b] {
                 let s = s as usize;
                 let incoming = if s == entry {
@@ -1137,6 +1169,7 @@ impl<'a> Verifier<'a> {
                 };
                 if first {
                     seen[s] = true;
+                    moved[s] = true;
                     visits[s] += 1;
                     self.entry_state[s] = next;
                     work.push(s);
@@ -1221,18 +1254,21 @@ impl<'a> Verifier<'a> {
         let sccs = cyclic_sccs(&self.g);
         for scc in &sccs {
             let members: Vec<bool> = {
-                let mut m = vec![false; self.p.blocks.len()];
+                let mut m = vec![false; self.g.succ.len()];
                 for &b in scc {
                     m[b as usize] = true;
                 }
                 m
             };
-            let anchor = scc[0];
+            // The loop as reported: its blocks (every cycle has one, and
+            // blocks sort ahead of group nodes).
+            let blocks = self.g.blocks_of(scc);
+            let anchor = blocks[0];
             // Registers written anywhere inside the loop.
             let mut written: u16 = 0;
             let mut consumes_stream = false;
             let mut checks_inrem = false;
-            for &b in scc {
+            for &b in &blocks {
                 let blk = &self.p.blocks[b as usize];
                 for a in &blk.actions {
                     for w in action_writes(*a) {
@@ -1253,14 +1289,14 @@ impl<'a> Verifier<'a> {
             let mut exits = 0usize;
             let mut variant_exit = false;
             for &b in scc {
-                let blk = &self.p.blocks[b as usize];
+                let transition = self.p.blocks.get(b as usize).map(|blk| blk.transition);
                 for &s in &self.g.succ[b as usize] {
                     if members[s as usize] {
                         continue;
                     }
                     exits += 1;
-                    match blk.transition {
-                        Transition::Branch { rs, rt, .. } => {
+                    match transition {
+                        Some(Transition::Branch { rs, rt, .. }) => {
                             let invariant = (rs == 0 || written & (1 << rs) == 0)
                                 && (rt == 0 || written & (1 << rt) == 0);
                             if !invariant {
@@ -1273,9 +1309,8 @@ impl<'a> Verifier<'a> {
                     }
                 }
             }
-            let max_iter_cycles: u64 =
-                scc.iter().map(|&b| self.p.blocks[b as usize].cycles()).sum();
-            self.report.loops.push(LoopSummary { blocks: scc.clone(), max_iter_cycles, exits });
+            let max_iter_cycles: u64 = blocks.iter().map(|&b| self.cost(b as usize)).sum();
+            self.report.loops.push(LoopSummary { blocks: blocks.clone(), max_iter_cycles, exits });
             if exits == 0 {
                 self.report.push(
                     Severity::Error,
@@ -1283,7 +1318,7 @@ impl<'a> Verifier<'a> {
                     anchor,
                     None,
                     format!(
-                        "Diverges: loop over blocks {scc:?} has no exit edge — once \
+                        "Diverges: loop over blocks {blocks:?} has no exit edge — once \
                          entered it can only end by exhausting the {}-cycle budget",
                         self.cfg.cycle_limit
                     ),
@@ -1295,7 +1330,7 @@ impl<'a> Verifier<'a> {
                     anchor,
                     None,
                     format!(
-                        "Diverges: every exit of loop {scc:?} tests registers the loop \
+                        "Diverges: every exit of loop {blocks:?} tests registers the loop \
                          never writes — the exit condition cannot change between \
                          iterations"
                     ),
@@ -1308,7 +1343,7 @@ impl<'a> Verifier<'a> {
                     anchor,
                     None,
                     format!(
-                        "loop {scc:?} consumes input-stream bits but never re-checks \
+                        "loop {blocks:?} consumes input-stream bits but never re-checks \
                          `inrem` — a truncated input under-runs the stream unit"
                     ),
                 );
@@ -1319,7 +1354,7 @@ impl<'a> Verifier<'a> {
             // lies on a path from the entry and no block costs less than
             // nothing, so the longest path from any of them is the longest
             // from the entry.
-            let bound = Self::longest_path(&self.g, &self.p.blocks);
+            let bound = self.longest_path(&self.g);
             self.report.max_acyclic_cycles = Some(bound);
             if bound > self.cfg.cycle_limit {
                 self.report.push(
@@ -1396,31 +1431,22 @@ impl<'a> Verifier<'a> {
     /// (block costs charged in full, entry and halt included); `None` when
     /// no halt is reachable.
     fn min_cycles_to_halt(&self) -> Option<u64> {
-        let n = self.p.blocks.len();
+        use std::cmp::Reverse;
         let entry = self.p.entry as usize;
-        let mut dist = vec![u64::MAX; n];
-        dist[entry] = self.p.blocks[entry].cycles();
-        // Dijkstra with a linear scan: lane programs are small and every
-        // edge cost is positive.
-        let mut settled = vec![false; n];
-        loop {
-            let mut v = usize::MAX;
-            let mut best = u64::MAX;
-            for (i, &d) in dist.iter().enumerate() {
-                if !settled[i] && d < best {
-                    best = d;
-                    v = i;
-                }
+        let mut dist = vec![u64::MAX; self.g.succ.len()];
+        dist[entry] = self.cost(entry);
+        // Dijkstra: no node costs less than nothing.
+        let mut heap = std::collections::BinaryHeap::from([Reverse((dist[entry], entry))]);
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if d > dist[v] {
+                continue;
             }
-            if v == usize::MAX {
-                break;
-            }
-            settled[v] = true;
             for &s in &self.g.succ[v] {
                 let s = s as usize;
-                let nd = dist[v].saturating_add(self.p.blocks[s].cycles());
+                let nd = d.saturating_add(self.cost(s));
                 if nd < dist[s] {
                     dist[s] = nd;
+                    heap.push(Reverse((nd, s)));
                 }
             }
         }
@@ -1437,7 +1463,7 @@ impl<'a> Verifier<'a> {
     /// The certified affine maximum, or `None` (plus a warning) when some
     /// loop cannot be shown to make progress.
     fn certify_max_bound(&mut self) -> Option<MaxBound> {
-        let n = self.p.blocks.len();
+        let n = self.g.succ.len();
         // A *stream-progress* block consumes at least `b_min` ≥ 1 stream
         // bits on every execution, so an input of B bits executes such
         // blocks ≤ B / b_min times in total (the stream unit traps on
@@ -1543,6 +1569,7 @@ impl<'a> Verifier<'a> {
                 })
                 .collect(),
             reachable: (0..n).map(np).collect(),
+            blocks: self.g.blocks,
         };
         if let Some(scc) = cyclic_sccs(&sub).first() {
             self.report.push(
@@ -1551,19 +1578,20 @@ impl<'a> Verifier<'a> {
                 scc[0],
                 None,
                 format!(
-                    "cannot certify a worst-case cycle bound: loop over blocks {scc:?} \
+                    "cannot certify a worst-case cycle bound: loop over blocks {:?} \
                      neither consumes stream bits nor provably advances a scratchpad \
-                     cursor, so its trip count is unbounded"
+                     cursor, so its trip count is unbounded",
+                    sub.blocks_of(scc)
                 ),
             );
             return None;
         }
         // Execution = progress events separated by acyclic non-progress
         // paths, each path ≤ the subgraph's longest-path cost `lp`.
-        let lp = Self::longest_path(&sub, &self.p.blocks);
+        let lp = self.longest_path(&sub);
         let cmax = (0..n)
             .filter(|&i| stream_progress[i] || cursor_progress[i])
-            .map(|i| self.p.blocks[i].cycles())
+            .map(|i| self.cost(i))
             .max()
             .unwrap_or(0);
         // Stream events number at most `bits / b_min`, so each bit pays for
@@ -1587,7 +1615,7 @@ impl<'a> Verifier<'a> {
 
     /// Longest-path cycle cost over an acyclic sub-CFG, maximized over
     /// every member start node (`cfg.reachable` marks membership).
-    fn longest_path(cfg: &Cfg, blocks: &[Block]) -> u64 {
+    fn longest_path(&self, cfg: &Cfg) -> u64 {
         let n = cfg.succ.len();
         let mut order: Vec<usize> = Vec::new();
         let mut state = vec![0u8; n]; // 0 unvisited, 1 in-progress, 2 done
@@ -1618,7 +1646,7 @@ impl<'a> Verifier<'a> {
         let mut best = 0u64;
         for &v in &order {
             let tail = cfg.succ[v].iter().map(|&s| dist[s as usize]).max().unwrap_or(0);
-            dist[v] = blocks[v].cycles() + tail;
+            dist[v] = self.cost(v) + tail;
             best = best.max(dist[v]);
         }
         best
@@ -1704,17 +1732,22 @@ impl<'a> Verifier<'a> {
 
     // -- analysis 5: dispatch tables ---------------------------------------
 
+    /// A group's coverage is a fact about the group and the index range it
+    /// is entered with, so it is checked — and reported — once per such
+    /// pair, at the first block that dispatches so, however many more do.
     fn check_dispatch_tables(&mut self, img: Option<(&Placement, &Image)>) {
+        type Key = (u32, &'static str, Option<(i128, i128)>);
+        let mut sites: HashMap<Key, (BlockId, usize)> = HashMap::new();
         for (i, blk) in self.p.blocks.iter().enumerate() {
             if !self.g.reachable[i] {
                 continue;
             }
-            let (group, domain, label): (u32, Option<(i128, i128)>, &str) = match blk.transition {
+            let key: Key = match blk.transition {
                 Transition::DispatchSym { bits, group } => {
-                    (group, Some((0, (1i128 << bits) - 1)), "dispatch.sym")
+                    (group, "dispatch.sym", Some((0, (1i128 << bits) - 1)))
                 }
                 Transition::DispatchPeek { bits, group } => {
-                    (group, Some((0, (1i128 << bits) - 1)), "dispatch.peek")
+                    (group, "dispatch.peek", Some((0, (1i128 << bits) - 1)))
                 }
                 Transition::DispatchReg { rs, group } => {
                     // Use the interval fixpoint for the index register at
@@ -1729,18 +1762,27 @@ impl<'a> Verifier<'a> {
                     } else {
                         None
                     };
-                    (group, dom, "dispatch.reg")
+                    (group, "dispatch.reg", dom)
                 }
                 _ => continue,
+            };
+            sites.entry(key).or_insert((i as BlockId, 0)).1 += 1;
+        }
+        let mut checks: Vec<(Key, (BlockId, usize))> = sites.into_iter().collect();
+        checks.sort_unstable_by_key(|&(_, (first, _))| first);
+        for ((group, label, domain), (site, count)) in checks {
+            let more = match count {
+                1 => String::new(),
+                n => format!(" (and {} more sites)", n - 1),
+            };
+            let mut finding = |severity, message: String| {
+                self.report.push(severity, Analysis::DispatchTable, site, None, message + &more);
             };
             // Out-of-range group ids are rejected by Program::validate.
             let Some(entries) = self.p.groups.get(group as usize) else { continue };
             if entries.is_empty() {
-                self.report.push(
+                finding(
                     Severity::Error,
-                    Analysis::DispatchTable,
-                    i as BlockId,
-                    None,
                     format!(
                         "{label} targets group {group}, which has no entries — \
                              every dispatch traps"
@@ -1749,11 +1791,8 @@ impl<'a> Verifier<'a> {
                 continue;
             }
             let Some((lo, hi)) = domain else {
-                self.report.push(
+                finding(
                     Severity::Info,
-                    Analysis::DispatchTable,
-                    i as BlockId,
-                    None,
                     format!(
                         "{label} index range cannot be bounded statically; \
                          table completeness not checked"
@@ -1761,75 +1800,61 @@ impl<'a> Verifier<'a> {
                 );
                 continue;
             };
-            let covered: std::collections::HashSet<u32> = entries.iter().map(|&(o, _)| o).collect();
-            // Offsets no in-range symbol can ever select.
+            let mut covered = vec![false; (hi - lo + 1) as usize];
             for &(o, _) in entries {
-                if (o as i128) < lo || (o as i128) > hi {
-                    self.report.push(
+                let slot =
+                    usize::try_from(i128::from(o) - lo).ok().and_then(|i| covered.get_mut(i));
+                match slot {
+                    Some(slot) => *slot = true,
+                    // Offsets no in-range symbol can ever select.
+                    None => finding(
                         Severity::Warn,
-                        Analysis::DispatchTable,
-                        i as BlockId,
-                        None,
                         format!(
                             "group {group} slot at offset {o} is outside this {label}'s \
                              index range [{lo}, {hi}] and can never be selected from \
                              here"
                         ),
-                    );
+                    ),
                 }
             }
             // Symbols with no entry: they trap (hole) or alias (image check).
-            let mut missing: Vec<i128> = Vec::new();
-            for sym in lo..=hi {
-                if !covered.contains(&(sym as u32)) {
-                    missing.push(sym);
-                }
+            let missing: Vec<i128> =
+                (lo..=hi).zip(&covered).filter(|&(_, &c)| !c).map(|(sym, _)| sym).collect();
+            if missing.is_empty() {
+                continue;
             }
-            if !missing.is_empty() {
-                let total = hi - lo + 1;
+            let list = |syms: &[i128]| {
                 let shown: Vec<String> =
-                    missing.iter().take(8).map(std::string::ToString::to_string).collect();
-                let ell = if missing.len() > 8 { ", …" } else { "" };
-                self.report.push(
-                    Severity::Warn,
-                    Analysis::DispatchTable,
-                    i as BlockId,
-                    None,
-                    format!(
-                        "{label} covers {} of {total} possible symbols; missing \
-                         symbols [{}{ell}] trap (or alias) at runtime",
-                        total - missing.len() as i128,
-                        shown.join(", "),
-                    ),
-                );
-                // Image-level: a missing symbol that lands on a *non-hole*
-                // word silently executes foreign code instead of trapping.
-                if let Some((placement, image)) = img {
-                    let base = placement.group_base[group as usize];
-                    let mut aliased: Vec<i128> = Vec::new();
-                    for &sym in &missing {
-                        let addr = (base as i128 + sym) as u32;
-                        if image.decode(addr).is_some() {
-                            aliased.push(sym);
-                        }
-                    }
-                    if !aliased.is_empty() {
-                        let shown: Vec<String> =
-                            aliased.iter().take(8).map(std::string::ToString::to_string).collect();
-                        let ell = if aliased.len() > 8 { ", …" } else { "" };
-                        self.report.push(
-                            Severity::Warn,
-                            Analysis::DispatchTable,
-                            i as BlockId,
-                            None,
-                            format!(
-                                "uncovered symbols [{}{ell}] alias into foreign code \
-                                 words at base {base} — they execute unrelated blocks \
-                                 instead of trapping",
-                                shown.join(", "),
-                            ),
-                        );
-                    }
+                    syms.iter().take(8).map(std::string::ToString::to_string).collect();
+                shown.join(", ") + if syms.len() > 8 { ", …" } else { "" }
+            };
+            finding(
+                Severity::Warn,
+                format!(
+                    "{label} covers {} of {} possible symbols; missing \
+                     symbols [{}] trap (or alias) at runtime",
+                    covered.len() - missing.len(),
+                    covered.len(),
+                    list(&missing),
+                ),
+            );
+            // Image-level: a missing symbol that lands on a *non-hole*
+            // word silently executes foreign code instead of trapping.
+            if let Some((placement, image)) = img {
+                let base = placement.group_base[group as usize];
+                let aliased: Vec<i128> = (missing.iter().copied())
+                    .filter(|&sym| image.decode((i128::from(base) + sym) as u32).is_some())
+                    .collect();
+                if !aliased.is_empty() {
+                    finding(
+                        Severity::Warn,
+                        format!(
+                            "uncovered symbols [{}] alias into foreign code \
+                             words at base {base} — they execute unrelated blocks \
+                             instead of trapping",
+                            list(&aliased),
+                        ),
+                    );
                 }
             }
         }
@@ -2105,6 +2130,24 @@ done:
             .expect("expected a translation-validation finding:\n{r}");
         assert_eq!(f.severity, Severity::Error);
         assert!(f.message.contains("not equivalent"), "{f}");
+    }
+
+    #[test]
+    fn a_groups_coverage_is_reported_once_however_many_blocks_dispatch_into_it() {
+        // Codes `0` and `10`: a quarter of the primary group's windows are
+        // holes, and every one of the 192 emit handlers dispatches into it.
+        let mut lengths = vec![0u8; 256];
+        (lengths[65], lengths[66]) = (1, 2);
+        let r = crate::progs::huffman::compile(&lengths).unwrap().verify_report;
+        let tables: Vec<&Finding> =
+            r.findings.iter().filter(|f| f.analysis == Analysis::DispatchTable).collect();
+        assert_eq!(tables.len(), 2, "{r}");
+        assert!(tables.iter().all(|f| f.severity == Severity::Warn && f.count == 1), "{r}");
+        assert!(tables[0].message.contains("covers 192 of 256"), "{r}");
+        assert!(tables[1].message.contains("alias into foreign code words"), "{r}");
+        // Its first site, and the 192 others: `init` and every handler.
+        assert!(tables.iter().all(|f| f.message.ends_with("(and 192 more sites)")), "{r}");
+        assert_eq!(r.warn_count(), 2, "{r}");
     }
 
     #[test]

@@ -422,29 +422,37 @@ fn whole_blocks_call_helpers_only_for_the_stream_tail() {
     }
 }
 
-/// `(bits, base)` of every `dispatch.sym`/`dispatch.peek` in `image`.
+/// `(bits, base)` of every group a `dispatch.sym`/`dispatch.peek` of `image`
+/// enters, once each, in address order of its first dispatch site.
 fn dispatch_groups(image: &Image) -> Vec<(u8, u32)> {
-    (0..image.words.len() as u32)
-        .filter_map(|addr| match image.predecoded(addr)?.transition {
+    let mut groups = Vec::new();
+    for addr in 0..image.words.len() as u32 {
+        if let Some(
             DecodedTransition::DispatchSym { bits, base }
-            | DecodedTransition::DispatchPeek { bits, base } => Some((bits, base)),
-            _ => None,
-        })
-        .collect()
+            | DecodedTransition::DispatchPeek { bits, base },
+        ) = image.predecoded(addr).map(|b| b.transition)
+        {
+            if !groups.contains(&(bits, base)) {
+                groups.push((bits, base));
+            }
+        }
+    }
+    groups
 }
 
-/// The first level of a two-level decode loop: the group its action-free
-/// `dispatch.peek` block dispatches into.
+/// The first level of a two-level decode loop: the group of the first
+/// `dispatch.peek` on the way in from the entry (a Huffman image's entry
+/// block itself; behind `init` and the loop head of the hand-built loops).
 fn first_level_group(image: &Image) -> (u8, u32) {
-    (0..image.words.len() as u32)
-        .find_map(|addr| match image.predecoded(addr)? {
-            b if b.actions().is_empty() => match b.transition {
-                DecodedTransition::DispatchPeek { bits, base } => Some((bits, base)),
-                _ => None,
-            },
-            _ => None,
-        })
-        .expect("a dispatch block")
+    let mut addr = image.entry;
+    loop {
+        match image.predecoded(addr).expect("a mapped block").transition {
+            DecodedTransition::DispatchPeek { bits, base } => return (bits, base),
+            DecodedTransition::Jump(to) => addr = to,
+            DecodedTransition::Branch { .. } => addr += 1,
+            other => panic!("no dispatch.peek behind the entry: {other:?}"),
+        }
+    }
 }
 
 /// The shape of the compiled artifacts is part of the lowering's contract.
@@ -557,12 +565,16 @@ fn draw_symbols(rng: &mut SplitMix64, lengths: &[u8], n: usize) -> Vec<u8> {
 
 /// The window width of the composed table the primary group of a Huffman
 /// image must get: the longest code of at most 12 bits behind a prefix
-/// handler, if there is one. Prefix handlers are siblings only of each other,
-/// so a lone one is a class of one and stays on the per-block path.
+/// handler that is a row of the group, if there is one. Window 0's slot asks
+/// for the end of the stream instead, so a prefix handler there is behind it
+/// and not a row; and prefix handlers are siblings only of each other, so a
+/// lone one is a class of one and stays on the per-block path.
 fn expected_composed_width(table: &HuffmanTable, width: u8) -> Option<u8> {
-    let long = || table.lengths.iter().zip(&table.codes).filter(|(&l, _)| l > width);
-    let prefixes: std::collections::BTreeSet<_> = long().map(|(&l, &c)| c >> (l - width)).collect();
-    long().map(|(&l, _)| l).filter(|&l| l <= 12 && prefixes.len() >= 2).max()
+    let long = (table.lengths.iter().zip(&table.codes))
+        .filter(|&(&l, &c)| l > width && c >> (l - width) != 0)
+        .map(|(&l, &c)| (l, c >> (l - width)));
+    let prefixes: std::collections::BTreeSet<_> = long.clone().map(|(_, prefix)| prefix).collect();
+    long.map(|(l, _)| l).filter(|&l| l <= 12 && prefixes.len() >= 2).max()
 }
 
 /// One generated Huffman image through every way a run can end: the intact
@@ -684,47 +696,157 @@ fn generated_huffman_images_agree_at_every_primary_width() {
     });
 }
 
+/// What building an image costs, without a clock: every handler of a Huffman
+/// image dispatches, so a verifier that walked a group's windows once per
+/// dispatching block would make blocks × windows joins (66 thousand for the
+/// uniform table at width 8, 16.8 million at width 12). It walks them once
+/// per change of the group's state, which widening caps at a handful.
+#[test]
+fn huffman_images_verify_in_joins_linear_in_blocks_and_windows() {
+    let many_long = grown_lengths(&mut SplitMix64::new(0x0D9_0F15), 256, 3);
+    for (what, lengths, width) in
+        [("uniform", &vec![8u8; 256], 8), ("uniform", &vec![8u8; 256], 12), ("long", &many_long, 8)]
+    {
+        let image = progs::huffman::compile_with_width(lengths, width).unwrap();
+        let report = &image.verify_report;
+        let windows: usize = dispatch_groups(&image).iter().map(|&(bits, _)| 1usize << bits).sum();
+        let (joins, bound) = (report.fixpoint_joins, 4 * (report.blocks + windows) as u64);
+        assert!(joins > 0 && joins <= bound, "{what}, width {width}: {joins} joins, bound {bound}");
+    }
+}
+
+/// Tables the codec never trains, which `compile` still has to be total on:
+/// no coded symbol, one code, and two codes that leave a quarter of the code
+/// space unused. A table with a code decodes its valid streams, ends a stream
+/// cut on a code boundary short, and ends one whose window is a hole — or a
+/// foreign word packed into it — the same way on every tier. The code-less
+/// table has no window 0 to ask on and no handler at all: its image is the
+/// one the verifier rejects, which no lane runs unless told to.
+#[test]
+fn degenerate_huffman_tables_stay_total_and_agree() {
+    let with = |codes: &[(usize, u8)]| {
+        let mut lengths = vec![0u8; 256];
+        for &(s, l) in codes {
+            lengths[s] = l;
+        }
+        lengths
+    };
+    // A window that lands on a foreign word can loop without reading; a
+    // small budget ends that on all three tiers at the same cycle.
+    let unchecked =
+        RunConfig { cycle_limit: 50_000, allow_unverified: true, ..RunConfig::default() };
+    let ragged: [(&[u8], usize); 4] = [(&[], 0), (&[0], 8), (&[0xFF, 0x0F], 13), (&[0x5A; 9], 72)];
+
+    let image = progs::huffman::compile(&with(&[])).expect("an image, or a typed error");
+    let why = image.verify_report.gate().unwrap_err().to_string();
+    assert!(why.contains("dispatch.peek targets group 0, which has no entries"), "{why}");
+    let refused = Lane::new().run(&image, &[], 0, RunConfig::default());
+    assert!(matches!(refused, Err(LaneError::Unverified { .. })), "{refused:?}");
+    for (input, bits) in ragged {
+        let _ = differential(&image, input, bits, unchecked, "no coded symbol");
+    }
+
+    for (what, codes) in [("one code", &[(65, 1)][..]), ("two codes", &[(65, 1), (66, 2)])] {
+        let lengths = with(codes);
+        let table = HuffmanTable::from_lengths(lengths.clone()).unwrap();
+        for width in [4, 8, 12] {
+            let what = format!("{what}, width {width}");
+            let image = progs::huffman::compile_with_width(&lengths, width).unwrap();
+            assert_eq!(image.verify_report.error_count(), 0, "{what}");
+            let data: Vec<u8> = (0..41usize).map(|i| codes[i % codes.len()].0 as u8).collect();
+            let (bytes, bits) = huffman::encode(&data, &table).unwrap();
+            let mut lanes = [Lane::new(), Lane::new(), Lane::new()];
+            let r = differential_on(&mut lanes, &image, &bytes, bits, unchecked, &what).unwrap();
+            assert_eq!(r.output, data, "{what}");
+            for cut in 0..bits {
+                let input = &bytes[..cut.div_ceil(8)];
+                let _ = differential_on(&mut lanes, &image, input, cut, unchecked, &what);
+            }
+            // `11…` is no code of either table: a hole of the primary group,
+            // first thing and behind whole symbols.
+            for hole_at in [0, 1, 9] {
+                let mut fields: Vec<(u32, u8)> = vec![(0, 1); hole_at];
+                fields.extend([(0xFF, 8), (0, 3)]);
+                let (input, input_bits) = pack_bits(&fields);
+                let got = differential_on(&mut lanes, &image, &input, input_bits, unchecked, &what);
+                assert_ne!(got.map(|r| r.output.len()).ok(), Some(hole_at + 2), "{what}");
+            }
+            for (input, bits) in ragged {
+                let _ = differential_on(&mut lanes, &image, input, bits, unchecked, &what);
+            }
+        }
+    }
+}
+
+/// The loop's own group in a [`sibling_loop`], and the two-handler group
+/// beside it that only a tweak dispatches into.
+const LOOP_GROUP: u32 = 0;
+const ASIDE_GROUP: u32 = 1;
+
 /// A decode loop over one `dispatch.peek 3` group of emit handlers (`skip 3;
-/// limm r4, 10 + w; storebi r4, r2; jump head`), each handed to `tweak`
-/// with its window and the `done` block to change or drop (`false`). With
-/// `by_reg` the first dispatch is a `dispatch.reg r1` on the first three
+/// limm r4, 10 + w; storebi r4, r2`, then on to the next symbol), each handed
+/// to `tweak` with its window and the `done` block to change or drop
+/// (`false`). Unchained, a handler jumps to a loop head that asks for the end
+/// of the stream and dispatches; `chained`, its transition is the dispatch,
+/// window 0's slot asks (the shape of a Huffman image), and [`ASIDE_GROUP`]
+/// holds two more handlers of the same kind (`skip 1; limm r4, 90 + v; …`).
+/// With `by_reg` the first dispatch is a `dispatch.reg r1` on the first three
 /// bits into the same group.
-fn sibling_loop(by_reg: bool, tweak: impl Fn(u32, &mut Block, u32) -> bool) -> Image {
+fn sibling_loop(
+    by_reg: bool,
+    chained: bool,
+    tweak: impl Fn(u32, &mut Block, u32) -> bool,
+) -> Image {
     let mut pb = ProgramBuilder::new("near-siblings");
+    let group = pb.group(vec![]);
+    let dispatch = Transition::DispatchPeek { bits: 3, group };
     let done = pb.block(Block {
         actions: vec![Action::Sub { rd: 15, rs: 2, rt: 14 }],
         transition: Transition::Halt,
     });
     let head = pb.reserve();
-    let members = (0..8u32)
+    let handler = |skip: u8, sym: i16| Block {
+        actions: vec![
+            Action::SkipSym { bits: skip },
+            Action::LoadImm { rd: 4, imm: sym },
+            Action::StoreInc { rs: 4, base: 2, width: Width::B1 },
+        ],
+        transition: if chained { dispatch } else { Transition::Jump(head) },
+    };
+    assert_eq!(group, LOOP_GROUP);
+    if chained {
+        let aside = (0..2).map(|v| (v, pb.block(handler(1, 90 + v as i16)))).collect();
+        assert_eq!(pb.group(aside), ASIDE_GROUP);
+    }
+    let mut members: Vec<(u32, u32)> = (0..8u32)
         .filter_map(|w| {
-            let mut b = Block {
-                actions: vec![
-                    Action::SkipSym { bits: 3 },
-                    Action::LoadImm { rd: 4, imm: 10 + w as i16 },
-                    Action::StoreInc { rs: 4, base: 2, width: Width::B1 },
-                ],
-                transition: Transition::Jump(head),
-            };
+            let mut b = handler(3, 10 + w as i16);
             tweak(w, &mut b, done).then(|| (w, pb.block(b)))
         })
         .collect();
-    let group = pb.group(members);
-    let dispatch = pb
-        .block(Block { actions: vec![], transition: Transition::DispatchPeek { bits: 3, group } });
-    pb.define(
-        head,
-        Block {
+    let ask = |more: u32| Transition::Branch {
+        cond: Cond::Eq,
+        rs: 3,
+        rt: 0,
+        taken: done,
+        fallthrough: more,
+    };
+    if chained {
+        let first = members.iter_mut().find(|m| m.0 == 0).expect("window 0 keeps its handler");
+        let chk = pb.block(Block { actions: vec![], transition: ask(first.1) });
+        first.1 = pb.block(Block {
             actions: vec![Action::InRem { rd: 3 }],
-            transition: Transition::Branch {
-                cond: Cond::Eq,
-                rs: 3,
-                rt: 0,
-                taken: done,
-                fallthrough: dispatch,
-            },
-        },
-    );
+            transition: Transition::Jump(chk),
+        });
+        pb.define(head, Block { actions: vec![], transition: dispatch });
+    } else {
+        let dispatch = pb.block(Block { actions: vec![], transition: dispatch });
+        pb.define(
+            head,
+            Block { actions: vec![Action::InRem { rd: 3 }], transition: ask(dispatch) },
+        );
+    }
+    pb.set_group(group, members);
     let init = pb.block(Block {
         actions: vec![Action::Mov { rd: 2, rs: 14 }, Action::PeekSym { rd: 1, bits: 3 }],
         transition: if by_reg {
@@ -758,15 +880,20 @@ fn pack_bits(fields: &[(u32, u8)]) -> (Vec<u8>, usize) {
 /// extra action, leaves for another successor, or is missing must keep that
 /// window on the per-block path (or the bail stub, for the hole) next to the
 /// table-lowered rest; and a `dispatch.reg` that lands on a sibling's address
-/// — which has no code of its own any more — must bail. All of it three-way
-/// exact.
+/// — which has no code of its own any more — must bail. The same of handlers
+/// whose transition is the next dispatch: one that chains with another width
+/// or into another group is no sibling of the rest, a lone `skip` that chains
+/// into a group pure of the loop's leaves is a link (the composed table in
+/// front of the group shows it), and a `dispatch.reg` onto an elided chained
+/// leaf bails too. All of it three-way exact.
 #[test]
 fn near_siblings_take_the_per_block_path_and_agree() {
     type Tweak = fn(u32, &mut Block, u32) -> bool;
-    let cases: [(&str, bool, Tweak, u64); 6] = [
-        ("all siblings", false, |_, _, _| true, 0),
+    let cases: [(&str, bool, bool, Tweak, u64); 11] = [
+        ("all siblings", false, false, |_, _, _| true, 0),
         (
             "another register",
+            false,
             false,
             |w, b, _| {
                 if w == 2 {
@@ -780,6 +907,7 @@ fn near_siblings_take_the_per_block_path_and_agree() {
         (
             "an extra action",
             false,
+            false,
             |w, b, _| {
                 if w == 5 {
                     b.actions.push(Action::AddI { rd: 6, rs: 6, imm: 1 });
@@ -791,6 +919,7 @@ fn near_siblings_take_the_per_block_path_and_agree() {
         (
             "another successor",
             false,
+            false,
             |w, b, done| {
                 if w == 6 {
                     b.transition = Transition::Jump(done);
@@ -801,19 +930,71 @@ fn near_siblings_take_the_per_block_path_and_agree() {
         ),
         // More windows missing than the program has other blocks to pack
         // into them, so at least one stays a hole.
-        ("holes", false, |w, _, _| w < 3, 1),
-        ("dispatch.reg into a sibling", true, |_, _, _| true, 1),
+        ("holes", false, false, |w, _, _| w < 3, 1),
+        ("dispatch.reg into a sibling", true, false, |_, _, _| true, 1),
+        ("chained siblings", false, true, |_, _, _| true, 0),
+        (
+            "chained with another width",
+            false,
+            true,
+            |w, b, _| {
+                if w == 5 {
+                    b.transition = Transition::DispatchPeek { bits: 2, group: LOOP_GROUP };
+                }
+                true
+            },
+            0,
+        ),
+        (
+            "chained into another group",
+            false,
+            true,
+            |w, b, _| {
+                if w == 5 {
+                    b.transition = Transition::DispatchPeek { bits: 1, group: ASIDE_GROUP };
+                }
+                true
+            },
+            0,
+        ),
+        (
+            "lone skips chained into a pure group",
+            false,
+            true,
+            |w, b, _| {
+                if w >= 6 {
+                    b.actions.truncate(1);
+                    b.transition = Transition::DispatchPeek { bits: 1, group: ASIDE_GROUP };
+                }
+                true
+            },
+            0,
+        ),
+        ("dispatch.reg into a chained sibling", true, true, |_, _, _| true, 1),
     ];
     let cfg = RunConfig { cycle_limit: 10_000, allow_unverified: true, ..RunConfig::default() };
-    for (name, by_reg, tweak, bails) in cases {
-        let image = sibling_loop(by_reg, tweak);
-        let (bits, base) = dispatch_groups(&image)[0];
+    for (name, by_reg, chained, tweak, bails) in cases {
+        let image = sibling_loop(by_reg, chained, tweak);
+        let (bits, base) = dispatch_groups(&image).into_iter().find(|g| g.0 == 3).unwrap();
         let hole = (0..8).find(|&w| image.predecoded(base + w).is_none());
         // Every handler in order, then two more; the hole (if any) last.
         let mut windows: Vec<u32> = if hole.is_some() { vec![0, 1, 2] } else { (0..8).collect() };
         windows.extend([2, 1]);
         windows.extend(hole);
-        let fields: Vec<(u32, u8)> = windows.iter().map(|&w| (w, 3)).collect();
+        if by_reg && chained {
+            // Window 0's slot asks for the end of the stream and keeps its
+            // code; the register dispatch has to land on a handler.
+            windows.insert(0, 3);
+        }
+        // A handler that goes on into the group aside finds a `1` there.
+        let aside_behind: &[u32] = match name {
+            "chained into another group" => &[5],
+            "lone skips chained into a pure group" => &[6, 7],
+            _ => &[],
+        };
+        let fields: Vec<(u32, u8)> = (windows.iter())
+            .flat_map(|&w| [(w, 3)].into_iter().chain(aside_behind.contains(&w).then_some((1, 1))))
+            .collect();
         let (input, input_bits) = pack_bits(&fields);
         let mut lanes = [Lane::new(), Lane::new(), Lane::new()];
         let r = differential_on(&mut lanes, &image, &input, input_bits, cfg, name);
@@ -825,10 +1006,26 @@ fn near_siblings_take_the_per_block_path_and_agree() {
             _ if hole.is_some() => panic!("{name}: window {hole:?} is unmapped"),
             "another successor" => assert_eq!(r.unwrap().output, [10, 11, 12, 13, 14, 15, 16]),
             "another register" => assert_eq!(r.unwrap().output[..4], [10, 11, 77, 13]),
-            _ => assert_eq!(r.unwrap().output, [10, 11, 12, 13, 14, 15, 16, 17, 12, 11]),
+            // Handler 5 dispatched on two bits of window 6: `11`, handler 3.
+            "chained with another width" => {
+                assert_eq!(r.unwrap().output, [10, 11, 12, 13, 14, 15, 13, 17, 12, 11]);
+            }
+            "chained into another group" => {
+                assert_eq!(r.unwrap().output, [10, 11, 12, 13, 14, 15, 91, 16, 17, 12, 11]);
+            }
+            // Windows 6 and 7 emit nothing themselves.
+            "lone skips chained into a pure group" => {
+                assert_eq!(r.unwrap().output, [10, 11, 12, 13, 14, 15, 91, 91, 12, 11]);
+            }
+            _ => {
+                let want = [13, 10, 11, 12, 13, 14, 15, 16, 17, 12, 11];
+                assert_eq!(r.unwrap().output, want[usize::from(windows[0] == 0)..]);
+            }
         }
         let Some(jit) = image.jit() else { continue };
         assert!(jit.table_lowered(bits, base), "{name}: the siblings are still table-lowered");
+        let links = name == "lone skips chained into a pure group";
+        assert_eq!(jit.composed(bits, base).map(|c| c.0), links.then_some(4), "{name}");
         assert_eq!(lanes[0].jit_bails(), bails, "{name}");
     }
 }
