@@ -2,11 +2,26 @@
 //!
 //! This is the paper's flagship multi-way-dispatch workload: the element
 //! format is tag-value pairs, "with the corresponding operation to decode
-//! the value stored in the tag field" (§III-E). The program reads each tag
-//! byte and dispatches through a **256-entry group** — every tag value gets
-//! its own handler block with the literal length / copy length / offset
-//! split baked in at program-construction time, so there is no branch tree
-//! and no prediction, just `base + tag`.
+//! the value stored in the tag field" (§III-E). The program peeks at each tag
+//! byte and dispatches through a **256-entry `dispatch.peek 8` group** —
+//! every tag value gets its own handler block with the literal length / copy
+//! length / offset split baked in at program-construction time, so there is
+//! no branch tree and no prediction, just `base + tag`. A handler's first
+//! action is `skip 8`, past its tag.
+//!
+//! **The dispatch is the loop.** Every element ends in the next tag's
+//! dispatch, as the transition of whichever block moves its last bytes: there
+//! is no loop head. `main` is left only as an action-free block with that
+//! transition, because a branch's fall-through has to be a block of its own
+//! (the byte loop's), and so is the preamble's exit. The end of the stream is
+//! asked for in one place, as in the Huffman program: `peek` pads an
+//! exhausted stream with zeros, so only **tag window 0** can be the end. Its
+//! slot holds `guard` (`inrem r3; jump chk`), and `chk` (`beq r3, r0, done`)
+//! falls through to tag 0x00's handler, a one-byte literal. A stream cut
+//! inside an element still traps `StreamUnderflow` in the handler's `skip` or
+//! `insymle`, one cut on an element boundary halts short and is refused by
+//! the decoder's length check, and stray bits behind the last element reach a
+//! handler (by way of `guard` on window 0) that cannot skip 8 of them.
 //!
 //! What the tag says is decided here, not on the lane. A length the tag
 //! holds becomes a straight **chain** of move pairs (`insymle`/`storeinc`
@@ -19,7 +34,6 @@
 //! `offset < 4`) that fall into the length's chain of 8-byte or 4-byte
 //! moves, or leave for the byte loop (offsets 1..3: Snappy's run extension).
 //! A `copy1` tag with offset bits of its own (offset ≥ 256) skips the test.
-//! Every chain jumps straight back to `main`.
 //!
 //! Three loops remain behind the preamble's, each owning its back-edge
 //! branch and running against a limit cursor instead of counting down: an
@@ -30,16 +44,17 @@
 //!
 //! Three placement rules shape the blocks (see `crate::program`):
 //! a member of a dispatch group cannot end in a branch (EffCLiP would want
-//! its fall-through in the next member's slot), so a tier test is a block of
-//! its own; a block may be the fall-through of only one branch, so the first
-//! block of a chain behind a tier test is private to it while everything
-//! behind that is shared between all chains with the same moves left; and a
-//! jump may target anything, which is what lets the sharing happen.
+//! its fall-through in the next member's slot), so a tier test, and `chk`, is
+//! a block of its own; a block may be the fall-through of only one branch, so
+//! the first block of a chain behind a tier test is private to it while
+//! everything behind that is shared between all chains with the same moves
+//! left; and a jump may target anything, which is what lets the sharing
+//! happen.
 //!
-//! Register roles: `r1` tag · `r2` output cursor · `r3` remaining-bits ·
-//! `r4` byte-loop limit / bytes left after a loop · `r5` offset · `r6` data
-//! · `r7` copy-source cursor · `r8` limit cursor of the wide loops ·
-//! `r9` constant 0x80 · `r12` constant 4 · `r13` constant 8.
+//! Register roles: `r2` output cursor · `r3` remaining-bits (`guard`, the
+//! preamble) · `r4` byte-loop limit / bytes left after a loop · `r5` offset ·
+//! `r6` data · `r7` copy-source cursor · `r8` limit cursor of the wide loops
+//! · `r9` constant 0x80 · `r12` constant 4 · `r13` constant 8.
 
 use crate::error::UdpError;
 use crate::isa::{Action, Block, BlockId, Cond, Transition, Width, MAX_ACTIONS_PER_BLOCK};
@@ -90,18 +105,16 @@ fn branch(cond: Cond, rs: u8, rt: u8, taken: BlockId, fallthrough: BlockId) -> T
 /// The program under construction.
 struct Builder {
     pb: ProgramBuilder,
-    /// The element loop's head, where every chain ends.
-    main: BlockId,
+    /// The next element's tag dispatch, where every chain ends.
+    next: Transition,
     /// Shared chain blocks, by what they and the blocks behind them move.
     shared: HashMap<(Source, Vec<Width>), BlockId>,
 }
 
 impl Builder {
-    /// The shared block that moves `widths` and goes back to `main`.
+    /// The shared block that moves `widths` (at least one) and, behind the
+    /// blocks it jumps to, dispatches the next tag.
     fn chain(&mut self, from: Source, widths: &[Width]) -> BlockId {
-        if widths.is_empty() {
-            return self.main;
-        }
         let key = (from, widths.to_vec());
         if let Some(&block) = self.shared.get(&key) {
             return block;
@@ -112,15 +125,20 @@ impl Builder {
     }
 
     /// A block of its own (a group member, a fall-through): `actions`, as
-    /// many whole moves of `widths` as its free slots hold, and a jump to
-    /// the shared chain of the rest.
+    /// many whole moves of `widths` as its free slots hold, and the next
+    /// tag's dispatch when that was the last of them, else a jump to the
+    /// shared chain of the rest.
     fn head(&mut self, mut actions: Vec<Action>, from: Source, widths: &[Width]) -> BlockId {
         let here = ((MAX_ACTIONS_PER_BLOCK - actions.len()) / 2).min(widths.len());
         for &width in &widths[..here] {
             actions.extend(from.pair(width));
         }
-        let next = self.chain(from, &widths[here..]);
-        self.pb.block(Block { actions, transition: Transition::Jump(next) })
+        let transition = if here == widths.len() {
+            self.next
+        } else {
+            Transition::Jump(self.chain(from, &widths[here..]))
+        };
+        self.pb.block(Block { actions, transition })
     }
 
     /// A loop that moves two `width`-byte pairs per trip while a whole trip
@@ -158,8 +176,11 @@ const MAX_NARROW_CHAIN: usize = 16;
 /// Construction/placement failures (a bug, not a data condition).
 pub fn build() -> Result<Image, UdpError> {
     let mut pb = ProgramBuilder::new("udp-snappy-decode");
-    let main = pb.reserve();
-    let mut b = Builder { pb, main, shared: HashMap::new() };
+    // Every chain ends in the next tag's dispatch; the group is filled in
+    // once its members exist.
+    let tags = pb.group(vec![]);
+    let next = Transition::DispatchPeek { bits: 8, group: tags };
+    let mut b = Builder { pb, next, shared: HashMap::new() };
 
     // done: r15 = out length; halt.
     let done = b.pb.block(Block {
@@ -167,7 +188,10 @@ pub fn build() -> Result<Image, UdpError> {
         transition: Transition::Halt,
     });
 
-    // ---- offsets 1..3: byte loop up to r4, falling into main ----
+    // ---- offsets 1..3: byte loop up to r4, falling into the next tag ----
+    // (`main` dispatches and does nothing else: a branch's fall-through has
+    // to be a block of its own.)
+    let main = b.pb.block(Block { actions: vec![], transition: next });
     let byte_loop = b.pb.reserve();
     b.pb.define(
         byte_loop,
@@ -218,17 +242,20 @@ pub fn build() -> Result<Image, UdpError> {
         transition: branch(Cond::Geu, 2, 8, literal_rest, literal_loop),
     });
 
-    // ---- 256 tag handlers ----
-    // A copy's offset and source, its offset in `bytes` stream bytes.
-    let copy = |bytes| vec![Action::InSymLe { rd: 5, bytes }, Action::Sub { rd: 7, rs: 2, rt: 5 }];
+    // ---- 256 tag handlers, each behind the `dispatch.peek 8` of its tag ----
+    let skip = Action::SkipSym { bits: 8 };
+    // Past the tag: a copy's offset, in `bytes` stream bytes, and its source.
+    let copy =
+        |bytes| vec![skip, Action::InSymLe { rd: 5, bytes }, Action::Sub { rd: 7, rs: 2, rt: 5 }];
     let mut handlers = Vec::with_capacity(256);
     for tag in 0..=255u32 {
         let field = (tag >> 2) as usize;
         let handler = match tag & 0b11 {
             // Literal, its length in the tag or in 1..=4 bytes behind it.
-            0 if field < 60 => b.head(Vec::new(), Source::Stream, &widths(field + 1, 8)),
+            0 if field < 60 => b.head(vec![skip], Source::Stream, &widths(field + 1, 8)),
             0 => b.pb.block(Block {
                 actions: vec![
+                    skip,
                     Action::InSymLe { rd: 4, bytes: (field - 59) as u8 },
                     Action::Add { rd: 8, rs: 2, rt: 4 },
                     Action::AddI { rd: 8, rs: 8, imm: -14 },
@@ -237,19 +264,26 @@ pub fn build() -> Result<Image, UdpError> {
             }),
             // Copy, 1-byte offset: len 4..11, three more offset bits in the
             // tag — `addi` takes them off the source 1024 at a time, and with
-            // any of them set the offset is 256 or more: no test.
+            // any of them set the offset is 256 or more: no test. From 1280
+            // on the second `addi` does not fit beside the rest and takes a
+            // block of its own.
             1 => {
                 let (len, mut high) = ((field & 0x7) + 4, (tag >> 5 << 8) as i16);
-                let target = if high == 0 { test[len] } else { wide[len] };
+                let mut target = if high == 0 { test[len] } else { wide[len] };
                 let mut actions = copy(1);
                 while high > 0 {
                     actions.push(Action::AddI { rd: 7, rs: 7, imm: -high.min(1024) });
                     high -= high.min(1024);
                 }
+                let spill = actions.split_off(actions.len().min(MAX_ACTIONS_PER_BLOCK));
+                if !spill.is_empty() {
+                    target =
+                        b.pb.block(Block { actions: spill, transition: Transition::Jump(target) });
+                }
                 b.pb.block(Block { actions, transition: Transition::Jump(target) })
             }
             // Copy, 2- or 4-byte offset: len 1..64. Under 4 bytes there is
-            // nothing to test for, and the first byte moves here.
+            // nothing to test for.
             low => {
                 let (len, actions) = (field + 1, copy(if low == 2 { 2 } else { 4 }));
                 if len < 4 {
@@ -261,36 +295,34 @@ pub fn build() -> Result<Image, UdpError> {
         };
         handlers.push((tag, handler));
     }
-    let tags = b.pb.group(handlers);
 
-    // ---- main loop: element per iteration ----
-    let gettag = b.pb.block(Block {
-        actions: vec![Action::InSymLe { rd: 1, bytes: 1 }],
-        transition: Transition::DispatchReg { rs: 1, group: tags },
-    });
-    b.pb.define(
-        main,
-        Block {
-            actions: vec![Action::InRem { rd: 3 }],
-            transition: branch(Cond::Eq, 3, 0, done, gettag),
-        },
-    );
+    // ---- the end of the stream ----
+    // `peek` pads an exhausted stream with zeros, so only tag window 0 can be
+    // the end: its slot alone asks (`guard`), and `chk` falls through to tag
+    // 0x00's handler, a one-byte literal, when bits are left.
+    let chk = b
+        .pb
+        .block(Block { actions: vec![], transition: branch(Cond::Eq, 3, 0, done, handlers[0].1) });
+    handlers[0].1 = b
+        .pb
+        .block(Block { actions: vec![Action::InRem { rd: 3 }], transition: Transition::Jump(chk) });
+    b.pb.set_group(tags, handlers);
 
     // ---- varint preamble skip ----
     // Guarded per byte: a truncated preamble (every byte with the
-    // continuation bit set) must fall through to main's empty-stream exit,
-    // not run the stream unit dry.
+    // continuation bit set) must reach the first tag's dispatch, and with it
+    // the end of the stream, not run the stream unit dry.
     let varint = b.pb.reserve();
-    let to_main = b.pb.block(Block { actions: vec![], transition: Transition::Jump(main) });
+    let first = b.pb.block(Block { actions: vec![], transition: next });
     let varint_body = b.pb.block(Block {
         actions: vec![Action::InSymLe { rd: 6, bytes: 1 }, Action::And { rd: 7, rs: 6, rt: 9 }],
-        transition: branch(Cond::Ne, 7, 0, varint, to_main),
+        transition: branch(Cond::Ne, 7, 0, varint, first),
     });
     b.pb.define(
         varint,
         Block {
             actions: vec![Action::InRem { rd: 3 }],
-            transition: branch(Cond::Eq, 3, 0, to_main, varint_body),
+            transition: branch(Cond::Eq, 3, 0, first, varint_body),
         },
     );
 

@@ -74,9 +74,13 @@ fn parse(stream: &[u8]) -> (usize, Vec<Element>) {
     (preamble, elements)
 }
 
-/// A chain that moves `len` bytes in moves of at most `widest`: two cycles a
-/// move (fetch, store) and one a block of two moves.
-fn chain(len: usize, widest: usize) -> u64 {
+/// A block of its own holding `actions` (the handler's, or none) and then as
+/// many moves of a `len`-byte chain, none wider than `widest`, as its free
+/// slots hold; the rest of the chain two moves to a shared block. Two cycles
+/// a move (fetch, store), one an action, one a block. The last block's
+/// transition is the next tag's dispatch: with no move at all, the block
+/// itself dispatches.
+fn head(actions: usize, len: usize, widest: usize) -> u64 {
     let (mut moves, mut left) = (0, len);
     for width in [8, 4, 1] {
         if width <= widest {
@@ -84,17 +88,13 @@ fn chain(len: usize, widest: usize) -> u64 {
             left %= width;
         }
     }
-    (2 * moves + moves.div_ceil(2)) as u64
+    let here = ((4 - actions) / 2).min(moves);
+    (actions + 2 * moves + 1 + (moves - here).div_ceil(2)) as u64
 }
 
-/// What the dispatch behind a wide loop enters: a jump back to `main` when
-/// nothing is left, else the chain of what is.
-fn rest(len: usize, widest: usize) -> u64 {
-    if len == 0 {
-        1
-    } else {
-        chain(len, widest)
-    }
+/// A chain of its own: `2m + ⌈m/2⌉` cycles for `m` moves, 1 for none.
+fn chain(len: usize, widest: usize) -> u64 {
+    head(0, len, widest)
 }
 
 /// A copy of `len >= 4` bytes entered through its length's tier test.
@@ -106,30 +106,34 @@ fn tiers(len: usize, offset: usize) -> u64 {
     test8
         + 1
         + match (offset >= 4, len <= 16) {
-            // The byte loop: a limit (2), three cycles a byte.
-            (false, _) => 2 + 3 * len as u64,
+            // The byte loop: a limit (2), three cycles a byte, and `main`,
+            // its fall-through, which dispatches (1).
+            (false, _) => 2 + 3 * len as u64 + 1,
             (true, true) => chain(len, 4),
             // A limit (2), five cycles a trip of 8, the dispatch (2), the rest.
-            (true, false) => 2 + 5 * (len / 8) as u64 + 2 + rest(len % 8, 4),
+            (true, false) => 2 + 5 * (len / 8) as u64 + 2 + chain(len % 8, 4),
         }
 }
 
-/// DESIGN §11's per-element cost, `main` and the tag dispatch included.
+/// DESIGN §11's per-element cost: every handler starts with the tag's
+/// `skip 8`, and every element ends in the next tag's dispatch.
 fn element_cycles(e: Element) -> u64 {
-    // main: inrem, branch · gettag: insymle, dispatch.
-    4 + match e {
-        Element::Literal { len, length_bytes: 0 } => chain(len, 8),
-        // Handler (4), test (1), five cycles a trip of 16, the dispatch (2).
-        Element::Literal { len, .. } => 4 + 1 + 5 * (len / 16) as u64 + 2 + rest(len % 16, 8),
-        // Offset and source are two actions; the first byte of a copy too
-        // short for a tier test moves in the handler.
-        Element::Copy { offset_bytes: 2 | 4, len: len @ 1..=3, .. } => 5 + chain(len - 1, 1),
-        Element::Copy { offset_bytes: 2 | 4, len, offset } => 3 + tiers(len, offset),
+    match e {
+        // Tag 0x00 sits behind window 0's `guard` (inrem, jump: 2) and `chk`
+        // (the branch: 1).
+        Element::Literal { len: 1, length_bytes: 0 } => 3 + head(1, 1, 8),
+        Element::Literal { len, length_bytes: 0 } => head(1, len, 8),
+        // Handler (5), test (1), five cycles a trip of 16, the dispatch (2).
+        Element::Literal { len, .. } => 5 + 1 + 5 * (len / 16) as u64 + 2 + chain(len % 16, 8),
+        // Skip, offset and source are three actions: no room for a move.
+        Element::Copy { offset_bytes: 2 | 4, len: len @ 1..=3, .. } => head(3, len, 1),
+        Element::Copy { offset_bytes: 2 | 4, len, offset } => 4 + tiers(len, offset),
         // `copy1` adds its tag's offset bits 1024 at a time, and with any of
-        // them set knows the offset is wide.
+        // them set knows the offset is wide; a second `addi` (offset 1280 and
+        // up) does not fit beside the rest and takes a block of its own.
         Element::Copy { len, offset, .. } => match (offset >> 8 << 8).div_ceil(1024) as u64 {
-            0 => 3 + tiers(len, offset),
-            adds => 3 + adds + chain(len, 8),
+            0 => 4 + tiers(len, offset),
+            adds => 4 + adds + u64::from(adds == 2) + chain(len, 8),
         },
     }
 }
@@ -137,19 +141,53 @@ fn element_cycles(e: Element) -> u64 {
 /// Modeled cycles of the Snappy program on `stream`, by the table alone.
 fn snappy_cycles(stream: &[u8]) -> u64 {
     let (preamble, elements) = parse(stream);
-    // init (5), a test and a read (2 + 3) per preamble byte, the jump to main
-    // (1); and at the end main's exit (2) and done (2).
-    let fixed = 5 + 5 * preamble as u64 + 1 + 2 + 2;
+    // init (5), a test and a read (2 + 3) per preamble byte, and the first
+    // tag's dispatch (1) — behind one more test (2) when the stream ran out
+    // inside the preamble; at the end window 0's `guard` and `chk` (3) and
+    // done (2).
+    let terminated = stream[..preamble].last().is_some_and(|b| b & 0x80 == 0);
+    let fixed = 5 + 5 * preamble as u64 + if terminated { 1 } else { 3 } + 3 + 2;
     fixed + elements.into_iter().map(element_cycles).sum::<u64>()
+}
+
+/// The Snappy preamble: `n` as a little-endian base-128 varint.
+fn varint(mut n: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+    out
 }
 
 /// Runs `stream` three ways and against the software decoder: the same bytes
 /// in the table's cycles, or a trap where the software decoder fails too.
 fn check_snappy(image: &Image, stream: &[u8], context: &str) {
-    let run = differential(image, stream, stream.len() * 8, RunConfig::default(), context);
+    check_snappy_bits(image, stream, stream.len() * 8, context);
+}
+
+/// [`check_snappy`] on the first `bits` bits of `stream`; the software
+/// decoder sees every byte of it.
+fn check_snappy_bits(image: &Image, stream: &[u8], bits: usize, context: &str) {
+    let run = differential(image, stream, bits, RunConfig::default(), context);
     match (run, snappy::decompress(stream)) {
         (Ok(r), Ok(want)) => {
             assert_eq!(r.output, want, "{context}: output");
+            assert_eq!(r.cycles, snappy_cycles(stream), "{context}: cycles off the cost table");
+        }
+        // The lane does not read the declared length: a stream that ends on
+        // an element boundary, or inside its preamble, halts short, and
+        // `decode_block_into`'s length check refuses the block. The software
+        // decoder may object to nothing else: the same elements under a
+        // preamble that declares what they hold decode to the lane's bytes.
+        (Ok(r), Err(_)) => {
+            assert_eq!(bits, stream.len() * 8, "{context}: stray bits ran clean");
+            let (preamble, _) = parse(stream);
+            let mut framed = varint(r.output.len());
+            framed.extend(&stream[preamble..]);
+            let want = snappy::decompress(&framed);
+            assert_eq!(want.ok().as_ref(), Some(&r.output), "{context}: a short stream's bytes");
             assert_eq!(r.cycles, snappy_cycles(stream), "{context}: cycles off the cost table");
         }
         (Err(LaneError::StreamUnderflow { .. }), Err(_)) => {}
@@ -218,13 +256,7 @@ impl Stream {
 
     /// Preamble and elements.
     fn bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut n = self.decoded;
-        while n >= 0x80 {
-            out.push(n as u8 | 0x80);
-            n >>= 7;
-        }
-        out.push(n as u8);
+        let mut out = varint(self.decoded);
         out.extend(&self.elements);
         out
     }
@@ -297,10 +329,84 @@ fn every_tag_decodes_and_costs_what_the_table_says() {
             let stream = s.bytes();
             let elements = parse(&stream).1;
             assert_eq!(stream[stream.len() - bytes_of(elements[1])], tag as u8, "tag {tag}");
-            // A literal behind the element: its chain came back to `main`.
+            // A literal behind the element: its chain dispatched the next tag.
             s.literal(b"end", 0);
             check_snappy(&image, &s.bytes(), &format!("tag {tag:#04x} offset {offset}"));
         }
+    }
+}
+
+/// The streams whose end is the question: only tag window 0 asks for it, so
+/// a stream of nothing but 0x00 tags asks on every element; a preamble with
+/// no element behind it, whole or cut short, asks at once; and whatever is
+/// left after the last element — a bare 0x00 tag, or 1 to 7 stray bits of
+/// any value — reaches a handler with too few bits and underflows there, as
+/// the software decoder fails on the byte.
+#[test]
+fn streams_that_end_at_tag_window_zero() {
+    let image = progs::snappy::build().unwrap();
+    let mut rng = SplitMix64::new(0x2E80);
+    let mut zeros = Stream::default();
+    for _ in 0..300 {
+        zeros.literal(&random_bytes(&mut rng, 1), 0);
+    }
+    // Data bytes of 0x00 too: a one-byte literal of zero is two zero bytes.
+    for _ in 0..50 {
+        zeros.literal(&[0], 0);
+    }
+    check_snappy(&image, &zeros.bytes(), "only 0x00 tags");
+    for (preamble, what) in [
+        (vec![], "an empty stream"),
+        (varint(0), "a preamble of 0"),
+        (varint(5000), "a preamble of 5000 and nothing behind it"),
+        (vec![0x80], "a preamble cut after one byte"),
+        (vec![0xFF; 3], "a preamble cut after three bytes"),
+    ] {
+        check_snappy(&image, &preamble, what);
+    }
+    let mut s = Stream::with_history(&mut rng, 100);
+    s.copy(1, 8, 40);
+    let whole = s.bytes();
+    for last in [0x00, 0x01, 0x04, 0xF0, 0xFF] {
+        let mut stream = whole.clone();
+        stream.push(last);
+        check_snappy(&image, &stream, &format!("a bare trailing tag {last:#04x}"));
+        for stray in 1..8 {
+            let bits = whole.len() * 8 + stray;
+            let context = format!("{stray} stray bits of {last:#04x}");
+            check_snappy_bits(&image, &stream, bits, &context);
+        }
+    }
+}
+
+/// A compressed block of a `fem_ds`-shaped matrix — delta-coded column
+/// indices and repeated values — cut on every element boundary: each prefix
+/// halts short in the table's cycles with the bytes its elements hold, which
+/// `decode_block_into` then refuses for their length.
+#[test]
+fn a_cut_on_every_element_boundary_halts_short() {
+    let image = progs::snappy::build().unwrap();
+    let spec = GenSpec::FemBand {
+        n: 1500,
+        band: 24,
+        fill: 0.4,
+        values: ValueModel::MixedRepeated { distinct: 64 },
+    };
+    let a = generate(&spec, 25);
+    let indices = delta::encode_u32(a.col_idx()).unwrap();
+    let values: Vec<u8> = a.values().iter().flat_map(|v| v.to_le_bytes()).collect();
+    for (what, bytes) in [("indices", &indices[..8192]), ("values", &values[..8192])] {
+        let stream = snappy::compress(bytes);
+        let (preamble, elements) = parse(&stream);
+        assert!(elements.len() > 100, "{what}: {} elements", elements.len());
+        let mut cut = preamble;
+        for (i, &e) in elements.iter().enumerate() {
+            let context = format!("{what} cut behind {i} of {} elements", elements.len());
+            check_snappy(&image, &stream[..cut], &context);
+            cut += bytes_of(e);
+        }
+        assert_eq!(cut, stream.len());
+        check_snappy(&image, &stream, what);
     }
 }
 
