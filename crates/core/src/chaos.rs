@@ -43,6 +43,7 @@ use recode_sparse::prelude::{generate, GenSpec, ValueModel};
 use recode_sparse::spmv::SpmvKernel;
 use recode_sparse::Csr;
 use recode_udp::accel::FaultHook;
+use recode_udp::pool::QUARANTINE_AFTER_TRAPS;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -55,16 +56,17 @@ pub struct ChaosConfig {
     pub trials: usize,
     /// Master seed; the whole campaign is a pure function of it.
     pub seed: u64,
-    /// Hard per-trial wall-clock limit. A trial that misses it is recorded
-    /// as [`TrialOutcome::Hung`] — a contract violation, never retried.
-    pub trial_timeout: Duration,
 }
 
 impl Default for ChaosConfig {
     fn default() -> Self {
-        ChaosConfig { trials: 500, seed: 0xC0FFEE, trial_timeout: Duration::from_secs(30) }
+        ChaosConfig { trials: 500, seed: 0xC0FFEE }
     }
 }
+
+/// Hard per-trial wall-clock limit. A trial that misses it is recorded as
+/// [`TrialOutcome::Hung`] — a contract violation, never retried.
+pub const TRIAL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Typed terminal classification of one trial. The first four mirror
 /// [`JobState`]; the last two are contract violations the watchdog detects.
@@ -402,10 +404,9 @@ fn plan_trial(seed: u64) -> TrialPlan {
 /// the probation/readmission machinery.
 fn poison_pool() {
     let pool = recode_udp::pool::global();
-    let threshold = pool.config().quarantine_threshold.max(1);
     for _ in 0..3 {
         let mut lane = pool.checkout();
-        for _ in 0..threshold {
+        for _ in 0..QUARANTINE_AFTER_TRAPS {
             lane.note_trap();
         }
     }
@@ -566,15 +567,8 @@ pub fn run_campaign(config: &ChaosConfig) -> CampaignSummary {
     let sys = SystemConfig::ddr4();
     let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
     let y_ref = recode_sparse::spmv::spmv(&a, &x);
-    let ctx = Arc::new(Ctx {
-        a,
-        cm,
-        store,
-        sys,
-        x,
-        y_ref,
-        breaker: Mutex::new(CircuitBreaker::new(crate::resilience::BreakerConfig::default())),
-    });
+    let ctx =
+        Arc::new(Ctx { a, cm, store, sys, x, y_ref, breaker: Mutex::new(CircuitBreaker::new()) });
 
     let mut master = SplitMix64::new(config.seed);
     let mut summary = CampaignSummary {
@@ -606,7 +600,7 @@ pub fn run_campaign(config: &ChaosConfig) -> CampaignSummary {
             crate::recorder::flush_thread();
             let _ = tx.send(r);
         });
-        let result = match rx.recv_timeout(config.trial_timeout) {
+        let result = match rx.recv_timeout(TRIAL_TIMEOUT) {
             Ok(Ok(result)) => result,
             Ok(Err(_panic)) => TrialResult {
                 outcome: TrialOutcome::PanicEscaped,
@@ -654,8 +648,7 @@ mod tests {
 
     #[test]
     fn a_small_campaign_is_healthy_and_covers_every_point() {
-        let config =
-            ChaosConfig { trials: 60, seed: 0xDEAD_BEEF, trial_timeout: Duration::from_secs(30) };
+        let config = ChaosConfig { trials: 60, seed: 0xDEAD_BEEF };
         let summary = run_campaign(&config);
         assert!(summary.healthy(), "{}", summary.render());
         assert_eq!(summary.by_outcome.values().sum::<usize>(), 60);
@@ -670,7 +663,7 @@ mod tests {
 
     #[test]
     fn summary_json_is_well_formed() {
-        let config = ChaosConfig { trials: 4, seed: 1, trial_timeout: Duration::from_secs(30) };
+        let config = ChaosConfig { trials: 4, seed: 1 };
         let s = run_campaign(&config);
         let json = s.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -681,8 +674,7 @@ mod tests {
 
     #[test]
     fn summary_round_trips_through_the_shared_json_writer() {
-        let config =
-            ChaosConfig { trials: 6, seed: 0xA11CE, trial_timeout: Duration::from_secs(30) };
+        let config = ChaosConfig { trials: 6, seed: 0xA11CE };
         let first = run_campaign(&config);
         let back = CampaignSummary::from_json(&first.to_json()).expect("own JSON parses back");
         assert_eq!(back, first, "summary must survive the JSON round trip");

@@ -1152,7 +1152,10 @@ mod tests {
 
     #[test]
     fn run_job_walks_the_breaker_ladder_bit_exact() {
-        use crate::resilience::{BreakerConfig, BreakerState, CircuitBreaker, JobBudget, JobState};
+        use crate::resilience::{
+            BreakerState, CircuitBreaker, JobBudget, JobState, BREAKER_COOLDOWN_RUNS,
+            BREAKER_MIN_JOBS,
+        };
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -1164,24 +1167,24 @@ mod tests {
         assert!(!report.software_path);
         assert_eq!(report.matrix.as_ref(), Some(&a));
 
-        // An already-open breaker bypasses to the software decoder.
-        let config = BreakerConfig {
-            window_runs: 4,
-            error_rate_threshold: 0.5,
-            min_window_jobs: 10,
-            cooldown_runs: 2,
-        };
-        let mut b = CircuitBreaker::new(config);
-        b.record(10, 10);
+        // An already-open breaker bypasses to the software decoder until
+        // its cooldown elapses.
+        let mut b = CircuitBreaker::new();
+        b.record(BREAKER_MIN_JOBS, BREAKER_MIN_JOBS);
         assert_eq!(b.state(), BreakerState::Open);
-        let report =
-            r.run_job(&sys, RunCtx { budget: Some(&budget), ..RunCtx::default() }, Some(&mut b));
-        assert_eq!(report.state, JobState::Degraded);
-        assert!(report.software_path, "open breaker must bypass the accelerator");
-        assert_eq!(report.matrix.as_ref(), Some(&a), "software bypass stays bit-exact");
-        let stats = report.stats.expect("bypass synthesizes stats");
-        assert!(stats.software_decode && stats.degraded);
-        assert_eq!(stats.accel.jobs, 0, "no accelerator work on the bypass");
+        for _ in 1..BREAKER_COOLDOWN_RUNS {
+            let report = r.run_job(
+                &sys,
+                RunCtx { budget: Some(&budget), ..RunCtx::default() },
+                Some(&mut b),
+            );
+            assert_eq!(report.state, JobState::Degraded);
+            assert!(report.software_path, "open breaker must bypass the accelerator");
+            assert_eq!(report.matrix.as_ref(), Some(&a), "software bypass stays bit-exact");
+            let stats = report.stats.expect("bypass synthesizes stats");
+            assert!(stats.software_decode && stats.degraded);
+            assert_eq!(stats.accel.jobs, 0, "no accelerator work on the bypass");
+        }
 
         // The next run is the half-open probe; it succeeds and re-closes.
         let report =
@@ -1193,20 +1196,15 @@ mod tests {
 
     #[test]
     fn run_job_records_a_dead_run_and_trips_the_breaker() {
-        use crate::resilience::{BreakerConfig, BreakerState, CircuitBreaker, JobState};
+        use crate::resilience::{BreakerState, CircuitBreaker, JobState, BREAKER_MIN_JOBS};
         let a = test_matrix();
         let cm = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let mut r = RecodedSpmv::from_compressed(cm).unwrap();
         // Corrupt with no fallback store: the run dies with a typed error.
         r.compressed_mut().index_stream.blocks[0].payload[0] ^= 0x40;
+        assert!(r.total_jobs() >= BREAKER_MIN_JOBS, "one dead run fills the breaker's window");
         let sys = SystemConfig::ddr4();
-        let config = BreakerConfig {
-            window_runs: 4,
-            error_rate_threshold: 0.5,
-            min_window_jobs: 10,
-            cooldown_runs: 2,
-        };
-        let mut b = CircuitBreaker::new(config);
+        let mut b = CircuitBreaker::new();
         let report = r.run_job(&sys, RunCtx::default(), Some(&mut b));
         assert_eq!(report.state, JobState::Rejected);
         assert!(report.error.is_some());

@@ -76,14 +76,10 @@ pub use error::{ExecError, ExecResult};
 pub use exec::{ExecStats, RawFallbackStore, RecodedSpmv};
 pub use ladder::RunCtx;
 pub use metrics::MetricsSnapshot;
-pub use overlap::{
-    parse_recode_threads, CacheStats, ExecCache, OverlapConfig, OverlapExecutor, OverlapStats,
-};
+pub use overlap::{CacheStats, ExecCache, OverlapConfig, OverlapExecutor, OverlapStats};
 pub use perfmodel::SpmvPerfModel;
 pub use power::PowerSavings;
-pub use resilience::{
-    BreakerConfig, BreakerState, BudgetTracker, CircuitBreaker, JobBudget, JobReport, JobState,
-};
+pub use resilience::{BreakerState, BudgetTracker, CircuitBreaker, JobBudget, JobReport, JobState};
 pub use tune::{
     matrix_digest, tune_matrix, CandidateScore, StageSubset, TuneError, TuneOutcome, TunedConfig,
     TUNED_SCHEMA,

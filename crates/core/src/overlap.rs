@@ -25,9 +25,9 @@
 //!   makespan are reported in [`OverlapStats`];
 //! * **wall-clock** — a producer thread decodes blocks in stream order and
 //!   feeds tiles through a bounded channel to a pool of CPU worker threads
-//!   (`RECODE_THREADS`, default `available_parallelism`), whose partial row
-//!   sums are merged back in tile order so the result is deterministic for
-//!   a given tiling.
+//!   ([`OverlapConfig::workers`], default the host's parallelism capped at
+//!   8), whose partial row sums are merged back in tile order so the result
+//!   is deterministic for a given tiling.
 //!
 //! An [`ExecCache`] (seeded-capacity LRU over decoded blocks) sits in front
 //! of the lanes: iterative callers — [`OverlapExecutor::spmv_iter`],
@@ -187,8 +187,7 @@ pub struct OverlapConfig {
     pub overlap: bool,
     /// Decoded-block LRU capacity in blocks; 0 disables caching.
     pub cache_blocks: usize,
-    /// CPU multiply workers; 0 means `RECODE_THREADS` or, failing that,
-    /// `available_parallelism` (capped at 8).
+    /// CPU multiply workers; 0 means `available_parallelism` (capped at 8).
     pub workers: usize,
 }
 
@@ -198,38 +197,11 @@ impl Default for OverlapConfig {
     }
 }
 
-/// Parses a `RECODE_THREADS` value into a worker count. Pure so both the
-/// accept and the reject path are testable without mutating the process
-/// environment (env-var mutation races under the parallel test harness).
-///
-/// # Errors
-/// A human-readable message naming the variable and the offending value:
-/// non-numeric garbage, or an explicit `0` (a zero-thread pool cannot make
-/// progress, so it is rejected rather than silently remapped).
-pub fn parse_recode_threads(raw: &str) -> Result<usize, String> {
-    let trimmed = raw.trim();
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(format!("RECODE_THREADS must be at least 1, got \"{trimmed}\"")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "RECODE_THREADS is not a thread count: \"{raw}\" (expected a positive integer)"
-        )),
-    }
-}
-
 impl OverlapConfig {
-    /// Resolves `workers == 0` through `RECODE_THREADS` and the host. A
-    /// garbage `RECODE_THREADS` value is *not* silently ignored: a warning
-    /// naming the value goes to stderr and the host default is used.
+    /// Resolves `workers == 0` to the host's parallelism, capped at 8.
     pub fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
-        }
-        if let Ok(v) = std::env::var("RECODE_THREADS") {
-            match parse_recode_threads(&v) {
-                Ok(n) => return n,
-                Err(msg) => eprintln!("warning: ignoring {msg}; using the host default"),
-            }
         }
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get).min(8)
     }
@@ -1316,18 +1288,5 @@ mod tests {
         // The overlap schedule invariant pins makespan to the overlapped
         // schedule, so backoff stays a reported stat here.
         assert_eq!(stats.accel.makespan_cycles, stats.overlap.overlapped_makespan_cycles);
-    }
-
-    #[test]
-    fn recode_threads_parser_accepts_counts_and_rejects_garbage() {
-        assert_eq!(parse_recode_threads("4"), Ok(4));
-        assert_eq!(parse_recode_threads("  8  "), Ok(8), "whitespace is trimmed");
-        let err = parse_recode_threads("0").unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err = parse_recode_threads("banana").unwrap_err();
-        assert!(err.contains("not a thread count"), "{err}");
-        assert!(err.contains("banana"), "the garbage value is echoed: {err}");
-        assert!(parse_recode_threads("-3").is_err());
-        assert!(parse_recode_threads("").is_err());
     }
 }

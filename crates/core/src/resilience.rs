@@ -150,9 +150,10 @@ impl BudgetTracker {
 }
 
 /// Circuit-breaker lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal operation: jobs run on the accelerator.
+    #[default]
     Closed,
     /// Tripped: jobs bypass to the software/raw-CSR path.
     Open,
@@ -171,6 +172,14 @@ impl BreakerState {
             BreakerState::HalfOpen => 2,
         }
     }
+
+    /// The state a [`code`](Self::code) stands for; `None` for any other
+    /// number.
+    pub fn from_code(code: u64) -> Option<Self> {
+        [BreakerState::Closed, BreakerState::Open, BreakerState::HalfOpen]
+            .into_iter()
+            .find(|s| s.code() == code)
+    }
 }
 
 impl std::fmt::Display for BreakerState {
@@ -184,40 +193,26 @@ impl std::fmt::Display for BreakerState {
     }
 }
 
-/// Thresholds for the per-matrix [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerConfig {
-    /// Sliding window length, in runs.
-    pub window_runs: usize,
-    /// Windowed job-failure rate (failed jobs / jobs) that trips the
-    /// breaker. The default 0.5 sits far above the few-percent failure
-    /// rates transient-fault tests induce, so only a genuinely sick matrix
-    /// or lane population trips it.
-    pub error_rate_threshold: f64,
-    /// Minimum jobs observed in the window before the breaker may trip
-    /// (prevents one tiny faulty run from tripping it).
-    pub min_window_jobs: usize,
-    /// Bypassed runs while `Open` before a half-open probe is attempted.
-    pub cooldown_runs: usize,
-}
+/// [`CircuitBreaker`] sliding window length, in runs.
+pub const BREAKER_WINDOW_RUNS: usize = 8;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            window_runs: 8,
-            error_rate_threshold: 0.5,
-            min_window_jobs: 32,
-            cooldown_runs: 2,
-        }
-    }
-}
+/// Windowed job-failure rate (failed jobs / jobs) above which the breaker
+/// trips. It sits far above the few-percent failure rates transient-fault
+/// tests induce, so only a genuinely sick matrix or lane population trips it.
+pub const BREAKER_TRIP_RATE: f64 = 0.5;
+
+/// Jobs the window must hold before the breaker may trip (one tiny faulty
+/// run must not trip it).
+pub const BREAKER_MIN_JOBS: usize = 32;
+
+/// Bypassed runs while `Open` before a half-open probe is attempted.
+pub const BREAKER_COOLDOWN_RUNS: usize = 2;
 
 /// Sliding-window circuit breaker guarding the accelerator path of one
 /// matrix. Drive it with [`CircuitBreaker::admit`] before each run and
 /// [`CircuitBreaker::record`] after each accelerator run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     state: BreakerState,
     /// Recent accelerator runs: (jobs, jobs_failed).
     window: VecDeque<(usize, usize)>,
@@ -230,16 +225,9 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with `config` thresholds.
-    pub fn new(config: BreakerConfig) -> Self {
-        CircuitBreaker {
-            config,
-            state: BreakerState::Closed,
-            window: VecDeque::new(),
-            bypassed: 0,
-            trips: 0,
-            probes: 0,
-        }
+    /// A closed breaker.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current lifecycle state.
@@ -259,14 +247,14 @@ impl CircuitBreaker {
 
     /// Admission decision for the next run: `true` = run on the
     /// accelerator (closed, or a half-open probe), `false` = bypass to the
-    /// software path. While open, every `cooldown_runs`-th bypass converts
+    /// software path. While open, every [`BREAKER_COOLDOWN_RUNS`]-th bypass converts
     /// into a half-open probe.
     pub fn admit(&mut self) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
                 self.bypassed += 1;
-                if self.bypassed >= self.config.cooldown_runs {
+                if self.bypassed >= BREAKER_COOLDOWN_RUNS {
                     self.transition(BreakerState::HalfOpen);
                     self.probes += 1;
                     true
@@ -309,14 +297,12 @@ impl CircuitBreaker {
             BreakerState::Closed => {}
         }
         self.window.push_back((jobs, jobs_failed));
-        while self.window.len() > self.config.window_runs {
+        while self.window.len() > BREAKER_WINDOW_RUNS {
             self.window.pop_front();
         }
         let total: usize = self.window.iter().map(|(j, _)| *j).sum();
         let failed: usize = self.window.iter().map(|(_, f)| *f).sum();
-        if total >= self.config.min_window_jobs
-            && failed as f64 > self.config.error_rate_threshold * total as f64
-        {
+        if total >= BREAKER_MIN_JOBS && failed as f64 > BREAKER_TRIP_RATE * total as f64 {
             self.transition(BreakerState::Open);
             self.bypassed = 0;
             self.trips += 1;
@@ -411,52 +397,56 @@ mod tests {
 
     #[test]
     fn breaker_trips_on_windowed_error_rate_and_recovers_via_probe() {
-        let config = BreakerConfig {
-            window_runs: 4,
-            error_rate_threshold: 0.5,
-            min_window_jobs: 10,
-            cooldown_runs: 2,
-        };
-        let mut b = CircuitBreaker::new(config);
+        // Every run is big enough to meet the window minimum on its own.
+        const JOBS: usize = BREAKER_MIN_JOBS;
+        let mut b = CircuitBreaker::new();
         assert_eq!(b.state(), BreakerState::Closed);
         // Healthy runs never trip it.
-        for _ in 0..10 {
+        for _ in 0..2 * BREAKER_WINDOW_RUNS {
             assert!(b.admit());
-            b.record(10, 0);
+            b.record(JOBS, 0);
         }
         assert_eq!(b.state(), BreakerState::Closed);
-        // Two disastrous runs push the windowed rate over 50%.
-        b.record(10, 10);
-        assert_eq!(b.state(), BreakerState::Closed, "window still mostly healthy");
-        b.record(10, 10);
-        b.record(10, 10);
+        // Disastrous runs trip it once they are more than the trip rate of
+        // the window, and not before.
+        let tolerated = (BREAKER_TRIP_RATE * BREAKER_WINDOW_RUNS as f64) as usize;
+        for _ in 0..tolerated {
+            b.record(JOBS, JOBS);
+            assert_eq!(b.state(), BreakerState::Closed, "window still mostly healthy");
+        }
+        b.record(JOBS, JOBS);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.trips(), 1);
         // Open: bypasses until the cooldown elapses, then probes.
-        assert!(!b.admit(), "first open run bypasses");
-        assert!(b.admit(), "second open run becomes the half-open probe");
+        let cool_down = |b: &mut CircuitBreaker| {
+            for _ in 1..BREAKER_COOLDOWN_RUNS {
+                assert!(!b.admit(), "an open breaker bypasses until the cooldown elapses");
+            }
+            assert!(b.admit(), "the cooldown's last run becomes the half-open probe");
+        };
+        cool_down(&mut b);
         assert_eq!(b.state(), BreakerState::HalfOpen);
         assert_eq!(b.probes(), 1);
         // Failed probe re-opens.
-        b.record(10, 3);
+        b.record(JOBS, 3);
         assert_eq!(b.state(), BreakerState::Open);
         // Next probe succeeds and closes.
-        assert!(!b.admit());
-        assert!(b.admit());
-        b.record(10, 0);
+        cool_down(&mut b);
+        b.record(JOBS, 0);
         assert_eq!(b.state(), BreakerState::Closed);
         // History was cleared: a bad run below the window minimum does not
         // instantly re-trip (the old disastrous runs are forgotten).
-        b.record(4, 4);
+        b.record(BREAKER_MIN_JOBS - 1, BREAKER_MIN_JOBS - 1);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn breaker_needs_min_window_jobs_before_tripping() {
-        let config = BreakerConfig { min_window_jobs: 100, ..BreakerConfig::default() };
-        let mut b = CircuitBreaker::new(config);
-        b.record(10, 10);
+        let mut b = CircuitBreaker::new();
+        b.record(BREAKER_MIN_JOBS - 1, BREAKER_MIN_JOBS - 1);
         assert_eq!(b.state(), BreakerState::Closed, "too few jobs observed to trip");
+        b.record(1, 1);
+        assert_eq!(b.state(), BreakerState::Open, "the window minimum reached, it trips");
     }
 
     #[test]
@@ -465,5 +455,15 @@ mod tests {
         assert_eq!(JobState::Degraded.to_string(), "degraded");
         assert_eq!(JobState::DeadlineExceeded.to_string(), "deadline-exceeded");
         assert_eq!(JobState::Rejected.to_string(), "rejected");
+        // Breaker states render from their gauge code, which round-trips.
+        let named: Vec<_> =
+            (0..4).map(|c| BreakerState::from_code(c).map(|s| s.to_string())).collect();
+        assert_eq!(
+            named,
+            [Some("closed".into()), Some("open".into()), Some("half-open".into()), None]
+        );
+        for s in [BreakerState::Closed, BreakerState::Open, BreakerState::HalfOpen] {
+            assert_eq!(BreakerState::from_code(s.code()), Some(s));
+        }
     }
 }

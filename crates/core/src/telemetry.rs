@@ -29,7 +29,7 @@
 
 use crate::exec::ExecStats;
 use crate::overlap::OverlapStats;
-use crate::resilience::CircuitBreaker;
+use crate::resilience::{BreakerState, CircuitBreaker};
 use recode_codec::telemetry::CodecStageReport;
 use recode_mem::traffic::{TrafficLedger, TrafficReport};
 use recode_mem::MemorySystem;
@@ -46,33 +46,56 @@ pub const TRACE_SCHEMA: &str = "recode-trace/v2";
 /// byte-identical.
 pub const TRACE_SCHEMA_V1: &str = "recode-trace/v1";
 
-/// One derived counter: its dotted name and the stats field it is a copy of.
-pub type Derived<S> = (&'static str, fn(&S) -> u64);
+/// What a derived value is to a scraper: a monotonic count, or a
+/// point-in-time value that may go down.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// Only ever grows over a run.
+    Counter,
+    /// A level or a state code; the function names a value for a report.
+    Gauge(fn(u64) -> String),
+}
+
+impl Kind {
+    /// The Prometheus `# TYPE` word.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Counter => "counter",
+            Gauge(_) => "gauge",
+        }
+    }
+}
+
+use Kind::{Counter, Gauge};
+
+/// One derived counter: its dotted name, its kind and the stats field it is
+/// a copy of.
+pub type Derived<S> = (&'static str, Kind, fn(&S) -> u64);
 
 /// Every run: written by [`Telemetry::derive`] when the run's stats exist,
 /// re-read by [`TraceDocument::validate`] against `exec`.
 pub const EXEC_COUNTERS: &[Derived<ExecStats>] = &[
-    ("exec.jobs", |s| s.accel.jobs as u64),
-    ("exec.jobs_failed", |s| s.accel.jobs_failed as u64),
-    ("exec.blocks_retried", |s| s.blocks_retried as u64),
-    ("exec.blocks_fell_back", |s| s.blocks_fell_back as u64),
-    ("exec.fallback_bytes", |s| s.fallback_bytes as u64),
-    ("exec.retry_cycles", |s| s.retry_cycles),
+    ("exec.jobs", Counter, |s| s.accel.jobs as u64),
+    ("exec.jobs_failed", Counter, |s| s.accel.jobs_failed as u64),
+    ("exec.blocks_retried", Counter, |s| s.blocks_retried as u64),
+    ("exec.blocks_fell_back", Counter, |s| s.blocks_fell_back as u64),
+    ("exec.fallback_bytes", Counter, |s| s.fallback_bytes as u64),
+    ("exec.retry_cycles", Counter, |s| s.retry_cycles),
 ];
 
 /// The tiled schedules only (a batch document carries none of these keys);
 /// validated against `exec.overlap`.
 pub const TILED_COUNTERS: &[Derived<OverlapStats>] = &[
-    ("pipeline.overlap.stages", |o| o.stages as u64),
-    ("pipeline.overlap.decode_cycles", |o| o.decode_cycles),
-    ("pipeline.overlap.multiply_cycles", |o| o.multiply_cycles),
-    ("pipeline.overlap.makespan_cycles", |o| o.overlapped_makespan_cycles),
-    ("pipeline.overlap.serial_cycles", |o| o.serial_makespan_cycles),
-    ("pipeline.overlap.saved_cycles", OverlapStats::saved_cycles),
-    ("cache.hits", |o| o.cache_hits),
-    ("cache.misses", |o| o.cache_misses),
-    ("cache.evictions", |o| o.cache_evictions),
-    ("cache.hit_bytes", |o| o.cache_hit_bytes),
+    ("pipeline.overlap.stages", Counter, |o| o.stages as u64),
+    ("pipeline.overlap.decode_cycles", Counter, |o| o.decode_cycles),
+    ("pipeline.overlap.multiply_cycles", Counter, |o| o.multiply_cycles),
+    ("pipeline.overlap.makespan_cycles", Counter, |o| o.overlapped_makespan_cycles),
+    ("pipeline.overlap.serial_cycles", Counter, |o| o.serial_makespan_cycles),
+    ("pipeline.overlap.saved_cycles", Counter, OverlapStats::saved_cycles),
+    ("cache.hits", Counter, |o| o.cache_hits),
+    ("cache.misses", Counter, |o| o.cache_misses),
+    ("cache.evictions", Counter, |o| o.cache_evictions),
+    ("cache.hit_bytes", Counter, |o| o.cache_hit_bytes),
 ];
 
 /// Lane-pool traffic over a batch, as deltas of the process-wide pool's
@@ -80,22 +103,39 @@ pub const TILED_COUNTERS: &[Derived<OverlapStats>] = &[
 /// shared) and the pool is not part of the document, so they are reported,
 /// not validated. Any `pool.*` key stamps the document `recode-trace/v2`.
 pub const POOL_COUNTERS: &[Derived<PoolStats>] = &[
-    ("pool.checkouts", |p| p.checkouts),
-    ("pool.recycled_hits", |p| p.recycled_hits),
-    ("pool.fresh_builds", |p| p.fresh_builds),
-    ("pool.returned", |p| p.returned),
-    ("pool.dropped_at_capacity", |p| p.dropped_at_capacity),
-    ("pool.quarantined", |p| p.quarantined),
-    ("pool.readmitted", |p| p.readmitted),
+    ("pool.checkouts", Counter, |p| p.checkouts),
+    ("pool.recycled_hits", Counter, |p| p.recycled_hits),
+    ("pool.fresh_builds", Counter, |p| p.fresh_builds),
+    ("pool.returned", Counter, |p| p.returned),
+    ("pool.dropped_at_capacity", Counter, |p| p.dropped_at_capacity),
+    ("pool.quarantined", Counter, |p| p.quarantined),
+    ("pool.readmitted", Counter, |p| p.readmitted),
 ];
 
 /// Breaker posture after a governed job (v2 content, reported only).
-/// `breaker.state` is [`crate::resilience::BreakerState::code`], a gauge.
+/// `breaker.state` is [`BreakerState::code`], the one gauge.
 pub const BREAKER_COUNTERS: &[Derived<CircuitBreaker>] = &[
-    ("breaker.trips", CircuitBreaker::trips),
-    ("breaker.probes", CircuitBreaker::probes),
-    ("breaker.state", |b| b.state().code()),
+    ("breaker.trips", Counter, CircuitBreaker::trips),
+    ("breaker.probes", Counter, CircuitBreaker::probes),
+    (
+        "breaker.state",
+        Gauge(|c| BreakerState::from_code(c).map_or(format!("unknown ({c})"), |s| s.to_string())),
+        |b| b.state().code(),
+    ),
 ];
+
+/// The kind of counter `name` as its table row declares it; `mem.*` traffic
+/// and names no table declares are counters.
+pub fn counter_kind(name: &str) -> Kind {
+    fn find<S>(rows: &[Derived<S>], name: &str) -> Option<Kind> {
+        rows.iter().find(|row| row.0 == name).map(|row| row.1)
+    }
+    find(EXEC_COUNTERS, name)
+        .or(find(TILED_COUNTERS, name))
+        .or(find(POOL_COUNTERS, name))
+        .or(find(BREAKER_COUNTERS, name))
+        .unwrap_or(Counter)
+}
 
 /// Does `counters` carry the resilience layer's keys (v2-only content)?
 fn has_resilience_counters(counters: &BTreeMap<String, u64>) -> bool {
@@ -279,7 +319,7 @@ impl Telemetry {
     /// Writes every counter of `rows`: `read` is handed each row's getter
     /// and applies it to the source (or to two snapshots of it, for a delta).
     pub fn derive<S>(&mut self, rows: &[Derived<S>], read: impl Fn(fn(&S) -> u64) -> u64) {
-        for &(name, get) in rows {
+        for &(name, _, get) in rows {
             self.add(name, read(get));
         }
     }
@@ -538,10 +578,10 @@ impl TraceDocument {
                 ));
             }
         };
-        for &(name, get) in EXEC_COUNTERS {
+        for &(name, _, get) in EXEC_COUNTERS {
             check(name, get(&self.exec), "exec");
         }
-        for &(name, get) in TILED_COUNTERS {
+        for &(name, _, get) in TILED_COUNTERS {
             check(name, get(&self.exec.overlap), "overlap");
         }
         // Overlapped-schedule invariants, vacuously true of a batch's all-zero
@@ -708,33 +748,8 @@ pub fn render_report(doc: &TraceDocument) -> String {
     // a recorder summary, so v1 reports are unchanged byte-for-byte.
     if doc.has_v2_content() {
         let _ = writeln!(out, "\n-- resilience --");
-        if doc.counters.keys().any(|k| k.starts_with("pool.")) {
-            let _ = writeln!(
-                out,
-                "lane pool: {} checkouts ({} recycled, {} fresh, {} readmitted) | \
-                 returned {} | dropped {} | quarantined {}",
-                doc.counter("pool.checkouts"),
-                doc.counter("pool.recycled_hits"),
-                doc.counter("pool.fresh_builds"),
-                doc.counter("pool.readmitted"),
-                doc.counter("pool.returned"),
-                doc.counter("pool.dropped_at_capacity"),
-                doc.counter("pool.quarantined"),
-            );
-        }
-        if doc.counters.keys().any(|k| k.starts_with("breaker.")) {
-            let state = match doc.counter("breaker.state") {
-                0 => "closed",
-                1 => "open",
-                _ => "half-open",
-            };
-            let _ = writeln!(
-                out,
-                "circuit breaker: state {state} | trips {} | probes {}",
-                doc.counter("breaker.trips"),
-                doc.counter("breaker.probes"),
-            );
-        }
+        report_rows(&mut out, doc, "lane pool", POOL_COUNTERS);
+        report_rows(&mut out, doc, "circuit breaker", BREAKER_COUNTERS);
         if let Some(rec) = &doc.recorder {
             let _ = writeln!(
                 out,
@@ -747,6 +762,27 @@ pub fn render_report(doc: &TraceDocument) -> String {
         }
     }
     out
+}
+
+/// One report line for the rows of a counter table that `doc` carries
+/// (nothing when it carries none of them).
+fn report_rows<S>(out: &mut String, doc: &TraceDocument, label: &str, rows: &[Derived<S>]) {
+    use std::fmt::Write as _;
+    let shown: Vec<String> = rows
+        .iter()
+        .filter(|row| doc.counters.contains_key(row.0))
+        .map(|&(name, kind, _)| {
+            let v = doc.counter(name);
+            let field = name.split_once('.').map_or(name, |(_, field)| field);
+            match kind {
+                Counter => format!("{field} {v}"),
+                Gauge(name_value) => format!("{field} {}", name_value(v)),
+            }
+        })
+        .collect();
+    if !shown.is_empty() {
+        let _ = writeln!(out, "{label}: {}", shown.join(" | "));
+    }
 }
 
 #[cfg(test)]
@@ -843,7 +879,7 @@ mod tests {
         use crate::exec::RecodedSpmv;
         use crate::ladder::RunCtx;
         use crate::overlap::{OverlapConfig, OverlapExecutor};
-        use crate::resilience::{BreakerConfig, CircuitBreaker};
+        use crate::resilience::CircuitBreaker;
         use recode_codec::pipeline::MatrixCodecConfig;
         use recode_sparse::prelude::*;
 
@@ -903,7 +939,7 @@ mod tests {
         let ex = OverlapExecutor::new(&r, OverlapConfig::default());
         let (_, _, tiled) = ex.spmv_traced(&sys, &x, RunCtx::default(), "tiled").unwrap();
         assert_eq!(keys(&tiled), sorted(&[&EXEC, &MEM, &TILED]));
-        let mut breaker = CircuitBreaker::new(BreakerConfig::default());
+        let mut breaker = CircuitBreaker::new();
         let (mut tel, t_total) = (Telemetry::new(), std::time::Instant::now());
         let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
         let job = r.run_job(&sys, ctx, Some(&mut breaker));
@@ -911,6 +947,13 @@ mod tests {
         let governed = r.seal(&sys, tel, stats, "job", t_total);
         // A bare decode multiplies nothing: no vector traffic.
         assert_eq!(keys(&governed), sorted(&[&EXEC, &MEM[..2], &POOL, &BREAKER]));
+        // The report walks the same rows; the gauge prints as a state name.
+        let report = render_report(&governed);
+        assert!(report.contains("\nlane pool: checkouts "), "{report}");
+        assert!(report.contains("\ncircuit breaker: trips 0 | probes 0 | state closed\n"));
+        let mut unknown = governed.clone();
+        unknown.counters.insert("breaker.state".into(), 7);
+        assert!(render_report(&unknown).contains("| state unknown (7)\n"));
 
         let validated: Vec<&str> = EXEC_COUNTERS
             .iter()

@@ -178,7 +178,8 @@ impl std::fmt::Display for LaneError {
 
 impl std::error::Error for LaneError {}
 
-/// Per-run configuration.
+/// Per-run configuration; the default is the lane contract ([`OUT_BASE`],
+/// [`CYCLE_LIMIT`]), which the verifier checks programs against.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Scratchpad address where output is written (`r14` at start).
@@ -193,18 +194,21 @@ pub struct RunConfig {
     pub allow_unverified: bool,
 }
 
-/// The most one run can emit under the default [`RunConfig`]: output goes to
-/// the upper half of the scratchpad, which leaves the lower half for program
-/// temporaries. No block may decode to more than this.
+/// The most one run can emit: output goes to the upper half of the
+/// scratchpad, which leaves the lower half for program temporaries. No block
+/// may decode to more than this.
 pub const OUTPUT_WINDOW_BYTES: usize = SCRATCHPAD_BYTES / 2;
+
+/// Scratchpad address where output is written (`r14` at start): the base of
+/// the output window.
+pub const OUT_BASE: u32 = (SCRATCHPAD_BYTES - OUTPUT_WINDOW_BYTES) as u32;
+
+/// Cycles after which a run traps.
+pub const CYCLE_LIMIT: u64 = 200_000_000;
 
 impl Default for RunConfig {
     fn default() -> Self {
-        RunConfig {
-            out_base: (SCRATCHPAD_BYTES - OUTPUT_WINDOW_BYTES) as u32,
-            cycle_limit: 200_000_000,
-            allow_unverified: false,
-        }
+        RunConfig { out_base: OUT_BASE, cycle_limit: CYCLE_LIMIT, allow_unverified: false }
     }
 }
 
@@ -481,18 +485,6 @@ pub struct LaneHealth {
     /// Set when the pool readmitted this lane from quarantine; a single
     /// further trap re-quarantines, one success clears the flag.
     pub probation: bool,
-}
-
-impl LaneHealth {
-    /// Whether a pool should quarantine a lane in this state. `threshold`
-    /// is consecutive traps (0 disables quarantine); a probationary lane is
-    /// quarantined by any trap at all.
-    pub fn should_quarantine(&self, threshold: u32) -> bool {
-        if threshold == 0 {
-            return false;
-        }
-        self.consecutive_traps >= threshold || (self.probation && self.consecutive_traps > 0)
-    }
 }
 
 /// A reusable lane (scratchpad allocation is recycled across runs).

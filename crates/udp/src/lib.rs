@@ -59,11 +59,9 @@ pub use lane::{
     Lane, LaneError, LaneHealth, OpClassCycles, RunConfig, RunResult, RunStats, OUTPUT_WINDOW_BYTES,
 };
 pub use machine::Image;
-pub use pool::{
-    set_event_hook, LanePool, PoolConfig, PoolEvent, PoolStats, PooledLane, DEFAULT_POOL_CAPACITY,
-};
+pub use pool::{set_event_hook, LanePool, PoolEvent, PoolStats, PooledLane, POOL_CAPACITY};
 pub use program::{Program, ProgramBuilder};
 pub use verify::{
     verify_image, verify_program, Analysis, CycleBound, Finding, LoopSummary, MaxBound, Severity,
-    VerifyConfig, VerifyReport,
+    VerifyReport,
 };

@@ -8,7 +8,7 @@ use crate::effclip::{self, Placement};
 use crate::error::UdpError;
 use crate::isa::{Action, Block, Cond, Op, Transition, CONDS, OPCODE_SHIFT};
 use crate::program::Program;
-use crate::verify::{self, VerifyConfig, VerifyReport};
+use crate::verify::{self, VerifyReport};
 
 /// Code word marking an unoccupied address.
 pub const HOLE: u128 = u128::MAX;
@@ -239,8 +239,7 @@ pub fn encode(program: &Program, placement: &Placement) -> Result<Image, UdpErro
     // The predecode table is lowered to native code before verification so
     // the verifier can audit the artifact's digests alongside the table.
     let mut image = Image::from_words(&program.name, words, entry, placement.utilization);
-    image.verify_report =
-        verify::verify_image(program, placement, &image, &VerifyConfig::default());
+    image.verify_report = verify::verify_image(program, placement, &image);
     Ok(image)
 }
 

@@ -12,16 +12,15 @@
 //! Each lane carries a [`LaneHealth`](crate::lane::LaneHealth) record that
 //! the decode path updates (`note_trap` on a lane-attributable trap,
 //! `note_success` on a clean decode). When a returning lane has trapped
-//! [`PoolConfig::quarantine_threshold`] times in a row it is parked on a
-//! quarantine list instead of the free list. Every
-//! [`PoolConfig::probation_interval`] checkouts one quarantined lane is
-//! readmitted *on probation*: it serves the checkout directly, and a single
-//! further trap sends it straight back to quarantine while one clean decode
-//! restores it to full health. Quarantined lanes do **not** count against
-//! [`PoolConfig::capacity`] (the free-list cap); the quarantine list is
-//! bounded by the same capacity value independently.
+//! [`QUARANTINE_AFTER_TRAPS`] times in a row it is parked on a quarantine
+//! list instead of the free list. Every [`PROBATION_EVERY`] checkouts one
+//! quarantined lane is readmitted *on probation*: it serves the checkout
+//! directly, and a single further trap sends it straight back to quarantine
+//! while one clean decode restores it to full health. Quarantined lanes do
+//! **not** count against [`POOL_CAPACITY`] (the free-list cap); the
+//! quarantine list is bounded by the same number independently.
 
-use crate::lane::Lane;
+use crate::lane::{Lane, LaneHealth};
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, OnceLock};
 
@@ -55,42 +54,24 @@ fn emit(event: PoolEvent) {
     }
 }
 
-/// Default free-lane cap per pool; beyond this, returned lanes are dropped
-/// (each holds a 64 KB scratchpad — the cap bounds idle memory at ~16 MB).
-pub const DEFAULT_POOL_CAPACITY: usize = 256;
+/// Free-lane cap per pool; beyond this, returned lanes are dropped (each
+/// holds a 64 KB scratchpad — the cap bounds idle memory at ~16 MB).
+pub const POOL_CAPACITY: usize = 256;
 
-/// Tuning knobs for a [`LanePool`]. All fields have documented defaults;
-/// construct with `PoolConfig::default()` and override selectively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Maximum lanes parked on the free list ([`DEFAULT_POOL_CAPACITY`]).
-    /// Quarantined lanes are exempt from this cap.
-    pub capacity: usize,
-    /// Consecutive lane-attributable traps before a returning lane is
-    /// quarantined. `0` disables quarantine entirely.
-    pub quarantine_threshold: u32,
-    /// Checkouts between probation probes: every this-many checkouts one
-    /// quarantined lane is readmitted on probation. `0` disables
-    /// readmission (quarantine becomes permanent for the pool's lifetime).
-    pub probation_interval: u64,
-}
+/// Consecutive lane-attributable traps before a returning lane is
+/// quarantined.
+pub const QUARANTINE_AFTER_TRAPS: u32 = 3;
 
-impl PoolConfig {
-    /// The default policy: capacity 256, quarantine after 3 consecutive
-    /// traps, probe one quarantined lane every 16 checkouts.
-    pub const fn new() -> Self {
-        PoolConfig {
-            capacity: DEFAULT_POOL_CAPACITY,
-            quarantine_threshold: 3,
-            probation_interval: 16,
-        }
-    }
-}
+/// Checkouts between probation probes: every this-many checkouts one
+/// quarantined lane is readmitted on probation.
+pub const PROBATION_EVERY: u64 = 16;
 
-impl Default for PoolConfig {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Whether a returning lane goes to quarantine: after
+/// [`QUARANTINE_AFTER_TRAPS`] consecutive traps, or after any trap at all on
+/// probation.
+fn should_quarantine(health: &LaneHealth) -> bool {
+    health.consecutive_traps >= QUARANTINE_AFTER_TRAPS
+        || (health.probation && health.consecutive_traps > 0)
 }
 
 /// Monotonic pool counters, exported into telemetry as `pool.*` counters by
@@ -115,7 +96,6 @@ pub struct PoolStats {
 
 /// Everything behind the pool's single mutex.
 struct PoolInner {
-    config: PoolConfig,
     free: Vec<Lane>,
     quarantined: Vec<Lane>,
     stats: PoolStats,
@@ -125,17 +105,16 @@ struct PoolInner {
 /// A free list of reusable lanes with health-based quarantine. Checkout
 /// pops a recycled lane (or builds one on first use); dropping the guard
 /// returns it — to the free list, or to quarantine when its health record
-/// crossed [`PoolConfig::quarantine_threshold`].
+/// crossed [`QUARANTINE_AFTER_TRAPS`].
 pub struct LanePool {
     inner: Mutex<PoolInner>,
 }
 
 impl LanePool {
-    /// An empty pool with the default [`PoolConfig`].
+    /// An empty pool.
     pub const fn new() -> Self {
         LanePool {
             inner: Mutex::new(PoolInner {
-                config: PoolConfig::new(),
                 free: Vec::new(),
                 quarantined: Vec::new(),
                 stats: PoolStats {
@@ -152,33 +131,10 @@ impl LanePool {
         }
     }
 
-    /// An empty pool with an explicit config.
-    pub fn with_config(config: PoolConfig) -> Self {
-        let pool = Self::new();
-        pool.set_config(config);
-        pool
-    }
-
-    /// Replaces the pool's policy. Takes effect for subsequent checkouts
-    /// and returns; lanes already parked are kept (the free list is
-    /// truncated if the new capacity is smaller).
-    pub fn set_config(&self, config: PoolConfig) {
-        let mut inner = self.lock();
-        inner.config = config;
-        if inner.free.len() > config.capacity {
-            inner.free.truncate(config.capacity);
-        }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> PoolConfig {
-        self.lock().config
-    }
-
     /// Takes a lane out of the pool, creating one if none are free. The
     /// lane rides back into the pool when the returned guard drops.
     ///
-    /// Every [`PoolConfig::probation_interval`] checkouts, one quarantined
+    /// Every [`PROBATION_EVERY`] checkouts, one quarantined
     /// lane (if any) is readmitted on probation and serves the checkout
     /// directly.
     pub fn checkout(&self) -> PooledLane<'_> {
@@ -186,11 +142,7 @@ impl LanePool {
             let mut inner = self.lock();
             inner.stats.checkouts += 1;
             inner.checkouts_since_probe += 1;
-            let interval = inner.config.probation_interval;
-            if interval > 0
-                && inner.checkouts_since_probe >= interval
-                && !inner.quarantined.is_empty()
-            {
+            if inner.checkouts_since_probe >= PROBATION_EVERY && !inner.quarantined.is_empty() {
                 inner.checkouts_since_probe = 0;
                 let mut lane = inner.quarantined.pop().expect("non-empty quarantine");
                 lane.begin_probation();
@@ -226,7 +178,7 @@ impl LanePool {
     }
 
     /// Drops every parked lane (free and quarantined) and zeroes the
-    /// counters. The config is kept. Used by the chaos harness to isolate
+    /// counters. Used by the chaos harness to isolate
     /// trials sharing the process-wide pool.
     pub fn reset(&self) {
         let mut inner = self.lock();
@@ -280,17 +232,16 @@ impl Drop for PooledLane<'_> {
         if let Some(lane) = self.lane.take() {
             let quarantined = {
                 let mut inner = self.pool.lock();
-                let cfg = inner.config;
-                if lane.health().should_quarantine(cfg.quarantine_threshold) {
-                    // Quarantined lanes are exempt from `capacity`; their
-                    // list is independently bounded by the same value.
-                    if inner.quarantined.len() < cfg.capacity {
+                if should_quarantine(lane.health()) {
+                    // Quarantined lanes are exempt from the free-list cap;
+                    // their list is independently bounded by the same value.
+                    if inner.quarantined.len() < POOL_CAPACITY {
                         inner.quarantined.push(lane);
                     }
                     inner.stats.quarantined += 1;
                     true
                 } else {
-                    if inner.free.len() < cfg.capacity {
+                    if inner.free.len() < POOL_CAPACITY {
                         inner.free.push(lane);
                         inner.stats.returned += 1;
                     } else {
@@ -338,47 +289,52 @@ mod tests {
         assert!(global().idle() >= 1.min(before + 1));
     }
 
+    /// Checks out `n` lanes at once and traps each into quarantine.
+    fn quarantine(pool: &LanePool, n: usize) {
+        let mut sick: Vec<_> = (0..n).map(|_| pool.checkout()).collect();
+        for lane in &mut sick {
+            for _ in 0..QUARANTINE_AFTER_TRAPS {
+                lane.note_trap();
+            }
+        }
+    }
+
     #[test]
     fn capacity_bounds_the_free_list() {
-        let pool = LanePool::with_config(PoolConfig { capacity: 2, ..PoolConfig::new() });
-        {
-            let _a = pool.checkout();
-            let _b = pool.checkout();
-            let _c = pool.checkout();
-        }
-        assert_eq!(pool.idle(), 2, "free list capped at capacity");
+        let pool = LanePool::new();
+        drop((0..=POOL_CAPACITY).map(|_| pool.checkout()).collect::<Vec<_>>());
+        assert_eq!(pool.idle(), POOL_CAPACITY, "free list capped at capacity");
         assert_eq!(pool.stats().dropped_at_capacity, 1);
     }
 
     #[test]
     fn repeated_traps_quarantine_a_lane() {
-        let cfg =
-            PoolConfig { quarantine_threshold: 3, probation_interval: 0, ..PoolConfig::new() };
-        let pool = LanePool::with_config(cfg);
+        let pool = LanePool::new();
         {
             let mut lane = pool.checkout();
-            lane.note_trap();
-            lane.note_trap();
+            for _ in 1..QUARANTINE_AFTER_TRAPS {
+                lane.note_trap();
+            }
         }
-        assert_eq!(pool.idle(), 1, "two traps stay below the threshold");
+        assert_eq!(pool.idle(), 1, "a streak below the threshold stays healthy");
         assert_eq!(pool.quarantined_count(), 0);
         {
             let mut lane = pool.checkout();
             lane.note_trap();
         }
         assert_eq!(pool.idle(), 0);
-        assert_eq!(pool.quarantined_count(), 1, "third consecutive trap quarantines");
+        assert_eq!(pool.quarantined_count(), 1, "the threshold-th consecutive trap quarantines");
         assert_eq!(pool.stats().quarantined, 1);
     }
 
     #[test]
     fn a_success_resets_the_trap_streak() {
-        let cfg =
-            PoolConfig { quarantine_threshold: 2, probation_interval: 0, ..PoolConfig::new() };
-        let pool = LanePool::with_config(cfg);
+        let pool = LanePool::new();
         {
             let mut lane = pool.checkout();
-            lane.note_trap();
+            for _ in 1..QUARANTINE_AFTER_TRAPS {
+                lane.note_trap();
+            }
             lane.note_success();
             lane.note_trap();
         }
@@ -388,40 +344,41 @@ mod tests {
 
     #[test]
     fn quarantined_lanes_do_not_count_against_capacity() {
-        // Capacity 1: the free list holds at most one lane, but a second
-        // (quarantined) lane must still be retained.
-        let cfg = PoolConfig { capacity: 1, quarantine_threshold: 1, probation_interval: 0 };
-        let pool = LanePool::with_config(cfg);
-        {
-            let _healthy = pool.checkout();
-            let mut sick = pool.checkout();
+        let pool = LanePool::new();
+        let healthy: Vec<_> = (0..POOL_CAPACITY).map(|_| pool.checkout()).collect();
+        let mut sick = pool.checkout();
+        for _ in 0..QUARANTINE_AFTER_TRAPS {
             sick.note_trap();
         }
-        assert_eq!(pool.idle(), 1, "healthy lane fills the capacity-1 free list");
+        drop(healthy);
+        assert_eq!(pool.idle(), POOL_CAPACITY, "healthy lanes fill the free list");
+        drop(sick);
         assert_eq!(
             pool.quarantined_count(),
             1,
             "quarantined lane retained even though the free list is full"
         );
-        // And the reverse: a full quarantine list does not block healthy returns.
-        {
-            let _healthy = pool.checkout();
-        }
-        assert_eq!(pool.idle(), 1);
-        assert_eq!(pool.quarantined_count(), 1);
+        // And the reverse: a full quarantine list does not block a healthy
+        // return.
+        pool.reset();
+        let healthy = pool.checkout();
+        quarantine(&pool, POOL_CAPACITY);
+        assert_eq!((pool.idle(), pool.quarantined_count()), (0, POOL_CAPACITY));
+        drop(healthy);
+        assert_eq!(pool.idle(), 1, "healthy lane parked beside a full quarantine list");
+        assert_eq!(pool.quarantined_count(), POOL_CAPACITY);
     }
 
     #[test]
     fn probation_readmits_and_a_clean_run_restores_health() {
-        let cfg = PoolConfig { capacity: 8, quarantine_threshold: 1, probation_interval: 2 };
-        let pool = LanePool::with_config(cfg);
-        {
-            let mut sick = pool.checkout();
-            sick.note_trap();
-        }
+        let pool = LanePool::new();
+        quarantine(&pool, 1);
         assert_eq!(pool.quarantined_count(), 1);
-        // Second checkout since the last probe: the quarantined lane comes
-        // back on probation and serves it.
+        for _ in 2..PROBATION_EVERY {
+            assert!(!pool.checkout().health().probation, "no probe before the interval");
+        }
+        // The interval's last checkout: the quarantined lane comes back on
+        // probation and serves it.
         let lane = pool.checkout();
         assert!(lane.health().probation, "readmitted lane is on probation");
         assert_eq!(pool.stats().readmitted, 1);
@@ -429,26 +386,24 @@ mod tests {
         // Returned without a further trap (probation with a zero streak is
         // not a quarantine offence) — but still on probation until a success.
         assert_eq!(pool.quarantined_count(), 0);
-        assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.idle(), 2);
         {
             let mut lane = pool.checkout();
+            assert!(lane.health().probation, "the free list hands back the last return");
             lane.note_success();
             assert!(!lane.health().probation, "success clears probation");
         }
-        assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.idle(), 2);
     }
 
     #[test]
     fn a_trap_during_probation_requarantines_immediately() {
-        let cfg = PoolConfig { capacity: 8, quarantine_threshold: 3, probation_interval: 1 };
-        let pool = LanePool::with_config(cfg);
-        {
-            let mut sick = pool.checkout();
-            sick.note_trap();
-            sick.note_trap();
-            sick.note_trap();
-        }
+        let pool = LanePool::new();
+        quarantine(&pool, 1);
         assert_eq!(pool.quarantined_count(), 1);
+        for _ in 2..PROBATION_EVERY {
+            drop(pool.checkout());
+        }
         {
             let mut lane = pool.checkout();
             assert!(lane.health().probation);
@@ -462,8 +417,8 @@ mod tests {
         assert_eq!(pool.stats().quarantined, 2);
     }
 
-    /// Seeded interleaving stress (ISSUE 9): many threads checkout/trap/
-    /// return against a small pool from a fixed barrier. The monotonic
+    /// Seeded interleaving stress: many threads checkout/trap/return
+    /// against one pool from a fixed barrier. The monotonic
     /// counters must partition exactly under every schedule: each checkout
     /// is served by exactly one source, each guard drop lands in exactly
     /// one return bucket, and the parked inventory respects its caps.
@@ -471,11 +426,16 @@ mod tests {
     fn concurrent_quarantine_counters_partition_exactly() {
         const THREADS: usize = 8;
         const ITERS: u64 = 200;
-        let cfg = PoolConfig { capacity: 4, quarantine_threshold: 2, probation_interval: 3 };
-        let pool = LanePool::with_config(cfg);
+        let pool = LanePool::new();
+        // A full free list, and one lane more per thread, which the thread
+        // returns before its first checkout: whichever comes back first
+        // finds the free list at its cap, under every schedule.
+        let mut parked: Vec<_> = (0..POOL_CAPACITY + THREADS).map(|_| pool.checkout()).collect();
+        let extra = parked.split_off(POOL_CAPACITY);
+        drop(parked);
         let barrier = std::sync::Barrier::new(THREADS);
         std::thread::scope(|s| {
-            for w in 0..THREADS {
+            for (w, extra) in extra.into_iter().enumerate() {
                 let pool = &pool;
                 let barrier = &barrier;
                 s.spawn(move || {
@@ -483,6 +443,7 @@ mod tests {
                     // is deterministic, only the interleaving varies.
                     let mut seed = 0x9e37_79b9_7f4a_7c15u64 ^ (w as u64 + 1);
                     barrier.wait();
+                    drop(extra);
                     for _ in 0..ITERS {
                         seed ^= seed << 13;
                         seed ^= seed >> 7;
@@ -491,8 +452,9 @@ mod tests {
                         match seed % 4 {
                             0 => lane.note_success(),
                             1 => {
-                                lane.note_trap();
-                                lane.note_trap();
+                                for _ in 0..QUARANTINE_AFTER_TRAPS {
+                                    lane.note_trap();
+                                }
                             }
                             2 => lane.note_trap(),
                             _ => {}
@@ -502,7 +464,7 @@ mod tests {
             }
         });
         let st = pool.stats();
-        let total = THREADS as u64 * ITERS;
+        let total = (POOL_CAPACITY + THREADS) as u64 + THREADS as u64 * ITERS;
         assert_eq!(st.checkouts, total, "every checkout is counted exactly once");
         assert_eq!(
             st.recycled_hits + st.fresh_builds + st.readmitted,
@@ -515,8 +477,9 @@ mod tests {
             "each guard drop lands in exactly one return bucket"
         );
         assert!(st.readmitted <= st.quarantined, "cannot readmit more lanes than were parked");
-        assert!(pool.idle() <= cfg.capacity, "free list respects its cap");
-        assert!(pool.quarantined_count() <= cfg.capacity, "quarantine list respects its cap");
+        assert!(st.dropped_at_capacity > 0, "a return past the cap is dropped");
+        assert!(pool.idle() <= POOL_CAPACITY, "free list respects its cap");
+        assert!(pool.quarantined_count() <= POOL_CAPACITY, "quarantine list respects its cap");
         assert!(
             (pool.idle() as u64) <= st.returned,
             "parked inventory never exceeds counted returns"

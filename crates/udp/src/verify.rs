@@ -25,9 +25,9 @@
 //! 4. **Termination / cycle budget** — Tarjan SCCs find loops; a loop with
 //!    no exit edge (or whose only exits test loop-invariant registers) is a
 //!    `Diverges` finding, and each loop's worst-case per-iteration cycle
-//!    cost is reported so callers can budget against
-//!    [`RunConfig::cycle_limit`](crate::lane::RunConfig). Acyclic programs
-//!    get a longest-path cycle bound checked against the budget.
+//!    cost is reported so callers can budget against the lane's
+//!    [`CYCLE_LIMIT`]. Acyclic programs get a longest-path cycle bound
+//!    checked against the budget.
 //! 5. **Dispatch tables** — multi-way dispatch completeness and target
 //!    validity, at the image level: uncovered symbols that would trap,
 //!    uncovered symbols that *alias into foreign code words* (EffCLiP packs
@@ -64,6 +64,7 @@ use crate::error::UdpError;
 use crate::isa::{
     Action, Block, BlockId, OpClass, Role, Transition, Width, NUM_REGS, SCRATCHPAD_BYTES,
 };
+use crate::lane::{CYCLE_LIMIT, OUT_BASE};
 use crate::machine::{DecodedTransition, Image};
 use crate::program::Program;
 use std::collections::hash_map::{Entry, HashMap};
@@ -254,35 +255,15 @@ impl fmt::Display for CycleBound {
     }
 }
 
-/// Verifier configuration: the runtime contract the analyses check against.
-#[derive(Debug, Clone, Copy)]
-pub struct VerifyConfig {
-    /// Scratchpad address `r14` holds at entry (the output base).
-    pub out_base: u32,
-    /// Cycle budget the program must respect.
-    pub cycle_limit: u64,
-    /// Largest input (in stream bits) the certified maximum is evaluated at
-    /// when checking it against `cycle_limit`.
-    pub max_input_bits: u64,
-    /// Budget for the certified per-input-bit cycle cost; a certified
-    /// `per_input_bit` above this draws a `cycle-bound` warning.
-    pub per_bit_budget: u64,
-}
+/// Largest input, in stream bits, at which the certified maximum is checked
+/// against [`CYCLE_LIMIT`]: a comfortably oversized compressed block (the
+/// pipeline frames 8 KiB blocks).
+pub const MAX_INPUT_BITS: u64 = 1 << 20;
 
-impl Default for VerifyConfig {
-    fn default() -> Self {
-        // out_base/cycle_limit mirror `RunConfig::default()`. 2^20 input
-        // bits is a comfortably oversized compressed block (the pipeline
-        // frames 8 KiB blocks); 64 cycles/bit is ~4× the worst shipped
-        // program, so budget warnings flag real cost explosions, not noise.
-        VerifyConfig {
-            out_base: (SCRATCHPAD_BYTES / 2) as u32,
-            cycle_limit: 200_000_000,
-            max_input_bits: 1 << 20,
-            per_bit_budget: 64,
-        }
-    }
-}
+/// Budget for the certified per-input-bit cycle cost; a certified
+/// `per_input_bit` above it draws a `cycle-bound` warning. About 4× the
+/// worst shipped program, so it flags real cost explosions, not noise.
+pub const PER_BIT_BUDGET: u64 = 64;
 
 /// Severity-ranked result of verifying one program.
 #[derive(Debug, Clone, PartialEq)]
@@ -860,24 +841,18 @@ const WIDEN_AFTER: u32 = 2;
 ///
 /// Use [`verify_image`] when the encoded image is available — it adds the
 /// image-level dispatch-table and round-trip checks.
-pub fn verify_program(program: &Program, cfg: &VerifyConfig) -> VerifyReport {
-    Verifier::new(program, cfg).run(None)
+pub fn verify_program(program: &Program) -> VerifyReport {
+    Verifier::new(program).run(None)
 }
 
 /// Runs all analyses, including the image-level cross-checks (dispatch
 /// completeness/aliasing against real code words, encode round-trip).
-pub fn verify_image(
-    program: &Program,
-    placement: &Placement,
-    image: &Image,
-    cfg: &VerifyConfig,
-) -> VerifyReport {
-    Verifier::new(program, cfg).run(Some((placement, image)))
+pub fn verify_image(program: &Program, placement: &Placement, image: &Image) -> VerifyReport {
+    Verifier::new(program).run(Some((placement, image)))
 }
 
 struct Verifier<'a> {
     p: &'a Program,
-    cfg: &'a VerifyConfig,
     g: Cfg,
     report: VerifyReport,
     /// Interval state at each CFG node's entry (fixpoint result).
@@ -885,13 +860,13 @@ struct Verifier<'a> {
 }
 
 impl<'a> Verifier<'a> {
-    fn new(p: &'a Program, cfg: &'a VerifyConfig) -> Self {
+    fn new(p: &'a Program) -> Self {
         let g = Cfg::build(p);
         let mut report = VerifyReport::empty(p.name.clone());
         report.blocks = p.blocks.len();
         report.reachable = g.reachable[..g.blocks].iter().filter(|&&r| r).count();
         let entry_state = vec![[Iv::TOP; NUM_REGS]; g.succ.len()];
-        Verifier { p, cfg, g, report, entry_state }
+        Verifier { p, g, report, entry_state }
     }
 
     /// The actions of CFG node `node`: none for a group node.
@@ -1117,17 +1092,17 @@ impl<'a> Verifier<'a> {
 
     // -- analysis 3: interval fixpoint + memory / output checks ------------
 
-    fn entry_regs(&self) -> RegState {
+    fn entry_regs() -> RegState {
         // The lane zeroes all registers, then loads r14 with the out base.
         let mut regs = [Iv::exact(0); NUM_REGS];
-        regs[14] = Iv::exact(self.cfg.out_base as i128);
+        regs[14] = Iv::exact(OUT_BASE as i128);
         regs
     }
 
     fn interval_fixpoint(&mut self) {
         let entry = self.p.entry as usize;
         let nodes = self.g.succ.len();
-        self.entry_state[entry] = self.entry_regs();
+        self.entry_state[entry] = Self::entry_regs();
         let mut visits = vec![0u32; nodes];
         let mut work: Vec<usize> = vec![entry];
         let mut seen = vec![false; nodes];
@@ -1149,7 +1124,7 @@ impl<'a> Verifier<'a> {
                 let s = s as usize;
                 let incoming = if s == entry {
                     // The entry's state is pinned by the runtime contract.
-                    self.entry_regs()
+                    Self::entry_regs()
                 } else {
                     regs
                 };
@@ -1229,7 +1204,7 @@ impl<'a> Verifier<'a> {
             }
             if matches!(blk.transition, Transition::Halt) {
                 let r15 = regs[15];
-                let window = pad - self.cfg.out_base as i128;
+                let window = pad - OUT_BASE as i128;
                 if r15.lo > window || r15.hi < 0 {
                     self.report.push(
                         Severity::Error,
@@ -1238,9 +1213,8 @@ impl<'a> Verifier<'a> {
                         None,
                         format!(
                             "at halt r15 (declared output bytes) is {r15}, which cannot \
-                             fit the output window [{}, {SCRATCHPAD_BYTES}) — \
-                             the run would trap with BadOutputRange",
-                            self.cfg.out_base
+                             fit the output window [{OUT_BASE}, {SCRATCHPAD_BYTES}) — \
+                             the run would trap with BadOutputRange"
                         ),
                     );
                 }
@@ -1319,8 +1293,7 @@ impl<'a> Verifier<'a> {
                     None,
                     format!(
                         "Diverges: loop over blocks {blocks:?} has no exit edge — once \
-                         entered it can only end by exhausting the {}-cycle budget",
-                        self.cfg.cycle_limit
+                         entered it can only end by exhausting the {CYCLE_LIMIT}-cycle budget"
                     ),
                 );
             } else if !variant_exit {
@@ -1356,7 +1329,7 @@ impl<'a> Verifier<'a> {
             // from the entry.
             let bound = self.longest_path(&self.g);
             self.report.max_acyclic_cycles = Some(bound);
-            if bound > self.cfg.cycle_limit {
+            if bound > CYCLE_LIMIT {
                 self.report.push(
                     Severity::Warn,
                     Analysis::Termination,
@@ -1364,8 +1337,7 @@ impl<'a> Verifier<'a> {
                     None,
                     format!(
                         "worst-case path costs {bound} cycles, exceeding the \
-                         {}-cycle budget",
-                        self.cfg.cycle_limit
+                         {CYCLE_LIMIT}-cycle budget"
                     ),
                 );
             }
@@ -1396,22 +1368,20 @@ impl<'a> Verifier<'a> {
         let max = self.certify_max_bound();
         self.report.cycle_bound = Some(CycleBound { min, max });
         if let Some(m) = max {
-            if m.max_for(self.cfg.max_input_bits) > self.cfg.cycle_limit {
+            if m.max_for(MAX_INPUT_BITS) > CYCLE_LIMIT {
                 self.report.push(
                     Severity::Warn,
                     Analysis::CycleBound,
                     self.p.entry,
                     None,
                     format!(
-                        "certified worst case ({m}) reaches {} cycles at {} input bits, \
-                         exceeding the {}-cycle budget",
-                        m.max_for(self.cfg.max_input_bits),
-                        self.cfg.max_input_bits,
-                        self.cfg.cycle_limit
+                        "certified worst case ({m}) reaches {} cycles at {MAX_INPUT_BITS} \
+                         input bits, exceeding the {CYCLE_LIMIT}-cycle budget",
+                        m.max_for(MAX_INPUT_BITS)
                     ),
                 );
             }
-            if m.per_input_bit > self.cfg.per_bit_budget {
+            if m.per_input_bit > PER_BIT_BUDGET {
                 self.report.push(
                     Severity::Warn,
                     Analysis::CycleBound,
@@ -1419,8 +1389,8 @@ impl<'a> Verifier<'a> {
                     None,
                     format!(
                         "certified per-bit cost is {} cycles/bit, over the \
-                         {}-cycle/bit budget",
-                        m.per_input_bit, self.cfg.per_bit_budget
+                         {PER_BIT_BUDGET}-cycle/bit budget",
+                        m.per_input_bit
                     ),
                 );
             }
@@ -2080,7 +2050,7 @@ done:
     #[test]
     fn program_without_reachable_halt_has_no_bound() {
         let (program, _) = assemble_text_with_map("g", ".entry m\nm:\n    jump m\n").unwrap();
-        let r = verify_program(&program, &VerifyConfig::default());
+        let r = verify_program(&program);
         assert_eq!(r.cycle_bound, None);
     }
 
@@ -2122,7 +2092,7 @@ done:
         // now stale relative to decode_word.
         image.words[image.entry as usize] ^= 1 << 40;
         let placement = effclip::place(&program).unwrap();
-        let r = verify_image(&program, &placement, &image, &VerifyConfig::default());
+        let r = verify_image(&program, &placement, &image);
         let f = r
             .findings
             .iter()
@@ -2153,7 +2123,7 @@ done:
     #[test]
     fn gate_rejects_error_findings() {
         let (program, _) = assemble_text_with_map("g", ".entry m\nm:\n    jump m\n").unwrap();
-        let r = verify_program(&program, &VerifyConfig::default());
+        let r = verify_program(&program);
         assert!(r.error_count() > 0);
         let err = r.gate().unwrap_err();
         match err {

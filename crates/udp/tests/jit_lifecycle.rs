@@ -35,7 +35,7 @@ use recode_udp::jit::{set_compile_hook, CompileEvent};
 use recode_udp::lane::{Lane, LaneError, RunConfig};
 use recode_udp::machine::assemble;
 use recode_udp::program::{Program, ProgramBuilder};
-use recode_udp::verify::{verify_image, Analysis, Severity, VerifyConfig};
+use recode_udp::verify::{verify_image, Analysis, Severity};
 
 /// The publish-poison hook and the page counters are process-global, so
 /// tests that touch them serialize here.
@@ -168,7 +168,7 @@ fn tampered_artifact_is_gated_at_run_time_and_flagged_by_reverify() {
 
     // Static gate: re-verification recomputes the full digest and reports
     // a translation-validation Error, which itself gates future runs.
-    let report = verify_image(&program, &placement, &image, &VerifyConfig::default());
+    let report = verify_image(&program, &placement, &image);
     let finding = report
         .findings
         .iter()
@@ -247,7 +247,7 @@ fn tampered_table_row_is_flagged_by_reverify_and_gates_the_lane() {
     // full audit to see.
     let jit = image.jit().expect("artifact");
     jit.corrupt_for_test(jit.table_span().start + 4 + 2, 0x01);
-    let report = verify_image(&program, &placement, &image, &VerifyConfig::default());
+    let report = verify_image(&program, &placement, &image);
     let errors: Vec<_> = report
         .findings
         .iter()
@@ -362,7 +362,7 @@ fn tampered_composed_row_is_flagged_by_reverify_and_gates_the_lane() {
     let row = span.start + 5 * 4;
     for (what, off, xor) in [("width", row, 0x01u8), ("via-link bit", row + 1, 0x04)] {
         image.jit().expect("artifact").corrupt_for_test(off, xor);
-        let report = verify_image(&program, &placement, &image, &VerifyConfig::default());
+        let report = verify_image(&program, &placement, &image);
         let errors: Vec<_> = (report.findings.iter())
             .filter(|f| {
                 f.analysis == Analysis::TranslationValidation && f.severity == Severity::Error

@@ -14,7 +14,7 @@
 use recode_udp::asm::assemble_text_with_map;
 use recode_udp::lane::{Lane, LaneError, RunConfig};
 use recode_udp::machine::assemble;
-use recode_udp::verify::{verify_image, Analysis, Finding, Severity, VerifyConfig, VerifyReport};
+use recode_udp::verify::{verify_image, Analysis, Finding, Severity, VerifyReport};
 
 /// Assembles a corpus program and returns its line-annotated report.
 fn report(name: &str, src: &str) -> VerifyReport {
@@ -209,7 +209,7 @@ fn tampered_predecode_table_is_an_error_and_gates_the_lane() {
     assert_eq!(image.verify_report.error_count(), 0, "fixture is clean pre-tamper");
     image.words[image.entry as usize] ^= 1 << 40;
     let placement = effclip::place(&program).unwrap();
-    let mut r = verify_image(&program, &placement, &image, &VerifyConfig::default());
+    let mut r = verify_image(&program, &placement, &image);
     r.attach_lines(&map);
     let f = expect(&r, Analysis::TranslationValidation, Severity::Error);
     assert!(f.message.contains("not equivalent"), "{f}");

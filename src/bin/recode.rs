@@ -885,7 +885,7 @@ fn cmd_verify_program(flags: &Flags) -> Result<ExitCode, String> {
 /// `--json` writes the machine-readable summary (the CI artifact).
 fn cmd_chaos(flags: &Flags) -> Result<ExitCode, String> {
     use recode_spmv::core::chaos::{run_campaign, ChaosConfig};
-    let config = ChaosConfig { trials: flags.trials, seed: flags.seed, ..ChaosConfig::default() };
+    let config = ChaosConfig { trials: flags.trials, seed: flags.seed };
     println!("running {} chaos trials with seed {:#x}...", config.trials, config.seed);
     arm_recorder(flags);
     let summary = run_campaign(&config);
@@ -919,7 +919,7 @@ fn cmd_metrics(flags: &Flags) -> Result<ExitCode, String> {
     let recoded =
         RecodedSpmv::with_stage_timing(&a, flags.config, true).map_err(|e| e.to_string())?;
     let name = matrix_name(flags);
-    let mut breaker = CircuitBreaker::new(BreakerConfig::default());
+    let mut breaker = CircuitBreaker::new();
     let (mut tel, t_total) = (Telemetry::new(), Instant::now());
     let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
     let report = recoded.run_job(&sys, ctx, Some(&mut breaker));

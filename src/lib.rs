@@ -40,12 +40,12 @@ pub mod prelude {
     pub use recode_core::arch::Scenario;
     pub use recode_core::perfmodel::SpmvPerfModel;
     pub use recode_core::{
-        run_campaign, tune_matrix, BreakerConfig, BreakerState, CampaignSummary, ChaosConfig,
-        CircuitBreaker, JobBudget, JobReport, JobState, OverlapConfig, OverlapExecutor,
-        PowerSavings, RecodedSpmv, RunCtx, SystemConfig, TrialOutcome, TuneError, TunedConfig,
+        run_campaign, tune_matrix, BreakerState, CampaignSummary, ChaosConfig, CircuitBreaker,
+        JobBudget, JobReport, JobState, OverlapConfig, OverlapExecutor, PowerSavings, RecodedSpmv,
+        RunCtx, SystemConfig, TrialOutcome, TuneError, TunedConfig,
     };
     pub use recode_sparse::prelude::*;
     pub use recode_udp::accel::FaultHook;
-    pub use recode_udp::pool::{LanePool, PoolConfig};
+    pub use recode_udp::pool::LanePool;
     pub use recode_udp::{Accelerator, Lane};
 }

@@ -199,7 +199,7 @@ fn render_report_mentions_every_section() {
         "degradation",
         // v2: the batch path reports lane-pool activity.
         "-- resilience --",
-        "lane pool:",
+        "lane pool: checkouts ",
     ] {
         assert!(text.contains(needle), "report missing `{needle}`:\n{text}");
     }
