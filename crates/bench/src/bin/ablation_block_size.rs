@@ -17,10 +17,7 @@ struct Row {
 recode_core::json_struct!(write Row { name, block_bytes, bpnnz, blocks });
 
 fn main() {
-    let mut args = parse_args();
-    if args.sample.is_none() {
-        args.sample = Some(40);
-    }
+    let args = parse_args(Some(40));
     let entries = corpus_entries(&args);
     let block_sizes = [2048usize, 4096, 8192, 16384, 32768, 65536];
     let mut all_rows = Vec::new();

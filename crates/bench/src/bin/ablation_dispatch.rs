@@ -18,7 +18,7 @@ struct Row {
 recode_core::json_struct!(write Row { width, cycles_per_symbol, code_bytes, utilization });
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(None);
     // A realistic Huffman input: the snappy-compressed form of a banded
     // index stream.
     let data: Vec<u8> =

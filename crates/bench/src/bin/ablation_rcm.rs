@@ -50,10 +50,7 @@ fn scramble(a: &Csr, seed: u64) -> Csr {
 }
 
 fn main() {
-    let mut args = parse_args();
-    if args.sample.is_none() {
-        args.sample = Some(40);
-    }
+    let args = parse_args(Some(40));
     let entries = corpus_entries(&args);
     let rows: Vec<Row> = par::map(&entries, |_, e| {
         let a = e.generate();

@@ -29,10 +29,7 @@ fn config(delta: bool, snappy: bool, huffman: bool) -> MatrixCodecConfig {
 }
 
 fn main() {
-    let mut args = parse_args();
-    if args.sample.is_none() {
-        args.sample = Some(60);
-    }
+    let args = parse_args(Some(60));
     let entries = corpus_entries(&args);
     let rows: Vec<Row> = par::map(&entries, |_, e| {
         let a = e.generate();

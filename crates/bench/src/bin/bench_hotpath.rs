@@ -389,28 +389,11 @@ fn cpu_pass(pipe: &Pipeline, blocks: &[recode_codec::block::CompressedBlock]) ->
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut json = PathBuf::from("BENCH_hotpath.json");
-    let mut smoke = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--json" => {
-                i += 1;
-                json = PathBuf::from(argv.get(i).expect("--json PATH"));
-            }
-            "--smoke" => smoke = true,
-            "--help" | "-h" => {
-                eprintln!("flags: --json PATH --smoke");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let (mut args, usage) = recode_bench::command_line("[--json PATH] [--smoke]");
+    let smoke = args.switch("--smoke");
+    let json = args.value("--json", "a path").unwrap_or_else(|e| e.exit(&usage));
+    let json = json.unwrap_or_else(|| PathBuf::from("BENCH_hotpath.json"));
+    args.finish().unwrap_or_else(|e| e.exit(&usage));
 
     // Corpus sizes: enough blocks that per-block setup cost dominates noise,
     // small enough that a smoke run stays in CI budget.

@@ -7,11 +7,8 @@ use recode_core::experiment::fig3_cpu_spmv;
 use recode_core::{report, SystemConfig};
 
 fn main() {
-    let mut args = parse_args();
     // Fig. 3 is about the flat bandwidth bound; a modest sample shows it.
-    if args.sample.is_none() {
-        args.sample = Some(24);
-    }
+    let args = parse_args(Some(24));
     let entries = corpus_entries(&args);
     let sys = SystemConfig::ddr4();
     let rows = fig3_cpu_spmv(&sys, &entries);

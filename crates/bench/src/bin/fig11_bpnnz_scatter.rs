@@ -6,7 +6,7 @@ use recode_core::experiment::compression_study;
 use recode_core::report;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(None);
     let entries = corpus_entries(&args);
     let rows = compression_study(&entries);
     print!("{}", report::fig11(&rows));

@@ -10,7 +10,7 @@ use recode_core::measure::measure_host_codec;
 use recode_core::{report, seven, SystemConfig};
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(Some(60));
     let sys = SystemConfig::ddr4();
 
     // The seven representative matrices.
@@ -38,11 +38,7 @@ fn main() {
     }
 
     // Corpus geomean (sampled; the paper reports ~7x over 369 matrices).
-    let mut corpus_args = args.clone();
-    if corpus_args.sample.is_none() {
-        corpus_args.sample = Some(60);
-    }
-    let entries = corpus_entries(&corpus_args);
+    let entries = corpus_entries(&args);
     eprintln!("\nsimulating corpus sample of {} matrices...", entries.len());
     let corpus_rows = decomp_study(&sys, &materialize(&entries), args.blocks);
     let speedups: Vec<f64> = corpus_rows.iter().map(|r| r.speedup).collect();

@@ -6,7 +6,7 @@ use recode_core::experiment::{decomp_study, materialize};
 use recode_core::{report, SystemConfig};
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(None);
     let sys = SystemConfig::ddr4();
     let entries = corpus_entries(&args);
     eprintln!("simulating {} matrices ({} blocks/stream each)...", entries.len(), args.blocks);

@@ -7,6 +7,6 @@ use recode_bench::{parse_args, run_spmv_figure};
 use recode_core::SystemConfig;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(Some(60));
     run_spmv_figure(&args, SystemConfig::ddr4(), "Fig. 14 — SpMV on DDR4 (100 GB/s)");
 }

@@ -6,6 +6,6 @@ use recode_bench::{parse_args, run_spmv_figure};
 use recode_core::SystemConfig;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(Some(60));
     run_spmv_figure(&args, SystemConfig::hbm2(), "Fig. 15 — SpMV on HBM2 (1 TB/s)");
 }

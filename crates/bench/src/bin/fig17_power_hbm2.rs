@@ -7,7 +7,7 @@ use recode_core::experiment::power_study;
 use recode_core::{report, SystemConfig};
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(None);
     let rows = power_study(&SystemConfig::hbm2(), args.rep_scale, args.seed, args.blocks);
     print!(
         "{}",

@@ -28,10 +28,7 @@ recode_core::json_struct!(write Row {
 });
 
 fn main() {
-    let mut args = parse_args();
-    if args.sample.is_none() {
-        args.sample = Some(24);
-    }
+    let args = parse_args(Some(24));
     let sys = SystemConfig::ddr4();
 
     let mut mats: Vec<(String, String, recode_sparse::Csr)> =

@@ -1,95 +1,70 @@
-//! Shared harness plumbing for the per-figure binaries.
-//!
-//! Every `fig*` binary accepts the same flags:
-//!
-//! ```text
-//! --scale small|medium|paper   corpus size regime   (default: medium)
-//! --sample N                   use only the first N corpus entries
-//! --seed N                     corpus master seed   (default: 2019)
-//! --blocks N                   UDP-simulated blocks per stream (default: 24)
-//! --rep-scale F                size factor for the seven representative
-//!                              matrices (default: 0.05)
-//! --json PATH                  also dump rows as JSON
-//! ```
+//! Shared harness plumbing for the per-figure binaries, which all read the
+//! flags of [`USAGE`] through [`parse_args`].
 
+use recode_core::cli::{self, UsageError};
 use recode_core::corpus::{corpus, CorpusEntry, CorpusScale};
 use recode_core::experiment::{materialize, spmv_study};
 use recode_core::json::ToJson;
 use recode_core::{report, seven, SystemConfig};
 use std::path::PathBuf;
 
+/// The flags [`Args::parse`] reads.
+pub const USAGE: &str =
+    "[--scale small|medium|paper] [--sample N] [--seed N] [--blocks N] [--rep-scale F] [--json PATH]";
+
 /// Parsed harness flags.
 #[derive(Debug, Clone)]
 pub struct Args {
-    /// Corpus size regime.
+    /// Corpus size regime (`--scale`, default medium).
     pub scale: CorpusScale,
-    /// Optional cap on corpus entries.
+    /// Use only the first N corpus entries (`--sample`).
     pub sample: Option<usize>,
-    /// Corpus master seed.
+    /// Corpus master seed (`--seed`, default 2019).
     pub seed: u64,
-    /// UDP-simulated blocks per stream.
+    /// UDP-simulated blocks per stream (`--blocks`, default 24).
     pub blocks: usize,
-    /// Scale factor for the seven representative matrices.
+    /// Size factor for the seven representative matrices (`--rep-scale`,
+    /// default 0.05).
     pub rep_scale: f64,
-    /// Optional JSON dump path.
+    /// Also dump rows as JSON there (`--json`).
     pub json: Option<PathBuf>,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            scale: CorpusScale::Medium,
-            sample: None,
-            seed: 2019,
-            blocks: 24,
-            rep_scale: 0.05,
-            json: None,
-        }
+impl Args {
+    /// Reads the harness flags from `args`; any other token is a
+    /// [`UsageError`].
+    pub fn parse(mut args: cli::Args) -> Result<Args, UsageError> {
+        let parsed = Args {
+            scale: args.value("--scale", "small|medium|paper")?.unwrap_or(CorpusScale::Medium),
+            sample: args.value("--sample", "an integer")?,
+            seed: args.value("--seed", "an integer")?.unwrap_or(2019),
+            blocks: args.value("--blocks", "an integer")?.unwrap_or(24),
+            rep_scale: args.value("--rep-scale", "a number")?.unwrap_or(0.05),
+            json: args.value("--json", "a path")?,
+        };
+        args.finish()?;
+        Ok(parsed)
     }
 }
 
-/// Parses `std::env::args`. Exits with a message on bad flags.
-pub fn parse_args() -> Args {
-    let mut out = Args::default();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("missing value for {}", argv[*i - 1]);
-            std::process::exit(2);
-        })
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                out.scale = match value(&mut i).as_str() {
-                    "small" => CorpusScale::Small,
-                    "medium" => CorpusScale::Medium,
-                    "paper" => CorpusScale::Paper,
-                    other => {
-                        eprintln!("unknown scale `{other}` (small|medium|paper)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--sample" => out.sample = Some(value(&mut i).parse().expect("--sample N")),
-            "--seed" => out.seed = value(&mut i).parse().expect("--seed N"),
-            "--blocks" => out.blocks = value(&mut i).parse().expect("--blocks N"),
-            "--rep-scale" => out.rep_scale = value(&mut i).parse().expect("--rep-scale F"),
-            "--json" => out.json = Some(PathBuf::from(value(&mut i))),
-            "--help" | "-h" => {
-                eprintln!("flags: --scale small|medium|paper --sample N --seed N --blocks N --rep-scale F --json PATH");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
+/// This process's command line and its usage line, `flags` after the
+/// binary's name; `--help` or `-h` prints the usage line and exits 0.
+pub fn command_line(flags: &str) -> (cli::Args, String) {
+    let mut args = cli::Args::from_env();
+    let usage = format!("{} {flags}", args.command());
+    if args.switch("--help") || args.switch("-h") {
+        eprintln!("usage: {usage}");
+        std::process::exit(0);
     }
-    out
+    (args, usage)
+}
+
+/// Parses this process's harness flags, with `sample` the binary's own
+/// default for `--sample`; a usage error prints the usage line and exits 2.
+pub fn parse_args(sample: Option<usize>) -> Args {
+    let (args, usage) = command_line(USAGE);
+    let args = Args::parse(args).unwrap_or_else(|e| e.exit(&usage));
+    Args { sample: args.sample.or(sample), ..args }
 }
 
 /// Builds the (possibly sampled) corpus for these args.
@@ -122,11 +97,7 @@ pub fn run_spmv_figure(args: &Args, sys: SystemConfig, title: &str) {
             .collect();
     let mut rows = spmv_study(&sys, &seven_mats, args.blocks);
 
-    let mut corpus_args = args.clone();
-    if corpus_args.sample.is_none() {
-        corpus_args.sample = Some(60);
-    }
-    let entries = corpus_entries(&corpus_args);
+    let entries = corpus_entries(args);
     eprintln!("evaluating corpus sample of {} matrices...", entries.len());
     rows.extend(spmv_study(&sys, &materialize(&entries), args.blocks));
     print!("{}", report::fig14_15(title, &rows));
@@ -137,17 +108,29 @@ pub fn run_spmv_figure(args: &Args, sys: SystemConfig, title: &str) {
 mod tests {
     use super::*;
 
+    fn parse(argv: &[&str]) -> Result<Args, UsageError> {
+        Args::parse(cli::Args::new("fig", argv.iter().map(|s| (*s).to_string())))
+    }
+
     #[test]
     fn defaults_are_medium_full_corpus() {
-        let a = Args::default();
-        assert_eq!(a.scale, CorpusScale::Medium);
-        assert!(a.sample.is_none());
-        assert_eq!(a.seed, 2019);
+        let a = parse(&[]).unwrap();
+        assert_eq!((a.scale, a.sample, a.seed, a.blocks), (CorpusScale::Medium, None, 2019, 24));
+    }
+
+    #[test]
+    fn parse_refuses_a_bad_value_a_missing_one_and_an_unknown_flag() {
+        let e = parse(&["--sample", "abc"]).unwrap_err();
+        assert_eq!(e.to_string(), "bad --sample `abc` (expected an integer)");
+        assert_eq!(parse(&["--json"]).unwrap_err(), UsageError::MissingValue("--json".into()));
+        assert!(matches!(parse(&["--scale", "huge"]), Err(UsageError::BadValue { .. })));
+        assert!(matches!(parse(&["--bogus"]), Err(UsageError::UnexpectedFlag { .. })));
     }
 
     #[test]
     fn corpus_entries_respects_sample() {
-        let a = Args { scale: CorpusScale::Small, sample: Some(5), ..Default::default() };
+        let a = parse(&["--scale", "small", "--sample", "5", "--json", "rows.json"]).unwrap();
+        assert_eq!(a.json, Some(PathBuf::from("rows.json")));
         assert_eq!(corpus_entries(&a).len(), 5);
     }
 }

@@ -27,6 +27,19 @@ pub enum CorpusScale {
     Paper,
 }
 
+impl std::str::FromStr for CorpusScale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "small" => Ok(CorpusScale::Small),
+            "medium" => Ok(CorpusScale::Medium),
+            "paper" => Ok(CorpusScale::Paper),
+            _ => Err(format!("unknown scale `{s}` (small|medium|paper)")),
+        }
+    }
+}
+
 impl CorpusScale {
     /// Log-uniform nnz target range.
     pub fn nnz_range(self) -> (f64, f64) {
@@ -70,7 +83,7 @@ pub fn corpus(scale: CorpusScale, seed: u64) -> Vec<CorpusEntry> {
             let target = (lo.ln() + rng.f64() * (hi.ln() - lo.ln())).exp() as usize;
             let entry_seed = rng.next_u64();
             let variant = rng.next_u64();
-            let spec = spec_for(i % 11, target, variant);
+            let spec = spec_for(i % FAMILIES.len(), target, variant);
             CorpusEntry {
                 name: format!("m{i:03}_{}", spec.family()),
                 family: spec.family(),
@@ -92,27 +105,30 @@ pub fn generate_all(scale: CorpusScale, seed: u64) -> Vec<(CorpusEntry, Csr)> {
     })
 }
 
+/// The generator families `recode gen` takes, in the order the corpus
+/// rotates through them.
+pub const FAMILIES: [&str; 11] = [
+    "stencil2d",
+    "stencil2d9",
+    "stencil3d",
+    "multidiag",
+    "femband",
+    "blockjac",
+    "circuit",
+    "rmat",
+    "erdos",
+    "smallworld",
+    "laplacian",
+];
+
 /// Public lookup: builds a spec for `family` sized for `target` non-zeros
 /// (used by the `recode gen` CLI). Returns `None` for unknown families.
 pub fn spec_for_family(family: &str, target: usize, variant: u64) -> Option<GenSpec> {
-    let idx = match family {
-        "stencil2d" => 0,
-        "stencil2d9" => 1,
-        "stencil3d" => 2,
-        "multidiag" => 3,
-        "femband" => 4,
-        "blockjac" => 5,
-        "circuit" => 6,
-        "rmat" => 7,
-        "erdos" => 8,
-        "smallworld" => 9,
-        "laplacian" => 10,
-        _ => return None,
-    };
+    let idx = FAMILIES.iter().position(|&f| f == family)?;
     Some(spec_for(idx, target, variant))
 }
 
-/// Chooses family parameters to hit `target` non-zeros.
+/// Chooses parameters of family `FAMILIES[family]` to hit `target` non-zeros.
 fn spec_for(family: usize, target: usize, variant: u64) -> GenSpec {
     let t = target as f64;
     let pick = |choices: &[ValueModel]| choices[(variant % choices.len() as u64) as usize];
@@ -354,20 +370,10 @@ mod tests {
 
     #[test]
     fn spec_for_family_covers_all_names() {
-        for f in [
-            "stencil2d",
-            "stencil2d9",
-            "stencil3d",
-            "multidiag",
-            "femband",
-            "blockjac",
-            "circuit",
-            "rmat",
-            "erdos",
-            "smallworld",
-            "laplacian",
-        ] {
+        for f in FAMILIES {
             let spec = spec_for_family(f, 50_000, 3).unwrap();
+            // The name's position in FAMILIES picks the spec_for arm.
+            assert!(f.starts_with(spec.family()), "{f} builds a {} spec", spec.family());
             let m = recode_sparse::gen::generate(&spec, 1);
             assert!(m.nnz() > 5_000, "{f}: {}", m.nnz());
         }

@@ -39,6 +39,8 @@
 //!   Prometheus text exposition;
 //! * [`benchcmp`] — the BENCH_*.json regression comparator behind
 //!   `recode bench-compare`;
+//! * [`cli`] — the one argument parser every binary reads its command
+//!   line through;
 //! * [`json`] — the workspace's one JSON tree, writer, parser and
 //!   struct mapping; [`trace_json`] maps a [`TraceDocument`] through it;
 //! * [`tune`] — the per-matrix auto-tuner: codec-stage × block-size search
@@ -49,6 +51,7 @@ pub mod arch;
 pub mod benchcmp;
 pub mod chaos;
 pub mod chrometrace;
+pub mod cli;
 pub mod corpus;
 pub mod error;
 pub mod exec;

@@ -71,21 +71,31 @@ impl StageSubset {
         }
     }
 
-    /// Inverse of [`StageSubset::name`].
-    pub fn parse_name(s: &str) -> Option<StageSubset> {
-        StageSubset::ALL.into_iter().find(|st| st.name() == s)
+    /// The subset's preset matrix codec config, at the preset's block size.
+    pub fn preset(self) -> MatrixCodecConfig {
+        match self {
+            StageSubset::Dsh => MatrixCodecConfig::udp_dsh(),
+            StageSubset::Ds => MatrixCodecConfig::udp_ds(),
+            StageSubset::Snappy => MatrixCodecConfig::cpu_snappy(),
+        }
     }
 
     /// The matrix codec config for this subset at the given block size.
     pub fn codec_config(self, block_bytes: usize) -> MatrixCodecConfig {
-        let mut c = match self {
-            StageSubset::Dsh => MatrixCodecConfig::udp_dsh(),
-            StageSubset::Ds => MatrixCodecConfig::udp_ds(),
-            StageSubset::Snappy => MatrixCodecConfig::cpu_snappy(),
-        };
+        let mut c = self.preset();
         c.index.block_bytes = block_bytes;
         c.value.block_bytes = block_bytes;
         c
+    }
+}
+
+/// Inverse of [`StageSubset::name`].
+impl std::str::FromStr for StageSubset {
+    type Err = TuneError;
+
+    fn from_str(s: &str) -> Result<Self, TuneError> {
+        let known = StageSubset::ALL.into_iter().find(|st| st.name() == s);
+        known.ok_or_else(|| TuneError::Malformed(format!("unknown stage subset `{s}`")))
     }
 }
 
@@ -315,8 +325,7 @@ impl TunedConfig {
             .and_then(|c| c.get("stages"))
             .and_then(Json::as_str)
             .ok_or_else(|| TuneError::Malformed("missing field `codec.stages`".into()))?;
-        let stages = StageSubset::parse_name(stages_name)
-            .ok_or_else(|| TuneError::Malformed(format!("unknown stage subset `{stages_name}`")))?;
+        let stages: StageSubset = stages_name.parse()?;
         let wire_bytes_per_nnz = doc
             .get("modeled")
             .and_then(|m| m.get("wire_bytes_per_nnz"))

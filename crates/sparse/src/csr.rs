@@ -4,7 +4,7 @@
 //! whole rows and excluded from that accounting, as in the paper).
 
 use crate::error::{Result, SparseError};
-use crate::{Coo, Csc, Dense};
+use crate::{Coo, Dense};
 
 /// A sparse matrix in CSR layout.
 ///
@@ -195,39 +195,28 @@ impl Csr {
         coo
     }
 
-    /// Converts to CSC by a stable counting transpose, O(nnz + ncols).
-    pub fn to_csc(&self) -> Csc {
+    /// Structural + numeric transpose by a stable counting sort over the
+    /// columns, O(nnz + ncols): the arrays are this matrix's CSC arrays.
+    pub fn transpose(&self) -> Csr {
         let nnz = self.nnz();
         let mut counts = vec![0usize; self.ncols];
         for &c in &self.col_idx {
             counts[c as usize] += 1;
         }
-        let col_ptr = crate::util::exclusive_prefix_sum(&counts);
-        let mut row_idx = vec![0u32; nnz];
+        let row_ptr = crate::util::exclusive_prefix_sum(&counts);
+        let mut col_idx = vec![0u32; nnz];
         let mut values = vec![0f64; nnz];
-        let mut next = col_ptr.clone();
+        let mut next = row_ptr.clone();
         for r in 0..self.nrows {
             for k in self.row_range(r) {
                 let c = self.col_idx[k] as usize;
                 let dst = next[c];
-                row_idx[dst] = r as u32;
+                col_idx[dst] = r as u32;
                 values[dst] = self.values[k];
                 next[c] += 1;
             }
         }
-        Csc::from_parts_unchecked(self.nrows, self.ncols, col_ptr, row_idx, values)
-    }
-
-    /// Structural + numeric transpose, staying in CSR.
-    pub fn transpose(&self) -> Csr {
-        let csc = self.to_csc();
-        Csr::from_parts_unchecked(
-            self.ncols,
-            self.nrows,
-            csc.col_ptr().to_vec(),
-            csc.row_idx().to_vec(),
-            csc.values().to_vec(),
-        )
+        Csr::from_parts_unchecked(self.ncols, self.nrows, row_ptr, col_idx, values)
     }
 
     /// Materializes as a dense matrix. Intended for test-sized inputs; the
@@ -324,10 +313,11 @@ mod tests {
     }
 
     #[test]
-    fn csc_round_trip_preserves_matrix() {
-        let m = paper_matrix();
-        let back = m.to_csc().to_csr();
-        assert_eq!(m, back);
+    fn transpose_arrays_are_the_csc_arrays() {
+        let t = paper_matrix().transpose();
+        assert_eq!(t.row_ptr(), &[0, 2, 3, 5, 7]);
+        assert_eq!(t.col_idx(), &[0, 2, 3, 0, 2, 2, 3]);
+        assert_eq!(t.values(), &[1.0, 3.0, 6.0, 2.0, 4.0, 5.0, 7.0]);
     }
 
     #[test]

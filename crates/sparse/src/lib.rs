@@ -7,7 +7,7 @@
 //! This crate provides everything the paper's evaluation needs below the
 //! codec/accelerator layer:
 //!
-//! * **Formats** — [`Coo`], [`Csr`], [`Csc`] and a small [`Dense`]
+//! * **Formats** — [`Coo`], [`Csr`] and a small [`Dense`]
 //!   reference type, with lossless
 //!   conversions between them. `Csr` uses 4-byte column indices and 8-byte
 //!   values, matching the paper's 12 bytes-per-non-zero baseline.
@@ -27,7 +27,6 @@
 //!   characterize corpora the way the paper characterizes its 369 matrices.
 
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod error;
@@ -42,7 +41,6 @@ pub mod stats;
 pub mod util;
 
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
 pub use error::{Result, SparseError};
@@ -50,7 +48,6 @@ pub use error::{Result, SparseError};
 /// Convenient glob-import surface: `use recode_sparse::prelude::*;`.
 pub mod prelude {
     pub use crate::coo::Coo;
-    pub use crate::csc::Csc;
     pub use crate::csr::Csr;
     pub use crate::dense::Dense;
     pub use crate::error::SparseError;

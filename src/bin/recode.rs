@@ -1,76 +1,9 @@
 //! `recode` — command-line front end to the CPU-UDP recoding system.
 //!
-//! ```text
-//! recode info      <matrix.mtx>                  structural + value statistics
-//! recode compress  <matrix.mtx> -o <out.rcmx>    DSH-compress (JSON container)
-//! recode decompress <in.rcmx>   -o <matrix.mtx>  restore MatrixMarket
-//! recode spmv      <matrix.mtx> [--trace <out.json>]
-//!                  [--overlap] [--cache-blocks N] [--iters N]
-//!                  [--tuned <config.json>]
-//!                                                run SpMV through the simulated
-//!                                                heterogeneous system and report;
-//!                                                --trace writes the full telemetry
-//!                                                document (recode-trace/v2 JSON; a
-//!                                                document with no pool.*/breaker.*
-//!                                                counters is stamped v1);
-//!                                                --overlap routes through the
-//!                                                pipelined decode/multiply
-//!                                                executor, --cache-blocks seeds
-//!                                                its decoded-block LRU cache, and
-//!                                                --iters repeats the multiply to
-//!                                                show the warm-cache decode cost;
-//!                                                --tuned recodes under the codec
-//!                                                a persisted recode-tuned/v2
-//!                                                config prescribes (a digest or
-//!                                                schema mismatch is a hard error)
-//! recode tune      <matrix.mtx> [-o <config.json>]
-//!                                                search codec-stage x block size,
-//!                                                print the candidate table, and
-//!                                                persist the winner (selection is
-//!                                                by the deterministic modeled
-//!                                                decode + multiply makespan)
-//! recode report    <trace.json>                  render a trace as a table
-//! recode trace-check <trace.json> [--bounds]     validate a trace's schema and
-//!                                                internal invariants; --bounds
-//!                                                additionally re-verifies the
-//!                                                stored per-stage cycles against
-//!                                                the certified static cycle
-//!                                                envelopes of the builtin stage
-//!                                                programs (exit 1 on violation)
-//! recode gen       <family> <target_nnz> -o <matrix.mtx>
-//!                                                emit a synthetic matrix
-//! recode disasm    <file.udp | builtin:NAME>     disassemble a lane program (same
-//!                                                targets as verify-program)
-//! recode verify-program <file.udp | builtin:NAME>
-//!                                                run the static verifier on a
-//!                                                lane program and print its
-//!                                                findings plus the certified
-//!                                                per-block cycle-bounds table
-//!                                                (exit 1 on Error); builtins:
-//!                                                delta, snappy, huffman, or
-//!                                                dsh for the whole pipeline
-//!                                                (bare names also accepted)
-//! recode chaos     [--trials N] [--seed N] [--json <out.json>]
-//!                                                run a seeded chaos campaign
-//!                                                over the resilient executors
-//!                                                and report; exit 1 unless the
-//!                                                resilience contract held on
-//!                                                every trial
-//! recode metrics   <matrix.mtx>                  run one budgeted job and print
-//!                                                the trace counters as a
-//!                                                Prometheus text exposition
-//! recode bench-compare <old.json> <new.json>     diff two bench snapshots;
-//!                                                exit 1 when a gated metric
-//!                                                regressed >20% beyond noise
-//! ```
-//!
-//! Flags: `-o PATH` output, `--config dsh|ds|snappy` codec choice,
-//! `--seed N` for `gen`/`chaos`, `--trace PATH` / `--overlap` /
-//! `--cache-blocks N` / `--iters N` for `spmv`, `--inject-trap JOB` /
-//! `--inject-corrupt BLOCK` fault injection for `spmv`, `--trials N` /
-//! `--json PATH` for `chaos`, and `--chrome-trace PATH` (`spmv`, `chaos`)
-//! to switch on the flight recorder and export the run as a Chrome
-//! trace-event / Perfetto JSON timeline.
+//! Run it with no arguments for the command list: [`COMMANDS`] is that list
+//! and the dispatch table, and each `cmd_*` handler documents its command.
+//! Handlers read their flags through `recode_core::cli`, so a flag a command
+//! does not read is a usage error.
 //!
 //! Exit codes: `0` success, `1` error, `2` usage, [`EXIT_DEGRADED`] (3) when
 //! the run recovered through retries, [`EXIT_FALLBACK`] (4) when any block
@@ -79,16 +12,20 @@
 
 use recode_spmv::codec::metrics::CompressionSummary;
 use recode_spmv::codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
+use recode_spmv::core::cli::{self, Args, UsageError};
 use recode_spmv::core::corpus;
 use recode_spmv::core::measure::measure_udp_decomp;
 use recode_spmv::core::perfmodel::SpmvPerfModel;
 use recode_spmv::core::recorder;
 use recode_spmv::core::report;
 use recode_spmv::core::telemetry::{RecorderSummary, Telemetry};
+use recode_spmv::core::StageSubset;
 use recode_spmv::prelude::*;
 use recode_spmv::sparse::io::{read_matrix_market_path, write_matrix_market};
 use recode_spmv::sparse::spmv::SpmvKernel;
 use recode_spmv::sparse::stats::MatrixStats;
+use std::error::Error;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -98,179 +35,82 @@ const EXIT_DEGRADED: u8 = 3;
 /// back to the software decoder entirely.
 const EXIT_FALLBACK: u8 = 4;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  recode info <matrix.mtx>\n  recode compress <matrix.mtx> -o <out.rcmx> [--config dsh|ds|snappy]\n  recode decompress <in.rcmx> -o <matrix.mtx>\n  recode spmv <matrix.mtx> [--trace <out.json>] [--chrome-trace <out.trace.json>]\n              [--overlap] [--cache-blocks N] [--iters N] [--tuned <config.json>]\n              [--inject-trap JOB] [--inject-corrupt BLOCK]\n  recode tune <matrix.mtx> [-o <config.json>]\n  recode report <trace.json>\n  recode trace-check <trace.json> [--bounds]\n  recode gen <family> <target_nnz> -o <matrix.mtx> [--seed N]\n  recode disasm <file.udp | builtin:delta|snappy|huffman|dsh>\n  recode verify-program <file.udp | builtin:delta|snappy|huffman|dsh>\n  recode chaos [--trials N] [--seed N] [--json <out.json>] [--chrome-trace <out.trace.json>]\n  recode metrics <matrix.mtx> [-o <metrics.prom>]\n  recode bench-compare <old.json> <new.json>\n\nspmv exit codes: 0 clean, 3 degraded (retries), 4 raw-CSR/software fallback\nfamilies: {}",
-        FAMILIES.join(", ")
-    );
-    ExitCode::from(2)
-}
+/// A command's exit code, or why it failed: a [`UsageError`] exits 2, any
+/// other error 1.
+type Outcome = Result<ExitCode, Box<dyn Error>>;
 
-const FAMILIES: [&str; 11] = [
-    "stencil2d",
-    "stencil2d9",
-    "stencil3d",
-    "multidiag",
-    "femband",
-    "blockjac",
-    "circuit",
-    "rmat",
-    "erdos",
-    "smallworld",
-    "laplacian",
+const LANE_TARGET: &str = "<file.udp | builtin:delta|snappy|huffman|dsh>";
+
+/// A `recode` command: its name, the operands and flags its handler reads,
+/// and the handler.
+type Command = (&'static str, &'static str, fn(Args) -> Outcome);
+
+const COMMANDS: [Command; 13] = [
+    ("info", "<matrix.mtx>", cmd_info),
+    ("compress", "<matrix.mtx> -o <out.rcmx> [--config dsh|ds|snappy]", cmd_compress),
+    ("decompress", "<in.rcmx> -o <matrix.mtx>", cmd_decompress),
+    (
+        "spmv",
+        "<matrix.mtx> [--trace <out.json>] [--chrome-trace <out.trace.json>]\n              \
+         [--overlap] [--cache-blocks N] [--iters N] [--tuned <config.json>]\n              \
+         [--config dsh|ds|snappy] [--inject-trap JOB] [--inject-corrupt BLOCK]",
+        cmd_spmv,
+    ),
+    ("tune", "<matrix.mtx> [-o <config.json>]", cmd_tune),
+    ("report", "<trace.json>", cmd_report),
+    ("trace-check", "<trace.json> [--bounds]", cmd_trace_check),
+    ("gen", "<family> <target_nnz> -o <matrix.mtx> [--seed N]", cmd_gen),
+    ("disasm", LANE_TARGET, cmd_disasm),
+    ("verify-program", LANE_TARGET, cmd_verify_program),
+    (
+        "chaos",
+        "[--trials N] [--seed N] [--json <out.json>] [--chrome-trace <out.trace.json>]",
+        cmd_chaos,
+    ),
+    ("metrics", "<matrix.mtx> [-o <metrics.prom>] [--config dsh|ds|snappy]", cmd_metrics),
+    ("bench-compare", "<old.json> <new.json>", cmd_bench_compare),
 ];
 
-struct Flags {
-    positional: Vec<String>,
-    output: Option<String>,
-    config: MatrixCodecConfig,
-    seed: u64,
-    trace: Option<String>,
-    overlap: bool,
-    cache_blocks: usize,
-    iters: usize,
-    inject_trap: Option<usize>,
-    inject_corrupt: Option<usize>,
-    trials: usize,
-    json: Option<String>,
-    chrome_trace: Option<String>,
-    tuned: Option<String>,
-    bounds: bool,
-}
-
-fn parse(args: &[String]) -> Result<Flags, String> {
-    let mut f = Flags {
-        positional: Vec::new(),
-        output: None,
-        config: MatrixCodecConfig::udp_dsh(),
-        seed: 2019,
-        trace: None,
-        overlap: false,
-        cache_blocks: 0,
-        iters: 1,
-        inject_trap: None,
-        inject_corrupt: None,
-        trials: 500,
-        json: None,
-        chrome_trace: None,
-        tuned: None,
-        bounds: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-o" | "--output" => {
-                i += 1;
-                f.output = Some(args.get(i).ok_or("missing value for -o")?.clone());
-            }
-            "--config" => {
-                i += 1;
-                f.config = match args.get(i).map(String::as_str) {
-                    Some("dsh") => MatrixCodecConfig::udp_dsh(),
-                    Some("ds") => MatrixCodecConfig::udp_ds(),
-                    Some("snappy") => MatrixCodecConfig::cpu_snappy(),
-                    other => return Err(format!("bad --config {other:?}")),
-                };
-            }
-            "--trace" => {
-                i += 1;
-                f.trace = Some(args.get(i).ok_or("missing value for --trace")?.clone());
-            }
-            "--overlap" => f.overlap = true,
-            "--cache-blocks" => {
-                i += 1;
-                f.cache_blocks =
-                    args.get(i).and_then(|s| s.parse().ok()).ok_or("bad --cache-blocks value")?;
-            }
-            "--iters" => {
-                i += 1;
-                f.iters = args
-                    .get(i)
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("bad --iters value (need an integer >= 1)")?;
-            }
-            "--seed" => {
-                i += 1;
-                f.seed = args.get(i).and_then(|s| s.parse().ok()).ok_or("bad --seed value")?;
-            }
-            "--inject-trap" => {
-                i += 1;
-                f.inject_trap = Some(
-                    args.get(i).and_then(|s| s.parse().ok()).ok_or("bad --inject-trap value")?,
-                );
-            }
-            "--inject-corrupt" => {
-                i += 1;
-                f.inject_corrupt = Some(
-                    args.get(i).and_then(|s| s.parse().ok()).ok_or("bad --inject-corrupt value")?,
-                );
-            }
-            "--trials" => {
-                i += 1;
-                f.trials = args
-                    .get(i)
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("bad --trials value (need an integer >= 1)")?;
-            }
-            "--json" => {
-                i += 1;
-                f.json = Some(args.get(i).ok_or("missing value for --json")?.clone());
-            }
-            "--chrome-trace" => {
-                i += 1;
-                f.chrome_trace =
-                    Some(args.get(i).ok_or("missing value for --chrome-trace")?.clone());
-            }
-            "--tuned" => {
-                i += 1;
-                f.tuned = Some(args.get(i).ok_or("missing value for --tuned")?.clone());
-            }
-            "--bounds" => f.bounds = true,
-            other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
-            other => f.positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-    Ok(f)
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        return usage();
-    };
-    let flags = match parse(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
+    #[cfg(unix)]
+    default_sigpipe();
+    let mut args = Args::from_env();
+    let command = args.subcommand().and_then(|name| COMMANDS.iter().find(|c| c.0 == name));
+    let Some(&(name, usage, run)) = command else {
+        eprintln!("usage:");
+        for (name, usage, _) in COMMANDS {
+            eprintln!("  recode {name} {usage}");
         }
+        eprintln!(
+            "\nspmv exit codes: 0 clean, 3 degraded (retries), 4 raw-CSR/software fallback\nfamilies: {}",
+            corpus::FAMILIES.join(", ")
+        );
+        return ExitCode::from(cli::EXIT_USAGE);
     };
-    let result = match cmd.as_str() {
-        "info" => cmd_info(&flags),
-        "compress" => cmd_compress(&flags),
-        "decompress" => cmd_decompress(&flags),
-        "spmv" => cmd_spmv(&flags),
-        "tune" => cmd_tune(&flags),
-        "report" => cmd_report(&flags),
-        "trace-check" => cmd_trace_check(&flags),
-        "gen" => cmd_gen(&flags),
-        "disasm" => cmd_disasm(&flags),
-        "verify-program" => cmd_verify_program(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "metrics" => cmd_metrics(&flags),
-        "bench-compare" => cmd_bench_compare(&flags),
-        _ => return usage(),
-    };
-    match result {
+    match run(args).map_err(<dyn Error>::downcast::<UsageError>) {
         Ok(code) => code,
-        Err(e) => {
+        Err(Ok(e)) => e.exit(&format!("recode {name} {usage}")),
+        Err(Err(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Puts back the default action for SIGPIPE, which the Rust runtime sets to
+/// ignore: a write to a closed stdout (`recode info m.mtx | head -1`) then
+/// ends the process quietly, as it ends `cat`, instead of making `println!`
+/// panic.
+#[cfg(unix)]
+fn default_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` is the C library's own; SIG_DFL installs no handler,
+    // so no Rust code runs on the signal, and no other thread exists yet.
+    unsafe { signal(SIGPIPE, SIG_DFL) };
 }
 
 /// Maps a run's recovery stats onto the documented exit codes: raw-CSR or
@@ -294,8 +134,14 @@ fn exit_for(stats: &recode_spmv::core::ExecStats) -> ExitCode {
     }
 }
 
-fn load(flags: &Flags) -> Result<Csr, String> {
-    let path = flags.positional.first().ok_or("missing input matrix path")?;
+/// `--config dsh|ds|snappy`: the stages to recode with, full DSH by default.
+fn codec(args: &mut Args) -> Result<MatrixCodecConfig, UsageError> {
+    Ok(args
+        .value("--config", "dsh|ds|snappy")?
+        .map_or(MatrixCodecConfig::udp_dsh(), StageSubset::preset))
+}
+
+fn load(path: &str) -> Result<Csr, String> {
     read_matrix_market_path(path).map_err(|e| format!("{path}: {e}"))
 }
 
@@ -305,15 +151,15 @@ fn worst_rel_err(y: &[f64], y_ref: &[f64]) -> f64 {
 }
 
 /// The input matrix's file stem: how a trace document names its matrix.
-fn matrix_name(flags: &Flags) -> String {
-    let stem = std::path::Path::new(&flags.positional[0]).file_stem();
+fn matrix_name(path: &str) -> String {
+    let stem = std::path::Path::new(path).file_stem();
     stem.map(|s| s.to_string_lossy().into_owned()).unwrap_or_default()
 }
 
 /// Switches on the flight recorder when `--chrome-trace` was given. Called
 /// before the run so every span/instant of the pipeline lands in the ring.
-fn arm_recorder(flags: &Flags) {
-    if flags.chrome_trace.is_some() {
+fn arm_recorder(chrome_trace: Option<&str>) {
+    if chrome_trace.is_some() {
         recorder::enable(recorder::DEFAULT_CAPACITY);
     }
 }
@@ -333,40 +179,11 @@ fn finish_chrome_trace(path: &str) -> Result<RecorderSummary, String> {
     Ok(RecorderSummary::from_events(&events, stats))
 }
 
-/// What either `spmv` schedule does once its run is over: write the flight
-/// recorder's timeline (`--chrome-trace`) and, when the run carried a
-/// telemetry registry (`--trace`), seal it into the trace document.
-fn finish_spmv_run(
-    flags: &Flags,
-    recoded: &RecodedSpmv,
-    sys: &SystemConfig,
-    tel: Option<Telemetry>,
-    stats: &recode_spmv::core::ExecStats,
-    t_total: Instant,
-) -> Result<(), String> {
-    let recorded = flags.chrome_trace.as_deref().map(finish_chrome_trace).transpose()?;
-    let (Some(tel), Some(trace_path)) = (tel, &flags.trace) else {
-        return Ok(());
-    };
-    let name = matrix_name(flags);
-    let mut doc = recoded.seal(sys, tel, stats, &name, t_total);
-    if let Some(summary) = recorded {
-        doc.attach_recorder(summary);
-    }
-    std::fs::write(trace_path, doc.to_json().to_string_pretty())
-        .map_err(|e| format!("{trace_path}: {e}"))?;
-    println!(
-        "trace ({}) written to {trace_path}: {} spans, {} block events, {} counters",
-        doc.schema,
-        doc.spans.len(),
-        doc.block_events.len(),
-        doc.counters.len()
-    );
-    Ok(())
-}
-
-fn cmd_info(flags: &Flags) -> Result<ExitCode, String> {
-    let a = load(flags)?;
+/// `recode info`: structural and value statistics, and the DSH size.
+fn cmd_info(mut args: Args) -> Outcome {
+    let path = args.positional("matrix.mtx")?;
+    args.finish()?;
+    let a = load(&path)?;
     let s = MatrixStats::compute(&a);
     println!("shape            {} x {}", s.nrows, s.ncols);
     println!("non-zeros        {} (density {:.3e})", s.nnz, s.density);
@@ -377,8 +194,7 @@ fn cmd_info(flags: &Flags) -> Result<ExitCode, String> {
     println!("distinct values  {} (sampled)", s.distinct_values_sampled);
     println!("value entropy    {:.2} bits/byte", s.value_byte_entropy);
     println!("symmetric        {} (structurally: {})", s.symmetric, s.structurally_symmetric);
-    let cm =
-        CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).map_err(|e| e.to_string())?;
+    let cm = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh())?;
     let sum = CompressionSummary::of(&cm);
     println!(
         "DSH compression  {:.2} B/nnz (index {:.2} + value {:.2}; raw 12.00)",
@@ -387,35 +203,38 @@ fn cmd_info(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_compress(flags: &Flags) -> Result<ExitCode, String> {
-    let a = load(flags)?;
-    let out = flags.output.as_ref().ok_or("compress needs -o <out.rcmx>")?;
-    let cm = CompressedMatrix::compress(&a, flags.config).map_err(|e| e.to_string())?;
+/// `recode compress`: write the compressed matrix as a JSON container.
+fn cmd_compress(mut args: Args) -> Outcome {
+    let out: String = args.required("-o", "a path")?;
+    let config = codec(&mut args)?;
+    let input = args.positional("matrix.mtx")?;
+    args.finish()?;
+    let a = load(&input)?;
+    let cm = CompressedMatrix::compress(&a, config)?;
     let container = cm.to_bytes();
-    std::fs::write(out, &container).map_err(|e| e.to_string())?;
+    std::fs::write(&out, &container)?;
     let raw = a.nnz() * 12;
     println!(
-        "{} -> {}: {} nnz, {:.2} B/nnz ({} compressed bytes vs {} raw, container {} bytes)",
-        flags.positional[0],
-        out,
+        "{input} -> {out}: {} nnz, {:.2} B/nnz ({} compressed bytes vs {raw} raw, container {} bytes)",
         a.nnz(),
         cm.bytes_per_nnz(),
         cm.wire_bytes(),
-        raw,
         container.len()
     );
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_decompress(flags: &Flags) -> Result<ExitCode, String> {
-    let input = flags.positional.first().ok_or("missing input .rcmx path")?;
-    let out = flags.output.as_ref().ok_or("decompress needs -o <matrix.mtx>")?;
-    let container = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+/// `recode decompress`: restore a container as MatrixMarket.
+fn cmd_decompress(mut args: Args) -> Outcome {
+    let out: String = args.required("-o", "a path")?;
+    let input = args.positional("in.rcmx")?;
+    args.finish()?;
+    let container = std::fs::read(&input).map_err(|e| format!("{input}: {e}"))?;
     let cm = CompressedMatrix::from_bytes(&container).map_err(|e| format!("{input}: {e}"))?;
-    let a = cm.decompress().map_err(|e| e.to_string())?;
+    let a = cm.decompress()?;
     let mut buf = Vec::new();
-    write_matrix_market(&a, &mut buf).map_err(|e| e.to_string())?;
-    std::fs::write(out, buf).map_err(|e| e.to_string())?;
+    write_matrix_market(&a, &mut buf)?;
+    std::fs::write(&out, buf)?;
     println!("{input} -> {out}: {} x {}, {} nnz", a.nrows(), a.ncols(), a.nnz());
     Ok(ExitCode::SUCCESS)
 }
@@ -423,8 +242,8 @@ fn cmd_decompress(flags: &Flags) -> Result<ExitCode, String> {
 /// Applies `--inject-corrupt BLOCK`: flips a payload bit in one index-stream
 /// block so CRC framing catches it on every decode attempt and the run is
 /// forced through the retry → raw-CSR fallback ladder.
-fn apply_injection(recoded: &mut RecodedSpmv, flags: &Flags) -> Result<(), String> {
-    if let Some(b) = flags.inject_corrupt {
+fn apply_injection(recoded: &mut RecodedSpmv, corrupt: Option<usize>) -> Result<(), String> {
+    if let Some(b) = corrupt {
         let blocks = &mut recoded.compressed_mut().index_stream.blocks;
         let n = blocks.len();
         let blk = blocks
@@ -437,13 +256,10 @@ fn apply_injection(recoded: &mut RecodedSpmv, flags: &Flags) -> Result<(), Strin
     Ok(())
 }
 
-/// Loads, parses, and digest-validates the `--tuned` config, if given.
+/// Loads, parses, and digest-validates the `--tuned` config.
 /// Every failure is a hard error — a stale or foreign tuning never falls
 /// back silently to the defaults.
-fn tuned_for(flags: &Flags, a: &Csr) -> Result<Option<TunedConfig>, String> {
-    let Some(path) = &flags.tuned else {
-        return Ok(None);
-    };
+fn tuned_for(path: &str, a: &Csr) -> Result<TunedConfig, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let tuned = TunedConfig::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?;
     tuned.validate_for(a).map_err(|e| format!("{path}: {e}"))?;
@@ -453,107 +269,121 @@ fn tuned_for(flags: &Flags, a: &Csr) -> Result<Option<TunedConfig>, String> {
         tuned.block_bytes,
         tuned.candidates
     );
-    Ok(Some(tuned))
+    Ok(tuned)
 }
 
-fn cmd_spmv(flags: &Flags) -> Result<ExitCode, String> {
-    let a = load(flags)?;
-    if flags.overlap {
-        return cmd_spmv_overlap(flags, &a);
+/// `recode spmv`: run SpMV through the simulated heterogeneous system and
+/// verify it, bit-exact on the batch schedule and within 1e-10 relative on
+/// the pipelined one (`--overlap`: multi-tile results reassociate rows that
+/// straddle tiles), whose decoded-block LRU holds `--cache-blocks` blocks
+/// and whose `--iters` shows the warm-cache decode cost. `--tuned` recodes
+/// under a persisted `recode-tuned/v2` config's codec.
+fn cmd_spmv(mut args: Args) -> Outcome {
+    let overlap = args.switch("--overlap");
+    let cache_blocks = args.value("--cache-blocks", "an integer")?.unwrap_or(0);
+    let iters = args.value("--iters", "an integer >= 1")?.map_or(1, NonZeroUsize::get);
+    let config = codec(&mut args)?;
+    let tuned: Option<String> = args.value("--tuned", "a path")?;
+    let inject_trap: Option<usize> = args.value("--inject-trap", "a job index")?;
+    let inject_corrupt = args.value("--inject-corrupt", "a block index")?;
+    let trace: Option<String> = args.value("--trace", "a path")?;
+    let chrome_trace: Option<String> = args.value("--chrome-trace", "a path")?;
+    let path = args.positional("matrix.mtx")?;
+    args.finish()?;
+    let a = load(&path)?;
+    if !overlap && (iters > 1 || cache_blocks > 0) {
+        return Err(
+            "--iters and --cache-blocks need --overlap (the batch path has no cache)".into()
+        );
     }
-    if flags.iters > 1 {
-        return Err("--iters needs --overlap (the batch path has no decoded-block cache)".into());
-    }
-    if flags.cache_blocks > 0 {
-        return Err("--cache-blocks needs --overlap".into());
-    }
-    let tuned = tuned_for(flags, &a)?;
-    let config = tuned.as_ref().map_or(flags.config, TunedConfig::codec_config);
+    let tuned = tuned.map(|path| tuned_for(&path, &a)).transpose()?;
+    let config = tuned.as_ref().map_or(config, TunedConfig::codec_config);
     let sys = SystemConfig::ddr4();
     let x = vec![1.0; a.ncols()];
     let y_ref = spmv(&a, &x);
-    let hook = flags.inject_trap.map(|j| FaultHook::new().trap(j));
-    arm_recorder(flags);
+    let hook = inject_trap.map(|j| FaultHook::new().trap(j));
+    arm_recorder(chrome_trace.as_deref());
     // Whether the run is traced is one value: the registry in its context
     // (and the stage timing of the operand it runs over).
-    let mut tel = flags.trace.is_some().then(Telemetry::new);
-    let mut recoded =
-        RecodedSpmv::with_stage_timing(&a, config, tel.is_some()).map_err(|e| e.to_string())?;
-    // The software decode cross-checks losslessness and, on a traced run,
-    // fills the decode direction of the trace's codec-stage report.
-    if recoded.decompress_via_software().map_err(|e| e.to_string())? != a {
+    let mut tel = trace.is_some().then(Telemetry::new);
+    let mut recoded = RecodedSpmv::with_stage_timing(&a, config, tel.is_some())?;
+    // The batch run cross-checks losslessness through the software decode,
+    // which on a traced run also fills the decode direction of the trace's
+    // codec-stage report.
+    if !overlap && recoded.decompress_via_software()? != a {
         return Err("software decode diverged from the original matrix".into());
     }
-    apply_injection(&mut recoded, flags)?;
-    let t_total = Instant::now();
-    let ctx = RunCtx { hook: hook.as_ref(), tel: tel.as_mut(), ..RunCtx::default() };
-    let (y, stats) =
-        recoded.spmv_with(&sys, SpmvKernel::RowParallel, &x, ctx).map_err(|e| e.to_string())?;
-    finish_spmv_run(flags, &recoded, &sys, tel, &stats, t_total)?;
-    if y != y_ref {
-        return Err("recoded SpMV diverged from the uncompressed kernel".into());
-    }
-    println!("recoded SpMV verified against the uncompressed kernel ({} rows, bit-exact)", y.len());
-    println!(
-        "UDP: {} blocks, makespan {} cycles, {:.2} GB/s decompressed, {:.1}% lane utilization",
-        stats.accel.jobs,
-        stats.accel.makespan_cycles,
-        stats.accel.throughput_bps() / 1e9,
-        stats.accel.lane_utilization * 100.0
-    );
-    // The throughput measurement re-decodes sampled blocks outside the
-    // retry/fallback ladder, so it only makes sense on a pristine stream;
-    // an operand with no stored entries has no bytes per non-zero to model.
-    if flags.inject_trap.is_none() && flags.inject_corrupt.is_none() && a.nnz() > 0 {
-        let cm = recoded.compressed();
-        let m = measure_udp_decomp(cm, &sys.udp, 24).map_err(|e| e.to_string())?;
-        let model = SpmvPerfModel {
-            bytes_per_nnz: cm.bytes_per_nnz(),
-            udp_out_bps_per_accel: m.accel_out_bps.max(1e9),
-        };
-        println!("\nmodeled on the 100 GB/s DDR4 system ({:.2} B/nnz):", cm.bytes_per_nnz());
-        print!("{}", report::scenarios(&model.evaluate_all(&sys)));
-        let p = PowerSavings::compute(&sys, cm.bytes_per_nnz(), m.accel_out_bps.max(1e9));
-        println!("iso-performance power: {:.1} W of {:.0} W saved", p.net_saving_w, p.max_power_w);
-    }
-    Ok(exit_for(&stats))
-}
-
-/// The `--overlap` arm of `recode spmv`: route through the pipelined
-/// decode/multiply executor with an optional decoded-block LRU cache.
-/// Multi-tile pipelined results reassociate rows that straddle tile
-/// boundaries, so verification is against a 1e-10 relative tolerance
-/// rather than bit equality.
-fn cmd_spmv_overlap(flags: &Flags, a: &Csr) -> Result<ExitCode, String> {
-    let tuned = tuned_for(flags, a)?;
-    let config = tuned.as_ref().map_or(flags.config, TunedConfig::codec_config);
-    let sys = SystemConfig::ddr4();
-    let x = vec![1.0; a.ncols()];
-    let y_ref = spmv(a, &x);
-    let hook = flags.inject_trap.map(|j| FaultHook::new().trap(j));
-    arm_recorder(flags);
-    let mut tel = flags.trace.is_some().then(Telemetry::new);
-    let mut recoded =
-        RecodedSpmv::with_stage_timing(a, config, tel.is_some()).map_err(|e| e.to_string())?;
-    apply_injection(&mut recoded, flags)?;
-    let overlap_config =
-        OverlapConfig { overlap: true, cache_blocks: flags.cache_blocks, workers: 0 };
+    apply_injection(&mut recoded, inject_corrupt)?;
+    let overlap_config = OverlapConfig { overlap: true, cache_blocks, workers: 0 };
     // `from_tuned` re-checks the operand really carries the tuned stream.
-    let ex = match &tuned {
-        Some(t) => {
-            OverlapExecutor::from_tuned(&recoded, t, overlap_config).map_err(|e| e.to_string())?
-        }
-        None => OverlapExecutor::new(&recoded, overlap_config),
+    let ex = match (overlap, &tuned) {
+        (false, _) => None,
+        (true, Some(t)) => Some(OverlapExecutor::from_tuned(&recoded, t, overlap_config)?),
+        (true, None) => Some(OverlapExecutor::new(&recoded, overlap_config)),
     };
     let t_total = Instant::now();
     let ctx = RunCtx { hook: hook.as_ref(), tel: tel.as_mut(), ..RunCtx::default() };
-    let (y, stats) = ex.spmv_with(&sys, &x, ctx).map_err(|e| e.to_string())?;
-    finish_spmv_run(flags, &recoded, &sys, tel, &stats, t_total)?;
+    let (y, stats) = match &ex {
+        Some(ex) => ex.spmv_with(&sys, &x, ctx),
+        None => recoded.spmv_with(&sys, SpmvKernel::RowParallel, &x, ctx),
+    }?;
+    let recorded = chrome_trace.as_deref().map(finish_chrome_trace).transpose()?;
+    if let (Some(tel), Some(trace_path)) = (tel, &trace) {
+        let mut doc = recoded.seal(&sys, tel, &stats, &matrix_name(&path), t_total);
+        if let Some(summary) = recorded {
+            doc.attach_recorder(summary);
+        }
+        std::fs::write(trace_path, doc.to_json().to_string_pretty())
+            .map_err(|e| format!("{trace_path}: {e}"))?;
+        println!(
+            "trace ({}) written to {trace_path}: {} spans, {} block events, {} counters",
+            doc.schema,
+            doc.spans.len(),
+            doc.block_events.len(),
+            doc.counters.len()
+        );
+    }
+    let Some(ex) = &ex else {
+        if y != y_ref {
+            return Err("recoded SpMV diverged from the uncompressed kernel".into());
+        }
+        println!(
+            "recoded SpMV verified against the uncompressed kernel ({} rows, bit-exact)",
+            y.len()
+        );
+        println!(
+            "UDP: {} blocks, makespan {} cycles, {:.2} GB/s decompressed, {:.1}% lane utilization",
+            stats.accel.jobs,
+            stats.accel.makespan_cycles,
+            stats.accel.throughput_bps() / 1e9,
+            stats.accel.lane_utilization * 100.0
+        );
+        // The throughput measurement re-decodes sampled blocks outside the
+        // retry/fallback ladder, so it only makes sense on a pristine stream;
+        // an operand with no stored entries has no bytes per non-zero to model.
+        if inject_trap.is_none() && inject_corrupt.is_none() && a.nnz() > 0 {
+            let cm = recoded.compressed();
+            let m = measure_udp_decomp(cm, &sys.udp, 24)?;
+            let model = SpmvPerfModel {
+                bytes_per_nnz: cm.bytes_per_nnz(),
+                udp_out_bps_per_accel: m.accel_out_bps.max(1e9),
+            };
+            println!("\nmodeled on the 100 GB/s DDR4 system ({:.2} B/nnz):", cm.bytes_per_nnz());
+            print!("{}", report::scenarios(&model.evaluate_all(&sys)));
+            let p = PowerSavings::compute(&sys, cm.bytes_per_nnz(), m.accel_out_bps.max(1e9));
+            println!(
+                "iso-performance power: {:.1} W of {:.0} W saved",
+                p.net_saving_w, p.max_power_w
+            );
+        }
+        return Ok(exit_for(&stats));
+    };
     let worst = worst_rel_err(&y, &y_ref);
     if worst > 1e-10 {
         return Err(format!(
             "pipelined SpMV diverged from the uncompressed kernel (worst rel err {worst:.3e})"
-        ));
+        )
+        .into());
     }
     println!(
         "pipelined SpMV verified against the uncompressed kernel ({} rows, worst rel err {:.1e})",
@@ -572,17 +402,17 @@ fn cmd_spmv_overlap(flags: &Flags, a: &Csr) -> Result<ExitCode, String> {
         ov.saved_cycles(),
         stats.accel.lane_utilization * 100.0
     );
-    if flags.cache_blocks > 0 {
+    if cache_blocks > 0 {
         println!(
             "cache: capacity {} blocks; {} hits / {} misses / {} evictions ({} decoded bytes served)",
-            flags.cache_blocks, ov.cache_hits, ov.cache_misses, ov.cache_evictions, ov.cache_hit_bytes
+            cache_blocks, ov.cache_hits, ov.cache_misses, ov.cache_evictions, ov.cache_hit_bytes
         );
     }
-    if flags.iters > 1 {
+    if iters > 1 {
         if a.nrows() != a.ncols() {
             return Err("--iters needs a square matrix".into());
         }
-        let (_, per_iter) = ex.spmv_iter(&sys, &x, flags.iters - 1).map_err(|e| e.to_string())?;
+        let (_, per_iter) = ex.spmv_iter(&sys, &x, iters - 1)?;
         println!("\niterated multiply (decode cycles per iteration):");
         let decode: Vec<u64> = std::iter::once(ov.decode_cycles)
             .chain(per_iter.iter().map(|s| s.overlap.decode_cycles))
@@ -606,11 +436,13 @@ fn cmd_spmv_overlap(flags: &Flags, a: &Csr) -> Result<ExitCode, String> {
 /// digest-keyed `recode-tuned/v2` document for `recode spmv --tuned`.
 /// Selection is purely by modeled cycles, so the written config is a pure
 /// function of the matrix.
-fn cmd_tune(flags: &Flags) -> Result<ExitCode, String> {
-    let a = load(flags)?;
-    let input = &flags.positional[0];
+fn cmd_tune(mut args: Args) -> Outcome {
+    let out: Option<String> = args.value("-o", "a path")?;
+    let input = args.positional("matrix.mtx")?;
+    args.finish()?;
+    let a = load(&input)?;
     println!("tuning {} ({} x {}, {} nnz)...", input, a.nrows(), a.ncols(), a.nnz());
-    let outcome = tune_matrix(&a, &SystemConfig::ddr4()).map_err(|e| e.to_string())?;
+    let outcome = tune_matrix(&a, &SystemConfig::ddr4())?;
     let mut ranked: Vec<&recode_spmv::core::CandidateScore> = outcome.candidates.iter().collect();
     ranked.sort_by_key(|c| c.total_cycles());
     println!(
@@ -629,7 +461,7 @@ fn cmd_tune(flags: &Flags) -> Result<ExitCode, String> {
         );
     }
     let cfg = &outcome.config;
-    let out = flags.output.clone().unwrap_or_else(|| format!("{input}.tuned.json"));
+    let out = out.unwrap_or_else(|| format!("{input}.tuned.json"));
     std::fs::write(&out, cfg.to_json_string()).map_err(|e| format!("{out}: {e}"))?;
     println!(
         "\nwinner: stages {}, block {} B — {} modeled cycles ({} decode + {} multiply)",
@@ -644,30 +476,38 @@ fn cmd_tune(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn load_trace(flags: &Flags) -> Result<recode_spmv::core::telemetry::TraceDocument, String> {
-    let path = flags.positional.first().ok_or("missing trace.json path")?;
+fn load_trace(path: &str) -> Result<recode_spmv::core::telemetry::TraceDocument, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let json = recode_spmv::core::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     recode_spmv::core::telemetry::TraceDocument::from_json(&json)
         .map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_report(flags: &Flags) -> Result<ExitCode, String> {
-    let doc = load_trace(flags)?;
+/// `recode report`: render a trace document as a table.
+fn cmd_report(mut args: Args) -> Outcome {
+    let path = args.positional("trace.json")?;
+    args.finish()?;
+    let doc = load_trace(&path)?;
     print!("{}", recode_spmv::core::telemetry::render_report(&doc));
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_trace_check(flags: &Flags) -> Result<ExitCode, String> {
-    let doc = load_trace(flags)?;
+/// `recode trace-check`: validate a trace document's schema and internal
+/// invariants (exit 1 on a violation); `--bounds` also re-verifies its
+/// stored cycles against the certified envelopes (see [`check_trace_bounds`]).
+fn cmd_trace_check(mut args: Args) -> Outcome {
+    let bounds = args.switch("--bounds");
+    let path = args.positional("trace.json")?;
+    args.finish()?;
+    let doc = load_trace(&path)?;
     let errs = doc.validate();
     if !errs.is_empty() {
         for e in &errs {
             eprintln!("invariant violated: {e}");
         }
-        return Err(format!("trace failed validation with {} error(s)", errs.len()));
+        return Err(format!("trace failed validation with {} error(s)", errs.len()).into());
     }
-    if flags.bounds {
+    if bounds {
         check_trace_bounds(&doc)?;
     }
     println!(
@@ -777,22 +617,21 @@ fn check_trace_bounds(doc: &recode_spmv::core::telemetry::TraceDocument) -> Resu
 /// images it names: a shipped program (`delta`, `snappy`, `huffman`, or
 /// `dsh` for the whole pipeline in stage order; `builtin:` prefix optional)
 /// or a `.udp` assembly file, whose verify findings get source lines.
-fn lane_images(target: Option<&String>) -> Result<Vec<recode_spmv::udp::Image>, String> {
+fn lane_images(target: &str) -> Result<Vec<recode_spmv::udp::Image>, Box<dyn Error>> {
     use recode_spmv::udp::{asm, machine, progs};
-    let target =
-        target.ok_or("needs a .udp file or a builtin (builtin:delta|snappy|huffman|dsh)")?;
-    let built = |r: Result<_, recode_spmv::udp::UdpError>| r.map_err(|e| e.to_string());
     let spelled = target.strip_prefix("builtin:").unwrap_or(target);
     // A representative compiled decoder: uniform 8-bit code lengths
     // (Kraft-complete over 256 symbols).
-    let huffman = || built(progs::huffman::compile(&[8u8; 256]));
+    let huffman = || progs::huffman::compile(&[8u8; 256]);
     Ok(match spelled {
-        "delta" => vec![built(progs::delta::build())?],
-        "snappy" => vec![built(progs::snappy::build())?],
+        "delta" => vec![progs::delta::build()?],
+        "snappy" => vec![progs::snappy::build()?],
         "huffman" => vec![huffman()?],
-        "dsh" => vec![huffman()?, built(progs::snappy::build())?, built(progs::delta::build())?],
+        "dsh" => vec![huffman()?, progs::snappy::build()?, progs::delta::build()?],
         _ if spelled.len() != target.len() => {
-            return Err(format!("unknown builtin `{spelled}` (try delta|snappy|huffman|dsh)"));
+            return Err(
+                format!("unknown builtin `{spelled}` (try delta|snappy|huffman|dsh)").into()
+            );
         }
         path => {
             let src = std::fs::read_to_string(path).map_err(|e| {
@@ -803,15 +642,18 @@ fn lane_images(target: Option<&String>) -> Result<Vec<recode_spmv::udp::Image>, 
                 .map_or_else(|| "program".into(), |s| s.to_string_lossy().into_owned());
             let (program, map) =
                 asm::assemble_text_with_map(&name, &src).map_err(|e| format!("{path}: {e}"))?;
-            let mut image = built(machine::assemble(&program))?;
+            let mut image = machine::assemble(&program)?;
             image.verify_report.attach_lines(&map);
             vec![image]
         }
     })
 }
 
-fn cmd_disasm(flags: &Flags) -> Result<ExitCode, String> {
-    for image in lane_images(flags.positional.first())? {
+/// `recode disasm`: disassemble a lane program (see [`lane_images`]).
+fn cmd_disasm(mut args: Args) -> Outcome {
+    let target = args.positional("file.udp | builtin:NAME")?;
+    args.finish()?;
+    for image in lane_images(&target)? {
         print!("{}", image.disassemble());
     }
     Ok(ExitCode::SUCCESS)
@@ -865,8 +707,10 @@ fn render_bounds_table(image: &recode_spmv::udp::Image) -> String {
 /// Prints the severity-ranked report and the certified per-block bounds
 /// table; exits nonzero when a program carries `Error` findings — the same
 /// findings that make `Lane::run` refuse the image.
-fn cmd_verify_program(flags: &Flags) -> Result<ExitCode, String> {
-    let images = lane_images(flags.positional.first())?;
+fn cmd_verify_program(mut args: Args) -> Outcome {
+    let target = args.positional("file.udp | builtin:NAME")?;
+    args.finish()?;
+    let images = lane_images(&target)?;
     let mut errors = 0usize;
     for image in &images {
         print!("{}", image.verify_report);
@@ -874,7 +718,7 @@ fn cmd_verify_program(flags: &Flags) -> Result<ExitCode, String> {
         errors += image.verify_report.error_count();
     }
     if errors > 0 {
-        return Err(format!("`{}` rejected: {errors} error finding(s)", flags.positional[0]));
+        return Err(format!("`{target}` rejected: {errors} error finding(s)").into());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -883,17 +727,21 @@ fn cmd_verify_program(flags: &Flags) -> Result<ExitCode, String> {
 /// executors. The campaign is a pure function of `--seed` and `--trials`,
 /// so a failing run reproduces exactly from its printed parameters.
 /// `--json` writes the machine-readable summary (the CI artifact).
-fn cmd_chaos(flags: &Flags) -> Result<ExitCode, String> {
+fn cmd_chaos(mut args: Args) -> Outcome {
     use recode_spmv::core::chaos::{run_campaign, ChaosConfig};
-    let config = ChaosConfig { trials: flags.trials, seed: flags.seed };
-    println!("running {} chaos trials with seed {:#x}...", config.trials, config.seed);
-    arm_recorder(flags);
-    let summary = run_campaign(&config);
-    if let Some(ct_path) = &flags.chrome_trace {
+    let trials = args.value("--trials", "an integer >= 1")?.map_or(500, NonZeroUsize::get);
+    let seed = args.value("--seed", "an integer")?.unwrap_or(2019);
+    let json: Option<String> = args.value("--json", "a path")?;
+    let chrome_trace: Option<String> = args.value("--chrome-trace", "a path")?;
+    args.finish()?;
+    println!("running {trials} chaos trials with seed {seed:#x}...");
+    arm_recorder(chrome_trace.as_deref());
+    let summary = run_campaign(&ChaosConfig { trials, seed });
+    if let Some(ct_path) = &chrome_trace {
         finish_chrome_trace(ct_path)?;
     }
     print!("{}", summary.render());
-    if let Some(path) = &flags.json {
+    if let Some(path) = &json {
         std::fs::write(path, summary.to_json()).map_err(|e| format!("{path}: {e}"))?;
         println!("summary written to {path}");
     }
@@ -908,17 +756,19 @@ fn cmd_chaos(flags: &Flags) -> Result<ExitCode, String> {
 /// (default budget, fresh circuit breaker) and print the sealed trace
 /// document as a Prometheus text exposition — the scrape surface for the
 /// pipeline's counters, gauges, and span timings.
-fn cmd_metrics(flags: &Flags) -> Result<ExitCode, String> {
+fn cmd_metrics(mut args: Args) -> Outcome {
     use recode_spmv::core::MetricsSnapshot;
-    let a = load(flags)?;
+    let out: Option<String> = args.value("-o", "a path")?;
+    let config = codec(&mut args)?;
+    let path = args.positional("matrix.mtx")?;
+    args.finish()?;
+    let a = load(&path)?;
     let sys = SystemConfig::ddr4();
     // Arm the flight recorder before compression so the exposition carries
     // per-kind event counters — including the jit_compile events fired
     // while the decoder's lane images are assembled just below.
     recorder::enable(recorder::DEFAULT_CAPACITY);
-    let recoded =
-        RecodedSpmv::with_stage_timing(&a, flags.config, true).map_err(|e| e.to_string())?;
-    let name = matrix_name(flags);
+    let recoded = RecodedSpmv::with_stage_timing(&a, config, true)?;
     let mut breaker = CircuitBreaker::new();
     let (mut tel, t_total) = (Telemetry::new(), Instant::now());
     let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
@@ -927,10 +777,10 @@ fn cmd_metrics(flags: &Flags) -> Result<ExitCode, String> {
         .stats
         .as_ref()
         .ok_or_else(|| format!("job produced no trace document (state {:?})", report.state))?;
-    let mut doc = recoded.seal(&sys, tel, stats, &name, t_total);
+    let mut doc = recoded.seal(&sys, tel, stats, &matrix_name(&path), t_total);
     doc.attach_recorder(RecorderSummary::from_events(&recorder::drain(), recorder::stats()));
     let text = MetricsSnapshot::from_document(&doc).render_prometheus();
-    match &flags.output {
+    match &out {
         Some(path) => {
             std::fs::write(path, &text).map_err(|e| format!("{path}: {e}"))?;
             println!("metrics written to {path} ({} bytes)", text.len());
@@ -944,12 +794,13 @@ fn cmd_metrics(flags: &Flags) -> Result<ExitCode, String> {
 /// (exit 1) when a gated deterministic metric regressed beyond the
 /// threshold. Wall-clock metrics are reported but never gate — baselines
 /// are blessed on whatever machine ran them.
-fn cmd_bench_compare(flags: &Flags) -> Result<ExitCode, String> {
+fn cmd_bench_compare(mut args: Args) -> Outcome {
     use recode_spmv::core::benchcmp::GATE_THRESHOLD;
-    let old_path = flags.positional.first().ok_or("bench-compare needs <old.json> <new.json>")?;
-    let new_path = flags.positional.get(1).ok_or("bench-compare needs <old.json> <new.json>")?;
-    let old = std::fs::read_to_string(old_path).map_err(|e| format!("{old_path}: {e}"))?;
-    let new = std::fs::read_to_string(new_path).map_err(|e| format!("{new_path}: {e}"))?;
+    let old_path = args.positional("old.json")?;
+    let new_path = args.positional("new.json")?;
+    args.finish()?;
+    let old = std::fs::read_to_string(&old_path).map_err(|e| format!("{old_path}: {e}"))?;
+    let new = std::fs::read_to_string(&new_path).map_err(|e| format!("{new_path}: {e}"))?;
     let report = recode_spmv::core::compare_snapshots(&old, &new)?;
     print!("{}", report.render());
     if report.has_regressions() {
@@ -957,24 +808,25 @@ fn cmd_bench_compare(flags: &Flags) -> Result<ExitCode, String> {
             "{} gated metric(s) regressed more than {:.0}% beyond noise",
             report.regressions().len(),
             GATE_THRESHOLD * 100.0
-        ));
+        )
+        .into());
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_gen(flags: &Flags) -> Result<ExitCode, String> {
-    let family = flags.positional.first().ok_or("gen needs a family")?;
-    let target: usize =
-        flags.positional.get(1).and_then(|s| s.parse().ok()).ok_or("gen needs a target nnz")?;
-    let out = flags.output.as_ref().ok_or("gen needs -o <matrix.mtx>")?;
-    // Reuse the corpus parameterization: scan corpus entries for the family
-    // and rescale, or build directly for the common families.
-    let spec = corpus::spec_for_family(family, target, flags.seed)
-        .ok_or_else(|| format!("unknown family {family} (try: {})", FAMILIES.join(", ")))?;
-    let a = recode_spmv::sparse::gen::generate(&spec, flags.seed);
+/// `recode gen`: write a synthetic matrix of one of the corpus families.
+fn cmd_gen(mut args: Args) -> Outcome {
+    let out: String = args.required("-o", "a path")?;
+    let seed = args.value("--seed", "an integer")?.unwrap_or(2019);
+    let family = args.positional("family")?;
+    let target: usize = cli::parse("<target_nnz>", args.positional("target_nnz")?, "an integer")?;
+    args.finish()?;
+    let spec = corpus::spec_for_family(&family, target, seed)
+        .ok_or_else(|| format!("unknown family {family} (try: {})", corpus::FAMILIES.join(", ")))?;
+    let a = recode_spmv::sparse::gen::generate(&spec, seed);
     let mut buf = Vec::new();
-    write_matrix_market(&a, &mut buf).map_err(|e| e.to_string())?;
-    std::fs::write(out, buf).map_err(|e| e.to_string())?;
+    write_matrix_market(&a, &mut buf)?;
+    std::fs::write(&out, buf)?;
     println!("{family} -> {out}: {} x {}, {} nnz", a.nrows(), a.ncols(), a.nnz());
     Ok(ExitCode::SUCCESS)
 }

@@ -6,24 +6,12 @@
 //! lands in a *typed* terminal state — no hangs, no escaped panics, block
 //! accounting intact, every emitted trace valid, every completed result
 //! bit-exact against the reference kernel.
-//!
-//! Trial count defaults to 500 and can be resized for CI smoke runs via
-//! `RECODE_CHAOS_TRIALS` (the same knob the `chaos-smoke` CI job uses).
 
 use recode_spmv::prelude::{run_campaign, ChaosConfig};
 
-fn configured_trials(default: usize) -> usize {
-    match std::env::var("RECODE_CHAOS_TRIALS") {
-        Ok(v) => v.trim().parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-            panic!("bad RECODE_CHAOS_TRIALS value {v:?} (need an integer >= 1)")
-        }),
-        Err(_) => default,
-    }
-}
-
 #[test]
 fn chaos_campaign_terminates_typed_on_every_trial() {
-    let trials = configured_trials(500);
+    let trials = 500;
     let cfg = ChaosConfig { trials, seed: 0xC0FFEE };
     let summary = run_campaign(&cfg);
 
@@ -42,7 +30,7 @@ fn chaos_campaign_terminates_typed_on_every_trial() {
     assert_eq!(summary.outcome("panic-escaped"), 0);
 
     // The plan space is stacked so these injection points appear at ≥10%
-    // per-trial probability — they must show up even in smoke-sized runs.
+    // per-trial probability.
     for point in ["lane-dispatch", "stream-corrupt", "pool-recycle"] {
         assert!(
             summary.by_injection.get(point).copied().unwrap_or(0) > 0,
@@ -63,28 +51,25 @@ fn chaos_campaign_terminates_typed_on_every_trial() {
         summary.render()
     );
 
-    // Rarer coverage (stage-boundary ≈3%, each corruption kind ≈7% of
-    // trials) is only a sound assertion at full campaign size.
-    if trials >= 400 {
+    // Rarer coverage: stage-boundary ≈3%, each corruption kind ≈7% of trials.
+    assert!(
+        summary.by_injection.get("stage-boundary").copied().unwrap_or(0) > 0,
+        "campaign must hit the overlap stage boundary:\n{}",
+        summary.render()
+    );
+    for kind in [
+        "bit-flip",
+        "truncate",
+        "drop-block",
+        "duplicate-block",
+        "reorder-blocks",
+        "header-corrupt",
+    ] {
         assert!(
-            summary.by_injection.get("stage-boundary").copied().unwrap_or(0) > 0,
-            "full campaign must hit the overlap stage boundary:\n{}",
+            summary.by_fault.get(kind).copied().unwrap_or(0) > 0,
+            "campaign must inject fault kind {kind:?}:\n{}",
             summary.render()
         );
-        for kind in [
-            "bit-flip",
-            "truncate",
-            "drop-block",
-            "duplicate-block",
-            "reorder-blocks",
-            "header-corrupt",
-        ] {
-            assert!(
-                summary.by_fault.get(kind).copied().unwrap_or(0) > 0,
-                "full campaign must inject fault kind {kind:?}:\n{}",
-                summary.render()
-            );
-        }
     }
 }
 

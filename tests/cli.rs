@@ -383,15 +383,68 @@ fn disasm_and_verify_program_resolve_the_same_targets() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A flag its command does not read is a usage error naming the flag and
+/// the command, never a silent no-op; so are a missing or an extra operand
+/// and a value that does not parse. Every one exits 2 with the command's
+/// usage line, before any file is read. A failed run exits 1.
 #[test]
 fn cli_rejects_bad_usage() {
     let out = bin().output().expect("run bare");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("families: stencil2d, stencil2d9"));
     let out = bin().args(["info", "/nonexistent/file.mtx"]).output().expect("run info");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     let out =
         bin().args(["gen", "nosuchfamily", "1000", "-o", "/tmp/x.mtx"]).output().expect("gen");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown family"), "{err}");
+
+    let cases: [(&[&str], &str); 20] = [
+        (&["info", "x", "--overlap"], "`recode info` does not take --overlap"),
+        (&["compress", "x", "-o", "y", "--seed", "3"], "`recode compress` does not take --seed"),
+        (&["decompress", "x", "-o", "y", "--json"], "`recode decompress` does not take --json"),
+        (&["spmv", "x", "--bounds"], "`recode spmv` does not take --bounds"),
+        (&["tune", "x", "--config", "ds"], "`recode tune` does not take --config"),
+        (&["report", "x", "--bounds"], "`recode report` does not take --bounds"),
+        (&["trace-check", "x", "--json", "y"], "`recode trace-check` does not take --json"),
+        (&["gen", "rmat", "9", "-o", "y", "--trials", "3"], "`recode gen` does not take --trials"),
+        (&["disasm", "delta", "--bounds"], "`recode disasm` does not take --bounds"),
+        (&["verify-program", "delta", "-o", "y"], "`recode verify-program` does not take -o"),
+        (&["chaos", "--overlap"], "`recode chaos` does not take --overlap"),
+        (&["metrics", "x", "--trace", "t.json"], "`recode metrics` does not take --trace"),
+        (&["bench-compare", "x", "y", "--bogus"], "`recode bench-compare` does not take --bogus"),
+        (&["info"], "missing operand <matrix.mtx>"),
+        (&["gen", "stencil2d", "100"], "missing value for -o"),
+        (&["bench-compare", "x"], "missing operand <new.json>"),
+        (&["info", "x", "extra.mtx"], "unexpected operand `extra.mtx`"),
+        (&["chaos", "--trials", "0"], "bad --trials `0` (expected an integer >= 1)"),
+        (&["spmv", "x", "--config", "zstd"], "bad --config `zstd` (expected dsh|ds|snappy)"),
+        (&["gen", "stencil2d", "many", "-o", "y"], "bad <target_nnz> `many`"),
+    ];
+    for (argv, why) in cases {
+        let out = bin().args(argv).output().expect("run recode");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+        assert!(err.contains(why), "{argv:?}: {err}");
+        assert!(err.contains(&format!("usage: recode {} ", argv[0])), "{argv:?}: {err}");
+        assert!(out.stdout.is_empty(), "{argv:?} ran: {}", String::from_utf8_lossy(&out.stdout));
+    }
+}
+
+/// A reader that stops early ends the run by SIGPIPE, as it ends `cat`: no
+/// panic and no exit 101. The listing outgrows a pipe buffer, so one of its
+/// writes always finds the pipe closed.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::process::Stdio;
+    let mut cmd = bin();
+    cmd.args(["disasm", "dsh"]).stdout(Stdio::piped()).stderr(Stdio::piped());
+    let mut child = cmd.spawn().expect("spawn recode");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for recode");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked") && out.status.code() != Some(101), "{err}");
+    #[cfg(unix)]
+    assert_eq!(std::os::unix::process::ExitStatusExt::signal(&out.status), Some(13), "{err}");
 }
