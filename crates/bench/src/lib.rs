@@ -6,7 +6,9 @@ use recode_core::corpus::{corpus, CorpusEntry, CorpusScale};
 use recode_core::experiment::{materialize, spmv_study};
 use recode_core::json::ToJson;
 use recode_core::{report, seven, SystemConfig};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// The flags [`Args::parse`] reads.
 pub const USAGE: &str =
@@ -30,16 +32,28 @@ pub struct Args {
     pub json: Option<PathBuf>,
 }
 
+/// A `--rep-scale` value: a number in (0, 1].
+struct RepScale(f64);
+
+impl FromStr for RepScale {
+    type Err = ();
+    fn from_str(s: &str) -> Result<RepScale, ()> {
+        s.parse().ok().filter(|f| *f > 0.0 && *f <= 1.0).map(RepScale).ok_or(())
+    }
+}
+
 impl Args {
-    /// Reads the harness flags from `args`; any other token is a
-    /// [`UsageError`].
+    /// Reads the harness flags from `args`; any other token, a `--sample`
+    /// of 0 or a `--rep-scale` outside (0, 1] is a [`UsageError`].
     pub fn parse(mut args: cli::Args) -> Result<Args, UsageError> {
         let parsed = Args {
             scale: args.value("--scale", "small|medium|paper")?.unwrap_or(CorpusScale::Medium),
-            sample: args.value("--sample", "an integer")?,
+            sample: args.value("--sample", "an integer >= 1")?.map(NonZeroUsize::get),
             seed: args.value("--seed", "an integer")?.unwrap_or(2019),
             blocks: args.value("--blocks", "an integer")?.unwrap_or(24),
-            rep_scale: args.value("--rep-scale", "a number")?.unwrap_or(0.05),
+            rep_scale: args
+                .value("--rep-scale", "a number in (0, 1]")?
+                .map_or(0.05, |r: RepScale| r.0),
             json: args.value("--json", "a path")?,
         };
         args.finish()?;
@@ -121,7 +135,17 @@ mod tests {
     #[test]
     fn parse_refuses_a_bad_value_a_missing_one_and_an_unknown_flag() {
         let e = parse(&["--sample", "abc"]).unwrap_err();
-        assert_eq!(e.to_string(), "bad --sample `abc` (expected an integer)");
+        assert_eq!(e.to_string(), "bad --sample `abc` (expected an integer >= 1)");
+        let e = parse(&["--sample", "0"]).unwrap_err();
+        assert_eq!(e.to_string(), "bad --sample `0` (expected an integer >= 1)");
+        for bad in ["0", "nan", "1.5"] {
+            let e = parse(&["--rep-scale", bad]).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!("bad --rep-scale `{bad}` (expected a number in (0, 1])")
+            );
+        }
+        assert_eq!(parse(&["--rep-scale", "1"]).unwrap().rep_scale, 1.0);
         assert_eq!(parse(&["--json"]).unwrap_err(), UsageError::MissingValue("--json".into()));
         assert!(matches!(parse(&["--scale", "huge"]), Err(UsageError::BadValue { .. })));
         assert!(matches!(parse(&["--bogus"]), Err(UsageError::UnexpectedFlag { .. })));

@@ -1,35 +1,18 @@
-//! Alternative sparse formats from the paper's related work (§VI-B).
+//! The two alternative sparse formats the SpMV kernels run on
+//! ([`crate::spmv::SpmvKernel::SellCSigma`] and
+//! [`crate::spmv::SpmvKernel::PartialDiagonal`]):
 //!
-//! The paper positions UDP recoding *against* format-specialized
-//! compression: "many block-oriented, customized data storage formats have
-//! been proposed … In contrast, our approach requires no specialized coding
-//! and format design for the CPU". These modules implement the cited
-//! baselines so that comparison can actually be run (see the
-//! `ablation_formats` binary):
-//!
-//! * [`ell`] — ELLPACK, the classic padded SIMD/GPU format;
 //! * [`sellcs`] — SELL-C-σ (Kreutzer et al. \[27\]), sliced ELLPACK with a
 //!   sorting window;
-//! * [`bbcsr`] — bitmasked register blocks (after Buluç et al. \[15\]):
-//!   r×c register blocks carrying a bitmask instead of per-element indices;
 //! * [`pdiag`] — partially-diagonal storage (after Fukaya et al.): dense
-//!   diagonal runs split from a CSR remainder;
-//! * [`vcsr`] — varint-delta compressed CSR (after Lawlor \[28\]):
-//!   per-row delta+varint column indices decoded *inline* during SpMV —
-//!   the "CPU pays for decompression in the kernel" design point.
+//!   diagonal runs split from a CSR remainder.
 //!
-//! Every format provides lossless `from_csr`/`to_csr`, its own SpMV agreeing
-//! with the CSR kernels, and an `index_bytes()` accounting so the
-//! bytes-per-non-zero comparison against DSH recoding is apples-to-apples.
+//! Each provides lossless `from_csr`/`to_csr`, its own SpMV agreeing with
+//! the CSR kernels, and a byte accounting; `SellCs::bytes_per_nnz` is also
+//! the SELL-C-σ column of the `ablation_formats` binary.
 
-pub mod bbcsr;
-pub mod ell;
 pub mod pdiag;
 pub mod sellcs;
-pub mod vcsr;
 
-pub use bbcsr::BitmaskBlockCsr;
-pub use ell::Ell;
 pub use pdiag::PartialDiag;
 pub use sellcs::SellCs;
-pub use vcsr::VarintCsr;

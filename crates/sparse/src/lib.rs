@@ -11,16 +11,19 @@
 //!   reference type, with lossless
 //!   conversions between them. `Csr` uses 4-byte column indices and 8-byte
 //!   values, matching the paper's 12 bytes-per-non-zero baseline.
+//!   [`formats`] holds the two the SELL-C-σ and partial-diagonal kernels run
+//!   on.
 //! * **SpMV kernels** — the paper's basic CSR kernel (Fig. 2), a
-//!   row-parallel kernel on scoped threads, and a merge-based kernel in the style of
-//!   Merrill & Garland (the strongest CPU baseline the paper cites).
+//!   row-parallel kernel on scoped threads, a merge-based kernel in the style of
+//!   Merrill & Garland (the strongest CPU baseline the paper cites), and the
+//!   SELL-C-σ and partial-diagonal kernels.
 //! * **I/O** — a MatrixMarket reader/writer so real TAMU/SuiteSparse
 //!   matrices can be dropped into any experiment.
-//! * **Generators** — ten deterministic synthetic families standing in for
+//! * **Generators** — eleven deterministic synthetic families standing in for
 //!   the TAMU collection (see `DESIGN.md` §3 for the substitution
-//!   rationale): stencils, FEM-like variable bands, multi-diagonal,
-//!   block-Jacobian, circuit, RMAT, Erdős–Rényi, Kronecker, Laplacian and
-//!   rank-structured matrices, each with a controllable value model.
+//!   rationale): 2D and 3D stencils, FEM-like variable bands, multi-diagonal,
+//!   block-Jacobian, circuit, RMAT, Erdős–Rényi, Kronecker, small-world and
+//!   Laplacian matrices, each with a controllable value model.
 //! * **Reordering** — reverse Cuthill–McKee, used by the ablation studies to
 //!   show how locality-improving permutations amplify delta recoding.
 //! * **Statistics** — structural and value-entropy statistics used to

@@ -4,7 +4,6 @@
 //! Each property runs its cases through [`for_each_case`]; a failure prints
 //! `(seed, case)`.
 
-use recode_sparse::formats::{BitmaskBlockCsr, Ell, SellCs, VarintCsr};
 use recode_sparse::prelude::*;
 use recode_sparse::reorder::{reverse_cuthill_mckee, Permutation};
 use recode_sparse::util::{approx_eq, for_each_case, SplitMix64};
@@ -136,40 +135,6 @@ fn identity_permutation_roundtrip() {
             assert_eq!(v as usize, i);
         }
     }
-}
-
-#[test]
-fn all_formats_round_trip_and_agree_on_spmv() {
-    for_each_case(0x5BA5_0009, CASES, |rng| {
-        let a = random_csr(rng);
-        let c = 1 + rng.below(8);
-        let x: Vec<f64> = (0..a.ncols()).map(|i| ((i % 5) as f64) - 2.0).collect();
-        let want = a.to_dense().matvec(&x);
-        let close = |got: &[f64]| {
-            got.iter().zip(&want).all(|(g, w)| (g - w).abs() <= 1e-9 * w.abs().max(1.0))
-        };
-
-        let ell = Ell::from_csr(&a).unwrap();
-        assert_eq!(ell.to_csr(), a);
-        let mut y = vec![0.0; a.nrows()];
-        ell.spmv_into(&x, &mut y);
-        assert!(close(&y));
-
-        let sell = SellCs::from_csr(&a, c, 4 * c).unwrap();
-        assert_eq!(sell.to_csr(), a);
-        sell.spmv_into(&x, &mut y);
-        assert!(close(&y));
-
-        let bb = BitmaskBlockCsr::from_csr(&a).unwrap();
-        assert_eq!(bb.to_csr(), a);
-        bb.spmv_into(&x, &mut y);
-        assert!(close(&y));
-
-        let v = VarintCsr::from_csr(&a).unwrap();
-        assert_eq!(v.to_csr(), a);
-        v.spmv_into(&x, &mut y);
-        assert!(close(&y));
-    });
 }
 
 #[test]
