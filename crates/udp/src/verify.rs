@@ -20,14 +20,16 @@
 //! 3. **Scratchpad bounds** — interval abstract interpretation over register
 //!    values (join = hull, widening after repeated visits) proves or refutes
 //!    that every load/store lands inside the 64 KB scratchpad, and checks
-//!    the `r15` output contract at halt. Stream-consuming loops that never
-//!    re-check `inrem` are flagged as potential input over-runs.
+//!    the `r15` output contract at halt.
 //! 4. **Termination / cycle budget** — Tarjan SCCs find loops; a loop with
 //!    no exit edge (or whose only exits test loop-invariant registers) is a
 //!    `Diverges` finding, and each loop's worst-case per-iteration cycle
 //!    cost is reported so callers can budget against the lane's
 //!    [`CYCLE_LIMIT`]. Acyclic programs get a longest-path cycle bound
-//!    checked against the budget.
+//!    checked against the budget. A stream-consuming loop that never
+//!    re-checks `inrem` is flagged as a potential input over-run, unless it
+//!    is a *counted stream loop*, whose trip count was fixed from `inrem`
+//!    before it was entered.
 //! 5. **Dispatch tables** — multi-way dispatch completeness and target
 //!    validity, at the image level: uncovered symbols that would trap,
 //!    uncovered symbols that *alias into foreign code words* (EffCLiP packs
@@ -62,7 +64,7 @@ use crate::asm::SourceMap;
 use crate::effclip::Placement;
 use crate::error::UdpError;
 use crate::isa::{
-    Action, Block, BlockId, OpClass, Role, Transition, Width, NUM_REGS, SCRATCHPAD_BYTES,
+    Action, Block, BlockId, Cond, OpClass, Role, Transition, Width, NUM_REGS, SCRATCHPAD_BYTES,
 };
 use crate::lane::{CYCLE_LIMIT, OUT_BASE};
 use crate::machine::{DecodedTransition, Image};
@@ -501,6 +503,21 @@ fn block_consumes_stream(blk: &Block) -> u64 {
     }
 }
 
+/// The bytes `a` advances register `c` by, when it is a constant forward
+/// step of `c` — the writes a *valid cursor* may take in a loop, for the
+/// certifier's progress accounting and for a counted stream loop alike.
+fn cursor_advance(a: Action, c: u8) -> Option<u64> {
+    match a {
+        Action::AddI { rd, rs, imm } if rd == c && rs == c && imm > 0 => Some(imm as u64),
+        // `loadinc rd, base` with rd == base ends holding the loaded value,
+        // not the bumped cursor, so it only advances when the destination is
+        // a different register.
+        Action::LoadInc { rd, base, width } if base == c && rd != c => Some(width.bytes() as u64),
+        Action::StoreInc { base, width, .. } if base == c => Some(width.bytes() as u64),
+        _ => None,
+    }
+}
+
 /// `true` for pure ALU ops whose only effect is the register write — the
 /// candidates for dead-write findings.
 fn is_pure_alu(a: Action) -> bool {
@@ -872,6 +889,12 @@ impl<'a> Verifier<'a> {
     /// The actions of CFG node `node`: none for a group node.
     fn actions(&self, node: usize) -> &'a [Action] {
         self.p.blocks.get(node).map_or(&[], |b| &b.actions)
+    }
+
+    /// The reachable CFG nodes with an edge into node `v`.
+    fn preds(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        let into_v = move |&u: &usize| self.g.succ[u].contains(&(v as BlockId));
+        (0..self.g.succ.len()).filter(move |&u| self.g.reachable[u]).filter(into_v)
     }
 
     /// What one visit of CFG node `node` costs: nothing for a group node.
@@ -1309,7 +1332,7 @@ impl<'a> Verifier<'a> {
                     ),
                 );
             }
-            if consumes_stream && !checks_inrem {
+            if consumes_stream && !checks_inrem && !self.is_counted_stream_loop(scc, &members) {
                 self.report.push(
                     Severity::Warn,
                     Analysis::StreamBounds,
@@ -1341,6 +1364,112 @@ impl<'a> Verifier<'a> {
                     ),
                 );
             }
+        }
+    }
+
+    /// Whether `scc` is a *counted stream loop* (DESIGN §10, item 4): one
+    /// that reads the stream without asking `inrem`, because its trip count
+    /// was fixed from `inrem` before it was entered. That takes
+    ///
+    /// * (a) one straight chain of blocks, whose only exit is the back-edge
+    ///   `bltu c, L, head`;
+    /// * (b) the same `B` stream bits a trip, read at fixed widths, and the
+    ///   same `k > 0` bytes of cursor advance ([`cursor_advance`], the only
+    ///   writes to `c`), with `L` not written;
+    /// * (c) on the one path in, `L` last set to `c + ((r >> s) << t)` for an
+    ///   `r` from `inrem`, no stream read or write to `c` after that `inrem`,
+    ///   `2^s ≥ B` and `2^t ≤ k`;
+    /// * (d) a branch on that path that skips the loop when `L == c`;
+    ///
+    /// and the interval fixpoint puts `c` and `L` in `[0, 2^63)` on entry, so
+    /// `c` cannot wrap past `L`. The loop then runs at most `⌊inrem / 2^s⌋`
+    /// trips of `B ≤ 2^s` bits: no trip can under-run the stream.
+    fn is_counted_stream_loop(&self, scc: &[BlockId], members: &[bool]) -> bool {
+        let mut back = None;
+        for &b in scc {
+            match self.p.blocks.get(b as usize).map(|blk| blk.transition) {
+                Some(Transition::Jump(to)) if members[to as usize] => {}
+                Some(Transition::Branch { cond: Cond::Ltu, rs, rt, taken, fallthrough })
+                    if back.is_none()
+                        && members[taken as usize]
+                        && !members[fallthrough as usize] =>
+                {
+                    back = Some((rs, rt, taken as usize));
+                }
+                _ => return false,
+            }
+        }
+        let Some((c, lim, head)) = back else { return false };
+        let mut entries = (scc.iter().map(|&m| m as usize))
+            .flat_map(|m| self.preds(m).filter(|&u| !members[u]).map(move |u| (u, m)));
+        let (Some((pred, into)), None) = (entries.next(), entries.next()) else { return false };
+        if c == 0 || lim == 0 || into != head || members[self.p.entry as usize] {
+            return false;
+        }
+        let (mut bits, mut k) = (0u64, 0u64);
+        for &b in scc {
+            let blk = &self.p.blocks[b as usize];
+            bits += block_consumes_stream(blk);
+            for &a in &blk.actions {
+                if matches!(a, Action::SkipReg { .. }) || action_writes(a).any(|w| w == lim) {
+                    return false;
+                }
+                if action_writes(a).any(|w| w == c) {
+                    let Some(step) = cursor_advance(a, c) else { return false };
+                    k += step;
+                }
+            }
+        }
+        let mut regs = self.entry_state[pred];
+        for &a in self.actions(pred) {
+            interval_step(&mut regs, a);
+        }
+        let no_wrap = regs[c as usize].lo >= 0 && regs[lim as usize].lo >= 0;
+        // Backwards along the path in: the guard, then the last writes of
+        // `L`, of its shifted and of its unshifted count, and the `inrem`. A
+        // chain of sole predecessors cannot cycle: it ends at the entry.
+        let (mut next, mut at, mut want, mut found) = (head, pred, lim, 0);
+        let (mut shifts, mut guarded) = ([0u32; 2], false);
+        loop {
+            let Some(blk) = self.p.blocks.get(at) else { return false };
+            if let Transition::Branch { cond, rs, rt, taken, fallthrough } = blk.transition {
+                let (taken, fallthrough) = (taken as usize, fallthrough as usize);
+                let skips = match cond {
+                    Cond::Eq => fallthrough == next && taken != next,
+                    Cond::Ne => taken == next && fallthrough != next,
+                    _ => false,
+                };
+                guarded |= found == 0 && skips && (rs == c && rt == lim || rs == lim && rt == c);
+            }
+            for &a in blk.actions.iter().rev() {
+                if action_consumes_stream(a) || action_writes(a).any(|w| w == c) {
+                    return false;
+                }
+                if !action_writes(a).any(|w| w == want) {
+                    continue;
+                }
+                want = match (found, a) {
+                    (0, Action::Add { rs, rt, .. }) if rs == c => rt,
+                    (0, Action::Add { rs, rt, .. }) if rt == c => rs,
+                    (1, Action::ShlI { rs, amount, .. }) | (2, Action::ShrI { rs, amount, .. }) => {
+                        shifts[found - 1] = u32::from(amount);
+                        rs
+                    }
+                    (3, Action::InRem { .. }) => {
+                        let [t, s] = shifts;
+                        let widths = bits > 0 && 1 << s >= bits && k > 0 && 1 << t <= k;
+                        return guarded && no_wrap && widths;
+                    }
+                    _ => return false,
+                };
+                found += 1;
+            }
+            if at == self.p.entry as usize {
+                return false;
+            }
+            let mut preds = self.preds(at);
+            let (Some(p), None) = (preds.next(), preds.next()) else { return false };
+            (next, at) = (at, p);
         }
     }
 
@@ -1458,17 +1587,7 @@ impl<'a> Verifier<'a> {
         // A register is a *valid cursor* when every write to it inside a
         // cyclic block strictly advances it; writes in acyclic blocks are
         // resets (each runs ≤ once, so they bound the phase count).
-        let advancing = |a: &Action, c: u8| -> bool {
-            match *a {
-                Action::AddI { rd, rs, imm } => rd == c && rs == c && imm > 0,
-                // `loadinc rd, base` with rd == base ends holding the
-                // loaded value, not the bumped cursor, so it only advances
-                // when the destination is a different register.
-                Action::LoadInc { rd, base, .. } => base == c && rd != c,
-                Action::StoreInc { base, .. } => base == c,
-                _ => false,
-            }
-        };
+        let advancing = |a: &Action, c: u8| cursor_advance(*a, c).is_some();
         let mut cursor_valid = [false; NUM_REGS];
         let mut cursor_resets = [0u64; NUM_REGS];
         for c in 1..NUM_REGS as u8 {
@@ -2030,6 +2149,27 @@ done:
         assert_eq!(bound(1), MaxBound { fixed: 5 + 9, per_input_bit: 2 });
         assert_eq!(bound(2), MaxBound { fixed: 5 + 9, per_input_bit: 1 });
         assert_eq!(bound(8), MaxBound { fixed: 5 + 9, per_input_bit: 1 });
+    }
+
+    #[test]
+    fn a_counted_stream_loop_needs_a_fixed_cursor_step_and_a_fixed_limit() {
+        // One trip per whole 64 bits, plus one action in the loop: stepping
+        // the cursor back, or the limit on, unties the trip count from `inrem`.
+        let counted = |extra: &str| {
+            format!(
+                ".entry m\nm:\n    mov r2, r14\n    inrem r3\n    shri r9, r3, 6\n    \
+                 shli r9, r9, 3\n    add r9, r9, r2\n    beq r9, r2, done\nloop:\n    \
+                 insymle r1, 8\n    storedi r1, r2\n{extra}    bltu r2, r9, loop\ndone:\n    \
+                 sub r15, r2, r14\n    halt\n"
+            )
+        };
+        let warns = |extra: &str| {
+            let r = report_for(&counted(extra));
+            r.findings.iter().any(|f| f.analysis == Analysis::StreamBounds)
+        };
+        assert!(!warns(""));
+        assert!(warns("    addi r2, r2, -4\n"));
+        assert!(warns("    addi r9, r9, 8\n"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `Lane::run_into_interp` forces the predecoded interpreter; and
 //! `Lane::run_reference` re-decodes every code word at dispatch time. These
 //! tests drive all three tiers over every builtin decoder program (on real
-//! encoded streams and on corrupted ones) and over the full 16-program
+//! encoded streams and on corrupted ones) and over the full 22-program
 //! negative corpus, asserting bit-identical outputs, cycle counts, opclass
 //! attribution — and identical traps. Any divergence means a lowering
 //! changed machine semantics. Under `RECODE_NO_JIT=1` (CI's
@@ -151,14 +151,21 @@ fn corrupted_payloads_trap_identically() {
     }
 }
 
-/// The full ISSUE-4 negative corpus: deliberately broken programs, run with
-/// the verifier gate bypassed. Whatever each one does — trap, halt with
-/// output, burn the cycle budget — both interpreter paths must do the same.
+/// The full verifier corpus: deliberately broken programs, and the one
+/// counted stream loop that is not, run with the verifier gate bypassed.
+/// Whatever each one does — trap, halt with output, burn the cycle budget —
+/// both interpreter paths must do the same.
 #[test]
 fn negative_corpus_paths_agree() {
-    let corpus: [(&str, &str); 16] = [
+    let corpus: [(&str, &str); 22] = [
         ("bad_output", include_str!("corpus/bad_output.udp")),
         ("budget_overflow_loop", include_str!("corpus/budget_overflow_loop.udp")),
+        ("counted_loop_constant_limit", include_str!("corpus/counted_loop_constant_limit.udp")),
+        ("counted_loop_cursor_wraps", include_str!("corpus/counted_loop_cursor_wraps.udp")),
+        ("counted_loop_no_guard", include_str!("corpus/counted_loop_no_guard.udp")),
+        ("counted_loop_read_after_inrem", include_str!("corpus/counted_loop_read_after_inrem.udp")),
+        ("counted_loop_shift_too_small", include_str!("corpus/counted_loop_shift_too_small.udp")),
+        ("counted_stream_loop", include_str!("corpus/counted_stream_loop.udp")),
         ("dead_write", include_str!("corpus/dead_write.udp")),
         ("dispatch_per_bit", include_str!("corpus/dispatch_per_bit.udp")),
         ("empty_group", include_str!("corpus/empty_group.udp")),

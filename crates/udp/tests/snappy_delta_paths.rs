@@ -12,7 +12,8 @@
 //!   length at every offset tier (run extension included), every literal
 //!   length and the extended lengths on both sides of a loop trip, and a cut
 //!   inside every operand; inverse delta gets every word count around its
-//!   two-word trip, a ragged tail, and the sums that wrap.
+//!   two-word trip, the guard that skips its pair loop, every bit length of
+//!   a valid stream, a ragged tail, and the sums that wrap.
 //!
 //! Every run goes through all three tiers (`common::differential`): output,
 //! cycles, opclass attribution and traps agree exactly, under the JIT and
@@ -20,11 +21,11 @@
 
 mod common;
 
-use common::differential;
+use common::{differential, differential_on};
 use recode_codec::{delta, snappy};
 use recode_sparse::gen::{generate, GenSpec, ValueModel};
 use recode_sparse::util::SplitMix64;
-use recode_udp::lane::{LaneError, RunConfig};
+use recode_udp::lane::{Lane, LaneError, RunConfig};
 use recode_udp::machine::Image;
 use recode_udp::progs;
 
@@ -508,14 +509,16 @@ fn a_cut_inside_any_operand_underflows() {
 // ---------------------------------------------------------------------------
 
 /// Modeled cycles of the inverse-delta program on `words` whole input words:
-/// init (5) and the first word (5), then per trip the test (2) and two words
-/// in three blocks (15) — or, for a last odd word, both tests (2 + 1) and one
-/// word in two blocks (9) — and the way out: both tests and done (2 + 1 + 2).
-/// An empty stream leaves from init (5 + 2).
+/// init (5), the first word (5), the pair loop's limit and guard (4), and the
+/// way out, `tail`'s test (2) and done (2). With any pair left the guard falls
+/// through to the loop (1), which costs two words in three blocks a trip (15)
+/// and falls through to `tail` (1); a last odd word is one word in two blocks
+/// (9) and `tail`'s test again (2). An empty stream leaves from init (5 + 2).
 fn delta_cycles(words: usize) -> u64 {
     let Some(rest) = words.checked_sub(1) else { return 5 + 2 };
     let (pairs, odd) = ((rest / 2) as u64, (rest % 2) as u64);
-    5 + 5 + 17 * pairs + 12 * odd + 5
+    let trips = if pairs > 0 { 1 + 15 * pairs + 1 } else { 0 };
+    5 + 5 + 4 + 2 + 2 + trips + (9 + 2) * odd
 }
 
 /// Encodes `indices` with differences that wrap 32 bits — the lane's sums
@@ -538,6 +541,58 @@ fn check_delta(image: &Image, indices: &[u32], context: &str) {
         assert_eq!(r.output, software, "{context}: software");
     }
     assert_eq!(r.cycles, delta_cycles(indices.len()), "{context}: cycles off the cost table");
+}
+
+/// The paths around the pair loop's guard, by name: one word leaves `init`
+/// through the guard and finds `tail` empty; two words take the guard too and
+/// the second goes through `tail`'s one-word body; three make the loop's first
+/// and only trip.
+#[test]
+fn delta_guard_path_and_first_trip() {
+    let image = progs::delta::build().unwrap();
+    for (indices, cycles, what) in [
+        (&[7u32][..], 18, "one word: the guard skips the loop"),
+        (&[7, 3], 18 + 11, "two words: the guard, then tail's one-word body"),
+        (&[7, 3, 12], 18 + 2 + 15, "three words: one trip"),
+    ] {
+        assert_eq!(delta_cycles(indices.len()), cycles, "{what}");
+        check_delta(&image, indices, what);
+    }
+}
+
+/// A valid ten-word stream cut at every bit length from 0 to 320: a whole
+/// number of words decodes to that many indices in the table's cycles, and
+/// anything else underflows in a one-word `insymle` (it wants a byte and
+/// finds the ragged bits) identically on all three tiers. Wherever the cut
+/// is whole bytes, the software decoder agrees.
+#[test]
+fn delta_every_bit_length_of_a_valid_stream() {
+    let image = progs::delta::build().unwrap();
+    let indices = [40u32, 41, 45, 44, 100, 7, 7, 8, 1 << 30, 3];
+    let stream = delta::encode_u32(&indices).unwrap();
+    assert_eq!(stream.len() * 8, 320);
+    let mut lanes = [Lane::new(), Lane::new(), Lane::new()];
+    for bits in 0..=320usize {
+        let input = &stream[..bits.div_ceil(8)];
+        let context = format!("{bits} of 320 bits");
+        let run = differential_on(&mut lanes, &image, input, bits, RunConfig::default(), &context);
+        let words = bits / 32;
+        let want: Vec<u8> = indices[..words].iter().flat_map(|w| w.to_le_bytes()).collect();
+        match run {
+            Ok(r) if bits % 32 == 0 => {
+                assert_eq!(r.output, want, "{context}: output");
+                assert_eq!(r.cycles, delta_cycles(words), "{context}: cycles off the cost table");
+            }
+            Err(LaneError::StreamUnderflow { wanted: 8, available }) if bits % 32 != 0 => {
+                assert_eq!(available, bits % 8, "{context}");
+            }
+            run => panic!("{context}: {run:?}"),
+        }
+        if bits % 8 == 0 {
+            let software = delta::decode_bytes(input);
+            assert_eq!(software.ok(), (bits % 32 == 0).then_some(want), "{context}: software");
+        }
+    }
 }
 
 /// Every word count around the two-word trip, odd and even, with deltas of

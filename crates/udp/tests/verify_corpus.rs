@@ -98,6 +98,47 @@ fn stream_consuming_loop_without_inrem_is_flagged() {
     assert_eq!(f.line, Some(5), "{f}");
 }
 
+/// A loop that reads the stream with no `inrem` in it is clean when its
+/// trip count was fixed from `inrem` on the way in: it never under-runs, on
+/// any input length.
+#[test]
+fn counted_stream_loop_verifies_clean() {
+    let src = include_str!("corpus/counted_stream_loop.udp");
+    let r = report("counted", src);
+    assert!(r.is_clean(), "{r}");
+    let image = assemble(&assemble_text_with_map("counted", src).unwrap().0).unwrap();
+    let input = [0xA5u8; 32];
+    for bits in 0..=256 {
+        let out = Lane::new().run(&image, &input, bits, RunConfig::default());
+        assert_eq!(out.map(|r| r.output.len()), Ok(bits / 64 * 8), "{bits} bits");
+    }
+}
+
+/// Each way of breaking the counted loop's proof obligation leaves the
+/// `stream-bounds` warning at the loop head, and each fixture has an input
+/// on which its loop does under-run the stream. The last one meets (a)–(d)
+/// of the rule; only the interval domain's `[0, 2^63)` for its cursor, which
+/// it does not get, would keep the cursor from wrapping past the limit.
+#[test]
+fn counted_stream_loops_that_can_under_run_still_warn() {
+    let cases = [
+        (include_str!("corpus/counted_loop_constant_limit.udp"), 11, 0),
+        (include_str!("corpus/counted_loop_shift_too_small.udp"), 11, 96),
+        (include_str!("corpus/counted_loop_no_guard.udp"), 11, 0),
+        (include_str!("corpus/counted_loop_read_after_inrem.udp"), 12, 64),
+        (include_str!("corpus/counted_loop_cursor_wraps.udp"), 12, 64),
+    ];
+    for (src, head, bits) in cases {
+        let r = report("counted", src);
+        let f = expect(&r, Analysis::StreamBounds, Severity::Warn);
+        assert_eq!(f.line, Some(head), "{f}");
+        assert_eq!(r.warn_count(), 1, "{r}");
+        let image = assemble(&assemble_text_with_map("counted", src).unwrap().0).unwrap();
+        let run = Lane::new().run(&image, &[0xA5; 16], bits, RunConfig::default());
+        assert!(matches!(run, Err(LaneError::StreamUnderflow { .. })), "{bits} bits: {run:?}");
+    }
+}
+
 #[test]
 fn empty_dispatch_group_is_an_error() {
     let r = report("emptygroup", include_str!("corpus/empty_group.udp"));
