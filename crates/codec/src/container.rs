@@ -4,12 +4,17 @@
 //!
 //! | field | bytes |
 //! |---|---|
-//! | magic `RCMX`, version (`u32`, = 1) | 4 + 4 |
+//! | magic `RCMX`, version (`u32`, = 2) | 4 + 4 |
 //! | `nrows`, `ncols`, `nnz` | 3 × 8 |
 //! | `row_ptr` (`nrows + 1` entries) | 8 each |
 //! | index config, value config: flags (`delta` 1, `snappy` 2, `huffman` 4), `block_bytes`, `huffman_sample_every` | 2 × (1 + 8 + 8) |
 //! | index table, value table: present (0/1), then length + code lengths | 2 × (1 [+ 8 + n]) |
 //! | index stream, value stream: `block_bytes`, `total_uncompressed`, block count, then per block `bit_len`, `uncompressed_len`, `seq` (`u32`), `checksum` (`u32`), payload length, payload | 2 × (24 + Σ (32 + n)) |
+//!
+//! Version 2 codes delta index words as wrapping differences
+//! ([`crate::delta`]); version 1 coded them zigzagged. The bytes of a
+//! version-1 file would pass their CRCs and decode to wrong indices, so the
+//! reader refuses any version but its own.
 //!
 //! The reader is an outside-input boundary: it returns a typed
 //! [`CodecError`] for anything malformed, never panics, and never reserves
@@ -23,7 +28,7 @@ use crate::error::{CodecError, CodecResult};
 use crate::pipeline::{CompressedMatrix, MatrixCodecConfig, PipelineConfig};
 
 const MAGIC: &[u8; 4] = b"RCMX";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 fn put_len(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u64).to_le_bytes());

@@ -1,4 +1,4 @@
-//! Fixed-width zigzag delta coding of 32-bit index streams.
+//! Fixed-width delta coding of 32-bit index streams.
 //!
 //! The paper is explicit that "the delta encoding step on its own provides
 //! no benefit": output stays 4 bytes per index. What it does is turn the
@@ -7,44 +7,25 @@
 //! deltas `[.., 1, 1]` — which Snappy's copy elements and Huffman's short
 //! codes then compress aggressively.
 //!
-//! Each block is self-contained: the first index is stored absolutely, so
-//! blocks decode independently on parallel UDP lanes.
+//! Word `k` is `idx[k] - idx[k-1]` in wrapping (two's-complement) `u32`
+//! arithmetic, with `idx[-1] = 0`: the first word is the absolute index, a
+//! negative difference is its two's complement, and decoding is a wrapping
+//! running sum. Every `u32` index sequence codes, and every whole-word stream
+//! decodes. Each block is self-contained, so blocks decode independently on
+//! parallel UDP lanes.
 
 use crate::error::{CodecError, CodecResult};
 
-/// Zigzag-maps a signed delta to unsigned so small magnitudes of either sign
-/// get small encodings.
-#[inline]
-pub fn zigzag(v: i64) -> u32 {
-    ((v << 1) ^ (v >> 63)) as u32
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-pub fn unzigzag(v: u32) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Delta-encodes `indices` into little-endian bytes, 4 per index. The first
-/// index is absolute, each subsequent one a zigzagged difference.
+/// Delta-encodes `indices` into little-endian bytes, 4 per index.
 ///
 /// # Errors
-/// [`CodecError::Precondition`] if any index exceeds `i32::MAX`: zigzagged
-/// differences of larger indices would not fit the fixed 4-byte words
-/// (CSR columns are bounded by `ncols`, which real matrices keep far below
-/// 2^31).
+/// None: every `u32` sequence codes. The `Result` is the stage's interface.
 pub fn encode_u32(indices: &[u32]) -> CodecResult<Vec<u8>> {
     let mut out = Vec::with_capacity(indices.len() * 4);
-    let mut prev = 0i64;
-    for (k, &idx) in indices.iter().enumerate() {
-        if idx > i32::MAX as u32 {
-            return Err(CodecError::Precondition(format!(
-                "index {idx} at position {k} exceeds the 2^31-1 delta-coding bound"
-            )));
-        }
-        let word = if k == 0 { idx } else { zigzag(idx as i64 - prev) };
-        out.extend_from_slice(&word.to_le_bytes());
-        prev = idx as i64;
+    let mut prev = 0u32;
+    for &idx in indices {
+        out.extend_from_slice(&idx.wrapping_sub(prev).to_le_bytes());
+        prev = idx;
     }
     Ok(out)
 }
@@ -52,8 +33,7 @@ pub fn encode_u32(indices: &[u32]) -> CodecResult<Vec<u8>> {
 /// Decodes bytes produced by [`encode_u32`].
 ///
 /// # Errors
-/// [`CodecError::Precondition`] if the length is not a multiple of 4;
-/// [`CodecError::Corrupt`] if a decoded index leaves `u32` range.
+/// [`CodecError::Precondition`] if the length is not a multiple of 4.
 pub fn decode_u32(bytes: &[u8]) -> CodecResult<Vec<u32>> {
     if !bytes.len().is_multiple_of(4) {
         return Err(CodecError::Precondition(format!(
@@ -61,21 +41,14 @@ pub fn decode_u32(bytes: &[u8]) -> CodecResult<Vec<u32>> {
             bytes.len()
         )));
     }
-    let n = bytes.len() / 4;
-    let mut out = Vec::with_capacity(n);
-    let mut prev = 0i64;
-    for k in 0..n {
-        let word = u32::from_le_bytes(bytes[k * 4..k * 4 + 4].try_into().expect("length checked"));
-        let value = if k == 0 { word as i64 } else { prev + unzigzag(word) };
-        if !(0..=u32::MAX as i64).contains(&value) {
-            return Err(CodecError::Corrupt(format!(
-                "delta-decoded index {value} out of u32 range at position {k}"
-            )));
-        }
-        out.push(value as u32);
-        prev = value;
-    }
-    Ok(out)
+    let mut prev = 0u32;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|c| {
+            prev = prev.wrapping_add(u32::from_le_bytes(c.try_into().expect("chunks_exact")));
+            prev
+        })
+        .collect())
 }
 
 /// Byte-level wrapper used by the pipeline: treats `bytes` as a u32 stream.
@@ -113,16 +86,8 @@ pub fn decode_bytes(bytes: &[u8]) -> CodecResult<Vec<u8>> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn zigzag_round_trip_and_ordering() {
-        for v in [-5i64, -1, 0, 1, 5, 1 << 30, -(1 << 30)] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        // Small magnitudes map to small codes.
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-        assert_eq!(zigzag(-2), 3);
+    fn words(bytes: &[u8]) -> Vec<u32> {
+        bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect()
     }
 
     #[test]
@@ -135,15 +100,12 @@ mod tests {
 
     #[test]
     fn banded_indices_become_repeating_small_words() {
-        // Tridiagonal-ish column pattern.
+        // Tridiagonal-ish column pattern: after the absolute first word the
+        // deltas run +1, +1, -1, ... — tiny repeating words.
         let idx = [9u32, 10, 11, 10, 11, 12, 11, 12, 13];
-        let enc = encode_u32(&idx).unwrap();
-        // After the absolute first word, deltas alternate +1, +1, -1...
-        // zigzag(+1)=2, zigzag(-1)=1 — tiny repeating values.
-        let words: Vec<u32> =
-            enc.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
-        assert_eq!(words[0], 9);
-        assert!(words[1..].iter().all(|&w| w <= 2), "words: {words:?}");
+        let enc = words(&encode_u32(&idx).unwrap());
+        assert_eq!(enc[..4], [9, 1, 1, u32::MAX]);
+        assert!(enc[1..].iter().all(|&w| w == 1 || w == u32::MAX), "words: {enc:?}");
     }
 
     #[test]
@@ -161,12 +123,20 @@ mod tests {
     }
 
     #[test]
+    fn indices_at_and_across_2_31_and_u32_max_code() {
+        // Differences of either sign wrap, and the running sum wraps back.
+        let idx = [u32::MAX, 0, 1 << 31, (1 << 31) - 1, u32::MAX, 5];
+        let enc = encode_u32(&idx).unwrap();
+        assert_eq!(words(&enc), [u32::MAX, 1, 1 << 31, u32::MAX, 1 << 31, 6]);
+        assert_eq!(decode_u32(&enc).unwrap(), idx);
+    }
+
+    #[test]
     fn corrupt_stream_cannot_escape_u32_range() {
-        // Absolute start at u32::MAX then a positive delta overflows.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&zigzag(10).to_le_bytes());
-        assert!(matches!(decode_u32(&bytes), Err(CodecError::Corrupt(_))));
+        // Any whole-word stream is some index sequence: an absolute start at
+        // u32::MAX plus 10 wraps to 9, and nothing is refused.
+        let stream: Vec<u8> = [u32::MAX, 10].iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(decode_u32(&stream).unwrap(), [u32::MAX, 9]);
     }
 
     #[test]
@@ -175,16 +145,5 @@ mod tests {
         let raw: Vec<u8> = idx.iter().flat_map(|i| i.to_le_bytes()).collect();
         let enc = encode_bytes(&raw).unwrap();
         assert_eq!(decode_bytes(&enc).unwrap(), raw);
-    }
-}
-
-#[cfg(test)]
-mod overflow_tests {
-    use super::*;
-
-    #[test]
-    fn encode_rejects_indices_above_i32_max() {
-        assert!(matches!(encode_u32(&[i32::MAX as u32 + 1]), Err(CodecError::Precondition(_))));
-        assert!(encode_u32(&[i32::MAX as u32]).is_ok());
     }
 }

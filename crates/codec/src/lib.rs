@@ -2,7 +2,7 @@
 //!
 //! Implements every data representation the paper layers on top of CSR:
 //!
-//! * [`delta`] — fixed-width zigzag first-differencing of column indices.
+//! * [`delta`] — fixed-width wrapping first-differencing of column indices.
 //!   On its own it saves nothing (the paper notes this explicitly); its job
 //!   is to turn arithmetic index sequences into small repeating integers
 //!   that the byte-oriented stages then crush.

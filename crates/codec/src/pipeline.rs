@@ -22,7 +22,7 @@ use std::time::Instant;
 /// Which stages a pipeline runs and at what block granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Fixed-width zigzag delta (index streams only — requires 4-byte
+    /// Fixed-width wrapping delta (index streams only — requires 4-byte
     /// alignment).
     pub delta: bool,
     /// Snappy stage.
@@ -368,8 +368,8 @@ impl CompressedMatrix {
     /// Compresses `a` under `config` (trains per-stream Huffman tables).
     ///
     /// # Errors
-    /// Stage preconditions (e.g. a matrix with `ncols > 2^31` cannot be
-    /// delta-coded).
+    /// Stage preconditions (e.g. a delta stage on blocks that are not a
+    /// whole number of words).
     pub fn compress(a: &Csr, config: MatrixCodecConfig) -> CodecResult<Self> {
         Self::compress_timed(a, config, None)
     }

@@ -38,7 +38,7 @@ impl StageStats {
 /// One direction's three stages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirectionStats {
-    /// Zigzag-delta stage.
+    /// Delta stage.
     pub delta: StageStats,
     /// Snappy stage.
     pub snappy: StageStats,

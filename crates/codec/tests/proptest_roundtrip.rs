@@ -41,7 +41,7 @@ enum RowShape {
     /// Exactly one entry at a random column.
     Single,
     /// A few entries scattered across the full column range (deltas up to
-    /// ~2^20 — stresses the varint/zigzag wide-delta path).
+    /// ~2^20 — stresses the wide-delta path).
     ExtremeDeltas,
 }
 
@@ -88,8 +88,8 @@ fn random_csr(rng: &mut SplitMix64) -> Csr {
 }
 
 /// Random stream payload: 4-byte-aligned little-endian u32 words shaped
-/// like a CSR column stream (all four row shapes), each word < 2^31 as the
-/// delta stage requires.
+/// like a CSR column stream (all four row shapes), over the whole `u32`
+/// range the delta stage codes.
 fn random_index_payload(rng: &mut SplitMix64) -> Vec<u8> {
     let mut words: Vec<u32> = Vec::new();
     let rows = rng.below(40);
@@ -103,10 +103,10 @@ fn random_index_payload(rng: &mut SplitMix64) -> Vec<u8> {
             }
             RowShape::Single => words.push(rng.below(1 << 30) as u32),
             RowShape::ExtremeDeltas => {
-                // Deltas that swing across nearly the whole legal range.
+                // Deltas that swing across the whole `u32` range.
                 let k = 1 + rng.below(4);
                 for _ in 0..k {
-                    words.push((rng.next_u64() as u32) & 0x7FFF_FFFF);
+                    words.push(rng.next_u64() as u32);
                 }
             }
         }
@@ -117,17 +117,11 @@ fn random_index_payload(rng: &mut SplitMix64) -> Vec<u8> {
 /// Random value-like payload: runs, small alphabets, or raw bytes.
 fn random_value_payload(rng: &mut SplitMix64) -> Vec<u8> {
     let len = rng.below(2048) & !3;
-    let mut data: Vec<u8> = match rng.below(3) {
+    match rng.below(3) {
         0 => vec![rng.below(256) as u8; len],
         1 => (0..len).map(|_| rng.below(6) as u8).collect(),
         _ => (0..len).map(|_| rng.below(256) as u8).collect(),
-    };
-    // Clear each little-endian word's top bit: the delta stage requires
-    // every u32 index < 2^31.
-    for word in data.chunks_exact_mut(4) {
-        word[3] &= 0x7F;
     }
-    data
 }
 
 fn small_block_config(rng: &mut SplitMix64) -> PipelineConfig {
@@ -271,7 +265,10 @@ fn rcmx_reader_rejects_malformed_headers_without_allocating_for_them() {
     let truncated =
         |r: CodecResult<CompressedMatrix>| matches!(r, Err(CodecError::Truncated { .. }));
     assert!(corrupt(patched(0, b"RCMY")), "bad magic");
-    assert!(corrupt(patched(4, &2u32.to_le_bytes())), "unknown version");
+    // Version 1 coded index words as zigzag differences: under a valid CRC
+    // its index streams would decode to wrong indices, so it is refused.
+    assert!(corrupt(patched(4, &1u32.to_le_bytes())), "a version-1 container");
+    assert!(corrupt(patched(4, &3u32.to_le_bytes())), "unknown version");
     assert!(corrupt(CompressedMatrix::from_bytes(b"{\"nrows\": 3}")), "the old JSON container");
     // Lengths no input could back: refused before anything is reserved.
     assert!(truncated(patched(8, &u64::MAX.to_le_bytes())), "nrows = 2^64 - 1");

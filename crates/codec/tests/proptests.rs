@@ -29,19 +29,15 @@ fn payload(rng: &mut SplitMix64) -> Vec<u8> {
     }
 }
 
-/// A payload the delta stage accepts: whole little-endian u32 words, each
-/// below 2^31.
+/// A payload the delta stage accepts: whole little-endian u32 words.
 fn index_payload(rng: &mut SplitMix64) -> Vec<u8> {
     let mut data = payload(rng);
     data.truncate(data.len() & !3);
-    for word in data.chunks_exact_mut(4) {
-        word[3] &= 0x7F;
-    }
     data
 }
 
 fn indices(rng: &mut SplitMix64, min: usize, max: usize) -> Vec<u32> {
-    (0..min + rng.below(max - min)).map(|_| rng.below(1 << 31) as u32).collect()
+    (0..min + rng.below(max - min)).map(|_| rng.next_u64() as u32).collect()
 }
 
 #[test]

@@ -22,7 +22,7 @@ pub struct StageCycles {
     pub huffman: u64,
     /// Snappy decode stage.
     pub snappy: u64,
-    /// Inverse zigzag-delta stage.
+    /// Inverse-delta stage.
     pub delta: u64,
 }
 

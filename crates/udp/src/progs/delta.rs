@@ -1,71 +1,56 @@
-//! Inverse zigzag delta, written in UDP assembly (see `crate::asm` for the
-//! grammar). Input: 4-byte little-endian words — the first absolute, the
-//! rest zigzagged differences (`recode_codec::delta`). Output: the restored
+//! Inverse delta, written in UDP assembly (see `crate::asm` for the
+//! grammar). Input: 4-byte little-endian words, each the wrapping difference
+//! of an index from the one before it, the first from 0
+//! (`recode_codec::delta`). Output: their running sum, the restored
 //! little-endian `u32` index stream.
 
 use crate::asm::assemble_text;
 use crate::error::UdpError;
 use crate::machine::{assemble, Image};
 
-/// The program source. Two words per trip: both sign bits with one `and`,
-/// both magnitudes with one shift (the sign bits are cleared first, so the
-/// upper word's cannot slide into the lower word's top bit), both masks with
-/// one `shli`/`sub` — the lower lane's sign bit, shifted up 32, minus the
-/// pair of sign bits is all-ones in exactly the lanes whose bit was set, the
-/// borrow stopping where the upper lane needs it — and one `xor`. The prefix
-/// sum then runs through the low half of `r1`: 4-byte stores never see the
-/// upper half, which holds whatever the 64-bit adds carried there.
+/// The program source. Four words per trip, two per 64-bit read: the sum
+/// runs through the low half of `r1`, adding the read whole and then its
+/// upper word. 4-byte stores never see the upper half, which holds whatever
+/// the 64-bit adds carried there, and a difference's two's complement wraps
+/// the low half exactly as the encoder's wrapping subtraction did.
 ///
-/// The pair loop is *counted*: after the first word, `init` reads `inrem`
-/// once and sets the output limit `r9` 8 bytes ahead of the cursor for each
-/// whole 64 bits left, so the loop tests only its own cursor against `r9`.
-/// What is left after it, a last odd word, takes the one-word body in `tail`,
-/// which asks `inrem` as before.
+/// The quad loop is *counted*: `init` reads `inrem` once and sets the output
+/// limit `r9` 16 bytes ahead of the cursor for each whole 128 bits, so the
+/// loop tests only its own cursor against `r9`. The one to three words left
+/// after it take the one-word body in `tail`, which asks `inrem`.
 ///
-/// Register roles: `r1` previous index · `r2` output cursor · `r3`
-/// remaining-bits · `r4` current word(s) · `r5`/`r6`/`r7` zigzag temporaries
-/// · `r9` the pair loop's output limit · `r11` constant 1 · `r12` constant
-/// 2^32 + 1.
+/// Register roles: `r1` running sum · `r2` output cursor · `r3`
+/// remaining-bits · `r4` current word(s) · `r9` the quad loop's output limit.
 pub const SOURCE: &str = "\
-; inverse zigzag delta over 4-byte LE words
+; inverse delta over 4-byte LE words: a wrapping running sum
 .entry init
 init:
     mov r2, r14
-    limm r11, 1
-    shli r12, r11, 32
     inrem r3
-    beq r3, r0, done
-    or r12, r12, r11     ; the sign bit of either lane
-    insymle r1, 4        ; the first word is absolute
-    storewi r1, r2       ; 4-byte store truncates to u32 naturally
-    inrem r3
-    shri r9, r3, 6       ; whole pairs left...
-    shli r9, r9, 3       ; ...8 output bytes each
+    shri r9, r3, 7       ; whole quads...
+    shli r9, r9, 4       ; ...16 output bytes each
     add r9, r9, r2
+    limm r1, 0           ; the sum starts at 0, written for the register-init lint
     beq r9, r2, tail
-pair:
+quad:
     insymle r4, 8
-    and r5, r4, r12      ; sign bits
-    xor r6, r4, r5
-    shri r6, r6, 1       ; magnitudes
-    shli r7, r5, 32
-    sub r7, r7, r5       ; 0 or all-ones, per lane
-    xor r6, r6, r7       ; signed deltas (two's complement, per lane)
-    add r1, r1, r6       ; prev += delta (wrapping; valid streams stay in range)
+    add r1, r1, r4       ; the lower word (wrapping in the low half)
+    storewi r1, r2       ; 4-byte store truncates to u32 naturally
+    shri r4, r4, 32
+    add r1, r1, r4       ; the upper word
     storewi r1, r2
-    shri r6, r6, 32
-    add r1, r1, r6
+    insymle r4, 8
+    add r1, r1, r4
     storewi r1, r2
-    bltu r2, r9, pair
+    shri r4, r4, 32
+    add r1, r1, r4
+    storewi r1, r2
+    bltu r2, r9, quad
 tail:
     inrem r3
     beq r3, r0, done
     insymle r4, 4
-    and r5, r4, r11      ; sign bit
-    shri r6, r4, 1       ; magnitude
-    sub r5, r0, r5       ; 0 or all-ones
-    xor r6, r6, r5
-    add r1, r1, r6
+    add r1, r1, r4
     storewi r1, r2
     jump tail
 done:
@@ -134,9 +119,9 @@ mod tests {
         let image = build().unwrap();
         let mut lane = Lane::new();
         let r = lane.run(&image, &enc, enc.len() * 8, RunConfig::default()).unwrap();
-        // The first word and the way out (18), into and out of the pair loop
-        // (2), 15 per trip of two words, and the last odd word (11): 1.88
-        // cycles per output byte.
-        assert_eq!(r.cycles, 18 + 2 + 15 * 1023 + 11);
+        // The limit and the way out (12), into and out of the quad loop (2),
+        // and 15 per trip of four words: 0.94 cycles per output byte.
+        assert_eq!(r.cycles, 12 + 2 + 15 * 512);
+        assert_eq!(r.cycles, 7_694);
     }
 }

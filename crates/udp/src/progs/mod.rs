@@ -4,7 +4,7 @@
 //! run in the reverse order — huffman decode, snappy decode, inverse delta —
 //! that run as a series of steps in a single lane of the UDP."*
 //!
-//! * [`delta`] — inverse zigzag delta, written in UDP assembly;
+//! * [`delta`] — inverse delta (a running sum), written in UDP assembly;
 //! * [`snappy`] — Snappy decode built around a 256-way tag dispatch (the
 //!   paper's flagship multi-way-dispatch example: the operation is *in* the
 //!   tag byte);

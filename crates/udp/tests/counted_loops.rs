@@ -4,12 +4,15 @@
 //! A loop that reads the stream with no `inrem` in it is accepted when its
 //! trip count was fixed from `inrem` on the way in (DESIGN §10, item 4).
 //! This suite draws such loops with every ingredient of that rule varied —
-//! the bits a trip reads (`B` ∈ {8, 16, 32, 64}, through `insymle`, `insym`
-//! and `skip` of random widths), the bytes its cursor advances (`k`, through
-//! store widths), the count's shifts `s` and `t`, the guard that skips a loop
-//! of no trips (absent, `beq` or `bne`), and a stream read between the
+//! the bits a trip reads (`B` ∈ {8, 16, 32, 64, 128}, through `insymle`,
+//! `insym` and `skip` of random widths, a 128-bit trip as two reads of 64),
+//! the bytes its cursor advances (`k`, through one to four stores of random
+//! widths, up to 32), the count's shifts `s` and `t`, the guard that skips a
+//! loop of no trips (absent, `beq` or `bne`), and a stream read between the
 //! `inrem` and the loop or none — and runs each on every input length from 0
-//! to 320 bits. For every run:
+//! to 320 bits, or to four trips and a tail when a trip is wider. The
+//! inverse-delta quad loop (`B = 128`, `k = 16`) is one such draw. For every
+//! run:
 //!
 //! * the three lane tiers agree on output, cycles, op-class attribution and
 //!   trap (`common::differential`), and a model of the drawn program — the
@@ -90,21 +93,24 @@ struct Draw {
 
 impl Draw {
     fn new(rng: &mut SplitMix64) -> Draw {
-        let trip_bits = [8, 16, 32, 64][rng.below(4)];
+        let trip_bits: usize = [8, 16, 32, 64, 128][rng.below(5)];
         let mut reads = Vec::new();
-        let mut left = trip_bits;
-        while left > 0 {
-            let w = if rng.below(2) == 0 { left } else { 1 + rng.below(left) };
-            reads.push(if w > 32 || (w % 8 == 0 && rng.below(2) == 0) {
-                Read::Le(w / 8)
-            } else if rng.below(2) == 0 {
-                Read::Sym(w)
-            } else {
-                Read::Skip(w)
-            });
-            left -= reads.last().unwrap().bits();
+        // No read is wider than 64 bits: a 128-bit trip reads two halves.
+        for half in 0..trip_bits.div_ceil(64) {
+            let mut left = trip_bits.min(64 * (half + 1)) - 64 * half;
+            while left > 0 {
+                let w = if rng.below(2) == 0 { left } else { 1 + rng.below(left) };
+                reads.push(if w > 32 || (w % 8 == 0 && rng.below(2) == 0) {
+                    Read::Le(w / 8)
+                } else if rng.below(2) == 0 {
+                    Read::Sym(w)
+                } else {
+                    Read::Skip(w)
+                });
+                left -= reads.last().unwrap().bits();
+            }
         }
-        let stores: Vec<usize> = (0..=rng.below(3)).map(|_| [1, 4, 8][rng.below(3)]).collect();
+        let stores: Vec<usize> = (0..=rng.below(4)).map(|_| [1, 4, 8][rng.below(3)]).collect();
         // Each ingredient is mostly right, so that a draw the rule rejects is
         // mostly one ingredient away from one it accepts.
         let (s_least, t_most) = (trip_bits.ilog2(), stores.iter().sum::<usize>().ilog2());
@@ -213,7 +219,7 @@ impl Draw {
 #[test]
 fn generated_counted_loops_never_under_run_once_accepted() {
     let (mut accepted, mut rejected, mut under_ran) = (0, 0, 0);
-    let input: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(0x9D) ^ 0x5A).collect();
+    let input: Vec<u8> = (0..80u8).map(|b| b.wrapping_mul(0x9D) ^ 0x5A).collect();
     for_each_case(0xC0_0417, 128, |rng| {
         let draw = Draw::new(rng);
         let src = draw.source();
@@ -228,7 +234,7 @@ fn generated_counted_loops_never_under_run_once_accepted() {
             accepted += 1;
         }
         let bound = report.cycle_bound.expect("a halt is reachable");
-        for bits in 0..=320 {
+        for bits in 0..=320.max(4 * draw.trip_bits() + 64) {
             let context = format!("{draw:?} on {bits} bits");
             let cfg = RunConfig::default();
             let run = differential(&image, &input, bits, cfg, &context);
@@ -247,6 +253,7 @@ fn generated_counted_loops_never_under_run_once_accepted() {
             }
         }
     });
+    println!("{accepted} accepted, {rejected} rejected, {under_ran} runs under-ran");
     assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
     assert!(under_ran > 0, "no rejected loop ever under-ran");
 }

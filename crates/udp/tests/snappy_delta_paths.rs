@@ -12,8 +12,9 @@
 //!   length at every offset tier (run extension included), every literal
 //!   length and the extended lengths on both sides of a loop trip, and a cut
 //!   inside every operand; inverse delta gets every word count around its
-//!   two-word trip, the guard that skips its pair loop, every bit length of
-//!   a valid stream, a ragged tail, and the sums that wrap.
+//!   four-word trip, the guard that skips its quad loop, every bit length of
+//!   a valid stream, a ragged tail, the sums that wrap, and indices across
+//!   2^31 through the whole DSH chain.
 //!
 //! Every run goes through all three tiers (`common::differential`): output,
 //! cycles, opclass attribution and traps agree exactly, under the JIT and
@@ -22,6 +23,7 @@
 mod common;
 
 use common::{differential, differential_on};
+use recode_codec::pipeline::{Pipeline, PipelineConfig};
 use recode_codec::{delta, snappy};
 use recode_sparse::gen::{generate, GenSpec, ValueModel};
 use recode_sparse::util::SplitMix64;
@@ -508,73 +510,91 @@ fn a_cut_inside_any_operand_underflows() {
 // Inverse delta
 // ---------------------------------------------------------------------------
 
-/// Modeled cycles of the inverse-delta program on `words` whole input words:
-/// init (5), the first word (5), the pair loop's limit and guard (4), and the
-/// way out, `tail`'s test (2) and done (2). With any pair left the guard falls
-/// through to the loop (1), which costs two words in three blocks a trip (15)
-/// and falls through to `tail` (1); a last odd word is one word in two blocks
-/// (9) and `tail`'s test again (2). An empty stream leaves from init (5 + 2).
+/// Modeled cycles of the inverse-delta program on `words` whole input words,
+/// `q` whole quads and `r` words left: init's limit (a block of four actions,
+/// 5) and its sum and guard (3), `tail`'s test (2) and done (2). With any
+/// quad the guard falls through to the loop (1), which costs four words in
+/// three blocks a trip (15) and falls through to `tail` (1). Each word left
+/// is `tail`'s one-word body (4) and its test again (2).
 fn delta_cycles(words: usize) -> u64 {
-    let Some(rest) = words.checked_sub(1) else { return 5 + 2 };
-    let (pairs, odd) = ((rest / 2) as u64, (rest % 2) as u64);
-    let trips = if pairs > 0 { 1 + 15 * pairs + 1 } else { 0 };
-    5 + 5 + 4 + 2 + 2 + trips + (9 + 2) * odd
+    let (q, r) = ((words / 4) as u64, (words % 4) as u64);
+    let loop_cycles = if q > 0 { 1 + 15 * q + 1 } else { 0 };
+    8 + 2 + 2 + loop_cycles + 6 * r
 }
 
-/// Encodes `indices` with differences that wrap 32 bits — the lane's sums
-/// do, where the software codec refuses indices from 2^31 up and sums that
-/// leave `u32` — and checks the decode three ways, against the indices, and
-/// against the software decoder wherever it accepts the stream.
+/// Encodes `indices` as wrapping differences by hand, and checks that the
+/// codec writes the same words, that the lane decodes them three ways to the
+/// indices, as the software decoder does, and in the table's cycles.
 fn check_delta(image: &Image, indices: &[u32], context: &str) {
     let mut stream = Vec::new();
     let mut prev = 0u32;
-    for (i, &index) in indices.iter().enumerate() {
-        let d = index.wrapping_sub(prev) as i32;
-        let word = if i == 0 { index } else { ((d << 1) ^ (d >> 31)) as u32 };
-        stream.extend(word.to_le_bytes());
+    for &index in indices {
+        stream.extend(index.wrapping_sub(prev).to_le_bytes());
         prev = index;
     }
+    assert_eq!(stream, delta::encode_u32(indices).unwrap(), "{context}: codec words");
     let r = differential(image, &stream, stream.len() * 8, RunConfig::default(), context).unwrap();
     let want: Vec<u8> = indices.iter().flat_map(|w| w.to_le_bytes()).collect();
     assert_eq!(r.output, want, "{context}: output");
-    if let Ok(software) = delta::decode_bytes(&stream) {
-        assert_eq!(r.output, software, "{context}: software");
-    }
+    assert_eq!(delta::decode_bytes(&stream).unwrap(), want, "{context}: software");
     assert_eq!(r.cycles, delta_cycles(indices.len()), "{context}: cycles off the cost table");
 }
 
-/// The paths around the pair loop's guard, by name: one word leaves `init`
-/// through the guard and finds `tail` empty; two words take the guard too and
-/// the second goes through `tail`'s one-word body; three make the loop's first
-/// and only trip.
+/// The paths around the quad loop, by name: no word leaves `init` through
+/// the guard and finds `tail` empty; one to three take the guard and then
+/// `tail`'s one-word body once a word; four make the loop's first and only
+/// trip; five add a tail word behind it; an 8 KiB block is 512 trips.
 #[test]
 fn delta_guard_path_and_first_trip() {
     let image = progs::delta::build().unwrap();
-    for (indices, cycles, what) in [
-        (&[7u32][..], 18, "one word: the guard skips the loop"),
-        (&[7, 3], 18 + 11, "two words: the guard, then tail's one-word body"),
-        (&[7, 3, 12], 18 + 2 + 15, "three words: one trip"),
+    for (words, cycles, what) in [
+        (0, 12, "no word: the guard skips the loop, tail finds nothing"),
+        (1, 12 + 6, "one word: the guard, then tail's one-word body"),
+        (2, 12 + 2 * 6, "two words: tail's body twice"),
+        (3, 12 + 3 * 6, "three words: tail's body three times"),
+        (4, 14 + 15, "four words: one trip"),
+        (5, 14 + 15 + 6, "five words: one trip and a tail word"),
+        (2048, 7_694, "2048 words: 512 trips"),
     ] {
-        assert_eq!(delta_cycles(indices.len()), cycles, "{what}");
-        check_delta(&image, indices, what);
+        let indices: Vec<u32> = (0..words as u32).map(|i| 7 + 5 * i - 11 * (i % 2)).collect();
+        assert_eq!(delta_cycles(words), cycles, "{what}");
+        check_delta(&image, &indices, what);
     }
 }
 
-/// A valid ten-word stream cut at every bit length from 0 to 320: a whole
-/// number of words decodes to that many indices in the table's cycles, and
-/// anything else underflows in a one-word `insymle` (it wants a byte and
-/// finds the ragged bits) identically on all three tiers. Wherever the cut
-/// is whole bytes, the software decoder agrees.
+/// A valid 17-word stream — four trips and a tail word — cut at every bit
+/// length from 0 to 544: a whole number of words decodes to that many indices
+/// in the table's cycles, and anything else underflows in the one-word
+/// `insymle` (it wants a byte and finds the ragged bits) identically on all
+/// three tiers. Wherever the cut is whole bytes, the software decoder agrees.
 #[test]
 fn delta_every_bit_length_of_a_valid_stream() {
     let image = progs::delta::build().unwrap();
-    let indices = [40u32, 41, 45, 44, 100, 7, 7, 8, 1 << 30, 3];
+    let indices = [
+        40u32,
+        41,
+        45,
+        44,
+        100,
+        7,
+        7,
+        8,
+        1 << 30,
+        3,
+        u32::MAX,
+        0,
+        1 << 31,
+        (1 << 31) - 1,
+        12,
+        11,
+        9_000_000,
+    ];
     let stream = delta::encode_u32(&indices).unwrap();
-    assert_eq!(stream.len() * 8, 320);
+    assert_eq!(stream.len() * 8, 544);
     let mut lanes = [Lane::new(), Lane::new(), Lane::new()];
-    for bits in 0..=320usize {
+    for bits in 0..=544usize {
         let input = &stream[..bits.div_ceil(8)];
-        let context = format!("{bits} of 320 bits");
+        let context = format!("{bits} of 544 bits");
         let run = differential_on(&mut lanes, &image, input, bits, RunConfig::default(), &context);
         let words = bits / 32;
         let want: Vec<u8> = indices[..words].iter().flat_map(|w| w.to_le_bytes()).collect();
@@ -595,49 +615,105 @@ fn delta_every_bit_length_of_a_valid_stream() {
     }
 }
 
-/// Every word count around the two-word trip, odd and even, with deltas of
-/// either sign in either lane.
+/// Every word count around the four-word trip, and a delta of either sign at
+/// each of the four word positions of a trip: all 16 sign patterns of the
+/// second trip, behind a first and ahead of a tail word.
 #[test]
 fn delta_word_counts_and_lane_signs() {
     let image = progs::delta::build().unwrap();
     let mut rng = SplitMix64::new(0xDE17A);
-    for words in (0..=9).chain([64, 65, 2047, 2048]) {
-        let indices: Vec<u32> = (0..words).map(|_| rng.below(1 << 31) as u32).collect();
+    for words in (0..=9).chain([64, 65, 66, 67, 2047, 2048]) {
+        let indices: Vec<u32> = (0..words).map(|_| rng.next_u64() as u32).collect();
         check_delta(&image, &indices, &format!("{words} random words"));
         let climbing: Vec<u32> = (0..words as u32).map(|i| 1000 + 3 * i).collect();
         check_delta(&image, &climbing, &format!("{words} climbing words"));
     }
-    // The four sign patterns of a pair, at the front of a trip.
-    for (d0, d1) in [(5i64, 7i64), (5, -7), (-5, 7), (-5, -7)] {
-        let (a, b) = (1000 + d0, 1000 + d0 + d1);
-        check_delta(&image, &[1000, a as u32, b as u32, 9], &format!("deltas {d0}, {d1}"));
+    for signs in 0..16u32 {
+        let mut indices = vec![1000u32];
+        for k in 1..9u32 {
+            let down = signs >> (k % 4) & 1 == 1;
+            let prev = *indices.last().unwrap();
+            indices.push(if down { prev - 3 * k } else { prev + 5 * k });
+        }
+        check_delta(&image, &indices, &format!("sign pattern {signs:04b}"));
     }
 }
 
-/// The extremes of a zigzagged word, and sums that wrap 32 bits: the upper
-/// half of the running sum is scratch, and nothing of it may reach a store.
+/// Differences at the extremes of a word — 2^31, 2^31 - 1, 1 and all ones —
+/// at every position of a trip, and running sums that wrap 32 bits: the
+/// upper half of the sum is scratch, and nothing of it may reach a store.
 #[test]
 fn delta_extremes_and_wrapping_sums() {
     let image = progs::delta::build().unwrap();
-    let (min, max) = (i32::MIN as u32, i32::MAX as u32);
-    // Consecutive indices whose differences are i32::MIN, i32::MAX, -1, 1,
-    // in both lanes of a trip, and running sums that pass 2^32 and 0.
-    check_delta(&image, &[0, min, 0, max, 0], "deltas MIN and MAX from zero");
-    check_delta(&image, &[5, 5u32.wrapping_add(min), 4, 4 + max, 3, 2], "MIN and MAX, odd lanes");
-    check_delta(&image, &[u32::MAX, 0, u32::MAX, 1, u32::MAX - 1], "sums across 2^32");
-    check_delta(&image, &[max, min, max, min, max, min, max], "alternating halves");
-    check_delta(&image, &[u32::MAX; 6], "all ones, zero deltas");
-    check_delta(&image, &[0, u32::MAX, u32::MAX - 1, 0, 1, 0], "steps of -1 and 1 across zero");
+    let (min, max) = (1u32 << 31, (1u32 << 31) - 1);
+    check_delta(&image, &[0, min, 0, max, 0, min, 0, max, 0], "deltas 2^31 and 2^31 - 1 from zero");
+    check_delta(
+        &image,
+        &[5, 5 + min, 4, 4 + max, 3, 3 + min, 2, 2 + max, 1],
+        "2^31 at odd positions",
+    );
+    check_delta(
+        &image,
+        &[u32::MAX, 0, u32::MAX, 1, u32::MAX - 1, 0, u32::MAX, 2, 3],
+        "sums across 2^32",
+    );
+    check_delta(&image, &[max, min, max, min, max, min, max, min, max], "alternating halves");
+    check_delta(&image, &[u32::MAX; 9], "all ones, zero deltas");
+    check_delta(
+        &image,
+        &[0, u32::MAX, u32::MAX - 1, 0, 1, 0, u32::MAX, 0],
+        "steps of -1 and 1 across zero",
+    );
+    // Every word all ones: each 64-bit add carries into the upper half.
+    let falling: Vec<u32> = (0..67u32).map(|i| u32::MAX - i).collect();
+    check_delta(&image, &falling, "every word all ones");
+}
+
+/// Indices at and across 2^31 and at `u32::MAX` round-trip through the
+/// codec, the software pipeline, and the full DSH chain — Huffman, Snappy,
+/// inverse delta — on all three lane tiers.
+#[test]
+fn delta_indices_across_2_31_and_at_u32_max_round_trip() {
+    let image = progs::delta::build().unwrap();
+    let mut rng = SplitMix64::new(0x2_31);
+    let mut indices: Vec<u32> = Vec::new();
+    for _ in 0..60 {
+        let base = [(1u32 << 31) - 8, u32::MAX - 15, 0][rng.below(3)];
+        indices.extend((0..16).map(|k| base.wrapping_add(k)));
+        indices.extend([u32::MAX, 1 << 31, (1 << 31) - 1, 0, rng.next_u64() as u32]);
+    }
+    assert_eq!(delta::decode_u32(&delta::encode_u32(&indices).unwrap()).unwrap(), indices);
+    check_delta(&image, &indices, "indices across 2^31 and at u32::MAX");
+    let data: Vec<u8> = indices.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let config = PipelineConfig { block_bytes: 1024, ..PipelineConfig::dsh_udp() };
+    let pipe = Pipeline::train(config, &data).unwrap();
+    let stream = pipe.encode_stream(&data).unwrap();
+    assert!(stream.blocks.len() >= 4, "{} blocks", stream.blocks.len());
+    assert_eq!(pipe.decode_stream(&stream).unwrap(), data, "software pipeline");
+    let huffman = progs::huffman::compile(&pipe.table().unwrap().lengths).unwrap();
+    let snappy = progs::snappy::build().unwrap();
+    let mut decoded = Vec::new();
+    for (i, block) in stream.blocks.iter().enumerate() {
+        let (mut input, mut bits) = (block.payload.clone(), block.bit_len);
+        for (name, stage) in [("huffman", &huffman), ("snappy", &snappy), ("delta", &image)] {
+            let context = format!("block {i}, {name}");
+            input =
+                differential(stage, &input, bits, RunConfig::default(), &context).unwrap().output;
+            bits = input.len() * 8;
+        }
+        decoded.extend(input);
+    }
+    assert_eq!(decoded, data, "three lane tiers");
 }
 
 /// A trailing partial word — 1 to 3 bytes, or a ragged bit count — is a
-/// stream underflow behind an even and behind an odd number of whole words,
+/// stream underflow behind every number of whole words around two trips,
 /// identically on all three tiers, as it is an error in software.
 #[test]
 fn delta_ragged_tail_underflows() {
     let image = progs::delta::build().unwrap();
-    let stream: Vec<u8> = (0..40u8).collect();
-    for words in 0..=5 {
+    let stream: Vec<u8> = (0..48u8).collect();
+    for words in 0..=9 {
         for extra_bits in [1usize, 8, 13, 24, 31] {
             let bits = 32 * words + extra_bits;
             let input = &stream[..bits.div_ceil(8)];

@@ -227,6 +227,33 @@ fn enabled_recorder_steady_state_is_allocation_free() {
     assert_eq!(delta, 0, "enabled recorder steady state allocated {delta} times over 8192 blocks");
 }
 
+/// Where the last element of a Snappy stream starts, found by walking the
+/// tags: a literal is its tag, its length bytes and its data; a copy is its
+/// tag and 1, 2 or 4 offset bytes.
+fn last_snappy_element(stream: &[u8]) -> usize {
+    let (_, mut pos) = recode_spmv::codec::snappy::uncompressed_length(stream).unwrap();
+    let mut last = pos;
+    while pos < stream.len() {
+        last = pos;
+        let tag = usize::from(stream[pos]);
+        pos += 1 + match tag & 3 {
+            0 if tag >> 2 < 60 => (tag >> 2) + 1,
+            0 => {
+                let length_bytes = (tag >> 2) - 59;
+                let len = stream[pos + 1..pos + 1 + length_bytes]
+                    .iter()
+                    .rev()
+                    .fold(0, |v, &b| v << 8 | usize::from(b));
+                length_bytes + len + 1
+            }
+            1 => 1,
+            2 => 2,
+            _ => 4,
+        };
+    }
+    last
+}
+
 /// A stage trap must hand the lane its two stage buffers back: the next
 /// clean block on the same lane places into its destination without a
 /// single allocator call.
@@ -237,10 +264,12 @@ fn trapping_block_leaves_the_lane_its_buffers() {
     let mut stream = pipe.encode_stream(&data).unwrap();
     assert!(stream.blocks.len() >= 3, "need a block to break and clean ones around it");
     let decoder = DshDecoder::new(config, None).unwrap();
-    // Block 1 keeps its frame but loses the tail of its Snappy stream: the
-    // CRC passes (resealed), the Snappy stage runs out of input and traps.
+    // Block 1 keeps its frame but is cut one byte into its last Snappy
+    // element, inside its operand or data, wherever the encoder put the
+    // element boundaries: the CRC passes (resealed), the Snappy stage runs
+    // out of input and traps. A cut between elements would halt short.
     let broken = &mut stream.blocks[1];
-    broken.payload.truncate(broken.payload.len() / 2);
+    broken.payload.truncate(last_snappy_element(&broken.payload) + 1);
     broken.bit_len = broken.payload.len() * 8;
     broken.reseal();
 
