@@ -19,8 +19,7 @@
 //! * [`container`] — the little-endian binary `.rcmx` file form of a
 //!   [`CompressedMatrix`], with a reader that treats its input as hostile.
 //! * [`metrics`] — the bytes-per-non-zero accounting used throughout the
-//!   evaluation (raw CSR = 12 B/nnz), and [`telemetry`] — optional
-//!   per-stage encode/decode timing + byte counters for the trace path.
+//!   evaluation (raw CSR = 12 B/nnz).
 //! * [`crc32c`] — hand-rolled table-driven CRC32c sealing every block's
 //!   framing, and [`faults`] — a deterministic seed-driven injector that
 //!   exercises the integrity layer with every corruption class.
@@ -31,8 +30,9 @@
 //! return [`CodecError`], never panic, and never read out of bounds.
 //!
 //! The crate is formats and plain-Rust codecs: nothing here emits or maps
-//! machine code (that is `recode-udp::jit`), and the two byte-view casts in
-//! [`words`] are its only `unsafe`.
+//! machine code (that is `recode-udp::jit`), nothing here reads a clock (a
+//! traced run times its phases in `recode-core`'s one phase guard), and the
+//! two byte-view casts in [`words`] are its only `unsafe`.
 
 #![deny(unsafe_code)]
 
@@ -47,7 +47,6 @@ pub mod huffman;
 pub mod metrics;
 pub mod pipeline;
 pub mod snappy;
-pub mod telemetry;
 pub mod varint;
 #[allow(unsafe_code)]
 pub mod words;
@@ -57,7 +56,6 @@ pub use crc32c::crc32c;
 pub use error::{CodecError, CodecResult};
 pub use faults::{FaultInjector, FaultKind, FaultReport, SplitMix64};
 pub use pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline, PipelineConfig};
-pub use telemetry::{CodecStageReport, StageSink, StageStats};
 
 /// The paper's UDP-side uncompressed block size: 8 KB.
 pub const UDP_BLOCK_BYTES: usize = 8 * 1024;

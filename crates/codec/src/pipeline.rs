@@ -14,10 +14,8 @@
 use crate::block::{split_blocks, BlockStream, CompressedBlock};
 use crate::error::{CodecError, CodecResult};
 use crate::huffman::{self, FlatDecoder, HuffmanTable};
-use crate::telemetry::{CodecStageReport as Cell, StageCell, StageSink};
 use crate::{delta, snappy};
 use recode_sparse::Csr;
-use std::time::Instant;
 
 /// Which stages a pipeline runs and at what block granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,24 +81,6 @@ pub struct Pipeline {
     /// Flat decode LUT built once per table at pipeline construction —
     /// `decode_block` must not pay the 2^15-entry rebuild per block.
     decoder: Option<FlatDecoder>,
-    /// Where the stages are clocked into. `None` (the default) keeps the
-    /// encode/decode hot paths free of any timing calls.
-    stage_times: Option<StageSink>,
-}
-
-/// Runs one stage over `bytes_in` bytes of input, clocking it into `cell`
-/// of the sink when there is one.
-fn staged(
-    sink: Option<&StageSink>,
-    cell: StageCell,
-    bytes_in: usize,
-    run: impl FnOnce() -> CodecResult<Vec<u8>>,
-) -> CodecResult<Vec<u8>> {
-    let Some(sink) = sink else { return run() };
-    let started = Instant::now();
-    let out = run()?;
-    sink.record(cell, started, bytes_in, out.len());
-    Ok(out)
 }
 
 impl Pipeline {
@@ -124,7 +104,7 @@ impl Pipeline {
                 if i % stride != 0 {
                     continue;
                 }
-                let pre = Self::run_pre_huffman(&config, block, None)?;
+                let pre = Self::run_pre_huffman(&config, block)?;
                 for &b in &pre {
                     hist[b as usize] += 1;
                 }
@@ -134,7 +114,7 @@ impl Pipeline {
             None
         };
         let decoder = table.as_ref().map(FlatDecoder::build);
-        Ok(Pipeline { config, table, decoder, stage_times: None })
+        Ok(Pipeline { config, table, decoder })
     }
 
     /// Builds a pipeline with an externally supplied table (e.g. decoder
@@ -148,7 +128,7 @@ impl Pipeline {
             return Err(CodecError::MissingTable);
         }
         let decoder = table.as_ref().map(FlatDecoder::build);
-        Ok(Pipeline { config, table, decoder, stage_times: None })
+        Ok(Pipeline { config, table, decoder })
     }
 
     /// The configuration this pipeline runs.
@@ -161,28 +141,10 @@ impl Pipeline {
         self.table.as_ref()
     }
 
-    /// Clocks every stage of this pipeline into `sink` from now on: the one
-    /// way to time stages. With `None` (the state a pipeline is built in)
-    /// the encode/decode paths make no timing calls at all.
-    pub fn time_stages(&mut self, sink: Option<StageSink>) {
-        self.stage_times = sink;
-    }
-
     /// Stages before Huffman (shared by encoding and table training).
-    fn run_pre_huffman(
-        config: &PipelineConfig,
-        block: &[u8],
-        sink: Option<&StageSink>,
-    ) -> CodecResult<Vec<u8>> {
-        let after_delta = if config.delta {
-            staged(sink, Cell::ENCODE_DELTA, block.len(), || delta::encode_bytes(block))?
-        } else {
-            block.to_vec()
-        };
-        if !config.snappy {
-            return Ok(after_delta);
-        }
-        staged(sink, Cell::ENCODE_SNAPPY, after_delta.len(), || Ok(snappy::compress(&after_delta)))
+    fn run_pre_huffman(config: &PipelineConfig, block: &[u8]) -> CodecResult<Vec<u8>> {
+        let after_delta = if config.delta { delta::encode_bytes(block)? } else { block.to_vec() };
+        Ok(if config.snappy { snappy::compress(&after_delta) } else { after_delta })
     }
 
     /// Encodes one standalone block (sealed with sequence number 0).
@@ -199,18 +161,13 @@ impl Pipeline {
     /// # Errors
     /// Stage preconditions (alignment) and internal encoding failures.
     pub fn encode_block_at(&self, block: &[u8], seq: u32) -> CodecResult<CompressedBlock> {
-        let sink = self.stage_times.as_ref();
-        let pre = Self::run_pre_huffman(&self.config, block, sink)?;
-        let mut bit_len = pre.len() * 8;
-        let payload = if self.config.huffman {
+        let pre = Self::run_pre_huffman(&self.config, block)?;
+        let (payload, bit_len) = if self.config.huffman {
             let table = self.table.as_ref().ok_or(CodecError::MissingTable)?;
-            staged(sink, Cell::ENCODE_HUFFMAN, pre.len(), || {
-                let (payload, bits) = huffman::encode(&pre, table)?;
-                bit_len = bits;
-                Ok(payload)
-            })?
+            huffman::encode(&pre, table)?
         } else {
-            pre
+            let bits = pre.len() * 8;
+            (pre, bits)
         };
         Ok(CompressedBlock::sealed(payload, bit_len, block.len(), seq))
     }
@@ -225,36 +182,26 @@ impl Pipeline {
     /// final length is verified against the block header.
     pub fn decode_block(&self, block: &CompressedBlock) -> CodecResult<Vec<u8>> {
         block.verify_checksum()?;
-        let sink = self.stage_times.as_ref();
         // Stage 1: Huffman decode (needs the intermediate length, which is
         // recoverable: snappy self-describes, so decode until the bitstream
         // is exhausted — we instead store the intermediate implicitly by
         // decoding symbol-by-symbol until all bits are consumed).
         let pre = if self.config.huffman {
             let decoder = self.decoder.as_ref().ok_or(CodecError::MissingTable)?;
-            staged(sink, Cell::DECODE_HUFFMAN, block.payload.len(), || {
-                decoder.decode_all(&block.payload, block.bit_len)
-            })?
+            decoder.decode_all(&block.payload, block.bit_len)?
         } else {
             block.payload.clone()
         };
         // Stage 2: Snappy decode.
         let after_snappy = if self.config.snappy {
             let limit = self.config.block_bytes.max(block.uncompressed_len);
-            staged(sink, Cell::DECODE_SNAPPY, pre.len(), || {
-                snappy::decompress_with_limit(&pre, limit)
-            })?
+            snappy::decompress_with_limit(&pre, limit)?
         } else {
             pre
         };
         // Stage 3: inverse delta.
-        let out = if self.config.delta {
-            staged(sink, Cell::DECODE_DELTA, after_snappy.len(), || {
-                delta::decode_bytes(&after_snappy)
-            })?
-        } else {
-            after_snappy
-        };
+        let out =
+            if self.config.delta { delta::decode_bytes(&after_snappy)? } else { after_snappy };
         if out.len() != block.uncompressed_len {
             return Err(CodecError::LengthMismatch {
                 expected: block.uncompressed_len,
@@ -371,25 +318,10 @@ impl CompressedMatrix {
     /// Stage preconditions (e.g. a delta stage on blocks that are not a
     /// whole number of words).
     pub fn compress(a: &Csr, config: MatrixCodecConfig) -> CodecResult<Self> {
-        Self::compress_timed(a, config, None)
-    }
-
-    /// [`Self::compress`], clocking each encode stage into `stages` when
-    /// there is one.
-    ///
-    /// # Errors
-    /// Same as [`Self::compress`].
-    pub fn compress_timed(
-        a: &Csr,
-        config: MatrixCodecConfig,
-        stages: Option<&StageSink>,
-    ) -> CodecResult<Self> {
         let index_bytes: Vec<u8> = a.col_idx().iter().flat_map(|c| c.to_le_bytes()).collect();
         let value_bytes: Vec<u8> = a.values().iter().flat_map(|v| v.to_le_bytes()).collect();
-        let mut index_pipe = Pipeline::train(config.index, &index_bytes)?;
-        let mut value_pipe = Pipeline::train(config.value, &value_bytes)?;
-        index_pipe.time_stages(stages.cloned());
-        value_pipe.time_stages(stages.cloned());
+        let index_pipe = Pipeline::train(config.index, &index_bytes)?;
+        let value_pipe = Pipeline::train(config.value, &value_bytes)?;
         Ok(CompressedMatrix {
             nrows: a.nrows(),
             ncols: a.ncols(),
@@ -431,18 +363,7 @@ impl CompressedMatrix {
     /// Decode errors, or structural errors if the decoded streams do not
     /// reassemble into a valid CSR matrix.
     pub fn decompress(&self) -> CodecResult<Csr> {
-        self.decompress_timed(None)
-    }
-
-    /// [`Self::decompress`], clocking each decode stage into `stages` when
-    /// there is one.
-    ///
-    /// # Errors
-    /// Same as [`Self::decompress`].
-    pub fn decompress_timed(&self, stages: Option<&StageSink>) -> CodecResult<Csr> {
-        let (mut index_pipe, mut value_pipe) = self.pipelines()?;
-        index_pipe.time_stages(stages.cloned());
-        value_pipe.time_stages(stages.cloned());
+        let (index_pipe, value_pipe) = self.pipelines()?;
         let index_bytes = index_pipe.decode_stream(&self.index_stream)?;
         let value_bytes = value_pipe.decode_stream(&self.value_stream)?;
         if index_bytes.len() != self.nnz * 4 || value_bytes.len() != self.nnz * 8 {
@@ -646,41 +567,6 @@ mod tests {
         let mut enc = pipe.encode_stream(&data).unwrap();
         enc.blocks.swap(0, 1);
         assert!(matches!(pipe.decode_stream(&enc), Err(CodecError::BlockSequence { .. })));
-    }
-
-    #[test]
-    fn telemetry_sees_enabled_stages_in_both_directions() {
-        let a = banded_matrix();
-        let sink = StageSink::default();
-        let config = MatrixCodecConfig::udp_dsh();
-        let c = CompressedMatrix::compress_timed(&a, config, Some(&sink)).unwrap();
-        let enc = sink.report().encode;
-        // Index stream is DSH, value stream SH: every stage ran somewhere.
-        assert!(enc.delta.calls > 0 && enc.snappy.calls > 0 && enc.huffman.calls > 0);
-        assert_eq!(enc.delta.bytes_in, (a.nnz() * 4) as u64, "delta sees raw index bytes");
-        // Decode through timed pipelines and check the other side.
-        assert_eq!(c.decompress_timed(Some(&sink)).unwrap(), a);
-        let dec = sink.report().decode;
-        assert!(dec.delta.calls > 0 && dec.snappy.calls > 0 && dec.huffman.calls > 0);
-        assert_eq!(dec.delta.bytes_out, (a.nnz() * 4) as u64);
-        assert_eq!(dec.snappy.bytes_out, ((a.nnz() * 12) as u64), "snappy emits both streams");
-    }
-
-    #[test]
-    fn untimed_runs_leave_a_sink_alone() {
-        let a = banded_matrix();
-        let sink = StageSink::default();
-        let config = MatrixCodecConfig::udp_dsh();
-        let c = CompressedMatrix::compress_timed(&a, config, Some(&sink)).unwrap();
-        let timed = sink.report();
-        // The pipelines a matrix hands out, and its own untimed entries,
-        // are detached from the sink that clocked its compression.
-        let (ip, vp) = c.pipelines().unwrap();
-        ip.decode_stream(&c.index_stream).unwrap();
-        vp.decode_stream(&c.value_stream).unwrap();
-        c.decompress().unwrap();
-        CompressedMatrix::compress(&a, config).unwrap();
-        assert_eq!(sink.report(), timed);
     }
 
     #[test]

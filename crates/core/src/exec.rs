@@ -26,7 +26,6 @@ use crate::telemetry::{
 };
 use recode_codec::block::{BlockStream, CompressedBlock};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
-use recode_codec::telemetry::StageSink;
 use recode_codec::{words, CodecError};
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
 use recode_sparse::Csr;
@@ -74,9 +73,9 @@ pub struct ExecStats {
     /// True when the run never touched the accelerator: the circuit breaker
     /// bypassed it to the software decoder ([`RecodedSpmv::run_job`]).
     pub software_decode: bool,
-    /// Blocks that decoded cleanly on the first attempt. In-memory
-    /// accounting only (not serialized):
-    /// `blocks_ok + blocks_recovered + blocks_fell_back == accel.jobs`.
+    /// Blocks that decoded cleanly on the first attempt:
+    /// `blocks_ok + blocks_recovered + blocks_fell_back == accel.jobs`, and a
+    /// trace's block events carry the same tally.
     pub blocks_ok: usize,
     /// Blocks that failed initially but recovered via retry (each counted
     /// once, unlike [`ExecStats::blocks_retried`] which counts attempts).
@@ -123,11 +122,6 @@ pub struct RecodedSpmv {
     index_decoder: DshDecoder,
     value_decoder: DshDecoder,
     raw_store: Option<RawFallbackStore>,
-    /// Software-codec stage timing, present when
-    /// [`RecodedSpmv::with_stage_timing`] was asked for it. Encode timings
-    /// accumulate at compression; decode timings whenever the software path
-    /// runs.
-    stage_times: Option<StageSink>,
 }
 
 /// Transport-structure check: block count and sequence positions. Per-block
@@ -162,23 +156,8 @@ impl RecodedSpmv {
     /// # Errors
     /// Codec preconditions or decoder-construction failures.
     pub fn new(a: &Csr, config: MatrixCodecConfig) -> ExecResult<Self> {
-        Self::with_stage_timing(a, config, false)
-    }
-
-    /// [`RecodedSpmv::new`], clocking the software codec's stages when
-    /// `timed`: per-stage encode timings are recorded during compression
-    /// here, decode timings whenever [`RecodedSpmv::decompress_via_software`]
-    /// runs, and the accumulated report lands in every [`TraceDocument`]
-    /// sealed over this operand. Untimed, no stage reads a clock and the
-    /// report stays all-zero.
-    ///
-    /// # Errors
-    /// As [`RecodedSpmv::new`].
-    pub fn with_stage_timing(a: &Csr, config: MatrixCodecConfig, timed: bool) -> ExecResult<Self> {
-        let stage_times = timed.then(StageSink::default);
-        let compressed = CompressedMatrix::compress_timed(a, config, stage_times.as_ref())?;
-        let store = Some(RawFallbackStore::from_csr(a));
-        Ok(RecodedSpmv { stage_times, ..Self::from_compressed_with_store(compressed, store)? })
+        let compressed = CompressedMatrix::compress(a, config)?;
+        Self::from_compressed_with_store(compressed, Some(RawFallbackStore::from_csr(a)))
     }
 
     /// Compresses `a` under a persisted [`crate::tune::TunedConfig`],
@@ -220,7 +199,7 @@ impl RecodedSpmv {
             DshDecoder::new(compressed.config.index, compressed.index_table_lengths.as_deref())?;
         let value_decoder =
             DshDecoder::new(compressed.config.value, compressed.value_table_lengths.as_deref())?;
-        Ok(RecodedSpmv { compressed, index_decoder, value_decoder, raw_store, stage_times: None })
+        Ok(RecodedSpmv { compressed, index_decoder, value_decoder, raw_store })
     }
 
     /// The compressed representation.
@@ -533,10 +512,8 @@ impl RecodedSpmv {
     /// supplied here) plus the sealed [`TraceDocument`] covering every phase
     /// — UDP decode with per-lane and per-opcode-class breakdowns,
     /// retry/fallback recovery, reassembly, modeled memory/DMA streaming,
-    /// and the CPU multiply — along with per-block events, dotted counters,
-    /// memory traffic by source, and the codec-stage report (non-zero when
-    /// built via [`RecodedSpmv::with_stage_timing`]). `name` labels the
-    /// matrix.
+    /// and the CPU multiply — along with per-block events, dotted counters
+    /// and memory traffic by source. `name` labels the matrix.
     ///
     /// # Errors
     /// As [`RecodedSpmv::decompress_with`].
@@ -555,13 +532,13 @@ impl RecodedSpmv {
         Ok((y, stats, doc))
     }
 
-    /// The one [`TraceDocument`] sealer: matrix and platform identity, the
-    /// codec-stage report, and the wall time since `t_total`, around
-    /// whatever `tel` collected during a run over this operand (the registry
-    /// a caller put in its [`RunCtx`]; the `spmv_traced` entries own theirs).
-    /// A governed job ([`RecodedSpmv::run_job`]) seals the same way whenever
-    /// it produced stats; its document carries `pool.*` and `breaker.*`
-    /// counters and so is stamped `recode-trace/v2` (`recode metrics`).
+    /// The one [`TraceDocument`] sealer: matrix and platform identity and
+    /// the wall time since `t_total`, around whatever `tel` collected during
+    /// a run over this operand (the registry a caller put in its [`RunCtx`];
+    /// the `spmv_traced` entries own theirs). A governed job
+    /// ([`RecodedSpmv::run_job`]) seals the same way whenever it produced
+    /// stats; its document also carries `breaker.*` counters (`recode
+    /// metrics`).
     pub fn seal(
         &self,
         sys: &SystemConfig,
@@ -584,9 +561,8 @@ impl RecodedSpmv {
             lanes: sys.udp.lanes,
             freq_hz: sys.udp.freq_hz,
         };
-        let codec_stages = self.stage_times.as_ref().map(StageSink::report).unwrap_or_default();
         let wall_ns_total = t_total.elapsed().as_nanos() as u64;
-        tel.into_document(matrix, system, stats.clone(), codec_stages, &sys.mem, wall_ns_total)
+        tel.into_document(matrix, system, stats.clone(), &sys.mem, wall_ns_total)
     }
 
     /// One fully governed job: circuit-breaker admission, a
@@ -621,8 +597,12 @@ impl RecodedSpmv {
             // Open breaker: the accelerator is bypassed entirely and the job
             // is served by the software decoder. No accelerator cycles, the
             // compressed stream still crosses memory.
-            self.decompress_via_software().map_err(ExecError::Codec).map(|a| {
-                let wire_bytes = self.compressed.wire_bytes();
+            let wire_bytes = self.compressed.wire_bytes();
+            let phase =
+                recorder::phase(recorder::Track::MAIN, "exec.software_decode", tel.is_some());
+            let decoded = self.decompress_via_software();
+            phase.finish(tel.as_deref_mut(), 0.0, wire_bytes as u64);
+            decoded.map_err(ExecError::Codec).map(|a| {
                 let mut stats = BlockTally::default().stats(
                     sys,
                     AccelReport::default(),
@@ -636,7 +616,7 @@ impl RecodedSpmv {
                 (a, stats)
             })
         };
-        // Breaker posture after the job, as `breaker.*` counters (v2 content).
+        // Breaker posture after the job, as `breaker.*` counters.
         let breaker_state = breaker.as_deref().map_or(BreakerState::Closed, CircuitBreaker::state);
         if let (Some(tel), Some(b)) = (tel, breaker.as_deref()) {
             tel.derive(BREAKER_COUNTERS, |get| get(b));
@@ -655,13 +635,11 @@ impl RecodedSpmv {
     }
 
     /// Software-only decode path (reference), for differential testing.
-    /// On a timed instance ([`RecodedSpmv::with_stage_timing`]) the
-    /// per-stage decode timings accumulate into its report.
     ///
     /// # Errors
     /// Codec errors.
     pub fn decompress_via_software(&self) -> Result<Csr, CodecError> {
-        self.compressed.decompress_timed(self.stage_times.as_ref())
+        self.compressed.decompress()
     }
 
     /// **Streaming tiled SpMV** — the paper's Fig. 7 execution mode, on the
@@ -901,7 +879,7 @@ mod tests {
     #[test]
     fn traced_spmv_emits_a_consistent_document() {
         let a = test_matrix();
-        let r = RecodedSpmv::with_stage_timing(&a, MatrixCodecConfig::udp_dsh(), true).unwrap();
+        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
         let (y, stats, doc) =
@@ -922,9 +900,6 @@ mod tests {
         ] {
             assert!(doc.spans.iter().any(|s| s.name == name), "missing span {name}");
         }
-        // Encode-stage codec telemetry was captured at compression time.
-        assert!(doc.codec_stages.encode.delta.calls > 0);
-        assert!(doc.codec_stages.encode.huffman.calls > 0);
         // Traffic covers the compressed stream, row pointers, and vectors.
         assert!(doc.mem_traffic.total_bytes > 0);
         assert!(doc.counter("mem.read.compressed_stream") == stats.compressed_bytes as u64);
@@ -967,7 +942,6 @@ mod tests {
         assert_eq!(fb.cycles, 0, "fallback block never decoded");
         let ok = evs.iter().filter(|e| e.outcome == BlockOutcome::Ok).count();
         assert_eq!(ok, evs.len() - 2);
-        assert_eq!(tel.block_cycles().count, evs.len() as u64);
     }
 
     #[test]
@@ -1173,17 +1147,21 @@ mod tests {
         b.record(BREAKER_MIN_JOBS, BREAKER_MIN_JOBS);
         assert_eq!(b.state(), BreakerState::Open);
         for _ in 1..BREAKER_COOLDOWN_RUNS {
-            let report = r.run_job(
-                &sys,
-                RunCtx { budget: Some(&budget), ..RunCtx::default() },
-                Some(&mut b),
-            );
+            let (mut tel, t_total) = (Telemetry::new(), Instant::now());
+            let ctx = RunCtx { budget: Some(&budget), tel: Some(&mut tel), ..RunCtx::default() };
+            let report = r.run_job(&sys, ctx, Some(&mut b));
             assert_eq!(report.state, JobState::Degraded);
             assert!(report.software_path, "open breaker must bypass the accelerator");
             assert_eq!(report.matrix.as_ref(), Some(&a), "software bypass stays bit-exact");
             let stats = report.stats.expect("bypass synthesizes stats");
             assert!(stats.software_decode && stats.degraded);
             assert_eq!(stats.accel.jobs, 0, "no accelerator work on the bypass");
+            // The software rung is a phase of the run like any other.
+            let doc = r.seal(&sys, tel, &stats, "bypass", t_total);
+            let spans: Vec<&str> = doc.spans.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(spans, ["exec.software_decode"]);
+            assert_eq!(doc.spans[0].bytes, r.compressed().wire_bytes() as u64);
+            assert!(doc.validate().is_empty(), "{:?}", doc.validate());
         }
 
         // The next run is the half-open probe; it succeeds and re-closes.

@@ -1,8 +1,8 @@
 //! The workspace's one JSON stack: a tree, a writer, a parser, and the
 //! [`ToJson`]/[`FromJson`] pair that maps plain structs onto the tree.
 //!
-//! Every machine-readable artifact goes through it: `recode-trace/v1|v2`
-//! documents ([`crate::trace_json`]), `recode-tuned/v1`, the Chrome trace
+//! Every machine-readable artifact goes through it: `recode-trace/v3`
+//! documents ([`crate::trace_json`]), `recode-tuned/v2`, the Chrome trace
 //! exporter, `chaos::CampaignSummary::to_json`, the figure binaries' result
 //! rows, the `BENCH_*.json` snapshots and `recode bench-compare`. It is
 //! deliberately small: objects preserve insertion order (stable output
@@ -550,8 +550,24 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     }
 }
 
-/// Maps are objects; keys print through `Display` (`u8` bucket indices
-/// become `"7"`) and `BTreeMap` order keeps the bytes stable.
+/// An absent value is `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, ToJson::to_json)
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        match j {
+            Json::Null => Ok(None),
+            _ => T::from_json(j).map(Some),
+        }
+    }
+}
+
+/// Maps are objects; keys print through `Display` (a `u8` key becomes
+/// `"7"`) and `BTreeMap` order keeps the bytes stable.
 impl<K: std::fmt::Display, V: ToJson> ToJson for BTreeMap<K, V> {
     fn to_json(&self) -> Json {
         Json::Obj(self.iter().map(|(k, v)| (k.to_string(), v.to_json())).collect())
@@ -593,9 +609,9 @@ pub fn required<T: FromJson>(j: &Json, key: &str) -> Result<T, String> {
 
 /// Maps a struct onto a JSON object, one key per listed field, in the order
 /// listed. `json_struct!(write T { a, b })` implements [`ToJson`] only;
-/// `json_struct!(T { a, b; c, d })` implements [`FromJson`] as well, where
-/// the fields after `;` take their `Default` when the object lacks them.
-/// Keys the struct does not list are ignored on reading.
+/// `json_struct!(T { a, b })` implements [`FromJson`] as well, with every
+/// listed field required. Keys the struct does not list are ignored on
+/// reading.
 #[macro_export]
 macro_rules! json_struct {
     (write $ty:ty { $($f:ident),* $(,)? }) => {
@@ -607,14 +623,11 @@ macro_rules! json_struct {
             }
         }
     };
-    ($ty:ty { $($req:ident),* $(; $($opt:ident),*)? }) => {
-        $crate::json_struct!(write $ty { $($req,)* $($($opt,)*)? });
+    ($ty:ty { $($f:ident),* $(,)? }) => {
+        $crate::json_struct!(write $ty { $($f),* });
         impl $crate::json::FromJson for $ty {
             fn from_json(j: &$crate::json::Json) -> Result<Self, String> {
-                Ok(Self {
-                    $($req: $crate::json::required(j, stringify!($req))?,)*
-                    $($($opt: $crate::json::field(j, stringify!($opt))?.unwrap_or_default(),)*)?
-                })
+                Ok(Self { $($f: $crate::json::required(j, stringify!($f))?,)* })
             }
         }
     };
@@ -741,7 +754,7 @@ mod tests {
         buckets: BTreeMap<u8, u64>,
         extra: usize,
     }
-    json_struct!(Probe { name, hits, ratio, tags, buckets; extra });
+    json_struct!(Probe { name, hits, ratio, tags, buckets, extra });
 
     #[derive(Debug, PartialEq)]
     enum Mode {
@@ -751,7 +764,7 @@ mod tests {
     json_enum!(Mode { Fast, Exact });
 
     #[test]
-    fn json_struct_round_trips_defaults_and_ignores_unknown_keys() {
+    fn json_struct_round_trips_and_ignores_unknown_keys() {
         let p = Probe {
             name: "p".into(),
             hits: 3,
@@ -767,14 +780,17 @@ mod tests {
         );
         assert_eq!(Probe::from_json(&j), Ok(p));
 
-        let sparse =
-            parse(r#"{"name":"q","hits":1,"ratio":null,"tags":[],"buckets":{},"new":[1]}"#)
-                .unwrap();
-        let q = Probe::from_json(&sparse).expect("`extra` defaults, `new` is ignored");
+        let extended = parse(
+            r#"{"name":"q","hits":1,"ratio":null,"tags":[],"buckets":{},"extra":0,"new":[1]}"#,
+        )
+        .unwrap();
+        let q = Probe::from_json(&extended).expect("`new` is ignored");
         assert!(q.ratio.is_nan() && q.extra == 0);
 
         let missing = Probe::from_json(&parse(r#"{"name":"q"}"#).unwrap()).unwrap_err();
         assert_eq!(missing, "missing field `hits`");
+        let no_extra = parse(r#"{"name":"q","hits":1,"ratio":0,"tags":[],"buckets":{}}"#).unwrap();
+        assert_eq!(Probe::from_json(&no_extra).unwrap_err(), "missing field `extra`");
         let wrong =
             parse(r#"{"name":"q","hits":1,"ratio":0,"tags":[1,300],"buckets":{}}"#).unwrap();
         assert_eq!(Probe::from_json(&wrong).unwrap_err(), "tags: [1]: expected a u8, found 300");

@@ -29,8 +29,9 @@
 //! * [`experiment`] — per-figure experiment runners with serializable
 //!   results;
 //! * [`report`] — plain-text tables matching the paper's figures;
-//! * [`telemetry`] — the span/counter/histogram registry behind
-//!   `recode spmv --trace`, sealed into a schema-stable [`TraceDocument`];
+//! * [`telemetry`] — the span/counter/block-event registry behind
+//!   `recode spmv --trace`, sealed into a [`TraceDocument`] of the one
+//!   trace schema;
 //! * [`recorder`] — the always-on flight recorder: a lock-light ring of
 //!   typed runtime events (spans, block outcomes, breaker transitions,
 //!   pool and cache traffic) exportable as a Chrome/Perfetto trace via
@@ -89,6 +90,6 @@ pub use tune::{
 };
 
 pub use telemetry::{
-    render_report, BlockEvent, BlockOutcome, CycleHistogram, MatrixMeta, RecorderSummary, Span,
-    StreamKind, SystemMeta, Telemetry, TraceDocument, TRACE_SCHEMA, TRACE_SCHEMA_V1,
+    render_report, BlockEvent, BlockOutcome, MatrixMeta, RecorderSummary, Span, StreamKind,
+    SystemMeta, Telemetry, TraceDocument, TRACE_SCHEMA,
 };

@@ -204,11 +204,10 @@ mod tests {
             MatrixMeta { name: "m".into(), nnz: 100, bytes_per_nnz: 4.5, ..MatrixMeta::default() },
             SystemMeta::default(),
             crate::exec::ExecStats::default(),
-            recode_codec::telemetry::CodecStageReport::default(),
             &MemorySystem::ddr4(),
             5_000,
         );
-        doc.attach_recorder(RecorderSummary {
+        doc.recorder = Some(RecorderSummary {
             recorded: 10,
             dropped: 2,
             capacity: 256,

@@ -1010,7 +1010,7 @@ mod tests {
     #[test]
     fn traced_overlap_run_seals_a_valid_document() {
         let a = test_matrix();
-        let r = RecodedSpmv::with_stage_timing(&a, MatrixCodecConfig::udp_dsh(), true).unwrap();
+        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let x = vec![1.0; a.ncols()];
         let ex = OverlapExecutor::new(

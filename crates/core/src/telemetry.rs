@@ -1,5 +1,5 @@
-//! Lightweight span/counter/histogram telemetry for the whole recoded-SpMV
-//! pipeline, exported as one stable JSON trace document.
+//! Lightweight span/counter/block-event telemetry for the whole recoded-SpMV
+//! pipeline, exported as one JSON trace document.
 //!
 //! Everything here is plain data + `std` — no new dependencies. The
 //! trace-off path costs nothing: a run carries `Option<&mut Telemetry>` in
@@ -7,44 +7,41 @@
 //!
 //! ## Schema
 //!
-//! A [`TraceDocument`] (version [`TRACE_SCHEMA`]) aggregates:
+//! A [`TraceDocument`] (schema [`TRACE_SCHEMA`], the only one) aggregates:
 //!
 //! * [`Span`]s — wall-clock (`wall_ns`) and/or modeled (`modeled_seconds`)
 //!   durations for each main-track phase, pushed by the one phase guard
 //!   ([`crate::recorder::phase`]) from the clock reads that stamp the flight
 //!   recorder's `B`/`E` pair: `exec.decode_batch`, one `exec.retry` (and
 //!   `exec.fallback`) per block that climbed the ladder, `exec.reassemble`,
-//!   `exec.cpu_multiply`, or `exec.overlap` on the tiled schedules; plus the
+//!   `exec.cpu_multiply`, or `exec.overlap` on the tiled schedules, and
+//!   `exec.software_decode` when an open breaker bypasses the lanes; plus the
 //!   modeled-only `exec.mem_stream` and `exec.dma`;
 //! * counters — dotted lowercase names. Those that are copies of a stats
 //!   field come from the tables below ([`EXEC_COUNTERS`], ...), which
 //!   [`TraceDocument::validate`] walks again; `mem.read.*`/`mem.write.*` are
 //!   derived from the traffic ledger at the seal;
-//! * a log₂-bucketed [`CycleHistogram`] of per-block decode cycles;
 //! * per-block [`BlockEvent`] records (job, stream, block, lane, cycles,
-//!   outcome);
+//!   outcome), which [`render_report`] buckets by log₂ cycles;
 //! * the accelerator's per-lane/per-opcode-class breakdown (via
-//!   `ExecStats::accel`), the codec's per-stage timings, and the memory
-//!   traffic ledger by source.
+//!   `ExecStats::accel`) and the memory traffic ledger by source;
+//! * the flight recorder's summary when the run had it on.
+//!
+//! Every wall-clock number in a document is read by the phase guard, apart
+//! from the run's own total: nothing beneath the executor reads a clock.
 
 use crate::exec::ExecStats;
 use crate::overlap::OverlapStats;
 use crate::resilience::{BreakerState, CircuitBreaker};
-use recode_codec::telemetry::CodecStageReport;
 use recode_mem::traffic::{TrafficLedger, TrafficReport};
 use recode_mem::MemorySystem;
 use recode_udp::pool::PoolStats;
 use std::collections::BTreeMap;
 
-/// Current trace-document schema identifier. v2 adds the resilience layer:
-/// `pool.*` / `breaker.*` counters and an optional flight-recorder summary.
-pub const TRACE_SCHEMA: &str = "recode-trace/v2";
-
-/// The original schema. Documents without any v2 content are still stamped
-/// (and [`TraceDocument::validate`]d) as v1, so traces from paths that never
-/// touch the resilience machinery — and old golden fixtures — stay
-/// byte-identical.
-pub const TRACE_SCHEMA_V1: &str = "recode-trace/v1";
+/// The trace-document schema. There is one: every document is stamped with
+/// it whatever the run touched, and [`TraceDocument::validate`] refuses any
+/// other stamp.
+pub const TRACE_SCHEMA: &str = "recode-trace/v3";
 
 /// What a derived value is to a scraper: a monotonic count, or a
 /// point-in-time value that may go down.
@@ -101,7 +98,7 @@ pub const TILED_COUNTERS: &[Derived<OverlapStats>] = &[
 /// Lane-pool traffic over a batch, as deltas of the process-wide pool's
 /// monotonic counters. Parallel tests can inflate these (the pool is
 /// shared) and the pool is not part of the document, so they are reported,
-/// not validated. Any `pool.*` key stamps the document `recode-trace/v2`.
+/// not validated.
 pub const POOL_COUNTERS: &[Derived<PoolStats>] = &[
     ("pool.checkouts", Counter, |p| p.checkouts),
     ("pool.recycled_hits", Counter, |p| p.recycled_hits),
@@ -112,7 +109,7 @@ pub const POOL_COUNTERS: &[Derived<PoolStats>] = &[
     ("pool.readmitted", Counter, |p| p.readmitted),
 ];
 
-/// Breaker posture after a governed job (v2 content, reported only).
+/// Breaker posture after a governed job (reported only).
 /// `breaker.state` is [`BreakerState::code`], the one gauge.
 pub const BREAKER_COUNTERS: &[Derived<CircuitBreaker>] = &[
     ("breaker.trips", Counter, CircuitBreaker::trips),
@@ -135,73 +132,6 @@ pub fn counter_kind(name: &str) -> Kind {
         .or(find(POOL_COUNTERS, name))
         .or(find(BREAKER_COUNTERS, name))
         .unwrap_or(Counter)
-}
-
-/// Does `counters` carry the resilience layer's keys (v2-only content)?
-fn has_resilience_counters(counters: &BTreeMap<String, u64>) -> bool {
-    counters.keys().any(|k| k.starts_with("pool.") || k.starts_with("breaker."))
-}
-
-/// A log₂-bucketed histogram of `u64` samples (block decode cycles).
-///
-/// Bucket 0 holds zeros; bucket `b ≥ 1` holds values in
-/// `[2^(b-1), 2^b - 1]`. Buckets are stored sparsely so the JSON stays
-/// small and schema-stable.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CycleHistogram {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-    /// Sparse `bucket index → count` map.
-    pub buckets: BTreeMap<u8, u64>,
-}
-
-impl CycleHistogram {
-    /// The bucket index `value` lands in.
-    pub fn bucket_index(value: u64) -> u8 {
-        if value == 0 {
-            0
-        } else {
-            (64 - value.leading_zeros()) as u8
-        }
-    }
-
-    /// Inclusive `[lo, hi]` value range of bucket `b`.
-    pub fn bucket_range(b: u8) -> (u64, u64) {
-        match b {
-            0 => (0, 0),
-            64 => (1u64 << 63, u64::MAX),
-            b => (1u64 << (b - 1), (1u64 << b) - 1),
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += value;
-        *self.buckets.entry(Self::bucket_index(value)).or_insert(0) += 1;
-    }
-
-    /// Mean sample, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// One named pipeline phase. `wall_ns` is host wall-clock time actually
@@ -256,7 +186,7 @@ pub struct BlockEvent {
     pub outcome: BlockOutcome,
 }
 
-/// Aggregate view of a flight-recorder session, embedded in v2 traces when
+/// Aggregate view of a flight-recorder session, embedded in a trace when
 /// the recorder was enabled for the run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecorderSummary {
@@ -294,7 +224,6 @@ impl RecorderSummary {
 pub struct Telemetry {
     spans: Vec<Span>,
     counters: BTreeMap<String, u64>,
-    block_cycles: CycleHistogram,
     block_events: Vec<BlockEvent>,
     /// Memory traffic by source, filled by the exec path.
     pub traffic: TrafficLedger,
@@ -324,9 +253,8 @@ impl Telemetry {
         }
     }
 
-    /// Records one block event (and its cycles into the histogram).
+    /// Records one block event.
     pub fn block_event(&mut self, event: BlockEvent) {
-        self.block_cycles.record(event.cycles);
         self.block_events.push(event);
     }
 
@@ -346,11 +274,6 @@ impl Telemetry {
         &self.block_events
     }
 
-    /// The block-cycle histogram.
-    pub fn block_cycles(&self) -> &CycleHistogram {
-        &self.block_cycles
-    }
-
     /// Seals the registry into a [`TraceDocument`]. Memory-traffic counters
     /// (`mem.read.<source>` / `mem.write.<source>`) are derived from the
     /// ledger here so counters and the traffic report can never disagree.
@@ -359,7 +282,6 @@ impl Telemetry {
         matrix: MatrixMeta,
         system: SystemMeta,
         exec: ExecStats,
-        codec_stages: CodecStageReport,
         mem: &MemorySystem,
         wall_ns_total: u64,
     ) -> TraceDocument {
@@ -374,21 +296,14 @@ impl Telemetry {
                 self.add(&format!("mem.write.{}", s.name()), w);
             }
         }
-        // Schema is content-dependent: a document only claims v2 when it
-        // actually carries v2 content (resilience counters; a recorder
-        // summary attached later also promotes). Runs that never touch the
-        // resilience layer keep emitting byte-identical v1 documents.
-        let v2 = has_resilience_counters(&self.counters);
         TraceDocument {
-            schema: if v2 { TRACE_SCHEMA } else { TRACE_SCHEMA_V1 }.to_string(),
+            schema: TRACE_SCHEMA.to_string(),
             matrix,
             system,
             wall_ns_total,
             spans: self.spans,
             counters: self.counters,
-            block_cycles: self.block_cycles,
             block_events: self.block_events,
-            codec_stages,
             mem_traffic: self.traffic.report(mem),
             exec,
             recorder: None,
@@ -439,19 +354,15 @@ pub struct TraceDocument {
     pub spans: Vec<Span>,
     /// Dotted-name counters.
     pub counters: BTreeMap<String, u64>,
-    /// Log₂ histogram of per-block decode cycles.
-    pub block_cycles: CycleHistogram,
     /// Per-block event records.
     pub block_events: Vec<BlockEvent>,
-    /// Software-codec per-stage timings and byte counters.
-    pub codec_stages: CodecStageReport,
     /// Memory traffic by source.
     pub mem_traffic: TrafficReport,
     /// Execution stats, including the accelerator report with per-lane
     /// profiles, opcode-class and stage cycle attribution.
     pub exec: ExecStats,
-    /// Flight-recorder summary (v2; absent in v1 documents and when the
-    /// recorder was off for the run).
+    /// Flight-recorder summary (`None` when the recorder was off for the
+    /// run).
     pub recorder: Option<RecorderSummary>,
 }
 
@@ -461,40 +372,12 @@ impl TraceDocument {
         self.spans.iter().map(|s| s.wall_ns).sum()
     }
 
-    /// Attaches a flight-recorder summary, which is v2-only content and so
-    /// promotes the document's schema stamp.
-    pub fn attach_recorder(&mut self, summary: RecorderSummary) {
-        self.recorder = Some(summary);
-        self.schema = TRACE_SCHEMA.to_string();
-    }
-
-    /// True when the document carries any v2-only content (resilience
-    /// counters or a recorder summary).
-    pub fn has_v2_content(&self) -> bool {
-        self.recorder.is_some() || has_resilience_counters(&self.counters)
-    }
-
-    /// Structural validation: schema version plus the invariants the
-    /// pipeline guarantees. Accepts both [`TRACE_SCHEMA`] (v2) and
-    /// [`TRACE_SCHEMA_V1`] documents; a v1 stamp on v2 content is a
-    /// violation. Returns a list of violations (empty = valid).
+    /// Structural validation: the schema stamp plus the invariants the
+    /// pipeline guarantees. Returns a list of violations (empty = valid).
     pub fn validate(&self) -> Vec<String> {
         let mut errs = Vec::new();
-        match self.schema.as_str() {
-            TRACE_SCHEMA => {}
-            TRACE_SCHEMA_V1 => {
-                if self.has_v2_content() {
-                    errs.push(format!(
-                        "document stamped `{TRACE_SCHEMA_V1}` carries v2 content \
-                         (recorder summary or pool.*/breaker.* counters)"
-                    ));
-                }
-            }
-            other => {
-                errs.push(format!(
-                    "schema `{other}` is neither `{TRACE_SCHEMA}` nor `{TRACE_SCHEMA_V1}`"
-                ));
-            }
+        if self.schema != TRACE_SCHEMA {
+            errs.push(format!("schema `{}` is not `{TRACE_SCHEMA}`", self.schema));
         }
         if let Some(rec) = &self.recorder {
             let drained: u64 = rec.by_kind.values().sum();
@@ -512,18 +395,29 @@ impl TraceDocument {
                 self.wall_ns_total
             ));
         }
-        if self.block_cycles.count != self.block_events.len() as u64 {
-            errs.push(format!(
-                "histogram count {} != block events {}",
-                self.block_cycles.count,
-                self.block_events.len()
-            ));
+        // Every decode job ends once, as one event: its outcome counts are
+        // the run's own tally.
+        let outcomes =
+            |o: BlockOutcome| self.block_events.iter().filter(|e| e.outcome == o).count();
+        let e = &self.exec;
+        let tally = [
+            (BlockOutcome::Ok, e.blocks_ok),
+            (BlockOutcome::Retried, e.blocks_recovered),
+            (BlockOutcome::FellBack, e.blocks_fell_back),
+        ];
+        for (outcome, stat) in tally {
+            if outcomes(outcome) != stat {
+                errs.push(format!(
+                    "{} block events are {outcome:?}, exec stats say {stat}",
+                    outcomes(outcome)
+                ));
+            }
         }
-        let event_cycles: u64 = self.block_events.iter().map(|e| e.cycles).sum();
-        if self.block_cycles.sum != event_cycles {
+        if self.block_events.len() != e.accel.jobs {
             errs.push(format!(
-                "histogram sum {} != event cycle sum {}",
-                self.block_cycles.sum, event_cycles
+                "{} block events for {} decode jobs",
+                self.block_events.len(),
+                e.accel.jobs
             ));
         }
         // Certified-bound floor: a block that actually ran on a lane spent
@@ -675,12 +569,23 @@ pub fn render_report(doc: &TraceDocument) -> String {
         st.snappy as f64 * 100.0 / stotal as f64,
         st.delta as f64 * 100.0 / stotal as f64
     );
-    let h = &doc.block_cycles;
+    let cycles: Vec<u64> = doc.block_events.iter().map(|e| e.cycles).collect();
+    let (min, max) = (cycles.iter().min().copied(), cycles.iter().max().copied());
+    let mean = cycles.iter().sum::<u64>() as f64 / cycles.len().max(1) as f64;
     let _ = writeln!(out, "\n-- per-block decode cycles (log2 buckets) --");
-    let _ = writeln!(out, "count {}, mean {:.0}, min {}, max {}", h.count, h.mean(), h.min, h.max);
-    for (&b, &c) in &h.buckets {
-        let (lo, hi) = CycleHistogram::bucket_range(b);
-        let _ = writeln!(out, "  [{lo:>10}, {hi:>10}] {c:>6}");
+    let _ = writeln!(
+        out,
+        "count {}, mean {mean:.0}, min {}, max {}",
+        cycles.len(),
+        min.unwrap_or(0),
+        max.unwrap_or(0)
+    );
+    let mut buckets = BTreeMap::<(u64, u64), u64>::new();
+    for &c in &cycles {
+        *buckets.entry(log2_bucket(c)).or_default() += 1;
+    }
+    for ((lo, hi), n) in buckets {
+        let _ = writeln!(out, "  [{lo:>10}, {hi:>10}] {n:>6}");
     }
     let _ = writeln!(out, "\n-- memory traffic ({}) --", doc.mem_traffic.memory);
     for src in &doc.mem_traffic.by_source {
@@ -699,23 +604,6 @@ pub fn render_report(doc: &TraceDocument) -> String {
         doc.mem_traffic.stream_seconds * 1e6,
         doc.mem_traffic.transfer_joules * 1e3
     );
-    let cs = &doc.codec_stages;
-    let _ = writeln!(out, "\n-- software codec stages --");
-    for (dir, d) in [("encode", &cs.encode), ("decode", &cs.decode)] {
-        for (stage, st) in [("delta", &d.delta), ("snappy", &d.snappy), ("huffman", &d.huffman)] {
-            if st.calls == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{dir:<7} {stage:<8} {:>8} blocks {:>12.1} us  {:>12} -> {:>12} B",
-                st.calls,
-                st.ns as f64 / 1e3,
-                st.bytes_in,
-                st.bytes_out
-            );
-        }
-    }
     let e = &doc.exec;
     let _ = writeln!(out, "\n-- degradation --");
     let _ = writeln!(
@@ -744,9 +632,10 @@ pub fn render_report(doc: &TraceDocument) -> String {
             ov.cache_hits, ov.cache_misses, ov.cache_evictions, ov.cache_hit_bytes
         );
     }
-    // Resilience section: only v2 documents carry pool/breaker counters or
-    // a recorder summary, so v1 reports are unchanged byte-for-byte.
-    if doc.has_v2_content() {
+    // Resilience section: lane-pool and breaker counters (the runs that
+    // touched them) and the flight recorder (when it was on).
+    let resilience = |k: &String| k.starts_with("pool.") || k.starts_with("breaker.");
+    if doc.recorder.is_some() || doc.counters.keys().any(resilience) {
         let _ = writeln!(out, "\n-- resilience --");
         report_rows(&mut out, doc, "lane pool", POOL_COUNTERS);
         report_rows(&mut out, doc, "circuit breaker", BREAKER_COUNTERS);
@@ -762,6 +651,15 @@ pub fn render_report(doc: &TraceDocument) -> String {
         }
     }
     out
+}
+
+/// The inclusive range of the log₂ bucket `value` falls in: `[0, 0]`, then
+/// `[2^(b-1), 2^b - 1]` for a value of `b` significant bits.
+fn log2_bucket(value: u64) -> (u64, u64) {
+    match u64::BITS - value.leading_zeros() {
+        0 => (0, 0),
+        bits => (1 << (bits - 1), u64::MAX >> (u64::BITS - bits)),
+    }
 }
 
 /// One report line for the rows of a counter table that `doc` carries
@@ -790,48 +688,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_bucket_indexing_is_log2() {
-        assert_eq!(CycleHistogram::bucket_index(0), 0);
-        assert_eq!(CycleHistogram::bucket_index(1), 1);
-        assert_eq!(CycleHistogram::bucket_index(2), 2);
-        assert_eq!(CycleHistogram::bucket_index(3), 2);
-        assert_eq!(CycleHistogram::bucket_index(4), 3);
-        assert_eq!(CycleHistogram::bucket_index(1023), 10);
-        assert_eq!(CycleHistogram::bucket_index(1024), 11);
-        assert_eq!(CycleHistogram::bucket_index(u64::MAX), 64);
-    }
-
-    #[test]
-    fn histogram_bucket_ranges_tile_the_u64_line() {
-        let (lo0, hi0) = CycleHistogram::bucket_range(0);
-        assert_eq!((lo0, hi0), (0, 0));
+    fn log2_buckets_tile_the_u64_line() {
+        assert_eq!(log2_bucket(0), (0, 0));
         let mut expected_lo = 1u64;
-        for b in 1..=63u8 {
-            let (lo, hi) = CycleHistogram::bucket_range(b);
-            assert_eq!(lo, expected_lo, "bucket {b}");
-            assert_eq!(hi, lo * 2 - 1, "bucket {b}");
-            // Every value in [lo, hi] maps back to bucket b.
-            assert_eq!(CycleHistogram::bucket_index(lo), b);
-            assert_eq!(CycleHistogram::bucket_index(hi), b);
-            expected_lo = hi + 1;
+        for bits in 1..=64u32 {
+            let (lo, hi) = log2_bucket(expected_lo);
+            assert_eq!(lo, expected_lo, "{bits} bits");
+            assert_eq!(hi, lo.wrapping_mul(2).wrapping_sub(1), "{bits} bits");
+            // Every value in [lo, hi] lands in the same bucket.
+            assert_eq!(log2_bucket(hi), (lo, hi));
+            expected_lo = hi.wrapping_add(1);
         }
-        assert_eq!(CycleHistogram::bucket_range(64), (1u64 << 63, u64::MAX));
-    }
-
-    #[test]
-    fn histogram_records_count_sum_extremes_and_buckets() {
-        let mut a = CycleHistogram::default();
-        for v in [0u64, 1, 5, 5, 1000] {
-            a.record(v);
-        }
-        assert_eq!(a.count, 5);
-        assert_eq!(a.sum, 1011);
-        assert_eq!(a.min, 0);
-        assert_eq!(a.max, 1000);
-        assert_eq!(a.buckets[&0], 1);
-        assert_eq!(a.buckets[&3], 2, "two fives in [4,7]");
-        assert_eq!(a.mean(), 1011.0 / 5.0);
-        assert_eq!(CycleHistogram::default().mean(), 0.0, "empty histogram");
+        assert_eq!(log2_bucket(u64::MAX), (1 << 63, u64::MAX));
+        assert_eq!(log2_bucket(1000), (512, 1023));
     }
 
     #[test]
@@ -846,7 +715,7 @@ mod tests {
     }
 
     #[test]
-    fn block_events_feed_the_histogram_and_sort_into_job_order() {
+    fn block_events_sort_into_job_order() {
         let event = |job, cycles, outcome| BlockEvent {
             job,
             stream: StreamKind::Index,
@@ -862,8 +731,6 @@ mod tests {
         a.sort_block_events();
         assert_eq!(a.spans.len(), 1);
         assert_eq!(a.block_events().iter().map(|e| e.job).collect::<Vec<_>>(), [0, 1]);
-        assert_eq!(a.block_cycles().count, 2);
-        assert_eq!(a.block_cycles().sum, 30);
     }
 
     /// The counter tables drive both directions. Writing: a live batch, a
@@ -877,6 +744,7 @@ mod tests {
     fn counter_tables_write_the_documents_and_validate_reads_them_back() {
         use crate::arch::SystemConfig;
         use crate::exec::RecodedSpmv;
+        use crate::json::{FromJson, ToJson};
         use crate::ladder::RunCtx;
         use crate::overlap::{OverlapConfig, OverlapExecutor};
         use crate::resilience::CircuitBreaker;

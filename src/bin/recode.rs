@@ -14,11 +14,12 @@ use recode_spmv::codec::metrics::CompressionSummary;
 use recode_spmv::codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_spmv::core::cli::{self, Args, UsageError};
 use recode_spmv::core::corpus;
+use recode_spmv::core::json::{FromJson, Json, ToJson};
 use recode_spmv::core::measure::measure_udp_decomp;
 use recode_spmv::core::perfmodel::SpmvPerfModel;
 use recode_spmv::core::recorder;
 use recode_spmv::core::report;
-use recode_spmv::core::telemetry::{RecorderSummary, Telemetry};
+use recode_spmv::core::telemetry::{RecorderSummary, Telemetry, TraceDocument, TRACE_SCHEMA};
 use recode_spmv::core::StageSubset;
 use recode_spmv::prelude::*;
 use recode_spmv::sparse::io::{read_matrix_market_path, write_matrix_market};
@@ -303,13 +304,10 @@ fn cmd_spmv(mut args: Args) -> Outcome {
     let y_ref = spmv(&a, &x);
     let hook = inject_trap.map(|j| FaultHook::new().trap(j));
     arm_recorder(chrome_trace.as_deref());
-    // Whether the run is traced is one value: the registry in its context
-    // (and the stage timing of the operand it runs over).
+    // Whether the run is traced is one value: the registry in its context.
     let mut tel = trace.is_some().then(Telemetry::new);
-    let mut recoded = RecodedSpmv::with_stage_timing(&a, config, tel.is_some())?;
-    // The batch run cross-checks losslessness through the software decode,
-    // which on a traced run also fills the decode direction of the trace's
-    // codec-stage report.
+    let mut recoded = RecodedSpmv::new(&a, config)?;
+    // The batch run cross-checks losslessness through the software decode.
     if !overlap && recoded.decompress_via_software()? != a {
         return Err("software decode diverged from the original matrix".into());
     }
@@ -330,9 +328,7 @@ fn cmd_spmv(mut args: Args) -> Outcome {
     let recorded = chrome_trace.as_deref().map(finish_chrome_trace).transpose()?;
     if let (Some(tel), Some(trace_path)) = (tel, &trace) {
         let mut doc = recoded.seal(&sys, tel, &stats, &matrix_name(&path), t_total);
-        if let Some(summary) = recorded {
-            doc.attach_recorder(summary);
-        }
+        doc.recorder = recorded;
         std::fs::write(trace_path, doc.to_json().to_string_pretty())
             .map_err(|e| format!("{trace_path}: {e}"))?;
         println!(
@@ -476,11 +472,16 @@ fn cmd_tune(mut args: Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-fn load_trace(path: &str) -> Result<recode_spmv::core::telemetry::TraceDocument, String> {
+/// Reads a trace document, refusing one of another schema by its stamp
+/// before mapping any field.
+fn load_trace(path: &str) -> Result<TraceDocument, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let json = recode_spmv::core::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    recode_spmv::core::telemetry::TraceDocument::from_json(&json)
-        .map_err(|e| format!("{path}: {e}"))
+    match json.get("schema").and_then(Json::as_str) {
+        Some(TRACE_SCHEMA) | None => {}
+        Some(other) => return Err(format!("{path}: schema `{other}` is not `{TRACE_SCHEMA}`")),
+    }
+    TraceDocument::from_json(&json).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `recode report`: render a trace document as a table.
@@ -538,7 +539,7 @@ fn cmd_trace_check(mut args: Args) -> Outcome {
 ///    certified maximum at the lane output-window input cap;
 /// 4. each rebuildable stage's aggregate cycles fit
 ///    `attempts x certified max`, where attempts = jobs + retries.
-fn check_trace_bounds(doc: &recode_spmv::core::telemetry::TraceDocument) -> Result<(), String> {
+fn check_trace_bounds(doc: &TraceDocument) -> Result<(), String> {
     use recode_spmv::core::telemetry::BlockOutcome;
     use recode_spmv::udp::isa::SCRATCHPAD_BYTES;
     use recode_spmv::udp::progs;
@@ -768,7 +769,7 @@ fn cmd_metrics(mut args: Args) -> Outcome {
     // per-kind event counters — including the jit_compile events fired
     // while the decoder's lane images are assembled just below.
     recorder::enable(recorder::DEFAULT_CAPACITY);
-    let recoded = RecodedSpmv::with_stage_timing(&a, config, true)?;
+    let recoded = RecodedSpmv::new(&a, config)?;
     let mut breaker = CircuitBreaker::new();
     let (mut tel, t_total) = (Telemetry::new(), Instant::now());
     let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
@@ -778,7 +779,7 @@ fn cmd_metrics(mut args: Args) -> Outcome {
         .as_ref()
         .ok_or_else(|| format!("job produced no trace document (state {:?})", report.state))?;
     let mut doc = recoded.seal(&sys, tel, stats, &matrix_name(&path), t_total);
-    doc.attach_recorder(RecorderSummary::from_events(&recorder::drain(), recorder::stats()));
+    doc.recorder = Some(RecorderSummary::from_events(&recorder::drain(), recorder::stats()));
     let text = MetricsSnapshot::from_document(&doc).render_prometheus();
     match &out {
         Some(path) => {

@@ -2,6 +2,7 @@
 //! decompress, verify, and run the simulated SpMV — the full workflow a
 //! downstream user drives from the shell.
 
+use recode_spmv::core::json::FromJson;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -86,8 +87,7 @@ fn spmv_trace_report_and_check_workflow() {
         .expect("run spmv --trace");
     assert!(out.status.success(), "spmv: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
-    // The batch traced path reports pool.* counters, which are v2 content.
-    assert!(text.contains("trace (recode-trace/v2) written"), "{text}");
+    assert!(text.contains("trace (recode-trace/v3) written"), "{text}");
     assert!(text.contains("verified against the uncompressed kernel"), "{text}");
 
     // The file is a valid, internally consistent TraceDocument.
@@ -148,13 +148,13 @@ fn spmv_trace_report_and_check_workflow() {
     // ...and rejects a tampered schema with a nonzero exit.
     let tampered = dir.join("tampered.json");
     let json = std::fs::read_to_string(&trace).unwrap();
-    std::fs::write(&tampered, json.replace("recode-trace/v2", "recode-trace/v0")).unwrap();
-    let out = bin()
-        .args(["trace-check", tampered.to_str().unwrap()])
-        .output()
-        .expect("run trace-check tampered");
-    assert!(!out.status.success(), "tampered trace must fail validation");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("schema"));
+    std::fs::write(&tampered, json.replace("recode-trace/v3", "recode-trace/v2")).unwrap();
+    for cmd in ["trace-check", "report"] {
+        let out = bin().args([cmd, tampered.to_str().unwrap()]).output().expect("run tampered");
+        assert_eq!(out.status.code(), Some(1), "{cmd}: a trace of another schema is refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("schema `recode-trace/v2` is not `recode-trace/v3`"), "{cmd}: {err}");
+    }
 
     // A file nested deeper than any schema here is refused with the offset
     // of the offending bracket and the ordinary failure code; it used to
@@ -169,7 +169,7 @@ fn spmv_trace_report_and_check_workflow() {
     }
     // Well-formed JSON that is not a trace names the field it misses.
     let not_a_trace = dir.join("other.json");
-    std::fs::write(&not_a_trace, r#"{"schema": "recode-trace/v2", "matrix": 3}"#).unwrap();
+    std::fs::write(&not_a_trace, r#"{"schema": "recode-trace/v3", "matrix": 3}"#).unwrap();
     let out = bin().args(["trace-check", not_a_trace.to_str().unwrap()]).output().expect("run");
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("matrix: expected an object"));

@@ -43,11 +43,9 @@ pub fn traced_overlap_run(recoded: &RecodedSpmv, ncols: usize, name: &str) -> Tr
     doc
 }
 
-/// The one canonical default run `golden_trace_v1.json` pins.
+/// The one canonical default run `golden_trace.json` pins.
 pub fn canonical_doc() -> TraceDocument {
     let a = golden_matrix();
-    // No stage telemetry (RecodedSpmv::new, not with_stage_timing): the codec
-    // section stays all-zero, which keeps the fixture deterministic.
     let recoded = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).expect("compress");
     traced_overlap_run(&recoded, a.ncols(), "golden_stencil16")
 }
@@ -133,19 +131,6 @@ pub fn to_golden_json(doc: &TraceDocument) -> String {
         let _ = writeln!(o, "    \"{}\": {v}{comma}", esc(k));
     }
     let _ = writeln!(o, "  }},");
-    let h = &doc.block_cycles;
-    let _ = writeln!(o, "  \"block_cycles\": {{");
-    let _ = writeln!(o, "    \"count\": {},", h.count);
-    let _ = writeln!(o, "    \"sum\": {},", h.sum);
-    let _ = writeln!(o, "    \"min\": {},", h.min);
-    let _ = writeln!(o, "    \"max\": {},", h.max);
-    let _ = writeln!(o, "    \"buckets\": {{");
-    for (i, (b, c)) in h.buckets.iter().enumerate() {
-        let comma = if i + 1 < h.buckets.len() { "," } else { "" };
-        let _ = writeln!(o, "      \"{b}\": {c}{comma}");
-    }
-    let _ = writeln!(o, "    }}");
-    let _ = writeln!(o, "  }},");
     let _ = writeln!(o, "  \"block_events\": [");
     for (i, e) in doc.block_events.iter().enumerate() {
         let comma = if i + 1 < doc.block_events.len() { "," } else { "" };
@@ -156,23 +141,6 @@ pub fn to_golden_json(doc: &TraceDocument) -> String {
         );
     }
     let _ = writeln!(o, "  ],");
-    let _ = writeln!(o, "  \"codec_stages\": {{");
-    let cs = &doc.codec_stages;
-    for (di, (dname, d)) in [("encode", &cs.encode), ("decode", &cs.decode)].iter().enumerate() {
-        let _ = writeln!(o, "    \"{dname}\": {{");
-        let stages = [("delta", &d.delta), ("snappy", &d.snappy), ("huffman", &d.huffman)];
-        for (si, (sname, st)) in stages.iter().enumerate() {
-            let comma = if si + 1 < stages.len() { "," } else { "" };
-            let _ = writeln!(
-                o,
-                "      \"{sname}\": {{ \"calls\": {}, \"ns\": {}, \"bytes_in\": {}, \"bytes_out\": {} }}{comma}",
-                st.calls, st.ns, st.bytes_in, st.bytes_out
-            );
-        }
-        let comma = if di == 0 { "," } else { "" };
-        let _ = writeln!(o, "    }}{comma}");
-    }
-    let _ = writeln!(o, "  }},");
     let t = &doc.mem_traffic;
     let _ = writeln!(o, "  \"mem_traffic\": {{");
     let _ = writeln!(o, "    \"memory\": \"{}\",", esc(&t.memory));
@@ -228,7 +196,11 @@ pub fn to_golden_json(doc: &TraceDocument) -> String {
     let _ = writeln!(o, "    \"blocks_fell_back\": {},", e.blocks_fell_back);
     let _ = writeln!(o, "    \"fallback_bytes\": {},", e.fallback_bytes);
     let _ = writeln!(o, "    \"retry_cycles\": {},", e.retry_cycles);
+    let _ = writeln!(o, "    \"backoff_cycles\": {},", e.backoff_cycles);
     let _ = writeln!(o, "    \"degraded\": {},", e.degraded);
+    let _ = writeln!(o, "    \"software_decode\": {},", e.software_decode);
+    let _ = writeln!(o, "    \"blocks_ok\": {},", e.blocks_ok);
+    let _ = writeln!(o, "    \"blocks_recovered\": {},", e.blocks_recovered);
     let ov = &e.overlap;
     let _ = writeln!(o, "    \"overlap\": {{");
     let _ = writeln!(o, "      \"enabled\": {},", ov.enabled);
@@ -243,7 +215,9 @@ pub fn to_golden_json(doc: &TraceDocument) -> String {
     let _ = writeln!(o, "      \"cache_evictions\": {},", ov.cache_evictions);
     let _ = writeln!(o, "      \"cache_hit_bytes\": {}", ov.cache_hit_bytes);
     let _ = writeln!(o, "    }}");
-    let _ = writeln!(o, "  }}");
+    let _ = writeln!(o, "  }},");
+    assert!(doc.recorder.is_none(), "golden writer pins runs with the flight recorder off");
+    let _ = writeln!(o, "  \"recorder\": null");
     let _ = writeln!(o, "}}");
     o
 }

@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use recode_spmv::core::json::{self, Json};
+use recode_spmv::core::json::{self, FromJson, Json};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_recode"))

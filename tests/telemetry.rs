@@ -5,7 +5,8 @@
 
 use recode_spmv::codec::pipeline::MatrixCodecConfig;
 use recode_spmv::core::exec::RecodedSpmv;
-use recode_spmv::core::telemetry::{RecorderSummary, TraceDocument, TRACE_SCHEMA, TRACE_SCHEMA_V1};
+use recode_spmv::core::json::{FromJson, ToJson};
+use recode_spmv::core::telemetry::{RecorderSummary, TraceDocument, TRACE_SCHEMA};
 use recode_spmv::core::SystemConfig;
 use recode_spmv::prelude::*;
 use recode_spmv::sparse::spmv::SpmvKernel;
@@ -24,11 +25,7 @@ fn test_matrix() -> Csr {
 
 fn traced_run() -> (Csr, TraceDocument) {
     let a = test_matrix();
-    let r = RecodedSpmv::with_stage_timing(&a, MatrixCodecConfig::udp_dsh(), true).unwrap();
-    // Exercise the software decoder too, so the codec-stage snapshot has
-    // both directions populated.
-    let sw = r.decompress_via_software().unwrap();
-    assert_eq!(sw, a);
+    let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
     let sys = SystemConfig::ddr4();
     let x = vec![1.0; a.ncols()];
     let (_, _, doc) =
@@ -54,7 +51,7 @@ fn parse_trace(text: &str) -> TraceDocument {
 
 #[test]
 fn trace_document_round_trips_through_json() {
-    // A live v2 run, with per-lane profiles and both codec directions.
+    // A live batch run, with per-lane profiles and pool counters.
     let (_, mut doc) = traced_run();
     let back = round_trip(&doc);
     assert_eq!(back.schema, TRACE_SCHEMA);
@@ -63,10 +60,9 @@ fn trace_document_round_trips_through_json() {
     assert_eq!(back.wall_ns_total, doc.wall_ns_total);
     assert_eq!(back.spans, doc.spans);
     assert_eq!(back.counters, doc.counters);
-    assert_eq!(back.block_cycles, doc.block_cycles);
     assert_eq!(back.block_events, doc.block_events);
-    assert_eq!(back.codec_stages, doc.codec_stages);
     assert_eq!(back.mem_traffic, doc.mem_traffic);
+    assert_eq!(back.exec.blocks_ok, doc.exec.blocks_ok);
     assert_eq!(back.exec.accel.lane_profiles.len(), doc.exec.accel.lanes);
     assert_eq!(back.exec.accel.stage_cycles, doc.exec.accel.stage_cycles);
     assert!(back.recorder.is_none());
@@ -74,26 +70,25 @@ fn trace_document_round_trips_through_json() {
     // The same run with a flight-recorder summary attached.
     let by_kind = std::collections::BTreeMap::from([("span_begin".to_string(), 2u64)]);
     let summary = RecorderSummary { recorded: 2, dropped: 0, capacity: 64, by_kind };
-    doc.attach_recorder(summary.clone());
+    doc.recorder = Some(summary.clone());
     assert_eq!(round_trip(&doc).recorder, Some(summary));
 
-    // A v1 document: no `recorder` key, before or after.
-    let v1 = include_str!("fixtures/golden_trace_v1.json");
-    assert!(!v1.contains("\"recorder\""));
-    let doc = round_trip(&parse_trace(v1));
-    assert_eq!(doc.schema, TRACE_SCHEMA_V1);
+    // The golden fixture: a run with the recorder off writes it as `null`.
+    let golden = include_str!("fixtures/golden_trace.json");
+    assert!(golden.contains("\"recorder\": null"));
+    let doc = round_trip(&parse_trace(golden));
+    assert_eq!(doc.schema, TRACE_SCHEMA);
     assert!(doc.recorder.is_none());
-    assert!(!doc.to_json().to_string_pretty().contains("\"recorder\""));
 
     // Keys a newer writer might add, at the top and nested, are ignored.
-    let extended = v1
+    let extended = golden
         .replacen(
             "\"schema\":",
             "\"generator\": {\"name\": \"x\", \"tags\": [1, null]},\n  \"schema\":",
             1,
         )
         .replacen("\"jobs\":", "\"queue_depth\": 4, \"jobs\":", 1);
-    assert_ne!(extended, v1);
+    assert_ne!(extended, golden);
     assert_eq!(parse_trace(&extended).to_json(), doc.to_json());
 
     // A matrix with no non-zeros: nothing to decode, every ratio finite or
@@ -157,14 +152,12 @@ fn per_lane_and_per_stage_breakdowns_are_consistent() {
     assert!(accel.stage_cycles.huffman > 0);
     assert!(accel.stage_cycles.snappy > 0);
     assert!(accel.stage_cycles.delta > 0);
-    // Codec-stage timing has both directions after an encode + sw decode.
-    assert!(doc.codec_stages.encode.huffman.calls > 0);
-    assert!(doc.codec_stages.decode.huffman.calls > 0);
-    assert_eq!(doc.codec_stages.decode.delta.bytes_out, (a.nnz() * 4) as u64);
-    // Every block produced an event and the histogram matches.
+    // Every block produced an event, and the events carry every busy cycle.
     assert_eq!(doc.block_events.len(), accel.jobs);
-    assert_eq!(doc.block_cycles.count, accel.jobs as u64);
-    assert_eq!(doc.block_cycles.sum, accel.busy_cycles);
+    assert_eq!(doc.block_events.iter().map(|e| e.cycles).sum::<u64>(), accel.busy_cycles);
+    assert_eq!(doc.exec.blocks_ok, accel.jobs, "a clean run decodes every block first time");
+    assert_eq!(doc.exec.compressed_bytes, doc.counter("mem.read.compressed_stream") as usize);
+    assert_eq!(doc.matrix.nnz, a.nnz());
 }
 
 #[test]
@@ -195,9 +188,8 @@ fn render_report_mentions_every_section() {
         "log2 buckets",
         "memory traffic",
         "compressed_stream",
-        "software codec stages",
         "degradation",
-        // v2: the batch path reports lane-pool activity.
+        // The batch path reports lane-pool activity.
         "-- resilience --",
         "lane pool: checkouts ",
     ] {
@@ -205,14 +197,12 @@ fn render_report_mentions_every_section() {
     }
 }
 
-/// The batch traced path reports `pool.*` counters, which are v2 content:
-/// the document must stamp itself `recode-trace/v2` and carry the pool's
-/// checkout accounting.
+/// The batch traced path reports `pool.*` counters: the document carries
+/// the pool's checkout accounting under the one schema stamp.
 #[test]
-fn batch_traced_documents_are_schema_v2_with_pool_counters() {
+fn batch_traced_documents_carry_pool_counters() {
     let (_, doc) = traced_run();
     assert_eq!(doc.schema, TRACE_SCHEMA);
-    assert!(doc.has_v2_content());
     assert!(doc.counter("pool.checkouts") > 0, "every decode job checks a lane out");
     assert_eq!(
         doc.counter("pool.checkouts"),
@@ -222,17 +212,15 @@ fn batch_traced_documents_are_schema_v2_with_pool_counters() {
     assert!(doc.validate().is_empty(), "{:?}", doc.validate());
 }
 
-/// Attaching a flight-recorder summary promotes the schema and renders the
-/// recorder section; an inconsistent summary (more drained than recorded)
-/// fails validation.
+/// A flight-recorder summary renders as the recorder section; an
+/// inconsistent summary (more drained than recorded) fails validation.
 #[test]
-fn recorder_summary_promotes_schema_and_is_validated() {
+fn recorder_summary_renders_and_is_validated() {
     let (_, mut doc) = traced_run();
     let mut by_kind = std::collections::BTreeMap::new();
     by_kind.insert("block_outcome".to_string(), 40u64);
     by_kind.insert("span_begin".to_string(), 2u64);
-    doc.attach_recorder(RecorderSummary { recorded: 42, dropped: 0, capacity: 65536, by_kind });
-    assert_eq!(doc.schema, TRACE_SCHEMA);
+    doc.recorder = Some(RecorderSummary { recorded: 42, dropped: 0, capacity: 65536, by_kind });
     assert!(doc.validate().is_empty(), "{:?}", doc.validate());
     let text = recode_spmv::core::telemetry::render_report(&doc);
     assert!(text.contains("flight recorder: 42 events recorded"), "{text}");
@@ -254,11 +242,8 @@ fn recorder_summary_promotes_schema_and_is_validated() {
 fn zero_cycle_lane_events_fail_validation() {
     let (_, mut doc) = traced_run();
     assert!(doc.validate().is_empty(), "{:?}", doc.validate());
-    let first = doc.block_events.first().copied().expect("traced run has block events");
-    let stolen = first.cycles;
+    assert!(!doc.block_events.is_empty(), "traced run has block events");
     doc.block_events[0].cycles = 0;
-    // Keep the histogram consistent so only the floor check fires.
-    doc.block_cycles.sum -= stolen;
     let errs = doc.validate();
     assert!(
         errs.iter().any(|e| e.contains("0 cycles")),
@@ -266,19 +251,39 @@ fn zero_cycle_lane_events_fail_validation() {
     );
 }
 
-/// Back-compat (ISSUE 7 satellite): the PR 3 golden fixture is a v1
-/// document and must still load and validate as v1 — `validate()` accepts
-/// both schema generations.
+/// There is one schema: the golden fixture carries its stamp and validates,
+/// and the same document under an older generation's stamp does not. A
+/// run that touched no pool, breaker or recorder renders no resilience
+/// section.
 #[test]
-fn golden_v1_fixture_still_validates_as_v1() {
-    let doc = parse_trace(include_str!("fixtures/golden_trace_v1.json"));
-    assert_eq!(doc.schema, TRACE_SCHEMA_V1);
-    assert!(!doc.has_v2_content(), "the v1 fixture must not carry v2 content");
-    assert!(doc.recorder.is_none(), "absent recorder field defaults to None");
-    let errs = doc.validate();
-    assert!(errs.is_empty(), "v1 fixture must validate under the v2 code: {errs:?}");
-    // And its report renders without a resilience section.
+fn documents_of_another_schema_fail_validation() {
+    let golden = include_str!("fixtures/golden_trace.json");
+    let doc = parse_trace(golden);
+    assert_eq!(doc.schema, TRACE_SCHEMA);
+    assert!(doc.validate().is_empty(), "{:?}", doc.validate());
     let text = recode_spmv::core::telemetry::render_report(&doc);
-    assert!(text.contains("recode trace report (recode-trace/v1)"), "{text}");
+    assert!(text.contains("recode trace report (recode-trace/v3)"), "{text}");
     assert!(!text.contains("-- resilience --"), "{text}");
+    for old in ["recode-trace/v1", "recode-trace/v2"] {
+        let errs = parse_trace(&golden.replace(TRACE_SCHEMA, old)).validate();
+        assert_eq!(errs, [format!("schema `{old}` is not `{TRACE_SCHEMA}`")]);
+    }
+}
+
+/// The block events are the run's tally: an event whose outcome disagrees
+/// with the exec stats, or one event too many, fails validation.
+#[test]
+fn block_events_must_match_the_run_tally() {
+    let (_, doc) = traced_run();
+    let mut relabeled = doc.clone();
+    relabeled.block_events[0].outcome = recode_spmv::core::BlockOutcome::Retried;
+    let errs = relabeled.validate();
+    assert!(
+        errs.iter().any(|e| e.contains("block events are Retried, exec stats say 0")),
+        "{errs:?}"
+    );
+    let mut extra = doc.clone();
+    extra.block_events.push(doc.block_events[0]);
+    let errs = extra.validate();
+    assert!(errs.iter().any(|e| e.contains("decode jobs")), "{errs:?}");
 }

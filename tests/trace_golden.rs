@@ -1,6 +1,6 @@
 //! Golden-trace schema pinning.
 //!
-//! `tests/fixtures/golden_trace_v1.json` is the canonical `recode-trace/v1`
+//! `tests/fixtures/golden_trace.json` is the canonical `recode-trace/v3`
 //! document for one fixed pipelined run (16x16 5-point stencil, seed 7,
 //! one worker, cache capacity 8). The trace schema is a public artifact —
 //! `recode report` / `recode trace-check` consume it — so any field
@@ -24,9 +24,10 @@
 mod golden;
 
 use golden::{assert_matches_fixture, canonical_doc, to_golden_json};
+use recode_spmv::core::json::FromJson;
 use recode_spmv::core::telemetry::TraceDocument;
 
-const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_trace_v1.json");
+const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_trace.json");
 
 #[test]
 fn golden_trace_matches_the_canonical_run() {
@@ -42,7 +43,7 @@ fn golden_fixture_pins_the_headline_fields() {
     // Field-level pins, independent of the byte-level comparison: the
     // contract downstream consumers (report/trace-check, dashboards) lean
     // on hardest.
-    assert_eq!(doc.schema, "recode-trace/v1");
+    assert_eq!(doc.schema, "recode-trace/v3");
     assert_eq!(doc.matrix.name, "golden_stencil16");
     assert_eq!((doc.matrix.nrows, doc.matrix.ncols), (256, 256));
     assert!(doc.matrix.nnz > 0);
@@ -72,11 +73,9 @@ fn golden_fixture_pins_the_headline_fields() {
     );
 }
 
-/// The flight recorder must observe, never perturb (ISSUE 7): with the
-/// recorder ON the canonical run renders byte-for-byte identical to the
-/// fixture — no re-blessing — and the document stays `recode-trace/v1`
-/// (the overlap path emits no resilience counters, so nothing promotes
-/// the schema).
+/// The flight recorder must observe, never perturb: with the recorder ON
+/// the canonical run renders byte-for-byte identical to the fixture — no
+/// re-blessing.
 #[test]
 fn golden_trace_is_unchanged_with_the_recorder_enabled() {
     use recode_spmv::core::recorder;
@@ -88,7 +87,6 @@ fn golden_trace_is_unchanged_with_the_recorder_enabled() {
     let events = recorder::drain();
     recorder::disable();
     assert!(!events.is_empty(), "recorder must capture the canonical run");
-    assert_eq!(doc.schema, "recode-trace/v1");
     let rendered = to_golden_json(&doc);
     assert_eq!(rendered, golden, "recorder-on run must not move a byte of the golden trace");
 }
@@ -109,5 +107,5 @@ fn golden_fixture_parses_through_the_json_stack() {
     assert_eq!(doc.matrix, live.matrix);
     assert_eq!(doc.counters, live.counters);
     assert_eq!(doc.block_events, live.block_events);
-    assert_eq!(doc.block_cycles, live.block_cycles);
+    assert_eq!(doc.exec.blocks_ok, live.exec.blocks_ok);
 }

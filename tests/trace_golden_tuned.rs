@@ -7,13 +7,13 @@
 //!    `TunedConfig` the deterministic tuner selects for it. Any change to
 //!    the search space, the cost model, or the JSON layout moves these
 //!    bytes and must be re-blessed consciously.
-//! 2. `tests/fixtures/golden_trace_tuned_v1.json` — the `recode-trace/v1`
+//! 2. `tests/fixtures/golden_trace_tuned.json` — the `recode-trace/v3`
 //!    document for the pipelined run driven by that config (built through
 //!    `RecodedSpmv::new_tuned` + `OverlapExecutor::from_tuned`, cache 8,
 //!    one worker), wall-clock normalized exactly like the default fixture.
 //!
 //! The suite also re-renders the DEFAULT canonical run with no bless
-//! branch: adding the tuned path must leave `golden_trace_v1.json`
+//! branch: adding the tuned path must leave `golden_trace.json`
 //! byte-for-byte untouched, even under `RECODE_BLESS_TRACE=1`.
 //!
 //! To regenerate the two tuned fixtures after an intentional change:
@@ -29,11 +29,11 @@ use recode_spmv::core::telemetry::TraceDocument;
 use recode_spmv::prelude::*;
 
 const DEFAULT_FIXTURE: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_trace_v1.json");
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_trace.json");
 const TUNED_CONFIG_FIXTURE: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/tuned_golden_stencil16.json");
 const TUNED_TRACE_FIXTURE: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_trace_tuned_v1.json");
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_trace_tuned.json");
 
 /// The one canonical tuned config: the golden matrix on the DDR4 system.
 fn canonical_tuned_config() -> TunedConfig {
@@ -75,7 +75,7 @@ fn tuned_fixture_pins_the_headline_fields() {
     let tuned = canonical_tuned_config();
     tuned.validate_for(&golden_matrix()).expect("fixture config keyed to the golden matrix");
     let doc = canonical_tuned_doc(&tuned);
-    assert_eq!(doc.schema, "recode-trace/v1");
+    assert_eq!(doc.schema, "recode-trace/v3");
     assert_eq!(doc.matrix.name, "golden_stencil16_tuned");
     assert_eq!((doc.matrix.nrows, doc.matrix.ncols), (256, 256));
     assert!(doc.exec.overlap.enabled);
@@ -93,7 +93,7 @@ fn tuned_fixture_pins_the_headline_fields() {
 /// not move the first. This re-renders the DEFAULT canonical run and
 /// compares it byte-for-byte with no bless branch, so even a
 /// `RECODE_BLESS_TRACE=1` run of this binary cannot paper over drift in
-/// `golden_trace_v1.json`.
+/// `golden_trace.json`.
 #[test]
 fn default_golden_fixture_is_untouched_by_the_tuned_path() {
     let golden_bytes = std::fs::read_to_string(DEFAULT_FIXTURE)
