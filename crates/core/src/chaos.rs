@@ -19,12 +19,10 @@
 //! * **bit-exactness** — a trial that reports Completed or Degraded
 //!   produced exactly the reference result.
 //!
-//! Faults are injected at four points: **lane dispatch** (trap / stall /
+//! Faults are injected at three points: **lane dispatch** (trap / stall /
 //! panic hooks in the accelerator batch loop), the **compressed stream**
-//! (every [`FaultKind`] the transport injector knows), **overlap stage
-//! boundaries** (a multiply worker panics mid-pipeline), and **pool
-//! recycling** (lanes are driven to quarantine before the run, so checkout
-//! paths cross the probation machinery).
+//! (every [`FaultKind`] the transport injector knows), and **overlap stage
+//! boundaries** (a multiply worker panics mid-pipeline).
 //!
 //! All randomness is [`SplitMix64`]: a campaign is fully determined by
 //! `(seed, trials)`, and a failing trial reproduces from its logged seed.
@@ -43,7 +41,6 @@ use recode_sparse::prelude::{generate, GenSpec, ValueModel};
 use recode_sparse::spmv::SpmvKernel;
 use recode_sparse::Csr;
 use recode_udp::accel::FaultHook;
-use recode_udp::pool::QUARANTINE_AFTER_TRAPS;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -135,9 +132,6 @@ enum Injection {
     StreamCorrupt(FaultKind, bool /* value stream */),
     /// An injected panic in an overlap multiply worker (overlap arm only).
     StageBoundary,
-    /// Lanes driven to quarantine before the run, so the trial's checkouts
-    /// cross the pool's probation/readmission machinery.
-    PoolRecycle,
 }
 
 impl Injection {
@@ -147,7 +141,6 @@ impl Injection {
             Injection::LaneDispatch(_) => "lane-dispatch",
             Injection::StreamCorrupt(..) => "stream-corrupt",
             Injection::StageBoundary => "stage-boundary",
-            Injection::PoolRecycle => "pool-recycle",
         }
     }
 
@@ -159,7 +152,6 @@ impl Injection {
             Injection::LaneDispatch(LaneFault::Panic) => "lane-panic".into(),
             Injection::StreamCorrupt(kind, _) => kind.to_string(),
             Injection::StageBoundary => "worker-panic".into(),
-            Injection::PoolRecycle => "pool-quarantine".into(),
         }
     }
 }
@@ -368,7 +360,7 @@ fn campaign_matrix() -> Csr {
 fn plan_trial(seed: u64) -> TrialPlan {
     let mut rng = SplitMix64::new(seed);
     let arm = [Arm::BatchJob, Arm::Overlap, Arm::Traced][rng.below(3)];
-    let injection = match rng.below(10) {
+    let injection = match rng.below(9) {
         0 => Injection::None,
         1 => Injection::LaneDispatch(LaneFault::Trap),
         2 => Injection::LaneDispatch(LaneFault::Stall),
@@ -377,14 +369,13 @@ fn plan_trial(seed: u64) -> TrialPlan {
             let kind = FaultKind::ALL[rng.below(FaultKind::ALL.len())];
             Injection::StreamCorrupt(kind, rng.below(2) == 1)
         }
-        8 => {
+        _ => {
             if arm == Arm::Overlap {
                 Injection::StageBoundary
             } else {
                 Injection::LaneDispatch(LaneFault::Panic)
             }
         }
-        _ => Injection::PoolRecycle,
     };
     // Every arm draws one of four budgets, two of which bite under faults.
     let budget = match rng.below(4) {
@@ -398,18 +389,6 @@ fn plan_trial(seed: u64) -> TrialPlan {
         _ => JobBudget::with_deadline(Duration::ZERO),
     };
     TrialPlan { seed, arm, injection, budget }
-}
-
-/// Drives a few pool lanes to quarantine so the trial's own checkouts cross
-/// the probation/readmission machinery.
-fn poison_pool() {
-    let pool = recode_udp::pool::global();
-    for _ in 0..3 {
-        let mut lane = pool.checkout();
-        for _ in 0..QUARANTINE_AFTER_TRAPS {
-            lane.note_trap();
-        }
-    }
 }
 
 /// Accounting identity over one run's stats.
@@ -440,8 +419,6 @@ fn silence_injected_panics() {
 
 /// Runs one trial body (inside the watchdog thread).
 fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
-    recode_udp::pool::global().reset();
-
     let mut r = RecodedSpmv::from_compressed_with_store(ctx.cm.clone(), Some(ctx.store.clone()))
         .expect("campaign matrix decoders must build");
 
@@ -468,7 +445,6 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
             let _ = injector.inject(stream, kind);
         }
         Injection::StageBoundary => hook = hook.panic_tile(0),
-        Injection::PoolRecycle => poison_pool(),
     }
     let hook = if hook.is_empty() { None } else { Some(&hook) };
     let run_ctx = RunCtx { hook, budget: Some(&plan.budget), tel: None };
@@ -652,7 +628,7 @@ mod tests {
         let summary = run_campaign(&config);
         assert!(summary.healthy(), "{}", summary.render());
         assert_eq!(summary.by_outcome.values().sum::<usize>(), 60);
-        for point in ["lane-dispatch", "stream-corrupt", "pool-recycle"] {
+        for point in ["lane-dispatch", "stream-corrupt", "stage-boundary", "none"] {
             assert!(
                 summary.by_injection.contains_key(point),
                 "60 trials never hit {point}:\n{}",

@@ -448,10 +448,8 @@ impl RecodedSpmv {
             tally.stats(sys, report, cm.wire_bytes(), backoff_cycles, OverlapStats::default());
         if let (Some(tel), Some(before)) = (tel, pool_before) {
             report_run(tel, &stats, self);
-            // Saturating: `LanePool::reset` (chaos trial isolation) can zero
-            // the pool's counters mid-run in a shared process.
             let after = recode_udp::pool::global().stats();
-            tel.derive(POOL_COUNTERS, |get| get(&after).saturating_sub(get(&before)));
+            tel.derive(POOL_COUNTERS, |get| get(&after) - get(&before));
         }
         Ok((a, stats))
     }

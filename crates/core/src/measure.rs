@@ -9,7 +9,7 @@
 use crate::error::{ExecError, ExecResult};
 use recode_codec::block::CompressedBlock;
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline};
-use recode_udp::accel::Accelerator;
+use recode_udp::accel::{Accelerator, FaultHook};
 use recode_udp::progs::DshDecoder;
 
 /// Measured decompression characteristics of one compressed matrix.
@@ -69,7 +69,11 @@ pub fn measure_udp_decomp(
         });
     }
 
-    let outcome = accel.run_jobs(&jobs, |lane, (decoder, block)| decoder.decode_block(lane, block));
+    let outcome = accel.run_jobs_with_faults(
+        &jobs,
+        |lane, (decoder, block)| decoder.decode_block(lane, block),
+        &FaultHook::default(),
+    );
     // Measurement wants a clean run; self-encoded blocks failing is a bug.
     if let Some(err) = outcome.results.iter().find_map(|r| r.as_ref().err()) {
         return Err(ExecError::Udp(err.clone()));

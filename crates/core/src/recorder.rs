@@ -5,8 +5,8 @@
 //! [`crate::telemetry::TraceDocument`]: where the trace document aggregates
 //! a finished run, the recorder captures *when* things happened — span
 //! begin/end pairs per pipeline phase, per-block outcomes on their lane
-//! track, retry/fallback rungs, circuit-breaker transitions, pool
-//! quarantine traffic, cache hits/evictions, and chaos injections — cheap
+//! track, retry/fallback rungs, circuit-breaker transitions, recycled pool
+//! checkouts, cache hits/evictions, and chaos injections — cheap
 //! enough to leave enabled in production.
 //!
 //! ## Cost model
@@ -57,10 +57,6 @@ pub enum EventKind {
     /// Circuit breaker changed state: `a` = from, `b` = to
     /// (0 closed, 1 open, 2 half-open).
     BreakerTransition,
-    /// A lane was quarantined on return to the pool.
-    PoolQuarantine,
-    /// A quarantined lane was readmitted on probation.
-    PoolProbation,
     /// A checkout was served by recycling a pooled lane.
     PoolRecycle,
     /// Decoded-block cache hit: `a` = bytes served.
@@ -89,8 +85,6 @@ impl EventKind {
             EventKind::Retry => "retry",
             EventKind::Fallback => "fallback",
             EventKind::BreakerTransition => "breaker_transition",
-            EventKind::PoolQuarantine => "pool_quarantine",
-            EventKind::PoolProbation => "pool_probation",
             EventKind::PoolRecycle => "pool_recycle",
             EventKind::CacheHit => "cache_hit",
             EventKind::CacheEvict => "cache_evict",
@@ -464,16 +458,10 @@ pub fn stats() -> RecorderStats {
     SINK.stats()
 }
 
-/// The pool-side event hook ([`recode_udp::pool::PoolEvent`] → recorder
-/// events). Installed by [`enable`]; itself gated on [`is_enabled`].
-fn pool_event_hook(event: recode_udp::pool::PoolEvent) {
-    use recode_udp::pool::PoolEvent;
-    let (kind, name) = match event {
-        PoolEvent::Quarantined => (EventKind::PoolQuarantine, "pool.quarantine"),
-        PoolEvent::Readmitted => (EventKind::PoolProbation, "pool.probation"),
-        PoolEvent::Recycled => (EventKind::PoolRecycle, "pool.recycle"),
-    };
-    record(kind, Track::MAIN, name, 0, 0);
+/// The pool-side event hook (a recycled checkout → a `pool.recycle`
+/// event). Installed by [`enable`]; itself gated on [`is_enabled`].
+fn pool_event_hook() {
+    record(EventKind::PoolRecycle, Track::MAIN, "pool.recycle", 0, 0);
 }
 
 /// The lane-JIT compile hook

@@ -105,8 +105,6 @@ pub const POOL_COUNTERS: &[Derived<PoolStats>] = &[
     ("pool.fresh_builds", Counter, |p| p.fresh_builds),
     ("pool.returned", Counter, |p| p.returned),
     ("pool.dropped_at_capacity", Counter, |p| p.dropped_at_capacity),
-    ("pool.quarantined", Counter, |p| p.quarantined),
-    ("pool.readmitted", Counter, |p| p.readmitted),
 ];
 
 /// Breaker posture after a governed job (reported only).
@@ -765,12 +763,10 @@ mod tests {
             "mem.read.vectors",
             "mem.write.vectors",
         ];
-        const POOL: [&str; 7] = [
+        const POOL: [&str; 5] = [
             "pool.checkouts",
             "pool.dropped_at_capacity",
             "pool.fresh_builds",
-            "pool.quarantined",
-            "pool.readmitted",
             "pool.recycled_hits",
             "pool.returned",
         ];

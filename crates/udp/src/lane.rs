@@ -468,33 +468,12 @@ pub(crate) use jit_helpers::{
     jit_stream_peek, jit_stream_read, jit_stream_read_le, jit_stream_skip,
 };
 
-/// Reliability record a lane carries across runs. Architectural resets
-/// (`run*` prologue) deliberately leave it alone: health describes the
-/// physical lane, not one program execution. The decode path updates it
-/// ([`Lane::note_trap`]/[`Lane::note_success`]) and
-/// [`LanePool`](crate::pool::LanePool) reads it on guard drop to decide
-/// between the free list and quarantine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LaneHealth {
-    /// Lane-attributable traps since the last clean decode.
-    pub consecutive_traps: u32,
-    /// Lifetime lane-attributable traps.
-    pub total_traps: u64,
-    /// Lifetime clean decodes.
-    pub total_successes: u64,
-    /// Set when the pool readmitted this lane from quarantine; a single
-    /// further trap re-quarantines, one success clears the flag.
-    pub probation: bool,
-}
-
 /// A reusable lane (scratchpad allocation is recycled across runs).
 ///
 /// Every `run*` entry point fully re-initializes the architectural state
 /// (registers, scratchpad contents, stream position), so a recycled lane —
 /// e.g. one checked out of [`LanePool`](crate::pool::LanePool) — is
-/// indistinguishable from `Lane::new()`. The [`LaneHealth`] record is the
-/// one deliberate exception: it persists across runs so the pool can
-/// quarantine chronically trapping lanes.
+/// indistinguishable from `Lane::new()`.
 pub struct Lane {
     scratch: Vec<u8>,
     regs: [u64; NUM_REGS],
@@ -502,8 +481,6 @@ pub struct Lane {
     /// clear: the prologue zeroes only `scratch[..dirty_hi]` instead of all
     /// 64 KB. Invariant: outside `[0, dirty_hi)` the scratchpad is zero.
     dirty_hi: usize,
-    /// Reliability record; survives architectural resets.
-    health: LaneHealth,
     /// Helper calls compiled runs on this lane have made (see
     /// [`Lane::jit_helper_calls`]).
     jit_helper_calls: u64,
@@ -539,17 +516,11 @@ impl Lane {
             scratch: vec![0u8; SCRATCHPAD_BYTES],
             regs: [0; NUM_REGS],
             dirty_hi: 0,
-            health: LaneHealth::default(),
             jit_helper_calls: 0,
             jit_bails: 0,
             io_a: Vec::new(),
             io_b: Vec::new(),
         }
-    }
-
-    /// The lane's reliability record.
-    pub fn health(&self) -> &LaneHealth {
-        &self.health
     }
 
     /// Lifetime count of calls from compiled code into the scalar stream
@@ -567,27 +538,6 @@ impl Lane {
     #[doc(hidden)]
     pub fn jit_bails(&self) -> u64 {
         self.jit_bails
-    }
-
-    /// Records one lane-attributable trap (decode failed on this lane for a
-    /// reason a different lane might not reproduce).
-    pub fn note_trap(&mut self) {
-        self.health.consecutive_traps = self.health.consecutive_traps.saturating_add(1);
-        self.health.total_traps += 1;
-    }
-
-    /// Records one clean decode: clears the trap streak and any probation.
-    pub fn note_success(&mut self) {
-        self.health.consecutive_traps = 0;
-        self.health.probation = false;
-        self.health.total_successes += 1;
-    }
-
-    /// Marks the lane as readmitted-on-probation (pool readmission path):
-    /// the streak resets but a single further trap re-quarantines.
-    pub fn begin_probation(&mut self) {
-        self.health.consecutive_traps = 0;
-        self.health.probation = true;
     }
 
     /// Debug-only check that a completing run's modeled cycles landed

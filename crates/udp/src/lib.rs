@@ -56,10 +56,10 @@ pub use accel::{
 pub use error::{UdpError, UdpResult};
 pub use jit::LaneJit;
 pub use lane::{
-    Lane, LaneError, LaneHealth, OpClassCycles, RunConfig, RunResult, RunStats, OUTPUT_WINDOW_BYTES,
+    Lane, LaneError, OpClassCycles, RunConfig, RunResult, RunStats, OUTPUT_WINDOW_BYTES,
 };
 pub use machine::Image;
-pub use pool::{set_event_hook, LanePool, PoolEvent, PoolStats, PooledLane, POOL_CAPACITY};
+pub use pool::{set_event_hook, LanePool, PoolStats, PooledLane, POOL_CAPACITY};
 pub use program::{Program, ProgramBuilder};
 pub use verify::{
     verify_image, verify_program, Analysis, CycleBound, Finding, LoopSummary, MaxBound, Severity,

@@ -133,20 +133,10 @@ impl DshDecoder {
         let placed = match self.run_stages(lane, block, &mut cur, &mut nxt) {
             Ok(outcome) if cur.len() == dst.len() => {
                 dst.copy_from_slice(&cur);
-                // A clean chain clears the lane's trap streak.
-                lane.note_success();
                 Ok(JobOutcome { output_bytes: dst.len() as u64, ..outcome })
             }
-            // The lane ran clean: like a CRC failure this is the data's
-            // fault, and stays health-neutral.
             Ok(_) => Err(length_mismatch(seq, dst.len(), cur.len())),
-            // Any stage trap is charged to the lane's health record (the
-            // retry ladder re-runs the block on a *different* lane precisely
-            // because a trap may be lane-attributable).
-            Err(trap) => {
-                lane.note_trap();
-                Err(UdpError::from(trap).with_block(seq))
-            }
+            Err(trap) => Err(UdpError::from(trap).with_block(seq)),
         };
         lane.io_a = cur;
         lane.io_b = nxt;
@@ -343,7 +333,6 @@ mod tests {
         let block = pipe.encode_block_at(&data[..4000], 7).unwrap();
         let mut dst = vec![0u8; 4096];
         assert_eq!(mismatch(decoder.decode_block_into(&mut lane, &block, &mut dst)), (4096, 4000));
-        assert_eq!(lane.health().total_successes, 0);
         // A header resealed to claim the destination's length: the chain
         // runs clean, and what it produced does not fit.
         let mut lying = block.clone();
@@ -351,7 +340,6 @@ mod tests {
         lying.reseal();
         assert_eq!(mismatch(decoder.decode_block_into(&mut lane, &lying, &mut dst)), (4096, 4000));
         assert_eq!(mismatch(decoder.decode_block(&mut lane, &lying)), (4096, 4000));
-        assert_eq!(lane.health().consecutive_traps, 0, "the data's fault, not the lane's");
         // A header that claims more than a lane can emit sizes nothing.
         lying.uncompressed_len = 1 << 40;
         lying.reseal();

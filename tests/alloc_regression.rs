@@ -256,7 +256,10 @@ fn last_snappy_element(stream: &[u8]) -> usize {
 
 /// A stage trap must hand the lane its two stage buffers back: the next
 /// clean block on the same lane places into its destination without a
-/// single allocator call.
+/// single allocator call, and decodes exactly as on a fresh lane — same
+/// cycles, op classes, stage split and bytes. On the compiled tier the trap
+/// is a bail and an interpreter rerun, so this covers what either tier
+/// leaves behind, and it is why the lane pool recycles a lane that trapped.
 fn trapping_block_leaves_the_lane_its_buffers() {
     let data = banded_index_stream(8000);
     let config = PipelineConfig::ds_udp();
@@ -278,16 +281,27 @@ fn trapping_block_leaves_the_lane_its_buffers() {
     decoder.decode_block_into(&mut lane, &stream.blocks[0], &mut dst).expect("warm-up block");
     let err = decoder.decode_block_into(&mut lane, &stream.blocks[1], &mut dst).unwrap_err();
     assert!(err.lane_error().is_some(), "expected a stage trap, got {err}");
-    assert_eq!(lane.health().consecutive_traps, 1);
 
     let before = alloc_events();
-    decoder.decode_block_into(&mut lane, &stream.blocks[2], &mut dst).expect("clean block");
+    let after_trap =
+        decoder.decode_block_into(&mut lane, &stream.blocks[2], &mut dst).expect("clean block");
     let delta = alloc_events() - before;
     assert_eq!(dst, data[2 * config.block_bytes..3 * config.block_bytes]);
     assert_eq!(
         delta, 0,
         "the block after a trap allocated {delta} times: the lane lost its buffers"
     );
+
+    let mut fresh_dst = vec![0u8; config.block_bytes];
+    let fresh = decoder
+        .decode_block_into(&mut Lane::new(), &stream.blocks[2], &mut fresh_dst)
+        .expect("clean block on a fresh lane");
+    assert_eq!(
+        (after_trap.cycles, after_trap.opclass, after_trap.stage_cycles, after_trap.output_bytes),
+        (fresh.cycles, fresh.opclass, fresh.stage_cycles, fresh.output_bytes),
+        "a lane that trapped decodes the next block unlike a fresh one"
+    );
+    assert_eq!(dst, fresh_dst);
 }
 
 /// A batch decode allocates the two CSR arrays at final length, the

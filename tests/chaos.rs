@@ -29,17 +29,22 @@ fn chaos_campaign_terminates_typed_on_every_trial() {
     assert_eq!(summary.outcome("hung"), 0);
     assert_eq!(summary.outcome("panic-escaped"), 0);
 
-    // The plan space is stacked so these injection points appear at ≥10%
-    // per-trial probability.
-    for point in ["lane-dispatch", "stream-corrupt", "pool-recycle"] {
+    // Every injection point the plan can draw appears: fault-free trials
+    // (≈11%) pin the bit-exact baseline, and stage-boundary (≈4%, overlap
+    // arm only) is the rarest.
+    for point in ["lane-dispatch", "stream-corrupt", "stage-boundary", "none"] {
         assert!(
             summary.by_injection.get(point).copied().unwrap_or(0) > 0,
             "campaign never exercised injection point {point:?}:\n{}",
             summary.render()
         );
     }
-    // Fault-free trials must also appear: they pin the bit-exact baseline.
-    assert!(summary.by_injection.get("none").copied().unwrap_or(0) > 0);
+    assert_eq!(
+        summary.by_injection.len(),
+        4,
+        "an injection point nobody plans:\n{}",
+        summary.render()
+    );
 
     // Lane panics and stage-boundary faults are the only plans that route a
     // deliberate panic through the executors; every one must be contained.
@@ -51,12 +56,7 @@ fn chaos_campaign_terminates_typed_on_every_trial() {
         summary.render()
     );
 
-    // Rarer coverage: stage-boundary ≈3%, each corruption kind ≈7% of trials.
-    assert!(
-        summary.by_injection.get("stage-boundary").copied().unwrap_or(0) > 0,
-        "campaign must hit the overlap stage boundary:\n{}",
-        summary.render()
-    );
+    // Each corruption kind is ≈7% of trials.
     for kind in [
         "bit-flip",
         "truncate",
