@@ -38,11 +38,13 @@ use std::time::Instant;
 /// Statistics from one UDP-decoded execution.
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
-    /// Accelerator-side report (cycles, throughput, utilization). Cycles
-    /// spent on successful retry decodes *are* folded into the makespan and
-    /// busy totals (retries run serially after the batch, extending the
-    /// critical path), and utilization is recomputed accordingly; the extra
-    /// amount is broken out in [`ExecStats::retry_cycles`].
+    /// Accelerator-side report (cycles, throughput, utilization). A
+    /// successful retry decode is busy work of the lane that ran the
+    /// block's first attempt: on the batch schedule it lands in that lane's
+    /// profile and timeline, so it stretches the makespan only past that
+    /// lane's slack; on the walker it lands in its tile's decode time.
+    /// Utilization is recomputed accordingly; the retry work is broken out
+    /// in [`ExecStats::retry_cycles`].
     pub accel: AccelReport,
     /// Modeled wall-clock seconds to stream the compressed matrix from
     /// memory (the memory side of the pipeline), including any raw-store
@@ -60,12 +62,15 @@ pub struct ExecStats {
     /// Uncompressed bytes re-fetched through the fallback path.
     pub fallback_bytes: usize,
     /// Lane cycles spent on successful retry decodes, already included in
-    /// `accel.makespan_cycles` / `accel.busy_cycles`.
+    /// `accel.busy_cycles` (and, on the batch schedule, in the lane profile
+    /// of the lane that ran the block).
     pub retry_cycles: u64,
     /// Scheduler backoff cycles charged by the [`crate::resilience::JobBudget`]
-    /// per retry attempt. Folded into `accel.makespan_cycles` on the batch
-    /// schedule only — backoff is waiting, not work, so busy cycles are
-    /// untouched. Zero unless a budget with backoff was supplied.
+    /// per retry attempt. On the batch schedule each block's backoff is
+    /// waiting on the lane that ran it, so it stretches `accel.makespan_cycles`
+    /// only past that lane's slack; the walker reports it without charging
+    /// it. Backoff is waiting, not work, so busy cycles are untouched. Zero
+    /// unless a budget with backoff was supplied.
     pub backoff_cycles: u64,
     /// True when any block needed a retry or a fallback — the result is
     /// still bit-exact, but the run did not complete on the happy path.
@@ -359,10 +364,13 @@ impl RecodedSpmv {
     /// `ctx.hook`, each decoding into its extent of the final `col_idx` /
     /// `values` arrays; the recovery ladder for each failed job under
     /// `ctx.budget`, recovering into the same extent; validation of the
-    /// result as a [`Csr`]. Successful retries run
-    /// serially after the batch, so their cycles extend the makespan as well
-    /// as the busy sum; budget backoff is pure waiting and stretches the
-    /// makespan only. With `ctx.tel` the run records the phases
+    /// result as a [`Csr`]. A block's recovery is charged to the lane that
+    /// ran its first attempt (job `k` on lane `k % lanes`), behind that
+    /// attempt: a successful retry's cycles are that lane's busy work and
+    /// the budget's backoff for its attempts is that lane's waiting, so the
+    /// makespan stays the longest lane timeline and grows only when a
+    /// recovery does not fit in its lane's slack. With `ctx.tel` the run
+    /// records the phases
     /// `exec.decode_batch`, an `exec.retry` (and `exec.fallback`) per block
     /// on the ladder and `exec.reassemble`, the modeled `exec.mem_stream`
     /// and `exec.dma`, per-block events with lane and outcome, `exec.*` and
@@ -422,20 +430,21 @@ impl RecodedSpmv {
         let batch_seconds = report.makespan_cycles as f64 / sys.udp.freq_hz;
         phase.finish(tel.as_deref_mut(), batch_seconds, report.output_bytes);
 
-        let mut ladder =
-            Ladder::new(self, &sys.udp, budget, recorder::Track::MAIN, tel.as_deref_mut());
+        let mut ladder = Ladder::new(
+            self,
+            &sys.udp,
+            budget,
+            recorder::Track::MAIN,
+            tel.as_deref_mut(),
+            Some(&mut report),
+        );
         for ((job, dst), first) in jobs.into_iter().zip(outcome.results) {
             ladder.settle(job, first, dst)?;
         }
         let backoff_cycles = ladder.backoff_cycles();
         let tally = ladder.tally;
-
-        report.output_bytes += tally.recovered_bytes;
-        report.opclass.merge(&tally.retry_opclass);
-        report.stage_cycles.merge(&tally.retry_stages);
-        report.makespan_cycles += tally.retry_cycles + backoff_cycles;
-        report.busy_cycles += tally.retry_cycles;
-        report.refresh_utilization();
+        // Raw bytes re-fetched for fallen-back blocks are output no lane made.
+        report.output_bytes += tally.fallback_bytes as u64;
 
         let phase = recorder::phase(recorder::Track::MAIN, "exec.reassemble", tel.is_some());
         words::from_le_in_place(&mut col_idx);
@@ -854,7 +863,7 @@ mod tests {
     }
 
     #[test]
-    fn retry_cycles_are_folded_into_the_makespan() {
+    fn a_retry_is_charged_to_the_lane_that_ran_the_block() {
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -863,12 +872,16 @@ mod tests {
         let hook = FaultHook::new().trap(0).trap(1);
         let (_, faulty) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
         assert!(faulty.retry_cycles > 0);
-        // The trapped jobs cost nothing in the batch but their full decode
-        // cycles on retry, so total busy work matches the clean run and the
-        // serialized retries stretch the makespan past it.
+        // A trapped job costs nothing and its retry is the same decode on
+        // the same lane, so every lane's timeline, the busy sum and the
+        // makespan are the clean run's.
+        let lanes = |s: &ExecStats| -> Vec<u64> {
+            s.accel.lane_profiles.iter().map(|p| p.busy_cycles + p.stall_cycles).collect()
+        };
+        assert_eq!(lanes(&faulty), lanes(&clean));
         assert_eq!(faulty.accel.busy_cycles, clean.accel.busy_cycles);
-        assert!(faulty.accel.makespan_cycles > clean.accel.makespan_cycles);
-        // Utilization is recomputed over the folded totals.
+        assert_eq!(faulty.accel.makespan_cycles, clean.accel.makespan_cycles);
+        // Utilization is recomputed over the charged totals.
         let expect = faulty.accel.busy_cycles as f64
             / (faulty.accel.makespan_cycles as f64 * faulty.accel.lanes as f64);
         assert!((faulty.accel.lane_utilization - expect).abs() < 1e-12);
@@ -1072,7 +1085,7 @@ mod tests {
     }
 
     #[test]
-    fn backoff_stretches_makespan_but_never_busy_cycles() {
+    fn backoff_waits_on_the_lane_that_ran_the_block() {
         use crate::resilience::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
@@ -1083,13 +1096,19 @@ mod tests {
         let (_, backed) = r
             .decompress_with(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None })
             .unwrap();
-        // Two admitted retries -> 2000 backoff cycles, critical path only.
+        // Two admitted retries -> 2000 backoff cycles, one on each of the
+        // lanes that ran jobs 0 and 1: each lane's timeline is the plain
+        // run's plus 1,000 cycles per retry it was charged.
         assert_eq!(backed.backoff_cycles, 2_000);
-        assert_eq!(
-            backed.accel.makespan_cycles,
-            plain.accel.makespan_cycles + 2_000,
-            "backoff stretches the makespan"
-        );
+        let lanes = plain.accel.lanes;
+        let retries_on = |l: usize| hook.trap_jobs.iter().filter(|&&j| j % lanes == l).count();
+        let want = plain
+            .accel
+            .lane_profiles
+            .iter()
+            .enumerate()
+            .map(|(l, p)| p.busy_cycles + p.stall_cycles + 1_000 * retries_on(l) as u64);
+        assert_eq!(backed.accel.makespan_cycles, want.max().unwrap());
         assert_eq!(backed.accel.busy_cycles, plain.accel.busy_cycles, "lanes never spin backoff");
     }
 

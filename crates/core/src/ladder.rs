@@ -23,8 +23,7 @@ use crate::recorder;
 use crate::resilience::{BudgetTracker, JobBudget};
 use crate::telemetry::{BlockEvent, BlockOutcome, Telemetry, EXEC_COUNTERS};
 use recode_mem::traffic::TrafficSource;
-use recode_udp::accel::{AccelReport, Accelerator, FaultHook, JobOutcome, StageCycles};
-use recode_udp::lane::OpClassCycles;
+use recode_udp::accel::{AccelReport, Accelerator, FaultHook, JobOutcome};
 use recode_udp::UdpError;
 
 /// How many times a failed block is re-decoded on a fresh lane before the
@@ -72,10 +71,6 @@ pub(crate) struct BlockTally {
     pub fallback_bytes: usize,
     /// Lane cycles of the successful retry decodes.
     pub retry_cycles: u64,
-    /// What recovered blocks add to a report that saw only first attempts.
-    pub recovered_bytes: u64,
-    pub retry_opclass: OpClassCycles,
-    pub retry_stages: StageCycles,
 }
 
 impl BlockTally {
@@ -159,21 +154,39 @@ pub(crate) struct Ladder<'a> {
     /// Recorder track of the thread that climbs the ladder.
     track: recorder::Track,
     tel: Option<&'a mut Telemetry>,
+    /// The batch's report, which every rung is charged to on the lane that
+    /// ran the block's first attempt; `None` on the walker, which charges
+    /// a block's rungs to its tile.
+    report: Option<&'a mut AccelReport>,
+    /// Budget backoff each lane has waited so far (batch only).
+    lane_waits: Vec<u64>,
     pub tally: BlockTally,
 }
 
 impl<'a> Ladder<'a> {
     /// Starts the budget's clock. With `tel` every settled block leaves an
-    /// event and every rung a phase.
+    /// event and every rung a phase; with `report` every rung is charged to
+    /// it ([`AccelReport::charge_lane`]).
     pub fn new(
         recoded: &'a RecodedSpmv,
         udp: &'a Accelerator,
         budget: Option<&JobBudget>,
         track: recorder::Track,
         tel: Option<&'a mut Telemetry>,
+        report: Option<&'a mut AccelReport>,
     ) -> Self {
         let tracker = budget.map(|b| BudgetTracker::new(*b));
-        Ladder { recoded, udp, tracker, track, tel, tally: BlockTally::default() }
+        let lane_waits = report.as_ref().map_or_else(Vec::new, |r| vec![0; r.lanes]);
+        Ladder {
+            recoded,
+            udp,
+            tracker,
+            track,
+            tel,
+            report,
+            lane_waits,
+            tally: BlockTally::default(),
+        }
     }
 
     /// Scheduler backoff charged by the budget so far.
@@ -253,20 +266,28 @@ impl<'a> Ladder<'a> {
             }
         }
         drop(lane);
-        // The rung's modeled time: the decode that succeeded, if one did,
-        // and the backoff the budget charged for the attempts.
+        // The rung's work: the decode that succeeded, if one did, and the
+        // backoff the budget charged for the attempts, both on the lane
+        // that ran the first attempt. Its modeled time is what that costs
+        // the schedule: the makespan growth of the batch, all of it on the
+        // walker's tile.
         let (cycles, bytes) = retried.as_ref().map_or((0, 0), |o| (o.cycles, o.output_bytes));
         let waited = self.backoff_cycles() - backoff_before;
-        phase.finish(self.tel.as_deref_mut(), (cycles + waited) as f64 / self.udp.freq_hz, bytes);
+        let charged = match self.report.as_deref_mut() {
+            Some(report) => {
+                let lane = job % self.udp.lanes;
+                self.lane_waits[lane] += waited;
+                report.charge_lane(lane, retried.as_ref(), 0, self.lane_waits[lane])
+            }
+            None => cycles + waited,
+        };
+        phase.finish(self.tel.as_deref_mut(), charged as f64 / self.udp.freq_hz, bytes);
         if let Some(o) = retried {
             if let Some(t) = self.tracker.as_mut() {
                 t.charge_retry_cycles(o.cycles);
             }
             self.tally.blocks_recovered += 1;
             self.tally.retry_cycles += o.cycles;
-            self.tally.recovered_bytes += o.output_bytes;
-            self.tally.retry_opclass.merge(&o.opclass);
-            self.tally.retry_stages.merge(&o.stage_cycles);
             return Ok((o.cycles, BlockOutcome::Retried));
         }
         // Retries exhausted: re-fetch the block's uncompressed range.
@@ -289,7 +310,6 @@ impl<'a> Ladder<'a> {
         );
         self.tally.blocks_fell_back += 1;
         self.tally.fallback_bytes += raw.len();
-        self.tally.recovered_bytes += raw.len() as u64;
         Ok((0, BlockOutcome::FellBack))
     }
 }

@@ -487,7 +487,8 @@ impl<'m> OverlapExecutor<'m> {
             StreamKind::Value => self.recoded.compressed().index_stream.blocks.len() + pos,
         };
         let udp = Accelerator::default();
-        let mut ladder = Ladder::new(self.recoded, &udp, None, recorder::Track::stage(0), None);
+        let mut ladder =
+            Ladder::new(self.recoded, &udp, None, recorder::Track::stage(0), None, None);
         let mut walk = TileWalk::default();
         self.decode_one(job, &FaultHook::default(), &mut ladder, &mut walk).map(|d| d.0.len())
     }
@@ -551,7 +552,8 @@ impl<'m> OverlapExecutor<'m> {
         let RunCtx { hook, budget, tel } = ctx;
         let empty_hook = FaultHook::default();
         let hook = hook.unwrap_or(&empty_hook);
-        let mut ladder = Ladder::new(self.recoded, udp, budget, recorder::Track::stage(0), tel);
+        let mut ladder =
+            Ladder::new(self.recoded, udp, budget, recorder::Track::stage(0), tel, None);
         let mut walk = TileWalk::default();
         let mut val_buf: Vec<u8> = Vec::new();
         let mut next_value = n_index;

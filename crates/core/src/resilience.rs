@@ -29,10 +29,11 @@ pub struct JobBudget {
     pub max_retry_cycles: Option<u64>,
     /// Cap on total retry attempts across all blocks of the job.
     pub max_total_retries: Option<usize>,
-    /// Backoff charged to the modeled makespan per retry attempt — the
-    /// scheduler waiting before re-dispatch. Charged to the critical path
-    /// only, never to busy cycles. Default 0 keeps budgeted and unbudgeted
-    /// clean runs cycle-identical.
+    /// Backoff per retry attempt — the scheduler waiting before
+    /// re-dispatch. On the batch schedule it is waiting on the lane that ran
+    /// the block, so it stretches the modeled makespan only past that
+    /// lane's slack; it is never busy cycles. Default 0 keeps budgeted and
+    /// unbudgeted clean runs cycle-identical.
     pub backoff_cycles_per_retry: u64,
 }
 
@@ -138,7 +139,8 @@ impl BudgetTracker {
         self.retry_cycles += cycles;
     }
 
-    /// Backoff cycles accumulated so far (to fold into the makespan).
+    /// Backoff cycles accumulated so far (the batch charges each block's
+    /// share to its lane).
     pub fn backoff_cycles(&self) -> u64 {
         self.backoff_cycles
     }

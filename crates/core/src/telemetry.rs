@@ -35,6 +35,7 @@ use crate::overlap::OverlapStats;
 use crate::resilience::{BreakerState, CircuitBreaker};
 use recode_mem::traffic::{TrafficLedger, TrafficReport};
 use recode_mem::MemorySystem;
+use recode_udp::accel::LaneProfile;
 use recode_udp::pool::PoolStats;
 use std::collections::BTreeMap;
 
@@ -440,17 +441,28 @@ impl TraceDocument {
                 accel.lanes
             ));
         }
-        let lane_busy: u64 =
-            accel.lane_profiles.iter().map(|p| p.busy_cycles + p.stall_cycles).sum();
-        // Retry cycles are folded into the batch totals after the fact, so
-        // lane profiles may undercount busy cycles by exactly that much.
-        if !accel.lane_profiles.is_empty()
-            && lane_busy + self.exec.retry_cycles != accel.busy_cycles
-        {
-            errs.push(format!(
-                "lane profiles sum to {} busy cycles, report says {} (retry {})",
-                lane_busy, accel.busy_cycles, self.exec.retry_cycles
-            ));
+        // A batch charges every cycle, retries included, to a lane: the
+        // profiles tile the busy cycles, and the makespan is the longest
+        // lane timeline, which backoff (waiting, in no profile) may stretch.
+        if !accel.lane_profiles.is_empty() {
+            // Saturating: a document read from a file may hold any value.
+            let lane_total = |p: &LaneProfile| p.busy_cycles.saturating_add(p.stall_cycles);
+            let lane_busy = accel.lane_profiles.iter().map(lane_total).fold(0, u64::saturating_add);
+            if lane_busy != accel.busy_cycles {
+                errs.push(format!(
+                    "lane profiles sum to {lane_busy} busy cycles, report says {}",
+                    accel.busy_cycles
+                ));
+            }
+            let longest = accel.lane_profiles.iter().map(lane_total).max().unwrap_or(0);
+            let backoff = self.exec.backoff_cycles;
+            if !(longest..=longest.saturating_add(backoff)).contains(&accel.makespan_cycles) {
+                errs.push(format!(
+                    "makespan {} outside [{longest}, {longest} + backoff {backoff}] \
+                     of the longest lane",
+                    accel.makespan_cycles
+                ));
+            }
         }
         let traffic_total: u64 =
             self.mem_traffic.by_source.iter().map(|s| s.read_bytes + s.write_bytes).sum();
@@ -841,5 +853,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A batch document's lane profiles tile its busy cycles exactly, and
+    /// its makespan lies between the longest lane and that lane plus the
+    /// run's backoff: each check fires on a document that breaks it alone.
+    #[test]
+    fn lane_profiles_bound_the_batch_makespan() {
+        use crate::arch::SystemConfig;
+        use crate::exec::RecodedSpmv;
+        use crate::ladder::RunCtx;
+        use crate::resilience::JobBudget;
+        use recode_codec::pipeline::MatrixCodecConfig;
+        use recode_sparse::prelude::*;
+        use recode_udp::accel::FaultHook;
+
+        let spec =
+            GenSpec::Stencil2D { nx: 40, ny: 40, points: 5, values: ValueModel::StencilCoeffs };
+        let a = generate(&spec, 3);
+        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let (sys, x) = (SystemConfig::ddr4(), vec![1.0; a.ncols()]);
+        let hook = FaultHook::new().trap(0);
+        let budget = JobBudget { backoff_cycles_per_retry: 1_000, ..JobBudget::default() };
+        let ctx = RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None };
+        let kernel = recode_sparse::spmv::SpmvKernel::Serial;
+        let (_, stats, doc) = r.spmv_traced(&sys, kernel, &x, ctx, "backoff").unwrap();
+        assert!(doc.validate().is_empty(), "{:?}", doc.validate());
+        assert_eq!(stats.backoff_cycles, 1_000);
+        let longest = stats.accel.lane_profiles.iter().map(|p| p.busy_cycles + p.stall_cycles);
+        let longest = longest.max().unwrap();
+
+        let fires = |tamper: &dyn Fn(&mut TraceDocument), what: &str| {
+            let mut bad = doc.clone();
+            tamper(&mut bad);
+            let errs = bad.validate();
+            assert_eq!(errs.len(), 1, "{errs:?}");
+            assert!(errs[0].contains(what), "{errs:?}");
+        };
+        fires(&|d| d.exec.accel.busy_cycles += 1, "lane profiles sum to");
+        fires(&|d| d.exec.accel.makespan_cycles = longest - 1, "makespan");
+        fires(&|d| d.exec.accel.makespan_cycles = longest + 1_001, "makespan");
+        let mut edge = doc.clone();
+        edge.exec.accel.makespan_cycles = longest + 1_000;
+        assert!(edge.validate().is_empty(), "{:?}", edge.validate());
     }
 }

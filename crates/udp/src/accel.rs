@@ -69,7 +69,9 @@ pub struct LaneProfile {
     pub jobs: usize,
     /// Jobs that trapped or errored on this lane.
     pub jobs_failed: usize,
-    /// Cycles spent executing successful jobs.
+    /// Cycles spent executing successful jobs: first attempts and, on the
+    /// batch schedule, the successful retries of the blocks whose first
+    /// attempt this lane ran ([`AccelReport::charge_lane`]).
     pub busy_cycles: u64,
     /// Injected DMA-stall cycles charged to this lane.
     pub stall_cycles: u64,
@@ -101,10 +103,10 @@ pub type JobEventSink<'a> = &'a (dyn Fn(&JobEvent) + Sync);
 
 /// The one definition of MIMD lane utilization: `busy / (makespan * lanes)`.
 ///
-/// Every consumer — the batch scheduler, the retry-folding exec path, and
-/// the overlapped executor — must derive utilization through this helper so
-/// the paths cannot drift apart. An empty batch (zero makespan) counts as
-/// fully utilized.
+/// Every consumer — the batch fan-out and its recovery ladder (through
+/// [`AccelReport::charge_lane`]) and the overlapped executor — must derive
+/// utilization through this helper so the paths cannot drift apart. An
+/// empty batch (zero makespan) counts as fully utilized.
 pub fn lane_utilization(busy_cycles: u64, makespan_cycles: u64, lanes: usize) -> f64 {
     if makespan_cycles == 0 {
         1.0
@@ -226,7 +228,8 @@ pub struct AccelReport {
     pub jobs_failed: usize,
     /// Lanes configured.
     pub lanes: usize,
-    /// Longest per-lane cycle sum — wall-clock cycles for the batch.
+    /// Longest per-lane timeline — busy, stall and backoff cycles — the
+    /// wall-clock cycles for the batch.
     pub makespan_cycles: u64,
     /// Sum of cycles across all lanes (busy cycles).
     pub busy_cycles: u64,
@@ -268,12 +271,47 @@ impl AccelReport {
     }
 
     /// Recomputes `lane_utilization` from the current busy/makespan totals
-    /// via [`lane_utilization`]. Callers that fold extra cycles into the
-    /// report after the batch (serialized retries, overlap scheduling) must
-    /// call this instead of open-coding the formula.
+    /// via [`lane_utilization`]. [`AccelReport::charge_lane`] calls it on
+    /// every charge; a schedule that builds its report from its own totals
+    /// (the tile walker) calls it instead of open-coding the formula.
     pub fn refresh_utilization(&mut self) {
         self.lane_utilization =
             lane_utilization(self.busy_cycles, self.makespan_cycles, self.lanes);
+    }
+
+    /// The one rule by which a batch charges lane time: `work` (a job's
+    /// successful decode, if any) and `stall` injected cycles go into lane
+    /// `lane`'s profile and the batch totals, and the makespan stretches to
+    /// that lane's timeline, `busy + stall + waited`, where `waited` is all
+    /// the lane has spent waiting so far (budget backoff, which is not
+    /// work). The fan-out charges each first attempt; the recovery ladder
+    /// charges each retry to the lane that ran the block's first attempt.
+    /// Utilization is recomputed. Returns how many cycles the makespan
+    /// grew: 0 when the charge fit in the lane's slack.
+    pub fn charge_lane(
+        &mut self,
+        lane: usize,
+        work: Option<&JobOutcome>,
+        stall: u64,
+        waited: u64,
+    ) -> u64 {
+        let profile = &mut self.lane_profiles[lane];
+        profile.stall_cycles += stall;
+        self.injected_stall_cycles += stall;
+        self.busy_cycles += stall;
+        if let Some(o) = work {
+            profile.busy_cycles += o.cycles;
+            profile.output_bytes += o.output_bytes;
+            profile.opclass.merge(&o.opclass);
+            self.busy_cycles += o.cycles;
+            self.output_bytes += o.output_bytes;
+            self.opclass.merge(&o.opclass);
+            self.stage_cycles.merge(&o.stage_cycles);
+        }
+        let before = self.makespan_cycles;
+        self.makespan_cycles = before.max(profile.busy_cycles + profile.stall_cycles + waited);
+        self.refresh_utilization();
+        self.makespan_cycles - before
     }
 }
 
@@ -398,79 +436,47 @@ impl Accelerator {
         assert!(self.lanes > 0, "need at least one lane");
         let mut results: Vec<Option<Result<JobOutcome, E>>> =
             (0..jobs.len()).map(|_| None).collect();
-        let mut stage_cycles = StageCycles::default();
-        let mut lane_profiles = Vec::with_capacity(self.lanes);
+        let mut report = AccelReport {
+            jobs: jobs.len(),
+            lanes: self.lanes,
+            freq_hz: self.freq_hz,
+            lane_profiles: (0..self.lanes)
+                .map(|lane| LaneProfile { lane, ..Default::default() })
+                .collect(),
+            ..AccelReport::default()
+        };
         // Job k goes to lane k % lanes, the paper's block-round-robin
         // assignment. The simulated lanes run one after another on the
         // calling thread; the `Sync`/`Send` bounds above are what a host
         // fan-out needs, so threading this loop is not an API change.
         for lane_idx in 0..self.lanes {
             let mut lane = crate::pool::global().checkout();
-            let mut profile = LaneProfile { lane: lane_idx, ..Default::default() };
             for (k, job) in jobs.iter_mut().enumerate().skip(lane_idx).step_by(self.lanes) {
                 let (stall, result) = Self::dispatch(&mut lane, hook, k, |lane| run(lane, job));
-                profile.stall_cycles += stall;
+                let profile = &mut report.lane_profiles[lane_idx];
                 profile.jobs += 1;
-                let mut cycles = 0u64;
-                match &result {
-                    Ok(o) => {
-                        cycles = o.cycles;
-                        profile.busy_cycles += o.cycles;
-                        profile.output_bytes += o.output_bytes;
-                        profile.opclass.merge(&o.opclass);
-                        stage_cycles.merge(&o.stage_cycles);
-                    }
-                    Err(_) => profile.jobs_failed += 1,
+                if result.is_err() {
+                    profile.jobs_failed += 1;
+                    report.jobs_failed += 1;
                 }
+                // A failed job costs no modeled cycles, only its stall.
+                report.charge_lane(lane_idx, result.as_ref().ok(), stall, 0);
                 if let Some(sink) = sink {
                     sink(&JobEvent {
                         job: k,
                         lane: lane_idx,
-                        cycles,
+                        cycles: result.as_ref().map_or(0, |o| o.cycles),
                         stall_cycles: stall,
                         ok: result.is_ok(),
                     });
                 }
                 results[k] = Some(result);
             }
-            lane_profiles.push(profile);
-        }
-
-        let mut makespan = 0u64;
-        let mut busy = 0u64;
-        let mut out_bytes = 0u64;
-        let mut failed = 0usize;
-        let mut stall_total = 0u64;
-        let mut opclass = OpClassCycles::default();
-        for profile in &lane_profiles {
-            // A lane's wall-clock share is its successful-job cycles plus
-            // any injected stalls (failed jobs cost no modeled cycles).
-            let lane_cycles = profile.busy_cycles + profile.stall_cycles;
-            stall_total += profile.stall_cycles;
-            out_bytes += profile.output_bytes;
-            failed += profile.jobs_failed;
-            opclass.merge(&profile.opclass);
-            makespan = makespan.max(lane_cycles);
-            busy += lane_cycles;
         }
         let results: Vec<Result<JobOutcome, E>> = results
             .into_iter()
             .map(|r| r.expect("round-robin covers every job index exactly once"))
             .collect();
-        let report = AccelReport {
-            jobs: jobs.len(),
-            jobs_failed: failed,
-            lanes: self.lanes,
-            makespan_cycles: makespan,
-            busy_cycles: busy,
-            injected_stall_cycles: stall_total,
-            output_bytes: out_bytes,
-            lane_utilization: lane_utilization(busy, makespan, self.lanes),
-            freq_hz: self.freq_hz,
-            lane_profiles,
-            opclass,
-            stage_cycles,
-        };
         BatchOutcome { report, results }
     }
 }
@@ -703,6 +709,24 @@ mod tests {
             .report;
         let want = lane_utilization(r.busy_cycles, r.makespan_cycles, r.lanes);
         assert!((r.lane_utilization - want).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_charge_lands_on_its_lane_and_grows_the_makespan_past_its_slack() {
+        let acc = Accelerator { lanes: 2, freq_hz: 1e9 };
+        let jobs = [Fake { cycles: 100, bytes: 1 }, Fake { cycles: 40, bytes: 1 }];
+        let mut r = acc
+            .run_jobs_with_faults::<_, LaneError, _>(&jobs, run_fake, &FaultHook::default())
+            .report;
+        let retry = JobOutcome { cycles: 50, output_bytes: 2, ..Default::default() };
+        // Lane 1 has 60 cycles of slack: 50 busy and 10 waiting fit.
+        assert_eq!(r.charge_lane(1, Some(&retry), 0, 10), 0);
+        assert_eq!((r.makespan_cycles, r.busy_cycles, r.output_bytes), (100, 190, 4));
+        assert_eq!(r.lane_profiles[1].busy_cycles, 90);
+        // 20 more cycles of waiting on lane 1 do not: 90 + 30 > 100.
+        assert_eq!(r.charge_lane(1, None, 0, 30), 20);
+        assert_eq!((r.makespan_cycles, r.busy_cycles), (120, 190));
+        assert!((r.lane_utilization - lane_utilization(190, 120, 2)).abs() < 1e-12);
     }
 
     // Silence the unused-import lint while documenting intent: RunResult is

@@ -188,12 +188,23 @@ fn spmv_exit_codes_distinguish_degraded_and_fallback_runs() {
         .expect("run gen");
     assert!(out.status.success(), "gen: {}", String::from_utf8_lossy(&out.stderr));
 
+    // The batch's modeled makespan, from the `UDP: … makespan N cycles` line.
+    let makespan = |stdout: &[u8]| -> String {
+        let text = String::from_utf8_lossy(stdout);
+        let at = text.find("makespan ").unwrap_or_else(|| panic!("no makespan: {text}"));
+        text[at..].split(',').next().unwrap().to_string()
+    };
+
     // Clean run: exit 0.
     let out = bin().args(["spmv", mtx.to_str().unwrap()]).output().expect("run spmv");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let clean = makespan(&out.stdout);
+    assert!(clean.ends_with(" cycles"), "{clean}");
 
     // A transient trap forces a retry: the run recovers bit-exact but the
-    // exit code reports the degradation.
+    // exit code reports the degradation. The trapped job cost nothing and
+    // its retry is the same decode on the same lane, so the makespan is the
+    // clean run's.
     let out = bin()
         .args(["spmv", mtx.to_str().unwrap(), "--inject-trap", "0"])
         .output()
@@ -202,6 +213,7 @@ fn spmv_exit_codes_distinguish_degraded_and_fallback_runs() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("verified against the uncompressed kernel"), "{text}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("degraded"), "stderr notes the cause");
+    assert_eq!(makespan(&out.stdout), clean, "a retry is charged to its own lane");
 
     // A corrupt block exhausts retries and is served from the raw-CSR
     // store: still bit-exact, exit 4.
