@@ -28,11 +28,11 @@
 //! `(seed, trials)`, and a failing trial reproduces from its logged seed.
 
 use crate::arch::SystemConfig;
-use crate::error::ExecError;
+use crate::error::{ExecError, ExecResult};
 use crate::exec::{ExecStats, RawFallbackStore, RecodedSpmv, RunCtx};
 use crate::json::Json;
+use crate::ladder::JobBudget;
 use crate::overlap::{OverlapConfig, OverlapExecutor};
-use crate::resilience::{CircuitBreaker, JobBudget, JobState};
 #[cfg(doc)]
 use crate::telemetry::TraceDocument;
 use recode_codec::faults::{FaultInjector, FaultKind, SplitMix64};
@@ -43,7 +43,7 @@ use recode_sparse::Csr;
 use recode_udp::accel::FaultHook;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Campaign parameters.
@@ -65,13 +65,14 @@ impl Default for ChaosConfig {
 /// [`TrialOutcome::Hung`] — a contract violation, never retried.
 pub const TRIAL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Typed terminal classification of one trial. The first four mirror
-/// [`JobState`]; the last two are contract violations the watchdog detects.
+/// Typed terminal classification of one trial. The first four are what a
+/// run's [`ExecResult`] says ([`classify`]); the last two are contract
+/// violations the watchdog detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrialOutcome {
     /// Happy path, bit-exact.
     Completed,
-    /// Off the happy path (retry / fallback / software bypass), bit-exact.
+    /// Off the happy path (retry / raw-store fallback), bit-exact.
     Degraded,
     /// The job budget ran out; surfaced as a typed error.
     DeadlineExceeded,
@@ -105,7 +106,8 @@ impl std::fmt::Display for TrialOutcome {
 /// Which executor a trial drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Arm {
-    /// `RecodedSpmv::run_job` — budget + campaign-wide circuit breaker.
+    /// `RecodedSpmv::decompress_with` — the batch decode alone, checked
+    /// against the matrix.
     BatchJob,
     /// `OverlapExecutor::spmv_with` — pipelined decode/multiply.
     Overlap,
@@ -173,7 +175,6 @@ struct Ctx {
     sys: SystemConfig,
     x: Vec<f64>,
     y_ref: Vec<f64>,
-    breaker: Mutex<CircuitBreaker>,
 }
 
 /// What one trial reports back to the campaign.
@@ -187,6 +188,19 @@ struct TrialResult {
     bit_exact: bool,
     /// The trial saw a panic that the stack contained into a typed error.
     panic_contained: bool,
+}
+
+impl TrialResult {
+    /// `outcome` with every check vacuously passed.
+    fn of(outcome: TrialOutcome) -> Self {
+        TrialResult {
+            outcome,
+            accounted: true,
+            trace_ok: true,
+            bit_exact: true,
+            panic_contained: false,
+        }
+    }
 }
 
 /// Aggregate result of a campaign, deterministic in `(seed, trials)`.
@@ -391,9 +405,25 @@ fn plan_trial(seed: u64) -> TrialPlan {
     TrialPlan { seed, arm, injection, budget }
 }
 
-/// Accounting identity over one run's stats.
-fn accounted(stats: &ExecStats) -> bool {
-    stats.blocks_ok + stats.blocks_recovered + stats.blocks_fell_back == stats.accel.jobs
+/// The one mapping from a run's result to its trial result: the typed
+/// outcome, the block-accounting identity over the run's stats, and
+/// bit-exactness against `want` (both vacuously true for a run that ended
+/// in an error).
+fn classify<T: PartialEq>(run: ExecResult<(T, ExecStats)>, want: &T) -> TrialResult {
+    match run {
+        Ok((got, stats)) => TrialResult {
+            accounted: stats.blocks_ok + stats.blocks_recovered + stats.blocks_fell_back
+                == stats.accel.jobs,
+            bit_exact: got == *want,
+            ..TrialResult::of(if stats.degraded {
+                TrialOutcome::Degraded
+            } else {
+                TrialOutcome::Completed
+            })
+        },
+        Err(ExecError::DeadlineExceeded { .. }) => TrialResult::of(TrialOutcome::DeadlineExceeded),
+        Err(_) => TrialResult::of(TrialOutcome::Rejected),
+    }
 }
 
 /// Injected panics are *supposed* to fire and be contained; keep their
@@ -449,75 +479,21 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
     let hook = if hook.is_empty() { None } else { Some(&hook) };
     let run_ctx = RunCtx { hook, budget: Some(&plan.budget), tel: None };
 
-    let mut result = TrialResult {
-        outcome: TrialOutcome::Rejected,
-        accounted: true,
-        trace_ok: true,
-        bit_exact: true,
-        panic_contained: false,
-    };
-
-    match plan.arm {
-        Arm::BatchJob => {
-            let mut breaker = ctx.breaker.lock().unwrap_or_else(PoisonError::into_inner);
-            let report = r.run_job(&ctx.sys, run_ctx, Some(&mut breaker));
-            result.outcome = match report.state {
-                JobState::Completed => TrialOutcome::Completed,
-                JobState::Degraded => TrialOutcome::Degraded,
-                JobState::DeadlineExceeded => TrialOutcome::DeadlineExceeded,
-                JobState::Rejected => TrialOutcome::Rejected,
-            };
-            if let Some(stats) = &report.stats {
-                // The software bypass never touches the accelerator, so its
-                // all-zero accounting is vacuously correct.
-                if !stats.software_decode {
-                    result.accounted = accounted(stats);
-                }
-            }
-            if let Some(m) = &report.matrix {
-                result.bit_exact = *m == ctx.a;
-            }
-        }
+    let mut result = match plan.arm {
+        Arm::BatchJob => classify(r.decompress_with(&ctx.sys, run_ctx), &ctx.a),
         Arm::Overlap => {
             let ex = OverlapExecutor::new(
                 &r,
                 OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 },
             );
-            match ex.spmv_with(&ctx.sys, &ctx.x, run_ctx) {
-                Ok((y, stats)) => {
-                    result.outcome = if stats.degraded {
-                        TrialOutcome::Degraded
-                    } else {
-                        TrialOutcome::Completed
-                    };
-                    result.accounted = accounted(&stats);
-                    result.bit_exact = y == ctx.y_ref;
-                }
-                Err(ExecError::DeadlineExceeded { .. }) => {
-                    result.outcome = TrialOutcome::DeadlineExceeded;
-                }
-                Err(_) => result.outcome = TrialOutcome::Rejected,
-            }
+            classify(ex.spmv_with(&ctx.sys, &ctx.x, run_ctx), &ctx.y_ref)
         }
         Arm::Traced => {
-            match r.spmv_traced(&ctx.sys, SpmvKernel::Serial, &ctx.x, run_ctx, "chaos") {
-                Ok((y, stats, doc)) => {
-                    result.outcome = if stats.degraded {
-                        TrialOutcome::Degraded
-                    } else {
-                        TrialOutcome::Completed
-                    };
-                    result.accounted = accounted(&stats);
-                    result.trace_ok = doc.validate().is_empty();
-                    result.bit_exact = y == ctx.y_ref;
-                }
-                Err(ExecError::DeadlineExceeded { .. }) => {
-                    result.outcome = TrialOutcome::DeadlineExceeded;
-                }
-                Err(_) => result.outcome = TrialOutcome::Rejected,
-            }
+            let run = r.spmv_traced(&ctx.sys, SpmvKernel::Serial, &ctx.x, run_ctx, "chaos");
+            let trace_ok = run.as_ref().map_or(true, |(_, _, doc)| doc.validate().is_empty());
+            TrialResult { trace_ok, ..classify(run.map(|(y, stats, _)| (y, stats)), &ctx.y_ref) }
         }
-    }
+    };
     // A panic-injecting trial that reached this point (instead of escaping
     // to the watchdog's catch_unwind) was contained by the stack — provided
     // the panic fired at all: every arm reads the hook, so such a trial is
@@ -543,8 +519,7 @@ pub fn run_campaign(config: &ChaosConfig) -> CampaignSummary {
     let sys = SystemConfig::ddr4();
     let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
     let y_ref = recode_sparse::spmv::spmv(&a, &x);
-    let ctx =
-        Arc::new(Ctx { a, cm, store, sys, x, y_ref, breaker: Mutex::new(CircuitBreaker::new()) });
+    let ctx = Arc::new(Ctx { a, cm, store, sys, x, y_ref });
 
     let mut master = SplitMix64::new(config.seed);
     let mut summary = CampaignSummary {
@@ -578,20 +553,8 @@ pub fn run_campaign(config: &ChaosConfig) -> CampaignSummary {
         });
         let result = match rx.recv_timeout(TRIAL_TIMEOUT) {
             Ok(Ok(result)) => result,
-            Ok(Err(_panic)) => TrialResult {
-                outcome: TrialOutcome::PanicEscaped,
-                accounted: true,
-                trace_ok: true,
-                bit_exact: true,
-                panic_contained: false,
-            },
-            Err(_) => TrialResult {
-                outcome: TrialOutcome::Hung,
-                accounted: true,
-                trace_ok: true,
-                bit_exact: true,
-                panic_contained: false,
-            },
+            Ok(Err(_panic)) => TrialResult::of(TrialOutcome::PanicEscaped),
+            Err(_) => TrialResult::of(TrialOutcome::Hung),
         };
 
         *summary.by_outcome.entry(result.outcome.label().to_string()).or_insert(0) += 1;

@@ -3,8 +3,8 @@
 //! Produces the JSON object format (`{"traceEvents": [...]}`) understood by
 //! `chrome://tracing` and <https://ui.perfetto.dev>: duration events
 //! (`ph: "B"`/`"E"`) for recorder spans, instant events (`ph: "i"`) for
-//! point occurrences (block outcomes, retries, breaker transitions, pool
-//! and cache traffic, chaos injections), and one metadata `thread_name`
+//! point occurrences (block outcomes, retries, fallbacks, pool and cache
+//! traffic, chaos injections), and one metadata `thread_name`
 //! record per [`Track`] so every lane, worker, and pipeline stage gets its
 //! own named row on the timeline.
 //!

@@ -36,7 +36,7 @@ pub enum ExecError {
     /// Decoded streams do not reassemble into a valid matrix (wrong length,
     /// misaligned words, invalid CSR structure).
     Reassembly(String),
-    /// The job's [`JobBudget`](crate::resilience::JobBudget) ran out before
+    /// The job's [`JobBudget`](crate::ladder::JobBudget) ran out before
     /// the work completed (deadline, cycle cap, or retry cap).
     DeadlineExceeded {
         /// What ran out, in human terms ("wall deadline", "cycle budget",

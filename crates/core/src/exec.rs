@@ -16,13 +16,12 @@
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
-use crate::ladder::{report_run, vector_traffic, BlockTally, Ladder};
+use crate::ladder::{report_run, vector_traffic, Ladder};
 pub use crate::ladder::{RunCtx, MAX_BLOCK_RETRIES};
 use crate::overlap::{OverlapConfig, OverlapExecutor, OverlapStats};
 use crate::recorder;
-use crate::resilience::{BreakerState, CircuitBreaker, JobReport, JobState};
 use crate::telemetry::{
-    MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument, BREAKER_COUNTERS, POOL_COUNTERS,
+    MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument, POOL_COUNTERS,
 };
 use recode_codec::block::{BlockStream, CompressedBlock};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
@@ -65,7 +64,7 @@ pub struct ExecStats {
     /// `accel.busy_cycles` (and, on the batch schedule, in the lane profile
     /// of the lane that ran the block).
     pub retry_cycles: u64,
-    /// Scheduler backoff cycles charged by the [`crate::resilience::JobBudget`]
+    /// Scheduler backoff cycles charged by the [`crate::ladder::JobBudget`]
     /// per retry attempt. On the batch schedule each block's backoff is
     /// waiting on the lane that ran it, so it stretches `accel.makespan_cycles`
     /// only past that lane's slack; the walker reports it without charging
@@ -75,9 +74,6 @@ pub struct ExecStats {
     /// True when any block needed a retry or a fallback — the result is
     /// still bit-exact, but the run did not complete on the happy path.
     pub degraded: bool,
-    /// True when the run never touched the accelerator: the circuit breaker
-    /// bypassed it to the software decoder ([`RecodedSpmv::run_job`]).
-    pub software_decode: bool,
     /// Blocks that decoded cleanly on the first attempt:
     /// `blocks_ok + blocks_recovered + blocks_fell_back == accel.jobs`, and a
     /// trace's block events carry the same tally.
@@ -542,10 +538,8 @@ impl RecodedSpmv {
     /// The one [`TraceDocument`] sealer: matrix and platform identity and
     /// the wall time since `t_total`, around whatever `tel` collected during
     /// a run over this operand (the registry a caller put in its [`RunCtx`];
-    /// the `spmv_traced` entries own theirs). A governed job
-    /// ([`RecodedSpmv::run_job`]) seals the same way whenever it produced
-    /// stats; its document also carries `breaker.*` counters (`recode
-    /// metrics`).
+    /// the `spmv_traced` entries own theirs; `recode metrics` seals a bare
+    /// [`RecodedSpmv::decompress_with`]).
     pub fn seal(
         &self,
         sys: &SystemConfig,
@@ -570,75 +564,6 @@ impl RecodedSpmv {
         };
         let wall_ns_total = t_total.elapsed().as_nanos() as u64;
         tel.into_document(matrix, system, stats.clone(), &sys.mem, wall_ns_total)
-    }
-
-    /// One fully governed job: circuit-breaker admission, a
-    /// [`RecodedSpmv::decompress_with`] run under `ctx`, degradation to the
-    /// software decoder when the breaker is open, and a typed terminal
-    /// [`JobState`] no matter what happened — [`JobReport`] is total over
-    /// all outcomes.
-    ///
-    /// The degradation ladder, top to bottom: accelerator happy path →
-    /// per-block retry → per-block raw-CSR re-fetch → (breaker open)
-    /// whole-job software decode. Every rung is bit-exact; only the last
-    /// gives up on the accelerator entirely.
-    pub fn run_job(
-        &self,
-        sys: &SystemConfig,
-        ctx: RunCtx<'_>,
-        mut breaker: Option<&mut CircuitBreaker>,
-    ) -> JobReport {
-        let RunCtx { hook, budget, mut tel } = ctx;
-        let admitted = breaker.as_deref_mut().is_none_or(CircuitBreaker::admit);
-        let result = if admitted {
-            let run = self.decompress_with(sys, RunCtx { hook, budget, tel: tel.as_deref_mut() });
-            if let Some(b) = breaker.as_deref_mut() {
-                // A run that died counts fully against the window.
-                let dead = self.total_jobs().max(1);
-                let (jobs, failed) =
-                    run.as_ref().map_or((dead, dead), |(_, s)| (s.accel.jobs, s.accel.jobs_failed));
-                b.record(jobs, failed);
-            }
-            run
-        } else {
-            // Open breaker: the accelerator is bypassed entirely and the job
-            // is served by the software decoder. No accelerator cycles, the
-            // compressed stream still crosses memory.
-            let wire_bytes = self.compressed.wire_bytes();
-            let phase =
-                recorder::phase(recorder::Track::MAIN, "exec.software_decode", tel.is_some());
-            let decoded = self.decompress_via_software();
-            phase.finish(tel.as_deref_mut(), 0.0, wire_bytes as u64);
-            decoded.map_err(ExecError::Codec).map(|a| {
-                let mut stats = BlockTally::default().stats(
-                    sys,
-                    AccelReport::default(),
-                    wire_bytes,
-                    0,
-                    OverlapStats::default(),
-                );
-                stats.dma_seconds = 0.0;
-                stats.degraded = true;
-                stats.software_decode = true;
-                (a, stats)
-            })
-        };
-        // Breaker posture after the job, as `breaker.*` counters.
-        let breaker_state = breaker.as_deref().map_or(BreakerState::Closed, CircuitBreaker::state);
-        if let (Some(tel), Some(b)) = (tel, breaker.as_deref()) {
-            tel.derive(BREAKER_COUNTERS, |get| get(b));
-        }
-        let (state, matrix, stats, error) = match result {
-            Ok((a, stats)) => {
-                let state = if stats.degraded { JobState::Degraded } else { JobState::Completed };
-                (state, Some(a), Some(stats), None)
-            }
-            Err(e @ ExecError::DeadlineExceeded { .. }) => {
-                (JobState::DeadlineExceeded, None, None, Some(e))
-            }
-            Err(e) => (JobState::Rejected, None, None, Some(e)),
-        };
-        JobReport { state, matrix, stats, error, software_path: !admitted, breaker: breaker_state }
     }
 
     /// Software-only decode path (reference), for differential testing.
@@ -703,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn udp_decode_equals_software_decode_equals_original() {
+    fn udp_decode_equals_software_reference_equals_original() {
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -1018,7 +943,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_with_faults_is_deadline_exceeded() {
-        use crate::resilience::JobBudget;
+        use crate::ladder::JobBudget;
         use std::time::Duration;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
@@ -1040,7 +965,7 @@ mod tests {
 
     #[test]
     fn retry_budget_exhaustion_names_the_budget() {
-        use crate::resilience::JobBudget;
+        use crate::ladder::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -1066,7 +991,7 @@ mod tests {
 
     #[test]
     fn unbounded_budget_is_cycle_identical_to_the_unbudgeted_path() {
-        use crate::resilience::JobBudget;
+        use crate::ladder::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -1086,7 +1011,7 @@ mod tests {
 
     #[test]
     fn backoff_waits_on_the_lane_that_ran_the_block() {
-        use crate::resilience::JobBudget;
+        use crate::ladder::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -1114,7 +1039,7 @@ mod tests {
 
     #[test]
     fn block_accounting_identity_holds_on_every_terminal_path() {
-        use crate::resilience::JobBudget;
+        use crate::ladder::JobBudget;
         let a = test_matrix();
         let sys = SystemConfig::ddr4();
         let check = |stats: &ExecStats, what: &str| {
@@ -1139,87 +1064,5 @@ mod tests {
             r.decompress_with(&sys, RunCtx { budget: Some(&budget), ..RunCtx::default() }).unwrap();
         check(&fell_back, "fallback run");
         assert_eq!(fell_back.blocks_fell_back, 1);
-    }
-
-    #[test]
-    fn run_job_walks_the_breaker_ladder_bit_exact() {
-        use crate::resilience::{
-            BreakerState, CircuitBreaker, JobBudget, JobState, BREAKER_COOLDOWN_RUNS,
-            BREAKER_MIN_JOBS,
-        };
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let budget = JobBudget::unbounded();
-
-        // No breaker, clean run: Completed on the accelerator.
-        let report = r.run_job(&sys, RunCtx { budget: Some(&budget), ..RunCtx::default() }, None);
-        assert_eq!(report.state, JobState::Completed);
-        assert!(!report.software_path);
-        assert_eq!(report.matrix.as_ref(), Some(&a));
-
-        // An already-open breaker bypasses to the software decoder until
-        // its cooldown elapses.
-        let mut b = CircuitBreaker::new();
-        b.record(BREAKER_MIN_JOBS, BREAKER_MIN_JOBS);
-        assert_eq!(b.state(), BreakerState::Open);
-        for _ in 1..BREAKER_COOLDOWN_RUNS {
-            let (mut tel, t_total) = (Telemetry::new(), Instant::now());
-            let ctx = RunCtx { budget: Some(&budget), tel: Some(&mut tel), ..RunCtx::default() };
-            let report = r.run_job(&sys, ctx, Some(&mut b));
-            assert_eq!(report.state, JobState::Degraded);
-            assert!(report.software_path, "open breaker must bypass the accelerator");
-            assert_eq!(report.matrix.as_ref(), Some(&a), "software bypass stays bit-exact");
-            let stats = report.stats.expect("bypass synthesizes stats");
-            assert!(stats.software_decode && stats.degraded);
-            assert_eq!(stats.accel.jobs, 0, "no accelerator work on the bypass");
-            // The software rung is a phase of the run like any other.
-            let doc = r.seal(&sys, tel, &stats, "bypass", t_total);
-            let spans: Vec<&str> = doc.spans.iter().map(|s| s.name.as_str()).collect();
-            assert_eq!(spans, ["exec.software_decode"]);
-            assert_eq!(doc.spans[0].bytes, r.compressed().wire_bytes() as u64);
-            assert!(doc.validate().is_empty(), "{:?}", doc.validate());
-        }
-
-        // The next run is the half-open probe; it succeeds and re-closes.
-        let report =
-            r.run_job(&sys, RunCtx { budget: Some(&budget), ..RunCtx::default() }, Some(&mut b));
-        assert_eq!(report.state, JobState::Completed);
-        assert!(!report.software_path, "probe runs on the accelerator");
-        assert_eq!(report.breaker, BreakerState::Closed, "clean probe closes the breaker");
-    }
-
-    #[test]
-    fn run_job_records_a_dead_run_and_trips_the_breaker() {
-        use crate::resilience::{BreakerState, CircuitBreaker, JobState, BREAKER_MIN_JOBS};
-        let a = test_matrix();
-        let cm = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let mut r = RecodedSpmv::from_compressed(cm).unwrap();
-        // Corrupt with no fallback store: the run dies with a typed error.
-        r.compressed_mut().index_stream.blocks[0].payload[0] ^= 0x40;
-        assert!(r.total_jobs() >= BREAKER_MIN_JOBS, "one dead run fills the breaker's window");
-        let sys = SystemConfig::ddr4();
-        let mut b = CircuitBreaker::new();
-        let report = r.run_job(&sys, RunCtx::default(), Some(&mut b));
-        assert_eq!(report.state, JobState::Rejected);
-        assert!(report.error.is_some());
-        assert!(report.matrix.is_none());
-        assert_eq!(b.state(), BreakerState::Open, "a dead run counts fully against the window");
-        assert_eq!(b.trips(), 1);
-    }
-
-    #[test]
-    fn run_job_surfaces_budget_exhaustion_as_deadline_exceeded() {
-        use crate::resilience::{JobBudget, JobState};
-        use std::time::Duration;
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let hook = FaultHook::new().trap(0);
-        let budget = JobBudget::with_deadline(Duration::ZERO);
-        let report =
-            r.run_job(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None }, None);
-        assert_eq!(report.state, JobState::DeadlineExceeded);
-        assert!(matches!(report.error, Some(ExecError::DeadlineExceeded { .. })));
     }
 }

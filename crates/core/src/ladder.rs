@@ -1,9 +1,10 @@
 //! The parts of one run that do not depend on the schedule: what varies
 //! between plain, faulty, budgeted and traced runs ([`RunCtx`]), the
-//! block-recovery ladder every failed first attempt climbs (`Ladder`), the
-//! per-run accounting (`BlockTally`) from which the [`ExecStats`] and a
-//! `DeadlineExceeded`'s progress count are derived, and the telemetry every
-//! schedule reports the same way (`report_run`).
+//! block-recovery ladder every failed first attempt climbs (`Ladder`) with
+//! the [`JobBudget`] it spends, the per-run accounting (`BlockTally`) from
+//! which the [`ExecStats`] and a `DeadlineExceeded`'s progress count are
+//! derived, and the telemetry every schedule reports the same way
+//! (`report_run`).
 //!
 //! A schedule — the 64-lane batch fan-out of [`crate::exec`], or the tile
 //! walker of [`crate::overlap`], threaded or inline — makes each block's
@@ -13,22 +14,119 @@
 //! up to [`MAX_BLOCK_RETRIES`] times (transient faults clear, integrity
 //! failures repeat), then served from the [`crate::exec::RawFallbackStore`],
 //! and only when both rungs are exhausted does the run fail, with
-//! [`ExecError::Unrecoverable`] naming the block.
+//! [`ExecError::Unrecoverable`] naming the block — or, when the budget
+//! denies a retry first, with [`ExecError::DeadlineExceeded`].
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
 use crate::exec::{ExecStats, RecodedSpmv};
 use crate::overlap::OverlapStats;
 use crate::recorder;
-use crate::resilience::{BudgetTracker, JobBudget};
 use crate::telemetry::{BlockEvent, BlockOutcome, Telemetry, EXEC_COUNTERS};
 use recode_mem::traffic::TrafficSource;
 use recode_udp::accel::{AccelReport, Accelerator, FaultHook, JobOutcome};
 use recode_udp::UdpError;
+use std::time::{Duration, Instant};
 
 /// How many times a failed block is re-decoded on a fresh lane before the
 /// raw-store fallback kicks in.
 pub const MAX_BLOCK_RETRIES: usize = 2;
+
+/// Resource budget for one job (one full decode or decode+multiply run).
+///
+/// All limits default to "unbounded"; the per-block retry cap
+/// ([`MAX_BLOCK_RETRIES`]) still applies underneath.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JobBudget {
+    /// Wall-clock deadline for the whole job. Checked at retry boundaries
+    /// (a job never hangs mid-block; blocks are small).
+    pub deadline: Option<Duration>,
+    /// Cap on modeled lane cycles spent in retry decodes across the job.
+    pub max_retry_cycles: Option<u64>,
+    /// Cap on total retry attempts across all blocks of the job.
+    pub max_total_retries: Option<usize>,
+    /// Backoff per retry attempt — the scheduler waiting before
+    /// re-dispatch. On the batch schedule it is waiting on the lane that ran
+    /// the block, so it stretches the modeled makespan only past that
+    /// lane's slack; it is never busy cycles. Default 0 keeps budgeted and
+    /// unbudgeted clean runs cycle-identical.
+    pub backoff_cycles_per_retry: u64,
+}
+
+impl JobBudget {
+    /// A budget with no limits (the default).
+    pub fn unbounded() -> Self {
+        Self::default()
+    }
+
+    /// A budget with only a wall-clock deadline.
+    pub fn with_deadline(deadline: Duration) -> Self {
+        JobBudget { deadline: Some(deadline), ..Self::default() }
+    }
+}
+
+/// Tracks a running job's consumption against its [`JobBudget`].
+///
+/// The ladder calls [`BudgetTracker::admit_retry`] before every retry
+/// attempt and [`BudgetTracker::charge_retry_cycles`] after a successful
+/// one; when a limit is hit, `admit_retry` names the exhausted budget and
+/// the ladder surfaces [`ExecError::DeadlineExceeded`].
+#[derive(Debug)]
+pub(crate) struct BudgetTracker {
+    budget: JobBudget,
+    started: Instant,
+    retry_cycles: u64,
+    retries: usize,
+    backoff_cycles: u64,
+}
+
+impl BudgetTracker {
+    /// Starts the job's clock.
+    pub fn new(budget: JobBudget) -> Self {
+        BudgetTracker {
+            budget,
+            started: Instant::now(),
+            retry_cycles: 0,
+            retries: 0,
+            backoff_cycles: 0,
+        }
+    }
+
+    /// Admission check before one retry attempt. On `Ok` the attempt is
+    /// counted and its backoff charged; on `Err` the name of the exhausted
+    /// budget is returned and nothing is charged.
+    pub fn admit_retry(&mut self) -> Result<(), &'static str> {
+        if let Some(deadline) = self.budget.deadline {
+            if self.started.elapsed() >= deadline {
+                return Err("wall deadline");
+            }
+        }
+        if let Some(cap) = self.budget.max_total_retries {
+            if self.retries >= cap {
+                return Err("retry budget");
+            }
+        }
+        if let Some(cap) = self.budget.max_retry_cycles {
+            if self.retry_cycles >= cap {
+                return Err("cycle budget");
+            }
+        }
+        self.retries += 1;
+        self.backoff_cycles += self.budget.backoff_cycles_per_retry;
+        Ok(())
+    }
+
+    /// Charges modeled lane cycles consumed by a retry decode.
+    pub fn charge_retry_cycles(&mut self, cycles: u64) {
+        self.retry_cycles += cycles;
+    }
+
+    /// Backoff cycles accumulated so far (the batch charges each block's
+    /// share to its lane).
+    pub fn backoff_cycles(&self) -> u64 {
+        self.backoff_cycles
+    }
+}
 
 /// What distinguishes one run of an executor from another. The default is a
 /// plain run; every combination is valid, and none changes the result `y`.
@@ -109,7 +207,6 @@ impl BlockTally {
             retry_cycles: self.retry_cycles,
             backoff_cycles,
             degraded: self.blocks_retried > 0 || self.blocks_fell_back > 0,
-            software_decode: false,
             blocks_ok: self.blocks_ok,
             blocks_recovered: self.blocks_recovered,
             overlap,
@@ -311,5 +408,55 @@ impl<'a> Ladder<'a> {
         self.tally.blocks_fell_back += 1;
         self.tally.fallback_bytes += raw.len();
         Ok((0, BlockOutcome::FellBack))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unbounded_budget_admits_forever() {
+        let mut t = BudgetTracker::new(JobBudget::unbounded());
+        for _ in 0..10_000 {
+            assert!(t.admit_retry().is_ok());
+        }
+        assert_eq!(t.backoff_cycles(), 0);
+    }
+
+    #[test]
+    fn retry_cap_names_the_exhausted_budget() {
+        let budget = JobBudget { max_total_retries: Some(2), ..JobBudget::default() };
+        let mut t = BudgetTracker::new(budget);
+        assert!(t.admit_retry().is_ok());
+        assert!(t.admit_retry().is_ok());
+        assert_eq!(t.admit_retry(), Err("retry budget"));
+    }
+
+    #[test]
+    fn cycle_cap_blocks_after_charge() {
+        let budget = JobBudget { max_retry_cycles: Some(100), ..JobBudget::default() };
+        let mut t = BudgetTracker::new(budget);
+        assert!(t.admit_retry().is_ok());
+        t.charge_retry_cycles(99);
+        assert!(t.admit_retry().is_ok(), "99 < 100 still admits");
+        t.charge_retry_cycles(1);
+        assert_eq!(t.admit_retry(), Err("cycle budget"));
+    }
+
+    #[test]
+    fn zero_deadline_expires_immediately() {
+        let budget = JobBudget::with_deadline(Duration::ZERO);
+        let mut t = BudgetTracker::new(budget);
+        assert_eq!(t.admit_retry(), Err("wall deadline"));
+    }
+
+    #[test]
+    fn backoff_accumulates_per_admitted_retry() {
+        let budget = JobBudget { backoff_cycles_per_retry: 50, ..JobBudget::default() };
+        let mut t = BudgetTracker::new(budget);
+        t.admit_retry().unwrap();
+        t.admit_retry().unwrap();
+        assert_eq!(t.backoff_cycles(), 100);
     }
 }

@@ -14,8 +14,9 @@
 //!   seeded-capacity decoded-block LRU cache so iterative solvers pay decode
 //!   cost once;
 //! * [`ladder`] — what every schedule shares: the [`RunCtx`] that makes a
-//!   run plain, faulty, budgeted or traced, the block-recovery ladder, and
-//!   the accounting the `ExecStats` are built from;
+//!   run plain, faulty, budgeted or traced, the block-recovery ladder and
+//!   the [`JobBudget`] it spends, and the accounting the `ExecStats` are
+//!   built from;
 //! * [`measure`] — measured recoding throughput: per-lane cycle counts from
 //!   the UDP simulator (sampled blocks, extrapolated) and the calibrated
 //!   CPU software rates;
@@ -33,8 +34,8 @@
 //!   `recode spmv --trace`, sealed into a [`TraceDocument`] of the one
 //!   trace schema;
 //! * [`recorder`] — the always-on flight recorder: a lock-light ring of
-//!   typed runtime events (spans, block outcomes, breaker transitions,
-//!   pool and cache traffic) exportable as a Chrome/Perfetto trace via
+//!   typed runtime events (spans, block outcomes, retry and fallback
+//!   rungs, pool and cache traffic) exportable as a Chrome/Perfetto trace via
 //!   [`chrometrace`];
 //! * [`metrics`] — point-in-time [`metrics::MetricsSnapshot`] rendered as
 //!   Prometheus text exposition;
@@ -66,7 +67,6 @@ pub mod perfmodel;
 pub mod power;
 pub mod recorder;
 pub mod report;
-pub mod resilience;
 pub mod seven;
 pub mod telemetry;
 pub mod trace_json;
@@ -78,12 +78,11 @@ pub use chaos::{run_campaign, CampaignSummary, ChaosConfig, TrialOutcome};
 pub use chrometrace::export_chrome_trace;
 pub use error::{ExecError, ExecResult};
 pub use exec::{ExecStats, RawFallbackStore, RecodedSpmv};
-pub use ladder::RunCtx;
+pub use ladder::{JobBudget, RunCtx};
 pub use metrics::MetricsSnapshot;
 pub use overlap::{CacheStats, ExecCache, OverlapConfig, OverlapExecutor, OverlapStats};
 pub use perfmodel::SpmvPerfModel;
 pub use power::PowerSavings;
-pub use resilience::{BreakerState, BudgetTracker, CircuitBreaker, JobBudget, JobReport, JobState};
 pub use tune::{
     matrix_digest, tune_matrix, CandidateScore, StageSubset, TuneError, TuneOutcome, TunedConfig,
     TUNED_SCHEMA,

@@ -7,13 +7,14 @@
 //!
 //! Naming follows the Prometheus conventions: dotted trace counters map to
 //! underscored metric names under the `recode_` prefix (`exec.jobs` →
-//! `recode_exec_jobs`), each typed by the [`Kind`](crate::telemetry::Kind)
-//! its counter-table row declares (`breaker.state`, a state code, is the one
-//! gauge), and per-span wall times share one family with a `span` label —
+//! `recode_exec_jobs`), each typed `counter` (every trace counter only
+//! grows over a run; the document's levels, such as `matrix.*` and
+//! `trace.wall_ns_total`, are the gauges), and per-span wall times share
+//! one family with a `span` label —
 //! one sample per span name, so the per-block `exec.retry` phases of a
 //! faulted run add up under a single label.
 
-use crate::telemetry::{counter_kind, TraceDocument};
+use crate::telemetry::TraceDocument;
 use std::fmt::Write as _;
 
 /// One metric family: name, type, help, and its samples (label-less or
@@ -51,7 +52,7 @@ impl MetricsSnapshot {
         for (name, value) in &doc.counters {
             families.push(Family {
                 name: metric_name(name),
-                kind: counter_kind(name).as_str(),
+                kind: "counter",
                 help: format!("Trace counter `{name}`."),
                 samples: vec![(None, *value as f64)],
             });
@@ -173,29 +174,26 @@ fn escape_label(v: &str) -> String {
 mod tests {
     use super::*;
     use crate::telemetry::{
-        Kind, MatrixMeta, RecorderSummary, SystemMeta, Telemetry, BREAKER_COUNTERS, EXEC_COUNTERS,
-        POOL_COUNTERS, TILED_COUNTERS,
+        MatrixMeta, RecorderSummary, SystemMeta, Telemetry, EXEC_COUNTERS, POOL_COUNTERS,
+        TILED_COUNTERS,
     };
     use recode_mem::MemorySystem;
 
-    /// Every row of the four counter tables, as name and kind.
-    fn rows() -> Vec<(&'static str, Kind)> {
-        let mut rows: Vec<_> = EXEC_COUNTERS.iter().map(|r| (r.0, r.1)).collect();
-        rows.extend(TILED_COUNTERS.iter().map(|r| (r.0, r.1)));
-        rows.extend(POOL_COUNTERS.iter().map(|r| (r.0, r.1)));
-        rows.extend(BREAKER_COUNTERS.iter().map(|r| (r.0, r.1)));
+    /// The name of every row of the three counter tables.
+    fn rows() -> Vec<&'static str> {
+        let mut rows: Vec<_> = EXEC_COUNTERS.iter().map(|r| r.0).collect();
+        rows.extend(TILED_COUNTERS.iter().map(|r| r.0));
+        rows.extend(POOL_COUNTERS.iter().map(|r| r.0));
         rows
     }
 
     fn doc() -> TraceDocument {
         let mut tel = Telemetry::new();
-        for (name, _) in rows() {
+        for name in rows() {
             tel.add(name, 0);
         }
         tel.add("exec.jobs", 8);
         tel.add("pool.checkouts", 3);
-        tel.add("breaker.trips", 1);
-        tel.add("breaker.state", 2);
         tel.add("mem.read.vectors", 64);
         tel.span("exec.decode_batch", 1_000, 0.0, 64);
         tel.span("exec.retry", 30, 0.0, 0);
@@ -225,17 +223,14 @@ mod tests {
         assert!(text.contains("# TYPE recode_exec_jobs counter"), "{text}");
         assert!(text.contains("\nrecode_exec_jobs 8\n"), "{text}");
         assert!(text.contains("# TYPE recode_pool_checkouts counter"), "{text}");
-        assert!(text.contains("# TYPE recode_breaker_trips counter"), "{text}");
-        // A state code (0 closed, 1 open, 2 half-open) goes down as well as up.
-        assert!(text.contains("# TYPE recode_breaker_state gauge"), "{text}");
-        assert!(text.contains("\nrecode_breaker_state 2\n"), "{text}");
-        // Every table row is typed as it declares; traffic is counted.
-        for (name, kind) in rows() {
-            let line = format!("# TYPE {} {}\n", metric_name(name), kind.as_str());
+        // Every table row is a counter, and no table row is a gauge;
+        // traffic is counted.
+        for name in rows() {
+            let line = format!("# TYPE {} counter\n", metric_name(name));
             assert!(text.contains(&line), "missing `{line}`:\n{text}");
+            let gauge = format!("# TYPE {} gauge\n", metric_name(name));
+            assert!(!text.contains(&gauge), "`{gauge}`:\n{text}");
         }
-        let gauges = rows().iter().filter(|row| matches!(row.1, Kind::Gauge(_))).count();
-        assert_eq!(gauges, 1, "one gauge");
         assert!(text.contains("# TYPE recode_mem_read_vectors counter"), "{text}");
         assert!(text.contains("# TYPE recode_matrix_bytes_per_nnz gauge"), "{text}");
         assert!(text.contains("\nrecode_matrix_bytes_per_nnz 4.5\n"), "{text}");

@@ -851,7 +851,7 @@ fn multiply_tile(row_ptr: &[usize], x: &[f64], work: &TileWork) -> (usize, Vec<f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilience::JobBudget;
+    use crate::ladder::JobBudget;
     use recode_codec::pipeline::MatrixCodecConfig;
     use recode_sparse::prelude::*;
     use recode_sparse::spmv::SpmvKernel;

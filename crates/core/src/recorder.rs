@@ -5,8 +5,8 @@
 //! [`crate::telemetry::TraceDocument`]: where the trace document aggregates
 //! a finished run, the recorder captures *when* things happened — span
 //! begin/end pairs per pipeline phase, per-block outcomes on their lane
-//! track, retry/fallback rungs, circuit-breaker transitions, recycled pool
-//! checkouts, cache hits/evictions, and chaos injections — cheap
+//! track, retry/fallback rungs, recycled pool checkouts, cache
+//! hits/evictions, and chaos injections — cheap
 //! enough to leave enabled in production.
 //!
 //! ## Cost model
@@ -54,9 +54,6 @@ pub enum EventKind {
     Retry,
     /// A block was served from the raw-CSR fallback store: `a` = bytes.
     Fallback,
-    /// Circuit breaker changed state: `a` = from, `b` = to
-    /// (0 closed, 1 open, 2 half-open).
-    BreakerTransition,
     /// A checkout was served by recycling a pooled lane.
     PoolRecycle,
     /// Decoded-block cache hit: `a` = bytes served.
@@ -84,7 +81,6 @@ impl EventKind {
             EventKind::BlockOutcome => "block_outcome",
             EventKind::Retry => "retry",
             EventKind::Fallback => "fallback",
-            EventKind::BreakerTransition => "breaker_transition",
             EventKind::PoolRecycle => "pool_recycle",
             EventKind::CacheHit => "cache_hit",
             EventKind::CacheEvict => "cache_evict",

@@ -14,8 +14,7 @@
 //!   ([`crate::recorder::phase`]) from the clock reads that stamp the flight
 //!   recorder's `B`/`E` pair: `exec.decode_batch`, one `exec.retry` (and
 //!   `exec.fallback`) per block that climbed the ladder, `exec.reassemble`,
-//!   `exec.cpu_multiply`, or `exec.overlap` on the tiled schedules, and
-//!   `exec.software_decode` when an open breaker bypasses the lanes; plus the
+//!   `exec.cpu_multiply`, or `exec.overlap` on the tiled schedules; plus the
 //!   modeled-only `exec.mem_stream` and `exec.dma`;
 //! * counters — dotted lowercase names. Those that are copies of a stats
 //!   field come from the tables below ([`EXEC_COUNTERS`], ...), which
@@ -32,7 +31,6 @@
 
 use crate::exec::ExecStats;
 use crate::overlap::OverlapStats;
-use crate::resilience::{BreakerState, CircuitBreaker};
 use recode_mem::traffic::{TrafficLedger, TrafficReport};
 use recode_mem::MemorySystem;
 use recode_udp::accel::LaneProfile;
@@ -44,56 +42,34 @@ use std::collections::BTreeMap;
 /// other stamp.
 pub const TRACE_SCHEMA: &str = "recode-trace/v3";
 
-/// What a derived value is to a scraper: a monotonic count, or a
-/// point-in-time value that may go down.
-#[derive(Debug, Clone, Copy)]
-pub enum Kind {
-    /// Only ever grows over a run.
-    Counter,
-    /// A level or a state code; the function names a value for a report.
-    Gauge(fn(u64) -> String),
-}
-
-impl Kind {
-    /// The Prometheus `# TYPE` word.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Counter => "counter",
-            Gauge(_) => "gauge",
-        }
-    }
-}
-
-use Kind::{Counter, Gauge};
-
-/// One derived counter: its dotted name, its kind and the stats field it is
-/// a copy of.
-pub type Derived<S> = (&'static str, Kind, fn(&S) -> u64);
+/// One derived counter: its dotted name and the stats field it is a copy
+/// of.
+pub type Derived<S> = (&'static str, fn(&S) -> u64);
 
 /// Every run: written by [`Telemetry::derive`] when the run's stats exist,
 /// re-read by [`TraceDocument::validate`] against `exec`.
 pub const EXEC_COUNTERS: &[Derived<ExecStats>] = &[
-    ("exec.jobs", Counter, |s| s.accel.jobs as u64),
-    ("exec.jobs_failed", Counter, |s| s.accel.jobs_failed as u64),
-    ("exec.blocks_retried", Counter, |s| s.blocks_retried as u64),
-    ("exec.blocks_fell_back", Counter, |s| s.blocks_fell_back as u64),
-    ("exec.fallback_bytes", Counter, |s| s.fallback_bytes as u64),
-    ("exec.retry_cycles", Counter, |s| s.retry_cycles),
+    ("exec.jobs", |s| s.accel.jobs as u64),
+    ("exec.jobs_failed", |s| s.accel.jobs_failed as u64),
+    ("exec.blocks_retried", |s| s.blocks_retried as u64),
+    ("exec.blocks_fell_back", |s| s.blocks_fell_back as u64),
+    ("exec.fallback_bytes", |s| s.fallback_bytes as u64),
+    ("exec.retry_cycles", |s| s.retry_cycles),
 ];
 
 /// The tiled schedules only (a batch document carries none of these keys);
 /// validated against `exec.overlap`.
 pub const TILED_COUNTERS: &[Derived<OverlapStats>] = &[
-    ("pipeline.overlap.stages", Counter, |o| o.stages as u64),
-    ("pipeline.overlap.decode_cycles", Counter, |o| o.decode_cycles),
-    ("pipeline.overlap.multiply_cycles", Counter, |o| o.multiply_cycles),
-    ("pipeline.overlap.makespan_cycles", Counter, |o| o.overlapped_makespan_cycles),
-    ("pipeline.overlap.serial_cycles", Counter, |o| o.serial_makespan_cycles),
-    ("pipeline.overlap.saved_cycles", Counter, OverlapStats::saved_cycles),
-    ("cache.hits", Counter, |o| o.cache_hits),
-    ("cache.misses", Counter, |o| o.cache_misses),
-    ("cache.evictions", Counter, |o| o.cache_evictions),
-    ("cache.hit_bytes", Counter, |o| o.cache_hit_bytes),
+    ("pipeline.overlap.stages", |o| o.stages as u64),
+    ("pipeline.overlap.decode_cycles", |o| o.decode_cycles),
+    ("pipeline.overlap.multiply_cycles", |o| o.multiply_cycles),
+    ("pipeline.overlap.makespan_cycles", |o| o.overlapped_makespan_cycles),
+    ("pipeline.overlap.serial_cycles", |o| o.serial_makespan_cycles),
+    ("pipeline.overlap.saved_cycles", OverlapStats::saved_cycles),
+    ("cache.hits", |o| o.cache_hits),
+    ("cache.misses", |o| o.cache_misses),
+    ("cache.evictions", |o| o.cache_evictions),
+    ("cache.hit_bytes", |o| o.cache_hit_bytes),
 ];
 
 /// Lane-pool traffic over a batch, as deltas of the process-wide pool's
@@ -101,37 +77,12 @@ pub const TILED_COUNTERS: &[Derived<OverlapStats>] = &[
 /// shared) and the pool is not part of the document, so they are reported,
 /// not validated.
 pub const POOL_COUNTERS: &[Derived<PoolStats>] = &[
-    ("pool.checkouts", Counter, |p| p.checkouts),
-    ("pool.recycled_hits", Counter, |p| p.recycled_hits),
-    ("pool.fresh_builds", Counter, |p| p.fresh_builds),
-    ("pool.returned", Counter, |p| p.returned),
-    ("pool.dropped_at_capacity", Counter, |p| p.dropped_at_capacity),
+    ("pool.checkouts", |p| p.checkouts),
+    ("pool.recycled_hits", |p| p.recycled_hits),
+    ("pool.fresh_builds", |p| p.fresh_builds),
+    ("pool.returned", |p| p.returned),
+    ("pool.dropped_at_capacity", |p| p.dropped_at_capacity),
 ];
-
-/// Breaker posture after a governed job (reported only).
-/// `breaker.state` is [`BreakerState::code`], the one gauge.
-pub const BREAKER_COUNTERS: &[Derived<CircuitBreaker>] = &[
-    ("breaker.trips", Counter, CircuitBreaker::trips),
-    ("breaker.probes", Counter, CircuitBreaker::probes),
-    (
-        "breaker.state",
-        Gauge(|c| BreakerState::from_code(c).map_or(format!("unknown ({c})"), |s| s.to_string())),
-        |b| b.state().code(),
-    ),
-];
-
-/// The kind of counter `name` as its table row declares it; `mem.*` traffic
-/// and names no table declares are counters.
-pub fn counter_kind(name: &str) -> Kind {
-    fn find<S>(rows: &[Derived<S>], name: &str) -> Option<Kind> {
-        rows.iter().find(|row| row.0 == name).map(|row| row.1)
-    }
-    find(EXEC_COUNTERS, name)
-        .or(find(TILED_COUNTERS, name))
-        .or(find(POOL_COUNTERS, name))
-        .or(find(BREAKER_COUNTERS, name))
-        .unwrap_or(Counter)
-}
 
 /// One named pipeline phase. `wall_ns` is host wall-clock time actually
 /// spent simulating/executing the phase; `modeled_seconds` is the
@@ -247,7 +198,7 @@ impl Telemetry {
     /// Writes every counter of `rows`: `read` is handed each row's getter
     /// and applies it to the source (or to two snapshots of it, for a delta).
     pub fn derive<S>(&mut self, rows: &[Derived<S>], read: impl Fn(fn(&S) -> u64) -> u64) {
-        for &(name, _, get) in rows {
+        for &(name, get) in rows {
             self.add(name, read(get));
         }
     }
@@ -482,10 +433,10 @@ impl TraceDocument {
                 ));
             }
         };
-        for &(name, _, get) in EXEC_COUNTERS {
+        for &(name, get) in EXEC_COUNTERS {
             check(name, get(&self.exec), "exec");
         }
-        for &(name, _, get) in TILED_COUNTERS {
+        for &(name, get) in TILED_COUNTERS {
             check(name, get(&self.exec.overlap), "overlap");
         }
         // Overlapped-schedule invariants, vacuously true of a batch's all-zero
@@ -642,13 +593,11 @@ pub fn render_report(doc: &TraceDocument) -> String {
             ov.cache_hits, ov.cache_misses, ov.cache_evictions, ov.cache_hit_bytes
         );
     }
-    // Resilience section: lane-pool and breaker counters (the runs that
-    // touched them) and the flight recorder (when it was on).
-    let resilience = |k: &String| k.starts_with("pool.") || k.starts_with("breaker.");
-    if doc.recorder.is_some() || doc.counters.keys().any(resilience) {
+    // Resilience section: lane-pool counters (the runs that touched the
+    // pool) and the flight recorder (when it was on).
+    if doc.recorder.is_some() || doc.counters.keys().any(|k| k.starts_with("pool.")) {
         let _ = writeln!(out, "\n-- resilience --");
         report_rows(&mut out, doc, "lane pool", POOL_COUNTERS);
-        report_rows(&mut out, doc, "circuit breaker", BREAKER_COUNTERS);
         if let Some(rec) = &doc.recorder {
             let _ = writeln!(
                 out,
@@ -679,13 +628,9 @@ fn report_rows<S>(out: &mut String, doc: &TraceDocument, label: &str, rows: &[De
     let shown: Vec<String> = rows
         .iter()
         .filter(|row| doc.counters.contains_key(row.0))
-        .map(|&(name, kind, _)| {
-            let v = doc.counter(name);
+        .map(|&(name, _)| {
             let field = name.split_once('.').map_or(name, |(_, field)| field);
-            match kind {
-                Counter => format!("{field} {v}"),
-                Gauge(name_value) => format!("{field} {}", name_value(v)),
-            }
+            format!("{field} {}", doc.counter(name))
         })
         .collect();
     if !shown.is_empty() {
@@ -744,7 +689,7 @@ mod tests {
     }
 
     /// The counter tables drive both directions. Writing: a live batch, a
-    /// live tiled run and a governed job seal exactly the key sets the
+    /// live tiled run and a bare traced decode seal exactly the key sets the
     /// hand-kept `tel.add` lists produced before the tables existed (listed
     /// here, not computed) — in particular a batch document carries no
     /// `pipeline.overlap.*`/`cache.*` key. Reading: tamper any counter whose
@@ -757,7 +702,6 @@ mod tests {
         use crate::json::{FromJson, ToJson};
         use crate::ladder::RunCtx;
         use crate::overlap::{OverlapConfig, OverlapExecutor};
-        use crate::resilience::CircuitBreaker;
         use recode_codec::pipeline::MatrixCodecConfig;
         use recode_sparse::prelude::*;
 
@@ -794,7 +738,6 @@ mod tests {
             "pipeline.overlap.serial_cycles",
             "pipeline.overlap.stages",
         ];
-        const BREAKER: [&str; 3] = ["breaker.probes", "breaker.state", "breaker.trips"];
         let sorted = |parts: &[&[&str]]| {
             let mut keys: Vec<String> = parts.concat().into_iter().map(String::from).collect();
             keys.sort();
@@ -815,21 +758,15 @@ mod tests {
         let ex = OverlapExecutor::new(&r, OverlapConfig::default());
         let (_, _, tiled) = ex.spmv_traced(&sys, &x, RunCtx::default(), "tiled").unwrap();
         assert_eq!(keys(&tiled), sorted(&[&EXEC, &MEM, &TILED]));
-        let mut breaker = CircuitBreaker::new();
         let (mut tel, t_total) = (Telemetry::new(), std::time::Instant::now());
         let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
-        let job = r.run_job(&sys, ctx, Some(&mut breaker));
-        let stats = job.stats.as_ref().expect("a completed job has stats");
-        let governed = r.seal(&sys, tel, stats, "job", t_total);
+        let (_, stats) = r.decompress_with(&sys, ctx).unwrap();
+        let decode = r.seal(&sys, tel, &stats, "decode", t_total);
         // A bare decode multiplies nothing: no vector traffic.
-        assert_eq!(keys(&governed), sorted(&[&EXEC, &MEM[..2], &POOL, &BREAKER]));
-        // The report walks the same rows; the gauge prints as a state name.
-        let report = render_report(&governed);
+        assert_eq!(keys(&decode), sorted(&[&EXEC, &MEM[..2], &POOL]));
+        // The report walks the same rows.
+        let report = render_report(&decode);
         assert!(report.contains("\nlane pool: checkouts "), "{report}");
-        assert!(report.contains("\ncircuit breaker: trips 0 | probes 0 | state closed\n"));
-        let mut unknown = governed.clone();
-        unknown.counters.insert("breaker.state".into(), 7);
-        assert!(render_report(&unknown).contains("| state unknown (7)\n"));
 
         let validated: Vec<&str> = EXEC_COUNTERS
             .iter()
@@ -837,7 +774,7 @@ mod tests {
             .chain(TILED_COUNTERS.iter().map(|row| row.0))
             .collect();
         assert_eq!(sorted(&[&validated]), sorted(&[&EXEC, &TILED]), "the tables are those rows");
-        for doc in [&batch, &tiled, &governed] {
+        for doc in [&batch, &tiled, &decode] {
             assert!(doc.validate().is_empty(), "{:?}", doc.validate());
             for name in &validated {
                 let bumped = doc.counter(name) + 1;
@@ -862,8 +799,8 @@ mod tests {
     fn lane_profiles_bound_the_batch_makespan() {
         use crate::arch::SystemConfig;
         use crate::exec::RecodedSpmv;
+        use crate::ladder::JobBudget;
         use crate::ladder::RunCtx;
-        use crate::resilience::JobBudget;
         use recode_codec::pipeline::MatrixCodecConfig;
         use recode_sparse::prelude::*;
         use recode_udp::accel::FaultHook;

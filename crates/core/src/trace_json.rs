@@ -80,7 +80,6 @@ json_struct!(ExecStats {
     retry_cycles,
     backoff_cycles,
     degraded,
-    software_decode,
     blocks_ok,
     blocks_recovered,
     overlap

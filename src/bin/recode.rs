@@ -7,8 +7,7 @@
 //!
 //! Exit codes: `0` success, `1` error, `2` usage, [`EXIT_DEGRADED`] (3) when
 //! the run recovered through retries, [`EXIT_FALLBACK`] (4) when any block
-//! was served from the raw-CSR store or the whole job degraded to the
-//! software decoder.
+//! was served from the raw-CSR store.
 
 use recode_spmv::codec::metrics::CompressionSummary;
 use recode_spmv::codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
@@ -32,8 +31,7 @@ use std::time::Instant;
 
 /// Exit code for a run that finished bit-exact but needed retries.
 const EXIT_DEGRADED: u8 = 3;
-/// Exit code for a run that served blocks from the raw-CSR store or fell
-/// back to the software decoder entirely.
+/// Exit code for a run that served blocks from the raw-CSR store.
 const EXIT_FALLBACK: u8 = 4;
 
 /// A command's exit code, or why it failed: a [`UsageError`] exits 2, any
@@ -83,7 +81,7 @@ fn main() -> ExitCode {
             eprintln!("  recode {name} {usage}");
         }
         eprintln!(
-            "\nspmv exit codes: 0 clean, 3 degraded (retries), 4 raw-CSR/software fallback\nfamilies: {}",
+            "\nspmv exit codes: 0 clean, 3 degraded (retries), 4 raw-CSR fallback\nfamilies: {}",
             corpus::FAMILIES.join(", ")
         );
         return ExitCode::from(cli::EXIT_USAGE);
@@ -114,14 +112,13 @@ fn default_sigpipe() {
     unsafe { signal(SIGPIPE, SIG_DFL) };
 }
 
-/// Maps a run's recovery stats onto the documented exit codes: raw-CSR or
-/// software fallback beats plain degradation, which beats success.
+/// Maps a run's recovery stats onto the documented exit codes: raw-CSR
+/// fallback beats plain degradation, which beats success.
 fn exit_for(stats: &recode_spmv::core::ExecStats) -> ExitCode {
-    if stats.blocks_fell_back > 0 || stats.software_decode {
+    if stats.blocks_fell_back > 0 {
         eprintln!(
-            "note: {} block(s) served from the raw-CSR store{} (exit {EXIT_FALLBACK})",
+            "note: {} block(s) served from the raw-CSR store (exit {EXIT_FALLBACK})",
             stats.blocks_fell_back,
-            if stats.software_decode { ", software decode" } else { "" },
         );
         ExitCode::from(EXIT_FALLBACK)
     } else if stats.degraded {
@@ -753,10 +750,9 @@ fn cmd_chaos(mut args: Args) -> Outcome {
     }
 }
 
-/// `recode metrics`: run one budgeted job through the resilient executor
-/// (default budget, fresh circuit breaker) and print the sealed trace
-/// document as a Prometheus text exposition — the scrape surface for the
-/// pipeline's counters, gauges, and span timings.
+/// `recode metrics`: run one traced batch decode and print the sealed
+/// trace document as a Prometheus text exposition — the scrape surface for
+/// the pipeline's counters, gauges, and span timings.
 fn cmd_metrics(mut args: Args) -> Outcome {
     use recode_spmv::core::MetricsSnapshot;
     let out: Option<String> = args.value("-o", "a path")?;
@@ -770,15 +766,9 @@ fn cmd_metrics(mut args: Args) -> Outcome {
     // while the decoder's lane images are assembled just below.
     recorder::enable(recorder::DEFAULT_CAPACITY);
     let recoded = RecodedSpmv::new(&a, config)?;
-    let mut breaker = CircuitBreaker::new();
     let (mut tel, t_total) = (Telemetry::new(), Instant::now());
-    let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
-    let report = recoded.run_job(&sys, ctx, Some(&mut breaker));
-    let stats = report
-        .stats
-        .as_ref()
-        .ok_or_else(|| format!("job produced no trace document (state {:?})", report.state))?;
-    let mut doc = recoded.seal(&sys, tel, stats, &matrix_name(&path), t_total);
+    let (_, stats) = recoded.decompress_with(&sys, RunCtx::default().traced(&mut tel))?;
+    let mut doc = recoded.seal(&sys, tel, &stats, &matrix_name(&path), t_total);
     doc.recorder = Some(RecorderSummary::from_events(&recorder::drain(), recorder::stats()));
     let text = MetricsSnapshot::from_document(&doc).render_prometheus();
     match &out {

@@ -40,9 +40,9 @@ pub mod prelude {
     pub use recode_core::arch::Scenario;
     pub use recode_core::perfmodel::SpmvPerfModel;
     pub use recode_core::{
-        run_campaign, tune_matrix, BreakerState, CampaignSummary, ChaosConfig, CircuitBreaker,
-        JobBudget, JobReport, JobState, OverlapConfig, OverlapExecutor, PowerSavings, RecodedSpmv,
-        RunCtx, SystemConfig, TrialOutcome, TuneError, TunedConfig,
+        run_campaign, tune_matrix, CampaignSummary, ChaosConfig, JobBudget, OverlapConfig,
+        OverlapExecutor, PowerSavings, RecodedSpmv, RunCtx, SystemConfig, TrialOutcome, TuneError,
+        TunedConfig,
     };
     pub use recode_sparse::prelude::*;
     pub use recode_udp::accel::FaultHook;

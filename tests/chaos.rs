@@ -90,3 +90,13 @@ fn chaos_campaign_is_deterministic_per_seed() {
         "different seeds should draw different injection mixes"
     );
 }
+
+#[test]
+fn the_ci_campaign_prints_its_committed_summary() {
+    // A trial's outcome depends only on its own plan, so the summary is a
+    // function of the tree; `recode chaos --trials 120 --seed 12648430
+    // --json` writes the same bytes.
+    let summary = run_campaign(&ChaosConfig { trials: 120, seed: 12648430 });
+    assert!(summary.healthy(), "{}", summary.render());
+    assert_eq!(summary.to_json(), include_str!("../results/chaos_campaign.json"));
+}

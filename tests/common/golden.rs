@@ -198,7 +198,6 @@ pub fn to_golden_json(doc: &TraceDocument) -> String {
     let _ = writeln!(o, "    \"retry_cycles\": {},", e.retry_cycles);
     let _ = writeln!(o, "    \"backoff_cycles\": {},", e.backoff_cycles);
     let _ = writeln!(o, "    \"degraded\": {},", e.degraded);
-    let _ = writeln!(o, "    \"software_decode\": {},", e.software_decode);
     let _ = writeln!(o, "    \"blocks_ok\": {},", e.blocks_ok);
     let _ = writeln!(o, "    \"blocks_recovered\": {},", e.blocks_recovered);
     let ov = &e.overlap;

@@ -293,13 +293,16 @@ fn metrics_subcommand_emits_prometheus_exposition_text() {
     for needle in [
         "# TYPE recode_exec_jobs counter",
         "# TYPE recode_pool_checkouts counter",
-        "# TYPE recode_breaker_trips counter",
-        "# TYPE recode_breaker_state gauge",
         "# TYPE recode_trace_wall_ns_total gauge",
         "# TYPE recode_matrix_nnz gauge",
         "recode_span_wall_ns{span=\"exec.decode_batch\"}",
     ] {
         assert!(text.contains(needle), "metrics output missing `{needle}`:\n{text}");
+    }
+    // No breaker family, and every trace counter is typed a counter.
+    assert!(!text.contains("recode_breaker_"), "{text}");
+    for line in text.lines().filter(|l| l.starts_with("# TYPE recode_exec_")) {
+        assert!(line.ends_with(" counter"), "{line}");
     }
 
     // `-o` writes the same exposition to a file.

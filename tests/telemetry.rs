@@ -252,9 +252,9 @@ fn zero_cycle_lane_events_fail_validation() {
 }
 
 /// There is one schema: the golden fixture carries its stamp and validates,
-/// and the same document under an older generation's stamp does not. A
-/// run that touched no pool, breaker or recorder renders no resilience
-/// section.
+/// and the same document under an older generation's stamp does not, while
+/// one with a key the reader does not list still does. A run that touched
+/// no pool or recorder renders no resilience section.
 #[test]
 fn documents_of_another_schema_fail_validation() {
     let golden = include_str!("fixtures/golden_trace.json");
@@ -264,6 +264,13 @@ fn documents_of_another_schema_fail_validation() {
     let text = recode_spmv::core::telemetry::render_report(&doc);
     assert!(text.contains("recode trace report (recode-trace/v3)"), "{text}");
     assert!(!text.contains("-- resilience --"), "{text}");
+    // The reader ignores a key it does not list, so a document that still
+    // carries a field the writer has since dropped reads and validates.
+    let degraded = "    \"degraded\": false,\n";
+    assert_eq!(golden.matches(degraded).count(), 1);
+    let with_dropped_field =
+        golden.replace(degraded, &format!("{degraded}    \"dropped_flag\": false,\n"));
+    assert!(parse_trace(&with_dropped_field).validate().is_empty());
     for old in ["recode-trace/v1", "recode-trace/v2"] {
         let errs = parse_trace(&golden.replace(TRACE_SCHEMA, old)).validate();
         assert_eq!(errs, [format!("schema `{old}` is not `{TRACE_SCHEMA}`")]);
