@@ -2,8 +2,8 @@
 //!
 //! A campaign runs hundreds of independent trials. Each trial derives a
 //! *plan* from the campaign seed — which executor arm to drive, which fault
-//! to inject, where to inject it, and what [`JobBudget`] governs the job —
-//! runs the job under a watchdog, and classifies the result into a
+//! to inject, and where to inject it — runs the job under a watchdog, and
+//! classifies the result into a
 //! [`TrialOutcome`]. The campaign then asserts the resilience contract in
 //! aggregate:
 //!
@@ -11,7 +11,7 @@
 //! * **no escaped panics** — injected panics are contained at thread
 //!   boundaries and surface as typed errors;
 //! * **typed terminal state** — every trial ends Completed / Degraded /
-//!   DeadlineExceeded / Rejected, never anything else;
+//!   Rejected, never anything else;
 //! * **block accounting** — whenever a run produces [`ExecStats`],
 //!   `blocks_ok + blocks_recovered + blocks_fell_back == accel.jobs`;
 //! * **trace validity** — every [`TraceDocument`] produced under fault
@@ -28,10 +28,9 @@
 //! `(seed, trials)`, and a failing trial reproduces from its logged seed.
 
 use crate::arch::SystemConfig;
-use crate::error::{ExecError, ExecResult};
+use crate::error::ExecResult;
 use crate::exec::{ExecStats, RawFallbackStore, RecodedSpmv, RunCtx};
 use crate::json::Json;
-use crate::ladder::JobBudget;
 use crate::overlap::{OverlapConfig, OverlapExecutor};
 #[cfg(doc)]
 use crate::telemetry::TraceDocument;
@@ -65,7 +64,7 @@ impl Default for ChaosConfig {
 /// [`TrialOutcome::Hung`] — a contract violation, never retried.
 pub const TRIAL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Typed terminal classification of one trial. The first four are what a
+/// Typed terminal classification of one trial. The first three are what a
 /// run's [`ExecResult`] says ([`classify`]); the last two are contract
 /// violations the watchdog detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,9 +73,7 @@ pub enum TrialOutcome {
     Completed,
     /// Off the happy path (retry / raw-store fallback), bit-exact.
     Degraded,
-    /// The job budget ran out; surfaced as a typed error.
-    DeadlineExceeded,
-    /// A typed, non-budget failure (unrecoverable stream, contained panic).
+    /// A typed failure (unrecoverable stream, contained panic).
     Rejected,
     /// VIOLATION: the trial missed its watchdog deadline.
     Hung,
@@ -89,7 +86,6 @@ impl TrialOutcome {
         match self {
             TrialOutcome::Completed => "completed",
             TrialOutcome::Degraded => "degraded",
-            TrialOutcome::DeadlineExceeded => "deadline-exceeded",
             TrialOutcome::Rejected => "rejected",
             TrialOutcome::Hung => "hung",
             TrialOutcome::PanicEscaped => "panic-escaped",
@@ -164,7 +160,6 @@ struct TrialPlan {
     seed: u64,
     arm: Arm,
     injection: Injection,
-    budget: JobBudget,
 }
 
 /// Shared, immutable campaign fixtures.
@@ -391,18 +386,7 @@ fn plan_trial(seed: u64) -> TrialPlan {
             }
         }
     };
-    // Every arm draws one of four budgets, two of which bite under faults.
-    let budget = match rng.below(4) {
-        0 => JobBudget::unbounded(),
-        1 => JobBudget { max_total_retries: Some(1), ..JobBudget::default() },
-        2 => JobBudget {
-            max_retry_cycles: Some(1),
-            backoff_cycles_per_retry: 64,
-            ..JobBudget::default()
-        },
-        _ => JobBudget::with_deadline(Duration::ZERO),
-    };
-    TrialPlan { seed, arm, injection, budget }
+    TrialPlan { seed, arm, injection }
 }
 
 /// The one mapping from a run's result to its trial result: the typed
@@ -421,7 +405,6 @@ fn classify<T: PartialEq>(run: ExecResult<(T, ExecStats)>, want: &T) -> TrialRes
                 TrialOutcome::Completed
             })
         },
-        Err(ExecError::DeadlineExceeded { .. }) => TrialResult::of(TrialOutcome::DeadlineExceeded),
         Err(_) => TrialResult::of(TrialOutcome::Rejected),
     }
 }
@@ -477,7 +460,7 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
         Injection::StageBoundary => hook = hook.panic_tile(0),
     }
     let hook = if hook.is_empty() { None } else { Some(&hook) };
-    let run_ctx = RunCtx { hook, budget: Some(&plan.budget), tel: None };
+    let run_ctx = RunCtx { hook, tel: None };
 
     let mut result = match plan.arm {
         Arm::BatchJob => classify(r.decompress_with(&ctx.sys, run_ctx), &ctx.a),

@@ -36,17 +36,6 @@ pub enum ExecError {
     /// Decoded streams do not reassemble into a valid matrix (wrong length,
     /// misaligned words, invalid CSR structure).
     Reassembly(String),
-    /// The job's [`JobBudget`](crate::ladder::JobBudget) ran out before
-    /// the work completed (deadline, cycle cap, or retry cap).
-    DeadlineExceeded {
-        /// What ran out, in human terms ("wall deadline", "cycle budget",
-        /// "retry budget").
-        budget: String,
-        /// Blocks that had fully decoded when the budget expired.
-        completed_blocks: usize,
-        /// Total blocks the job was asked to decode.
-        total_blocks: usize,
-    },
     /// A worker thread in the overlap executor panicked; the panic was
     /// contained at the scope boundary and converted into this error
     /// instead of hanging the bounded tile channel.
@@ -62,9 +51,7 @@ impl ExecError {
         match self {
             ExecError::Codec(e) => Some(e),
             ExecError::Udp(e) | ExecError::Unrecoverable { source: e, .. } => e.codec_error(),
-            ExecError::Reassembly(_)
-            | ExecError::DeadlineExceeded { .. }
-            | ExecError::WorkerPanic { .. } => None,
+            ExecError::Reassembly(_) | ExecError::WorkerPanic { .. } => None,
         }
     }
 
@@ -94,9 +81,6 @@ impl fmt::Display for ExecError {
                 write!(f, ": retries exhausted and no raw fallback store: {source}")
             }
             ExecError::Reassembly(msg) => write!(f, "reassembly error: {msg}"),
-            ExecError::DeadlineExceeded { budget, completed_blocks, total_blocks } => {
-                write!(f, "job {budget} exhausted after {completed_blocks}/{total_blocks} blocks")
-            }
             ExecError::WorkerPanic { context } => {
                 write!(f, "overlap worker panicked: {context}")
             }
@@ -109,9 +93,7 @@ impl std::error::Error for ExecError {
         match self {
             ExecError::Codec(e) => Some(e),
             ExecError::Udp(e) | ExecError::Unrecoverable { source: e, .. } => Some(e),
-            ExecError::Reassembly(_)
-            | ExecError::DeadlineExceeded { .. }
-            | ExecError::WorkerPanic { .. } => None,
+            ExecError::Reassembly(_) | ExecError::WorkerPanic { .. } => None,
         }
     }
 }

@@ -10,7 +10,7 @@
 //! lanes at once, each lane decoding straight into its block's final slice
 //! of the [`Csr`] arrays, and any of the multiply kernels runs over the
 //! result. What varies between runs — fault hook,
-//! budget, telemetry — arrives in a [`RunCtx`]; a block whose first attempt
+//! telemetry — arrives in a [`RunCtx`]; a block whose first attempt
 //! fails climbs the shared recovery ladder of [`crate::ladder`], so a batch
 //! never dies on one bad block.
 
@@ -64,13 +64,6 @@ pub struct ExecStats {
     /// `accel.busy_cycles` (and, on the batch schedule, in the lane profile
     /// of the lane that ran the block).
     pub retry_cycles: u64,
-    /// Scheduler backoff cycles charged by the [`crate::ladder::JobBudget`]
-    /// per retry attempt. On the batch schedule each block's backoff is
-    /// waiting on the lane that ran it, so it stretches `accel.makespan_cycles`
-    /// only past that lane's slack; the walker reports it without charging
-    /// it. Backoff is waiting, not work, so busy cycles are untouched. Zero
-    /// unless a budget with backoff was supplied.
-    pub backoff_cycles: u64,
     /// True when any block needed a retry or a fallback — the result is
     /// still bit-exact, but the run did not complete on the happy path.
     pub degraded: bool,
@@ -358,14 +351,13 @@ impl RecodedSpmv {
 
     /// The batch engine: one fan-out of every block over the lanes under
     /// `ctx.hook`, each decoding into its extent of the final `col_idx` /
-    /// `values` arrays; the recovery ladder for each failed job under
-    /// `ctx.budget`, recovering into the same extent; validation of the
-    /// result as a [`Csr`]. A block's recovery is charged to the lane that
-    /// ran its first attempt (job `k` on lane `k % lanes`), behind that
-    /// attempt: a successful retry's cycles are that lane's busy work and
-    /// the budget's backoff for its attempts is that lane's waiting, so the
-    /// makespan stays the longest lane timeline and grows only when a
-    /// recovery does not fit in its lane's slack. With `ctx.tel` the run
+    /// `values` arrays; the recovery ladder for each failed job, recovering
+    /// into the same extent; validation of the result as a [`Csr`]. A
+    /// block's recovery is charged to the lane that ran its first attempt
+    /// (job `k` on lane `k % lanes`), behind that attempt: a successful
+    /// retry's cycles are that lane's busy work, so the makespan stays the
+    /// longest lane timeline and grows only when a recovery does not fit in
+    /// its lane's slack. With `ctx.tel` the run
     /// records the phases
     /// `exec.decode_batch`, an `exec.retry` (and `exec.fallback`) per block
     /// on the ladder and `exec.reassemble`, the modeled `exec.mem_stream`
@@ -375,7 +367,6 @@ impl RecodedSpmv {
     /// # Errors
     /// [`ExecError::Unrecoverable`] if a block fails decoding, exhausts its
     /// retries, and no fallback store covers it;
-    /// [`ExecError::DeadlineExceeded`] when the budget runs out;
     /// [`ExecError::Reassembly`] if the declared geometry is inconsistent
     /// ([`RecodedSpmv::check_structure`]) or the decoded streams do not form
     /// a valid matrix.
@@ -385,7 +376,7 @@ impl RecodedSpmv {
         ctx: RunCtx<'_>,
     ) -> ExecResult<(Csr, ExecStats)> {
         self.check_structure()?;
-        let RunCtx { hook, budget, mut tel } = ctx;
+        let RunCtx { hook, mut tel } = ctx;
         let cm = &self.compressed;
         let empty_hook = FaultHook::default();
         let pool_before = tel.is_some().then(|| recode_udp::pool::global().stats());
@@ -395,7 +386,7 @@ impl RecodedSpmv {
                 recorder::Track::lane(e.lane),
                 "block",
                 e.cycles,
-                0,
+                u64::from(!e.ok),
             );
         };
         // Lane-track block events for the flight recorder; telemetry takes
@@ -429,7 +420,6 @@ impl RecodedSpmv {
         let mut ladder = Ladder::new(
             self,
             &sys.udp,
-            budget,
             recorder::Track::MAIN,
             tel.as_deref_mut(),
             Some(&mut report),
@@ -437,7 +427,6 @@ impl RecodedSpmv {
         for ((job, dst), first) in jobs.into_iter().zip(outcome.results) {
             ladder.settle(job, first, dst)?;
         }
-        let backoff_cycles = ladder.backoff_cycles();
         let tally = ladder.tally;
         // Raw bytes re-fetched for fallen-back blocks are output no lane made.
         report.output_bytes += tally.fallback_bytes as u64;
@@ -449,8 +438,7 @@ impl RecodedSpmv {
             .map_err(|e| ExecError::Reassembly(format!("decoded matrix invalid: {e}")))?;
         phase.finish(tel.as_deref_mut(), 0.0, (cm.nnz * 12) as u64);
 
-        let stats =
-            tally.stats(sys, report, cm.wire_bytes(), backoff_cycles, OverlapStats::default());
+        let stats = tally.stats(sys, report, cm.wire_bytes(), OverlapStats::default());
         if let (Some(tel), Some(before)) = (tel, pool_before) {
             report_run(tel, &stats, self);
             let after = recode_udp::pool::global().stats();
@@ -500,9 +488,8 @@ impl RecodedSpmv {
         x: &[f64],
         ctx: RunCtx<'_>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        let RunCtx { hook, budget, mut tel } = ctx;
-        let (a, stats) =
-            self.decompress_with(sys, RunCtx { hook, budget, tel: tel.as_deref_mut() })?;
+        let RunCtx { hook, mut tel } = ctx;
+        let (a, stats) = self.decompress_with(sys, RunCtx { hook, tel: tel.as_deref_mut() })?;
         let phase = recorder::phase(recorder::Track::MAIN, "exec.cpu_multiply", tel.is_some());
         let mut y = vec![0.0; a.nrows()];
         spmv_with_into(kernel, &a, x, &mut y);
@@ -859,7 +846,7 @@ mod tests {
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0);
         let mut tel = Telemetry::new();
-        let ctx = RunCtx { hook: Some(&hook), tel: Some(&mut tel), ..RunCtx::default() };
+        let ctx = RunCtx { hook: Some(&hook), tel: Some(&mut tel) };
         let (b, stats) = r.decompress_with(&sys, ctx).unwrap();
         assert_eq!(b, a);
         let evs = tel.block_events();
@@ -942,104 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_with_faults_is_deadline_exceeded() {
-        use crate::ladder::JobBudget;
-        use std::time::Duration;
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let hook = FaultHook::new().trap(0);
-        let budget = JobBudget::with_deadline(Duration::ZERO);
-        let err = r
-            .decompress_with(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None })
-            .unwrap_err();
-        match &err {
-            ExecError::DeadlineExceeded { budget, completed_blocks, total_blocks } => {
-                assert_eq!(budget, "wall deadline");
-                assert!(completed_blocks < total_blocks, "{err}");
-            }
-            other => panic!("expected DeadlineExceeded, got {other}"),
-        }
-        assert!(err.to_string().contains("wall deadline"), "{err}");
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_names_the_budget() {
-        use crate::ladder::JobBudget;
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        // Two transient traps against a budget that admits only one retry.
-        let hook = FaultHook::new().trap(0).trap(1);
-        let budget = JobBudget { max_total_retries: Some(1), ..JobBudget::default() };
-        let err = r
-            .decompress_with(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None })
-            .unwrap_err();
-        match &err {
-            ExecError::DeadlineExceeded { budget, .. } => assert_eq!(budget, "retry budget"),
-            other => panic!("expected DeadlineExceeded, got {other}"),
-        }
-        // The same faults under an unbounded budget recover fine.
-        let (b, _) = r
-            .decompress_with(
-                &sys,
-                RunCtx { hook: Some(&hook), budget: Some(&JobBudget::unbounded()), tel: None },
-            )
-            .unwrap();
-        assert_eq!(b, a);
-    }
-
-    #[test]
-    fn unbounded_budget_is_cycle_identical_to_the_unbudgeted_path() {
-        use crate::ladder::JobBudget;
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let hook = FaultHook::new().trap(0).trap(1);
-        let (b1, plain) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
-        let budget = JobBudget::unbounded();
-        let (b2, budgeted) = r
-            .decompress_with(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None })
-            .unwrap();
-        assert_eq!(b1, b2);
-        assert_eq!(budgeted.accel.makespan_cycles, plain.accel.makespan_cycles);
-        assert_eq!(budgeted.accel.busy_cycles, plain.accel.busy_cycles);
-        assert_eq!(budgeted.retry_cycles, plain.retry_cycles);
-        assert_eq!(budgeted.blocks_retried, plain.blocks_retried);
-        assert_eq!(budgeted.backoff_cycles, 0, "unbounded default has zero backoff");
-    }
-
-    #[test]
-    fn backoff_waits_on_the_lane_that_ran_the_block() {
-        use crate::ladder::JobBudget;
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let hook = FaultHook::new().trap(0).trap(1);
-        let (_, plain) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
-        let budget = JobBudget { backoff_cycles_per_retry: 1_000, ..JobBudget::default() };
-        let (_, backed) = r
-            .decompress_with(&sys, RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None })
-            .unwrap();
-        // Two admitted retries -> 2000 backoff cycles, one on each of the
-        // lanes that ran jobs 0 and 1: each lane's timeline is the plain
-        // run's plus 1,000 cycles per retry it was charged.
-        assert_eq!(backed.backoff_cycles, 2_000);
-        let lanes = plain.accel.lanes;
-        let retries_on = |l: usize| hook.trap_jobs.iter().filter(|&&j| j % lanes == l).count();
-        let want = plain
-            .accel
-            .lane_profiles
-            .iter()
-            .enumerate()
-            .map(|(l, p)| p.busy_cycles + p.stall_cycles + 1_000 * retries_on(l) as u64);
-        assert_eq!(backed.accel.makespan_cycles, want.max().unwrap());
-        assert_eq!(backed.accel.busy_cycles, plain.accel.busy_cycles, "lanes never spin backoff");
-    }
-
-    #[test]
     fn block_accounting_identity_holds_on_every_terminal_path() {
-        use crate::ladder::JobBudget;
         let a = test_matrix();
         let sys = SystemConfig::ddr4();
         let check = |stats: &ExecStats, what: &str| {
@@ -1059,9 +949,7 @@ mod tests {
         assert_eq!(retried.blocks_recovered, 2);
         let mut r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         r.compressed_mut().index_stream.blocks[0].payload[0] ^= 0x40;
-        let budget = JobBudget::unbounded();
-        let (_, fell_back) =
-            r.decompress_with(&sys, RunCtx { budget: Some(&budget), ..RunCtx::default() }).unwrap();
+        let (_, fell_back) = r.decompress_via_udp(&sys).unwrap();
         check(&fell_back, "fallback run");
         assert_eq!(fell_back.blocks_fell_back, 1);
     }

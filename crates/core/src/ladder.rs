@@ -1,10 +1,8 @@
 //! The parts of one run that do not depend on the schedule: what varies
-//! between plain, faulty, budgeted and traced runs ([`RunCtx`]), the
-//! block-recovery ladder every failed first attempt climbs (`Ladder`) with
-//! the [`JobBudget`] it spends, the per-run accounting (`BlockTally`) from
-//! which the [`ExecStats`] and a `DeadlineExceeded`'s progress count are
-//! derived, and the telemetry every schedule reports the same way
-//! (`report_run`).
+//! between plain, faulty and traced runs ([`RunCtx`]), the block-recovery
+//! ladder every failed first attempt climbs (`Ladder`), the per-run
+//! accounting (`BlockTally`) from which the [`ExecStats`] are derived, and
+//! the telemetry every schedule reports the same way (`report_run`).
 //!
 //! A schedule — the 64-lane batch fan-out of [`crate::exec`], or the tile
 //! walker of [`crate::overlap`], threaded or inline — makes each block's
@@ -14,8 +12,9 @@
 //! up to [`MAX_BLOCK_RETRIES`] times (transient faults clear, integrity
 //! failures repeat), then served from the [`crate::exec::RawFallbackStore`],
 //! and only when both rungs are exhausted does the run fail, with
-//! [`ExecError::Unrecoverable`] naming the block — or, when the budget
-//! denies a retry first, with [`ExecError::DeadlineExceeded`].
+//! [`ExecError::Unrecoverable`] naming the block. Each block gets at most
+//! `1 + MAX_BLOCK_RETRIES` decodes, each trapping at the lane's cycle
+//! limit, so the ladder is finite on its own.
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
@@ -26,107 +25,10 @@ use crate::telemetry::{BlockEvent, BlockOutcome, Telemetry, EXEC_COUNTERS};
 use recode_mem::traffic::TrafficSource;
 use recode_udp::accel::{AccelReport, Accelerator, FaultHook, JobOutcome};
 use recode_udp::UdpError;
-use std::time::{Duration, Instant};
 
 /// How many times a failed block is re-decoded on a fresh lane before the
 /// raw-store fallback kicks in.
 pub const MAX_BLOCK_RETRIES: usize = 2;
-
-/// Resource budget for one job (one full decode or decode+multiply run).
-///
-/// All limits default to "unbounded"; the per-block retry cap
-/// ([`MAX_BLOCK_RETRIES`]) still applies underneath.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JobBudget {
-    /// Wall-clock deadline for the whole job. Checked at retry boundaries
-    /// (a job never hangs mid-block; blocks are small).
-    pub deadline: Option<Duration>,
-    /// Cap on modeled lane cycles spent in retry decodes across the job.
-    pub max_retry_cycles: Option<u64>,
-    /// Cap on total retry attempts across all blocks of the job.
-    pub max_total_retries: Option<usize>,
-    /// Backoff per retry attempt — the scheduler waiting before
-    /// re-dispatch. On the batch schedule it is waiting on the lane that ran
-    /// the block, so it stretches the modeled makespan only past that
-    /// lane's slack; it is never busy cycles. Default 0 keeps budgeted and
-    /// unbudgeted clean runs cycle-identical.
-    pub backoff_cycles_per_retry: u64,
-}
-
-impl JobBudget {
-    /// A budget with no limits (the default).
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
-    /// A budget with only a wall-clock deadline.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        JobBudget { deadline: Some(deadline), ..Self::default() }
-    }
-}
-
-/// Tracks a running job's consumption against its [`JobBudget`].
-///
-/// The ladder calls [`BudgetTracker::admit_retry`] before every retry
-/// attempt and [`BudgetTracker::charge_retry_cycles`] after a successful
-/// one; when a limit is hit, `admit_retry` names the exhausted budget and
-/// the ladder surfaces [`ExecError::DeadlineExceeded`].
-#[derive(Debug)]
-pub(crate) struct BudgetTracker {
-    budget: JobBudget,
-    started: Instant,
-    retry_cycles: u64,
-    retries: usize,
-    backoff_cycles: u64,
-}
-
-impl BudgetTracker {
-    /// Starts the job's clock.
-    pub fn new(budget: JobBudget) -> Self {
-        BudgetTracker {
-            budget,
-            started: Instant::now(),
-            retry_cycles: 0,
-            retries: 0,
-            backoff_cycles: 0,
-        }
-    }
-
-    /// Admission check before one retry attempt. On `Ok` the attempt is
-    /// counted and its backoff charged; on `Err` the name of the exhausted
-    /// budget is returned and nothing is charged.
-    pub fn admit_retry(&mut self) -> Result<(), &'static str> {
-        if let Some(deadline) = self.budget.deadline {
-            if self.started.elapsed() >= deadline {
-                return Err("wall deadline");
-            }
-        }
-        if let Some(cap) = self.budget.max_total_retries {
-            if self.retries >= cap {
-                return Err("retry budget");
-            }
-        }
-        if let Some(cap) = self.budget.max_retry_cycles {
-            if self.retry_cycles >= cap {
-                return Err("cycle budget");
-            }
-        }
-        self.retries += 1;
-        self.backoff_cycles += self.budget.backoff_cycles_per_retry;
-        Ok(())
-    }
-
-    /// Charges modeled lane cycles consumed by a retry decode.
-    pub fn charge_retry_cycles(&mut self, cycles: u64) {
-        self.retry_cycles += cycles;
-    }
-
-    /// Backoff cycles accumulated so far (the batch charges each block's
-    /// share to its lane).
-    pub fn backoff_cycles(&self) -> u64 {
-        self.backoff_cycles
-    }
-}
 
 /// What distinguishes one run of an executor from another. The default is a
 /// plain run; every combination is valid, and none changes the result `y`.
@@ -135,11 +37,6 @@ pub struct RunCtx<'a> {
     /// Fault injection applied to each block's first attempt (retries run
     /// hook-free, modeling transient faults that clear on a second attempt).
     pub hook: Option<&'a FaultHook>,
-    /// Limits consulted at every retry boundary — the job's preemption
-    /// points — so an exhausted budget surfaces as
-    /// [`ExecError::DeadlineExceeded`], never as a hang. `None` and an
-    /// unbounded budget behave identically.
-    pub budget: Option<&'a JobBudget>,
     /// Telemetry registry: whether a run is traced is this value, not a
     /// second entry point. When `Some`, the run records per-phase spans,
     /// per-block events, dotted counters and memory traffic by source; when
@@ -173,7 +70,7 @@ pub(crate) struct BlockTally {
 
 impl BlockTally {
     /// Blocks finished so far, by any rung: the job count of a completed
-    /// run, and the progress a `DeadlineExceeded` reports.
+    /// run.
     pub fn completed(&self) -> usize {
         self.blocks_ok + self.blocks_recovered + self.blocks_fell_back
     }
@@ -192,7 +89,6 @@ impl BlockTally {
         sys: &SystemConfig,
         accel: AccelReport,
         fetched_bytes: usize,
-        backoff_cycles: u64,
         overlap: OverlapStats,
     ) -> ExecStats {
         ExecStats {
@@ -205,7 +101,6 @@ impl BlockTally {
             blocks_fell_back: self.blocks_fell_back,
             fallback_bytes: self.fallback_bytes,
             retry_cycles: self.retry_cycles,
-            backoff_cycles,
             degraded: self.blocks_retried > 0 || self.blocks_fell_back > 0,
             blocks_ok: self.blocks_ok,
             blocks_recovered: self.blocks_recovered,
@@ -241,13 +136,12 @@ pub(crate) fn vector_traffic(tel: &mut Telemetry, nrows: usize, ncols: usize) ->
     read + write
 }
 
-/// The block-recovery ladder of one run, with the budget it spends, the
-/// tally it fills and the telemetry it reports each settled block to.
+/// The block-recovery ladder of one run, with the tally it fills and the
+/// telemetry it reports each settled block to.
 pub(crate) struct Ladder<'a> {
     recoded: &'a RecodedSpmv,
     /// Job `k` runs on lane `k % lanes` under every schedule.
     udp: &'a Accelerator,
-    tracker: Option<BudgetTracker>,
     /// Recorder track of the thread that climbs the ladder.
     track: recorder::Track,
     tel: Option<&'a mut Telemetry>,
@@ -255,40 +149,21 @@ pub(crate) struct Ladder<'a> {
     /// ran the block's first attempt; `None` on the walker, which charges
     /// a block's rungs to its tile.
     report: Option<&'a mut AccelReport>,
-    /// Budget backoff each lane has waited so far (batch only).
-    lane_waits: Vec<u64>,
     pub tally: BlockTally,
 }
 
 impl<'a> Ladder<'a> {
-    /// Starts the budget's clock. With `tel` every settled block leaves an
-    /// event and every rung a phase; with `report` every rung is charged to
-    /// it ([`AccelReport::charge_lane`]).
+    /// With `tel` every settled block leaves an event and every rung a
+    /// phase; with `report` every rung is charged to it
+    /// ([`AccelReport::charge_lane`]).
     pub fn new(
         recoded: &'a RecodedSpmv,
         udp: &'a Accelerator,
-        budget: Option<&JobBudget>,
         track: recorder::Track,
         tel: Option<&'a mut Telemetry>,
         report: Option<&'a mut AccelReport>,
     ) -> Self {
-        let tracker = budget.map(|b| BudgetTracker::new(*b));
-        let lane_waits = report.as_ref().map_or_else(Vec::new, |r| vec![0; r.lanes]);
-        Ladder {
-            recoded,
-            udp,
-            tracker,
-            track,
-            tel,
-            report,
-            lane_waits,
-            tally: BlockTally::default(),
-        }
-    }
-
-    /// Scheduler backoff charged by the budget so far.
-    pub fn backoff_cycles(&self) -> u64 {
-        self.tracker.as_ref().map_or(0, BudgetTracker::backoff_cycles)
+        Ladder { recoded, udp, track, tel, report, tally: BlockTally::default() }
     }
 
     /// Takes the first attempt at `job` (batch numbering: index blocks, then
@@ -300,7 +175,6 @@ impl<'a> Ladder<'a> {
     /// fills all of it.
     ///
     /// # Errors
-    /// [`ExecError::DeadlineExceeded`] when the budget denies a retry;
     /// [`ExecError::Unrecoverable`] when retries are exhausted and no raw
     /// store covers the block.
     pub fn settle(
@@ -333,19 +207,11 @@ impl<'a> Ladder<'a> {
         let r = self.recoded;
         let mut last_err = first_err;
         let mut retried = None;
-        let backoff_before = self.backoff_cycles();
         let phase = recorder::phase(self.track, "exec.retry", self.tel.is_some());
         // One pooled lane serves every attempt: a decode fully resets lane
         // state, so attempt N is as "fresh" as a new lane.
         let mut lane = recode_udp::pool::global().checkout();
         for attempt in 1..=MAX_BLOCK_RETRIES {
-            if let Some(what) = self.tracker.as_mut().and_then(|t| t.admit_retry().err()) {
-                return Err(ExecError::DeadlineExceeded {
-                    budget: what.to_string(),
-                    completed_blocks: self.tally.completed(),
-                    total_blocks: r.total_jobs(),
-                });
-            }
             recorder::record(
                 recorder::EventKind::Retry,
                 self.track,
@@ -363,26 +229,17 @@ impl<'a> Ladder<'a> {
             }
         }
         drop(lane);
-        // The rung's work: the decode that succeeded, if one did, and the
-        // backoff the budget charged for the attempts, both on the lane
-        // that ran the first attempt. Its modeled time is what that costs
-        // the schedule: the makespan growth of the batch, all of it on the
-        // walker's tile.
+        // The rung's work: the decode that succeeded, if one did, on the
+        // lane that ran the first attempt. Its modeled time is what that
+        // costs the schedule: the makespan growth of the batch, all of it
+        // on the walker's tile.
         let (cycles, bytes) = retried.as_ref().map_or((0, 0), |o| (o.cycles, o.output_bytes));
-        let waited = self.backoff_cycles() - backoff_before;
         let charged = match self.report.as_deref_mut() {
-            Some(report) => {
-                let lane = job % self.udp.lanes;
-                self.lane_waits[lane] += waited;
-                report.charge_lane(lane, retried.as_ref(), 0, self.lane_waits[lane])
-            }
-            None => cycles + waited,
+            Some(report) => report.charge_lane(job % self.udp.lanes, retried.as_ref(), 0),
+            None => cycles,
         };
         phase.finish(self.tel.as_deref_mut(), charged as f64 / self.udp.freq_hz, bytes);
         if let Some(o) = retried {
-            if let Some(t) = self.tracker.as_mut() {
-                t.charge_retry_cycles(o.cycles);
-            }
             self.tally.blocks_recovered += 1;
             self.tally.retry_cycles += o.cycles;
             return Ok((o.cycles, BlockOutcome::Retried));
@@ -408,55 +265,5 @@ impl<'a> Ladder<'a> {
         self.tally.blocks_fell_back += 1;
         self.tally.fallback_bytes += raw.len();
         Ok((0, BlockOutcome::FellBack))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unbounded_budget_admits_forever() {
-        let mut t = BudgetTracker::new(JobBudget::unbounded());
-        for _ in 0..10_000 {
-            assert!(t.admit_retry().is_ok());
-        }
-        assert_eq!(t.backoff_cycles(), 0);
-    }
-
-    #[test]
-    fn retry_cap_names_the_exhausted_budget() {
-        let budget = JobBudget { max_total_retries: Some(2), ..JobBudget::default() };
-        let mut t = BudgetTracker::new(budget);
-        assert!(t.admit_retry().is_ok());
-        assert!(t.admit_retry().is_ok());
-        assert_eq!(t.admit_retry(), Err("retry budget"));
-    }
-
-    #[test]
-    fn cycle_cap_blocks_after_charge() {
-        let budget = JobBudget { max_retry_cycles: Some(100), ..JobBudget::default() };
-        let mut t = BudgetTracker::new(budget);
-        assert!(t.admit_retry().is_ok());
-        t.charge_retry_cycles(99);
-        assert!(t.admit_retry().is_ok(), "99 < 100 still admits");
-        t.charge_retry_cycles(1);
-        assert_eq!(t.admit_retry(), Err("cycle budget"));
-    }
-
-    #[test]
-    fn zero_deadline_expires_immediately() {
-        let budget = JobBudget::with_deadline(Duration::ZERO);
-        let mut t = BudgetTracker::new(budget);
-        assert_eq!(t.admit_retry(), Err("wall deadline"));
-    }
-
-    #[test]
-    fn backoff_accumulates_per_admitted_retry() {
-        let budget = JobBudget { backoff_cycles_per_retry: 50, ..JobBudget::default() };
-        let mut t = BudgetTracker::new(budget);
-        t.admit_retry().unwrap();
-        t.admit_retry().unwrap();
-        assert_eq!(t.backoff_cycles(), 100);
     }
 }

@@ -14,9 +14,8 @@
 //!   seeded-capacity decoded-block LRU cache so iterative solvers pay decode
 //!   cost once;
 //! * [`ladder`] — what every schedule shares: the [`RunCtx`] that makes a
-//!   run plain, faulty, budgeted or traced, the block-recovery ladder and
-//!   the [`JobBudget`] it spends, and the accounting the `ExecStats` are
-//!   built from;
+//!   run plain, faulty or traced, the block-recovery ladder, and the
+//!   accounting the `ExecStats` are built from;
 //! * [`measure`] — measured recoding throughput: per-lane cycle counts from
 //!   the UDP simulator (sampled blocks, extrapolated) and the calibrated
 //!   CPU software rates;
@@ -78,7 +77,7 @@ pub use chaos::{run_campaign, CampaignSummary, ChaosConfig, TrialOutcome};
 pub use chrometrace::export_chrome_trace;
 pub use error::{ExecError, ExecResult};
 pub use exec::{ExecStats, RawFallbackStore, RecodedSpmv};
-pub use ladder::{JobBudget, RunCtx};
+pub use ladder::RunCtx;
 pub use metrics::MetricsSnapshot;
 pub use overlap::{CacheStats, ExecCache, OverlapConfig, OverlapExecutor, OverlapStats};
 pub use perfmodel::SpmvPerfModel;

@@ -350,11 +350,10 @@ impl<'m> OverlapExecutor<'m> {
 
     /// The engine entry: pipelined SpMV under `ctx`. Job numbering matches
     /// the batch path (index blocks first, then value blocks), so the same
-    /// hook means the same faults on either executor; the producer consults
-    /// `ctx.budget` at every retry boundary (the pipeline's preemption
-    /// points); backoff accumulates into [`ExecStats::backoff_cycles`] as a
-    /// reported quantity while the modeled pipelined makespan keeps its
-    /// `max(decode, multiply)` definition. With `ctx.tel` the run records
+    /// hook means the same faults on either executor; a failed block climbs
+    /// the recovery ladder inside its tile, and the modeled pipelined
+    /// makespan keeps its `max(decode, multiply)` definition. With `ctx.tel`
+    /// the run records
     /// the phase `exec.overlap` (the walker's own `decode`, `exec.retry` and
     /// `exec.fallback` spans run underneath it on the stage-0 track and stay
     /// in the flight recorder), the modeled `exec.mem_stream` and
@@ -364,7 +363,6 @@ impl<'m> OverlapExecutor<'m> {
     /// # Errors
     /// [`ExecError::Unrecoverable`] for a block that fails decode, exhausts
     /// retries, and has no fallback coverage;
-    /// [`ExecError::DeadlineExceeded`] when the budget runs out;
     /// [`ExecError::WorkerPanic`] for a contained pipeline panic;
     /// [`ExecError::Reassembly`] on stream misalignment.
     ///
@@ -487,8 +485,7 @@ impl<'m> OverlapExecutor<'m> {
             StreamKind::Value => self.recoded.compressed().index_stream.blocks.len() + pos,
         };
         let udp = Accelerator::default();
-        let mut ladder =
-            Ladder::new(self.recoded, &udp, None, recorder::Track::stage(0), None, None);
+        let mut ladder = Ladder::new(self.recoded, &udp, recorder::Track::stage(0), None, None);
         let mut walk = TileWalk::default();
         self.decode_one(job, &FaultHook::default(), &mut ladder, &mut walk).map(|d| d.0.len())
     }
@@ -549,11 +546,10 @@ impl<'m> OverlapExecutor<'m> {
     ) -> ExecResult<(TileWalk, Ladder<'a>)> {
         let cm = self.recoded.compressed();
         let n_index = cm.index_stream.blocks.len();
-        let RunCtx { hook, budget, tel } = ctx;
+        let RunCtx { hook, tel } = ctx;
         let empty_hook = FaultHook::default();
         let hook = hook.unwrap_or(&empty_hook);
-        let mut ladder =
-            Ladder::new(self.recoded, udp, budget, recorder::Track::stage(0), tel, None);
+        let mut ladder = Ladder::new(self.recoded, udp, recorder::Track::stage(0), tel, None);
         let mut walk = TileWalk::default();
         let mut val_buf: Vec<u8> = Vec::new();
         let mut next_value = n_index;
@@ -741,13 +737,13 @@ impl<'m> OverlapExecutor<'m> {
                 cm.index_stream.block_bytes
             )));
         }
-        let RunCtx { hook, budget, mut tel } = ctx;
+        let RunCtx { hook, mut tel } = ctx;
         let cache_before = self.cache.lock().expect("cache poisoned").stats();
 
         let phase = recorder::phase(recorder::Track::MAIN, "exec.overlap", tel.is_some());
         let mut y = vec![0.0f64; cm.nrows];
         // The walker's context: the same run, its registry lent for the walk.
-        let ctx = RunCtx { hook, budget, tel: tel.as_deref_mut() };
+        let ctx = RunCtx { hook, tel: tel.as_deref_mut() };
         let (workers, (walk, ladder)) = if threaded {
             let workers = self.config.effective_workers().max(1);
             (workers, self.run_threaded(workers, &sys.udp, x, &mut y, ctx)?)
@@ -758,7 +754,6 @@ impl<'m> OverlapExecutor<'m> {
             };
             (0, self.produce_tiles(&sys.udp, ctx, inline)?)
         };
-        let backoff_cycles = ladder.backoff_cycles();
         let tally = ladder.tally;
 
         // Modeled schedule: the lane decodes tile i+1 while the CPU
@@ -804,7 +799,7 @@ impl<'m> OverlapExecutor<'m> {
             ..AccelReport::default()
         };
         report.refresh_utilization();
-        let stats = tally.stats(sys, report, walk.fetched_bytes, backoff_cycles, overlap);
+        let stats = tally.stats(sys, report, walk.fetched_bytes, overlap);
 
         if let Some(tel) = tel {
             report_run(tel, &stats, self.recoded);
@@ -851,7 +846,6 @@ fn multiply_tile(row_ptr: &[usize], x: &[f64], work: &TileWork) -> (usize, Vec<f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ladder::JobBudget;
     use recode_codec::pipeline::MatrixCodecConfig;
     use recode_sparse::prelude::*;
     use recode_sparse::spmv::SpmvKernel;
@@ -1175,36 +1169,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_budget_exhaustion_is_deadline_exceeded() {
-        use std::time::Duration;
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let x = vec![1.0; a.ncols()];
-        let hook = FaultHook::new().trap(0);
-        let ex = OverlapExecutor::new(&r, OverlapConfig::default());
-        let budget = JobBudget::with_deadline(Duration::ZERO);
-        let ctx = RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None };
-        let err = ex.spmv_with(&sys, &x, ctx).unwrap_err();
-        match &err {
-            ExecError::DeadlineExceeded { budget, .. } => assert_eq!(budget, "wall deadline"),
-            other => panic!("expected DeadlineExceeded, got {other}"),
-        }
-        // Unbounded budget with the same faults recovers bit-exact.
-        let want = recode_sparse::spmv::spmv(&a, &x);
-        let unbounded = JobBudget::unbounded();
-        let ctx = RunCtx { hook: Some(&hook), budget: Some(&unbounded), tel: None };
-        let (y, stats) = ex.spmv_with(&sys, &x, ctx).unwrap();
-        assert!(max_rel_err(&y, &want) < 1e-10);
-        assert!(stats.degraded);
-        assert_eq!(
-            stats.blocks_ok + stats.blocks_recovered + stats.blocks_fell_back,
-            stats.accel.jobs,
-            "overlap accounting identity"
-        );
-    }
-
-    #[test]
     fn injected_job_panic_is_contained_and_recovered() {
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
@@ -1241,57 +1205,5 @@ mod tests {
         let none = FaultHook::default();
         let (_, again) = Accelerator::dispatch::<recode_udp::UdpError, _>(&mut lane, &none, 1, run);
         assert!(again.is_ok(), "{again:?}");
-    }
-
-    #[test]
-    fn budget_exhaustion_counts_finished_blocks_on_both_schedules() {
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let x = vec![1.0; a.ncols()];
-        let n_index = r.compressed().index_stream.blocks.len();
-        assert!(n_index >= 2, "need several index blocks");
-        // Index block 0 and the first value block trap; the budget admits
-        // one retry, so the value block's retry is the one denied.
-        let hook = FaultHook::new().trap(0).trap(n_index);
-        let budget = JobBudget { max_total_retries: Some(1), ..JobBudget::default() };
-        let progress = |err: ExecError| match err {
-            ExecError::DeadlineExceeded { budget, completed_blocks, total_blocks } => {
-                assert_eq!(budget, "retry budget");
-                assert_eq!(total_blocks, r.total_jobs());
-                completed_blocks
-            }
-            other => panic!("expected DeadlineExceeded, got {other}"),
-        };
-        let ctx = || RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None };
-        // Batch: every index block finished (one by retry) before the denied
-        // value block is settled.
-        let batch = progress(r.decompress_with(&sys, ctx()).unwrap_err());
-        assert_eq!(batch, n_index);
-        // Tiled: only index block 0 finished before tile 0 asked for its
-        // first value block — not `n_index`, the value block's job number.
-        let ex = OverlapExecutor::new(&r, OverlapConfig::default());
-        let tiled = progress(ex.spmv_with(&sys, &x, ctx()).unwrap_err());
-        assert_eq!(tiled, 1);
-        let streamed = progress(r.spmv_streaming_with(&sys, &x, ctx()).unwrap_err());
-        assert_eq!(streamed, 1);
-    }
-
-    #[test]
-    fn overlap_backoff_is_reported_but_never_folded_into_the_makespan() {
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let x = vec![1.0; a.ncols()];
-        let hook = FaultHook::new().trap(0);
-        let ex =
-            OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 });
-        let budget = JobBudget { backoff_cycles_per_retry: 1_000, ..JobBudget::default() };
-        let ctx = RunCtx { hook: Some(&hook), budget: Some(&budget), tel: None };
-        let (_, stats) = ex.spmv_with(&sys, &x, ctx).unwrap();
-        assert_eq!(stats.backoff_cycles, 1_000, "one retry, one backoff charge");
-        // The overlap schedule invariant pins makespan to the overlapped
-        // schedule, so backoff stays a reported stat here.
-        assert_eq!(stats.accel.makespan_cycles, stats.overlap.overlapped_makespan_cycles);
     }
 }

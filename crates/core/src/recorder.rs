@@ -47,8 +47,10 @@ pub enum EventKind {
     SpanBegin,
     /// The most recent open span on this track closed (`E`).
     SpanEnd,
-    /// One block finished its decode: `a` = cycles, `b` = outcome code
-    /// (0 ok, 1 retried, 2 fell back).
+    /// One block's first attempt, on its lane's track: `a` = cycles (0
+    /// when it failed), `b` = 0 ok, 1 failed. A failed attempt is followed
+    /// by the ladder's `exec.retry` and, if the retries fail too,
+    /// `exec.fallback` instants on the track that climbs it.
     BlockOutcome,
     /// One retry-ladder rung ran: `a` = attempt number (1-based).
     Retry,

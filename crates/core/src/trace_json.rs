@@ -78,7 +78,6 @@ json_struct!(ExecStats {
     blocks_fell_back,
     fallback_bytes,
     retry_cycles,
-    backoff_cycles,
     degraded,
     blocks_ok,
     blocks_recovered,

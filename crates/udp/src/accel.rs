@@ -228,8 +228,8 @@ pub struct AccelReport {
     pub jobs_failed: usize,
     /// Lanes configured.
     pub lanes: usize,
-    /// Longest per-lane timeline — busy, stall and backoff cycles — the
-    /// wall-clock cycles for the batch.
+    /// Longest per-lane timeline — busy and stall cycles — the wall-clock
+    /// cycles for the batch.
     pub makespan_cycles: u64,
     /// Sum of cycles across all lanes (busy cycles).
     pub busy_cycles: u64,
@@ -282,19 +282,12 @@ impl AccelReport {
     /// The one rule by which a batch charges lane time: `work` (a job's
     /// successful decode, if any) and `stall` injected cycles go into lane
     /// `lane`'s profile and the batch totals, and the makespan stretches to
-    /// that lane's timeline, `busy + stall + waited`, where `waited` is all
-    /// the lane has spent waiting so far (budget backoff, which is not
-    /// work). The fan-out charges each first attempt; the recovery ladder
-    /// charges each retry to the lane that ran the block's first attempt.
-    /// Utilization is recomputed. Returns how many cycles the makespan
-    /// grew: 0 when the charge fit in the lane's slack.
-    pub fn charge_lane(
-        &mut self,
-        lane: usize,
-        work: Option<&JobOutcome>,
-        stall: u64,
-        waited: u64,
-    ) -> u64 {
+    /// that lane's timeline, `busy + stall`. The fan-out charges each first
+    /// attempt; the recovery ladder charges each retry to the lane that ran
+    /// the block's first attempt. Utilization is recomputed. Returns how
+    /// many cycles the makespan grew: 0 when the charge fit in the lane's
+    /// slack.
+    pub fn charge_lane(&mut self, lane: usize, work: Option<&JobOutcome>, stall: u64) -> u64 {
         let profile = &mut self.lane_profiles[lane];
         profile.stall_cycles += stall;
         self.injected_stall_cycles += stall;
@@ -309,7 +302,7 @@ impl AccelReport {
             self.stage_cycles.merge(&o.stage_cycles);
         }
         let before = self.makespan_cycles;
-        self.makespan_cycles = before.max(profile.busy_cycles + profile.stall_cycles + waited);
+        self.makespan_cycles = before.max(profile.busy_cycles + profile.stall_cycles);
         self.refresh_utilization();
         self.makespan_cycles - before
     }
@@ -460,7 +453,7 @@ impl Accelerator {
                     report.jobs_failed += 1;
                 }
                 // A failed job costs no modeled cycles, only its stall.
-                report.charge_lane(lane_idx, result.as_ref().ok(), stall, 0);
+                report.charge_lane(lane_idx, result.as_ref().ok(), stall);
                 if let Some(sink) = sink {
                     sink(&JobEvent {
                         job: k,
@@ -484,7 +477,6 @@ impl Accelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lane::RunResult;
 
     /// Fake job: pretend each job costs `cycles` and places `bytes` bytes.
     struct Fake {
@@ -719,26 +711,13 @@ mod tests {
             .run_jobs_with_faults::<_, LaneError, _>(&jobs, run_fake, &FaultHook::default())
             .report;
         let retry = JobOutcome { cycles: 50, output_bytes: 2, ..Default::default() };
-        // Lane 1 has 60 cycles of slack: 50 busy and 10 waiting fit.
-        assert_eq!(r.charge_lane(1, Some(&retry), 0, 10), 0);
-        assert_eq!((r.makespan_cycles, r.busy_cycles, r.output_bytes), (100, 190, 4));
+        // Lane 1 has 60 cycles of slack: 50 busy and a 10-cycle stall fit.
+        assert_eq!(r.charge_lane(1, Some(&retry), 10), 0);
+        assert_eq!((r.makespan_cycles, r.busy_cycles, r.output_bytes), (100, 200, 4));
         assert_eq!(r.lane_profiles[1].busy_cycles, 90);
-        // 20 more cycles of waiting on lane 1 do not: 90 + 30 > 100.
-        assert_eq!(r.charge_lane(1, None, 0, 30), 20);
-        assert_eq!((r.makespan_cycles, r.busy_cycles), (120, 190));
-        assert!((r.lane_utilization - lane_utilization(190, 120, 2)).abs() < 1e-12);
-    }
-
-    // Silence the unused-import lint while documenting intent: RunResult is
-    // the lane-level analogue of JobOutcome.
-    #[allow(dead_code)]
-    fn _type_bridge(r: RunResult) -> JobOutcome {
-        JobOutcome {
-            cycles: r.cycles,
-            opclass: r.opclass,
-            stage_cycles: StageCycles::default(),
-            output_bytes: r.output.len() as u64,
-            output: r.output,
-        }
+        // A 20-cycle stall on lane 1 does not: 90 + 10 + 20 > 100.
+        assert_eq!(r.charge_lane(1, None, 20), 20);
+        assert_eq!((r.makespan_cycles, r.busy_cycles), (120, 220));
+        assert!((r.lane_utilization - lane_utilization(220, 120, 2)).abs() < 1e-12);
     }
 }

@@ -317,7 +317,7 @@ fn cmd_spmv(mut args: Args) -> Outcome {
         (true, None) => Some(OverlapExecutor::new(&recoded, overlap_config)),
     };
     let t_total = Instant::now();
-    let ctx = RunCtx { hook: hook.as_ref(), tel: tel.as_mut(), ..RunCtx::default() };
+    let ctx = RunCtx { hook: hook.as_ref(), tel: tel.as_mut() };
     let (y, stats) = match &ex {
         Some(ex) => ex.spmv_with(&sys, &x, ctx),
         None => recoded.spmv_with(&sys, SpmvKernel::RowParallel, &x, ctx),

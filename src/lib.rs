@@ -40,9 +40,8 @@ pub mod prelude {
     pub use recode_core::arch::Scenario;
     pub use recode_core::perfmodel::SpmvPerfModel;
     pub use recode_core::{
-        run_campaign, tune_matrix, CampaignSummary, ChaosConfig, JobBudget, OverlapConfig,
-        OverlapExecutor, PowerSavings, RecodedSpmv, RunCtx, SystemConfig, TrialOutcome, TuneError,
-        TunedConfig,
+        run_campaign, tune_matrix, CampaignSummary, ChaosConfig, OverlapConfig, OverlapExecutor,
+        PowerSavings, RecodedSpmv, RunCtx, SystemConfig, TrialOutcome, TuneError, TunedConfig,
     };
     pub use recode_sparse::prelude::*;
     pub use recode_udp::accel::FaultHook;

@@ -1,7 +1,7 @@
 //! Seeded chaos campaign over the full job-execution stack.
 //!
-//! Each trial derives a plan (execution arm, fault injection point, job
-//! budget) from a master seed, runs one SpMV job under a watchdog, and
+//! Each trial derives a plan (execution arm, fault injection point) from a
+//! master seed, runs one SpMV job under a watchdog, and
 //! classifies the terminal state. The campaign is healthy when every trial
 //! lands in a *typed* terminal state — no hangs, no escaped panics, block
 //! accounting intact, every emitted trace valid, every completed result
@@ -28,6 +28,13 @@ fn chaos_campaign_terminates_typed_on_every_trial() {
     assert_eq!(classified, trials, "every trial must reach a typed terminal state");
     assert_eq!(summary.outcome("hung"), 0);
     assert_eq!(summary.outcome("panic-escaped"), 0);
+    for label in summary.by_outcome.keys() {
+        assert!(
+            ["completed", "degraded", "rejected"].contains(&label.as_str()),
+            "a trial ended in {label:?}, not a run's typed outcome:\n{}",
+            summary.render()
+        );
+    }
 
     // Every injection point the plan can draw appears: fault-free trials
     // (≈11%) pin the bit-exact baseline, and stage-boundary (≈4%, overlap

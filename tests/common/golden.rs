@@ -196,7 +196,6 @@ pub fn to_golden_json(doc: &TraceDocument) -> String {
     let _ = writeln!(o, "    \"blocks_fell_back\": {},", e.blocks_fell_back);
     let _ = writeln!(o, "    \"fallback_bytes\": {},", e.fallback_bytes);
     let _ = writeln!(o, "    \"retry_cycles\": {},", e.retry_cycles);
-    let _ = writeln!(o, "    \"backoff_cycles\": {},", e.backoff_cycles);
     let _ = writeln!(o, "    \"degraded\": {},", e.degraded);
     let _ = writeln!(o, "    \"blocks_ok\": {},", e.blocks_ok);
     let _ = writeln!(o, "    \"blocks_recovered\": {},", e.blocks_recovered);

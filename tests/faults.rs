@@ -178,9 +178,9 @@ fn run_stream_trial(
                         assert!(block.is_some(), "{what}: no block in {e}");
                     }
                     ExecError::Reassembly(_) | ExecError::Codec(_) => {}
-                    // These trials run unbudgeted, panic-free plans; the
-                    // resilience-only terminal states must never appear here.
-                    ExecError::DeadlineExceeded { .. } | ExecError::WorkerPanic { .. } => {
+                    // These trials run panic-free plans; a contained worker
+                    // panic must never appear here.
+                    ExecError::WorkerPanic { .. } => {
                         panic!("{what}: unexpected resilience error {e}")
                     }
                 }
@@ -394,7 +394,7 @@ fn telemetry_events_record_fault_outcomes() {
     let hook = FaultHook::new().trap(n_index);
     let sys = SystemConfig::ddr4();
     let mut tel = Telemetry::new();
-    let ctx = RunCtx { hook: Some(&hook), tel: Some(&mut tel), ..RunCtx::default() };
+    let ctx = RunCtx { hook: Some(&hook), tel: Some(&mut tel) };
     let (b, stats) = r.decompress_with(&sys, ctx).unwrap();
     assert_eq!(b, a);
     let evs = tel.block_events();

@@ -160,6 +160,55 @@ fn chrome_trace_from_the_overlap_path_has_worker_and_stage_tracks() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `block_outcome` instant is one block's first attempt on its lane's
+/// track, `b` = 0 ok, 1 failed; a failed one is followed by the ladder's
+/// `exec.retry` instant. One injected trap on job 0 is one failed attempt,
+/// on lane 0, and one retry.
+#[test]
+fn a_trapped_first_attempt_is_a_failed_block_outcome_on_its_lane() {
+    let dir = tmpdir("outcome");
+    let mtx = gen_matrix(&dir, "stencil2d", "40000", "3");
+    let trace = dir.join("trapped.trace.json");
+    let out = bin()
+        .arg("spmv")
+        .arg(&mtx)
+        .args(["--inject-trap", "0", "--chrome-trace"])
+        .arg(&trace)
+        .output()
+        .expect("run spmv --inject-trap --chrome-trace");
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let events = load_trace_events(&trace);
+    validate_trace(&events);
+    let lane0 = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
+        .find(|e| {
+            e.get("args").and_then(|a| a.get("name")).and_then(Json::as_str) == Some("lane 0")
+        })
+        .and_then(|e| e.get("tid").and_then(Json::as_u64))
+        .expect("the run names lane 0's track");
+    let instants = |cat: &str| -> Vec<&Json> {
+        events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
+            .filter(|e| e.get("cat").and_then(Json::as_str) == Some(cat))
+            .collect()
+    };
+    let outcomes = instants("block_outcome");
+    assert!(outcomes.len() > 1, "one instant per block: {}", outcomes.len());
+    let failed: Vec<_> = outcomes
+        .iter()
+        .filter(|e| e.get("args").and_then(|a| a.get("b")).and_then(Json::as_u64) == Some(1))
+        .collect();
+    assert_eq!(failed.len(), 1, "exactly the trapped attempt failed");
+    assert_eq!(failed[0].get("tid").and_then(Json::as_u64), Some(lane0), "job 0 runs on lane 0");
+    let retries = instants("retry");
+    assert_eq!(retries.len(), 1, "one retry follows the failed attempt");
+    assert_eq!(retries[0].get("name").and_then(Json::as_str), Some("exec.retry"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Durations (ns) of the balanced `B`/`E` pairs on the main track, by name.
 /// The exporter writes microseconds as the shortest decimal that round-trips
 /// the `f64`, so the recorder's nanosecond stamps are recovered exactly.

@@ -265,11 +265,12 @@ fn documents_of_another_schema_fail_validation() {
     assert!(text.contains("recode trace report (recode-trace/v3)"), "{text}");
     assert!(!text.contains("-- resilience --"), "{text}");
     // The reader ignores a key it does not list, so a document that still
-    // carries a field the writer has since dropped reads and validates.
+    // carries a field the writer has since dropped — every earlier v3
+    // document has `backoff_cycles` — reads and validates.
     let degraded = "    \"degraded\": false,\n";
     assert_eq!(golden.matches(degraded).count(), 1);
     let with_dropped_field =
-        golden.replace(degraded, &format!("{degraded}    \"dropped_flag\": false,\n"));
+        golden.replace(degraded, &format!("    \"backoff_cycles\": 0,\n{degraded}"));
     assert!(parse_trace(&with_dropped_field).validate().is_empty());
     for old in ["recode-trace/v1", "recode-trace/v2"] {
         let errs = parse_trace(&golden.replace(TRACE_SCHEMA, old)).validate();
