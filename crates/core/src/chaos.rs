@@ -19,8 +19,8 @@
 //! * **bit-exactness** — a trial that reports Completed or Degraded
 //!   produced exactly the reference result.
 //!
-//! Faults are injected at three points: **lane dispatch** (trap / stall /
-//! panic hooks in the accelerator batch loop), the **compressed stream**
+//! Faults are injected at three points: **lane dispatch** (trap / panic
+//! hooks in the accelerator batch loop), the **compressed stream**
 //! (every [`FaultKind`] the transport injector knows), and **overlap stage
 //! boundaries** (a multiply worker panics mid-pipeline).
 //!
@@ -111,21 +111,15 @@ enum Arm {
     Traced,
 }
 
-/// What kind of lane-dispatch fault a plan injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneFault {
-    Trap,
-    Stall,
-    Panic,
-}
-
 /// Where a trial injects its fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Injection {
     /// Clean baseline run.
     None,
-    /// `FaultHook` on the accelerator job loop.
-    LaneDispatch(LaneFault),
+    /// `FaultHook` traps on the accelerator job loop.
+    LaneTrap,
+    /// `FaultHook` panics on the accelerator job loop.
+    LanePanic,
     /// A [`FaultKind`] applied to one compressed stream.
     StreamCorrupt(FaultKind, bool /* value stream */),
     /// An injected panic in an overlap multiply worker (overlap arm only).
@@ -136,7 +130,7 @@ impl Injection {
     fn point_label(self) -> &'static str {
         match self {
             Injection::None => "none",
-            Injection::LaneDispatch(_) => "lane-dispatch",
+            Injection::LaneTrap | Injection::LanePanic => "lane-dispatch",
             Injection::StreamCorrupt(..) => "stream-corrupt",
             Injection::StageBoundary => "stage-boundary",
         }
@@ -145,9 +139,8 @@ impl Injection {
     fn fault_label(self) -> String {
         match self {
             Injection::None => "clean".into(),
-            Injection::LaneDispatch(LaneFault::Trap) => "lane-trap".into(),
-            Injection::LaneDispatch(LaneFault::Stall) => "lane-stall".into(),
-            Injection::LaneDispatch(LaneFault::Panic) => "lane-panic".into(),
+            Injection::LaneTrap => "lane-trap".into(),
+            Injection::LanePanic => "lane-panic".into(),
             Injection::StreamCorrupt(kind, _) => kind.to_string(),
             Injection::StageBoundary => "worker-panic".into(),
         }
@@ -369,22 +362,16 @@ fn campaign_matrix() -> Csr {
 fn plan_trial(seed: u64) -> TrialPlan {
     let mut rng = SplitMix64::new(seed);
     let arm = [Arm::BatchJob, Arm::Overlap, Arm::Traced][rng.below(3)];
-    let injection = match rng.below(9) {
+    let injection = match rng.below(8) {
         0 => Injection::None,
-        1 => Injection::LaneDispatch(LaneFault::Trap),
-        2 => Injection::LaneDispatch(LaneFault::Stall),
-        3 => Injection::LaneDispatch(LaneFault::Panic),
-        4..=7 => {
+        1 => Injection::LaneTrap,
+        2 => Injection::LanePanic,
+        3..=6 => {
             let kind = FaultKind::ALL[rng.below(FaultKind::ALL.len())];
             Injection::StreamCorrupt(kind, rng.below(2) == 1)
         }
-        _ => {
-            if arm == Arm::Overlap {
-                Injection::StageBoundary
-            } else {
-                Injection::LaneDispatch(LaneFault::Panic)
-            }
-        }
+        _ if arm == Arm::Overlap => Injection::StageBoundary,
+        _ => Injection::LanePanic,
     };
     TrialPlan { seed, arm, injection }
 }
@@ -445,9 +432,8 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
     );
     match plan.injection {
         Injection::None => {}
-        Injection::LaneDispatch(LaneFault::Trap) => hook = hook.trap(0).trap(1),
-        Injection::LaneDispatch(LaneFault::Stall) => hook = hook.stall(0, 50_000),
-        Injection::LaneDispatch(LaneFault::Panic) => hook = hook.panic_job(0),
+        Injection::LaneTrap => hook = hook.trap(0).trap(1),
+        Injection::LanePanic => hook = hook.panic_job(0),
         Injection::StreamCorrupt(kind, value_stream) => {
             let mut injector = FaultInjector::new(plan.seed);
             let stream = if value_stream {
@@ -483,10 +469,7 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
     // degraded or ends in a typed error, and one that completed on the happy
     // path never injected anything.
     result.panic_contained = result.outcome != TrialOutcome::Completed
-        && matches!(
-            plan.injection,
-            Injection::LaneDispatch(LaneFault::Panic) | Injection::StageBoundary
-        );
+        && matches!(plan.injection, Injection::LanePanic | Injection::StageBoundary);
     result
 }
 

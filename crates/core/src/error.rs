@@ -23,7 +23,7 @@ pub enum ExecError {
     /// The accelerator stack failed (decoder compilation, lane trap, block
     /// integrity) — carries block/lane context when the failure has one.
     Udp(UdpError),
-    /// A block failed decoding, exhausted its retries, and no raw fallback
+    /// A block failed decoding, failed its retry, and no raw fallback
     /// store was available to re-fetch it from.
     Unrecoverable {
         /// Stream-position of the block that could not be recovered.
@@ -78,7 +78,7 @@ impl fmt::Display for ExecError {
                 if let Some(l) = lane {
                     write!(f, " (lane {l})")?;
                 }
-                write!(f, ": retries exhausted and no raw fallback store: {source}")
+                write!(f, ": its retry failed and no raw fallback store covers it: {source}")
             }
             ExecError::Reassembly(msg) => write!(f, "reassembly error: {msg}"),
             ExecError::WorkerPanic { context } => {

@@ -16,8 +16,8 @@
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
+pub use crate::ladder::RunCtx;
 use crate::ladder::{report_run, vector_traffic, Ladder};
-pub use crate::ladder::{RunCtx, MAX_BLOCK_RETRIES};
 use crate::overlap::{OverlapConfig, OverlapExecutor, OverlapStats};
 use crate::recorder;
 use crate::telemetry::{
@@ -53,10 +53,10 @@ pub struct ExecStats {
     pub dma_seconds: f64,
     /// Compressed bytes moved.
     pub compressed_bytes: usize,
-    /// Retry decode attempts made for failed blocks.
+    /// Retry decodes made: one per block whose first attempt failed.
     pub blocks_retried: usize,
-    /// Blocks whose retries were exhausted and were served from the raw
-    /// fallback store instead.
+    /// Blocks whose retry failed too and were served from the raw fallback
+    /// store instead.
     pub blocks_fell_back: usize,
     /// Uncompressed bytes re-fetched through the fallback path.
     pub fallback_bytes: usize,
@@ -71,8 +71,8 @@ pub struct ExecStats {
     /// `blocks_ok + blocks_recovered + blocks_fell_back == accel.jobs`, and a
     /// trace's block events carry the same tally.
     pub blocks_ok: usize,
-    /// Blocks that failed initially but recovered via retry (each counted
-    /// once, unlike [`ExecStats::blocks_retried`] which counts attempts).
+    /// Blocks that failed initially but recovered via their retry:
+    /// `blocks_recovered + blocks_fell_back == blocks_retried`.
     pub blocks_recovered: usize,
     /// Tiled-schedule and decoded-block-cache statistics. All-zero
     /// (`enabled == false`, no stages) on the batch schedule, populated by
@@ -220,7 +220,7 @@ impl RecodedSpmv {
     /// Decode jobs in one pass over the matrix. Every schedule numbers them
     /// the same way — index blocks `0..n_index`, value blocks after — so one
     /// [`FaultHook`] means the same faults on every executor.
-    pub(crate) fn total_jobs(&self) -> usize {
+    pub fn total_jobs(&self) -> usize {
         self.compressed.index_stream.blocks.len() + self.compressed.value_stream.blocks.len()
     }
 
@@ -365,8 +365,8 @@ impl RecodedSpmv {
     /// `pool.*` counters, and memory traffic by source.
     ///
     /// # Errors
-    /// [`ExecError::Unrecoverable`] if a block fails decoding, exhausts its
-    /// retries, and no fallback store covers it;
+    /// [`ExecError::Unrecoverable`] if a block fails decoding, fails its
+    /// retry, and no fallback store covers it;
     /// [`ExecError::Reassembly`] if the declared geometry is inconsistent
     /// ([`RecodedSpmv::check_structure`]) or the decoded streams do not form
     /// a valid matrix.
@@ -702,18 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_dma_stall_charges_cycles_without_degrading() {
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let hook = FaultHook::new().stall(0, 100_000);
-        let (b, stats) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
-        assert_eq!(b, a);
-        assert_eq!(stats.accel.injected_stall_cycles, 100_000);
-        assert!(!stats.degraded, "a stall slows the batch but decodes cleanly");
-    }
-
-    #[test]
     fn streaming_spmv_matches_full_decode_and_bounds_memory() {
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
@@ -746,7 +734,7 @@ mod tests {
         let (y, stats) = r.spmv_streaming(&x).unwrap();
         assert_eq!(y, recode_sparse::spmv::spmv(&a, &x), "fallback must stay bit-exact");
         assert!(stats.degraded);
-        assert_eq!(stats.blocks_retried, MAX_BLOCK_RETRIES, "a CRC failure repeats on every retry");
+        assert_eq!(stats.blocks_retried, 1, "a CRC failure repeats on the retry");
         assert_eq!(stats.blocks_fell_back, 1);
         assert_eq!(stats.blocks_ok + stats.blocks_fell_back, stats.accel.jobs);
         // Without one the error still names block 2 and carries the codec error.
@@ -788,7 +776,7 @@ mod tests {
         // the same lane, so every lane's timeline, the busy sum and the
         // makespan are the clean run's.
         let lanes = |s: &ExecStats| -> Vec<u64> {
-            s.accel.lane_profiles.iter().map(|p| p.busy_cycles + p.stall_cycles).collect()
+            s.accel.lane_profiles.iter().map(|p| p.busy_cycles).collect()
         };
         assert_eq!(lanes(&faulty), lanes(&clean));
         assert_eq!(faulty.accel.busy_cycles, clean.accel.busy_cycles);

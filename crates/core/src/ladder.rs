@@ -8,13 +8,13 @@
 //! walker of [`crate::overlap`], threaded or inline — makes each block's
 //! *first* attempt under the fault hook
 //! ([`recode_udp::accel::Accelerator::dispatch`]) and hands the result to
-//! `Ladder::settle`. A failed attempt is retried hook-free on a pooled lane
-//! up to [`MAX_BLOCK_RETRIES`] times (transient faults clear, integrity
-//! failures repeat), then served from the [`crate::exec::RawFallbackStore`],
-//! and only when both rungs are exhausted does the run fail, with
-//! [`ExecError::Unrecoverable`] naming the block. Each block gets at most
-//! `1 + MAX_BLOCK_RETRIES` decodes, each trapping at the lane's cycle
-//! limit, so the ladder is finite on its own.
+//! `Ladder::settle`. A failed attempt is retried once, hook-free, on a
+//! pooled lane (transient faults clear), then served from the
+//! [`crate::exec::RawFallbackStore`], and only when both rungs fail does the
+//! run fail, with [`ExecError::Unrecoverable`] naming the block. One retry
+//! is all a block gets: it reads no hook and a decode fully resets its
+//! lane, so a second retry would repeat the first exactly (an integrity
+//! failure repeats on every decode).
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
@@ -25,10 +25,6 @@ use crate::telemetry::{BlockEvent, BlockOutcome, Telemetry, EXEC_COUNTERS};
 use recode_mem::traffic::TrafficSource;
 use recode_udp::accel::{AccelReport, Accelerator, FaultHook, JobOutcome};
 use recode_udp::UdpError;
-
-/// How many times a failed block is re-decoded on a fresh lane before the
-/// raw-store fallback kicks in.
-pub const MAX_BLOCK_RETRIES: usize = 2;
 
 /// What distinguishes one run of an executor from another. The default is a
 /// plain run; every combination is valid, and none changes the result `y`.
@@ -60,8 +56,6 @@ impl<'a> RunCtx<'a> {
 pub(crate) struct BlockTally {
     pub blocks_ok: usize,
     pub blocks_recovered: usize,
-    /// Retry attempts (a recovered block may have taken more than one).
-    pub blocks_retried: usize,
     pub blocks_fell_back: usize,
     pub fallback_bytes: usize,
     /// Lane cycles of the successful retry decodes.
@@ -75,7 +69,7 @@ impl BlockTally {
         self.blocks_ok + self.blocks_recovered + self.blocks_fell_back
     }
 
-    /// Blocks whose first attempt failed.
+    /// Blocks whose first attempt failed: each was retried once.
     pub fn failed(&self) -> usize {
         self.blocks_recovered + self.blocks_fell_back
     }
@@ -97,11 +91,11 @@ impl BlockTally {
                 + sys.mem.stream_seconds(self.fallback_bytes as u64),
             dma_seconds: sys.dma.transfer_seconds(self.completed() as u64, fetched_bytes as u64),
             compressed_bytes: fetched_bytes,
-            blocks_retried: self.blocks_retried,
+            blocks_retried: self.failed(),
             blocks_fell_back: self.blocks_fell_back,
             fallback_bytes: self.fallback_bytes,
             retry_cycles: self.retry_cycles,
-            degraded: self.blocks_retried > 0 || self.blocks_fell_back > 0,
+            degraded: self.failed() > 0,
             blocks_ok: self.blocks_ok,
             blocks_recovered: self.blocks_recovered,
             overlap,
@@ -168,91 +162,72 @@ impl<'a> Ladder<'a> {
 
     /// Takes the first attempt at `job` (batch numbering: index blocks, then
     /// value blocks) from whichever schedule made it *into `dst`* — the
-    /// block's [`RecodedSpmv::extent`] — and returns the lane cycles of the
-    /// attempt that produced the bytes now in `dst` (0 for a fallback),
+    /// block's [`RecodedSpmv::extent`] — and returns the outcome of the
+    /// decode whose bytes are now in `dst` (`None` for a fallback),
     /// climbing the ladder if the attempt failed. A good first attempt has
     /// nothing to move; a failed one left `dst` unspecified, and every rung
     /// fills all of it.
     ///
     /// # Errors
-    /// [`ExecError::Unrecoverable`] when retries are exhausted and no raw
-    /// store covers the block.
+    /// [`ExecError::Unrecoverable`] when the retry fails and no raw store
+    /// covers the block.
     pub fn settle(
         &mut self,
         job: usize,
         first: Result<JobOutcome, UdpError>,
         dst: &mut [u8],
-    ) -> ExecResult<u64> {
-        let (cycles, outcome) = match first {
+    ) -> ExecResult<Option<JobOutcome>> {
+        let (decoded, outcome) = match first {
             Ok(o) => {
                 self.tally.blocks_ok += 1;
-                (o.cycles, BlockOutcome::Ok)
+                (Some(o), BlockOutcome::Ok)
             }
-            Err(e) => self.recover(job, e, dst)?,
+            Err(_) => self.recover(job, dst)?,
         };
         if let Some(tel) = self.tel.as_deref_mut() {
             let (stream, block) = self.recoded.locate(job);
             let lane = job % self.udp.lanes;
+            let cycles = decoded.as_ref().map_or(0, |o| o.cycles);
             tel.block_event(BlockEvent { job, stream, block, lane, cycles, outcome });
         }
-        Ok(cycles)
+        Ok(decoded)
     }
 
     fn recover(
         &mut self,
         job: usize,
-        first_err: UdpError,
         dst: &mut [u8],
-    ) -> ExecResult<(u64, BlockOutcome)> {
+    ) -> ExecResult<(Option<JobOutcome>, BlockOutcome)> {
         let r = self.recoded;
-        let mut last_err = first_err;
-        let mut retried = None;
         let phase = recorder::phase(self.track, "exec.retry", self.tel.is_some());
-        // One pooled lane serves every attempt: a decode fully resets lane
-        // state, so attempt N is as "fresh" as a new lane.
-        let mut lane = recode_udp::pool::global().checkout();
-        for attempt in 1..=MAX_BLOCK_RETRIES {
-            recorder::record(
-                recorder::EventKind::Retry,
-                self.track,
-                "exec.retry",
-                attempt as u64,
-                job as u64,
-            );
-            self.tally.blocks_retried += 1;
-            match r.decode_job_into(&mut lane, job, dst) {
-                Ok(o) => {
-                    retried = Some(o);
-                    break;
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        drop(lane);
-        // The rung's work: the decode that succeeded, if one did, on the
-        // lane that ran the first attempt. Its modeled time is what that
-        // costs the schedule: the makespan growth of the batch, all of it
-        // on the walker's tile.
-        let (cycles, bytes) = retried.as_ref().map_or((0, 0), |o| (o.cycles, o.output_bytes));
-        let charged = match self.report.as_deref_mut() {
-            Some(report) => report.charge_lane(job % self.udp.lanes, retried.as_ref(), 0),
-            None => cycles,
+        recorder::record(recorder::EventKind::Retry, self.track, "exec.retry", 1, job as u64);
+        let retried = r.decode_job_into(&mut recode_udp::pool::global().checkout(), job, dst);
+        // The rung's work, if the retry succeeded, on the lane that ran the
+        // first attempt. Its modeled time is what that costs the schedule:
+        // the makespan growth of the batch, all of it on the walker's tile.
+        let (charged, bytes) = match (&retried, self.report.as_deref_mut()) {
+            (Ok(o), Some(report)) => (report.charge_lane(job % self.udp.lanes, o), o.output_bytes),
+            (Ok(o), None) => (o.cycles, o.output_bytes),
+            (Err(_), _) => (0, 0),
         };
         phase.finish(self.tel.as_deref_mut(), charged as f64 / self.udp.freq_hz, bytes);
-        if let Some(o) = retried {
-            self.tally.blocks_recovered += 1;
-            self.tally.retry_cycles += o.cycles;
-            return Ok((o.cycles, BlockOutcome::Retried));
-        }
-        // Retries exhausted: re-fetch the block's uncompressed range.
+        let err = match retried {
+            Ok(o) => {
+                self.tally.blocks_recovered += 1;
+                self.tally.retry_cycles += o.cycles;
+                return Ok((Some(o), BlockOutcome::Retried));
+            }
+            Err(e) => e,
+        };
+        // The retry failed too: re-fetch the block's uncompressed range.
         let phase = recorder::phase(self.track, "exec.fallback", self.tel.is_some());
         let raw = r.raw_block(job).inspect(|raw| dst.copy_from_slice(raw));
         phase.finish(self.tel.as_deref_mut(), 0.0, raw.map_or(0, |raw| raw.len() as u64));
         let Some(raw) = raw else {
             return Err(ExecError::Unrecoverable {
-                block: last_err.block().or(Some(r.locate(job).1)),
+                block: err.block().or(Some(r.locate(job).1)),
                 lane: None,
-                source: last_err,
+                source: err,
             });
         };
         recorder::record(
@@ -264,6 +239,6 @@ impl<'a> Ladder<'a> {
         );
         self.tally.blocks_fell_back += 1;
         self.tally.fallback_bytes += raw.len();
-        Ok((0, BlockOutcome::FellBack))
+        Ok((None, BlockOutcome::FellBack))
     }
 }

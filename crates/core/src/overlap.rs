@@ -18,7 +18,7 @@
 //! [`OverlapExecutor`] realizes both halves of that claim:
 //!
 //! * **modeled** — the per-tile decode cycles (from the lane simulator,
-//!   stalls and retries included) and modeled CPU multiply cycles
+//!   successful retries included) and modeled CPU multiply cycles
 //!   ([`perfmodel::multiply_cycles`]) are combined by the
 //!   pipelined-schedule formula above, whose only copy is
 //!   [`perfmodel::makespan`]; both the overlapped and the serial (sum)
@@ -50,8 +50,8 @@ use crate::recorder;
 use crate::telemetry::{StreamKind, Telemetry, TraceDocument, TILED_COUNTERS};
 use recode_mem::traffic::TrafficSource;
 use recode_sparse::solve::{self, SolveResult};
-use recode_udp::accel::{panic_payload_message, AccelReport, Accelerator, FaultHook};
-use recode_udp::Lane;
+use recode_udp::accel::{panic_payload_message, AccelReport, Accelerator, FaultHook, StageCycles};
+use recode_udp::{Lane, OpClassCycles};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -218,8 +218,8 @@ pub struct OverlapStats {
     pub stages: usize,
     /// CPU multiply workers used.
     pub workers: usize,
-    /// Lane cycles spent decoding (stalls and successful retries included;
-    /// cache hits cost zero).
+    /// Lane cycles spent decoding (successful retries included; cache hits
+    /// cost zero).
     pub decode_cycles: u64,
     /// Modeled CPU multiply cycles across all tiles, in UDP-clock cycles.
     pub multiply_cycles: u64,
@@ -263,11 +263,14 @@ struct TileResult {
 /// What the tile walker learns about a run besides the ladder's tally.
 #[derive(Default)]
 struct TileWalk {
-    /// Lane cycles each tile charged to the decode side: first attempts,
-    /// successful retries and injected stalls; cache hits cost zero.
+    /// Lane cycles each tile charged to the decode side: the decodes whose
+    /// bytes the tile used, first attempts or retries; cache hits cost zero.
     per_tile_decode: Vec<u64>,
     per_tile_nnz: Vec<usize>,
-    stall_cycles: u64,
+    /// Op-class and stage attribution of those decodes: each sums to the
+    /// decode side's cycles, as a batch's do to its busy cycles.
+    opclass: OpClassCycles,
+    stage_cycles: StageCycles,
     /// Compressed payload bytes fetched (blocks not served from the cache).
     fetched_bytes: usize,
     decoded_bytes: u64,
@@ -361,8 +364,8 @@ impl<'m> OverlapExecutor<'m> {
     /// counters, per-block events, and traffic by source.
     ///
     /// # Errors
-    /// [`ExecError::Unrecoverable`] for a block that fails decode, exhausts
-    /// retries, and has no fallback coverage;
+    /// [`ExecError::Unrecoverable`] for a block that fails decode, fails its
+    /// retry, and has no fallback coverage;
     /// [`ExecError::WorkerPanic`] for a contained pipeline panic;
     /// [`ExecError::Reassembly`] on stream misalignment.
     ///
@@ -513,19 +516,23 @@ impl<'m> OverlapExecutor<'m> {
             // rung of the ladder fill it in place, then it moves into the
             // `Arc` the tile (and the cache) hold.
             let mut bytes = vec![0u8; self.recoded.extent(job).len()];
-            let (stall, first) = {
+            let first = {
                 let mut lane = recode_udp::pool::global().checkout();
                 let run = |lane: &mut Lane| self.recoded.decode_job_into(lane, job, &mut bytes);
                 Accelerator::dispatch(&mut lane, hook, job, run)
             };
-            let cycles = ladder.settle(job, first, &mut bytes)?;
+            let decoded = ladder.settle(job, first, &mut bytes)?;
             walk.fetched_bytes += self.recoded.job_block(job).1.payload.len();
-            walk.stall_cycles += stall;
+            let cycles = decoded.map_or(0, |o| {
+                walk.opclass.merge(&o.opclass);
+                walk.stage_cycles.merge(&o.stage_cycles);
+                o.cycles
+            });
             let bytes = Arc::new(bytes);
             if cached {
                 self.cache.lock().expect("cache poisoned").insert(key, Arc::clone(&bytes));
             }
-            (bytes, cycles + stall)
+            (bytes, cycles)
         };
         walk.decoded_bytes += bytes.len() as u64;
         Ok((bytes, cost))
@@ -793,9 +800,10 @@ impl<'m> OverlapExecutor<'m> {
             lanes: sys.udp.lanes,
             makespan_cycles: makespan,
             busy_cycles: decode_cycles,
-            injected_stall_cycles: walk.stall_cycles,
             output_bytes: walk.decoded_bytes,
             freq_hz: sys.udp.freq_hz,
+            opclass: walk.opclass,
+            stage_cycles: walk.stage_cycles,
             ..AccelReport::default()
         };
         report.refresh_utilization();
@@ -964,7 +972,7 @@ mod tests {
         // Value block 1 is corrupt (falls back); job 0 traps transiently.
         r.compressed_mut().value_stream.blocks[1].payload[0] ^= 0x40;
         let sys = SystemConfig::ddr4();
-        let hook = FaultHook::new().trap(0).stall(2, 50_000);
+        let hook = FaultHook::new().trap(0);
         let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
         let want = recode_sparse::spmv::spmv(&a, &x);
         let ex = OverlapExecutor::new(
@@ -974,10 +982,13 @@ mod tests {
         let (y, stats) = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap();
         assert!(max_rel_err(&y, &want) < 1e-10, "recovered blocks must land in place");
         assert!(stats.degraded);
-        assert!(stats.blocks_retried > 0);
+        assert_eq!(stats.blocks_retried, 2, "one retry per failed block");
         assert_eq!(stats.blocks_fell_back, 1);
         assert!(stats.fallback_bytes > 0);
-        assert_eq!(stats.accel.injected_stall_cycles, 50_000);
+        // The walker attributes every decode cycle it charged, retry included.
+        let busy = stats.accel.busy_cycles;
+        assert_eq!(stats.overlap.decode_cycles, busy);
+        assert_eq!((stats.accel.opclass.total(), stats.accel.stage_cycles.total()), (busy, busy));
         // Second run: the cache holds recovered bytes, so nothing degrades.
         let (y2, s2) = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap();
         assert!(max_rel_err(&y2, &want) < 1e-10);
@@ -1198,12 +1209,12 @@ mod tests {
         let mut lane = recode_udp::Lane::new();
         let mut dst = vec![0u8; r.extent(1).len()];
         let run = |lane: &mut Lane| r.decode_job_into(lane, 1, &mut dst);
-        let (_, first) = Accelerator::dispatch::<recode_udp::UdpError, _>(&mut lane, &hook, 1, run);
+        let first = Accelerator::dispatch::<recode_udp::UdpError, _>(&mut lane, &hook, 1, run);
         let err = first.unwrap_err();
         assert!(err.to_string().contains("injected panic in job 1"), "{err}");
         let run = |lane: &mut Lane| r.decode_job_into(lane, 1, &mut dst);
         let none = FaultHook::default();
-        let (_, again) = Accelerator::dispatch::<recode_udp::UdpError, _>(&mut lane, &none, 1, run);
+        let again = Accelerator::dispatch::<recode_udp::UdpError, _>(&mut lane, &none, 1, run);
         assert!(again.is_ok(), "{again:?}");
     }
 }

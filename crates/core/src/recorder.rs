@@ -49,10 +49,11 @@ pub enum EventKind {
     SpanEnd,
     /// One block's first attempt, on its lane's track: `a` = cycles (0
     /// when it failed), `b` = 0 ok, 1 failed. A failed attempt is followed
-    /// by the ladder's `exec.retry` and, if the retries fail too,
+    /// by the ladder's `exec.retry` and, if the retry fails too,
     /// `exec.fallback` instants on the track that climbs it.
     BlockOutcome,
-    /// One retry-ladder rung ran: `a` = attempt number (1-based).
+    /// The ladder's retry of a failed block ran: `a` = attempt number
+    /// (always 1: a block gets one retry), `b` = job.
     Retry,
     /// A block was served from the raw-CSR fallback store: `a` = bytes.
     Fallback,

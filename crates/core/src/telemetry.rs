@@ -33,7 +33,6 @@ use crate::exec::ExecStats;
 use crate::overlap::OverlapStats;
 use recode_mem::traffic::{TrafficLedger, TrafficReport};
 use recode_mem::MemorySystem;
-use recode_udp::accel::LaneProfile;
 use recode_udp::pool::PoolStats;
 use std::collections::BTreeMap;
 
@@ -115,7 +114,7 @@ pub enum BlockOutcome {
     Ok,
     /// Failed at least once, recovered by a retry on a fresh lane.
     Retried,
-    /// Retries exhausted; served from the raw fallback store.
+    /// The retry failed too; served from the raw fallback store.
     FellBack,
 }
 
@@ -397,19 +396,34 @@ impl TraceDocument {
         // lane timeline.
         if !accel.lane_profiles.is_empty() {
             // Saturating: a document read from a file may hold any value.
-            let lane_total = |p: &LaneProfile| p.busy_cycles.saturating_add(p.stall_cycles);
-            let lane_busy = accel.lane_profiles.iter().map(lane_total).fold(0, u64::saturating_add);
-            if lane_busy != accel.busy_cycles {
+            let lane_busy = accel.lane_profiles.iter().map(|p| p.busy_cycles);
+            let busy = lane_busy.clone().fold(0, u64::saturating_add);
+            if busy != accel.busy_cycles {
                 errs.push(format!(
-                    "lane profiles sum to {lane_busy} busy cycles, report says {}",
+                    "lane profiles sum to {busy} busy cycles, report says {}",
                     accel.busy_cycles
                 ));
             }
-            let longest = accel.lane_profiles.iter().map(lane_total).max().unwrap_or(0);
+            let longest = lane_busy.max().unwrap_or(0);
             if accel.makespan_cycles != longest {
                 errs.push(format!(
                     "makespan {} is not the longest lane's {longest} cycles",
                     accel.makespan_cycles
+                ));
+            }
+        }
+        // On every schedule each busy cycle is a decode cycle attributed to
+        // one op class and one stage: both views sum to the busy cycles.
+        let (oc, st) = (&accel.opclass, &accel.stage_cycles);
+        for (what, parts) in [
+            ("op-class", &[oc.dispatch, oc.alu, oc.mem, oc.stream][..]),
+            ("stage", &[st.huffman, st.snappy, st.delta]),
+        ] {
+            let total = parts.iter().copied().fold(0, u64::saturating_add);
+            if total != accel.busy_cycles {
+                errs.push(format!(
+                    "{what} attribution sums to {total} cycles, report says {} busy",
+                    accel.busy_cycles
                 ));
             }
         }
@@ -790,9 +804,9 @@ mod tests {
         }
     }
 
-    /// A batch document's lane profiles tile its busy cycles exactly, and
-    /// its makespan is the longest lane: each check fires on a document that
-    /// breaks it alone.
+    /// A batch document's lane profiles, op classes and stages each sum to
+    /// its busy cycles, and its makespan is the longest lane: each check
+    /// fires on a document that breaks it alone.
     #[test]
     fn lane_profiles_bound_the_batch_makespan() {
         use crate::arch::SystemConfig;
@@ -813,8 +827,9 @@ mod tests {
         let (_, stats, doc) = r.spmv_traced(&sys, kernel, &x, ctx, "trapped").unwrap();
         assert!(doc.validate().is_empty(), "{:?}", doc.validate());
         assert_eq!(stats.blocks_recovered, 1);
-        let longest = stats.accel.lane_profiles.iter().map(|p| p.busy_cycles + p.stall_cycles);
-        let longest = longest.max().unwrap();
+        let profiles = &stats.accel.lane_profiles;
+        let longest = profiles.iter().map(|p| p.busy_cycles).max().unwrap();
+        let short = profiles.iter().position(|p| p.busy_cycles < longest).unwrap();
 
         let fires = |tamper: &dyn Fn(&mut TraceDocument), what: &str| {
             let mut bad = doc.clone();
@@ -823,7 +838,9 @@ mod tests {
             assert_eq!(errs.len(), 1, "{errs:?}");
             assert!(errs[0].contains(what), "{errs:?}");
         };
-        fires(&|d| d.exec.accel.busy_cycles += 1, "lane profiles sum to");
+        fires(&|d| d.exec.accel.lane_profiles[short].busy_cycles += 1, "lane profiles sum to");
+        fires(&|d| d.exec.accel.opclass.alu += 1, "op-class attribution");
+        fires(&|d| d.exec.accel.stage_cycles.delta += 1, "stage attribution");
         fires(&|d| d.exec.accel.makespan_cycles = longest - 1, "makespan");
         fires(&|d| d.exec.accel.makespan_cycles = longest + 1, "makespan");
     }

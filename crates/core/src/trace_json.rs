@@ -32,22 +32,13 @@ json_struct!(SourceTraffic { source, read_bytes, write_bytes });
 json_struct!(TrafficReport { memory, by_source, total_bytes, stream_seconds, transfer_joules });
 json_struct!(OpClassCycles { dispatch, alu, mem, stream });
 json_struct!(StageCycles { huffman, snappy, delta });
-json_struct!(LaneProfile {
-    lane,
-    jobs,
-    jobs_failed,
-    busy_cycles,
-    stall_cycles,
-    output_bytes,
-    opclass
-});
+json_struct!(LaneProfile { lane, jobs, jobs_failed, busy_cycles, output_bytes, opclass });
 json_struct!(AccelReport {
     jobs,
     jobs_failed,
     lanes,
     makespan_cycles,
     busy_cycles,
-    injected_stall_cycles,
     output_bytes,
     lane_utilization,
     freq_hz,

@@ -5,14 +5,14 @@
 //!
 //! A batch never aborts on the first lane trap: every job's outcome is
 //! collected so callers can retry or re-fetch just the failed blocks. A
-//! [`FaultHook`] lets tests inject transient lane traps and DMA stalls into
-//! the batch deterministically.
+//! [`FaultHook`] lets tests inject transient lane traps and panics into the
+//! batch deterministically.
 
 use crate::energy;
 use crate::error::UdpError;
 use crate::lane::{Lane, LaneError, OpClassCycles};
 use crate::machine::Image;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Per-decode-stage cycle attribution for one job (or aggregated over a
 /// batch). Stages that a pipeline config disables simply stay zero.
@@ -59,7 +59,7 @@ pub struct JobOutcome {
     pub output: Vec<u8>,
 }
 
-/// One lane's share of a batch — the per-lane busy/stall/trap breakdown
+/// One lane's share of a batch — the per-lane busy/trap breakdown
 /// surfaced in [`AccelReport::lane_profiles`].
 #[derive(Debug, Clone, Default)]
 pub struct LaneProfile {
@@ -73,8 +73,6 @@ pub struct LaneProfile {
     /// batch schedule, the successful retries of the blocks whose first
     /// attempt this lane ran ([`AccelReport::charge_lane`]).
     pub busy_cycles: u64,
-    /// Injected DMA-stall cycles charged to this lane.
-    pub stall_cycles: u64,
     /// Output bytes produced by this lane.
     pub output_bytes: u64,
     /// Opcode-class attribution of this lane's busy cycles.
@@ -92,13 +90,12 @@ pub struct JobEvent {
     pub lane: usize,
     /// Cycles the job consumed (0 for failed jobs).
     pub cycles: u64,
-    /// Injected stall cycles charged to the lane before this job.
-    pub stall_cycles: u64,
     /// Whether the job completed successfully.
     pub ok: bool,
 }
 
-/// Event sink: called once per job, from lane worker threads.
+/// Event sink: called once per job, lane by lane, on the thread that runs
+/// the batch.
 pub type JobEventSink<'a> = &'a (dyn Fn(&JobEvent) + Sync);
 
 /// The one definition of MIMD lane utilization: `busy / (makespan * lanes)`.
@@ -120,8 +117,8 @@ pub fn lane_utilization(busy_cycles: u64, makespan_cycles: u64, lanes: usize) ->
 /// completes so callers can recover per job.
 #[derive(Debug)]
 pub struct BatchOutcome<E> {
-    /// Aggregate cycle/throughput accounting (failed jobs contribute their
-    /// stall cycles but no output bytes).
+    /// Aggregate cycle/throughput accounting (failed jobs contribute no
+    /// cycles and no output bytes).
     pub report: AccelReport,
     /// Per-job outcome, indexed by job position in the submitted batch.
     pub results: Vec<Result<JobOutcome, E>>,
@@ -135,16 +132,13 @@ impl<E> BatchOutcome<E> {
 }
 
 /// Deterministic fault injection for a batch: jobs listed in `trap_jobs`
-/// trap (as [`LaneError::InjectedFault`]) instead of running, jobs in
-/// `stall_cycles` are charged extra lane cycles, modeling a DMA engine that
-/// delivered their block late, and jobs in `panic_jobs` *panic* inside the
-/// lane worker — exercising the dispatch layer's `catch_unwind` boundary.
+/// trap (as [`LaneError::InjectedFault`]) instead of running, and jobs in
+/// `panic_jobs` *panic* inside the lane worker — exercising the dispatch
+/// layer's `catch_unwind` boundary.
 #[derive(Debug, Clone, Default)]
 pub struct FaultHook {
     /// Jobs that trap instead of executing.
     pub trap_jobs: BTreeSet<usize>,
-    /// Extra cycles charged to a job's lane before it runs.
-    pub stall_cycles: BTreeMap<usize, u64>,
     /// Jobs whose lane worker panics instead of executing; contained by
     /// [`Accelerator::dispatch`] and surfaced as [`LaneError::Panicked`].
     pub panic_jobs: BTreeSet<usize>,
@@ -165,12 +159,6 @@ impl FaultHook {
         self
     }
 
-    /// Charges `cycles` of DMA stall to `job`.
-    pub fn stall(mut self, job: usize, cycles: u64) -> Self {
-        self.stall_cycles.insert(job, cycles);
-        self
-    }
-
     /// Marks `job` to panic inside its lane worker.
     pub fn panic_job(mut self, job: usize) -> Self {
         self.panic_jobs.insert(job);
@@ -185,10 +173,7 @@ impl FaultHook {
 
     /// True when the hook injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.trap_jobs.is_empty()
-            && self.stall_cycles.is_empty()
-            && self.panic_jobs.is_empty()
-            && self.panic_tiles.is_empty()
+        self.trap_jobs.is_empty() && self.panic_jobs.is_empty() && self.panic_tiles.is_empty()
     }
 }
 
@@ -228,20 +213,17 @@ pub struct AccelReport {
     pub jobs_failed: usize,
     /// Lanes configured.
     pub lanes: usize,
-    /// Longest per-lane timeline — busy and stall cycles — the wall-clock
-    /// cycles for the batch.
+    /// Longest per-lane busy timeline — the wall-clock cycles for the batch.
     pub makespan_cycles: u64,
     /// Sum of cycles across all lanes (busy cycles).
     pub busy_cycles: u64,
-    /// Injected DMA-stall cycles included in the totals above.
-    pub injected_stall_cycles: u64,
     /// Total bytes produced (successful jobs only).
     pub output_bytes: u64,
     /// `busy / (makespan * lanes)` — MIMD load balance.
     pub lane_utilization: f64,
     /// Clock frequency used for time/throughput conversions.
     pub freq_hz: f64,
-    /// Per-lane busy/stall/trap breakdown (one entry per configured lane).
+    /// Per-lane busy/trap breakdown (one entry per configured lane).
     pub lane_profiles: Vec<LaneProfile>,
     /// Batch-wide cycle attribution by opcode class (successful jobs).
     pub opclass: OpClassCycles,
@@ -279,30 +261,25 @@ impl AccelReport {
             lane_utilization(self.busy_cycles, self.makespan_cycles, self.lanes);
     }
 
-    /// The one rule by which a batch charges lane time: `work` (a job's
-    /// successful decode, if any) and `stall` injected cycles go into lane
-    /// `lane`'s profile and the batch totals, and the makespan stretches to
-    /// that lane's timeline, `busy + stall`. The fan-out charges each first
-    /// attempt; the recovery ladder charges each retry to the lane that ran
-    /// the block's first attempt. Utilization is recomputed. Returns how
-    /// many cycles the makespan grew: 0 when the charge fit in the lane's
-    /// slack.
-    pub fn charge_lane(&mut self, lane: usize, work: Option<&JobOutcome>, stall: u64) -> u64 {
+    /// The one rule by which a batch charges lane time: a successful decode
+    /// `work` goes into lane `lane`'s profile and the batch totals, and the
+    /// makespan stretches to that lane's busy timeline. A failed attempt
+    /// costs nothing, so it is never charged. The fan-out charges each
+    /// successful first attempt; the recovery ladder charges each successful
+    /// retry to the lane that ran the block's first attempt. Utilization is
+    /// recomputed. Returns how many cycles the makespan grew: 0 when the
+    /// charge fit in the lane's slack.
+    pub fn charge_lane(&mut self, lane: usize, work: &JobOutcome) -> u64 {
         let profile = &mut self.lane_profiles[lane];
-        profile.stall_cycles += stall;
-        self.injected_stall_cycles += stall;
-        self.busy_cycles += stall;
-        if let Some(o) = work {
-            profile.busy_cycles += o.cycles;
-            profile.output_bytes += o.output_bytes;
-            profile.opclass.merge(&o.opclass);
-            self.busy_cycles += o.cycles;
-            self.output_bytes += o.output_bytes;
-            self.opclass.merge(&o.opclass);
-            self.stage_cycles.merge(&o.stage_cycles);
-        }
+        profile.busy_cycles += work.cycles;
+        profile.output_bytes += work.output_bytes;
+        profile.opclass.merge(&work.opclass);
+        self.busy_cycles += work.cycles;
+        self.output_bytes += work.output_bytes;
+        self.opclass.merge(&work.opclass);
+        self.stage_cycles.merge(&work.stage_cycles);
         let before = self.makespan_cycles;
-        self.makespan_cycles = before.max(profile.busy_cycles + profile.stall_cycles);
+        self.makespan_cycles = before.max(profile.busy_cycles);
         self.refresh_utilization();
         self.makespan_cycles - before
     }
@@ -318,7 +295,6 @@ impl Default for AccelReport {
             lanes: energy::LANES,
             makespan_cycles: 0,
             busy_cycles: 0,
-            injected_stall_cycles: 0,
             output_bytes: 0,
             lane_utilization: 1.0,
             freq_hz: energy::FREQ_HZ,
@@ -356,8 +332,7 @@ impl Accelerator {
     /// [`Accelerator::run_jobs_observed`], for jobs that own their output.
     ///
     /// Deterministic fault injection rides along: jobs in `hook.trap_jobs`
-    /// trap as [`LaneError::InjectedFault`] without executing, and
-    /// `hook.stall_cycles` charges extra lane cycles
+    /// trap as [`LaneError::InjectedFault`] without executing
     /// ([`FaultHook::default`] injects nothing).
     pub fn run_jobs_with_faults<J, E, F>(
         &self,
@@ -374,45 +349,42 @@ impl Accelerator {
         self.run_jobs_observed(&mut jobs, |lane, job| run(lane, job), hook, None)
     }
 
-    /// The one reading of a [`FaultHook`] for one job: looks up the DMA stall
-    /// charged to global job `g`, and either traps it without running
-    /// ([`LaneError::InjectedFault`]) or runs `run` on `lane` inside a
+    /// The one reading of a [`FaultHook`] for one job: either traps global
+    /// job `g` without running it ([`LaneError::InjectedFault`]) or runs
+    /// `run` on `lane` inside a
     /// `catch_unwind` boundary, so a panicking job (injected through
     /// `hook.panic_jobs` or organic) becomes a typed [`LaneError::Panicked`]
     /// instead of unwinding through the caller. Every schedule that
     /// dispatches blocks — the batch fan-out below and the tiled executors in
     /// `recode-core` — goes through here, so the same hook means the same
-    /// faults everywhere. Returns the stall and the result.
+    /// faults everywhere.
     pub fn dispatch<E, R>(
         lane: &mut Lane,
         hook: &FaultHook,
         g: usize,
         run: R,
-    ) -> (u64, Result<JobOutcome, E>)
+    ) -> Result<JobOutcome, E>
     where
         E: From<LaneError>,
         R: FnOnce(&mut Lane) -> Result<JobOutcome, E>,
     {
-        let stall = hook.stall_cycles.get(&g).copied().unwrap_or(0);
         if hook.trap_jobs.contains(&g) {
-            return (stall, Err(E::from(LaneError::InjectedFault)));
+            return Err(E::from(LaneError::InjectedFault));
         }
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             assert!(!hook.panic_jobs.contains(&g), "injected panic in job {g}");
             run(lane)
         }));
-        let result = caught.unwrap_or_else(|payload| {
+        caught.unwrap_or_else(|payload| {
             Err(E::from(LaneError::Panicked { message: panic_payload_message(payload.as_ref()) }))
-        });
-        (stall, result)
+        })
     }
 
     /// The fan-out itself. Each job is handed to `run` *mutably*, so a job
     /// can carry the `&mut [u8]` its bytes belong in (`(index, destination)`
     /// is what the batch executor submits) and nothing has to be collected
     /// and moved afterwards. `sink`, when given, is invoked once per job
-    /// (from lane worker threads, so it must be `Sync`) with the job's lane,
-    /// cycles, injected stalls, and success flag; the fault-injection suite
+    /// with the job's lane, cycles and success flag; the fault-injection suite
     /// uses this to assert on the events the batch actually emitted.
     pub fn run_jobs_observed<J, E, F>(
         &self,
@@ -445,21 +417,20 @@ impl Accelerator {
         for lane_idx in 0..self.lanes {
             let mut lane = crate::pool::global().checkout();
             for (k, job) in jobs.iter_mut().enumerate().skip(lane_idx).step_by(self.lanes) {
-                let (stall, result) = Self::dispatch(&mut lane, hook, k, |lane| run(lane, job));
+                let result = Self::dispatch(&mut lane, hook, k, |lane| run(lane, job));
                 let profile = &mut report.lane_profiles[lane_idx];
                 profile.jobs += 1;
-                if result.is_err() {
+                if let Ok(o) = &result {
+                    report.charge_lane(lane_idx, o);
+                } else {
                     profile.jobs_failed += 1;
                     report.jobs_failed += 1;
                 }
-                // A failed job costs no modeled cycles, only its stall.
-                report.charge_lane(lane_idx, result.as_ref().ok(), stall);
                 if let Some(sink) = sink {
                     sink(&JobEvent {
                         job: k,
                         lane: lane_idx,
                         cycles: result.as_ref().map_or(0, |o| o.cycles),
-                        stall_cycles: stall,
                         ok: result.is_ok(),
                     });
                 }
@@ -552,18 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_stall_charges_cycles() {
-        let acc = Accelerator { lanes: 2, freq_hz: 1e9 };
-        let jobs: Vec<Fake> = (0..4).map(|_| Fake { cycles: 100, bytes: 1 }).collect();
-        let hook = FaultHook::new().stall(0, 500);
-        let out = acc.run_jobs_with_faults::<_, LaneError, _>(&jobs, run_fake, &hook);
-        // Lane 0 runs jobs 0 and 2 (200 cycles) plus the 500-cycle stall.
-        assert_eq!(out.report.makespan_cycles, 700);
-        assert_eq!(out.report.injected_stall_cycles, 500);
-        assert_eq!(out.report.jobs_failed, 0);
-    }
-
-    #[test]
     fn empty_batch_is_trivial() {
         let acc = Accelerator::default();
         let out =
@@ -584,26 +543,27 @@ mod tests {
     fn lane_profiles_cover_every_lane_and_sum_to_batch_totals() {
         let acc = Accelerator { lanes: 4, freq_hz: 1e9 };
         let jobs: Vec<Fake> = (0..10).map(|i| Fake { cycles: 10 * (i + 1), bytes: 3 }).collect();
-        let hook = FaultHook::new().trap(1).stall(2, 77);
+        let hook = FaultHook::new().trap(1);
         let out = acc.run_jobs_with_faults::<_, LaneError, _>(&jobs, run_fake, &hook);
         let r = &out.report;
         assert_eq!(r.lane_profiles.len(), 4);
         for (i, p) in r.lane_profiles.iter().enumerate() {
             assert_eq!(p.lane, i);
         }
-        let busy: u64 = r.lane_profiles.iter().map(|p| p.busy_cycles + p.stall_cycles).sum();
+        let busy: u64 = r.lane_profiles.iter().map(|p| p.busy_cycles).sum();
         assert_eq!(busy, r.busy_cycles);
-        let stalls: u64 = r.lane_profiles.iter().map(|p| p.stall_cycles).sum();
-        assert_eq!(stalls, r.injected_stall_cycles);
+        let longest = r.lane_profiles.iter().map(|p| p.busy_cycles).max();
+        assert_eq!(longest, Some(r.makespan_cycles));
         let bytes: u64 = r.lane_profiles.iter().map(|p| p.output_bytes).sum();
         assert_eq!(bytes, r.output_bytes);
         let failed: usize = r.lane_profiles.iter().map(|p| p.jobs_failed).sum();
         assert_eq!(failed, r.jobs_failed);
         let assigned: usize = r.lane_profiles.iter().map(|p| p.jobs).sum();
         assert_eq!(assigned, r.jobs);
-        // Job 1 runs on lane 1, so that's where the trap must show up.
+        // Job 1 runs on lane 1, so that's where the trap must show up, and
+        // it costs that lane nothing: only jobs 5 and 9 are charged there.
         assert_eq!(r.lane_profiles[1].jobs_failed, 1);
-        assert_eq!(r.lane_profiles[2].stall_cycles, 77);
+        assert_eq!(r.lane_profiles[1].busy_cycles, 60 + 100);
     }
 
     #[test]
@@ -611,7 +571,7 @@ mod tests {
         use std::sync::Mutex;
         let acc = Accelerator { lanes: 3, freq_hz: 1e9 };
         let mut jobs: Vec<Fake> = (0..7).map(|_| Fake { cycles: 5, bytes: 1 }).collect();
-        let hook = FaultHook::new().trap(4).stall(5, 9);
+        let hook = FaultHook::new().trap(4);
         let events: Mutex<Vec<JobEvent>> = Mutex::new(Vec::new());
         let sink = |e: &JobEvent| events.lock().unwrap().push(*e);
         let run = |l: &mut Lane, j: &mut Fake| run_fake(l, j);
@@ -624,7 +584,6 @@ mod tests {
             assert_eq!(e.lane, k % 3);
             assert_eq!(e.ok, k != 4);
             assert_eq!(e.cycles, if k == 4 { 0 } else { 5 });
-            assert_eq!(e.stall_cycles, if k == 5 { 9 } else { 0 });
         }
         assert_eq!(out.report.jobs_failed, 1);
     }
@@ -663,30 +622,28 @@ mod tests {
     fn dispatch_contains_a_panicking_job() {
         let acc = Accelerator { lanes: 2, freq_hz: 1e9 };
         let jobs: Vec<Fake> = (0..4).map(|_| Fake { cycles: 10, bytes: 4 }).collect();
-        let hook = FaultHook::new().panic_job(1).stall(1, 7);
+        let hook = FaultHook::new().panic_job(1);
         let out = acc.run_jobs_with_faults::<_, LaneError, _>(&jobs, run_fake, &hook);
         assert_eq!(out.failed_jobs(), vec![1]);
         match &out.results[1] {
             Err(LaneError::Panicked { message }) => assert!(message.contains("job 1"), "{message}"),
             other => panic!("expected a contained panic, got {other:?}"),
         }
-        // The stall is charged even though the job died; its lane moved on.
-        assert_eq!(out.report.injected_stall_cycles, 7);
+        // The dead job costs nothing; its lane moved on.
+        assert_eq!(out.report.lane_profiles[1].busy_cycles, 10);
         assert!(out.results[3].is_ok(), "lane 1 ran its next job after the panic");
 
         // One job, called directly, on one lane: a clean run, a contained
-        // panic charged its stall, an injected trap, then a clean run again.
+        // panic, an injected trap, then a clean run again.
         let mut lane = Lane::new();
         let run = |l: &mut Lane| run_fake(l, &jobs[0]);
-        let (stall, r) = Accelerator::dispatch::<LaneError, _>(&mut lane, &hook, 0, run);
-        assert!(r.is_ok() && stall == 0);
-        let (stall, r) = Accelerator::dispatch::<LaneError, _>(&mut lane, &hook, 1, run);
-        assert!(matches!(r, Err(LaneError::Panicked { .. })) && stall == 7);
+        let mut dispatch =
+            |hook: &FaultHook, g| Accelerator::dispatch::<LaneError, _>(&mut lane, hook, g, run);
+        assert!(dispatch(&hook, 0).is_ok());
+        assert!(matches!(dispatch(&hook, 1), Err(LaneError::Panicked { .. })));
         let trap = FaultHook::new().trap(5);
-        let (_, r) = Accelerator::dispatch::<LaneError, _>(&mut lane, &trap, 5, run);
-        assert!(matches!(r, Err(LaneError::InjectedFault)));
-        let (_, r) = Accelerator::dispatch::<LaneError, _>(&mut lane, &trap, 0, run);
-        assert!(r.is_ok(), "the lane runs the next job after a panic and a trap");
+        assert!(matches!(dispatch(&trap, 5), Err(LaneError::InjectedFault)));
+        assert!(dispatch(&trap, 0).is_ok(), "the lane runs the next job after a panic and a trap");
     }
 
     #[test]
@@ -711,13 +668,13 @@ mod tests {
             .run_jobs_with_faults::<_, LaneError, _>(&jobs, run_fake, &FaultHook::default())
             .report;
         let retry = JobOutcome { cycles: 50, output_bytes: 2, ..Default::default() };
-        // Lane 1 has 60 cycles of slack: 50 busy and a 10-cycle stall fit.
-        assert_eq!(r.charge_lane(1, Some(&retry), 10), 0);
-        assert_eq!((r.makespan_cycles, r.busy_cycles, r.output_bytes), (100, 200, 4));
+        // Lane 1 has 60 cycles of slack: a 50-cycle retry fits.
+        assert_eq!(r.charge_lane(1, &retry), 0);
+        assert_eq!((r.makespan_cycles, r.busy_cycles, r.output_bytes), (100, 190, 4));
         assert_eq!(r.lane_profiles[1].busy_cycles, 90);
-        // A 20-cycle stall on lane 1 does not: 90 + 10 + 20 > 100.
-        assert_eq!(r.charge_lane(1, None, 20), 20);
-        assert_eq!((r.makespan_cycles, r.busy_cycles), (120, 220));
-        assert!((r.lane_utilization - lane_utilization(220, 120, 2)).abs() < 1e-12);
+        // A second one does not: 90 + 50 > 100.
+        assert_eq!(r.charge_lane(1, &retry), 40);
+        assert_eq!((r.makespan_cycles, r.busy_cycles), (140, 240));
+        assert!((r.lane_utilization - lane_utilization(240, 140, 2)).abs() < 1e-12);
     }
 }

@@ -299,7 +299,6 @@ fn cmd_spmv(mut args: Args) -> Outcome {
     let sys = SystemConfig::ddr4();
     let x = vec![1.0; a.ncols()];
     let y_ref = spmv(&a, &x);
-    let hook = inject_trap.map(|j| FaultHook::new().trap(j));
     arm_recorder(chrome_trace.as_deref());
     // Whether the run is traced is one value: the registry in its context.
     let mut tel = trace.is_some().then(Telemetry::new);
@@ -309,6 +308,11 @@ fn cmd_spmv(mut args: Args) -> Outcome {
         return Err("software decode diverged from the original matrix".into());
     }
     apply_injection(&mut recoded, inject_corrupt)?;
+    let jobs = recoded.total_jobs();
+    if let Some(j) = inject_trap.filter(|&j| j >= jobs) {
+        return Err(format!("--inject-trap {j}: the matrix has {jobs} decode jobs").into());
+    }
+    let hook = inject_trap.map(|j| FaultHook::new().trap(j));
     let overlap_config = OverlapConfig { overlap: true, cache_blocks, workers: 0 };
     // `from_tuned` re-checks the operand really carries the tuned stream.
     let ex = match (overlap, &tuned) {

@@ -2,7 +2,7 @@
 //! decompress, verify, and run the simulated SpMV — the full workflow a
 //! downstream user drives from the shell.
 
-use recode_spmv::core::json::FromJson;
+use recode_spmv::core::json::{FromJson, ToJson};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -121,8 +121,8 @@ fn spmv_trace_report_and_check_workflow() {
     assert!(out.status.success(), "trace-check --bounds: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("certified bounds OK"));
 
-    // A trace whose stage cycles escape the certified envelope exits
-    // nonzero under --bounds (plain trace-check does not re-verify them).
+    // Inflated stage cycles no longer sum to the busy cycles: plain
+    // validation refuses them before any bound is checked.
     let inflated = dir.join("inflated.json");
     let json = std::fs::read_to_string(&trace).unwrap();
     let snappy_cycles = doc.exec.accel.stage_cycles.snappy;
@@ -134,16 +134,21 @@ fn spmv_trace_report_and_check_workflow() {
         ),
     )
     .unwrap();
-    let out = bin()
-        .args(["trace-check", inflated.to_str().unwrap(), "--bounds"])
-        .output()
-        .expect("run trace-check --bounds inflated");
-    assert!(!out.status.success(), "inflated stage cycles must fail --bounds");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("certified"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = bin().args(["trace-check", inflated.to_str().unwrap()]).output().expect("run");
+    assert_eq!(out.status.code(), Some(1), "inflated stage cycles must fail validation");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("stage attribution"), "{err}");
+
+    // A block event under the certified floor is structurally valid: only
+    // --bounds refuses it.
+    let starved = dir.join("starved.json");
+    let mut bad = doc.clone();
+    bad.block_events[0].cycles = 1;
+    assert!(bad.validate().is_empty(), "{:?}", bad.validate());
+    std::fs::write(&starved, bad.to_json().to_string_pretty()).unwrap();
+    let out = bin().args(["trace-check", starved.to_str().unwrap(), "--bounds"]).output();
+    let err = String::from_utf8_lossy(&out.expect("run").stderr).into_owned();
+    assert!(err.contains("under the certified floor"), "{err}");
 
     // ...and rejects a tampered schema with a nonzero exit.
     let tampered = dir.join("tampered.json");
@@ -215,7 +220,7 @@ fn spmv_exit_codes_distinguish_degraded_and_fallback_runs() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("degraded"), "stderr notes the cause");
     assert_eq!(makespan(&out.stdout), clean, "a retry is charged to its own lane");
 
-    // A corrupt block exhausts retries and is served from the raw-CSR
+    // A corrupt block fails its retry too and is served from the raw-CSR
     // store: still bit-exact, exit 4.
     let out = bin()
         .args(["spmv", mtx.to_str().unwrap(), "--inject-corrupt", "0"])
@@ -231,13 +236,23 @@ fn spmv_exit_codes_distinguish_degraded_and_fallback_runs() {
         .expect("run spmv --overlap --inject-trap");
     assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
 
+    // An injection index past the end is refused, naming what exists.
+    for (flag, what) in [("--inject-trap", "decode jobs"), ("--inject-corrupt", "blocks")] {
+        let out = bin().args(["spmv", mtx.to_str().unwrap(), flag, "99999"]).output().expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {err}");
+        assert!(err.starts_with(&format!("error: {flag} 99999: the ")), "{err}");
+        assert!(err.contains(what), "{err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Whether a run is traced is a value in its context, not a second code
 /// path: with and without `--trace`, on either schedule and under either
 /// injected fault, `recode spmv` prints the same verification and statistics
-/// lines (all modeled, so deterministic) and exits with the same code.
+/// lines (all modeled, so deterministic) and exits with the same code. Every
+/// trace it writes passes `trace-check --bounds`: a tiled run attributes its
+/// decode cycles to stages as a batch does.
 #[test]
 fn spmv_prints_and_exits_the_same_traced_or_not() {
     let dir = std::env::temp_dir().join(format!("recode-cli-traced-{}", std::process::id()));
@@ -272,6 +287,9 @@ fn spmv_prints_and_exits_the_same_traced_or_not() {
                 (lines, err)
             };
             assert_eq!(run(false), run(true), "{schedule:?} {fault:?}");
+            let out = bin().arg("trace-check").arg(&trace).arg("--bounds").output().expect("run");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{schedule:?} {fault:?}: {err}");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -167,7 +167,6 @@ pub fn to_golden_json(doc: &TraceDocument) -> String {
     let _ = writeln!(o, "      \"lanes\": {},", a.lanes);
     let _ = writeln!(o, "      \"makespan_cycles\": {},", a.makespan_cycles);
     let _ = writeln!(o, "      \"busy_cycles\": {},", a.busy_cycles);
-    let _ = writeln!(o, "      \"injected_stall_cycles\": {},", a.injected_stall_cycles);
     let _ = writeln!(o, "      \"output_bytes\": {},", a.output_bytes);
     let _ = writeln!(o, "      \"lane_utilization\": {},", fmt_f64(a.lane_utilization));
     let _ = writeln!(o, "      \"freq_hz\": {},", fmt_f64(a.freq_hz));
