@@ -8,8 +8,8 @@
 //! aggregate:
 //!
 //! * **no hangs** — every trial finishes inside its hard watchdog timeout;
-//! * **no escaped panics** — injected panics are contained at thread
-//!   boundaries and surface as typed errors;
+//! * **no escaped panics** — injected panics are contained at the lane
+//!   dispatch boundary and recovered like any failed block;
 //! * **typed terminal state** — every trial ends Completed / Degraded /
 //!   Rejected, never anything else;
 //! * **block accounting** — whenever a run produces [`ExecStats`],
@@ -19,10 +19,10 @@
 //! * **bit-exactness** — a trial that reports Completed or Degraded
 //!   produced exactly the reference result.
 //!
-//! Faults are injected at three points: **lane dispatch** (trap / panic
-//! hooks in the accelerator batch loop), the **compressed stream**
-//! (every [`FaultKind`] the transport injector knows), and **overlap stage
-//! boundaries** (a multiply worker panics mid-pipeline).
+//! Faults are injected at two points — **lane dispatch** (trap / panic
+//! hooks on each block's first attempt) and the **compressed stream**
+//! (every [`FaultKind`] the transport injector knows) — plus the clean
+//! baseline, `none`.
 //!
 //! All randomness is [`SplitMix64`]: a campaign is fully determined by
 //! `(seed, trials)`, and a failing trial reproduces from its logged seed.
@@ -73,7 +73,8 @@ pub enum TrialOutcome {
     Completed,
     /// Off the happy path (retry / raw-store fallback), bit-exact.
     Degraded,
-    /// A typed failure (unrecoverable stream, contained panic).
+    /// A typed failure (a block that neither its retry nor the raw store
+    /// recovers, or a stream that does not reassemble).
     Rejected,
     /// VIOLATION: the trial missed its watchdog deadline.
     Hung,
@@ -122,8 +123,6 @@ enum Injection {
     LanePanic,
     /// A [`FaultKind`] applied to one compressed stream.
     StreamCorrupt(FaultKind, bool /* value stream */),
-    /// An injected panic in an overlap multiply worker (overlap arm only).
-    StageBoundary,
 }
 
 impl Injection {
@@ -132,7 +131,6 @@ impl Injection {
             Injection::None => "none",
             Injection::LaneTrap | Injection::LanePanic => "lane-dispatch",
             Injection::StreamCorrupt(..) => "stream-corrupt",
-            Injection::StageBoundary => "stage-boundary",
         }
     }
 
@@ -142,7 +140,6 @@ impl Injection {
             Injection::LaneTrap => "lane-trap".into(),
             Injection::LanePanic => "lane-panic".into(),
             Injection::StreamCorrupt(kind, _) => kind.to_string(),
-            Injection::StageBoundary => "worker-panic".into(),
         }
     }
 }
@@ -231,10 +228,10 @@ impl CampaignSummary {
             && self.bitexact_failures == 0
     }
 
-    /// Trials whose plan routed a deliberate panic through an executor (a
-    /// lane-dispatch panic or a multiply-worker panic).
+    /// Trials whose plan routed a deliberate lane-dispatch panic through an
+    /// executor.
     pub fn panics_injected(&self) -> usize {
-        ["lane-panic", "worker-panic"].iter().filter_map(|k| self.by_fault.get(*k)).sum()
+        self.by_fault.get("lane-panic").copied().unwrap_or(0)
     }
 
     /// Count for one outcome label (0 when absent).
@@ -365,13 +362,11 @@ fn plan_trial(seed: u64) -> TrialPlan {
     let injection = match rng.below(8) {
         0 => Injection::None,
         1 => Injection::LaneTrap,
-        2 => Injection::LanePanic,
-        3..=6 => {
+        2 | 7 => Injection::LanePanic,
+        _ => {
             let kind = FaultKind::ALL[rng.below(FaultKind::ALL.len())];
             Injection::StreamCorrupt(kind, rng.below(2) == 1)
         }
-        _ if arm == Arm::Overlap => Injection::StageBoundary,
-        _ => Injection::LanePanic,
     };
     TrialPlan { seed, arm, injection }
 }
@@ -443,7 +438,6 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
             };
             let _ = injector.inject(stream, kind);
         }
-        Injection::StageBoundary => hook = hook.panic_tile(0),
     }
     let hook = if hook.is_empty() { None } else { Some(&hook) };
     let run_ctx = RunCtx { hook, tel: None };
@@ -451,10 +445,7 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
     let mut result = match plan.arm {
         Arm::BatchJob => classify(r.decompress_with(&ctx.sys, run_ctx), &ctx.a),
         Arm::Overlap => {
-            let ex = OverlapExecutor::new(
-                &r,
-                OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 },
-            );
+            let ex = OverlapExecutor::new(&r, OverlapConfig::default());
             classify(ex.spmv_with(&ctx.sys, &ctx.x, run_ctx), &ctx.y_ref)
         }
         Arm::Traced => {
@@ -468,8 +459,8 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
     // the panic fired at all: every arm reads the hook, so such a trial is
     // degraded or ends in a typed error, and one that completed on the happy
     // path never injected anything.
-    result.panic_contained = result.outcome != TrialOutcome::Completed
-        && matches!(plan.injection, Injection::LanePanic | Injection::StageBoundary);
+    result.panic_contained =
+        result.outcome != TrialOutcome::Completed && plan.injection == Injection::LanePanic;
     result
 }
 
@@ -512,9 +503,6 @@ pub fn run_campaign(config: &ChaosConfig) -> CampaignSummary {
         // itself cannot hang.
         std::thread::spawn(move || {
             let r = catch_unwind(AssertUnwindSafe(|| run_trial(&thread_ctx, &thread_plan)));
-            // The campaign observes completion through the channel, never
-            // by joining, so ring any recorder events before signalling.
-            crate::recorder::flush_thread();
             let _ = tx.send(r);
         });
         let result = match rx.recv_timeout(TRIAL_TIMEOUT) {
@@ -557,7 +545,7 @@ mod tests {
         let summary = run_campaign(&config);
         assert!(summary.healthy(), "{}", summary.render());
         assert_eq!(summary.by_outcome.values().sum::<usize>(), 60);
-        for point in ["lane-dispatch", "stream-corrupt", "stage-boundary", "none"] {
+        for point in ["lane-dispatch", "stream-corrupt", "none"] {
             assert!(
                 summary.by_injection.contains_key(point),
                 "60 trials never hit {point}:\n{}",

@@ -5,7 +5,7 @@
 //! (`ph: "B"`/`"E"`) for recorder spans, instant events (`ph: "i"`) for
 //! point occurrences (block outcomes, retries, fallbacks, pool and cache
 //! traffic, chaos injections), and one metadata `thread_name`
-//! record per [`Track`] so every lane, worker, and pipeline stage gets its
+//! record per [`Track`] so every lane and pipeline stage gets its
 //! own named row on the timeline.
 //!
 //! The exporter is defensive about balance: a ring-buffer recorder can
@@ -86,7 +86,7 @@ fn balanced_span_mask(sorted: &[Event]) -> Vec<bool> {
 fn track_label(track: Track) -> String {
     match track.class() {
         "main" => "main".to_string(),
-        "stage" if track.id() == 0 => "stage 0 (decode)".to_string(),
+        "stage" if track.id() == 0 => "stage 0 (tile walk)".to_string(),
         class => format!("{class} {}", track.id()),
     }
 }
@@ -166,7 +166,7 @@ mod tests {
                 b: 0,
             },
             ev(3, 2, EventKind::SpanEnd, Track::MAIN, "job"),
-            ev(4, 3, EventKind::CacheHit, Track::worker(1), "cache.hit"),
+            ev(4, 3, EventKind::CacheHit, Track::stage(0), "cache.hit"),
         ];
         let doc = export_chrome_trace(&events);
         let arr = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents array");
@@ -175,7 +175,7 @@ mod tests {
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
             .filter_map(|e| e.get("args").and_then(|a| a.get("name")).and_then(Json::as_str))
             .collect();
-        assert_eq!(names, ["main", "lane 0", "worker 1"]);
+        assert_eq!(names, ["main", "lane 0", "stage 0 (tile walk)"]);
         let block = arr
             .iter()
             .find(|e| e.get("name").and_then(Json::as_str) == Some("block"))

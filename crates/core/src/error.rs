@@ -36,13 +36,6 @@ pub enum ExecError {
     /// Decoded streams do not reassemble into a valid matrix (wrong length,
     /// misaligned words, invalid CSR structure).
     Reassembly(String),
-    /// A worker thread in the overlap executor panicked; the panic was
-    /// contained at the scope boundary and converted into this error
-    /// instead of hanging the bounded tile channel.
-    WorkerPanic {
-        /// Which worker and what it reported.
-        context: String,
-    },
 }
 
 impl ExecError {
@@ -51,7 +44,7 @@ impl ExecError {
         match self {
             ExecError::Codec(e) => Some(e),
             ExecError::Udp(e) | ExecError::Unrecoverable { source: e, .. } => e.codec_error(),
-            ExecError::Reassembly(_) | ExecError::WorkerPanic { .. } => None,
+            ExecError::Reassembly(_) => None,
         }
     }
 
@@ -81,9 +74,6 @@ impl fmt::Display for ExecError {
                 write!(f, ": its retry failed and no raw fallback store covers it: {source}")
             }
             ExecError::Reassembly(msg) => write!(f, "reassembly error: {msg}"),
-            ExecError::WorkerPanic { context } => {
-                write!(f, "overlap worker panicked: {context}")
-            }
         }
     }
 }
@@ -93,7 +83,7 @@ impl std::error::Error for ExecError {
         match self {
             ExecError::Codec(e) => Some(e),
             ExecError::Udp(e) | ExecError::Unrecoverable { source: e, .. } => Some(e),
-            ExecError::Reassembly(_) | ExecError::WorkerPanic { .. } => None,
+            ExecError::Reassembly(_) => None,
         }
     }
 }

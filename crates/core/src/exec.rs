@@ -573,8 +573,8 @@ impl RecodedSpmv {
         self.spmv_streaming_with(&SystemConfig::ddr4(), x, RunCtx::default())
     }
 
-    /// The streaming executor: the tile walker of [`crate::overlap`] run
-    /// inline — no threads, no cache. The matrix is *never* materialized:
+    /// The streaming executor: the tile walker of [`crate::overlap`] with
+    /// no cache. The matrix is *never* materialized:
     /// index and value blocks are decoded one tile at a time and multiplied
     /// immediately into `y`, so resident memory stays `O(block)` instead of
     /// `O(nnz)` and the result is bit-exact with the serial kernel. Decode
@@ -592,8 +592,8 @@ impl RecodedSpmv {
         x: &[f64],
         ctx: RunCtx<'_>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        let config = OverlapConfig { overlap: false, cache_blocks: 0, workers: 0 };
-        OverlapExecutor::new(self, config).run(sys, x, ctx, false).map(|(y, stats, _)| (y, stats))
+        let config = OverlapConfig { overlap: false, ..OverlapConfig::default() };
+        OverlapExecutor::new(self, config).run(sys, x, ctx).map(|(y, stats, _)| (y, stats))
     }
 }
 
@@ -710,14 +710,14 @@ mod tests {
         assert_eq!(y, recode_sparse::spmv::spmv(&a, &x), "tiled result must match");
         assert_eq!(stats.accel.jobs, r.total_jobs(), "every block is decoded exactly once");
         assert!(stats.accel.busy_cycles > 0);
-        // Inline walk: no workers, decode and multiply cycles add.
-        assert!(!stats.overlap.enabled && stats.overlap.workers == 0);
+        // Serial schedule: decode and multiply cycles add.
+        assert!(!stats.overlap.enabled);
         assert_eq!(stats.accel.makespan_cycles, stats.overlap.serial_makespan_cycles);
         // Working set stays a few blocks, far below the 12 B/nnz matrix.
         let sys = SystemConfig::ddr4();
-        let streaming = OverlapConfig { overlap: false, cache_blocks: 0, workers: 0 };
+        let streaming = OverlapConfig { overlap: false, ..OverlapConfig::default() };
         let (y2, _, peak_resident_bytes) =
-            OverlapExecutor::new(&r, streaming).run(&sys, &x, RunCtx::default(), false).unwrap();
+            OverlapExecutor::new(&r, streaming).run(&sys, &x, RunCtx::default()).unwrap();
         assert_eq!(y2, y);
         assert!(peak_resident_bytes > 0);
         assert!(peak_resident_bytes < 64 * 1024, "{peak_resident_bytes}");

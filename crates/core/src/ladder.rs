@@ -5,7 +5,7 @@
 //! the telemetry every schedule reports the same way (`report_run`).
 //!
 //! A schedule — the 64-lane batch fan-out of [`crate::exec`], or the tile
-//! walker of [`crate::overlap`], threaded or inline — makes each block's
+//! walker of [`crate::overlap`] — makes each block's
 //! *first* attempt under the fault hook
 //! ([`recode_udp::accel::Accelerator::dispatch`]) and hands the result to
 //! `Ladder::settle`. A failed attempt is retried once, hook-free, on a

@@ -8,11 +8,12 @@
 //!   decoded by real UDP programs on the lane simulator, reassembled, and
 //!   multiplied — the Fig. 6/7 flow, verified bit-exact against the
 //!   uncompressed kernel;
-//! * [`overlap`] — the tile walker, pipelined (UDP lanes decode tile *i+1*
-//!   while CPU workers multiply tile *i*; the modeled makespan overlaps
-//!   decode with multiply) or inline (the streaming executor), with a
-//!   seeded-capacity decoded-block LRU cache so iterative solvers pay decode
-//!   cost once;
+//! * [`overlap`] — the tile walker, which multiplies each tile into `y` as
+//!   soon as it is decoded, bit-exact with the serial kernel; its modeled
+//!   makespan is pipelined (the UDP lanes decode tile *i+1* while the CPU
+//!   multiplies tile *i*) or serial (the streaming executor), and a
+//!   seeded-capacity decoded-block LRU cache lets iterative solvers pay
+//!   decode cost once;
 //! * [`ladder`] — what every schedule shares: the [`RunCtx`] that makes a
 //!   run plain, faulty or traced, the block-recovery ladder, and the
 //!   accounting the `ExecStats` are built from;

@@ -1,13 +1,14 @@
-//! **The tile walker: overlapped decode/multiply execution with
-//! decoded-block caching** — the paper's Fig. 7 loop, on two schedules.
+//! **The tile walker: decode/multiply execution with decoded-block
+//! caching** — the paper's Fig. 7 loop.
 //!
 //! The loop fetches a tile, decodes its index block and the value blocks it
-//! needs, and multiplies. Run inline ([`RecodedSpmv::spmv_streaming_with`])
-//! it decodes a tile, multiplies it, then decodes the next: decode and
-//! multiply cycles *add*. On the real machine the UDP lanes and the CPU
-//! cores are independent engines, so a double-buffered schedule lets the
-//! lanes decode tile *i + 1* while the CPU multiplies tile *i*; per stage
-//! the modeled cost is `max(decode, multiply)` instead of their sum:
+//! needs, and multiplies the tile straight into `y` on the calling thread.
+//! Each row's products are added in storage order, so the result is
+//! bit-exact with the serial kernel. On the real machine the UDP lanes and
+//! the CPU cores are independent engines, so a double-buffered schedule
+//! lets the lanes decode tile *i + 1* while the CPU multiplies tile *i*;
+//! per stage the modeled cost is `max(decode, multiply)` instead of their
+//! sum:
 //!
 //! ```text
 //! lane:  [d0][d1   ][d2][d3   ]
@@ -15,19 +16,15 @@
 //! makespan = d0 + Σ max(d_i, m_{i-1}) + m_last
 //! ```
 //!
-//! [`OverlapExecutor`] realizes both halves of that claim:
-//!
-//! * **modeled** — the per-tile decode cycles (from the lane simulator,
-//!   successful retries included) and modeled CPU multiply cycles
-//!   ([`perfmodel::multiply_cycles`]) are combined by the
-//!   pipelined-schedule formula above, whose only copy is
-//!   [`perfmodel::makespan`]; both the overlapped and the serial (sum)
-//!   makespan are reported in [`OverlapStats`];
-//! * **wall-clock** — a producer thread decodes blocks in stream order and
-//!   feeds tiles through a bounded channel to a pool of CPU worker threads
-//!   ([`OverlapConfig::workers`], default the host's parallelism capped at
-//!   8), whose partial row sums are merged back in tile order so the result
-//!   is deterministic for a given tiling.
+//! That overlap is a property of the modeled machine, not of the host run:
+//! the per-tile decode cycles (from the lane simulator, successful retries
+//! included) and modeled CPU multiply cycles
+//! ([`perfmodel::multiply_cycles`]) are combined by the pipelined-schedule
+//! formula above, whose only copy is [`perfmodel::makespan`]. Both the
+//! overlapped and the serial (sum) makespan are reported in
+//! [`OverlapStats`]; [`OverlapConfig::overlap`] picks the one the run
+//! charges. [`RecodedSpmv::spmv_streaming_with`] is the same walk with the
+//! serial makespan and no cache.
 //!
 //! An [`ExecCache`] (seeded-capacity LRU over decoded blocks) sits in front
 //! of the lanes: iterative callers — [`OverlapExecutor::spmv_iter`],
@@ -37,9 +34,10 @@
 //! [`ExecStats`] and the telemetry trace.
 //!
 //! Each block's first attempt reads the fault hook through
-//! [`Accelerator::dispatch`] and is settled by the recovery ladder of
-//! [`crate::ladder`] *inside* its slot of the walk, so a retried or fallback
-//! block can never land in the wrong output position.
+//! [`Accelerator::dispatch`], which contains a lane panic as a failed
+//! attempt, and is settled by the recovery ladder of [`crate::ladder`]
+//! *inside* its slot of the walk, so a retried or fallback block can never
+//! land in the wrong output position.
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
@@ -50,12 +48,10 @@ use crate::recorder;
 use crate::telemetry::{StreamKind, Telemetry, TraceDocument, TILED_COUNTERS};
 use recode_mem::traffic::TrafficSource;
 use recode_sparse::solve::{self, SolveResult};
-use recode_udp::accel::{panic_payload_message, AccelReport, Accelerator, FaultHook, StageCycles};
+use recode_udp::accel::{AccelReport, Accelerator, FaultHook, StageCycles};
 use recode_udp::{Lane, OpClassCycles};
-use std::collections::{BTreeMap, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Key of a decoded block: which stream, which block position.
@@ -181,29 +177,21 @@ impl ExecCache {
 /// Knobs of the overlapped executor.
 #[derive(Debug, Clone, Copy)]
 pub struct OverlapConfig {
-    /// Model the pipelined schedule (`max(decode, multiply)` per stage).
-    /// When false the same tiled execution runs but stage costs add, as in
-    /// [`RecodedSpmv::spmv_streaming`].
+    /// Charge the pipelined schedule's modeled makespan (`max(decode,
+    /// multiply)` per stage). When false stage costs add, as in
+    /// [`RecodedSpmv::spmv_streaming`]; the walk itself is the same.
     pub overlap: bool,
     /// Decoded-block LRU capacity in blocks; 0 disables caching.
     pub cache_blocks: usize,
-    /// CPU multiply workers; 0 means `available_parallelism` (capped at 8).
+    /// Unread: every tile is multiplied on the calling thread. The field
+    /// remains only because `bench/e2e` builds this struct by literal;
+    /// everything else sets it through `..OverlapConfig::default()`.
     pub workers: usize,
 }
 
 impl Default for OverlapConfig {
     fn default() -> Self {
         OverlapConfig { overlap: true, cache_blocks: 0, workers: 0 }
-    }
-}
-
-impl OverlapConfig {
-    /// Resolves `workers == 0` to the host's parallelism, capped at 8.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get).min(8)
     }
 }
 
@@ -216,8 +204,6 @@ pub struct OverlapStats {
     pub enabled: bool,
     /// Pipeline stages executed (tiles = index blocks with non-zeros).
     pub stages: usize,
-    /// CPU multiply workers used.
-    pub workers: usize,
     /// Lane cycles spent decoding (successful retries included; cache hits
     /// cost zero).
     pub decode_cycles: u64,
@@ -243,21 +229,6 @@ impl OverlapStats {
     pub fn saved_cycles(&self) -> u64 {
         self.serial_makespan_cycles.saturating_sub(self.overlapped_makespan_cycles)
     }
-}
-
-/// One tile of work handed from the decode side to the multiply side.
-struct TileWork {
-    tile: usize,
-    k_start: usize,
-    idx: Arc<Vec<u8>>,
-    vals: Vec<u8>,
-}
-
-/// A worker's partial row sums for one tile.
-struct TileResult {
-    tile: usize,
-    row_start: usize,
-    partial: Vec<f64>,
 }
 
 /// What the tile walker learns about a run besides the ladder's tally.
@@ -366,7 +337,6 @@ impl<'m> OverlapExecutor<'m> {
     /// # Errors
     /// [`ExecError::Unrecoverable`] for a block that fails decode, fails its
     /// retry, and has no fallback coverage;
-    /// [`ExecError::WorkerPanic`] for a contained pipeline panic;
     /// [`ExecError::Reassembly`] on stream misalignment.
     ///
     /// # Panics
@@ -377,7 +347,7 @@ impl<'m> OverlapExecutor<'m> {
         x: &[f64],
         ctx: RunCtx<'_>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        self.run(sys, x, ctx, true).map(|(y, stats, _)| (y, stats))
+        self.run(sys, x, ctx).map(|(y, stats, _)| (y, stats))
     }
 
     /// Fully traced pipelined SpMV: [`OverlapExecutor::spmv_with`] (whose
@@ -479,8 +449,8 @@ impl<'m> OverlapExecutor<'m> {
 
     /// Decodes one block through the same cache-then-ladder path a run
     /// uses, returning the decoded length. Hidden: it exists so the
-    /// allocation-regression suite can measure warm-cache hits without
-    /// spinning up the worker threads a pipelined run needs.
+    /// allocation-regression suite can measure warm-cache hits alone,
+    /// without the output vector and stats a run allocates.
     #[doc(hidden)]
     pub fn decode_one_for_test(&self, stream: StreamKind, pos: usize) -> ExecResult<usize> {
         let job = match stream {
@@ -509,7 +479,7 @@ impl<'m> OverlapExecutor<'m> {
         let (bytes, cost) = if let Some(bytes) = hit {
             (bytes, 0)
         } else {
-            // Decode work happens on the producer (stage 0) track; cache
+            // Decode work happens on the walker's (stage 0) track; cache
             // hits never open this span. Off the main track, so ring only.
             let _decode = recorder::phase(recorder::Track::stage(0), "decode", false);
             // The block's own buffer at its extent: first attempt and every
@@ -538,200 +508,16 @@ impl<'m> OverlapExecutor<'m> {
         Ok((bytes, cost))
     }
 
-    /// The one tile walker (the paper's Fig. 7 loop): walks index blocks in
-    /// order, pulling value blocks as each tile needs them, and hands
-    /// assembled tiles to `emit` — a channel send on the producer thread of
-    /// the pipelined schedule, an immediate multiply on the streaming one.
-    /// `emit` returns `false` when the consumers are gone (every worker
-    /// exited); the walk then stops decoding immediately instead of filling
-    /// a channel nobody drains.
-    fn produce_tiles<'a>(
-        &'a self,
-        udp: &'a Accelerator,
-        ctx: RunCtx<'a>,
-        mut emit: impl FnMut(TileWork) -> bool,
-    ) -> ExecResult<(TileWalk, Ladder<'a>)> {
-        let cm = self.recoded.compressed();
-        let n_index = cm.index_stream.blocks.len();
-        let RunCtx { hook, tel } = ctx;
-        let empty_hook = FaultHook::default();
-        let hook = hook.unwrap_or(&empty_hook);
-        let mut ladder = Ladder::new(self.recoded, udp, recorder::Track::stage(0), tel, None);
-        let mut walk = TileWalk::default();
-        let mut val_buf: Vec<u8> = Vec::new();
-        let mut next_value = n_index;
-        let mut k_global = 0usize;
-
-        for t in 0..n_index {
-            let (idx, mut tile_cycles) = self.decode_one(t, hook, &mut ladder, &mut walk)?;
-            let tile_nnz = idx.len() / 4;
-            while val_buf.len() < tile_nnz * 8 {
-                if next_value >= self.recoded.total_jobs() {
-                    return Err(ExecError::Reassembly("value stream ended early".into()));
-                }
-                let (vals, cycles) = self.decode_one(next_value, hook, &mut ladder, &mut walk)?;
-                next_value += 1;
-                tile_cycles += cycles;
-                val_buf.extend_from_slice(&vals);
-            }
-            walk.peak_resident_bytes = walk.peak_resident_bytes.max(idx.len() + val_buf.len());
-            let vals: Vec<u8> = val_buf.drain(..tile_nnz * 8).collect();
-            walk.per_tile_decode.push(tile_cycles);
-            walk.per_tile_nnz.push(tile_nnz);
-            if !emit(TileWork { tile: t, k_start: k_global, idx, vals }) {
-                // Every consumer is gone; `run_threaded` substitutes the
-                // real panic message when one was captured.
-                return Err(ExecError::WorkerPanic {
-                    context: "tile channel closed: every multiply worker exited".into(),
-                });
-            }
-            k_global += tile_nnz;
-        }
-        if k_global != cm.nnz {
-            return Err(ExecError::Reassembly(format!(
-                "streamed {} non-zeros but the matrix has {}",
-                k_global, cm.nnz
-            )));
-        }
-        Ok((walk, ladder))
-    }
-
-    /// The pipelined schedule: the walker (producer) and `workers` multiply
-    /// threads run concurrently over a bounded channel; partial row sums
-    /// merge into `y` in tile order, so the result is deterministic for a
-    /// given tiling.
-    ///
-    /// ## Panic containment
-    ///
-    /// A panic anywhere in the pipeline — a multiply worker (including
-    /// injected [`FaultHook::panic_tile`] faults) or the producer — is
-    /// caught at the thread boundary and converted into
-    /// [`ExecError::WorkerPanic`]; it can never strand the bounded tile
-    /// channel with a blocked sender. Two pieces make that guarantee: the
-    /// producer stops as soon as a send fails, and this function drops its
-    /// own handle on the tile receiver so dead workers actually close the
-    /// channel.
-    fn run_threaded<'a>(
-        &'a self,
-        workers: usize,
-        udp: &'a Accelerator,
-        x: &[f64],
-        y: &mut [f64],
-        ctx: RunCtx<'a>,
-    ) -> ExecResult<(TileWalk, Ladder<'a>)> {
-        let hook = ctx.hook;
-        let row_ptr: &[usize] = &self.recoded.compressed().row_ptr;
-        let (tile_tx, tile_rx) = mpsc::sync_channel::<TileWork>(workers + 1);
-        let tile_rx = Arc::new(Mutex::new(tile_rx));
-        let (res_tx, res_rx) = mpsc::channel::<TileResult>();
-        // First contained worker panic, if any; checked after the scope.
-        let worker_panic: Mutex<Option<String>> = Mutex::new(None);
-
-        let produced = std::thread::scope(|s| {
-            let producer = s.spawn(move || {
-                let out = catch_unwind(AssertUnwindSafe(|| {
-                    // `send` fails only when every worker is gone; the
-                    // producer then stops decoding instead of blocking.
-                    self.produce_tiles(udp, ctx, |tile| tile_tx.send(tile).is_ok())
-                }));
-                drop(tile_tx);
-                // The scope waits for this closure, not the thread's TLS
-                // destructors: publish recorder events before returning so
-                // the caller's drain sees them.
-                recorder::flush_thread();
-                out
-            });
-            for w in 0..workers {
-                let rx = Arc::clone(&tile_rx);
-                let tx = res_tx.clone();
-                let worker_panic = &worker_panic;
-                s.spawn(move || {
-                    loop {
-                        let Ok(work) = rx.lock().unwrap_or_else(PoisonError::into_inner).recv()
-                        else {
-                            break;
-                        };
-                        let tile = work.tile;
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            assert!(
-                                !hook.is_some_and(|h| h.panic_tiles.contains(&tile)),
-                                "injected panic in tile {tile}"
-                            );
-                            let _multiply =
-                                recorder::phase(recorder::Track::worker(w), "multiply_tile", false);
-                            multiply_tile(row_ptr, x, &work)
-                        }));
-                        match result {
-                            Ok((row_start, partial)) => {
-                                if tx.send(TileResult { tile, row_start, partial }).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(payload) => {
-                                let msg = format!(
-                                    "worker {w}, tile {tile}: {}",
-                                    panic_payload_message(payload.as_ref())
-                                );
-                                worker_panic
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .get_or_insert(msg);
-                                break;
-                            }
-                        }
-                    }
-                    // As with the producer: the scope orders this closure's
-                    // end, not the TLS flush, so publish span events now.
-                    recorder::flush_thread();
-                });
-            }
-            drop(res_tx);
-            // Drop this function's own handle on the tile queue: once every
-            // worker has exited, the producer's next send must fail fast
-            // rather than block on a receiver nobody holds.
-            drop(tile_rx);
-
-            // Merge partials strictly in tile order, buffering out-of-order
-            // arrivals, so straddling rows accumulate deterministically.
-            let mut pending: BTreeMap<usize, TileResult> = BTreeMap::new();
-            let mut next_tile = 0usize;
-            for r in &res_rx {
-                pending.insert(r.tile, r);
-                while let Some(r) = pending.remove(&next_tile) {
-                    for (i, v) in r.partial.iter().enumerate() {
-                        y[r.row_start + i] += v;
-                    }
-                    next_tile += 1;
-                }
-            }
-            match producer.join().expect("producer thread join failed") {
-                Ok(res) => res,
-                Err(payload) => Err(ExecError::WorkerPanic {
-                    context: format!("producer: {}", panic_payload_message(payload.as_ref())),
-                }),
-            }
-        });
-        // A contained worker panic outranks whatever the producer saw: the
-        // merged result is incomplete, and the generic channel-closed error
-        // the producer reports is only a symptom.
-        if let Some(context) = worker_panic.lock().unwrap_or_else(PoisonError::into_inner).take() {
-            return Err(ExecError::WorkerPanic { context });
-        }
-        produced
-    }
-
-    /// The engine behind every tiled entry point: the walker on the
-    /// pipelined schedule (`threaded`) or inline — each tile multiplied into
-    /// `y` as soon as it is assembled, which is the streaming executor —
-    /// then the modeled schedule, the stats and the telemetry, which do not
-    /// depend on which of the two ran. Also returns the walk's peak resident
-    /// decoded bytes.
+    /// The engine behind every tiled entry point, and the one tile walker
+    /// (the paper's Fig. 7 loop): walks index blocks in order, pulling value
+    /// blocks as each tile needs them, and multiplies every tile into `y`
+    /// as soon as it is assembled. Then the modeled schedule, the stats and
+    /// the telemetry. Also returns the walk's peak resident decoded bytes.
     pub(crate) fn run(
         &self,
         sys: &SystemConfig,
         x: &[f64],
         ctx: RunCtx<'_>,
-        threaded: bool,
     ) -> ExecResult<(Vec<f64>, ExecStats, usize)> {
         let cm = self.recoded.compressed();
         assert_eq!(x.len(), cm.ncols, "x length must equal ncols");
@@ -745,22 +531,49 @@ impl<'m> OverlapExecutor<'m> {
             )));
         }
         let RunCtx { hook, mut tel } = ctx;
+        let empty_hook = FaultHook::default();
+        let hook = hook.unwrap_or(&empty_hook);
         let cache_before = self.cache.lock().expect("cache poisoned").stats();
 
         let phase = recorder::phase(recorder::Track::MAIN, "exec.overlap", tel.is_some());
         let mut y = vec![0.0f64; cm.nrows];
-        // The walker's context: the same run, its registry lent for the walk.
-        let ctx = RunCtx { hook, tel: tel.as_deref_mut() };
-        let (workers, (walk, ladder)) = if threaded {
-            let workers = self.config.effective_workers().max(1);
-            (workers, self.run_threaded(workers, &sys.udp, x, &mut y, ctx)?)
-        } else {
-            let inline = |tile: TileWork| {
-                accumulate_tile(&cm.row_ptr, x, &tile, 0, &mut y);
-                true
-            };
-            (0, self.produce_tiles(&sys.udp, ctx, inline)?)
-        };
+        // The walk's ladder reports to the run's registry, lent for the walk.
+        let track = recorder::Track::stage(0);
+        let mut ladder = Ladder::new(self.recoded, &sys.udp, track, tel.as_deref_mut(), None);
+        let mut walk = TileWalk::default();
+        let mut val_buf: Vec<u8> = Vec::new();
+        let n_index = cm.index_stream.blocks.len();
+        let mut next_value = n_index;
+        let mut k_global = 0usize;
+        for t in 0..n_index {
+            let (idx, mut tile_cycles) = self.decode_one(t, hook, &mut ladder, &mut walk)?;
+            let tile_nnz = idx.len() / 4;
+            while val_buf.len() < tile_nnz * 8 {
+                if next_value >= self.recoded.total_jobs() {
+                    return Err(ExecError::Reassembly("value stream ended early".into()));
+                }
+                let (vals, cycles) = self.decode_one(next_value, hook, &mut ladder, &mut walk)?;
+                next_value += 1;
+                tile_cycles += cycles;
+                val_buf.extend_from_slice(&vals);
+            }
+            walk.peak_resident_bytes = walk.peak_resident_bytes.max(idx.len() + val_buf.len());
+            walk.per_tile_decode.push(tile_cycles);
+            walk.per_tile_nnz.push(tile_nnz);
+            {
+                let _multiply = recorder::span(track, "multiply_tile");
+                let vals = &val_buf[..tile_nnz * 8];
+                accumulate_tile(&cm.row_ptr, x, k_global, &idx, vals, &mut y);
+            }
+            val_buf.drain(..tile_nnz * 8);
+            k_global += tile_nnz;
+        }
+        if k_global != cm.nnz {
+            return Err(ExecError::Reassembly(format!(
+                "streamed {} non-zeros but the matrix has {}",
+                k_global, cm.nnz
+            )));
+        }
         let tally = ladder.tally;
 
         // Modeled schedule: the lane decodes tile i+1 while the CPU
@@ -782,7 +595,6 @@ impl<'m> OverlapExecutor<'m> {
         let overlap = OverlapStats {
             enabled: self.config.overlap,
             stages,
-            workers,
             decode_cycles,
             multiply_cycles,
             overlapped_makespan_cycles: overlapped_makespan,
@@ -819,36 +631,28 @@ impl<'m> OverlapExecutor<'m> {
     }
 }
 
-/// The one row walk: adds tile `work`'s products `v · x[c]` into
-/// `acc[row - base]`, advancing the row as the nnz cursor passes each
-/// `row_ptr` boundary (empty rows skip past). Within a row the products are
-/// added in storage order, so with `base == 0` and `acc == y` the result is
-/// bit-exact with the serial kernel.
-fn accumulate_tile(row_ptr: &[usize], x: &[f64], work: &TileWork, base: usize, acc: &mut [f64]) {
-    let mut row = row_ptr.partition_point(|&p| p <= work.k_start).saturating_sub(1);
-    for (t, (c, v)) in work.idx.chunks_exact(4).zip(work.vals.chunks_exact(8)).enumerate() {
-        while row_ptr[row + 1] <= work.k_start + t {
+/// The one row walk: adds the products `v · x[c]` of the tile whose first
+/// non-zero is `k_start` into `y[row]`, advancing the row as the nnz cursor
+/// passes each `row_ptr` boundary (empty rows skip past). Within a row the
+/// products are added in storage order, so the result is bit-exact with the
+/// serial kernel.
+fn accumulate_tile(
+    row_ptr: &[usize],
+    x: &[f64],
+    k_start: usize,
+    idx: &[u8],
+    vals: &[u8],
+    y: &mut [f64],
+) {
+    let mut row = row_ptr.partition_point(|&p| p <= k_start).saturating_sub(1);
+    for (t, (c, v)) in idx.chunks_exact(4).zip(vals.chunks_exact(8)).enumerate() {
+        while row_ptr[row + 1] <= k_start + t {
             row += 1;
         }
         let c = u32::from_le_bytes(c.try_into().expect("4-byte index")) as usize;
         let v = f64::from_le_bytes(v.try_into().expect("8-byte value"));
-        acc[row - base] += v * x[c];
+        y[row] += v * x[c];
     }
-}
-
-/// Multiplies one tile into a tile-local partial vector rooted at the
-/// tile's first row, so tiles can run on any worker.
-fn multiply_tile(row_ptr: &[usize], x: &[f64], work: &TileWork) -> (usize, Vec<f64>) {
-    let tile_nnz = work.idx.len() / 4;
-    if tile_nnz == 0 {
-        return (0, Vec::new());
-    }
-    // The rows whose spans contain the tile's first and last non-zero.
-    let row_of = |k: usize| row_ptr.partition_point(|&p| p <= k) - 1;
-    let (row_start, row_last) = (row_of(work.k_start), row_of(work.k_start + tile_nnz - 1));
-    let mut partial = vec![0.0; row_last - row_start + 1];
-    accumulate_tile(row_ptr, x, work, row_start, &mut partial);
-    (row_start, partial)
 }
 
 #[cfg(test)]
@@ -870,18 +674,8 @@ mod tests {
         )
     }
 
-    fn max_rel_err(got: &[f64], want: &[f64]) -> f64 {
-        got.iter()
-            .zip(want)
-            .map(|(g, w)| {
-                let scale = w.abs().max(1.0);
-                (g - w).abs() / scale
-            })
-            .fold(0.0, f64::max)
-    }
-
     #[test]
-    fn overlapped_spmv_matches_reference_within_tolerance() {
+    fn overlapped_spmv_is_bit_exact_with_the_serial_kernel() {
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -889,10 +683,9 @@ mod tests {
         let want = recode_sparse::spmv::spmv(&a, &x);
         for overlap in [true, false] {
             for cache_blocks in [0usize, 64] {
-                let ex =
-                    OverlapExecutor::new(&r, OverlapConfig { overlap, cache_blocks, workers: 3 });
-                let (y, stats) = ex.spmv(&sys, &x).unwrap();
-                assert!(max_rel_err(&y, &want) < 1e-10, "overlap={overlap} cache={cache_blocks}");
+                let config = OverlapConfig { overlap, cache_blocks, ..OverlapConfig::default() };
+                let (y, stats) = OverlapExecutor::new(&r, config).spmv(&sys, &x).unwrap();
+                assert_eq!(y, want, "overlap={overlap} cache={cache_blocks}");
                 assert_eq!(stats.overlap.enabled, overlap);
                 assert!(stats.overlap.stages > 0);
                 assert!(!stats.degraded);
@@ -930,7 +723,7 @@ mod tests {
         let x0 = vec![1.0; a.ncols()];
         let ex = OverlapExecutor::new(
             &r,
-            OverlapConfig { overlap: true, cache_blocks: 4096, workers: 2 },
+            OverlapConfig { cache_blocks: 4096, ..OverlapConfig::default() },
         );
         let (_, per_iter) = ex.spmv_iter(&sys, &x0, 10).unwrap();
         assert_eq!(per_iter.len(), 10);
@@ -954,7 +747,7 @@ mod tests {
         let x = vec![1.0; a.ncols()];
         // Fewer slots than blocks: every run re-decodes, evicting as it goes.
         let ex =
-            OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 2, workers: 1 });
+            OverlapExecutor::new(&r, OverlapConfig { cache_blocks: 2, ..OverlapConfig::default() });
         let (_, s1) = ex.spmv(&sys, &x).unwrap();
         let (_, s2) = ex.spmv(&sys, &x).unwrap();
         assert!(s1.overlap.cache_evictions > 0, "capacity 2 must evict");
@@ -962,7 +755,7 @@ mod tests {
         assert!(ex.cached_blocks() <= 2);
         let want = recode_sparse::spmv::spmv(&a, &x);
         let (y, _) = ex.spmv(&sys, &x).unwrap();
-        assert!(max_rel_err(&y, &want) < 1e-10);
+        assert_eq!(y, want);
     }
 
     #[test]
@@ -977,10 +770,10 @@ mod tests {
         let want = recode_sparse::spmv::spmv(&a, &x);
         let ex = OverlapExecutor::new(
             &r,
-            OverlapConfig { overlap: true, cache_blocks: 128, workers: 4 },
+            OverlapConfig { cache_blocks: 128, ..OverlapConfig::default() },
         );
         let (y, stats) = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap();
-        assert!(max_rel_err(&y, &want) < 1e-10, "recovered blocks must land in place");
+        assert_eq!(y, want, "recovered blocks must land in place");
         assert!(stats.degraded);
         assert_eq!(stats.blocks_retried, 2, "one retry per failed block");
         assert_eq!(stats.blocks_fell_back, 1);
@@ -991,7 +784,7 @@ mod tests {
         assert_eq!((stats.accel.opclass.total(), stats.accel.stage_cycles.total()), (busy, busy));
         // Second run: the cache holds recovered bytes, so nothing degrades.
         let (y2, s2) = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap();
-        assert!(max_rel_err(&y2, &want) < 1e-10);
+        assert_eq!(y2, want);
         assert!(!s2.degraded, "cached blocks skip the fault path entirely");
         assert_eq!(s2.overlap.cache_misses, 0);
     }
@@ -1022,7 +815,7 @@ mod tests {
         let x = vec![1.0; a.ncols()];
         let ex = OverlapExecutor::new(
             &r,
-            OverlapConfig { overlap: true, cache_blocks: 512, workers: 2 },
+            OverlapConfig { cache_blocks: 512, ..OverlapConfig::default() },
         );
         let (_, stats, doc) =
             ex.spmv_traced(&sys, &x, RunCtx::default(), "stencil-overlap").unwrap();
@@ -1062,13 +855,13 @@ mod tests {
         let b = vec![1.0; n];
         let ex = OverlapExecutor::new(
             &r,
-            OverlapConfig { overlap: true, cache_blocks: 1024, workers: 2 },
+            OverlapConfig { cache_blocks: 1024, ..OverlapConfig::default() },
         );
         let (result, per_apply) = ex.conjugate_gradient(&sys, &b, 1e-10, 1000).unwrap();
         assert!(result.converged, "residual {}", result.residual);
         let reference =
             recode_sparse::solve::conjugate_gradient(&a, &b, SpmvKernel::Serial, 1e-10, 1000);
-        assert!(max_rel_err(&result.x, &reference.x) < 1e-6);
+        assert_eq!(result.x, reference.x, "every apply is bit-exact, so is the solve");
         assert!(per_apply.len() >= 2);
         // Applies after the first decode nothing.
         assert_eq!(per_apply[1].overlap.decode_cycles, 0);
@@ -1123,63 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_and_many_workers_agree() {
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let x: Vec<f64> = (0..a.ncols()).map(|i| (i % 17) as f64 * 0.25 - 2.0).collect();
-        let one =
-            OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 1 });
-        let many =
-            OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 6 });
-        let (y1, _) = one.spmv(&sys, &x).unwrap();
-        let (y2, _) = many.spmv(&sys, &x).unwrap();
-        assert_eq!(y1, y2, "tile-ordered merge must be worker-count invariant");
-    }
-
-    #[test]
-    fn injected_worker_panic_is_contained_as_a_typed_error() {
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let x = vec![1.0; a.ncols()];
-        let hook = FaultHook::new().panic_tile(0);
-        let ex =
-            OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 3 });
-        let err = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap_err();
-        match &err {
-            ExecError::WorkerPanic { context } => {
-                assert!(context.contains("tile 0"), "{context}");
-                assert!(context.contains("injected panic"), "{context}");
-            }
-            other => panic!("expected WorkerPanic, got {other}"),
-        }
-        // The pipeline is not wedged: the same executor runs cleanly after.
-        let want = recode_sparse::spmv::spmv(&a, &x);
-        let (y, _) = ex.spmv(&sys, &x).unwrap();
-        assert!(max_rel_err(&y, &want) < 1e-10);
-    }
-
-    #[test]
-    fn every_worker_panicking_still_terminates_with_a_typed_error() {
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let x = vec![1.0; a.ncols()];
-        // Panic on every tile: all workers die, and the producer must not
-        // block forever on the bounded tile channel.
-        let mut hook = FaultHook::new();
-        let tiles = r.compressed().index_stream.blocks.len();
-        for t in 0..tiles.max(8) {
-            hook = hook.panic_tile(t);
-        }
-        let ex =
-            OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 });
-        let err = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap_err();
-        assert!(matches!(err, ExecError::WorkerPanic { .. }), "{err}");
-    }
-
-    #[test]
     fn injected_job_panic_is_contained_and_recovered() {
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
@@ -1187,10 +923,9 @@ mod tests {
         let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
         let want = recode_sparse::spmv::spmv(&a, &x);
         let hook = FaultHook::new().panic_job(1);
-        let ex =
-            OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 });
+        let ex = OverlapExecutor::new(&r, OverlapConfig::default());
         let (y, stats) = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap();
-        assert!(max_rel_err(&y, &want) < 1e-10, "the panicked block is re-decoded in place");
+        assert_eq!(y, want, "the panicked block is re-decoded in place");
         // Contained as a per-job failure and recovered by one retry — the
         // same accounting the batch schedule reports for the same hook.
         assert_eq!(stats.accel.jobs_failed, 1);

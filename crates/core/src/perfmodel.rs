@@ -240,9 +240,9 @@ mod tests {
 
             // Per tile the executor rounds up once, so its sum runs at most
             // one cycle per tile ahead of the whole operand.
-            let config = OverlapConfig { overlap: true, cache_blocks: 0, workers: 1 };
             let x = vec![1.0; a.ncols()];
-            let (_, stats) = OverlapExecutor::new(&recoded, config).spmv(&sys, &x).unwrap();
+            let ex = OverlapExecutor::new(&recoded, OverlapConfig::default());
+            let (_, stats) = ex.spmv(&sys, &x).unwrap();
             let ov = stats.overlap;
             assert!(ov.stages > 1, "{spec:?}: want a multi-tile walk");
             assert!(

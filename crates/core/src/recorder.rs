@@ -1,5 +1,4 @@
-//! Always-on flight recorder: a fixed-capacity ring of typed events fed by
-//! thread-local buffers.
+//! Always-on flight recorder: a fixed-capacity ring of typed events.
 //!
 //! The recorder is the runtime-observability layer underneath the post-hoc
 //! [`crate::telemetry::TraceDocument`]: where the trace document aggregates
@@ -15,11 +14,8 @@
 //!   atomic load and a branch. Nothing allocates, no locks are touched —
 //!   `tests/alloc_regression.rs` pins this.
 //! * **Enabled, steady state**: an event is a `Copy` struct stamped with a
-//!   monotonic timestamp and pushed into a thread-local buffer
-//!   (preallocated on the thread's first event). When the buffer fills it
-//!   drains into the global ring under a short mutex — a `memcpy` into
-//!   storage preallocated at [`enable`] time. No path allocates after
-//!   warm-up.
+//!   monotonic timestamp and written into the global ring under a short
+//!   mutex — storage preallocated at [`enable`] time. No path allocates.
 //! * **Overflow**: the ring overwrites its oldest events and counts them
 //!   in [`RecorderStats::dropped`] — observability must never stall the
 //!   pipeline it observes.
@@ -28,7 +24,6 @@
 //! at record time.
 
 use crate::telemetry::Telemetry;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -36,8 +31,8 @@ use std::time::Instant;
 /// Default ring capacity in events (~3 MB at 48 B/event).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// Thread-local buffer capacity in events; drained into the ring when full.
-const LOCAL_CAPACITY: usize = 256;
+/// Smallest ring [`enable`] allocates, in events.
+const MIN_CAPACITY: usize = 256;
 
 /// What a recorded event describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,12 +104,8 @@ impl Track {
         Track((1 << TRACK_CLASS_SHIFT) | (id as u32 & 0x0fff_ffff))
     }
 
-    /// A CPU multiply worker's timeline.
-    pub fn worker(id: usize) -> Track {
-        Track((2 << TRACK_CLASS_SHIFT) | (id as u32 & 0x0fff_ffff))
-    }
-
-    /// A pipeline stage's timeline (0 = decode producer).
+    /// A pipeline stage's timeline (0 = the tile walker: its decodes, its
+    /// ladder rungs and its multiplies).
     pub fn stage(id: usize) -> Track {
         Track((3 << TRACK_CLASS_SHIFT) | (id as u32 & 0x0fff_ffff))
     }
@@ -124,11 +115,10 @@ impl Track {
         self.0 & 0x0fff_ffff
     }
 
-    /// `"main"`, `"lane"`, `"worker"`, or `"stage"`.
+    /// `"main"`, `"lane"`, or `"stage"`.
     pub fn class(self) -> &'static str {
         match self.0 >> TRACK_CLASS_SHIFT {
             1 => "lane",
-            2 => "worker",
             3 => "stage",
             _ => "main",
         }
@@ -170,8 +160,8 @@ pub struct RecorderStats {
     pub capacity: usize,
 }
 
-/// Global ring sink. Storage is preallocated by [`enable`]; `push_slice`
-/// never allocates.
+/// Global ring sink. Storage is preallocated by [`enable`]; `push` never
+/// allocates.
 struct Ring {
     buf: Vec<Event>,
     head: usize,
@@ -185,20 +175,16 @@ impl Ring {
         Ring { buf: Vec::new(), head: 0, len: 0, capacity: 0, dropped: 0 }
     }
 
-    fn push_slice(&mut self, events: &[Event]) {
-        for &e in events {
-            if self.capacity == 0 {
-                self.dropped += 1;
-                continue;
-            }
-            if self.len < self.capacity {
-                self.buf[(self.head + self.len) % self.capacity] = e;
-                self.len += 1;
-            } else {
-                self.buf[self.head] = e;
-                self.head = (self.head + 1) % self.capacity;
-                self.dropped += 1;
-            }
+    fn push(&mut self, e: Event) {
+        if self.capacity == 0 {
+            self.dropped += 1;
+        } else if self.len < self.capacity {
+            self.buf[(self.head + self.len) % self.capacity] = e;
+            self.len += 1;
+        } else {
+            self.buf[self.head] = e;
+            self.head = (self.head + 1) % self.capacity;
+            self.dropped += 1;
         }
     }
 
@@ -213,8 +199,8 @@ impl Ring {
     }
 }
 
-/// The shared half of a recorder: the ring every thread's staging buffer
-/// drains into, and the count of events accepted. The process has one
+/// A recorder: the ring every thread records into, and the count of events
+/// accepted. The process has one
 /// ([`SINK`]); tests that assert exact counts build their own, so events
 /// other tests record while the recorder is enabled cannot reach them.
 struct Sink {
@@ -234,10 +220,10 @@ impl Sink {
         self.recorded.store(0, Ordering::Relaxed);
     }
 
-    /// Counts `e` as accepted and stages it in `local`.
-    fn accept(&self, local: &mut LocalBuf, e: Event) {
+    /// Counts `e` as accepted and writes it into the ring.
+    fn accept(&self, e: Event) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        local.push(e, self);
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner).push(e);
     }
 
     /// Every ringed event in chronological order (ties broken by arrival),
@@ -267,50 +253,6 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-thread_local! {
-    static LOCAL: RefCell<ThreadBuf> =
-        const { RefCell::new(ThreadBuf(LocalBuf { buf: Vec::new() })) };
-}
-
-/// The calling thread's staging buffer for [`SINK`]. The `Drop` impl flushes
-/// as a best-effort safety net; threads whose completion is observed before
-/// they exit (scoped workers, watchdogged trials) call [`flush_thread`]
-/// explicitly.
-struct ThreadBuf(LocalBuf);
-
-impl Drop for ThreadBuf {
-    fn drop(&mut self) {
-        self.0.flush(&SINK);
-    }
-}
-
-/// A staging buffer, drained into a [`Sink`]'s ring when full.
-struct LocalBuf {
-    buf: Vec<Event>,
-}
-
-impl LocalBuf {
-    fn push(&mut self, e: Event, sink: &Sink) {
-        if self.buf.capacity() == 0 {
-            // One-time allocation per thread, on its first recorded event.
-            self.buf.reserve_exact(LOCAL_CAPACITY);
-        }
-        self.buf.push(e);
-        if self.buf.len() >= LOCAL_CAPACITY {
-            self.flush(sink);
-        }
-    }
-
-    fn flush(&mut self, sink: &Sink) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let mut ring = sink.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        ring.push_slice(&self.buf);
-        self.buf.clear();
-    }
-}
-
 /// Is the recorder on? One relaxed load — the whole cost of the disabled
 /// path.
 #[inline]
@@ -319,10 +261,10 @@ pub fn is_enabled() -> bool {
 }
 
 /// Turns the recorder on with a ring of `capacity` events (clamped to at
-/// least [`LOCAL_CAPACITY`]), preallocating all sink storage up front and
+/// least [`MIN_CAPACITY`]), preallocating all sink storage up front and
 /// installing the pool event hook. Re-enabling resizes and clears the ring.
 pub fn enable(capacity: usize) {
-    SINK.reset(capacity.max(LOCAL_CAPACITY));
+    SINK.reset(capacity.max(MIN_CAPACITY));
     let _ = epoch();
     recode_udp::pool::set_event_hook(pool_event_hook);
     recode_udp::jit::set_compile_hook(jit_compile_hook);
@@ -362,14 +304,11 @@ fn stamp(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64, at: 
 /// Records one event whose clock the caller has already read.
 #[cold]
 fn record_at(kind: EventKind, track: Track, name: &'static str, a: u64, b: u64, at: Instant) {
-    let e = stamp(kind, track, name, a, b, at);
-    // Destroyed-TLS fallback (thread teardown): drop the event rather than
-    // touch a dead slot.
-    let _ = LOCAL.try_with(|l| SINK.accept(&mut l.borrow_mut().0, e));
+    SINK.accept(stamp(kind, track, name, a, b, at));
 }
 
 /// Opens a span on `track`; the returned guard closes it on drop. Guards
-/// nest per thread, so each track's B/E events pair up like a stack.
+/// nest, so each track's B/E events pair up like a stack.
 #[must_use = "the span closes when the guard drops"]
 pub fn span(track: Track, name: &'static str) -> SpanGuard {
     phase(track, name, false)
@@ -434,21 +373,9 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Flushes the calling thread's staging buffer into the ring.
-///
-/// Threads that outlive their events' consumer must call this before
-/// signalling completion: `std::thread::scope` (and a watchdog channel
-/// send) only orders the *closure*'s end, not the thread's TLS
-/// destructors, so relying on the `Drop` flush alone would let the owner
-/// `drain()` before the worker's buffer reaches the ring.
-pub fn flush_thread() {
-    let _ = LOCAL.try_with(|l| l.borrow_mut().0.flush(&SINK));
-}
-
-/// Flushes this thread's buffer and returns every ringed event in
-/// chronological order (ties broken by arrival), leaving the ring empty.
+/// Every ringed event in chronological order (ties broken by arrival),
+/// leaving the ring empty.
 pub fn drain() -> Vec<Event> {
-    LOCAL.with(|l| l.borrow_mut().0.flush(&SINK));
     SINK.drain()
 }
 
@@ -512,23 +439,20 @@ mod tests {
             for w in 0..4 {
                 s.spawn(move || {
                     for i in 0..50u64 {
-                        record(EventKind::BlockOutcome, Track::worker(w), "blk", i, 0);
+                        record(EventKind::BlockOutcome, Track::lane(w), "blk", i, 0);
                     }
-                    // The scope only waits for this closure, not the TLS
-                    // destructor, so publish before returning.
-                    flush_thread();
                 });
             }
         });
         record(EventKind::Retry, Track::MAIN, "after", 0, 0);
         let events = drain_named(&["blk", "after"]);
         disable();
-        assert_eq!(events.len(), 201, "4x50 worker events + 1 main event");
+        assert_eq!(events.len(), 201, "4x50 thread events + 1 main event");
         assert!(stats().recorded - before >= 201, "every record() call is counted");
         assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns), "chronological");
         for w in 0..4 {
-            let n = events.iter().filter(|e| e.track == Track::worker(w)).count();
-            assert_eq!(n, 50, "worker {w} events all flushed at scope exit");
+            let n = events.iter().filter(|e| e.track == Track::lane(w)).count();
+            assert_eq!(n, 50, "thread {w} events all reach the ring");
         }
     }
 
@@ -536,31 +460,26 @@ mod tests {
     fn ring_overwrites_oldest_and_counts_drops() {
         {
             let _g = serialized();
-            enable(0); // clamped up to LOCAL_CAPACITY
+            enable(0); // clamped up to MIN_CAPACITY
             let capacity = stats().capacity;
             disable();
-            assert_eq!(capacity, LOCAL_CAPACITY);
+            assert_eq!(capacity, MIN_CAPACITY);
         }
         // The counts below are exact, so they run on a private sink: the
         // exec and overlap tests record into the global one whenever any
         // test has it enabled.
         let sink = Sink::new();
-        sink.reset(LOCAL_CAPACITY);
-        let mut local = LocalBuf { buf: Vec::new() };
-        for i in 0..(LOCAL_CAPACITY as u64 * 3) {
-            sink.accept(
-                &mut local,
-                stamp(EventKind::Retry, Track::MAIN, "spin", i, 0, Instant::now()),
-            );
+        sink.reset(MIN_CAPACITY);
+        for i in 0..(MIN_CAPACITY as u64 * 3) {
+            sink.accept(stamp(EventKind::Retry, Track::MAIN, "spin", i, 0, Instant::now()));
         }
-        local.flush(&sink);
         let events = sink.drain();
         let st = sink.stats();
-        assert_eq!(st.recorded, LOCAL_CAPACITY as u64 * 3);
-        assert_eq!(events.len(), LOCAL_CAPACITY, "ring keeps exactly its capacity");
-        assert_eq!(st.dropped, LOCAL_CAPACITY as u64 * 2, "overflow is counted");
+        assert_eq!(st.recorded, MIN_CAPACITY as u64 * 3);
+        assert_eq!(events.len(), MIN_CAPACITY, "ring keeps exactly its capacity");
+        assert_eq!(st.dropped, MIN_CAPACITY as u64 * 2, "overflow is counted");
         // The survivors are the *newest* events.
-        assert_eq!(events.last().expect("non-empty").a, LOCAL_CAPACITY as u64 * 3 - 1);
+        assert_eq!(events.last().expect("non-empty").a, MIN_CAPACITY as u64 * 3 - 1);
     }
 
     /// Seeded interleaving stress (ISSUE 9): many threads overflow a small
@@ -573,9 +492,8 @@ mod tests {
         const THREADS: usize = 8;
         const CAPACITY: usize = 512;
         // A private sink, for the reason given in
-        // `ring_overwrites_oldest_and_counts_drops`; each thread stages
-        // through its own buffer exactly as `record` does through the
-        // thread-local one.
+        // `ring_overwrites_oldest_and_counts_drops`; each thread accepts
+        // into it exactly as `record` does into the global one.
         let sink = Sink::new();
         sink.reset(CAPACITY);
         // Fixed xorshift seed → fixed per-thread event counts, so the
@@ -593,7 +511,6 @@ mod tests {
             for (w, &n) in counts.iter().enumerate() {
                 let (barrier, sink) = (&barrier, &sink);
                 s.spawn(move || {
-                    let mut local = LocalBuf { buf: Vec::new() };
                     barrier.wait();
                     for i in 0..n {
                         let e = stamp(
@@ -604,9 +521,8 @@ mod tests {
                             0,
                             Instant::now(),
                         );
-                        sink.accept(&mut local, e);
+                        sink.accept(e);
                     }
-                    local.flush(sink);
                 });
             }
         });

@@ -589,8 +589,8 @@ pub fn render_report(doc: &TraceDocument) -> String {
         let _ = writeln!(out, "\n-- overlap --");
         let _ = writeln!(
             out,
-            "pipelined: {} | stages {} | workers {} | decode {} cy | multiply {} cy",
-            ov.enabled, ov.stages, ov.workers, ov.decode_cycles, ov.multiply_cycles
+            "pipelined: {} | stages {} | decode {} cy | multiply {} cy",
+            ov.enabled, ov.stages, ov.decode_cycles, ov.multiply_cycles
         );
         let _ = writeln!(
             out,

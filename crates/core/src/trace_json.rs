@@ -49,7 +49,6 @@ json_struct!(AccelReport {
 json_struct!(OverlapStats {
     enabled,
     stages,
-    workers,
     decode_cycles,
     multiply_cycles,
     overlapped_makespan_cycles,

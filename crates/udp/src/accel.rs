@@ -142,9 +142,6 @@ pub struct FaultHook {
     /// Jobs whose lane worker panics instead of executing; contained by
     /// [`Accelerator::dispatch`] and surfaced as [`LaneError::Panicked`].
     pub panic_jobs: BTreeSet<usize>,
-    /// Tiles whose *multiply* worker panics in the overlap executor
-    /// (stage-boundary injection point; ignored by the batch path).
-    pub panic_tiles: BTreeSet<usize>,
 }
 
 impl FaultHook {
@@ -165,15 +162,9 @@ impl FaultHook {
         self
     }
 
-    /// Marks overlap tile `tile` to panic in its multiply worker.
-    pub fn panic_tile(mut self, tile: usize) -> Self {
-        self.panic_tiles.insert(tile);
-        self
-    }
-
     /// True when the hook injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.trap_jobs.is_empty() && self.panic_jobs.is_empty() && self.panic_tiles.is_empty()
+        self.trap_jobs.is_empty() && self.panic_jobs.is_empty()
     }
 }
 

@@ -44,13 +44,13 @@ fn main() {
 
     let sys = SystemConfig::ddr4();
 
-    // The iterative workload runs through the pipelined executor: UDP lanes
-    // decode tile i+1 while CPU workers multiply tile i, and decoded blocks
-    // land in an LRU cache so every iteration after the first pays zero
-    // decode cycles.
+    // The iterative workload runs through the pipelined executor: its
+    // modeled schedule has the UDP lanes decode tile i+1 while the CPU
+    // multiplies tile i, and decoded blocks land in an LRU cache so every
+    // iteration after the first pays zero decode cycles.
     let ex = OverlapExecutor::new(
         &recoded,
-        OverlapConfig { overlap: true, cache_blocks: 8192, workers: 0 },
+        OverlapConfig { cache_blocks: 8192, ..OverlapConfig::default() },
     );
 
     // Power iteration.

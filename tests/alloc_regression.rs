@@ -11,8 +11,8 @@
 //!    clone, not a decode, and must stay allocation-free;
 //! 3. the flight recorder (ISSUE 7): the disabled path is one relaxed
 //!    atomic load per would-be event and must allocate **zero** times per
-//!    dispatched block, and the *enabled* steady state (thread-local
-//!    buffer warm, ring preallocated) must also allocate nothing;
+//!    dispatched block, and the *enabled* steady state (ring
+//!    preallocated) must also allocate nothing;
 //! 4. direct placement (ISSUE 17): a lane keeps its stage buffers across a
 //!    trapping block, a batch decode allocates the CSR arrays plus per-job
 //!    bookkeeping and nothing that grows with the block count, and a
@@ -199,13 +199,12 @@ fn disabled_recorder_records_allocation_free() {
     assert_eq!(delta, 0, "disabled recorder allocated {delta} times over 4096 dispatched blocks");
 }
 
-/// Recorder on, steady state: the ring is preallocated by `enable()` and
-/// the thread-local buffer is sized on first use, so after a warm-up burst
-/// further events (including ring overwrite once full) allocate nothing.
+/// Recorder on, steady state: the ring is preallocated by `enable()`, so
+/// events (including ring overwrite once full) allocate nothing.
 fn enabled_recorder_steady_state_is_allocation_free() {
     use recode_spmv::core::recorder::{self, EventKind, Track};
     recorder::enable(1024);
-    // Warm-up: first record on this thread sizes the thread-local buffer.
+    // Warm-up: fill the ring, so every event below overwrites one.
     for block in 0..2048u64 {
         recorder::record(EventKind::BlockOutcome, Track::lane(0), "block", block, 0);
     }
@@ -218,7 +217,7 @@ fn enabled_recorder_steady_state_is_allocation_free() {
             block,
             0,
         );
-        let _span = recorder::span(Track::worker(1), "multiply_tile");
+        let _span = recorder::span(Track::stage(0), "multiply_tile");
     }
     let delta = alloc_events() - before;
     let stats = recorder::stats();

@@ -244,6 +244,19 @@ fn spmv_exit_codes_distinguish_degraded_and_fallback_runs() {
         assert!(err.starts_with(&format!("error: {flag} 99999: the ")), "{err}");
         assert!(err.contains(what), "{err}");
     }
+
+    // `--iters` on a non-square matrix is refused before any work is done.
+    let rect = dir.join("rect.mtx");
+    let text = "%%MatrixMarket matrix coordinate real general\n3 2 2\n1 1 1.0\n3 2 2.0\n";
+    std::fs::write(&rect, text).expect("write rect.mtx");
+    let out = bin()
+        .args(["spmv", rect.to_str().unwrap(), "--overlap", "--iters", "2"])
+        .output()
+        .expect("run spmv --iters on a 3x2 matrix");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("--iters needs a square matrix"), "{err}");
+    assert!(out.stdout.is_empty(), "ran: {}", String::from_utf8_lossy(&out.stdout));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -21,7 +21,7 @@ pub fn golden_matrix() -> Csr {
 
 /// The canonical executor settings both fixtures pin.
 pub fn golden_overlap_config() -> OverlapConfig {
-    OverlapConfig { overlap: true, cache_blocks: 8, workers: 1 }
+    OverlapConfig { cache_blocks: 8, ..OverlapConfig::default() }
 }
 
 /// Zeroes the host wall-clock fields, the only nondeterministic ones.
@@ -202,7 +202,6 @@ pub fn to_golden_json(doc: &TraceDocument) -> String {
     let _ = writeln!(o, "    \"overlap\": {{");
     let _ = writeln!(o, "      \"enabled\": {},", ov.enabled);
     let _ = writeln!(o, "      \"stages\": {},", ov.stages);
-    let _ = writeln!(o, "      \"workers\": {},", ov.workers);
     let _ = writeln!(o, "      \"decode_cycles\": {},", ov.decode_cycles);
     let _ = writeln!(o, "      \"multiply_cycles\": {},", ov.multiply_cycles);
     let _ = writeln!(o, "      \"overlapped_makespan_cycles\": {},", ov.overlapped_makespan_cycles);

@@ -5,12 +5,11 @@
 //! plus the MatrixMarket fixtures under `tests/fixtures/`), `y = A x` is
 //! computed every way the system offers — all five CPU kernels (serial,
 //! row-parallel, merge-path, SELL-C-σ, partially-diagonal), the batch
-//! recoded executor under each of those kernels, and the pipelined overlap
-//! executor under all four {overlap, cache} settings — and every result
-//! must match the serial reference to a 1e-10 relative tolerance.
-//! Merge-path and partially-diagonal reassociate row sums and the
-//! pipelined executor merges per-tile partials; everything else is
-//! bit-exact, but one tolerance keeps the oracle uniform.
+//! recoded executor under each of those kernels, and the tile walker under
+//! all four {overlap, cache} settings. The kernels, which may reassociate
+//! row sums (merge-path, SELL-C-σ, partially-diagonal), must match the
+//! serial reference to a 1e-10 relative tolerance; the tile walker adds
+//! each row's products in storage order and must match it bit for bit.
 //!
 //! The `asym12.mtx` fixture is built to stress the grown kernels: a fully
 //! dense row for SELL-C-σ's σ-window sorting, two broken diagonal runs for
@@ -116,15 +115,12 @@ fn every_kernel_and_executor_agrees_on_every_family() {
 
         for overlap in [false, true] {
             for cache_blocks in [0usize, 1024] {
-                let ex = OverlapExecutor::new(
-                    &recoded,
-                    OverlapConfig { overlap, cache_blocks, workers: 0 },
-                );
-                let (y, stats) = ex
+                let config = OverlapConfig { overlap, cache_blocks, ..OverlapConfig::default() };
+                let (y, stats) = OverlapExecutor::new(&recoded, config)
                     .spmv(&sys, &x)
                     .unwrap_or_else(|e| panic!("{name}: overlap executor failed: {e}"));
-                let how = format!("pipelined(overlap={overlap},cache={cache_blocks})");
-                assert_close(&name, &how, &y, &y_ref);
+                let how = format!("tiled(overlap={overlap},cache={cache_blocks})");
+                assert_eq!(y, y_ref, "{name}/{how}: not bit-exact");
                 assert_eq!(stats.overlap.enabled, overlap, "{name}/{how}: mode flag drifted");
                 if cache_blocks == 0 {
                     assert_eq!(

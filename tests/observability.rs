@@ -3,7 +3,7 @@
 //!
 //! * `--chrome-trace` produces a Chrome trace-event / Perfetto JSON file
 //!   whose events are monotonic in time, whose `B`/`E` span markers balance
-//!   per track, and which names one track per lane / worker / stage;
+//!   per track, and which names one track per lane / stage;
 //! * `--trace` and `--chrome-trace` of one run are two views of the same
 //!   phases: every timed span of the document is a `B`/`E` pair of the
 //!   timeline, measured from the same two clock reads;
@@ -131,7 +131,7 @@ fn chrome_trace_from_the_batch_path_has_main_and_lane_tracks() {
 }
 
 #[test]
-fn chrome_trace_from_the_overlap_path_has_worker_and_stage_tracks() {
+fn chrome_trace_from_the_overlap_path_has_main_and_stage_tracks() {
     let dir = tmpdir("overlap");
     let mtx = gen_matrix(&dir, "femband", "40000", "9");
     let trace = dir.join("overlap.trace.json");
@@ -148,15 +148,18 @@ fn chrome_trace_from_the_overlap_path_has_worker_and_stage_tracks() {
         .expect("run spmv --overlap --chrome-trace");
     assert!(out.status.success(), "spmv --overlap: {}", String::from_utf8_lossy(&out.stderr));
 
-    let labels = validate_trace(&load_trace_events(&trace));
+    let events = load_trace_events(&trace);
+    let labels = validate_trace(&events);
+    assert!(labels.iter().any(|l| l == "main"), "overlap run names the main track: {labels:?}");
     assert!(
-        labels.iter().any(|l| l.starts_with("worker ")),
-        "overlap run names its worker tracks: {labels:?}"
+        labels.iter().any(|l| l == "stage 0 (tile walk)"),
+        "overlap run names the tile walker's track: {labels:?}"
     );
-    assert!(
-        labels.iter().any(|l| l == "stage 0 (decode)"),
-        "overlap run names the decode stage track: {labels:?}"
-    );
+    let multiplies = events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("multiply_tile"))
+        .count();
+    assert!(multiplies > 0, "every tile's multiply is a span on the walker's track");
     std::fs::remove_dir_all(&dir).ok();
 }
 

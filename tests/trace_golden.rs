@@ -2,7 +2,7 @@
 //!
 //! `tests/fixtures/golden_trace.json` is the canonical `recode-trace/v3`
 //! document for one fixed pipelined run (16x16 5-point stencil, seed 7,
-//! one worker, cache capacity 8). The trace schema is a public artifact —
+//! cache capacity 8). The trace schema is a public artifact —
 //! `recode report` / `recode trace-check` consume it — so any field
 //! rename, reorder, or value drift must be a conscious decision, not an
 //! accident. This suite regenerates the canonical run and compares it to
@@ -65,7 +65,6 @@ fn golden_fixture_pins_the_headline_fields() {
         assert!(doc.counters.contains_key(key), "counter `{key}` missing from the trace");
     }
     assert!(doc.exec.overlap.enabled);
-    assert_eq!(doc.exec.overlap.workers, 1);
     assert_eq!(
         doc.block_events.len() as u64,
         doc.counter("exec.jobs"),

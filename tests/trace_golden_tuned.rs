@@ -9,8 +9,8 @@
 //!    bytes and must be re-blessed consciously.
 //! 2. `tests/fixtures/golden_trace_tuned.json` — the `recode-trace/v3`
 //!    document for the pipelined run driven by that config (built through
-//!    `RecodedSpmv::new_tuned` + `OverlapExecutor::from_tuned`, cache 8,
-//!    one worker), wall-clock normalized exactly like the default fixture.
+//!    `RecodedSpmv::new_tuned` + `OverlapExecutor::from_tuned`, cache 8),
+//!    wall-clock normalized exactly like the default fixture.
 //!
 //! The suite also re-renders the DEFAULT canonical run with no bless
 //! branch: adding the tuned path must leave `golden_trace.json`
@@ -79,7 +79,6 @@ fn tuned_fixture_pins_the_headline_fields() {
     assert_eq!(doc.matrix.name, "golden_stencil16_tuned");
     assert_eq!((doc.matrix.nrows, doc.matrix.ncols), (256, 256));
     assert!(doc.exec.overlap.enabled);
-    assert_eq!(doc.exec.overlap.workers, 1);
     // The tuned codec drives the run: the trace's headline wire metric
     // must equal the one the tuner persisted, and the fetched payload can
     // never exceed the full wire size (payload + headers + tables).

@@ -138,7 +138,7 @@ fn winner_is_reproducible_across_repeated_searches() {
     let tuned_overlap = OverlapExecutor::from_tuned(
         &recoded,
         &first,
-        OverlapConfig { overlap: true, cache_blocks: 4, workers: 1 },
+        OverlapConfig { cache_blocks: 4, ..OverlapConfig::default() },
     );
     assert!(tuned_overlap.is_ok());
     // An operand recoded under a different codec is refused.
@@ -148,11 +148,7 @@ fn winner_is_reproducible_across_repeated_searches() {
         .expect("more than one stage subset exists");
     let mismatched = RecodedSpmv::new(&a, other.codec_config(first.block_bytes)).unwrap();
     assert!(matches!(
-        OverlapExecutor::from_tuned(
-            &mismatched,
-            &first,
-            OverlapConfig { overlap: true, cache_blocks: 0, workers: 1 },
-        ),
+        OverlapExecutor::from_tuned(&mismatched, &first, OverlapConfig::default(),),
         Err(TuneError::CodecMismatch)
     ));
 }
