@@ -9,7 +9,9 @@
 //! This is the **batch schedule**: every block is fanned out over the 64
 //! lanes at once, each lane decoding straight into its block's final slice
 //! of the [`Csr`] arrays, and any of the multiply kernels runs over the
-//! result. What varies between runs — fault hook,
+//! result. The simulated lanes run on every host core
+//! ([`recode_udp::accel`]); what the batch reports does not depend on how
+//! they split across host workers. What varies between runs — fault hook,
 //! telemetry — arrives in a [`RunCtx`]; a block whose first attempt
 //! fails climbs the shared recovery ladder of [`crate::ladder`], so a batch
 //! never dies on one bad block.

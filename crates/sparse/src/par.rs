@@ -58,7 +58,7 @@ where
     let work = || {
         IN_WORKER.set(true);
         let _mark = WorkerMark;
-        let mut done = Vec::new();
+        let mut done = Vec::with_capacity(slots.len());
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(slot) = slots.get(i) else { return done };

@@ -3,6 +3,12 @@
 //! accounting (paper Fig. 8: parallel lanes exploit the block-oriented
 //! pattern of SpMV recoding).
 //!
+//! The simulated lanes run on every host core: host workers of [`par::map`]
+//! claim whole lanes, and each runs its lanes' jobs in order. What a batch
+//! reports is charged after the join, in job order, so no modeled number
+//! depends on how the lanes split across workers (`par::threads() == 1`,
+//! e.g. under `taskset -c 0`, runs them all on the calling thread).
+//!
 //! A batch never aborts on the first lane trap: every job's outcome is
 //! collected so callers can retry or re-fetch just the failed blocks. A
 //! [`FaultHook`] lets tests inject transient lane traps and panics into the
@@ -12,6 +18,7 @@ use crate::energy;
 use crate::error::UdpError;
 use crate::lane::{Lane, LaneError, OpClassCycles};
 use crate::machine::Image;
+use recode_sparse::par;
 use std::collections::BTreeSet;
 
 /// Per-decode-stage cycle attribution for one job (or aggregated over a
@@ -61,7 +68,7 @@ pub struct JobOutcome {
 
 /// One lane's share of a batch — the per-lane busy/trap breakdown
 /// surfaced in [`AccelReport::lane_profiles`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaneProfile {
     /// Lane index (job `k` runs on lane `k % lanes`).
     pub lane: usize,
@@ -94,8 +101,9 @@ pub struct JobEvent {
     pub ok: bool,
 }
 
-/// Event sink: called once per job, lane by lane, on the thread that runs
-/// the batch.
+/// Event sink: called once per job, right after it ran, on the host thread
+/// that ran its lane, so one lane's events arrive in job order while the
+/// lanes interleave.
 pub type JobEventSink<'a> = &'a (dyn Fn(&JobEvent) + Sync);
 
 /// The one definition of MIMD lane utilization: `busy / (makespan * lanes)`.
@@ -196,7 +204,7 @@ impl Default for Accelerator {
 }
 
 /// Aggregate result of running a batch of jobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccelReport {
     /// Jobs executed.
     pub jobs: usize,
@@ -313,9 +321,10 @@ impl Accelerator {
     }
 
     /// Runs `jobs` across the lanes (round-robin assignment, each lane
-    /// processes its jobs in order) and collects every job's outcome in job
-    /// order. A failed job does not abort the batch — its `Err` is recorded
-    /// and the lane moves on to its next job.
+    /// processes its jobs in order, the lanes spread over the host's cores)
+    /// and collects every job's outcome in job order. A failed job does not
+    /// abort the batch — its `Err` is recorded and the lane moves on to its
+    /// next job.
     ///
     /// `run` is invoked once per job with a reusable [`Lane`]; it should
     /// execute however many program stages the job needs and return the
@@ -376,7 +385,9 @@ impl Accelerator {
     /// is what the batch executor submits) and nothing has to be collected
     /// and moved afterwards. `sink`, when given, is invoked once per job
     /// with the job's lane, cycles and success flag; the fault-injection suite
-    /// uses this to assert on the events the batch actually emitted.
+    /// uses this to assert on the events the batch actually emitted. A panic
+    /// that escapes [`Accelerator::dispatch`] (one in `sink`, say) resumes on
+    /// the caller once every host worker has stopped.
     pub fn run_jobs_observed<J, E, F>(
         &self,
         jobs: &mut [J],
@@ -390,47 +401,62 @@ impl Accelerator {
         F: Fn(&mut Lane, &mut J) -> Result<JobOutcome, E> + Sync,
     {
         assert!(self.lanes > 0, "need at least one lane");
+        let lanes = self.lanes;
         let mut results: Vec<Option<Result<JobOutcome, E>>> =
             (0..jobs.len()).map(|_| None).collect();
-        let mut report = AccelReport {
-            jobs: jobs.len(),
-            lanes: self.lanes,
-            freq_hz: self.freq_hz,
-            lane_profiles: (0..self.lanes)
-                .map(|lane| LaneProfile { lane, ..Default::default() })
-                .collect(),
-            ..AccelReport::default()
-        };
         // Job k goes to lane k % lanes, the paper's block-round-robin
-        // assignment. The simulated lanes run one after another on the
-        // calling thread; the `Sync`/`Send` bounds above are what a host
-        // fan-out needs, so threading this loop is not an API change.
-        for lane_idx in 0..self.lanes {
+        // assignment. Each job travels with its result slot, grouped by lane
+        // and in job order within a lane; host workers claim whole lanes, so
+        // a simulated lane runs its jobs in order on one pooled `Lane`. One
+        // vector, and a pooled lane parked for every worker beforehand: the
+        // fan-out allocates a fixed number of times per batch, whatever the
+        // split.
+        let mut work: Vec<_> =
+            jobs.iter_mut().zip(&mut results).enumerate().map(|(k, (j, r))| (k, j, r)).collect();
+        work.sort_unstable_by_key(|&(k, ..)| (k % lanes, k));
+        crate::pool::global().reserve(par::threads().min(work.len()).min(lanes));
+        par::map(work.chunk_by_mut(|a, b| a.0 % lanes == b.0 % lanes), |_, group| {
             let mut lane = crate::pool::global().checkout();
-            for (k, job) in jobs.iter_mut().enumerate().skip(lane_idx).step_by(self.lanes) {
-                let result = Self::dispatch(&mut lane, hook, k, |lane| run(lane, job));
-                let profile = &mut report.lane_profiles[lane_idx];
-                profile.jobs += 1;
-                if let Ok(o) = &result {
-                    report.charge_lane(lane_idx, o);
-                } else {
-                    profile.jobs_failed += 1;
-                    report.jobs_failed += 1;
-                }
+            for (k, job, slot) in group {
+                let result = Self::dispatch(&mut lane, hook, *k, |lane| run(lane, job));
                 if let Some(sink) = sink {
                     sink(&JobEvent {
-                        job: k,
-                        lane: lane_idx,
+                        job: *k,
+                        lane: *k % lanes,
                         cycles: result.as_ref().map_or(0, |o| o.cycles),
                         ok: result.is_ok(),
                     });
                 }
-                results[k] = Some(result);
+                **slot = Some(result);
             }
-        }
+        });
+        drop(work);
+        // Charged after the join, in job order: every sum and the makespan
+        // are the same whichever worker ran which lane.
+        let mut report = AccelReport {
+            jobs: jobs.len(),
+            lanes,
+            freq_hz: self.freq_hz,
+            lane_profiles: (0..lanes)
+                .map(|lane| LaneProfile { lane, ..Default::default() })
+                .collect(),
+            ..AccelReport::default()
+        };
         let results: Vec<Result<JobOutcome, E>> = results
             .into_iter()
-            .map(|r| r.expect("round-robin covers every job index exactly once"))
+            .enumerate()
+            .map(|(k, r)| {
+                let result = r.expect("round-robin covers every job index exactly once");
+                let lane = k % lanes;
+                report.lane_profiles[lane].jobs += 1;
+                if let Ok(o) = &result {
+                    report.charge_lane(lane, o);
+                } else {
+                    report.lane_profiles[lane].jobs_failed += 1;
+                    report.jobs_failed += 1;
+                }
+                result
+            })
             .collect();
         BatchOutcome { report, results }
     }
@@ -587,26 +613,94 @@ mod tests {
         let acc = Accelerator { lanes: 3, freq_hz: 1e9 };
         let mut buffer = [0u8; 23];
         let mut jobs: Vec<(usize, &mut [u8])> = buffer.chunks_mut(4).enumerate().collect();
-        let order = std::sync::Mutex::new(Vec::new());
+        let ran = std::sync::Mutex::new(Vec::new());
         let hook = FaultHook::new().trap(2);
         let out = acc.run_jobs_observed::<_, LaneError, _>(
             &mut jobs,
             |_lane, (k, dst)| {
-                order.lock().unwrap().push(*k);
+                ran.lock().unwrap().push(*k);
                 dst.fill(*k as u8 + 1);
                 Ok(JobOutcome { cycles: 1, output_bytes: dst.len() as u64, ..Default::default() })
             },
             &hook,
             None,
         );
-        // Lane k takes jobs k, k + lanes, ... in order; job 2 never ran.
-        assert_eq!(order.into_inner().unwrap(), vec![0, 3, 1, 4, 5]);
+        // Lane l runs jobs l, l + lanes, ... in that order; the lanes may
+        // interleave on the host. Job 2 never ran.
+        let ran = ran.into_inner().unwrap();
+        for lane in 0..3 {
+            let mine: Vec<usize> = ran.iter().copied().filter(|k| k % 3 == lane).collect();
+            let want: Vec<usize> = (lane..6).step_by(3).filter(|&k| k != 2).collect();
+            assert_eq!(mine, want, "lane {lane}");
+        }
+        assert_eq!(ran.len(), 5);
         assert_eq!(out.failed_jobs(), vec![2]);
         assert_eq!(out.report.output_bytes, 23 - 4);
         assert!(out.results.iter().flatten().all(|o| o.output.is_empty()));
         let want: Vec<u8> =
             (0..23).map(|i| if i / 4 == 2 { 0 } else { (i / 4) as u8 + 1 }).collect();
         assert_eq!(buffer.to_vec(), want);
+    }
+
+    #[test]
+    fn fan_out_report_does_not_depend_on_the_host_split() {
+        use crate::progs::DshDecoder;
+        use recode_codec::pipeline::{Pipeline, PipelineConfig};
+        use std::sync::Mutex;
+        // A real DSH operand: noisy banded indices in 1 KiB blocks, about
+        // four jobs per lane, one of them trapped and one panicking.
+        let mut rng = recode_sparse::util::SplitMix64::new(7);
+        let data: Vec<u8> =
+            (0..64_000u32).flat_map(|i| (i / 3 + rng.below(16) as u32).to_le_bytes()).collect();
+        let config = PipelineConfig { block_bytes: 1024, ..PipelineConfig::dsh_udp() };
+        let pipe = Pipeline::train(config, &data).unwrap();
+        let stream = pipe.encode_stream(&data).unwrap();
+        let decoder = DshDecoder::new(config, pipe.table().map(|t| t.lengths.as_slice())).unwrap();
+        let acc = Accelerator::default();
+        let hook = FaultHook::new().trap(5).panic_job(70);
+        let batch = || {
+            let mut out = vec![0u8; data.len()];
+            let mut jobs: Vec<_> =
+                stream.blocks.iter().zip(out.chunks_mut(config.block_bytes)).collect();
+            let events = Mutex::new(Vec::new());
+            let sink = |e: &JobEvent| events.lock().unwrap().push(*e);
+            let outcome = acc.run_jobs_observed::<_, UdpError, _>(
+                &mut jobs,
+                |lane, (block, dst)| decoder.decode_block_into(lane, block, dst),
+                &hook,
+                Some(&sink),
+            );
+            let results: Vec<_> = outcome
+                .results
+                .iter()
+                .map(|r| match r {
+                    Ok(o) => Ok((o.cycles, o.opclass, o.stage_cycles, o.output_bytes)),
+                    Err(e) => Err(e.to_string()),
+                })
+                .collect();
+            let mut events = events.into_inner().unwrap();
+            events.sort_by_key(|e| e.job);
+            (outcome.report, results, events, out)
+        };
+        // Directly, the lanes spread over every host worker; from inside a
+        // `par::map` worker the nested fan-out runs inline, on one.
+        let direct = batch();
+        let nested = par::map([(), ()], |_, ()| batch());
+        let (report, results, events, out) = &direct;
+        assert!(report.jobs > 3 * acc.lanes, "{} jobs", report.jobs);
+        assert_eq!(report.jobs_failed, 2);
+        assert_eq!(events.len(), report.jobs);
+        assert!(events.iter().enumerate().all(|(k, e)| e.job == k && e.lane == k % acc.lanes));
+        assert!(results[70].as_ref().is_err_and(|e| e.contains("job 70")));
+        for (k, (got, want)) in out.chunks(1024).zip(data.chunks(1024)).enumerate() {
+            assert!(k == 5 || k == 70 || got == want, "block {k} decoded wrong");
+        }
+        for other in &nested {
+            assert_eq!(other.0, *report);
+            assert_eq!(other.1, *results);
+            assert_eq!(other.2, *events);
+            assert_eq!(other.3, *out);
+        }
     }
 
     #[test]

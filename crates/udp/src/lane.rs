@@ -489,7 +489,8 @@ pub struct Lane {
     jit_bails: u64,
     /// Spare output buffers recycled by `DshDecoder::decode_block_into`'s stage
     /// chain (held here so every consumer of a pooled lane reuses the same
-    /// allocations).
+    /// allocations). Built at the output window's size, since no stage can
+    /// emit more: they never grow, whichever blocks the lane ran before.
     pub(crate) io_a: Vec<u8>,
     pub(crate) io_b: Vec<u8>,
 }
@@ -518,8 +519,8 @@ impl Lane {
             dirty_hi: 0,
             jit_helper_calls: 0,
             jit_bails: 0,
-            io_a: Vec::new(),
-            io_b: Vec::new(),
+            io_a: Vec::with_capacity(OUTPUT_WINDOW_BYTES),
+            io_b: Vec::with_capacity(OUTPUT_WINDOW_BYTES),
         }
     }
 

@@ -26,7 +26,8 @@ pub fn set_event_hook(hook: fn()) {
 }
 
 /// Free-lane cap per pool; beyond this, returned lanes are dropped (each
-/// holds a 64 KB scratchpad — the cap bounds idle memory at ~16 MB).
+/// holds a 64 KB scratchpad and two 32 KB stage buffers — the cap bounds
+/// idle memory at ~32 MB).
 pub const POOL_CAPACITY: usize = 256;
 
 /// Monotonic pool counters, exported into telemetry as `pool.*` counters by
@@ -99,6 +100,14 @@ impl LanePool {
             None => Lane::new(),
         };
         PooledLane { pool: self, lane: Some(lane) }
+    }
+
+    /// Parks at least `n` lanes (up to [`POOL_CAPACITY`]): checks `n` out at
+    /// once and returns them. The batch fan-out calls it with its host worker
+    /// count before the workers start, so how many lanes a batch builds does
+    /// not depend on how many of its workers got to run.
+    pub fn reserve(&self, n: usize) {
+        drop((0..n).map(|_| self.checkout()).collect::<Vec<_>>());
     }
 
     /// Number of lanes currently parked in the free list.
@@ -187,6 +196,19 @@ mod tests {
         assert_eq!(stats.fresh_builds, 2);
         assert_eq!(stats.recycled_hits, 1);
         assert_eq!(stats.returned, 3);
+    }
+
+    #[test]
+    fn reserve_parks_enough_lanes_for_that_many_checkouts_at_once() {
+        let pool = LanePool::new();
+        drop(pool.checkout());
+        pool.reserve(3);
+        assert_eq!(pool.idle(), 3);
+        let built = pool.stats().fresh_builds;
+        drop((0..3).map(|_| pool.checkout()).collect::<Vec<_>>());
+        assert_eq!(pool.stats().fresh_builds, built, "three at once build nothing");
+        pool.reserve(2);
+        assert_eq!(pool.idle(), 3, "reserving fewer than are parked builds nothing");
     }
 
     #[test]
