@@ -6,9 +6,9 @@
 //! re-order buffer would: single-bit payload flips, payload truncation,
 //! whole-block drop/duplication/reorder, and header-field corruption.
 //!
-//! All randomness comes from the workspace's [`SplitMix64`], so a trial is
-//! fully determined by its seed and a failure reduces to a reproducible
-//! `(seed, fault class)` pair.
+//! A [`Fault`] names its site, so a test can place one directly; a
+//! [`FaultInjector`] draws one from the workspace's [`SplitMix64`], so a
+//! drawn fault is fully determined by its seed and the stream.
 
 use crate::block::BlockStream;
 pub use recode_sparse::util::SplitMix64;
@@ -16,13 +16,13 @@ pub use recode_sparse::util::SplitMix64;
 /// The corruption classes the injector can apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Flip one random bit of one block's payload.
+    /// Flip one bit of one block's payload.
     BitFlip,
     /// Remove bytes from the end of one block's payload (header untouched).
     Truncate,
     /// Remove one block from the stream.
     DropBlock,
-    /// Insert a copy of one block at a random position.
+    /// Insert a copy of one block into the stream.
     DuplicateBlock,
     /// Swap two distinct blocks.
     ReorderBlocks,
@@ -57,147 +57,170 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-/// What a single injection actually did, for test assertions and logs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultReport {
-    /// Fault class applied.
-    pub kind: FaultKind,
-    /// Stream position of the affected block (position of the *first*
-    /// affected block for reorder).
-    pub block: usize,
-    /// Human-readable description of the exact mutation.
-    pub detail: String,
+/// One header field of a [`CompressedBlock`](crate::CompressedBlock).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeaderField {
+    /// Valid payload bits.
+    BitLen,
+    /// The byte size the block decodes to.
+    UncompressedLen,
+    /// The block's stream position.
+    Seq,
+    /// The stored CRC32c.
+    Checksum,
 }
 
-/// Seeded deterministic fault injector.
+impl HeaderField {
+    /// Every header field, in [`FaultInjector`] draw order.
+    pub const ALL: [HeaderField; 4] = [
+        HeaderField::BitLen,
+        HeaderField::UncompressedLen,
+        HeaderField::Seq,
+        HeaderField::Checksum,
+    ];
+}
+
+impl std::fmt::Display for HeaderField {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            HeaderField::BitLen => "bit_len",
+            HeaderField::UncompressedLen => "uncompressed_len",
+            HeaderField::Seq => "seq",
+            HeaderField::Checksum => "checksum",
+        })
+    }
+}
+
+/// One stream mutation and its site: [`Fault::apply`] makes exactly this
+/// change, and `Display` says what it is. Blocks are stream positions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Flip bit `bit` of payload byte `byte` of `block`.
+    BitFlip { block: usize, byte: usize, bit: u8 },
+    /// Cut `block`'s payload to its first `len` bytes.
+    Truncate { block: usize, len: usize },
+    /// Remove `block` from the stream.
+    DropBlock { block: usize },
+    /// Insert a copy of `block` at position `at`.
+    DuplicateBlock { block: usize, at: usize },
+    /// Swap `block` with block `with`.
+    ReorderBlocks { block: usize, with: usize },
+    /// XOR header field `field` of `block` with `mask` (nonzero).
+    HeaderCorrupt { block: usize, field: HeaderField, mask: u32 },
+}
+
+impl Fault {
+    /// Mutates `stream` as the fault says (a truncation to the payload's
+    /// length or more changes nothing).
+    ///
+    /// # Panics
+    /// If the site is not in `stream`: a block, byte or position past its
+    /// end.
+    pub fn apply(&self, stream: &mut BlockStream) {
+        let blocks = &mut stream.blocks;
+        match *self {
+            Fault::BitFlip { block, byte, bit } => blocks[block].payload[byte] ^= 1 << bit,
+            Fault::Truncate { block, len } => blocks[block].payload.truncate(len),
+            Fault::DropBlock { block } => drop(blocks.remove(block)),
+            Fault::DuplicateBlock { block, at } => blocks.insert(at, blocks[block].clone()),
+            Fault::ReorderBlocks { block, with } => blocks.swap(block, with),
+            Fault::HeaderCorrupt { block, field, mask } => {
+                let b = &mut blocks[block];
+                match field {
+                    HeaderField::BitLen => b.bit_len ^= mask as usize,
+                    HeaderField::UncompressedLen => b.uncompressed_len ^= mask as usize,
+                    HeaderField::Seq => b.seq ^= mask,
+                    HeaderField::Checksum => b.checksum ^= mask,
+                }
+            }
+        }
+    }
+}
+
+impl std::fmt::Display for Fault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Fault::BitFlip { block, byte, bit } => {
+                write!(f, "flipped bit {bit} of payload byte {byte} of block {block}")
+            }
+            Fault::Truncate { block, len } => {
+                write!(f, "truncated the payload of block {block} to {len} bytes")
+            }
+            Fault::DropBlock { block } => write!(f, "dropped block {block}"),
+            Fault::DuplicateBlock { block, at } => {
+                write!(f, "duplicated block {block} at position {at}")
+            }
+            Fault::ReorderBlocks { block, with } => write!(f, "swapped blocks {block} and {with}"),
+            Fault::HeaderCorrupt { block, field, mask } => {
+                write!(f, "{field} of block {block} xor {mask:#x}")
+            }
+        }
+    }
+}
+
+/// Seeded deterministic fault injector: it draws where a fault goes, and
+/// [`Fault::apply`] puts it there.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     rng: SplitMix64,
 }
 
 impl FaultInjector {
-    /// Injector whose whole mutation sequence is determined by `seed`.
+    /// Injector whose whole draw sequence is determined by `seed`.
     pub fn new(seed: u64) -> Self {
         FaultInjector { rng: SplitMix64::new(seed) }
     }
 
-    /// Next 64-bit draw from the injector's [`SplitMix64`] stream.
-    fn next_u64(&mut self) -> u64 {
-        self.rng.next_u64()
-    }
-
-    /// Uniform draw in `0..n`. `n` must be nonzero.
-    fn below(&mut self, n: usize) -> usize {
-        self.rng.below(n)
-    }
-
-    /// Picks a fault class uniformly.
-    pub fn choose_kind(&mut self) -> FaultKind {
-        FaultKind::ALL[self.below(FaultKind::ALL.len())]
-    }
-
-    /// Applies `kind` to `stream`. Returns `None` when the stream offers no
-    /// target for that class (empty stream; reorder with < 2 blocks;
-    /// bit-flip/truncate on an empty payload) — the stream is then unchanged.
-    pub fn inject(&mut self, stream: &mut BlockStream, kind: FaultKind) -> Option<FaultReport> {
-        if stream.blocks.is_empty() {
+    /// Draws a fault of class `kind` at a site of `stream`. Returns `None`
+    /// when the stream offers no target for that class (empty stream;
+    /// reorder with < 2 blocks; bit-flip/truncate on an empty payload).
+    pub fn draw(&mut self, stream: &BlockStream, kind: FaultKind) -> Option<Fault> {
+        let rng = &mut self.rng;
+        let n = stream.blocks.len();
+        if n == 0 {
             return None;
         }
-        let n = stream.blocks.len();
-        match kind {
+        let fault = match kind {
             FaultKind::BitFlip => {
-                let k = self.below(n);
-                let payload = &mut stream.blocks[k].payload;
-                if payload.is_empty() {
+                let block = rng.below(n);
+                let len = stream.blocks[block].payload.len();
+                if len == 0 {
                     return None;
                 }
-                let byte = self.below(payload.len());
-                let bit = self.below(8);
-                payload[byte] ^= 1 << bit;
-                Some(FaultReport {
-                    kind,
-                    block: k,
-                    detail: format!("flipped bit {bit} of payload byte {byte}"),
-                })
+                let byte = rng.below(len);
+                Fault::BitFlip { block, byte, bit: rng.below(8) as u8 }
             }
             FaultKind::Truncate => {
-                let k = self.below(n);
-                let payload = &mut stream.blocks[k].payload;
-                if payload.is_empty() {
+                let block = rng.below(n);
+                let len = stream.blocks[block].payload.len();
+                if len == 0 {
                     return None;
                 }
-                let cut = 1 + self.below(payload.len());
-                let new_len = payload.len() - cut;
-                payload.truncate(new_len);
-                Some(FaultReport {
-                    kind,
-                    block: k,
-                    detail: format!("truncated payload by {cut} bytes to {new_len}"),
-                })
+                Fault::Truncate { block, len: len - 1 - rng.below(len) }
             }
-            FaultKind::DropBlock => {
-                let k = self.below(n);
-                stream.blocks.remove(k);
-                Some(FaultReport { kind, block: k, detail: "dropped block".into() })
-            }
+            FaultKind::DropBlock => Fault::DropBlock { block: rng.below(n) },
             FaultKind::DuplicateBlock => {
-                let k = self.below(n);
-                let at = self.below(n + 1);
-                let copy = stream.blocks[k].clone();
-                stream.blocks.insert(at, copy);
-                Some(FaultReport {
-                    kind,
-                    block: k,
-                    detail: format!("duplicated block {k} at position {at}"),
-                })
+                let block = rng.below(n);
+                Fault::DuplicateBlock { block, at: rng.below(n + 1) }
             }
             FaultKind::ReorderBlocks => {
                 if n < 2 {
                     return None;
                 }
-                let i = self.below(n);
-                let mut j = self.below(n - 1);
-                if j >= i {
-                    j += 1;
+                let block = rng.below(n);
+                let mut with = rng.below(n - 1);
+                if with >= block {
+                    with += 1;
                 }
-                stream.blocks.swap(i, j);
-                Some(FaultReport {
-                    kind,
-                    block: i.min(j),
-                    detail: format!("swapped blocks {i} and {j}"),
-                })
+                Fault::ReorderBlocks { block, with }
             }
             FaultKind::HeaderCorrupt => {
-                let k = self.below(n);
-                let delta = (self.next_u64() as u32) | 1; // never zero
-                let b = &mut stream.blocks[k];
-                let detail = match self.below(4) {
-                    0 => {
-                        b.bit_len ^= delta as usize;
-                        format!("bit_len xor {delta:#x}")
-                    }
-                    1 => {
-                        b.uncompressed_len ^= delta as usize;
-                        format!("uncompressed_len xor {delta:#x}")
-                    }
-                    2 => {
-                        b.seq ^= delta;
-                        format!("seq xor {delta:#x}")
-                    }
-                    _ => {
-                        b.checksum ^= delta;
-                        format!("checksum xor {delta:#x}")
-                    }
-                };
-                Some(FaultReport { kind, block: k, detail })
+                let block = rng.below(n);
+                let mask = (rng.next_u64() as u32) | 1; // never zero
+                Fault::HeaderCorrupt { block, field: HeaderField::ALL[rng.below(4)], mask }
             }
-        }
-    }
-
-    /// Convenience: pick a class with the generator, then apply it.
-    pub fn inject_random(&mut self, stream: &mut BlockStream) -> Option<FaultReport> {
-        let kind = self.choose_kind();
-        self.inject(stream, kind)
+        };
+        Some(fault)
     }
 }
 
@@ -218,9 +241,11 @@ mod tests {
         for kind in FaultKind::ALL {
             let mut a = stream(5);
             let mut b = stream(5);
-            let ra = FaultInjector::new(42).inject(&mut a, kind);
-            let rb = FaultInjector::new(42).inject(&mut b, kind);
-            assert_eq!(ra, rb);
+            let fa = FaultInjector::new(42).draw(&a, kind).expect("five blocks are a target");
+            let fb = FaultInjector::new(42).draw(&b, kind).expect("five blocks are a target");
+            assert_eq!(fa, fb);
+            fa.apply(&mut a);
+            fb.apply(&mut b);
             assert_eq!(a, b);
         }
     }
@@ -230,35 +255,25 @@ mod tests {
         for kind in FaultKind::ALL {
             for seed in 0..32u64 {
                 let mut s = stream(6);
-                let report = FaultInjector::new(seed).inject(&mut s, kind);
-                match report {
-                    Some(_) => {
-                        // A reorder may swap identical-content blocks only if
-                        // payloads differ; ours all differ by construction.
-                        assert!(
-                            s.verify().is_err(),
-                            "seed {seed}: {kind} went undetected by verify()"
-                        );
-                    }
-                    None => s.verify().unwrap(),
-                }
+                // Every payload differs, so even a reorder changes the stream.
+                let fault = FaultInjector::new(seed).draw(&s, kind).expect("six blocks");
+                fault.apply(&mut s);
+                assert!(s.verify().is_err(), "seed {seed}: {fault} went undetected by verify()");
             }
         }
     }
 
     #[test]
-    fn empty_stream_is_a_no_op() {
-        let mut s = BlockStream { block_bytes: 32, blocks: vec![], total_uncompressed: 0 };
+    fn an_empty_stream_offers_no_site() {
+        let s = BlockStream { block_bytes: 32, blocks: vec![], total_uncompressed: 0 };
         for kind in FaultKind::ALL {
-            assert!(FaultInjector::new(7).inject(&mut s, kind).is_none());
+            assert_eq!(FaultInjector::new(7).draw(&s, kind), None);
         }
-        assert!(s.blocks.is_empty());
     }
 
     #[test]
     fn reorder_needs_two_blocks() {
-        let mut s = stream(1);
-        assert!(FaultInjector::new(9).inject(&mut s, FaultKind::ReorderBlocks).is_none());
-        s.verify().unwrap();
+        let s = stream(1);
+        assert_eq!(FaultInjector::new(9).draw(&s, FaultKind::ReorderBlocks), None);
     }
 }

@@ -54,7 +54,7 @@ pub mod words;
 pub use block::{BlockStream, CompressedBlock};
 pub use crc32c::crc32c;
 pub use error::{CodecError, CodecResult};
-pub use faults::{FaultInjector, FaultKind, FaultReport, SplitMix64};
+pub use faults::{Fault, FaultInjector, FaultKind, HeaderField, SplitMix64};
 pub use pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline, PipelineConfig};
 
 /// The paper's UDP-side uncompressed block size: 8 KB.

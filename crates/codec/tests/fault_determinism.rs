@@ -1,10 +1,9 @@
-//! Determinism contract of the transport-fault injector: a campaign seeded
-//! with the same value produces the *identical* fault sequence — same
-//! kinds, same target blocks, same byte-level mutations — across runs.
-//! Chaos campaigns lean on this: any failing trial reproduces exactly from
-//! `(seed, trial index)`, never "roughly".
+//! Determinism contract of the transport-fault injector: an injector
+//! seeded with the same value draws the *identical* fault sequence — same
+//! kinds, same target blocks, same byte-level mutations — across runs, so a
+//! failing seeded test reproduces exactly, never "roughly".
 
-use recode_codec::faults::{FaultInjector, FaultKind, FaultReport, SplitMix64};
+use recode_codec::faults::{Fault, FaultInjector, FaultKind, SplitMix64};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_codec::BlockStream;
 use recode_sparse::prelude::*;
@@ -23,24 +22,31 @@ fn fixture_stream() -> BlockStream {
     cm.index_stream
 }
 
-/// Replays one seeded injection campaign: `rounds` random injections plus
-/// one directed injection of every [`FaultKind`], recording each report and
-/// a digest of the mutated stream after every step.
-fn campaign(seed: u64, rounds: usize) -> (Vec<Option<FaultReport>>, Vec<u64>) {
+/// Replays one seeded injection sequence: `rounds` drawn faults of drawn
+/// kinds, each applied to the stream the previous ones left, plus one
+/// drawn fault of every [`FaultKind`] on a fresh stream, recording each
+/// fault and a digest of the mutated stream after every step.
+fn campaign(seed: u64, rounds: usize) -> (Vec<Option<Fault>>, Vec<u64>) {
     let mut stream = fixture_stream();
+    let mut kinds = SplitMix64::new(seed);
     let mut injector = FaultInjector::new(seed);
-    let mut reports = Vec::new();
+    let mut faults = Vec::new();
     let mut digests = Vec::new();
+    let mut step = |stream: &mut BlockStream, kind: FaultKind| {
+        let fault = injector.draw(stream, kind);
+        if let Some(f) = fault {
+            f.apply(stream);
+        }
+        faults.push(fault);
+        digests.push(digest(stream));
+    };
     for _ in 0..rounds {
-        reports.push(injector.inject_random(&mut stream));
-        digests.push(digest(&stream));
+        step(&mut stream, FaultKind::ALL[kinds.below(FaultKind::ALL.len())]);
     }
     for kind in FaultKind::ALL {
-        let mut fresh = fixture_stream();
-        reports.push(injector.inject(&mut fresh, kind));
-        digests.push(digest(&fresh));
+        step(&mut fixture_stream(), kind);
     }
-    (reports, digests)
+    (faults, digests)
 }
 
 /// Order-sensitive FNV-1a over every block's framing and payload.
@@ -61,19 +67,19 @@ fn digest(stream: &BlockStream) -> u64 {
 
 #[test]
 fn same_seed_produces_the_identical_fault_sequence() {
-    let (reports_a, digests_a) = campaign(0xFA57_5EED, 64);
-    let (reports_b, digests_b) = campaign(0xFA57_5EED, 64);
-    assert_eq!(reports_a, reports_b, "fault kinds, targets, and details must replay exactly");
+    let (faults_a, digests_a) = campaign(0xFA57_5EED, 64);
+    let (faults_b, digests_b) = campaign(0xFA57_5EED, 64);
+    assert_eq!(faults_a, faults_b, "fault kinds, targets, and details must replay exactly");
     assert_eq!(digests_a, digests_b, "the mutated streams must be byte-identical");
-    // Sanity: the campaign actually did something (not 64 no-ops).
-    assert!(reports_a.iter().filter(|r| r.is_some()).count() > 32);
+    // Sanity: the sequence actually did something (not 64 no-ops).
+    assert!(faults_a.iter().filter(|f| f.is_some()).count() > 32);
 }
 
 #[test]
 fn different_seeds_diverge() {
-    let (reports_a, _) = campaign(1, 64);
-    let (reports_b, _) = campaign(2, 64);
-    assert_ne!(reports_a, reports_b, "distinct seeds must explore distinct fault sequences");
+    let (faults_a, _) = campaign(1, 64);
+    let (faults_b, _) = campaign(2, 64);
+    assert_ne!(faults_a, faults_b, "distinct seeds must explore distinct fault sequences");
 }
 
 #[test]

@@ -183,12 +183,15 @@ fn faulted_streams_decode_ok_or_typed_error() {
         let pipe = Pipeline::train(config, &data).unwrap();
         let mut enc = pipe.encode_stream(&data).unwrap();
         let kind = FaultKind::ALL[rng.below(FaultKind::ALL.len())];
-        let report = FaultInjector::new(rng.next_u64()).inject(&mut enc, kind);
+        let fault = FaultInjector::new(rng.next_u64()).draw(&enc, kind);
+        if let Some(f) = fault {
+            f.apply(&mut enc);
+        }
         // Every outcome is Ok(original) or a typed error — never a panic,
         // never silently wrong bytes.
         match pipe.decode_stream(&enc) {
             Ok(out) => assert_eq!(out, data),
-            Err(_) => assert!(report.is_some(), "typed error on an unmutated stream"),
+            Err(_) => assert!(fault.is_some(), "typed error on an unmutated stream"),
         }
     });
 }
@@ -213,10 +216,13 @@ fn faulted_matrix_decompress_ok_or_typed_error() {
         let mut c = CompressedMatrix::compress(&a, cfg).unwrap();
         let stream = if rng.below(2) == 0 { &mut c.index_stream } else { &mut c.value_stream };
         let kind = FaultKind::ALL[rng.below(FaultKind::ALL.len())];
-        let report = FaultInjector::new(rng.next_u64()).inject(stream, kind);
+        let fault = FaultInjector::new(rng.next_u64()).draw(stream, kind);
+        if let Some(f) = fault {
+            f.apply(stream);
+        }
         match c.decompress() {
             Ok(b) => assert_eq!(b, a),
-            Err(_) => assert!(report.is_some(), "typed error on an unmutated matrix"),
+            Err(_) => assert!(fault.is_some(), "typed error on an unmutated matrix"),
         }
     });
 }

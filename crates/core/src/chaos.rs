@@ -1,398 +1,334 @@
-//! Seeded chaos campaigns over the resilient execution stack.
+//! The fault contract, enumerated.
 //!
-//! A campaign runs hundreds of independent trials. Each trial derives a
-//! *plan* from the campaign seed — which executor arm to drive, which fault
-//! to inject, and where to inject it — runs the job under a watchdog, and
-//! classifies the result into a
-//! [`TrialOutcome`]. The campaign then asserts the resilience contract in
-//! aggregate:
+//! One small [`Fixture`] and every fault a run of it can meet: none; a
+//! [`FaultHook`] trap at each job, a panic at each job, and a trap at every
+//! pair of jobs, each on the job's first attempt; and each [`FaultKind`] at
+//! each block of each stream (`block_faults`: bit flips and truncations at
+//! three byte positions, each header field on its own). Every fault runs
+//! with the raw store on and off — a [`Case`] — and every case under every
+//! [`Schedule`], which must agree job for job: one recovery ladder sits
+//! under all of them.
 //!
-//! * **no hangs** — every trial finishes inside its hard watchdog timeout;
-//! * **no escaped panics** — injected panics are contained at the lane
-//!   dispatch boundary and recovered like any failed block;
-//! * **typed terminal state** — every trial ends Completed / Degraded /
-//!   Rejected, never anything else;
-//! * **block accounting** — whenever a run produces [`ExecStats`],
-//!   `blocks_ok + blocks_recovered + blocks_fell_back == accel.jobs`;
-//! * **trace validity** — every [`TraceDocument`] produced under fault
-//!   passes [`TraceDocument::validate`];
-//! * **bit-exactness** — a trial that reports Completed or Degraded
-//!   produced exactly the reference result.
-//!
-//! Faults are injected at two points — **lane dispatch** (trap / panic
-//! hooks on each block's first attempt) and the **compressed stream**
-//! (every [`FaultKind`] the transport injector knows) — plus the clean
-//! baseline, `none`.
-//!
-//! All randomness is [`SplitMix64`]: a campaign is fully determined by
-//! `(seed, trials)`, and a failing trial reproduces from its logged seed.
+//! [`run`] returns the [`Table`], one [`Row`] per case: the jobs retried,
+//! the jobs that fell back and the ladder tally, or the typed error with
+//! its block. A run that breaks the contract adds a violation instead: a
+//! result that is not the reference, block accounting that does not add
+//! up, a trace that fails [`TraceDocument::validate`], an error that names
+//! no block, or a schedule that disagrees with the batch. An injected panic
+//! that escapes the stack is not caught here: it fails the caller, and the
+//! caller's own timeout is the watchdog (the walker is inline, the ladder
+//! is finite and every lane program runs under a cycle limit).
+//! `results/chaos_campaign.json` is the table, so a fault that moves to
+//! another block changes a row.
 
 use crate::arch::SystemConfig;
-use crate::error::ExecResult;
+use crate::error::{ExecError, ExecResult};
 use crate::exec::{ExecStats, RawFallbackStore, RecodedSpmv, RunCtx};
 use crate::json::Json;
 use crate::overlap::{OverlapConfig, OverlapExecutor};
+use crate::telemetry::{BlockEvent, BlockOutcome, StreamKind, Telemetry, TraceDocument};
 #[cfg(doc)]
-use crate::telemetry::TraceDocument;
-use recode_codec::faults::{FaultInjector, FaultKind, SplitMix64};
-use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
+use recode_codec::faults::FaultKind;
+use recode_codec::faults::{Fault, HeaderField};
+use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig, PipelineConfig};
+use recode_codec::BlockStream;
 use recode_sparse::prelude::{generate, GenSpec, ValueModel};
-use recode_sparse::spmv::SpmvKernel;
+use recode_sparse::spmv::{spmv, SpmvKernel};
 use recode_sparse::Csr;
-use recode_udp::accel::FaultHook;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use recode_udp::accel::{Accelerator, FaultHook};
+use std::fmt::Write as _;
 
-/// Campaign parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    /// Trials to run. The acceptance bar for a full campaign is ≥ 500.
-    pub trials: usize,
-    /// Master seed; the whole campaign is a pure function of it.
-    pub seed: u64,
+/// The enumeration's one workload: a 14×14 five-point stencil (924
+/// non-zeros) in the paper's stage mix at 1 KiB index and 2 KiB value
+/// blocks — 4 blocks per stream, each stream's last one short — on a
+/// 4-lane accelerator. That is 8 jobs, two on every lane, and 149 faults.
+pub struct Fixture {
+    /// The matrix.
+    pub a: Csr,
+    /// Its clean compressed form.
+    pub compressed: CompressedMatrix,
+    /// The platform, with fewer lanes than jobs.
+    pub sys: SystemConfig,
+    /// The vector every SpMV multiplies.
+    pub x: Vec<f64>,
 }
 
-impl Default for ChaosConfig {
+impl Default for Fixture {
+    /// Builds the fixture (deterministic).
     fn default() -> Self {
-        ChaosConfig { trials: 500, seed: 0xC0FFEE }
+        let values = ValueModel::QuantizedGaussian { levels: 16 };
+        let a = generate(&GenSpec::Stencil2D { nx: 14, ny: 14, points: 5, values }, 11);
+        let config = MatrixCodecConfig {
+            index: PipelineConfig { block_bytes: 1024, ..PipelineConfig::dsh_udp() },
+            value: PipelineConfig { block_bytes: 2048, ..PipelineConfig::sh_udp() },
+        };
+        let compressed = CompressedMatrix::compress(&a, config).expect("the fixture compresses");
+        let sys = SystemConfig {
+            udp: Accelerator { lanes: 4, ..Accelerator::default() },
+            ..SystemConfig::ddr4()
+        };
+        let x = (0..a.ncols()).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
+        Fixture { a, compressed, sys, x }
     }
 }
 
-/// Hard per-trial wall-clock limit. A trial that misses it is recorded as
-/// [`TrialOutcome::Hung`] — a contract violation, never retried.
-pub const TRIAL_TIMEOUT: Duration = Duration::from_secs(30);
+impl Fixture {
+    /// Decode jobs in one run: index blocks, then value blocks.
+    pub fn jobs(&self) -> usize {
+        self.compressed.index_stream.blocks.len() + self.compressed.value_stream.blocks.len()
+    }
 
-/// Typed terminal classification of one trial. The first three are what a
-/// run's [`ExecResult`] says ([`classify`]); the last two are contract
-/// violations the watchdog detects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrialOutcome {
-    /// Happy path, bit-exact.
-    Completed,
-    /// Off the happy path (retry / raw-store fallback), bit-exact.
-    Degraded,
-    /// A typed failure (a block that neither its retry nor the raw store
-    /// recovers, or a stream that does not reassemble).
-    Rejected,
-    /// VIOLATION: the trial missed its watchdog deadline.
-    Hung,
-    /// VIOLATION: a panic escaped the execution stack into the harness.
-    PanicEscaped,
-}
-
-impl TrialOutcome {
-    fn label(self) -> &'static str {
-        match self {
-            TrialOutcome::Completed => "completed",
-            TrialOutcome::Degraded => "degraded",
-            TrialOutcome::Rejected => "rejected",
-            TrialOutcome::Hung => "hung",
-            TrialOutcome::PanicEscaped => "panic-escaped",
+    /// Every case, raw store on first: each [`Injection`] once per store
+    /// setting.
+    pub fn cases(&self) -> Vec<Case> {
+        let jobs = self.jobs();
+        let mut faults = vec![Injection::Clean];
+        faults.extend((0..jobs).map(Injection::Trap));
+        faults.extend((0..jobs).map(Injection::Panic));
+        faults
+            .extend((0..jobs).flat_map(|j| (j + 1..jobs).map(move |k| Injection::TrapPair(j, k))));
+        for (kind, stream) in self.streams() {
+            for block in 0..stream.blocks.len() {
+                faults.extend(block_faults(stream, block).map(|f| Injection::Stream(kind, f)));
+            }
         }
+        [true, false]
+            .into_iter()
+            .flat_map(|store| faults.iter().map(move |&injection| Case { injection, store }))
+            .collect()
+    }
+
+    fn streams(&self) -> [(StreamKind, &BlockStream); 2] {
+        [
+            (StreamKind::Index, &self.compressed.index_stream),
+            (StreamKind::Value, &self.compressed.value_stream),
+        ]
     }
 }
 
-impl std::fmt::Display for TrialOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
+/// The stream faults placed at `block`: a flip of bit 0 and a truncation
+/// at the payload's first, middle and last byte, the block dropped,
+/// duplicated right after itself and swapped with its successor (the last
+/// block with the first), and each [`HeaderField`] XORed with 1.
+fn block_faults(stream: &BlockStream, block: usize) -> impl Iterator<Item = Fault> {
+    let len = stream.blocks[block].payload.len();
+    let bytes = [0, len / 2, len - 1];
+    let flips = bytes.map(|byte| Fault::BitFlip { block, byte, bit: 0 });
+    let cuts = bytes.map(|len| Fault::Truncate { block, len });
+    let moves = [
+        Fault::DropBlock { block },
+        Fault::DuplicateBlock { block, at: block + 1 },
+        Fault::ReorderBlocks { block, with: (block + 1) % stream.blocks.len() },
+    ];
+    let headers = HeaderField::ALL.map(|field| Fault::HeaderCorrupt { block, field, mask: 1 });
+    flips.into_iter().chain(cuts).chain(moves).chain(headers)
 }
 
-/// Which executor a trial drives.
+/// Where a case injects its fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Arm {
-    /// `RecodedSpmv::decompress_with` — the batch decode alone, checked
-    /// against the matrix.
-    BatchJob,
-    /// `OverlapExecutor::spmv_with` — pipelined decode/multiply.
-    Overlap,
-    /// `RecodedSpmv::spmv_traced` — full telemetry, document validated.
-    Traced,
-}
-
-/// Where a trial injects its fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Injection {
-    /// Clean baseline run.
-    None,
-    /// `FaultHook` traps on the accelerator job loop.
-    LaneTrap,
-    /// `FaultHook` panics on the accelerator job loop.
-    LanePanic,
-    /// A [`FaultKind`] applied to one compressed stream.
-    StreamCorrupt(FaultKind, bool /* value stream */),
+pub enum Injection {
+    /// No fault.
+    Clean,
+    /// A trap on the first attempt of one job.
+    Trap(usize),
+    /// A panic inside the lane worker on the first attempt of one job.
+    Panic(usize),
+    /// Traps on the first attempts of two jobs.
+    TrapPair(usize, usize),
+    /// One fault placed in one compressed stream.
+    Stream(StreamKind, Fault),
 }
 
 impl Injection {
-    fn point_label(self) -> &'static str {
+    /// The hook that injects this case's lane faults.
+    fn hook(&self) -> FaultHook {
+        match *self {
+            Injection::Trap(j) => FaultHook::new().trap(j),
+            Injection::Panic(j) => FaultHook::new().panic_job(j),
+            Injection::TrapPair(j, k) => FaultHook::new().trap(j).trap(k),
+            Injection::Clean | Injection::Stream(..) => FaultHook::new(),
+        }
+    }
+}
+
+impl std::fmt::Display for Injection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Injection::None => "none",
-            Injection::LaneTrap | Injection::LanePanic => "lane-dispatch",
-            Injection::StreamCorrupt(..) => "stream-corrupt",
-        }
-    }
-
-    fn fault_label(self) -> String {
-        match self {
-            Injection::None => "clean".into(),
-            Injection::LaneTrap => "lane-trap".into(),
-            Injection::LanePanic => "lane-panic".into(),
-            Injection::StreamCorrupt(kind, _) => kind.to_string(),
+            Injection::Clean => f.write_str("clean"),
+            Injection::Trap(j) => write!(f, "trap job {j}"),
+            Injection::Panic(j) => write!(f, "panic job {j}"),
+            Injection::TrapPair(j, k) => write!(f, "trap jobs {j}+{k}"),
+            Injection::Stream(StreamKind::Index, fault) => write!(f, "index: {fault}"),
+            Injection::Stream(StreamKind::Value, fault) => write!(f, "value: {fault}"),
         }
     }
 }
 
-/// Everything one trial needs, derived deterministically from the seed.
-#[derive(Debug, Clone)]
-struct TrialPlan {
-    seed: u64,
-    arm: Arm,
-    injection: Injection,
+/// One fault, with the raw store on or off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Case {
+    /// The fault.
+    pub injection: Injection,
+    /// Whether the operand keeps a [`RawFallbackStore`].
+    pub store: bool,
 }
 
-/// Shared, immutable campaign fixtures.
-struct Ctx {
-    a: Csr,
-    cm: CompressedMatrix,
-    store: RawFallbackStore,
-    sys: SystemConfig,
-    x: Vec<f64>,
-    y_ref: Vec<f64>,
+/// The executors every case runs through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// `RecodedSpmv::decompress_with`, checked against the matrix.
+    Batch,
+    /// `OverlapExecutor::spmv_with` with a decoded-block cache.
+    Tiled,
+    /// `RecodedSpmv::spmv_traced`, its document validated.
+    Traced,
 }
 
-/// What one trial reports back to the campaign.
-struct TrialResult {
-    outcome: TrialOutcome,
-    /// Accounting identity held (vacuously true when no stats were made).
-    accounted: bool,
-    /// TraceDocument validated (vacuously true off the traced arm).
-    trace_ok: bool,
-    /// Result was bit-exact when one was produced.
-    bit_exact: bool,
-    /// The trial saw a panic that the stack contained into a typed error.
-    panic_contained: bool,
+impl Schedule {
+    /// Every schedule, the batch first.
+    pub const ALL: [Schedule; 3] = [Schedule::Batch, Schedule::Tiled, Schedule::Traced];
 }
 
-impl TrialResult {
-    /// `outcome` with every check vacuously passed.
-    fn of(outcome: TrialOutcome) -> Self {
-        TrialResult {
-            outcome,
-            accounted: true,
-            trace_ok: true,
-            bit_exact: true,
-            panic_contained: false,
-        }
-    }
-}
-
-/// Aggregate result of a campaign, deterministic in `(seed, trials)`.
+/// How a run's blocks settled on the recovery ladder.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignSummary {
-    /// Trials run.
-    pub trials: usize,
-    /// The master seed, echoed for reproduction.
-    pub seed: u64,
-    /// Trials per terminal outcome, by label.
-    pub by_outcome: BTreeMap<String, usize>,
-    /// Trials per injected fault, by label.
-    pub by_fault: BTreeMap<String, usize>,
-    /// Trials per injection point, by label.
-    pub by_injection: BTreeMap<String, usize>,
-    /// Trials that missed the watchdog deadline (must be 0).
-    pub hung: usize,
-    /// Panics that escaped into the harness (must be 0).
-    pub panics_escaped: usize,
-    /// Panics injected and contained into typed errors.
-    pub panics_contained: usize,
-    /// Trials whose `ExecStats` violated block accounting (must be 0).
-    pub accounting_failures: usize,
-    /// Trials whose `TraceDocument` failed validation (must be 0).
-    pub trace_failures: usize,
-    /// Trials that produced a result that was not bit-exact (must be 0).
-    pub bitexact_failures: usize,
+pub struct Settled {
+    /// Jobs whose first attempt failed, in job order.
+    pub retried: Vec<usize>,
+    /// Of those, the jobs whose retry failed too and that the raw store
+    /// served.
+    pub fell_back: Vec<usize>,
+    /// `ExecStats::blocks_ok`.
+    pub ok: usize,
+    /// `ExecStats::blocks_recovered`.
+    pub recovered: usize,
+    /// `ExecStats::fallback_bytes`.
+    pub fallback_bytes: usize,
+    /// `ExecStats::retry_cycles`.
+    pub retry_cycles: u64,
 }
 
-impl CampaignSummary {
-    /// The resilience contract in one predicate: no hangs, no escaped
-    /// panics, every injected panic fired and was contained, perfect
-    /// accounting, valid traces, bit-exact results.
+/// One case's result, the same on every schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row {
+    /// The case.
+    pub case: Case,
+    /// How the blocks settled, or the typed error the run ended in.
+    pub result: Result<Settled, ExecError>,
+}
+
+/// The enumeration's result.
+#[derive(Debug, Clone)]
+pub struct Table {
+    /// Blocks of the index stream.
+    pub index_blocks: usize,
+    /// Blocks of the value stream.
+    pub value_blocks: usize,
+    /// Lanes of the fixture's accelerator.
+    pub lanes: usize,
+    /// Executor runs made: every case on every schedule.
+    pub runs: usize,
+    /// One row per case, in [`Fixture::cases`] order.
+    pub rows: Vec<Row>,
+    /// Contract violations, each naming its case and schedule (empty when
+    /// the contract holds).
+    pub violations: Vec<String>,
+}
+
+impl Table {
+    /// No run broke the contract.
     pub fn healthy(&self) -> bool {
-        self.hung == 0
-            && self.panics_escaped == 0
-            && self.panics_contained == self.panics_injected()
-            && self.accounting_failures == 0
-            && self.trace_failures == 0
-            && self.bitexact_failures == 0
+        self.violations.is_empty()
     }
 
-    /// Trials whose plan routed a deliberate lane-dispatch panic through an
-    /// executor.
-    pub fn panics_injected(&self) -> usize {
-        self.by_fault.get("lane-panic").copied().unwrap_or(0)
-    }
-
-    /// Count for one outcome label (0 when absent).
-    pub fn outcome(&self, label: &str) -> usize {
-        self.by_outcome.get(label).copied().unwrap_or(0)
-    }
-
-    /// Human-readable campaign report.
+    /// The table as text: a summary line, then one line per case.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "chaos campaign: {} trials, seed {:#x} — {}",
-            self.trials,
-            self.seed,
+            "chaos: {} index + {} value blocks on {} lanes, {} cases x {} schedules = {} runs — {}",
+            self.index_blocks,
+            self.value_blocks,
+            self.lanes,
+            self.rows.len(),
+            Schedule::ALL.len(),
+            self.runs,
             if self.healthy() { "HEALTHY" } else { "CONTRACT VIOLATED" }
         );
-        for (title, counts) in [
-            ("outcomes:", &self.by_outcome),
-            ("faults:", &self.by_fault),
-            ("injection points:", &self.by_injection),
-        ] {
-            s.push_str(title);
-            s.push('\n');
-            for (k, v) in counts {
-                let _ = writeln!(s, "  {k:<18} {v}");
-            }
-        }
         let _ = writeln!(
             s,
-            "violations: hung {}, escaped panics {}, accounting {}, trace {}, bit-exact {} \
-             (contained panics: {})",
-            self.hung,
-            self.panics_escaped,
-            self.accounting_failures,
-            self.trace_failures,
-            self.bitexact_failures,
-            self.panics_contained,
+            "{:<5} {:<56} {:<7} {:<9} {:>2} {:>3} {:>8} {:>9}",
+            "store", "fault", "retried", "fell back", "ok", "rec", "fb bytes", "retry cyc"
         );
+        for row in &self.rows {
+            let store = if row.case.store { "on" } else { "off" };
+            let _ = write!(s, "{store:<5} {:<56} ", row.case.injection.to_string());
+            let _ = match &row.result {
+                Ok(t) => writeln!(
+                    s,
+                    "{:<7} {:<9} {:>2} {:>3} {:>8} {:>9}",
+                    jobs_label(&t.retried),
+                    jobs_label(&t.fell_back),
+                    t.ok,
+                    t.recovered,
+                    t.fallback_bytes,
+                    t.retry_cycles
+                ),
+                Err(e) => writeln!(s, "error: {e}"),
+            };
+        }
+        for v in &self.violations {
+            let _ = writeln!(s, "VIOLATION: {v}");
+        }
         s
     }
 
-    /// The summary as a [`Json`] tree (the shared dependency-free writer —
-    /// the CI artifact upload and offline builds both rely on it).
-    pub fn to_json_value(&self) -> Json {
-        fn map(m: &BTreeMap<String, usize>) -> Json {
-            Json::Obj(m.iter().map(|(k, v)| (k.clone(), Json::U64(*v as u64))).collect())
-        }
-        Json::obj()
-            .set("trials", Json::U64(self.trials as u64))
-            .set("seed", Json::U64(self.seed))
-            .set("healthy", Json::Bool(self.healthy()))
-            .set("by_outcome", map(&self.by_outcome))
-            .set("by_fault", map(&self.by_fault))
-            .set("by_injection", map(&self.by_injection))
-            .set("hung", Json::U64(self.hung as u64))
-            .set("panics_escaped", Json::U64(self.panics_escaped as u64))
-            .set("panics_contained", Json::U64(self.panics_contained as u64))
-            .set("accounting_failures", Json::U64(self.accounting_failures as u64))
-            .set("trace_failures", Json::U64(self.trace_failures as u64))
-            .set("bitexact_failures", Json::U64(self.bitexact_failures as u64))
-    }
-
-    /// Compact JSON serialization of [`CampaignSummary::to_json_value`].
+    /// The table as JSON, one row per line: what `recode chaos --json`
+    /// writes and `results/chaos_campaign.json` holds.
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
-    }
-
-    /// Rebuilds a summary from [`CampaignSummary::to_json`] output.
-    ///
-    /// # Errors
-    /// A description of the first malformed or missing field.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = crate::json::parse(text)?;
-        let num = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-        };
-        let map = |key: &str| -> Result<BTreeMap<String, usize>, String> {
-            doc.get(key)
-                .and_then(Json::entries)
-                .ok_or_else(|| format!("missing or non-object field `{key}`"))?
-                .iter()
-                .map(|(k, v)| {
-                    v.as_u64()
-                        .map(|v| (k.clone(), v as usize))
-                        .ok_or_else(|| format!("non-integer count `{key}.{k}`"))
-                })
-                .collect()
-        };
-        Ok(CampaignSummary {
-            trials: num("trials")?,
-            seed: doc.get("seed").and_then(Json::as_u64).ok_or("missing field `seed`")?,
-            by_outcome: map("by_outcome")?,
-            by_fault: map("by_fault")?,
-            by_injection: map("by_injection")?,
-            hung: num("hung")?,
-            panics_escaped: num("panics_escaped")?,
-            panics_contained: num("panics_contained")?,
-            accounting_failures: num("accounting_failures")?,
-            trace_failures: num("trace_failures")?,
-            bitexact_failures: num("bitexact_failures")?,
-        })
-    }
-}
-
-/// The campaign's fixed workload: small enough that a trial is a few
-/// milliseconds, large enough for double-digit block counts on both streams.
-fn campaign_matrix() -> Csr {
-    generate(
-        &GenSpec::Stencil2D {
-            nx: 24,
-            ny: 24,
-            points: 5,
-            values: ValueModel::QuantizedGaussian { levels: 16 },
-        },
-        11,
-    )
-}
-
-/// Derives trial `k`'s plan from its dedicated seed.
-fn plan_trial(seed: u64) -> TrialPlan {
-    let mut rng = SplitMix64::new(seed);
-    let arm = [Arm::BatchJob, Arm::Overlap, Arm::Traced][rng.below(3)];
-    let injection = match rng.below(8) {
-        0 => Injection::None,
-        1 => Injection::LaneTrap,
-        2 | 7 => Injection::LanePanic,
-        _ => {
-            let kind = FaultKind::ALL[rng.below(FaultKind::ALL.len())];
-            Injection::StreamCorrupt(kind, rng.below(2) == 1)
-        }
-    };
-    TrialPlan { seed, arm, injection }
-}
-
-/// The one mapping from a run's result to its trial result: the typed
-/// outcome, the block-accounting identity over the run's stats, and
-/// bit-exactness against `want` (both vacuously true for a run that ended
-/// in an error).
-fn classify<T: PartialEq>(run: ExecResult<(T, ExecStats)>, want: &T) -> TrialResult {
-    match run {
-        Ok((got, stats)) => TrialResult {
-            accounted: stats.blocks_ok + stats.blocks_recovered + stats.blocks_fell_back
-                == stats.accel.jobs,
-            bit_exact: got == *want,
-            ..TrialResult::of(if stats.degraded {
-                TrialOutcome::Degraded
-            } else {
-                TrialOutcome::Completed
+        let jobs = |v: &[usize]| Json::Arr(v.iter().map(|&j| Json::U64(j as u64)).collect());
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let head = Json::obj()
+                    .set("store", Json::Bool(row.case.store))
+                    .set("fault", Json::Str(row.case.injection.to_string()));
+                match &row.result {
+                    Ok(t) => head
+                        .set("retried", jobs(&t.retried))
+                        .set("fell_back", jobs(&t.fell_back))
+                        .set("ok", Json::U64(t.ok as u64))
+                        .set("recovered", Json::U64(t.recovered as u64))
+                        .set("fallback_bytes", Json::U64(t.fallback_bytes as u64))
+                        .set("retry_cycles", Json::U64(t.retry_cycles)),
+                    Err(e) => head.set("error", Json::Str(e.to_string())),
+                }
+                .to_string()
             })
-        },
-        Err(_) => TrialResult::of(TrialOutcome::Rejected),
+            .collect();
+        let violations = Json::Arr(self.violations.iter().cloned().map(Json::Str).collect());
+        format!(
+            "{{\"index_blocks\":{},\"value_blocks\":{},\"lanes\":{},\"cases\":{},\"runs\":{},\
+             \"violations\":{violations},\"rows\":[\n{}\n]}}\n",
+            self.index_blocks,
+            self.value_blocks,
+            self.lanes,
+            self.rows.len(),
+            self.runs,
+            rows.join(",\n")
+        )
     }
+}
+
+fn jobs_label(jobs: &[usize]) -> String {
+    if jobs.is_empty() {
+        return "-".into();
+    }
+    jobs.iter().map(ToString::to_string).collect::<Vec<_>>().join(",")
 }
 
 /// Injected panics are *supposed* to fire and be contained; keep their
-/// default-hook backtraces out of the campaign output. Installed once,
+/// default-hook backtraces out of the output. Installed once,
 /// process-wide; every other panic still reports through the prior hook.
 fn silence_injected_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -412,127 +348,150 @@ fn silence_injected_panics() {
     });
 }
 
-/// Runs one trial body (inside the watchdog thread).
-fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
-    let mut r = RecodedSpmv::from_compressed_with_store(ctx.cm.clone(), Some(ctx.store.clone()))
-        .expect("campaign matrix decoders must build");
-
-    let mut hook = FaultHook::new();
-    crate::recorder::record(
-        crate::recorder::EventKind::ChaosInjection,
-        crate::recorder::Track::MAIN,
-        plan.injection.point_label(),
-        plan.seed & 0xffff_ffff,
-        0,
-    );
-    match plan.injection {
-        Injection::None => {}
-        Injection::LaneTrap => hook = hook.trap(0).trap(1),
-        Injection::LanePanic => hook = hook.panic_job(0),
-        Injection::StreamCorrupt(kind, value_stream) => {
-            let mut injector = FaultInjector::new(plan.seed);
-            let stream = if value_stream {
-                &mut r.compressed_mut().value_stream
-            } else {
-                &mut r.compressed_mut().index_stream
-            };
-            let _ = injector.inject(stream, kind);
-        }
-    }
-    let hook = if hook.is_empty() { None } else { Some(&hook) };
-    let run_ctx = RunCtx { hook, tel: None };
-
-    let mut result = match plan.arm {
-        Arm::BatchJob => classify(r.decompress_with(&ctx.sys, run_ctx), &ctx.a),
-        Arm::Overlap => {
-            let ex = OverlapExecutor::new(&r, OverlapConfig::default());
-            classify(ex.spmv_with(&ctx.sys, &ctx.x, run_ctx), &ctx.y_ref)
-        }
-        Arm::Traced => {
-            let run = r.spmv_traced(&ctx.sys, SpmvKernel::Serial, &ctx.x, run_ctx, "chaos");
-            let trace_ok = run.as_ref().map_or(true, |(_, _, doc)| doc.validate().is_empty());
-            TrialResult { trace_ok, ..classify(run.map(|(y, stats, _)| (y, stats)), &ctx.y_ref) }
-        }
+/// Runs every case of the [`Fixture`] on every schedule and checks the
+/// contract per run. Deterministic: the table depends on the tree alone,
+/// not on the host's cores or the lane tier.
+///
+/// # Panics
+/// If an injected panic escapes the execution stack, or the fixture's
+/// decoders do not build.
+pub fn run() -> Table {
+    silence_injected_panics();
+    let fixture = Fixture::default();
+    let y_ref = spmv(&fixture.a, &fixture.x);
+    let store = RawFallbackStore::from_csr(&fixture.a);
+    let build = |store| {
+        RecodedSpmv::from_compressed_with_store(fixture.compressed.clone(), store)
+            .expect("the fixture's decoders build")
     };
-    // A panic-injecting trial that reached this point (instead of escaping
-    // to the watchdog's catch_unwind) was contained by the stack — provided
-    // the panic fired at all: every arm reads the hook, so such a trial is
-    // degraded or ends in a typed error, and one that completed on the happy
-    // path never injected anything.
-    result.panic_contained =
-        result.outcome != TrialOutcome::Completed && plan.injection == Injection::LanePanic;
-    result
+    let (mut with_store, mut without) = (build(Some(store)), build(None));
+    let mut table = Table {
+        index_blocks: fixture.compressed.index_stream.blocks.len(),
+        value_blocks: fixture.compressed.value_stream.blocks.len(),
+        lanes: fixture.sys.udp.lanes,
+        runs: 0,
+        rows: Vec::new(),
+        violations: Vec::new(),
+    };
+    for case in fixture.cases() {
+        let r = if case.store { &mut with_store } else { &mut without };
+        if let Injection::Stream(kind, fault) = case.injection {
+            let cm = r.compressed_mut();
+            fault.apply(match kind {
+                StreamKind::Index => &mut cm.index_stream,
+                StreamKind::Value => &mut cm.value_stream,
+            });
+        }
+        let hook = case.injection.hook();
+        let mut batch: Option<Result<Settled, ExecError>> = None;
+        for schedule in Schedule::ALL {
+            let what = format!("{} (store {}) on {schedule:?}", case.injection, case.store);
+            let (outcome, violation) = match run_case(&fixture, r, &hook, schedule, &y_ref) {
+                Ok((settled, violation)) => (Ok(settled), violation),
+                Err(e) => {
+                    let violation = untyped(&e, case.injection);
+                    (Err(e), violation)
+                }
+            };
+            table.runs += 1;
+            table.violations.extend(violation.map(|v| format!("{what}: {v}")));
+            match &batch {
+                None => batch = Some(outcome),
+                Some(want) if *want != outcome => {
+                    table.violations.push(format!("{what}: {outcome:?}, but the batch {want:?}"));
+                }
+                Some(_) => {}
+            }
+        }
+        *r.compressed_mut() = fixture.compressed.clone();
+        table.rows.push(Row { case, result: batch.expect("three schedules ran") });
+    }
+    table
 }
 
-/// Runs a full campaign. Deterministic in `config.{seed, trials}` — trial
-/// outcomes never depend on thread scheduling or pool state, only on the
-/// per-trial seed.
-pub fn run_campaign(config: &ChaosConfig) -> CampaignSummary {
-    silence_injected_panics();
-    let a = campaign_matrix();
-    let cm = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh())
-        .expect("campaign matrix must compress");
-    let store = RawFallbackStore::from_csr(&a);
-    let sys = SystemConfig::ddr4();
-    let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
-    let y_ref = recode_sparse::spmv::spmv(&a, &x);
-    let ctx = Arc::new(Ctx { a, cm, store, sys, x, y_ref });
-
-    let mut master = SplitMix64::new(config.seed);
-    let mut summary = CampaignSummary {
-        trials: config.trials,
-        seed: config.seed,
-        by_outcome: BTreeMap::new(),
-        by_fault: BTreeMap::new(),
-        by_injection: BTreeMap::new(),
-        hung: 0,
-        panics_escaped: 0,
-        panics_contained: 0,
-        accounting_failures: 0,
-        trace_failures: 0,
-        bitexact_failures: 0,
-    };
-
-    for _ in 0..config.trials {
-        let plan = plan_trial(master.next_u64());
-        let (tx, rx) = mpsc::channel();
-        let thread_ctx = Arc::clone(&ctx);
-        let thread_plan = plan.clone();
-        // One watchdogged thread per trial: a hung trial is recorded and
-        // left behind (its thread is leaked, never joined) so the campaign
-        // itself cannot hang.
-        std::thread::spawn(move || {
-            let r = catch_unwind(AssertUnwindSafe(|| run_trial(&thread_ctx, &thread_plan)));
-            let _ = tx.send(r);
-        });
-        let result = match rx.recv_timeout(TRIAL_TIMEOUT) {
-            Ok(Ok(result)) => result,
-            Ok(Err(_panic)) => TrialResult::of(TrialOutcome::PanicEscaped),
-            Err(_) => TrialResult::of(TrialOutcome::Hung),
-        };
-
-        *summary.by_outcome.entry(result.outcome.label().to_string()).or_insert(0) += 1;
-        *summary.by_fault.entry(plan.injection.fault_label()).or_insert(0) += 1;
-        *summary.by_injection.entry(plan.injection.point_label().to_string()).or_insert(0) += 1;
-        match result.outcome {
-            TrialOutcome::Hung => summary.hung += 1,
-            TrialOutcome::PanicEscaped => summary.panics_escaped += 1,
-            _ => {}
-        }
-        if result.panic_contained {
-            summary.panics_contained += 1;
-        }
-        if !result.accounted {
-            summary.accounting_failures += 1;
-        }
-        if !result.trace_ok {
-            summary.trace_failures += 1;
-        }
-        if !result.bit_exact {
-            summary.bitexact_failures += 1;
-        }
+/// Why an error breaks the contract, if it does: an error from a case with
+/// no stream fault (a lane fault clears on its hook-free retry), or one
+/// that names neither a block nor a codec cause.
+fn untyped(e: &ExecError, injection: Injection) -> Option<String> {
+    if !matches!(injection, Injection::Stream(..)) {
+        return Some(format!("error {e} without a stream fault"));
     }
-    summary
+    let typed = match e {
+        ExecError::Udp(u) => u.block().is_some() || u.codec_error().is_some(),
+        ExecError::Unrecoverable { block, .. } => block.is_some(),
+        ExecError::Reassembly(_) | ExecError::Codec(_) => true,
+    };
+    (!typed).then(|| format!("untyped error {e}"))
+}
+
+/// Runs one case on one schedule: how its blocks settled, and the first
+/// contract check the run failed, if any.
+fn run_case(
+    fixture: &Fixture,
+    r: &RecodedSpmv,
+    hook: &FaultHook,
+    schedule: Schedule,
+    y_ref: &[f64],
+) -> ExecResult<(Settled, Option<String>)> {
+    let (sys, x) = (&fixture.sys, fixture.x.as_slice());
+    let mut tel = Telemetry::new();
+    let ctx = RunCtx { hook: Some(hook), tel: Some(&mut tel) };
+    let (exact, stats, doc) = match schedule {
+        Schedule::Batch => {
+            let (b, stats) = r.decompress_with(sys, ctx)?;
+            (b == fixture.a, stats, None)
+        }
+        Schedule::Tiled => {
+            let config = OverlapConfig { cache_blocks: 64, ..OverlapConfig::default() };
+            let (y, stats) = OverlapExecutor::new(r, config).spmv_with(sys, x, ctx)?;
+            (y == y_ref, stats, None)
+        }
+        // The traced entry records into its own registry, not `tel`.
+        Schedule::Traced => {
+            let (y, stats, doc) = r.spmv_traced(sys, SpmvKernel::Serial, x, ctx, "chaos")?;
+            (y == y_ref, stats, Some(doc))
+        }
+    };
+    let events = doc.as_ref().map_or(tel.block_events(), |d| &d.block_events);
+    let settled = settle(events, &stats);
+    let invalid = doc.as_ref().map(TraceDocument::validate).filter(|errs| !errs.is_empty());
+    let violation = if !exact {
+        Some("result differs from the reference".to_string())
+    } else if let Some(errs) = invalid {
+        Some(format!("trace invalid: {errs:?}"))
+    } else {
+        accounting(events, &stats, &settled)
+    };
+    Ok((settled, violation))
+}
+
+/// The ladder's view of a run, from its per-job events and its stats.
+fn settle(events: &[BlockEvent], stats: &ExecStats) -> Settled {
+    let jobs = |keep: fn(BlockOutcome) -> bool| {
+        events.iter().filter(|e| keep(e.outcome)).map(|e| e.job).collect()
+    };
+    Settled {
+        retried: jobs(|o| o != BlockOutcome::Ok),
+        fell_back: jobs(|o| o == BlockOutcome::FellBack),
+        ok: stats.blocks_ok,
+        recovered: stats.blocks_recovered,
+        fallback_bytes: stats.fallback_bytes,
+        retry_cycles: stats.retry_cycles,
+    }
+}
+
+/// Block accounting: one event per job, in job order, and the events, the
+/// ladder tally and the degraded flag telling the same story.
+fn accounting(events: &[BlockEvent], stats: &ExecStats, settled: &Settled) -> Option<String> {
+    let jobs = stats.accel.jobs;
+    let in_order = events.iter().map(|e| e.job).eq(0..jobs);
+    let holds = in_order
+        && stats.blocks_ok + stats.blocks_recovered + stats.blocks_fell_back == jobs
+        && settled.retried.len() == stats.blocks_retried
+        && settled.fell_back.len() == stats.blocks_fell_back
+        && stats.degraded == (stats.blocks_retried > 0);
+    (!holds)
+        .then(|| format!("block accounting: {settled:?} from {} events, {stats:?}", events.len()))
 }
 
 #[cfg(test)]
@@ -540,44 +499,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_small_campaign_is_healthy_and_covers_every_point() {
-        let config = ChaosConfig { trials: 60, seed: 0xDEAD_BEEF };
-        let summary = run_campaign(&config);
-        assert!(summary.healthy(), "{}", summary.render());
-        assert_eq!(summary.by_outcome.values().sum::<usize>(), 60);
-        for point in ["lane-dispatch", "stream-corrupt", "none"] {
-            assert!(
-                summary.by_injection.contains_key(point),
-                "60 trials never hit {point}:\n{}",
-                summary.render()
-            );
+    fn the_fixture_has_its_documented_shape_and_every_case_is_enumerated() {
+        let f = Fixture::default();
+        let (index, value) =
+            (f.compressed.index_stream.blocks.len(), f.compressed.value_stream.blocks.len());
+        assert_eq!((index, value, f.jobs(), f.sys.udp.lanes), (4, 4, 8, 4));
+        for (_, stream) in f.streams() {
+            assert!(stream.total_uncompressed % stream.block_bytes > 0, "a short last block");
         }
-    }
 
-    #[test]
-    fn summary_json_is_well_formed() {
-        let config = ChaosConfig { trials: 4, seed: 1 };
-        let s = run_campaign(&config);
-        let json = s.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"trials\":4"));
-        assert!(json.contains("\"healthy\":"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
+        // Per fault: the clean run, a trap and a panic per job, a trap per
+        // pair of jobs, and 13 faults per block; every fault twice.
+        let cases = f.cases();
+        let jobs = f.jobs();
+        let faults = 1 + 2 * jobs + jobs * (jobs - 1) / 2 + 13 * (index + value);
+        assert_eq!((faults, cases.len()), (149, 2 * faults));
+        let distinct: std::collections::BTreeSet<String> =
+            cases.iter().map(|c| format!("{} {}", c.injection, c.store)).collect();
+        assert_eq!(distinct.len(), cases.len(), "every case is a different fault");
 
-    #[test]
-    fn summary_round_trips_through_the_shared_json_writer() {
-        let config = ChaosConfig { trials: 6, seed: 0xA11CE };
-        let first = run_campaign(&config);
-        let back = CampaignSummary::from_json(&first.to_json()).expect("own JSON parses back");
-        assert_eq!(back, first, "summary must survive the JSON round trip");
-        // And same-seed equality still holds across serialization.
-        let second = run_campaign(&config);
-        assert_eq!(
-            CampaignSummary::from_json(&second.to_json()).expect("parses"),
-            back,
-            "same seed, same summary, same JSON"
-        );
-        assert!(CampaignSummary::from_json("{\"trials\":1}").is_err(), "missing fields rejected");
+        let lanes = f.sys.udp.lanes;
+        let shared = cases
+            .iter()
+            .filter(|c| matches!(c.injection, Injection::TrapPair(j, k) if j % lanes == k % lanes));
+        assert_eq!(shared.count(), 2 * lanes, "one pair (j, j + lanes) per lane, twice");
     }
 }

@@ -4,7 +4,7 @@
 //! `chrome://tracing` and <https://ui.perfetto.dev>: duration events
 //! (`ph: "B"`/`"E"`) for recorder spans, instant events (`ph: "i"`) for
 //! point occurrences (block outcomes, retries, fallbacks, pool and cache
-//! traffic, chaos injections), and one metadata `thread_name`
+//! traffic, lane JIT compiles), and one metadata `thread_name`
 //! record per [`Track`] so every lane and pipeline stage gets its
 //! own named row on the timeline.
 //!

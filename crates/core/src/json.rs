@@ -3,8 +3,9 @@
 //!
 //! Every machine-readable artifact goes through it: `recode-trace/v3`
 //! documents ([`crate::trace_json`]), `recode-tuned/v2`, the Chrome trace
-//! exporter, `chaos::CampaignSummary::to_json`, the figure binaries' result
-//! rows, the `BENCH_*.json` snapshots and `recode bench-compare`. It is
+//! exporter, the `recode chaos` table (`chaos::Table::to_json`), the figure
+//! binaries' result rows, the `BENCH_*.json` snapshots and `recode
+//! bench-compare`. It is
 //! deliberately small: objects preserve insertion order (stable output
 //! bytes), numbers are written with Rust's shortest-round-trip `Display`,
 //! and the parser reads standard JSON from outside files with a bounded

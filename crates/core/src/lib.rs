@@ -74,7 +74,6 @@ pub mod tune;
 
 pub use arch::SystemConfig;
 pub use benchcmp::{compare_snapshots, CompareReport, MetricDelta, Verdict};
-pub use chaos::{run_campaign, CampaignSummary, ChaosConfig, TrialOutcome};
 pub use chrometrace::export_chrome_trace;
 pub use error::{ExecError, ExecResult};
 pub use exec::{ExecStats, RawFallbackStore, RecodedSpmv};

@@ -193,7 +193,7 @@ mod tests {
     fn host_rates_show_dsh_much_slower_than_snappy() {
         let cm = compressed_banded();
         // Best-of-8: the minimum must survive scheduling noise from sibling
-        // test threads (the chaos campaign saturates the machine for ~25 s).
+        // test threads.
         // The Huffman stage is what DSH pays over Snappy (~1.6x observed).
         let r = measure_host_codec(&cm, 8).unwrap();
         assert!(r.snappy_bps > r.dsh_bps, "snappy {:.2e} vs dsh {:.2e}", r.snappy_bps, r.dsh_bps);

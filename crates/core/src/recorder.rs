@@ -5,8 +5,8 @@
 //! a finished run, the recorder captures *when* things happened — span
 //! begin/end pairs per pipeline phase, per-block outcomes on their lane
 //! track, retry/fallback rungs, recycled pool checkouts, cache
-//! hits/evictions, and chaos injections — cheap
-//! enough to leave enabled in production.
+//! hits/evictions and lane JIT compiles — cheap enough to leave enabled in
+//! production.
 //!
 //! ## Cost model
 //!
@@ -58,8 +58,6 @@ pub enum EventKind {
     CacheHit,
     /// Decoded-block cache eviction.
     CacheEvict,
-    /// A chaos campaign injected a fault: `a` = trial seed (low bits).
-    ChaosInjection,
     /// A lane-image JIT compile finished: `a` packs blocks lowered (high 32
     /// bits) over machine-code bytes emitted (low 32), `b` = wall
     /// nanoseconds. The name is `jit.lane`, or `jit.lane.failed` when
@@ -82,7 +80,6 @@ impl EventKind {
             EventKind::PoolRecycle => "pool_recycle",
             EventKind::CacheHit => "cache_hit",
             EventKind::CacheEvict => "cache_evict",
-            EventKind::ChaosInjection => "chaos_injection",
             EventKind::JitCompile => "jit_compile",
         }
     }
@@ -415,8 +412,8 @@ mod tests {
     }
 
     /// Drains the global ring, keeping only events named in `mine`: while
-    /// one of these tests has the recorder enabled, the exec, overlap and
-    /// chaos tests running beside it record into the same ring.
+    /// one of these tests has the recorder enabled, the exec and overlap
+    /// tests running beside it record into the same ring.
     fn drain_named(mine: &[&str]) -> Vec<Event> {
         drain().into_iter().filter(|e| mine.contains(&e.name)).collect()
     }

@@ -1,7 +1,7 @@
 //! `recode-trace/v3` ⇄ [`Json`](crate::json::Json): the one mapping between a
 //! [`TraceDocument`] (and the public fields of everything nested in it) and
-//! its JSON form. `recode spmv --trace` and `recode chaos` write
-//! through it; `recode report`, `recode trace-check` and the tests read.
+//! its JSON form. `recode spmv --trace` writes through it; `recode report`,
+//! `recode trace-check` and the tests read.
 //!
 //! Field names, nesting and order are the schema (the hand emitter in
 //! `tests/common/golden.rs` is its independent oracle). Every field is

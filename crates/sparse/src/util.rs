@@ -47,8 +47,8 @@ pub fn geometric_mean(xs: &[f64]) -> Option<f64> {
 }
 
 /// SplitMix64 (Steele, Lea & Flood 2014): the workspace's one PRNG. The
-/// generators, the fault injector, the chaos harness and every seeded test
-/// draw from it, so a run is reproducible from its seed alone.
+/// generators, the fault injector and every seeded test draw from it, so a
+/// run is reproducible from its seed alone.
 ///
 /// The stream is pinned (`tests/gen_digests.rs`): state = seed, exactly one
 /// [`next_u64`](Self::next_u64) per draw, whatever the draw's type.

@@ -169,11 +169,6 @@ impl FaultHook {
         self.panic_jobs.insert(job);
         self
     }
-
-    /// True when the hook injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.trap_jobs.is_empty() && self.panic_jobs.is_empty()
-    }
 }
 
 /// Renders a `catch_unwind` payload as a message (string payloads pass

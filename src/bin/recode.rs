@@ -61,11 +61,7 @@ const COMMANDS: [Command; 13] = [
     ("gen", "<family> <target_nnz> -o <matrix.mtx> [--seed N]", cmd_gen),
     ("disasm", LANE_TARGET, cmd_disasm),
     ("verify-program", LANE_TARGET, cmd_verify_program),
-    (
-        "chaos",
-        "[--trials N] [--seed N] [--json <out.json>] [--chrome-trace <out.trace.json>]",
-        cmd_chaos,
-    ),
+    ("chaos", "[--json <out.json>]", cmd_chaos),
     ("metrics", "<matrix.mtx> [-o <metrics.prom>] [--config dsh|ds|snappy]", cmd_metrics),
     ("bench-compare", "<old.json> <new.json>", cmd_bench_compare),
 ];
@@ -719,32 +715,23 @@ fn cmd_verify_program(mut args: Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `recode chaos`: run a seeded chaos campaign over the resilient
-/// executors. The campaign is a pure function of `--seed` and `--trials`,
-/// so a failing run reproduces exactly from its printed parameters.
-/// `--json` writes the machine-readable summary (the CI artifact).
+/// `recode chaos`: run every fault case of `core::chaos` on every
+/// schedule and print the table, one row per case. The table is a function
+/// of the tree; `--json` writes it (`results/chaos_campaign.json` is that
+/// file). Exits 1 when a run broke the contract.
 fn cmd_chaos(mut args: Args) -> Outcome {
-    use recode_spmv::core::chaos::{run_campaign, ChaosConfig};
-    let trials = args.value("--trials", "an integer >= 1")?.map_or(500, NonZeroUsize::get);
-    let seed = args.value("--seed", "an integer")?.unwrap_or(2019);
     let json: Option<String> = args.value("--json", "a path")?;
-    let chrome_trace: Option<String> = args.value("--chrome-trace", "a path")?;
     args.finish()?;
-    println!("running {trials} chaos trials with seed {seed:#x}...");
-    arm_recorder(chrome_trace.as_deref());
-    let summary = run_campaign(&ChaosConfig { trials, seed });
-    if let Some(ct_path) = &chrome_trace {
-        finish_chrome_trace(ct_path)?;
-    }
-    print!("{}", summary.render());
+    let table = recode_spmv::core::chaos::run();
+    print!("{}", table.render());
     if let Some(path) = &json {
-        std::fs::write(path, summary.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!("summary written to {path}");
+        std::fs::write(path, table.to_json()).map_err(|e| format!("{path}: {e}"))?;
+        println!("table written to {path}");
     }
-    if summary.healthy() {
+    if table.healthy() {
         Ok(ExitCode::SUCCESS)
     } else {
-        Err("chaos campaign violated the resilience contract".into())
+        Err("a fault case broke the resilience contract".into())
     }
 }
 

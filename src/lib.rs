@@ -40,8 +40,8 @@ pub mod prelude {
     pub use recode_core::arch::Scenario;
     pub use recode_core::perfmodel::SpmvPerfModel;
     pub use recode_core::{
-        run_campaign, tune_matrix, CampaignSummary, ChaosConfig, OverlapConfig, OverlapExecutor,
-        PowerSavings, RecodedSpmv, RunCtx, SystemConfig, TrialOutcome, TuneError, TunedConfig,
+        tune_matrix, OverlapConfig, OverlapExecutor, PowerSavings, RecodedSpmv, RunCtx,
+        SystemConfig, TuneError, TunedConfig,
     };
     pub use recode_sparse::prelude::*;
     pub use recode_udp::accel::FaultHook;

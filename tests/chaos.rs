@@ -1,108 +1,144 @@
-//! Seeded chaos campaign over the full job-execution stack.
+//! The fault contract, case by case.
 //!
-//! Each trial derives a plan (execution arm, fault injection point) from a
-//! master seed, runs one SpMV job under a watchdog, and
-//! classifies the terminal state. The campaign is healthy when every trial
-//! lands in a *typed* terminal state — no hangs, no escaped panics, block
-//! accounting intact, every emitted trace valid, every completed result
-//! bit-exact against the reference kernel.
+//! `core::chaos::run` puts every fault the fixture can meet — a trap or a
+//! panic at each job, a trap at each pair of jobs, each stream fault at each
+//! block — through every schedule, with the raw store on and off. Here every
+//! case must end exactly as the recovery ladder says it must: which jobs
+//! were retried and which fell back, the ladder tally down to the retry
+//! cycles and the re-fetched bytes, or the exact typed error naming its
+//! block. The committed table is what the tree prints.
 
-use recode_spmv::prelude::{run_campaign, ChaosConfig};
+use recode_spmv::codec::faults::{Fault, HeaderField};
+use recode_spmv::codec::CodecError;
+use recode_spmv::core::chaos::{self, Case, Fixture, Injection, Row, Schedule, Settled, Table};
+use recode_spmv::core::error::ExecError;
+use recode_spmv::core::telemetry::{StreamKind, Telemetry};
+use recode_spmv::prelude::*;
+use recode_spmv::udp::UdpError;
+use std::sync::OnceLock;
+
+/// The enumeration, run once for the whole suite.
+fn table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(chaos::run)
+}
 
 #[test]
 fn chaos_campaign_terminates_typed_on_every_trial() {
-    let trials = 500;
-    let cfg = ChaosConfig { trials, seed: 0xC0FFEE };
-    let summary = run_campaign(&cfg);
+    let table = table();
+    // No run returned a result that is not the reference, broke block
+    // accounting, wrote an invalid trace, ended in an error naming no
+    // block, or disagreed with the batch; an escaped panic would have
+    // failed this test before the table existed.
+    assert!(table.healthy(), "{}", table.render());
+    let cases = Fixture::default().cases();
+    assert_eq!(table.rows.iter().map(|r| r.case).collect::<Vec<_>>(), cases);
+    assert_eq!(table.runs, Schedule::ALL.len() * cases.len(), "a schedule dropped out");
+}
 
-    assert!(summary.healthy(), "campaign violated an invariant:\n{}", summary.render());
-    assert_eq!(summary.trials, trials);
-    assert_eq!(summary.hung, 0, "a trial exceeded the watchdog deadline");
-    assert_eq!(summary.panics_escaped, 0, "a panic crossed the executor boundary");
-    assert_eq!(summary.accounting_failures, 0, "ok+recovered+fell_back must equal dispatched jobs");
-    assert_eq!(summary.trace_failures, 0, "every TraceDocument must validate");
-    assert_eq!(summary.bitexact_failures, 0, "recovered results must match the reference kernel");
+/// How the fixture's clean run settles: each job's decode cycles, which a
+/// retry of that job repeats exactly.
+fn clean_cycles(f: &Fixture) -> Vec<u64> {
+    let r = RecodedSpmv::from_compressed(f.compressed.clone()).expect("decoders build");
+    let mut tel = Telemetry::new();
+    let ctx = RunCtx { tel: Some(&mut tel), ..RunCtx::default() };
+    r.decompress_with(&f.sys, ctx).expect("clean run");
+    tel.block_events().iter().map(|e| e.cycles).collect()
+}
 
-    // Every trial is classified, and none by the two failure buckets.
-    let classified: usize = summary.by_outcome.values().sum();
-    assert_eq!(classified, trials, "every trial must reach a typed terminal state");
-    assert_eq!(summary.outcome("hung"), 0);
-    assert_eq!(summary.outcome("panic-escaped"), 0);
-    for label in summary.by_outcome.keys() {
-        assert!(
-            ["completed", "degraded", "rejected"].contains(&label.as_str()),
-            "a trial ended in {label:?}, not a run's typed outcome:\n{}",
-            summary.render()
-        );
-    }
-
-    // Every injection point the plan can draw appears: fault-free trials
-    // (≈12%) pin the bit-exact baseline.
-    for point in ["lane-dispatch", "stream-corrupt", "none"] {
-        assert!(
-            summary.by_injection.get(point).copied().unwrap_or(0) > 0,
-            "campaign never exercised injection point {point:?}:\n{}",
-            summary.render()
-        );
-    }
-    assert_eq!(
-        summary.by_injection.len(),
-        3,
-        "an injection point nobody plans:\n{}",
-        summary.render()
-    );
-
-    // Lane panics are the only plans that route a deliberate panic through
-    // the executors; every one must be contained.
-    assert!(summary.panics_contained > 0, "no trial exercised panic containment");
-    assert_eq!(
-        summary.panics_contained,
-        summary.panics_injected(),
-        "an injected panic never fired: its trial completed on the happy path\n{}",
-        summary.render()
-    );
-
-    // Each corruption kind is ≈7% of trials.
-    for kind in [
-        "bit-flip",
-        "truncate",
-        "drop-block",
-        "duplicate-block",
-        "reorder-blocks",
-        "header-corrupt",
-    ] {
-        assert!(
-            summary.by_fault.get(kind).copied().unwrap_or(0) > 0,
-            "campaign must inject fault kind {kind:?}:\n{}",
-            summary.render()
-        );
+/// What the ladder must make of `case`, from the fixture alone.
+fn predict(f: &Fixture, cycles: &[u64], case: &Case) -> Result<Settled, ExecError> {
+    let jobs = f.jobs();
+    let retried = |retried: Vec<usize>| Settled {
+        ok: jobs - retried.len(),
+        recovered: retried.len(),
+        retry_cycles: retried.iter().map(|&j| cycles[j]).sum(),
+        retried,
+        fell_back: vec![],
+        fallback_bytes: 0,
+    };
+    let (kind, fault) = match case.injection {
+        Injection::Clean => return Ok(retried(vec![])),
+        Injection::Trap(j) | Injection::Panic(j) => return Ok(retried(vec![j])),
+        Injection::TrapPair(j, k) => return Ok(retried(vec![j, k])),
+        Injection::Stream(kind, fault) => (kind, fault),
+    };
+    let (stream, first_job) = match kind {
+        StreamKind::Index => (&f.compressed.index_stream, 0),
+        StreamKind::Value => (&f.compressed.value_stream, f.compressed.index_stream.blocks.len()),
+    };
+    let n = stream.blocks.len();
+    let structural = |source: CodecError, block: Option<usize>| {
+        Err(ExecError::Udp(UdpError::Codec { block, source }))
+    };
+    let sequence = |at: usize, found: usize| {
+        structural(CodecError::BlockSequence { expected: at, found }, Some(at))
+    };
+    match fault {
+        Fault::DropBlock { .. } => {
+            structural(CodecError::BlockCount { expected: n, actual: n - 1 }, None)
+        }
+        Fault::DuplicateBlock { .. } => {
+            structural(CodecError::BlockCount { expected: n, actual: n + 1 }, None)
+        }
+        Fault::ReorderBlocks { block, with } => sequence(block.min(with), block.max(with)),
+        Fault::HeaderCorrupt { block, field: HeaderField::Seq, mask } => {
+            sequence(block, block ^ mask as usize)
+        }
+        // Every other fault changes what the block's CRC covers: both
+        // attempts fail its check, and only the raw store recovers it.
+        Fault::BitFlip { block, .. }
+        | Fault::Truncate { block, .. }
+        | Fault::HeaderCorrupt { block, .. } => {
+            if case.store {
+                let job = first_job + block;
+                let start = block * stream.block_bytes;
+                return Ok(Settled {
+                    retried: vec![job],
+                    fell_back: vec![job],
+                    ok: jobs - 1,
+                    recovered: 0,
+                    fallback_bytes: stream.block_bytes.min(stream.total_uncompressed - start),
+                    retry_cycles: 0,
+                });
+            }
+            let mut hit = stream.clone();
+            fault.apply(&mut hit);
+            let b = &hit.blocks[block];
+            let source =
+                CodecError::ChecksumMismatch { stored: b.checksum, computed: b.compute_checksum() };
+            Err(ExecError::Unrecoverable {
+                block: Some(block),
+                lane: None,
+                source: UdpError::Codec { block: Some(block), source },
+            })
+        }
     }
 }
 
 #[test]
-fn chaos_campaign_is_deterministic_per_seed() {
-    // Two campaigns from the same seed must agree on every counter — the
-    // whole point of seeding is that a red campaign replays exactly.
-    let cfg = ChaosConfig { trials: 80, seed: 0x5EED_CAFE };
-    let first = run_campaign(&cfg);
-    let second = run_campaign(&cfg);
-    assert_eq!(first, second, "same seed must reproduce the identical campaign summary");
-    assert!(first.healthy(), "{}", first.render());
-
-    // And a different seed explores a different schedule.
-    let other = run_campaign(&ChaosConfig { seed: 0x00DD_5EED, ..cfg });
-    assert_ne!(
-        first.by_injection, other.by_injection,
-        "different seeds should draw different injection mixes"
-    );
+fn every_case_settles_exactly_as_the_ladder_predicts() {
+    let f = Fixture::default();
+    let cycles = clean_cycles(&f);
+    assert_eq!(cycles.len(), f.jobs());
+    for Row { case, result } in &table().rows {
+        assert_eq!(
+            *result,
+            predict(&f, &cycles, case),
+            "{} (store {})",
+            case.injection,
+            case.store
+        );
+    }
 }
 
 #[test]
 fn the_ci_campaign_prints_its_committed_summary() {
-    // A trial's outcome depends only on its own plan, so the summary is a
-    // function of the tree; `recode chaos --trials 120 --seed 12648430
-    // --json` writes the same bytes.
-    let summary = run_campaign(&ChaosConfig { trials: 120, seed: 12648430 });
-    assert!(summary.healthy(), "{}", summary.render());
-    assert_eq!(summary.to_json(), include_str!("../results/chaos_campaign.json"));
+    // `recode chaos --json` writes the same bytes, on every lane tier and
+    // however many host cores the batch runs on.
+    let (got, want) = (table().to_json(), include_str!("../results/chaos_campaign.json"));
+    for (k, (got, want)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(got, want, "results/chaos_campaign.json line {}", k + 1);
+    }
+    assert_eq!(got, want);
 }

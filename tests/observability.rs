@@ -313,22 +313,24 @@ fn document_spans_are_the_main_track_pairs_of_the_flight_recorder() {
 }
 
 #[test]
-fn chaos_campaign_can_record_a_chrome_trace() {
-    let dir = tmpdir("chaos");
-    let trace = dir.join("chaos.trace.json");
+fn a_faulted_spmv_can_record_a_chrome_trace() {
+    let dir = tmpdir("faulted");
+    let mtx = gen_matrix(&dir, "stencil2d", "30000", "1");
+    let trace = dir.join("faulted.trace.json");
     let out = bin()
         .args([
-            "chaos",
-            "--trials",
-            "10",
-            "--seed",
-            "11",
+            "spmv",
+            mtx.to_str().unwrap(),
+            "--inject-trap",
+            "0",
+            "--inject-corrupt",
+            "1",
             "--chrome-trace",
             trace.to_str().unwrap(),
         ])
         .output()
-        .expect("run chaos --chrome-trace");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        .expect("run spmv --chrome-trace");
+    assert_eq!(out.status.code(), Some(4), "{}", String::from_utf8_lossy(&out.stderr));
     let labels = validate_trace(&load_trace_events(&trace));
     assert!(labels.iter().any(|l| l == "main"), "{labels:?}");
     std::fs::remove_dir_all(&dir).ok();
