@@ -9,7 +9,9 @@
 //! ladder; `huffman_flat` reads the codec's `FlatDecoder` against its own
 //! one-symbol-at-a-time reference loop, and `jit.huffman_random` reads the lane
 //! JIT's cost per Huffman symbol against the share of symbols on codes longer
-//! than the primary dispatch width. These are *host* numbers: modeled lane
+//! than the primary dispatch width. The `encode` section reads the write
+//! side: delta, Snappy and Huffman encode MB/s over the same index blocks.
+//! These are *host* numbers: modeled lane
 //! cycles are pinned by the golden trace fixture, must not move when these
 //! get faster, and must be byte-identical across all three tiers.
 //!
@@ -18,6 +20,7 @@
 
 use recode_codec::huffman::{self, HuffmanTable};
 use recode_codec::pipeline::{Pipeline, PipelineConfig};
+use recode_codec::{delta, snappy, UDP_BLOCK_BYTES};
 use recode_core::json::Json;
 use recode_sparse::util::SplitMix64;
 use recode_udp::jit::LaneJit;
@@ -83,6 +86,8 @@ struct Snapshot {
     huffman_cpu: Throughput,
     /// CPU pipeline Snappy decode stage (32 KB blocks).
     snappy_cpu: Throughput,
+    /// The encoder's three stages by name ([`encode_section`]).
+    encode: [(&'static str, Throughput); 3],
     /// Statically certified cycle envelopes for the three lane programs the
     /// decoder runs. Pure verifier output — deterministic on every machine —
     /// so `bench-compare` gates each `*_cycles` leaf and an accidental
@@ -133,6 +138,10 @@ impl Snapshot {
         doc.set("huffman_flat", self.huffman_flat.clone())
             .set("huffman_cpu", self.huffman_cpu.to_json())
             .set("snappy_cpu", self.snappy_cpu.to_json())
+            .set(
+                "encode",
+                self.encode.iter().fold(Json::obj(), |doc, (stage, t)| doc.set(stage, t.to_json())),
+            )
             .set("certified_bounds", self.certified_bounds.clone())
             .set("image_build", self.image_build.clone())
     }
@@ -330,6 +339,53 @@ fn huffman_random_section(reps: usize) -> Json {
     section
 }
 
+/// What the encoder's stages cost the host, in MB/s of each stage's input,
+/// over the index stream's 8 KB blocks as the DSH pipeline feeds them: delta
+/// over the raw blocks, Snappy (one match table for the whole stream) over
+/// the delta output, Huffman with the trained `table` over the Snappy
+/// output. Host wall-clock, informational under `bench-compare`.
+fn encode_section(
+    index_data: &[u8],
+    table: &HuffmanTable,
+    reps: usize,
+) -> [(&'static str, Throughput); 3] {
+    let raw: Vec<&[u8]> = index_data.chunks(UDP_BLOCK_BYTES).collect();
+    let after_delta: Vec<Vec<u8>> =
+        raw.iter().map(|b| delta::encode_bytes(b).expect("whole words")).collect();
+    let after_snappy: Vec<Vec<u8>> = after_delta.iter().map(|b| snappy::compress(b)).collect();
+    let mut out = Vec::new();
+    let delta = measure(raw.len(), reps, || {
+        raw.iter()
+            .map(|b| {
+                delta::encode_bytes_into(b, &mut out).expect("whole words");
+                std::hint::black_box(&out);
+                b.len()
+            })
+            .sum()
+    });
+    let mut matcher = snappy::Matcher::new();
+    let snappy = measure(raw.len(), reps, || {
+        after_delta
+            .iter()
+            .map(|b| {
+                matcher.compress_into(b, &mut out);
+                std::hint::black_box(&out);
+                b.len()
+            })
+            .sum()
+    });
+    let huffman = measure(raw.len(), reps, || {
+        after_snappy
+            .iter()
+            .map(|b| {
+                std::hint::black_box(huffman::encode(b, table).expect("every byte has a code"));
+                b.len()
+            })
+            .sum()
+    });
+    [("delta", delta), ("snappy", snappy), ("huffman", huffman)]
+}
+
 /// What `progs::huffman::compile` costs on the trained table — program,
 /// placement, encoding, verifier and JIT — as the median of five calls, in
 /// microseconds. Host wall-clock, informational under `bench-compare`; the
@@ -458,6 +514,9 @@ fn main() {
     let snappy_cpu =
         measure(snap_stream.blocks.len(), reps, || cpu_pass(&snap_pipe, &snap_stream.blocks));
 
+    let dsh_table = dsh_pipe.table().expect("dsh trains a table");
+    let encode = encode_section(&index_data, dsh_table, reps);
+
     let snap = Snapshot {
         schema: "recode-bench-hotpath/v1",
         smoke,
@@ -468,8 +527,9 @@ fn main() {
         huffman_flat,
         huffman_cpu,
         snappy_cpu,
+        encode,
         certified_bounds: certified_bounds_json(&decoder),
-        image_build: image_build_section(&dsh_pipe.table().expect("dsh trains a table").lengths),
+        image_build: image_build_section(&dsh_table.lengths),
     };
     eprintln!(
         "lane_decode      {:>12.0} blocks/s  {:>8.1} MB/s  (jit {})",
@@ -491,6 +551,14 @@ fn main() {
         "snappy_cpu       {:>12.0} blocks/s  {:>8.1} MB/s",
         snap.snappy_cpu.blocks_per_s, snap.snappy_cpu.mb_per_s
     );
+    for (stage, t) in &snap.encode {
+        eprintln!(
+            "{:<16} {:>12.0} blocks/s  {:>8.1} MB/s",
+            format!("{stage}_encode"),
+            t.blocks_per_s,
+            t.mb_per_s
+        );
+    }
     let text = snap.to_json().to_string_pretty();
     std::fs::write(&json, &text).expect("write BENCH_hotpath.json");
     println!("{text}");

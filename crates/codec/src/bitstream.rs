@@ -8,11 +8,18 @@
 use crate::error::{CodecError, CodecResult};
 
 /// Accumulates bits MSB-first into a byte vector.
+///
+/// Writes gather in a 64-bit accumulator and leave it four whole bytes at a
+/// time, so a code costs a shift, an or and a compare, not a loop over its
+/// bits.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits already used in the final byte (0..8; 0 means byte-aligned).
-    used: u8,
+    /// The bits not yet in `bytes`: the low `pending` bits, oldest highest.
+    /// Bits above them are stale and never read.
+    acc: u64,
+    /// Fewer than 32 between calls.
+    pending: u32,
 }
 
 impl BitWriter {
@@ -21,37 +28,45 @@ impl BitWriter {
         Self::default()
     }
 
+    /// New empty writer whose byte vector holds `bytes` before it grows —
+    /// a caller that knows the stream's length sizes it exactly.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter { bytes: Vec::with_capacity(bytes), ..Self::default() }
+    }
+
     /// Writes the low `nbits` of `code`, most significant of those first.
     ///
     /// # Panics
     /// If `nbits > 32`.
+    #[inline]
     pub fn write_bits(&mut self, code: u32, nbits: u8) {
         assert!(nbits <= 32, "at most 32 bits per write");
-        for i in (0..nbits).rev() {
-            let bit = (code >> i) & 1;
-            if self.used == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.last_mut().expect("pushed above");
-            *last |= (bit as u8) << (7 - self.used);
-            self.used = (self.used + 1) % 8;
+        let n = u32::from(nbits);
+        // `pending + n <= 63`: the shift keeps every pending bit.
+        self.acc = (self.acc << n) | (u64::from(code) & ((1u64 << n) - 1));
+        self.pending += n;
+        if self.pending >= 32 {
+            self.pending -= 32;
+            self.bytes.extend_from_slice(&((self.acc >> self.pending) as u32).to_be_bytes());
         }
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.used == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.used as usize
-        }
+        self.bytes.len() * 8 + self.pending as usize
     }
 
     /// Finishes the stream, returning `(bytes, bit_len)`. Trailing padding
     /// bits in the final byte are zero.
     pub fn finish(self) -> (Vec<u8>, usize) {
         let bits = self.bit_len();
-        (self.bytes, bits)
+        let mut bytes = self.bytes;
+        if self.pending > 0 {
+            // MSB-align the pending bits; the stale ones shift out.
+            let tail = (self.acc << (64 - self.pending)).to_be_bytes();
+            bytes.extend_from_slice(&tail[..self.pending.div_ceil(8) as usize]);
+        }
+        (bytes, bits)
     }
 }
 

@@ -56,17 +56,32 @@ pub fn decode_u32(bytes: &[u8]) -> CodecResult<Vec<u32>> {
 /// # Errors
 /// As [`decode_u32`]; `encode_bytes` errors on misaligned input length.
 pub fn encode_bytes(bytes: &[u8]) -> CodecResult<Vec<u8>> {
+    let mut out = Vec::new();
+    encode_bytes_into(bytes, &mut out)?;
+    Ok(out)
+}
+
+/// [`encode_bytes`] into `out` (replacing its contents), word by word with
+/// no intermediate `u32` vector — the form an encode loop reuses per block.
+///
+/// # Errors
+/// As [`encode_bytes`].
+pub fn encode_bytes_into(bytes: &[u8], out: &mut Vec<u8>) -> CodecResult<()> {
     if !bytes.len().is_multiple_of(4) {
         return Err(CodecError::Precondition(format!(
             "index stream length {} not a multiple of 4",
             bytes.len()
         )));
     }
-    let indices: Vec<u32> = bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact")))
-        .collect();
-    encode_u32(&indices)
+    out.clear();
+    out.resize(bytes.len(), 0);
+    let mut prev = 0u32;
+    for (dst, src) in out.chunks_exact_mut(4).zip(bytes.chunks_exact(4)) {
+        let idx = u32::from_le_bytes(src.try_into().expect("chunks_exact"));
+        dst.copy_from_slice(&idx.wrapping_sub(prev).to_le_bytes());
+        prev = idx;
+    }
+    Ok(())
 }
 
 /// Inverse of [`encode_bytes`].

@@ -8,19 +8,43 @@ use super::{HuffmanTable, MAX_CODE_LEN};
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::{CodecError, CodecResult};
 
-/// Encodes `data`, returning `(bytes, bit_len)`.
+/// Encodes `data`, returning `(bytes, bit_len)`. The output is sized
+/// exactly from the code lengths before the first bit is written, so a
+/// stored payload carries no spare capacity.
 ///
 /// # Errors
 /// [`CodecError::Corrupt`] if a byte has no code in the table (cannot happen
-/// for tables built with add-one smoothing).
+/// for tables built with add-one smoothing), or the table is not 256 codes
+/// of at most [`MAX_CODE_LEN`] bits.
 pub fn encode(data: &[u8], table: &HuffmanTable) -> CodecResult<(Vec<u8>, usize)> {
-    let mut w = BitWriter::new();
+    let wrong_shape = || CodecError::Corrupt("huffman table needs 256 codes of ≤ 15 bits".into());
+    let lengths: &[u8; 256] = table.lengths.as_slice().try_into().map_err(|_| wrong_shape())?;
+    let codes: &[u16; 256] = table.codes.as_slice().try_into().map_err(|_| wrong_shape())?;
+    if lengths.iter().any(|&l| l > MAX_CODE_LEN) {
+        return Err(wrong_shape());
+    }
+    let mut bits = 0usize;
     for &b in data {
-        let len = table.lengths[b as usize];
+        let len = lengths[b as usize];
         if len == 0 {
             return Err(CodecError::Corrupt(format!("byte {b:#04x} has no huffman code")));
         }
-        w.write_bits(table.codes[b as usize] as u32, len);
+        bits += len as usize;
+    }
+    let code = |b: u8| {
+        let len = lengths[b as usize];
+        (u32::from(codes[b as usize]) & ((1 << len) - 1), len)
+    };
+    let mut w = BitWriter::with_capacity(bits.div_ceil(8));
+    let mut pairs = data.chunks_exact(2);
+    for pair in &mut pairs {
+        // Two codes of at most 15 bits are one write: half the flushes.
+        let ((c0, l0), (c1, l1)) = (code(pair[0]), code(pair[1]));
+        w.write_bits(c0 << l1 | c1, l0 + l1);
+    }
+    for &b in pairs.remainder() {
+        let (c, l) = code(b);
+        w.write_bits(c, l);
     }
     Ok(w.finish())
 }
@@ -309,6 +333,11 @@ mod tests {
         hist[b'b' as usize] = 5;
         let t = HuffmanTable::from_histogram(&hist);
         assert!(matches!(encode(b"abc", &t), Err(CodecError::Corrupt(_))));
+        // A hand-built table outside the 15-bit limit is refused, not
+        // packed two codes to a write past 32 bits.
+        let mut long = t.clone();
+        long.lengths[b'a' as usize] = MAX_CODE_LEN + 1;
+        assert!(matches!(encode(b"ab", &long), Err(CodecError::Corrupt(_))));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! * [`crc32c`] — hand-rolled table-driven CRC32c sealing every block's
 //!   framing, and [`faults`] — a deterministic seed-driven injector that
 //!   exercises the integrity layer with every corruption class.
-//! * [`words`] — the byte views of `[u32]` / `[f64]` through which decoded
-//!   blocks land directly in the CSR arrays.
+//! * [`words`] — the byte views of `[u32]` / `[f64]` through which the
+//!   encoder reads the CSR arrays and decoded blocks land directly in them.
 //!
 //! Every decoder is hardened against corrupt or truncated input: they
 //! return [`CodecError`], never panic, and never read out of bounds.

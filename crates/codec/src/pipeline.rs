@@ -14,7 +14,7 @@
 use crate::block::{split_blocks, BlockStream, CompressedBlock};
 use crate::error::{CodecError, CodecResult};
 use crate::huffman::{self, FlatDecoder, HuffmanTable};
-use crate::{delta, snappy};
+use crate::{delta, snappy, words};
 use recode_sparse::Csr;
 
 /// Which stages a pipeline runs and at what block granularity.
@@ -70,6 +70,48 @@ impl PipelineConfig {
             huffman_sample_every: 1,
         }
     }
+
+    /// Block `k` trains the Huffman table when `k` is a multiple of this.
+    fn sample_stride(&self) -> usize {
+        self.huffman_sample_every.max(1)
+    }
+}
+
+/// The stages before Huffman, with what one stream's encode loop reuses
+/// from block to block: the delta and Snappy output buffers and the Snappy
+/// match table.
+struct PreHuffman {
+    config: PipelineConfig,
+    after_delta: Vec<u8>,
+    after_snappy: Vec<u8>,
+    matcher: snappy::Matcher,
+}
+
+impl PreHuffman {
+    fn new(config: PipelineConfig) -> Self {
+        PreHuffman {
+            config,
+            after_delta: Vec::new(),
+            after_snappy: Vec::new(),
+            matcher: snappy::Matcher::new(),
+        }
+    }
+
+    /// Delta, then Snappy (each if enabled), over `block`: the bytes the
+    /// Huffman stage sees, valid until the next call.
+    fn run<'a>(&'a mut self, block: &'a [u8]) -> CodecResult<&'a [u8]> {
+        let input = if self.config.delta {
+            delta::encode_bytes_into(block, &mut self.after_delta)?;
+            &self.after_delta
+        } else {
+            block
+        };
+        if !self.config.snappy {
+            return Ok(input);
+        }
+        self.matcher.compress_into(input, &mut self.after_snappy);
+        Ok(&self.after_snappy)
+    }
 }
 
 /// A trained pipeline: config plus the per-stream Huffman table (if the
@@ -92,21 +134,35 @@ impl Pipeline {
     /// # Errors
     /// Propagates stage preconditions (e.g. delta on misaligned data).
     pub fn train(config: PipelineConfig, data: &[u8]) -> CodecResult<Self> {
+        Self::train_keeping(config, data, false).map(|(pipe, _)| pipe)
+    }
+
+    /// [`Self::train`], and with `keep` also the sampled blocks' bytes after
+    /// the stages before Huffman, in block order, so that
+    /// [`Self::encode_blocks`] does not run those stages on them again.
+    fn train_keeping(
+        config: PipelineConfig,
+        data: &[u8],
+        keep: bool,
+    ) -> CodecResult<(Self, Vec<Vec<u8>>)> {
         if config.delta && !config.block_bytes.is_multiple_of(4) {
             return Err(CodecError::Precondition(
                 "delta stage requires 4-byte-aligned blocks".into(),
             ));
         }
+        let mut kept = Vec::new();
         let table = if config.huffman {
-            let stride = config.huffman_sample_every.max(1);
             let mut hist = [1u64; 256]; // add-one smoothing
-            for (i, block) in split_blocks(data, config.block_bytes)?.into_iter().enumerate() {
-                if i % stride != 0 {
-                    continue;
-                }
-                let pre = Self::run_pre_huffman(&config, block)?;
-                for &b in &pre {
+            let mut stages = PreHuffman::new(config);
+            for block in
+                split_blocks(data, config.block_bytes)?.into_iter().step_by(config.sample_stride())
+            {
+                let pre = stages.run(block)?;
+                for &b in pre {
                     hist[b as usize] += 1;
+                }
+                if keep {
+                    kept.push(pre.to_vec());
                 }
             }
             Some(HuffmanTable::from_histogram(&hist))
@@ -114,7 +170,7 @@ impl Pipeline {
             None
         };
         let decoder = table.as_ref().map(FlatDecoder::build);
-        Ok(Pipeline { config, table, decoder })
+        Ok((Pipeline { config, table, decoder }, kept))
     }
 
     /// Builds a pipeline with an externally supplied table (e.g. decoder
@@ -141,12 +197,6 @@ impl Pipeline {
         self.table.as_ref()
     }
 
-    /// Stages before Huffman (shared by encoding and table training).
-    fn run_pre_huffman(config: &PipelineConfig, block: &[u8]) -> CodecResult<Vec<u8>> {
-        let after_delta = if config.delta { delta::encode_bytes(block)? } else { block.to_vec() };
-        Ok(if config.snappy { snappy::compress(&after_delta) } else { after_delta })
-    }
-
     /// Encodes one standalone block (sealed with sequence number 0).
     ///
     /// # Errors
@@ -161,15 +211,20 @@ impl Pipeline {
     /// # Errors
     /// Stage preconditions (alignment) and internal encoding failures.
     pub fn encode_block_at(&self, block: &[u8], seq: u32) -> CodecResult<CompressedBlock> {
-        let pre = Self::run_pre_huffman(&self.config, block)?;
+        let mut stages = PreHuffman::new(self.config);
+        self.seal(stages.run(block)?, block.len(), seq)
+    }
+
+    /// The Huffman stage, if on, over a block's pre-Huffman bytes `pre`,
+    /// and the checksum.
+    fn seal(&self, pre: &[u8], uncompressed_len: usize, seq: u32) -> CodecResult<CompressedBlock> {
         let (payload, bit_len) = if self.config.huffman {
             let table = self.table.as_ref().ok_or(CodecError::MissingTable)?;
-            huffman::encode(&pre, table)?
+            huffman::encode(pre, table)?
         } else {
-            let bits = pre.len() * 8;
-            (pre, bits)
+            (pre.to_vec(), pre.len() * 8)
         };
-        Ok(CompressedBlock::sealed(payload, bit_len, block.len(), seq))
+        Ok(CompressedBlock::sealed(payload, bit_len, uncompressed_len, seq))
     }
 
     /// Decodes one block back to its uncompressed bytes. The block checksum
@@ -218,10 +273,36 @@ impl Pipeline {
     /// # Errors
     /// First failing block's error.
     pub fn encode_stream(&self, data: &[u8]) -> CodecResult<BlockStream> {
-        let blocks: Vec<CompressedBlock> = split_blocks(data, self.config.block_bytes)?
+        self.encode_blocks(data, Vec::new())
+    }
+
+    /// Trains on `data` and encodes it, running the stages before Huffman
+    /// once per block: a sampled block's bytes are kept from training.
+    fn train_and_encode(config: PipelineConfig, data: &[u8]) -> CodecResult<(Self, BlockStream)> {
+        let (pipe, kept) = Self::train_keeping(config, data, true)?;
+        let stream = pipe.encode_blocks(data, kept)?;
+        Ok((pipe, stream))
+    }
+
+    /// The one encode loop. `kept` holds the pre-Huffman bytes of the first
+    /// sampled blocks (block `k` is sampled when `k` is a multiple of the
+    /// sample stride), as [`Self::train_keeping`] left them; every other
+    /// block runs the stages here, on one set of buffers and one match
+    /// table.
+    fn encode_blocks(&self, data: &[u8], kept: Vec<Vec<u8>>) -> CodecResult<BlockStream> {
+        let stride = self.config.sample_stride();
+        let mut kept = kept.into_iter();
+        let mut stages = PreHuffman::new(self.config);
+        let blocks = split_blocks(data, self.config.block_bytes)?
             .into_iter()
             .enumerate()
-            .map(|(k, b)| self.encode_block_at(b, k as u32))
+            .map(|(k, block)| {
+                let (seq, kept_pre) = (k as u32, if k % stride == 0 { kept.next() } else { None });
+                match kept_pre {
+                    Some(pre) => self.seal(&pre, block.len(), seq),
+                    None => self.seal(stages.run(block)?, block.len(), seq),
+                }
+            })
             .collect::<CodecResult<_>>()?;
         Ok(BlockStream {
             block_bytes: self.config.block_bytes,
@@ -313,22 +394,25 @@ pub struct CompressedMatrix {
 
 impl CompressedMatrix {
     /// Compresses `a` under `config` (trains per-stream Huffman tables).
+    /// Each stream is read through its byte view ([`words::le_bytes`]), and
+    /// each block runs delta and Snappy once: the sampled blocks' bytes
+    /// train the table and are then Huffman-coded as they are.
     ///
     /// # Errors
     /// Stage preconditions (e.g. a delta stage on blocks that are not a
     /// whole number of words).
     pub fn compress(a: &Csr, config: MatrixCodecConfig) -> CodecResult<Self> {
-        let index_bytes: Vec<u8> = a.col_idx().iter().flat_map(|c| c.to_le_bytes()).collect();
-        let value_bytes: Vec<u8> = a.values().iter().flat_map(|v| v.to_le_bytes()).collect();
-        let index_pipe = Pipeline::train(config.index, &index_bytes)?;
-        let value_pipe = Pipeline::train(config.value, &value_bytes)?;
+        let (index_pipe, index_stream) =
+            Pipeline::train_and_encode(config.index, &words::le_bytes(a.col_idx()))?;
+        let (value_pipe, value_stream) =
+            Pipeline::train_and_encode(config.value, &words::le_bytes(a.values()))?;
         Ok(CompressedMatrix {
             nrows: a.nrows(),
             ncols: a.ncols(),
             nnz: a.nnz(),
             row_ptr: a.row_ptr().to_vec(),
-            index_stream: index_pipe.encode_stream(&index_bytes)?,
-            value_stream: value_pipe.encode_stream(&value_bytes)?,
+            index_stream,
+            value_stream,
             config,
             index_table_lengths: index_pipe.table().map(|t| t.lengths.clone()),
             value_table_lengths: value_pipe.table().map(|t| t.lengths.clone()),

@@ -9,48 +9,128 @@ const HASH_TABLE_SIZE: usize = 1 << HASH_BITS;
 const MIN_MATCH: usize = 4;
 
 #[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let w = u32::from_le_bytes(data[i..i + 4].try_into().expect("4-byte window"));
-    (w.wrapping_mul(0x1e35_a7bd) >> (32 - HASH_BITS)) as usize
+fn load32(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + 4].try_into().expect("4-byte window"))
 }
 
-/// Compresses `data` into a fresh buffer (varint preamble + elements).
+#[inline]
+fn load64(data: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(data[i..i + 8].try_into().expect("8-byte window"))
+}
+
+#[inline]
+fn hash(window: u32) -> usize {
+    (window.wrapping_mul(0x1e35_a7bd) >> (32 - HASH_BITS)) as usize
+}
+
+/// How far the bytes at `cand` and `i` (`cand < i`) keep agreeing, up to
+/// the end of `data`: eight bytes per compare, then one at a time.
+#[inline]
+fn match_len(data: &[u8], cand: usize, i: usize) -> usize {
+    let mut len = 0;
+    while i + len + 8 <= data.len() {
+        let diff = load64(data, cand + len) ^ load64(data, i + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while i + len < data.len() && data[cand + len] == data[i + len] {
+        len += 1;
+    }
+    len
+}
+
+/// The match table of one stream's encode loop, reused from block to block.
+///
+/// A slot holds `base + position` of the last window that hashed to it.
+/// Each block takes positions above every earlier block's, so a slot below
+/// `base` is empty for the current block and nothing is cleared between
+/// blocks; only when the `u32` positions run out is the table zeroed.
+pub struct Matcher {
+    table: Box<[u32; HASH_TABLE_SIZE]>,
+    base: u32,
+}
+
+impl Default for Matcher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for Matcher {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Matcher").field("base", &self.base).finish_non_exhaustive()
+    }
+}
+
+impl Matcher {
+    /// An empty table.
+    pub fn new() -> Self {
+        let table = vec![0u32; HASH_TABLE_SIZE].into_boxed_slice().try_into().expect("table size");
+        Matcher { table, base: 1 }
+    }
+
+    /// Compresses `data` into `out` (cleared first): varint preamble, then
+    /// elements. The elements depend on `data` alone, never on the blocks
+    /// this table saw before.
+    ///
+    /// # Panics
+    /// If `data` is 4 GiB or longer: the format's offsets are 32-bit.
+    pub fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        write_uvarint(out, data.len() as u64);
+        if data.is_empty() {
+            return;
+        }
+        let n = u32::try_from(data.len()).ok().filter(|&n| n < u32::MAX);
+        let n = n.expect("a Snappy block is shorter than 4 GiB");
+        if self.base.checked_add(n).is_none() {
+            self.table.fill(0);
+            self.base = 1;
+        }
+        let (table, base) = (&mut *self.table, self.base);
+        self.base += n;
+
+        let mut literal_start = 0usize;
+        let mut i = 0usize;
+        while i + MIN_MATCH <= data.len() {
+            let window = load32(data, i);
+            let h = hash(window);
+            let slot = table[h];
+            table[h] = base + i as u32;
+            // One branch per window, on the match itself: an empty slot
+            // compares position `i` with itself and its flag spoils the
+            // result, instead of a second, unpredictable branch.
+            let live = slot >= base;
+            let cand = if live { (slot - base) as usize } else { i };
+            if (load32(data, cand) ^ window) | u32::from(!live) == 0 {
+                let len = MIN_MATCH + match_len(data, cand + MIN_MATCH, i + MIN_MATCH);
+                emit_literal(out, &data[literal_start..i]);
+                emit_copy(out, i - cand, len);
+                // Seed the table near the match end so back-to-back matches chain.
+                let end = i + len;
+                if end + MIN_MATCH <= data.len() {
+                    table[hash(load32(data, end - 1))] = base + (end - 1) as u32;
+                }
+                i = end;
+                literal_start = end;
+            } else {
+                i += 1;
+            }
+        }
+        emit_literal(out, &data[literal_start..]);
+    }
+}
+
+/// Compresses `data` into a fresh buffer (varint preamble + elements), with
+/// a fresh match table; a loop over many blocks keeps one [`Matcher`].
+///
+/// # Panics
+/// If `data` is 4 GiB or longer.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    write_uvarint(&mut out, data.len() as u64);
-    if data.is_empty() {
-        return out;
-    }
-
-    // `usize::MAX` marks an empty slot.
-    let mut table = vec![usize::MAX; HASH_TABLE_SIZE];
-    let mut literal_start = 0usize;
-    let mut i = 0usize;
-
-    while i + MIN_MATCH <= data.len() {
-        let h = hash4(data, i);
-        let cand = table[h];
-        table[h] = i;
-        if cand != usize::MAX && data[cand..cand + MIN_MATCH] == data[i..i + MIN_MATCH] {
-            // Extend the match as far as it goes.
-            let mut len = MIN_MATCH;
-            while i + len < data.len() && data[cand + len] == data[i + len] {
-                len += 1;
-            }
-            emit_literal(&mut out, &data[literal_start..i]);
-            emit_copy(&mut out, i - cand, len);
-            // Seed the table near the match end so back-to-back matches chain.
-            let end = i + len;
-            if end + MIN_MATCH <= data.len() && end >= 1 {
-                table[hash4(data, end - 1)] = end - 1;
-            }
-            i = end;
-            literal_start = end;
-        } else {
-            i += 1;
-        }
-    }
-    emit_literal(&mut out, &data[literal_start..]);
+    Matcher::new().compress_into(data, &mut out);
     out
 }
 
@@ -150,6 +230,28 @@ mod tests {
         data.extend_from_slice(marker);
         let c = compress(&data);
         assert_eq!(decompress(&c).unwrap(), data);
+    }
+
+    #[test]
+    fn a_reused_table_emits_what_a_fresh_one_does() {
+        let blocks: Vec<Vec<u8>> = (0..40u32)
+            .map(|k| {
+                let len = (k as usize * 397) % 9000;
+                (0..len as u32).map(|i| ((i / (k % 7 + 1)) ^ k.wrapping_mul(31)) as u8).collect()
+            })
+            .collect();
+        let mut matcher = Matcher::new();
+        let mut out = Vec::new();
+        for block in &blocks {
+            matcher.compress_into(block, &mut out);
+            assert_eq!(out, compress(block));
+        }
+        // Positions about to run out: the table is zeroed, not misread.
+        matcher.base = u32::MAX - 100;
+        for block in &blocks[..3] {
+            matcher.compress_into(block, &mut out);
+            assert_eq!(out, compress(block));
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 mod compress;
 mod decompress;
 
-pub use compress::compress;
+pub use compress::{compress, Matcher};
 pub use decompress::{decompress, decompress_with_limit, uncompressed_length};
 
 /// Tag low bits.

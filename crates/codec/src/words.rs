@@ -3,10 +3,13 @@
 //! The index stream *is* the column indices as little-endian `u32` words and
 //! the value stream the values as little-endian `f64` words, so on a
 //! little-endian host the byte image of a `[u32]` or `[f64]` is the stream
-//! itself. [`bytes_mut`] lets a decoder fill the final arrays through that
-//! image — byte addressing is what lets a word straddle two blocks with no
+//! itself. [`le_bytes`] hands that image to the encoder without a copy, and
+//! [`bytes_mut`] lets a decoder fill the final arrays through it — byte
+//! addressing is what lets a word straddle two blocks with no
 //! carry logic — and [`from_le_in_place`] is the one pass a big-endian host
 //! adds afterwards.
+
+use std::borrow::Cow;
 
 mod sealed {
     pub trait Sealed {}
@@ -51,17 +54,23 @@ pub fn from_le_in_place<T: Word>(words: &mut [T]) {
     let _ = words;
 }
 
-/// The little-endian stream image of `words`, in one allocation at final
-/// capacity.
-pub fn to_le_bytes<T: Word>(words: &[T]) -> Vec<u8> {
+/// The little-endian stream image of `words`: the words' own bytes on a
+/// little-endian host, a swapped copy on a big-endian one.
+pub fn le_bytes<T: Word>(words: &[T]) -> Cow<'_, [u8]> {
     #[cfg(target_endian = "big")]
     {
         let mut swapped = words.to_vec();
         from_le_in_place(&mut swapped);
-        bytes(&swapped).to_vec()
+        Cow::Owned(bytes(&swapped).to_vec())
     }
     #[cfg(target_endian = "little")]
-    bytes(words).to_vec()
+    Cow::Borrowed(bytes(words))
+}
+
+/// The little-endian stream image of `words`, in one allocation at final
+/// capacity.
+pub fn to_le_bytes<T: Word>(words: &[T]) -> Vec<u8> {
+    le_bytes(words).into_owned()
 }
 
 #[cfg(test)]
@@ -76,6 +85,7 @@ mod tests {
         for start in 0..4 {
             let want: Vec<u8> = cols[start..].iter().flat_map(|c| c.to_le_bytes()).collect();
             assert_eq!(to_le_bytes(&cols[start..]), want);
+            assert_eq!(*le_bytes(&cols[start..]), want);
             let mut back = vec![0u32; cols.len() - start];
             bytes_mut(&mut back).copy_from_slice(&want);
             from_le_in_place(&mut back);
@@ -83,6 +93,7 @@ mod tests {
 
             let want: Vec<u8> = vals[start..].iter().flat_map(|v| v.to_le_bytes()).collect();
             assert_eq!(to_le_bytes(&vals[start..]), want);
+            assert_eq!(*le_bytes(&vals[start..]), want);
             let mut back = vec![0f64; vals.len() - start];
             bytes_mut(&mut back).copy_from_slice(&want);
             from_le_in_place(&mut back);

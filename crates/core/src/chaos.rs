@@ -419,7 +419,7 @@ fn untyped(e: &ExecError, injection: Injection) -> Option<String> {
     let typed = match e {
         ExecError::Udp(u) => u.block().is_some() || u.codec_error().is_some(),
         ExecError::Unrecoverable { block, .. } => block.is_some(),
-        ExecError::Reassembly(_) | ExecError::Codec(_) => true,
+        ExecError::Structure { .. } | ExecError::Reassembly(_) | ExecError::Codec(_) => true,
     };
     (!typed).then(|| format!("untyped error {e}"))
 }

@@ -7,6 +7,7 @@
 //! mismatch detected deep inside a lane job surfaces at the SpMV API with
 //! its block index and lane id still attached.
 
+use crate::telemetry::StreamKind;
 use recode_codec::CodecError;
 use recode_udp::UdpError;
 use std::fmt;
@@ -33,6 +34,17 @@ pub enum ExecError {
         /// The last error observed for the block.
         source: UdpError,
     },
+    /// A stream's transport structure is broken — a block dropped,
+    /// duplicated or out of place — found before any block decodes.
+    Structure {
+        /// The stream.
+        stream: StreamKind,
+        /// The first position that does not hold the block it should
+        /// (the stream's length when only its tail is missing).
+        position: usize,
+        /// What the check found there.
+        source: CodecError,
+    },
     /// Decoded streams do not reassemble into a valid matrix (wrong length,
     /// misaligned words, invalid CSR structure).
     Reassembly(String),
@@ -42,7 +54,7 @@ impl ExecError {
     /// The wrapped codec error, if any (searches through the UDP layer).
     pub fn codec_error(&self) -> Option<&CodecError> {
         match self {
-            ExecError::Codec(e) => Some(e),
+            ExecError::Codec(e) | ExecError::Structure { source: e, .. } => Some(e),
             ExecError::Udp(e) | ExecError::Unrecoverable { source: e, .. } => e.codec_error(),
             ExecError::Reassembly(_) => None,
         }
@@ -53,6 +65,7 @@ impl ExecError {
         match self {
             ExecError::Udp(e) => e.block(),
             ExecError::Unrecoverable { block, .. } => *block,
+            ExecError::Structure { position, .. } => Some(*position),
             _ => None,
         }
     }
@@ -73,6 +86,9 @@ impl fmt::Display for ExecError {
                 }
                 write!(f, ": its retry failed and no raw fallback store covers it: {source}")
             }
+            ExecError::Structure { stream, position, source } => {
+                write!(f, "{stream} stream, position {position}: {source}")
+            }
             ExecError::Reassembly(msg) => write!(f, "reassembly error: {msg}"),
         }
     }
@@ -81,7 +97,7 @@ impl fmt::Display for ExecError {
 impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ExecError::Codec(e) => Some(e),
+            ExecError::Codec(e) | ExecError::Structure { source: e, .. } => Some(e),
             ExecError::Udp(e) | ExecError::Unrecoverable { source: e, .. } => Some(e),
             ExecError::Reassembly(_) => None,
         }
@@ -124,6 +140,18 @@ mod tests {
         assert!(msg.contains("block 3"), "{msg}");
         assert!(msg.contains("lane 5"), "{msg}");
         assert_eq!(e.block(), Some(3));
+        assert!(e.codec_error().is_some());
+    }
+
+    #[test]
+    fn a_broken_stream_names_its_stream_and_position() {
+        let source = CodecError::BlockCount { expected: 4, actual: 3 };
+        let e = ExecError::Structure { stream: StreamKind::Value, position: 2, source };
+        assert_eq!(
+            e.to_string(),
+            "value stream, position 2: stream declares 4 blocks but carries 3"
+        );
+        assert_eq!(e.block(), Some(2));
         assert!(e.codec_error().is_some());
     }
 }

@@ -124,25 +124,24 @@ pub struct RecodedSpmv {
 /// CRCs are deliberately *not* checked here — a payload-corrupted block must
 /// reach the per-job retry/fallback machinery, but a dropped, duplicated, or
 /// reordered block (whose CRC is still valid) would otherwise reassemble
-/// into a silently wrong matrix.
-fn check_stream_structure(stream: &BlockStream) -> Result<(), UdpError> {
+/// into a silently wrong matrix. The error names the stream and the first
+/// position that does not hold its own block.
+fn check_stream_structure(kind: StreamKind, stream: &BlockStream) -> ExecResult<()> {
     let expected = stream.expected_blocks().map_err(UdpError::from)?;
-    if stream.blocks.len() != expected {
-        return Err(UdpError::from(CodecError::BlockCount {
-            expected,
-            actual: stream.blocks.len(),
-        }));
+    let actual = stream.blocks.len();
+    let misplaced = stream.blocks.iter().enumerate().position(|(k, b)| b.seq as usize != k);
+    let broken = |position, source| Err(ExecError::Structure { stream: kind, position, source });
+    if actual != expected {
+        let position = misplaced.unwrap_or(actual.min(expected));
+        return broken(position, CodecError::BlockCount { expected, actual });
     }
-    for (k, b) in stream.blocks.iter().enumerate() {
-        if b.seq as usize != k {
-            return Err(UdpError::from(CodecError::BlockSequence {
-                expected: k,
-                found: b.seq as usize,
-            })
-            .with_block(k));
-        }
+    match misplaced {
+        Some(k) => broken(
+            k,
+            CodecError::BlockSequence { expected: k, found: stream.blocks[k].seq as usize },
+        ),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 impl RecodedSpmv {
@@ -152,8 +151,13 @@ impl RecodedSpmv {
     /// # Errors
     /// Codec preconditions or decoder-construction failures.
     pub fn new(a: &Csr, config: MatrixCodecConfig) -> ExecResult<Self> {
+        // The store's two arrays are the largest allocations set-up makes.
+        // Taken before the encoder's many small blocks, they reuse the space
+        // a previous matrix's arrays freed instead of landing behind those
+        // blocks and growing the heap.
+        let raw_store = RawFallbackStore::from_csr(a);
         let compressed = CompressedMatrix::compress(a, config)?;
-        Self::from_compressed_with_store(compressed, Some(RawFallbackStore::from_csr(a)))
+        Self::from_compressed_with_store(compressed, Some(raw_store))
     }
 
     /// Compresses `a` under a persisted [`crate::tune::TunedConfig`],
@@ -292,8 +296,8 @@ impl RecodedSpmv {
     /// ([`check_stream_structure`]).
     ///
     /// # Errors
-    /// [`ExecError::Reassembly`] for the geometry, [`ExecError::Udp`] for
-    /// the transport structure.
+    /// [`ExecError::Reassembly`] for the geometry, [`ExecError::Structure`]
+    /// for the transport structure.
     pub(crate) fn check_structure(&self) -> ExecResult<()> {
         let cm = &self.compressed;
         if cm.row_ptr.last() != Some(&cm.nnz) {
@@ -303,9 +307,10 @@ impl RecodedSpmv {
                 cm.nnz
             )));
         }
-        for (name, stream, word) in
-            [("index", &cm.index_stream, 4usize), ("value", &cm.value_stream, 8)]
-        {
+        for (name, stream, word) in [
+            (StreamKind::Index, &cm.index_stream, 4usize),
+            (StreamKind::Value, &cm.value_stream, 8),
+        ] {
             let total = stream.total_uncompressed;
             if !total.is_multiple_of(word) {
                 return Err(ExecError::Reassembly(format!(
@@ -324,7 +329,7 @@ impl RecodedSpmv {
                     stream.block_bytes
                 )));
             }
-            check_stream_structure(stream)?;
+            check_stream_structure(name, stream)?;
         }
         Ok(())
     }

@@ -226,7 +226,7 @@ impl<'a> Ladder<'a> {
         let Some(raw) = raw else {
             return Err(ExecError::Unrecoverable {
                 block: err.block().or(Some(r.locate(job).1)),
-                lane: None,
+                lane: Some(job % self.udp.lanes),
                 source: err,
             });
         };

@@ -107,6 +107,15 @@ pub enum StreamKind {
     Value,
 }
 
+impl std::fmt::Display for StreamKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            StreamKind::Index => "index",
+            StreamKind::Value => "value",
+        })
+    }
+}
+
 /// How a block's decode ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockOutcome {

@@ -68,19 +68,24 @@ fn predict(f: &Fixture, cycles: &[u64], case: &Case) -> Result<Settled, ExecErro
         StreamKind::Value => (&f.compressed.value_stream, f.compressed.index_stream.blocks.len()),
     };
     let n = stream.blocks.len();
-    let structural = |source: CodecError, block: Option<usize>| {
-        Err(ExecError::Udp(UdpError::Codec { block, source }))
+    // The structure check names the stream and the first position that does
+    // not hold its own block.
+    let structural = |position: usize, source: CodecError| {
+        Err(ExecError::Structure { stream: kind, position, source })
     };
-    let sequence = |at: usize, found: usize| {
-        structural(CodecError::BlockSequence { expected: at, found }, Some(at))
-    };
+    let sequence =
+        |at: usize, found: usize| structural(at, CodecError::BlockSequence { expected: at, found });
     match fault {
-        Fault::DropBlock { .. } => {
-            structural(CodecError::BlockCount { expected: n, actual: n - 1 }, None)
+        // Block `block + 1` moves up into its place; a dropped last block
+        // leaves its position empty.
+        Fault::DropBlock { block } => {
+            structural(block, CodecError::BlockCount { expected: n, actual: n - 1 })
         }
-        Fault::DuplicateBlock { .. } => {
-            structural(CodecError::BlockCount { expected: n, actual: n + 1 }, None)
-        }
+        // A copy inserted at its own position pushes the original one on.
+        Fault::DuplicateBlock { block, at } => structural(
+            if at == block { at + 1 } else { at },
+            CodecError::BlockCount { expected: n, actual: n + 1 },
+        ),
         Fault::ReorderBlocks { block, with } => sequence(block.min(with), block.max(with)),
         Fault::HeaderCorrupt { block, field: HeaderField::Seq, mask } => {
             sequence(block, block ^ mask as usize)
@@ -107,9 +112,10 @@ fn predict(f: &Fixture, cycles: &[u64], case: &Case) -> Result<Settled, ExecErro
             let b = &hit.blocks[block];
             let source =
                 CodecError::ChecksumMismatch { stored: b.checksum, computed: b.compute_checksum() };
+            // Charged, like every rung, to the lane of the first attempt.
             Err(ExecError::Unrecoverable {
                 block: Some(block),
-                lane: None,
+                lane: Some((first_job + block) % f.sys.udp.lanes),
                 source: UdpError::Codec { block: Some(block), source },
             })
         }
