@@ -15,19 +15,15 @@
 //! parallel UDP lanes.
 
 use crate::error::{CodecError, CodecResult};
+use crate::words;
 
-/// Delta-encodes `indices` into little-endian bytes, 4 per index.
+/// Delta-encodes `indices` into little-endian bytes, 4 per index: the
+/// stream's byte image through [`encode_bytes`].
 ///
 /// # Errors
 /// None: every `u32` sequence codes. The `Result` is the stage's interface.
 pub fn encode_u32(indices: &[u32]) -> CodecResult<Vec<u8>> {
-    let mut out = Vec::with_capacity(indices.len() * 4);
-    let mut prev = 0u32;
-    for &idx in indices {
-        out.extend_from_slice(&idx.wrapping_sub(prev).to_le_bytes());
-        prev = idx;
-    }
-    Ok(out)
+    encode_bytes(&words::le_bytes(indices))
 }
 
 /// Decodes bytes produced by [`encode_u32`].
@@ -62,7 +58,8 @@ pub fn encode_bytes(bytes: &[u8]) -> CodecResult<Vec<u8>> {
 }
 
 /// [`encode_bytes`] into `out` (replacing its contents), word by word with
-/// no intermediate `u32` vector — the form an encode loop reuses per block.
+/// no intermediate `u32` vector — the form an encode loop reuses per block,
+/// and the one delta encode loop.
 ///
 /// # Errors
 /// As [`encode_bytes`].
@@ -160,5 +157,9 @@ mod tests {
         let raw: Vec<u8> = idx.iter().flat_map(|i| i.to_le_bytes()).collect();
         let enc = encode_bytes(&raw).unwrap();
         assert_eq!(decode_bytes(&enc).unwrap(), raw);
+        // A reused buffer holding a longer, stale stream is replaced whole.
+        let mut out = encode_u32(&[u32::MAX; 12]).unwrap();
+        encode_bytes_into(&raw, &mut out).unwrap();
+        assert_eq!(out, enc);
     }
 }

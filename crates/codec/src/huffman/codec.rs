@@ -38,7 +38,8 @@ pub fn encode(data: &[u8], table: &HuffmanTable) -> CodecResult<(Vec<u8>, usize)
     let mut w = BitWriter::with_capacity(bits.div_ceil(8));
     let mut pairs = data.chunks_exact(2);
     for pair in &mut pairs {
-        // Two codes of at most 15 bits are one write: half the flushes.
+        // Two codes of at most 15 bits are one write: half the calls and
+        // flush compares.
         let ((c0, l0), (c1, l1)) = (code(pair[0]), code(pair[1]));
         w.write_bits(c0 << l1 | c1, l0 + l1);
     }

@@ -134,17 +134,13 @@ impl Pipeline {
     /// # Errors
     /// Propagates stage preconditions (e.g. delta on misaligned data).
     pub fn train(config: PipelineConfig, data: &[u8]) -> CodecResult<Self> {
-        Self::train_keeping(config, data, false).map(|(pipe, _)| pipe)
+        Self::train_keeping(config, data).map(|(pipe, _)| pipe)
     }
 
-    /// [`Self::train`], and with `keep` also the sampled blocks' bytes after
-    /// the stages before Huffman, in block order, so that
-    /// [`Self::encode_blocks`] does not run those stages on them again.
-    fn train_keeping(
-        config: PipelineConfig,
-        data: &[u8],
-        keep: bool,
-    ) -> CodecResult<(Self, Vec<Vec<u8>>)> {
+    /// [`Self::train`], and also the sampled blocks' bytes after the stages
+    /// before Huffman, in block order, so that [`Self::encode_blocks`] does
+    /// not run those stages on them again.
+    fn train_keeping(config: PipelineConfig, data: &[u8]) -> CodecResult<(Self, Vec<Vec<u8>>)> {
         if config.delta && !config.block_bytes.is_multiple_of(4) {
             return Err(CodecError::Precondition(
                 "delta stage requires 4-byte-aligned blocks".into(),
@@ -161,9 +157,7 @@ impl Pipeline {
                 for &b in pre {
                     hist[b as usize] += 1;
                 }
-                if keep {
-                    kept.push(pre.to_vec());
-                }
+                kept.push(pre.to_vec());
             }
             Some(HuffmanTable::from_histogram(&hist))
         } else {
@@ -279,7 +273,7 @@ impl Pipeline {
     /// Trains on `data` and encodes it, running the stages before Huffman
     /// once per block: a sampled block's bytes are kept from training.
     fn train_and_encode(config: PipelineConfig, data: &[u8]) -> CodecResult<(Self, BlockStream)> {
-        let (pipe, kept) = Self::train_keeping(config, data, true)?;
+        let (pipe, kept) = Self::train_keeping(config, data)?;
         let stream = pipe.encode_blocks(data, kept)?;
         Ok((pipe, stream))
     }

@@ -58,12 +58,6 @@ impl Default for Matcher {
     }
 }
 
-impl std::fmt::Debug for Matcher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Matcher").field("base", &self.base).finish_non_exhaustive()
-    }
-}
-
 impl Matcher {
     /// An empty table.
     pub fn new() -> Self {
