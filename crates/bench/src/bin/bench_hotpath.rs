@@ -10,7 +10,9 @@
 //! one-symbol-at-a-time reference loop, and `jit.huffman_random` reads the lane
 //! JIT's cost per Huffman symbol against the share of symbols on codes longer
 //! than the primary dispatch width. The `encode` section reads the write
-//! side: delta, Snappy and Huffman encode MB/s over the same index blocks.
+//! side: delta, Snappy and Huffman encode MB/s over the same index blocks,
+//! and the CRC32c that seals (and, before every lane decode, checks) each
+//! block, over their DSH payloads.
 //! These are *host* numbers: modeled lane
 //! cycles are pinned by the golden trace fixture, must not move when these
 //! get faster, and must be byte-identical across all three tiers.
@@ -20,7 +22,7 @@
 
 use recode_codec::huffman::{self, HuffmanTable};
 use recode_codec::pipeline::{Pipeline, PipelineConfig};
-use recode_codec::{delta, snappy, UDP_BLOCK_BYTES};
+use recode_codec::{crc32c, delta, snappy, UDP_BLOCK_BYTES};
 use recode_core::json::Json;
 use recode_sparse::util::SplitMix64;
 use recode_udp::jit::LaneJit;
@@ -86,8 +88,8 @@ struct Snapshot {
     huffman_cpu: Throughput,
     /// CPU pipeline Snappy decode stage (32 KB blocks).
     snappy_cpu: Throughput,
-    /// The encoder's three stages by name ([`encode_section`]).
-    encode: [(&'static str, Throughput); 3],
+    /// The encoder's three stages and its seal by name ([`encode_section`]).
+    encode: [(&'static str, Throughput); 4],
     /// Statically certified cycle envelopes for the three lane programs the
     /// decoder runs. Pure verifier output — deterministic on every machine —
     /// so `bench-compare` gates each `*_cycles` leaf and an accidental
@@ -343,12 +345,15 @@ fn huffman_random_section(reps: usize) -> Json {
 /// over the index stream's 8 KB blocks as the DSH pipeline feeds them: delta
 /// over the raw blocks, Snappy (one match table for the whole stream) over
 /// the delta output, Huffman with the trained `table` over the Snappy
-/// output. Host wall-clock, informational under `bench-compare`.
+/// output — and the CRC32c over the DSH `blocks`' payloads, which seals each
+/// block and is checked again before every lane decode. Host wall-clock,
+/// informational under `bench-compare`.
 fn encode_section(
     index_data: &[u8],
     table: &HuffmanTable,
+    blocks: &[recode_codec::block::CompressedBlock],
     reps: usize,
-) -> [(&'static str, Throughput); 3] {
+) -> [(&'static str, Throughput); 4] {
     let raw: Vec<&[u8]> = index_data.chunks(UDP_BLOCK_BYTES).collect();
     let after_delta: Vec<Vec<u8>> =
         raw.iter().map(|b| delta::encode_bytes(b).expect("whole words")).collect();
@@ -383,7 +388,16 @@ fn encode_section(
             })
             .sum()
     });
-    [("delta", delta), ("snappy", snappy), ("huffman", huffman)]
+    let crc = measure(blocks.len(), reps, || {
+        blocks
+            .iter()
+            .map(|b| {
+                std::hint::black_box(crc32c(&b.payload));
+                b.payload.len()
+            })
+            .sum()
+    });
+    [("delta", delta), ("snappy", snappy), ("huffman", huffman), ("crc32c", crc)]
 }
 
 /// What `progs::huffman::compile` costs on the trained table — program,
@@ -515,7 +529,7 @@ fn main() {
         measure(snap_stream.blocks.len(), reps, || cpu_pass(&snap_pipe, &snap_stream.blocks));
 
     let dsh_table = dsh_pipe.table().expect("dsh trains a table");
-    let encode = encode_section(&index_data, dsh_table, reps);
+    let encode = encode_section(&index_data, dsh_table, &dsh_stream.blocks, reps);
 
     let snap = Snapshot {
         schema: "recode-bench-hotpath/v1",
@@ -554,7 +568,7 @@ fn main() {
     for (stage, t) in &snap.encode {
         eprintln!(
             "{:<16} {:>12.0} blocks/s  {:>8.1} MB/s",
-            format!("{stage}_encode"),
+            format!("encode.{stage}"),
             t.blocks_per_s,
             t.mb_per_s
         );

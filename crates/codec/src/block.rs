@@ -48,13 +48,17 @@ impl CompressedBlock {
     /// CRC32c over the payload followed by the little-endian header fields
     /// (`bit_len`, `uncompressed_len` as u64, `seq` as u32). Covering the
     /// header means a corrupted length or sequence number is caught even when
-    /// the payload bits survive intact.
+    /// the payload bits survive intact. The 20 header bytes go in as one
+    /// update: on a block of a few hundred bytes each update's fixed cost
+    /// is a large part of the check.
     pub fn compute_checksum(&self) -> u32 {
+        let mut header = [0u8; 20];
+        header[..8].copy_from_slice(&(self.bit_len as u64).to_le_bytes());
+        header[8..16].copy_from_slice(&(self.uncompressed_len as u64).to_le_bytes());
+        header[16..].copy_from_slice(&self.seq.to_le_bytes());
         let mut h = Crc32c::new();
         h.update(&self.payload);
-        h.update(&(self.bit_len as u64).to_le_bytes());
-        h.update(&(self.uncompressed_len as u64).to_le_bytes());
-        h.update(&self.seq.to_le_bytes());
+        h.update(&header);
         h.finalize()
     }
 

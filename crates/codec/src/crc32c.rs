@@ -1,5 +1,8 @@
-//! Hand-rolled CRC32c (Castagnoli) — slicing-by-8, table-driven, no
-//! external deps.
+//! CRC32c (Castagnoli), no external deps: the CPU's own `crc32`
+//! instruction where the host has it (x86-64 with SSE4.2, found at run
+//! time), a hand-rolled slicing-by-8 table loop everywhere else. Both give
+//! the same checksum bit for bit; the table loop is also the reference the
+//! tests hold the instruction to.
 //!
 //! Used by the block framing layer to detect payload/header corruption
 //! anywhere between the encoder and the lane that decodes the block. The
@@ -70,30 +73,68 @@ impl Crc32c {
 
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        let mut words = data.chunks_exact(8);
-        for w in &mut words {
-            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            crc = TABLES[7][(lo & 0xFF) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xFF) as usize]
-                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: the host has SSE4.2, the one feature `sse42` enables.
+            #[allow(unsafe_code)]
+            let crc = unsafe { sse42(self.state, data) };
+            self.state = crc;
+            return;
         }
-        for &b in words.remainder() {
-            crc = step(crc, b);
-        }
-        self.state = crc;
+        self.state = sliced(self.state, data);
     }
 
     /// Final checksum value.
     pub fn finalize(&self) -> u32 {
         !self.state
     }
+}
+
+/// The `crc32` instruction over whole 8-byte words, then over the tail one
+/// byte at a time. One chain of dependent instructions (3-cycle latency,
+/// 8 bytes each): about 0.15 ns/B against the table loop's 0.8.
+///
+/// # Safety
+/// Outside code compiled for SSE4.2 the call is `unsafe`: the caller must
+/// have seen the host report the feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn sse42(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut words = data.chunks_exact(8);
+    let mut crc = u64::from(crc);
+    for w in &mut words {
+        crc = _mm_crc32_u64(crc, u64::from_le_bytes(w.try_into().expect("8-byte word")));
+    }
+    // The instruction leaves the upper half zero.
+    let mut crc = crc as u32;
+    for &b in words.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    crc
+}
+
+/// The portable loop: slicing-by-8 over whole words, then [`step`] over the
+/// tail.
+fn sliced(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = crc;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = step(crc, b);
+    }
+    crc
 }
 
 /// One-shot CRC32c of `data`.
@@ -118,31 +159,47 @@ mod tests {
         assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
     }
 
-    /// The byte-at-a-time loop the sliced `update` replaced.
+    /// The byte-at-a-time definition both paths must agree with.
     fn bytewise(data: &[u8]) -> u32 {
         !data.iter().fold(!0, |crc, &b| step(crc, b))
+    }
+
+    /// `data` through the dispatched `update` (the `crc32` instruction on a
+    /// host with SSE4.2) and through the portable loop, cut at `cut`.
+    fn both_paths(data: &[u8], cut: usize) -> [u32; 2] {
+        let mut h = Crc32c::new();
+        h.update(&data[..cut]);
+        h.update(&data[cut..]);
+        [h.finalize(), !sliced(sliced(!0, &data[..cut]), &data[cut..])]
     }
 
     #[test]
     fn sliced_update_matches_bytewise_at_every_split() {
         let mut x = 0x9E37_79B9u32;
-        let data: Vec<u8> = (0..77)
-            .map(|_| {
-                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                (x >> 24) as u8
-            })
-            .collect();
+        let mut next = move || {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            x
+        };
+        let data: Vec<u8> = (0..77).map(|_| (next() >> 24) as u8).collect();
         // Every prefix length crosses every `len % 8`; every split point
-        // puts the sliced loop and the tail loop at every phase of a word.
+        // puts the word loop and the tail loop at every phase of a word.
         for len in 0..=data.len() {
             let want = bytewise(&data[..len]);
             assert_eq!(crc32c(&data[..len]), want, "len {len}");
             for cut in 0..=len {
-                let mut h = Crc32c::new();
-                h.update(&data[..cut]);
-                h.update(&data[cut..len]);
-                assert_eq!(h.finalize(), want, "len {len} cut {cut}");
+                assert_eq!(both_paths(&data[..len], cut), [want; 2], "len {len} cut {cut}");
             }
+        }
+        // Block-sized buffers up to 16 KiB, starting off the 8-byte grid,
+        // each cut at a random point.
+        let long: Vec<u8> = (0..16 * 1024 + 8).map(|_| (next() >> 24) as u8).collect();
+        for _ in 0..if cfg!(miri) { 3 } else { 64 } {
+            let start = 1 + next() as usize % 7;
+            let len = next() as usize % (16 * 1024 + 1);
+            let buf = &long[start..start + len];
+            let cut = next() as usize % (len + 1);
+            let want = bytewise(buf);
+            assert_eq!(both_paths(buf, cut), [want; 2], "start {start} len {len} cut {cut}");
         }
     }
 

@@ -20,9 +20,11 @@
 //!   [`CompressedMatrix`], with a reader that treats its input as hostile.
 //! * [`metrics`] — the bytes-per-non-zero accounting used throughout the
 //!   evaluation (raw CSR = 12 B/nnz).
-//! * [`crc32c`] — hand-rolled table-driven CRC32c sealing every block's
-//!   framing, and [`faults`] — a deterministic seed-driven injector that
-//!   exercises the integrity layer with every corruption class.
+//! * [`crc32c`] — the CRC32c sealing every block's framing: the CPU's
+//!   `crc32` instruction where the host has SSE4.2, a hand-rolled
+//!   slicing-by-8 table loop elsewhere, bit-identical; and [`faults`] — a
+//!   deterministic seed-driven injector that exercises the integrity layer
+//!   with every corruption class.
 //! * [`words`] — the byte views of `[u32]` / `[f64]` through which the
 //!   encoder reads the CSR arrays and decoded blocks land directly in them.
 //!
@@ -31,8 +33,9 @@
 //!
 //! The crate is formats and plain-Rust codecs: nothing here emits or maps
 //! machine code (that is `recode-udp::jit`), nothing here reads a clock (a
-//! traced run times its phases in `recode-core`'s one phase guard), and the
-//! two byte-view casts in [`words`] are its only `unsafe`.
+//! traced run times its phases in `recode-core`'s one phase guard), and its
+//! only `unsafe` is the two byte-view casts in [`words`] and the one call
+//! into [`crc32c`]'s SSE4.2 loop, made after the host reported the feature.
 
 #![deny(unsafe_code)]
 

@@ -29,7 +29,7 @@ use recode_codec::block::{BlockStream, CompressedBlock};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_codec::{words, CodecError};
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
-use recode_sparse::Csr;
+use recode_sparse::{csr, Csr, SparseError};
 use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEventSink, JobOutcome};
 use recode_udp::progs::DshDecoder;
 use recode_udp::{Lane, UdpError, OUTPUT_WINDOW_BYTES};
@@ -118,6 +118,13 @@ pub struct RecodedSpmv {
     index_decoder: DshDecoder,
     value_decoder: DshDecoder,
     raw_store: Option<RawFallbackStore>,
+}
+
+/// The error of decoded entries that break a CSR invariant, the same on
+/// every schedule: the batch finds it assembling the [`Csr`], the tile
+/// walker block by block ([`csr::check_columns`]), in the same order.
+pub(crate) fn decoded_invalid(e: &SparseError) -> ExecError {
+    ExecError::Reassembly(format!("decoded matrix invalid: {e}"))
 }
 
 /// Transport-structure check: block count and sequence positions. Per-block
@@ -289,9 +296,10 @@ impl RecodedSpmv {
     }
 
     /// What must hold before the first lane runs and before anything is
-    /// sized from a header field: the geometry — `row_ptr` ends at `nnz`,
-    /// the streams declare exactly `4·nnz` and `8·nnz` bytes in blocks no
-    /// larger than a lane's output window, which bounds every allocation by
+    /// sized from a header field: the geometry — `row_ptr` is a ramp from 0
+    /// to `nnz` over `nrows` rows ([`csr::check_row_ptr`]), the streams
+    /// declare exactly `4·nnz` and `8·nnz` bytes in blocks no larger than a
+    /// lane's output window, which bounds every allocation by
     /// `blocks.len() × block_bytes` — and both streams' transport structure
     /// ([`check_stream_structure`]).
     ///
@@ -300,13 +308,8 @@ impl RecodedSpmv {
     /// for the transport structure.
     pub(crate) fn check_structure(&self) -> ExecResult<()> {
         let cm = &self.compressed;
-        if cm.row_ptr.last() != Some(&cm.nnz) {
-            return Err(ExecError::Reassembly(format!(
-                "row_ptr ends at {:?} but the matrix declares {} non-zeros",
-                cm.row_ptr.last(),
-                cm.nnz
-            )));
-        }
+        csr::check_row_ptr(cm.nrows, &cm.row_ptr, cm.nnz)
+            .map_err(|e| ExecError::Reassembly(format!("declared matrix invalid: {e}")))?;
         for (name, stream, word) in [
             (StreamKind::Index, &cm.index_stream, 4usize),
             (StreamKind::Value, &cm.value_stream, 8),
@@ -442,7 +445,7 @@ impl RecodedSpmv {
         words::from_le_in_place(&mut col_idx);
         words::from_le_in_place(&mut values);
         let a = Csr::try_from_parts(cm.nrows, cm.ncols, cm.row_ptr.clone(), col_idx, values)
-            .map_err(|e| ExecError::Reassembly(format!("decoded matrix invalid: {e}")))?;
+            .map_err(|e| decoded_invalid(&e))?;
         phase.finish(tel.as_deref_mut(), 0.0, (cm.nnz * 12) as u64);
 
         let stats = tally.stats(sys, report, cm.wire_bytes(), OverlapStats::default());

@@ -41,12 +41,13 @@
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
-use crate::exec::{ExecStats, RecodedSpmv};
+use crate::exec::{decoded_invalid, ExecStats, RecodedSpmv};
 use crate::ladder::{report_run, vector_traffic, Ladder, RunCtx};
 use crate::perfmodel;
 use crate::recorder;
 use crate::telemetry::{StreamKind, Telemetry, TraceDocument, TILED_COUNTERS};
 use recode_mem::traffic::TrafficSource;
+use recode_sparse::csr;
 use recode_sparse::solve::{self, SolveResult};
 use recode_udp::accel::{AccelReport, Accelerator, FaultHook, StageCycles};
 use recode_udp::{Lane, OpClassCycles};
@@ -337,7 +338,8 @@ impl<'m> OverlapExecutor<'m> {
     /// # Errors
     /// [`ExecError::Unrecoverable`] for a block that fails decode, fails its
     /// retry, and has no fallback coverage;
-    /// [`ExecError::Reassembly`] on stream misalignment.
+    /// [`ExecError::Reassembly`] on stream misalignment, or on decoded
+    /// columns that break CSR's rule — the batch's error for them.
     ///
     /// # Panics
     /// If `x.len() != ncols`.
@@ -450,7 +452,8 @@ impl<'m> OverlapExecutor<'m> {
     /// Decodes one block through the same cache-then-ladder path a run
     /// uses, returning the decoded length. Hidden: it exists so the
     /// allocation-regression suite can measure warm-cache hits alone,
-    /// without the output vector and stats a run allocates.
+    /// without the output vector and stats a run allocates. An index
+    /// block's columns are checked without the seam to the block before.
     #[doc(hidden)]
     pub fn decode_one_for_test(&self, stream: StreamKind, pos: usize) -> ExecResult<usize> {
         let job = match stream {
@@ -460,15 +463,19 @@ impl<'m> OverlapExecutor<'m> {
         let udp = Accelerator::default();
         let mut ladder = Ladder::new(self.recoded, &udp, recorder::Track::stage(0), None, None);
         let mut walk = TileWalk::default();
-        self.decode_one(job, &FaultHook::default(), &mut ladder, &mut walk).map(|d| d.0.len())
+        self.decode_one(job, None, &FaultHook::default(), &mut ladder, &mut walk).map(|d| d.0.len())
     }
 
     /// One block of the walk: the cache first; on a miss the first attempt
-    /// under `hook` on a pooled lane, settled by `ladder`. Returns the bytes
-    /// and the lane cycles the block charged to the decode side.
+    /// under `hook` on a pooled lane, settled by `ladder`, and for an index
+    /// block the check of its columns ([`csr::check_columns`], `prev` the
+    /// column before the block) before anything multiplies or caches it.
+    /// Returns the bytes and the lane cycles the block charged to the
+    /// decode side.
     fn decode_one(
         &self,
         job: usize,
+        prev: Option<u32>,
         hook: &FaultHook,
         ladder: &mut Ladder<'_>,
         walk: &mut TileWalk,
@@ -492,6 +499,15 @@ impl<'m> OverlapExecutor<'m> {
                 Accelerator::dispatch(&mut lane, hook, job, run)
             };
             let decoded = ladder.settle(job, first, &mut bytes)?;
+            if key.0 == StreamKind::Index {
+                let cm = self.recoded.compressed();
+                let k_start = self.recoded.extent(job).start / 4;
+                let cols = bytes
+                    .chunks_exact(4)
+                    .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte index")));
+                csr::check_columns(&cm.row_ptr, cm.ncols, k_start, prev, cols)
+                    .map_err(|e| decoded_invalid(&e))?;
+            }
             walk.fetched_bytes += self.recoded.job_block(job).1.payload.len();
             let cycles = decoded.map_or(0, |o| {
                 walk.opclass.merge(&o.opclass);
@@ -545,14 +561,18 @@ impl<'m> OverlapExecutor<'m> {
         let n_index = cm.index_stream.blocks.len();
         let mut next_value = n_index;
         let mut k_global = 0usize;
+        let mut last_col = None;
         for t in 0..n_index {
-            let (idx, mut tile_cycles) = self.decode_one(t, hook, &mut ladder, &mut walk)?;
+            let (idx, mut tile_cycles) =
+                self.decode_one(t, last_col, hook, &mut ladder, &mut walk)?;
+            last_col = idx.last_chunk().map(|c| u32::from_le_bytes(*c));
             let tile_nnz = idx.len() / 4;
             while val_buf.len() < tile_nnz * 8 {
                 if next_value >= self.recoded.total_jobs() {
                     return Err(ExecError::Reassembly("value stream ended early".into()));
                 }
-                let (vals, cycles) = self.decode_one(next_value, hook, &mut ladder, &mut walk)?;
+                let (vals, cycles) =
+                    self.decode_one(next_value, None, hook, &mut ladder, &mut walk)?;
                 next_value += 1;
                 tile_cycles += cycles;
                 val_buf.extend_from_slice(&vals);

@@ -23,6 +23,93 @@ pub struct Csr {
     values: Vec<f64>,
 }
 
+/// Checks a `row_ptr` for `nrows` rows over `nnz` stored entries: `nrows + 1`
+/// entries, starting at 0, non-decreasing, ending at `nnz`. The first half
+/// of [`Csr::try_from_parts`]; an operand that keeps its `row_ptr` apart
+/// from its entries (a compressed one) checks it here before it walks them.
+///
+/// # Errors
+/// [`SparseError::InvalidStructure`] describing the first violation.
+pub fn check_row_ptr(nrows: usize, row_ptr: &[usize], nnz: usize) -> Result<()> {
+    if row_ptr.len() != nrows + 1 {
+        return Err(SparseError::InvalidStructure(format!(
+            "row_ptr has {} entries for {} rows (want nrows+1)",
+            row_ptr.len(),
+            nrows
+        )));
+    }
+    if row_ptr[0] != 0 {
+        return Err(SparseError::InvalidStructure("row_ptr[0] != 0".into()));
+    }
+    if let Some(r) = row_ptr.windows(2).position(|w| w[0] > w[1]) {
+        return Err(SparseError::InvalidStructure(format!("row_ptr decreases at row {r}")));
+    }
+    if row_ptr[nrows] != nnz {
+        return Err(SparseError::InvalidStructure(format!(
+            "row_ptr ends at {} but there are {nnz} entries",
+            row_ptr[nrows]
+        )));
+    }
+    Ok(())
+}
+
+/// Checks the column indices of the stored entries `k_start..`, given in
+/// storage order, against a `row_ptr` that passed [`check_row_ptr`]: each is
+/// below `ncols` and above the one before it in its row. `prev` is the
+/// column of entry `k_start - 1` (`None` at the first entry), so a run of
+/// entries checked in consecutive pieces is checked exactly as in one, the
+/// pair across each seam included. The second half of
+/// [`Csr::try_from_parts`]. Entries past `row_ptr[nrows]` are not read.
+///
+/// # Errors
+/// [`SparseError::IndexOutOfBounds`] or [`SparseError::InvalidStructure`]
+/// for the first entry in storage order that breaks the rule.
+pub fn check_columns(
+    row_ptr: &[usize],
+    ncols: usize,
+    k_start: usize,
+    prev: Option<u32>,
+    cols: impl IntoIterator<Item = u32>,
+) -> Result<()> {
+    let nrows = row_ptr.len() - 1;
+    let mut cols = cols.into_iter();
+    // The row holding entry `k_start`: the last whose start is at or before it.
+    let mut row = row_ptr.partition_point(|&p| p <= k_start).saturating_sub(1);
+    let mut k = k_start;
+    // The column before entry `k` in its row, -1 at the row's start: the
+    // entry before `k_start` shares its row only if the row began before it.
+    let mut prev = prev.filter(|_| row_ptr[row] < k_start).map_or(-1, i64::from);
+    // Row by row, one compare per entry on the way through (as fast as a
+    // loop over row slices; a row cursor advanced per entry is not).
+    while row < nrows {
+        let end = row_ptr[row + 1];
+        for c in cols.by_ref().take(end - k) {
+            if c as usize >= ncols || i64::from(c) <= prev {
+                if c as usize >= ncols {
+                    return Err(SparseError::IndexOutOfBounds {
+                        row,
+                        col: c as usize,
+                        nrows,
+                        ncols,
+                    });
+                }
+                return Err(SparseError::InvalidStructure(format!(
+                    "row {row} columns not strictly increasing at position {}",
+                    k - row_ptr[row]
+                )));
+            }
+            prev = i64::from(c);
+            k += 1;
+        }
+        if k < end {
+            break;
+        }
+        row += 1;
+        prev = -1;
+    }
+    Ok(())
+}
+
 impl Csr {
     /// Builds a CSR matrix after validating every invariant listed on the
     /// type. Prefer this over `from_parts_unchecked` at API boundaries.
@@ -40,45 +127,15 @@ impl Csr {
         if ncols > u32::MAX as usize {
             return Err(SparseError::ColumnIndexOverflow(ncols));
         }
-        if row_ptr.len() != nrows + 1 {
+        check_row_ptr(nrows, &row_ptr, col_idx.len())?;
+        if col_idx.len() != values.len() {
             return Err(SparseError::InvalidStructure(format!(
-                "row_ptr has {} entries for {} rows (want nrows+1)",
-                row_ptr.len(),
-                nrows
-            )));
-        }
-        if row_ptr[0] != 0 {
-            return Err(SparseError::InvalidStructure("row_ptr[0] != 0".into()));
-        }
-        if *row_ptr.last().expect("len >= 1") != col_idx.len() || col_idx.len() != values.len() {
-            return Err(SparseError::InvalidStructure(format!(
-                "row_ptr end {} vs col_idx {} vs values {}",
-                row_ptr.last().expect("len >= 1"),
+                "{} column indices but {} values",
                 col_idx.len(),
                 values.len()
             )));
         }
-        for r in 0..nrows {
-            if row_ptr[r] > row_ptr[r + 1] {
-                return Err(SparseError::InvalidStructure(format!("row_ptr decreases at row {r}")));
-            }
-            let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            for (k, &c) in row.iter().enumerate() {
-                if c as usize >= ncols {
-                    return Err(SparseError::IndexOutOfBounds {
-                        row: r,
-                        col: c as usize,
-                        nrows,
-                        ncols,
-                    });
-                }
-                if k > 0 && row[k - 1] >= c {
-                    return Err(SparseError::InvalidStructure(format!(
-                        "row {r} columns not strictly increasing at position {k}"
-                    )));
-                }
-            }
-        }
+        check_columns(&row_ptr, ncols, 0, None, col_idx.iter().copied())?;
         Ok(Csr { nrows, ncols, row_ptr, col_idx, values })
     }
 
@@ -301,6 +358,37 @@ mod tests {
             Csr::try_from_parts(1, 4, vec![0, 2], vec![3, 1], vec![1.0, 2.0]).is_err(),
             "descending columns must be rejected"
         );
+    }
+
+    #[test]
+    fn columns_checked_in_pieces_fail_where_checked_whole() {
+        crate::util::for_each_case(0xC01_5EA4, 300, |rng| {
+            // Up to 12 rows, empty ones included, of sorted columns below
+            // 10, then one entry redrawn half the time: it may break the
+            // order, repeat a column or leave the shape.
+            let nrows = 1 + rng.below(12);
+            let mut row_ptr = vec![0];
+            let mut cols = Vec::new();
+            for _ in 0..nrows {
+                let mut row: Vec<u32> = (0..10).filter(|_| rng.below(3) == 0).collect();
+                cols.append(&mut row);
+                row_ptr.push(cols.len());
+            }
+            if !cols.is_empty() && rng.below(2) == 0 {
+                let k = rng.below(cols.len());
+                cols[k] = rng.below(11) as u32;
+            }
+            let whole = check_columns(&row_ptr, 10, 0, None, cols.iter().copied());
+            let mut cuts: Vec<usize> = (0..3).map(|_| rng.below(cols.len() + 1)).collect();
+            cuts.extend([0, cols.len()]);
+            cuts.sort_unstable();
+            let pieces = cuts.windows(2).try_for_each(|w| {
+                let prev = w[0].checked_sub(1).map(|k| cols[k]);
+                check_columns(&row_ptr, 10, w[0], prev, cols[w[0]..w[1]].iter().copied())
+            });
+            let show = |r: &Result<()>| r.as_ref().map_err(ToString::to_string).err();
+            assert_eq!(show(&pieces), show(&whole), "cols {cols:?} rows {row_ptr:?} cuts {cuts:?}");
+        });
     }
 
     #[test]

@@ -273,3 +273,92 @@ fn a_resealed_block_of_another_length_is_a_per_block_failure() {
         }
     }
 }
+
+/// Operands whose blocks all pass their CRCs but whose entries break CSR's
+/// rule — a header that shrinks the shape under a stored column, columns
+/// out of order inside a row (within a block, and across the seam between
+/// two index blocks), a `row_ptr` that goes backwards — are refused with
+/// one typed error on every schedule: the tile walker checks a decoded
+/// index block's columns before it multiplies or caches it, warm calls
+/// included, with the rule the batch checks the assembled matrix with.
+#[test]
+fn every_schedule_refuses_entries_that_break_csr() {
+    let sys = SystemConfig::ddr4();
+    let four_cols = |cols: Vec<u32>, row_ptr: Vec<usize>| {
+        let values = (1..=cols.len()).map(|v| v as f64).collect();
+        Csr::from_parts_unchecked(row_ptr.len() - 1, 4, row_ptr, cols, values)
+    };
+    let compress = |a: &Csr| CompressedMatrix::compress(a, MatrixCodecConfig::udp_dsh()).unwrap();
+    // Row 0 holds columns 0..200, except that entry 129 — the first of the
+    // second 516-byte index block — repeats entry 128, the last of the first.
+    let seam = {
+        let mut cols: Vec<u32> = (0..200).collect();
+        cols[129] = 128;
+        let a = Csr::from_parts_unchecked(1, 200, vec![0, 200], cols, vec![1.0; 200]);
+        let index = PipelineConfig { block_bytes: 516, ..PipelineConfig::dsh_udp() };
+        let cm = CompressedMatrix::compress(
+            &a,
+            MatrixCodecConfig { index, value: PipelineConfig::sh_udp() },
+        )
+        .unwrap();
+        assert!(cm.index_stream.blocks.len() > 1, "the seam needs two index blocks");
+        cm
+    };
+    let cases: [(&str, CompressedMatrix, &str); 4] = [
+        (
+            ".rcmx header says 3 columns, row 0 stores column 3",
+            {
+                let mut cm = compress(&four_cols(vec![1, 3, 0, 2], vec![0, 2, 3, 4, 4]));
+                cm.ncols = 3;
+                CompressedMatrix::from_bytes(&cm.to_bytes()).unwrap()
+            },
+            "decoded matrix invalid: entry (0, 3) outside matrix shape 4x3",
+        ),
+        (
+            "row 2 stores column 2 before column 1",
+            compress(&four_cols(vec![1, 3, 0, 2, 1], vec![0, 2, 3, 5, 5])),
+            "decoded matrix invalid: invalid structure: row 2 columns not strictly increasing \
+             at position 1",
+        ),
+        (
+            "row 0 repeats a column across the seam of two index blocks",
+            seam,
+            "decoded matrix invalid: invalid structure: row 0 columns not strictly increasing \
+             at position 129",
+        ),
+        (
+            "row_ptr [0, 4, 2, 5]",
+            {
+                let mut cm = compress(&four_cols(vec![0, 1, 2, 3, 1], vec![0, 4, 4, 5]));
+                cm.row_ptr = vec![0, 4, 2, 5];
+                cm
+            },
+            "declared matrix invalid: invalid structure: row_ptr decreases at row 1",
+        ),
+    ];
+    for (what, cm, want) in cases {
+        let want = ExecError::Reassembly(want.to_string());
+        let r = RecodedSpmv::from_compressed(cm).unwrap();
+        let x = vec![1.0; r.compressed().ncols];
+        let overlap =
+            OverlapExecutor::new(&r, OverlapConfig { cache_blocks: 16, ..Default::default() });
+        let schedules: [(&str, Result<Vec<f64>, ExecError>); 6] = [
+            ("batch", r.spmv(&sys, SpmvKernel::Serial, &x).map(|(y, _)| y)),
+            (
+                "traced batch",
+                r.spmv_traced(&sys, SpmvKernel::Serial, &x, RunCtx::default(), what)
+                    .map(|(y, ..)| y),
+            ),
+            ("streaming", r.spmv_streaming(&x).map(|(y, _)| y)),
+            ("overlap", overlap.spmv(&sys, &x).map(|(y, _)| y)),
+            ("overlap, warm", overlap.spmv(&sys, &x).map(|(y, _)| y)),
+            (
+                "traced overlap",
+                overlap.spmv_traced(&sys, &x, RunCtx::default(), what).map(|(y, ..)| y),
+            ),
+        ];
+        for (schedule, got) in schedules {
+            assert_eq!(got, Err(want.clone()), "{what}, on {schedule}");
+        }
+    }
+}
