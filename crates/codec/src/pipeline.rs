@@ -15,7 +15,7 @@ use crate::block::{split_blocks, BlockStream, CompressedBlock};
 use crate::error::{CodecError, CodecResult};
 use crate::huffman::{self, FlatDecoder, HuffmanTable};
 use crate::{delta, snappy, words};
-use recode_sparse::Csr;
+use recode_sparse::{par, Csr};
 
 /// Which stages a pipeline runs and at what block granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,8 +261,8 @@ impl Pipeline {
     }
 
     /// Encodes a whole byte stream into framed blocks, one after another on
-    /// the calling thread (`&self` is `Sync`, so a caller may fan streams
-    /// out itself).
+    /// the calling thread. A matrix's two streams each run this loop on a
+    /// host worker of their own ([`CompressedMatrix::compress`]).
     ///
     /// # Errors
     /// First failing block's error.
@@ -392,14 +392,31 @@ impl CompressedMatrix {
     /// each block runs delta and Snappy once: the sampled blocks' bytes
     /// train the table and are then Huffman-coded as they are.
     ///
+    /// The two streams share nothing, so they train and encode at once,
+    /// one per host worker ([`par::map`]; inline on one core or inside a
+    /// worker). Each is a pure function of its own bytes, so the result is
+    /// the same either way.
+    ///
     /// # Errors
     /// Stage preconditions (e.g. a delta stage on blocks that are not a
-    /// whole number of words).
+    /// whole number of words); the index stream's first when both fail.
     pub fn compress(a: &Csr, config: MatrixCodecConfig) -> CodecResult<Self> {
-        let (index_pipe, index_stream) =
-            Pipeline::train_and_encode(config.index, &words::le_bytes(a.col_idx()))?;
-        let (value_pipe, value_stream) =
-            Pipeline::train_and_encode(config.value, &words::le_bytes(a.values()))?;
+        // The value stream is item 0, which runs on the calling thread, so
+        // its blocks (usually the larger stream's) stay on the caller's
+        // heap. Handed to the worker, they land in the malloc arena it
+        // draws, and a process that builds matrix after matrix keeps free
+        // space for them in two arenas: `peak_rss_mib` read +8…+11 % on an
+        // R-MAT operand in half the runs, against +2 %.
+        let streams = [
+            (config.value, words::le_bytes(a.values())),
+            (config.index, words::le_bytes(a.col_idx())),
+        ];
+        let [value, index]: [CodecResult<(Pipeline, BlockStream)>; 2] =
+            par::map(streams, |_, (config, bytes)| Pipeline::train_and_encode(config, &bytes))
+                .try_into()
+                .expect("one result per stream");
+        let (index_pipe, index_stream) = index?;
+        let (value_pipe, value_stream) = value?;
         Ok(CompressedMatrix {
             nrows: a.nrows(),
             ncols: a.ncols(),
@@ -653,5 +670,27 @@ mod tests {
         let c = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let c2 = CompressedMatrix::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!(c2.decompress().unwrap(), a);
+    }
+
+    #[test]
+    fn the_index_streams_error_comes_first() {
+        let a = banded_matrix();
+        let zero_blocks = PipelineConfig { block_bytes: 0, ..PipelineConfig::dsh_udp() };
+        let odd_delta = PipelineConfig { block_bytes: 8190, ..PipelineConfig::dsh_udp() };
+        let fails = |index, value| {
+            let config = MatrixCodecConfig { index, value };
+            let fanned = CompressedMatrix::compress(&a, config).unwrap_err();
+            let inline = par::map([(), ()], |_, ()| CompressedMatrix::compress(&a, config))
+                .swap_remove(0)
+                .unwrap_err();
+            assert_eq!(fanned, inline);
+            fanned
+        };
+        let precondition = |msg: &str| CodecError::Precondition(msg.into());
+        assert_eq!(fails(zero_blocks, odd_delta), precondition("block size must be positive"));
+        assert_eq!(
+            fails(PipelineConfig::dsh_udp(), odd_delta),
+            precondition("delta stage requires 4-byte-aligned blocks")
+        );
     }
 }

@@ -7,6 +7,7 @@
 use recode_codec::bitstream::BitWriter;
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline, PipelineConfig};
 use recode_codec::{BlockStream, SplitMix64};
+use recode_sparse::par;
 use recode_sparse::prelude::*;
 
 /// FNV-1a, 64-bit.
@@ -95,6 +96,11 @@ fn matrix_streams_are_byte_identical_to_the_recorded_encoder() {
         };
         let cm = CompressedMatrix::compress(&a, config).expect("compress");
         assert_eq!(cm.decompress().expect("decompress"), a, "{name} {codec}");
+        // Called from a worker, the two streams encode one after the other.
+        let inline = par::map([(), ()], |_, ()| CompressedMatrix::compress(&a, config))
+            .swap_remove(0)
+            .expect("compress inline");
+        assert_eq!(inline.to_bytes(), cm.to_bytes(), "{name} {codec}: inline");
         for stream in [&cm.index_stream, &cm.value_stream] {
             let short = stream.total_uncompressed % stream.block_bytes;
             if a.nnz() > 0 {

@@ -29,7 +29,7 @@ use recode_codec::block::{BlockStream, CompressedBlock};
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_codec::{words, CodecError};
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
-use recode_sparse::{csr, Csr, SparseError};
+use recode_sparse::{csr, par, Csr, SparseError};
 use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEventSink, JobOutcome};
 use recode_udp::progs::DshDecoder;
 use recode_udp::{Lane, UdpError, OUTPUT_WINDOW_BYTES};
@@ -195,17 +195,26 @@ impl RecodedSpmv {
     }
 
     /// Wraps an already-compressed matrix with an explicit fallback store.
+    /// The two streams' decoders (a Huffman compile, the verify gate and
+    /// the JIT each) build at once, one per host worker ([`par::map`]).
     ///
     /// # Errors
-    /// Decoder-construction failures (bad tables).
+    /// Decoder-construction failures (bad tables); the index stream's
+    /// first when both fail.
     pub fn from_compressed_with_store(
         compressed: CompressedMatrix,
         raw_store: Option<RawFallbackStore>,
     ) -> ExecResult<Self> {
-        let index_decoder =
-            DshDecoder::new(compressed.config.index, compressed.index_table_lengths.as_deref())?;
-        let value_decoder =
-            DshDecoder::new(compressed.config.value, compressed.value_table_lengths.as_deref())?;
+        let cm = &compressed;
+        let streams = [
+            (cm.config.index, cm.index_table_lengths.as_deref()),
+            (cm.config.value, cm.value_table_lengths.as_deref()),
+        ];
+        let [index, value]: [Result<DshDecoder, UdpError>; 2] =
+            par::map(streams, |_, (config, lengths)| DshDecoder::new(config, lengths))
+                .try_into()
+                .expect("one decoder per stream");
+        let (index_decoder, value_decoder) = (index?, value?);
         Ok(RecodedSpmv { compressed, index_decoder, value_decoder, raw_store })
     }
 
@@ -444,8 +453,15 @@ impl RecodedSpmv {
         let phase = recorder::phase(recorder::Track::MAIN, "exec.reassemble", tel.is_some());
         words::from_le_in_place(&mut col_idx);
         words::from_le_in_place(&mut values);
-        let a = Csr::try_from_parts(cm.nrows, cm.ncols, cm.row_ptr.clone(), col_idx, values)
+        // `row_ptr` passed `check_structure` and the arrays are `nnz` long
+        // by construction: what is left of `Csr::try_from_parts` is the
+        // column rule over the decoded entries.
+        if cm.ncols > u32::MAX as usize {
+            return Err(decoded_invalid(&SparseError::ColumnIndexOverflow(cm.ncols)));
+        }
+        csr::check_columns(&cm.row_ptr, cm.ncols, 0, None, col_idx.iter().copied())
             .map_err(|e| decoded_invalid(&e))?;
+        let a = Csr::from_parts_unchecked(cm.nrows, cm.ncols, cm.row_ptr.clone(), col_idx, values);
         phase.finish(tel.as_deref_mut(), 0.0, (cm.nnz * 12) as u64);
 
         let stats = tally.stats(sys, report, cm.wire_bytes(), OverlapStats::default());
@@ -950,5 +966,64 @@ mod tests {
         let (_, fell_back) = r.decompress_via_udp(&sys).unwrap();
         check(&fell_back, "fallback run");
         assert_eq!(fell_back.blocks_fell_back, 1);
+    }
+
+    #[test]
+    fn fanned_out_and_inline_decoder_builds_agree_on_every_block() {
+        let a = test_matrix();
+        let build = || RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let fanned = build();
+        // Called from a worker, both set-up fan-outs run inline.
+        let inline = par::map([(), ()], |_, ()| build()).swap_remove(0);
+        for (f, i) in [
+            (fanned.index_decoder(), inline.index_decoder()),
+            (fanned.value_decoder(), inline.value_decoder()),
+        ] {
+            assert_eq!(f.code_bytes(), i.code_bytes());
+        }
+        let mut lane = recode_udp::pool::global().checkout();
+        for job in 0..fanned.total_jobs() {
+            let len = fanned.extent(job).len();
+            let (mut f, mut i) = (vec![0u8; len], vec![0u8; len]);
+            let f_cycles = fanned.decode_job_into(&mut lane, job, &mut f).unwrap().cycles;
+            let i_cycles = inline.decode_job_into(&mut lane, job, &mut i).unwrap().cycles;
+            assert_eq!((f, f_cycles), (i, i_cycles), "job {job}");
+        }
+    }
+
+    #[test]
+    fn the_index_decoders_error_comes_first() {
+        let cm = CompressedMatrix::compress(&test_matrix(), MatrixCodecConfig::udp_dsh()).unwrap();
+        // Every code one bit long: no prefix code has 256 of them.
+        let oversubscribed = Some(vec![1u8; 256]);
+        let build = |index: Option<Vec<u8>>, value: Option<Vec<u8>>| {
+            let cm = CompressedMatrix {
+                index_table_lengths: index,
+                value_table_lengths: value,
+                ..cm.clone()
+            };
+            let fanned = RecodedSpmv::from_compressed(cm.clone()).err().unwrap();
+            let inline = par::map([(), ()], |_, ()| RecodedSpmv::from_compressed(cm.clone()))
+                .swap_remove(0)
+                .err()
+                .unwrap();
+            assert_eq!(fanned, inline);
+            fanned
+        };
+        let decoder_error = |config, lengths: Option<Vec<u8>>| {
+            ExecError::from(DshDecoder::new(config, lengths.as_deref()).unwrap_err())
+        };
+        assert_eq!(
+            build(oversubscribed.clone(), None),
+            decoder_error(cm.config.index, oversubscribed.clone())
+        );
+        assert_eq!(
+            build(cm.index_table_lengths.clone(), None),
+            decoder_error(cm.config.value, None)
+        );
+        assert_ne!(
+            decoder_error(cm.config.index, oversubscribed),
+            decoder_error(cm.config.value, None)
+        );
     }
 }

@@ -49,7 +49,7 @@ use crate::telemetry::{StreamKind, Telemetry, TraceDocument, TILED_COUNTERS};
 use recode_mem::traffic::TrafficSource;
 use recode_sparse::csr;
 use recode_sparse::solve::{self, SolveResult};
-use recode_udp::accel::{AccelReport, Accelerator, FaultHook, StageCycles};
+use recode_udp::accel::{AccelReport, Accelerator, FaultHook, JobOutcome, StageCycles};
 use recode_udp::{Lane, OpClassCycles};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -452,8 +452,10 @@ impl<'m> OverlapExecutor<'m> {
     /// Decodes one block through the same cache-then-ladder path a run
     /// uses, returning the decoded length. Hidden: it exists so the
     /// allocation-regression suite can measure warm-cache hits alone,
-    /// without the output vector and stats a run allocates. An index
-    /// block's columns are checked without the seam to the block before.
+    /// without the output vector and stats a run allocates. On a miss an
+    /// index block's columns are checked against the real seam, the last
+    /// column of the block before, which is decoded (uncached) for it: a
+    /// block enters the cache only as checked as the walk checks it.
     #[doc(hidden)]
     pub fn decode_one_for_test(&self, stream: StreamKind, pos: usize) -> ExecResult<usize> {
         let job = match stream {
@@ -463,19 +465,48 @@ impl<'m> OverlapExecutor<'m> {
         let udp = Accelerator::default();
         let mut ladder = Ladder::new(self.recoded, &udp, recorder::Track::stage(0), None, None);
         let mut walk = TileWalk::default();
-        self.decode_one(job, None, &FaultHook::default(), &mut ladder, &mut walk).map(|d| d.0.len())
+        let hook = FaultHook::default();
+        let seam = |ladder: &mut Ladder<'_>| match (stream, pos.checked_sub(1)) {
+            (StreamKind::Index, Some(before)) => {
+                let (bytes, _) = self.fetch(before, &hook, ladder)?;
+                Ok(bytes.last_chunk().map(|c| u32::from_le_bytes(*c)))
+            }
+            _ => Ok(None),
+        };
+        self.decode_one(job, seam, &hook, &mut ladder, &mut walk).map(|d| d.0.len())
     }
 
-    /// One block of the walk: the cache first; on a miss the first attempt
-    /// under `hook` on a pooled lane, settled by `ladder`, and for an index
-    /// block the check of its columns ([`csr::check_columns`], `prev` the
-    /// column before the block) before anything multiplies or caches it.
-    /// Returns the bytes and the lane cycles the block charged to the
-    /// decode side.
+    /// Job `job`'s block at its extent: the first attempt under `hook` on a
+    /// pooled lane, settled by `ladder`. Returns the bytes and the outcome
+    /// of the decode that made them (`None` for a fallback).
+    fn fetch(
+        &self,
+        job: usize,
+        hook: &FaultHook,
+        ladder: &mut Ladder<'_>,
+    ) -> ExecResult<(Vec<u8>, Option<JobOutcome>)> {
+        // The block's own buffer at its extent: first attempt and every
+        // rung of the ladder fill it in place.
+        let mut bytes = vec![0u8; self.recoded.extent(job).len()];
+        let first = {
+            let mut lane = recode_udp::pool::global().checkout();
+            let run = |lane: &mut Lane| self.recoded.decode_job_into(lane, job, &mut bytes);
+            Accelerator::dispatch(&mut lane, hook, job, run)
+        };
+        let decoded = ladder.settle(job, first, &mut bytes)?;
+        Ok((bytes, decoded))
+    }
+
+    /// One block of the walk: the cache first; on a miss [`Self::fetch`],
+    /// and for an index block the check of its columns
+    /// ([`csr::check_columns`], `seam` giving the column before the block)
+    /// before anything multiplies or caches it. `seam` runs on a miss of an
+    /// index block only. Returns the bytes and the lane cycles the block
+    /// charged to the decode side.
     fn decode_one(
         &self,
         job: usize,
-        prev: Option<u32>,
+        seam: impl FnOnce(&mut Ladder<'_>) -> ExecResult<Option<u32>>,
         hook: &FaultHook,
         ladder: &mut Ladder<'_>,
         walk: &mut TileWalk,
@@ -489,23 +520,14 @@ impl<'m> OverlapExecutor<'m> {
             // Decode work happens on the walker's (stage 0) track; cache
             // hits never open this span. Off the main track, so ring only.
             let _decode = recorder::phase(recorder::Track::stage(0), "decode", false);
-            // The block's own buffer at its extent: first attempt and every
-            // rung of the ladder fill it in place, then it moves into the
-            // `Arc` the tile (and the cache) hold.
-            let mut bytes = vec![0u8; self.recoded.extent(job).len()];
-            let first = {
-                let mut lane = recode_udp::pool::global().checkout();
-                let run = |lane: &mut Lane| self.recoded.decode_job_into(lane, job, &mut bytes);
-                Accelerator::dispatch(&mut lane, hook, job, run)
-            };
-            let decoded = ladder.settle(job, first, &mut bytes)?;
+            let (bytes, decoded) = self.fetch(job, hook, ladder)?;
             if key.0 == StreamKind::Index {
                 let cm = self.recoded.compressed();
                 let k_start = self.recoded.extent(job).start / 4;
                 let cols = bytes
                     .chunks_exact(4)
                     .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte index")));
-                csr::check_columns(&cm.row_ptr, cm.ncols, k_start, prev, cols)
+                csr::check_columns(&cm.row_ptr, cm.ncols, k_start, seam(ladder)?, cols)
                     .map_err(|e| decoded_invalid(&e))?;
             }
             walk.fetched_bytes += self.recoded.job_block(job).1.payload.len();
@@ -564,7 +586,7 @@ impl<'m> OverlapExecutor<'m> {
         let mut last_col = None;
         for t in 0..n_index {
             let (idx, mut tile_cycles) =
-                self.decode_one(t, last_col, hook, &mut ladder, &mut walk)?;
+                self.decode_one(t, |_| Ok(last_col), hook, &mut ladder, &mut walk)?;
             last_col = idx.last_chunk().map(|c| u32::from_le_bytes(*c));
             let tile_nnz = idx.len() / 4;
             while val_buf.len() < tile_nnz * 8 {
@@ -572,7 +594,7 @@ impl<'m> OverlapExecutor<'m> {
                     return Err(ExecError::Reassembly("value stream ended early".into()));
                 }
                 let (vals, cycles) =
-                    self.decode_one(next_value, None, hook, &mut ladder, &mut walk)?;
+                    self.decode_one(next_value, |_| Ok(None), hook, &mut ladder, &mut walk)?;
                 next_value += 1;
                 tile_cycles += cycles;
                 val_buf.extend_from_slice(&vals);

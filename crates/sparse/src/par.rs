@@ -38,8 +38,9 @@ pub fn threads() -> usize {
 }
 
 /// `items.enumerate().map(|(i, item)| f(i, item)).collect()`, fanned out
-/// over [`threads`] workers: the caller and scoped threads for the rest. A
-/// panic in `f` resumes on the caller once every worker has stopped.
+/// over [`threads`] workers: the caller and scoped threads for the rest.
+/// The caller starts on item 0. A panic in `f` resumes on the caller once
+/// every worker has stopped.
 pub fn map<I, T, F>(items: impl IntoIterator<Item = I>, f: F) -> Vec<T>
 where
     I: Send,
@@ -52,25 +53,29 @@ where
         return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
     let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    // Relaxed: the counter only hands out tickets. The slots were filled
-    // before the spawn and the results travel back through `join`.
-    let next = AtomicUsize::new(0);
-    let work = || {
+    // Ticket 0 is the caller's, whatever the spawned workers' start-up
+    // takes, so item 0 always runs on the calling thread (and allocates
+    // from its heap). Relaxed: the counter only hands out tickets. The
+    // slots were filled before the spawn and the results travel back
+    // through `join`.
+    let next = AtomicUsize::new(1);
+    let work = |mut i: usize| {
         IN_WORKER.set(true);
         let _mark = WorkerMark;
         let mut done = Vec::with_capacity(slots.len());
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = slots.get(i) else { return done };
+        while let Some(slot) = slots.get(i) {
             // Each ticket is issued once, so the lock is uncontended and a
             // poisoned one still holds its untouched item.
             let item = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
             done.push((i, f(i, item.expect("ticket issued once"))));
+            i = next.fetch_add(1, Ordering::Relaxed);
         }
+        done
     };
     let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
-        let mut done = work();
+        let handles: Vec<_> =
+            (1..workers).map(|_| s.spawn(|| work(next.fetch_add(1, Ordering::Relaxed)))).collect();
+        let mut done = work(0);
         for h in handles {
             done.extend(h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
         }
@@ -127,6 +132,15 @@ mod tests {
         });
         assert!(ids.contains(&std::thread::current().id()), "the caller is a worker");
         assert!(!IN_WORKER.get(), "and stops being one when the call returns");
+    }
+
+    #[test]
+    fn item_0_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for _ in 0..100 {
+            let ids = map(0..threads() * 2, |_, _| std::thread::current().id());
+            assert_eq!(ids[0], caller);
+        }
     }
 
     #[test]

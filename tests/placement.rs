@@ -13,6 +13,7 @@ use recode_spmv::codec::pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline
 use recode_spmv::codec::CodecError;
 use recode_spmv::core::error::ExecError;
 use recode_spmv::core::exec::{ExecStats, RawFallbackStore};
+use recode_spmv::core::telemetry::StreamKind;
 use recode_spmv::prelude::*;
 use recode_spmv::sparse::util::{for_each_case, SplitMix64};
 
@@ -274,6 +275,22 @@ fn a_resealed_block_of_another_length_is_a_per_block_failure() {
     }
 }
 
+/// Row 0 holds columns 0..200, except that entry 129 — the first of the
+/// second 516-byte index block — repeats entry 128, the last of the first.
+fn seam_operand() -> CompressedMatrix {
+    let mut cols: Vec<u32> = (0..200).collect();
+    cols[129] = 128;
+    let a = Csr::from_parts_unchecked(1, 200, vec![0, 200], cols, vec![1.0; 200]);
+    let index = PipelineConfig { block_bytes: 516, ..PipelineConfig::dsh_udp() };
+    let cm = CompressedMatrix::compress(
+        &a,
+        MatrixCodecConfig { index, value: PipelineConfig::sh_udp() },
+    )
+    .unwrap();
+    assert!(cm.index_stream.blocks.len() > 1, "the seam needs two index blocks");
+    cm
+}
+
 /// Operands whose blocks all pass their CRCs but whose entries break CSR's
 /// rule — a header that shrinks the shape under a stored column, columns
 /// out of order inside a row (within a block, and across the seam between
@@ -289,21 +306,6 @@ fn every_schedule_refuses_entries_that_break_csr() {
         Csr::from_parts_unchecked(row_ptr.len() - 1, 4, row_ptr, cols, values)
     };
     let compress = |a: &Csr| CompressedMatrix::compress(a, MatrixCodecConfig::udp_dsh()).unwrap();
-    // Row 0 holds columns 0..200, except that entry 129 — the first of the
-    // second 516-byte index block — repeats entry 128, the last of the first.
-    let seam = {
-        let mut cols: Vec<u32> = (0..200).collect();
-        cols[129] = 128;
-        let a = Csr::from_parts_unchecked(1, 200, vec![0, 200], cols, vec![1.0; 200]);
-        let index = PipelineConfig { block_bytes: 516, ..PipelineConfig::dsh_udp() };
-        let cm = CompressedMatrix::compress(
-            &a,
-            MatrixCodecConfig { index, value: PipelineConfig::sh_udp() },
-        )
-        .unwrap();
-        assert!(cm.index_stream.blocks.len() > 1, "the seam needs two index blocks");
-        cm
-    };
     let cases: [(&str, CompressedMatrix, &str); 4] = [
         (
             ".rcmx header says 3 columns, row 0 stores column 3",
@@ -322,7 +324,7 @@ fn every_schedule_refuses_entries_that_break_csr() {
         ),
         (
             "row 0 repeats a column across the seam of two index blocks",
-            seam,
+            seam_operand(),
             "decoded matrix invalid: invalid structure: row 0 columns not strictly increasing \
              at position 129",
         ),
@@ -361,4 +363,22 @@ fn every_schedule_refuses_entries_that_break_csr() {
             assert_eq!(got, Err(want.clone()), "{what}, on {schedule}");
         }
     }
+}
+
+/// The single-block decode helper checks an index block against the real
+/// seam, the block before it, as the walk does: a block it decoded never
+/// enters the cache less checked, so a later run on the same executor
+/// refuses the operand like the batch instead of multiplying a cache hit.
+#[test]
+fn a_block_decoded_alone_is_checked_across_its_seam() {
+    let sys = SystemConfig::ddr4();
+    let r = RecodedSpmv::from_compressed(seam_operand()).unwrap();
+    let x = vec![1.0; r.compressed().ncols];
+    let want = r.spmv(&sys, SpmvKernel::Serial, &x).map(|(y, _)| y).unwrap_err();
+    assert!(matches!(want, ExecError::Reassembly(_)), "{want:?}");
+    let overlap =
+        OverlapExecutor::new(&r, OverlapConfig { cache_blocks: 16, ..Default::default() });
+    let alone = overlap.decode_one_for_test(StreamKind::Index, 1);
+    assert_eq!(overlap.spmv(&sys, &x).map(|(y, _)| y), Err(want.clone()), "the run after");
+    assert_eq!(alone, Err(want), "the block alone");
 }
