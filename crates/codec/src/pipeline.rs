@@ -120,8 +120,10 @@ impl PreHuffman {
 pub struct Pipeline {
     config: PipelineConfig,
     table: Option<HuffmanTable>,
-    /// Flat decode LUT built once per table at pipeline construction —
-    /// `decode_block` must not pay the 2^15-entry rebuild per block.
+    /// Flat decode LUT built once per table by the constructors that hand
+    /// out a pipeline (`train`, `with_table`) — `decode_block` must not pay
+    /// the 2^15-entry rebuild per block. Set-up, which only encodes, never
+    /// builds one.
     decoder: Option<FlatDecoder>,
 }
 
@@ -134,12 +136,14 @@ impl Pipeline {
     /// # Errors
     /// Propagates stage preconditions (e.g. delta on misaligned data).
     pub fn train(config: PipelineConfig, data: &[u8]) -> CodecResult<Self> {
-        Self::train_keeping(config, data).map(|(pipe, _)| pipe)
+        let (pipe, _) = Self::train_keeping(config, data)?;
+        Self::with_table(config, pipe.table)
     }
 
-    /// [`Self::train`], and also the sampled blocks' bytes after the stages
-    /// before Huffman, in block order, so that [`Self::encode_blocks`] does
-    /// not run those stages on them again.
+    /// [`Self::train`] without the decoder: an encoding pipeline, and also
+    /// the sampled blocks' bytes after the stages before Huffman, in block
+    /// order, so that [`Self::encode_blocks`] does not run those stages on
+    /// them again.
     fn train_keeping(config: PipelineConfig, data: &[u8]) -> CodecResult<(Self, Vec<Vec<u8>>)> {
         if config.delta && !config.block_bytes.is_multiple_of(4) {
             return Err(CodecError::Precondition(
@@ -163,8 +167,7 @@ impl Pipeline {
         } else {
             None
         };
-        let decoder = table.as_ref().map(FlatDecoder::build);
-        Ok((Pipeline { config, table, decoder }, kept))
+        Ok((Pipeline { config, table, decoder: None }, kept))
     }
 
     /// Builds a pipeline with an externally supplied table (e.g. decoder
@@ -271,11 +274,15 @@ impl Pipeline {
     }
 
     /// Trains on `data` and encodes it, running the stages before Huffman
-    /// once per block: a sampled block's bytes are kept from training.
-    fn train_and_encode(config: PipelineConfig, data: &[u8]) -> CodecResult<(Self, BlockStream)> {
+    /// once per block (a sampled block's bytes are kept from training).
+    /// Returns the trained table and the stream; no decoder is built.
+    fn train_and_encode(
+        config: PipelineConfig,
+        data: &[u8],
+    ) -> CodecResult<(Option<HuffmanTable>, BlockStream)> {
         let (pipe, kept) = Self::train_keeping(config, data)?;
         let stream = pipe.encode_blocks(data, kept)?;
-        Ok((pipe, stream))
+        Ok((pipe.table, stream))
     }
 
     /// The one encode loop. `kept` holds the pre-Huffman bytes of the first
@@ -411,12 +418,12 @@ impl CompressedMatrix {
             (config.value, words::le_bytes(a.values())),
             (config.index, words::le_bytes(a.col_idx())),
         ];
-        let [value, index]: [CodecResult<(Pipeline, BlockStream)>; 2] =
+        let [value, index]: [CodecResult<(Option<HuffmanTable>, BlockStream)>; 2] =
             par::map(streams, |_, (config, bytes)| Pipeline::train_and_encode(config, &bytes))
                 .try_into()
                 .expect("one result per stream");
-        let (index_pipe, index_stream) = index?;
-        let (value_pipe, value_stream) = value?;
+        let (index_table, index_stream) = index?;
+        let (value_table, value_stream) = value?;
         Ok(CompressedMatrix {
             nrows: a.nrows(),
             ncols: a.ncols(),
@@ -425,8 +432,8 @@ impl CompressedMatrix {
             index_stream,
             value_stream,
             config,
-            index_table_lengths: index_pipe.table().map(|t| t.lengths.clone()),
-            value_table_lengths: value_pipe.table().map(|t| t.lengths.clone()),
+            index_table_lengths: index_table.map(|t| t.lengths),
+            value_table_lengths: value_table.map(|t| t.lengths),
         })
     }
 

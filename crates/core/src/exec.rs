@@ -30,7 +30,7 @@ use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_codec::{words, CodecError};
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
 use recode_sparse::{csr, par, Csr, SparseError};
-use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEventSink, JobOutcome};
+use recode_udp::accel::{AccelReport, FaultHook, JobOutcome};
 use recode_udp::progs::DshDecoder;
 use recode_udp::{Lane, UdpError, OUTPUT_WINDOW_BYTES};
 use std::ops::Range;
@@ -41,11 +41,11 @@ use std::time::Instant;
 pub struct ExecStats {
     /// Accelerator-side report (cycles, throughput, utilization). A
     /// successful retry decode is busy work of the lane that ran the
-    /// block's first attempt: on the batch schedule it lands in that lane's
-    /// profile and timeline, so it stretches the makespan only past that
-    /// lane's slack; on the walker it lands in its tile's decode time.
-    /// Utilization is recomputed accordingly; the retry work is broken out
-    /// in [`ExecStats::retry_cycles`].
+    /// block's first attempt: it lands in that lane's profile and timeline,
+    /// so it stretches the batch's makespan (or the walker's window's
+    /// decode) only past that lane's slack. Utilization is recomputed
+    /// accordingly; the retry work is broken out in
+    /// [`ExecStats::retry_cycles`].
     pub accel: AccelReport,
     /// Modeled wall-clock seconds to stream the compressed matrix from
     /// memory (the memory side of the pipeline), including any raw-store
@@ -63,8 +63,8 @@ pub struct ExecStats {
     /// Uncompressed bytes re-fetched through the fallback path.
     pub fallback_bytes: usize,
     /// Lane cycles spent on successful retry decodes, already included in
-    /// `accel.busy_cycles` (and, on the batch schedule, in the lane profile
-    /// of the lane that ran the block).
+    /// `accel.busy_cycles` and in the lane profile of the lane that ran the
+    /// block.
     pub retry_cycles: u64,
     /// True when any block needed a retry or a fallback — the result is
     /// still bit-exact, but the run did not complete on the happy path.
@@ -368,16 +368,15 @@ impl RecodedSpmv {
         self.decompress_with(sys, RunCtx { hook, ..RunCtx::default() })
     }
 
-    /// The batch engine: one fan-out of every block over the lanes under
-    /// `ctx.hook`, each decoding into its extent of the final `col_idx` /
-    /// `values` arrays; the recovery ladder for each failed job, recovering
-    /// into the same extent; validation of the result as a [`Csr`]. A
+    /// The batch schedule: every block through the one decode engine
+    /// (`Ladder::decode`) at once under `ctx.hook`, each decoding into its
+    /// extent of the final `col_idx` / `values` arrays and recovering into
+    /// the same extent; then validation of the result as a [`Csr`]. A
     /// block's recovery is charged to the lane that ran its first attempt
     /// (job `k` on lane `k % lanes`), behind that attempt: a successful
     /// retry's cycles are that lane's busy work, so the makespan stays the
     /// longest lane timeline and grows only when a recovery does not fit in
-    /// its lane's slack. With `ctx.tel` the run
-    /// records the phases
+    /// its lane's slack. With `ctx.tel` the run records the phases
     /// `exec.decode_batch`, an `exec.retry` (and `exec.fallback`) per block
     /// on the ladder and `exec.reassemble`, the modeled `exec.mem_stream`
     /// and `exec.dma`, per-block events with lane and outcome, `exec.*` and
@@ -397,27 +396,11 @@ impl RecodedSpmv {
         self.check_structure()?;
         let RunCtx { hook, mut tel } = ctx;
         let cm = &self.compressed;
-        let empty_hook = FaultHook::default();
         let pool_before = tel.is_some().then(|| recode_udp::pool::global().stats());
-        let sink_fn = |e: &JobEvent| {
-            recorder::record(
-                recorder::EventKind::BlockOutcome,
-                recorder::Track::lane(e.lane),
-                "block",
-                e.cycles,
-                u64::from(!e.ok),
-            );
-        };
-        // Lane-track block events for the flight recorder; telemetry takes
-        // its per-block events from the ladder.
-        let sink: Option<JobEventSink<'_>> =
-            if recorder::is_enabled() { Some(&sink_fn) } else { None };
 
         // The arrays at their final length (sized by the geometry checked
         // above), viewed as bytes and cut into one extent per block: a job
-        // *is* its index and its destination. Nothing reads the arrays
-        // before the last `settle` — after a failed attempt a destination's
-        // contents are unspecified until the ladder has settled that job.
+        // *is* its index and its destination.
         let mut col_idx = vec![0u32; cm.nnz];
         let mut values = vec![0f64; cm.nnz];
         let index_extents = words::bytes_mut(&mut col_idx).chunks_mut(cm.index_stream.block_bytes);
@@ -425,30 +408,9 @@ impl RecodedSpmv {
         let mut jobs: Vec<(usize, &mut [u8])> =
             index_extents.chain(value_extents).enumerate().collect();
         debug_assert_eq!(jobs.len(), self.total_jobs());
-
-        let phase = recorder::phase(recorder::Track::MAIN, "exec.decode_batch", tel.is_some());
-        let run = |lane: &mut Lane, (job, dst): &mut (usize, &mut [u8])| {
-            self.decode_job_into(lane, *job, dst)
-        };
-        let outcome: BatchOutcome<UdpError> =
-            sys.udp.run_jobs_observed(&mut jobs, run, hook.unwrap_or(&empty_hook), sink);
-        let mut report = outcome.report;
-        let batch_seconds = report.makespan_cycles as f64 / sys.udp.freq_hz;
-        phase.finish(tel.as_deref_mut(), batch_seconds, report.output_bytes);
-
-        let mut ladder = Ladder::new(
-            self,
-            &sys.udp,
-            recorder::Track::MAIN,
-            tel.as_deref_mut(),
-            Some(&mut report),
-        );
-        for ((job, dst), first) in jobs.into_iter().zip(outcome.results) {
-            ladder.settle(job, first, dst)?;
-        }
+        let mut ladder = Ladder::new(self, &sys.udp, recorder::Track::MAIN, tel.as_deref_mut());
+        let report = ladder.decode(&mut jobs, hook.unwrap_or(&FaultHook::default()))?;
         let tally = ladder.tally;
-        // Raw bytes re-fetched for fallen-back blocks are output no lane made.
-        report.output_bytes += tally.fallback_bytes as u64;
 
         let phase = recorder::phase(recorder::Track::MAIN, "exec.reassemble", tel.is_some());
         words::from_le_in_place(&mut col_idx);
@@ -588,38 +550,22 @@ impl RecodedSpmv {
     }
 
     /// **Streaming tiled SpMV** — the paper's Fig. 7 execution mode, on the
-    /// paper's DDR4 platform. See [`RecodedSpmv::spmv_streaming_with`].
-    ///
-    /// # Errors
-    /// As [`RecodedSpmv::spmv_streaming_with`].
-    ///
-    /// # Panics
-    /// If `x.len() != ncols`.
-    pub fn spmv_streaming(&self, x: &[f64]) -> ExecResult<(Vec<f64>, ExecStats)> {
-        self.spmv_streaming_with(&SystemConfig::ddr4(), x, RunCtx::default())
-    }
-
-    /// The streaming executor: the tile walker of [`crate::overlap`] with
-    /// no cache. The matrix is *never* materialized:
-    /// index and value blocks are decoded one tile at a time and multiplied
-    /// immediately into `y`, so resident memory stays `O(block)` instead of
-    /// `O(nnz)` and the result is bit-exact with the serial kernel. Decode
-    /// and multiply cycles add (`stats.overlap.enabled == false`). A block
-    /// that fails climbs the same recovery ladder as on every schedule.
+    /// paper's DDR4 platform: the tile walker of [`crate::overlap`] with no
+    /// cache. The matrix is *never* materialized: index and value blocks
+    /// are decoded a window of tiles at a time and multiplied into `y`, so
+    /// resident memory stays one window instead of `O(nnz)` and the result
+    /// is bit-exact with the serial kernel. Decode and multiply cycles add
+    /// (`stats.overlap.enabled == false`). A block that fails climbs the
+    /// same recovery ladder as on every schedule.
     ///
     /// # Errors
     /// As [`crate::overlap::OverlapExecutor::spmv_with`].
     ///
     /// # Panics
     /// If `x.len() != ncols`.
-    pub fn spmv_streaming_with(
-        &self,
-        sys: &SystemConfig,
-        x: &[f64],
-        ctx: RunCtx<'_>,
-    ) -> ExecResult<(Vec<f64>, ExecStats)> {
+    pub fn spmv_streaming(&self, x: &[f64]) -> ExecResult<(Vec<f64>, ExecStats)> {
         let config = OverlapConfig { overlap: false, ..OverlapConfig::default() };
-        OverlapExecutor::new(self, config).run(sys, x, ctx).map(|(y, stats, _)| (y, stats))
+        OverlapExecutor::new(self, config).spmv(&SystemConfig::ddr4(), x)
     }
 }
 
@@ -739,15 +685,25 @@ mod tests {
         // Serial schedule: decode and multiply cycles add.
         assert!(!stats.overlap.enabled);
         assert_eq!(stats.accel.makespan_cycles, stats.overlap.serial_makespan_cycles);
-        // Working set stays a few blocks, far below the 12 B/nnz matrix.
-        let sys = SystemConfig::ddr4();
+        // The working set is one window: its index blocks, the values they
+        // need (twice their bytes) and the value blocks cut at its two ends.
+        // With few lanes the matrix takes several windows, and that is far
+        // below the 12 B/nnz matrix.
+        let cm = r.compressed();
+        let (index_bytes, value_bytes) = (cm.index_stream.block_bytes, cm.value_stream.block_bytes);
         let streaming = OverlapConfig { overlap: false, ..OverlapConfig::default() };
-        let (y2, _, peak_resident_bytes) =
-            OverlapExecutor::new(&r, streaming).run(&sys, &x, RunCtx::default()).unwrap();
-        assert_eq!(y2, y);
-        assert!(peak_resident_bytes > 0);
-        assert!(peak_resident_bytes < 64 * 1024, "{peak_resident_bytes}");
-        assert!(peak_resident_bytes < a.nnz() * 12 / 4);
+        let mut sys = SystemConfig::ddr4();
+        for lanes in [1, 2, 4] {
+            sys.udp.lanes = lanes;
+            let (y2, stats, peak_resident_bytes) =
+                OverlapExecutor::new(&r, streaming).run(&sys, &x, RunCtx::default()).unwrap();
+            assert_eq!(y2, y);
+            assert!(stats.overlap.stages >= 4, "{lanes} lanes: {} windows", stats.overlap.stages);
+            let window = 3 * lanes * index_bytes + value_bytes;
+            assert!(peak_resident_bytes > 0);
+            assert!(peak_resident_bytes <= window, "{lanes} lanes: {peak_resident_bytes}");
+            assert!(peak_resident_bytes < a.nnz() * 12 / 3, "{lanes} lanes: {peak_resident_bytes}");
+        }
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! The parts of one run that do not depend on the schedule: what varies
-//! between plain, faulty and traced runs ([`RunCtx`]), the block-recovery
-//! ladder every failed first attempt climbs (`Ladder`), the per-run
-//! accounting (`BlockTally`) from which the [`ExecStats`] are derived, and
-//! the telemetry every schedule reports the same way (`report_run`).
+//! between plain, faulty and traced runs ([`RunCtx`]), the one decode
+//! engine with the block-recovery ladder every failed first attempt climbs
+//! (`Ladder`), the per-run accounting (`BlockTally`) from which the
+//! [`ExecStats`] are derived, and the telemetry every schedule reports the
+//! same way (`report_run`).
 //!
-//! A schedule — the 64-lane batch fan-out of [`crate::exec`], or the tile
-//! walker of [`crate::overlap`] — makes each block's
-//! *first* attempt under the fault hook
-//! ([`recode_udp::accel::Accelerator::dispatch`]) and hands the result to
-//! `Ladder::settle`. A failed attempt is retried once, hook-free, on a
-//! pooled lane (transient faults clear), then served from the
+//! A schedule — the batch of [`crate::exec`], which decodes every block at
+//! once, or the tile walker of [`crate::overlap`], which decodes a window
+//! of tiles at a time — hands `Ladder::decode` a set of blocks, each with
+//! the buffer at its extent. The blocks fan out over the lanes
+//! ([`recode_udp::accel::Accelerator::run_jobs_observed`], whose hook
+//! injects the faults of each block's *first* attempt), then settle in job
+//! order. A failed attempt is retried once, hook-free, on a pooled lane
+//! (transient faults clear), then served from the
 //! [`crate::exec::RawFallbackStore`], and only when both rungs fail does the
 //! run fail, with [`ExecError::Unrecoverable`] naming the block. One retry
 //! is all a block gets: it reads no hook and a decode fully resets its
@@ -23,7 +26,7 @@ use crate::overlap::OverlapStats;
 use crate::recorder;
 use crate::telemetry::{BlockEvent, BlockOutcome, Telemetry, EXEC_COUNTERS};
 use recode_mem::traffic::TrafficSource;
-use recode_udp::accel::{AccelReport, Accelerator, FaultHook, JobOutcome};
+use recode_udp::accel::{AccelReport, Accelerator, FaultHook, JobEvent, JobEventSink, JobOutcome};
 use recode_udp::UdpError;
 
 /// What distinguishes one run of an executor from another. The default is a
@@ -130,8 +133,8 @@ pub(crate) fn vector_traffic(tel: &mut Telemetry, nrows: usize, ncols: usize) ->
     read + write
 }
 
-/// The block-recovery ladder of one run, with the tally it fills and the
-/// telemetry it reports each settled block to.
+/// The decode engine of one run, with the tally its recovery ladder fills
+/// and the telemetry it reports each settled block to.
 pub(crate) struct Ladder<'a> {
     recoded: &'a RecodedSpmv,
     /// Job `k` runs on lane `k % lanes` under every schedule.
@@ -139,50 +142,84 @@ pub(crate) struct Ladder<'a> {
     /// Recorder track of the thread that climbs the ladder.
     track: recorder::Track,
     tel: Option<&'a mut Telemetry>,
-    /// The batch's report, which every rung is charged to on the lane that
-    /// ran the block's first attempt; `None` on the walker, which charges
-    /// a block's rungs to its tile.
-    report: Option<&'a mut AccelReport>,
     pub tally: BlockTally,
 }
 
 impl<'a> Ladder<'a> {
     /// With `tel` every settled block leaves an event and every rung a
-    /// phase; with `report` every rung is charged to it
-    /// ([`AccelReport::charge_lane`]).
+    /// phase.
     pub fn new(
         recoded: &'a RecodedSpmv,
         udp: &'a Accelerator,
         track: recorder::Track,
         tel: Option<&'a mut Telemetry>,
-        report: Option<&'a mut AccelReport>,
     ) -> Self {
-        Ladder { recoded, udp, track, tel, report, tally: BlockTally::default() }
+        Ladder { recoded, udp, track, tel, tally: BlockTally::default() }
     }
 
-    /// Takes the first attempt at `job` (batch numbering: index blocks, then
-    /// value blocks) from whichever schedule made it *into `dst`* — the
-    /// block's [`RecodedSpmv::extent`] — and returns the outcome of the
-    /// decode whose bytes are now in `dst` (`None` for a fallback),
-    /// climbing the ladder if the attempt failed. A good first attempt has
-    /// nothing to move; a failed one left `dst` unspecified, and every rung
-    /// fills all of it.
+    /// Decodes `jobs` — each a job number (batch numbering: index blocks,
+    /// then value blocks) and the buffer at its [`RecodedSpmv::extent`] —
+    /// into their buffers, and returns their report. The first attempts fan
+    /// out over the lanes under `hook` (the `exec.decode_batch` phase on
+    /// this ladder's track); then each job settles, in the order given,
+    /// charging every rung to the report on the lane that ran its first
+    /// attempt ([`AccelReport::charge_lane`]). So the report's makespan is
+    /// the longest lane timeline of these jobs, retries included. A buffer
+    /// whose first attempt failed is unspecified until its job has settled.
     ///
     /// # Errors
-    /// [`ExecError::Unrecoverable`] when the retry fails and no raw store
-    /// covers the block.
-    pub fn settle(
+    /// [`ExecError::Unrecoverable`] for the first job, in the order given,
+    /// whose retry fails with no raw store to cover it.
+    pub fn decode(
+        &mut self,
+        jobs: &mut [(usize, &mut [u8])],
+        hook: &FaultHook,
+    ) -> ExecResult<AccelReport> {
+        let r = self.recoded;
+        // Lane-track block events for the flight recorder; telemetry takes
+        // its per-block events from `settle`.
+        let sink_fn = |e: &JobEvent| {
+            recorder::record(
+                recorder::EventKind::BlockOutcome,
+                recorder::Track::lane(e.lane),
+                "block",
+                e.cycles,
+                u64::from(!e.ok),
+            );
+        };
+        let sink: Option<JobEventSink<'_>> =
+            if recorder::is_enabled() { Some(&sink_fn) } else { None };
+        let phase = recorder::phase(self.track, "exec.decode_batch", self.tel.is_some());
+        let outcome = self.udp.run_jobs_observed::<_, UdpError, _>(
+            jobs,
+            |lane, job, dst| r.decode_job_into(lane, job, dst),
+            hook,
+            sink,
+        );
+        let mut report = outcome.report;
+        phase.finish(self.tel.as_deref_mut(), report.seconds(), report.output_bytes);
+        for ((job, dst), first) in jobs.iter_mut().zip(outcome.results) {
+            self.settle(*job, first, dst, &mut report)?;
+        }
+        Ok(report)
+    }
+
+    /// Takes the first attempt at `job` into `dst` and climbs the ladder if
+    /// it failed: a good first attempt has nothing to move; a failed one
+    /// left `dst` unspecified, and every rung fills all of it.
+    fn settle(
         &mut self,
         job: usize,
         first: Result<JobOutcome, UdpError>,
         dst: &mut [u8],
-    ) -> ExecResult<Option<JobOutcome>> {
+        report: &mut AccelReport,
+    ) -> ExecResult<()> {
         let (decoded, outcome) = match first {
             Ok(o) => {
                 self.tally.blocks_ok += 1;
                 (Some(o), BlockOutcome::Ok)
             }
-            Err(_) => self.recover(job, dst)?,
+            Err(_) => self.recover(job, dst, report)?,
         };
         if let Some(tel) = self.tel.as_deref_mut() {
             let (stream, block) = self.recoded.locate(job);
@@ -190,13 +227,14 @@ impl<'a> Ladder<'a> {
             let cycles = decoded.as_ref().map_or(0, |o| o.cycles);
             tel.block_event(BlockEvent { job, stream, block, lane, cycles, outcome });
         }
-        Ok(decoded)
+        Ok(())
     }
 
     fn recover(
         &mut self,
         job: usize,
         dst: &mut [u8],
+        report: &mut AccelReport,
     ) -> ExecResult<(Option<JobOutcome>, BlockOutcome)> {
         let r = self.recoded;
         let phase = recorder::phase(self.track, "exec.retry", self.tel.is_some());
@@ -204,11 +242,10 @@ impl<'a> Ladder<'a> {
         let retried = r.decode_job_into(&mut recode_udp::pool::global().checkout(), job, dst);
         // The rung's work, if the retry succeeded, on the lane that ran the
         // first attempt. Its modeled time is what that costs the schedule:
-        // the makespan growth of the batch, all of it on the walker's tile.
-        let (charged, bytes) = match (&retried, self.report.as_deref_mut()) {
-            (Ok(o), Some(report)) => (report.charge_lane(job % self.udp.lanes, o), o.output_bytes),
-            (Ok(o), None) => (o.cycles, o.output_bytes),
-            (Err(_), _) => (0, 0),
+        // the makespan growth of these jobs.
+        let (charged, bytes) = match &retried {
+            Ok(o) => (report.charge_lane(job % self.udp.lanes, o), o.output_bytes),
+            Err(_) => (0, 0),
         };
         phase.finish(self.tel.as_deref_mut(), charged as f64 / self.udp.freq_hz, bytes);
         let err = match retried {
@@ -239,6 +276,9 @@ impl<'a> Ladder<'a> {
         );
         self.tally.blocks_fell_back += 1;
         self.tally.fallback_bytes += raw.len();
+        // Raw bytes re-fetched for a fallen-back block are output no lane
+        // made.
+        report.output_bytes += raw.len() as u64;
         Ok((None, BlockOutcome::FellBack))
     }
 }

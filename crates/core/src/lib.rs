@@ -8,15 +8,16 @@
 //!   decoded by real UDP programs on the lane simulator, reassembled, and
 //!   multiplied — the Fig. 6/7 flow, verified bit-exact against the
 //!   uncompressed kernel;
-//! * [`overlap`] — the tile walker, which multiplies each tile into `y` as
-//!   soon as it is decoded, bit-exact with the serial kernel; its modeled
-//!   makespan is pipelined (the UDP lanes decode tile *i+1* while the CPU
-//!   multiplies tile *i*) or serial (the streaming executor), and a
-//!   seeded-capacity decoded-block LRU cache lets iterative solvers pay
-//!   decode cost once;
+//! * [`overlap`] — the tile walker, which decodes a window of tiles (one
+//!   per lane) at a time and multiplies each tile into `y`, bit-exact with
+//!   the serial kernel; its modeled makespan is pipelined (the UDP lanes
+//!   decode window *i+1* while the CPU multiplies window *i*) or serial
+//!   (the streaming executor), and a seeded-capacity decoded-block LRU
+//!   cache lets iterative solvers pay decode cost once;
 //! * [`ladder`] — what every schedule shares: the [`RunCtx`] that makes a
-//!   run plain, faulty or traced, the block-recovery ladder, and the
-//!   accounting the `ExecStats` are built from;
+//!   run plain, faulty or traced, the one decode engine (fan-out and
+//!   block-recovery ladder), and the accounting the `ExecStats` are built
+//!   from;
 //! * [`measure`] — measured recoding throughput: per-lane cycle counts from
 //!   the UDP simulator (sampled blocks, extrapolated) and the calibrated
 //!   CPU software rates;

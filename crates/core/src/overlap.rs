@@ -1,43 +1,42 @@
 //! **The tile walker: decode/multiply execution with decoded-block
 //! caching** — the paper's Fig. 7 loop.
 //!
-//! The loop fetches a tile, decodes its index block and the value blocks it
-//! needs, and multiplies the tile straight into `y` on the calling thread.
-//! Each row's products are added in storage order, so the result is
-//! bit-exact with the serial kernel. On the real machine the UDP lanes and
-//! the CPU cores are independent engines, so a double-buffered schedule
-//! lets the lanes decode tile *i + 1* while the CPU multiplies tile *i*;
-//! per stage the modeled cost is `max(decode, multiply)` instead of their
-//! sum:
+//! The loop takes tiles (one index block each) a *window* at a time: up to
+//! `sys.udp.lanes` consecutive index blocks, plus the value blocks they
+//! need that it does not hold yet. A window's blocks go through the same
+//! decode engine as the batch (`Ladder::decode`: one fan-out over the lanes
+//! on every host core, the recovery ladder, one charging rule), each into
+//! its own buffer; then the walker multiplies the window's tiles straight
+//! into `y`, in storage order, on the calling thread. Each row's products
+//! are added in storage order, so the result is bit-exact with the serial
+//! kernel, and what is resident at once is one window.
+//!
+//! On the real machine the UDP lanes and the CPU cores are independent
+//! engines, so a double-buffered schedule lets the lanes decode window
+//! *i + 1* while the CPU multiplies window *i*; per stage the modeled cost
+//! is `max(decode, multiply)` instead of their sum:
 //!
 //! ```text
-//! lane:  [d0][d1   ][d2][d3   ]
+//! lanes: [d0][d1   ][d2][d3   ]
 //! cpu:       [m0][m1   ][m2][m3]
 //! makespan = d0 + Σ max(d_i, m_{i-1}) + m_last
 //! ```
 //!
 //! That overlap is a property of the modeled machine, not of the host run:
-//! the per-tile decode cycles (from the lane simulator, successful retries
-//! included) and modeled CPU multiply cycles
-//! ([`perfmodel::multiply_cycles`]) are combined by the pipelined-schedule
-//! formula above, whose only copy is [`perfmodel::makespan`]. Both the
-//! overlapped and the serial (sum) makespan are reported in
-//! [`OverlapStats`]; [`OverlapConfig::overlap`] picks the one the run
-//! charges. [`RecodedSpmv::spmv_streaming_with`] is the same walk with the
-//! serial makespan and no cache.
+//! a window's decode is the longest lane timeline of its jobs (retries
+//! included, on the lane of the first attempt), its multiply is
+//! [`perfmodel::multiply_cycles`] of its non-zeros, and the two are
+//! combined by the pipelined-schedule formula above, whose only copy is
+//! [`perfmodel::makespan`]. Both the overlapped and the serial (sum)
+//! makespan are reported in [`OverlapStats`]; [`OverlapConfig::overlap`]
+//! picks the one the run charges. [`RecodedSpmv::spmv_streaming`] is the
+//! same walk with the serial makespan and no cache.
 //!
 //! An [`ExecCache`] (seeded-capacity LRU over decoded blocks) sits in front
-//! of the lanes: iterative callers — [`OverlapExecutor::spmv_iter`],
-//! [`OverlapExecutor::conjugate_gradient`],
-//! [`OverlapExecutor::power_iteration`] — pay decode cost once and hit the
-//! cache on every later iteration, with hits/misses/evictions folded into
-//! [`ExecStats`] and the telemetry trace.
-//!
-//! Each block's first attempt reads the fault hook through
-//! [`Accelerator::dispatch`], which contains a lane panic as a failed
-//! attempt, and is settled by the recovery ladder of [`crate::ladder`]
-//! *inside* its slot of the walk, so a retried or fallback block can never
-//! land in the wrong output position.
+//! of the lanes: a cache hit is not a job, and a window whose blocks all
+//! hit runs no fan-out, so an iterative caller reusing one executor pays
+//! decode cost once. Hits/misses/evictions are folded into [`ExecStats`]
+//! and the telemetry trace.
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
@@ -48,9 +47,7 @@ use crate::recorder;
 use crate::telemetry::{StreamKind, Telemetry, TraceDocument, TILED_COUNTERS};
 use recode_mem::traffic::TrafficSource;
 use recode_sparse::csr;
-use recode_sparse::solve::{self, SolveResult};
-use recode_udp::accel::{AccelReport, Accelerator, FaultHook, JobOutcome, StageCycles};
-use recode_udp::{Lane, OpClassCycles};
+use recode_udp::accel::FaultHook;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -203,12 +200,13 @@ impl Default for OverlapConfig {
 pub struct OverlapStats {
     /// True when the run modeled the pipelined schedule.
     pub enabled: bool,
-    /// Pipeline stages executed (tiles = index blocks with non-zeros).
+    /// Pipeline stages executed: windows of up to `lanes` tiles.
     pub stages: usize,
-    /// Lane cycles spent decoding (successful retries included; cache hits
-    /// cost zero).
+    /// Lane cycles the schedule spent decoding: per window, the longest
+    /// lane timeline of its jobs (successful retries included; cache hits
+    /// are not jobs), summed over the windows.
     pub decode_cycles: u64,
-    /// Modeled CPU multiply cycles across all tiles, in UDP-clock cycles.
+    /// Modeled CPU multiply cycles across all windows, in UDP-clock cycles.
     pub multiply_cycles: u64,
     /// Modeled makespan of the pipelined schedule:
     /// `d0 + Σ max(d_i, m_{i-1}) + m_last`.
@@ -230,24 +228,6 @@ impl OverlapStats {
     pub fn saved_cycles(&self) -> u64 {
         self.serial_makespan_cycles.saturating_sub(self.overlapped_makespan_cycles)
     }
-}
-
-/// What the tile walker learns about a run besides the ladder's tally.
-#[derive(Default)]
-struct TileWalk {
-    /// Lane cycles each tile charged to the decode side: the decodes whose
-    /// bytes the tile used, first attempts or retries; cache hits cost zero.
-    per_tile_decode: Vec<u64>,
-    per_tile_nnz: Vec<usize>,
-    /// Op-class and stage attribution of those decodes: each sums to the
-    /// decode side's cycles, as a batch's do to its busy cycles.
-    opclass: OpClassCycles,
-    stage_cycles: StageCycles,
-    /// Compressed payload bytes fetched (blocks not served from the cache).
-    fetched_bytes: usize,
-    decoded_bytes: u64,
-    /// Most decoded bytes resident at once — the tiled loop's working set.
-    peak_resident_bytes: usize,
 }
 
 /// The overlapped, cached executor over one [`RecodedSpmv`].
@@ -371,274 +351,151 @@ impl<'m> OverlapExecutor<'m> {
         Ok((y, stats, doc))
     }
 
-    /// Repeated SpMV `x ← normalize(A x)` for `iters` iterations — the
-    /// access pattern of every iterative consumer. With a warm cache only
-    /// iteration 1 pays decode cycles. Returns the final iterate and the
-    /// per-iteration stats.
-    ///
-    /// # Errors
-    /// As [`OverlapExecutor::spmv`].
-    ///
-    /// # Panics
-    /// If the matrix is not square or `x0.len() != ncols`.
-    pub fn spmv_iter(
-        &self,
-        sys: &SystemConfig,
-        x0: &[f64],
-        iters: usize,
-    ) -> ExecResult<(Vec<f64>, Vec<ExecStats>)> {
-        let cm = self.recoded.compressed();
-        assert_eq!(cm.nrows, cm.ncols, "spmv_iter needs a square matrix");
-        let mut x = x0.to_vec();
-        let mut per_iter = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let (y, stats) = self.spmv(sys, &x)?;
-            per_iter.push(stats);
-            let norm = y.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            x = if norm > 0.0 { y.iter().map(|v| v / norm).collect() } else { y };
-        }
-        Ok((x, per_iter))
-    }
-
-    /// Conjugate gradients with every `A p` apply going through the
-    /// pipelined, cached executor. Returns the solve outcome plus the
-    /// per-apply stats.
-    ///
-    /// # Errors
-    /// As [`OverlapExecutor::spmv`].
-    pub fn conjugate_gradient(
-        &self,
-        sys: &SystemConfig,
-        b: &[f64],
-        tol: f64,
-        max_iters: usize,
-    ) -> ExecResult<(SolveResult, Vec<ExecStats>)> {
-        let mut per_apply = Vec::new();
-        let result = solve::conjugate_gradient_op(b, tol, max_iters, |x, y| {
-            let (out, stats) = self.spmv(sys, x)?;
-            y.copy_from_slice(&out);
-            per_apply.push(stats);
-            Ok::<(), ExecError>(())
-        })?;
-        Ok((result, per_apply))
-    }
-
-    /// Power iteration through the pipelined, cached executor. Returns the
-    /// solve outcome, the eigenvalue estimate, and the per-apply stats.
-    ///
-    /// # Errors
-    /// As [`OverlapExecutor::spmv`].
-    ///
-    /// # Panics
-    /// If the matrix is not square or is empty.
-    pub fn power_iteration(
-        &self,
-        sys: &SystemConfig,
-        tol: f64,
-        max_iters: usize,
-    ) -> ExecResult<(SolveResult, f64, Vec<ExecStats>)> {
-        let cm = self.recoded.compressed();
-        assert_eq!(cm.nrows, cm.ncols, "power iteration needs a square matrix");
-        let mut per_apply = Vec::new();
-        let (result, eigenvalue) = solve::power_iteration_op(cm.nrows, tol, max_iters, |x, y| {
-            let (out, stats) = self.spmv(sys, x)?;
-            y.copy_from_slice(&out);
-            per_apply.push(stats);
-            Ok::<(), ExecError>(())
-        })?;
-        Ok((result, eigenvalue, per_apply))
-    }
-
-    /// Decodes one block through the same cache-then-ladder path a run
-    /// uses, returning the decoded length. Hidden: it exists so the
-    /// allocation-regression suite can measure warm-cache hits alone,
-    /// without the output vector and stats a run allocates. On a miss an
-    /// index block's columns are checked against the real seam, the last
-    /// column of the block before, which is decoded (uncached) for it: a
-    /// block enters the cache only as checked as the walk checks it.
-    #[doc(hidden)]
-    pub fn decode_one_for_test(&self, stream: StreamKind, pos: usize) -> ExecResult<usize> {
-        let job = match stream {
-            StreamKind::Index => pos,
-            StreamKind::Value => self.recoded.compressed().index_stream.blocks.len() + pos,
-        };
-        let udp = Accelerator::default();
-        let mut ladder = Ladder::new(self.recoded, &udp, recorder::Track::stage(0), None, None);
-        let mut walk = TileWalk::default();
-        let hook = FaultHook::default();
-        let seam = |ladder: &mut Ladder<'_>| match (stream, pos.checked_sub(1)) {
-            (StreamKind::Index, Some(before)) => {
-                let (bytes, _) = self.fetch(before, &hook, ladder)?;
-                Ok(bytes.last_chunk().map(|c| u32::from_le_bytes(*c)))
-            }
-            _ => Ok(None),
-        };
-        self.decode_one(job, seam, &hook, &mut ladder, &mut walk).map(|d| d.0.len())
-    }
-
-    /// Job `job`'s block at its extent: the first attempt under `hook` on a
-    /// pooled lane, settled by `ladder`. Returns the bytes and the outcome
-    /// of the decode that made them (`None` for a fallback).
-    fn fetch(
-        &self,
-        job: usize,
-        hook: &FaultHook,
-        ladder: &mut Ladder<'_>,
-    ) -> ExecResult<(Vec<u8>, Option<JobOutcome>)> {
-        // The block's own buffer at its extent: first attempt and every
-        // rung of the ladder fill it in place.
-        let mut bytes = vec![0u8; self.recoded.extent(job).len()];
-        let first = {
-            let mut lane = recode_udp::pool::global().checkout();
-            let run = |lane: &mut Lane| self.recoded.decode_job_into(lane, job, &mut bytes);
-            Accelerator::dispatch(&mut lane, hook, job, run)
-        };
-        let decoded = ladder.settle(job, first, &mut bytes)?;
-        Ok((bytes, decoded))
-    }
-
-    /// One block of the walk: the cache first; on a miss [`Self::fetch`],
-    /// and for an index block the check of its columns
-    /// ([`csr::check_columns`], `seam` giving the column before the block)
-    /// before anything multiplies or caches it. `seam` runs on a miss of an
-    /// index block only. Returns the bytes and the lane cycles the block
-    /// charged to the decode side.
-    fn decode_one(
-        &self,
-        job: usize,
-        seam: impl FnOnce(&mut Ladder<'_>) -> ExecResult<Option<u32>>,
-        hook: &FaultHook,
-        ladder: &mut Ladder<'_>,
-        walk: &mut TileWalk,
-    ) -> ExecResult<(Arc<Vec<u8>>, u64)> {
-        let key = self.recoded.locate(job);
-        let cached = self.config.cache_blocks > 0;
-        let hit = if cached { self.cache.lock().expect("cache poisoned").get(key) } else { None };
-        let (bytes, cost) = if let Some(bytes) = hit {
-            (bytes, 0)
-        } else {
-            // Decode work happens on the walker's (stage 0) track; cache
-            // hits never open this span. Off the main track, so ring only.
-            let _decode = recorder::phase(recorder::Track::stage(0), "decode", false);
-            let (bytes, decoded) = self.fetch(job, hook, ladder)?;
-            if key.0 == StreamKind::Index {
-                let cm = self.recoded.compressed();
-                let k_start = self.recoded.extent(job).start / 4;
-                let cols = bytes
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte index")));
-                csr::check_columns(&cm.row_ptr, cm.ncols, k_start, seam(ladder)?, cols)
-                    .map_err(|e| decoded_invalid(&e))?;
-            }
-            walk.fetched_bytes += self.recoded.job_block(job).1.payload.len();
-            let cycles = decoded.map_or(0, |o| {
-                walk.opclass.merge(&o.opclass);
-                walk.stage_cycles.merge(&o.stage_cycles);
-                o.cycles
-            });
-            let bytes = Arc::new(bytes);
-            if cached {
-                self.cache.lock().expect("cache poisoned").insert(key, Arc::clone(&bytes));
-            }
-            (bytes, cycles)
-        };
-        walk.decoded_bytes += bytes.len() as u64;
-        Ok((bytes, cost))
-    }
-
     /// The engine behind every tiled entry point, and the one tile walker
-    /// (the paper's Fig. 7 loop): walks index blocks in order, pulling value
-    /// blocks as each tile needs them, and multiplies every tile into `y`
-    /// as soon as it is assembled. Then the modeled schedule, the stats and
-    /// the telemetry. Also returns the walk's peak resident decoded bytes.
+    /// (the paper's Fig. 7 loop): takes the tiles a window at a time,
+    /// decodes each window's missing blocks through the one decode engine,
+    /// checks and multiplies its tiles into `y` in storage order. Then the
+    /// modeled schedule, the stats and the telemetry. Also returns the
+    /// walk's peak resident decoded bytes.
     pub(crate) fn run(
         &self,
         sys: &SystemConfig,
         x: &[f64],
         ctx: RunCtx<'_>,
     ) -> ExecResult<(Vec<f64>, ExecStats, usize)> {
-        let cm = self.recoded.compressed();
+        let r = self.recoded;
+        let cm = r.compressed();
         assert_eq!(x.len(), cm.ncols, "x length must equal ncols");
-        self.recoded.check_structure()?;
+        r.check_structure()?;
         // A tile is one index block, so each must hold whole column words
         // (value blocks may cut a word: the walker buffers those).
-        if !cm.index_stream.block_bytes.is_multiple_of(4) {
+        let (index_bytes, value_bytes) = (cm.index_stream.block_bytes, cm.value_stream.block_bytes);
+        if !index_bytes.is_multiple_of(4) {
             return Err(ExecError::Reassembly(format!(
-                "the tiled schedules need 4-byte aligned index blocks, the stream has {}-byte ones",
-                cm.index_stream.block_bytes
+                "the tiled schedules need 4-byte aligned index blocks, the stream has {index_bytes}-byte ones"
             )));
         }
         let RunCtx { hook, mut tel } = ctx;
         let empty_hook = FaultHook::default();
         let hook = hook.unwrap_or(&empty_hook);
-        let cache_before = self.cache.lock().expect("cache poisoned").stats();
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        let cached = cache.capacity() > 0;
+        let cache_before = cache.stats();
 
         let phase = recorder::phase(recorder::Track::MAIN, "exec.overlap", tel.is_some());
-        let mut y = vec![0.0f64; cm.nrows];
-        // The walk's ladder reports to the run's registry, lent for the walk.
         let track = recorder::Track::stage(0);
-        let mut ladder = Ladder::new(self.recoded, &sys.udp, track, tel.as_deref_mut(), None);
-        let mut walk = TileWalk::default();
-        let mut val_buf: Vec<u8> = Vec::new();
+        let mut ladder = Ladder::new(r, &sys.udp, track, tel.as_deref_mut());
+        let mut report = sys.udp.report();
+        let mut y = vec![0.0f64; cm.nrows];
         let n_index = cm.index_stream.blocks.len();
-        let mut next_value = n_index;
-        let mut k_global = 0usize;
-        let mut last_col = None;
-        for t in 0..n_index {
-            let (idx, mut tile_cycles) =
-                self.decode_one(t, |_| Ok(last_col), hook, &mut ladder, &mut walk)?;
-            last_col = idx.last_chunk().map(|c| u32::from_le_bytes(*c));
-            let tile_nnz = idx.len() / 4;
-            while val_buf.len() < tile_nnz * 8 {
-                if next_value >= self.recoded.total_jobs() {
-                    return Err(ExecError::Reassembly("value stream ended early".into()));
+        let lanes = sys.udp.lanes;
+        let windows = n_index.div_ceil(lanes);
+        let (mut decode, mut nnz) = (Vec::with_capacity(windows), Vec::with_capacity(windows));
+        // Every block of a window — its job number, its bytes, and whether
+        // this run decoded it — and the values carried from one tile to the
+        // next. A window's tiles need at most twice their index bytes of
+        // values, plus a block cut at each end; a tile's, twice its index
+        // bytes plus the rest of the block it ends in.
+        let most_values = (2 * lanes * index_bytes).div_ceil(value_bytes) + 1;
+        let mut blocks: Vec<(usize, Arc<Vec<u8>>, bool)> =
+            Vec::with_capacity((lanes + most_values).min(r.total_jobs()));
+        let mut carry: Vec<u8> = Vec::with_capacity(2 * index_bytes + value_bytes);
+        let (mut next_value, mut last_col) = (0usize, None);
+        let (mut fetched_bytes, mut decoded_bytes, mut peak_resident) = (0usize, 0u64, 0usize);
+        for first in (0..n_index).step_by(lanes) {
+            let tiles = first..(first + lanes).min(n_index);
+            let k_end = r.extent(tiles.end - 1).end / 4;
+            let values = next_value..(8 * k_end).div_ceil(value_bytes);
+            next_value = values.end;
+            // Hits first; the misses get their buffers here, on the calling
+            // thread, so they stay in its malloc arena.
+            blocks.clear();
+            for job in tiles.clone().chain(values.map(|v| n_index + v)) {
+                let hit = if cached { cache.get(r.locate(job)) } else { None };
+                let miss = hit.is_none();
+                let bytes = hit.unwrap_or_else(|| Arc::new(vec![0u8; r.extent(job).len()]));
+                blocks.push((job, bytes, miss));
+            }
+            let mut jobs: Vec<(usize, &mut [u8])> = blocks
+                .iter_mut()
+                .filter(|(.., miss)| *miss)
+                .map(|(job, bytes, _)| {
+                    (*job, Arc::get_mut(bytes).expect("a fresh block is unshared").as_mut_slice())
+                })
+                .collect();
+            for (job, _) in &jobs {
+                fetched_bytes += r.job_block(*job).1.payload.len();
+            }
+            // A window whose blocks all hit runs no fan-out and costs the
+            // lanes nothing.
+            let window_decode = if jobs.is_empty() {
+                0
+            } else {
+                let window = ladder.decode(&mut jobs, hook)?;
+                report.absorb(&window);
+                window.makespan_cycles
+            };
+            drop(jobs);
+            decode.push(window_decode);
+            let resident: usize = blocks.iter().map(|(_, bytes, _)| bytes.len()).sum();
+            decoded_bytes += resident as u64;
+            peak_resident = peak_resident.max(resident + carry.len());
+
+            // The tiles in storage order. A decoded index block is checked
+            // against the column before it (hit or miss) before anything
+            // multiplies or caches it; a hit was checked when it was cached.
+            let (index, values) = blocks.split_at(tiles.len());
+            let mut values = values.iter();
+            let keep = |cache: &mut ExecCache, (job, bytes, miss): &(usize, Arc<Vec<u8>>, bool)| {
+                if cached && *miss {
+                    cache.insert(r.locate(*job), Arc::clone(bytes));
                 }
-                let (vals, cycles) =
-                    self.decode_one(next_value, |_| Ok(None), hook, &mut ladder, &mut walk)?;
-                next_value += 1;
-                tile_cycles += cycles;
-                val_buf.extend_from_slice(&vals);
+            };
+            for block in index {
+                let (job, idx, miss) = block;
+                let k_start = r.extent(*job).start / 4;
+                if *miss {
+                    let cols = idx
+                        .chunks_exact(4)
+                        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte index")));
+                    csr::check_columns(&cm.row_ptr, cm.ncols, k_start, last_col, cols)
+                        .map_err(|e| decoded_invalid(&e))?;
+                }
+                keep(&mut cache, block);
+                last_col = idx.last_chunk().map(|c| u32::from_le_bytes(*c));
+                let tile = idx.len() / 4;
+                while carry.len() < 8 * tile {
+                    let vals = values.next().expect("a window holds the values its tiles need");
+                    keep(&mut cache, vals);
+                    carry.extend_from_slice(&vals.1);
+                }
+                {
+                    let _multiply = recorder::span(track, "multiply_tile");
+                    accumulate_tile(&cm.row_ptr, x, k_start, idx, &carry[..8 * tile], &mut y);
+                }
+                carry.drain(..8 * tile);
             }
-            walk.peak_resident_bytes = walk.peak_resident_bytes.max(idx.len() + val_buf.len());
-            walk.per_tile_decode.push(tile_cycles);
-            walk.per_tile_nnz.push(tile_nnz);
-            {
-                let _multiply = recorder::span(track, "multiply_tile");
-                let vals = &val_buf[..tile_nnz * 8];
-                accumulate_tile(&cm.row_ptr, x, k_global, &idx, vals, &mut y);
-            }
-            val_buf.drain(..tile_nnz * 8);
-            k_global += tile_nnz;
-        }
-        if k_global != cm.nnz {
-            return Err(ExecError::Reassembly(format!(
-                "streamed {} non-zeros but the matrix has {}",
-                k_global, cm.nnz
-            )));
+            nnz.push(k_end - r.extent(tiles.start).start / 4);
         }
         let tally = ladder.tally;
+        drop(cache);
 
-        // Modeled schedule: the lane decodes tile i+1 while the CPU
-        // multiplies tile i.
+        // Modeled schedule: the lanes decode window i+1 while the CPU
+        // multiplies window i.
         let bpnnz = cm.bytes_per_nnz();
-        let per_tile_multiply: Vec<u64> = walk
-            .per_tile_nnz
-            .iter()
-            .map(|&nnz| perfmodel::multiply_cycles(sys, bpnnz, nnz))
-            .collect();
-        let decode_cycles: u64 = walk.per_tile_decode.iter().sum();
-        let multiply_cycles: u64 = per_tile_multiply.iter().sum();
-        let stages = walk.per_tile_decode.len();
-        let (overlapped_makespan, serial_makespan) =
-            perfmodel::makespan(&walk.per_tile_decode, &per_tile_multiply);
-        let makespan = if self.config.overlap { overlapped_makespan } else { serial_makespan };
+        let multiply: Vec<u64> =
+            nnz.iter().map(|&nnz| perfmodel::multiply_cycles(sys, bpnnz, nnz)).collect();
+        let (overlapped_makespan, serial_makespan) = perfmodel::makespan(&decode, &multiply);
+        report.makespan_cycles =
+            if self.config.overlap { overlapped_makespan } else { serial_makespan };
+        report.refresh_utilization();
 
-        let cache_after = self.cache.lock().expect("cache poisoned").stats();
+        let cache_after = self.cache_stats();
         let overlap = OverlapStats {
             enabled: self.config.overlap,
-            stages,
-            decode_cycles,
-            multiply_cycles,
+            stages: windows,
+            decode_cycles: decode.iter().sum(),
+            multiply_cycles: multiply.iter().sum(),
             overlapped_makespan_cycles: overlapped_makespan,
             serial_makespan_cycles: serial_makespan,
             cache_hits: cache_after.hits - cache_before.hits,
@@ -647,29 +504,16 @@ impl<'m> OverlapExecutor<'m> {
             cache_hit_bytes: cache_after.hit_bytes - cache_before.hit_bytes,
         };
 
-        phase.finish(tel.as_deref_mut(), makespan as f64 / sys.udp.freq_hz, walk.decoded_bytes);
-        let mut report = AccelReport {
-            jobs: tally.completed(),
-            jobs_failed: tally.failed(),
-            lanes: sys.udp.lanes,
-            makespan_cycles: makespan,
-            busy_cycles: decode_cycles,
-            output_bytes: walk.decoded_bytes,
-            freq_hz: sys.udp.freq_hz,
-            opclass: walk.opclass,
-            stage_cycles: walk.stage_cycles,
-            ..AccelReport::default()
-        };
-        report.refresh_utilization();
-        let stats = tally.stats(sys, report, walk.fetched_bytes, overlap);
+        phase.finish(tel.as_deref_mut(), report.seconds(), decoded_bytes);
+        let stats = tally.stats(sys, report, fetched_bytes, overlap);
 
         if let Some(tel) = tel {
-            report_run(tel, &stats, self.recoded);
+            report_run(tel, &stats, r);
             vector_traffic(tel, cm.nrows, cm.ncols);
             tel.derive(TILED_COUNTERS, |get| get(&overlap));
             tel.traffic.read(TrafficSource::DecodedCache, overlap.cache_hit_bytes);
         }
-        Ok((y, stats, walk.peak_resident_bytes))
+        Ok((y, stats, peak_resident))
     }
 }
 
@@ -739,12 +583,16 @@ mod tests {
     fn overlapped_makespan_beats_the_serial_sum() {
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
+        // Four lanes: a window is four tiles, and the matrix needs several.
+        let mut sys = SystemConfig::ddr4();
+        sys.udp.lanes = 4;
         let x = vec![1.0; a.ncols()];
         let ex = OverlapExecutor::new(&r, OverlapConfig::default());
         let (_, stats) = ex.spmv(&sys, &x).unwrap();
         let ov = stats.overlap;
-        assert!(ov.stages >= 2, "need at least two tiles to overlap: {}", ov.stages);
+        let tiles = r.compressed().index_stream.blocks.len();
+        assert_eq!(ov.stages, tiles.div_ceil(4), "one stage per window of four tiles");
+        assert!(ov.stages >= 2, "need at least two windows to overlap: {}", ov.stages);
         assert!(
             ov.overlapped_makespan_cycles < ov.serial_makespan_cycles,
             "overlapped {} must beat serial {}",
@@ -762,13 +610,12 @@ mod tests {
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
-        let x0 = vec![1.0; a.ncols()];
+        let x = vec![1.0; a.ncols()];
         let ex = OverlapExecutor::new(
             &r,
             OverlapConfig { cache_blocks: 4096, ..OverlapConfig::default() },
         );
-        let (_, per_iter) = ex.spmv_iter(&sys, &x0, 10).unwrap();
-        assert_eq!(per_iter.len(), 10);
+        let per_iter: Vec<ExecStats> = (0..10).map(|_| ex.spmv(&sys, &x).unwrap().1).collect();
         let cold = per_iter[0].overlap.decode_cycles;
         let warm: u64 = per_iter[1..].iter().map(|s| s.overlap.decode_cycles).sum();
         assert!(cold > 0);
@@ -820,9 +667,14 @@ mod tests {
         assert_eq!(stats.blocks_retried, 2, "one retry per failed block");
         assert_eq!(stats.blocks_fell_back, 1);
         assert!(stats.fallback_bytes > 0);
-        // The walker attributes every decode cycle it charged, retry included.
+        // Every lane cycle is charged to a lane and attributed, retries
+        // included; the schedule's decode is at most all of them and at
+        // least the busiest lane's.
         let busy = stats.accel.busy_cycles;
-        assert_eq!(stats.overlap.decode_cycles, busy);
+        let lanes = stats.accel.lane_profiles.iter().map(|p| p.busy_cycles);
+        assert_eq!(lanes.clone().sum::<u64>(), busy);
+        assert!(stats.overlap.decode_cycles <= busy);
+        assert!(stats.overlap.decode_cycles >= lanes.max().unwrap());
         assert_eq!((stats.accel.opclass.total(), stats.accel.stage_cycles.total()), (busy, busy));
         // Second run: the cache holds recovered bytes, so nothing degrades.
         let (y2, s2) = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap();
@@ -875,46 +727,6 @@ mod tests {
         assert_eq!(doc2.counter("cache.hits"), stats2.overlap.cache_hits);
         assert_eq!(doc2.counter("mem.read.decoded_cache"), stats2.overlap.cache_hit_bytes);
         assert_eq!(doc2.block_events.len(), 0, "cache hits are not decode jobs");
-    }
-
-    #[test]
-    fn solvers_run_through_the_cached_executor() {
-        // SPD 1D Laplacian, same as the solver unit tests.
-        let n = 200usize;
-        let mut coo = Coo::new(n, n).unwrap();
-        for i in 0..n {
-            coo.push(i, i, 2.0).unwrap();
-            if i > 0 {
-                coo.push(i, i - 1, -1.0).unwrap();
-            }
-            if i + 1 < n {
-                coo.push(i, i + 1, -1.0).unwrap();
-            }
-        }
-        let a = coo.to_csr();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let sys = SystemConfig::ddr4();
-        let b = vec![1.0; n];
-        let ex = OverlapExecutor::new(
-            &r,
-            OverlapConfig { cache_blocks: 1024, ..OverlapConfig::default() },
-        );
-        let (result, per_apply) = ex.conjugate_gradient(&sys, &b, 1e-10, 1000).unwrap();
-        assert!(result.converged, "residual {}", result.residual);
-        let reference =
-            recode_sparse::solve::conjugate_gradient(&a, &b, SpmvKernel::Serial, 1e-10, 1000);
-        assert_eq!(result.x, reference.x, "every apply is bit-exact, so is the solve");
-        assert!(per_apply.len() >= 2);
-        // Applies after the first decode nothing.
-        assert_eq!(per_apply[1].overlap.decode_cycles, 0);
-        assert!(per_apply[0].overlap.decode_cycles > 0);
-
-        // Power iteration on the 1D Laplacian converges slowly (tight
-        // spectral gap); just drive a bounded number of cached applies and
-        // check the eigenvalue estimate lands in the spectrum.
-        let (pr, eigenvalue, _) = ex.power_iteration(&sys, 1e-6, 300).unwrap();
-        assert!(pr.iterations > 0);
-        assert!(eigenvalue > 0.0 && eigenvalue <= 4.0 + 1e-9, "eigenvalue {eigenvalue}");
     }
 
     #[test]
@@ -980,18 +792,5 @@ mod tests {
         assert_eq!(batch.accel.jobs_failed, 1);
         assert_eq!((batch.blocks_recovered, batch.blocks_retried), (1, 1));
         assert_eq!(batch.retry_cycles, stats.retry_cycles);
-
-        // The hook reading itself: the panic surfaces as a typed lane error,
-        // exactly as on the batch path, and the same lane then decodes the job.
-        let mut lane = recode_udp::Lane::new();
-        let mut dst = vec![0u8; r.extent(1).len()];
-        let run = |lane: &mut Lane| r.decode_job_into(lane, 1, &mut dst);
-        let first = Accelerator::dispatch::<recode_udp::UdpError, _>(&mut lane, &hook, 1, run);
-        let err = first.unwrap_err();
-        assert!(err.to_string().contains("injected panic in job 1"), "{err}");
-        let run = |lane: &mut Lane| r.decode_job_into(lane, 1, &mut dst);
-        let none = FaultHook::default();
-        let again = Accelerator::dispatch::<recode_udp::UdpError, _>(&mut lane, &none, 1, run);
-        assert!(again.is_ok(), "{again:?}");
     }
 }

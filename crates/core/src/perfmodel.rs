@@ -238,16 +238,19 @@ mod tests {
             let whole = multiply_cycles(&sys, bpnnz, a.nnz());
             assert_eq!(tuned.modeled_multiply_cycles, whole, "{spec:?}: the tuner's score");
 
-            // Per tile the executor rounds up once, so its sum runs at most
-            // one cycle per tile ahead of the whole operand.
+            // Per window the executor rounds up once, so its sum runs at most
+            // one cycle per window ahead of the whole operand. One lane makes
+            // a window of each tile.
             let x = vec![1.0; a.ncols()];
+            let mut one_lane = SystemConfig::ddr4();
+            one_lane.udp.lanes = 1;
             let ex = OverlapExecutor::new(&recoded, OverlapConfig::default());
-            let (_, stats) = ex.spmv(&sys, &x).unwrap();
+            let (_, stats) = ex.spmv(&one_lane, &x).unwrap();
             let ov = stats.overlap;
-            assert!(ov.stages > 1, "{spec:?}: want a multi-tile walk");
+            assert!(ov.stages > 1, "{spec:?}: want a multi-window walk");
             assert!(
                 whole <= ov.multiply_cycles && ov.multiply_cycles <= whole + ov.stages as u64,
-                "{spec:?}: {} tiles sum to {}, whole operand {whole}",
+                "{spec:?}: {} windows sum to {}, whole operand {whole}",
                 ov.stages,
                 ov.multiply_cycles
             );

@@ -400,9 +400,11 @@ impl TraceDocument {
                 accel.lanes
             ));
         }
-        // A batch charges every cycle, retries included, to a lane: the
-        // profiles tile the busy cycles, and the makespan is the longest
-        // lane timeline.
+        // Every schedule charges every cycle, retries included, to a lane:
+        // the profiles tile the busy cycles. A batch's makespan is the
+        // longest lane timeline. The tile walker's windows follow one
+        // another, so its decode is at least the longest lane's total and at
+        // most every lane's.
         if !accel.lane_profiles.is_empty() {
             // Saturating: a document read from a file may hold any value.
             let lane_busy = accel.lane_profiles.iter().map(|p| p.busy_cycles);
@@ -414,10 +416,18 @@ impl TraceDocument {
                 ));
             }
             let longest = lane_busy.max().unwrap_or(0);
-            if accel.makespan_cycles != longest {
+            let decode = self.exec.overlap.decode_cycles;
+            if self.exec.overlap.stages == 0 && accel.makespan_cycles != longest {
                 errs.push(format!(
                     "makespan {} is not the longest lane's {longest} cycles",
                     accel.makespan_cycles
+                ));
+            }
+            if self.exec.overlap.stages > 0 && !(longest..=accel.busy_cycles).contains(&decode) {
+                errs.push(format!(
+                    "tiled decode {decode} is outside the longest lane's {longest} cycles \
+                     and the busy {}",
+                    accel.busy_cycles
                 ));
             }
         }
@@ -852,5 +862,42 @@ mod tests {
         fires(&|d| d.exec.accel.stage_cycles.delta += 1, "stage attribution");
         fires(&|d| d.exec.accel.makespan_cycles = longest - 1, "makespan");
         fires(&|d| d.exec.accel.makespan_cycles = longest + 1, "makespan");
+    }
+
+    /// A tiled document's lane profiles sum to its busy cycles too, and its
+    /// decode lies between the longest lane and the busy cycles: a decode
+    /// moved past either end is named.
+    #[test]
+    fn tiled_decode_lies_between_the_longest_lane_and_the_busy_cycles() {
+        use crate::arch::SystemConfig;
+        use crate::exec::RecodedSpmv;
+        use crate::ladder::RunCtx;
+        use crate::overlap::{OverlapConfig, OverlapExecutor};
+        use recode_codec::pipeline::MatrixCodecConfig;
+        use recode_sparse::prelude::*;
+
+        let spec =
+            GenSpec::Stencil2D { nx: 40, ny: 40, points: 5, values: ValueModel::StencilCoeffs };
+        let a = generate(&spec, 3);
+        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let mut sys = SystemConfig::ddr4();
+        sys.udp.lanes = 2;
+        let ex = OverlapExecutor::new(&r, OverlapConfig::default());
+        let x = vec![1.0; a.ncols()];
+        let (_, stats, doc) = ex.spmv_traced(&sys, &x, RunCtx::default(), "tiled").unwrap();
+        assert!(doc.validate().is_empty(), "{:?}", doc.validate());
+        assert!(stats.overlap.stages > 1);
+        let accel = &stats.accel;
+        let longest = accel.lane_profiles.iter().map(|p| p.busy_cycles).max().unwrap();
+        assert!(accel.makespan_cycles != longest, "a tiled makespan is the schedule's");
+        for decode in [longest - 1, accel.busy_cycles + 1] {
+            let mut bad = doc.clone();
+            bad.exec.overlap.decode_cycles = decode;
+            let errs = bad.validate();
+            assert!(errs.iter().any(|e| e.contains("tiled decode")), "{decode}: {errs:?}");
+        }
+        let mut bad = doc.clone();
+        bad.exec.accel.lane_profiles[0].busy_cycles += 1;
+        assert!(bad.validate().iter().any(|e| e.contains("lane profiles sum to")));
     }
 }

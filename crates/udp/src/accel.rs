@@ -91,7 +91,7 @@ pub struct LaneProfile {
 /// suite to assert on what actually ran where.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobEvent {
-    /// Job index in the submitted batch.
+    /// The job's number, as submitted.
     pub job: usize,
     /// Lane the job ran on.
     pub lane: usize,
@@ -147,8 +147,8 @@ impl<E> BatchOutcome<E> {
 pub struct FaultHook {
     /// Jobs that trap instead of executing.
     pub trap_jobs: BTreeSet<usize>,
-    /// Jobs whose lane worker panics instead of executing; contained by
-    /// [`Accelerator::dispatch`] and surfaced as [`LaneError::Panicked`].
+    /// Jobs whose lane worker panics instead of executing; contained by the
+    /// fan-out and surfaced as [`LaneError::Panicked`].
     pub panic_jobs: BTreeSet<usize>,
 }
 
@@ -248,8 +248,8 @@ impl AccelReport {
 
     /// Recomputes `lane_utilization` from the current busy/makespan totals
     /// via [`lane_utilization`]. [`AccelReport::charge_lane`] calls it on
-    /// every charge; a schedule that builds its report from its own totals
-    /// (the tile walker) calls it instead of open-coding the formula.
+    /// every charge; a schedule that sets its own makespan (the tile walker)
+    /// calls it instead of open-coding the formula.
     pub fn refresh_utilization(&mut self) {
         self.lane_utilization =
             lane_utilization(self.busy_cycles, self.makespan_cycles, self.lanes);
@@ -276,6 +276,26 @@ impl AccelReport {
         self.makespan_cycles = before.max(profile.busy_cycles);
         self.refresh_utilization();
         self.makespan_cycles - before
+    }
+
+    /// Adds `other`, a later batch on the same lanes, into this report:
+    /// jobs, cycles, bytes and attributions, lane by lane. The makespan is
+    /// left alone — how batches that follow one another add up is the
+    /// schedule's to say.
+    pub fn absorb(&mut self, other: &AccelReport) {
+        self.jobs += other.jobs;
+        self.jobs_failed += other.jobs_failed;
+        self.busy_cycles += other.busy_cycles;
+        self.output_bytes += other.output_bytes;
+        self.opclass.merge(&other.opclass);
+        self.stage_cycles.merge(&other.stage_cycles);
+        for (mine, theirs) in self.lane_profiles.iter_mut().zip(&other.lane_profiles) {
+            mine.jobs += theirs.jobs;
+            mine.jobs_failed += theirs.jobs_failed;
+            mine.busy_cycles += theirs.busy_cycles;
+            mine.output_bytes += theirs.output_bytes;
+            mine.opclass.merge(&theirs.opclass);
+        }
     }
 }
 
@@ -315,16 +335,29 @@ impl Accelerator {
         Ok(())
     }
 
-    /// Runs `jobs` across the lanes (round-robin assignment, each lane
-    /// processes its jobs in order, the lanes spread over the host's cores)
-    /// and collects every job's outcome in job order. A failed job does not
-    /// abort the batch — its `Err` is recorded and the lane moves on to its
-    /// next job.
+    /// An empty report over this accelerator's lanes: every batch starts
+    /// from it, and a schedule that runs several batches sums them into one
+    /// ([`AccelReport::absorb`]).
+    pub fn report(&self) -> AccelReport {
+        AccelReport {
+            lanes: self.lanes,
+            freq_hz: self.freq_hz,
+            lane_profiles: (0..self.lanes)
+                .map(|lane| LaneProfile { lane, ..Default::default() })
+                .collect(),
+            ..AccelReport::default()
+        }
+    }
+
+    /// Runs `jobs`, numbered `0..n`, across the lanes and collects every
+    /// job's outcome in job order: the shared-job form of
+    /// [`Accelerator::run_jobs_observed`], for jobs that own their output.
+    /// A failed job does not abort the batch — its `Err` is recorded and the
+    /// lane moves on to its next job.
     ///
     /// `run` is invoked once per job with a reusable [`Lane`]; it should
     /// execute however many program stages the job needs and return the
-    /// total cycles and the bytes produced. The shared-job form of
-    /// [`Accelerator::run_jobs_observed`], for jobs that own their output.
+    /// total cycles and the bytes produced.
     ///
     /// Deterministic fault injection rides along: jobs in `hook.trap_jobs`
     /// trap as [`LaneError::InjectedFault`] without executing
@@ -340,25 +373,16 @@ impl Accelerator {
         E: From<LaneError> + Send,
         F: Fn(&mut Lane, &J) -> Result<JobOutcome, E> + Sync,
     {
-        let mut jobs: Vec<&J> = jobs.iter().collect();
-        self.run_jobs_observed(&mut jobs, |lane, job| run(lane, job), hook, None)
+        let mut jobs: Vec<(usize, &J)> = jobs.iter().enumerate().collect();
+        self.run_jobs_observed(&mut jobs, |lane, _, job| run(lane, job), hook, None)
     }
 
-    /// The one reading of a [`FaultHook`] for one job: either traps global
-    /// job `g` without running it ([`LaneError::InjectedFault`]) or runs
-    /// `run` on `lane` inside a
-    /// `catch_unwind` boundary, so a panicking job (injected through
-    /// `hook.panic_jobs` or organic) becomes a typed [`LaneError::Panicked`]
-    /// instead of unwinding through the caller. Every schedule that
-    /// dispatches blocks — the batch fan-out below and the tiled executors in
-    /// `recode-core` — goes through here, so the same hook means the same
-    /// faults everywhere.
-    pub fn dispatch<E, R>(
-        lane: &mut Lane,
-        hook: &FaultHook,
-        g: usize,
-        run: R,
-    ) -> Result<JobOutcome, E>
+    /// The one reading of a [`FaultHook`] for one job: either traps job `g`
+    /// without running it ([`LaneError::InjectedFault`]) or runs `run` on
+    /// `lane` inside a `catch_unwind` boundary, so a panicking job (injected
+    /// through `hook.panic_jobs` or organic) becomes a typed
+    /// [`LaneError::Panicked`] instead of unwinding through the caller.
+    fn dispatch<E, R>(lane: &mut Lane, hook: &FaultHook, g: usize, run: R) -> Result<JobOutcome, E>
     where
         E: From<LaneError>,
         R: FnOnce(&mut Lane) -> Result<JobOutcome, E>,
@@ -375,17 +399,22 @@ impl Accelerator {
         })
     }
 
-    /// The fan-out itself. Each job is handed to `run` *mutably*, so a job
-    /// can carry the `&mut [u8]` its bytes belong in (`(index, destination)`
-    /// is what the batch executor submits) and nothing has to be collected
-    /// and moved afterwards. `sink`, when given, is invoked once per job
-    /// with the job's lane, cycles and success flag; the fault-injection suite
-    /// uses this to assert on the events the batch actually emitted. A panic
-    /// that escapes [`Accelerator::dispatch`] (one in `sink`, say) resumes on
-    /// the caller once every host worker has stopped.
+    /// The fan-out itself. Each job carries its number `g`: the hook reads
+    /// it, and the job runs on lane `g % lanes`, the paper's
+    /// block-round-robin assignment, wherever it sits in `jobs` — so a
+    /// schedule that submits a few jobs at a time places and faults each
+    /// one as a batch of all of them would. Each job is handed to `run`
+    /// *mutably*, so a job can be the `&mut [u8]` its bytes belong in
+    /// (`(number, destination)` is what the executors submit) and nothing
+    /// has to be collected and moved afterwards. `sink`, when given, is
+    /// invoked once per job with the job's lane, cycles and success flag;
+    /// the fault-injection suite uses this to assert on the events the
+    /// batch actually emitted. A panic that escapes the hook's
+    /// `catch_unwind` (one in `sink`, say) resumes on the caller once every
+    /// host worker has stopped.
     pub fn run_jobs_observed<J, E, F>(
         &self,
-        jobs: &mut [J],
+        jobs: &mut [(usize, J)],
         run: F,
         hook: &FaultHook,
         sink: Option<JobEventSink<'_>>,
@@ -393,31 +422,29 @@ impl Accelerator {
     where
         J: Send,
         E: From<LaneError> + Send,
-        F: Fn(&mut Lane, &mut J) -> Result<JobOutcome, E> + Sync,
+        F: Fn(&mut Lane, usize, &mut J) -> Result<JobOutcome, E> + Sync,
     {
         assert!(self.lanes > 0, "need at least one lane");
         let lanes = self.lanes;
         let mut results: Vec<Option<Result<JobOutcome, E>>> =
             (0..jobs.len()).map(|_| None).collect();
-        // Job k goes to lane k % lanes, the paper's block-round-robin
-        // assignment. Each job travels with its result slot, grouped by lane
-        // and in job order within a lane; host workers claim whole lanes, so
-        // a simulated lane runs its jobs in order on one pooled `Lane`. One
-        // vector, and a pooled lane parked for every worker beforehand: the
-        // fan-out allocates a fixed number of times per batch, whatever the
-        // split.
-        let mut work: Vec<_> =
-            jobs.iter_mut().zip(&mut results).enumerate().map(|(k, (j, r))| (k, j, r)).collect();
-        work.sort_unstable_by_key(|&(k, ..)| (k % lanes, k));
+        // Each job travels with its result slot, grouped by lane and in job
+        // order within a lane; host workers claim whole lanes, so a simulated
+        // lane runs its jobs in order on one pooled `Lane`. One vector, and a
+        // pooled lane parked for every worker beforehand: the fan-out
+        // allocates a fixed number of times per batch, whatever the split.
+        let mut work: Vec<_> = jobs.iter_mut().zip(&mut results).collect();
+        work.sort_unstable_by_key(|((g, _), _)| (*g % lanes, *g));
         crate::pool::global().reserve(par::threads().min(work.len()).min(lanes));
-        par::map(work.chunk_by_mut(|a, b| a.0 % lanes == b.0 % lanes), |_, group| {
+        par::map(work.chunk_by_mut(|a, b| a.0 .0 % lanes == b.0 .0 % lanes), |_, group| {
             let mut lane = crate::pool::global().checkout();
-            for (k, job, slot) in group {
-                let result = Self::dispatch(&mut lane, hook, *k, |lane| run(lane, job));
+            for ((g, job), slot) in group {
+                let g = *g;
+                let result = Self::dispatch(&mut lane, hook, g, |lane| run(lane, g, job));
                 if let Some(sink) = sink {
                     sink(&JobEvent {
-                        job: *k,
-                        lane: *k % lanes,
+                        job: g,
+                        lane: g % lanes,
                         cycles: result.as_ref().map_or(0, |o| o.cycles),
                         ok: result.is_ok(),
                     });
@@ -426,23 +453,15 @@ impl Accelerator {
             }
         });
         drop(work);
-        // Charged after the join, in job order: every sum and the makespan
-        // are the same whichever worker ran which lane.
-        let mut report = AccelReport {
-            jobs: jobs.len(),
-            lanes,
-            freq_hz: self.freq_hz,
-            lane_profiles: (0..lanes)
-                .map(|lane| LaneProfile { lane, ..Default::default() })
-                .collect(),
-            ..AccelReport::default()
-        };
+        // Charged after the join, in the order submitted: every sum and the
+        // makespan are the same whichever worker ran which lane.
+        let mut report = AccelReport { jobs: jobs.len(), ..self.report() };
         let results: Vec<Result<JobOutcome, E>> = results
             .into_iter()
-            .enumerate()
-            .map(|(k, r)| {
-                let result = r.expect("round-robin covers every job index exactly once");
-                let lane = k % lanes;
+            .zip(jobs.iter())
+            .map(|(r, (g, _))| {
+                let result = r.expect("the lane groups cover every job exactly once");
+                let lane = g % lanes;
                 report.lane_profiles[lane].jobs += 1;
                 if let Ok(o) = &result {
                     report.charge_lane(lane, o);
@@ -582,11 +601,12 @@ mod tests {
     fn event_sink_sees_every_job_with_lane_and_outcome() {
         use std::sync::Mutex;
         let acc = Accelerator { lanes: 3, freq_hz: 1e9 };
-        let mut jobs: Vec<Fake> = (0..7).map(|_| Fake { cycles: 5, bytes: 1 }).collect();
+        let mut jobs: Vec<(usize, Fake)> =
+            (0..7).map(|k| (k, Fake { cycles: 5, bytes: 1 })).collect();
         let hook = FaultHook::new().trap(4);
         let events: Mutex<Vec<JobEvent>> = Mutex::new(Vec::new());
         let sink = |e: &JobEvent| events.lock().unwrap().push(*e);
-        let run = |l: &mut Lane, j: &mut Fake| run_fake(l, j);
+        let run = |l: &mut Lane, _, j: &mut Fake| run_fake(l, j);
         let out = acc.run_jobs_observed::<_, LaneError, _>(&mut jobs, run, &hook, Some(&sink));
         let mut events = events.into_inner().unwrap();
         events.sort_by_key(|e| e.job);
@@ -612,9 +632,9 @@ mod tests {
         let hook = FaultHook::new().trap(2);
         let out = acc.run_jobs_observed::<_, LaneError, _>(
             &mut jobs,
-            |_lane, (k, dst)| {
-                ran.lock().unwrap().push(*k);
-                dst.fill(*k as u8 + 1);
+            |_lane, k, dst| {
+                ran.lock().unwrap().push(k);
+                dst.fill(k as u8 + 1);
                 Ok(JobOutcome { cycles: 1, output_bytes: dst.len() as u64, ..Default::default() })
             },
             &hook,
@@ -638,6 +658,24 @@ mod tests {
     }
 
     #[test]
+    fn a_job_runs_on_the_lane_and_under_the_faults_of_its_number() {
+        // Three jobs of a larger batch, submitted alone: job 6 is trapped on
+        // lane 2, and job 9 runs on lane 1 behind job 5, whatever their
+        // slots in the slice (slot 2 is not job 2).
+        let acc = Accelerator { lanes: 4, freq_hz: 1e9 };
+        let mut jobs: Vec<(usize, Fake)> =
+            [5, 6, 9].map(|k| (k, Fake { cycles: k as u64, bytes: 1 })).into();
+        let hook = FaultHook::new().trap(6).trap(2);
+        let run = |l: &mut Lane, _, j: &mut Fake| run_fake(l, j);
+        let out = acc.run_jobs_observed::<_, LaneError, _>(&mut jobs, run, &hook, None);
+        assert_eq!(out.failed_jobs(), vec![1], "results stay in slice order");
+        let busy: Vec<u64> = out.report.lane_profiles.iter().map(|p| p.busy_cycles).collect();
+        assert_eq!(busy, [0, 14, 0, 0]);
+        assert_eq!(out.report.lane_profiles[2].jobs_failed, 1);
+        assert_eq!((out.report.jobs, out.report.makespan_cycles), (3, 14));
+    }
+
+    #[test]
     fn fan_out_report_does_not_depend_on_the_host_split() {
         use crate::progs::DshDecoder;
         use recode_codec::pipeline::{Pipeline, PipelineConfig};
@@ -656,12 +694,12 @@ mod tests {
         let batch = || {
             let mut out = vec![0u8; data.len()];
             let mut jobs: Vec<_> =
-                stream.blocks.iter().zip(out.chunks_mut(config.block_bytes)).collect();
+                stream.blocks.iter().zip(out.chunks_mut(config.block_bytes)).enumerate().collect();
             let events = Mutex::new(Vec::new());
             let sink = |e: &JobEvent| events.lock().unwrap().push(*e);
             let outcome = acc.run_jobs_observed::<_, UdpError, _>(
                 &mut jobs,
-                |lane, (block, dst)| decoder.decode_block_into(lane, block, dst),
+                |lane, _, (block, dst)| decoder.decode_block_into(lane, block, dst),
                 &hook,
                 Some(&sink),
             );

@@ -120,8 +120,8 @@ pub enum LaneError {
         /// Number of `Error`-severity findings in the report.
         errors: usize,
     },
-    /// A panic escaped the lane runner and was contained by the dispatch
-    /// layer's `catch_unwind` boundary (see `Accelerator::dispatch`). The
+    /// A panic escaped the lane runner and was contained by the fan-out's
+    /// `catch_unwind` boundary (see `Accelerator::run_jobs_observed`). The
     /// lane's architectural state is unreliable afterwards; callers treat
     /// this like any other trap and retry on a fresh lane.
     Panicked {

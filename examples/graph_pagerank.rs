@@ -45,9 +45,9 @@ fn main() {
     let sys = SystemConfig::ddr4();
 
     // The iterative workload runs through the pipelined executor: its
-    // modeled schedule has the UDP lanes decode tile i+1 while the CPU
-    // multiplies tile i, and decoded blocks land in an LRU cache so every
-    // iteration after the first pays zero decode cycles.
+    // modeled schedule has the UDP lanes decode window i+1 of tiles while
+    // the CPU multiplies window i, and decoded blocks land in an LRU cache
+    // so every iteration after the first pays zero decode cycles.
     let ex = OverlapExecutor::new(
         &recoded,
         OverlapConfig { cache_blocks: 8192, ..OverlapConfig::default() },

@@ -389,7 +389,7 @@ fn cmd_spmv(mut args: Args) -> Outcome {
         );
     }
     if iters > 1 {
-        // `x ← normalize(A x)`, as `OverlapExecutor::spmv_iter` iterates,
+        // `x ← normalize(A x)`, the access pattern of an iterative solver,
         // with every warm product held to the uncompressed kernel too.
         let mut y = y;
         let mut decode = vec![ov.decode_cycles];

@@ -7,8 +7,8 @@
 //!
 //! 1. `Lane::run_into` with a reused output buffer — one decode per
 //!    dispatched block, zero heap traffic;
-//! 2. `OverlapExecutor` warm-cache tile decodes — a cache hit is an `Arc`
-//!    clone, not a decode, and must stay allocation-free;
+//! 2. `OverlapExecutor` warm-cache runs — a cache hit is an `Arc` clone,
+//!    not a decode, so a warm run allocates nothing per block or window;
 //! 3. the flight recorder (ISSUE 7): the disabled path is one relaxed
 //!    atomic load per would-be event and must allocate **zero** times per
 //!    dispatched block, and the *enabled* steady state (ring
@@ -29,7 +29,6 @@ use recode_spmv::codec::pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline
 use recode_spmv::core::error::ExecError;
 use recode_spmv::core::exec::RecodedSpmv;
 use recode_spmv::core::overlap::{OverlapConfig, OverlapExecutor};
-use recode_spmv::core::telemetry::StreamKind;
 use recode_spmv::prelude::*;
 use recode_spmv::udp::progs::DshDecoder;
 use recode_spmv::udp::{Lane, RunConfig};
@@ -128,54 +127,59 @@ fn lane_run_into_is_allocation_free() {
     );
 }
 
-/// Warm-cache tile decodes on the overlap executor: once a block is
-/// resident, serving it is an `Arc` clone and must not allocate.
-fn warm_cache_tiles_are_allocation_free() {
+/// Warm-cache runs of the overlap executor: once every block is resident, a
+/// run serves each from the cache (an `Arc` clone, not a decode) and runs no
+/// fan-out, so it allocates its output and per-run bookkeeping and nothing
+/// per block or per window: the same matrix cut into four times as many
+/// blocks, over more windows, makes the same number of allocations.
+fn warm_spmv_allocates_the_same_at_any_block_count() {
     let a = generate(
         &GenSpec::FemBand {
-            n: 600,
-            band: 8,
-            fill: 0.7,
+            n: 2000,
+            band: 10,
+            fill: 0.6,
             values: ValueModel::MixedRepeated { distinct: 8 },
         },
         7,
     );
-    let codec_cfg = MatrixCodecConfig {
-        index: PipelineConfig { block_bytes: 2048, ..PipelineConfig::dsh_udp() },
-        value: PipelineConfig { block_bytes: 2048, ..PipelineConfig::sh_udp() },
+    // Four lanes: several windows of tiles at either block size.
+    let mut sys = SystemConfig::ddr4();
+    sys.udp.lanes = 4;
+    let x = vec![1.0; a.ncols()];
+    let want = spmv(&a, &x);
+    let mut events = Vec::new();
+    for block_bytes in [8192, 2048] {
+        let codec_cfg = MatrixCodecConfig {
+            index: PipelineConfig { block_bytes, ..PipelineConfig::dsh_udp() },
+            value: PipelineConfig { block_bytes, ..PipelineConfig::sh_udp() },
+        };
+        let recoded = RecodedSpmv::new(&a, codec_cfg).unwrap();
+        let exec = OverlapExecutor::new(
+            &recoded,
+            OverlapConfig { cache_blocks: recoded.total_jobs(), ..Default::default() },
+        );
+        // The cold run fills the cache; the first warm one sizes nothing
+        // new but is not counted either.
+        for _ in 0..2 {
+            assert_eq!(exec.spmv(&sys, &x).unwrap().0, want);
+        }
+        let before = alloc_events();
+        let (y, stats) = exec.spmv(&sys, &x).unwrap();
+        let delta = alloc_events() - before;
+        assert_eq!(y, want);
+        assert_eq!(stats.overlap.cache_misses, 0, "{block_bytes}-byte blocks: a warm run missed");
+        assert_eq!(stats.overlap.cache_hits, recoded.total_jobs() as u64);
+        events.push((stats.overlap.stages, recoded.total_jobs(), delta));
+    }
+    let [(few_windows, few_blocks, few), (many_windows, many_blocks, many)] = events[..] else {
+        unreachable!()
     };
-    let recoded = RecodedSpmv::new(&a, codec_cfg).unwrap();
-    let cm = recoded.compressed();
-    let n_index = cm.index_stream.blocks.len();
-    let n_value = cm.value_stream.blocks.len();
-    assert!(n_index >= 2 && n_value >= 2, "need several blocks per stream");
-    let exec = OverlapExecutor::new(
-        &recoded,
-        OverlapConfig { cache_blocks: n_index + n_value, ..Default::default() },
+    assert!(few_windows >= 2 && many_windows >= 3 * few_windows, "{few_windows} vs {many_windows}");
+    assert_eq!(
+        few, many,
+        "a warm run's allocation count grew with the block count ({few_blocks} -> {many_blocks} \
+         blocks, {few_windows} -> {many_windows} windows)"
     );
-
-    // Cold pass populates the cache (allocates: decodes + inserts).
-    for pos in 0..n_index {
-        exec.decode_one_for_test(StreamKind::Index, pos).unwrap();
-    }
-    for pos in 0..n_value {
-        exec.decode_one_for_test(StreamKind::Value, pos).unwrap();
-    }
-    let hits_before = exec.cache_stats().hits;
-
-    let before = alloc_events();
-    for _ in 0..5 {
-        for pos in 0..n_index {
-            exec.decode_one_for_test(StreamKind::Index, pos).unwrap();
-        }
-        for pos in 0..n_value {
-            exec.decode_one_for_test(StreamKind::Value, pos).unwrap();
-        }
-    }
-    let delta = alloc_events() - before;
-    let served = exec.cache_stats().hits - hits_before;
-    assert_eq!(served, 5 * (n_index + n_value) as u64, "every warm pass must be served from cache");
-    assert_eq!(delta, 0, "warm-cache tile decode allocated {delta} times over {served} hits");
 }
 
 /// Recorder off (the default): `record()` is a relaxed load + branch. A
@@ -404,7 +408,7 @@ fn inconsistent_geometry_is_refused_before_anything_is_sized() {
 #[test]
 fn hot_paths_do_not_allocate_in_steady_state() {
     lane_run_into_is_allocation_free();
-    warm_cache_tiles_are_allocation_free();
+    warm_spmv_allocates_the_same_at_any_block_count();
     disabled_recorder_records_allocation_free();
     enabled_recorder_steady_state_is_allocation_free();
     trapping_block_leaves_the_lane_its_buffers();

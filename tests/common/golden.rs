@@ -170,11 +170,17 @@ pub fn to_golden_json(doc: &TraceDocument) -> String {
     let _ = writeln!(o, "      \"output_bytes\": {},", a.output_bytes);
     let _ = writeln!(o, "      \"lane_utilization\": {},", fmt_f64(a.lane_utilization));
     let _ = writeln!(o, "      \"freq_hz\": {},", fmt_f64(a.freq_hz));
-    assert!(
-        a.lane_profiles.is_empty(),
-        "golden writer pins the overlap path, which emits no lane profiles"
-    );
-    let _ = writeln!(o, "      \"lane_profiles\": [],");
+    let _ = writeln!(o, "      \"lane_profiles\": [");
+    for (i, p) in a.lane_profiles.iter().enumerate() {
+        let comma = if i + 1 < a.lane_profiles.len() { "," } else { "" };
+        let oc = &p.opclass;
+        let _ = writeln!(
+            o,
+            "        {{ \"lane\": {}, \"jobs\": {}, \"jobs_failed\": {}, \"busy_cycles\": {}, \"output_bytes\": {}, \"opclass\": {{ \"dispatch\": {}, \"alu\": {}, \"mem\": {}, \"stream\": {} }} }}{comma}",
+            p.lane, p.jobs, p.jobs_failed, p.busy_cycles, p.output_bytes, oc.dispatch, oc.alu, oc.mem, oc.stream
+        );
+    }
+    let _ = writeln!(o, "      ],");
     let oc = &a.opclass;
     let _ = writeln!(
         o,

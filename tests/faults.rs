@@ -190,6 +190,48 @@ fn overlap_recovery_keeps_blocks_in_position_and_traces_stay_valid() {
     assert!(stats2.overlap.cache_hits > 0, "rerun should be served from the cache");
 }
 
+/// The tile walker submits a window of jobs at a time, but each job keeps
+/// its batch number: the hook traps it and its lane runs it by that
+/// number. On two lanes the matrix takes many windows; an index job and a
+/// value job past the first one are trapped, and the tiled run retries
+/// exactly those two, with the batch's tally, retry cycles and lane
+/// timelines, and a bit-exact `y`.
+#[test]
+fn job_numbers_survive_windowing() {
+    let a = test_matrix();
+    let r = RecodedSpmv::new(&a, small_block_config()).unwrap();
+    let mut sys = SystemConfig::ddr4();
+    sys.udp.lanes = 2;
+    let n_index = r.compressed().index_stream.blocks.len();
+    assert!(n_index >= 3 * sys.udp.lanes, "{n_index} tiles");
+    // Window 0 is index jobs 0 and 1 with at most 8 KiB of values: value
+    // blocks 0..4 of 2 KiB.
+    let (index_job, value_job) = (5, n_index + 10);
+    let hook = FaultHook::new().trap(index_job).trap(value_job);
+    let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
+    let ctx = || RunCtx { hook: Some(&hook), ..RunCtx::default() };
+
+    let (y_batch, batch) = r.spmv_with(&sys, SpmvKernel::Serial, &x, ctx()).unwrap();
+    let ex = OverlapExecutor::new(&r, OverlapConfig::default());
+    let (y, tiled, doc) = ex.spmv_traced(&sys, &x, ctx(), "windows").unwrap();
+    assert!(doc.validate().is_empty(), "{:?}", doc.validate());
+    assert!(tiled.overlap.stages >= 3, "{} windows", tiled.overlap.stages);
+    assert_eq!(y, spmv(&a, &x));
+    assert_eq!(y, y_batch);
+    let retried: Vec<usize> =
+        doc.block_events.iter().filter(|e| e.outcome != BlockOutcome::Ok).map(|e| e.job).collect();
+    assert_eq!(retried, [index_job, value_job]);
+    let tally = |s: &ExecStats| {
+        (s.blocks_ok, s.blocks_recovered, s.blocks_fell_back, s.retry_cycles, s.accel.jobs_failed)
+    };
+    assert_eq!(tally(&tiled), tally(&batch));
+    assert_eq!(tiled.blocks_recovered, 2);
+    let lanes = |s: &ExecStats| -> Vec<(u64, usize, usize)> {
+        s.accel.lane_profiles.iter().map(|p| (p.busy_cycles, p.jobs, p.jobs_failed)).collect()
+    };
+    assert_eq!(lanes(&tiled), lanes(&batch), "every job ran on its own lane");
+}
+
 #[test]
 fn spmv_stays_correct_under_combined_faults() {
     let a = test_matrix();

@@ -13,7 +13,6 @@ use recode_spmv::codec::pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline
 use recode_spmv::codec::CodecError;
 use recode_spmv::core::error::ExecError;
 use recode_spmv::core::exec::{ExecStats, RawFallbackStore};
-use recode_spmv::core::telemetry::StreamKind;
 use recode_spmv::prelude::*;
 use recode_spmv::sparse::util::{for_each_case, SplitMix64};
 
@@ -108,7 +107,9 @@ fn any_block_size_places_every_byte_through_every_rung() {
         let run = |r: &RecodedSpmv, hook: &FaultHook| {
             let ctx = || RunCtx { hook: Some(hook), ..RunCtx::default() };
             let batch = r.decompress_with(&sys, ctx());
-            let streaming = r.spmv_streaming_with(&sys, &x, ctx());
+            let streaming =
+                OverlapExecutor::new(r, OverlapConfig { overlap: false, ..Default::default() })
+                    .spmv_with(&sys, &x, ctx());
             (batch, streaming)
         };
         let expect_exact = |what: &str, r: &RecodedSpmv, hook: &FaultHook| {
@@ -363,22 +364,4 @@ fn every_schedule_refuses_entries_that_break_csr() {
             assert_eq!(got, Err(want.clone()), "{what}, on {schedule}");
         }
     }
-}
-
-/// The single-block decode helper checks an index block against the real
-/// seam, the block before it, as the walk does: a block it decoded never
-/// enters the cache less checked, so a later run on the same executor
-/// refuses the operand like the batch instead of multiplying a cache hit.
-#[test]
-fn a_block_decoded_alone_is_checked_across_its_seam() {
-    let sys = SystemConfig::ddr4();
-    let r = RecodedSpmv::from_compressed(seam_operand()).unwrap();
-    let x = vec![1.0; r.compressed().ncols];
-    let want = r.spmv(&sys, SpmvKernel::Serial, &x).map(|(y, _)| y).unwrap_err();
-    assert!(matches!(want, ExecError::Reassembly(_)), "{want:?}");
-    let overlap =
-        OverlapExecutor::new(&r, OverlapConfig { cache_blocks: 16, ..Default::default() });
-    let alone = overlap.decode_one_for_test(StreamKind::Index, 1);
-    assert_eq!(overlap.spmv(&sys, &x).map(|(y, _)| y), Err(want.clone()), "the run after");
-    assert_eq!(alone, Err(want), "the block alone");
 }
