@@ -12,7 +12,9 @@
 //! than the primary dispatch width. The `encode` section reads the write
 //! side: delta, Snappy and Huffman encode MB/s over the same index blocks,
 //! and the CRC32c that seals (and, before every lane decode, checks) each
-//! block, over their DSH payloads.
+//! block, over their DSH payloads. `setup.huffman_decoder` splits what one
+//! compiled Huffman image costs set-up into its phases, so the verifier's
+//! share stays visible.
 //! These are *host* numbers: modeled lane
 //! cycles are pinned by the golden trace fixture, must not move when these
 //! get faster, and must be byte-identical across all three tiers.
@@ -28,6 +30,7 @@ use recode_sparse::util::SplitMix64;
 use recode_udp::jit::LaneJit;
 use recode_udp::lane::{Lane, RunConfig};
 use recode_udp::progs::{self, DshDecoder};
+use recode_udp::{effclip, machine, verify};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -97,6 +100,8 @@ struct Snapshot {
     certified_bounds: Json,
     /// What building a lane image costs the host ([`image_build_section`]).
     image_build: Json,
+    /// The same build by phase ([`setup_section`]).
+    setup: Json,
 }
 
 /// Per-stage certified envelope parameters as a JSON object keyed by stage
@@ -146,6 +151,7 @@ impl Snapshot {
             )
             .set("certified_bounds", self.certified_bounds.clone())
             .set("image_build", self.image_build.clone())
+            .set("setup", self.setup.clone())
     }
 }
 
@@ -417,6 +423,40 @@ fn image_build_section(lengths: &[u8]) -> Json {
     Json::obj().set("huffman_us", Json::F64(us[2]))
 }
 
+/// What one compiled Huffman image for the trained table costs set-up, by
+/// phase, as the median of five builds in milliseconds: the program and
+/// its EffCLiP placement; lowering — word encoding, predecode and JIT
+/// (`machine::encode` less its `verify_image`); and `verify_image`, timed on
+/// its own over the encoded image. Host wall-clock, informational under
+/// `bench-compare`.
+fn setup_section(lengths: &[u8]) -> Json {
+    let median = |mut ms: Vec<f64>| {
+        ms.sort_by(f64::total_cmp);
+        Json::F64(ms[ms.len() / 2])
+    };
+    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
+    let (mut place, mut lower, mut verify) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        let program = progs::huffman::program(lengths, 8).expect("the trained table compiles");
+        let placement = effclip::place(&program).expect("the program places");
+        place.push(ms(t0));
+        let t0 = Instant::now();
+        let image = machine::encode(&program, &placement).expect("the program encodes");
+        let encode = ms(t0);
+        let t0 = Instant::now();
+        std::hint::black_box(verify::verify_image(&program, &placement, &image));
+        let checked = ms(t0);
+        lower.push(encode - checked);
+        verify.push(checked);
+    }
+    let decoder = Json::obj()
+        .set("compile_place_ms", median(place))
+        .set("lowering_ms", median(lower))
+        .set("verify_ms", median(verify));
+    Json::obj().set("huffman_decoder", decoder)
+}
+
 /// The same DSH stage chain as [`lane_pass`], but through
 /// `Lane::run_reference` — the word-at-a-time interpreter `run` used before
 /// images were predecoded. Checksum verification is kept so both passes do
@@ -544,6 +584,7 @@ fn main() {
         encode,
         certified_bounds: certified_bounds_json(&decoder),
         image_build: image_build_section(&dsh_table.lengths),
+        setup: setup_section(&dsh_table.lengths),
     };
     eprintln!(
         "lane_decode      {:>12.0} blocks/s  {:>8.1} MB/s  (jit {})",
@@ -573,6 +614,7 @@ fn main() {
             t.mb_per_s
         );
     }
+    eprintln!("setup            {}", snap.setup);
     let text = snap.to_json().to_string_pretty();
     std::fs::write(&json, &text).expect("write BENCH_hotpath.json");
     println!("{text}");

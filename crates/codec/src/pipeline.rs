@@ -273,13 +273,16 @@ impl Pipeline {
         self.encode_blocks(data, Vec::new())
     }
 
-    /// Trains on `data` and encodes it, running the stages before Huffman
-    /// once per block (a sampled block's bytes are kept from training).
-    /// Returns the trained table and the stream; no decoder is built.
-    fn train_and_encode(
-        config: PipelineConfig,
-        data: &[u8],
-    ) -> CodecResult<(Option<HuffmanTable>, BlockStream)> {
+    /// One stream's share of set-up: trains on `data` and encodes it,
+    /// running the stages before Huffman once per block (a sampled block's
+    /// bytes are kept from training). Returns the trained table and the
+    /// stream; no decoder is built. [`CompressedMatrix::compress`] runs it
+    /// per stream, and so does a caller that fans set-up out further.
+    ///
+    /// # Errors
+    /// Stage preconditions (e.g. delta on blocks that are not a whole
+    /// number of words).
+    pub fn train_and_encode(config: PipelineConfig, data: &[u8]) -> CodecResult<EncodedStream> {
         let (pipe, kept) = Self::train_keeping(config, data)?;
         let stream = pipe.encode_blocks(data, kept)?;
         Ok((pipe.table, stream))
@@ -334,6 +337,9 @@ impl Pipeline {
         Ok(out)
     }
 }
+
+/// One encoded stream and the Huffman table it was coded with, if any.
+pub type EncodedStream = (Option<HuffmanTable>, BlockStream);
 
 /// Matrix-level codec configuration: one pipeline per stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -418,13 +424,24 @@ impl CompressedMatrix {
             (config.value, words::le_bytes(a.values())),
             (config.index, words::le_bytes(a.col_idx())),
         ];
-        let [value, index]: [CodecResult<(Option<HuffmanTable>, BlockStream)>; 2] =
+        let [value, index]: [CodecResult<EncodedStream>; 2] =
             par::map(streams, |_, (config, bytes)| Pipeline::train_and_encode(config, &bytes))
                 .try_into()
                 .expect("one result per stream");
-        let (index_table, index_stream) = index?;
-        let (value_table, value_stream) = value?;
-        Ok(CompressedMatrix {
+        let (index, value) = (index?, value?);
+        Ok(Self::from_streams(a, config, index, value))
+    }
+
+    /// `a`'s two streams, encoded under `config` by
+    /// [`Pipeline::train_and_encode`], put together with its shape and
+    /// `row_ptr`.
+    pub fn from_streams(
+        a: &Csr,
+        config: MatrixCodecConfig,
+        (index_table, index_stream): EncodedStream,
+        (value_table, value_stream): EncodedStream,
+    ) -> Self {
+        CompressedMatrix {
             nrows: a.nrows(),
             ncols: a.ncols(),
             nnz: a.nnz(),
@@ -434,7 +451,7 @@ impl CompressedMatrix {
             config,
             index_table_lengths: index_table.map(|t| t.lengths),
             value_table_lengths: value_table.map(|t| t.lengths),
-        })
+        }
     }
 
     /// Rebuilds the per-stream decode pipelines from the serialized state.

@@ -26,7 +26,7 @@ use crate::telemetry::{
     MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument, POOL_COUNTERS,
 };
 use recode_codec::block::{BlockStream, CompressedBlock};
-use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
+use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig, Pipeline, PipelineConfig};
 use recode_codec::{words, CodecError};
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
 use recode_sparse::{csr, par, Csr, SparseError};
@@ -155,16 +155,62 @@ impl RecodedSpmv {
     /// Compresses `a` for the heterogeneous system, keeping the raw stream
     /// bytes as the degradation fallback.
     ///
+    /// Set-up is one fan-out ([`par::map`]) of four items: each stream
+    /// trains, encodes and builds its decoder (a Huffman compile, the
+    /// verify gate and the JIT), and each stream's bytes are copied into the
+    /// store. The value stream, usually the larger, is item 0 and runs on
+    /// the calling thread, so its blocks stay on the caller's heap; the
+    /// worker that finishes its stream first takes the copies. The result
+    /// is what [`CompressedMatrix::compress`] followed by
+    /// [`RecodedSpmv::from_compressed_with_store`] gives, errors included.
+    ///
     /// # Errors
-    /// Codec preconditions or decoder-construction failures.
+    /// Codec preconditions, then decoder-construction failures; the index
+    /// stream's first within each.
     pub fn new(a: &Csr, config: MatrixCodecConfig) -> ExecResult<Self> {
+        enum Item<'a> {
+            Stream(PipelineConfig, &'a [u8]),
+            Copy(&'a [u8], &'a mut Vec<u8>),
+        }
+        let (values, indices) = (words::le_bytes(a.values()), words::le_bytes(a.col_idx()));
         // The store's two arrays are the largest allocations set-up makes.
-        // Taken before the encoder's many small blocks, they reuse the space
-        // a previous matrix's arrays freed instead of landing behind those
-        // blocks and growing the heap.
-        let raw_store = RawFallbackStore::from_csr(a);
-        let compressed = CompressedMatrix::compress(a, config)?;
-        Self::from_compressed_with_store(compressed, Some(raw_store))
+        // Taken here, on the calling thread and before the encoder's many
+        // small blocks, they reuse the space a previous matrix's arrays
+        // freed instead of landing behind those blocks or in a worker's
+        // malloc arena; the copies only fill them.
+        let mut raw_store = RawFallbackStore {
+            index_bytes: Vec::with_capacity(indices.len()),
+            value_bytes: Vec::with_capacity(values.len()),
+        };
+        let items = [
+            Item::Stream(config.value, &values),
+            Item::Stream(config.index, &indices),
+            Item::Copy(&values, &mut raw_store.value_bytes),
+            Item::Copy(&indices, &mut raw_store.index_bytes),
+        ];
+        let set_up = par::map(items, |_, item| match item {
+            Item::Stream(config, bytes) => {
+                Some(Pipeline::train_and_encode(config, bytes).map(|(table, stream)| {
+                    let decoder = DshDecoder::new(config, table.as_ref().map(|t| &t.lengths[..]));
+                    ((table, stream), decoder)
+                }))
+            }
+            Item::Copy(bytes, store) => {
+                store.extend_from_slice(bytes);
+                None
+            }
+        });
+        let mut streams = set_up.into_iter().flatten();
+        let mut stream = || streams.next().expect("one result per stream");
+        let (value, index) = (stream(), stream());
+        let ((index, index_decoder), (value, value_decoder)) = (index?, value?);
+        let (index_decoder, value_decoder) = (index_decoder?, value_decoder?);
+        Ok(RecodedSpmv {
+            compressed: CompressedMatrix::from_streams(a, config, index, value),
+            index_decoder,
+            value_decoder,
+            raw_store: Some(raw_store),
+        })
     }
 
     /// Compresses `a` under a persisted [`crate::tune::TunedConfig`],
@@ -927,24 +973,70 @@ mod tests {
     #[test]
     fn fanned_out_and_inline_decoder_builds_agree_on_every_block() {
         let a = test_matrix();
-        let build = || RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let config = MatrixCodecConfig::udp_dsh();
+        let build = || RecodedSpmv::new(&a, config).unwrap();
         let fanned = build();
-        // Called from a worker, both set-up fan-outs run inline.
+        // Called from a worker, set-up runs inline.
         let inline = par::map([(), ()], |_, ()| build()).swap_remove(0);
-        for (f, i) in [
-            (fanned.index_decoder(), inline.index_decoder()),
-            (fanned.value_decoder(), inline.value_decoder()),
-        ] {
-            assert_eq!(f.code_bytes(), i.code_bytes());
+        // The two-step path: the encoder's and the loader's fan-outs.
+        let cm = CompressedMatrix::compress(&a, config).unwrap();
+        let store = Some(RawFallbackStore::from_csr(&a));
+        let composed = RecodedSpmv::from_compressed_with_store(cm, store).unwrap();
+        let store_bytes = |r: &RecodedSpmv| {
+            let store = r.raw_store.as_ref().expect("`new` keeps the raw store");
+            (store.index_bytes.clone(), store.value_bytes.clone())
+        };
+        for other in [&inline, &composed] {
+            assert_eq!(fanned.compressed().to_bytes(), other.compressed().to_bytes());
+            assert_eq!(store_bytes(&fanned), store_bytes(other));
+            for (f, o) in [
+                (fanned.index_decoder(), other.index_decoder()),
+                (fanned.value_decoder(), other.value_decoder()),
+            ] {
+                assert_eq!(f.code_bytes(), o.code_bytes());
+            }
         }
+        let store = fanned.raw_store.as_ref().unwrap();
+        assert_eq!(store.index_bytes.capacity(), store.index_bytes.len(), "filled within capacity");
+        assert_eq!(store.value_bytes.capacity(), store.value_bytes.len(), "filled within capacity");
         let mut lane = recode_udp::pool::global().checkout();
         for job in 0..fanned.total_jobs() {
             let len = fanned.extent(job).len();
-            let (mut f, mut i) = (vec![0u8; len], vec![0u8; len]);
-            let f_cycles = fanned.decode_job_into(&mut lane, job, &mut f).unwrap().cycles;
-            let i_cycles = inline.decode_job_into(&mut lane, job, &mut i).unwrap().cycles;
-            assert_eq!((f, f_cycles), (i, i_cycles), "job {job}");
+            let decoded = |r: &RecodedSpmv, lane: &mut Lane| {
+                let mut out = vec![0u8; len];
+                let cycles = r.decode_job_into(lane, job, &mut out).unwrap().cycles;
+                (out, cycles)
+            };
+            let want = decoded(&fanned, &mut lane);
+            assert_eq!(decoded(&inline, &mut lane), want, "job {job}: inline");
+            assert_eq!(decoded(&composed, &mut lane), want, "job {job}: two steps");
+            assert_eq!(Some(&want.0[..]), fanned.raw_block(job), "job {job}: raw store");
         }
+    }
+
+    #[test]
+    fn set_up_returns_the_index_streams_encode_error_first() {
+        let a = test_matrix();
+        let zero_blocks = PipelineConfig { block_bytes: 0, ..PipelineConfig::dsh_udp() };
+        let odd_delta = PipelineConfig { block_bytes: 8190, ..PipelineConfig::dsh_udp() };
+        let fails = |index, value| {
+            let config = MatrixCodecConfig { index, value };
+            let fanned = RecodedSpmv::new(&a, config).err().unwrap();
+            let inline = par::map([(), ()], |_, ()| RecodedSpmv::new(&a, config))
+                .swap_remove(0)
+                .err()
+                .unwrap();
+            assert_eq!(fanned, inline);
+            let two_steps = CompressedMatrix::compress(&a, config).unwrap_err();
+            assert_eq!(fanned, ExecError::from(two_steps));
+            fanned
+        };
+        let precondition = |msg: &str| ExecError::from(CodecError::Precondition(msg.into()));
+        assert_eq!(fails(zero_blocks, odd_delta), precondition("block size must be positive"));
+        assert_eq!(
+            fails(PipelineConfig::dsh_udp(), odd_delta),
+            precondition("delta stage requires 4-byte-aligned blocks")
+        );
     }
 
     #[test]

@@ -121,22 +121,17 @@ pub fn lane_utilization(busy_cycles: u64, makespan_cycles: u64, lanes: usize) ->
 }
 
 /// Result of a batch: aggregate report plus every job's individual outcome
-/// in job order. Failed jobs are `Err` entries — the batch itself always
-/// completes so callers can recover per job.
+/// in the order the jobs were submitted. Failed jobs are `Err` entries — the
+/// batch itself always completes so callers can recover per job.
 #[derive(Debug)]
 pub struct BatchOutcome<E> {
     /// Aggregate cycle/throughput accounting (failed jobs contribute no
     /// cycles and no output bytes).
     pub report: AccelReport,
-    /// Per-job outcome, indexed by job position in the submitted batch.
+    /// Per-job outcome, indexed by the job's slot in the submitted slice
+    /// (not by its job number, which the hook, the lane and [`JobEvent`]
+    /// read).
     pub results: Vec<Result<JobOutcome, E>>,
-}
-
-impl<E> BatchOutcome<E> {
-    /// Indices of the jobs that failed.
-    pub fn failed_jobs(&self) -> Vec<usize> {
-        self.results.iter().enumerate().filter_map(|(k, r)| r.is_err().then_some(k)).collect()
-    }
 }
 
 /// Deterministic fault injection for a batch: jobs listed in `trap_jobs`
@@ -492,6 +487,11 @@ mod tests {
         Ok(JobOutcome { cycles: j.cycles, output_bytes: j.bytes as u64, ..Default::default() })
     }
 
+    /// The slots of `out.results` that hold a failure.
+    fn failed_slots<E>(out: &BatchOutcome<E>) -> Vec<usize> {
+        out.results.iter().enumerate().filter_map(|(k, r)| r.is_err().then_some(k)).collect()
+    }
+
     #[test]
     fn balanced_jobs_keep_lanes_busy() {
         let acc = Accelerator { lanes: 4, freq_hz: 1e9 };
@@ -532,7 +532,7 @@ mod tests {
         };
         let out = acc.run_jobs_with_faults(&jobs, run, &FaultHook::default());
         assert_eq!(out.report.jobs_failed, 1);
-        assert_eq!(out.failed_jobs(), vec![2]);
+        assert_eq!(failed_slots(&out), vec![2]);
         assert!(out.results[0].is_ok());
         assert!(out.results[1].is_ok());
         assert!(matches!(out.results[2], Err(LaneError::CycleLimit { .. })));
@@ -546,7 +546,7 @@ mod tests {
         let jobs: Vec<Fake> = (0..6).map(|_| Fake { cycles: 10, bytes: 4 }).collect();
         let hook = FaultHook::new().trap(3);
         let out = acc.run_jobs_with_faults(&jobs, run_fake, &hook);
-        assert_eq!(out.failed_jobs(), vec![3]);
+        assert_eq!(failed_slots(&out), vec![3]);
         assert!(matches!(out.results[3], Err(LaneError::InjectedFault)));
         assert_eq!(out.report.jobs_failed, 1);
         // 5 successful jobs * 4 bytes.
@@ -649,7 +649,7 @@ mod tests {
             assert_eq!(mine, want, "lane {lane}");
         }
         assert_eq!(ran.len(), 5);
-        assert_eq!(out.failed_jobs(), vec![2]);
+        assert_eq!(failed_slots(&out), vec![2]);
         assert_eq!(out.report.output_bytes, 23 - 4);
         assert!(out.results.iter().flatten().all(|o| o.output.is_empty()));
         let want: Vec<u8> =
@@ -668,11 +668,33 @@ mod tests {
         let hook = FaultHook::new().trap(6).trap(2);
         let run = |l: &mut Lane, _, j: &mut Fake| run_fake(l, j);
         let out = acc.run_jobs_observed::<_, LaneError, _>(&mut jobs, run, &hook, None);
-        assert_eq!(out.failed_jobs(), vec![1], "results stay in slice order");
+        assert_eq!(failed_slots(&out), vec![1], "results stay in slice order");
         let busy: Vec<u64> = out.report.lane_profiles.iter().map(|p| p.busy_cycles).collect();
         assert_eq!(busy, [0, 14, 0, 0]);
         assert_eq!(out.report.lane_profiles[2].jobs_failed, 1);
         assert_eq!((out.report.jobs, out.report.makespan_cycles), (3, 14));
+    }
+
+    #[test]
+    fn a_failed_slot_names_its_job_through_the_submitted_numbers() {
+        // Jobs 7, 3 and 12 in slots 0, 1 and 2, jobs 3 and 12 trapped: the
+        // failures sit in slots 1 and 2, and the events name jobs 3 and 12.
+        // Job 1 is trapped too but not submitted; a hook that read the slot
+        // would fail slot 1 alone.
+        let acc = Accelerator { lanes: 2, freq_hz: 1e9 };
+        let mut jobs: Vec<(usize, Fake)> =
+            [7, 3, 12].map(|k| (k, Fake { cycles: 1, bytes: 1 })).into();
+        let events = std::sync::Mutex::new(Vec::new());
+        let sink = |e: &JobEvent| events.lock().unwrap().push((e.job, e.ok));
+        let run = |l: &mut Lane, _, j: &mut Fake| run_fake(l, j);
+        let hook = FaultHook::new().trap(3).trap(12).trap(1);
+        let out = acc.run_jobs_observed::<_, LaneError, _>(&mut jobs, run, &hook, Some(&sink));
+        let slots = failed_slots(&out);
+        assert_eq!(slots, [1, 2]);
+        assert_eq!(slots.iter().map(|&k| jobs[k].0).collect::<Vec<_>>(), [3, 12]);
+        let mut events = events.into_inner().unwrap();
+        events.sort_unstable();
+        assert_eq!(events, [(3, false), (7, true), (12, false)]);
     }
 
     #[test]
@@ -742,7 +764,7 @@ mod tests {
         let jobs: Vec<Fake> = (0..4).map(|_| Fake { cycles: 10, bytes: 4 }).collect();
         let hook = FaultHook::new().panic_job(1);
         let out = acc.run_jobs_with_faults::<_, LaneError, _>(&jobs, run_fake, &hook);
-        assert_eq!(out.failed_jobs(), vec![1]);
+        assert_eq!(failed_slots(&out), vec![1]);
         match &out.results[1] {
             Err(LaneError::Panicked { message }) => assert!(message.contains("job 1"), "{message}"),
             other => panic!("expected a contained panic, got {other:?}"),

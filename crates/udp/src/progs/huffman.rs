@@ -41,7 +41,7 @@
 use crate::error::UdpError;
 use crate::isa::{Action, Block, Cond, Transition, Width};
 use crate::machine::{assemble, Image};
-use crate::program::ProgramBuilder;
+use crate::program::{Program, ProgramBuilder};
 use recode_codec::huffman::HuffmanTable;
 
 /// Default primary dispatch width in bits.
@@ -62,6 +62,14 @@ pub fn compile(lengths: &[u8]) -> Result<Image, UdpError> {
 /// # Errors
 /// Invalid width/lengths or placement failures.
 pub fn compile_with_width(lengths: &[u8], primary_bits: u8) -> Result<Image, UdpError> {
+    assemble(&program(lengths, primary_bits)?)
+}
+
+/// The decode program [`compile_with_width`] places and encodes.
+///
+/// # Errors
+/// Invalid width or lengths.
+pub fn program(lengths: &[u8], primary_bits: u8) -> Result<Program, UdpError> {
     if !(4..=12).contains(&primary_bits) {
         return Err(UdpError::Table(format!(
             "primary dispatch width {primary_bits} outside 4..=12"
@@ -164,8 +172,7 @@ pub fn compile_with_width(lengths: &[u8], primary_bits: u8) -> Result<Image, Udp
     let init = pb.block(Block { actions: vec![Action::Mov { rd: 2, rs: 14 }], transition: next });
     pb.entry(init);
 
-    let program = pb.build()?;
-    assemble(&program)
+    pb.build()
 }
 
 #[cfg(test)]

@@ -157,11 +157,27 @@ pub struct Finding {
     pub count: usize,
 }
 
-impl Finding {
-    /// The message with its numbers taken out: what two findings of one
-    /// analysis share when they say the same thing about different places.
-    fn shape(&self) -> String {
-        self.message.chars().filter(|&c| !(c.is_ascii_digit() || c == '∞' || c == '-')).collect()
+/// What an `Info` finding says with its numbers left out: the key infos
+/// fold on. An image of a few hundred blocks repeats some infos once per
+/// load/store slot, so only the first of each kind is formatted and kept.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Info {
+    /// A write to `r0`, which discards it.
+    WriteToR0,
+    /// A `load` or `store` not provably inside the scratchpad.
+    UnprovenAccess { kind: &'static str },
+    /// A register dispatch whose index cannot be bounded; `more_sites` when
+    /// the finding also stands for other blocks that dispatch so.
+    UnboundedDispatch { label: &'static str, more_sites: bool },
+}
+
+impl Info {
+    fn analysis(self) -> Analysis {
+        match self {
+            Info::WriteToR0 => Analysis::RegisterInit,
+            Info::UnprovenAccess { .. } => Analysis::ScratchpadBounds,
+            Info::UnboundedDispatch { .. } => Analysis::DispatchTable,
+        }
     }
 }
 
@@ -373,31 +389,6 @@ impl VerifyReport {
             message,
             count: 1,
         });
-    }
-
-    /// Sorts the findings, then folds the infos: an image of a few hundred
-    /// blocks repeats some of them once per load/store slot, and every one is
-    /// a formatted string that travels with the image. The first of each
-    /// kind (lowest block, then slot) stays and counts the rest.
-    fn finalize(&mut self) {
-        self.findings.sort_by(|a, b| {
-            b.severity.cmp(&a.severity).then(a.block.cmp(&b.block)).then(a.slot.cmp(&b.slot))
-        });
-        let mut first: HashMap<(Analysis, String), usize> = HashMap::new();
-        let mut folded: Vec<Finding> = Vec::new();
-        for f in std::mem::take(&mut self.findings) {
-            if f.severity == Severity::Info {
-                match first.entry((f.analysis, f.shape())) {
-                    Entry::Occupied(kept) => {
-                        folded[*kept.get()].count += 1;
-                        continue;
-                    }
-                    Entry::Vacant(new) => new.insert(folded.len()),
-                };
-            }
-            folded.push(f);
-        }
-        self.findings = folded;
     }
 }
 
@@ -872,6 +863,8 @@ struct Verifier<'a> {
     p: &'a Program,
     g: Cfg,
     report: VerifyReport,
+    /// Where in `report.findings` the first `Info` of each kind sits.
+    infos: HashMap<Info, usize>,
     /// Interval state at each CFG node's entry (fixpoint result).
     entry_state: Vec<RegState>,
 }
@@ -883,7 +876,31 @@ impl<'a> Verifier<'a> {
         report.blocks = p.blocks.len();
         report.reachable = g.reachable[..g.blocks].iter().filter(|&&r| r).count();
         let entry_state = vec![[Iv::TOP; NUM_REGS]; g.succ.len()];
-        Verifier { p, g, report, entry_state }
+        Verifier { p, g, report, infos: HashMap::new(), entry_state }
+    }
+
+    /// Records an `Info` of `kind` at `block`/`slot`. Every analysis visits
+    /// blocks, and a block's slots, in ascending order, so the first of a
+    /// kind is the lowest (block, slot): it is the one formatted and kept,
+    /// and a repeat only adds to its count.
+    fn info(
+        &mut self,
+        kind: Info,
+        block: BlockId,
+        slot: Option<usize>,
+        message: impl FnOnce() -> String,
+    ) {
+        match self.infos.entry(kind) {
+            Entry::Occupied(first) => {
+                let first = &mut self.report.findings[*first.get()];
+                debug_assert!((first.block, first.slot) <= (block, slot), "infos out of order");
+                first.count += 1;
+            }
+            Entry::Vacant(new) => {
+                new.insert(self.report.findings.len());
+                self.report.push(Severity::Info, kind.analysis(), block, slot, message());
+            }
+        }
     }
 
     /// The actions of CFG node `node`: none for a group node.
@@ -915,7 +932,9 @@ impl<'a> Verifier<'a> {
             self.cross_check_image(placement, image);
             self.check_translation_validation(placement, image);
         }
-        self.report.finalize();
+        self.report.findings.sort_by(|a, b| {
+            b.severity.cmp(&a.severity).then(a.block.cmp(&b.block)).then(a.slot.cmp(&b.slot))
+        });
         self.report
     }
 
@@ -1000,13 +1019,9 @@ impl<'a> Verifier<'a> {
                 }
                 for w in action_writes(*a) {
                     if w == 0 {
-                        self.report.push(
-                            Severity::Info,
-                            Analysis::RegisterInit,
-                            i as BlockId,
-                            Some(slot),
-                            "write to r0 is discarded (r0 is hard-wired zero)".into(),
-                        );
+                        self.info(Info::WriteToR0, i as BlockId, Some(slot), || {
+                            "write to r0 is discarded (r0 is hard-wired zero)".into()
+                        });
                     }
                     m |= 1 << w;
                 }
@@ -1184,7 +1199,7 @@ impl<'a> Verifier<'a> {
             }
             let mut regs = self.entry_state[i];
             for (slot, a) in blk.actions.iter().enumerate() {
-                let access: Option<(u8, i128, usize, &str)> = match *a {
+                let access: Option<(u8, i128, usize, &'static str)> = match *a {
                     Action::Load { base, offset, width, .. } => {
                         Some((base, offset as i128, width.bytes(), "load"))
                     }
@@ -1211,16 +1226,12 @@ impl<'a> Verifier<'a> {
                             ),
                         );
                     } else if addr.lo < 0 || addr.hi > pad - w {
-                        self.report.push(
-                            Severity::Info,
-                            Analysis::ScratchpadBounds,
-                            i as BlockId,
-                            Some(slot),
+                        self.info(Info::UnprovenAccess { kind }, i as BlockId, Some(slot), || {
                             format!(
                                 "cannot prove {kind} of {width} byte(s) at address {addr} \
                                  stays inside the scratchpad (checked at runtime)"
-                            ),
-                        );
+                            )
+                        });
                     }
                 }
                 interval_step(&mut regs, *a);
@@ -1880,13 +1891,13 @@ impl<'a> Verifier<'a> {
                 continue;
             }
             let Some((lo, hi)) = domain else {
-                finding(
-                    Severity::Info,
+                let kind = Info::UnboundedDispatch { label, more_sites: count > 1 };
+                self.info(kind, site, None, || {
                     format!(
                         "{label} index range cannot be bounded statically; \
-                         table completeness not checked"
-                    ),
-                );
+                         table completeness not checked{more}"
+                    )
+                });
                 continue;
             };
             let mut covered = vec![false; (hi - lo + 1) as usize];
@@ -2185,6 +2196,29 @@ done:
         assert_eq!(r.info_count(), 2, "the header still counts what the analyses found");
         assert!(f.to_string().ends_with("(and 1 more like it)"), "{f}");
         assert!(r.is_clean() && r.gate().is_ok());
+    }
+
+    #[test]
+    fn unbounded_dispatches_fold_by_kind_not_by_group() {
+        // Group g is entered from two blocks, h and k from one each: the
+        // finding for g names its other site, so it is another kind than
+        // h's, and k's folds into h's.
+        let r = report_for(
+            ".entry main\n.group g { 0: gd }\n.group h { 0: hd }\n.group k { 0: kd }\n\
+             main:\n    insymle r1, 8\n    shli r1, r1, 40\n    beq r1, r0, b\n\
+             a:\n    bltu r1, r14, c\na2:\n    dispatch.reg r1, g\nc:\n    dispatch.reg r1, g\n\
+             b:\n    bltu r1, r14, d\nb2:\n    dispatch.reg r1, h\nd:\n    dispatch.reg r1, k\n\
+             gd:\n    limm r15, 0\n    halt\nhd:\n    limm r15, 0\n    halt\n\
+             kd:\n    limm r15, 0\n    halt\n",
+        );
+        let infos: Vec<(usize, bool)> = r
+            .findings
+            .iter()
+            .filter(|f| f.analysis == Analysis::DispatchTable)
+            .map(|f| (f.count, f.message.ends_with("(and 1 more sites)")))
+            .collect();
+        assert_eq!(infos, [(1, true), (2, false)], "{r}");
+        assert!(r.is_clean(), "{r}");
     }
 
     #[test]
