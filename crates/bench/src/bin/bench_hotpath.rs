@@ -79,6 +79,8 @@ struct Snapshot {
     /// Same blocks through the word-at-a-time reference interpreter
     /// (`Lane::run_reference`), the pre-predecode baseline path.
     lane_decode_reference: Option<Throughput>,
+    /// What the lane moves besides decoding ([`lane_section`]).
+    lane: Json,
     /// Compiled-tier inventory: lane images lowered, native bytes
     /// published, and the lane JIT's cost per Huffman symbol. Absent when
     /// the JIT is disabled or unsupported, so a `RECODE_NO_JIT=1` snapshot
@@ -139,6 +141,7 @@ impl Snapshot {
         if let Some(r) = &self.lane_decode_reference {
             doc = doc.set("lane_decode_reference", r.to_json());
         }
+        doc = doc.set("lane", self.lane.clone());
         if let Some(j) = &self.jit {
             doc = doc.set("jit", j.clone());
         }
@@ -242,6 +245,22 @@ fn interp_pass(
         std::hint::black_box(&cur);
     }
     (bytes, cycles)
+}
+
+/// The scratchpad bytes a lane's prologue zeroes per stage run
+/// (informational), over one pass of `blocks` on one lane: what the
+/// dirty-granule mask leaves of the 64 KB a run could dirty.
+fn lane_section(decoder: &DshDecoder, blocks: &[recode_codec::block::CompressedBlock]) -> Json {
+    let mut lane = Lane::new();
+    for b in blocks {
+        decoder.decode_block(&mut lane, b).expect("bench blocks decode");
+    }
+    let stages = [&decoder.huffman, &decoder.snappy, &decoder.delta].into_iter().flatten().count();
+    let runs = (blocks.len() * stages).max(1);
+    Json::obj().set(
+        "prologue_clear_bytes_per_run",
+        Json::F64(lane.prologue_clear_bytes() as f64 / runs as f64),
+    )
 }
 
 /// Compiled-tier inventory for the decoder's lane images, plus what a
@@ -577,6 +596,7 @@ fn main() {
         lane_decode,
         lane_decode_interp: Some(lane_decode_interp),
         lane_decode_reference: Some(lane_decode_reference),
+        lane: lane_section(&decoder, &dsh_stream.blocks),
         jit,
         huffman_flat,
         huffman_cpu,

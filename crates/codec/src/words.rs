@@ -7,7 +7,8 @@
 //! [`bytes_mut`] lets a decoder fill the final arrays through it — byte
 //! addressing is what lets a word straddle two blocks with no
 //! carry logic — and [`from_le_in_place`] is the one pass a big-endian host
-//! adds afterwards.
+//! adds afterwards. [`quads`] reads a decoded index block's columns in
+//! place, before that pass.
 
 use std::borrow::Cow;
 
@@ -40,6 +41,15 @@ pub fn bytes_mut<T: Word>(words: &mut [T]) -> &mut [u8] {
     unsafe {
         std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), std::mem::size_of_val(words))
     }
+}
+
+/// `bytes` as 4-byte words, a partial word at the end dropped: how a
+/// decoded index block's little-endian column indices are read in place.
+pub fn quads(bytes: &[u8]) -> &[[u8; 4]] {
+    // SAFETY: `[u8; 4]` has size 4, alignment 1 and no invalid bit pattern,
+    // so the first `4·(len/4)` bytes are `len/4` of them; the borrow carries
+    // over unchanged.
+    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast(), bytes.len() / 4) }
 }
 
 /// Turns words whose bytes were filled from a little-endian stream into
@@ -114,6 +124,18 @@ mod tests {
             tail.copy_from_slice(&stream[cut..]);
             from_le_in_place(&mut got);
             assert_eq!(got, want, "cut at byte {cut}");
+        }
+    }
+
+    #[test]
+    fn quads_are_the_whole_words_at_any_offset() {
+        let stream = to_le_bytes(&[0x0403_0201u32, 0x0807_0605, 0x0C0B_0A09]);
+        for start in 0..stream.len() {
+            let quads = quads(&stream[start..]);
+            assert_eq!(quads.len(), (stream.len() - start) / 4, "from byte {start}");
+            for (k, quad) in quads.iter().enumerate() {
+                assert_eq!(quad[..], stream[start + 4 * k..start + 4 * k + 4], "from byte {start}");
+            }
         }
     }
 

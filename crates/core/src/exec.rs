@@ -19,7 +19,7 @@
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
 pub use crate::ladder::RunCtx;
-use crate::ladder::{report_run, vector_traffic, Ladder};
+use crate::ladder::{report_run, vector_traffic, Extent, Ladder};
 use crate::overlap::{OverlapConfig, OverlapExecutor, OverlapStats};
 use crate::recorder;
 use crate::telemetry::{
@@ -339,6 +339,19 @@ impl RecodedSpmv {
         decoder.decode_block_into(lane, block, dst)
     }
 
+    /// Whether job `job` is an index block of whole columns whose decoded
+    /// entries `bytes` keep the column rule among themselves
+    /// ([`csr::check_columns`] with no column before the first): what a
+    /// lane checks of its index block while the block is in its cache.
+    pub(crate) fn columns_kept(&self, job: usize, bytes: &[u8]) -> bool {
+        let (cm, extent) = (&self.compressed, self.extent(job));
+        let whole = extent.start.is_multiple_of(4) && extent.end.is_multiple_of(4);
+        let cols = words::quads(bytes);
+        self.locate(job).0 == StreamKind::Index
+            && whole
+            && csr::check_columns(&cm.row_ptr, cm.ncols, extent.start / 4, None, cols).is_ok()
+    }
+
     /// The uncompressed bytes of job `job`'s block, when a fallback store
     /// was kept and covers its whole extent.
     pub(crate) fn raw_block(&self, job: usize) -> Option<&[u8]> {
@@ -451,12 +464,17 @@ impl RecodedSpmv {
         let mut values = vec![0f64; cm.nnz];
         let index_extents = words::bytes_mut(&mut col_idx).chunks_mut(cm.index_stream.block_bytes);
         let value_extents = words::bytes_mut(&mut values).chunks_mut(cm.value_stream.block_bytes);
-        let mut jobs: Vec<(usize, &mut [u8])> =
-            index_extents.chain(value_extents).enumerate().collect();
+        let mut jobs: Vec<(usize, Extent<'_>)> =
+            index_extents.chain(value_extents).map(Extent::new).enumerate().collect();
         debug_assert_eq!(jobs.len(), self.total_jobs());
         let mut ladder = Ladder::new(self, &sys.udp, recorder::Track::MAIN, tel.as_deref_mut());
         let report = ladder.decode(&mut jobs, hook.unwrap_or(&FaultHook::default()))?;
         let tally = ladder.tally;
+        let kept: Vec<bool> = jobs[..cm.index_stream.blocks.len()]
+            .iter()
+            .map(|(_, extent)| extent.columns_kept)
+            .collect();
+        drop(jobs);
 
         let phase = recorder::phase(recorder::Track::MAIN, "exec.reassemble", tel.is_some());
         words::from_le_in_place(&mut col_idx);
@@ -467,8 +485,7 @@ impl RecodedSpmv {
         if cm.ncols > u32::MAX as usize {
             return Err(decoded_invalid(&SparseError::ColumnIndexOverflow(cm.ncols)));
         }
-        csr::check_columns(&cm.row_ptr, cm.ncols, 0, None, col_idx.iter().copied())
-            .map_err(|e| decoded_invalid(&e))?;
+        self.check_seams(&col_idx, &kept).map_err(|e| decoded_invalid(&e))?;
         let a = Csr::from_parts_unchecked(cm.nrows, cm.ncols, cm.row_ptr.clone(), col_idx, values);
         phase.finish(tel.as_deref_mut(), 0.0, (cm.nnz * 12) as u64);
 
@@ -479,6 +496,33 @@ impl RecodedSpmv {
             tel.derive(POOL_COUNTERS, |get| get(&after) - get(&before));
         }
         Ok((a, stats))
+    }
+
+    /// The column rule over the whole decoded `col_idx`, given which index
+    /// blocks kept it on their lanes (`kept`, in job order): in storage
+    /// order, the entries of each block the lanes did not vouch for, and the
+    /// first entry of each block they did, against the entry before it. So
+    /// the first error is the one a check of the whole array finds first.
+    fn check_seams(&self, col_idx: &[u32], kept: &[bool]) -> recode_sparse::Result<()> {
+        let cm = &self.compressed;
+        let check = |from: usize, to: usize| {
+            let prev = from.checked_sub(1).map(|k| col_idx[k]);
+            csr::check_columns(&cm.row_ptr, cm.ncols, from, prev, &col_idx[from..to])
+        };
+        // Entries before `from` are checked.
+        let mut from = 0;
+        for job in (0..kept.len()).filter(|&job| kept[job]) {
+            let extent = self.extent(job);
+            let (first, end) = (extent.start / 4, extent.end / 4);
+            // Its lane found every column below `ncols`, so a first column
+            // above the one before keeps the rule wherever its row starts.
+            let climbs = first == 0 || first == end || col_idx[first] > col_idx[first - 1];
+            if from < first || !climbs {
+                check(from, (first + 1).min(end))?;
+            }
+            from = end;
+        }
+        check(from, col_idx.len())
     }
 
     /// Full recoding-enhanced SpMV: UDP-decode, then multiply with `kernel`.

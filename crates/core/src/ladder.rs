@@ -133,6 +133,27 @@ pub(crate) fn vector_traffic(tel: &mut Telemetry, nrows: usize, ncols: usize) ->
     read + write
 }
 
+/// One job of a schedule: the buffer at its block's extent, and the column
+/// rule's verdict on an index block, taken on its lane while the block is
+/// still in that lane's cache.
+pub(crate) struct Extent<'a> {
+    pub bytes: &'a mut [u8],
+    /// Set when the job is an index block whose first attempt decoded and
+    /// whose entries keep [`RecodedSpmv::columns_kept`]'s rule. What is left
+    /// to check of them is the seam: the first entry against the one
+    /// before. Unset, the extent is unchecked (a value block, a block the
+    /// ladder served, or one that breaks the rule, whose error its caller
+    /// finds by checking it whole).
+    pub columns_kept: bool,
+}
+
+impl<'a> Extent<'a> {
+    /// `bytes`, unchecked.
+    pub fn new(bytes: &'a mut [u8]) -> Self {
+        Extent { bytes, columns_kept: false }
+    }
+}
+
 /// The decode engine of one run, with the tally its recovery ladder fills
 /// and the telemetry it reports each settled block to.
 pub(crate) struct Ladder<'a> {
@@ -161,18 +182,20 @@ impl<'a> Ladder<'a> {
     /// then value blocks) and the buffer at its [`RecodedSpmv::extent`] —
     /// into their buffers, and returns their report. The first attempts fan
     /// out over the lanes under `hook` (the `exec.decode_batch` phase on
-    /// this ladder's track); then each job settles, in the order given,
-    /// charging every rung to the report on the lane that ran its first
-    /// attempt ([`AccelReport::charge_lane`]). So the report's makespan is
-    /// the longest lane timeline of these jobs, retries included. A buffer
-    /// whose first attempt failed is unspecified until its job has settled.
+    /// this ladder's track), and each index block's first attempt checks
+    /// its columns on its lane ([`Extent::columns_kept`]); then each job
+    /// settles, in the order given, charging every rung to the report on
+    /// the lane that ran its first attempt ([`AccelReport::charge_lane`]).
+    /// So the report's makespan is the longest lane timeline of these jobs,
+    /// retries included. A buffer whose first attempt failed is unspecified
+    /// until its job has settled.
     ///
     /// # Errors
     /// [`ExecError::Unrecoverable`] for the first job, in the order given,
     /// whose retry fails with no raw store to cover it.
     pub fn decode(
         &mut self,
-        jobs: &mut [(usize, &mut [u8])],
+        jobs: &mut [(usize, Extent<'_>)],
         hook: &FaultHook,
     ) -> ExecResult<AccelReport> {
         let r = self.recoded;
@@ -192,14 +215,18 @@ impl<'a> Ladder<'a> {
         let phase = recorder::phase(self.track, "exec.decode_batch", self.tel.is_some());
         let outcome = self.udp.run_jobs_observed::<_, UdpError, _>(
             jobs,
-            |lane, job, dst| r.decode_job_into(lane, job, dst),
+            |lane, job, dst| {
+                let decoded = r.decode_job_into(lane, job, dst.bytes)?;
+                dst.columns_kept = r.columns_kept(job, dst.bytes);
+                Ok(decoded)
+            },
             hook,
             sink,
         );
         let mut report = outcome.report;
         phase.finish(self.tel.as_deref_mut(), report.seconds(), report.output_bytes);
         for ((job, dst), first) in jobs.iter_mut().zip(outcome.results) {
-            self.settle(*job, first, dst, &mut report)?;
+            self.settle(*job, first, dst.bytes, &mut report)?;
         }
         Ok(report)
     }

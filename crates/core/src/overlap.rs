@@ -41,10 +41,11 @@
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
 use crate::exec::{decoded_invalid, ExecStats, RecodedSpmv};
-use crate::ladder::{report_run, vector_traffic, Ladder, RunCtx};
+use crate::ladder::{report_run, vector_traffic, Extent, Ladder, RunCtx};
 use crate::perfmodel;
 use crate::recorder;
 use crate::telemetry::{StreamKind, Telemetry, TraceDocument, TILED_COUNTERS};
+use recode_codec::words;
 use recode_mem::traffic::TrafficSource;
 use recode_sparse::csr;
 use recode_udp::accel::FaultHook;
@@ -400,6 +401,9 @@ impl<'m> OverlapExecutor<'m> {
         let mut blocks: Vec<(usize, Arc<Vec<u8>>, bool)> =
             Vec::with_capacity((lanes + most_values).min(r.total_jobs()));
         let mut carry: Vec<u8> = Vec::with_capacity(2 * index_bytes + value_bytes);
+        // Per decoded block of a window, in order: whether its lane checked
+        // its columns ([`Extent::columns_kept`]).
+        let mut kept: Vec<bool> = Vec::with_capacity(lanes + most_values);
         let (mut next_value, mut last_col) = (0usize, None);
         let (mut fetched_bytes, mut decoded_bytes, mut peak_resident) = (0usize, 0u64, 0usize);
         for first in (0..n_index).step_by(lanes) {
@@ -416,11 +420,12 @@ impl<'m> OverlapExecutor<'m> {
                 let bytes = hit.unwrap_or_else(|| Arc::new(vec![0u8; r.extent(job).len()]));
                 blocks.push((job, bytes, miss));
             }
-            let mut jobs: Vec<(usize, &mut [u8])> = blocks
+            let mut jobs: Vec<(usize, Extent<'_>)> = blocks
                 .iter_mut()
                 .filter(|(.., miss)| *miss)
                 .map(|(job, bytes, _)| {
-                    (*job, Arc::get_mut(bytes).expect("a fresh block is unshared").as_mut_slice())
+                    let bytes = Arc::get_mut(bytes).expect("a fresh block is unshared");
+                    (*job, Extent::new(bytes))
                 })
                 .collect();
             for (job, _) in &jobs {
@@ -435,6 +440,8 @@ impl<'m> OverlapExecutor<'m> {
                 report.absorb(&window);
                 window.makespan_cycles
             };
+            kept.clear();
+            kept.extend(jobs.iter().map(|(_, extent)| extent.columns_kept));
             drop(jobs);
             decode.push(window_decode);
             let resident: usize = blocks.iter().map(|(_, bytes, _)| bytes.len()).sum();
@@ -443,9 +450,12 @@ impl<'m> OverlapExecutor<'m> {
 
             // The tiles in storage order. A decoded index block is checked
             // against the column before it (hit or miss) before anything
-            // multiplies or caches it; a hit was checked when it was cached.
+            // multiplies or caches it, whole unless its lane checked it; a
+            // hit was checked when it was cached. Misses lead `kept` as
+            // index blocks lead the window.
             let (index, values) = blocks.split_at(tiles.len());
             let mut values = values.iter();
+            let mut kept = kept.iter();
             let keep = |cache: &mut ExecCache, (job, bytes, miss): &(usize, Arc<Vec<u8>>, bool)| {
                 if cached && *miss {
                     cache.insert(r.locate(*job), Arc::clone(bytes));
@@ -455,9 +465,9 @@ impl<'m> OverlapExecutor<'m> {
                 let (job, idx, miss) = block;
                 let k_start = r.extent(*job).start / 4;
                 if *miss {
-                    let cols = idx
-                        .chunks_exact(4)
-                        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte index")));
+                    let cols = words::quads(idx);
+                    let seam = if *kept.next().expect("a flag per miss") { 1 } else { cols.len() };
+                    let cols = &cols[..seam.min(cols.len())];
                     csr::check_columns(&cm.row_ptr, cm.ncols, k_start, last_col, cols)
                         .map_err(|e| decoded_invalid(&e))?;
                 }

@@ -53,6 +53,27 @@ pub fn check_row_ptr(nrows: usize, row_ptr: &[usize], nnz: usize) -> Result<()> 
     Ok(())
 }
 
+/// A stored column index as [`check_columns`] reads it: a native `u32`, or
+/// the four little-endian bytes a decoder wrote.
+pub trait Column: Copy {
+    /// The column.
+    fn col(self) -> u32;
+}
+
+impl Column for u32 {
+    #[inline]
+    fn col(self) -> u32 {
+        self
+    }
+}
+
+impl Column for [u8; 4] {
+    #[inline]
+    fn col(self) -> u32 {
+        u32::from_le_bytes(self)
+    }
+}
+
 /// Checks the column indices of the stored entries `k_start..`, given in
 /// storage order, against a `row_ptr` that passed [`check_row_ptr`]: each is
 /// below `ncols` and above the one before it in its row. `prev` is the
@@ -64,50 +85,84 @@ pub fn check_row_ptr(nrows: usize, row_ptr: &[usize], nnz: usize) -> Result<()> 
 /// # Errors
 /// [`SparseError::IndexOutOfBounds`] or [`SparseError::InvalidStructure`]
 /// for the first entry in storage order that breaks the rule.
-pub fn check_columns(
+pub fn check_columns<C: Column>(
     row_ptr: &[usize],
     ncols: usize,
     k_start: usize,
     prev: Option<u32>,
-    cols: impl IntoIterator<Item = u32>,
+    cols: &[C],
 ) -> Result<()> {
+    /// Entries per pass whose descents a `u32` counts.
+    const CHUNK: usize = 1 << 20;
     let nrows = row_ptr.len() - 1;
-    let mut cols = cols.into_iter();
+    let k_end = (k_start + cols.len()).min(row_ptr[nrows]);
+    if k_end <= k_start {
+        return Ok(());
+    }
+    let cols = &cols[..k_end - k_start];
     // The row holding entry `k_start`: the last whose start is at or before it.
-    let mut row = row_ptr.partition_point(|&p| p <= k_start).saturating_sub(1);
-    let mut k = k_start;
-    // The column before entry `k` in its row, -1 at the row's start: the
-    // entry before `k_start` shares its row only if the row began before it.
-    let mut prev = prev.filter(|_| row_ptr[row] < k_start).map_or(-1, i64::from);
-    // Row by row, one compare per entry on the way through (as fast as a
-    // loop over row slices; a row cursor advanced per entry is not).
-    while row < nrows {
-        let end = row_ptr[row + 1];
-        for c in cols.by_ref().take(end - k) {
-            if c as usize >= ncols || i64::from(c) <= prev {
-                if c as usize >= ncols {
-                    return Err(SparseError::IndexOutOfBounds {
-                        row,
-                        col: c as usize,
-                        nrows,
-                        ncols,
-                    });
-                }
-                return Err(SparseError::InvalidStructure(format!(
-                    "row {row} columns not strictly increasing at position {}",
-                    k - row_ptr[row]
-                )));
-            }
-            prev = i64::from(c);
-            k += 1;
-        }
-        if k < end {
+    let row = row_ptr.partition_point(|&p| p <= k_start).saturating_sub(1);
+    // The rule, over the slice at once: no column at or past `ncols`, and a
+    // column at or below the one before it (a descent) only where a row
+    // starts — so the slice has exactly as many descents as it has row
+    // starts with one, each start counted once (empty rows share one). The
+    // first two are branch-free passes.
+    let over = u32::try_from(ncols)
+        .is_ok_and(|limit| cols.iter().fold(0, |over, c| over | u32::from(c.col() >= limit)) != 0);
+    let descents: usize = (cols[1..].chunks(CHUNK).zip(cols.chunks(CHUNK)))
+        .map(|(next, this)| {
+            next.iter().zip(this).map(|(c, b)| u32::from(c.col() <= b.col())).sum::<u32>() as usize
+        })
+        .sum();
+    let mut at_starts = 0;
+    let mut last = k_start;
+    for &start in &row_ptr[row + 1..] {
+        if start >= k_end {
             break;
         }
-        row += 1;
-        prev = -1;
+        let k = start - k_start;
+        at_starts += usize::from(start != last) & usize::from(cols[k].col() <= cols[k - 1].col());
+        last = start;
     }
-    Ok(())
+    // The entry before `k_start` shares its row only if the row began
+    // before it.
+    let first = row_ptr[row] == k_start || prev.is_none_or(|p| cols[0].col() > p);
+    if !over && descents == at_starts && first {
+        return Ok(());
+    }
+    let prev = prev.filter(|_| row_ptr[row] < k_start).map_or(-1, i64::from);
+    Err(first_broken(row_ptr, ncols, (k_start, row, prev), cols))
+}
+
+/// The error of the first entry of `cols` — entries `k_start..` from row
+/// `row`, after column `prev` (-1 at a row's start) — that breaks
+/// [`check_columns`]' rule, walking them one at a time.
+#[cold]
+fn first_broken<C: Column>(
+    row_ptr: &[usize],
+    ncols: usize,
+    (k_start, mut row, mut prev): (usize, usize, i64),
+    cols: &[C],
+) -> SparseError {
+    let nrows = row_ptr.len() - 1;
+    for (k, c) in (k_start..).zip(cols) {
+        while row_ptr[row + 1] <= k {
+            row += 1;
+            prev = -1;
+        }
+        let c = c.col();
+        if c as usize >= ncols {
+            return SparseError::IndexOutOfBounds { row, col: c as usize, nrows, ncols };
+        }
+        if i64::from(c) <= prev {
+            return SparseError::InvalidStructure(format!(
+                "row {row} columns not strictly increasing at position {}",
+                k - row_ptr[row]
+            ));
+        }
+        prev = i64::from(c);
+    }
+    unreachable!("a slice that breaks the rule has an entry that does")
 }
 
 impl Csr {
@@ -135,7 +190,7 @@ impl Csr {
                 values.len()
             )));
         }
-        check_columns(&row_ptr, ncols, 0, None, col_idx.iter().copied())?;
+        check_columns(&row_ptr, ncols, 0, None, &col_idx)?;
         Ok(Csr { nrows, ncols, row_ptr, col_idx, values })
     }
 
@@ -378,16 +433,39 @@ mod tests {
                 let k = rng.below(cols.len());
                 cols[k] = rng.below(11) as u32;
             }
-            let whole = check_columns(&row_ptr, 10, 0, None, cols.iter().copied());
+            let whole = check_columns(&row_ptr, 10, 0, None, &cols);
             let mut cuts: Vec<usize> = (0..3).map(|_| rng.below(cols.len() + 1)).collect();
             cuts.extend([0, cols.len()]);
             cuts.sort_unstable();
             let pieces = cuts.windows(2).try_for_each(|w| {
                 let prev = w[0].checked_sub(1).map(|k| cols[k]);
-                check_columns(&row_ptr, 10, w[0], prev, cols[w[0]..w[1]].iter().copied())
+                check_columns(&row_ptr, 10, w[0], prev, &cols[w[0]..w[1]])
             });
             let show = |r: &Result<()>| r.as_ref().map_err(ToString::to_string).err();
             assert_eq!(show(&pieces), show(&whole), "cols {cols:?} rows {row_ptr:?} cuts {cuts:?}");
+            // The rule as its words say it, entry by entry.
+            let mut naive = Ok(());
+            'rows: for row in 0..nrows {
+                for k in row_ptr[row]..row_ptr[row + 1] {
+                    let (c, at) = (cols[k], k - row_ptr[row]);
+                    naive = if c >= 10 {
+                        Err(SparseError::IndexOutOfBounds {
+                            row,
+                            col: c as usize,
+                            nrows,
+                            ncols: 10,
+                        })
+                    } else if at > 0 && c <= cols[k - 1] {
+                        Err(SparseError::InvalidStructure(format!(
+                            "row {row} columns not strictly increasing at position {at}"
+                        )))
+                    } else {
+                        continue;
+                    };
+                    break 'rows;
+                }
+            }
+            assert_eq!(show(&whole), show(&naive), "cols {cols:?} rows {row_ptr:?}");
         });
     }
 

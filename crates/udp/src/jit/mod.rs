@@ -67,7 +67,7 @@
 //! ## The bail-and-rerun contract
 //!
 //! Compiled code handles the *success* path exactly: architectural state
-//! (registers, scratchpad, stream position, `dirty_hi`), modeled cycles,
+//! (registers, scratchpad, stream position, the dirty-granule mask), modeled cycles,
 //! dispatch/action counts, and opclass attribution are all byte-identical
 //! to the interpreter's. On **any** abnormal condition — a trap
 //! precondition (scratchpad bounds, stream underflow, unmapped dispatch),
@@ -214,7 +214,7 @@ const N_MEM: Reg = RBP;
 const N_STREAM: Reg = RDI;
 /// Scratchpad base.
 const SCRATCH: Reg = R12;
-/// Scratchpad dirty high-water mark.
+/// Scratchpad dirty-granule mask (see `Lane`'s `dirty`).
 const DIRTY: Reg = R13;
 /// Dispatch table base.
 const TABLE: Reg = R14;
@@ -244,8 +244,8 @@ pub struct JitState {
     pub(crate) table: *const usize,
     /// 0 = clean halt, 1 = bail (re-run the interpreter).
     pub(crate) status: u64,
-    /// Scratchpad dirty high-water mark (written on halt and on bail).
-    pub(crate) dirty_hi: u64,
+    /// Scratchpad dirty-granule mask (written on halt and on bail).
+    pub(crate) dirty: u64,
     /// Modeled cycles (written on a clean halt).
     pub(crate) cycles: u64,
     /// Opclass attribution: ALU cycles (halt, and spilled around helpers).
@@ -518,13 +518,18 @@ impl Lower {
         self.bail.push(self.a.jcc_rel32(Cc::A));
     }
 
-    /// `dirty_hi = max(dirty_hi, RAX + width)`, leaving `RAX + width` in
-    /// RCX for post-increment reuse.
+    /// RCX = `RAX + width`, the end of the store just emitted.
     #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
-    fn update_dirty_hi(&mut self, width: usize) {
+    fn store_end(&mut self, width: usize) {
         self.a.lea(RCX, Mem::base(RAX, width as i32));
-        self.a.alu_rr(Alu::Cmp, RCX, DIRTY);
-        self.a.cmov(Cc::A, DIRTY, RCX);
+    }
+
+    /// Marks the granule holding the store end in RCX (clobbered): `bts`
+    /// takes its bit number mod 64, so an end at the pad's end marks bit 0,
+    /// as the interpreter's mark does.
+    fn mark_dirty(&mut self) {
+        self.a.shr32_ri(RCX, crate::lane::GRANULE_SHIFT);
+        self.a.bts(DIRTY, RCX);
     }
 
     fn scratch_load(&mut self, dst: Reg, width: usize) {
@@ -614,7 +619,8 @@ impl Lower {
                 self.mem_address(base, offset, w);
                 self.read_reg(RDX, rs);
                 self.scratch_store(RDX, w);
-                self.update_dirty_hi(w);
+                self.store_end(w);
+                self.mark_dirty();
             }
             Action::LoadInc { rd, base, width } => {
                 let w = width.bytes();
@@ -631,8 +637,9 @@ impl Lower {
                 self.mem_address(base, 0, w);
                 self.read_reg(RDX, rs);
                 self.scratch_store(RDX, w);
-                self.update_dirty_hi(w); // leaves RAX + w in RCX
+                self.store_end(w);
                 self.write_reg(base, RCX);
+                self.mark_dirty();
             }
             Action::InSym { rd, bits } => {
                 self.stream_value(StreamOp::Read, bits);
@@ -965,11 +972,11 @@ impl Lower {
     /// every buffered stream operation. Returns the bail stub's offset.
     #[allow(clippy::cast_possible_wrap)]
     fn emit_cold(&mut self) -> usize {
-        // Bail: only the dirty high-water mark survives (the next prologue
+        // Bail: only the dirty-granule mask survives (the next prologue
         // must zero everything the compiled code stored).
         let bail_at = self.a.here();
         self.a.store_imm(st(offset_of!(JitState, status)), 1);
-        self.a.store(st(offset_of!(JitState, dirty_hi)), DIRTY);
+        self.a.store(st(offset_of!(JitState, dirty)), DIRTY);
         let to_pops = self.a.jmp_rel32();
 
         let halt_at = self.a.here();
@@ -978,7 +985,7 @@ impl Lower {
             (offset_of!(JitState, oc_alu), N_ALU),
             (offset_of!(JitState, oc_mem), N_MEM),
             (offset_of!(JitState, oc_stream), N_STREAM),
-            (offset_of!(JitState, dirty_hi), DIRTY),
+            (offset_of!(JitState, dirty), DIRTY),
         ] {
             self.a.store(st(field), r);
         }

@@ -384,14 +384,6 @@ impl Asm {
         self.u8(0xC0 | 3 << 3 | (dst.0 & 7));
     }
 
-    /// `cmovcc dst, src` (64-bit).
-    pub fn cmov(&mut self, cc: Cc, dst: Reg, src: Reg) {
-        self.rex(true, dst.0, 0, src.0);
-        self.u8(0x0F);
-        self.u8(0x40 | cc as u8);
-        self.u8(0xC0 | (dst.0 & 7) << 3 | (src.0 & 7));
-    }
-
     /// `xor dst32, dst32` — the canonical zeroing idiom.
     pub fn zero(&mut self, dst: Reg) {
         self.rex(false, dst.0, 0, dst.0);
@@ -436,6 +428,14 @@ impl Asm {
         self.u8(amount);
     }
 
+    /// `shr dst32, imm8` (32-bit: the upper half of `dst` is cleared).
+    pub fn shr32_ri(&mut self, dst: Reg, amount: u8) {
+        self.rex(false, 0, 0, dst.0);
+        self.u8(0xC1);
+        self.u8(0xC0 | 5 << 3 | (dst.0 & 7));
+        self.u8(amount);
+    }
+
     /// `sar dst, imm8` (arithmetic: sign-extends a field shifted to the top).
     pub fn sar_ri(&mut self, dst: Reg, amount: u8) {
         self.rex(true, 0, 0, dst.0);
@@ -456,6 +456,14 @@ impl Asm {
         self.rex(true, 0, 0, dst.0);
         self.u8(0xD3);
         self.u8(0xC0 | 5 << 3 | (dst.0 & 7));
+    }
+
+    /// `bts dst, src` (64-bit: sets bit `src mod 64` of `dst`).
+    pub fn bts(&mut self, dst: Reg, src: Reg) {
+        self.rex(true, src.0, 0, dst.0);
+        self.u8(0x0F);
+        self.u8(0xAB);
+        self.u8(0xC0 | (src.0 & 7) << 3 | (dst.0 & 7));
     }
 
     /// `bswap dst` (64-bit byte reversal — big-endian bit-stream loads).
@@ -611,7 +619,9 @@ mod tests {
         assert_eq!(bytes_of(|a| a.sar_ri(RAX, 48)), [0x48, 0xC1, 0xF8, 48]);
         // Table lookup: a dword row at [table + window*4].
         assert_eq!(bytes_of(|a| a.load32(RDX, Mem::index(RCX, RAX, 2, 0))), [0x8B, 0x14, 0x81]);
-        assert_eq!(bytes_of(|a| a.cmov(Cc::A, R13, RCX)), [0x4C, 0x0F, 0x47, 0xE9]);
+        // The dirty-granule mark: `shr ecx, 10; bts r13, rcx`.
+        assert_eq!(bytes_of(|a| a.shr32_ri(RCX, 10)), [0xC1, 0xE9, 10]);
+        assert_eq!(bytes_of(|a| a.bts(R13, RCX)), [0x49, 0x0F, 0xAB, 0xCD]);
     }
 
     #[test]
@@ -718,12 +728,12 @@ mod tests {
     #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
     #[test]
     fn local_stub_is_called_and_returned_through() {
-        // fn(a, b) -> 2 * max(a, b) - 1, the doubling done by a stub behind
-        // the function's own `ret`.
+        // fn(a, b) -> 2 * (a with bit (b as u32 >> 10) mod 64 set) - 1, the
+        // doubling done by a stub behind the function's own `ret`.
         let mut a = Asm::new();
         a.mov_rr(RAX, RDI);
-        a.alu_rr(Alu::Cmp, RSI, RAX);
-        a.cmov(Cc::A, RAX, RSI);
+        a.shr32_ri(RSI, 10);
+        a.bts(RAX, RSI);
         let call = a.call_rel32();
         a.neg(RAX);
         a.ret();
@@ -734,8 +744,9 @@ mod tests {
         a.alu_ri(Alu::Add, RAX, 1);
         a.ret();
         let f = published(&a.into_bytes());
-        for (x, y) in [(0u64, 1u64), (7, 3), (3, 7), (1 << 40, 5), (9, 9)] {
-            assert_eq!(f(x, y), 2 * x.max(y) - 1, "x={x} y={y}");
+        for (x, y) in [(0u64, 1u64), (7, 3 << 10), (3, 7 << 10), (1 << 40, 65536), (9, 1 << 40)] {
+            let set = x | 1 << ((y as u32 >> 10) % 64);
+            assert_eq!(f(x, y), (2 * set).wrapping_sub(1), "x={x} y={y}");
         }
     }
 

@@ -206,6 +206,18 @@ pub const OUT_BASE: u32 = (SCRATCHPAD_BYTES - OUTPUT_WINDOW_BYTES) as u32;
 /// Cycles after which a run traps.
 pub const CYCLE_LIMIT: u64 = 200_000_000;
 
+/// log2 of the granule the scratchpad's dirty mask tracks: 1 KiB, so the
+/// 64 KB pad is 64 granules, one bit each of a `u64`.
+pub(crate) const GRANULE_SHIFT: u8 = 10;
+const _: () = assert!(SCRATCHPAD_BYTES >> GRANULE_SHIFT == 64);
+
+/// The dirty-mask bit of a store that ends (exclusive) at `end`: the granule
+/// holding its end, mod 64, so an end at the pad's end is bit 0.
+#[inline]
+fn granule_bit(end: usize) -> u64 {
+    1 << ((end >> GRANULE_SHIFT) & 63)
+}
+
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig { out_base: OUT_BASE, cycle_limit: CYCLE_LIMIT, allow_unverified: false }
@@ -228,8 +240,8 @@ pub struct RunResult {
 }
 
 /// The modeled-machine half of a [`RunResult`]: everything except the output
-/// bytes, which [`Lane::run_into`] writes into a caller-owned buffer instead
-/// of allocating.
+/// bytes, which [`Lane::run_in_scratch`] leaves in place for its caller to
+/// copy instead of allocating.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Total cycles consumed (dispatches + actions).
@@ -477,10 +489,15 @@ pub(crate) use jit_helpers::{
 pub struct Lane {
     scratch: Vec<u8>,
     regs: [u64; NUM_REGS],
-    /// High-water mark of scratchpad bytes dirtied by stores since the last
-    /// clear: the prologue zeroes only `scratch[..dirty_hi]` instead of all
-    /// 64 KB. Invariant: outside `[0, dirty_hi)` the scratchpad is zero.
-    dirty_hi: usize,
+    /// The 1 KiB granules stores have dirtied since the last clear: a store
+    /// of `w` bytes at `addr` sets [`granule_bit`]`(addr + w)`. A store is at
+    /// most 8 bytes, so it wrote only in its end's granule and the 8 bytes
+    /// below it. Invariant: the scratchpad is zero outside the marked
+    /// granules, the 8 bytes below each, and — when bit 0 is set, which a
+    /// store ending at the pad's end also sets — the pad's last 8 bytes.
+    dirty: u64,
+    /// Bytes the prologue has zeroed (see [`Lane::prologue_clear_bytes`]).
+    cleared_bytes: u64,
     /// Helper calls compiled runs on this lane have made (see
     /// [`Lane::jit_helper_calls`]).
     jit_helper_calls: u64,
@@ -516,7 +533,8 @@ impl Lane {
         Lane {
             scratch: vec![0u8; SCRATCHPAD_BYTES],
             regs: [0; NUM_REGS],
-            dirty_hi: 0,
+            dirty: 0,
+            cleared_bytes: 0,
             jit_helper_calls: 0,
             jit_bails: 0,
             io_a: Vec::with_capacity(OUTPUT_WINDOW_BYTES),
@@ -539,6 +557,13 @@ impl Lane {
     #[doc(hidden)]
     pub fn jit_bails(&self) -> u64 {
         self.jit_bails
+    }
+
+    /// Lifetime count of scratchpad bytes the prologue zeroed: what the
+    /// dirty mask leaves of the 64 KB a run could have dirtied.
+    #[doc(hidden)]
+    pub fn prologue_clear_bytes(&self) -> u64 {
+        self.cleared_bytes
     }
 
     /// Debug-only check that a completing run's modeled cycles landed
@@ -582,13 +607,32 @@ impl Lane {
         if verify_errors > 0 && !cfg.allow_unverified {
             return Err(LaneError::Unverified { errors: verify_errors });
         }
-        // Only the prefix a previous run dirtied needs zeroing; everything
-        // past `dirty_hi` is still zero from `new()` or an earlier clear.
-        self.scratch[..self.dirty_hi].fill(0);
-        self.dirty_hi = 0;
+        self.clear_dirty();
         self.regs = [0; NUM_REGS];
         self.regs[14] = cfg.out_base as u64;
         Ok(())
+    }
+
+    /// Zeroes what the marked granules may hold (see `dirty`), a run of
+    /// adjacent granules at a time, and unmarks them; the rest of the pad is
+    /// still zero from `new()` or an earlier clear.
+    fn clear_dirty(&mut self) {
+        let mut marks = std::mem::take(&mut self.dirty);
+        let mut cleared = 0;
+        if marks & 1 != 0 {
+            self.scratch[SCRATCHPAD_BYTES - 8..].fill(0);
+            cleared += 8;
+        }
+        while marks != 0 {
+            let first = marks.trailing_zeros();
+            let end = first + (marks >> first).trailing_ones();
+            let bytes = ((first as usize) << GRANULE_SHIFT).saturating_sub(8)
+                ..(end as usize) << GRANULE_SHIFT;
+            cleared += bytes.len();
+            self.scratch[bytes].fill(0);
+            marks &= u64::MAX.checked_shl(end).unwrap_or(0);
+        }
+        self.cleared_bytes += cleared as u64;
     }
 
     /// Dispatch accounting + action execution for one code block. Order is
@@ -674,12 +718,6 @@ impl Lane {
     /// first) instead of allocating a fresh `Vec` — with a warm `out`
     /// buffer the whole call is allocation-free.
     ///
-    /// Dispatches to the image's compiled JIT artifact when one is present
-    /// (x86-64, `RECODE_NO_JIT` unset); otherwise — and whenever the
-    /// compiled code bails — runs [`Lane::run_into_interp`]. Both tiers are
-    /// bit-exact on outputs, modeled cycles, opclass attribution, and
-    /// traps; the differential suite pins that.
-    ///
     /// # Errors
     /// Any [`LaneError`] trap (on error, `out` contents are unspecified).
     pub fn run_into(
@@ -690,12 +728,41 @@ impl Lane {
         cfg: RunConfig,
         out: &mut Vec<u8>,
     ) -> Result<RunStats, LaneError> {
-        if let Some(jit) = image.jit() {
-            if crate::jit::enabled() {
-                return self.run_into_jit(image, jit, input, input_bits, cfg, out);
+        let (stats, bytes) = self.run_in_scratch(image, input, input_bits, cfg)?;
+        out.clear();
+        out.extend_from_slice(bytes);
+        Ok(stats)
+    }
+
+    /// The run entry point `run`, `run_into` and the stage chain share:
+    /// executes `image` over `input` and returns the run's statistics with
+    /// its output window, in place in the scratchpad (valid until the lane's
+    /// next run), so the caller copies the bytes straight to wherever they
+    /// belong.
+    ///
+    /// Dispatches to the image's compiled JIT artifact when one is present
+    /// (x86-64, `RECODE_NO_JIT` unset); otherwise — and whenever the
+    /// compiled code bails — runs the predecoded interpreter
+    /// ([`Lane::run_into_interp`]). Both tiers are bit-exact on outputs,
+    /// modeled cycles, opclass attribution, and traps; the differential
+    /// suite pins that.
+    ///
+    /// # Errors
+    /// Any [`LaneError`] trap.
+    pub fn run_in_scratch(
+        &mut self,
+        image: &Image,
+        input: &[u8],
+        input_bits: usize,
+        cfg: RunConfig,
+    ) -> Result<(RunStats, &[u8]), LaneError> {
+        let (stats, range) = match image.jit() {
+            Some(jit) if crate::jit::enabled() => {
+                self.run_jit(image, jit, input, input_bits, cfg)?
             }
-        }
-        self.run_into_interp(image, input, input_bits, cfg, out)
+            _ => self.run_interp(image, input, input_bits, cfg)?,
+        };
+        Ok((stats, &self.scratch[range]))
     }
 
     /// The portable interpreter tier: indexes the image's predecoded block
@@ -713,6 +780,21 @@ impl Lane {
         cfg: RunConfig,
         out: &mut Vec<u8>,
     ) -> Result<RunStats, LaneError> {
+        let (stats, range) = self.run_interp(image, input, input_bits, cfg)?;
+        out.clear();
+        out.extend_from_slice(&self.scratch[range]);
+        Ok(stats)
+    }
+
+    /// The interpreter tier's run: the stats and the output window's
+    /// scratchpad range.
+    fn run_interp(
+        &mut self,
+        image: &Image,
+        input: &[u8],
+        input_bits: usize,
+        cfg: RunConfig,
+    ) -> Result<(RunStats, std::ops::Range<usize>), LaneError> {
         self.prologue(image, input, input_bits, cfg)?;
         let mut stream = StreamUnit::new(input, input_bits);
         let mut acct = Accounting::default();
@@ -731,30 +813,28 @@ impl Lane {
             }
         }
         let range = self.output_range(cfg)?;
-        out.clear();
-        out.extend_from_slice(&self.scratch[range]);
         Self::debug_assert_in_envelope(image, acct.cycles, input_bits);
-        Ok(RunStats {
+        let stats = RunStats {
             cycles: acct.cycles,
             dispatches: acct.dispatches,
             actions: acct.actions,
             opclass: acct.opclass,
-        })
+        };
+        Ok((stats, range))
     }
 
     /// The compiled tier: runs the image's published machine code, falling
     /// back to a full interpreter re-run whenever it bails (lane execution
     /// is deterministic, so the re-run reproduces the exact trap).
     #[allow(clippy::cast_possible_truncation)]
-    fn run_into_jit(
+    fn run_jit(
         &mut self,
         image: &Image,
         jit: &crate::jit::LaneJit,
         input: &[u8],
         input_bits: usize,
         cfg: RunConfig,
-        out: &mut Vec<u8>,
-    ) -> Result<RunStats, LaneError> {
+    ) -> Result<(RunStats, std::ops::Range<usize>), LaneError> {
         self.prologue(image, input, input_bits, cfg)?;
         if !jit.quick_check() {
             return Err(LaneError::JitInvalid);
@@ -767,7 +847,7 @@ impl Lane {
             scratch: self.scratch.as_mut_ptr(),
             table: jit.table().as_ptr(),
             status: 0,
-            dirty_hi: 0,
+            dirty: 0,
             cycles: 0,
             oc_alu: 0,
             oc_mem: 0,
@@ -785,25 +865,23 @@ impl Lane {
         // published pages.
         unsafe { jit.run(&mut st) };
         self.jit_helper_calls += st.helper_calls;
-        // Fold the compiled code's dirty high-water mark in *before* any
-        // rerun or return: the next prologue must zero everything the
-        // compiled code stored, or stale bytes leak into the next run.
-        self.dirty_hi = self.dirty_hi.max(st.dirty_hi as usize);
+        // Fold the compiled code's dirty granules in *before* any rerun or
+        // return: the next prologue must zero everything the compiled code
+        // stored, or stale bytes leak into the next run.
+        self.dirty |= st.dirty;
         if st.status != 0 {
             self.jit_bails += 1;
-            return self.run_into_interp(image, input, input_bits, cfg, out);
+            return self.run_interp(image, input, input_bits, cfg);
         }
         self.regs = st.regs;
         let range = self.output_range(cfg)?;
-        out.clear();
-        out.extend_from_slice(&self.scratch[range]);
         Self::debug_assert_in_envelope(image, st.cycles, input_bits);
         // Every block charged `1 + actions` cycles and its actions by
         // class, all at entry, so after a clean halt the class counts sum
         // to the actions and the rest of the cycles are the dispatches.
         let actions = st.oc_alu + st.oc_mem + st.oc_stream;
         let dispatches = st.cycles - actions;
-        Ok(RunStats {
+        let stats = RunStats {
             cycles: st.cycles,
             dispatches,
             actions,
@@ -813,7 +891,8 @@ impl Lane {
                 mem: st.oc_mem,
                 stream: st.oc_stream,
             },
-        })
+        };
+        Ok((stats, range))
     }
 
     /// The word-at-a-time interpreter: decodes every code word at dispatch
@@ -921,7 +1000,7 @@ impl Lane {
                 for k in 0..w {
                     self.scratch[addr + k] = (v >> (8 * k)) as u8;
                 }
-                self.dirty_hi = self.dirty_hi.max(addr + w);
+                self.dirty |= granule_bit(addr + w);
             }
             Action::LoadInc { rd, base, width } => {
                 let w = width.bytes();
@@ -942,7 +1021,7 @@ impl Lane {
                 for k in 0..w {
                     self.scratch[addr + k] = (v >> (8 * k)) as u8;
                 }
-                self.dirty_hi = self.dirty_hi.max(addr + w);
+                self.dirty |= granule_bit(addr + w);
                 self.set_reg(base, self.reg(base).wrapping_add(w as u64));
             }
             Action::InSym { rd, bits } => {

@@ -22,7 +22,7 @@ pub mod snappy;
 
 use crate::accel::{JobOutcome, StageCycles};
 use crate::error::UdpError;
-use crate::lane::{Lane, LaneError, RunConfig, OUTPUT_WINDOW_BYTES};
+use crate::lane::{Lane, RunConfig, OUTPUT_WINDOW_BYTES};
 use crate::machine::Image;
 use recode_codec::block::CompressedBlock;
 use recode_codec::pipeline::PipelineConfig;
@@ -124,20 +124,13 @@ impl DshDecoder {
         if block.uncompressed_len != dst.len() {
             return Err(length_mismatch(seq, dst.len(), block.uncompressed_len));
         }
-        // The stage chain ping-pongs through the lane's two spare buffers,
-        // so a warm lane runs the whole chain without allocating. They go
-        // back to the lane on every exit path: a trap must not cost the
-        // lane's next block its buffers.
+        // The stages before the last ping-pong through the lane's two spare
+        // buffers, so a warm lane runs the whole chain without allocating.
+        // They go back to the lane on every exit path: a trap must not cost
+        // the lane's next block its buffers.
         let mut cur = std::mem::take(&mut lane.io_a);
         let mut nxt = std::mem::take(&mut lane.io_b);
-        let placed = match self.run_stages(lane, block, &mut cur, &mut nxt) {
-            Ok(outcome) if cur.len() == dst.len() => {
-                dst.copy_from_slice(&cur);
-                Ok(JobOutcome { output_bytes: dst.len() as u64, ..outcome })
-            }
-            Ok(_) => Err(length_mismatch(seq, dst.len(), cur.len())),
-            Err(trap) => Err(UdpError::from(trap).with_block(seq)),
-        };
+        let placed = self.run_stages(lane, block, &mut cur, &mut nxt, dst);
         lane.io_a = cur;
         lane.io_b = nxt;
         placed
@@ -162,40 +155,50 @@ impl DshDecoder {
     }
 
     /// The stage chain: each enabled stage reads the previous one's output
-    /// (the first reads the payload) and writes `nxt`, which then becomes
-    /// `cur`. On `Ok`, `cur` holds the decoded block.
+    /// (the first reads the payload); the ones before the last write `nxt`,
+    /// which then becomes `cur`, and the last one's output window goes from
+    /// the scratchpad straight into `dst`, once its length is checked.
     fn run_stages(
         &self,
         lane: &mut Lane,
         block: &CompressedBlock,
         cur: &mut Vec<u8>,
         nxt: &mut Vec<u8>,
-    ) -> Result<JobOutcome, LaneError> {
+        dst: &mut [u8],
+    ) -> Result<JobOutcome, UdpError> {
+        let seq = block.seq as usize;
         let cfg = RunConfig::default();
         let mut outcome = JobOutcome::default();
         let mut per_stage = [0u64; 3];
-        let mut staged = false;
-        for (image, stage) in [&self.huffman, &self.snappy, &self.delta].into_iter().zip(0..) {
-            let Some(image) = image else { continue };
-            let (input, bits) = if staged {
-                (cur.as_slice(), cur.len() * 8)
-            } else {
-                (block.payload.as_slice(), block.bit_len)
-            };
-            let r = lane.run_into(image, input, bits, cfg, nxt)?;
+        let mut stages = [&self.huffman, &self.snappy, &self.delta]
+            .into_iter()
+            .zip(0..)
+            .filter_map(|(image, stage)| Some((image.as_ref()?, stage)))
+            .peekable();
+        let (mut input, mut bits) = (block.payload.as_slice(), block.bit_len);
+        if stages.peek().is_none() {
+            // No stage enabled: the payload is the block.
+            place(seq, input, dst)?;
+        }
+        while let Some((image, stage)) = stages.next() {
+            let (r, out) = lane
+                .run_in_scratch(image, input, bits, cfg)
+                .map_err(|trap| UdpError::from(trap).with_block(seq))?;
             outcome.cycles += r.cycles;
             outcome.opclass.merge(&r.opclass);
             per_stage[stage] = r.cycles;
-            std::mem::swap(cur, nxt);
-            staged = true;
-        }
-        if !staged {
-            // No stage enabled: the payload is the block.
-            cur.clear();
-            cur.extend_from_slice(&block.payload);
+            if stages.peek().is_none() {
+                place(seq, out, dst)?;
+            } else {
+                nxt.clear();
+                nxt.extend_from_slice(out);
+                std::mem::swap(cur, nxt);
+                (input, bits) = (cur.as_slice(), cur.len() * 8);
+            }
         }
         let [huffman, snappy, delta] = per_stage;
         outcome.stage_cycles = StageCycles { huffman, snappy, delta };
+        outcome.output_bytes = dst.len() as u64;
         Ok(outcome)
     }
 
@@ -207,6 +210,16 @@ impl DshDecoder {
             .map(|image| image.code_bytes())
             .sum()
     }
+}
+
+/// Copies block `seq`'s decoded `output` into its extent `dst`, which it
+/// must fill exactly.
+fn place(seq: usize, output: &[u8], dst: &mut [u8]) -> Result<(), UdpError> {
+    if output.len() != dst.len() {
+        return Err(length_mismatch(seq, dst.len(), output.len()));
+    }
+    dst.copy_from_slice(output);
+    Ok(())
 }
 
 /// Block `seq` holds (or declares) `actual` bytes where its extent is

@@ -679,14 +679,14 @@ impl Iv {
 
 impl fmt::Display for Iv {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let end = |v: i128, bound: i128| -> String {
+        let end = |v: i128, bound: i128, infinite: &str| -> String {
             if v == bound {
-                "∞".into()
+                infinite.into()
             } else {
                 v.to_string()
             }
         };
-        write!(f, "[{}, {}]", end(self.lo, IV_MIN), end(self.hi, IV_MAX))
+        write!(f, "[{}, {}]", end(self.lo, IV_MIN, "-∞"), end(self.hi, IV_MAX, "∞"))
     }
 }
 

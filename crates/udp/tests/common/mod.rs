@@ -53,7 +53,7 @@ pub fn differential(
 }
 
 /// [`differential`] on caller-owned lanes, one per tier: a sweep of many
-/// small runs then also exercises lane recycling (the dirty high-water mark
+/// small runs then also exercises lane recycling (the dirty-granule mask
 /// each tier hands to the next prologue).
 pub fn differential_on(
     lanes: &mut [Lane; 3],

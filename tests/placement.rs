@@ -292,13 +292,51 @@ fn seam_operand() -> CompressedMatrix {
     cm
 }
 
+/// Row 0 holds columns `0..400` in 516-byte index blocks (129 entries each),
+/// except for `breaks`, each an entry and the column it holds instead.
+fn broken_row(breaks: &[(usize, u32)]) -> CompressedMatrix {
+    let mut cols: Vec<u32> = (0..400).collect();
+    for &(k, col) in breaks {
+        cols[k] = col;
+    }
+    let a = Csr::from_parts_unchecked(1, 400, vec![0, 400], cols, vec![1.0; 400]);
+    let index = PipelineConfig { block_bytes: 516, ..PipelineConfig::dsh_udp() };
+    CompressedMatrix::compress(&a, MatrixCodecConfig { index, value: PipelineConfig::sh_udp() })
+        .unwrap()
+}
+
+/// Every schedule's result on `r` under `hook`: the batch plain and traced,
+/// the hook-free streaming walk, and the overlapped walker cold, warm and
+/// traced.
+fn every_schedule(
+    r: &RecodedSpmv,
+    sys: &SystemConfig,
+    hook: &FaultHook,
+    what: &str,
+) -> [(&'static str, Result<Vec<f64>, ExecError>); 6] {
+    let x = vec![1.0; r.compressed().ncols];
+    let ctx = || RunCtx { hook: Some(hook), ..RunCtx::default() };
+    let overlap = OverlapExecutor::new(r, OverlapConfig { cache_blocks: 16, ..Default::default() });
+    [
+        ("batch", r.spmv_with(sys, SpmvKernel::Serial, &x, ctx()).map(|(y, _)| y)),
+        ("traced batch", r.spmv_traced(sys, SpmvKernel::Serial, &x, ctx(), what).map(|(y, ..)| y)),
+        ("streaming", r.spmv_streaming(&x).map(|(y, _)| y)),
+        ("overlap", overlap.spmv_with(sys, &x, ctx()).map(|(y, _)| y)),
+        ("overlap, warm", overlap.spmv_with(sys, &x, ctx()).map(|(y, _)| y)),
+        ("traced overlap", overlap.spmv_traced(sys, &x, ctx(), what).map(|(y, ..)| y)),
+    ]
+}
+
 /// Operands whose blocks all pass their CRCs but whose entries break CSR's
 /// rule — a header that shrinks the shape under a stored column, columns
 /// out of order inside a row (within a block, and across the seam between
-/// two index blocks), a `row_ptr` that goes backwards — are refused with
-/// one typed error on every schedule: the tile walker checks a decoded
-/// index block's columns before it multiplies or caches it, warm calls
-/// included, with the rule the batch checks the assembled matrix with.
+/// two index blocks), two blocks that break it at once, a `row_ptr` that
+/// goes backwards — are refused with one typed error, the first break in
+/// storage order, on every schedule: each lane checks the index block it
+/// decoded, and the calling thread checks the seams, in storage order, and
+/// whole the blocks it recovered — here, the breaking block's first
+/// attempt trapped and retried. The tile walker checks a decoded index
+/// block before it multiplies or caches it, warm calls included.
 #[test]
 fn every_schedule_refuses_entries_that_break_csr() {
     let sys = SystemConfig::ddr4();
@@ -307,7 +345,14 @@ fn every_schedule_refuses_entries_that_break_csr() {
         Csr::from_parts_unchecked(row_ptr.len() - 1, 4, row_ptr, cols, values)
     };
     let compress = |a: &Csr| CompressedMatrix::compress(a, MatrixCodecConfig::udp_dsh()).unwrap();
-    let cases: [(&str, CompressedMatrix, &str); 4] = [
+    let out_of_order = |row: usize, at: usize| {
+        format!(
+            "decoded matrix invalid: invalid structure: row {row} columns not strictly \
+             increasing at position {at}"
+        )
+    };
+    // (what, operand, the index block that breaks the rule first, error)
+    let cases: [(&str, CompressedMatrix, usize, String); 7] = [
         (
             ".rcmx header says 3 columns, row 0 stores column 3",
             {
@@ -315,19 +360,38 @@ fn every_schedule_refuses_entries_that_break_csr() {
                 cm.ncols = 3;
                 CompressedMatrix::from_bytes(&cm.to_bytes()).unwrap()
             },
-            "decoded matrix invalid: entry (0, 3) outside matrix shape 4x3",
+            0,
+            "decoded matrix invalid: entry (0, 3) outside matrix shape 4x3".into(),
         ),
         (
             "row 2 stores column 2 before column 1",
             compress(&four_cols(vec![1, 3, 0, 2, 1], vec![0, 2, 3, 5, 5])),
-            "decoded matrix invalid: invalid structure: row 2 columns not strictly increasing \
-             at position 1",
+            0,
+            out_of_order(2, 1),
         ),
         (
             "row 0 repeats a column across the seam of two index blocks",
             seam_operand(),
-            "decoded matrix invalid: invalid structure: row 0 columns not strictly increasing \
-             at position 129",
+            1,
+            out_of_order(0, 129),
+        ),
+        (
+            "block 1 stores column 9999, block 2 repeats a column",
+            broken_row(&[(300, 299), (200, 9999)]),
+            1,
+            "decoded matrix invalid: entry (0, 9999) outside matrix shape 1x400".into(),
+        ),
+        (
+            "block 2 repeats a column across its seam, block 3 stores column 9999",
+            broken_row(&[(390, 9999), (258, 257)]),
+            2,
+            out_of_order(0, 258),
+        ),
+        (
+            "block 1 repeats a column, block 2 breaks at its seam",
+            broken_row(&[(258, 100), (140, 139)]),
+            1,
+            out_of_order(0, 140),
         ),
         (
             "row_ptr [0, 4, 2, 5]",
@@ -336,32 +400,54 @@ fn every_schedule_refuses_entries_that_break_csr() {
                 cm.row_ptr = vec![0, 4, 2, 5];
                 cm
             },
-            "declared matrix invalid: invalid structure: row_ptr decreases at row 1",
+            0,
+            "declared matrix invalid: invalid structure: row_ptr decreases at row 1".into(),
         ),
     ];
-    for (what, cm, want) in cases {
-        let want = ExecError::Reassembly(want.to_string());
+    for (what, cm, job, want) in cases {
+        let want = ExecError::Reassembly(want);
         let r = RecodedSpmv::from_compressed(cm).unwrap();
-        let x = vec![1.0; r.compressed().ncols];
-        let overlap =
-            OverlapExecutor::new(&r, OverlapConfig { cache_blocks: 16, ..Default::default() });
-        let schedules: [(&str, Result<Vec<f64>, ExecError>); 6] = [
-            ("batch", r.spmv(&sys, SpmvKernel::Serial, &x).map(|(y, _)| y)),
-            (
-                "traced batch",
-                r.spmv_traced(&sys, SpmvKernel::Serial, &x, RunCtx::default(), what)
-                    .map(|(y, ..)| y),
-            ),
-            ("streaming", r.spmv_streaming(&x).map(|(y, _)| y)),
-            ("overlap", overlap.spmv(&sys, &x).map(|(y, _)| y)),
-            ("overlap, warm", overlap.spmv(&sys, &x).map(|(y, _)| y)),
-            (
-                "traced overlap",
-                overlap.spmv_traced(&sys, &x, RunCtx::default(), what).map(|(y, ..)| y),
-            ),
-        ];
-        for (schedule, got) in schedules {
-            assert_eq!(got, Err(want.clone()), "{what}, on {schedule}");
+        for (hooked, hook) in [("", FaultHook::new()), (", retried", FaultHook::new().trap(job))] {
+            for (schedule, got) in every_schedule(&r, &sys, &hook, what) {
+                assert_eq!(got, Err(want.clone()), "{what}{hooked}, on {schedule}");
+            }
         }
+    }
+}
+
+/// What keeps the rule passes on every schedule, through every rung: random
+/// valid CSRs in whole-column index blocks, plain and with one block's
+/// first attempt trapped; and a block that fails its CRC and is served from
+/// the raw store, whose entries the calling thread checks.
+#[test]
+fn every_schedule_accepts_entries_that_keep_the_rule() {
+    let sys = SystemConfig::ddr4();
+    let y_of = |a: &Csr| spmv(a, &vec![1.0; a.ncols()]);
+    for_each_case(0xC01_0C4E, 24, |rng| {
+        let a = random_csr(rng);
+        let index = PipelineConfig {
+            block_bytes: random_block_bytes(rng, 4 * a.nnz(), true),
+            ..PipelineConfig::dsh_udp()
+        };
+        let value = PipelineConfig { block_bytes: 1020, ..PipelineConfig::sh_udp() };
+        let cm = CompressedMatrix::compress(&a, MatrixCodecConfig { index, value }).unwrap();
+        let jobs = cm.index_stream.blocks.len() + cm.value_stream.blocks.len();
+        let r = RecodedSpmv::from_compressed(cm).unwrap();
+        let what = format!("{}x{}, {} entries, {index:?}", a.nrows(), a.ncols(), a.nnz());
+        let trapped = FaultHook::new().trap(rng.below(jobs.max(1)));
+        for hook in [FaultHook::new(), trapped] {
+            for (schedule, got) in every_schedule(&r, &sys, &hook, &what) {
+                assert_eq!(got.as_ref(), Ok(&y_of(&a)), "{what}, on {schedule}");
+            }
+        }
+    });
+
+    let a = fem();
+    let mut cm = CompressedMatrix::compress(&a, small_block_config()).unwrap();
+    cm.index_stream.blocks[1].payload[0] ^= 1;
+    let r =
+        RecodedSpmv::from_compressed_with_store(cm, Some(RawFallbackStore::from_csr(&a))).unwrap();
+    for (schedule, got) in every_schedule(&r, &sys, &FaultHook::new(), "fallback") {
+        assert_eq!(got.as_ref(), Ok(&y_of(&a)), "index block 1 from the store, on {schedule}");
     }
 }
